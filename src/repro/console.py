@@ -260,8 +260,8 @@ def console_snapshot(
         final = {
             "batch": report.batch,
             "makespan_cycles": report.makespan_cycles,
-            "p50_latency_cycles": _report_percentile(report, 50),
-            "p99_latency_cycles": _report_percentile(report, 99),
+            "p50_latency_cycles": report.p50_latency_cycles,
+            "p99_latency_cycles": report.p99_latency_cycles,
         }
         if hasattr(report, "dropped_indices"):
             final["completed"] = report.completed
@@ -280,19 +280,6 @@ def console_snapshot(
         "model": model,
         "final_report": final,
     }
-
-
-def _report_percentile(report, pct: float) -> Optional[int]:
-    if hasattr(report, "latency_percentile_cycles"):  # FleetReport
-        return report.latency_percentile_cycles(pct)
-    if not report.batch:
-        return None
-    from repro.serve import latency_percentile
-
-    latencies = [
-        f - r for f, r in zip(report.input_finishes, report.releases)
-    ]
-    return latency_percentile(latencies, pct)
 
 
 async def drive_session(

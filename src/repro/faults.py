@@ -10,10 +10,11 @@ cycle counts and seeds -- no wall clock, no global RNG -- so the same
 plan replayed against the same arrival stream reproduces the same
 report byte for byte, in the same process or across processes.
 
-:func:`run_fault_schedule` is the shared failover engine both fidelity
-tiers drive (``docs/ARCHITECTURE.md``, "Fault model & failover
-contract"): health-aware dispatch (dead replicas stop receiving work),
-a :class:`RetryPolicy` that re-enqueues failed or crash-killed attempts
+:class:`FailoverEngine` (batch driver: :func:`run_fault_schedule`) is
+the failover engine both fidelity tiers and the async runtime drive
+(``docs/ARCHITECTURE.md``, "Fault model & failover contract"):
+health-aware dispatch (dead replicas stop receiving work), a
+:class:`RetryPolicy` that re-enqueues failed or crash-killed attempts
 onto surviving replicas, and graceful degradation -- a request that
 exhausts its attempts, outlives its deadline, or finds no live replica
 is recorded as *dropped*, never silently lost.  Conservation is an
@@ -21,15 +22,15 @@ invariant the engine itself asserts::
 
     submitted == completed + dropped
 
-Timing faults reuse the exact streaming recurrence: each replica's
-admission mirror applies the same per-shard inner loop as
-:func:`repro.sim.multichip.streaming_schedule`, and the plan's
-:meth:`FaultPlan.schedule_hooks` plug straight into that function's
-``service_time`` / ``link_time`` parameters, so a cycle-exact replay of
-one replica's admitted attempts reproduces the engine's predicted
-start/finish cycles exactly.  An empty plan with no retry policy is the
-identity: :class:`repro.serve.Fleet` routes it through the unfaulted
-PR-6 path, bit-identical in both tiers.
+The engine owns the retry heap and nothing else.  Timing is the one
+admission kernel (:class:`repro.sim.multichip.PipelineState`, one per
+replica): the plan's :meth:`FaultPlan.schedule_hooks`, crash cycle and
+resident load offset are that kernel's constructor data, and dispatch
+is the one routing law (:func:`repro.sim.multichip.route`) over the
+replicas still alive.  An empty plan with no retry policy
+(:func:`engine_needed`) is the identity: :class:`repro.serve.Fleet`
+then admits directly on the same kernels, and the engine run on an
+empty plan computes the same assignments and finishes.
 """
 
 import hashlib
@@ -42,7 +43,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import InterChipConfig
 from repro.errors import FaultError, SimulationError
-from repro.sim.multichip import TransferEdge
+from repro.sim.multichip import (
+    PipelineState,
+    TransferEdge,
+    check_fleet,
+    check_release,
+    route,
+)
 
 #: Why a request was dropped (the graceful-degradation taxonomy).
 DROP_DEADLINE = "deadline"
@@ -371,7 +378,7 @@ class FaultPlan:
     def schedule_hooks(self, replica: int, link: InterChipConfig):
         """``(service_time, link_time)`` hooks for one replica's replay.
 
-        The exact callables :func:`repro.sim.multichip.streaming_schedule`
+        The exact callables :class:`repro.sim.multichip.PipelineState`
         accepts; ``(None, None)`` when no timing event touches the
         replica, so the unfaulted arithmetic stays untouched.
         """
@@ -502,6 +509,20 @@ class FaultPlan:
         return replace(self, retry=retry)
 
 
+def engine_needed(
+    faults: Optional[FaultPlan], retry: Optional[RetryPolicy]
+) -> bool:
+    """Whether a submission must run through the :class:`FailoverEngine`.
+
+    ``faults=None`` -- or an empty plan with no retry policy anywhere --
+    is the identity, and callers keep the direct admission path.
+    """
+    return retry is not None or (
+        faults is not None
+        and not (faults.is_empty and faults.retry is None)
+    )
+
+
 def save_fault_plan(plan: FaultPlan, path) -> None:
     """Write a plan (and its embedded retry policy) as a JSON file."""
     Path(path).write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
@@ -552,88 +573,6 @@ class AttemptRecord:
         attempts all did the full compute.
         """
         return self.status != "crashed"
-
-
-class _FaultyReplicaState:
-    """One replica's admission mirror under a fault plan.
-
-    The same incremental recurrence as
-    :class:`repro.serve._ReplicaState`, with the plan's timing hooks
-    applied -- so replaying the admitted dispatch cycles through
-    :func:`repro.sim.multichip.streaming_schedule` with the same hooks
-    reproduces these finish cycles exactly (the cycle-exact tier
-    contract).
-    """
-
-    def __init__(
-        self,
-        row: Sequence[int],
-        edges: Sequence[TransferEdge],
-        link: InterChipConfig,
-        plan: FaultPlan,
-        replica: int,
-        load_offset: int = 0,
-    ):
-        self.row = list(row)
-        self.edges = list(edges)
-        self.link = link
-        self.replica = replica
-        #: Resident-weights sessions: a cold replica cannot start service
-        #: before its weight-load phase completes; every dispatch onto it
-        #: is clamped to this cycle (0 = warm / non-resident, identity).
-        self.load_offset = int(load_offset)
-        self.crash = plan.crash_cycle(replica)
-        self.service_time, self.link_time = plan.schedule_hooks(
-            replica, link
-        )
-        self.prev_finish = [0] * len(self.row)
-        self.link_free: Dict[Tuple[int, int], int] = {}
-        self.in_flight: List[int] = []  #: effective finish cycles
-
-    def alive_at(self, cycle: int) -> bool:
-        return self.crash is None or cycle < self.crash
-
-    def admit(self, release: int) -> Tuple[int, int]:
-        """Account one attempt dispatched at ``release``.
-
-        Returns ``(start, finish)`` where ``start`` is the shard-0 entry
-        cycle and ``finish`` the last-shard completion cycle, ignoring
-        any crash (the caller decides whether the crash kills it).
-        """
-        n = len(self.row)
-        arrival = [0] * n
-        if n:
-            arrival[0] = release
-        starts = [0] * n
-        finishes = [0] * n
-        for k in range(n):
-            starts[k] = max(arrival[k], self.prev_finish[k])
-            occupancy = self.row[k]
-            if self.service_time is not None:
-                occupancy = self.service_time(k, starts[k], occupancy)
-            finishes[k] = starts[k] + occupancy
-            for src, dst, nbytes in self.edges:
-                if src != k:
-                    continue
-                depart = max(
-                    finishes[k], self.link_free.get((src, dst), 0)
-                )
-                if self.link_time is None:
-                    ser = self.link.serialization_cycles(nbytes)
-                    lat = self.link.transfer_cycles(nbytes)
-                else:
-                    ser, lat = self.link_time(src, dst, depart, nbytes)
-                self.link_free[(src, dst)] = depart + ser
-                arrive = depart + lat
-                arrival[dst] = max(arrival[dst], arrive)
-        self.prev_finish = finishes
-        finish = max(finishes) if finishes else release
-        effective = finish if self.crash is None else min(finish, self.crash)
-        self.in_flight.append(effective)
-        return (starts[0] if n else release), finish
-
-    def queue_depth(self, now: int) -> int:
-        return sum(1 for f in self.in_flight if f > now)
 
 
 @dataclass
@@ -741,6 +680,7 @@ class FailoverEngine:
         self.retry_policy = (
             policy_retry if policy_retry is not None else RetryPolicy()
         )
+        check_fleet(policy, replicas)
         self.policy = policy
         self.replicas = int(replicas)
         self._deadline = self.retry_policy.per_request_deadline_cycles
@@ -751,12 +691,16 @@ class FailoverEngine:
                 f"load_offsets has {len(load_offsets)} entries for "
                 f"{self.replicas} replicas"
             )
-        self.states = [
-            _FaultyReplicaState(
-                row, edges, link, self.plan, r, load_offset=load_offsets[r]
-            )
-            for r in range(self.replicas)
-        ]
+        #: One admission kernel per replica, carrying the plan's timing
+        #: hooks, crash cycle and resident load offset as plain data.
+        self.states = []
+        for r in range(self.replicas):
+            service_time, link_time = self.plan.schedule_hooks(r, link)
+            self.states.append(PipelineState(
+                row, edges, link, service_time=service_time,
+                link_time=link_time, crash=self.plan.crash_cycle(r),
+                load_offset=load_offsets[r],
+            ))
         self.releases: List[int] = []
         self.assignments: List[int] = []
         self.finishes: List[int] = []
@@ -768,7 +712,7 @@ class FailoverEngine:
         ]
         self.retries = 0
         self.makespan = 0
-        self._rr_cursor = 0
+        self._cursor = 0  #: dispatches so far (the rr rotation index)
         self._heap: List[Tuple[int, int, int]] = []
 
     def push(self, release: int) -> int:
@@ -779,11 +723,7 @@ class FailoverEngine:
         because it would break the settled-outcome-is-final guarantee.
         """
         release = int(release)
-        if self.releases and release < self.releases[-1]:
-            raise SimulationError(
-                f"failover engine requires non-decreasing releases: got "
-                f"{release} after {self.releases[-1]}"
-            )
+        check_release(release, self.releases[-1] if self.releases else 0)
         request = len(self.releases)
         self.releases.append(release)
         self.assignments.append(-1)
@@ -810,12 +750,7 @@ class FailoverEngine:
 
     def drain(self) -> List[EngineOutcome]:
         """Process everything still queued (no more pushes may follow)."""
-        outcomes: List[EngineOutcome] = []
-        while self._heap:
-            outcome = self._step()
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
+        return self.settle_through(math.inf)
 
     def _terminal(self, request: int, status: str) -> EngineOutcome:
         self.statuses[request] = status
@@ -844,70 +779,43 @@ class FailoverEngine:
         ]
         if not alive:
             return self._terminal(request, DROP_NO_REPLICA)
-        if self.policy == "jsq":
-            choice = min(
-                alive, key=lambda r: (self.states[r].queue_depth(ready), r)
-            )
-        else:
-            choice = alive[self._rr_cursor % len(alive)]
-            self._rr_cursor += 1
+        choice = route(self.policy, self.states, ready, self._cursor, alive)
+        self._cursor += 1
         state = self.states[choice]
         self.attempt_counts[request] = attempt
         dispatch = max(ready, state.load_offset)
         start, finish = state.admit(dispatch)
 
+        end = finish
         if state.crash is not None and finish > state.crash:
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, state.crash, "crashed",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            self.makespan = max(self.makespan, state.crash)
-            if attempt < rp.max_attempts:
-                self.retries += 1
-                heappush(
-                    self._heap,
-                    (state.crash + rp.backoff_cycles, request, attempt + 1),
-                )
-                return None
-            return self._terminal(request, DROP_MAX_ATTEMPTS)
-
-        self.makespan = max(self.makespan, finish)
-        if self.plan.attempt_fails(request, attempt):
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, finish, "transient",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            if attempt < rp.max_attempts:
-                self.retries += 1
-                heappush(
-                    self._heap,
-                    (finish + rp.backoff_cycles, request, attempt + 1),
-                )
-                return None
-            return self._terminal(request, DROP_MAX_ATTEMPTS)
-
-        if self._deadline is not None and finish > release + self._deadline:
-            record = AttemptRecord(
-                request, attempt, choice, dispatch, finish, "late",
-                start_cycle=start,
-            )
-            self.attempts.append(record)
-            self.replica_attempts[choice].append(record)
-            return self._terminal(request, DROP_DEADLINE)
-
+            status, end = "crashed", state.crash
+        elif self.plan.attempt_fails(request, attempt):
+            status = "transient"
+        elif self._deadline is not None and finish > release + self._deadline:
+            status = "late"
+        else:
+            status = "completed"
         record = AttemptRecord(
-            request, attempt, choice, dispatch, finish, "completed",
+            request, attempt, choice, dispatch, end, status,
             start_cycle=start,
         )
         self.attempts.append(record)
         self.replica_attempts[choice].append(record)
-        self.assignments[request] = choice
-        self.finishes[request] = finish
-        return self._terminal(request, "completed")
+        self.makespan = max(self.makespan, end)
+
+        if status == "completed":
+            self.assignments[request] = choice
+            self.finishes[request] = finish
+            return self._terminal(request, "completed")
+        if status == "late":
+            return self._terminal(request, DROP_DEADLINE)
+        if attempt < rp.max_attempts:
+            self.retries += 1
+            heappush(
+                self._heap, (end + rp.backoff_cycles, request, attempt + 1)
+            )
+            return None
+        return self._terminal(request, DROP_MAX_ATTEMPTS)
 
     def finish(self) -> FaultSchedule:
         """Drain the queue and return the complete account of the run."""

@@ -11,18 +11,21 @@ production), routes it through an event-driven admission scheduler --
 a single asyncio task owning all shard occupancy -- and resolves a
 future per request with its completion cycle and latency.
 
-**The admission law is the offline one.**  The scheduler predicts every
-start/finish through the exact incremental mirrors of the batch paths:
-:class:`repro.serve._ReplicaState` (the per-input inner loop of
-:func:`repro.sim.multichip.streaming_schedule`),
-:class:`repro.serve._Dispatcher` (the fleet's rr/jsq routing law), and
-:class:`repro.faults.FailoverEngine` (the health-aware retry engine)
--- so a drained session replayed offline through
-:class:`~repro.serve.TraceArrivals` is bit-identical to what the live
-session promised.  :meth:`ServerHandle.drain` performs exactly that
-replay (it is where the simulators actually execute), cross-checks
-every live prediction against the offline report, and raises
-:class:`~repro.errors.SimulationError` on any divergence.
+**The admission law is the offline one.**  The scheduler owns one
+admission kernel (:class:`repro.sim.multichip.PipelineState`) per
+replica and dispatches with the one routing law
+(:func:`repro.sim.multichip.route`) -- the same objects
+:class:`~repro.serve.Fleet` dispatches with offline, so there is no
+second copy of either law to keep in step.  Fault-free sessions route
+and admit each request directly as it arrives; sessions under a
+:class:`~repro.faults.FaultPlan` feed the
+:class:`repro.faults.FailoverEngine`, whose retry heap sits on top of
+the same kernels.  A drained session replayed offline through
+:class:`~repro.serve.TraceArrivals` is therefore bit-identical to what
+the live session promised.  :meth:`ServerHandle.drain` performs exactly
+that replay (it is where the simulators actually execute),
+cross-checks every live prediction against the offline report, and
+raises :class:`~repro.errors.SimulationError` on any divergence.
 
 The session publishes a typed event stream -- :class:`RequestAdmitted`,
 :class:`RequestCompleted`, :class:`RequestDropped`,
@@ -44,7 +47,9 @@ from repro.faults import (
     FailoverEngine,
     FaultPlan,
     RetryPolicy,
+    engine_needed,
 )
+from repro.sim.multichip import check_release, route
 
 __all__ = [
     "VirtualClock",
@@ -254,7 +259,7 @@ class ServerHandle:
         faults: Optional[FaultPlan],
         retry: Optional[RetryPolicy],
     ):
-        from repro.serve import Deployment, Fleet, _Dispatcher, _ReplicaState
+        from repro.serve import Deployment, Fleet
 
         self.server = server
         self.clock = clock
@@ -263,12 +268,16 @@ class ServerHandle:
         self.faults = faults
         self.retry = retry
 
-        if isinstance(server, Fleet):
-            dep = server.deployment
+        self._is_fleet = isinstance(server, Fleet)
+        if self._is_fleet:
             self.num_replicas = server.num_replicas
             self.policy = server.policy
         elif isinstance(server, Deployment):
-            dep = server
+            if engine_needed(faults, retry):
+                raise ConfigError(
+                    "fault injection needs a Fleet; wrap the deployment "
+                    "in Fleet(model, replicas=1) to serve under a FaultPlan"
+                )
             self.num_replicas = 1
             self.policy = "rr"
         else:
@@ -276,61 +285,28 @@ class ServerHandle:
                 f"serve_forever needs a Deployment or Fleet, got "
                 f"{type(server).__name__}"
             )
-        self._dep = dep
-        self._is_fleet = isinstance(server, Fleet)
-
-        engine_needed = retry is not None or (
-            faults is not None
-            and not (faults.is_empty and faults.retry is None)
-        )
-        if engine_needed and not self._is_fleet:
-            raise ConfigError(
-                "fault injection needs a Fleet; wrap the deployment in "
-                "Fleet(model, replicas=1) to serve under a FaultPlan"
-            )
-
-        row, edges = server._service_profile()
-        link = server.arch.interchip
-        self.shard_row: List[int] = list(row)
-        self.shard_edges = list(edges)
-        self.link = link
 
         # Resident sessions: warmth is frozen at session open (nothing
-        # executes before drain), so the load clamp each cold replica's
-        # sub-stream will apply offline is known up front.
-        load_done = 0
-        if dep.resident_weights:
-            load_done = dep._resident_load_profile()[0]
-        if self._is_fleet:
-            warm = list(server._replica_warm)
-        else:
-            warm = [dep._resident_loaded]
-        self._load_offsets = [
-            0 if (not dep.resident_weights or warm[r]) else load_done
-            for r in range(self.num_replicas)
-        ]
+        # executes before drain), so each cold replica's kernel carries
+        # the load clamp its sub-stream will see offline.
+        self._states = server._pipeline_states()
+        row, edges = server._service_profile()
+        self.shard_row: List[int] = list(row)
+        self.shard_edges = list(edges)
+        self.link = server.arch.interchip
 
+        # The retry heap exists for faulted sessions only; fault-free
+        # ones route + admit directly on the kernels.
         self._engine: Optional[FailoverEngine] = None
-        self._dispatcher = None
-        self._mirrors = None
-        if engine_needed:
+        if engine_needed(faults, retry):
             self._engine = FailoverEngine(
-                row, edges, link, self.num_replicas, policy=self.policy,
-                plan=faults, retry=retry,
-                load_offsets=(
-                    self._load_offsets if dep.resident_weights else None
-                ),
+                self.shard_row, self.shard_edges, self.link,
+                self.num_replicas, policy=self.policy, plan=faults,
+                retry=retry,
+                load_offsets=[s.load_offset for s in self._states],
             )
+            self._states = self._engine.states
             self._attempt_cursor = 0
-        else:
-            if self._is_fleet:
-                self._dispatcher = _Dispatcher(
-                    self.policy, self.num_replicas, row, edges, link
-                )
-            self._mirrors = [
-                _ReplicaState(row, edges, link)
-                for _ in range(self.num_replicas)
-            ]
 
         # Live predictions, cross-checked against the offline replay.
         self._releases: List[int] = []
@@ -354,7 +330,7 @@ class ServerHandle:
         if hasattr(self.clock, "start"):
             self.clock.start()
         for r in range(self.num_replicas):
-            state = "cold" if self._load_offsets[r] else "up"
+            state = "cold" if self._states[r].load_offset else "up"
             self._emit(ReplicaStateChanged(r, state, at_cycle=0))
         self._task = asyncio.get_running_loop().create_task(
             self._scheduler(), name="repro-admission-scheduler"
@@ -408,16 +384,13 @@ class ServerHandle:
                 "to open a new one"
             )
         release = int(at) if at is not None else int(self.clock.now_cycles())
-        if release < 0:
-            raise ConfigError(
-                f"release cycle must be >= 0, got {release}"
+        try:
+            check_release(
+                release, self._releases[-1] if self._releases else 0
             )
-        if self._releases and release < self._releases[-1]:
-            raise ConfigError(
-                f"release cycles must be non-decreasing (requests are "
-                f"served FIFO in submission order): got {release} after "
-                f"{self._releases[-1]}"
-            )
+        except SimulationError as exc:
+            # The kernel's rule, surfaced as the caller's mistake.
+            raise ConfigError(str(exc)) from exc
         request = len(self._releases)
         self._releases.append(release)
         self._assignments.append(-1)
@@ -446,25 +419,14 @@ class ServerHandle:
                 self._admit_unfaulted(request, release)
 
     def _admit_unfaulted(self, request: int, release: int) -> None:
-        if self._dispatcher is not None:
-            replica = self._dispatcher.route(release)
-        else:
-            replica = 0
-        dispatch = max(release, self._load_offsets[replica])
-        start, finish = self._mirrors[replica].admit(dispatch)
-        self._assignments[request] = replica
+        replica = route(self.policy, self._states, release, request)
+        state = self._states[replica]
+        dispatch = max(release, state.load_offset)
+        start, finish = state.admit(dispatch)
         self._starts[request] = start
-        self._finishes[request] = finish
-        self._statuses[request] = "completed"
         self._note_warm(replica)
         self._emit(RequestAdmitted(request, release, replica, dispatch))
-        latency = finish - release
-        self._emit(RequestCompleted(
-            request, release, replica, finish, latency, attempts=1,
-        ))
-        self._resolve(RequestCompletion(
-            request, release, replica, finish, latency,
-        ))
+        self._settle(request, replica, finish)
 
     def _absorb_engine(self, outcomes) -> None:
         engine = self._engine
@@ -487,42 +449,45 @@ class ServerHandle:
                 ))
         self._attempt_cursor = len(engine.attempts)
         for outcome in outcomes:
-            request = outcome.request
-            release = engine.releases[request]
-            self._assignments[request] = outcome.replica
-            self._finishes[request] = outcome.finish_cycle
-            self._statuses[request] = outcome.status
-            if outcome.completed:
-                latency = outcome.finish_cycle - release
-                self._emit(RequestCompleted(
-                    request, release, outcome.replica,
-                    outcome.finish_cycle, latency, outcome.attempts,
-                ))
-                self._resolve(RequestCompletion(
-                    request, release, outcome.replica,
-                    outcome.finish_cycle, latency, outcome.attempts,
-                ))
-            else:
-                self._emit(RequestDropped(
-                    request, release, outcome.status, outcome.attempts,
-                ))
-                self._resolve(RequestCompletion(
-                    request, release, replica=-1, finish_cycle=0,
-                    latency_cycles=None, attempts=outcome.attempts,
-                    status=outcome.status,
-                ))
+            self._settle(
+                outcome.request, outcome.replica, outcome.finish_cycle,
+                outcome.attempts, outcome.status,
+            )
 
     def _note_warm(self, replica: int) -> None:
-        if self._load_offsets[replica] and not self._warm_emitted[replica]:
+        load_done = self._states[replica].load_offset
+        if load_done and not self._warm_emitted[replica]:
             self._warm_emitted[replica] = True
             self._emit(ReplicaStateChanged(
-                replica, "warm", at_cycle=self._load_offsets[replica],
+                replica, "warm", at_cycle=load_done,
             ))
 
-    def _resolve(self, completion: RequestCompletion) -> None:
-        future = self._pending.pop(completion.request)
+    def _settle(
+        self, request: int, replica: int, finish: int, attempts: int = 1,
+        status: str = "completed",
+    ) -> None:
+        """Record a request's fate, publish it and resolve its future.
+
+        Dropped requests arrive as the engine reports them: ``replica ==
+        -1`` and ``finish == 0``.
+        """
+        release = self._releases[request]
+        self._assignments[request] = replica
+        self._finishes[request] = finish
+        self._statuses[request] = status
+        latency = None
+        if status == "completed":
+            latency = finish - release
+            self._emit(RequestCompleted(
+                request, release, replica, finish, latency, attempts,
+            ))
+        else:
+            self._emit(RequestDropped(request, release, status, attempts))
+        future = self._pending.pop(request)
         if not future.cancelled():
-            future.set_result(completion)
+            future.set_result(RequestCompletion(
+                request, release, replica, finish, latency, attempts, status,
+            ))
 
     # -- drain: execute offline, cross-check the live predictions -----------
     async def drain(self):

@@ -15,15 +15,20 @@ drives the streaming scheduler with an explicit arrival process::
 
 **Queueing law.**  Input ``i`` is *released* at an arrival-process-chosen
 cycle, waits until the first shard is free (FIFO, submission order),
-then flows through the chip pipeline under the PR-4 streaming recurrence
-(:func:`repro.sim.multichip.streaming_schedule`), now generalised to
-nonzero release times: ``start[i][k] = max(release_i if k == 0,
-finish[i-1][k], last inbound transfer arrival)``.  With every release at
-cycle 0 this is bit-identical to the batched schedule, so batched mode
-is the ``arrivals=BackToBack()`` special case.  Both fidelity tiers
-share the law: ``tier="cyclesim"`` executes every input on the exact
-simulator, ``tier="fast"`` prices the same schedule from the analytical
-model (:func:`repro.sim.fastmodel.serve_arrivals`).
+then flows through the chip pipeline: ``start[i][k] = max(release_i if
+k == 0, finish[i-1][k], last inbound transfer arrival)``.  That
+recurrence is written once, in the admission kernel
+:class:`repro.sim.multichip.PipelineState`; this module only consumes
+it.  :class:`Deployment` folds it over a submission
+(:func:`~repro.sim.multichip.streaming_schedule`), and :class:`Fleet`
+dispatches with the one rr/jsq law (:func:`~repro.sim.multichip.route`)
+over one kernel state per replica.  With every release at cycle 0 the
+schedule is bit-identical to the batched one, so batched mode is the
+``arrivals=BackToBack()`` special case.  Both fidelity tiers share the
+law: ``tier="cyclesim"`` executes every input on the exact simulator,
+``tier="fast"`` prices the same schedule from the analytical model
+(:func:`repro.sim.fastmodel.serve_fleet` is the sweep engine's
+closed-form continuation of it).
 
 **Serving-session contract** (see ``docs/ARCHITECTURE.md``, "Serving
 sessions").  What may persist across submissions is exactly the
@@ -35,16 +40,17 @@ every output bit-identical to an independent single-input run.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.compiler import CompiledModel, MultiChipModel
 from repro.config import ArchConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.faults import (
     FaultPlan,
     RetryPolicy,
+    engine_needed,
     run_fault_schedule,
 )
 from repro.graph.graph import ComputationGraph
@@ -52,11 +58,16 @@ from repro.sim.functional import golden_outputs
 from repro.sim.multichip import (
     MultiChipReport,
     MultiChipSimulator,
+    PipelineState,
     TransferEdge,
     assemble_stream_report,
+    check_fleet,
     merge_shard_energy,
+    route,
+    sharding_edges,
     steady_state_interval,
     streaming_schedule,
+    sum_energy,
 )
 from repro.workflow import (
     ArchLike,
@@ -207,6 +218,16 @@ class TraceArrivals(ArrivalProcess):
         return f"trace[{len(self.releases)}]"
 
 
+def _nearest_rank(ordered: Sequence[int], pct: float) -> int:
+    """Nearest-rank percentile of an already-sorted, non-empty series."""
+    if not 0.0 < pct <= 100.0:
+        raise ConfigError(
+            f"percentile must be in (0, 100], got {pct!r}"
+        )
+    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
+    return int(ordered[min(rank, len(ordered)) - 1])
+
+
 def latency_percentile(latencies: Sequence[int], pct: float) -> int:
     """Nearest-rank percentile (deterministic on integer cycle counts).
 
@@ -215,23 +236,143 @@ def latency_percentile(latencies: Sequence[int], pct: float) -> int:
     above 100 would silently clamp to the maximum, so both are rejected
     with :class:`~repro.errors.ConfigError`.
     """
-    if not 0.0 < pct <= 100.0:
-        raise ConfigError(
-            f"percentile must be in (0, 100], got {pct!r}"
+    return _nearest_rank(sorted(latencies) or [0], pct)
+
+
+# ---------------------------------------------------------------------------
+# Serving reports
+# ---------------------------------------------------------------------------
+
+class _ServingMetrics:
+    """The metrics every serving report derives the same way.
+
+    :class:`ServeReport` and :class:`FleetReport` (a fleet of one *is* a
+    deployment) supply the measured fields -- ``arch``, ``releases``,
+    ``input_finishes``, ``makespan_cycles``, ``steady_interval_cycles``,
+    ``energy_breakdown_pj`` -- plus ``latency_cycles`` and
+    ``completed``; cycle->ms conversion, latency percentiles, achieved
+    rate, energy totals and the shared ``to_dict`` block live here once.
+    """
+
+    #: What a latency percentile reads when nothing completed: ``0`` for
+    #: a plain stream; a fleet, which can drop everything, says ``None``.
+    _no_latency: Optional[int] = 0
+
+    @property
+    def cycle_ns(self) -> float:
+        return self.arch.chip.cycle_ns
+
+    def _ms(self, cycles: Optional[int]) -> Optional[float]:
+        return None if cycles is None else cycles * self.cycle_ns / 1e6
+
+    @property
+    def makespan_ms(self) -> float:
+        return self._ms(self.makespan_cycles)
+
+    def _percentiles(
+        self, pcts: Sequence[float], latencies: Optional[List[int]] = None
+    ) -> List[Optional[int]]:
+        """Nearest-rank percentiles of ``latency_cycles`` from one sort."""
+        if latencies is None:
+            latencies = self.latency_cycles
+        ordered = sorted(latencies)
+        ranks = [_nearest_rank(ordered or [0], pct) for pct in pcts]
+        return ranks if ordered else [self._no_latency] * len(ranks)
+
+    def latency_percentile_cycles(self, pct: float) -> Optional[int]:
+        """Nearest-rank percentile over *completed* requests."""
+        return self._percentiles([pct])[0]
+
+    @property
+    def p50_latency_cycles(self) -> Optional[int]:
+        return self.latency_percentile_cycles(50)
+
+    @property
+    def p95_latency_cycles(self) -> Optional[int]:
+        return self.latency_percentile_cycles(95)
+
+    @property
+    def p99_latency_cycles(self) -> Optional[int]:
+        return self.latency_percentile_cycles(99)
+
+    @property
+    def p50_latency_ms(self) -> Optional[float]:
+        return self._ms(self.p50_latency_cycles)
+
+    @property
+    def p95_latency_ms(self) -> Optional[float]:
+        return self._ms(self.p95_latency_cycles)
+
+    @property
+    def p99_latency_ms(self) -> Optional[float]:
+        return self._ms(self.p99_latency_cycles)
+
+    def _latency_line(self, pct: int) -> str:
+        cycles = self.latency_percentile_cycles(pct)
+        if cycles is None:
+            return f"latency p{pct}       : n/a (0 completed)"
+        return (
+            f"latency p{pct}       : {cycles:,} cycles "
+            f"({self._ms(cycles):.3f} ms)"
         )
-    if not latencies:
-        return 0
-    ordered = sorted(latencies)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return int(ordered[min(rank, len(ordered)) - 1])
 
+    @property
+    def throughput_inf_per_s(self) -> float:
+        """Sustained rate actually achieved: completions over makespan.
 
-# ---------------------------------------------------------------------------
-# Serving report
-# ---------------------------------------------------------------------------
+        Counts *completed* requests only: a fault plan that drops work
+        must not inflate the rate with inferences that never finished.
+        """
+        if self.completed == 0 or self.makespan_cycles <= 0:
+            return 0.0
+        return self.completed / (self.makespan_cycles * self.cycle_ns / 1e9)
+
+    @property
+    def total_energy_pj(self) -> float:
+        return sum(self.energy_breakdown_pj.values())
+
+    @property
+    def total_energy_mj(self) -> float:
+        return self.total_energy_pj / 1e9
+
+    def _metrics_dict(self) -> Dict:
+        """The ``to_dict`` keys both report types share."""
+        from repro.config import arch_fingerprint
+
+        latencies = self.latency_cycles
+        p50, p95, p99 = self._percentiles([50, 95, 99], latencies)
+        return {
+            "arch_fingerprint": arch_fingerprint(self.arch),
+            "tier": self.tier,
+            "batch": int(self.batch),
+            "arrival": self.arrival,
+            "releases": [int(c) for c in self.releases],
+            "input_finishes": [int(c) for c in self.input_finishes],
+            "latency_cycles": [int(c) for c in latencies],
+            "makespan_cycles": int(self.makespan_cycles),
+            "makespan_ms": self.makespan_ms,
+            "steady_interval_cycles": int(self.steady_interval_cycles),
+            "p50_latency_cycles": p50,
+            "p95_latency_cycles": p95,
+            "p99_latency_cycles": p99,
+            "p50_latency_ms": self._ms(p50),
+            "p95_latency_ms": self._ms(p95),
+            "p99_latency_ms": self._ms(p99),
+            "throughput_inf_per_s": self.throughput_inf_per_s,
+            "saturation_inf_per_s": self.saturation_inf_per_s,
+            "total_energy_mj": self.total_energy_mj,
+            "energy_per_inference_mj": self.energy_per_inference_mj,
+            "macs": int(self.macs),
+            "instructions": int(self.instructions),
+            "validated": self.validated,
+            "energy_breakdown_pj": {
+                k: float(v) for k, v in self.energy_breakdown_pj.items()
+            },
+        }
+
 
 @dataclass
-class ServeReport:
+class ServeReport(_ServingMetrics):
     """One submission's view of the serving queueing model.
 
     Cycle accounting per input ``i``::
@@ -293,51 +434,10 @@ class ServeReport:
     def latency_cycles(self) -> List[int]:
         return [f - r for f, r in zip(self.input_finishes, self.releases)]
 
-    def latency_percentile_cycles(self, pct: float) -> int:
-        return latency_percentile(self.latency_cycles, pct)
-
     @property
-    def p50_latency_cycles(self) -> int:
-        return self.latency_percentile_cycles(50)
-
-    @property
-    def p95_latency_cycles(self) -> int:
-        return self.latency_percentile_cycles(95)
-
-    @property
-    def p99_latency_cycles(self) -> int:
-        return self.latency_percentile_cycles(99)
-
-    # -- unit conversions ---------------------------------------------------
-    @property
-    def cycle_ns(self) -> float:
-        return self.arch.chip.cycle_ns
-
-    def _ms(self, cycles: int) -> float:
-        return cycles * self.cycle_ns / 1e6
-
-    @property
-    def makespan_ms(self) -> float:
-        return self._ms(self.makespan_cycles)
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return self._ms(self.p50_latency_cycles)
-
-    @property
-    def p95_latency_ms(self) -> float:
-        return self._ms(self.p95_latency_cycles)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self._ms(self.p99_latency_cycles)
-
-    @property
-    def throughput_inf_per_s(self) -> float:
-        """Sustained rate actually achieved: completions over makespan."""
-        if self.batch == 0 or self.makespan_cycles <= 0:
-            return 0.0
-        return self.batch / (self.makespan_cycles * self.cycle_ns / 1e9)
+    def completed(self) -> int:
+        """A plain stream drops nothing: every input completes."""
+        return self.batch
 
     @property
     def saturation_inf_per_s(self) -> float:
@@ -351,53 +451,18 @@ class ServeReport:
         return len(self.shard_cycles)
 
     @property
-    def total_energy_pj(self) -> float:
-        return sum(self.energy_breakdown_pj.values())
-
-    @property
-    def total_energy_mj(self) -> float:
-        return self.total_energy_pj / 1e9
-
-    @property
     def energy_per_inference_mj(self) -> float:
         return self.total_energy_mj / max(1, self.batch)
 
     def to_dict(self) -> Dict:
-        from repro.config import arch_fingerprint
-
-        payload = {
-            "arch_fingerprint": arch_fingerprint(self.arch),
-            "tier": self.tier,
-            "batch": int(self.batch),
-            "arrival": self.arrival,
+        payload = self._metrics_dict()
+        payload.update({
             "num_shards": self.num_shards,
-            "releases": [int(c) for c in self.releases],
             "service_starts": [int(c) for c in self.service_starts],
-            "input_finishes": [int(c) for c in self.input_finishes],
             "queue_cycles": [int(c) for c in self.queue_cycles],
-            "latency_cycles": [int(c) for c in self.latency_cycles],
-            "makespan_cycles": int(self.makespan_cycles),
-            "makespan_ms": self.makespan_ms,
-            "steady_interval_cycles": int(self.steady_interval_cycles),
-            "p50_latency_cycles": self.p50_latency_cycles,
-            "p95_latency_cycles": self.p95_latency_cycles,
-            "p99_latency_cycles": self.p99_latency_cycles,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "throughput_inf_per_s": self.throughput_inf_per_s,
-            "saturation_inf_per_s": self.saturation_inf_per_s,
             "shard_cycles": [int(c) for c in self.shard_cycles],
             "shard_utilization": [float(u) for u in self.shard_utilization],
-            "total_energy_mj": self.total_energy_mj,
-            "energy_per_inference_mj": self.energy_per_inference_mj,
-            "macs": int(self.macs),
-            "instructions": int(self.instructions),
-            "validated": self.validated,
-            "energy_breakdown_pj": {
-                k: float(v) for k, v in self.energy_breakdown_pj.items()
-            },
-        }
+        })
         # Only resident sessions carry the load-amortization block, so a
         # non-resident report serializes byte-identically to before.
         if self.resident:
@@ -417,12 +482,9 @@ class ServeReport:
             f"({self.makespan_ms:.3f} ms)",
             f"sustained rate    : {self.throughput_inf_per_s:,.0f} inf/s "
             f"(saturation {self.saturation_inf_per_s:,.0f} inf/s)",
-            f"latency p50       : {self.p50_latency_cycles:,} cycles "
-            f"({self.p50_latency_ms:.3f} ms)",
-            f"latency p95       : {self.p95_latency_cycles:,} cycles "
-            f"({self.p95_latency_ms:.3f} ms)",
-            f"latency p99       : {self.p99_latency_cycles:,} cycles "
-            f"({self.p99_latency_ms:.3f} ms)",
+            self._latency_line(50),
+            self._latency_line(95),
+            self._latency_line(99),
         ]
         queue = self.queue_cycles
         if queue:
@@ -464,6 +526,10 @@ def _shard_utilization(
 # ---------------------------------------------------------------------------
 
 ModelLike = Union[str, ComputationGraph, CompiledModel, MultiChipModel]
+
+#: ``(cycles, energy, macs, instructions)`` of a submission that paid no
+#: resident weight-load phase (see ``Deployment._resident_load_profile``).
+_NO_LOAD = (0, {}, 0, 0)
 
 
 class Deployment:
@@ -667,16 +733,7 @@ class Deployment:
                 for t in self.compiled.transfers
             ]
         if self.compiled is None and self._sharding is not None:
-            edges: List[TransferEdge] = []
-            for shard in self._sharding.shards:
-                for tensor in sorted(shard.incoming):
-                    edges.append((
-                        shard.incoming[tensor],
-                        shard.index,
-                        self._sharding.graph.tensor(tensor).size_bytes,
-                    ))
-            edges.sort()
-            return edges
+            return sharding_edges(self._sharding)
         return []
 
     def _service_profile(self):
@@ -705,6 +762,31 @@ class Deployment:
                 row = list(probe.shard_cycles)
             self._profile = (row, edges)
         return self._profile
+
+    def _load_offset(self, warm: bool) -> int:
+        """The cycle a replica's weight load completes if it is a cold
+        (``not warm``) replica of a resident session, else 0."""
+        if not self.resident_weights or warm:
+            return 0
+        return self._resident_load_profile()[0]
+
+    def _pipeline_states(self, warm=None) -> List[PipelineState]:
+        """One fresh admission kernel per replica of this model.
+
+        ``warm[r]`` says whether replica ``r`` holds its resident
+        weights; the default is this deployment alone, which admits as
+        a fleet of one.
+        """
+        if warm is None:
+            warm = [self._resident_loaded]
+        row, edges = self._service_profile()
+        return [
+            PipelineState(
+                row, edges, self.arch.interchip,
+                load_offset=self._load_offset(w),
+            )
+            for w in warm
+        ]
 
     def serve_forever(
         self,
@@ -784,6 +866,35 @@ class Deployment:
             )
 
     # -- streaming submissions ---------------------------------------------
+    def _open_stream(self, inputs, batch, arrivals, seed, min_batch=1):
+        """The front half every submission shares.
+
+        Normalises ``arrivals`` (``None`` = :class:`BackToBack`, a bare
+        sequence = :class:`TraceArrivals`), lets a trace set the default
+        batch, resolves ``inputs`` and draws the release cycles.
+        Returns ``(arrivals, resolved, releases)``; ``resolved`` is
+        ``None`` in the fast tier, where timing is data-independent and
+        ``inputs`` only sets/checks the batch (shape-validated like the
+        cyclesim tier).  Only a trace may imply less than ``min_batch``.
+        """
+        if arrivals is None:
+            arrivals = BackToBack()
+        elif not isinstance(arrivals, ArrivalProcess):
+            arrivals = TraceArrivals(arrivals)
+        traced = isinstance(arrivals, TraceArrivals) and batch == 1
+        if traced:
+            batch = len(arrivals)
+        elif batch < min_batch:
+            raise ConfigError(f"batch must be >= {min_batch}, got {batch}")
+        resolved = None
+        if batch and (self.tier == "cyclesim" or inputs is not None):
+            resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
+            batch = len(resolved)
+            if self.tier == "fast":
+                resolved = None
+        releases = arrivals.release_cycles(batch, self.arch.chip.cycle_ns)
+        return arrivals, resolved, releases
+
     def submit(
         self,
         inputs=None,
@@ -805,33 +916,20 @@ class Deployment:
         bit-exactly against the golden model; the fast tier carries no
         functional outputs (``validate`` is ignored).
         """
-        if arrivals is None:
-            arrivals = BackToBack()
-        elif not isinstance(arrivals, ArrivalProcess):
-            arrivals = TraceArrivals(arrivals)
-        if isinstance(arrivals, TraceArrivals) and batch == 1:
-            batch = len(arrivals)
-            if batch == 0:
-                return self._empty_report(arrivals)
-        if batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {batch}")
-
-        if self.tier == "fast":
-            # Timing is data-independent, so the fast tier only uses
-            # ``inputs`` to set/check the batch (shape-validated like
-            # the cyclesim tier); the tensor contents are not executed.
-            if inputs is not None:
-                batch = len(
-                    _resolve_batch_inputs(self.graph, inputs, batch, seed)
-                )
-            releases = arrivals.release_cycles(batch, self.arch.chip.cycle_ns)
-            return self._submit_fast(releases, arrivals)
-
-        resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
-        releases = arrivals.release_cycles(
-            len(resolved), self.arch.chip.cycle_ns
+        arrivals, resolved, releases = self._open_stream(
+            inputs, batch, arrivals, seed
         )
-        return self._submit_cyclesim(resolved, releases, arrivals, validate)
+        if not releases:
+            return self._empty_report(arrivals)
+        if self.tier == "fast":
+            report = self._submit_fast(releases, arrivals)
+        else:
+            report = self._submit_cyclesim(
+                resolved, releases, arrivals, validate
+            )
+        if self.resident_weights:
+            self._resident_loaded = True
+        return report
 
     def run_trace(
         self,
@@ -847,17 +945,14 @@ class Deployment:
         schedule of PR 4 exactly -- same makespan, bit-identical
         outputs.  An empty trace is legal and yields an empty report.
         """
-        if not isinstance(trace, TraceArrivals):
-            trace = TraceArrivals(trace)
-        if not len(trace):
-            return self._empty_report(trace)
         return self.submit(
-            inputs, batch=len(trace), arrivals=trace, seed=seed,
-            validate=validate,
+            inputs, arrivals=trace, seed=seed, validate=validate
         )
 
-    def _empty_report(self, arrivals: ArrivalProcess) -> ServeReport:
-        shard_cycles = [0] * self.num_chips
+    def _empty_report(self, arrivals: ArrivalProcess, load=None) -> ServeReport:
+        """A zero-input report; ``load`` is a weight-load phase
+        (:meth:`_resident_load_profile`) a replica paid without serving."""
+        load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
         return ServeReport(
             arch=self.arch,
             tier=self.tier,
@@ -868,13 +963,117 @@ class Deployment:
             input_finishes=[],
             makespan_cycles=0,
             steady_interval_cycles=0,
-            shard_cycles=shard_cycles,
+            shard_cycles=[0] * self.num_chips,
             shard_utilization=[0.0] * self.num_chips,
-            energy_breakdown_pj={},
+            energy_breakdown_pj=dict(load_energy),
+            macs=load_macs,
+            instructions=load_instr,
             per_input_outputs=[] if self.tier == "cyclesim" else None,
+            resident=load is not None,
+            load_cycles=load_cycles,
+            load_energy_pj=dict(load_energy),
+        )
+
+    def _admit_stream(self, rows, releases):
+        """Schedule one submission's measured rows; ``(load, schedule)``.
+
+        Resident cold start: the load phase completes on every shard
+        before the first input enters the pipeline, so the schedule sees
+        releases clamped to the load-done cycle -- which is exactly what
+        keeps makespan(B) = load + warm_makespan(1) + (B-1)*bottleneck.
+        ``load`` is that phase's :meth:`_resident_load_profile` (zeros
+        on a warm or non-resident submission).
+        """
+        load = _NO_LOAD
+        if self.resident_weights and not self._resident_loaded:
+            load = self._resident_load_profile()
+        if load[0]:
+            releases = [max(r, load[0]) for r in releases]
+        return load, streaming_schedule(
+            rows, self._transfer_edges(), self.arch.interchip, releases
+        )
+
+    def _serve_report(
+        self, arrival, releases, starts, finishes, makespan, rows,
+        energy, macs, instructions, load, **extra,
+    ) -> ServeReport:
+        """The report-assembly tail every non-empty stream shares:
+        stream totals plus the weight-load phase ``load`` it paid."""
+        load_cycles, load_energy, load_macs, load_instr = load
+        return ServeReport(
+            arch=self.arch,
+            tier=self.tier,
+            batch=len(releases),
+            arrival=arrival,
+            releases=list(releases),
+            service_starts=starts,
+            input_finishes=finishes,
+            makespan_cycles=makespan,
+            steady_interval_cycles=steady_state_interval(
+                rows[0], self._transfer_edges(), self.arch.interchip
+            ),
+            shard_cycles=list(rows[0]),
+            shard_utilization=_shard_utilization(rows, makespan),
+            energy_breakdown_pj=sum_energy([energy, load_energy]),
+            macs=macs + load_macs,
+            instructions=instructions + load_instr,
+            resident=self.resident_weights,
+            load_cycles=load_cycles,
+            load_energy_pj=dict(load_energy),
+            **extra,
         )
 
     # -- cyclesim tier ------------------------------------------------------
+    def _execute(self, inputs: Sequence[np.ndarray]):
+        """Functional half: run every input in per-input isolation.
+
+        Returns ``(per_input_reports, per_input_outputs,
+        interchip_bytes_per_input, label)``.
+        """
+        interchip_per_input = (
+            self.compiled.interchip_bytes()
+            if isinstance(self.compiled, MultiChipModel) else 0
+        )
+        if self.resident_weights:
+            per_input_reports, per_input_outputs = self._resident_execute(
+                inputs
+            )
+            label = "resident session"
+        elif isinstance(self.compiled, MultiChipModel):
+            sim = MultiChipSimulator(self.compiled, engine=self.engine)
+            per_input_reports, per_input_outputs = sim.execute_stream(
+                inputs, self.graph.input_operators[0].output
+            )
+            label = f"{self.compiled.num_chips} chips"
+        else:
+            per_input_reports, per_input_outputs = [], []
+            for data in inputs:
+                report, outputs = _run_single_chip(
+                    self.compiled, data, self.engine
+                )
+                per_input_reports.append([report])
+                per_input_outputs.append(outputs)
+            label = self.compiled.plan.strategy
+        return (
+            per_input_reports, per_input_outputs, interchip_per_input, label
+        )
+
+    def _validate(self, inputs, outputs, label, names=None):
+        """Bit-exact golden check of every input; returns the first's
+        golden outputs.  ``names[j]`` labels input ``j`` (default ``j``)."""
+        graph = self.graph
+        input_tensor = graph.input_operators[0].output
+        golden = None
+        for index, (data, produced) in enumerate(zip(inputs, outputs)):
+            expected = golden_outputs(graph, {input_tensor: data})
+            name = index if names is None else names[index]
+            _validate_outputs(
+                graph, produced, expected, f"{label}, input {name}"
+            )
+            if golden is None:
+                golden = expected
+        return golden
+
     def _submit_cyclesim(
         self,
         inputs: Sequence[np.ndarray],
@@ -882,106 +1081,31 @@ class Deployment:
         arrivals: ArrivalProcess,
         validate: bool,
     ) -> ServeReport:
-        graph = self.graph
-        link = self.arch.interchip
-        edges = self._transfer_edges()
-        input_tensor = graph.input_operators[0].output
-        batch = len(inputs)
-
-        if self.resident_weights:
-            per_input_reports, per_input_outputs = self._resident_execute(
-                inputs
-            )
-            rows = [[r.cycles for r in reports] for reports in per_input_reports]
-            interchip_per_input = (
-                self.compiled.interchip_bytes()
-                if isinstance(self.compiled, MultiChipModel) else 0
-            )
-            label = f"resident session, serve {batch}"
-        elif isinstance(self.compiled, MultiChipModel):
-            sim = MultiChipSimulator(self.compiled, engine=self.engine)
-            per_input_reports, per_input_outputs = sim.execute_stream(
-                inputs, input_tensor
-            )
-            rows = [[r.cycles for r in reports] for reports in per_input_reports]
-            interchip_per_input = self.compiled.interchip_bytes()
-            label = f"{self.compiled.num_chips} chips, serve {batch}"
-        else:
-            single_reports = []
-            per_input_outputs = []
-            for data in inputs:
-                report, outputs = _run_single_chip(
-                    self.compiled, data, self.engine
-                )
-                single_reports.append(report)
-                per_input_outputs.append(outputs)
-            per_input_reports = [[r] for r in single_reports]
-            rows = [[r.cycles] for r in single_reports]
-            interchip_per_input = 0
-            label = f"{self.compiled.plan.strategy}, serve {batch}"
-
-        # Resident cold start: the load phase completes on every shard
-        # before the first input enters the pipeline, so the schedule sees
-        # releases clamped to the load-done cycle -- which is exactly what
-        # keeps makespan(B) = load + warm_makespan(1) + (B-1)*bottleneck.
-        load_done, load_energy, load_macs, load_instr = 0, {}, 0, 0
-        if self.resident_weights and not self._resident_loaded:
-            load_done, load_energy, load_macs, load_instr = (
-                self._resident_load_profile()
-            )
-        sched_releases = (
-            [max(r, load_done) for r in releases] if load_done
-            else list(releases)
+        per_input_reports, per_input_outputs, interchip_per_input, label = (
+            self._execute(inputs)
         )
-        schedule = streaming_schedule(rows, edges, link, sched_releases)
+        rows = [[r.cycles for r in reports] for reports in per_input_reports]
+        load, schedule = self._admit_stream(rows, releases)
         starts, _, input_finishes, makespan = schedule
         stream_report = assemble_stream_report(
-            self.arch, per_input_reports, edges, schedule, interchip_per_input
+            self.arch, per_input_reports, self._transfer_edges(), schedule,
+            interchip_per_input,
         )
-
         golden = None
-        validated = False
         if validate:
-            for index, (data, outputs) in enumerate(
-                zip(inputs, per_input_outputs)
-            ):
-                expected = golden_outputs(graph, {input_tensor: data})
-                _validate_outputs(
-                    graph, outputs, expected, f"{label}, input {index}"
-                )
-                if index == 0:
-                    golden = expected
-            validated = True
-
-        energy = dict(stream_report.energy_breakdown_pj)
-        for key, value in load_energy.items():
-            energy[key] = energy.get(key, 0.0) + value
-        report = ServeReport(
-            arch=self.arch,
-            tier="cyclesim",
-            batch=batch,
-            arrival=arrivals.describe(),
-            releases=list(releases),
-            service_starts=[row[0] for row in starts],
-            input_finishes=input_finishes,
-            makespan_cycles=makespan,
-            steady_interval_cycles=stream_report.steady_interval_cycles,
-            shard_cycles=[r.cycles for r in per_input_reports[0]],
-            shard_utilization=_shard_utilization(rows, makespan),
-            energy_breakdown_pj=energy,
-            macs=stream_report.macs + load_macs,
-            instructions=stream_report.instructions + load_instr,
-            validated=validated,
+            golden = self._validate(
+                inputs, per_input_outputs, f"{label}, serve {len(inputs)}"
+            )
+        return self._serve_report(
+            arrivals.describe(), releases, [row[0] for row in starts],
+            input_finishes, makespan, rows,
+            stream_report.energy_breakdown_pj, stream_report.macs,
+            stream_report.instructions, load,
+            validated=bool(validate),
             stream_report=stream_report,
             per_input_outputs=list(per_input_outputs),
             golden=golden,
-            resident=self.resident_weights,
-            load_cycles=load_done,
-            load_energy_pj=load_energy,
         )
-        if self.resident_weights:
-            self._resident_loaded = True
-        return report
 
     # -- resident-weights session ------------------------------------------
     def _resident_execute(self, inputs: Sequence[np.ndarray]):
@@ -1053,13 +1177,9 @@ class Deployment:
         if self._resident_load_reports is None:
             self._resident_execute([])
         reports = self._resident_load_reports
-        load_energy: Dict[str, float] = {}
-        for rep in reports:
-            for key, value in rep.energy_breakdown_pj.items():
-                load_energy[key] = load_energy.get(key, 0.0) + value
         return (
             max((r.cycles for r in reports), default=0),
-            load_energy,
+            sum_energy([r.energy_breakdown_pj for r in reports]),
             sum(r.macs for r in reports),
             sum(r.instructions for r in reports),
         )
@@ -1069,16 +1189,12 @@ class Deployment:
         if self._resident_fast is None:
             from repro.sim.fastmodel import analyze_plan_resident
 
-            warm_reports = []
-            load_done = 0
-            load_energy: Dict[str, float] = {}
-            for plan in self._plans:
-                warm, load, energy = analyze_plan_resident(plan)
-                warm_reports.append(warm)
-                load_done = max(load_done, load)
-                for key, value in energy.items():
-                    load_energy[key] = load_energy.get(key, 0.0) + value
-            self._resident_fast = (warm_reports, load_done, load_energy)
+            split = [analyze_plan_resident(plan) for plan in self._plans]
+            self._resident_fast = (
+                [warm for warm, _, _ in split],
+                max((load for _, load, _ in split), default=0),
+                sum_energy([energy for _, _, energy in split]),
+            )
         return self._resident_fast
 
     # -- fast tier ----------------------------------------------------------
@@ -1099,163 +1215,40 @@ class Deployment:
             ]
         return self._fast_reports
 
+    def _fast_cost(self, count: int):
+        """Fast tier: ``(energy breakdown, MACs)`` of ``count`` inferences."""
+        shard_reports = self._fast_shard_reports()
+        per_input = merge_shard_energy(
+            [r.energy_breakdown_pj for r in shard_reports],
+            sum(nbytes for _, _, nbytes in self._transfer_edges()),
+            self.arch.interchip,
+        )
+        return (
+            {k: v * count for k, v in per_input.items()},
+            sum(r.macs for r in shard_reports) * count,
+        )
+
     def _submit_fast(
         self, releases: List[int], arrivals: ArrivalProcess
     ) -> ServeReport:
-        link = self.arch.interchip
-        edges = self._transfer_edges()
-        shard_reports = self._fast_shard_reports()
-        row = [r.cycles for r in shard_reports]
         batch = len(releases)
+        row = [r.cycles for r in self._fast_shard_reports()]
         rows = [list(row) for _ in range(batch)]
-        load_done, load_energy = 0, {}
-        if self.resident_weights and not self._resident_loaded:
-            load_done, load_energy = self._resident_fast_profile()[1:]
-        sched_releases = (
-            [max(r, load_done) for r in releases] if load_done
-            else list(releases)
+        load, schedule = self._admit_stream(rows, releases)
+        starts, _, input_finishes, makespan = schedule
+        energy, macs = self._fast_cost(batch)
+        return self._serve_report(
+            arrivals.describe(), releases, [r[0] for r in starts],
+            input_finishes, makespan, rows, energy, macs, 0, load,
         )
-        starts, finishes, input_finishes, makespan = streaming_schedule(
-            rows, edges, link, sched_releases
-        )
-        interchip_total = sum(nbytes for _, _, nbytes in edges)
-        per_input = merge_shard_energy(
-            [r.energy_breakdown_pj for r in shard_reports],
-            interchip_total, link,
-        )
-        energy = {k: v * batch for k, v in per_input.items()}
-        for key, value in load_energy.items():
-            energy[key] = energy.get(key, 0.0) + value
-        report = ServeReport(
-            arch=self.arch,
-            tier="fast",
-            batch=batch,
-            arrival=arrivals.describe(),
-            releases=list(releases),
-            service_starts=[r[0] for r in starts],
-            input_finishes=input_finishes,
-            makespan_cycles=makespan,
-            steady_interval_cycles=steady_state_interval(row, edges, link),
-            shard_cycles=row,
-            shard_utilization=_shard_utilization(rows, makespan),
-            energy_breakdown_pj=energy,
-            macs=sum(r.macs for r in shard_reports) * batch,
-            instructions=0,
-            resident=self.resident_weights,
-            load_cycles=load_done,
-            load_energy_pj=dict(load_energy),
-        )
-        if self.resident_weights:
-            self._resident_loaded = True
-        return report
 
 
 # ---------------------------------------------------------------------------
 # Replicated serving: Fleet
 # ---------------------------------------------------------------------------
 
-#: Dispatch policies a :class:`Fleet` understands.
-FLEET_POLICIES = ("rr", "jsq")
-
-
-class _ReplicaState:
-    """Incremental mirror of one replica's streaming-schedule recurrence.
-
-    Admitting an input applies exactly the per-input inner loop of
-    :func:`repro.sim.multichip.streaming_schedule` (same ``prev_finish``
-    per shard, same per-(src, dst) link serialisation), so the predicted
-    finish cycles match what the replica's own submission will compute.
-    Timing is data-independent under per-input isolation (the serving
-    contract), which is what makes a one-input probe row exact for every
-    input.
-    """
-
-    def __init__(self, row: Sequence[int], edges, link):
-        self.row = list(row)
-        self.edges = list(edges)
-        self.link = link
-        self.prev_finish = [0] * len(self.row)
-        self.link_free: Dict[tuple, int] = {}
-        self.finishes: List[int] = []
-
-    def admit(self, release: int) -> Tuple[int, int]:
-        """Account one input released at ``release``.
-
-        Returns ``(start, finish)``: the shard-0 service-entry cycle
-        and the last-shard completion cycle.
-        """
-        n = len(self.row)
-        arrival = [0] * n
-        if n:
-            arrival[0] = release
-        first_start = release
-        finishes = [0] * n
-        for k in range(n):
-            start = max(arrival[k], self.prev_finish[k])
-            if k == 0:
-                first_start = start
-            finishes[k] = start + self.row[k]
-            for src, dst, nbytes in self.edges:
-                if src != k:
-                    continue
-                depart = max(
-                    finishes[k], self.link_free.get((src, dst), 0)
-                )
-                self.link_free[(src, dst)] = (
-                    depart + self.link.serialization_cycles(nbytes)
-                )
-                arrive = depart + self.link.transfer_cycles(nbytes)
-                arrival[dst] = max(arrival[dst], arrive)
-        self.prev_finish = finishes
-        finish = max(finishes) if finishes else release
-        self.finishes.append(finish)
-        return first_start, finish
-
-    def queue_depth(self, now: int) -> int:
-        """Inputs admitted so far that would still be in flight at ``now``."""
-        return sum(1 for f in self.finishes if f > now)
-
-
-class _Dispatcher:
-    """Incremental fleet routing: one release in, one replica index out.
-
-    The exact dispatch law of :meth:`Fleet.submit` (which drives it over
-    the whole release list) factored into a per-release step so the
-    async runtime (:mod:`repro.runtime`) can route wall-clock arrivals
-    online with bit-identical choices: ``"rr"`` sends global input ``i``
-    to replica ``i % R``; ``"jsq"`` joins the replica with the fewest
-    predicted in-flight inputs at release time (ties to the lowest
-    index), predictions from each replica's :class:`_ReplicaState`
-    admission mirror.
-    """
-
-    def __init__(self, policy: str, replicas: int, row, edges, link):
-        if policy not in FLEET_POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r}; expected one of "
-                f"{FLEET_POLICIES}"
-            )
-        self.policy = policy
-        self.replicas = int(replicas)
-        self._count = 0
-        self._states = (
-            [_ReplicaState(row, edges, link) for _ in range(self.replicas)]
-            if policy == "jsq" else None
-        )
-
-    def route(self, release: int) -> int:
-        if self.policy == "rr":
-            choice = self._count % self.replicas
-            self._count += 1
-            return choice
-        depths = [state.queue_depth(release) for state in self._states]
-        choice = min(range(self.replicas), key=lambda r: (depths[r], r))
-        self._states[choice].admit(release)
-        return choice
-
-
 @dataclass
-class FleetReport:
+class FleetReport(_ServingMetrics):
     """One submission's view across all replicas of a :class:`Fleet`.
 
     ``assignments[i]`` names the replica that served global input ``i``;
@@ -1334,9 +1327,7 @@ class FleetReport:
     @property
     def goodput_inf_per_s(self) -> float:
         """Completed inferences per second over the makespan."""
-        if self.completed == 0 or self.makespan_cycles <= 0:
-            return 0.0
-        return self.completed / (self.makespan_cycles * self.cycle_ns / 1e9)
+        return self.throughput_inf_per_s
 
     @property
     def offered_inf_per_s(self) -> float:
@@ -1360,68 +1351,9 @@ class FleetReport:
             if i not in dropped
         ]
 
-    def latency_percentile_cycles(self, pct: float) -> Optional[int]:
-        """Nearest-rank percentile over *completed* requests.
-
-        ``None`` when nothing completed: an all-dropped fleet has no
-        latency distribution, and reporting "0 cycles" would read as a
-        perfect one.
-        """
-        latencies = self.latency_cycles
-        if not latencies:
-            return None
-        return latency_percentile(latencies, pct)
-
-    @property
-    def p50_latency_cycles(self) -> Optional[int]:
-        return self.latency_percentile_cycles(50)
-
-    @property
-    def p95_latency_cycles(self) -> Optional[int]:
-        return self.latency_percentile_cycles(95)
-
-    @property
-    def p99_latency_cycles(self) -> Optional[int]:
-        return self.latency_percentile_cycles(99)
-
-    @property
-    def cycle_ns(self) -> float:
-        return self.arch.chip.cycle_ns
-
-    def _ms(self, cycles: int) -> float:
-        return cycles * self.cycle_ns / 1e6
-
-    def _optional_ms(self, cycles: Optional[int]) -> Optional[float]:
-        return None if cycles is None else self._ms(cycles)
-
-    @property
-    def makespan_ms(self) -> float:
-        return self._ms(self.makespan_cycles)
-
-    @property
-    def p50_latency_ms(self) -> Optional[float]:
-        return self._optional_ms(self.p50_latency_cycles)
-
-    @property
-    def p95_latency_ms(self) -> Optional[float]:
-        return self._optional_ms(self.p95_latency_cycles)
-
-    @property
-    def p99_latency_ms(self) -> Optional[float]:
-        return self._optional_ms(self.p99_latency_cycles)
-
-    @property
-    def throughput_inf_per_s(self) -> float:
-        """Sustained fleet rate actually achieved over the makespan.
-
-        Counts *completed* requests only: a fault plan that drops work
-        must not inflate the rate with inferences that never finished.
-        Fault-free submissions have ``completed == batch``, so this is
-        the classic definition there.
-        """
-        if self.completed == 0 or self.makespan_cycles <= 0:
-            return 0.0
-        return self.completed / (self.makespan_cycles * self.cycle_ns / 1e9)
+    #: An all-dropped fleet has no latency distribution, and reporting
+    #: "0 cycles" would read as a perfect one.
+    _no_latency = None
 
     @property
     def saturation_inf_per_s(self) -> float:
@@ -1462,14 +1394,6 @@ class FleetReport:
         return out
 
     @property
-    def total_energy_pj(self) -> float:
-        return sum(self.energy_breakdown_pj.values())
-
-    @property
-    def total_energy_mj(self) -> float:
-        return self.total_energy_pj / 1e9
-
-    @property
     def energy_per_inference_mj(self) -> float:
         """Energy amortized over *completed* inferences (0 when none).
 
@@ -1481,42 +1405,15 @@ class FleetReport:
         return self.total_energy_mj / self.completed
 
     def to_dict(self) -> Dict:
-        from repro.config import arch_fingerprint
-
-        payload = {
-            "arch_fingerprint": arch_fingerprint(self.arch),
-            "tier": self.tier,
+        payload = self._metrics_dict()
+        payload.update({
             "policy": self.policy,
             "replicas": int(self.replicas),
-            "batch": int(self.batch),
-            "arrival": self.arrival,
             "assignments": [int(a) for a in self.assignments],
-            "releases": [int(c) for c in self.releases],
-            "input_finishes": [int(c) for c in self.input_finishes],
-            "latency_cycles": [int(c) for c in self.latency_cycles],
-            "makespan_cycles": int(self.makespan_cycles),
-            "makespan_ms": self.makespan_ms,
-            "steady_interval_cycles": int(self.steady_interval_cycles),
-            "p50_latency_cycles": self.p50_latency_cycles,
-            "p95_latency_cycles": self.p95_latency_cycles,
-            "p99_latency_cycles": self.p99_latency_cycles,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "throughput_inf_per_s": self.throughput_inf_per_s,
-            "saturation_inf_per_s": self.saturation_inf_per_s,
             "replica_batches": self.replica_batches,
             "replica_utilization": [
                 float(u) for u in self.replica_utilization
             ],
-            "total_energy_mj": self.total_energy_mj,
-            "energy_per_inference_mj": self.energy_per_inference_mj,
-            "macs": int(self.macs),
-            "instructions": int(self.instructions),
-            "validated": self.validated,
-            "energy_breakdown_pj": {
-                k: float(v) for k, v in self.energy_breakdown_pj.items()
-            },
             "submitted": int(self.submitted),
             "completed": int(self.completed),
             "dropped": int(self.dropped),
@@ -1538,22 +1435,13 @@ class FleetReport:
             "replica_busy_cycles": [
                 int(c) for c in self.replica_busy_cycles
             ],
-        }
+        })
         if self.resident:
             payload["resident"] = True
             payload["replica_load_cycles"] = [
                 int(c) for c in self.replica_load_cycles
             ]
         return payload
-
-    def _latency_line(self, pct: int) -> str:
-        cycles = self.latency_percentile_cycles(pct)
-        if cycles is None:
-            return f"latency p{pct}       : n/a (0 completed)"
-        return (
-            f"latency p{pct}       : {cycles:,} cycles "
-            f"({self._ms(cycles):.3f} ms)"
-        )
 
     def __str__(self) -> str:
         lines = [
@@ -1651,13 +1539,7 @@ class Fleet:
         resident_weights: bool = False,
         **model_kwargs,
     ):
-        if replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {replicas}")
-        if policy not in FLEET_POLICIES:
-            raise ConfigError(
-                f"unknown dispatch policy {policy!r}; expected one of "
-                f"{FLEET_POLICIES}"
-            )
+        check_fleet(policy, replicas)
         self.num_replicas = int(replicas)
         self.policy = policy
         if _is_artifact_path(model):
@@ -1736,14 +1618,23 @@ class Fleet:
         """(per-shard cycle row, transfer edges) of one input."""
         return self.deployment._service_profile()
 
+    def _pipeline_states(self) -> List[PipelineState]:
+        return self.deployment._pipeline_states(self._replica_warm)
+
     def _dispatch(self, releases: Sequence[int]) -> List[int]:
-        if self.policy == "rr":
-            return [i % self.num_replicas for i in range(len(releases))]
-        row, edges = self._service_profile()
-        dispatcher = _Dispatcher(
-            self.policy, self.num_replicas, row, edges, self.arch.interchip
+        # rr never reads occupancy, so only jsq pays for kernels (and the
+        # service probe behind them).
+        jsq = self.policy == "jsq"
+        states = (
+            self._pipeline_states() if jsq else [None] * self.num_replicas
         )
-        return [dispatcher.route(release) for release in releases]
+        assignments = []
+        for index, release in enumerate(releases):
+            choice = route(self.policy, states, release, index)
+            if jsq:
+                states[choice].admit(release)
+            assignments.append(choice)
+        return assignments
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -1776,74 +1667,41 @@ class Fleet:
         empty plan with no retry policy) takes the unfaulted path,
         bit-identical to a fault-free fleet in both tiers.
         """
-        if arrivals is None:
-            arrivals = BackToBack()
-        elif not isinstance(arrivals, ArrivalProcess):
-            arrivals = TraceArrivals(arrivals)
-
-        engine_needed = retry is not None or (
-            faults is not None
-            and not (faults.is_empty and faults.retry is None)
-        )
-        if engine_needed:
+        dep = self.deployment
+        if engine_needed(faults, retry):
             return self._submit_faulted(
                 inputs, batch, arrivals, seed, validate,
                 faults if faults is not None else FaultPlan(), retry,
             )
 
         if self.num_replicas == 1:
-            if self.deployment.resident_weights:
-                self.deployment._resident_loaded = self._replica_warm[0]
-            report = self.deployment.submit(
+            dep._resident_loaded = self._replica_warm[0]
+            report = dep.submit(
                 inputs, batch=batch, arrivals=arrivals, seed=seed,
                 validate=validate,
             )
-            if self.deployment.resident_weights and report.batch:
-                self._replica_warm[0] = True
+            self._replica_warm[0] = dep._resident_loaded
             return self._merge([report], [0] * report.batch, report.releases)
 
-        if isinstance(arrivals, TraceArrivals) and batch == 1:
-            batch = len(arrivals)
-        if batch == 0:
-            empty = [
-                self.deployment._empty_report(arrivals)
-                for _ in range(self.num_replicas)
-            ]
-            return self._merge(empty, [], [])
-        if batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {batch}")
-
-        resolved = None
-        if self.deployment.tier == "fast":
-            if inputs is not None:
-                batch = len(
-                    _resolve_batch_inputs(self.graph, inputs, batch, seed)
-                )
-        else:
-            resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
-            batch = len(resolved)
-        releases = arrivals.release_cycles(batch, self.arch.chip.cycle_ns)
+        arrivals, resolved, releases = dep._open_stream(
+            inputs, batch, arrivals, seed, min_batch=0
+        )
         assignments = self._dispatch(releases)
-
         reports: List[ServeReport] = []
         for replica in range(self.num_replicas):
             index = [i for i, a in enumerate(assignments) if a == replica]
-            sub_arrivals = TraceArrivals([releases[i] for i in index])
-            sub_inputs = (
-                [resolved[i] for i in index] if resolved is not None else None
-            )
-            if self.deployment.resident_weights:
-                # Each replica tracks its own warmth; the shared
-                # deployment's accounting flag is set per sub-stream.
-                self.deployment._resident_loaded = self._replica_warm[replica]
+            # Each replica tracks its own warmth; the shared deployment's
+            # accounting flag is set per sub-stream.
+            dep._resident_loaded = self._replica_warm[replica]
             reports.append(
-                self.deployment.submit(
-                    sub_inputs, batch=1, arrivals=sub_arrivals, seed=seed,
-                    validate=validate,
+                dep.submit(
+                    None if resolved is None
+                    else [resolved[i] for i in index],
+                    arrivals=TraceArrivals([releases[i] for i in index]),
+                    seed=seed, validate=validate,
                 )
             )
-            if self.deployment.resident_weights and reports[-1].batch:
-                self._replica_warm[replica] = True
+            self._replica_warm[replica] = dep._resident_loaded
         return self._merge(reports, assignments, releases, arrivals)
 
     def run_trace(
@@ -1857,13 +1715,8 @@ class Fleet:
         retry: Optional[RetryPolicy] = None,
     ) -> FleetReport:
         """Replay a recorded arrival trace across the fleet."""
-        if not isinstance(trace, TraceArrivals):
-            trace = TraceArrivals(trace)
         return self.submit(
-            inputs, batch=len(trace) or 1, arrivals=trace, seed=seed,
-            validate=validate, faults=faults, retry=retry,
-        ) if len(trace) else self.submit(
-            inputs, batch=0, arrivals=trace, seed=seed, validate=validate,
+            inputs, arrivals=trace, seed=seed, validate=validate,
             faults=faults, retry=retry,
         )
 
@@ -1872,7 +1725,7 @@ class Fleet:
         self,
         inputs,
         batch: int,
-        arrivals: ArrivalProcess,
+        arrivals,
         seed: int,
         validate: bool,
         plan: FaultPlan,
@@ -1887,56 +1740,36 @@ class Fleet:
         exactly once on the exact simulator (bit-exact golden
         validation) and charges its measured energy once per
         full-service attempt; crash-killed attempts lose their partial
-        work and are not charged.  A replica's admitted attempts replay
-        through :func:`repro.sim.multichip.streaming_schedule` with the
-        plan's timing hooks and must reproduce the engine's finish
-        cycles exactly -- the cycle-exact tier-equivalence contract.
+        work and are not charged.  Each replica's report reads its
+        cycles straight off the engine's attempt records: the engine
+        admits on the same kernel a replay would, so there is nothing
+        left to cross-check.
         """
         rp = retry if retry is not None else (plan.retry or RetryPolicy())
         dep = self.deployment
-        if isinstance(arrivals, TraceArrivals) and batch == 1:
-            batch = len(arrivals)
-        if batch < 0:
-            raise ConfigError(f"batch must be >= 0, got {batch}")
-
-        resolved = None
-        if dep.tier == "fast":
-            if inputs is not None:
-                batch = len(
-                    _resolve_batch_inputs(self.graph, inputs, batch, seed)
-                )
-        elif batch:
-            resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
-            batch = len(resolved)
-
+        arrivals, resolved, releases = dep._open_stream(
+            inputs, batch, arrivals, seed, min_batch=0
+        )
         fault_fields = dict(
             fault_events=[e.to_dict() for e in plan.events],
             retry_policy=rp.to_dict(),
             replica_downtime=plan.replica_timeline(self.num_replicas),
         )
-        if batch == 0:
+        if not releases:
             empty = [
                 dep._empty_report(TraceArrivals([]))
                 for _ in range(self.num_replicas)
             ]
             return self._merge(empty, [], [], arrivals, **fault_fields)
 
-        link = self.arch.interchip
         row, edges = self._service_profile()
-        releases = arrivals.release_cycles(batch, self.arch.chip.cycle_ns)
-        load_done, load_energy, load_macs, load_instr = 0, {}, 0, 0
-        offsets = None
-        if dep.resident_weights:
-            load_done, load_energy, load_macs, load_instr = (
-                dep._resident_load_profile()
-            )
-            offsets = [
-                0 if self._replica_warm[r] else load_done
-                for r in range(self.num_replicas)
-            ]
+        link = self.arch.interchip
+        load = dep._resident_load_profile() if dep.resident_weights else None
         schedule = run_fault_schedule(
             releases, row, edges, link, self.num_replicas, self.policy,
-            plan, rp, load_offsets=offsets,
+            plan, rp, load_offsets=[
+                dep._load_offset(warm) for warm in self._replica_warm
+            ],
         )
         # Which replicas paid their weight-load phase in this submission
         # (cold + received work); crashes then invalidate resident
@@ -1957,71 +1790,45 @@ class Fleet:
         # Busy cycles from the actually-executed attempt windows: full-
         # service attempts charge one service row, crash-killed attempts
         # the cycles they ran before dying (counted once).
-        busy_cycles = []
-        for r in range(self.num_replicas):
-            busy = 0
-            for a in schedule.replica_attempts[r]:
-                if a.full_service:
-                    busy += sum(row)
-                else:
-                    busy += max(0, a.finish_cycle - a.start_cycle)
-            busy_cycles.append(busy)
+        busy_cycles = [
+            sum(
+                sum(row) if a.full_service
+                else max(0, a.finish_cycle - a.start_cycle)
+                for a in attempts
+            )
+            for attempts in schedule.replica_attempts
+        ]
 
-        validated = False
+        req_reports, interchip_per_input, validated = None, 0, False
         if dep.tier == "cyclesim":
-            req_reports, req_outputs, interchip_per_input = (
-                self._execute_faulted_requests(schedule, resolved)
+            # A request with at least one full-service attempt executed
+            # on real hardware; per-input isolation makes one execution's
+            # report and outputs exact for every full-service attempt of
+            # that request (crash-killed attempts never finished).
+            wanted = sorted({
+                a.request for a in schedule.attempts if a.full_service
+            })
+            served = [resolved[i] for i in wanted]
+            per_reports, per_outputs, interchip_per_input, _ = dep._execute(
+                served
             )
+            req_reports = dict(zip(wanted, per_reports))
             if validate:
-                graph = self.graph
-                input_tensor = graph.input_operators[0].output
-                for i in sorted(req_outputs):
-                    expected = golden_outputs(
-                        graph, {input_tensor: resolved[i]}
-                    )
-                    _validate_outputs(
-                        graph, req_outputs[i], expected,
-                        f"faulted serve, input {i}",
-                    )
+                dep._validate(served, per_outputs, "faulted serve", wanted)
                 validated = True
-        else:
-            req_reports, interchip_per_input = None, 0
 
-        reports: List[ServeReport] = []
-        for r in range(self.num_replicas):
-            reports.append(
-                self._faulted_replica_report(
-                    r, schedule, row, edges, link, plan, req_reports,
-                    interchip_per_input, validated,
-                    load_extra=(
-                        (load_done, load_energy, load_macs, load_instr)
-                        if cold_paid[r] else None
-                    ),
-                )
+        reports = [
+            self._faulted_replica_report(
+                schedule.replica_attempts[r], row, req_reports,
+                interchip_per_input, validated,
+                load if cold_paid[r] else None,
             )
-
-        energy: Dict[str, float] = {}
-        for report in reports:
-            for key, value in report.energy_breakdown_pj.items():
-                energy[key] = energy.get(key, 0.0) + value
-        served = [r for r in reports if r.batch]
-        return FleetReport(
-            arch=self.arch,
-            tier=self.tier,
-            policy=self.policy,
-            replicas=self.num_replicas,
-            batch=batch,
-            arrival=arrivals.describe(),
-            assignments=list(schedule.assignments),
-            releases=list(releases),
-            input_finishes=list(schedule.finishes),
-            makespan_cycles=schedule.makespan,
-            steady_interval_cycles=steady_state_interval(row, edges, link),
-            replica_reports=reports,
-            energy_breakdown_pj=energy,
-            macs=sum(r.macs for r in reports),
-            instructions=sum(r.instructions for r in reports),
-            validated=bool(served) and all(r.validated for r in served),
+            for r in range(self.num_replicas)
+        ]
+        return self._fleet_report(
+            reports, arrivals.describe(), schedule.assignments, releases,
+            schedule.finishes, schedule.makespan,
+            steady_state_interval(row, edges, link),
             dropped_indices=list(schedule.dropped),
             drop_reasons=dict(schedule.drop_reasons),
             attempt_counts=list(schedule.attempt_counts),
@@ -2029,167 +1836,50 @@ class Fleet:
             replica_busy_cycles=busy_cycles,
             resident=dep.resident_weights,
             replica_load_cycles=(
-                [
-                    load_done if cold_paid[r] else 0
-                    for r in range(self.num_replicas)
-                ]
+                [load[0] if paid else 0 for paid in cold_paid]
                 if dep.resident_weights else []
             ),
             **fault_fields,
         )
 
-    def _execute_faulted_requests(self, schedule, resolved):
-        """Cyclesim functional half: run each surviving request once.
-
-        A request with at least one full-service attempt executed on
-        real hardware; per-input isolation makes one execution's report
-        and outputs exact for every full-service attempt of that
-        request (crash-killed attempts never finished and are excluded).
-        """
-        dep = self.deployment
-        graph = self.graph
-        input_tensor = graph.input_operators[0].output
-        wanted = sorted({
-            a.request for a in schedule.attempts if a.full_service
-        })
-        req_reports: Dict[int, list] = {}
-        req_outputs: Dict[int, Dict] = {}
-        if dep.resident_weights:
-            # Resident sessions execute surviving requests warm (load-
-            # free); outputs stay bit-identical to isolated full runs.
-            per_reports, per_outputs = dep._resident_execute(
-                [resolved[i] for i in wanted]
-            )
-            for j, i in enumerate(wanted):
-                req_reports[i] = per_reports[j]
-                req_outputs[i] = per_outputs[j]
-            interchip_per_input = (
-                dep.compiled.interchip_bytes()
-                if isinstance(dep.compiled, MultiChipModel) else 0
-            )
-        elif isinstance(dep.compiled, MultiChipModel):
-            sim = MultiChipSimulator(dep.compiled, engine=dep.engine)
-            for i in wanted:
-                reports, outputs = sim.execute_stream(
-                    [resolved[i]], input_tensor
-                )
-                req_reports[i] = reports[0]
-                req_outputs[i] = outputs[0]
-            interchip_per_input = dep.compiled.interchip_bytes()
-        else:
-            for i in wanted:
-                report, outputs = _run_single_chip(
-                    dep.compiled, resolved[i], dep.engine
-                )
-                req_reports[i] = [report]
-                req_outputs[i] = outputs
-            interchip_per_input = 0
-        return req_reports, req_outputs, interchip_per_input
-
     def _faulted_replica_report(
-        self, replica, schedule, row, edges, link, plan, req_reports,
-        interchip_per_input, validated, load_extra=None,
+        self, records, row, req_reports, interchip_per_input, validated,
+        load=None,
     ) -> ServeReport:
         """One replica's ServeReport under the fault plan.
 
-        Replays the replica's admitted dispatch cycles through the
-        hooked streaming recurrence and asserts the replay reproduces
-        the engine's finish cycles (cycle-exact contract); energy/MACs
-        charge one full per-inference cost per full-service attempt.
-        ``load_extra`` (resident sessions; ``(cycles, energy, macs,
-        instructions)``) adds the weight-load phase a cold replica paid
-        before its first attempt.
+        ``records`` are the replica's attempts in admission order;
+        the report covers the full-service ones, and energy/MACs charge
+        one full per-inference cost per full-service attempt.  ``load``
+        (resident sessions; :meth:`Deployment._resident_load_profile`)
+        adds the weight-load phase a cold replica paid before its first
+        attempt -- real even if every attempt was then crash-killed.
         """
         dep = self.deployment
-        records = schedule.replica_attempts[replica]
         full = [a for a in records if a.full_service]
         if not full:
-            report = dep._empty_report(TraceArrivals([]))
-            if load_extra is not None:
-                # The replica loaded its weights but every attempt was
-                # crash-killed: the load cost is still real.
-                ld, le, lm, li = load_extra
-                report.energy_breakdown_pj = dict(le)
-                report.macs = lm
-                report.instructions = li
-                report.resident = True
-                report.load_cycles = ld
-                report.load_energy_pj = dict(le)
-            return report
-
-        service_time, link_time = plan.schedule_hooks(replica, link)
-        starts, _, input_fin, _ = streaming_schedule(
-            [list(row) for _ in records], edges, link,
-            [a.dispatch_cycle for a in records], service_time, link_time,
-        )
-        for j, record in enumerate(records):
-            if record.full_service and input_fin[j] != record.finish_cycle:
-                raise SimulationError(
-                    f"fault replay diverged on replica {replica}: attempt "
-                    f"{record.request}/{record.attempt} replayed to cycle "
-                    f"{input_fin[j]}, engine predicted "
-                    f"{record.finish_cycle}"
-                )
-        full_idx = [j for j, a in enumerate(records) if a.full_service]
-        makespan = max(
-            min(a.finish_cycle, input_fin[j]) for j, a in enumerate(records)
-        )
-
+            return dep._empty_report(TraceArrivals([]), load)
         if dep.tier == "cyclesim":
-            per_reports = [req_reports[a.request] for a in full]
-            flat = [rep for reports in per_reports for rep in reports]
+            flat = [rep for a in full for rep in req_reports[a.request]]
             energy = merge_shard_energy(
                 [rep.energy_breakdown_pj for rep in flat],
-                interchip_per_input * len(full), link,
+                interchip_per_input * len(full), self.arch.interchip,
             )
             macs = sum(rep.macs for rep in flat)
             instructions = sum(rep.instructions for rep in flat)
         else:
-            shard_reports = dep._fast_shard_reports()
-            interchip_total = sum(nbytes for _, _, nbytes in edges)
-            per_input = merge_shard_energy(
-                [r.energy_breakdown_pj for r in shard_reports],
-                interchip_total, link,
-            )
-            energy = {k: v * len(full) for k, v in per_input.items()}
-            macs = sum(r.macs for r in shard_reports) * len(full)
+            energy, macs = dep._fast_cost(len(full))
             instructions = 0
             validated = False
-
-        load_cycles = 0
-        load_energy: Dict[str, float] = {}
-        if load_extra is not None:
-            load_cycles, load_energy, load_macs, load_instr = load_extra
-            energy = dict(energy)
-            for key, value in load_energy.items():
-                energy[key] = energy.get(key, 0.0) + value
-            macs += load_macs
-            instructions += load_instr
-
-        return ServeReport(
-            arch=self.arch,
-            tier=dep.tier,
-            batch=len(full),
-            arrival=f"trace[{len(full)}]",
-            releases=[records[j].dispatch_cycle for j in full_idx],
-            service_starts=[
-                (starts[j][0] if starts[j] else records[j].dispatch_cycle)
-                for j in full_idx
-            ],
-            input_finishes=[input_fin[j] for j in full_idx],
-            makespan_cycles=makespan,
-            steady_interval_cycles=steady_state_interval(row, edges, link),
-            shard_cycles=list(row),
-            shard_utilization=_shard_utilization(
-                [list(row) for _ in full], makespan
-            ),
-            energy_breakdown_pj=energy,
-            macs=macs,
-            instructions=instructions,
+        return dep._serve_report(
+            f"trace[{len(full)}]",
+            [a.dispatch_cycle for a in full],
+            [a.start_cycle for a in full],
+            [a.finish_cycle for a in full],
+            max(a.finish_cycle for a in records),
+            [list(row) for _ in full],
+            energy, macs, instructions, load or _NO_LOAD,
             validated=validated,
-            resident=dep.resident_weights,
-            load_cycles=load_cycles,
-            load_energy_pj=load_energy,
         )
 
     def _merge(
@@ -2198,23 +1888,35 @@ class Fleet:
         assignments: List[int],
         releases: List[int],
         arrivals: Optional[ArrivalProcess] = None,
-        **fault_fields,
+        **fields,
     ) -> FleetReport:
+        """Merge per-replica reports of directly-admitted sub-streams."""
         finishes = [0] * len(assignments)
         cursor = [0] * len(reports)
         for i, replica in enumerate(assignments):
             finishes[i] = reports[replica].input_finishes[cursor[replica]]
             cursor[replica] += 1
-        if self.deployment.resident_weights and "resident" not in fault_fields:
-            fault_fields = dict(fault_fields)
-            fault_fields["resident"] = True
-            fault_fields["replica_load_cycles"] = [
-                r.load_cycles for r in reports
-            ]
-        energy: Dict[str, float] = {}
-        for report in reports:
-            for key, value in report.energy_breakdown_pj.items():
-                energy[key] = energy.get(key, 0.0) + value
+        resident = self.deployment.resident_weights
+        return self._fleet_report(
+            reports,
+            arrivals.describe() if arrivals is not None
+            else reports[0].arrival,
+            assignments, releases, finishes,
+            max(r.makespan_cycles for r in reports),
+            max(r.steady_interval_cycles for r in reports),
+            resident=resident,
+            replica_load_cycles=(
+                [r.load_cycles for r in reports] if resident else []
+            ),
+            **fields,
+        )
+
+    def _fleet_report(
+        self, reports, arrival, assignments, releases, finishes, makespan,
+        steady_interval, **fields,
+    ) -> FleetReport:
+        """The assembly tail both submission paths share: totals sum
+        over the replica reports."""
         served = [r for r in reports if r.batch]
         return FleetReport(
             arch=self.arch,
@@ -2222,23 +1924,20 @@ class Fleet:
             policy=self.policy,
             replicas=self.num_replicas,
             batch=len(assignments),
-            arrival=(
-                arrivals.describe() if arrivals is not None
-                else reports[0].arrival
-            ),
+            arrival=arrival,
             assignments=list(assignments),
             releases=list(releases),
-            input_finishes=finishes,
-            makespan_cycles=max((r.makespan_cycles for r in reports), default=0),
-            steady_interval_cycles=max(
-                (r.steady_interval_cycles for r in reports), default=0
-            ),
+            input_finishes=list(finishes),
+            makespan_cycles=makespan,
+            steady_interval_cycles=steady_interval,
             replica_reports=reports,
-            energy_breakdown_pj=energy,
+            energy_breakdown_pj=sum_energy(
+                [r.energy_breakdown_pj for r in reports]
+            ),
             macs=sum(r.macs for r in reports),
             instructions=sum(r.instructions for r in reports),
             validated=bool(served) and all(r.validated for r in served),
-            **fault_fields,
+            **fields,
         )
 
 

@@ -402,15 +402,14 @@ def serve_arrivals(
 ) -> FastReport:
     """Continuous-arrival continuation of a single-input report.
 
-    The fast-model mirror of the serving queueing law
+    The fast-model side of the serving queueing law
     (:mod:`repro.serve`): ``releases[i]`` is the cycle input ``i``
-    arrives, and the stream is re-priced through the same
-    :func:`repro.sim.multichip.streaming_schedule` recurrence the
-    cycle-level :class:`~repro.serve.Deployment` uses, over the
-    report's own per-shard occupancies (``shard_cycles`` /
-    ``shard_edges``; a report without them is one implicit shard).
-    ``link`` is the :class:`~repro.config.InterChipConfig` pricing the
-    transfer edges.
+    arrives, and the stream is re-priced through the same admission
+    kernel (:class:`repro.sim.multichip.PipelineState`) the cycle-level
+    :class:`~repro.serve.Deployment` uses, over the report's own
+    per-shard occupancies (``shard_cycles`` / ``shard_edges``; a report
+    without them is one implicit shard).  ``link`` is the
+    :class:`~repro.config.InterChipConfig` pricing the transfer edges.
 
     The derived report's makespan includes arrival idle time; latency
     percentiles (nearest-rank over ``finish_i - release_i``) land in
@@ -419,41 +418,9 @@ def serve_arrivals(
     all-zero releases the makespan is the batched schedule's, so the
     PR-4 law is the ``releases == [0] * B`` special case.  An empty
     release list yields an empty (zero-cycle, zero-energy) report.
+    This is :func:`serve_fleet` with one replica.
     """
-    from repro.serve import latency_percentile
-    from repro.sim.multichip import streaming_schedule
-
-    if report.batch != 1:
-        raise ConfigError(
-            f"serve_arrivals needs a single-input report, got batch="
-            f"{report.batch}"
-        )
-    batch = len(releases)
-    chip_cycles = list(report.shard_cycles) or [report.cycles]
-    rows = [list(chip_cycles) for _ in range(batch)]
-    _, _, input_finishes, makespan = streaming_schedule(
-        rows, report.shard_edges, link, list(releases)
-    )
-    latencies = [f - r for f, r in zip(input_finishes, releases)]
-    return FastReport(
-        cycles=makespan,
-        energy_breakdown_pj={
-            k: v * batch for k, v in report.energy_breakdown_pj.items()
-        },
-        macs=report.macs * batch,
-        clock_mhz=report.clock_mhz,
-        stage_cycles=dict(report.stage_cycles),
-        batch=batch,
-        steady_interval_cycles=(
-            report.steady_interval_cycles or report.cycles
-        ),
-        shard_cycles=list(report.shard_cycles),
-        shard_edges=list(report.shard_edges),
-        arrival_rate_inf_s=arrival_rate_inf_s,
-        p50_latency_cycles=latency_percentile(latencies, 50),
-        p95_latency_cycles=latency_percentile(latencies, 95),
-        p99_latency_cycles=latency_percentile(latencies, 99),
-    )
+    return serve_fleet(report, releases, link, 1, arrival_rate_inf_s)
 
 
 def steady_state_utilization(
@@ -504,18 +471,18 @@ def serve_fleet(
 ) -> FastReport:
     """Replicated-serving continuation of a single-input report.
 
-    The fast-model mirror of :class:`repro.serve.Fleet` under
-    round-robin dispatch: ``releases`` is split across ``replicas``
-    identical copies of the report's pipeline (input ``i`` goes to
-    replica ``i % replicas``), each replica's sub-stream is re-priced
-    with :func:`repro.sim.multichip.streaming_schedule` at the inputs'
-    *global* release cycles, and the per-input finishes are merged back
-    into release order.  The fleet makespan is the latest replica
-    finish; energy and MACs scale linearly per input as in
-    :func:`serve_arrivals`.  ``replicas == 1`` degenerates to
-    :func:`serve_arrivals` exactly, which is why the sweep engine can
-    treat the replicas axis as a closed-form continuation of the same
-    base analysis that prices the batch and arrival-rate axes.
+    The fast-model side of :class:`repro.serve.Fleet`: ``releases`` is
+    dispatched across ``replicas`` identical copies of the report's
+    pipeline under ``policy`` (:func:`repro.sim.multichip.route` --
+    ``"rr"`` sends input ``i`` to replica ``i % replicas``, ``"jsq"``
+    joins the shortest predicted queue), each replica admits its inputs
+    at their *global* release cycles on its own
+    :class:`~repro.sim.multichip.PipelineState`, and the finishes stay
+    in release order.  The fleet makespan is the latest finish; energy
+    and MACs scale linearly per input.  Because one base analysis prices
+    every replica, the sweep engine can treat the replicas axis as a
+    closed-form continuation of the same report that prices the batch
+    and arrival-rate axes.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) and/or ``retry`` (a
     :class:`repro.faults.RetryPolicy`) switch to the shared failover
@@ -526,100 +493,50 @@ def serve_fleet(
     per-inference cost per full-service attempt, retries included,
     crash-killed attempts free), latency percentiles cover completed
     requests only, and ``dropped`` / ``retries`` land in the report.
-    With ``faults=None`` and ``retry=None`` the unfaulted arithmetic is
-    untouched -- bit-identical to the pre-fault model.
+    ``faults=None`` -- or an empty plan with no retry policy
+    (:func:`repro.faults.engine_needed`) -- admits directly; the engine
+    on an empty plan computes the same cycles.
     """
+    from repro.faults import engine_needed, run_fault_schedule
     from repro.serve import latency_percentile
-    from repro.sim.multichip import streaming_schedule
+    from repro.sim.multichip import PipelineState, check_fleet, route
 
-    if replicas < 1:
-        raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    if faults is not None or retry is not None:
-        return _serve_fleet_faulted(
-            report, releases, link, replicas, arrival_rate_inf_s,
-            faults, retry, policy,
-        )
-    if replicas == 1:
-        return serve_arrivals(report, releases, link, arrival_rate_inf_s)
+    check_fleet(policy, replicas)
     if report.batch != 1:
         raise ConfigError(
             f"serve_fleet needs a single-input report, got batch="
             f"{report.batch}"
         )
-    batch = len(releases)
     chip_cycles = list(report.shard_cycles) or [report.cycles]
-    finishes = [0] * batch
-    makespan = 0
-    for replica in range(replicas):
-        index = list(range(replica, batch, replicas))
-        if not index:
-            continue
-        sub = [releases[i] for i in index]
-        rows = [list(chip_cycles) for _ in index]
-        _, _, sub_finishes, sub_makespan = streaming_schedule(
-            rows, report.shard_edges, link, sub
+    dropped = retries = 0
+    if engine_needed(faults, retry):
+        schedule = run_fault_schedule(
+            releases, chip_cycles, report.shard_edges, link, replicas,
+            policy, faults, retry,
         )
-        makespan = max(makespan, sub_makespan)
-        for i, finish in zip(index, sub_finishes):
-            finishes[i] = finish
-    latencies = [f - r for f, r in zip(finishes, releases)]
+        makespan = schedule.makespan
+        served = sum(1 for a in schedule.attempts if a.full_service)
+        latencies = [
+            schedule.finishes[i] - releases[i] for i in schedule.completed
+        ]
+        dropped, retries = len(schedule.dropped), schedule.retries
+    else:
+        states = [
+            PipelineState(chip_cycles, report.shard_edges, link)
+            for _ in range(replicas)
+        ]
+        makespan, served, latencies = 0, len(releases), []
+        for index, release in enumerate(releases):
+            state = states[route(policy, states, release, index)]
+            _, finish = state.admit(release)
+            makespan = max(makespan, finish)
+            latencies.append(finish - release)
     return FastReport(
         cycles=makespan,
         energy_breakdown_pj={
-            k: v * batch for k, v in report.energy_breakdown_pj.items()
+            k: v * served for k, v in report.energy_breakdown_pj.items()
         },
-        macs=report.macs * batch,
-        clock_mhz=report.clock_mhz,
-        stage_cycles=dict(report.stage_cycles),
-        batch=batch,
-        steady_interval_cycles=(
-            report.steady_interval_cycles or report.cycles
-        ),
-        shard_cycles=list(report.shard_cycles),
-        shard_edges=list(report.shard_edges),
-        arrival_rate_inf_s=arrival_rate_inf_s,
-        p50_latency_cycles=latency_percentile(latencies, 50),
-        p95_latency_cycles=latency_percentile(latencies, 95),
-        p99_latency_cycles=latency_percentile(latencies, 99),
-    )
-
-
-def _serve_fleet_faulted(
-    report: FastReport,
-    releases: Sequence[int],
-    link,
-    replicas: int,
-    arrival_rate_inf_s: Optional[float],
-    faults,
-    retry,
-    policy: str,
-) -> FastReport:
-    """Fault-injected fleet pricing via the shared failover engine."""
-    from repro.faults import FaultPlan, run_fault_schedule
-    from repro.serve import latency_percentile
-
-    if report.batch != 1:
-        raise ConfigError(
-            f"serve_fleet needs a single-input report, got batch="
-            f"{report.batch}"
-        )
-    plan = faults if faults is not None else FaultPlan()
-    chip_cycles = list(report.shard_cycles) or [report.cycles]
-    schedule = run_fault_schedule(
-        releases, chip_cycles, report.shard_edges, link, replicas,
-        policy, plan, retry,
-    )
-    full_attempts = sum(1 for a in schedule.attempts if a.full_service)
-    latencies = [
-        schedule.finishes[i] - releases[i] for i in schedule.completed
-    ]
-    return FastReport(
-        cycles=schedule.makespan,
-        energy_breakdown_pj={
-            k: v * full_attempts
-            for k, v in report.energy_breakdown_pj.items()
-        },
-        macs=report.macs * full_attempts,
+        macs=report.macs * served,
         clock_mhz=report.clock_mhz,
         stage_cycles=dict(report.stage_cycles),
         batch=len(releases),
@@ -632,8 +549,8 @@ def _serve_fleet_faulted(
         p50_latency_cycles=latency_percentile(latencies, 50),
         p95_latency_cycles=latency_percentile(latencies, 95),
         p99_latency_cycles=latency_percentile(latencies, 99),
-        dropped=len(schedule.dropped),
-        retries=schedule.retries,
+        dropped=dropped,
+        retries=retries,
     )
 
 
@@ -676,11 +593,10 @@ def analyze_sharded_resident(
     """
     arch = arch or plans[0].arch
     split = [analyze_plan_resident(plan) for plan in plans]
+    from repro.sim.multichip import sum_energy
+
     load_done = max(load for _, load, _ in split)
-    load_energy: Dict[str, float] = {}
-    for _, _, shard_load in split:
-        for key, value in shard_load.items():
-            load_energy[key] = load_energy.get(key, 0.0) + value
+    load_energy = sum_energy([shard_load for _, _, shard_load in split])
     base = _compose_shards(
         sharding, [report for report, _, _ in split], arch,
         load_cycles=load_done,
@@ -695,18 +611,11 @@ def _compose_shards(
     from repro.sim.multichip import (
         merge_shard_energy,
         pipeline_schedule,
+        sharding_edges,
         steady_state_interval,
     )
 
-    edges = []
-    for shard in sharding.shards:
-        for tensor in sorted(shard.incoming):
-            edges.append((
-                shard.incoming[tensor],
-                shard.index,
-                sharding.graph.tensor(tensor).size_bytes,
-            ))
-    edges.sort()
+    edges = sharding_edges(sharding)
     chip_cycles = [r.cycles for r in reports]
     _, _, makespan = pipeline_schedule(chip_cycles, edges, arch.interchip)
     interval = steady_state_interval(chip_cycles, edges, arch.interchip)

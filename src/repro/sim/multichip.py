@@ -37,18 +37,236 @@ bit-identical to ``B`` independent single-input runs.
 :func:`steady_state_interval` its closed-form steady-state law
 (``makespan(B) = makespan(1) + (B-1) * bottleneck``), shared with
 :func:`repro.sim.fastmodel.analyze_sharded`.
+
+**The admission kernel.**  The recurrence itself is written once, as
+the incremental :class:`PipelineState` (:func:`streaming_schedule` is a
+fold over it), next to the one fleet dispatch law :func:`route`; the
+serving stack (:mod:`repro.serve`, :mod:`repro.faults`,
+:mod:`repro.runtime`, :func:`repro.sim.fastmodel.serve_fleet`) admits
+and routes through these two and nothing else.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ArchConfig, InterChipConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.chip import ChipSimulator
 from repro.sim.report import SimulationReport, group_energy_mj
 
 #: (src_chip, dst_chip, nbytes) -- the schedule-level view of a transfer.
 TransferEdge = Tuple[int, int, int]
+
+
+def sharding_edges(sharding) -> List[TransferEdge]:
+    """The per-input transfer edges of a
+    :class:`~repro.compiler.partition.ShardingPlan`, in schedule order:
+    one edge per boundary tensor a shard receives."""
+    return sorted(
+        (shard.incoming[tensor], shard.index,
+         sharding.graph.tensor(tensor).size_bytes)
+        for shard in sharding.shards
+        for tensor in shard.incoming
+    )
+
+
+#: Dispatch policies :func:`route` understands.
+FLEET_POLICIES = ("rr", "jsq")
+
+
+def check_fleet(policy: str, replicas: int) -> None:
+    """The one fleet-shape rule: a known policy over >= 1 replica."""
+    if replicas < 1:
+        raise ConfigError(f"replicas must be >= 1, got {replicas}")
+    if policy not in FLEET_POLICIES:
+        raise ConfigError(
+            f"unknown dispatch policy {policy!r}; expected one of "
+            f"{FLEET_POLICIES}"
+        )
+
+
+def check_release(release: int, previous: int = 0) -> None:
+    """The one release-cycle rule: non-negative and FIFO.
+
+    Inputs are admitted in submission order, so a release before
+    ``previous`` (the last admitted release, 0 initially) describes an
+    arrival order other than the one it would be served in.
+    """
+    if release < previous:
+        raise SimulationError(
+            f"release cycles must be >= 0 and non-decreasing (inputs are "
+            f"served FIFO in submission order): got {release} after "
+            f"{previous}"
+        )
+
+
+class PipelineState:
+    """Incremental admission state of one chip pipeline -- the queueing law.
+
+    The only copy of the per-input recurrence; every path that admits
+    inputs consumes it (see the module docstring).
+
+    ``row[k]`` is shard ``k``'s occupancy for one input; ``edges`` lists
+    the per-input (src, dst, nbytes) transfers in schedule order.
+    Resource constraints for input ``i``:
+
+    - it cannot enter shard 0 before its release cycle (inputs are
+      served FIFO, so releases must be non-decreasing);
+    - shard ``k`` processes inputs in order: input ``i`` starts once
+      shard ``k`` has finished input ``i-1`` *and* every inbound transfer
+      for input ``i`` has fully arrived;
+    - all transfers of input ``i`` out of a shard depart after that shard
+      finishes input ``i``; transfers sharing a (src, dst) link serialise
+      across the whole stream in (input, schedule) order, each occupying
+      the link for ``serialization_cycles`` and arriving
+      ``transfer_cycles`` after departure;
+
+    so ``start[i][k] = max(release_i if k == 0, finish[i-1][k], last
+    inbound arrival)``.
+
+    ``service_time(k, start, base)`` / ``link_time(src, dst, depart,
+    nbytes)`` are the fault-injection hooks (:mod:`repro.faults`): the
+    (possibly slowed) occupancy of a pass starting at ``start``, and the
+    ``(serialization, latency)`` cycles of a transfer departing at
+    ``depart``.  ``None`` is the identity -- hook-free link cycles are
+    computed once here, not per input.  ``crash`` is the cycle the
+    replica dies (:meth:`in_flight` stops counting an input at the
+    crash; :meth:`admit` still returns the uncapped finish so the caller
+    can tell the attempt was killed).  ``load_offset`` is the cycle a
+    cold resident-weights replica finishes loading its weights; no
+    input enters the pipeline before it.
+    """
+
+    def __init__(
+        self,
+        row: Sequence[int],
+        edges: Sequence[TransferEdge],
+        link: InterChipConfig,
+        *,
+        service_time=None,
+        link_time=None,
+        crash: Optional[int] = None,
+        load_offset: int = 0,
+    ):
+        self.row = list(row)
+        n = len(self.row)
+        self.service_time = service_time
+        self.link_time = link_time
+        self.crash = crash
+        self.load_offset = int(load_offset)
+        #: Outbound transfers pre-grouped per source shard; schedule
+        #: order survives within a source, and links are keyed by
+        #: (src, dst), so grouping never reorders a link's traffic.
+        self._outbound: List[list] = [[] for _ in range(n)]
+        for src, dst, nbytes in edges:
+            if not 0 <= src < dst < n:
+                raise SimulationError(
+                    f"transfer edge ({src}, {dst}) does not connect two "
+                    f"of the {n} shards in pipeline order (src < dst)"
+                )
+            timing = (None, None) if link_time is not None else (
+                link.serialization_cycles(nbytes),
+                link.transfer_cycles(nbytes),
+            )
+            self._outbound[src].append(((src, dst), nbytes) + timing)
+        self._release = 0
+        self._link_free: Dict[Tuple[int, int], int] = {}
+        #: Per-shard start / finish cycles of the latest admitted input.
+        self.starts: List[int] = []
+        self.prev_finish = [0] * n
+        #: Completion cycle of every admitted input, capped at the crash.
+        #: Non-decreasing (each shard starts no earlier than it last
+        #: finished and occupancies are >= 0), which :meth:`in_flight`
+        #: relies on.
+        self.finishes: List[int] = []
+
+    def alive_at(self, cycle: int) -> bool:
+        return self.crash is None or cycle < self.crash
+
+    def admit(
+        self, release: int, row: Optional[Sequence[int]] = None
+    ) -> Tuple[int, int]:
+        """Account one input released at ``release``.
+
+        ``row`` overrides the per-shard occupancies for this input (the
+        cyclesim tier measures every input).  Returns ``(start,
+        finish)``: the shard-0 service-entry cycle and the last-shard
+        completion cycle, ignoring any crash.  A pipeline with no shards
+        serves instantly (``start == finish == release``).
+        """
+        check_release(release, self._release)
+        self._release = release
+        release = max(release, self.load_offset)
+        n = len(self.prev_finish)
+        if row is None:
+            row = self.row
+        elif len(row) != n:
+            raise SimulationError(
+                f"ragged service rows: got {len(row)} shard cycles for a "
+                f"{n}-shard pipeline"
+            )
+        arrival = [0] * n
+        if n:
+            arrival[0] = release
+        starts = [0] * n
+        finishes = [0] * n
+        prev_finish = self.prev_finish
+        link_free = self._link_free
+        service_time = self.service_time
+        for k in range(n):
+            start = max(arrival[k], prev_finish[k])
+            occupancy = row[k]
+            if service_time is not None:
+                occupancy = service_time(k, start, occupancy)
+            if occupancy < 0:
+                raise SimulationError(
+                    f"shard {k} occupancy must be >= 0 cycles, got "
+                    f"{occupancy}"
+                )
+            starts[k] = start
+            finishes[k] = finish = start + occupancy
+            for key, nbytes, ser, lat in self._outbound[k]:
+                depart = max(finish, link_free.get(key, 0))
+                if ser is None:
+                    ser, lat = self.link_time(key[0], key[1], depart, nbytes)
+                link_free[key] = depart + ser
+                dst = key[1]
+                arrival[dst] = max(arrival[dst], depart + lat)
+        self.starts = starts
+        self.prev_finish = finishes
+        finish = max(finishes) if n else release
+        self.finishes.append(
+            finish if self.crash is None else min(finish, self.crash)
+        )
+        return (starts[0] if n else release), finish
+
+    def in_flight(self, now: int) -> int:
+        """Inputs admitted so far that are still being served at ``now``."""
+        return len(self.finishes) - bisect_right(self.finishes, now)
+
+
+def route(
+    policy: str,
+    states: Sequence[PipelineState],
+    now: int,
+    cursor: int,
+    alive: Optional[Sequence[int]] = None,
+) -> int:
+    """The fleet dispatch law: which replica takes the next input.
+
+    ``"rr"`` rotates: dispatch number ``cursor`` goes to candidate
+    ``cursor % len(candidates)``.  ``"jsq"`` joins the candidate with the
+    fewest inputs predicted in flight at ``now`` (ties to the lowest
+    index).  Candidates are the indices in ``alive`` (the failover
+    engine passes the replicas that have not crashed), default every
+    replica.
+    """
+    candidates = range(len(states)) if alive is None else alive
+    if policy == "rr":
+        return candidates[cursor % len(candidates)]
+    check_fleet(policy, len(states))
+    return min(candidates, key=lambda r: (states[r].in_flight(now), r))
 
 
 def streaming_schedule(
@@ -61,85 +279,49 @@ def streaming_schedule(
 ) -> Tuple[List[List[int]], List[List[int]], List[int], int]:
     """Timing recurrence for ``B`` inputs streamed through the pipeline.
 
+    A fold of :class:`PipelineState` (which owns the law and its
+    resource constraints) over the whole batch.
     ``batch_chip_cycles[i][k]`` is chip ``k``'s execution time for input
     ``i``; ``transfers`` lists the per-input (src, dst, nbytes) edges in
     schedule order (src < dst).  ``releases[i]`` is the cycle input
     ``i`` becomes available to the system (``None`` = every input is
     available at cycle 0, the PR-4 batched special case -- the
     continuous-arrival generalisation behind :mod:`repro.serve`).
-    Resource constraints:
 
-    - input ``i`` cannot enter the first chip before ``releases[i]``
-      (inputs are served FIFO, in submission order);
-    - chip ``k`` processes inputs in order: input ``i`` starts once chip
-      ``k`` has finished input ``i-1`` *and* every inbound transfer for
-      input ``i`` has fully arrived;
-    - all transfers of input ``i`` out of a chip depart after that chip
-      finishes input ``i``; transfers sharing a (src, dst) link
-      serialise across the whole stream in (input, schedule) order, each
-      occupying the link for ``serialization_cycles`` and arriving
-      ``transfer_cycles`` after departure.
+    Returns ``(starts, finishes, input_finishes, makespan)``: per-input
+    per-chip start/finish cycles, the completion cycle of each input
+    (its last chip finish), and the stream makespan.  With one input
+    released at 0 this degenerates to :func:`pipeline_schedule` exactly;
+    with all-zero releases it is bit-identical to the ``releases=None``
+    batched schedule.
 
-    so ``start[i][k] = max(release_i if k == 0, finish[i-1][k], last
-    inbound arrival)``.  Returns ``(starts, finishes, input_finishes,
-    makespan)``: per-input per-chip start/finish cycles, the completion
-    cycle of each input (its last chip finish), and the stream makespan.
-    With one input released at 0 this degenerates to
-    :func:`pipeline_schedule` exactly; with all-zero releases it is
-    bit-identical to the ``releases=None`` batched schedule.
-
-    ``service_time`` / ``link_time`` are the fault-injection hooks
-    (:mod:`repro.faults`): ``service_time(k, start, base)`` returns chip
-    ``k``'s (possibly slowed) occupancy for a pass starting at ``start``
-    with base time ``base``; ``link_time(src, dst, depart, nbytes)``
-    returns ``(serialization, latency)`` cycles for a transfer departing
-    at ``depart``.  Both default to ``None``, which is the identity --
-    the no-fault schedule is bit-identical to the hook-free one.
+    ``service_time`` / ``link_time`` are :class:`PipelineState`'s
+    fault-injection hooks; both default to ``None``, the identity.
     """
-    if releases is not None:
-        if len(releases) != len(batch_chip_cycles):
-            raise SimulationError(
-                f"streaming_schedule got {len(batch_chip_cycles)} inputs "
-                f"but {len(releases)} release cycles"
-            )
-        if any(r < 0 for r in releases):
-            raise SimulationError("release cycles must be >= 0")
-    n = len(batch_chip_cycles[0]) if batch_chip_cycles else 0
-    link_free: Dict[Tuple[int, int], int] = {}
-    prev_finish = [0] * n
+    if releases is not None and len(releases) != len(batch_chip_cycles):
+        raise SimulationError(
+            f"streaming_schedule got {len(batch_chip_cycles)} inputs "
+            f"but {len(releases)} release cycles"
+        )
     all_starts: List[List[int]] = []
     all_finishes: List[List[int]] = []
     input_finishes: List[int] = []
-    for index, chip_cycles in enumerate(batch_chip_cycles):
-        arrival = [0] * n
-        if releases is not None and n:
-            arrival[0] = releases[index]
-        starts = [0] * n
-        finishes = [0] * n
-        for k in range(n):
-            starts[k] = max(arrival[k], prev_finish[k])
-            occupancy = chip_cycles[k]
-            if service_time is not None:
-                occupancy = service_time(k, starts[k], occupancy)
-            finishes[k] = starts[k] + occupancy
-            for src, dst, nbytes in transfers:
-                if src != k:
-                    continue
-                depart = max(finishes[k], link_free.get((src, dst), 0))
-                if link_time is None:
-                    ser = link.serialization_cycles(nbytes)
-                    lat = link.transfer_cycles(nbytes)
-                else:
-                    ser, lat = link_time(src, dst, depart, nbytes)
-                link_free[(src, dst)] = depart + ser
-                arrive = depart + lat
-                arrival[dst] = max(arrival[dst], arrive)
-        prev_finish = finishes
-        all_starts.append(starts)
-        all_finishes.append(finishes)
-        input_finishes.append(max(finishes) if finishes else 0)
-    makespan = max(input_finishes) if input_finishes else 0
-    return all_starts, all_finishes, input_finishes, makespan
+    if batch_chip_cycles:
+        state = PipelineState(
+            batch_chip_cycles[0], transfers, link,
+            service_time=service_time, link_time=link_time,
+        )
+        for index, chip_cycles in enumerate(batch_chip_cycles):
+            _, finish = state.admit(
+                0 if releases is None else releases[index], chip_cycles
+            )
+            all_starts.append(state.starts)
+            all_finishes.append(state.prev_finish)
+            input_finishes.append(finish)
+    return (
+        all_starts, all_finishes, input_finishes,
+        max(input_finishes, default=0),
+    )
 
 
 def pipeline_schedule(
@@ -192,6 +374,15 @@ def steady_state_interval(
     return interval
 
 
+def sum_energy(breakdowns: Sequence[Dict[str, float]]) -> Dict[str, float]:
+    """Category-wise sum of energy breakdowns, in the order given."""
+    energy: Dict[str, float] = {}
+    for breakdown in breakdowns:
+        for key, value in breakdown.items():
+            energy[key] = energy.get(key, 0.0) + value
+    return energy
+
+
 def merge_shard_energy(
     breakdowns: Sequence[Dict[str, float]],
     interchip_bytes: int,
@@ -204,10 +395,7 @@ def merge_shard_energy(
     analyze_sharded`): per-chip categories add, and boundary traffic is
     charged at ``link.energy_pj_per_byte`` under the ``interchip`` key.
     """
-    energy: Dict[str, float] = {}
-    for breakdown in breakdowns:
-        for key, value in breakdown.items():
-            energy[key] = energy.get(key, 0.0) + value
+    energy = sum_energy(breakdowns)
     if interchip_bytes:
         energy["interchip"] = (
             energy.get("interchip", 0.0)
@@ -479,36 +667,14 @@ class MultiChipSimulator:
 
     def run(self) -> MultiChipReport:
         """Execute one input through the pipeline and aggregate reports."""
-        link = self.arch.interchip
         reports = self._execute_pipeline()
         edges = self._transfer_edges()
-        starts, finishes, makespan = pipeline_schedule(
-            [r.cycles for r in reports], edges, link
+        schedule = streaming_schedule(
+            [[r.cycles for r in reports]], edges, self.arch.interchip
         )
-
-        total_bytes = self.model.interchip_bytes()
-        energy = merge_shard_energy(
-            [r.energy_breakdown_pj for r in reports], total_bytes, link
-        )
-
-        return MultiChipReport(
-            arch=self.arch,
-            cycles=makespan,
-            energy_breakdown_pj=energy,
-            macs=sum(r.macs for r in reports),
-            instructions=sum(r.instructions for r in reports),
-            chip_reports=reports,
-            chip_starts=starts,
-            chip_finishes=finishes,
-            interchip_bytes=total_bytes,
-            noc_bytes=sum(r.noc_bytes for r in reports),
-            noc_byte_hops=sum(r.noc_byte_hops for r in reports),
-            utilization=_mean_utilization(reports),
-            batch=1,
-            input_finishes=[makespan],
-            steady_interval_cycles=steady_state_interval(
-                [r.cycles for r in reports], edges, link
-            ),
+        return assemble_stream_report(
+            self.arch, [reports], edges, schedule,
+            self.model.interchip_bytes(),
         )
 
     def execute_stream(
