@@ -11,7 +11,7 @@ their results:
   i.e. serial in-process);
 - ``REPRO_BENCH_CACHE``: directory of an on-disk result cache.  When set,
   re-running the benchmarks serves already-evaluated points from disk
-  (re-anchored benchmark runs finish in seconds instead of minutes).
+  (the Fig. 5-7 fixtures spend ~10 s planning when computed cold).
 """
 
 import os

@@ -12,9 +12,10 @@ performance model (:mod:`repro.sim.fastmodel`) reuses this module.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.config import ArchConfig
+from repro.compiler.frontend import CondensedGraph, CondensedNode
 from repro.compiler.geometry import NodeGeometry
 from repro.graph.ops import OpKind
 from repro.utils import ceil_div
@@ -25,6 +26,60 @@ _ISSUE = 2
 _LOOP_OVERHEAD = 4
 #: cycles to cross the chip to the global-memory port, on average.
 _GLOBAL_HOPS = 4
+
+
+class NodeTopology(NamedTuple):
+    """Where one node reads and writes, fixed by its stage's node set.
+
+    Field order matches the trailing parameters of
+    :meth:`CostModel.row_cycles` and :meth:`CostModel.estimate_node`.
+    """
+
+    read_global: bool
+    write_global: bool
+    same_stage_consumers: int
+
+
+def spill_flags(
+    cgraph: CondensedGraph, stage_nodes: Sequence[int]
+) -> Dict[str, bool]:
+    """Which stage nodes must write their output to global memory."""
+    in_stage = set(stage_nodes)
+    flags: Dict[str, bool] = {}
+    for index in stage_nodes:
+        node = cgraph.nodes[index]
+        consumers = cgraph.consumers(node)
+        external = any(c not in in_stage for c in consumers)
+        flags[node.name] = external or cgraph.is_graph_output(node) or not consumers
+    return flags
+
+
+def stage_topology(
+    nodes: Sequence[CondensedNode], spill: Optional[Dict[str, bool]] = None
+) -> List[NodeTopology]:
+    """Where each node of a stage reads and writes, in ``nodes`` order.
+
+    A node reads its main input from global memory unless a stage node
+    produces it, streams its output to every *other* stage node reading
+    it, and also writes it to global memory when ``spill`` says so (a
+    later stage or the host consumes it; without ``spill`` every node
+    does).  None of this depends on replica counts, so one pass per
+    stage serves every duplication trial.
+    """
+    spill = spill if spill is not None else {}
+    readers: Dict[str, int] = {node.output: 0 for node in nodes}
+    for node in nodes:
+        for tensor in {ni.tensor for ni in node.inputs}:
+            if tensor in readers:
+                readers[tensor] += 1
+    return [
+        NodeTopology(
+            read_global=node.main_input.tensor not in readers,
+            write_global=spill.get(node.name, True),
+            same_stage_consumers=readers[node.output],
+        )
+        for node in nodes
+    ]
 
 
 @dataclass
@@ -159,10 +214,9 @@ class CostModel:
         same_stage_consumers: int = 0,
     ) -> NodeEstimate:
         """Latency and energy of one node at duplication factor ``replicas``."""
-        key = (
-            geom.node.name, replicas, read_global, write_global,
-            same_stage_consumers,
-        )
+        # Keyed on the geometry object, not the node name: one model may
+        # price several graphs whose nodes share names.
+        key = (geom, replicas, read_global, write_global, same_stage_consumers)
         cached = self._node_cache.get(key)
         if cached is not None:
             return cached
@@ -305,28 +359,14 @@ class CostModel:
         output must also be written to global memory (consumed by a later
         stage or a graph output); when omitted every node spills.
         """
-        spill = spill if spill is not None else {}
-        outputs_in_stage = {g.node.output for g in geoms}
-        node_costs: List[NodeEstimate] = []
-        for geom in geoms:
-            main = geom.node.main_input
-            read_global = main.tensor not in outputs_in_stage
-            consumers = sum(
-                1
-                for other in geoms
-                if other is not geom
-                and any(ni.tensor == geom.node.output for ni in other.node.inputs)
-            )
-            write_global = spill.get(geom.node.name, True)
-            node_costs.append(
-                self.estimate_node(
-                    geom,
-                    replicas.get(geom.node.name, 1),
-                    read_global=read_global,
-                    write_global=write_global,
-                    same_stage_consumers=consumers,
-                )
-            )
+        topology = stage_topology([g.node for g in geoms], spill)
+        return self.fold_stage([
+            self.estimate_node(geom, replicas.get(geom.node.name, 1), *topo)
+            for geom, topo in zip(geoms, topology)
+        ])
+
+    def fold_stage(self, node_costs: List[NodeEstimate]) -> "StageEstimate":
+        """Stage estimate from its nodes' estimates (in stage order)."""
         if not node_costs:
             return StageEstimate(0, 0.0, [])
         steady = max(c.latency for c in node_costs)

@@ -16,6 +16,7 @@ The resulting :class:`CondensedGraph` is the unit of partitioning, mapping
 and code generation.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -109,6 +110,12 @@ class CondensedGraph:
         self.producer_index: Dict[str, int] = {}
         #: graph input tensors (produced by INPUT operators).
         self.source_tensors: Set[str] = set()
+        #: storage tensor -> number of operator inputs reading it.
+        self._use_count: Dict[str, int] = {}
+        #: storage tensors of the graph's marked outputs.
+        self._marked_outputs: Set[str] = set()
+        #: node index -> ascending indices of the nodes consuming it.
+        self._consumers: List[List[int]] = []
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -117,12 +124,6 @@ class CondensedGraph:
         while tensor in self.alias:
             tensor = self.alias[tensor]
         return tensor
-
-    def _consumer_count(self, tensor: str) -> int:
-        count = 0
-        for op in self.graph.operators:
-            count += sum(1 for t in op.inputs if self.resolve(t) == tensor)
-        return count
 
     def _main_input_spec(self, op: Operator) -> NodeInput:
         tensor = self.resolve(op.inputs[0])
@@ -165,7 +166,6 @@ class CondensedGraph:
         materialised even when a single operator consumes them (sharded
         subgraphs spill them across the chip boundary).
         """
-        marked = {self.resolve(t) for t in self.graph.outputs}
         for position, tensor in enumerate(op.inputs):
             resolved = self.resolve(tensor)
             index = self.producer_index.get(resolved)
@@ -174,9 +174,9 @@ class CondensedGraph:
             node = self.nodes[index]
             if node.output != resolved:
                 continue  # an epilogue was already appended past this tensor
-            if self._consumer_count(resolved) != 1:
+            if self._use_count[resolved] != 1:
                 continue
-            if resolved in marked:
+            if resolved in self._marked_outputs:
                 continue  # fusing would swallow a marked graph output
             residual: Optional[str] = None
             if op.kind is OpKind.ADD:
@@ -204,11 +204,20 @@ class CondensedGraph:
         return False
 
     def _build(self) -> None:
-        for op in self.graph.topological_order():
+        order = self.graph.topological_order()
+        # Aliases first: every later fact is about storage tensors.
+        for op in order:
+            if op.kind is OpKind.FLATTEN:
+                self.alias[op.output] = self.resolve(op.inputs[0])
+        self._use_count = Counter(
+            self.resolve(t) for op in self.graph.operators for t in op.inputs
+        )
+        self._marked_outputs = {self.resolve(t) for t in self.graph.outputs}
+        for op in order:
             if op.kind is OpKind.INPUT:
                 self.source_tensors.add(op.output)
             elif op.kind is OpKind.FLATTEN:
-                self.alias[op.output] = self.resolve(op.inputs[0])
+                pass  # aliased above
             elif op.is_mvm:
                 self._new_node(op)
             elif op.kind in _FUSABLE and self._try_fuse(op):
@@ -217,6 +226,10 @@ class CondensedGraph:
                 self._new_node(op)
         if not self.nodes:
             raise CompileError("model contains no computation to map")
+        self._consumers = [[] for _ in self.nodes]
+        for node in self.nodes:
+            for producer in self.deps(node):
+                self._consumers[producer].append(node.index)
 
     # -- queries -------------------------------------------------------------
     def __len__(self) -> int:
@@ -237,15 +250,10 @@ class CondensedGraph:
 
     def consumers(self, node: CondensedNode) -> List[int]:
         """Indices of nodes consuming this node's output."""
-        return sorted(
-            other.index
-            for other in self.nodes
-            if any(ni.tensor == node.output for ni in other.inputs)
-        )
+        return self._consumers[node.index]
 
     def is_graph_output(self, node: CondensedNode) -> bool:
-        resolved = {self.resolve(t) for t in self.graph.outputs}
-        return node.output in resolved
+        return node.output in self._marked_outputs
 
     def summary(self) -> str:
         cim = sum(1 for node in self.nodes if node.is_cim)

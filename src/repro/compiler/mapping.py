@@ -12,7 +12,7 @@ deemed beneficial by the cost estimation model".
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import ArchConfig
-from repro.compiler.cost import CostModel, StageEstimate
+from repro.compiler.cost import CostModel, StageEstimate, stage_topology
 from repro.compiler.geometry import NodeGeometry
 
 
@@ -38,37 +38,55 @@ def optimal_mapping(
     if base > total_cores:
         return None
     replicas: Dict[str, int] = {g.node.name: 1 for g in geoms}
-    estimate = cost_model.estimate_stage(geoms, replicas, spill)
-    if not duplicate:
+    # Reads, writes and consumers are fixed by the stage's node set; a
+    # duplication trial only re-estimates the one node it changes.
+    topology = stage_topology([g.node for g in geoms], spill)
+    node_costs = [
+        cost_model.estimate_node(geom, 1, *topo)
+        for geom, topo in zip(geoms, topology)
+    ]
+    estimate = cost_model.fold_stage(node_costs)
+    if not duplicate or not geoms:
         return replicas, estimate
 
+    # Stage latency is the slowest node plus fill and barrier terms that
+    # replica counts do not move.
+    latencies = [cost.latency for cost in node_costs]
+    latency = estimate.latency
+    overhead = latency - max(latencies)
     cores_used = base
     blocked = set()
     # Greedy duplication: relieve the pipeline bottleneck while it helps.
     for _ in range(4 * total_cores):
         candidates = [
-            (cost.latency, geom)
-            for cost, geom in zip(estimate.node_costs, geoms)
+            (latencies[i], geom.node.name, i)
+            for i, geom in enumerate(geoms)
             if geom.node.name not in blocked
             and replicas[geom.node.name] < geom.max_replicas
             and cores_used + geom.cores_min <= total_cores
         ]
         if not candidates:
             break
-        candidates.sort(key=lambda item: (-item[0], item[1].node.name))
+        candidates.sort(key=lambda item: (-item[0], item[1]))
         improved = False
-        for _, geom in candidates:
-            name = geom.node.name
-            trial = dict(replicas)
-            trial[name] += 1
-            trial_estimate = cost_model.estimate_stage(geoms, trial, spill)
-            if trial_estimate.cost < estimate.cost:
-                replicas = trial
-                estimate = trial_estimate
-                cores_used += geom.cores_min
+        for _, name, i in candidates:
+            trial = cost_model.estimate_node(
+                geoms[i], replicas[name] + 1, *topology[i]
+            )
+            kept = latencies[i]
+            latencies[i] = trial.latency
+            trial_latency = max(latencies) + overhead
+            if trial_latency < latency:
+                replicas[name] += 1
+                node_costs[i] = trial
+                latency = trial_latency
+                cores_used += geoms[i].cores_min
                 improved = True
                 break
+            latencies[i] = kept
             blocked.add(name)
         if not improved:
             break
+    if latency < estimate.latency:
+        estimate = cost_model.fold_stage(node_costs)
     return replicas, estimate

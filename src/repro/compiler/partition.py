@@ -30,7 +30,7 @@ from repro.compiler.closures import (
     is_subset,
     mask_nodes,
 )
-from repro.compiler.cost import CostModel, StageEstimate
+from repro.compiler.cost import CostModel, StageEstimate, spill_flags
 from repro.compiler.frontend import CondensedGraph, condense
 from repro.compiler.geometry import NodeGeometry
 from repro.compiler.mapping import optimal_mapping
@@ -63,18 +63,6 @@ class PartitionResult:
         return sum(s.estimate.energy_pj for s in self.stages)
 
 
-def _spill_flags(cgraph: CondensedGraph, stage_nodes: List[int]) -> Dict[str, bool]:
-    """Which stage nodes must write their output to global memory."""
-    in_stage = set(stage_nodes)
-    flags: Dict[str, bool] = {}
-    for index in stage_nodes:
-        node = cgraph.nodes[index]
-        consumers = cgraph.consumers(node)
-        external = any(c not in in_stage for c in consumers)
-        flags[node.name] = external or cgraph.is_graph_output(node) or not consumers
-    return flags
-
-
 def dp_partition(
     cgraph: CondensedGraph,
     geometries: Dict[str, NodeGeometry],
@@ -102,7 +90,7 @@ def dp_partition(
         if stage_mask not in stage_cache:
             nodes = mask_nodes(stage_mask)
             geoms = [geometries[cgraph.nodes[i].name] for i in nodes]
-            spill = _spill_flags(cgraph, nodes)
+            spill = spill_flags(cgraph, nodes)
             stage_cache[stage_mask] = optimal_mapping(
                 geoms, arch, cost_model, duplicate=duplicate, spill=spill
             )
@@ -170,7 +158,7 @@ def greedy_partition(
         if not current:
             return
         geoms = [geometries[cgraph.nodes[i].name] for i in current]
-        spill = _spill_flags(cgraph, current)
+        spill = spill_flags(cgraph, current)
         priced = optimal_mapping(
             geoms, arch, cost_model, duplicate=duplicate, spill=spill
         )

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import ArchConfig
 from repro.config.arch import GLOBAL_BASE
 from repro.errors import CompileError
-from repro.compiler.cost import StageEstimate
+from repro.compiler.cost import StageEstimate, spill_flags
 from repro.compiler.frontend import CondensedGraph, CondensedNode
 from repro.compiler.geometry import NodeGeometry, WeightTile
 from repro.compiler.partition import PartitionResult
@@ -164,8 +164,6 @@ def assign_cores_and_rows(
     adjacent core blocks (the paper's clusters), keeping intra-cluster NoC
     distances short under XY routing.
     """
-    from repro.compiler.partition import _spill_flags
-
     stages: List[StagePlan] = []
     for stage_index, decision in enumerate(partition.stages):
         next_core = 0
@@ -197,7 +195,7 @@ def assign_cores_and_rows(
                 index=stage_index,
                 nodes=nodes,
                 mappings=mappings,
-                spill=_spill_flags(cgraph, decision.node_indices),
+                spill=spill_flags(cgraph, decision.node_indices),
                 estimate=decision.estimate,
             )
         )

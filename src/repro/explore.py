@@ -50,7 +50,7 @@ from repro.config import (
     with_flit_bytes,
     with_mg_size,
 )
-from repro.compiler.partition import shard_graph
+from repro.compiler.partition import ShardingPlan, shard_graph
 from repro.compiler.pipeline import plan_graph
 from repro.compiler.plan import ExecutionPlan
 from repro.errors import ConfigError
@@ -250,6 +250,26 @@ def _cached_graph(model: str, input_size: int, num_classes: int) -> ComputationG
             model, input_size=input_size, num_classes=num_classes
         )
     return _graph_cache[key]
+
+
+_sharding_cache: Dict[Tuple[str, int, int, int], ShardingPlan] = {}
+
+
+def _cached_sharding(
+    model: str, input_size: int, num_classes: int, chips: int
+) -> ShardingPlan:
+    """Process-local sharding cache, next to :func:`_cached_graph`.
+
+    The cuts and shard subgraphs depend on the graph and the chip count
+    only, so every strategy / architecture point of a worker shares one
+    :class:`ShardingPlan` (planning and analysis only read it).
+    """
+    key = (model, input_size, num_classes, chips)
+    if key not in _sharding_cache:
+        _sharding_cache[key] = shard_graph(
+            _cached_graph(model, input_size, num_classes), chips
+        )
+    return _sharding_cache[key]
 
 
 def _rate_releases(arch: ArchConfig, rate: float, batch: int) -> List[int]:
@@ -686,9 +706,10 @@ def _analyze_base(
     ``plan`` is the (first shard's) execution plan for inspection.
     """
     arch = pspec.resolve_arch(base_arch)
-    graph = _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
     if pspec.chips > 1:
-        sharding = shard_graph(graph, pspec.chips)
+        sharding = _cached_sharding(
+            pspec.model, pspec.input_size, pspec.num_classes, pspec.chips
+        )
         plans = [
             plan_graph(shard.graph, arch, pspec.strategy,
                        pspec.closure_limit)
@@ -700,6 +721,7 @@ def _analyze_base(
             )
             return report, load_done, load_energy, plans[0]
         return analyze_sharded(sharding, plans, arch), 0, {}, plans[0]
+    graph = _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
     plan = plan_graph(graph, arch, pspec.strategy, pspec.closure_limit)
     if pspec.resident_weights:
         report, load_done, load_energy = analyze_plan_resident(plan)

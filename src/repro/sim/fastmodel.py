@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.cost import CostModel
+from repro.compiler.cost import CostModel, stage_topology
 from repro.compiler.plan import ExecutionPlan
 from repro.errors import ConfigError
 from repro.sim.report import group_energy_mj
@@ -274,21 +274,14 @@ def _analyze_plan_impl(
     time_cursor = 0
 
     for stage in plan.stages:
-        outputs_in_stage = {node.output for node in stage.nodes}
         ready: Dict[str, np.ndarray] = {}
         stage_end = time_cursor
-        for node in stage.nodes:  # topological order within the stage
+        topologies = stage_topology(stage.nodes, stage.spill)
+        # stage.nodes is in topological order
+        for node, topology in zip(stage.nodes, topologies):
             geom = plan.geometries[node.name]
             mapping = stage.mappings[node.name]
-            read_global = node.main_input.tensor not in outputs_in_stage
-            consumers = sum(
-                1
-                for other in stage.nodes
-                if other is not node
-                and any(ni.tensor == node.output for ni in other.inputs)
-            )
-            write_global = stage.spill[node.name]
-            row_cost = cm.row_cycles(geom, read_global, write_global, consumers)
+            row_cost = cm.row_cycles(geom, *topology)
             load = cm.load_cycles(geom)
             hoisted_replicas = resident_replicas.get(node.name, frozenset())
             if hoisted_replicas and load:
@@ -311,13 +304,7 @@ def _analyze_plan_impl(
                     node_ready[y] = t
                 stage_end = max(stage_end, t)
             ready[node.output] = node_ready
-            estimate = cm.estimate_node(
-                geom,
-                len(mapping.replicas),
-                read_global=read_global,
-                write_global=write_global,
-                same_stage_consumers=consumers,
-            )
+            estimate = cm.estimate_node(geom, len(mapping.replicas), *topology)
             hoisted: Dict[str, float] = {}
             if hoisted_replicas:
                 hoisted = cm.weight_load_energy(

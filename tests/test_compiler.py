@@ -1,8 +1,11 @@
 """Tests for geometry, partitioning, mapping, and code generation."""
 
+import json
+
 import numpy as np
 import pytest
 
+import golden_plans
 from repro.compiler import (
     CostModel,
     build_geometries,
@@ -13,6 +16,7 @@ from repro.compiler import (
     optimal_mapping,
     partition_with_strategy,
 )
+from repro.compiler.pipeline import plan_graph
 from repro.compiler.plan import assign_cores_and_rows, split_rows
 from repro.config import default_arch, small_test_arch
 from repro.errors import CapacityError, CompileError
@@ -131,6 +135,27 @@ class TestPartitioning:
         cgraph, geoms = _geoms("tiny_mlp", arch)
         with pytest.raises(CompileError):
             partition_with_strategy("magic", cgraph, geoms, arch)
+
+
+    def test_golden_plans_unchanged(self):
+        """Stages, replicas, latencies and float energies are pinned
+        exactly (tests/golden_plans.py regenerates the file)."""
+        golden = json.loads(golden_plans.GOLDEN_PATH.read_text())
+        current = golden_plans.current_plans()
+        assert sorted(current) == sorted(golden)
+        for name in golden:
+            assert current[name] == golden[name], name
+
+    def test_cost_model_shared_across_graphs(self, table1_arch):
+        """Two graphs with the same node names must not share estimates."""
+        small = get_model("resnet18", input_size=32, num_classes=10)
+        large = get_model("resnet18", input_size=64, num_classes=10)
+        fresh = plan_graph(small, table1_arch, "dp").partition
+        shared = CostModel(table1_arch)
+        plan_graph(large, table1_arch, "dp", cost_model=shared)
+        reused = plan_graph(small, table1_arch, "dp", cost_model=shared)
+        assert reused.partition.total_latency == fresh.total_latency
+        assert reused.partition.total_energy_pj == fresh.total_energy_pj
 
 
 class TestMapping:
