@@ -54,6 +54,68 @@ def avgpool_qparams(window: int, qshift: int = 8) -> QuantParams:
     return QuantParams(qmul=max(1, round((1 << qshift) / window)), qshift=qshift)
 
 
+#: Longest reduction one float32 product may cover.  1024 * 128 * 128 = 2**24,
+#: the largest magnitude below which float32 holds every integer exactly.
+_K_CHUNK = 1024
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``a @ b`` of int8-valued operands as int32 (wrapping mod 2**32).
+
+    The one integer matrix product of the code base: the golden model,
+    the interpreter's ``CIM_MVM``, the generated blocks and the batched
+    replay all call it, so they cannot disagree.  NumPy's integer matmul
+    has no BLAS backend, so the reduction axis is cut into chunks of at
+    most ``_K_CHUNK`` and each chunk is multiplied in float32: with
+    ``|a|, |b| <= 128`` every partial sum inside a chunk is an integer of
+    magnitude ``<= 2**24``, which float32 holds exactly in whatever order
+    BLAS adds.  The chunk results are summed in int32, which wraps exactly
+    as an int32 matmul would -- the result is bit-identical for every K.
+
+    Shapes broadcast as in ``np.matmul``: ``a`` is a vector, a matrix or
+    a stack of matrices, ``b`` a matrix or a matching stack.  Each is
+    int8, or float32 already holding int8 values (a macro-group
+    register), which skips its conversion.  The result is a fresh
+    C-contiguous int32 array.
+    """
+    k = a.shape[-1]
+
+    def chunk(lo: int) -> np.ndarray:
+        return np.matmul(
+            a[..., lo:lo + _K_CHUNK].astype(np.float32, copy=False),
+            b[..., lo:lo + _K_CHUNK, :].astype(np.float32, copy=False),
+        ).astype(np.int32)
+
+    acc = chunk(0)
+    for lo in range(_K_CHUNK, k, _K_CHUNK):
+        acc += chunk(lo)
+    return acc
+
+
+def as_int8(data, what: str, error: type) -> np.ndarray:
+    """``data`` as an int8 array, refusing whatever the cast would change.
+
+    Model inputs pass through here where they enter (the serving front
+    end, the golden model), which is what makes :func:`int_matmul`'s
+    "operands are int8-valued" precondition hold.  A non-integer dtype
+    or a value outside ``[-128, 127]`` raises ``error`` naming ``what``.
+    """
+    arr = np.asarray(data)
+    if arr.dtype == np.int8:
+        return arr
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise error(
+            f"{what} has dtype {arr.dtype}; int8-representable integers "
+            f"are required"
+        )
+    if arr.size and (arr.min() < I8_MIN or arr.max() > I8_MAX):
+        raise error(
+            f"{what} has values in [{arr.min()}, {arr.max()}], outside "
+            f"int8's [{I8_MIN}, {I8_MAX}]"
+        )
+    return arr.astype(np.int8)
+
+
 def saturate_i8(values: np.ndarray) -> np.ndarray:
     """Clip int values into int8 range and cast."""
     return np.clip(values, I8_MIN, I8_MAX).astype(np.int8)

@@ -54,6 +54,7 @@ from repro.faults import (
     run_fault_schedule,
 )
 from repro.graph.graph import ComputationGraph
+from repro.graph.quantize import as_int8
 from repro.sim.functional import golden_outputs
 from repro.sim.multichip import (
     MultiChipReport,
@@ -827,6 +828,8 @@ class Deployment:
         graph = self.graph
         if input_data is None:
             input_data = random_input(graph, seed=seed)
+        else:
+            input_data = as_int8(input_data, "input 0", ConfigError)
         input_tensor = graph.input_operators[0].output
 
         if isinstance(self.compiled, MultiChipModel):

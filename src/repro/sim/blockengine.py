@@ -72,6 +72,7 @@ from repro.graph.quantize import (
     QuantParams,
     apply_lut,
     cmul_i8,
+    int_matmul,
     requantize,
     saturate_i8,
 )
@@ -428,7 +429,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("    _x = lm[_a:_a + _n]")
         em.w("else:")
         em.w("    _x = mem.read(cid, _a, _n)")
-        em.w("mgs[_g] = (_x.reshape(_rw, _cl).astype(np.int32), _rw, _cl)")
+        em.w("mgs[_g] = (_x.reshape(_rw, _cl).astype(np.float32), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
         em.tallies.update(("t_clb", "t_lr"))
@@ -451,19 +452,19 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("_w, _rw, _cl = _e")
         em.w(f"_a = r[{rs}]")
         em.w("if 0 <= _a and _a + _rw <= LSZ:")
-        em.w("    _x = lm[_a:_a + _rw].astype(np.int32)")
+        em.w("    _x = lm[_a:_a + _rw]")
         em.w("else:")
-        em.w("    _x = mem.read(cid, _a, _rw).astype(np.int32)")
-        em.w("_v = _x @ _w[:_rw, :_cl]")
+        em.w("    _x = mem.read(cid, _a, _rw)")
+        em.w("_v = int_matmul(_x, _w[:_rw, :_cl])")
         em.w(f"_o = r[{re}]")
         if flags & 1:
             em.w("_n4 = 4 * _cl")
             em.w("if 0 <= _o and _o + _n4 <= LSZ:")
-            em.w("    _v = _v + lm[_o:_o + _n4].view(np.int32)")
+            em.w("    _v += lm[_o:_o + _n4].view(np.int32)")
             em.w("else:")
-            em.w("    _v = _v + mem.read_i32(cid, _o, _cl)")
-        # _v is already int32 (int32 @ int32, plus int32 accumulate) and
-        # freshly allocated, so the interpreter's astype copy is skipped.
+            em.w("    _v += mem.read_i32(cid, _o, _cl)")
+        # int_matmul returns a fresh C-contiguous int32 array, so it is
+        # stored through a byte view with no further cast or copy.
         em.w("if 0 <= _o and _o + 4 * _cl <= LSZ:")
         em.w("    lm[_o:_o + 4 * _cl] = _v.view(np.int8)")
         em.w("else:")
@@ -725,6 +726,7 @@ _EXEC_GLOBALS = {
     "SimulationError": SimulationError,
     "QuantParams": QuantParams,
     "requantize": requantize,
+    "int_matmul": int_matmul,
     "saturate_i8": saturate_i8,
     "apply_lut": apply_lut,
     "cmul_i8": cmul_i8,
@@ -2243,8 +2245,8 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         elif tag == "cimload":
             _, sb, ss, rows, cols, mg = op
             data = read(sb, ss, rows * cols)
-            # Kept int8: the MVM handler casts to int32 before its einsum
-            # accumulates, so values match the interpreter's int32 store.
+            # Kept int8: int_matmul converts each K-chunk as it multiplies;
+            # only the last matrix becomes a (float32) register at the flush.
             mats = np.ascontiguousarray(data).reshape(m, rows, cols)
             vmgs[mg] = mats
             mg_final[mg] = (mats, rows, cols)
@@ -2258,15 +2260,10 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
                     raise _Bail()
             vec = read(vb, vs, rows)
             if virt:
-                # int32 wraparound addition is associative, so einsum's
-                # accumulation order matches sequential MVMs bit-exactly.
-                res = np.einsum(
-                    "mr,mrc->mc",
-                    vec.astype(np.int32),
-                    mats.astype(np.int32),
-                )
+                # one (1, rows) @ (rows, cols) product per iteration
+                res = int_matmul(vec[:, None, :], mats)[:, 0, :]
             else:
-                res = vec.astype(np.int32) @ entry[0][:rows, :cols]
+                res = int_matmul(vec, entry[0][:rows, :cols])
             if flags & 1:
                 if os_ == 0:
                     # Loop-carried accumulation into one row: forward it
@@ -2284,7 +2281,6 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
                 else:
                     prev = read(ob, os_, 4 * cols)
                     res = res + as_i32(prev)
-            res = np.ascontiguousarray(res.astype(np.int32))
             out.append((ob, os_, 4 * cols, res.view(np.int8)))
         elif tag == "qnt":
             _, ab, as_, n, db, ds, qmul, qshift = op
@@ -2361,7 +2357,7 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     # Phase B: flush in op order.
     for mg, shape in mg_final.items():
         mats, rows, cols = shape
-        mgs[mg] = (mats[-1].astype(np.int32), rows, cols)
+        mgs[mg] = (mats[-1].astype(np.float32), rows, cols)
     for b, s, l, arr in out:
         if s == 0:
             lm[b:b + l] = arr[-1]

@@ -27,6 +27,7 @@ from repro.graph.quantize import (
     SILU_LUT,
     apply_lut,
     cmul_i8,
+    int_matmul,
     requantize,
     saturate_i8,
     QuantParams,
@@ -492,8 +493,8 @@ def _h_cim_load(core: Core, t) -> None:
         )
     nbytes = rows * cols
     data = core._mem().read(core.core_id, core.regs[rs], nbytes)
-    matrix = data.reshape(rows, cols).astype(np.int32)
-    core.mgs[mg] = (matrix, rows, cols)
+    # float32 holds int8 exactly: int_matmul takes the register as is.
+    core.mgs[mg] = (data.reshape(rows, cols).astype(np.float32), rows, cols)
     start, _ = core._issue("cim", rows + core._local_lat, deps=(rs, rt))
     core.chip.acct.cim_load(nbytes)
     core.pc += 1
@@ -522,12 +523,12 @@ def _h_cim_mvm(core: Core, t) -> None:
         )
     matrix, rows, cols = entry
     mem = core._mem()
-    vec = mem.read(core.core_id, core.regs[rs], rows).astype(np.int32)
-    result = vec @ matrix[:rows, :cols]
+    vec = mem.read(core.core_id, core.regs[rs], rows)
+    result = int_matmul(vec, matrix[:rows, :cols])
     out_addr = core.regs[re]
     if flags & 1:
-        result = result + mem.read_i32(core.core_id, out_addr, cols)
-    mem.write_i32(core.core_id, out_addr, result.astype(np.int32))
+        result += mem.read_i32(core.core_id, out_addr, cols)
+    mem.write_i32(core.core_id, out_addr, result)
     core._issue(
         "cim", core._mvm_latency, occupancy=core._mvm_interval,
         deps=(rs, rt, re),

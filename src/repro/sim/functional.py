@@ -4,7 +4,12 @@ This is the reference for the paper's "Functional Validation / Exec.
 Result Check": it executes the INT8 graph with bit-exact semantics shared
 with the simulator (:mod:`repro.graph.quantize`), so any divergence
 between golden and simulated outputs indicates a compiler or simulator
-bug, never numerical noise.
+bug, never numerical noise.  Convolutions and GEMMs go through
+:func:`repro.graph.quantize.int_matmul` -- the same exact float32-BLAS
+kernel the simulator's ``CIM_MVM`` uses -- so no operand is widened to
+int32 here; inputs are checked int8-representable on entry
+(:func:`repro.graph.quantize.as_int8`).  Depthwise convolution is the
+one int32 ``einsum`` left (it is not a matrix product).
 """
 
 from typing import Dict, Optional
@@ -20,7 +25,9 @@ from repro.graph.quantize import (
     SILU_LUT,
     add_i8,
     apply_lut,
+    as_int8,
     cmul_i8,
+    int_matmul,
     requantize,
 )
 
@@ -51,10 +58,8 @@ def _conv(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s, p = op.attrs["kernel"], op.attrs["stride"], op.attrs["padding"]
     windows = _window_view(x, k, s, p, 0)
     out_h, out_w = windows.shape[:2]
-    cols = windows.reshape(out_h * out_w, -1).astype(np.int32)
-    c_in = x.shape[2]
-    matrix = op.weight.reshape(k * k * c_in, -1).astype(np.int32)
-    acc = cols @ matrix
+    cols = windows.reshape(out_h * out_w, -1)
+    acc = int_matmul(cols, op.weight.reshape(cols.shape[1], -1))
     acc = acc + op.bias.astype(np.int32)[None, :]
     out = requantize(acc, op.qparams)
     return out.reshape(out_h, out_w, -1)
@@ -74,8 +79,7 @@ def _dwconv(op: Operator, x: np.ndarray) -> np.ndarray:
 
 
 def _gemm(op: Operator, x: np.ndarray) -> np.ndarray:
-    vec = x.reshape(-1).astype(np.int32)
-    acc = vec @ op.weight.astype(np.int32)
+    acc = int_matmul(x.reshape(-1), op.weight)
     acc = acc + op.bias.astype(np.int32)
     return requantize(acc, op.qparams)
 
@@ -108,7 +112,9 @@ def execute_graph(
         if op.kind is OpKind.INPUT:
             if op.output not in inputs:
                 raise ValidationError(f"missing input tensor {op.output!r}")
-            data = np.asarray(inputs[op.output], dtype=np.int8)
+            data = as_int8(
+                inputs[op.output], f"input {op.output!r}", ValidationError
+            )
             expected = graph.tensor(op.output).shape
             if tuple(data.shape) != tuple(expected):
                 raise ValidationError(

@@ -46,6 +46,7 @@ from repro.compiler import (
     compile_sharded,
 )
 from repro.graph.graph import ComputationGraph
+from repro.graph.quantize import as_int8
 from repro.sim.chip import ChipSimulator
 from repro.sim.functional import random_input
 from repro.sim.multichip import MultiChipReport
@@ -140,7 +141,8 @@ def _resolve_batch_inputs(
     sequence of input-shaped arrays -- a list or a stacked ``(B, *input
     shape)`` array -- must match ``batch`` (or sets it when ``batch``
     was left at 1).  Every resolved input is shape-checked against the
-    model's input tensor.
+    model's input tensor and must hold int8-representable integers
+    (:func:`repro.graph.quantize.as_int8`; nothing is silently wrapped).
     """
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
@@ -157,11 +159,11 @@ def _resolve_batch_inputs(
             whole = None
     if whole is not None and whole.shape == expected:
         inputs = [whole]  # exactly one model input
-    elif whole is not None and whole.ndim and whole.shape[1:] == expected:
-        inputs = list(whole)  # a stacked batch of inputs
     elif isinstance(input_data, np.ndarray):
-        inputs = [input_data]  # wrong shape: reported below
-    else:
+        # a stacked batch of inputs, or a wrong shape reported below
+        stacked = whole.ndim and whole.shape[1:] == expected
+        inputs = list(whole) if stacked else [input_data]
+    else:  # item by item: each keeps its own dtype for the int8 check
         inputs = [np.asarray(item) for item in input_data]
     if batch == 1 and len(inputs) > 1:
         batch = len(inputs)
@@ -175,6 +177,7 @@ def _resolve_batch_inputs(
                 f"input {index} has shape {tuple(data.shape)}; the model "
                 f"input is {expected}"
             )
+        inputs[index] = as_int8(data, f"input {index}", ConfigError)
     return inputs
 
 

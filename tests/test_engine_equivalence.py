@@ -10,6 +10,7 @@ reporting, mis-sized RECV, barrier release ordering, runaway detection,
 extension instructions, batched-loop replay).
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -32,6 +33,23 @@ from repro.sim.chip import ChipSimulator, default_engine
 
 TINY_MODELS = ("tiny_mlp", "tiny_cnn", "tiny_resnet")
 STRATEGIES = ("generic", "duplication", "dp")
+
+
+def _deep_macro_arch():
+    """The small arch with 2048-row macros (and local memory to stage
+    them): one macro-group tile is deeper than an ``int_matmul`` chunk."""
+    arch = small_test_arch()
+    core = arch.chip.core
+    group = core.cim_unit.macro_group
+    macro = dataclasses.replace(group.macro, rows=2048)
+    cim = dataclasses.replace(
+        core.cim_unit, macro_group=dataclasses.replace(group, macro=macro)
+    )
+    memory = dataclasses.replace(core.local_memory, size_bytes=256 * 1024)
+    core = dataclasses.replace(core, cim_unit=cim, local_memory=memory)
+    return dataclasses.replace(
+        arch, chip=dataclasses.replace(arch.chip, core=core)
+    )
 
 
 def _report_fields(report):
@@ -347,16 +365,23 @@ class TestMultipassStreamEquivalence:
     + ``CIM_LOAD`` per pass, batched via iteration-major NoC replay."""
 
     @pytest.mark.parametrize(
-        "branches,in_channels,width,kernel",
-        [(2, 64, 4, 4), (3, 128, 8, 3)],
+        "branches,in_channels,width,kernel,make_arch",
+        [
+            pytest.param(2, 64, 4, 4, small_test_arch, id="2-64-4-4"),
+            pytest.param(3, 128, 8, 3, small_test_arch, id="3-128-8-3"),
+            # MG tiles of 2048 rows: every MVM spans two int_matmul chunks
+            pytest.param(2, 512, 8, 5, _deep_macro_arch,
+                         id="2-512-8-5-rows2048"),
+        ],
     )
     def test_weight_stream_bit_identical(
-        self, branches, in_channels, width, kernel
+        self, branches, in_channels, width, kernel, make_arch
     ):
         from repro.sim import blockengine as be
 
+        arch = make_arch()
         compiled = compile_model(
-            "weight_stream", small_test_arch(), "generic",
+            "weight_stream", arch, "generic",
             branches=branches, in_channels=in_channels,
             width=width, kernel=kernel,
         )
@@ -366,9 +391,17 @@ class TestMultipassStreamEquivalence:
         assert stats["noc_batch_attempts"] >= branches
         assert stats["noc_batch_successes"] >= branches
         b = simulate(compiled, validate=True, engine="interp")
+        assert a.validated and b.validated
         assert _report_fields(a.report) == _report_fields(b.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], b.outputs[name])
+        sim = ChipSimulator.from_compiled(compiled, engine="block")
+        sim.run()
+        loaded = [mg for core in sim.cores for mg in core.mgs if mg is not None]
+        assert max(rows for _, rows, _ in loaded) == min(
+            arch.chip.core.cim_unit.macro_group.macro.rows,
+            kernel * kernel * in_channels,
+        )
 
 
 class TestHandWrittenPrograms:

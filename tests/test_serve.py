@@ -413,6 +413,97 @@ class TestFastModelServe:
 
 
 # ---------------------------------------------------------------------------
+# Hostile inputs: nothing is silently wrapped into int8
+# ---------------------------------------------------------------------------
+
+class TestInputsMustBeInt8Representable:
+    """Each of these returned ``validated: True`` before the boundary
+    check: the value 300 was wrapped to 44 (and 1.5 truncated to 1) for
+    the simulator and the golden model alike, so the two agreed."""
+
+    HOSTILE = [
+        pytest.param(lambda shape: np.full(shape, 300, np.int64),
+                     r"\[300, 300\]", id="int64-300"),
+        pytest.param(lambda shape: np.full(shape, -129, np.int16),
+                     r"\[-129, -129\]", id="int16-minus129"),
+        pytest.param(lambda shape: np.full(shape, 1.5),
+                     "dtype float64", id="float64"),
+        pytest.param(lambda shape: np.zeros(shape, bool),
+                     "dtype bool", id="bool"),
+    ]
+
+    @staticmethod
+    def _deployment(arch, tier="cyclesim"):
+        deployment = Deployment("tiny_mlp", arch, tier=tier)
+        shape = tuple(deployment.graph.tensor(
+            deployment.graph.input_operators[0].output
+        ).shape)
+        return deployment, shape
+
+    @pytest.mark.parametrize("make,match", HOSTILE)
+    def test_run_rejects(self, arch, make, match):
+        deployment, shape = self._deployment(arch)
+        with pytest.raises(ConfigError, match="input 0 has.*" + match):
+            deployment.run(input_data=make(shape))
+
+    @pytest.mark.parametrize("tier", ["cyclesim", "fast"])
+    @pytest.mark.parametrize("make,match", HOSTILE)
+    def test_submit_rejects_list_and_stacked(self, arch, tier, make, match):
+        deployment, shape = self._deployment(arch, tier)
+        good = np.zeros(shape, np.int8)
+        with pytest.raises(ConfigError, match="input 1 has.*" + match):
+            deployment.submit([good, make(shape), good])
+        with pytest.raises(ConfigError, match="input 0 has.*" + match):
+            deployment.submit(make((2,) + shape))
+
+    def test_in_range_wide_integers_are_accepted(self, arch):
+        deployment, shape = self._deployment(arch)
+        data = np.arange(-128, 128, dtype=np.int64)[:shape[0]].reshape(shape)
+        wide = deployment.run(input_data=data)
+        narrow = deployment.run(input_data=data.astype(np.int8))
+        assert wide.validated and narrow.validated
+        for name, value in narrow.outputs.items():
+            assert np.array_equal(wide.outputs[name], value)
+        assert deployment.submit(data.tolist()).validated  # nested list
+
+    def test_golden_model_rejects_directly(self, arch):
+        from repro.errors import ValidationError
+        from repro.sim.functional import golden_outputs
+
+        deployment, shape = self._deployment(arch)
+        tensor = deployment.graph.input_operators[0].output
+        with pytest.raises(ValidationError, match=r"\[300, 300\]"):
+            golden_outputs(
+                deployment.graph, {tensor: np.full(shape, 300, np.int32)}
+            )
+
+    def test_live_session_replay_goes_through_the_same_check(self, arch):
+        """``ServerHandle.submit`` carries a release cycle, no payload:
+        ``drain()`` replays the recorded trace through ``run_trace``,
+        where the session's (seeded) inputs enter -- so that is where a
+        live session meets the check."""
+        import asyncio
+
+        from repro.runtime import VirtualClock
+
+        deployment, shape = self._deployment(arch)
+
+        async def session():
+            handle = await deployment.serve_forever(clock=VirtualClock())
+            await handle.submit(at=0)
+            await handle.submit(at=50)
+            return await handle.drain()
+
+        report = asyncio.run(session())
+        assert report.validated and report.batch == 2
+        with pytest.raises(ConfigError, match=r"input 1 has.*\[300, 300\]"):
+            deployment.run_trace(
+                [0, 50],
+                inputs=[np.zeros(shape, np.int8), np.full(shape, 300)],
+            )
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
