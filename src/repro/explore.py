@@ -28,6 +28,7 @@ from the command line with JSON/CSV export.  See ``docs/ARCHITECTURE.md``
 ("Design-space exploration") for the full picture.
 """
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -478,10 +479,12 @@ class SweepSpec:
         if not self.batch_sizes or any(b <= 0 for b in self.batch_sizes):
             raise ConfigError("batch sizes must be positive")
         if not self.arrival_rates or any(
-            r is not None and r <= 0 for r in self.arrival_rates
+            r is not None and not (math.isfinite(r) and r > 0)
+            for r in self.arrival_rates
         ):
             raise ConfigError(
-                "arrival rates must be positive (None = back-to-back)"
+                "arrival rates must be finite and positive "
+                "(None = back-to-back)"
             )
         if not self.replica_counts or any(
             r <= 0 for r in self.replica_counts

@@ -62,6 +62,11 @@ class InstructionDescriptor:
     def __post_init__(self):
         if not 0 <= self.opcode < 64:
             raise ISAError(f"opcode {self.opcode} out of 6-bit range")
+        # Descriptors are hashed (they sit in decoded programs, which key
+        # the simulator's block cache): keep a list argument from making
+        # a frozen instance unhashable.
+        for name in ("operands", "unsigned_fields"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         layout = FIELD_LAYOUT[self.fmt]
         for operand in self.operands:
             if operand not in layout:

@@ -52,6 +52,9 @@ class Program:
         self._loop_blocks: Optional[List[LoopBlock]] = None
         self._words: Optional[List[int]] = None
         self._digest: Optional[str] = None
+        #: ``(registry, decoded tuples)``, owned by
+        #: :func:`repro.sim.core.translate_program`.
+        self._translated = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -83,6 +86,7 @@ class Program:
         self._loop_blocks = None
         self._words = None
         self._digest = None
+        self._translated = None
 
     def label(self, name: str) -> str:
         """Define ``name`` at the current position (the next instruction)."""
@@ -194,7 +198,9 @@ class Program:
         Hashes mnemonics and resolved fields rather than encoded words:
         immediates produced by ``li`` expansion may exceed the signed
         encoding range of their field, which is irrelevant to simulation.
-        Cached until the program is mutated.
+        Cached until the program is mutated.  This is the *portable*
+        address (artifacts); the simulator's in-process caches key on
+        the decoded code itself and never render it.
         """
         if self._digest is None:
             if not self._finalized:

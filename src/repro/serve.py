@@ -127,15 +127,21 @@ class FixedInterval(ArrivalProcess):
         return f"fixed-interval {self.interval_cycles} cycles"
 
 
+def _checked_rate(inf_per_s: float) -> float:
+    # NaN passes ``<= 0`` and inf prices as a zero gap: name both here.
+    if not (math.isfinite(inf_per_s) and inf_per_s > 0):
+        raise ConfigError(
+            f"arrival rate must be a finite number > 0 inferences/s, "
+            f"got {inf_per_s}"
+        )
+    return float(inf_per_s)
+
+
 class FixedRate(ArrivalProcess):
     """Deterministic arrivals at ``inf_per_s`` inferences/second."""
 
     def __init__(self, inf_per_s: float):
-        if inf_per_s <= 0:
-            raise ConfigError(
-                f"arrival rate must be > 0 inferences/s, got {inf_per_s}"
-            )
-        self.inf_per_s = float(inf_per_s)
+        self.inf_per_s = _checked_rate(inf_per_s)
 
     def interval_cycles(self, cycle_ns: float) -> int:
         return max(1, int(round(1e9 / (self.inf_per_s * cycle_ns))))
@@ -157,11 +163,9 @@ class PoissonArrivals(ArrivalProcess):
     """
 
     def __init__(self, inf_per_s: float, seed: int):
-        if inf_per_s <= 0:
-            raise ConfigError(
-                f"arrival rate must be > 0 inferences/s, got {inf_per_s}"
-            )
-        self.inf_per_s = float(inf_per_s)
+        self.inf_per_s = _checked_rate(inf_per_s)
+        if seed < 0:
+            raise ConfigError(f"arrival seed must be >= 0, got {seed}")
         self.seed = int(seed)
 
     def release_cycles(self, n: int, cycle_ns: float) -> List[int]:

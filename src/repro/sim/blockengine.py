@@ -6,19 +6,29 @@ dynamic instruction.  This module removes that overhead in two stages
 while keeping results **bit-identical** (the exactness contract the
 engine-equivalence tests enforce):
 
-1. **Superblock specialisation.**  Translated programs are partitioned
-   into maximal straight-line blocks (leaders at branch targets and after
-   control transfers).  Each block is compiled -- once per *shape*, the
-   sequence of opcodes and register fields with immediates lifted into a
-   constants tuple -- into a specialised Python function with the
-   pipeline-timing model, memory fast paths and integer energy tallies
-   inlined.  Structurally identical blocks (the same unrolled row body on
-   every core, for instance) share one code object through a
-   content-addressed shape cache; per-instance constants (addresses,
-   immediates, branch targets) are passed as a tuple.  Blocks ending in a
-   backward conditional branch to their own first instruction are *loop
-   blocks* and iterate inside the generated function, so a counted loop
-   executes with no per-iteration dispatch at all.
+1. **Tiered superblock specialisation.**  Translated programs are
+   partitioned into maximal straight-line blocks (leaders at branch
+   targets and after control transfers).  A block can be compiled --
+   once per *shape*, the sequence of opcodes and register fields with
+   immediates lifted into a constants tuple -- into a specialised Python
+   function with the pipeline-timing model, memory fast paths and
+   integer energy tallies inlined; structurally identical blocks (the
+   same unrolled row body on every core, for instance) share one code
+   object through the shape cache, and per-instance constants
+   (addresses, immediates, branch targets) are passed as a tuple.
+   ``compile()`` costs some twenty-five executions' worth of the time it
+   saves, so only heat buys it.  Blocks ending in a backward conditional
+   branch to their own first instruction are *loop blocks*: they are
+   compiled at discovery and iterate inside the generated function, so a
+   counted loop executes with no per-iteration dispatch at all.  A
+   straight-line block starts *cold* -- its table entry holds the code
+   slice, the terminator and a run counter, and the trampoline executes
+   it through the interpreter's own handlers -- and is compiled the
+   first time it is entered after :data:`_HOT_RUNS` executions.  The
+   counter lives with the block in the content-addressed block-program
+   cache, so a serving session that rebuilds its simulator per input is
+   promoted after its first inputs and stays compiled, while a one-shot
+   run never compiles a block it executes once.
 
 2. **Batched loop replay.**  A loop block whose body is affine -- every
    register evolves by a constant per-iteration step, lengths and special
@@ -49,16 +59,17 @@ are re-added in stepped order so the accumulator stays bit-identical.
 A contention window the probe cannot prove steady refuses the batch
 (``noc_batch_contention_bailouts``) and the loop steps instead.
 
-Blocks containing ``RECV``/``BARRIER``/``HALT``, extension opcodes or
-anything else the code generator does not support simply fall back to the
-interpreter's handlers one instruction at a time; loops that *write*
+``RECV``/``BARRIER``/``HALT``, extension opcodes and anything else the
+code generator does not support end a block and fall back to the
+interpreter's handlers one instruction at a time
+(``fallback_instructions``; cold blocks are counted apart, as
+``cold_block_instructions``); loops that *write*
 global memory or send core-to-core messages (order-sensitive against
 other cores) execute inside the generated function but are never
 batched.  Engine selection is ``REPRO_SIM_ENGINE`` (``block``, the
 default, or ``interp`` for the legacy interpreter).
 """
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -137,7 +148,9 @@ _MAX_BATCH_FAILS = 3
 #: Cheap engine counters (reset with :func:`reset_stats`); the perf
 #: harness reports them alongside wall-clock numbers.
 ENGINE_STATS = {
-    "fallback_instructions": 0,   # executed via interpreter handlers
+    "fallback_instructions": 0,   # blocking/unsupported op, via its handler
+    "cold_block_instructions": 0,  # straight-line blocks interpreted cold
+    "block_promotions": 0,         # cold blocks compiled on reaching heat
     "loop_entries": 0,
     "loop_iterations_stepped": 0,  # executed one iteration at a time
     "loop_iterations_batched": 0,  # replayed in closed form
@@ -761,32 +774,66 @@ def _compile_shape(shape: Tuple):
 # ---------------------------------------------------------------------------
 
 class BlockInstance:
-    """One compiled block of one program (shares its code by shape)."""
+    """One block of one program: its code slice, terminator and heat.
+
+    A loop block is compiled at discovery.  A straight-line block starts
+    cold (``fn is None``): :func:`run_core` interprets it and counts the
+    executions in ``runs`` until :data:`_HOT_RUNS`, then calls
+    :meth:`compile`.  Instances live in the content-addressed
+    :data:`_BP_CACHE`, so the heat -- and the compiled function -- carry
+    over to every later simulation of the same program in the process.
+    """
 
     __slots__ = (
-        "fn", "consts", "start", "length", "is_loop", "exit_pc",
-        "batch_ok", "code", "units", "dep_regs", "batch_fails",
-        "cnt_reg", "bound_reg", "templates",
+        "code", "start", "length", "term", "is_loop", "exit_pc", "runs",
+        "fn", "consts", "units", "dep_regs",
+        "batch_ok", "batch_fails", "cnt_reg", "bound_reg", "templates",
     )
 
-    def __init__(self, fn, consts, start, length, is_loop, exit_pc,
-                 batch_ok, code, units, dep_regs, cnt_reg, bound_reg):
-        self.fn = fn
-        self.consts = consts
-        self.start = start
-        self.length = length
-        self.is_loop = is_loop
-        self.exit_pc = exit_pc
-        self.batch_ok = batch_ok
+    def __init__(self, code, start, term, is_loop):
         self.code = code
-        self.units = units
-        self.dep_regs = dep_regs
+        self.start = start
+        self.length = len(code)
+        self.term = term                # "fall" | "branch" | "jmp"
+        self.is_loop = is_loop
+        self.exit_pc = start + len(code)
+        self.runs = 0
+        self.fn = None
+        self.consts = None
+        self.units = None
+        self.dep_regs = None
+        self.batch_ok = (
+            is_loop
+            and code[-1][0] == int(Op.BLT)
+            and all(t[0] in _BATCHABLE for t in code[:-1])
+        )
         self.batch_fails = 0
-        self.cnt_reg = cnt_reg
-        self.bound_reg = bound_reg
+        self.cnt_reg = code[-1][1]
+        self.bound_reg = code[-1][2]
         #: step-delta key -> plan template (None = provably never
         #: batchable under that delta, _TPL_CONCRETE = not symbolisable).
         self.templates: Dict[Tuple, object] = {}
+
+    def compile(self) -> None:
+        """Bind the shape-shared function and this instance's constants."""
+        code = self.code
+        shape = (
+            tuple((t[0], t[1], t[2], t[3], t[4], 0, 0, t[7], t[8])
+                  for t in code),
+            "loop" if self.is_loop else "line",
+            self.term,
+        )
+        self.fn, self.units, self.dep_regs = _compile_shape(shape)
+        consts: List[int] = []
+        for t in code:
+            consts.append(t[5])
+            consts.append(t[6])
+        consts.append(self.exit_pc)             # fall-through pc
+        if self.term == "fall":
+            consts.append(self.exit_pc)
+        else:                                   # taken branch / jump target
+            consts.append(self.exit_pc - 1 + code[-1][6])
+        self.consts = tuple(consts)
 
 
 class BlockProgram:
@@ -800,13 +847,35 @@ class BlockProgram:
         self.n = len(code)
 
 
-#: registry -> {program content digest: BlockProgram}; weakly keyed on
-#: the registry object (see core._TRANSLATE_CACHE for the rationale).
-_BP_CACHE = weakref.WeakKeyDictionary()
+#: decoded program (the tuple ``translate_program`` returns) ->
+#: BlockProgram.  Keyed on the code itself: exact, nothing rendered or
+#: hashed into a string, and the key is the very tuple the program's own
+#: translation memo holds, so it costs no second copy.  Extension
+#: descriptors are part of the decoded code (by value), built-in opcodes
+#: mean the same under every registry, so no registry appears in the key.
+_BP_CACHE: Dict[Tuple, BlockProgram] = {}
 
-#: Minimum block length worth compiling (shorter runs fall back to the
-#: interpreter's handlers through the trampoline).
+#: Minimum block length worth a table entry (shorter runs fall back to
+#: the interpreter's handlers through the trampoline).
 _MIN_COMPILE_LEN = 2
+
+#: Executions a straight-line block is interpreted for before it is
+#: compiled.  Measured on resnet18@64 dp (104 straight-line shapes,
+#: 3 823 static instructions, 1 050 instances executing 21 802
+#: instructions per run): ``compile()`` of the generated source costs
+#: 0.275 s, ~72 us per static instruction; a run with every block on
+#: the interpreter's handlers takes 0.195 s against 0.139 s all
+#: compiled, ~2.5 us saved per executed instruction -- so translation
+#: repays itself after 72 / 2.5 ~ 25-30 executions.  A one-shot
+#: ``repro run`` executes every such block exactly once and must never
+#: pay; a serving session re-runs them once per input without end.  The
+#: threshold sits below break-even because a block that has already
+#: come back 16 times is in a session, not a one-shot run (and its
+#: compile is shared with every other instance of its shape); at worst
+#: -- the process stops right after promoting -- that costs one compile
+#: per shape, once.  Loop blocks are not tiered: one entry runs trip
+#: counts far above any threshold.
+_HOT_RUNS = 16
 
 
 def block_program_for(program, registry) -> BlockProgram:
@@ -814,21 +883,17 @@ def block_program_for(program, registry) -> BlockProgram:
 
     Content-addressed: cores -- and simulator instances -- running
     structurally identical programs share one :class:`BlockProgram` and
-    therefore every compiled block.
+    therefore every compiled block and every block's heat counter.
     """
     from repro.sim.core import translate_program
 
-    per_registry = _BP_CACHE.get(registry)
-    if per_registry is None:
-        per_registry = _BP_CACHE.setdefault(registry, {})
-    digest = program.content_digest()
-    bp = per_registry.get(digest)
+    code = translate_program(program, registry)
+    bp = _BP_CACHE.get(code)
     if bp is not None:
         return bp
-    if len(per_registry) > 512:
-        per_registry.clear()
+    if len(_BP_CACHE) > 512:
+        _BP_CACHE.clear()
 
-    code = translate_program(program, registry)
     n = len(code)
     #: Straight-line loop bodies from the program's own block metadata
     #: (isa/program.py); discovery below must agree with it on which
@@ -866,44 +931,16 @@ def block_program_for(program, registry) -> BlockProgram:
             if op == int(Op.JMP):
                 term = "jmp"
                 break
-        length = end - start
-        if length < _MIN_COMPILE_LEN:
+        if end - start < _MIN_COMPILE_LEN:
             continue
-        block_code = tuple(code[start:end])
         is_loop = term == "branch" and (start, end - 1) in loop_heads
-        shape = (
-            tuple((t[0], t[1], t[2], t[3], t[4], 0, 0, t[7], t[8])
-                  for t in block_code),
-            "loop" if is_loop else "line",
-            term,
-        )
-        fn, units, dep_regs = _compile_shape(shape)
-        consts: List[int] = []
-        for t in block_code:
-            consts.append(t[5])
-            consts.append(t[6])
-        consts.append(end)                      # fall-through pc
-        if term == "branch":
-            consts.append(end - 1 + block_code[-1][6])
-        elif term == "jmp":
-            consts.append(end - 1 + block_code[-1][6])
-        else:
-            consts.append(end)
-        batch_ok = (
-            is_loop
-            and block_code[-1][0] == int(Op.BLT)
-            and all(t[0] in _BATCHABLE for t in block_code[:-1])
-        )
-        inst = BlockInstance(
-            fn=fn, consts=tuple(consts), start=start, length=length,
-            is_loop=is_loop, exit_pc=end, batch_ok=batch_ok,
-            code=block_code, units=units, dep_regs=dep_regs,
-            cnt_reg=block_code[-1][1], bound_reg=block_code[-1][2],
-        )
+        inst = BlockInstance(code[start:end], start, term, is_loop)
+        if is_loop:
+            inst.compile()
         table[start] = inst
 
     bp = BlockProgram(code, table)
-    per_registry[digest] = bp
+    _BP_CACHE[code] = bp
     return bp
 
 
@@ -942,7 +979,21 @@ def run_core(core, max_instructions: int = 50_000_000) -> int:
                 core.instructions_retired - start_retired
             )
             core.pc = _run_loop(core, inst, budget, max_instructions)
+        elif inst.fn is not None:
+            core.pc = inst.fn(core, inst.consts)
+        elif inst.runs < _HOT_RUNS:
+            # Cold tier: the interpreter's own handlers (each advances
+            # core.pc; none in a straight-line block can block).
+            inst.runs += 1
+            for tup in inst.code:
+                dispatch[tup[0]](core, tup)
+            length = inst.length
+            acct.n_instructions += length
+            core.instructions_retired += length
+            ENGINE_STATS["cold_block_instructions"] += length
         else:
+            inst.compile()
+            ENGINE_STATS["block_promotions"] += 1
             core.pc = inst.fn(core, inst.consts)
         if core.instructions_retired - start_retired >= max_instructions:
             raise SimulationError(

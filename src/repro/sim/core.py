@@ -12,10 +12,13 @@ scheduler (:mod:`repro.sim.chip`).
 
 Instructions are pre-translated into plain tuples so the interpreter loop
 stays lean enough to execute the multi-hundred-thousand-instruction
-streams real models compile into.
+streams real models compile into; the translation is memoised on the
+:class:`~repro.isa.Program` it decodes.  The handlers below are also the
+block engine's cold tier and its fallback for blocking opcodes
+(:mod:`repro.sim.blockengine`), so they are the one reference both
+engines are held to.
 """
 
-import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,38 +45,40 @@ RUNNING, BLOCKED_RECV, BLOCKED_BARRIER, HALTED = range(4)
 _UNITS = ("scalar", "vector", "cim", "mem", "xfer")
 
 
-#: registry -> {program content digest: translated tuples}.  Cores --
-#: and repeated simulations -- running structurally identical programs
-#: share one (immutable) translation instead of re-decoding per core.
-#: Weakly keyed on the registry object so a dropped registry never
-#: leaves stale descriptors behind for an id-reusing successor.
-_TRANSLATE_CACHE: "weakref.WeakKeyDictionary[ISARegistry, Dict[str, list]]" \
-    = weakref.WeakKeyDictionary()
-
-
 def translate_program(program: Program, registry: ISARegistry):
-    """Pre-decode a program into flat tuples for the interpreter."""
-    per_registry = _TRANSLATE_CACHE.get(registry)
-    if per_registry is None:
-        per_registry = _TRANSLATE_CACHE.setdefault(registry, {})
-    digest = program.content_digest()
-    cached = per_registry.get(digest)
-    if cached is not None:
-        return cached
+    """Pre-decode a program into flat tuples for the interpreter.
+
+    Each instruction becomes ``(opcode, rs, rt, rd, re, imm, offset,
+    funct, flags, desc)``.  ``desc`` rides along only where a handler
+    reads it (extension opcodes); built-ins dispatch on the opcode alone
+    and carry ``None``, so a decoded program is a tuple of plain values
+    that hashes at C speed -- it is the block-program cache key
+    (:func:`repro.sim.blockengine.block_program_for`).
+
+    Memoised on the program object (``Program._invalidate`` drops the
+    memo next to the other derived state), so every core and every
+    repeated simulation of one compiled model decodes it once.
+    """
+    memo = program._translated
+    if memo is not None and memo[0] is registry:
+        return memo[1]
+    if not program.finalized:
+        program.finalize()
     translated = []
     for instr in program.instructions:
         desc = registry.lookup(instr.mnemonic)
+        opcode = int(desc.opcode)
         f = instr.fields
         translated.append((
-            int(desc.opcode),
+            opcode,
             f.get("rs", 0), f.get("rt", 0), f.get("rd", 0), f.get("re", 0),
             f.get("imm", 0), f.get("offset", 0), f.get("funct", 0),
-            f.get("flags", 0), desc,
+            f.get("flags", 0),
+            desc if _DISPATCH[opcode] is _h_extension else None,
         ))
-    if len(per_registry) > 512:
-        per_registry.clear()
-    per_registry[digest] = translated
-    return translated
+    code = tuple(translated)
+    program._translated = (registry, code)
+    return code
 
 
 class Core:
@@ -117,7 +122,7 @@ class Core:
         glb = arch.chip.global_memory
         self._glb_bw = glb.bandwidth_bytes_per_cycle
         self._glb_lat = glb.access_latency
-        self._dispatch = _build_dispatch()
+        self._dispatch = _DISPATCH
 
     def reset_for_program(self, program: Program) -> None:
         """Rebind to a new program, keeping macro groups + local memory.
@@ -670,3 +675,7 @@ def _build_dispatch():
                Opcode.VEC_FILL, Opcode.VEC_CMUL):
         table[op] = _h_vec
     return table
+
+
+#: opcode -> handler; shared by every core.
+_DISPATCH = _build_dispatch()

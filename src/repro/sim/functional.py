@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import GraphError, ValidationError
+from repro.errors import ConfigError, GraphError, ValidationError
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator, OpKind
 from repro.graph.quantize import (
@@ -173,6 +173,8 @@ def random_input(
         if len(ops) != 1:
             raise GraphError("graph has multiple inputs; name one")
         tensor = ops[0].output
+    if seed < 0:
+        raise ConfigError(f"input seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     shape = graph.tensor(tensor).shape
     return rng.integers(-100, 101, size=shape, dtype=np.int8)

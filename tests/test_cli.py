@@ -298,6 +298,24 @@ class TestErrorHygiene:
          "--no-cache", "--quiet"),
         ("sweep", "--models", "tiny_mlp", "--preset", "small",
          "--fault-plans", "missing_plan.json", "--no-cache", "--quiet"),
+        # non-finite arrival rates: NaN used to traceback out of
+        # int(round(nan)), inf was accepted and reported as "inf inf/s"
+        ("serve", "tiny_cnn", "--preset", "small", "--poisson", "nan",
+         "--batch", "4"),
+        ("serve", "tiny_cnn", "--preset", "small", "--tier", "fast",
+         "--rate", "nan", "--batch", "4"),
+        ("serve", "tiny_cnn", "--preset", "small", "--tier", "fast",
+         "--poisson", "inf", "--batch", "4"),
+        ("serve", "tiny_cnn", "--preset", "small", "--tier", "fast",
+         "--rate", "inf", "--batch", "4"),
+        ("sweep", "--models", "tiny_cnn", "--arrival-rates", "nan",
+         "--mg-sizes", "8", "--flit-sizes", "8", "--no-cache"),
+        ("sweep", "--models", "tiny_cnn", "--arrival-rates", "inf",
+         "--mg-sizes", "8", "--flit-sizes", "8", "--no-cache"),
+        # negative seeds used to traceback out of numpy's default_rng
+        ("run", "tiny_mlp", "--preset", "small", "--seed", "-1"),
+        ("serve", "tiny_mlp", "--preset", "small", "--tier", "fast",
+         "--arrival-seed", "-1", "--poisson", "100"),
     ])
     def test_bad_input_exits_nonzero_with_message(self, argv, capsys):
         code = run_cli(*argv)
@@ -305,6 +323,7 @@ class TestErrorHygiene:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_malformed_fault_plan_is_one_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -8,6 +8,13 @@ contents for every workload.  These tests enforce that contract on every
 tier-1 workload class plus the scheduler/engine edge cases (deadlock
 reporting, mis-sized RECV, barrier release ordering, runaway detection,
 extension instructions, batched-loop replay).
+
+The engine is tiered: a straight-line block is interpreted until it has
+run ``blockengine._HOT_RUNS`` times and compiled after that.  The model,
+fuzz, NoC-contention and hand-written classes therefore run under both
+forced tiers (the ``tier`` fixture; each class has a ``...HotTier``
+subclass), so the compiled straight-line code stays under the oracle
+even though no single short test would heat it.
 """
 
 import dataclasses
@@ -52,6 +59,37 @@ def _deep_macro_arch():
     )
 
 
+@pytest.fixture
+def tier(request):
+    """Force the straight-line tier named by the test class's ``TIER``,
+    the way ``_run_block_stepped`` forces ``_MIN_BATCH``: ``_HOT_RUNS =
+    0`` compiles every block on its first execution (the pre-tiering
+    behaviour), the default interprets it.  Block programs are
+    content-cached together with their heat and compiled functions, so
+    each test starts from an empty cache; the teardown asserts that the
+    intended tier actually ran.
+    """
+    from repro.sim import blockengine as be
+
+    hot = request.cls.TIER == "hot"
+    old = be._HOT_RUNS
+    if hot:
+        be._HOT_RUNS = 0
+    be._BP_CACHE.clear()
+    be.reset_stats()
+    try:
+        yield
+        stats = dict(be.ENGINE_STATS)
+    finally:
+        be._HOT_RUNS = old
+        be._BP_CACHE.clear()
+    if hot:
+        assert stats["block_promotions"] > 0
+        assert stats["cold_block_instructions"] == 0
+    else:
+        assert stats["cold_block_instructions"] > 0
+
+
 def _report_fields(report):
     return {
         "cycles": report.cycles,
@@ -92,7 +130,10 @@ def _assert_equal_state(interp, block):
     assert np.array_equal(interp.memory.global_mem, block.memory.global_mem)
 
 
+@pytest.mark.usefixtures("tier")
 class TestModelEquivalence:
+    TIER = "cold"
+
     @pytest.mark.parametrize("model", TINY_MODELS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tiny_models_bit_identical(self, model, strategy, arch):
@@ -155,6 +196,7 @@ def _fuzz_graph(seed: int):
     return b.build(), rng
 
 
+@pytest.mark.usefixtures("tier")
 class TestDifferentialFuzz:
     """Seeded differential fuzzing: random graphs/configs, both engines.
 
@@ -165,6 +207,8 @@ class TestDifferentialFuzz:
     hand-picked models miss (odd channel mixes, kernel-1 convolutions,
     pool/residual placements) while staying fully reproducible.
     """
+
+    TIER = "cold"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_graph_and_config_bit_identical(self, seed):
@@ -317,6 +361,7 @@ def _fuzz_noc_programs(seed: int):
     return progs, image
 
 
+@pytest.mark.usefixtures("tier")
 class TestNoCContentionFuzz:
     """Seeded NoC-contention fuzzing across both differential axes.
 
@@ -328,6 +373,8 @@ class TestNoCContentionFuzz:
     must agree bit-for-bit on reports, register files, clocks and
     memory images -- 100 seeds x 2 comparison axes = 200 trials.
     """
+
+    TIER = "cold"
 
     @pytest.mark.parametrize("seed", range(100))
     def test_contention_trial_bit_identical(self, seed):
@@ -404,7 +451,10 @@ class TestMultipassStreamEquivalence:
         )
 
 
+@pytest.mark.usefixtures("tier")
 class TestHandWrittenPrograms:
+    TIER = "cold"
+
     def test_counted_loop_batched_replay(self):
         """A long counted loop (exercises the batched NumPy replay)."""
         rows, cols, iters = 32, 8, 200
@@ -574,6 +624,22 @@ class TestHandWrittenPrograms:
         assert list(out) == [-1, -2, -3, -4, -5, -6, -7, -8]
 
 
+class TestModelEquivalenceHotTier(TestModelEquivalence):
+    TIER = "hot"
+
+
+class TestDifferentialFuzzHotTier(TestDifferentialFuzz):
+    TIER = "hot"
+
+
+class TestNoCContentionFuzzHotTier(TestNoCContentionFuzz):
+    TIER = "hot"
+
+
+class TestHandWrittenProgramsHotTier(TestHandWrittenPrograms):
+    TIER = "hot"
+
+
 class TestEdgeCases:
     def _lonely_recv(self):
         b = ProgramBuilder()
@@ -678,6 +744,80 @@ class TestEngineSelection:
             small_test_arch(), {0: program, 1: program}, engine="block"
         )
         assert sim.cores[0]._blockprog is sim.cores[1]._blockprog
+
+
+class TestTieredEngine:
+    """Heat, promotion and what a cold run is allowed to pay for."""
+
+    def test_deployment_promotes_and_stays_bit_identical(self):
+        """One deployment serving ``_HOT_RUNS + 3`` inputs: interpreted
+        for the first ``_HOT_RUNS``, compiled on the next (the heat lives
+        in the content-addressed block cache, not in the simulator that
+        is rebuilt per input), and identical to the interpreter on every
+        input either side of the promotion."""
+        from repro.serve import Deployment
+        from repro.sim import blockengine as be
+
+        be._BP_CACHE.clear()
+        served = Deployment(
+            "tiny_resnet", _deep_macro_arch(), engine="block",
+            input_size=8, num_classes=10,
+        )
+        reference = Deployment(served.compiled, engine="interp")
+        cold, promoted = [], []
+        for seed in range(be._HOT_RUNS + 3):
+            be.reset_stats()
+            a = served.submit(batch=1, seed=seed)
+            cold.append(be.ENGINE_STATS["cold_block_instructions"])
+            promoted.append(be.ENGINE_STATS["block_promotions"])
+            b = reference.submit(batch=1, seed=seed)
+            assert a.validated and b.validated
+            assert a.to_dict() == b.to_dict(), f"input {seed} diverged"
+            for got, want in zip(a.per_input_outputs, b.per_input_outputs):
+                for name in want:
+                    assert np.array_equal(got[name], want[name])
+        hot = be._HOT_RUNS
+        assert all(count > 0 for count in cold[:hot])
+        assert promoted[:hot] == [0] * hot
+        # the promotion input compiles every block it meets...
+        assert promoted[hot] > 0 and cold[hot] == 0
+        # ...and the session stays compiled afterwards.
+        assert cold[hot + 1:] == [0, 0] and promoted[hot + 1:] == [0, 0]
+
+    def test_cold_run_compiles_loop_shapes_only(self, table1_arch, monkeypatch):
+        """The count guard: a process-cold resnet18@64 run pays
+        ``compile()`` for its loop shapes alone (117 shapes before the
+        engine was tiered, 13 loops) and never renders a program into
+        ``content_digest`` to key a cache."""
+        import builtins
+
+        from repro.isa import Program
+        from repro.sim import blockengine as be
+
+        compiled = compile_model(
+            "resnet18", table1_arch, "dp", input_size=64, num_classes=100
+        )
+        calls = {"compile": 0, "digest": 0}
+        real_compile = builtins.compile
+
+        def counting_compile(source, filename, *args, **kwargs):
+            calls["compile"] += filename == "<blockengine>"
+            return real_compile(source, filename, *args, **kwargs)
+
+        def counting_digest(program):
+            calls["digest"] += 1
+            return "0" * 64
+
+        monkeypatch.setattr(builtins, "compile", counting_compile)
+        monkeypatch.setattr(Program, "content_digest", counting_digest)
+        be._BP_CACHE.clear()
+        be._SHAPE_CACHE.clear()
+        be.reset_stats()
+        ChipSimulator.from_compiled(compiled, engine="block").run()
+        assert 0 < calls["compile"] <= 13
+        assert calls["digest"] == 0
+        assert be.ENGINE_STATS["block_promotions"] == 0
+        assert be.ENGINE_STATS["cold_block_instructions"] > 0
 
 
 class TestPlanTemplates:

@@ -85,6 +85,19 @@ class TestArrivalProcesses:
         with pytest.raises(ConfigError, match=">= 0"):
             TraceArrivals([0, -3])
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_rates_rejected(self, rate):
+        # NaN passes ``rate <= 0``; inf used to be priced as a zero gap.
+        with pytest.raises(ConfigError, match="finite"):
+            FixedRate(rate)
+        with pytest.raises(ConfigError, match="finite"):
+            PoissonArrivals(rate, seed=0)
+
+    def test_negative_arrival_seed_rejected(self):
+        with pytest.raises(ConfigError, match="arrival seed"):
+            PoissonArrivals(1e6, seed=-1)
+
     def test_latency_percentile_nearest_rank(self):
         lat = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
         assert latency_percentile(lat, 50) == 50
