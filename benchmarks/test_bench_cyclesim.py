@@ -311,12 +311,12 @@ def test_bench_weight_stream_engine_speedup():
 
 def test_bench_cyclesim_fastmodel_anchor():
     """Historical anchor: golden-validated run + fast-model agreement."""
-    from repro import run_workflow
+    from repro import Deployment
 
-    result = run_workflow(
+    result = Deployment(
         "resnet18", arch=default_arch(), strategy="generic",
         input_size=ANCHOR_INPUT, num_classes=MODEL_CLASSES,
-    )
+    ).run()
     assert result.validated
     fast = analyze_plan(result.compiled.plan)
     ratio = fast.cycles / result.report.cycles

@@ -11,7 +11,7 @@ benchmarks/test_bench_fig5.py on the fast model.)
 Run:  python examples/compiler_strategies.py
 """
 
-from repro import run_workflow
+from repro import Deployment
 from repro.config import small_test_arch
 
 
@@ -22,7 +22,7 @@ def main() -> None:
           f"{'TOPS':>7s}{'stages':>7s}{'dup':>5s}")
     baseline = None
     for strategy in ("generic", "duplication", "dp"):
-        result = run_workflow("tiny_resnet", arch=arch, strategy=strategy)
+        result = Deployment("tiny_resnet", arch=arch, strategy=strategy).run()
         report = result.report
         plan = result.compiled.plan
         baseline = baseline or report.cycles

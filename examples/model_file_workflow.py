@@ -12,7 +12,7 @@ Run:  python examples/model_file_workflow.py
 import tempfile
 from pathlib import Path
 
-from repro import run_workflow
+from repro import Deployment
 from repro.config import load_arch, save_arch, small_test_arch
 from repro.graph import load_graph, save_graph
 from repro.graph.models import tiny_cnn
@@ -32,7 +32,7 @@ def main() -> None:
     # --- the workflow: files in, report out --------------------------------
     graph = load_graph(model_file)
     arch = load_arch(arch_file)
-    result = run_workflow(graph, arch=arch, strategy="dp")
+    result = Deployment(graph, arch=arch, strategy="dp").run()
 
     print(f"\n{graph.summary()}")
     print(f"validated: {result.validated}\n")

@@ -46,9 +46,9 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   model serialized to a single content-addressed ``.artifact`` file
   (``save_artifact`` / ``load_artifact`` / ``Deployment.load``), so a
   serving session never re-runs the compiler.
-- :mod:`repro.workflow` -- the legacy one-shot `compile -> simulate ->
-  report` pipeline (deprecated shims over :mod:`repro.serve`, kept
-  working).
+- :mod:`repro.workflow` -- what a deployment is built from:
+  :func:`~repro.workflow.compile_model`, input resolution, the golden
+  check and :class:`~repro.workflow.WorkflowResult`.
 - :mod:`repro.explore` -- the design-space exploration engine: declarative
   :class:`~repro.explore.SweepSpec` cross products, parallel execution and
   the on-disk result cache (:mod:`repro.explore_cache`).
@@ -125,7 +125,7 @@ from repro.runtime import (
     WallClock,
     serve_forever,
 )
-from repro.workflow import WorkflowResult, compile_model, run_workflow, simulate
+from repro.workflow import WorkflowResult, compile_model
 from repro.serve import (
     ArrivalProcess,
     BackToBack,
@@ -189,8 +189,6 @@ __all__ = [
     "stream_batched",
     "steady_state_interval",
     "streaming_schedule",
-    "simulate",
-    "run_workflow",
     "WorkflowResult",
     "evaluate_fast",
     "design_space",

@@ -38,8 +38,8 @@ to the same bytes (the golden-fixture and round-trip tests in
 
 **Programs** are stored as their 32-bit instruction encodings
 (:func:`repro.isa.encode`).  The rare instruction whose ``li``-expanded
-immediate exceeds its field's encodable range (see
-:meth:`repro.isa.Program.content_digest`) is stored as a JSON field
+immediate exceeds its field's encodable range (irrelevant to
+simulation, which reads the resolved fields) is stored as a JSON field
 override instead, so every program -- encodable or not -- round-trips to
 the exact canonical instruction stream.
 

@@ -274,10 +274,29 @@ def _build_deployment(args, tier: str = "cyclesim"):
     )
 
 
+def _json_header(args, server) -> Dict[str, Any]:
+    """What a run/serve ``--json`` file says was deployed.
+
+    Chips and strategy are read off the deployment, not the flags: an
+    artifact carries its own, and ignores ``--input-size`` /
+    ``--num-classes`` (written as ``null``).
+    """
+    from repro.serve import _is_artifact_path
+
+    artifact = _is_artifact_path(args.model)
+    return {
+        "model": args.model,
+        "strategy": server.strategy,
+        "input_size": None if artifact else args.input_size,
+        "num_classes": None if artifact else args.num_classes,
+        "chips": server.num_chips,
+    }
+
+
 def _cmd_run(args) -> int:
     deployment = _build_deployment(args)
     validate = not args.no_validate
-    if args.batch > 1:
+    if args.batch != 1:  # submit() rejects a batch below 1
         serve = deployment.submit(
             batch=args.batch, seed=args.seed, validate=validate
         )
@@ -301,11 +320,7 @@ def _cmd_run(args) -> int:
     if args.json:
         _write_json(
             {
-                "model": args.model,
-                "strategy": args.strategy,
-                "input_size": args.input_size,
-                "num_classes": args.num_classes,
-                "chips": args.chips,
+                **_json_header(args, deployment),
                 "batch": args.batch,
                 "validated": validated,
                 "report": report.to_dict(),
@@ -421,11 +436,7 @@ def _cmd_serve(args) -> int:
     if args.json:
         _write_json(
             {
-                "model": args.model,
-                "strategy": args.strategy,
-                "input_size": args.input_size,
-                "num_classes": args.num_classes,
-                "chips": args.chips,
+                **_json_header(args, server),
                 "replicas": args.replicas,
                 "faults": plan.fingerprint() if plan is not None else None,
                 "resident": args.resident,
@@ -439,6 +450,9 @@ def _cmd_serve(args) -> int:
 
 def _build_server(args, plan):
     """Deployment or Fleet from serve/watch-style arguments."""
+    from repro.sim.multichip import check_fleet
+
+    check_fleet(args.policy, args.replicas)
     if args.replicas > 1 or plan is not None:
         from repro.serve import Fleet, _is_artifact_path
 

@@ -89,6 +89,28 @@ class CompiledModel:
     def total_instructions(self) -> int:
         return sum(len(p) for p in self.programs.values())
 
+    # -- the pipeline surface ----------------------------------------------
+    # A single chip is a one-shard pipeline: the same surface
+    # :class:`MultiChipModel` has, so one simulator
+    # (:class:`repro.sim.multichip.MultiChipSimulator`) runs either product.
+    transfers = ()
+    num_chips = 1
+
+    @property
+    def chips(self) -> List["CompiledModel"]:
+        return [self]
+
+    def input_placements(
+        self, tensor: Optional[str] = None
+    ) -> List[Tuple[int, int]]:
+        return [(0, self.input_address(tensor))]
+
+    def output_placement(self, tensor: Optional[str] = None) -> Tuple[int, int]:
+        return 0, self.output_address(tensor)
+
+    def interchip_bytes(self) -> int:
+        return 0
+
     def supports_resident(self) -> bool:
         """Whether resident program segments can be generated.
 

@@ -1069,7 +1069,7 @@ class SpotCheckResult:
 
     point: DesignPoint
     input_size: int
-    report: "SimulationReport"
+    report: "MultiChipReport"
     fast_cycles: int
     validated: bool
 
@@ -1119,8 +1119,8 @@ def spot_check(
     ratio.
     """
     from repro.compiler.pipeline import compile_graph, compile_sharded
+    from repro.serve import Deployment
     from repro.sim.fastmodel import analyze_plan as analyze
-    from repro.workflow import _simulate_impl
 
     if n <= 0:
         return []
@@ -1156,13 +1156,13 @@ def spot_check(
             if pt.batch > 1:
                 fast = stream_batched(fast, pt.batch)
             fast_cycles = fast.cycles
-        outcome = _simulate_impl(
-            compiled, None, validate, 0, engine, pt.batch
+        outcome = Deployment(compiled, engine=engine).submit(
+            batch=pt.batch, validate=validate
         )
         checks.append(SpotCheckResult(
             point=pt,
             input_size=input_size,
-            report=outcome.report,
+            report=outcome.stream_report,
             fast_cycles=fast_cycles,
             validated=outcome.validated,
         ))

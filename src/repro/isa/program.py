@@ -7,7 +7,6 @@ resolves them into relative instruction offsets (``pc += offset``
 semantics, matching the paper's generated-code example ``JMP -26``).
 """
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
@@ -51,7 +50,6 @@ class Program:
         self._finalized = False
         self._loop_blocks: Optional[List[LoopBlock]] = None
         self._words: Optional[List[int]] = None
-        self._digest: Optional[str] = None
         #: ``(registry, decoded tuples)``, owned by
         #: :func:`repro.sim.core.translate_program`.
         self._translated = None
@@ -85,7 +83,6 @@ class Program:
         self._finalized = False
         self._loop_blocks = None
         self._words = None
-        self._digest = None
         self._translated = None
 
     def label(self, name: str) -> str:
@@ -182,43 +179,6 @@ class Program:
             blocks.append(LoopBlock(head=head, branch=branch))
         self._loop_blocks = blocks
         return blocks
-
-    def _digest_over(self, instructions: List[Instruction]) -> str:
-        parts = []
-        for instr in instructions:
-            fields = ",".join(
-                f"{k}={v}" for k, v in sorted(instr.fields.items())
-            )
-            parts.append(f"{instr.mnemonic}({fields})")
-        return hashlib.sha256(";".join(parts).encode()).hexdigest()
-
-    def content_digest(self) -> str:
-        """Hex SHA-256 over the instruction stream (content address).
-
-        Hashes mnemonics and resolved fields rather than encoded words:
-        immediates produced by ``li`` expansion may exceed the signed
-        encoding range of their field, which is irrelevant to simulation.
-        Cached until the program is mutated.  This is the *portable*
-        address (artifacts); the simulator's in-process caches key on
-        the decoded code itself and never render it.
-        """
-        if self._digest is None:
-            if not self._finalized:
-                self.finalize()
-            self._digest = self._digest_over(self.instructions)
-        return self._digest
-
-    def block_digest(self, block: LoopBlock) -> str:
-        """Content address of one loop block.
-
-        Branch offsets are relative, so structurally identical loop
-        bodies on different cores -- or at different positions in the
-        same program -- share a digest and therefore a cached block
-        analysis.
-        """
-        if not self._finalized:
-            self.finalize()
-        return self._digest_over(self.instructions[block.head:block.branch + 1])
 
     def size_bytes(self) -> int:
         """Program footprint in instruction memory."""

@@ -74,7 +74,6 @@ from repro.workflow import (
     ArchLike,
     WorkflowResult,
     _resolve_batch_inputs,
-    _run_single_chip,
     _validate_outputs,
     compile_model,
 )
@@ -638,12 +637,7 @@ class Deployment:
         if self.compiled is not None:
             self._graph = self.compiled.graph
             self._arch = self.compiled.arch
-            if self.tier == "fast":
-                if isinstance(self.compiled, MultiChipModel):
-                    self._plans = [c.plan for c in self.compiled.chips]
-                    self._sharding = self.compiled.sharding
-                else:
-                    self._plans = [self.compiled.plan]
+            self._plans = [c.plan for c in self.compiled.chips]
 
         self.resident_weights = bool(resident_weights)
         #: Accounting flag: has this serving session already paid the
@@ -656,15 +650,7 @@ class Deployment:
             self._check_resident_support()
 
     def _check_resident_support(self) -> None:
-        if self.tier == "cyclesim":
-            shards = (
-                self.compiled.chips
-                if isinstance(self.compiled, MultiChipModel)
-                else [self.compiled]
-            )
-            if all(c.supports_resident() for c in shards):
-                return
-        elif all(
+        if all(
             getattr(plan, "stages", None) is not None for plan in self._plans
         ):
             return
@@ -714,15 +700,16 @@ class Deployment:
 
     @property
     def num_chips(self) -> int:
-        if isinstance(self.compiled, MultiChipModel):
-            return self.compiled.num_chips
-        if self.compiled is not None:
-            return 1
         return len(self._plans)
 
     @property
     def is_sharded(self) -> bool:
         return self.num_chips > 1
+
+    @property
+    def strategy(self) -> str:
+        """The CG-level strategy the deployed plans were compiled with."""
+        return self._plans[0].strategy
 
     def summary(self) -> str:
         if self.compiled is not None:
@@ -732,12 +719,12 @@ class Deployment:
         return "\n".join(lines)
 
     def _transfer_edges(self) -> List[TransferEdge]:
-        if isinstance(self.compiled, MultiChipModel):
+        if self.compiled is not None:
             return [
                 (t.src_chip, t.dst_chip, t.nbytes)
                 for t in self.compiled.transfers
             ]
-        if self.compiled is None and self._sharding is not None:
+        if self._sharding is not None:
             return sharding_edges(self._sharding)
         return []
 
@@ -822,9 +809,10 @@ class Deployment:
     ) -> WorkflowResult:
         """Execute one input end to end (classic latency mode).
 
-        Cycle-level execution with the Fig. 2 bit-exact golden check;
-        equivalent to the legacy ``simulate(compiled)`` single-input
-        path.  Requires ``tier="cyclesim"``.
+        Cycle-level execution with the Fig. 2 bit-exact golden check.
+        Requires ``tier="cyclesim"``.  The result's ``report`` is the
+        pipeline's :class:`MultiChipReport`, except that a lone chip
+        reports as itself (its :class:`SimulationReport`).
         """
         self._require_cyclesim("run()")
         from repro.sim.functional import random_input
@@ -836,26 +824,18 @@ class Deployment:
             input_data = as_int8(input_data, "input 0", ConfigError)
         input_tensor = graph.input_operators[0].output
 
-        if isinstance(self.compiled, MultiChipModel):
-            sim = MultiChipSimulator(self.compiled, engine=self.engine)
-            sim.write_input(input_tensor, input_data)
-            report = sim.run()
-            outputs = {
-                name: sim.read_output(name).reshape(graph.tensor(name).shape)
-                for name in graph.outputs
-            }
-            label = f"{self.compiled.num_chips} chips"
-        else:
-            report, outputs = _run_single_chip(
-                self.compiled, input_data, self.engine
-            )
-            label = self.compiled.plan.strategy
+        sim = MultiChipSimulator(self.compiled, engine=self.engine)
+        sim.write_input(input_tensor, input_data)
+        report = sim.run()
+        outputs = {name: sim.read_output(name) for name in graph.outputs}
+        if not self.is_sharded:
+            report = report.chip_reports[0]
 
         golden = None
         validated = False
         if validate:
             golden = golden_outputs(graph, {input_tensor: input_data})
-            _validate_outputs(graph, outputs, golden, label)
+            _validate_outputs(graph, outputs, golden, self._label())
             validated = True
         return WorkflowResult(
             compiled=self.compiled,
@@ -864,6 +844,10 @@ class Deployment:
             golden=golden,
             validated=validated,
         )
+
+    def _label(self) -> str:
+        """What a failed golden check names: strategy and chip count."""
+        return f"{self.strategy}, {self.num_chips} chip(s)"
 
     def _require_cyclesim(self, what: str) -> None:
         if self.tier != "cyclesim":
@@ -1034,35 +1018,13 @@ class Deployment:
     def _execute(self, inputs: Sequence[np.ndarray]):
         """Functional half: run every input in per-input isolation.
 
-        Returns ``(per_input_reports, per_input_outputs,
-        interchip_bytes_per_input, label)``.
+        Returns ``(per_input_reports, per_input_outputs)``.
         """
-        interchip_per_input = (
-            self.compiled.interchip_bytes()
-            if isinstance(self.compiled, MultiChipModel) else 0
-        )
         if self.resident_weights:
-            per_input_reports, per_input_outputs = self._resident_execute(
-                inputs
-            )
-            label = "resident session"
-        elif isinstance(self.compiled, MultiChipModel):
-            sim = MultiChipSimulator(self.compiled, engine=self.engine)
-            per_input_reports, per_input_outputs = sim.execute_stream(
-                inputs, self.graph.input_operators[0].output
-            )
-            label = f"{self.compiled.num_chips} chips"
-        else:
-            per_input_reports, per_input_outputs = [], []
-            for data in inputs:
-                report, outputs = _run_single_chip(
-                    self.compiled, data, self.engine
-                )
-                per_input_reports.append([report])
-                per_input_outputs.append(outputs)
-            label = self.compiled.plan.strategy
-        return (
-            per_input_reports, per_input_outputs, interchip_per_input, label
+            return self._resident_execute(inputs)
+        sim = MultiChipSimulator(self.compiled, engine=self.engine)
+        return sim.execute_stream(
+            inputs, self.graph.input_operators[0].output
         )
 
     def _validate(self, inputs, outputs, label, names=None):
@@ -1088,18 +1050,20 @@ class Deployment:
         arrivals: ArrivalProcess,
         validate: bool,
     ) -> ServeReport:
-        per_input_reports, per_input_outputs, interchip_per_input, label = (
-            self._execute(inputs)
-        )
+        per_input_reports, per_input_outputs = self._execute(inputs)
         rows = [[r.cycles for r in reports] for reports in per_input_reports]
         load, schedule = self._admit_stream(rows, releases)
         starts, _, input_finishes, makespan = schedule
         stream_report = assemble_stream_report(
             self.arch, per_input_reports, self._transfer_edges(), schedule,
-            interchip_per_input,
+            self.compiled.interchip_bytes(),
         )
         golden = None
         if validate:
+            label = (
+                "resident session" if self.resident_weights
+                else self._label()
+            )
             golden = self._validate(
                 inputs, per_input_outputs, f"{label}, serve {len(inputs)}"
             )
@@ -1124,51 +1088,13 @@ class Deployment:
         on this and every later call -- replays only the warm
         activation program against that state.
         """
-        from repro.sim.blockengine import ENGINE_STATS
-
-        graph = self.graph
-        input_tensor = graph.input_operators[0].output
-        if isinstance(self.compiled, MultiChipModel):
-            if self._resident_sim is None:
-                sim = MultiChipSimulator(self.compiled, engine=self.engine)
-                self._resident_load_reports = sim.load_resident()
-                self._resident_sim = sim
-            return self._resident_sim.execute_warm_stream(
-                inputs, input_tensor
-            )
-
-        from repro.sim.chip import ChipSimulator
-
         if self._resident_sim is None:
-            warm, load = self.compiled.resident_segments()
-            sim = ChipSimulator.from_compiled(self.compiled, engine=self.engine)
-            sim.reset_run(load)
-            self._resident_load_reports = [sim.run()]
-            ENGINE_STATS["resident_load_runs"] += 1
-            self._resident_sim = (sim, warm)
-        sim, warm = self._resident_sim
-        per_input_reports = []
-        per_input_outputs = []
-        for data in inputs:
-            sim.reset_run(warm)
-            ENGINE_STATS["resident_warm_runs"] += 1
-            sim.memory.write_global(
-                self.compiled.input_address(input_tensor),
-                np.asarray(data, np.int8),
-            )
-            report = sim.run()
-            outputs: Dict[str, np.ndarray] = {}
-            for name in graph.outputs:
-                resolved = self.compiled.plan.cgraph.resolve(name)
-                info = graph.tensor(name)
-                raw = sim.memory.read_global(
-                    self.compiled.plan.tensor_address[resolved],
-                    info.size_bytes,
-                )
-                outputs[name] = raw.reshape(info.shape)
-            per_input_reports.append([report])
-            per_input_outputs.append(outputs)
-        return per_input_reports, per_input_outputs
+            sim = MultiChipSimulator(self.compiled, engine=self.engine)
+            self._resident_load_reports = sim.load_resident()
+            self._resident_sim = sim
+        return self._resident_sim.execute_warm_stream(
+            inputs, self.graph.input_operators[0].output
+        )
 
     def _resident_load_profile(self):
         """This session's load price: ``(cycles, energy, macs, instrs)``.
@@ -1592,6 +1518,10 @@ class Fleet:
     def num_chips(self) -> int:
         return self.deployment.num_chips
 
+    @property
+    def strategy(self) -> str:
+        return self.deployment.strategy
+
     def summary(self) -> str:
         return (
             f"{self.deployment.summary()}\n"
@@ -1806,7 +1736,7 @@ class Fleet:
             for attempts in schedule.replica_attempts
         ]
 
-        req_reports, interchip_per_input, validated = None, 0, False
+        req_reports, validated = None, False
         if dep.tier == "cyclesim":
             # A request with at least one full-service attempt executed
             # on real hardware; per-input isolation makes one execution's
@@ -1816,9 +1746,7 @@ class Fleet:
                 a.request for a in schedule.attempts if a.full_service
             })
             served = [resolved[i] for i in wanted]
-            per_reports, per_outputs, interchip_per_input, _ = dep._execute(
-                served
-            )
+            per_reports, per_outputs = dep._execute(served)
             req_reports = dict(zip(wanted, per_reports))
             if validate:
                 dep._validate(served, per_outputs, "faulted serve", wanted)
@@ -1826,8 +1754,7 @@ class Fleet:
 
         reports = [
             self._faulted_replica_report(
-                schedule.replica_attempts[r], row, req_reports,
-                interchip_per_input, validated,
+                schedule.replica_attempts[r], row, req_reports, validated,
                 load if cold_paid[r] else None,
             )
             for r in range(self.num_replicas)
@@ -1850,8 +1777,7 @@ class Fleet:
         )
 
     def _faulted_replica_report(
-        self, records, row, req_reports, interchip_per_input, validated,
-        load=None,
+        self, records, row, req_reports, validated, load=None,
     ) -> ServeReport:
         """One replica's ServeReport under the fault plan.
 
@@ -1870,7 +1796,8 @@ class Fleet:
             flat = [rep for a in full for rep in req_reports[a.request]]
             energy = merge_shard_energy(
                 [rep.energy_breakdown_pj for rep in flat],
-                interchip_per_input * len(full), self.arch.interchip,
+                dep.compiled.interchip_bytes() * len(full),
+                self.arch.interchip,
             )
             macs = sum(rep.macs for rep in flat)
             instructions = sum(rep.instructions for rep in flat)

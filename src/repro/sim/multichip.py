@@ -3,7 +3,10 @@
 A :class:`~repro.compiler.pipeline.MultiChipModel` carries one compiled
 single-chip workload per shard plus the explicit
 :class:`~repro.compiler.pipeline.InterChipTransfer` schedule between
-them.  :class:`MultiChipSimulator` instantiates one unchanged
+them; a :class:`~repro.compiler.pipeline.CompiledModel` presents the
+same surface as a pipeline of one shard and no transfers, so every
+cycle-level execution in the package goes through this module.
+:class:`MultiChipSimulator` instantiates one unchanged
 :class:`~repro.sim.chip.ChipSimulator` per chip (hot-block engine and
 all) and executes the pipeline:
 
@@ -26,13 +29,15 @@ levels share one timing contract.  See ``docs/ARCHITECTURE.md``
 ("Multi-chip sharding").
 
 **Batched streaming** (``docs/ARCHITECTURE.md``, "Batched streaming
-inference"): :meth:`MultiChipSimulator.run_streaming` injects ``B``
-independent inputs into the chip pipeline.  Input ``i+1`` enters shard 0
-while input ``i`` occupies shard 1, so sustained throughput is bounded by
-the *bottleneck* resource (slowest shard or busiest link), not the
-end-to-end makespan.  Each input executes in full per-input isolation --
-fresh chip state, no cross-input carry-over -- so per-input outputs stay
-bit-identical to ``B`` independent single-input runs.
+inference"): :meth:`MultiChipSimulator.execute_stream` runs ``B``
+independent inputs through the chip pipeline and
+:func:`streaming_schedule` overlaps their per-chip windows.  Input
+``i+1`` enters shard 0 while input ``i`` occupies shard 1, so sustained
+throughput is bounded by the *bottleneck* resource (slowest shard or
+busiest link), not the end-to-end makespan.  Each input executes in
+full per-input isolation -- fresh chip state, no cross-input carry-over
+-- so per-input outputs stay bit-identical to ``B`` independent
+single-input runs.
 :func:`streaming_schedule` is the timing recurrence and
 :func:`steady_state_interval` its closed-form steady-state law
 (``makespan(B) = makespan(1) + (B-1) * bottleneck``), shared with
@@ -413,14 +418,12 @@ def assemble_stream_report(
 ) -> "MultiChipReport":
     """Aggregate a streamed execution + its schedule into one report.
 
-    The single assembly shared by batched mode
-    (:meth:`MultiChipSimulator.run_streaming`), the legacy single-chip
-    sequential replay, and the serving API
-    (:class:`repro.serve.Deployment`): energies/MACs/instructions sum
-    over the stream, ``chip_reports`` / ``chip_starts`` /
-    ``chip_finishes`` describe the first input's pass, and the
-    steady-state interval is the closed-form bottleneck of the first
-    input's per-chip windows.
+    The single assembly shared by :meth:`MultiChipSimulator.run` and
+    the serving API (:class:`repro.serve.Deployment`), for any chip
+    count: energies/MACs/instructions sum over the stream,
+    ``chip_reports`` / ``chip_starts`` / ``chip_finishes`` describe the
+    first input's pass, and the steady-state interval is the closed-form
+    bottleneck of the first input's per-chip windows.
     """
     link = arch.interchip
     starts, finishes, input_finishes, makespan = schedule
@@ -600,8 +603,9 @@ class MultiChipReport:
 
 
 class MultiChipSimulator:
-    """Runs a :class:`MultiChipModel`: one :class:`ChipSimulator` per
-    shard, lock-step over the inter-chip link."""
+    """Runs a :class:`MultiChipModel` -- or a :class:`CompiledModel`, a
+    pipeline of one shard: one :class:`ChipSimulator` per shard,
+    lock-step over the inter-chip link."""
 
     def __init__(self, model, engine: Optional[str] = None):
         self.model = model
@@ -634,8 +638,7 @@ class MultiChipSimulator:
         """Read one model output from the chip that produced it."""
         chip, address = self.model.output_placement(tensor)
         name = tensor if tensor is not None else self.model.graph.outputs[0]
-        resolved = self.model.sharding.cgraph.resolve(name)
-        info = self.model.graph.tensor(resolved)
+        info = self.model.graph.tensor(name)
         raw = self.chips[chip].memory.read_global(address, info.size_bytes)
         return raw.reshape(info.shape)
 
@@ -694,8 +697,8 @@ class MultiChipSimulator:
         per_input_reports: List[List[SimulationReport]] = []
         per_input_outputs: List[Dict[str, "np.ndarray"]] = []
         for data in inputs:
-            # Per-input isolation holds even if run()/run_streaming()
-            # already consumed this simulator's chip state.
+            # Per-input isolation holds even if run() or an earlier
+            # stream already consumed this simulator's chip state.
             self.chips = self._fresh_chips()
             self.write_input(tensor, data)
             per_input_reports.append(self._execute_pipeline())
@@ -703,38 +706,6 @@ class MultiChipSimulator:
                 {name: self.read_output(name) for name in output_names}
             )
         return per_input_reports, per_input_outputs
-
-    def execute_resident_stream(
-        self, inputs: Sequence, tensor: Optional[str] = None
-    ) -> Tuple[
-        List[SimulationReport],
-        List[List[SimulationReport]],
-        List[Dict[str, "np.ndarray"]],
-    ]:
-        """Resident-weights functional execution: load once, warm per input.
-
-        Each shard's run-once load segment
-        (:meth:`repro.compiler.pipeline.CompiledModel.resident_segments`)
-        executes first on fresh chips -- weight tiles enter the macro
-        groups, bias bands the local constant segments.  Every input then
-        replays only the warm activation program against the persisted
-        chip state (:meth:`repro.sim.chip.ChipSimulator.reset_run`), so
-        no weight-load traffic recurs; outputs stay bit-identical to
-        isolated full runs because warm bodies re-acquire every
-        activation row they read and overwrite accumulators before use.
-        All warm passes of one session have identical timing (timing is
-        data-independent), which is what keeps the steady-state law
-        ``makespan(B) = load + warm_makespan(1) + (B-1) * warm_bottleneck``
-        exact.  Returns ``(load_reports, per_input_reports,
-        per_input_outputs)``; ``load_reports[k]`` prices shard ``k``'s
-        load segment (all shards load in parallel, so the session's load
-        phase is their max).
-        """
-        load_reports = self.load_resident()
-        per_input_reports, per_input_outputs = self.execute_warm_stream(
-            inputs, tensor
-        )
-        return load_reports, per_input_reports, per_input_outputs
 
     def load_resident(self) -> List[SimulationReport]:
         """Run every shard's run-once weight-load segment on fresh chips.
@@ -789,41 +760,3 @@ class MultiChipSimulator:
                 {name: self.read_output(name) for name in output_names}
             )
         return per_input_reports, per_input_outputs
-
-    def run_streaming(
-        self,
-        inputs: Sequence,
-        tensor: Optional[str] = None,
-        releases: Optional[Sequence[int]] = None,
-    ) -> Tuple[MultiChipReport, List[Dict[str, "np.ndarray"]]]:
-        """Stream a batch of inputs through the chip pipeline.
-
-        Each input executes in full isolation (fresh chip state per
-        input), so per-input outputs are bit-identical to independent
-        single-input runs; the streaming schedule then overlaps the
-        per-input chip windows -- input ``i+1`` occupies shard 0 while
-        input ``i`` occupies shard 1 -- bounding sustained throughput by
-        the bottleneck resource instead of the makespan.  ``releases``
-        optionally gates each input's entry into the first shard at its
-        arrival cycle (``None`` = all inputs available at cycle 0).
-
-        Returns ``(report, per_input_outputs)``; ``self.chips`` is left
-        holding the final input's state, so :meth:`read_output` reads the
-        last input afterwards.
-        """
-        if not len(inputs):
-            raise SimulationError("run_streaming needs at least one input")
-        link = self.arch.interchip
-        edges = self._transfer_edges()
-        per_input_reports, per_input_outputs = self.execute_stream(
-            inputs, tensor
-        )
-
-        schedule = streaming_schedule(
-            [[r.cycles for r in reports] for reports in per_input_reports],
-            edges, link, releases,
-        )
-        return assemble_stream_report(
-            self.arch, per_input_reports, edges, schedule,
-            self.model.interchip_bytes(),
-        ), per_input_outputs

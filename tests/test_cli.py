@@ -100,6 +100,32 @@ class TestRunCommand:
         payload = json.loads(out_json.read_text())
         assert payload["validated"] is True
         assert payload["report"]["cycles"] > 0
+        assert (payload["strategy"], payload["chips"]) == ("dp", 1)
+        assert (payload["input_size"], payload["num_classes"]) == (8, 10)
+
+    @pytest.mark.parametrize("verb", ("run", "serve"))
+    def test_json_header_describes_the_artifact_not_the_flags(
+        self, verb, tmp_path, capsys
+    ):
+        """An artifact carries its own chips and strategy and ignores
+        --input-size/--num-classes; the header used to print the argparse
+        defaults (1 chip, dp, 32 px) next to a two-shard report."""
+        artifact = tmp_path / "m.artifact"
+        assert run_cli(
+            "compile", "tiny_resnet", "--preset", "small", "--input-size",
+            "8", "--chips", "2", "--strategy", "generic", "-o", str(artifact),
+        ) == 0
+        out_json = tmp_path / "out.json"
+        assert run_cli(
+            verb, str(artifact), "--preset", "small", "--json", str(out_json),
+        ) == 0
+        payload = json.loads(out_json.read_text())
+        assert payload["chips"] == 2
+        assert payload["strategy"] == "generic"
+        assert payload["input_size"] is None
+        assert payload["num_classes"] is None
+        shards = {"run": "num_chips", "serve": "num_shards"}[verb]
+        assert payload["report"][shards] == 2
 
 
 class TestCompareCommand:
@@ -316,6 +342,13 @@ class TestErrorHygiene:
         ("run", "tiny_mlp", "--preset", "small", "--seed", "-1"),
         ("serve", "tiny_mlp", "--preset", "small", "--tier", "fast",
          "--arrival-seed", "-1", "--poisson", "100"),
+        # counts below one used to be served as one input / one replica
+        ("run", "tiny_mlp", "--preset", "small", "--batch", "0"),
+        ("run", "tiny_mlp", "--preset", "small", "--batch", "-2"),
+        ("serve", "tiny_mlp", "--preset", "small", "--tier", "fast",
+         "--replicas", "0"),
+        ("watch", "tiny_mlp", "--preset", "small", "--tier", "fast",
+         "--replicas", "0", "--snapshot", "-"),
     ])
     def test_bad_input_exits_nonzero_with_message(self, argv, capsys):
         code = run_cli(*argv)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import compile_model, run_workflow, simulate
+from repro import Deployment, compile_model
 from repro.config import default_arch, small_test_arch, with_mg_size
 from repro.sim.functional import golden_outputs, random_input
 
@@ -15,7 +15,7 @@ class TestTinyModels:
     @pytest.mark.parametrize("model", TINY_MODELS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_bit_exact_on_test_arch(self, model, strategy, arch):
-        result = run_workflow(model, arch=arch, strategy=strategy)
+        result = Deployment(model, arch=arch, strategy=strategy).run()
         assert result.validated
         assert result.report.cycles > 0
         assert result.report.total_energy_pj > 0
@@ -23,26 +23,29 @@ class TestTinyModels:
     def test_strategies_agree_functionally(self, arch):
         outs = []
         for strategy in STRATEGIES:
-            result = run_workflow("tiny_resnet", arch=arch, strategy=strategy)
+            result = Deployment(
+                "tiny_resnet", arch=arch, strategy=strategy
+            ).run()
             outs.append(result.outputs[result.graph.outputs[0]])
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[1], outs[2])
 
     def test_dp_not_slower_than_generic(self, arch):
-        generic = run_workflow("tiny_resnet", arch=arch, strategy="generic")
-        dp = run_workflow("tiny_resnet", arch=arch, strategy="dp")
+        generic = Deployment("tiny_resnet", arch=arch, strategy="generic").run()
+        dp = Deployment("tiny_resnet", arch=arch, strategy="dp").run()
         assert dp.report.cycles <= generic.report.cycles
 
     def test_deterministic_simulation(self, arch):
-        a = run_workflow("tiny_cnn", arch=arch, strategy="dp", seed=5)
-        b = run_workflow("tiny_cnn", arch=arch, strategy="dp", seed=5)
+        a = Deployment("tiny_cnn", arch=arch, strategy="dp").run(seed=5)
+        b = Deployment("tiny_cnn", arch=arch, strategy="dp").run(seed=5)
         assert a.report.cycles == b.report.cycles
         assert a.report.total_energy_pj == b.report.total_energy_pj
 
     def test_different_inputs_change_outputs(self, arch):
         compiled = compile_model("tiny_mlp", arch, "generic")
-        r1 = simulate(compiled, random_input(compiled.graph, seed=1))
-        r2 = simulate(compiled, random_input(compiled.graph, seed=2))
+        deployment = Deployment(compiled)
+        r1 = deployment.run(random_input(compiled.graph, seed=1))
+        r2 = deployment.run(random_input(compiled.graph, seed=2))
         name = compiled.graph.outputs[0]
         assert not np.array_equal(r1.outputs[name], r2.outputs[name])
 
@@ -60,25 +63,25 @@ class TestPaperModelsSmallScale:
         ],
     )
     def test_bit_exact_small_inputs(self, model, input_size, table1_arch):
-        result = run_workflow(
+        result = Deployment(
             model, arch=table1_arch, strategy="generic",
             input_size=input_size, num_classes=10,
-        )
+        ).run()
         assert result.validated
 
     def test_resnet18_dp_at_32px(self, table1_arch):
-        result = run_workflow(
+        result = Deployment(
             "resnet18", arch=table1_arch, strategy="dp",
             input_size=32, num_classes=10,
-        )
+        ).run()
         assert result.validated
 
     def test_mg_size_variant_still_exact(self, table1_arch):
         arch = with_mg_size(table1_arch, 4)
-        result = run_workflow(
+        result = Deployment(
             "resnet18", arch=arch, strategy="generic",
             input_size=16, num_classes=10,
-        )
+        ).run()
         assert result.validated
 
 

@@ -23,7 +23,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import compile_model, simulate
+from repro import Deployment, compile_model
 from repro.config import small_test_arch
 from repro.config.arch import GLOBAL_BASE
 from repro.errors import ConfigError, SimulationError
@@ -138,8 +138,8 @@ class TestModelEquivalence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tiny_models_bit_identical(self, model, strategy, arch):
         compiled = compile_model(model, arch, strategy)
-        a = simulate(compiled, validate=True, engine="interp")
-        b = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="interp").run()
+        b = Deployment(compiled, engine="block").run()
         assert _report_fields(a.report) == _report_fields(b.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], b.outputs[name])
@@ -153,8 +153,8 @@ class TestModelEquivalence:
             model, table1_arch, "generic",
             input_size=input_size, num_classes=10,
         )
-        a = simulate(compiled, validate=True, engine="interp")
-        b = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="interp").run()
+        b = Deployment(compiled, engine="block").run()
         assert _report_fields(a.report) == _report_fields(b.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], b.outputs[name])
@@ -221,8 +221,8 @@ class TestDifferentialFuzz:
         )
         strategy = str(rng.choice(STRATEGIES))
         compiled = compile_model(graph, arch, strategy)
-        a = simulate(compiled, validate=True, engine="interp")
-        b = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="interp").run()
+        b = Deployment(compiled, engine="block").run()
         assert a.validated and b.validated
         assert _report_fields(a.report) == _report_fields(b.report), (
             f"seed {seed}: {graph.name} [{strategy}] engine reports diverge"
@@ -433,11 +433,11 @@ class TestMultipassStreamEquivalence:
             width=width, kernel=kernel,
         )
         be.reset_stats()
-        a = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="block").run()
         stats = dict(be.ENGINE_STATS)
         assert stats["noc_batch_attempts"] >= branches
         assert stats["noc_batch_successes"] >= branches
-        b = simulate(compiled, validate=True, engine="interp")
+        b = Deployment(compiled, engine="interp").run()
         assert a.validated and b.validated
         assert _report_fields(a.report) == _report_fields(b.report)
         for name in compiled.graph.outputs:
@@ -787,35 +787,27 @@ class TestTieredEngine:
     def test_cold_run_compiles_loop_shapes_only(self, table1_arch, monkeypatch):
         """The count guard: a process-cold resnet18@64 run pays
         ``compile()`` for its loop shapes alone (117 shapes before the
-        engine was tiered, 13 loops) and never renders a program into
-        ``content_digest`` to key a cache."""
+        engine was tiered, 13 loops)."""
         import builtins
 
-        from repro.isa import Program
         from repro.sim import blockengine as be
 
         compiled = compile_model(
             "resnet18", table1_arch, "dp", input_size=64, num_classes=100
         )
-        calls = {"compile": 0, "digest": 0}
+        calls = {"compile": 0}
         real_compile = builtins.compile
 
         def counting_compile(source, filename, *args, **kwargs):
             calls["compile"] += filename == "<blockengine>"
             return real_compile(source, filename, *args, **kwargs)
 
-        def counting_digest(program):
-            calls["digest"] += 1
-            return "0" * 64
-
         monkeypatch.setattr(builtins, "compile", counting_compile)
-        monkeypatch.setattr(Program, "content_digest", counting_digest)
         be._BP_CACHE.clear()
         be._SHAPE_CACHE.clear()
         be.reset_stats()
         ChipSimulator.from_compiled(compiled, engine="block").run()
         assert 0 < calls["compile"] <= 13
-        assert calls["digest"] == 0
         assert be.ENGINE_STATS["block_promotions"] == 0
         assert be.ENGINE_STATS["cold_block_instructions"] > 0
 
@@ -882,9 +874,9 @@ class TestPlanTemplates:
 
         compiled = compile_model(model, arch, "dp")
         be.reset_stats()
-        a = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="block").run()
         first = dict(be.ENGINE_STATS)
-        b = simulate(compiled, validate=True, engine="block")
+        b = Deployment(compiled, engine="block").run()
         second = dict(be.ENGINE_STATS)
         if first["batch_successes"]:
             # every successful batch went through a template...
@@ -893,7 +885,7 @@ class TestPlanTemplates:
             # of re-walking (content-addressed across simulator runs).
             assert second["template_builds"] == first["template_builds"]
             assert second["template_hits"] > first["template_hits"]
-        interp = simulate(compiled, validate=True, engine="interp")
+        interp = Deployment(compiled, engine="interp").run()
         assert _report_fields(a.report) == _report_fields(interp.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], interp.outputs[name])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import run_workflow
+from repro import Deployment
 from repro.compiler.pipeline import plan_graph
 from repro.config import default_arch, small_test_arch, with_flit_bytes, with_mg_size
 from repro.explore import design_space, evaluate_fast, mg_flit_sweep
@@ -32,7 +32,7 @@ class TestFastModel:
         simulator -- it shares parameters but not mechanisms."""
         for model in ("tiny_cnn", "tiny_resnet"):
             for strategy in ("generic", "dp"):
-                measured = run_workflow(model, arch=arch, strategy=strategy)
+                measured = Deployment(model, arch=arch, strategy=strategy).run()
                 fast = analyze_plan(measured.compiled.plan)
                 ratio = fast.cycles / measured.report.cycles
                 assert 0.2 < ratio < 5.0, (

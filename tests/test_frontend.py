@@ -46,7 +46,7 @@ class TestCondensation:
         assert OpKind.ADD not in [op.kind for op in conv.fused]
 
     def test_aliased_residual_graph_validates_bit_exactly(self, arch):
-        from repro import run_workflow
+        from repro import Deployment
 
         b = GraphBuilder("aliased_residual_e2e", seed=2)
         x = b.input((8, 8, 4))
@@ -55,7 +55,7 @@ class TestCondensation:
         y = b.relu(y, name="relu")
         y = b.add(y, p, name="add")
         b.output(y)
-        result = run_workflow(b.build(), arch=arch, strategy="dp")
+        result = Deployment(b.build(), arch=arch, strategy="dp").run()
         assert result.validated
 
     def test_pool_is_standalone_vector_node(self):

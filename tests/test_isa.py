@@ -276,13 +276,11 @@ class TestExtensions:
 
 
 class TestBlockMetadata:
-    """Loop-block discovery and content addressing (execution-engine
-    metadata consumed by repro.sim.blockengine)."""
+    """Loop-block discovery (execution-engine metadata consumed by
+    repro.sim.blockengine)."""
 
-    def _counted_loop(self, body_nops=3, pre_nops=0):
+    def _counted_loop(self, body_nops=3):
         b = ProgramBuilder()
-        for _ in range(pre_nops):
-            b.emit("NOP")
         b.li(1, 0)
         b.li(2, 10)
         with b.loop(1, 2):
@@ -312,18 +310,3 @@ class TestBlockMetadata:
         b.emit("BLT", rs=1, rt=2, target=head)
         b.halt()
         assert b.finalize().loop_blocks() == []
-
-    def test_block_digest_position_independent(self):
-        a = self._counted_loop(pre_nops=0)
-        c = self._counted_loop(pre_nops=5)
-        da = a.block_digest(a.loop_blocks()[0])
-        dc = c.block_digest(c.loop_blocks()[0])
-        assert da == dc
-        assert a.content_digest() != c.content_digest()
-
-    def test_digests_invalidate_on_mutation(self):
-        program = self._counted_loop()
-        before = program.content_digest()
-        program.emit("NOP")
-        program.finalize()
-        assert program.content_digest() != before

@@ -18,13 +18,12 @@ import numpy as np
 import pytest
 
 from repro import (
+    Deployment,
     compile_model,
     compile_sharded,
     evaluate_fast,
     run_sweep,
-    run_workflow,
     shard_graph,
-    simulate,
     SweepSpec,
 )
 from repro.compiler.partition import ShardingSpec
@@ -179,7 +178,7 @@ class TestTransferContract:
         model = compile_sharded(graph, arch, 2, cuts=(2,))
         tensors = {tr.tensor for tr in model.transfers}
         assert "conv1_out" in tensors
-        result = simulate(model, validate=True)
+        result = Deployment(model).run()
         assert result.validated
 
     def test_infeasible_shard_names_the_chip(self):
@@ -221,10 +220,10 @@ class TestPipelineSchedule:
 
 class TestMultiChipEquivalence:
     def test_two_chip_outputs_bit_identical_to_single_chip(self, arch):
-        one = run_workflow("tiny_resnet", arch=arch, strategy="dp",
-                           input_size=8, num_classes=10)
-        two = run_workflow("tiny_resnet", arch=arch, strategy="dp",
-                           input_size=8, num_classes=10, chips=2)
+        one = Deployment("tiny_resnet", arch=arch, strategy="dp",
+                         input_size=8, num_classes=10).run()
+        two = Deployment("tiny_resnet", arch=arch, strategy="dp",
+                         input_size=8, num_classes=10, chips=2).run()
         assert one.validated and two.validated
         assert set(one.outputs) == set(two.outputs)
         for name, expected in one.outputs.items():
@@ -233,7 +232,9 @@ class TestMultiChipEquivalence:
     @pytest.mark.parametrize("chips", (2, 4))
     def test_over_capacity_model_validates_on_n_chips(self, arch, chips):
         graph = over_capacity_model()
-        result = run_workflow(graph, arch=arch, strategy="dp", chips=chips)
+        result = Deployment(
+            graph, arch=arch, strategy="dp", chips=chips
+        ).run()
         assert result.validated
         assert result.report.num_chips == chips
         assert result.report.cycles > 0
@@ -244,8 +245,8 @@ class TestMultiChipEquivalence:
             "tiny_resnet", arch, "dp", chips=2,
             input_size=8, num_classes=10,
         )
-        a = simulate(compiled, validate=True, engine="interp")
-        b = simulate(compiled, validate=True, engine="block")
+        a = Deployment(compiled, engine="interp").run()
+        b = Deployment(compiled, engine="block").run()
         for name in a.outputs:
             assert np.array_equal(a.outputs[name], b.outputs[name])
         ra, rb = a.report, b.report
@@ -258,8 +259,8 @@ class TestMultiChipEquivalence:
             assert chip_a.energy_breakdown_pj == chip_b.energy_breakdown_pj
 
     def test_pipeline_report_is_consistent(self, arch):
-        result = run_workflow("tiny_resnet", arch=arch, strategy="dp",
-                              input_size=8, num_classes=10, chips=2)
+        result = Deployment("tiny_resnet", arch=arch, strategy="dp",
+                            input_size=8, num_classes=10, chips=2).run()
         report = result.report
         assert report.cycles == max(report.chip_finishes)
         assert report.macs == sum(r.macs for r in report.chip_reports)

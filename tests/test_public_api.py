@@ -2,15 +2,13 @@
 
 The exact set of names exported from ``repro`` is frozen here; adding a
 name means updating the snapshot *deliberately* in the same change, and
-removing or renaming one fails CI.  The deprecation shims
-(:func:`repro.run_workflow` / :func:`repro.simulate`) are part of that
-contract: they must keep working (bit-identical legacy semantics) while
-warning, and the serving API must be importable from the package root.
+removing or renaming one fails CI.  The one-shot shims ``run_workflow``
+and ``simulate`` (deprecation-warned since the serving API landed) were
+removed deliberately: the snapshot is the previous one minus those two,
+and :class:`repro.Deployment` is the one entry point.
 """
 
 import warnings
-
-import pytest
 
 import repro
 
@@ -72,9 +70,7 @@ PUBLIC_API = sorted([
     "streaming_schedule",
     "analyze_plan",
     "FastReport",
-    # legacy one-shot workflow (deprecated shims, kept working)
-    "simulate",
-    "run_workflow",
+    # what Deployment.run() returns
     "WorkflowResult",
     # design-space exploration
     "evaluate_fast",
@@ -119,27 +115,6 @@ class TestPublicSurface:
 
 
 class TestDeprecationShims:
-    def test_run_workflow_warns_and_works(self, arch):
-        with pytest.warns(DeprecationWarning, match="Deployment"):
-            result = repro.run_workflow(
-                "tiny_cnn", arch, input_size=8, num_classes=10
-            )
-        assert result.validated
-        assert result.report.cycles > 0
-
-    def test_simulate_warns_and_matches_deployment(self, arch):
-        import numpy as np
-
-        compiled = repro.compile_model(
-            "tiny_cnn", arch, "dp", input_size=8, num_classes=10
-        )
-        with pytest.warns(DeprecationWarning, match="Deployment"):
-            legacy = repro.simulate(compiled)
-        fresh = repro.Deployment(compiled).run()
-        assert legacy.report.cycles == fresh.report.cycles
-        for name in legacy.outputs:
-            assert np.array_equal(legacy.outputs[name], fresh.outputs[name])
-
     def test_deployment_does_not_warn(self, arch):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import compile_model, run_workflow
+from repro import Deployment, compile_model
 from repro.compiler.plan import GLOBAL_BASE
 from repro.config import small_test_arch
 from repro.errors import CompileError
@@ -12,7 +12,9 @@ from repro.errors import CompileError
 class TestSimulationReport:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_workflow("tiny_resnet", arch=small_test_arch(), strategy="dp")
+        return Deployment(
+            "tiny_resnet", arch=small_test_arch(), strategy="dp"
+        ).run()
 
     def test_derived_metrics_consistent(self, result):
         report = result.report

@@ -38,7 +38,6 @@ from repro.sim.multichip import (
     steady_state_interval,
     streaming_schedule,
 )
-from repro.workflow import _simulate_impl
 
 
 def _deploy(arch, chips=1, tier="cyclesim", model="tiny_resnet"):
@@ -199,11 +198,11 @@ class TestDeploymentSessions:
         compiled = compile_model(
             "tiny_resnet", arch, "dp", chips=2, input_size=8, num_classes=10
         )
-        legacy = _simulate_impl(compiled, None, True, 0, None, 4)
+        legacy = Deployment(compiled).submit(batch=4)
         served = deployment.run_trace([0, 0, 0, 0])
-        assert served.makespan_cycles == legacy.report.cycles
-        assert served.input_finishes == legacy.report.input_finishes
-        assert served.stream_report.to_dict() == legacy.report.to_dict()
+        assert served.makespan_cycles == legacy.stream_report.cycles
+        assert served.input_finishes == legacy.stream_report.input_finishes
+        assert served.stream_report.to_dict() == legacy.stream_report.to_dict()
         for i in range(4):
             for name in legacy.per_input_outputs[i]:
                 assert np.array_equal(
@@ -297,14 +296,29 @@ class TestDeploymentSessions:
         assert payload["p99_latency_cycles"] == served.p99_latency_cycles
 
     def test_run_matches_legacy_single_input(self, arch):
+        """The one-shard pipeline adds nothing to a lone chip: ``run()``
+        reports what a hand-driven :class:`ChipSimulator` reports."""
+        from repro.sim.chip import ChipSimulator
+        from repro.sim.functional import random_input
+
         compiled = compile_model(
             "tiny_cnn", arch, "dp", input_size=8, num_classes=10
         )
-        legacy = _simulate_impl(compiled, None, True, 0, None, 1)
+        sim = ChipSimulator.from_compiled(compiled)
+        sim.memory.write_global(
+            compiled.input_address(), random_input(compiled.graph, seed=0)
+        )
+        bare = sim.run()
         result = Deployment(compiled).run()
-        assert result.report.cycles == legacy.report.cycles
-        for name in legacy.outputs:
-            assert np.array_equal(result.outputs[name], legacy.outputs[name])
+        assert result.report.to_dict() == bare.to_dict()
+        for name in compiled.graph.outputs:
+            info = compiled.graph.tensor(name)
+            raw = sim.memory.read_global(
+                compiled.output_address(name), info.size_bytes
+            )
+            assert np.array_equal(
+                result.outputs[name], raw.reshape(info.shape)
+            )
 
     def test_invalid_submissions_rejected(self, arch):
         deployment = _deploy(arch)

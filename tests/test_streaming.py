@@ -22,11 +22,10 @@ import numpy as np
 import pytest
 
 from repro import (
+    Deployment,
     compile_model,
     evaluate_fast,
     run_sweep,
-    run_workflow,
-    simulate,
     SweepSpec,
 )
 from repro.config import InterChipConfig
@@ -111,11 +110,21 @@ class TestScheduleLaw:
 # Cycle-level workflow: isolation, overlap, engines
 # ---------------------------------------------------------------------------
 
-def _run(arch, chips, batch=1, seed=0, **kwargs):
-    return run_workflow(
+def _deploy(arch, chips):
+    return Deployment(
         "tiny_resnet", arch=arch, strategy="dp", input_size=8,
-        num_classes=10, chips=chips, batch=batch, seed=seed, **kwargs,
+        num_classes=10, chips=chips,
     )
+
+
+def _run(arch, chips, seed=0):
+    """One input, latency mode: a ``WorkflowResult``."""
+    return _deploy(arch, chips).run(seed=seed)
+
+
+def _stream(arch, chips, batch=BATCH):
+    """``batch`` inputs back to back: a ``ServeReport``."""
+    return _deploy(arch, chips).submit(batch=batch)
 
 
 class TestBatchedWorkflow:
@@ -123,7 +132,7 @@ class TestBatchedWorkflow:
     def test_per_input_outputs_bit_identical_to_independent_runs(
         self, arch, chips
     ):
-        batched = _run(arch, chips, batch=BATCH)
+        batched = _stream(arch, chips)
         assert batched.validated
         assert batched.batch == BATCH
         assert len(batched.per_input_outputs) == BATCH
@@ -138,14 +147,14 @@ class TestBatchedWorkflow:
     @pytest.mark.parametrize("chips", (2, 4))
     def test_streaming_overlaps_chips(self, arch, chips):
         single = _run(arch, chips).report.cycles
-        batched = _run(arch, chips, batch=BATCH).report
+        batched = _stream(arch, chips).stream_report
         assert batched.cycles < BATCH * single
         assert batched.cycles > single
         assert batched.input_finishes[0] == single  # fill = one makespan
 
     def test_single_chip_replays_sequentially(self, arch):
         single = _run(arch, 1).report
-        batched = _run(arch, 1, batch=BATCH).report
+        batched = _stream(arch, 1).stream_report
         assert batched.cycles == BATCH * single.cycles
         assert batched.num_chips == 1
         assert batched.steady_interval_cycles == single.cycles
@@ -155,7 +164,7 @@ class TestBatchedWorkflow:
 
     @pytest.mark.parametrize("chips", (2, 4))
     def test_scheduler_interval_matches_closed_form(self, arch, chips):
-        report = _run(arch, chips, batch=BATCH).report
+        report = _stream(arch, chips).stream_report
         diffs = [
             b - a
             for a, b in zip(report.input_finishes, report.input_finishes[1:])
@@ -176,7 +185,7 @@ class TestBatchedWorkflow:
 
     def test_report_aggregates_whole_stream(self, arch):
         single = _run(arch, 2).report
-        batched = _run(arch, 2, batch=BATCH).report
+        batched = _stream(arch, 2).stream_report
         assert batched.macs == BATCH * single.macs
         assert batched.instructions == BATCH * single.instructions
         assert batched.interchip_bytes == BATCH * single.interchip_bytes
@@ -197,9 +206,9 @@ class TestBatchedWorkflow:
         compiled = compile_model(
             "tiny_resnet", arch, "dp", chips=2, input_size=8, num_classes=10
         )
-        a = simulate(compiled, batch=3, engine="interp")
-        b = simulate(compiled, batch=3, engine="block")
-        ra, rb = a.report, b.report
+        a = Deployment(compiled, engine="interp").submit(batch=3)
+        b = Deployment(compiled, engine="block").submit(batch=3)
+        ra, rb = a.stream_report, b.stream_report
         assert ra.cycles == rb.cycles
         assert ra.input_finishes == rb.input_finishes
         assert ra.energy_breakdown_pj == rb.energy_breakdown_pj
@@ -221,12 +230,13 @@ class TestBatchedWorkflow:
             rng.integers(-100, 101, size=shape, dtype=np.int8)
             for _ in range(2)
         ]
-        result = simulate(compiled, inputs, batch=2)
+        deployment = Deployment(compiled)
+        result = deployment.submit(inputs, batch=2)
         assert result.validated and result.batch == 2
         # a bare list also sets the batch implicitly
-        implicit = simulate(compiled, inputs)
+        implicit = deployment.submit(inputs)
         assert implicit.batch == 2
-        assert implicit.report.cycles == result.report.cycles
+        assert implicit.stream_report.cycles == result.stream_report.cycles
 
     def test_stacked_array_and_nested_list_inputs(self, arch):
         compiled = compile_model(
@@ -238,9 +248,10 @@ class TestBatchedWorkflow:
         rng = np.random.default_rng(9)
         stack = rng.integers(-100, 101, size=(2, *shape), dtype=np.int8)
         # a stacked (B, *input_shape) array is a batch of B
-        stacked = simulate(compiled, stack, batch=2)
+        deployment = Deployment(compiled)
+        stacked = deployment.submit(stack, batch=2)
         assert stacked.batch == 2 and stacked.validated
-        as_list = simulate(compiled, [stack[0], stack[1]], batch=2)
+        as_list = deployment.submit([stack[0], stack[1]], batch=2)
         for i in range(2):
             for name in stacked.per_input_outputs[i]:
                 assert np.array_equal(
@@ -248,15 +259,15 @@ class TestBatchedWorkflow:
                     as_list.per_input_outputs[i][name],
                 )
         # one input handed in as a nested Python list stays a batch of 1
-        nested = simulate(compiled, stack[0].tolist())
+        nested = deployment.submit(stack[0].tolist())
         assert nested.batch == 1 and nested.validated
         # a stacked array with batch left at 1 sets the batch implicitly,
         # exactly like the equivalent list would
-        implicit = simulate(compiled, stack)
+        implicit = deployment.submit(stack)
         assert implicit.batch == 2 and implicit.validated
 
-    def test_run_streaming_isolated_from_prior_run(self, arch):
-        """run_streaming() on an already-consumed simulator must still
+    def test_execute_stream_isolated_from_prior_run(self, arch):
+        """execute_stream() on an already-consumed simulator must still
         honour per-input isolation (fresh chip state per input)."""
         from repro.sim.multichip import MultiChipSimulator
         from repro.sim.functional import random_input
@@ -268,9 +279,9 @@ class TestBatchedWorkflow:
         sim = MultiChipSimulator(compiled)
         sim.write_input(None, inputs[0])
         sim.run()  # dirty the chip state
-        _, outs = sim.run_streaming(inputs)
+        _, outs = sim.execute_stream(inputs)
         fresh = MultiChipSimulator(compiled)
-        _, expected = fresh.run_streaming(inputs)
+        _, expected = fresh.execute_stream(inputs)
         for i in range(2):
             for name in expected[i]:
                 assert np.array_equal(outs[i][name], expected[i][name])
@@ -282,15 +293,15 @@ class TestBatchedWorkflow:
         shape = compiled.graph.tensor(
             compiled.graph.input_operators[0].output
         ).shape
+        deployment = Deployment(compiled)
         with pytest.raises(ConfigError, match="batch"):
-            simulate(compiled, batch=0)
+            deployment.submit(batch=0)
         with pytest.raises(ConfigError, match="batch"):
-            simulate(compiled, np.zeros(shape, np.int8), batch=2)
+            deployment.submit(np.zeros(shape, np.int8), batch=2)
         with pytest.raises(ConfigError, match="input arrays"):
-            simulate(compiled, [np.zeros(shape, np.int8)], batch=3)
+            deployment.submit([np.zeros(shape, np.int8)], batch=3)
         with pytest.raises(ConfigError, match="shape"):
-            simulate(
-                compiled,
+            deployment.submit(
                 [np.zeros(shape, np.int8), np.zeros((2, 2), np.int8)],
                 batch=2,
             )
@@ -321,11 +332,12 @@ class TestMultipassStreamingLaw:
 
         compiled = self._compiled(arch, chips)
         be.reset_stats()
-        single = simulate(compiled, engine="block").report
+        served = Deployment(compiled, engine="block")
+        single = served.run().report
         assert be.ENGINE_STATS["noc_batch_successes"] > 0, (
             "the multipass shard bodies did not take the NoC replay path"
         )
-        batched = simulate(compiled, batch=BATCH, engine="block").report
+        batched = served.submit(batch=BATCH).stream_report
         interval = batched.steady_interval_cycles
         assert interval > 0
         assert batched.cycles == single.cycles + (BATCH - 1) * interval
@@ -335,7 +347,9 @@ class TestMultipassStreamingLaw:
         ]
         assert diffs == [interval] * (BATCH - 1)
         # The law must come out identically with every NoC window stepped.
-        interp = simulate(compiled, batch=BATCH, engine="interp").report
+        interp = Deployment(compiled, engine="interp").submit(
+            batch=BATCH
+        ).stream_report
         assert interp.cycles == batched.cycles
         assert interp.input_finishes == batched.input_finishes
         assert interp.energy_breakdown_pj == batched.energy_breakdown_pj
