@@ -50,18 +50,22 @@ Examples::
 The full flag/environment-variable reference lives in ``docs/CLI.md``.
 """
 
+from __future__ import annotations
+
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.config import default_arch, load_arch, small_test_arch
 from repro.errors import ConfigError, ReproError
-from repro.explore import SweepSpec, run_sweep, spot_check, strategy_comparison
-from repro.explore_cache import ResultCache, default_cache_dir
-from repro.graph.models import available_models
+
+# Every other layer is imported by the command that runs it, so a verb
+# pays only for what it executes (docs/ARCHITECTURE.md, "Import
+# layering"; tests/test_import_layers.py holds each verb to it).
+if TYPE_CHECKING:
+    from repro.explore_cache import ResultCache
 
 _PRESETS = {"default": default_arch, "small": small_test_arch}
 
@@ -233,6 +237,8 @@ def _format_table(rows: Sequence[Dict[str, Any]]) -> str:
 
 
 def _write_csv(rows: Sequence[Dict[str, Any]], path: str) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_POINT_COLUMNS)
         writer.writeheader()
@@ -530,9 +536,16 @@ def _cmd_watch(args) -> int:
 
 
 def _build_cache(args) -> Optional[ResultCache]:
+    from repro.explore_cache import ResultCache, default_cache_dir
+
     if args.no_cache:
         return None
     return ResultCache(args.cache_dir or default_cache_dir())
+
+
+def _check_workers(args) -> None:
+    if args.workers < 0:
+        raise ConfigError("--workers must be >= 0")
 
 
 def _progress_printer(quiet: bool):
@@ -554,6 +567,8 @@ def _progress_printer(quiet: bool):
 
 def _fault_plans(entries: List[str]):
     """``plan.json`` / ``none`` entries -> FaultPlan axis tuple."""
+    if all(entry.lower() == "none" for entry in entries):
+        return (None,) * len(entries)  # the default axis: no repro.faults
     from repro.faults import load_fault_plan
 
     return tuple(
@@ -563,6 +578,9 @@ def _fault_plans(entries: List[str]):
 
 
 def _cmd_sweep(args) -> int:
+    from repro.explore import SweepSpec, run_sweep
+
+    _check_workers(args)
     spec = SweepSpec(
         models=tuple(args.models),
         strategies=tuple(args.strategies),
@@ -606,6 +624,8 @@ def _cmd_sweep(args) -> int:
         print(f"cache: {cache.root} ({len(cache)} entries)")
     checks = []
     if args.spot_check:
+        from repro.explore import spot_check
+
         checks = spot_check(
             result,
             n=args.spot_check,
@@ -639,6 +659,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.explore import strategy_comparison
+
+    _check_workers(args)
     cache = _build_cache(args)
     results = strategy_comparison(
         args.models,
@@ -691,14 +714,29 @@ def _pareto_rows(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return pareto_filter(list(rows), lambda r: (r["energy_mj"], r["tops"]))
 
 
+def _read_results(path: str) -> Dict[str, Any]:
+    """A ``sweep --json`` payload, shape-checked where it is read."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    rows = payload["points"]
+    if not (isinstance(rows, list)
+            and all(isinstance(row, dict) for row in rows)):
+        raise ValueError("'points' must be a list of objects")
+    for section in ("spec", "stats"):
+        if not isinstance(payload.get(section, {}), dict):
+            raise ValueError(f"{section!r} must be an object")
+    return payload
+
+
 def _cmd_report(args) -> int:
     try:
-        payload = json.loads(Path(args.results).read_text())
-        rows = payload["points"]
+        payload = _read_results(args.results)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read sweep results {args.results!r}: {exc}",
               file=sys.stderr)
         return 2
+    rows = payload["points"]
     print(_format_table(rows))
     spec = payload.get("spec", {})
     stats = payload.get("stats", {})
@@ -749,24 +787,37 @@ def _cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description=(
-            "CIMFlow reproduction: compile, simulate and explore DNN "
-            "workloads on digital CIM architectures."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _VerbParser(argparse.ArgumentParser):
+    """A subcommand parser that declares its flags when first selected.
 
-    # run -------------------------------------------------------------------
-    run = sub.add_parser(
-        "run",
-        help="compile + cycle-accurately simulate one model (Fig. 2 workflow)",
-    )
+    Flag help quotes the model zoo and the default cache directory, so
+    declaring every verb's flags up front made every verb import both.
+    ``python -m repro --help`` lists the verbs without declaring any,
+    and a verb never declares another's.
+    """
+
+    def __init__(self, *args, declare, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _zoo_names() -> str:
+    # The registry resolves names without importing a builder.
+    from repro.graph.models import available_models
+
+    return ", ".join(available_models())
+
+
+def _declare_run(run: argparse.ArgumentParser) -> None:
     run.add_argument(
         "model",
-        help=f"model zoo name ({', '.join(available_models())}) "
+        help=f"model zoo name ({_zoo_names()}) "
              f"or a compiled .artifact file",
     )
     _add_arch_options(run)
@@ -790,14 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", metavar="FILE", help="write the report as JSON")
     run.set_defaults(func=_cmd_run)
 
-    # compile ---------------------------------------------------------------
-    compile_ = sub.add_parser(
-        "compile",
-        help="compile once and write a content-addressed .artifact file",
-    )
+
+def _declare_compile(compile_: argparse.ArgumentParser) -> None:
     compile_.add_argument(
         "model",
-        help=f"model zoo name ({', '.join(available_models())}) "
+        help=f"model zoo name ({_zoo_names()}) "
              f"or a graph JSON file (see repro.graph.save_graph)",
     )
     compile_.add_argument("-o", "--output", required=True, metavar="FILE",
@@ -814,102 +862,91 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--num-classes", type=int, default=10)
     compile_.set_defaults(func=_cmd_compile)
 
-    # inspect ---------------------------------------------------------------
-    inspect_ = sub.add_parser(
-        "inspect",
-        help="print the manifest of a compiled .artifact file",
-    )
+
+def _declare_inspect(inspect_: argparse.ArgumentParser) -> None:
     inspect_.add_argument("artifact", help="artifact file to inspect")
     inspect_.add_argument("--json", action="store_true",
                           help="emit the manifest as JSON")
     inspect_.set_defaults(func=_cmd_inspect)
 
-    # serve -----------------------------------------------------------------
-    def _add_serving_flags(parser, batch_default):
-        """The serving surface shared by ``serve`` and ``watch``."""
-        parser.add_argument(
-            "model",
-            help=f"model zoo name ({', '.join(available_models())}) "
-                 f"or a compiled .artifact file",
-        )
-        _add_arch_options(parser)
-        parser.add_argument("--strategy", default="dp",
-                            choices=("generic", "duplication", "dp"))
-        parser.add_argument("--chips", type=int, default=1, metavar="N",
-                            help="pipeline-shard the deployment across N "
-                                 "chips")
-        parser.add_argument("--replicas", type=int, default=1, metavar="R",
-                            help="serve through a fleet of R identical "
-                                 "replicas fed from one arrival stream "
-                                 "(default 1)")
-        parser.add_argument("--policy", choices=("rr", "jsq"), default="rr",
-                            help="fleet dispatch policy: round-robin or "
-                                 "join-shortest-queue (with --replicas > 1)")
-        parser.add_argument("--batch", type=int, default=batch_default,
-                            metavar="B",
-                            help=f"number of inputs to submit (default "
-                                 f"{batch_default}; ignored with --trace, "
-                                 f"which sets it)")
-        arrival = parser.add_mutually_exclusive_group()
-        arrival.add_argument("--rate", type=float, default=None,
-                             metavar="INF_S",
-                             help="fixed-rate arrivals in inferences/second "
-                                  "(default: back-to-back)")
-        arrival.add_argument("--interval", type=int, default=None,
-                             metavar="CYC",
-                             help="fixed arrival interval in cycles")
-        arrival.add_argument("--poisson", type=float, default=None,
-                             metavar="INF_S",
-                             help="Poisson arrivals at a mean rate "
-                                  "(seeded by --arrival-seed)")
-        arrival.add_argument("--trace", metavar="FILE", default=None,
-                             help="recorded arrival trace: JSON array or "
-                                  "whitespace-separated release cycles")
-        parser.add_argument("--arrival-seed", type=int, default=0,
-                            help="seed for --poisson arrival draws")
-        parser.add_argument("--faults", metavar="FILE", default=None,
-                            help="JSON fault plan (repro.faults."
-                                 "save_fault_plan) to replay "
-                                 "deterministically against the fleet: "
-                                 "crashes, slowdowns, link degradation, "
-                                 "transient failures with retries/deadlines")
-        parser.add_argument("--resident", action="store_true",
-                            help="open a resident-weights session: weights "
-                                 "load once per shard on the first "
-                                 "submission, later inputs replay only "
-                                 "activation traffic (bit-identical "
-                                 "outputs; needs a full compilation, not a "
-                                 ".artifact)")
-        parser.add_argument("--tier", choices=("cyclesim", "fast"),
-                            default="cyclesim",
-                            help="cyclesim = exact execution + bit-exact "
-                                 "validation; fast = analytical pricing of "
-                                 "the same schedule (paper-scale models)")
-        parser.add_argument("--input-size", type=int, default=32,
-                            help="input resolution (keep small on cyclesim)")
-        parser.add_argument("--num-classes", type=int, default=10)
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for the random input tensors")
-        parser.add_argument("--no-validate", action="store_true",
-                            help="skip the golden-model output checks")
 
-    serve = sub.add_parser(
-        "serve",
-        help="deploy one model and stream inputs through it under an "
-             "arrival process (latency percentiles, utilisation)",
+def _add_serving_flags(parser, batch_default: int) -> None:
+    """The serving surface shared by ``serve`` and ``watch``."""
+    parser.add_argument(
+        "model",
+        help=f"model zoo name ({_zoo_names()}) "
+             f"or a compiled .artifact file",
     )
+    _add_arch_options(parser)
+    parser.add_argument("--strategy", default="dp",
+                        choices=("generic", "duplication", "dp"))
+    parser.add_argument("--chips", type=int, default=1, metavar="N",
+                        help="pipeline-shard the deployment across N "
+                             "chips")
+    parser.add_argument("--replicas", type=int, default=1, metavar="R",
+                        help="serve through a fleet of R identical "
+                             "replicas fed from one arrival stream "
+                             "(default 1)")
+    parser.add_argument("--policy", choices=("rr", "jsq"), default="rr",
+                        help="fleet dispatch policy: round-robin or "
+                             "join-shortest-queue (with --replicas > 1)")
+    parser.add_argument("--batch", type=int, default=batch_default,
+                        metavar="B",
+                        help=f"number of inputs to submit (default "
+                             f"{batch_default}; ignored with --trace, "
+                             f"which sets it)")
+    arrival = parser.add_mutually_exclusive_group()
+    arrival.add_argument("--rate", type=float, default=None,
+                         metavar="INF_S",
+                         help="fixed-rate arrivals in inferences/second "
+                              "(default: back-to-back)")
+    arrival.add_argument("--interval", type=int, default=None,
+                         metavar="CYC",
+                         help="fixed arrival interval in cycles")
+    arrival.add_argument("--poisson", type=float, default=None,
+                         metavar="INF_S",
+                         help="Poisson arrivals at a mean rate "
+                              "(seeded by --arrival-seed)")
+    arrival.add_argument("--trace", metavar="FILE", default=None,
+                         help="recorded arrival trace: JSON array or "
+                              "whitespace-separated release cycles")
+    parser.add_argument("--arrival-seed", type=int, default=0,
+                        help="seed for --poisson arrival draws")
+    parser.add_argument("--faults", metavar="FILE", default=None,
+                        help="JSON fault plan (repro.faults."
+                             "save_fault_plan) to replay "
+                             "deterministically against the fleet: "
+                             "crashes, slowdowns, link degradation, "
+                             "transient failures with retries/deadlines")
+    parser.add_argument("--resident", action="store_true",
+                        help="open a resident-weights session: weights "
+                             "load once per shard on the first "
+                             "submission, later inputs replay only "
+                             "activation traffic (bit-identical "
+                             "outputs; needs a full compilation, not a "
+                             ".artifact)")
+    parser.add_argument("--tier", choices=("cyclesim", "fast"),
+                        default="cyclesim",
+                        help="cyclesim = exact execution + bit-exact "
+                             "validation; fast = analytical pricing of "
+                             "the same schedule (paper-scale models)")
+    parser.add_argument("--input-size", type=int, default=32,
+                        help="input resolution (keep small on cyclesim)")
+    parser.add_argument("--num-classes", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for the random input tensors")
+    parser.add_argument("--no-validate", action="store_true",
+                        help="skip the golden-model output checks")
+
+
+def _declare_serve(serve: argparse.ArgumentParser) -> None:
     _add_serving_flags(serve, batch_default=8)
     serve.add_argument("--json", metavar="FILE",
                        help="write the serving report as JSON")
     serve.set_defaults(func=_cmd_serve)
 
-    # watch -----------------------------------------------------------------
-    watch = sub.add_parser(
-        "watch",
-        help="serve a scripted arrival stream through the async runtime "
-             "and watch it live (Textual console), or dump the operator "
-             "tables as JSON with --snapshot",
-    )
+
+def _declare_watch(watch: argparse.ArgumentParser) -> None:
     _add_serving_flags(watch, batch_default=16)
     watch.add_argument("--snapshot", metavar="FILE", nargs="?", const="-",
                        default=None,
@@ -925,11 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0.2)")
     watch.set_defaults(func=_cmd_watch)
 
-    # sweep -----------------------------------------------------------------
-    sweep = sub.add_parser(
-        "sweep",
-        help="fast-model design-space sweep (parallel, cached)",
-    )
+
+def _declare_sweep(sweep: argparse.ArgumentParser) -> None:
+    from repro.explore_cache import default_cache_dir
+
     sweep.add_argument("--models", type=_split_csv, required=True,
                        metavar="M[,M...]")
     sweep.add_argument("--strategies", type=_split_csv, default=["dp"],
@@ -1000,11 +1036,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="suppress per-point progress lines")
     sweep.set_defaults(func=_cmd_sweep)
 
-    # compare ---------------------------------------------------------------
-    compare = sub.add_parser(
-        "compare",
-        help="normalized strategy comparison (Fig. 5)",
-    )
+
+def _declare_compare(compare: argparse.ArgumentParser) -> None:
     compare.add_argument("--models", type=_split_csv, required=True,
                          metavar="M[,M...]")
     compare.add_argument("--strategies", type=_split_csv,
@@ -1020,11 +1053,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", metavar="FILE")
     compare.set_defaults(func=_cmd_compare)
 
-    # report ----------------------------------------------------------------
-    report = sub.add_parser(
-        "report",
-        help="re-render or convert a saved 'sweep --json' results file",
-    )
+
+def _declare_report(report: argparse.ArgumentParser) -> None:
     report.add_argument("results", help="JSON file written by 'sweep --json'")
     report.add_argument("--best", default="tops",
                         choices=_BEST_METRICS,
@@ -1037,6 +1067,61 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--csv", metavar="FILE", help="convert points to CSV")
     report.set_defaults(func=_cmd_report)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description=(
+            "CIMFlow reproduction: compile, simulate and explore DNN "
+            "workloads on digital CIM architectures."
+        ),
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_VerbParser
+    )
+    sub.add_parser(
+        "run",
+        help="compile + cycle-accurately simulate one model (Fig. 2 workflow)",
+        declare=_declare_run,
+    )
+    sub.add_parser(
+        "compile",
+        help="compile once and write a content-addressed .artifact file",
+        declare=_declare_compile,
+    )
+    sub.add_parser(
+        "inspect",
+        help="print the manifest of a compiled .artifact file",
+        declare=_declare_inspect,
+    )
+    sub.add_parser(
+        "serve",
+        help="deploy one model and stream inputs through it under an "
+             "arrival process (latency percentiles, utilisation)",
+        declare=_declare_serve,
+    )
+    sub.add_parser(
+        "watch",
+        help="serve a scripted arrival stream through the async runtime "
+             "and watch it live (Textual console), or dump the operator "
+             "tables as JSON with --snapshot",
+        declare=_declare_watch,
+    )
+    sub.add_parser(
+        "sweep",
+        help="fast-model design-space sweep (parallel, cached)",
+        declare=_declare_sweep,
+    )
+    sub.add_parser(
+        "compare",
+        help="normalized strategy comparison (Fig. 5)",
+        declare=_declare_compare,
+    )
+    sub.add_parser(
+        "report",
+        help="re-render or convert a saved 'sweep --json' results file",
+        declare=_declare_report,
+    )
     return parser
 
 

@@ -15,14 +15,15 @@ explicit :class:`InterChipTransfer` schedule the multi-chip scheduler
 detail.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import ArchConfig
 from repro.errors import CompileError
-from repro.compiler.codegen.lowering import ProgramGenerator, build_global_image
 from repro.compiler.cost import CostModel
 from repro.compiler.frontend import CondensedGraph, condense
 from repro.compiler.partition import ShardingPlan, shard_graph
@@ -38,7 +39,17 @@ from repro.compiler.strategies import (
     partition_with_strategy,
 )
 from repro.graph.graph import ComputationGraph
-from repro.isa import ISARegistry, Program, default_registry
+
+if TYPE_CHECKING:
+    from repro.isa import ISARegistry, Program
+
+
+def _default_registry() -> ISARegistry:
+    # Code generation and the ISA load with the first compiled model;
+    # plan_graph and the model types the fast tier touches stay ISA-free.
+    from repro.isa.extension import default_registry
+
+    return default_registry()
 
 
 @dataclass
@@ -55,7 +66,7 @@ class CompiledModel:
     plan: ExecutionPlan
     programs: Dict[int, Program]
     global_image: np.ndarray
-    registry: ISARegistry = field(default_factory=default_registry)
+    registry: ISARegistry = field(default_factory=_default_registry)
     _resident: Optional[Tuple[Dict[int, Program], Dict[int, Program]]] = field(
         default=None, repr=False, compare=False
     )
@@ -127,6 +138,8 @@ class CompiledModel:
         prologue once; ``warm`` is the per-input activation program.
         Generated lazily from the plan and cached on the model.
         """
+        from repro.compiler.codegen.lowering import ProgramGenerator
+
         if not self.supports_resident():
             raise CompileError(
                 "resident segments need the full execution plan; "
@@ -192,6 +205,11 @@ def compile_graph(
     ``"duplication"`` (CIM-MLC-style opportunistic duplication), or
     ``"dp"`` (Algorithm 1).
     """
+    from repro.compiler.codegen.lowering import (
+        ProgramGenerator,
+        build_global_image,
+    )
+
     if strategy not in STRATEGIES:
         raise CompileError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
@@ -205,7 +223,7 @@ def compile_graph(
         plan=plan,
         programs=programs,
         global_image=image,
-        registry=registry or default_registry(),
+        registry=registry or _default_registry(),
     )
 
 

@@ -28,11 +28,13 @@ from the command line with JSON/CSV export.  See ``docs/ARCHITECTURE.md``
 ("Design-space exploration") for the full picture.
 """
 
+from __future__ import annotations
+
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -51,29 +53,25 @@ from repro.config import (
     with_flit_bytes,
     with_mg_size,
 )
-from repro.compiler.partition import ShardingPlan, shard_graph
-from repro.compiler.pipeline import plan_graph
-from repro.compiler.plan import ExecutionPlan
 from repro.errors import ConfigError
-from repro.faults import FaultPlan
 from repro.explore_cache import (
     ResultCache,
     SweepManifest,
     point_key,
     sweep_fingerprint,
 )
-from repro.graph.graph import ComputationGraph
-from repro.graph.models import get_model
-from repro.sim.fastmodel import (
-    FastReport,
-    analyze_plan,
-    analyze_plan_resident,
-    analyze_sharded,
-    analyze_sharded_resident,
-    serve_arrivals,
-    serve_fleet,
-    stream_batched,
-)
+from repro.sim.report import FastReport
+
+# Specs, results and the cache pass of run_sweep need nothing heavier
+# than the above: a sweep served from the cache never loads numpy, the
+# model zoo, the planner or the fast model.  Those are imported by the
+# functions that build graphs, plan, analyse and fan out.
+if TYPE_CHECKING:
+    from repro.compiler.partition import ShardingPlan
+    from repro.compiler.plan import ExecutionPlan
+    from repro.faults import FaultPlan
+    from repro.graph.graph import ComputationGraph
+    from repro.sim.multichip import MultiChipReport
 
 #: Axes the paper sweeps in Fig. 6 / Fig. 7.
 MG_SIZES = (4, 8, 12, 16)
@@ -247,6 +245,8 @@ def _cached_graph(model: str, input_size: int, num_classes: int) -> ComputationG
     """
     key = (model, input_size, num_classes)
     if key not in _graph_cache:
+        from repro.graph.models import get_model
+
         _graph_cache[key] = get_model(
             model, input_size=input_size, num_classes=num_classes
         )
@@ -267,10 +267,31 @@ def _cached_sharding(
     """
     key = (model, input_size, num_classes, chips)
     if key not in _sharding_cache:
+        from repro.compiler.partition import shard_graph
+
         _sharding_cache[key] = shard_graph(
             _cached_graph(model, input_size, num_classes), chips
         )
     return _sharding_cache[key]
+
+
+def plan_graph(
+    graph: ComputationGraph,
+    arch: ArchConfig,
+    strategy: str,
+    closure_limit: Optional[int] = None,
+) -> ExecutionPlan:
+    """Plan one (shard) graph at the CG level.
+
+    The sweep engine's one call into the compiler
+    (:func:`repro.compiler.pipeline.plan_graph`), made once per base
+    point that misses the cache -- so the compiler is imported here and
+    not at module level, where a sweep served from the cache would pay
+    for it.
+    """
+    from repro.compiler.pipeline import plan_graph as plan
+
+    return plan(graph, arch, strategy, closure_limit)
 
 
 def _rate_releases(arch: ArchConfig, rate: float, batch: int) -> List[int]:
@@ -391,9 +412,15 @@ class PointSpec:
         return arch
 
     def cache_key(self, base: ArchConfig) -> str:
+        return self.key_for(arch_fingerprint(self.resolve_arch(base)))
+
+    def key_for(self, arch_print: str) -> str:
+        """The cache key, given the resolved architecture's fingerprint
+        (:func:`run_sweep` computes one per distinct architecture, not
+        one per point)."""
         return point_key(
             self.model,
-            self.resolve_arch(base),
+            arch_print,
             self.strategy,
             self.input_size,
             self.num_classes,
@@ -490,10 +517,13 @@ class SweepSpec:
             r <= 0 for r in self.replica_counts
         ):
             raise ConfigError("replica counts must be positive")
-        if not self.fault_plans or any(
-            p is not None and not isinstance(p, FaultPlan)
-            for p in self.fault_plans
-        ):
+        named = [p for p in self.fault_plans if p is not None]
+        malformed = False
+        if named:  # repro.faults loads only for sweeps that name a plan
+            from repro.faults import FaultPlan
+
+            malformed = not all(isinstance(p, FaultPlan) for p in named)
+        if not self.fault_plans or malformed:
             raise ConfigError(
                 "fault plans must be FaultPlan instances "
                 "(None = fault-free)"
@@ -698,17 +728,24 @@ _BaseBundle = Tuple[FastReport, int, Dict[str, float]]
 
 
 def _analyze_base(
-    pspec: PointSpec, base_arch: ArchConfig
+    pspec: PointSpec, arch: ArchConfig
 ) -> Tuple[FastReport, int, Dict[str, float], Optional[ExecutionPlan]]:
     """Plan and analyse a point's batch-independent coordinates.
 
-    Returns ``(report, load_cycles, load_energy_pj, plan)``: for
-    resident points the report is the *warm* per-input analysis
-    (hoistable weight loads removed) and the load fields carry the
-    run-once load phase; otherwise the plain analysis with zero load.
-    ``plan`` is the (first shard's) execution plan for inspection.
+    ``arch`` is the point's resolved architecture.  Returns ``(report,
+    load_cycles, load_energy_pj, plan)``: for resident points the report
+    is the *warm* per-input analysis (hoistable weight loads removed)
+    and the load fields carry the run-once load phase; otherwise the
+    plain analysis with zero load.  ``plan`` is the (first shard's)
+    execution plan for inspection.
     """
-    arch = pspec.resolve_arch(base_arch)
+    from repro.sim.fastmodel import (
+        analyze_plan,
+        analyze_plan_resident,
+        analyze_sharded,
+        analyze_sharded_resident,
+    )
+
     if pspec.chips > 1:
         sharding = _cached_sharding(
             pspec.model, pspec.input_size, pspec.num_classes, pspec.chips
@@ -757,7 +794,7 @@ def _charge_session_load(
 
 
 def _derive_report(
-    pspec: PointSpec, base_arch: ArchConfig, bundle: _BaseBundle
+    pspec: PointSpec, arch: ArchConfig, bundle: _BaseBundle
 ) -> FastReport:
     """Closed-form serving/batch continuation of a base (batch=1) bundle.
 
@@ -778,10 +815,11 @@ def _derive_report(
     non-serving continuations extend the makespan by the load phase,
     and the hoisted load energy lands exactly once either way.
     """
+    from repro.sim.fastmodel import serve_fleet, stream_batched
+
     report, load_done, load_energy = bundle
     if (pspec.arrival_rate is not None or pspec.replicas > 1
             or pspec.fault_plan is not None):
-        arch = pspec.resolve_arch(base_arch)
         releases = (
             _rate_releases(arch, pspec.arrival_rate, pspec.batch)
             if pspec.arrival_rate is not None else [0] * pspec.batch
@@ -820,34 +858,28 @@ def _base_spec(pspec: PointSpec) -> PointSpec:
 
 def _evaluate_spec(
     pspec: PointSpec,
-    base_arch: ArchConfig,
-    memo: Optional[Dict[str, _BaseBundle]] = None,
+    arch: ArchConfig,
+    memo: Dict[PointSpec, _BaseBundle],
 ) -> DesignPoint:
-    """Evaluate one point; shared by the serial path and pool workers.
+    """Evaluate one point of the serial path at its resolved ``arch``.
 
     Drops the (large, partly unpicklable) execution plan so results are
-    cheap to ship between processes and identical to cache-served points.
+    identical to cache-served and pool-evaluated points.
 
     The batch and arrival-rate axes are closed-form continuations of the
     batch-independent analysis (:func:`_derive_report`), so ``memo``
-    (keyed by the batch=1/rate=None cache key, scoped to one sweep) lets
-    a sweep over ``batch_sizes=(1, 4, 8)`` x ``arrival_rates`` plan and
-    analyse each base point once and derive the variants in O(1) --
+    (keyed by the batch=1/rate=None coordinates, scoped to one sweep)
+    lets a sweep over ``batch_sizes=(1, 4, 8)`` x ``arrival_rates`` plan
+    and analyse each base point once and derive the variants in O(1) --
     bit-identical to evaluating every point from scratch.
     """
-    base_key = (
-        _base_spec(pspec).cache_key(base_arch)
-        if memo is not None else None
-    )
-    bundle = memo.get(base_key) if memo is not None else None
+    base = _base_spec(pspec)
+    bundle = memo.get(base)
     if bundle is None:
-        report, load_done, load_energy, _ = _analyze_base(pspec, base_arch)
-        bundle = (report, load_done, load_energy)
-        if memo is not None:
-            memo[base_key] = bundle
+        report, load_done, load_energy, _ = _analyze_base(pspec, arch)
+        bundle = memo[base] = (report, load_done, load_energy)
     return _point_from_report(
-        pspec, base_arch, _derive_report(pspec, base_arch, bundle),
-        cached=False,
+        pspec, arch, _derive_report(pspec, arch, bundle), cached=False
     )
 
 
@@ -856,7 +888,9 @@ def _worker_evaluate(
 ) -> Tuple[int, _BaseBundle]:
     """Top-level pool entry point (must be importable for pickling)."""
     index, pspec, base_arch = args
-    report, load_done, load_energy, _ = _analyze_base(pspec, base_arch)
+    report, load_done, load_energy, _ = _analyze_base(
+        pspec, pspec.resolve_arch(base_arch)
+    )
     return index, (report, load_done, load_energy)
 
 
@@ -878,9 +912,8 @@ def estimate_point_cost(pspec: PointSpec) -> float:
     return cost
 
 
-def _point_from_report(pspec: PointSpec, base: ArchConfig,
+def _point_from_report(pspec: PointSpec, arch: ArchConfig,
                        report: FastReport, cached: bool) -> DesignPoint:
-    arch = pspec.resolve_arch(base)
     return DesignPoint(
         model=pspec.model,
         strategy=pspec.strategy,
@@ -911,7 +944,8 @@ def run_sweep(
 
     ``workers``: ``None``/``0``/``1`` evaluates serially in-process;
     ``N > 1`` fans uncached points out over a process pool (each worker
-    keeps its own model-graph cache).  Results are returned in
+    keeps its own model-graph cache); a negative count is a
+    :class:`~repro.errors.ConfigError`.  Results are returned in
     :meth:`SweepSpec.points` order regardless of completion order, so the
     parallel path is bit-identical to the serial one.
 
@@ -929,11 +963,26 @@ def run_sweep(
     ``progress``: called as ``progress(done, total, point)`` after every
     point completes (cache hits included).
     """
+    if workers is not None and workers < 0:
+        raise ConfigError(f"workers must be >= 0, got {workers}")
     base = spec.arch()
     base.validate()
     pspecs = spec.points()
     stats = SweepStats(total_points=len(pspecs), workers=max(1, workers or 1))
     started = time.perf_counter()
+
+    # A sweep names few distinct architectures (|mg_sizes| x |flit_sizes|)
+    # but many points: each is resolved and fingerprinted once.
+    archs: Dict[
+        Tuple[Optional[int], Optional[int]], Tuple[ArchConfig, str]
+    ] = {}
+
+    def resolved(pspec: PointSpec) -> Tuple[ArchConfig, str]:
+        axes = (pspec.mg_size, pspec.flit_bytes)
+        if axes not in archs:
+            arch = pspec.resolve_arch(base)
+            archs[axes] = (arch, arch_fingerprint(arch))
+        return archs[axes]
 
     manifest: Optional[SweepManifest] = None
     previously: frozenset = frozenset()
@@ -963,7 +1012,8 @@ def run_sweep(
     keys: Dict[int, str] = {}
     for index, pspec in enumerate(pspecs):
         if cache is not None:
-            key = pspec.cache_key(base)
+            arch, arch_print = resolved(pspec)
+            key = pspec.key_for(arch_print)
             keys[index] = key
             report = cache.lookup(key)
             if report is not None:
@@ -971,7 +1021,7 @@ def run_sweep(
                 if key in previously:
                     stats.resumed_points += 1
                 journal(key)
-                finish(index, _point_from_report(pspec, base, report, True))
+                finish(index, _point_from_report(pspec, arch, report, True))
                 continue
             stats.cache_misses += 1
         pending.append((index, pspec))
@@ -1006,10 +1056,14 @@ def run_sweep(
         finish(index, point)
 
     if stats.workers <= 1 or len(pending) <= 1:
-        memo: Dict[str, _BaseBundle] = {}
+        memo: Dict[PointSpec, _BaseBundle] = {}
         for index, pspec in pending:
-            record(index, pspec, _evaluate_spec(pspec, base, memo))
+            record(
+                index, pspec, _evaluate_spec(pspec, resolved(pspec)[0], memo)
+            )
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         by_index = dict(pending)
         # The batch, arrival-rate, replicas, and fault-plan axes are
         # closed-form continuations of the base (batch=1, rate=None,
@@ -1018,30 +1072,26 @@ def run_sweep(
         # derived in-parent via _derive_report -- bit-identical to
         # evaluating it directly, and each base is planned exactly once
         # no matter how the pool schedules it.
-        groups: Dict[str, List[int]] = {}
-        base_specs: Dict[str, PointSpec] = {}
+        groups: Dict[PointSpec, List[int]] = {}
         for index, pspec in pending:
-            key = _base_spec(pspec).cache_key(base)
-            groups.setdefault(key, []).append(index)
-            base_specs.setdefault(key, _base_spec(pspec))
+            groups.setdefault(_base_spec(pspec), []).append(index)
         # Adaptive scheduling: submit expensive points first (stable on
         # first pending index for determinism); results are re-indexed,
         # so ordering only affects wall time, never output.
         ordered = sorted(
             groups,
-            key=lambda key: (
-                -estimate_point_cost(base_specs[key]), groups[key][0]
-            ),
+            key=lambda spec: (-estimate_point_cost(spec), groups[spec][0]),
         )
         with ProcessPoolExecutor(max_workers=stats.workers) as pool:
-            jobs = [(job, base_specs[key], base) for job, key in enumerate(ordered)]
+            jobs = [(job, spec, base) for job, spec in enumerate(ordered)]
             for job, bundle in pool.map(_worker_evaluate, jobs):
                 for index in groups[ordered[job]]:
                     pspec = by_index[index]
-                    report = _derive_report(pspec, base, bundle)
+                    arch = resolved(pspec)[0]
+                    report = _derive_report(pspec, arch, bundle)
                     record(
                         index, pspec,
-                        _point_from_report(pspec, base, report, False),
+                        _point_from_report(pspec, arch, report, False),
                     )
 
     if manifest is not None:
@@ -1120,7 +1170,11 @@ def spot_check(
     """
     from repro.compiler.pipeline import compile_graph, compile_sharded
     from repro.serve import Deployment
-    from repro.sim.fastmodel import analyze_plan as analyze
+    from repro.sim.fastmodel import (
+        analyze_plan,
+        analyze_sharded,
+        stream_batched,
+    )
 
     if n <= 0:
         return []
@@ -1152,7 +1206,7 @@ def spot_check(
             compiled = compile_graph(
                 graph, arch, pt.strategy, closure_limit=spec.limit_for(pt.model)
             )
-            fast = analyze(compiled.plan)
+            fast = analyze_plan(compiled.plan)
             if pt.batch > 1:
                 fast = stream_batched(fast, pt.batch)
             fast_cycles = fast.cycles

@@ -6,7 +6,7 @@ dozens of points and re-anchored benchmark runs repeat them verbatim.
 This module gives every point a deterministic content address -- the
 SHA-256 of its identifying material (model, input resolution, strategy,
 closure limit, and the :func:`repro.config.arch_fingerprint` of the exact
-architecture) -- and stores the resulting :class:`~repro.sim.fastmodel.
+architecture) -- and stores the resulting :class:`~repro.sim.report.
 FastReport` as a small JSON file under that address.  A second sweep over
 the same points is then served from disk in milliseconds.
 
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.config import ArchConfig, arch_fingerprint
-from repro.sim.fastmodel import FastReport
+from repro.sim.report import FastReport
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ def default_cache_dir() -> Path:
 
 def point_key(
     model: str,
-    arch: ArchConfig,
+    arch: Union[ArchConfig, str],
     strategy: str,
     input_size: int,
     num_classes: int,
@@ -102,13 +102,17 @@ def point_key(
     fault-plan fingerprint and the resident-weights flag; the
     architecture contributes through its own content fingerprint so
     structurally identical :class:`ArchConfig` instances collide (which
-    is exactly what we want).
+    is exactly what we want).  ``arch`` may be that fingerprint itself
+    (:func:`repro.config.arch_fingerprint`), for callers keying many
+    points of one architecture.
     """
+    if not isinstance(arch, str):
+        arch = arch_fingerprint(arch)
     material = json.dumps(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "model": model,
-            "arch": arch_fingerprint(arch),
+            "arch": arch,
             "strategy": strategy,
             "input_size": input_size,
             "num_classes": num_classes,

@@ -8,30 +8,46 @@ reproducible synthetic INT8 weights.  See ``docs/ARCHITECTURE.md``
 """
 
 import inspect
-from typing import Callable, Dict, List
+from typing import TYPE_CHECKING, List
 
 from repro.errors import GraphError
-from repro.graph.graph import ComputationGraph
-from repro.graph.models.efficientnet import efficientnet_b0
-from repro.graph.models.mobilenet import mobilenet_v2
-from repro.graph.models.resnet import resnet18
-from repro.graph.models.simple import (
-    tiny_cnn,
-    tiny_mlp,
-    tiny_resnet,
-    weight_stream,
-)
-from repro.graph.models.vgg import vgg19
+from repro.utils.lazy import lazy_exports
 
-_REGISTRY: Dict[str, Callable[..., ComputationGraph]] = {
-    "resnet18": resnet18,
-    "vgg19": vgg19,
-    "mobilenetv2": mobilenet_v2,
-    "efficientnetb0": efficientnet_b0,
-    "tiny_cnn": tiny_cnn,
-    "tiny_mlp": tiny_mlp,
-    "tiny_resnet": tiny_resnet,
-    "weight_stream": weight_stream,
+if TYPE_CHECKING:  # the table below, spelled out for static tools
+    from repro.graph.graph import ComputationGraph
+    from repro.graph.models.efficientnet import efficientnet_b0
+    from repro.graph.models.mobilenet import mobilenet_v2
+    from repro.graph.models.resnet import resnet18
+    from repro.graph.models.simple import (
+        tiny_cnn,
+        tiny_mlp,
+        tiny_resnet,
+        weight_stream,
+    )
+    from repro.graph.models.vgg import vgg19
+
+_EXPORTS = {
+    "repro.graph.models.efficientnet": ("efficientnet_b0",),
+    "repro.graph.models.mobilenet": ("mobilenet_v2",),
+    "repro.graph.models.resnet": ("resnet18",),
+    "repro.graph.models.simple": (
+        "tiny_cnn", "tiny_mlp", "tiny_resnet", "weight_stream",
+    ),
+    "repro.graph.models.vgg": ("vgg19",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+#: Zoo name -> builder (one of the lazy exports above), so names resolve
+#: without importing a builder (``available_models``, the CLI's help).
+_REGISTRY = {
+    "resnet18": "resnet18",
+    "vgg19": "vgg19",
+    "mobilenetv2": "mobilenet_v2",
+    "efficientnetb0": "efficientnet_b0",
+    "tiny_cnn": "tiny_cnn",
+    "tiny_mlp": "tiny_mlp",
+    "tiny_resnet": "tiny_resnet",
+    "weight_stream": "weight_stream",
 }
 
 #: The four DNNs of the paper's evaluation suite (Sec. IV-A).
@@ -49,19 +65,18 @@ def available_models() -> List[str]:
 _AXIS_KWARGS = ("input_size", "num_classes")
 
 
-def get_model(name: str, **kwargs) -> ComputationGraph:
+def get_model(name: str, **kwargs) -> "ComputationGraph":
     """Build a model from the zoo by name.
 
     The sweep-axis kwargs (``input_size``, ``num_classes``) are dropped
     for builders whose signature lacks them; any other unknown kwarg
     still fails loudly.
     """
-    try:
-        builder = _REGISTRY[name]
-    except KeyError:
+    if name not in _REGISTRY:
         raise GraphError(
             f"unknown model {name!r}; available: {available_models()}"
-        ) from None
+        )
+    builder = __getattr__(_REGISTRY[name])
     accepted = set(inspect.signature(builder).parameters)
     for axis in _AXIS_KWARGS:
         if axis in kwargs and axis not in accepted:

@@ -51,14 +51,19 @@ serving stack (:mod:`repro.serve`, :mod:`repro.faults`,
 and routes through these two and nothing else.
 """
 
+from __future__ import annotations
+
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ArchConfig, InterChipConfig
 from repro.errors import ConfigError, SimulationError
-from repro.sim.chip import ChipSimulator
 from repro.sim.report import SimulationReport, group_energy_mj
+
+if TYPE_CHECKING:
+    from repro.sim.chip import ChipSimulator
 
 #: (src_chip, dst_chip, nbytes) -- the schedule-level view of a transfer.
 TransferEdge = Tuple[int, int, int]
@@ -608,9 +613,14 @@ class MultiChipSimulator:
     lock-step over the inter-chip link."""
 
     def __init__(self, model, engine: Optional[str] = None):
+        # The cycle tier starts here.  The admission kernel above is
+        # shared with the fast tier, so the chip simulator (cores, block
+        # engine, NoC, ISA) is not a module-level import.
+        from repro.sim.chip import ChipSimulator
+
         self.model = model
         self.arch: ArchConfig = model.arch
-        self._engine = engine
+        self._new_chip = partial(ChipSimulator.from_compiled, engine=engine)
         self.chips = self._fresh_chips()
 
     def _fresh_chips(self) -> List[ChipSimulator]:
@@ -620,10 +630,7 @@ class MultiChipSimulator:
         isolation is the batching contract (no cross-input state), and it
         is what keeps batched outputs bit-identical to independent runs.
         """
-        return [
-            ChipSimulator.from_compiled(compiled, engine=self._engine)
-            for compiled in self.model.chips
-        ]
+        return [self._new_chip(compiled) for compiled in self.model.chips]
 
     def write_input(self, tensor: Optional[str], data) -> None:
         """Write one model input into every chip that consumes it."""

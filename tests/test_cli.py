@@ -349,6 +349,13 @@ class TestErrorHygiene:
          "--replicas", "0"),
         ("watch", "tiny_mlp", "--preset", "small", "--tier", "fast",
          "--replicas", "0", "--snapshot", "-"),
+        # a negative worker count used to run serially and exit 0
+        ("sweep", "--models", "tiny_mlp", "--preset", "small",
+         "--input-sizes", "8", "--num-classes", "10", "--no-cache",
+         "--quiet", "--workers", "-1"),
+        ("compare", "--models", "tiny_mlp", "--preset", "small",
+         "--input-size", "8", "--num-classes", "10", "--no-cache",
+         "--workers", "-1"),
     ])
     def test_bad_input_exits_nonzero_with_message(self, argv, capsys):
         code = run_cli(*argv)
@@ -368,6 +375,39 @@ class TestErrorHygiene:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "meteor_strike" in err
+
+    @pytest.mark.parametrize("text", [
+        # well-formed JSON of the wrong shape used to traceback:
+        # TypeError on a non-object payload, AttributeError on rows or
+        # sections that are not objects
+        "[]",
+        '"points"',
+        '{"points": "x"}',
+        '{"points": ["x"]}',
+        '{"points": [], "spec": "x"}',
+        '{"points": [], "stats": [1]}',
+    ])
+    def test_misshapen_results_file_is_one_line_without_numpy(
+        self, text, tmp_path
+    ):
+        """``report`` rejects the file where it reads it -- and is the
+        verb that must do so without importing numpy."""
+        bad = tmp_path / "r.json"
+        bad.write_text(text)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import main; "
+             "code = main(sys.argv[1:]); "
+             "assert 'numpy' not in sys.modules, 'report imported numpy'; "
+             "sys.exit(code)",
+             "report", str(bad)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot read sweep results")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_malformed_trace_is_one_line(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"

@@ -179,6 +179,11 @@ class TestResultCache:
 
 
 class TestRunSweep:
+    def test_negative_worker_count_is_rejected(self):
+        """It used to run serially (``max(1, workers or 1)``)."""
+        with pytest.raises(ConfigError, match="workers must be >= 0"):
+            run_sweep(tiny_spec(), workers=-1)
+
     def test_matches_direct_evaluation(self):
         spec = tiny_spec()
         result = run_sweep(spec)

@@ -1,0 +1,144 @@
+"""The import law: a CLI verb loads only the layers it executes.
+
+One table, one subprocess per row: the child runs ``repro.cli.main(argv)``
+on tiny_resnet ``--preset small`` and prints ``sorted(sys.modules)``; the
+row names module prefixes that must be *absent*.  Set membership repeats
+exactly, unlike a start-up time budget.  ``docs/ARCHITECTURE.md``
+("Import layering") has the verb -> layers table these rows pin and the
+two rules that keep it true.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_PROBE = """
+import json, sys
+import repro
+argv = json.loads(sys.argv[1])
+code = 0
+if argv is not None:
+    from repro.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits after printing --help
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+MODEL = ("--preset", "small", "--input-size", "8", "--num-classes", "10")
+SWEEP = (
+    "sweep", "--models", "tiny_resnet", "--strategies", "generic,dp",
+    "--preset", "small", "--input-sizes", "8", "--num-classes", "10",
+    "--batch", "1,4", "--quiet",
+)
+
+#: Verbs that touch no model: no numpy, compiler, graph IR, serving
+#: stack, simulator tier, event loop or process pool.
+LIGHT = (
+    "numpy", "repro.compiler", "repro.graph", "repro.faults", "repro.serve",
+    "repro.runtime", "repro.sim.chip", "repro.sim.core",
+    "repro.sim.blockengine", "repro.sim.fastmodel", "asyncio",
+    "multiprocessing",
+)
+#: Fast-tier verbs plan and price but never generate or execute code.
+NO_CYCLE_TIER = (
+    "repro.sim.chip", "repro.sim.core", "repro.sim.blockengine",
+    "repro.sim.memory", "repro.sim.noc", "repro.isa",
+    "repro.compiler.codegen", "repro.artifact", "repro.console", "asyncio",
+)
+#: The cycle tier needs nearly every layer -- but not the sweep engine,
+#: the async runtime or a process pool.
+NO_SWEEP_NO_RUNTIME = (
+    "repro.explore", "repro.explore_cache", "repro.runtime", "repro.console",
+    "asyncio", "multiprocessing",
+)
+
+#: row -> (argv with {json} / {cache} substituted, absent prefixes)
+ROWS = {
+    "help": (("--help",), LIGHT),
+    "sweep_cold": (
+        SWEEP + ("--cache-dir", "{cache}", "--json", "{json}"), NO_CYCLE_TIER,
+    ),
+    "sweep_warm": (
+        SWEEP + ("--cache-dir", "{cache}", "--json", "{warm_json}"), LIGHT,
+    ),
+    "report": (("report", "{json}", "--pareto"), LIGHT),
+    "serve_fast": (
+        ("serve", "tiny_resnet") + MODEL + (
+            "--tier", "fast", "--chips", "2", "--replicas", "2",
+            "--batch", "16", "--poisson", "1000000",
+        ),
+        NO_CYCLE_TIER,
+    ),
+    "run": (("run", "tiny_resnet") + MODEL, NO_SWEEP_NO_RUNTIME),
+}
+
+
+def _modules(argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stdout + proc.stderr
+    return result["modules"]
+
+
+def _loaded(modules, prefixes):
+    return [
+        name for name in modules
+        if any(name == p or name.startswith(p + ".") for p in prefixes)
+    ]
+
+
+def test_bare_import_loads_config_errors_and_utils_only():
+    modules = _modules(None)
+    assert _loaded(modules, ("numpy",)) == []
+    assert [
+        name for name in modules
+        if name.startswith("repro.")
+        and name.split(".")[1] not in ("errors", "config", "utils")
+    ] == []
+
+
+@pytest.fixture(scope="module")
+def cold_sweep(tmp_path_factory):
+    """The ``sweep_cold`` row, run once: the warm sweep and ``report``
+    rows read the cache and the result file it wrote."""
+    root = tmp_path_factory.mktemp("import_layers")
+    paths = {
+        "cache": str(root / "cache"),
+        "json": str(root / "cold.json"),
+        "warm_json": str(root / "warm.json"),
+    }
+    argv, _ = ROWS["sweep_cold"]
+    return paths, _modules([arg.format(**paths) for arg in argv])
+
+
+def _sweep_stats(path):
+    return json.loads(Path(path).read_text())["stats"]
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_verb_loads_only_its_layers(row, cold_sweep):
+    paths, cold_modules = cold_sweep
+    argv, absent = ROWS[row]
+    if row == "sweep_cold":
+        modules = cold_modules
+        assert _sweep_stats(paths["json"])["cache_hits"] == 0
+    else:
+        modules = _modules([arg.format(**paths) for arg in argv])
+    assert _loaded(modules, absent) == []
+    if row == "sweep_warm":
+        stats = _sweep_stats(paths["warm_json"])
+        assert stats["cache_hits"] == stats["total_points"] > 0

@@ -8,7 +8,16 @@ removed deliberately: the snapshot is the previous one minus those two,
 and :class:`repro.Deployment` is the one entry point.
 """
 
+import ast
+import importlib
+import os
+import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -121,3 +130,114 @@ class TestDeprecationShims:
             repro.Deployment(
                 "tiny_cnn", arch, input_size=8, num_classes=10
             ).run()
+
+
+class TestLazyExports:
+    """The package ``__init__``s resolve their names on first use
+    (``repro.utils.lazy``); everything an eager import gave still holds."""
+
+    PACKAGES = (
+        "repro", "repro.sim", "repro.compiler", "repro.compiler.codegen",
+        "repro.graph", "repro.graph.models", "repro.isa",
+    )
+
+    def test_submodules_resolve_without_an_explicit_import(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import repro; repro.serve.Deployment; repro.explore.SweepSpec; "
+             "repro.sim.multichip.PipelineState"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_is_listed_importable_and_star_bound(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_unknown_name_is_an_attribute_error_naming_the_module(
+        self, package
+    ):
+        module = importlib.import_module(package)
+        with pytest.raises(
+            AttributeError,
+            match=f"module '{package}' has no attribute 'no_such_name'",
+        ):
+            module.no_such_name
+        assert not hasattr(module, "__no_such_dunder__")
+
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_one_export_table(self, package):
+        """Every public name comes from the table or from the
+        ``__init__`` itself -- never both."""
+        module = importlib.import_module(package)
+        lazy = {n for names in module._EXPORTS.values() for n in names}
+        tree = ast.parse(Path(module.__file__).read_text())
+        eager = set()
+        for node in tree.body:  # `if TYPE_CHECKING:` bodies are not top level
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                eager |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.FunctionDef):
+                eager.add(node.name)
+            elif isinstance(node, ast.Assign):
+                eager |= {
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                }
+        assert not lazy & eager
+        assert set(module.__all__) <= lazy | eager
+
+    def test_fast_report_is_one_class(self):
+        import repro.sim.fastmodel
+        import repro.sim.report
+
+        assert (
+            repro.FastReport
+            is repro.sim.fastmodel.FastReport
+            is repro.sim.report.FastReport
+        )
+
+    def test_lazily_reached_types_pickle(self):
+        """The ``--workers 2`` pool ships these between processes."""
+        report = repro.FastReport(
+            cycles=7, energy_breakdown_pj={"noc": 1.5}, macs=3,
+            clock_mhz=1000, shard_edges=[(0, 1, 64)],
+        )
+        point = repro.DesignPoint(
+            model="tiny_cnn", strategy="dp", mg_size=2, flit_bytes=8,
+            report=report,
+        )
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert pickle.loads(pickle.dumps(point)) == point
+
+
+class TestCacheKeysArePinned:
+    """Hex literals computed on the commit before architectures were
+    fingerprinted once per sweep: a cache that commit wrote still hits."""
+
+    SPEC = dict(
+        model="resnet18", strategy="dp", input_size=224, num_classes=1000
+    )
+
+    def test_default_arch(self):
+        from repro.explore import PointSpec
+
+        assert PointSpec(**self.SPEC).cache_key(repro.default_arch()) == (
+            "77cb87f890736e3d87ee4ffd7f676c29"
+            "6d61d1b0fc6c357ce779d4dcea0d9b06"
+        )
+
+    def test_swept_hardware_axes(self):
+        from repro.explore import PointSpec
+
+        spec = PointSpec(**self.SPEC, mg_size=8, flit_bytes=16)
+        assert spec.cache_key(repro.default_arch()) == (
+            "d8bfb323a4bce35ed4f2af9e258f825e"
+            "6a646baf91522a15e6a880dc9d40e163"
+        )
