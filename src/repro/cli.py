@@ -486,12 +486,15 @@ def _watch_arrivals(args):
         FixedRate,
         PoissonArrivals,
         TraceArrivals,
+        check_batch,
     )
 
-    batch = args.batch
     if args.trace is not None:
         trace = _read_trace(args.trace)
         return TraceArrivals(trace), len(trace)
+    # Both verbs serve ``--batch 0`` as the empty stream.
+    batch = args.batch
+    check_batch(batch, 0)
     if args.poisson is not None:
         return PoissonArrivals(args.poisson, seed=args.arrival_seed), batch
     if args.rate is not None:

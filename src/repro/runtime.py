@@ -11,21 +11,22 @@ production), routes it through an event-driven admission scheduler --
 a single asyncio task owning all shard occupancy -- and resolves a
 future per request with its completion cycle and latency.
 
-**The admission law is the offline one.**  The scheduler owns one
-admission kernel (:class:`repro.sim.multichip.PipelineState`) per
-replica and dispatches with the one routing law
-(:func:`repro.sim.multichip.route`) -- the same objects
-:class:`~repro.serve.Fleet` dispatches with offline, so there is no
-second copy of either law to keep in step.  Fault-free sessions route
-and admit each request directly as it arrives; sessions under a
-:class:`~repro.faults.FaultPlan` feed the
-:class:`repro.faults.FailoverEngine`, whose retry heap sits on top of
-the same kernels.  A drained session replayed offline through
-:class:`~repro.serve.TraceArrivals` is therefore bit-identical to what
-the live session promised.  :meth:`ServerHandle.drain` performs exactly
-that replay (it is where the simulators actually execute),
-cross-checks every live prediction against the offline report, and
-raises :class:`~repro.errors.SimulationError` on any divergence.
+**The admission law is the offline one, applied once.**  The
+scheduler feeds each arrival to the very object the server's offline
+submission folds over a whole stream, built by the same method: the
+unfaulted fleet step (:class:`repro.sim.multichip.Dispatcher`, from
+``server._new_dispatcher()``) or, under a
+:class:`~repro.faults.FaultPlan` or retry policy, the
+:class:`repro.faults.FailoverEngine` (``Fleet._new_engine()``).
+There is no second copy of the route-and-admit loop to keep in step,
+so a drained session is bit-identical to the same releases run through
+:class:`~repro.serve.TraceArrivals` offline.  :meth:`ServerHandle.drain`
+therefore re-runs the trace only where the re-run measures something:
+a fast-tier or faulted session's report is assembled from the
+admissions the session already made; a fault-free cyclesim session
+executes its trace on the simulators, and every live prediction is
+cross-checked against the measured report
+(:class:`~repro.errors.SimulationError` on any divergence).
 
 The session publishes a typed event stream -- :class:`RequestAdmitted`,
 :class:`RequestCompleted`, :class:`RequestDropped`,
@@ -40,16 +41,8 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ConfigError, SimulationError
-from repro.faults import (
-    DROP_DEADLINE,
-    DROP_MAX_ATTEMPTS,
-    DROP_NO_REPLICA,
-    FailoverEngine,
-    FaultPlan,
-    RetryPolicy,
-    engine_needed,
-)
-from repro.sim.multichip import check_release, route
+from repro.faults import FaultPlan, RetryPolicy, engine_needed
+from repro.sim.multichip import check_release
 
 __all__ = [
     "VirtualClock",
@@ -230,9 +223,6 @@ class RequestCompletion:
         return asdict(self)
 
 
-_DROP_REASONS = (DROP_DEADLINE, DROP_MAX_ATTEMPTS, DROP_NO_REPLICA)
-
-
 # ---------------------------------------------------------------------------
 # The serving session
 # ---------------------------------------------------------------------------
@@ -242,11 +232,11 @@ class ServerHandle:
 
     Created by :func:`serve_forever`; owns the admission scheduler task,
     the recorded event stream (:attr:`events`), and one pending future
-    per in-flight request.  Single-use: :meth:`drain` closes the session,
-    executes the recorded trace offline, cross-checks it against every
-    live prediction, and returns the resulting
-    :class:`~repro.serve.ServeReport` /
-    :class:`~repro.serve.FleetReport`.
+    per in-flight request.  Single-use: :meth:`drain` closes the session
+    and returns the :class:`~repro.serve.ServeReport` /
+    :class:`~repro.serve.FleetReport` the offline path gives for the
+    recorded trace (executing it, and cross-checking every live
+    prediction, in the fault-free cyclesim tier).
     """
 
     def __init__(
@@ -286,34 +276,27 @@ class ServerHandle:
                 f"{type(server).__name__}"
             )
 
-        # Resident sessions: warmth is frozen at session open (nothing
-        # executes before drain), so each cold replica's kernel carries
-        # the load clamp its sub-stream will see offline.
-        self._states = server._pipeline_states()
         row, edges = server._service_profile()
         self.shard_row: List[int] = list(row)
         self.shard_edges = list(edges)
         self.link = server.arch.interchip
 
-        # The retry heap exists for faulted sessions only; fault-free
-        # ones route + admit directly on the kernels.
-        self._engine: Optional[FailoverEngine] = None
+        # One admitting object per session, built by the server exactly
+        # as its offline submission builds it: the failover engine when
+        # a plan or retry policy is in play, else the plain dispatcher.
+        # Resident sessions: warmth is frozen at session open (nothing
+        # executes before drain), so each cold replica's kernel carries
+        # the load clamp its sub-stream is reported with.
+        self._engine = self._dispatcher = None
         if engine_needed(faults, retry):
-            self._engine = FailoverEngine(
-                self.shard_row, self.shard_edges, self.link,
-                self.num_replicas, policy=self.policy, plan=faults,
-                retry=retry,
-                load_offsets=[s.load_offset for s in self._states],
-            )
+            self._engine = server._new_engine(faults, retry)
             self._states = self._engine.states
             self._attempt_cursor = 0
+        else:
+            self._dispatcher = server._new_dispatcher()
+            self._states = self._dispatcher.states
 
-        # Live predictions, cross-checked against the offline replay.
         self._releases: List[int] = []
-        self._assignments: List[int] = []
-        self._starts: List[int] = []
-        self._finishes: List[int] = []
-        self._statuses: List[str] = []
 
         self.events: List[RuntimeEvent] = []
         self._subscribers: List[asyncio.Queue] = []
@@ -355,10 +338,15 @@ class ServerHandle:
         """A queue receiving every event from this point on.
 
         The session's end is signalled by a ``None`` sentinel (pushed
-        by :meth:`drain` / :meth:`close`).
+        by :meth:`drain` / :meth:`close`); a queue subscribed after the
+        session ended already holds it, so its consumer never blocks.
         """
         queue: asyncio.Queue = asyncio.Queue()
-        self._subscribers.append(queue)
+        if self._closed and self._task is None:
+            # _shutdown() has already signalled the queues it knew of.
+            queue.put_nowait(None)
+        else:
+            self._subscribers.append(queue)
         return queue
 
     # -- submission ----------------------------------------------------------
@@ -393,10 +381,6 @@ class ServerHandle:
             raise ConfigError(str(exc)) from exc
         request = len(self._releases)
         self._releases.append(release)
-        self._assignments.append(-1)
-        self._starts.append(0)
-        self._finishes.append(0)
-        self._statuses.append("")
         future = asyncio.get_running_loop().create_future()
         self._pending[request] = future
         await self._queue.put((request, release))
@@ -416,17 +400,12 @@ class ServerHandle:
                 assert pushed == request, (pushed, request)
                 self._absorb_engine(self._engine.settle_through(release))
             else:
-                self._admit_unfaulted(request, release)
-
-    def _admit_unfaulted(self, request: int, release: int) -> None:
-        replica = route(self.policy, self._states, release, request)
-        state = self._states[replica]
-        dispatch = max(release, state.load_offset)
-        start, finish = state.admit(dispatch)
-        self._starts[request] = start
-        self._note_warm(replica)
-        self._emit(RequestAdmitted(request, release, replica, dispatch))
-        self._settle(request, replica, finish)
+                replica, dispatch, finish = self._dispatcher.dispatch(release)
+                self._note_warm(replica)
+                self._emit(
+                    RequestAdmitted(request, release, replica, dispatch)
+                )
+                self._settle(request, replica, finish)
 
     def _absorb_engine(self, outcomes) -> None:
         engine = self._engine
@@ -466,15 +445,12 @@ class ServerHandle:
         self, request: int, replica: int, finish: int, attempts: int = 1,
         status: str = "completed",
     ) -> None:
-        """Record a request's fate, publish it and resolve its future.
+        """Publish a request's fate and resolve its future.
 
         Dropped requests arrive as the engine reports them: ``replica ==
         -1`` and ``finish == 0``.
         """
         release = self._releases[request]
-        self._assignments[request] = replica
-        self._finishes[request] = finish
-        self._statuses[request] = status
         latency = None
         if status == "completed":
             latency = finish - release
@@ -489,36 +465,46 @@ class ServerHandle:
                 request, release, replica, finish, latency, attempts, status,
             ))
 
-    # -- drain: execute offline, cross-check the live predictions -----------
+    # -- drain: report the session's own admissions --------------------------
     async def drain(self):
-        """Close the session, execute its trace, return the report.
+        """Close the session and return its report: what ``run_trace``
+        of the recorded releases gives on this server, warmth included.
 
-        The recorded releases replay through the ordinary offline path
-        (:meth:`~repro.serve.Deployment.run_trace` /
-        :meth:`~repro.serve.Fleet.run_trace` -- this is where the
-        simulators actually execute and, in the cyclesim tier, validate
-        bit-exactly against the golden model).  Every live prediction
-        -- assignment, start, finish, drop -- is then cross-checked
-        against the offline report; any divergence raises
-        :class:`~repro.errors.SimulationError`, because it would mean
-        the live session promised latencies the hardware model does not
-        deliver.
+        Every request was admitted once, live, on the kernel the offline
+        path would use, so the trace is re-run only where that measures
+        something -- decided by what the session can observe:
+
+        - **faulted, both tiers**: the session's own engine is handed to
+          :meth:`repro.serve.Fleet._submit_faulted`, which only finishes
+          and reports it (the cyclesim tier executes and
+          golden-validates each served request there, once);
+        - **fast tier**: the server assembles the report from the
+          dispatcher's records (``server._report_dispatched``);
+        - **cyclesim, fault-free**: ``run_trace`` *is* the execution --
+          its measured per-input rows are independent of the one-input
+          profile the live predictions were priced from, and
+          :meth:`_cross_check` holds the two against each other.
         """
         if self.report is not None:
             return self.report
         await self._shutdown()
-        if self._is_fleet:
-            report = self.server.run_trace(
-                list(self._releases), seed=self.seed, validate=self.validate,
-                faults=self.faults, retry=self.retry,
+        server = self.server
+        if self._engine is not None:
+            self.report = server._submit_faulted(
+                None, 1, self._releases, self.seed, self.validate,
+                self._engine.plan, self.retry, engine=self._engine,
+            )
+        elif server.tier == "fast":
+            self.report = server._report_dispatched(
+                self._dispatcher, self._releases
             )
         else:
-            report = self.server.run_trace(
+            report = server.run_trace(
                 list(self._releases), seed=self.seed, validate=self.validate,
             )
-        self._cross_check(report)
-        self.report = report
-        return report
+            self._cross_check(report)
+            self.report = report
+        return self.report
 
     async def close(self) -> None:
         """Abandon the session without executing (pending futures cancel)."""
@@ -539,37 +525,31 @@ class ServerHandle:
             queue.put_nowait(None)
 
     def _cross_check(self, report) -> None:
+        """Hold an executed (cyclesim, fault-free) report against the
+        live predictions: same replicas, same service starts, same
+        finishes, or the session promised latencies the hardware model
+        does not deliver."""
         def mismatch(what, live, offline):
             raise SimulationError(
                 f"live serving session diverged from the offline replay: "
                 f"{what} predicted {live!r}, offline computed {offline!r}"
             )
 
+        live = self._dispatcher
         if list(report.releases) != self._releases:
             mismatch("releases", self._releases, list(report.releases))
         if self._is_fleet:
-            if list(report.assignments) != self._assignments:
+            if list(report.assignments) != live.assignments:
                 mismatch(
-                    "assignments", self._assignments,
-                    list(report.assignments),
+                    "assignments", live.assignments, list(report.assignments)
                 )
-            dropped = {
-                i for i, s in enumerate(self._statuses) if s in _DROP_REASONS
-            }
-            if set(report.dropped_indices) != dropped:
-                mismatch(
-                    "dropped requests", sorted(dropped),
-                    sorted(report.dropped_indices),
-                )
-        else:
-            if list(report.service_starts) != self._starts:
-                mismatch(
-                    "service starts", self._starts,
-                    list(report.service_starts),
-                )
-        if list(report.input_finishes) != self._finishes:
+        elif list(report.service_starts) != live.starts:
             mismatch(
-                "finish cycles", self._finishes, list(report.input_finishes)
+                "service starts", live.starts, list(report.service_starts)
+            )
+        if list(report.input_finishes) != live.finishes:
+            mismatch(
+                "finish cycles", live.finishes, list(report.input_finishes)
             )
 
 
@@ -589,8 +569,8 @@ async def serve_forever(
     maps submission times onto release cycles -- default a
     :class:`WallClock` on the architecture's cycle grid; pass a
     :class:`VirtualClock` for deterministic scripted sessions.  ``seed``
-    and ``validate`` are handed to the drain-time offline replay
-    exactly as :meth:`~repro.serve.Deployment.submit` takes them.
+    and ``validate`` are handed to the drain-time execution (cyclesim
+    tier) exactly as :meth:`~repro.serve.Deployment.submit` takes them.
 
     Must be awaited inside a running event loop (the handle's scheduler
     task binds to it)::
@@ -598,7 +578,7 @@ async def serve_forever(
         handle = await deployment.serve_forever(clock=VirtualClock())
         fut = await handle.submit()
         completion = await fut          # cycle-accurate promise
-        report = await handle.drain()   # executes + cross-checks
+        report = await handle.drain()   # == run_trace of the releases
     """
     if clock is None:
         clock = WallClock(server.arch.chip.cycle_ns)

@@ -19,10 +19,12 @@ then flows through the chip pipeline: ``start[i][k] = max(release_i if
 k == 0, finish[i-1][k], last inbound transfer arrival)``.  That
 recurrence is written once, in the admission kernel
 :class:`repro.sim.multichip.PipelineState`; this module only consumes
-it.  :class:`Deployment` folds it over a submission
-(:func:`~repro.sim.multichip.streaming_schedule`), and :class:`Fleet`
-dispatches with the one rr/jsq law (:func:`~repro.sim.multichip.route`)
-over one kernel state per replica.  With every release at cycle 0 the
+it.  The cyclesim tier folds it over a submission's measured rows
+(:func:`~repro.sim.multichip.streaming_schedule`); the fast tier and
+every :class:`Fleet` admit through the one unfaulted fleet step
+(:class:`~repro.sim.multichip.Dispatcher`: rr/jsq routing over one
+kernel state per replica, a deployment being a fleet of one) and report
+from what it recorded.  With every release at cycle 0 the
 schedule is bit-identical to the batched one, so batched mode is the
 ``arrivals=BackToBack()`` special case.  Both fidelity tiers share the
 law: ``tier="cyclesim"`` executes every input on the exact simulator,
@@ -48,15 +50,16 @@ from repro.compiler import CompiledModel, MultiChipModel
 from repro.config import ArchConfig
 from repro.errors import ConfigError
 from repro.faults import (
+    FailoverEngine,
     FaultPlan,
     RetryPolicy,
     engine_needed,
-    run_fault_schedule,
 )
 from repro.graph.graph import ComputationGraph
 from repro.graph.quantize import as_int8
 from repro.sim.functional import golden_outputs
 from repro.sim.multichip import (
+    Dispatcher,
     MultiChipReport,
     MultiChipSimulator,
     PipelineState,
@@ -64,7 +67,6 @@ from repro.sim.multichip import (
     assemble_stream_report,
     check_fleet,
     merge_shard_energy,
-    route,
     sharding_edges,
     steady_state_interval,
     streaming_schedule,
@@ -219,7 +221,19 @@ class TraceArrivals(ArrivalProcess):
         return list(self.releases)
 
     def describe(self) -> str:
-        return f"trace[{len(self.releases)}]"
+        return _trace_label(len(self.releases))
+
+
+def _trace_label(count: int) -> str:
+    """How a recorded trace of ``count`` arrivals describes itself."""
+    return f"trace[{count}]"
+
+
+def check_batch(batch: int, minimum: int = 1) -> None:
+    """The one input-count rule of a submission (an empty *trace* is
+    the only way to submit less)."""
+    if batch < minimum:
+        raise ConfigError(f"batch must be >= {minimum}, got {batch}")
 
 
 def _nearest_rank(ordered: Sequence[int], pct: float) -> int:
@@ -780,6 +794,10 @@ class Deployment:
             for w in warm
         ]
 
+    def _new_dispatcher(self) -> Dispatcher:
+        """This deployment alone, admitting as a fleet of one."""
+        return Dispatcher("rr", self._pipeline_states())
+
     def serve_forever(
         self,
         *,
@@ -875,8 +893,8 @@ class Deployment:
         traced = isinstance(arrivals, TraceArrivals) and batch == 1
         if traced:
             batch = len(arrivals)
-        elif batch < min_batch:
-            raise ConfigError(f"batch must be >= {min_batch}, got {batch}")
+        else:
+            check_batch(batch, min_batch)
         resolved = None
         if batch and (self.tier == "cyclesim" or inputs is not None):
             resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
@@ -911,7 +929,7 @@ class Deployment:
             inputs, batch, arrivals, seed
         )
         if not releases:
-            return self._empty_report(arrivals)
+            return self._empty_report(arrivals.describe())
         if self.tier == "fast":
             report = self._submit_fast(releases, arrivals)
         else:
@@ -940,7 +958,7 @@ class Deployment:
             inputs, arrivals=trace, seed=seed, validate=validate
         )
 
-    def _empty_report(self, arrivals: ArrivalProcess, load=None) -> ServeReport:
+    def _empty_report(self, arrival: str, load=None) -> ServeReport:
         """A zero-input report; ``load`` is a weight-load phase
         (:meth:`_resident_load_profile`) a replica paid without serving."""
         load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
@@ -948,7 +966,7 @@ class Deployment:
             arch=self.arch,
             tier=self.tier,
             batch=0,
-            arrival=arrivals.describe(),
+            arrival=arrival,
             releases=[],
             service_starts=[],
             input_finishes=[],
@@ -1012,6 +1030,28 @@ class Deployment:
             load_cycles=load_cycles,
             load_energy_pj=dict(load_energy),
             **extra,
+        )
+
+    def _recorded_report(
+        self, arrival, releases, starts, finishes, makespan, load=None,
+        cost=None, validated=False,
+    ) -> ServeReport:
+        """One pipeline's report straight from recorded admissions (a
+        :class:`~repro.sim.multichip.Dispatcher`'s, or the failover
+        engine's full-service attempts): nothing is scheduled again,
+        the recorded cycles are only priced.  ``cost`` is their measured
+        ``(energy, MACs, instructions)`` (cyclesim tier; ``None`` reads
+        the fast model), ``load`` a weight-load phase paid ahead of them.
+        """
+        count = len(releases)
+        if not count:
+            return self._empty_report(arrival, load)
+        if cost is None:
+            cost = self._fast_cost(count) + (0,)
+        row = self._service_profile()[0]
+        return self._serve_report(
+            arrival, releases, starts, finishes, makespan, [row] * count,
+            *cost, load or _NO_LOAD, validated=validated,
         )
 
     # -- cyclesim tier ------------------------------------------------------
@@ -1164,15 +1204,37 @@ class Deployment:
     def _submit_fast(
         self, releases: List[int], arrivals: ArrivalProcess
     ) -> ServeReport:
-        batch = len(releases)
-        row = [r.cycles for r in self._fast_shard_reports()]
-        rows = [list(row) for _ in range(batch)]
-        load, schedule = self._admit_stream(rows, releases)
-        starts, _, input_finishes, makespan = schedule
-        energy, macs = self._fast_cost(batch)
-        return self._serve_report(
-            arrivals.describe(), releases, [r[0] for r in starts],
-            input_finishes, makespan, rows, energy, macs, 0, load,
+        dispatcher = self._new_dispatcher()
+        for release in releases:
+            dispatcher.dispatch(release)
+        return self._report_dispatched(
+            dispatcher, releases, arrivals.describe()
+        )
+
+    def _report_dispatched(
+        self, dispatcher: Dispatcher, releases, arrival=None, replica=0
+    ) -> ServeReport:
+        """Fast tier: report what ``dispatcher`` admitted onto ``replica``
+        (this deployment is replica 0 of its own :meth:`_new_dispatcher`),
+        folded over ``releases`` by :meth:`submit` or fed them live by a
+        :class:`repro.runtime.ServerHandle` (``arrival=None``: a recorded
+        trace).  A cold resident session that served anything pays its
+        weight load here and is warm afterwards.
+        """
+        mine = [
+            i for i, r in enumerate(dispatcher.assignments) if r == replica
+        ]
+        load = None
+        if mine and self.resident_weights:
+            if not self._resident_loaded:
+                load = self._resident_load_profile()
+            self._resident_loaded = True
+        finishes = [dispatcher.finishes[i] for i in mine]
+        return self._recorded_report(
+            arrival or _trace_label(len(mine)),
+            [releases[i] for i in mine],
+            [dispatcher.starts[i] for i in mine],
+            finishes, max(finishes, default=0), load,
         )
 
 
@@ -1449,12 +1511,13 @@ class Fleet:
     ``policy`` selects the dispatcher: ``"rr"`` (round-robin, input ``i``
     to replica ``i % R``) or ``"jsq"`` (join-shortest-queue on each
     replica's predicted in-flight count at release time, ties to the
-    lowest index).  Each replica's sub-stream then runs through the
-    ordinary :meth:`Deployment.submit` queueing law in the chosen
-    fidelity tier, and the per-replica reports merge into a
-    :class:`FleetReport`.  With ``replicas=1`` the submission is passed
-    through unchanged, so the fleet is bit-identical to a plain
-    deployment.
+    lowest index).  The cyclesim tier then executes each replica's
+    sub-stream through the ordinary :meth:`Deployment.submit`; the fast
+    tier reports each replica from the cycles the dispatcher recorded
+    for it (the same queueing law, admitted once).  The per-replica
+    reports merge into a :class:`FleetReport`.  With ``replicas=1`` the
+    submission is passed through unchanged, so the fleet is
+    bit-identical to a plain deployment.
     """
 
     def __init__(
@@ -1558,20 +1621,26 @@ class Fleet:
     def _pipeline_states(self) -> List[PipelineState]:
         return self.deployment._pipeline_states(self._replica_warm)
 
-    def _dispatch(self, releases: Sequence[int]) -> List[int]:
-        # rr never reads occupancy, so only jsq pays for kernels (and the
-        # service probe behind them).
-        jsq = self.policy == "jsq"
-        states = (
-            self._pipeline_states() if jsq else [None] * self.num_replicas
+    def _new_dispatcher(self) -> Dispatcher:
+        """The unfaulted step over this fleet's replicas as they stand."""
+        return Dispatcher(self.policy, self._pipeline_states())
+
+    def _new_engine(
+        self, plan: Optional[FaultPlan], retry: Optional[RetryPolicy]
+    ) -> FailoverEngine:
+        """The faulted step over this fleet's replicas as they stand.
+        Both tiers feed it the one-input service profile (timing is
+        data-independent under per-input isolation), which makes the
+        availability law tier-equivalent."""
+        dep = self.deployment
+        row, edges = self._service_profile()
+        return FailoverEngine(
+            row, edges, self.arch.interchip, self.num_replicas,
+            policy=self.policy, plan=plan, retry=retry,
+            load_offsets=[
+                dep._load_offset(warm) for warm in self._replica_warm
+            ],
         )
-        assignments = []
-        for index, release in enumerate(releases):
-            choice = route(self.policy, states, release, index)
-            if jsq:
-                states[choice].admit(release)
-            assignments.append(choice)
-        return assignments
 
     # -- submission ---------------------------------------------------------
     def submit(
@@ -1597,7 +1666,7 @@ class Fleet:
         FaultPlan`; ``retry`` overrides the plan's embedded
         :class:`~repro.faults.RetryPolicy`.  With a plan or policy in
         play the submission runs through the failover engine
-        (:func:`repro.faults.run_fault_schedule`): dead replicas stop
+        (:class:`repro.faults.FailoverEngine`): dead replicas stop
         receiving work, failed attempts are retried on survivors, and
         undeliverable requests are recorded as dropped (conservation:
         ``submitted == completed + dropped``).  ``faults=None`` (or an
@@ -1618,12 +1687,23 @@ class Fleet:
                 validate=validate,
             )
             self._replica_warm[0] = dep._resident_loaded
-            return self._merge([report], [0] * report.batch, report.releases)
+            return self._merge(
+                [report], [0] * report.batch, report.releases, report.arrival
+            )
 
         arrivals, resolved, releases = dep._open_stream(
             inputs, batch, arrivals, seed, min_batch=0
         )
-        assignments = self._dispatch(releases)
+        dispatcher = self._new_dispatcher()
+        for release in releases:
+            dispatcher.dispatch(release)
+        if dep.tier == "fast":
+            return self._report_dispatched(
+                dispatcher, releases, arrivals.describe()
+            )
+        # The cyclesim tier executes each sub-stream and schedules its
+        # measured rows; the dispatcher only chose the replicas.
+        assignments = dispatcher.assignments
         reports: List[ServeReport] = []
         for replica in range(self.num_replicas):
             index = [i for i, a in enumerate(assignments) if a == replica]
@@ -1639,7 +1719,28 @@ class Fleet:
                 )
             )
             self._replica_warm[replica] = dep._resident_loaded
-        return self._merge(reports, assignments, releases, arrivals)
+        return self._merge(
+            reports, assignments, releases, arrivals.describe()
+        )
+
+    def _report_dispatched(
+        self, dispatcher: Dispatcher, releases, arrival=None
+    ) -> FleetReport:
+        """Fast tier: the fleet's report of a stream its dispatcher has
+        admitted (:meth:`Deployment._report_dispatched` per replica;
+        sub-streams keep their global release cycles)."""
+        dep = self.deployment
+        reports: List[ServeReport] = []
+        for replica in range(self.num_replicas):
+            dep._resident_loaded = self._replica_warm[replica]
+            reports.append(dep._report_dispatched(
+                dispatcher, releases, replica=replica
+            ))
+            self._replica_warm[replica] = dep._resident_loaded
+        return self._merge(
+            reports, dispatcher.assignments, releases,
+            arrival or _trace_label(len(releases)),
+        )
 
     def run_trace(
         self,
@@ -1667,20 +1768,14 @@ class Fleet:
         validate: bool,
         plan: FaultPlan,
         retry: Optional[RetryPolicy],
+        engine: Optional[FailoverEngine] = None,
     ) -> FleetReport:
-        """Run one stream through the failover engine.
+        """Run one stream through the failover engine, then report it.
 
-        Both tiers share :func:`repro.faults.run_fault_schedule` fed
-        with the one-input service profile (timing is data-independent
-        under per-input isolation).  The cyclesim tier then executes
-        each request that received at least one full-service attempt
-        exactly once on the exact simulator (bit-exact golden
-        validation) and charges its measured energy once per
-        full-service attempt; crash-killed attempts lose their partial
-        work and are not charged.  Each replica's report reads its
-        cycles straight off the engine's attempt records: the engine
-        admits on the same kernel a replay would, so there is nothing
-        left to cross-check.
+        This half runs the schedule: a fresh :meth:`_new_engine` is fed
+        the releases -- unless a live session hands in its own
+        ``engine``, which has admitted exactly this stream already.
+        :meth:`_schedule_report` is the other half.
         """
         rp = retry if retry is not None else (plan.retry or RetryPolicy())
         dep = self.deployment
@@ -1694,20 +1789,39 @@ class Fleet:
         )
         if not releases:
             empty = [
-                dep._empty_report(TraceArrivals([]))
+                dep._empty_report(_trace_label(0))
                 for _ in range(self.num_replicas)
             ]
-            return self._merge(empty, [], [], arrivals, **fault_fields)
-
-        row, edges = self._service_profile()
-        link = self.arch.interchip
-        load = dep._resident_load_profile() if dep.resident_weights else None
-        schedule = run_fault_schedule(
-            releases, row, edges, link, self.num_replicas, self.policy,
-            plan, rp, load_offsets=[
-                dep._load_offset(warm) for warm in self._replica_warm
-            ],
+            return self._merge(
+                empty, [], [], arrivals.describe(), **fault_fields
+            )
+        if engine is None:
+            engine = self._new_engine(plan, rp)
+            for release in releases:
+                engine.push(release)
+        return self._schedule_report(
+            engine.finish(), plan, arrivals.describe(), resolved, releases,
+            validate, fault_fields,
         )
+
+    def _schedule_report(
+        self, schedule, plan, arrival, resolved, releases, validate,
+        fault_fields,
+    ) -> FleetReport:
+        """Report a finished :class:`~repro.faults.FaultSchedule`.
+
+        The cyclesim tier executes each request that received at least
+        one full-service attempt exactly once on the exact simulator
+        (bit-exact golden validation) and charges its measured energy
+        once per full-service attempt; crash-killed attempts lose their
+        partial work and are not charged.  Each replica's report reads
+        its cycles straight off the engine's attempt records: the engine
+        admits on the same kernel a replay would, so there is nothing
+        left to cross-check.
+        """
+        dep = self.deployment
+        row, edges = self._service_profile()
+        load = dep._resident_load_profile() if dep.resident_weights else None
         # Which replicas paid their weight-load phase in this submission
         # (cold + received work); crashes then invalidate resident
         # weights, so failback re-pays the load next time.
@@ -1754,15 +1868,15 @@ class Fleet:
 
         reports = [
             self._faulted_replica_report(
-                schedule.replica_attempts[r], row, req_reports, validated,
+                schedule.replica_attempts[r], req_reports, validated,
                 load if cold_paid[r] else None,
             )
             for r in range(self.num_replicas)
         ]
         return self._fleet_report(
-            reports, arrivals.describe(), schedule.assignments, releases,
+            reports, arrival, schedule.assignments, releases,
             schedule.finishes, schedule.makespan,
-            steady_state_interval(row, edges, link),
+            steady_state_interval(row, edges, self.arch.interchip),
             dropped_indices=list(schedule.dropped),
             drop_reasons=dict(schedule.drop_reasons),
             attempt_counts=list(schedule.attempt_counts),
@@ -1777,7 +1891,7 @@ class Fleet:
         )
 
     def _faulted_replica_report(
-        self, records, row, req_reports, validated, load=None,
+        self, records, req_reports, validated, load=None,
     ) -> ServeReport:
         """One replica's ServeReport under the fault plan.
 
@@ -1790,30 +1904,25 @@ class Fleet:
         """
         dep = self.deployment
         full = [a for a in records if a.full_service]
-        if not full:
-            return dep._empty_report(TraceArrivals([]), load)
+        cost = None
         if dep.tier == "cyclesim":
             flat = [rep for a in full for rep in req_reports[a.request]]
-            energy = merge_shard_energy(
-                [rep.energy_breakdown_pj for rep in flat],
-                dep.compiled.interchip_bytes() * len(full),
-                self.arch.interchip,
+            cost = (
+                merge_shard_energy(
+                    [rep.energy_breakdown_pj for rep in flat],
+                    dep.compiled.interchip_bytes() * len(full),
+                    self.arch.interchip,
+                ),
+                sum(rep.macs for rep in flat),
+                sum(rep.instructions for rep in flat),
             )
-            macs = sum(rep.macs for rep in flat)
-            instructions = sum(rep.instructions for rep in flat)
-        else:
-            energy, macs = dep._fast_cost(len(full))
-            instructions = 0
-            validated = False
-        return dep._serve_report(
-            f"trace[{len(full)}]",
+        return dep._recorded_report(
+            _trace_label(len(full)),
             [a.dispatch_cycle for a in full],
             [a.start_cycle for a in full],
             [a.finish_cycle for a in full],
-            max(a.finish_cycle for a in records),
-            [list(row) for _ in full],
-            energy, macs, instructions, load or _NO_LOAD,
-            validated=validated,
+            max((a.finish_cycle for a in records), default=0),
+            load, cost, validated,
         )
 
     def _merge(
@@ -1821,7 +1930,7 @@ class Fleet:
         reports: List[ServeReport],
         assignments: List[int],
         releases: List[int],
-        arrivals: Optional[ArrivalProcess] = None,
+        arrival: str,
         **fields,
     ) -> FleetReport:
         """Merge per-replica reports of directly-admitted sub-streams."""
@@ -1832,10 +1941,7 @@ class Fleet:
             cursor[replica] += 1
         resident = self.deployment.resident_weights
         return self._fleet_report(
-            reports,
-            arrivals.describe() if arrivals is not None
-            else reports[0].arrival,
-            assignments, releases, finishes,
+            reports, arrival, assignments, releases, finishes,
             max(r.makespan_cycles for r in reports),
             max(r.steady_interval_cycles for r in reports),
             resident=resident,

@@ -297,10 +297,11 @@ def serve_fleet(
 
     The fast-model side of :class:`repro.serve.Fleet`: ``releases`` is
     dispatched across ``replicas`` identical copies of the report's
-    pipeline under ``policy`` (:func:`repro.sim.multichip.route` --
-    ``"rr"`` sends input ``i`` to replica ``i % replicas``, ``"jsq"``
-    joins the shortest predicted queue), each replica admits its inputs
-    at their *global* release cycles on its own
+    pipeline under ``policy`` by the one unfaulted fleet step
+    (:class:`repro.sim.multichip.Dispatcher` -- ``"rr"`` sends input
+    ``i`` to replica ``i % replicas``, ``"jsq"`` joins the shortest
+    predicted queue), each replica admits its inputs at their *global*
+    release cycles on its own
     :class:`~repro.sim.multichip.PipelineState`, and the finishes stay
     in release order.  The fleet makespan is the latest finish; energy
     and MACs scale linearly per input.  Because one base analysis prices
@@ -323,9 +324,8 @@ def serve_fleet(
     """
     from repro.faults import engine_needed, run_fault_schedule
     from repro.serve import latency_percentile
-    from repro.sim.multichip import PipelineState, check_fleet, route
+    from repro.sim.multichip import Dispatcher, PipelineState
 
-    check_fleet(policy, replicas)
     if report.batch != 1:
         raise ConfigError(
             f"serve_fleet needs a single-input report, got batch="
@@ -345,16 +345,17 @@ def serve_fleet(
         ]
         dropped, retries = len(schedule.dropped), schedule.retries
     else:
-        states = [
+        dispatcher = Dispatcher(policy, [
             PipelineState(chip_cycles, report.shard_edges, link)
             for _ in range(replicas)
+        ])
+        for release in releases:
+            dispatcher.dispatch(release)
+        makespan = max(dispatcher.finishes, default=0)
+        served = len(releases)
+        latencies = [
+            f - r for f, r in zip(dispatcher.finishes, releases)
         ]
-        makespan, served, latencies = 0, len(releases), []
-        for index, release in enumerate(releases):
-            state = states[route(policy, states, release, index)]
-            _, finish = state.admit(release)
-            makespan = max(makespan, finish)
-            latencies.append(finish - release)
     return FastReport(
         cycles=makespan,
         energy_breakdown_pj={

@@ -45,10 +45,13 @@ single-input runs.
 
 **The admission kernel.**  The recurrence itself is written once, as
 the incremental :class:`PipelineState` (:func:`streaming_schedule` is a
-fold over it), next to the one fleet dispatch law :func:`route`; the
-serving stack (:mod:`repro.serve`, :mod:`repro.faults`,
-:mod:`repro.runtime`, :func:`repro.sim.fastmodel.serve_fleet`) admits
-and routes through these two and nothing else.
+fold over it), next to the one fleet dispatch law :func:`route` and the
+one unfaulted fleet step built from the two, :class:`Dispatcher`.
+:meth:`PipelineState.admit` is called from here and from the failover
+engine (:mod:`repro.faults`) only; the serving stack
+(:mod:`repro.serve`, :mod:`repro.runtime`,
+:func:`repro.sim.fastmodel.serve_fleet`) folds the dispatcher or the
+engine and reports from their records.
 """
 
 from __future__ import annotations
@@ -277,6 +280,47 @@ def route(
         return candidates[cursor % len(candidates)]
     check_fleet(policy, len(states))
     return min(candidates, key=lambda r: (states[r].in_flight(now), r))
+
+
+class Dispatcher:
+    """The unfaulted fleet admission step, one request at a time.
+
+    *Route* (:func:`route`, dispatch number = requests so far), *admit*
+    on the chosen replica's :class:`PipelineState` (which clamps the
+    release to its ``load_offset``), *record*.  The fault-free twin of
+    :class:`repro.faults.FailoverEngine`: :class:`repro.serve.Fleet`
+    and :func:`repro.sim.fastmodel.serve_fleet` fold it over a whole
+    stream, :class:`repro.runtime.ServerHandle` feeds it arrivals as
+    they happen, and the fast tier assembles its reports straight from
+    the per-request records -- every admission is made exactly once.
+    """
+
+    def __init__(self, policy: str, states: Sequence[PipelineState]):
+        check_fleet(policy, len(states))
+        self.policy = policy
+        self.states = list(states)
+        #: Per request, in submission order: the replica that served it,
+        #: its shard-0 service-entry cycle and its completion cycle.
+        self.assignments: List[int] = []
+        self.starts: List[int] = []
+        self.finishes: List[int] = []
+
+    def dispatch(self, release: int) -> Tuple[int, int, int]:
+        """Dispatch one request released at ``release``.
+
+        Returns ``(replica, dispatch, finish)``; ``dispatch`` is the
+        cycle the request reached the replica (its release, or the end
+        of a cold resident replica's weight load).
+        """
+        replica = route(
+            self.policy, self.states, release, len(self.assignments)
+        )
+        state = self.states[replica]
+        start, finish = state.admit(release)
+        self.assignments.append(replica)
+        self.starts.append(start)
+        self.finishes.append(finish)
+        return replica, max(release, state.load_offset), finish
 
 
 def streaming_schedule(

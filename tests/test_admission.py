@@ -1,9 +1,10 @@
 """The one admission kernel (:class:`repro.sim.multichip.PipelineState`).
 
-Every serving path -- ``streaming_schedule``, ``Fleet`` dispatch, the
-``FailoverEngine``, the async runtime and the fast model's
-``serve_fleet`` -- consumes this kernel and the one ``route`` law, so
-its properties are pinned here once, as shrinking property tests:
+Every serving path -- ``streaming_schedule``, the ``Dispatcher`` that
+``Fleet``, the async runtime and the fast model's ``serve_fleet`` share,
+and the ``FailoverEngine`` -- consumes this kernel and the one ``route``
+law, so its properties are pinned here once, as shrinking property
+tests:
 
 - the closed-form streaming law holds on random chain pipelines;
 - the law is time-shift invariant and monotone in release times;
@@ -11,10 +12,13 @@ its properties are pinned here once, as shrinking property tests:
   cap included;
 - the failover engine on an empty plan is direct ``route`` + ``admit``;
 - ``serve_fleet`` honours ``policy`` without a fault plan;
+- every request is admitted exactly once per attempt, offline and live,
+  and a live session's report is the offline report of its releases;
 - hostile inputs raise their typed error, fast.
 """
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
@@ -27,11 +31,15 @@ from repro.faults import (
     FailoverEngine,
     FaultPlan,
     LinkDegrade,
+    ReplicaCrash,
     ReplicaSlowdown,
+    RetryPolicy,
+    TransientRequestFailure,
     run_fault_schedule,
 )
-from repro.serve import Fleet
-from repro.sim.fastmodel import serve_fleet
+from repro.runtime import VirtualClock, serve_forever
+from repro.serve import Deployment, Fleet
+from repro.sim.fastmodel import FastReport, serve_fleet
 from repro.sim.multichip import (
     PipelineState,
     route,
@@ -244,6 +252,204 @@ class TestRouting:
             base, rel, arch.interchip, 3, policy="jsq", faults=FaultPlan(),
         )
         assert forced.to_dict() == jsq.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Admit once: offline and live, one admission per attempt
+# ---------------------------------------------------------------------------
+
+def _tiny(server, arch=None, **kw):
+    return server(
+        "tiny_mlp", arch or small_test_arch(), strategy="generic",
+        input_size=8, num_classes=10, **kw,
+    )
+
+
+def _live(server, rel, **serve_kw):
+    """Script ``rel`` through a virtual-clock session and drain it;
+    returns ``(completions, report)``."""
+    async def scenario():
+        clock = VirtualClock()
+        handle = await serve_forever(server, clock=clock, **serve_kw)
+        futures = []
+        for release in rel:
+            clock.advance_to(release)
+            futures.append(await handle.submit())
+        report = await handle.drain()
+        return [await f for f in futures], report
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """Counts ``PipelineState.admit`` calls (the count repeats exactly)."""
+    calls = []
+    admit = PipelineState.admit
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return admit(self, *args, **kwargs)
+
+    monkeypatch.setattr(PipelineState, "admit", counted)
+    return calls
+
+
+N = 100
+TRACE = [37 * i for i in range(N)]
+CRASHY = FaultPlan(
+    events=(
+        ReplicaCrash(replica=1, at_cycle=1500),
+        TransientRequestFailure(prob=0.2, seed=5),
+    ),
+    retry=RetryPolicy(max_attempts=3, backoff_cycles=20),
+)
+
+
+class TestAdmitOnce:
+    """The law: a request costs one kernel admission per attempt, whether
+    the stream is folded offline or fed live and then drained."""
+
+    @pytest.mark.parametrize("policy", ["rr", "jsq"])
+    def test_offline_fleet(self, admissions, policy):
+        fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
+        fleet.run_trace(TRACE)
+        assert len(admissions) == N
+
+    @pytest.mark.parametrize("policy", ["rr", "jsq"])
+    def test_drained_live_fleet(self, admissions, policy):
+        fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
+        _, report = _live(fleet, TRACE)
+        assert report.batch == N
+        assert len(admissions) == N
+
+    def test_drained_live_deployment(self, admissions):
+        _, report = _live(_tiny(Deployment, tier="fast"), TRACE)
+        assert report.batch == N
+        assert len(admissions) == N
+
+    def test_offline_faulted_fleet(self, admissions):
+        fleet = _tiny(Fleet, tier="fast", replicas=3)
+        report = fleet.run_trace(TRACE, faults=CRASHY)
+        assert report.retries > 0
+        assert len(admissions) == sum(report.attempt_counts)
+
+    @pytest.mark.parametrize("tier,count", [("fast", N), ("cyclesim", 12)])
+    def test_drained_live_faulted_fleet(self, admissions, tier, count):
+        fleet = _tiny(Fleet, tier=tier, replicas=3)
+        # The cyclesim tier measures its profile with one probe
+        # submission, which schedules (admits) its one input.
+        fleet._service_profile()
+        del admissions[:]
+        _, report = _live(fleet, TRACE[:count], faults=CRASHY)
+        assert report.retries > 0
+        assert len(admissions) == sum(report.attempt_counts)
+
+
+def _synthetic_server(row, edges, link, replicas, policy, load, bare):
+    """A fast-tier server whose one-input profile is ``(row, edges)``.
+
+    The real ``tiny_mlp`` plan stays in place (graph, strategy); the
+    per-shard analytical reports, the transfer edges and -- ``load`` not
+    ``None`` -- the resident load phase are substituted, so the serving
+    stack above the profile runs unmodified on a random pipeline.
+    """
+    arch = dataclasses.replace(small_test_arch(), interchip=link)
+    resident = load is not None
+    fleet = _tiny(
+        Fleet, arch, tier="fast", replicas=replicas, policy=policy,
+        resident_weights=resident,
+    )
+    dep = fleet.deployment
+    shards = [
+        FastReport(
+            cycles=cycles, energy_breakdown_pj={"compute": 10.0 * (k + 1)},
+            macs=7, clock_mhz=arch.chip.clock_mhz,
+        )
+        for k, cycles in enumerate(row)
+    ]
+    dep._plans = dep._plans * len(row)
+    dep._transfer_edges = lambda: list(edges)
+    if resident:
+        dep._resident_fast = (shards, load, {"weights": 3.0})
+    else:
+        dep._fast_reports = shards
+    return dep if bare else fleet
+
+
+@st.composite
+def fault_plans(draw, replicas):
+    """A random plan over ``replicas`` replicas: crashes, slowdown and
+    link-degrade windows, transient failures, a retry policy."""
+    replica = st.integers(0, replicas - 1)
+    events = draw(st.lists(st.one_of(
+        st.builds(ReplicaCrash, replica, st.integers(0, 6000)),
+        st.builds(
+            lambda r, factor, w: ReplicaSlowdown(r, factor, *w),
+            replica, st.floats(1.0, 4.0), windows,
+        ),
+        st.builds(
+            lambda bw, w, r: LinkDegrade(bw, *w, replica=r),
+            st.floats(0.1, 1.0), windows, st.one_of(st.none(), replica),
+        ),
+        st.builds(
+            TransientRequestFailure, st.floats(0.0, 0.6),
+            st.integers(0, 50),
+        ),
+    ), max_size=4))
+    retry = draw(st.builds(
+        RetryPolicy, max_attempts=st.integers(1, 4),
+        backoff_cycles=st.integers(0, 200),
+        per_request_deadline_cycles=st.one_of(
+            st.none(), st.integers(1, 8000)
+        ),
+    ))
+    return FaultPlan(events=tuple(events), retry=retry)
+
+
+class TestLiveSessionIsTheOfflineReport:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pipelines(), links, releases, releases, st.integers(1, 4),
+        st.sampled_from(["rr", "jsq"]),
+        st.one_of(st.none(), st.integers(0, 800)), st.data(),
+    )
+    def test_report_completions_and_warmth(
+        self, pipeline, link, rel, rel_again, replicas, policy, load, data
+    ):
+        row, edges = pipeline
+        plan = data.draw(st.one_of(st.none(), fault_plans(replicas)))
+        bare = plan is None and replicas == 1 and data.draw(st.booleans())
+        servers = [
+            _synthetic_server(row, edges, link, replicas, policy, load, bare)
+            for _ in range(2)
+        ]
+        kwargs = {} if plan is None else {"faults": plan}
+        # Two sessions back to back on one server: the second sees the
+        # warmth (resident sessions) the first one's drain left behind.
+        sessions = []
+        for trace in (rel, rel_again):
+            completions, live = _live(servers[0], trace, **kwargs)
+            offline = servers[1].run_trace(trace, **kwargs)
+            assert live.to_dict() == offline.to_dict()
+            dropped = set(getattr(live, "dropped_indices", ()))
+            assert [
+                (c.finish_cycle, c.completed) for c in completions
+            ] == [
+                (finish, i not in dropped)
+                for i, finish in enumerate(live.input_finishes)
+            ]
+            sessions.append(live)
+        first, second = sessions
+        if load is not None and plan is None:
+            # Whoever served in the first session is warm in the second.
+            if bare:
+                assert (first.load_cycles, second.load_cycles) == (load, 0)
+            else:
+                assert all(
+                    second.replica_load_cycles[r] == 0
+                    for r in set(first.assignments)
+                )
 
 
 # ---------------------------------------------------------------------------

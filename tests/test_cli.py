@@ -349,6 +349,11 @@ class TestErrorHygiene:
          "--replicas", "0"),
         ("watch", "tiny_mlp", "--preset", "small", "--tier", "fast",
          "--replicas", "0", "--snapshot", "-"),
+        # a negative count used to be watched as an empty session, exit 0
+        ("watch", "tiny_mlp", "--preset", "small", "--tier", "fast",
+         "--batch", "-1", "--snapshot", "-"),
+        ("watch", "tiny_mlp", "--preset", "small", "--tier", "fast",
+         "--replicas", "2", "--batch", "-1", "--snapshot", "-"),
         # a negative worker count used to run serially and exit 0
         ("sweep", "--models", "tiny_mlp", "--preset", "small",
          "--input-sizes", "8", "--num-classes", "10", "--no-cache",

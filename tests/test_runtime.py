@@ -34,7 +34,7 @@ from repro import (
     WallClock,
     serve_forever,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults import DROP_MAX_ATTEMPTS
 
 
@@ -245,6 +245,36 @@ class TestOfflineEquivalence:
         assert completions == []
 
 
+class TestCrossCheckFires:
+    """The one replay that is kept -- cyclesim, fault-free -- executes
+    the trace and holds its measured rows against the live predictions.
+    Skewing the profile the predictions are priced from (the probe row;
+    the execution does not read it) must make ``drain()`` raise."""
+
+    @staticmethod
+    def _skew_profile(dep):
+        row, edges = dep._service_profile()
+        dep._profile = ([row[0] + 1, *row[1:]], edges)
+
+    def test_deployment_service_starts_diverge(self, arch):
+        dep = _deployment(arch)
+        self._skew_profile(dep)
+        with pytest.raises(
+            SimulationError,
+            match=r"diverged from the offline replay: service starts",
+        ):
+            _run(_script(dep, [0, 0]))
+
+    def test_fleet_finish_cycles_diverge(self, arch):
+        fleet = _fleet(arch, replicas=2)
+        self._skew_profile(fleet.deployment)
+        with pytest.raises(
+            SimulationError,
+            match=r"diverged from the offline replay: finish cycles",
+        ):
+            _run(_script(fleet, [0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # Futures resolve with the promised cycles
 # ---------------------------------------------------------------------------
@@ -372,5 +402,19 @@ class TestDeterminism:
                 streamed.append(event)
             # The initial replica-state event fired before subscribe().
             assert streamed == handle.events[1:]
+
+        _run(scenario())
+
+    @pytest.mark.parametrize("end", ["drain", "close"])
+    def test_subscribing_to_a_finished_session_does_not_hang(self, arch, end):
+        """The end-of-session sentinel reaches a late subscriber too."""
+        async def scenario():
+            handle = await _deployment(arch, tier="fast").serve_forever(
+                clock=VirtualClock()
+            )
+            await handle.submit()
+            await getattr(handle, end)()
+            queue = handle.subscribe()
+            assert await asyncio.wait_for(queue.get(), 0.5) is None
 
         _run(scenario())
