@@ -39,9 +39,9 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   :class:`~repro.runtime.WallClock` production) and resolves a future
   per request; draining replays the recorded trace offline,
   bit-identical to :class:`~repro.serve.TraceArrivals`.
-- :mod:`repro.console` -- the ``repro watch`` live operator console
-  (Textual ``DataTable`` dashboard over the runtime's typed event
-  stream) and its dependency-free headless ``--snapshot`` JSON mode.
+- :mod:`repro.console` -- the ``repro watch`` operator console: the
+  runtime's typed event stream folded into shard / replica / latency
+  tables and dumped as JSON.
 - :mod:`repro.artifact` -- the shippable compile product: a compiled
   model serialized to a single content-addressed ``.artifact`` file
   (``save_artifact`` / ``load_artifact`` / ``Deployment.load``), so a

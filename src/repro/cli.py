@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven subcommands expose the serving API and the design-space
+Eight subcommands expose the serving API and the design-space
 exploration engine without writing any Python:
 
 - ``run``     -- compile one model and execute it on the cycle-accurate
@@ -23,6 +23,11 @@ exploration engine without writing any Python:
   the stream across R replicas of the deployment; ``--faults PLAN``
   replays a deterministic fault plan (:mod:`repro.faults`) against the
   fleet, reporting conservation, goodput, drops and retries;
+- ``watch``   -- serve a scripted arrival stream (the ``serve`` flags)
+  request by request through the async runtime (:mod:`repro.runtime`)
+  and print the operator tables -- per-shard utilisation, replica
+  health, queue depth, rolling p50/p99 -- as JSON (``--snapshot FILE``
+  writes them to a file);
 - ``sweep``   -- evaluate a cross-product design space with the fast
   analytical model, in parallel and through the on-disk result cache
   (``--chips`` adds the multi-chip axis, ``--batch`` the streaming
@@ -505,7 +510,7 @@ def _watch_arrivals(args):
 
 
 def _cmd_watch(args) -> int:
-    from repro.console import headless_watch, run_watch_app, snapshot_json
+    from repro.console import headless_watch, snapshot_json
 
     plan = None
     if args.faults is not None:
@@ -516,25 +521,16 @@ def _cmd_watch(args) -> int:
     server = _build_server(args, plan)
     releases = arrivals.release_cycles(batch, server.arch.chip.cycle_ns)
 
-    if args.snapshot is not None:
-        snapshot = headless_watch(
-            server, releases, seed=args.seed,
-            validate=not args.no_validate, faults=plan,
-            window=args.window,
-        )
-        text = snapshot_json(snapshot)
-        if args.snapshot == "-":
-            print(text)
-        else:
-            Path(args.snapshot).write_text(text + "\n")
-            print(f"wrote {args.snapshot}")
-        return 0
-
-    snapshot = run_watch_app(
+    snapshot = headless_watch(
         server, releases, seed=args.seed, validate=not args.no_validate,
-        faults=plan, window=args.window, pace_s=args.pace,
+        faults=plan, window=args.window,
     )
-    print(snapshot_json(snapshot))
+    text = snapshot_json(snapshot)
+    if args.snapshot == "-":
+        print(text)
+    else:
+        Path(args.snapshot).write_text(text + "\n")
+        print(f"wrote {args.snapshot}")
     return 0
 
 
@@ -952,17 +948,13 @@ def _declare_serve(serve: argparse.ArgumentParser) -> None:
 def _declare_watch(watch: argparse.ArgumentParser) -> None:
     _add_serving_flags(watch, batch_default=16)
     watch.add_argument("--snapshot", metavar="FILE", nargs="?", const="-",
-                       default=None,
-                       help="headless mode: run the whole session "
-                            "immediately and dump the console tables as "
-                            "JSON to FILE ('-' or no value = stdout); "
-                            "needs no optional dependencies")
+                       default="-",
+                       help="write the console tables as JSON to FILE "
+                            "instead of stdout ('-' or no value = stdout, "
+                            "the default)")
     watch.add_argument("--window", type=int, default=64, metavar="N",
-                       help="rolling window (completions) for the live "
+                       help="rolling window (completions) for the "
                             "p50/p99 latency columns (default 64)")
-    watch.add_argument("--pace", type=float, default=0.2, metavar="S",
-                       help="live mode: wall seconds between submissions "
-                            "(default 0.2)")
     watch.set_defaults(func=_cmd_watch)
 
 
@@ -1106,8 +1098,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "watch",
         help="serve a scripted arrival stream through the async runtime "
-             "and watch it live (Textual console), or dump the operator "
-             "tables as JSON with --snapshot",
+             "and print the operator tables as JSON (--snapshot FILE "
+             "writes them to a file)",
         declare=_declare_watch,
     )
     sub.add_parser(

@@ -1,18 +1,10 @@
 """`repro watch`: the live operator console over the serving runtime.
 
-Two halves, deliberately separable:
-
-- :class:`ConsoleState` + :func:`console_snapshot` are **pure Python**:
-  they fold the runtime's typed event stream
-  (:mod:`repro.runtime`) into the operator tables -- per-shard
-  utilisation, replica health, queue depth, rolling p50/p99 -- and dump
-  them as JSON.  This is the ``repro watch --snapshot`` headless mode
-  CI exercises, and the substrate the live app renders.
-- :func:`run_watch_app` wraps the same state in a Textual
-  ``DataTable`` dashboard (the gridworks-scada operator-console
-  pattern).  Textual is an *optional* dependency: importing this
-  module never requires it, and a missing install raises a
-  :class:`~repro.errors.ConfigError` that points at ``--snapshot``.
+:class:`ConsoleState` + :func:`console_snapshot` fold the runtime's typed
+event stream (:mod:`repro.runtime`) into the operator tables -- per-shard
+utilisation, replica health, queue depth, rolling p50/p99 -- and dump
+them as JSON: what ``repro watch`` prints (``--snapshot FILE`` writes it
+to a file).  Pure Python, standard library only.
 
 The shard table carries the model-vs-measured cross-check: next to the
 utilisation measured from completed requests it prints the closed-form
@@ -39,7 +31,6 @@ __all__ = [
     "console_snapshot",
     "drive_session",
     "headless_watch",
-    "run_watch_app",
     "snapshot_json",
 ]
 
@@ -50,8 +41,7 @@ SNAPSHOT_SCHEMA = 1
 class ConsoleState:
     """Fold the runtime event stream into the operator tables.
 
-    Pure aggregation -- no asyncio, no rendering -- so the live app
-    and the headless snapshot share one implementation byte for byte.
+    Pure aggregation -- no asyncio, no rendering.
     ``window`` bounds the rolling latency percentiles (a live console
     shows *recent* tail latency, not the all-time distribution).
     """
@@ -322,10 +312,10 @@ def headless_watch(
     retry=None,
     window: int = 64,
 ) -> Dict:
-    """``repro watch --snapshot``: serve the script, return the tables.
+    """``repro watch``: serve the script, return the tables.
 
-    Pure Python (no Textual): runs :func:`drive_session` on a private
-    event loop and folds the session into :func:`console_snapshot`.
+    Runs :func:`drive_session` on a private event loop and folds the
+    session into :func:`console_snapshot`.
     """
     import asyncio
 
@@ -334,156 +324,6 @@ def headless_watch(
         retry=retry,
     ))
     return console_snapshot(handle, window=window)
-
-
-# ---------------------------------------------------------------------------
-# The live Textual app (optional dependency)
-# ---------------------------------------------------------------------------
-
-def run_watch_app(
-    server,
-    releases: List[int],
-    *,
-    seed: int = 0,
-    validate: bool = True,
-    faults=None,
-    retry=None,
-    window: int = 64,
-    pace_s: float = 0.2,
-) -> Dict:
-    """Serve ``releases`` live and render the console; returns a snapshot.
-
-    Opens a :class:`~repro.runtime.VirtualClock` session on ``server``,
-    paces one submission per ``pace_s`` wall seconds (advancing the
-    virtual clock to each scripted release), and re-renders the
-    ``DataTable`` dashboard on every runtime event.  Requires the
-    optional ``textual`` package; without it a
-    :class:`~repro.errors.ConfigError` points at the headless
-    ``repro watch --snapshot`` mode, which needs nothing beyond the
-    standard library.
-    """
-    try:
-        from textual.app import App
-        from textual.widgets import DataTable, Footer, Header, Static
-    except ImportError as exc:
-        raise ConfigError(
-            "the live console needs the optional 'textual' package "
-            "(pip install textual); for a dependency-free view use "
-            "'repro watch --snapshot'"
-        ) from exc
-
-    import asyncio
-
-    from repro.runtime import VirtualClock, serve_forever
-
-    outcome: Dict = {}
-
-    class WatchApp(App):
-        TITLE = "repro watch"
-        BINDINGS = [("q", "quit", "Quit")]
-
-        def compose(self):
-            yield Header(show_clock=True)
-            yield Static("", id="counts")
-            yield DataTable(id="shards", zebra_stripes=True)
-            yield DataTable(id="replicas", zebra_stripes=True)
-            yield DataTable(id="latency", zebra_stripes=True)
-            yield Footer()
-
-        async def on_mount(self) -> None:
-            self.query_one("#shards", DataTable).add_columns(
-                "shard", "service cycles", "busy cycles", "utilization",
-                "model utilization",
-            )
-            self.query_one("#replicas", DataTable).add_columns(
-                "replica", "state", "served", "queue depth",
-            )
-            self.query_one("#latency", DataTable).add_columns(
-                "window", "rolling p50", "rolling p99", "throughput inf/s",
-            )
-            self._session = asyncio.ensure_future(self._serve())
-
-        async def _serve(self) -> None:
-            clock = VirtualClock()
-            handle = await serve_forever(
-                server, clock=clock, seed=seed, validate=validate,
-                faults=faults, retry=retry,
-            )
-            state = ConsoleState(
-                handle.shard_row, handle.num_replicas, window=window,
-                cycle_ns=handle.server.arch.chip.cycle_ns,
-            )
-            stream = handle.subscribe()
-            state.observe_all(handle.events)
-            for release in releases:
-                clock.advance_to(release)
-                await handle.submit()
-                while not stream.empty():
-                    state.observe(stream.get_nowait())
-                self._render(state)
-                await asyncio.sleep(pace_s)
-            # Drain resolves every still-pending future (a faulted
-            # session may hold retries back until the stream closes).
-            await handle.drain()
-            while not stream.empty():
-                event = stream.get_nowait()
-                if event is not None:
-                    state.observe(event)
-            self._render(state)
-            outcome.update(console_snapshot(handle, window=window))
-            self.exit()
-
-        def _render(self, state: ConsoleState) -> None:
-            counts = state.counts()
-            self.query_one("#counts", Static).update(
-                f"cycle {state.now_cycle} · admitted {counts['admitted']} "
-                f"· completed {counts['completed']} "
-                f"· dropped {counts['dropped']} "
-                f"· in flight {counts['in_flight']}"
-            )
-            from repro.sim.fastmodel import steady_state_utilization
-
-            interval = state.arrival_interval_cycles()
-            model = (
-                steady_state_utilization(
-                    state.shard_row, server._service_profile()[1],
-                    server.arch.interchip, interval,
-                )
-                if interval is not None
-                else [None] * len(state.shard_row)
-            )
-            shards = self.query_one("#shards", DataTable)
-            shards.clear()
-            for row, m in zip(state.shard_table(), model):
-                shards.add_row(
-                    str(row["shard"]), str(row["service_cycles"]),
-                    str(row["busy_cycles"]), f"{row['utilization']:.4f}",
-                    "-" if m is None else f"{m:.4f}",
-                )
-            replicas = self.query_one("#replicas", DataTable)
-            replicas.clear()
-            for row in state.replica_table():
-                replicas.add_row(
-                    str(row["replica"]), row["state"], str(row["served"]),
-                    str(row["queue_depth"]),
-                )
-            latency = self.query_one("#latency", DataTable)
-            latency.clear()
-            lat = state.latency_table()
-            latency.add_row(
-                f"{lat['samples']}/{lat['window']}",
-                str(lat["rolling_p50_cycles"]),
-                str(lat["rolling_p99_cycles"]),
-                (
-                    f"{lat['throughput_inf_per_s']:.1f}"
-                    if lat["throughput_inf_per_s"] else "-"
-                ),
-            )
-
-    WatchApp().run()
-    if not outcome:
-        raise ConfigError("the watch session ended before draining")
-    return outcome
 
 
 def snapshot_json(snapshot: Dict) -> str:

@@ -1,7 +1,7 @@
 """The computation graph: a DAG of operators over named tensors."""
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import GraphError
 from repro.graph.ops import Operator, OpKind
@@ -135,8 +135,3 @@ class ComputationGraph:
             f"{len(self.tensors)} tensors, "
             f"{self.total_weight_bytes() / 1024:.1f} KiB weights"
         )
-
-    def subgraph_operators(self, names: Iterable[str]) -> List[Operator]:
-        """Operators with the given names, in this graph's topological order."""
-        wanted = set(names)
-        return [op for op in self.topological_order() if op.name in wanted]

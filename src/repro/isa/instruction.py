@@ -137,12 +137,6 @@ class Instruction:
     def flags(self) -> int:
         return self.get("flags")
 
-    def with_field(self, name: str, value: int) -> "Instruction":
-        """Return a copy with field ``name`` set to ``value``."""
-        fields = dict(self.fields)
-        fields[name] = value
-        return Instruction(self.mnemonic, fields, self.target)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
         tgt = f", target={self.target!r}" if self.target else ""

@@ -325,14 +325,17 @@ class _ServingMetrics:
     def p99_latency_ms(self) -> Optional[float]:
         return self._ms(self.p99_latency_cycles)
 
-    def _latency_line(self, pct: int) -> str:
-        cycles = self.latency_percentile_cycles(pct)
-        if cycles is None:
-            return f"latency p{pct}       : n/a (0 completed)"
-        return (
-            f"latency p{pct}       : {cycles:,} cycles "
-            f"({self._ms(cycles):.3f} ms)"
-        )
+    def _latency_lines(self) -> List[str]:
+        """The p50/p95/p99 lines of ``__str__``, from one sort."""
+        pcts = (50, 95, 99)
+        lines = []
+        for pct, cycles in zip(pcts, self._percentiles(pcts)):
+            value = (
+                "n/a (0 completed)" if cycles is None
+                else f"{cycles:,} cycles ({self._ms(cycles):.3f} ms)"
+            )
+            lines.append(f"latency p{pct}       : {value}")
+        return lines
 
     @property
     def throughput_inf_per_s(self) -> float:
@@ -500,9 +503,7 @@ class ServeReport(_ServingMetrics):
             f"({self.makespan_ms:.3f} ms)",
             f"sustained rate    : {self.throughput_inf_per_s:,.0f} inf/s "
             f"(saturation {self.saturation_inf_per_s:,.0f} inf/s)",
-            self._latency_line(50),
-            self._latency_line(95),
-            self._latency_line(99),
+            *self._latency_lines(),
         ]
         queue = self.queue_cycles
         if queue:
@@ -1447,9 +1448,7 @@ class FleetReport(_ServingMetrics):
             f"({self.makespan_ms:.3f} ms)",
             f"sustained rate    : {self.throughput_inf_per_s:,.0f} inf/s "
             f"(fleet saturation {self.saturation_inf_per_s:,.0f} inf/s)",
-            self._latency_line(50),
-            self._latency_line(95),
-            self._latency_line(99),
+            *self._latency_lines(),
             f"energy            : {self.total_energy_mj:.4f} mJ "
             f"({self.energy_per_inference_mj:.4f} mJ/inference)",
         ]

@@ -158,7 +158,7 @@ ENGINE_STATS = {
     "batch_successes": 0,
     "template_builds": 0,          # symbolic plan templates constructed
     "template_hits": 0,            # batch plans instantiated from a template
-    "template_misfits": 0,         # guard mismatch -> concrete re-walk
+    "template_misfits": 0,         # cached template's guards rejected an entry
     "noc_batch_attempts": 0,       # batch attempts on NoC-touching loops
     "noc_batch_successes": 0,      # NoC windows replayed iteration-major
     "noc_batch_contention_bailouts": 0,  # replay refused: link not steady
@@ -811,8 +811,8 @@ class BlockInstance:
         self.cnt_reg = code[-1][1]
         self.bound_reg = code[-1][2]
         #: step-delta key -> plan template (None = provably never
-        #: batchable under that delta, _TPL_CONCRETE = not symbolisable).
-        self.templates: Dict[Tuple, object] = {}
+        #: batchable under that delta).
+        self.templates: Dict[Tuple, Optional["_PlanTemplate"]] = {}
 
     def compile(self) -> None:
         """Bind the shape-shared function and this instance's constants."""
@@ -1286,22 +1286,7 @@ def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
             return False
 
     try:
-        template = _template_for(core, inst, delta)
-        if template is None:
-            # Symbolically proven: this loop never batches under this
-            # step delta, for any entry state.  Skip the affine walk.
-            return False
-        if template is _TPL_CONCRETE:
-            plan, m = _plan_batch(core, inst, delta, max_iterations)
-        else:
-            try:
-                plan, m = template.instantiate(core, max_iterations)
-                ENGINE_STATS["template_hits"] += 1
-            except _TemplateUnfit:
-                # A runtime guard (e.g. macro-group shape) diverged from
-                # the build-time environment; plan concretely this entry.
-                ENGINE_STATS["template_misfits"] += 1
-                plan, m = _plan_batch(core, inst, delta, max_iterations)
+        plan, m = _plan_entry(core, inst, delta, max_iterations)
         gcpys = [op for op in plan[0] if op[0] == "gcpy"]
         if gcpys or noc_txns:
             if not _noc_plan_ok(core, gcpys, noc_txns):
@@ -1335,244 +1320,6 @@ def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
         return False
     _apply_delta(core, delta, m)
     return True
-
-
-def _plan_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
-                max_iterations: int):
-    """Affine walk of the loop body with concrete (value, step) pairs.
-
-    Produces the batched dataflow plan and the remaining trip count, or
-    raises :class:`_Bail`.  Read-only: performs no mutation.
-    """
-    regs = [(v, delta[_S_REGS + i]) for i, v in enumerate(core.regs)]
-    sregs = [(v, delta[_S_SREGS + i]) for i, v in enumerate(core.sregs)]
-    entry_regs = list(regs)
-    entry_sregs = list(sregs)
-    mgs = core.mgs
-    ops: List[Tuple] = []
-    writes: List[Tuple[int, int, int]] = []     # (base, step, nbytes)
-    vmg_shapes: Dict[int, Tuple[int, int]] = {}  # mgs loaded inside the body
-    entry_mg_used: set = set()                   # mgs read from entry state
-
-    def invariant(pair):
-        v, s = pair
-        if s != 0:
-            raise _Bail()
-        return v
-
-    body = inst.code[:-1]
-    branch = inst.code[-1]
-    for t in body:
-        op = t[0]
-        rs, rt, rd, re = t[1], t[2], t[3], t[4]
-        imm, off, funct, flags = t[5], t[6], t[7], t[8]
-        if op == int(Op.SC_ADD):
-            _wr(regs, rd, (regs[rs][0] + regs[rt][0],
-                           regs[rs][1] + regs[rt][1]))
-        elif op == int(Op.SC_SUB):
-            _wr(regs, rd, (regs[rs][0] - regs[rt][0],
-                           regs[rs][1] - regs[rt][1]))
-        elif op == int(Op.SC_MUL):
-            a, b = regs[rs], regs[rt]
-            if a[1] == 0:
-                _wr(regs, rd, (a[0] * b[0], a[0] * b[1]))
-            elif b[1] == 0:
-                _wr(regs, rd, (a[0] * b[0], a[1] * b[0]))
-            else:
-                raise _Bail()
-        elif op in (int(Op.SC_SLT), int(Op.SC_AND), int(Op.SC_OR),
-                    int(Op.SC_XOR), int(Op.SC_SLL), int(Op.SC_SRL)):
-            a = invariant(regs[rs])
-            b = invariant(regs[rt])
-            if op == int(Op.SC_SLT):
-                v = 1 if a < b else 0
-            elif op == int(Op.SC_AND):
-                v = a & b
-            elif op == int(Op.SC_OR):
-                v = a | b
-            elif op == int(Op.SC_XOR):
-                v = a ^ b
-            elif op == int(Op.SC_SLL):
-                v = a << (b & 31)
-            else:
-                v = (a & 0xFFFFFFFF) >> (b & 31)
-            _wr(regs, rd, (v, 0))
-        elif op == int(Op.SC_ADDI):
-            _wr(regs, rt, (regs[rs][0] + imm, regs[rs][1]))
-        elif op == int(Op.SC_MULI):
-            _wr(regs, rt, (regs[rs][0] * imm, regs[rs][1] * imm))
-        elif op == int(Op.SC_SLTI):
-            _wr(regs, rt, (1 if invariant(regs[rs]) < imm else 0, 0))
-        elif op == int(Op.SC_LUI):
-            _wr(regs, rt, ((off & 0xFFFF) << 16, 0))
-        elif op == int(Op.SC_ORI):
-            _wr(regs, rt, (invariant(regs[rs]) | (off & 0xFFFF), 0))
-        elif op == int(Op.SC_ADDIW):
-            _wr(regs, rt, (regs[rs][0] + off, regs[rs][1]))
-        elif op == int(Op.MV_G2S):
-            if not 0 <= imm < 16:
-                raise _Bail()
-            sregs[imm] = regs[rs]
-        elif op == int(Op.MV_S2G):
-            _wr(regs, rt, sregs[imm])
-        elif op in (int(Op.NOP), int(Op.SYNC)):
-            pass
-        elif op == int(Op.MEM_CPY):
-            n = invariant(regs[rd])
-            if n <= 0:
-                raise _Bail()
-            sb, ss = regs[rs]
-            db, ds = regs[rt][0] + off, regs[rt][1]
-            if db >= GLOBAL_BASE:
-                # Global-memory writes are visible to other cores;
-                # replay order matters, so never batch them.
-                raise _Bail()
-            if sb >= GLOBAL_BASE:
-                # Weight/activation streaming: read the global image,
-                # write locally, one NoC message per iteration.
-                ops.append(("gcpy", sb, ss, n, db, ds))
-            else:
-                ops.append(("cpy", sb, ss, n, db, ds, None))
-            writes.append((db, ds, n))
-        elif op == int(Op.MEM_GATHER):
-            count = invariant(regs[rd])
-            chunk = invariant(sregs[13])
-            stride = invariant(sregs[7])
-            if count <= 0 or chunk <= 0 or stride <= 0:
-                raise _Bail()
-            sb, ss = regs[rs]
-            db, ds = regs[rt]
-            span = (count - 1) * stride + chunk
-            nb = count * chunk
-            ops.append(("cpy", sb, ss, span, db, ds,
-                        (count, chunk, stride, nb)))
-            writes.append((db, ds, nb))
-        elif op == int(Op.CIM_LOAD):
-            mg = invariant(regs[rt])
-            rows = invariant(sregs[2])
-            cols = invariant(sregs[3])
-            if not 0 <= mg < len(mgs) or rows <= 0 or cols <= 0:
-                raise _Bail()
-            if mg in entry_mg_used:
-                # An earlier MVM on this mg reads the *previous*
-                # iteration's load: a loop-carried macro-group
-                # dependency the batched replay does not model.
-                raise _Bail()
-            sb, ss = regs[rs]
-            ops.append(("cimload", sb, ss, rows, cols, mg))
-            vmg_shapes[mg] = (rows, cols)
-        elif op == int(Op.CIM_MVM):
-            mg = invariant(regs[rt])
-            if not 0 <= mg < len(mgs):
-                raise _Bail()
-            shape = vmg_shapes.get(mg)
-            virt = shape is not None
-            if virt:
-                rows, cols = shape
-            else:
-                if mgs[mg] is None:
-                    raise _Bail()
-                _, rows, cols = mgs[mg]
-                entry_mg_used.add(mg)
-            vb, vs = regs[rs]
-            ob, os_ = regs[re]
-            ops.append(("mvm", vb, vs, rows, cols, ob, os_, mg, flags, virt))
-            writes.append((ob, os_, 4 * cols))
-        elif op in _VEC_OPS:
-            n = invariant(regs[re])
-            if n <= 0:
-                raise _Bail()
-            if op == int(Op.VEC_QNT):
-                qmul = max(1, invariant(sregs[4]))
-                qshift = invariant(sregs[5])
-                ops.append(("qnt", regs[rs][0], regs[rs][1], n,
-                            regs[rd][0], regs[rd][1], qmul, qshift))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            elif op == int(Op.VEC_ADD32):
-                ops.append(("add32", regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], 4 * n))
-            elif op == int(Op.VEC_ACC32):
-                if regs[rd][1] != 0:
-                    raise _Bail()
-                ops.append(("acc32", regs[rs][0], regs[rs][1], n,
-                            regs[rd][0]))
-                writes.append((regs[rd][0], 0, 4 * n))
-            elif op == int(Op.VEC_FILL):
-                value = invariant(sregs[6]) & 0xFF
-                value = value - 256 if value >= 128 else value
-                ops.append(("fill", value, funct, n,
-                            regs[rd][0], regs[rd][1]))
-                nb = 4 * n if funct == 4 else n
-                writes.append((regs[rd][0], regs[rd][1], nb))
-            elif op == int(Op.VEC_CMUL):
-                ch = invariant(sregs[12])
-                if ch <= 0 or n % ch:
-                    raise _Bail()
-                ops.append(("cmul", regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], ch, n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            elif op in (int(Op.VEC_ADD), int(Op.VEC_SUB), int(Op.VEC_MUL),
-                        int(Op.VEC_MAX), int(Op.VEC_MIN)):
-                ops.append(("bin", op, regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            else:
-                ops.append(("un", op, regs[rs][0], regs[rs][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
-        else:
-            raise _Bail()
-
-    # Cross-check the affine model against the measured per-iteration
-    # deltas: the walked end-of-body value of every register must equal
-    # its entry value plus its measured delta.
-    for i in range(32):
-        v0, s0 = entry_regs[i]
-        v1, s1 = regs[i]
-        if v1 != v0 + s0 or s1 != s0:
-            raise _Bail()
-    for i in range(16):
-        v0, s0 = entry_sregs[i]
-        v1, s1 = sregs[i]
-        if v1 != v0 + s0 or s1 != s0:
-            raise _Bail()
-
-    # Trip count from the closing BLT: body executes while cnt < bound at
-    # the branch; walked end-of-body values give the first batched branch.
-    cnt_v, cnt_s = regs[branch[1]]
-    bound_v, bound_s = regs[branch[2]]
-    if cnt_s <= 0 or bound_s != 0:
-        raise _Bail()
-    if cnt_v >= bound_v:
-        m = 1
-    else:
-        m = 1 + (bound_v - cnt_v + cnt_s - 1) // cnt_s
-    if m > max_iterations:
-        # Over the caller's instruction budget: fall back to the stepped
-        # path, which raises the interpreter's runaway error cleanly.
-        raise _Bail()
-
-    # Every write must stay inside local memory for the whole batch.
-    spans = [_span(b, s, l, m) for b, s, l in writes]
-    lsz = core.chip.memory.local_size
-    for lo, hi in spans:
-        if lo < 0 or hi > lsz:
-            raise _Bail()
-    # Pairwise write-overlap check: distinct regions must never touch a
-    # common byte at any pair of iterations (iteration-aware for regions
-    # sharing a step; conservative span test otherwise).
-    for i in range(len(writes)):
-        for j in range(i + 1, len(writes)):
-            if writes[i] == writes[j]:
-                continue
-            if _writes_collide(writes[i], writes[j], spans[i], spans[j], m):
-                raise _Bail()
-
-    return (ops, writes), m
 
 
 def _writes_collide(w1, w2, span1, span2, m: int) -> bool:
@@ -1626,35 +1373,34 @@ def _span(b: int, s: int, l: int, m: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# plan templates: cache the affine walk + hazard analysis per loop instance
+# plan templates: the affine walk + hazard analysis, cached per loop instance
 # ---------------------------------------------------------------------------
 #
-# The affine walk (:func:`_plan_batch`) re-runs at every loop entry even
-# though, for a given per-iteration step delta, its *structure* never
-# changes: operand bases are affine in the entry registers, and every
-# structural decision (which ops batch, their lengths, the hazard
-# geometry) depends only on the steps and the program immediates.  A
-# :class:`_PlanTemplate` captures one symbolic walk -- values as linear
-# expressions over the 48 entry slots (32 registers + 16 S-registers) --
-# and re-entries instantiate it with a handful of dot products instead of
-# re-walking the body.  The pairwise write-collision verdict is memoised
-# on the translation-invariant signature (trip count, relative bases),
-# so the hazard analysis is also amortised; only the cheap O(writes)
-# bounds check runs fresh per entry.  Instantiated plans are identical
-# tuples to what the concrete walk would build, so batched replay stays
-# bit-exact; anything the symbolic walk cannot decide for *all* entry
-# states falls back to the concrete walk (never to a wrong answer).
+# The batch planner is one affine walk of the loop body
+# (:func:`_build_template`).  For a given per-iteration step delta the
+# walk's *structure* does not depend on the loop entry: operand bases are
+# affine in the entry registers, and every structural decision (which ops
+# batch, their lengths, the hazard geometry) depends only on the steps and
+# the program immediates.  So the walk runs symbolically -- values as
+# linear expressions over the 48 entry slots (32 registers + 16
+# S-registers) -- and its result, a :class:`_PlanTemplate`, is cached on
+# the loop instance; every entry, the one that built it included, gets
+# its concrete plan from ``instantiate`` with a handful of dot products.
+# The pairwise write-collision verdict is memoised on the
+# translation-invariant signature (trip count, relative bases), so the
+# hazard analysis is amortised too; only the cheap O(writes) bounds check
+# runs fresh per entry.  Where the walk needs a concrete value it binds
+# the building entry's and records a guard; an entry the guards reject
+# (``template_misfits``) is re-planned from its own state by a fresh walk
+# whose template replaces the cached one.  A bail the walk can prove for
+# *all* entry states is cached as "never batches"; one that depends on
+# this entry's values (:class:`_TemplateUnfit`) caches nothing.
 
-class _TemplateUnfit(Exception):
-    """The symbolic walk (or a runtime guard) cannot cover this entry;
-    fall back to the concrete affine walk."""
+class _TemplateUnfit(_Bail):
+    """This entry does not fit, though another may: the walk met a bail
+    that depends on the entry's values, or a cached template's guard
+    rejected the entry."""
 
-
-#: Sentinel: the walk is not symbolisable; always plan concretely.
-_TPL_CONCRETE = object()
-
-#: Sentinel: no cached decision yet for this (instance, delta) pair.
-_TPL_UNSET = object()
 
 #: Linear expression over entry slots: (constant, ((slot, coeff), ...)).
 #: Slots 0..31 are registers, 32..47 are S-registers.
@@ -1694,6 +1440,15 @@ def _e_shift(a: Tuple, c: int) -> Tuple:
     return (a[0] + c, a[1])
 
 
+#: Plan-op tag -> positions of the operand bases in its tuple: linear
+#: expressions in a template, integers in an instantiated plan.
+_BASE_FIELDS = {
+    "cpy": (1, 4), "gcpy": (1, 4), "cimload": (1,), "mvm": (1, 5),
+    "qnt": (1, 4), "add32": (1, 3, 6), "acc32": (1, 4), "fill": (4,),
+    "cmul": (1, 3, 7), "bin": (2, 4, 7), "un": (2, 5),
+}
+
+
 class _PlanTemplate:
     """One symbolic batch plan, instantiable against any entry state."""
 
@@ -1713,10 +1468,10 @@ class _PlanTemplate:
     def instantiate(self, core, max_iterations: int):
         """Materialise the concrete ``(plan, m)`` for the current entry.
 
-        Raises :class:`_Bail` exactly where the concrete walk would
-        (trip budget, bounds, collisions) and :class:`_TemplateUnfit`
-        when a guard shows the build-time environment no longer matches
-        (the caller then re-walks concretely).
+        Raises :class:`_Bail` when this entry cannot batch (trip budget,
+        bounds, collisions) and :class:`_TemplateUnfit` when a guard
+        shows the entry differs from the one the template was built at
+        (the caller then plans it from its own state).
         """
         regs = core.regs
         sregs = core.sregs
@@ -1746,61 +1501,31 @@ class _PlanTemplate:
         else:
             m = 1 + (bound_v - cnt_v + cnt_s - 1) // cnt_s
         if m > max_iterations:
+            # Over the caller's instruction budget: fall back to the
+            # stepped path, which raises the interpreter's runaway error
+            # cleanly.
             raise _Bail()
 
         ops: List[Tuple] = []
         for op in self.ops:
-            tag = op[0]
-            if tag == "cpy":
-                _, sb, ss, n, db, ds, gather = op
-                ops.append(("cpy", ev(sb), ss, n, ev(db), ds, gather))
-            elif tag == "gcpy":
-                _, sb, ss, n, db, ds = op
-                ops.append(("gcpy", ev(sb), ss, n, ev(db), ds))
-            elif tag == "cimload":
-                _, sb, ss, rows, cols, mg = op
-                ops.append(("cimload", ev(sb), ss, rows, cols, mg))
-            elif tag == "mvm":
-                _, vb, vs, rows, cols, ob, os_, mg, flags, virt = op
-                ops.append(
-                    ("mvm", ev(vb), vs, rows, cols, ev(ob), os_, mg, flags,
-                     virt)
-                )
-            elif tag == "qnt":
-                _, ab, as_, n, db, ds, qmul, qshift = op
-                ops.append(("qnt", ev(ab), as_, n, ev(db), ds, qmul, qshift))
-            elif tag == "add32":
-                _, ab, as_, bb, bs, n, db, ds = op
-                ops.append(("add32", ev(ab), as_, ev(bb), bs, n, ev(db), ds))
-            elif tag == "acc32":
-                _, ab, as_, n, db = op
-                ops.append(("acc32", ev(ab), as_, n, ev(db)))
-            elif tag == "fill":
-                _, value, funct, n, db, ds = op
-                ops.append(("fill", value, funct, n, ev(db), ds))
-            elif tag == "cmul":
-                _, ab, as_, scb, scs, ch, n, db, ds = op
-                ops.append(
-                    ("cmul", ev(ab), as_, ev(scb), scs, ch, n, ev(db), ds)
-                )
-            elif tag == "bin":
-                _, vop, ab, as_, bb, bs, n, db, ds = op
-                ops.append(
-                    ("bin", vop, ev(ab), as_, ev(bb), bs, n, ev(db), ds)
-                )
-            else:  # "un"
-                _, vop, ab, as_, n, db, ds = op
-                ops.append(("un", vop, ev(ab), as_, n, ev(db), ds))
+            fields = list(op)
+            for i in _BASE_FIELDS[op[0]]:
+                fields[i] = ev(fields[i])
+            ops.append(tuple(fields))
 
+        # Every write must stay inside local memory for the whole batch.
         writes = [(ev(b), s, l) for b, s, l in self.writes]
         spans = [_span(b, s, l, m) for b, s, l in writes]
         lsz = core.chip.memory.local_size
         for lo, hi in spans:
             if lo < 0 or hi > lsz:
                 raise _Bail()
-        # The pairwise collision verdict depends only on *relative*
-        # bases (steps, lengths and m are template constants), so it is
-        # memoised across entries that differ by a pure translation.
+        # Distinct write regions must never touch a common byte at any
+        # pair of iterations (iteration-aware for regions sharing a step;
+        # conservative span test otherwise).  The pairwise verdict
+        # depends only on *relative* bases (steps, lengths and m are
+        # template constants), so it is memoised across entries that
+        # differ by a pure translation.
         base0 = writes[0][0] if writes else 0
         signature = (m, tuple(b - base0 for b, _, _ in writes))
         collide = self._hazards.get(signature)
@@ -1822,6 +1547,7 @@ class _PlanTemplate:
             self._hazards[signature] = collide
         if collide:
             raise _Bail()
+        ENGINE_STATS["template_hits"] += 1
         return (ops, writes), m
 
 
@@ -1832,47 +1558,59 @@ def _template_key(delta: Tuple[int, ...]) -> Tuple[int, ...]:
     )
 
 
-def _template_for(core, inst: BlockInstance, delta: Tuple[int, ...]):
-    """Fetch (or build) the plan template for this instance + step delta.
+def _plan_entry(core, inst: BlockInstance, delta: Tuple[int, ...],
+                max_iterations: int):
+    """The concrete ``(plan, m)`` of the current loop entry.
 
-    Returns a :class:`_PlanTemplate`, ``None`` (the loop provably never
-    batches under this delta, regardless of entry state), or
-    :data:`_TPL_CONCRETE` (not symbolisable; use the concrete walk).
+    Instantiates the template cached for this instance + step delta.
+    Without one -- or when the cached one's guards reject this entry --
+    the body is walked from the entry's own state and the new template
+    is cached and instantiated.  Raises :class:`_Bail` when the entry
+    does not batch.  Read-only: performs no mutation of the core.
     """
     key = _template_key(delta)
-    entry = inst.templates.get(key, _TPL_UNSET)
-    if entry is _TPL_UNSET:
-        if len(inst.templates) > 4:
-            inst.templates.clear()
-        ENGINE_STATS["template_builds"] += 1
+    templates = inst.templates
+    if key in templates:
+        template = templates[key]
+        if template is None:
+            # Symbolically proven: this loop never batches under this
+            # step delta, for any entry state.  Skip the affine walk.
+            raise _Bail()
         try:
-            entry = _build_template(core, inst, delta)
-        except _Bail:
-            entry = None
+            return template.instantiate(core, max_iterations)
         except _TemplateUnfit:
-            entry = _TPL_CONCRETE
-        inst.templates[key] = entry
-    return entry
+            ENGINE_STATS["template_misfits"] += 1
+    if len(templates) > 4:
+        templates.clear()
+    ENGINE_STATS["template_builds"] += 1
+    try:
+        template = _build_template(core, inst, delta)
+    except _Bail as bail:
+        if not isinstance(bail, _TemplateUnfit):
+            templates[key] = None
+        raise
+    templates[key] = template
+    return template.instantiate(core, max_iterations)
 
 
 def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
-    """Symbolic twin of :func:`_plan_batch`.
+    """The affine walk of a loop body: the batch planner.
 
-    Walks the loop body once with register *values* as linear
-    expressions over the entry slots while steps stay concrete (they
-    derive from the delta and immediates only).  Where the walk needs a
-    concrete value (an op length, a macro-group index, a multiplier),
-    the build-time value is *bound* and recorded as an instantiation
-    guard, so the template applies to every entry that agrees on those
-    values -- in practice all of them, since bound values are loop
-    parameters while operand bases stay symbolic.
+    Walks the body once with register *values* as linear expressions
+    over the entry slots while steps stay concrete (they derive from the
+    delta and immediates only).  Where the walk needs a concrete value
+    (an op length, a macro-group index, a multiplier), the current
+    entry's value is *bound* and recorded as an instantiation guard, so
+    the template applies to every entry that agrees on those values --
+    in practice all of them, since bound values are loop parameters
+    while operand bases stay symbolic.
 
-    Raises :class:`_Bail` only for bails that hold for every entry
-    state (pure walks, cached as "never batches") and
-    :class:`_TemplateUnfit` when the walk cannot be symbolised (cached
-    as "plan concretely").  Build-time macro-group shapes become
-    instantiation guards too, so a template never outlives the
-    environment it was derived from.
+    Raises a plain :class:`_Bail` only for bails that hold for every
+    entry state (nothing bound yet; cached as "never batches") and
+    :class:`_TemplateUnfit` for those that depend on this entry's values
+    or environment (another entry may batch, so nothing is cached).
+    Build-time macro-group shapes become instantiation guards too, so a
+    template never outlives the environment it was derived from.
     """
     regs: List[Tuple[Tuple, int]] = [
         (_e_slot(i), delta[_S_REGS + i]) for i in range(32)
@@ -1994,10 +1732,14 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
             sb, ss = regs[rs]
             db, ds = _e_shift(regs[rt][0], off), regs[rt][1]
             if ev_entry(db) >= GLOBAL_BASE:
-                # Entry-dependent classification: other entries may keep
-                # the destination local, so never cache a definite bail.
+                # Global-memory writes are visible to other cores;
+                # replay order matters, so never batch them.  Other
+                # entries may keep the destination local, so this is
+                # never cached as a definite bail.
                 raise _TemplateUnfit()
             if ev_entry(sb) >= GLOBAL_BASE:
+                # Weight/activation streaming: read the global image,
+                # write locally, one NoC message per iteration.
                 # Classified by this entry's value, unguarded: an entry
                 # that flips the source's locality fails the executor's
                 # region bounds check and falls back safely.
@@ -2025,6 +1767,9 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
             if not 0 <= mg < len(mgs) or rows <= 0 or cols <= 0:
                 definite_bail()
             if mg in entry_mg_used:
+                # An earlier MVM on this mg reads the *previous*
+                # iteration's load: a loop-carried macro-group
+                # dependency the batched replay does not model.
                 definite_bail()
             sb, ss = regs[rs]
             ops.append(("cimload", sb, ss, rows, cols, mg))
@@ -2098,12 +1843,12 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
         else:
             definite_bail()
 
-    # Symbolic cross-check, the template twin of _plan_batch's numeric
-    # one: every end-of-body value must equal its entry value plus the
-    # measured step.  An identical expression match holds for every
-    # entry state (no runtime check needed); any other shape is guarded
-    # numerically -- the guard is exactly the concrete walk's check, so
-    # entries it rejects fall back to the concrete walk.
+    # Cross-check the affine model against the measured per-iteration
+    # deltas: the walked end-of-body value of every register must equal
+    # its entry value plus its measured step.  An identical expression
+    # match holds for every entry state (no runtime check needed); any
+    # other shape is checked numerically at this entry and guarded, so
+    # an entry the guard rejects is re-planned from its own state.
     def cross_check(slot: int, pair, step0: int) -> None:
         nonlocal pure
         e, s = pair
@@ -2113,8 +1858,8 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
             return
         diff = _e_combine(e, _e_slot(slot), -1)
         if ev_entry(diff) != step0:
-            # The concrete walk bails this entry too, but the mismatch
-            # is entry-dependent; never cache it as a definite bail.
+            # The mismatch is entry-dependent; never cache it as a
+            # definite bail.
             raise _TemplateUnfit()
         guards.append((diff, step0))
         pure = False
@@ -2124,6 +1869,9 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
     for i in range(16):
         cross_check(32 + i, sregs[i], entry_ssteps[i])
 
+    # The closing BLT: the body executes while cnt < bound at the branch;
+    # instantiate() derives the trip count from the walked end-of-body
+    # values, which give the first batched branch.
     cnt_e, cnt_s = regs[branch[1]]
     bound_e, bound_s = regs[branch[2]]
     if cnt_s <= 0 or bound_s != 0:

@@ -11,9 +11,6 @@ Link reservation is exposed in two layers:
 - :meth:`NoC.reserve` is the *pure* reservation chain -- given the
   current per-link free times it returns where one message's head
   passes each hop and the new free times, without mutating anything.
-  :meth:`NoC.earliest_start` answers "earliest start >= t at which this
-  route accepts a message without queueing" in closed form from the
-  same arithmetic.
 - :meth:`NoC.transfer` commits one reservation (the interpreter path),
   and :meth:`NoC.replay_affine` commits a whole affine *window* of
   reservations iteration-major (the batched-loop path): a short pure
@@ -118,21 +115,6 @@ class NoC:
             time = (f if f > time else time) + h
             new_free.append(time + serialization - 1)
         return time, new_free, dominated
-
-    def earliest_start(self, src: int, dst: int, t: int) -> int:
-        """Earliest start ``>= t`` at which this route accepts a message
-        head without queueing on any link.  Pure closed form: the head
-        reaches link ``j`` at ``start + router_latency + j * hop``, so it
-        queues nowhere iff ``start >= free_j - router_latency - j * hop``
-        for every link."""
-        s = t
-        R = self.router_latency
-        h = self.hop_latency
-        for j, link in enumerate(self.route(src, dst)):
-            need = self._link_free.get(link, 0) - R - j * h
-            if need > s:
-                s = need
-        return s
 
     # -- committing paths ----------------------------------------------------
 

@@ -6,8 +6,7 @@ tables -- per-shard utilisation, replica health, queue depth, rolling
 p50/p99 -- as one JSON-able dict, deterministic for virtual-clock
 sessions, with the closed-form
 :func:`~repro.sim.fastmodel.steady_state_utilization` cross-check next
-to the measured numbers.  The live Textual app renders the same state;
-its import is optional and failure points at ``--snapshot``.
+to the measured numbers.
 """
 
 import json
@@ -214,24 +213,7 @@ class TestSteadyStateUtilization:
 
 
 # ---------------------------------------------------------------------------
-# The live app import gate
-# ---------------------------------------------------------------------------
-
-class TestWatchAppGate:
-    def test_missing_textual_points_at_snapshot(self, arch):
-        try:
-            import textual  # noqa: F401
-            pytest.skip("textual installed; the gate cannot trip")
-        except ImportError:
-            pass
-        from repro.console import run_watch_app
-
-        with pytest.raises(ConfigError, match="--snapshot"):
-            run_watch_app(_deployment(arch), RELEASES)
-
-
-# ---------------------------------------------------------------------------
-# CLI: repro watch --snapshot
+# CLI: repro watch
 # ---------------------------------------------------------------------------
 
 class TestWatchCli:
@@ -261,3 +243,17 @@ class TestWatchCli:
         assert snapshot["replicas"] == 2
         assert snapshot["policy"] == "jsq"
         assert len(snapshot["replicas_table"]) == 2
+
+    def test_no_flag_is_snapshot_to_stdout(self, arch, capsys):
+        from repro.cli import main
+
+        base = [
+            "watch", "tiny_mlp", "--preset", "small", "--input-size", "8",
+            "--batch", "4", "--interval", "300",
+        ]
+        printed = []
+        for flags in ([], ["--snapshot"], ["--snapshot", "-"]):
+            assert main(base + flags) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+        assert json.loads(printed[0])["counts"]["completed"] == 4

@@ -623,6 +623,89 @@ class TestHandWrittenPrograms:
         out = block.memory.read_global(GLOBAL_BASE + 64, 8)
         assert list(out) == [-1, -2, -3, -4, -5, -6, -7, -8]
 
+    def test_inner_loop_length_alternates_across_entries(self):
+        """An inner loop whose vector length is 8 on even outer entries
+        and 4 on odd ones: the length is a value the plan template binds,
+        so every second entry meets a template whose guard rejects it and
+        must still be planned (and batched) from its own state."""
+        from repro.sim import blockengine as be
+
+        inner, outer = 24, 6
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, 2048)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.li(11, 1)
+        b.li(9, 0)        # outer counter
+        b.li(10, outer)   # outer bound
+        with b.loop(9, 10):
+            # length = 8 - 4 * (outer_i & 1)
+            b.emit("SC_AND", rs=9, rt=11, rd=21)
+            b.emit("SC_MULI", rs=21, rt=21, imm=-4)
+            b.emit("SC_ADDIW", rs=21, rt=21, offset=8)
+            # in = 192 * outer_i, out = 4096 + 192 * outer_i
+            b.emit("SC_MULI", rs=9, rt=6, imm=192)
+            b.emit("SC_ADDIW", rs=6, rt=8, offset=4096)
+            b.li(1, 0)      # inner counter
+            b.li(2, inner)  # inner bound
+            with b.loop(1, 2):
+                b.emit("VEC_RELU", rs=6, rd=8, re=21)
+                b.emit("SC_ADDIW", rs=6, rt=6, offset=8)
+                b.emit("SC_ADDIW", rs=8, rt=8, offset=8)
+        b.halt()
+        rng = np.random.default_rng(23)
+        image = rng.integers(-128, 128, 2048, dtype=np.int8).view(np.uint8)
+        interp, block = _run_both({0: b.finalize()}, image=image)
+        _assert_equal_state(interp, block)
+        stats = be.ENGINE_STATS
+        assert stats["batch_attempts"] == outer
+        assert stats["batch_successes"] == outer
+        assert stats["template_misfits"] >= outer // 2
+
+    def test_inner_loop_destination_global_then_local(self):
+        """An inner copy loop that writes global memory on outer entry 0
+        (never batched: the write is visible to other cores) and local
+        memory on entries 1-4.  The entry that cannot batch must not
+        decide for the ones that can."""
+        from repro.sim import blockengine as be
+
+        n, inner, outer = 8, 24, 5
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, 2048)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.li(3, n)
+        b.li(11, GLOBAL_BASE + 4096)
+        b.li(9, 0)        # outer counter
+        b.li(10, outer)   # outer bound
+        with b.loop(9, 10):
+            # in = 192 * outer_i
+            # out = 4096 + 192 * outer_i, + GLOBAL_BASE + 4096 on entry 0
+            b.emit("SC_MULI", rs=9, rt=6, imm=192)
+            b.emit("SC_SLTI", rs=9, rt=12, imm=1)
+            b.emit("SC_MUL", rs=12, rt=11, rd=12)
+            b.emit("SC_ADD", rs=6, rt=12, rd=8)
+            b.emit("SC_ADDIW", rs=8, rt=8, offset=4096)
+            b.li(1, 0)      # inner counter
+            b.li(2, inner)  # inner bound
+            with b.loop(1, 2):
+                b.emit("MEM_CPY", rs=6, rt=8, rd=3)
+                b.emit("SC_ADDIW", rs=6, rt=6, offset=n)
+                b.emit("SC_ADDIW", rs=8, rt=8, offset=n)
+        b.halt()
+        rng = np.random.default_rng(29)
+        image = rng.integers(-128, 128, 2048, dtype=np.int8).view(np.uint8)
+        image = np.concatenate([image, np.zeros(16384, np.uint8)])
+        interp, block = _run_both({0: b.finalize()}, image=image)
+        _assert_equal_state(interp, block)
+        out = block.memory.read_global(GLOBAL_BASE + 8192, inner * n)
+        assert np.array_equal(out.view(np.uint8), image[:inner * n])
+        stats = be.ENGINE_STATS
+        assert stats["batch_attempts"] == outer
+        assert stats["batch_successes"] == outer - 1
+
 
 class TestModelEquivalenceHotTier(TestModelEquivalence):
     TIER = "hot"

@@ -279,6 +279,24 @@ class TestExploreResidentAxis:
         assert row["resident_weights"] is True
         assert row["load_cycles"] > 0
 
+    @pytest.mark.parametrize("model", ["tiny_resnet", "tiny_cnn"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_sharded_point_is_the_fast_deployment(self, march, model, batch):
+        """``chips > 1`` x resident (``analyze_sharded_resident``) prices
+        what a fast-tier resident ``Deployment`` of the same shape
+        reports."""
+        point = evaluate_fast(
+            model, march, "dp", chips=2, batch=batch, resident_weights=True,
+            **MODEL_KW,
+        )
+        served = Deployment(
+            model, march, strategy="dp", chips=2, tier="fast",
+            resident_weights=True, **MODEL_KW,
+        ).submit(batch=batch)
+        assert point.report.load_cycles == served.load_cycles > 0
+        assert point.cycles == served.makespan_cycles
+        assert point.report.total_energy_pj == served.total_energy_pj
+
     def test_resident_modes_validated(self):
         with pytest.raises(ConfigError, match="resident modes"):
             SweepSpec(models=("tiny_mlp",), resident_modes=())

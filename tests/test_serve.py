@@ -295,6 +295,26 @@ class TestDeploymentSessions:
         assert payload["queue_cycles"] == served.queue_cycles
         assert payload["p99_latency_cycles"] == served.p99_latency_cycles
 
+    def test_printing_a_report_sorts_its_latencies_once(
+        self, arch, monkeypatch
+    ):
+        served = _deploy(arch, chips=2, tier="fast").submit(
+            batch=7, arrivals=FixedInterval(10)
+        )
+        real = type(served)._percentiles
+        calls = []
+
+        def counting(self, pcts, latencies=None):
+            calls.append(tuple(pcts))
+            return real(self, pcts, latencies)
+
+        monkeypatch.setattr(type(served), "_percentiles", counting)
+        text = str(served)
+        assert calls == [(50, 95, 99)]
+        for pct in (50, 95, 99):
+            cycles = served.latency_percentile_cycles(pct)
+            assert f"latency p{pct}       : {cycles:,} cycles" in text
+
     def test_run_matches_legacy_single_input(self, arch):
         """The one-shard pipeline adds nothing to a lone chip: ``run()``
         reports what a hand-driven :class:`ChipSimulator` reports."""
