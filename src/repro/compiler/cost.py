@@ -151,7 +151,7 @@ class CostModel:
             return work + _LOOP_OVERHEAD
         if anchor.kind is OpKind.DWCONV:
             k = anchor.attrs["kernel"]
-            c_in = anchor.weight.shape[2]
+            c_in = anchor.weight_shape[2]
             patch = k * k * self.copy_cycles(c_in)
             per_tile = (
                 self.copy_cycles(k * k * geom.dw_group)  # gather
@@ -161,7 +161,7 @@ class CostModel:
             return patch + slices_owned * per_tile + _LOOP_OVERHEAD
         if anchor.kind is OpKind.CONV:
             k = anchor.attrs["kernel"]
-            c_in = anchor.weight.shape[2]
+            c_in = anchor.weight_shape[2]
             patch = k * self.copy_cycles(k * c_in)
         else:  # GEMM: input vector already contiguous
             patch = 0
@@ -276,7 +276,7 @@ class CostModel:
         positions = geom.out_h * geom.out_w
         if anchor.kind is OpKind.DWCONV:
             k = anchor.attrs["kernel"]
-            return positions * anchor.weight.shape[2] * k * k
+            return positions * anchor.weight_shape[2] * k * k
         return positions * geom.vec_rows * geom.out_c
 
     def _node_energy(

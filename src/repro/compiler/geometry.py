@@ -19,16 +19,19 @@ across cores, so no cross-core partial sums exist); whole-node *replicas*
 (the paper's weight duplication) split the output spatial rows.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.config import ArchConfig
 from repro.errors import CapacityError, CompileError
 from repro.compiler.frontend import CondensedNode
 from repro.graph.ops import OpKind
 from repro.utils import ceil_div
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,17 @@ class NodeGeometry:
         anchor = self.node.anchor
         if anchor.kind is OpKind.CONV:
             k = anchor.attrs["kernel"]
-            c_in = anchor.weight.shape[2]
+            c_in = anchor.weight_shape[2]
             self.vec_rows = k * k * c_in
             self.row_tiles = ceil_div(self.vec_rows, self.tile_rows)
             self.col_slices = ceil_div(self.out_c, self.tile_cols)
         elif anchor.kind is OpKind.GEMM:
-            self.vec_rows = anchor.weight.shape[0]
+            self.vec_rows = anchor.weight_shape[0]
             self.row_tiles = ceil_div(self.vec_rows, self.tile_rows)
             self.col_slices = ceil_div(self.out_c, self.tile_cols)
         elif anchor.kind is OpKind.DWCONV:
             k = anchor.attrs["kernel"]
-            channels = anchor.weight.shape[2]
+            channels = anchor.weight_shape[2]
             group = min(self.tile_cols, self.tile_rows // (k * k))
             if group < 1:
                 raise CapacityError(
@@ -183,6 +186,8 @@ class NodeGeometry:
         """
         if not self.node.is_cim:
             return []
+        import numpy as np
+
         anchor = self.node.anchor
         tiles: List[WeightTile] = []
         if anchor.kind is OpKind.DWCONV:

@@ -50,43 +50,31 @@ def optimal_mapping(
         return replicas, estimate
 
     # Stage latency is the slowest node plus fill and barrier terms that
-    # replica counts do not move.
+    # replica counts do not move, so a replica lowers it only when granted
+    # to the one slowest node and only if that node gets faster: a tie, a
+    # bottleneck out of rows or cores, or a trial that does not help ends
+    # the greedy, and no other trial needs pricing.  Every accepted trial
+    # takes at least one core, so the loop ends.
     latencies = [cost.latency for cost in node_costs]
-    latency = estimate.latency
-    overhead = latency - max(latencies)
     cores_used = base
-    blocked = set()
-    # Greedy duplication: relieve the pipeline bottleneck while it helps.
-    for _ in range(4 * total_cores):
-        candidates = [
-            (latencies[i], geom.node.name, i)
-            for i, geom in enumerate(geoms)
-            if geom.node.name not in blocked
-            and replicas[geom.node.name] < geom.max_replicas
-            and cores_used + geom.cores_min <= total_cores
-        ]
-        if not candidates:
+    while True:
+        slowest = max(latencies)
+        i = latencies.index(slowest)
+        geom = geoms[i]
+        name = geom.node.name
+        if (
+            latencies.count(slowest) > 1
+            or replicas[name] >= geom.max_replicas
+            or cores_used + geom.cores_min > total_cores
+        ):
             break
-        candidates.sort(key=lambda item: (-item[0], item[1]))
-        improved = False
-        for _, name, i in candidates:
-            trial = cost_model.estimate_node(
-                geoms[i], replicas[name] + 1, *topology[i]
-            )
-            kept = latencies[i]
-            latencies[i] = trial.latency
-            trial_latency = max(latencies) + overhead
-            if trial_latency < latency:
-                replicas[name] += 1
-                node_costs[i] = trial
-                latency = trial_latency
-                cores_used += geoms[i].cores_min
-                improved = True
-                break
-            latencies[i] = kept
-            blocked.add(name)
-        if not improved:
+        trial = cost_model.estimate_node(geom, replicas[name] + 1, *topology[i])
+        if trial.latency >= slowest:
             break
-    if latency < estimate.latency:
+        replicas[name] += 1
+        node_costs[i] = trial
+        latencies[i] = trial.latency
+        cores_used += geom.cores_min
+    if cores_used > base:
         estimate = cost_model.fold_stage(node_costs)
     return replicas, estimate

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.config import ArchConfig
 from repro.errors import CompileError
 from repro.compiler.cost import CostModel
@@ -41,6 +39,8 @@ from repro.compiler.strategies import (
 from repro.graph.graph import ComputationGraph
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.isa import ISARegistry, Program
 
 

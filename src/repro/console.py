@@ -172,9 +172,12 @@ class ConsoleState:
         ]
 
     def latency_table(self) -> Dict:
-        from repro.serve import latency_percentile
+        from repro.serve import latency_percentiles
 
         recent = list(self._latencies)
+        p50, p99 = (
+            latency_percentiles(recent, (50, 99)) if recent else (None, None)
+        )
         throughput = None
         if self.cycle_ns and self.horizon_cycle and self.completed:
             throughput = self.completed / (
@@ -183,12 +186,8 @@ class ConsoleState:
         return {
             "window": self.window,
             "samples": len(recent),
-            "rolling_p50_cycles": (
-                latency_percentile(recent, 50) if recent else None
-            ),
-            "rolling_p99_cycles": (
-                latency_percentile(recent, 99) if recent else None
-            ),
+            "rolling_p50_cycles": p50,
+            "rolling_p99_cycles": p99,
             "throughput_inf_per_s": throughput,
         }
 

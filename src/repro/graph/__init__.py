@@ -11,7 +11,7 @@ _EXPORTS = {
         "graph_from_dict", "graph_to_dict", "load_graph", "save_graph",
     ),
     "repro.graph.ops": ("ELEMENTWISE_KINDS", "MVM_KINDS", "Operator", "OpKind"),
-    "repro.graph.quantize": ("QuantParams",),
+    "repro.graph.qparams": ("QuantParams",),
     "repro.graph.shape_inference": ("infer_output_shape",),
     "repro.graph.tensor": ("TensorInfo",),
 }
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
         save_graph,
     )
     from repro.graph.ops import ELEMENTWISE_KINDS, MVM_KINDS, Operator, OpKind
-    from repro.graph.quantize import QuantParams
+    from repro.graph.qparams import QuantParams
     from repro.graph.shape_inference import infer_output_shape
     from repro.graph.tensor import TensorInfo
 

@@ -4,19 +4,25 @@
 fills in seeded-random INT8 weights / INT32 biases plus deterministic
 requantisation parameters, standing in for the trained ONNX models the
 paper consumes -- compilation and simulation behaviour depend on
-topology and shapes, not on weight values.
+topology and shapes, not on weight values.  The values are therefore
+drawn on their first read (:class:`SeededDraws`): planning a graph reads
+shapes only and never pays for them.
 """
 
-from typing import Optional, Sequence
+from __future__ import annotations
 
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.graph.graph import ComputationGraph
-from repro.graph.ops import Operator, OpKind
-from repro.graph.quantize import QuantParams, avgpool_qparams, default_qparams
+from repro.graph.ops import DeferredArray, Operator, OpKind
+from repro.graph.qparams import QuantParams, avgpool_qparams, default_qparams
 from repro.graph.shape_inference import infer_output_shape
 from repro.graph.tensor import TensorInfo
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Weights are drawn from this half-open interval so int32 accumulators
 #: cannot overflow even at the largest fan-in in the model zoo.
@@ -24,12 +30,45 @@ WEIGHT_LOW, WEIGHT_HIGH = -64, 64
 BIAS_LOW, BIAS_HIGH = -512, 512
 
 
+class SeededDraws:
+    """The random parameters of one graph: recorded in order, drawn on first read.
+
+    A generator's stream is sequential, so the first read of any recorded
+    array draws all of them, in the order they were recorded, from
+    ``np.random.default_rng(seed)`` -- the values a builder drawing as it
+    went would have produced.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._specs: List[Tuple[int, int, Tuple[int, ...], str]] = []
+        self._arrays: Optional[List[np.ndarray]] = None
+
+    def record(
+        self, low: int, high: int, shape: Tuple[int, ...], dtype: str
+    ) -> DeferredArray:
+        """An array of ``integers(low, high, shape, dtype)``, drawn later."""
+        self._specs.append((low, high, shape, dtype))
+        return DeferredArray(shape, partial(self._array, len(self._specs) - 1))
+
+    def _array(self, index: int) -> np.ndarray:
+        if self._arrays is None:
+            import numpy as np
+
+            rng = np.random.default_rng(self.seed)
+            self._arrays = [
+                rng.integers(low, high, size=shape, dtype=dtype)
+                for low, high, shape, dtype in self._specs
+            ]
+        return self._arrays[index]
+
+
 class GraphBuilder:
     """Builds a :class:`ComputationGraph` operator by operator."""
 
     def __init__(self, name: str = "graph", seed: int = 0):
         self.graph = ComputationGraph(name)
-        self.rng = np.random.default_rng(seed)
+        self._draws = SeededDraws(seed)
         self._counter = 0
 
     # --- internals ---------------------------------------------------------
@@ -43,8 +82,8 @@ class GraphBuilder:
         inputs: Sequence[str],
         attrs: Optional[dict] = None,
         name: Optional[str] = None,
-        weight: Optional[np.ndarray] = None,
-        bias: Optional[np.ndarray] = None,
+        weight: Optional[DeferredArray] = None,
+        bias: Optional[DeferredArray] = None,
         qparams: Optional[QuantParams] = None,
     ) -> str:
         attrs = dict(attrs or {})
@@ -66,11 +105,11 @@ class GraphBuilder:
         self.graph.add_operator(op)
         return out_name
 
-    def _rand_weight(self, shape) -> np.ndarray:
-        return self.rng.integers(WEIGHT_LOW, WEIGHT_HIGH, size=shape, dtype=np.int8)
+    def _rand_weight(self, shape: Tuple[int, ...]) -> DeferredArray:
+        return self._draws.record(WEIGHT_LOW, WEIGHT_HIGH, shape, "int8")
 
-    def _rand_bias(self, n: int) -> np.ndarray:
-        return self.rng.integers(BIAS_LOW, BIAS_HIGH, size=n, dtype=np.int32)
+    def _rand_bias(self, n: int) -> DeferredArray:
+        return self._draws.record(BIAS_LOW, BIAS_HIGH, (n,), "int32")
 
     # --- operators ---------------------------------------------------------
     def input(self, shape, name: str = "input") -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator, OpKind
-from repro.graph.quantize import QuantParams
+from repro.graph.qparams import QuantParams
 from repro.graph.shape_inference import infer_output_shape
 from repro.graph.tensor import TensorInfo
 

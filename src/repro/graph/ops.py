@@ -11,14 +11,27 @@ MVM-based operators the compiler maps onto CIM macro groups; everything
 else executes on the vector unit or is pure data movement.
 """
 
-import enum
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from __future__ import annotations
 
-import numpy as np
+import enum
+import math
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import GraphError
-from repro.graph.quantize import QuantParams
+from repro.graph.qparams import QuantParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OpKind(enum.Enum):
@@ -72,7 +85,17 @@ _REQUIRED_ATTRS = {
 }
 
 
-@dataclass
+class DeferredArray(NamedTuple):
+    """A parameter array known by its shape; ``read()`` returns the values.
+
+    What :class:`~repro.graph.builder.GraphBuilder` hands an operator in
+    place of an array it has not drawn yet.
+    """
+
+    shape: Tuple[int, ...]
+    read: Callable[[], np.ndarray]
+
+
 class Operator:
     """One node of the computation graph.
 
@@ -94,21 +117,33 @@ class Operator:
         ``(k, k, C_in, C_out)`` int8 (HWIO, matching the NHWC dataflow);
         depthwise weights are ``(k, k, C)``; GEMM weights are
         ``(in_features, out_features)``.  Bias is int32 per output channel.
+        Either may be given as a :class:`DeferredArray`, which its first
+        read replaces by the values; ``weight_shape`` and
+        ``weight_bytes()`` never read values.
     qparams:
         Requantisation parameters for operators producing int8 from int32
         accumulators (MVM ops, average pools).
     """
 
-    name: str
-    kind: OpKind
-    inputs: List[str]
-    output: str
-    attrs: Dict[str, Any] = field(default_factory=dict)
-    weight: Optional[np.ndarray] = None
-    bias: Optional[np.ndarray] = None
-    qparams: Optional[QuantParams] = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        kind: OpKind,
+        inputs: List[str],
+        output: str,
+        attrs: Optional[Dict[str, Any]] = None,
+        weight: Union[np.ndarray, DeferredArray, None] = None,
+        bias: Union[np.ndarray, DeferredArray, None] = None,
+        qparams: Optional[QuantParams] = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.inputs = inputs
+        self.output = output
+        self.attrs = {} if attrs is None else attrs
+        self._weight = weight
+        self._bias = bias
+        self.qparams = qparams
         for attr in _REQUIRED_ATTRS.get(self.kind, ()):
             if attr not in self.attrs:
                 raise GraphError(f"{self.name} ({self.kind.value}): missing attr {attr!r}")
@@ -120,6 +155,23 @@ class Operator:
                 f"{self.name} ({self.kind.value}): expected {expected_inputs} "
                 f"inputs, got {len(self.inputs)}"
             )
+
+    @property
+    def weight(self) -> Optional[np.ndarray]:
+        if isinstance(self._weight, DeferredArray):
+            self._weight = self._weight.read()
+        return self._weight
+
+    @property
+    def bias(self) -> Optional[np.ndarray]:
+        if isinstance(self._bias, DeferredArray):
+            self._bias = self._bias.read()
+        return self._bias
+
+    @property
+    def weight_shape(self) -> Optional[Tuple[int, ...]]:
+        """Shape of ``weight`` (``None`` without one); reads no values."""
+        return None if self._weight is None else self._weight.shape
 
     @property
     def is_mvm(self) -> bool:
@@ -135,10 +187,7 @@ class Operator:
 
     def weight_bytes(self) -> int:
         """Parameter footprint in bytes (weights only; bias is int32)."""
-        total = 0
-        if self.weight is not None:
-            total += self.weight.size
-        return total
+        return 0 if self._weight is None else math.prod(self._weight.shape)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,10 +11,13 @@ with a per-operator multiplier/shift pair; nonlinearities act on the int8
 domain through 256-entry lookup tables.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
+
+from repro.graph.qparams import (  # re-exported: the scheme has one import site
+    QuantParams,
+    avgpool_qparams,
+    default_qparams,
+)
 
 I8_MIN, I8_MAX = -128, 127
 
@@ -23,36 +26,6 @@ I8_MIN, I8_MAX = -128, 127
 ACT_SCALE = 16.0
 #: ReLU6 clip point in int8 codes (6.0 * ACT_SCALE, saturated).
 RELU6_CLIP = min(I8_MAX, int(round(6.0 * ACT_SCALE)))
-
-
-@dataclass(frozen=True)
-class QuantParams:
-    """Requantisation parameters of one operator: out = (acc*qmul) >> qshift."""
-
-    qmul: int = 1
-    qshift: int = 0
-
-    def __post_init__(self):
-        if self.qmul <= 0 or not 0 <= self.qshift < 32:
-            raise ValueError(f"bad quantisation parameters {self}")
-
-
-def default_qparams(fan_in: int) -> QuantParams:
-    """Deterministic requantisation parameters for a given accumulation
-    fan-in, sized so int8 outputs neither saturate constantly nor vanish."""
-    if fan_in <= 0:
-        raise ValueError("fan_in must be positive")
-    # weights ~ U[-64,63], activations ~ int8: acc std ~ sqrt(fan_in)*37*40
-    shift = max(0, int(math.ceil(math.log2(math.sqrt(fan_in) * 64))))
-    return QuantParams(qmul=1, qshift=shift)
-
-
-def avgpool_qparams(window: int, qshift: int = 8) -> QuantParams:
-    """Fixed-point divide-by-``window`` for average pooling."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    return QuantParams(qmul=max(1, round((1 << qshift) / window)), qshift=qshift)
-
 
 #: Longest reduction one float32 product may cover.  1024 * 128 * 128 = 2**24,
 #: the largest magnitude below which float32 holds every integer exactly.

@@ -246,15 +246,24 @@ def _nearest_rank(ordered: Sequence[int], pct: float) -> int:
     return int(ordered[min(rank, len(ordered)) - 1])
 
 
-def latency_percentile(latencies: Sequence[int], pct: float) -> int:
-    """Nearest-rank percentile (deterministic on integer cycle counts).
+def latency_percentiles(
+    latencies: Sequence[int], pcts: Sequence[float]
+) -> List[int]:
+    """Nearest-rank percentiles (deterministic on integer cycle counts),
+    all from one sort of ``latencies``.
 
-    ``pct`` must lie in ``(0, 100]``: the 0th percentile is undefined
-    under the nearest-rank definition (there is no rank 0) and anything
-    above 100 would silently clamp to the maximum, so both are rejected
-    with :class:`~repro.errors.ConfigError`.
+    Each of ``pcts`` must lie in ``(0, 100]``: the 0th percentile is
+    undefined under the nearest-rank definition (there is no rank 0) and
+    anything above 100 would silently clamp to the maximum, so both are
+    rejected with :class:`~repro.errors.ConfigError`.
     """
-    return _nearest_rank(sorted(latencies) or [0], pct)
+    ordered = sorted(latencies) or [0]
+    return [_nearest_rank(ordered, pct) for pct in pcts]
+
+
+def latency_percentile(latencies: Sequence[int], pct: float) -> int:
+    """One nearest-rank percentile; see :func:`latency_percentiles`."""
+    return latency_percentiles(latencies, [pct])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +302,8 @@ class _ServingMetrics:
         """Nearest-rank percentiles of ``latency_cycles`` from one sort."""
         if latencies is None:
             latencies = self.latency_cycles
-        ordered = sorted(latencies)
-        ranks = [_nearest_rank(ordered or [0], pct) for pct in pcts]
-        return ranks if ordered else [self._no_latency] * len(ranks)
+        ranks = latency_percentiles(latencies, pcts)
+        return ranks if latencies else [self._no_latency] * len(ranks)
 
     def latency_percentile_cycles(self, pct: float) -> Optional[int]:
         """Nearest-rank percentile over *completed* requests."""

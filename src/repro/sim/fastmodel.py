@@ -22,8 +22,6 @@ relates to the cycle-level simulator and the golden functional model.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.compiler.cost import CostModel, stage_topology
 from repro.compiler.plan import ExecutionPlan
 from repro.errors import ConfigError
@@ -111,7 +109,7 @@ def _analyze_plan_impl(
     time_cursor = 0
 
     for stage in plan.stages:
-        ready: Dict[str, np.ndarray] = {}
+        ready: Dict[str, List[int]] = {}
         stage_end = time_cursor
         topologies = stage_topology(stage.nodes, stage.spill)
         # stage.nodes is in topological order
@@ -123,7 +121,7 @@ def _analyze_plan_impl(
             hoisted_replicas = resident_replicas.get(node.name, frozenset())
             if hoisted_replicas and load:
                 load_phase = max(load_phase, load)
-            node_ready = np.zeros(geom.out_h, dtype=np.int64)
+            node_ready = [0] * geom.out_h
             for replica_index, replica in enumerate(mapping.replicas):
                 t = time_cursor + (
                     0 if replica_index in hoisted_replicas else load
@@ -136,7 +134,7 @@ def _analyze_plan_impl(
                         src = ready[spec.tensor]
                         rows = spec.rows_needed(y, y + 1, len(src))
                         if len(rows):
-                            dep = max(dep, int(src[rows.stop - 1]))
+                            dep = max(dep, src[rows.stop - 1])
                     t = max(t, dep) + row_cost
                     node_ready[y] = t
                 stage_end = max(stage_end, t)

@@ -90,6 +90,25 @@ class TestConsoleState:
         assert table["rolling_p50_cycles"] == 10
         assert table["rolling_p99_cycles"] == 20
 
+    def test_latency_table_sorts_its_window_once(self, monkeypatch):
+        import repro.serve
+
+        real = repro.serve.latency_percentiles
+        calls = []
+
+        def counting(latencies, pcts):
+            calls.append(tuple(pcts))
+            return real(latencies, pcts)
+
+        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        state = ConsoleState([100], 1, window=8)
+        for i, latency in enumerate([30, 10, 20]):
+            state.observe(RequestCompleted(i, 0, 0, latency, latency, 1))
+        table = state.latency_table()
+        assert calls == [(50, 99)]
+        assert table["rolling_p50_cycles"] == 20
+        assert table["rolling_p99_cycles"] == 30
+
     def test_utilization_over_work_horizon(self):
         state = ConsoleState([400], 1, window=8)
         state.observe(RequestAdmitted(0, 0, 0, 0))

@@ -1,5 +1,7 @@
 """Tests for the computation-graph IR, model zoo and serialisation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -143,6 +145,109 @@ class TestModelZoo:
         wa = a.operators[1].weight
         wb = b.operators[1].weight
         assert np.array_equal(wa, wb)
+
+
+#: SHA-256 over every operator's weight then bias bytes, in graph order,
+#: at each zoo model's smallest pinned size.  The seeded stream is part of
+#: every golden output, cycle count and artifact byte downstream.
+_SMALL = {"input_size": 32, "num_classes": 10}
+PARAMETER_DIGESTS = {
+    "resnet18": (_SMALL, "838f0e5917fb1b6590824b853237c2524baf89000ad6146fb24fbaeee8e2841c"),
+    "vgg19": (_SMALL, "5f89236d090514e052580528be1424baf683e399d1afb9db6d27f7dbc6fca387"),
+    "mobilenetv2": (_SMALL, "44bed4182deac80439bda811c7a52e2641cb9ad4fe6bb9c42b47acc61999cbf4"),
+    "efficientnetb0": (_SMALL, "4cddca9730fd19fb2c2d742c856a50e89294b62298bfbfa152ba7721449af3a6"),
+    "tiny_cnn": ({}, "23c51bf22e46670bd31eb4a0e92cb949e1cfb391cc1692491d5bb59e99d8ec0e"),
+    "tiny_mlp": ({}, "081119208cea2ec0401aea92f855224b2e79ec4ba5e4897a922626b0bab7e266"),
+    "tiny_resnet": ({}, "248ff9a98925e319b23db297cf18853195856c217414c84ea62fb949e4f92b3b"),
+    "weight_stream": ({}, "701a4b2674761062d81e00ed9a3bf750b15355178b967377e3801653ccd90dd2"),
+}
+
+
+def _parameter_digest(graph):
+    digest = hashlib.sha256()
+    for op in graph.operators:
+        for array in (op.weight, op.bias):
+            if array is not None:
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", PARAMETER_DIGESTS)
+def test_zoo_parameter_digests(name):
+    kwargs, expected = PARAMETER_DIGESTS[name]
+    assert _parameter_digest(get_model(name, **kwargs)) == expected
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """Every ``np.random.default_rng`` call made while the test runs."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return calls
+
+
+class TestParametersDrawnOnFirstRead:
+    def test_planning_draws_nothing(self, rng_calls):
+        from repro.compiler.pipeline import plan_graph
+        from repro.config import small_test_arch
+        from repro.sim.fastmodel import analyze_plan
+
+        graph = get_model("tiny_resnet")
+        report = analyze_plan(plan_graph(graph, small_test_arch(), "dp"))
+        assert report.cycles > 0
+        assert graph.total_weight_bytes() > 0
+        assert rng_calls == []
+
+    def test_first_read_draws_every_parameter_once(self, rng_calls):
+        graph = get_model("tiny_resnet")
+        mvm = graph.mvm_operators()
+        assert mvm[-1].bias.dtype == np.int32  # any operator, either array
+        assert len(rng_calls) == 1
+        for op in mvm:
+            assert op.weight.shape == op.weight_shape
+            assert op.bias.shape == (op.weight_shape[-1],)
+        assert len(rng_calls) == 1
+        expected = PARAMETER_DIGESTS["tiny_resnet"][1]
+        assert _parameter_digest(graph) == expected
+
+    def test_read_through_a_shard_draws_for_the_whole_model(self, rng_calls):
+        from repro.compiler import shard_graph
+
+        graph = get_model("tiny_resnet")
+        shard = shard_graph(graph, 2).shards[1].graph
+        assert rng_calls == []
+        assert shard.mvm_operators()[0].weight.dtype == np.int8
+        expected = PARAMETER_DIGESTS["tiny_resnet"][1]
+        assert _parameter_digest(graph) == expected
+        assert len(rng_calls) == 1
+
+    def test_graphs_draw_independently(self, rng_calls):
+        first = get_model("tiny_cnn", seed=7)
+        second = get_model("tiny_cnn", seed=7)
+        weight = first.operators[1].weight
+        assert len(rng_calls) == 1
+        assert np.array_equal(weight, second.operators[1].weight)
+        assert weight is not second.operators[1].weight
+        assert len(rng_calls) == 2
+
+    def test_explicit_arrays_are_kept(self, rng_calls):
+        from repro.graph.ops import Operator
+
+        weight = np.ones((4, 2), dtype=np.int8)
+        bias = np.zeros(2, dtype=np.int32)
+        op = Operator(
+            "fc", OpKind.GEMM, ["x"], "y", {"out_features": 2},
+            weight=weight, bias=bias,
+        )
+        assert op.weight is weight and op.bias is bias
+        assert op.weight_shape == (4, 2) and op.weight_bytes() == 8
+        assert rng_calls == []
 
 
 class TestQuantize:

@@ -5,7 +5,7 @@ on tiny_resnet ``--preset small`` and prints ``sorted(sys.modules)``; the
 row names module prefixes that must be *absent*.  Set membership repeats
 exactly, unlike a start-up time budget.  ``docs/ARCHITECTURE.md``
 ("Import layering") has the verb -> layers table these rows pin and the
-two rules that keep it true.
+three rules that keep it true.
 """
 
 import json
@@ -53,6 +53,9 @@ NO_CYCLE_TIER = (
     "repro.sim.memory", "repro.sim.noc", "repro.isa",
     "repro.compiler.codegen", "repro.artifact", "repro.console", "asyncio",
 )
+#: Planning reads shapes: a cold sweep point draws no weight and loads
+#: no array library.
+PLANS_FROM_SHAPES = ("numpy",) + NO_CYCLE_TIER
 #: The cycle tier needs nearly every layer -- but not the sweep engine,
 #: the async runtime or a process pool.
 NO_SWEEP_NO_RUNTIME = (
@@ -64,12 +67,20 @@ NO_SWEEP_NO_RUNTIME = (
 ROWS = {
     "help": (("--help",), LIGHT),
     "sweep_cold": (
-        SWEEP + ("--cache-dir", "{cache}", "--json", "{json}"), NO_CYCLE_TIER,
+        SWEEP + ("--cache-dir", "{cache}", "--json", "{json}"),
+        PLANS_FROM_SHAPES,
     ),
     "sweep_warm": (
         SWEEP + ("--cache-dir", "{cache}", "--json", "{warm_json}"), LIGHT,
     ),
     "report": (("report", "{json}", "--pareto"), LIGHT),
+    "compare": (
+        (
+            "compare", "--models", "tiny_resnet", "--preset", "small",
+            "--input-size", "8", "--num-classes", "10", "--no-cache",
+        ),
+        PLANS_FROM_SHAPES,
+    ),
     "serve_fast": (
         ("serve", "tiny_resnet") + MODEL + (
             "--tier", "fast", "--chips", "2", "--replicas", "2",
@@ -81,15 +92,20 @@ ROWS = {
 }
 
 
-def _modules(argv):
+def _child(script, *args):
+    """The last stdout line of ``script`` run in a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = SRC
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), proc
+
+
+def _modules(argv):
+    result, proc = _child(_PROBE, json.dumps(argv))
     assert result["code"] == 0, proc.stdout + proc.stderr
     return result["modules"]
 
@@ -142,3 +158,19 @@ def test_verb_loads_only_its_layers(row, cold_sweep):
     if row == "sweep_warm":
         stats = _sweep_stats(paths["warm_json"])
         assert stats["cache_hits"] == stats["total_points"] > 0
+
+
+_API_PROBE = """
+import json, sys
+from repro.config import default_arch
+from repro.explore import evaluate_fast
+point = evaluate_fast("vgg19", default_arch(), "generic", input_size=224)
+print(json.dumps({"cycles": point.cycles, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_fast_tier_api_prices_a_paper_scale_model_without_numpy():
+    """vgg19@224 has 144 M parameters; pricing it draws none of them."""
+    result, _ = _child(_API_PROBE)
+    assert result["cycles"] == 4_593_555
+    assert _loaded(result["modules"], PLANS_FROM_SHAPES) == []
