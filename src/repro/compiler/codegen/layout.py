@@ -236,7 +236,7 @@ def build_core_layout(
         max_tile = max((t.nbytes for t in role.tiles), default=0)
         if max_tile:
             layout.staging = seg_scratch.take(max_tile, "weight staging")
-        if anchor.bias is not None:
+        if anchor.bias_shape is not None:
             layout.bias_base = seg_const.take(
                 4 * layout.band_width, "bias band"
             )

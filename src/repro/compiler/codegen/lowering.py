@@ -215,7 +215,7 @@ class ProgramGenerator:
         if layout.geometry.multipass:
             # Weight-streaming operators load tiles inside the compute
             # body (round-robin over macro groups); only constants here.
-            if node.anchor.bias is not None:
+            if node.anchor.bias_shape is not None:
                 c0 = layout.band[0]
                 src = self.plan.bias_address[node.name] + 4 * c0
                 e.mem_cpy(src, layout.bias_base, 4 * layout.band_width)
@@ -228,7 +228,7 @@ class ProgramGenerator:
             e.li(R_T5, layout.staging)
             e.li(R_MG, mg_index)
             e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
-        if node.anchor.bias is not None:
+        if node.anchor.bias_shape is not None:
             c0 = layout.band[0]
             src = self.plan.bias_address[node.name] + 4 * c0
             e.mem_cpy(src, layout.bias_base, 4 * layout.band_width)
@@ -779,24 +779,28 @@ class ProgramGenerator:
 
 
 def build_global_image(plan: ExecutionPlan) -> np.ndarray:
-    """Materialise the initial global-memory contents (weights, biases)."""
+    """Materialise the initial global-memory contents (weights, biases).
+
+    The one place compilation reads parameter values: each tile is cut
+    (:meth:`NodeGeometry.tile_data`) straight into its image slice.
+    """
     from repro.compiler.plan import GLOBAL_BASE
 
     image = np.zeros(plan.global_bytes, dtype=np.uint8)
-
-    def write(address: int, data: np.ndarray) -> None:
-        offset = address - GLOBAL_BASE
-        raw = data.astype(data.dtype, copy=False).tobytes()
-        image[offset:offset + len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-
     for stage in plan.stages:
         for node in stage.nodes:
             geometry = plan.geometries[node.name]
             if not node.is_cim:
                 continue
             for tile in geometry.pack_tiles():
-                write(plan.tile_address(node.name, tile), tile.data)
+                offset = plan.tile_address(node.name, tile) - GLOBAL_BASE
+                image[offset:offset + tile.nbytes].view(np.int8).reshape(
+                    tile.rows_used, tile.cols_used
+                )[...] = geometry.tile_data(tile)
             bias = node.anchor.bias
             if bias is not None:
-                write(plan.bias_address[node.name], bias.astype(np.int32))
+                offset = plan.bias_address[node.name] - GLOBAL_BASE
+                image[offset:offset + 4 * bias.size].view(np.int32)[...] = (
+                    bias.reshape(-1)
+                )
     return image

@@ -22,7 +22,7 @@ across cores, so no cross-core partial sums exist); whole-node *replicas*
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.config import ArchConfig
 from repro.errors import CapacityError, CompileError
@@ -36,13 +36,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class WeightTile:
-    """One macro-group-sized weight tile of a node.
+    """One macro-group-sized box of a node's weights: indices, no bytes.
 
-    ``data`` is the dense int8 matrix loaded into the macro group
-    (``rows_used x cols_used``).  ``vec_lo`` is the tile's starting row in
-    the node's im2col input vector (dwconv tiles gather their own vectors
-    and use ``channel_lo/hi`` instead); ``col_lo/hi`` is the output-channel
-    range the tile produces.
+    The box is ``rows_used x cols_used`` int8 cells;
+    :meth:`NodeGeometry.tile_data` cuts its values.  ``vec_lo`` is the
+    tile's starting row in the node's im2col input vector (dwconv tiles
+    gather their own vectors and use ``channel_lo/hi`` instead);
+    ``col_lo/hi`` is the output-channel range the tile produces.
     """
 
     slice_index: int
@@ -52,7 +52,6 @@ class WeightTile:
     vec_lo: int
     col_lo: int
     col_hi: int
-    data: Optional[np.ndarray] = None
     channel_lo: int = 0
     channel_hi: int = 0
 
@@ -168,51 +167,32 @@ class NodeGeometry:
         return max(1, self.out_h)
 
     # -- weight packing --------------------------------------------------------
-    def _weight_matrix(self) -> np.ndarray:
-        anchor = self.node.anchor
-        if anchor.kind is OpKind.CONV:
-            k = anchor.attrs["kernel"]
-            c_in = anchor.weight.shape[2]
-            return anchor.weight.reshape(k * k * c_in, self.out_c)
-        if anchor.kind is OpKind.GEMM:
-            return anchor.weight
-        raise CompileError(f"{anchor.name}: no dense weight matrix")
-
     def pack_tiles(self) -> List[WeightTile]:
-        """Cut the node's weights into macro-group tiles.
+        """Cut the node's weight *shape* into macro-group tile boxes.
 
         Tiles are listed slice-major (all row tiles of column slice 0,
         then slice 1, ...), the order cores load them into macro groups.
+        No parameter value is read: :meth:`tile_data` cuts the bytes.
         """
         if not self.node.is_cim:
             return []
-        import numpy as np
-
         anchor = self.node.anchor
         tiles: List[WeightTile] = []
         if anchor.kind is OpKind.DWCONV:
             k = anchor.attrs["kernel"]
-            channels = anchor.weight.shape[2]
+            channels = anchor.weight_shape[2]
             for s in range(self.col_slices):
                 g0 = s * self.dw_group
                 g1 = min(channels, g0 + self.dw_group)
-                group = g1 - g0
-                rows = group * k * k
-                data = np.zeros((rows, group), dtype=np.int8)
-                for kk in range(k * k):
-                    kr, kc = divmod(kk, k)
-                    for g in range(group):
-                        data[kk * group + g, g] = anchor.weight[kr, kc, g0 + g]
                 tiles.append(
                     WeightTile(
                         slice_index=s, tile_index=0,
-                        rows_used=rows, cols_used=group,
+                        rows_used=(g1 - g0) * k * k, cols_used=g1 - g0,
                         vec_lo=0, col_lo=g0, col_hi=g1,
-                        data=data, channel_lo=g0, channel_hi=g1,
+                        channel_lo=g0, channel_hi=g1,
                     )
                 )
             return tiles
-        matrix = self._weight_matrix()
         for s in range(self.col_slices):
             c0 = s * self.tile_cols
             c1 = min(self.out_c, c0 + self.tile_cols)
@@ -224,10 +204,36 @@ class NodeGeometry:
                         slice_index=s, tile_index=t,
                         rows_used=r1 - r0, cols_used=c1 - c0,
                         vec_lo=r0, col_lo=c0, col_hi=c1,
-                        data=np.ascontiguousarray(matrix[r0:r1, c0:c1]),
                     )
                 )
         return tiles
+
+    def tile_data(self, tile: WeightTile) -> np.ndarray:
+        """The int8 values of one tile box (``rows_used x cols_used``).
+
+        The one place weight bytes are cut: a *view* of the im2col weight
+        matrix for conv / gemm, and for dwconv the block-diagonal tile
+        built dense (tap ``kk`` of the group's channel ``g`` sits at
+        ``[kk * group + g, g]``).  Reads the anchor's weight values.
+        """
+        anchor = self.node.anchor
+        weight = anchor.weight
+        if anchor.kind is OpKind.DWCONV:
+            import numpy as np
+
+            group = tile.cols_used
+            taps = weight[:, :, tile.channel_lo:tile.channel_hi]
+            dense = np.zeros((tile.rows_used, group), dtype=np.int8)
+            diagonal = np.arange(group)
+            dense.reshape(-1, group, group)[:, diagonal, diagonal] = (
+                taps.reshape(-1, group)
+            )
+            return dense
+        if anchor.kind is OpKind.CONV:
+            weight = weight.reshape(self.vec_rows, self.out_c)
+        return weight[
+            tile.vec_lo:tile.vec_lo + tile.rows_used, tile.col_lo:tile.col_hi
+        ]
 
     def core_roles(self) -> List[CoreRole]:
         """Distribute column slices over the replica's cores.
@@ -237,17 +243,13 @@ class NodeGeometry:
         """
         if not self.node.is_cim:
             return [CoreRole(position=0, band=(0, self.out_c), tiles=())]
-        tiles = self.pack_tiles()
-        by_slice: List[List[WeightTile]] = [[] for _ in range(self.col_slices)]
-        for tile in tiles:
-            by_slice[tile.slice_index].append(tile)
+        tiles = self.pack_tiles()  # slice-major: a core's tiles are adjacent
+        per_core = self.slices_per_core * self.row_tiles
         roles: List[CoreRole] = []
         for position in range(self.cores_min):
-            s0 = position * self.slices_per_core
-            s1 = min(self.col_slices, s0 + self.slices_per_core)
-            owned = [tile for s in range(s0, s1) for tile in by_slice[s]]
-            band = (by_slice[s0][0].col_lo, by_slice[s1 - 1][0].col_hi)
-            roles.append(CoreRole(position=position, band=band, tiles=tuple(owned)))
+            owned = tuple(tiles[position * per_core:(position + 1) * per_core])
+            band = (owned[0].col_lo, owned[-1].col_hi)
+            roles.append(CoreRole(position=position, band=band, tiles=owned))
         return roles
 
 

@@ -7,6 +7,7 @@ tensors).  OP-level code generation consumes a plan and emits one ISA
 program per core.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -234,8 +235,8 @@ def layout_global_memory(plan: ExecutionPlan) -> None:
                 continue
             for tile in geometry.pack_tiles():
                 key = (node.name, tile.slice_index, tile.tile_index)
-                plan.weight_address[key] = allocate(tile.rows_used * tile.cols_used)
-            bias = node.anchor.bias
-            if bias is not None:
-                plan.bias_address[node.name] = allocate(4 * bias.size)
+                plan.weight_address[key] = allocate(tile.nbytes)
+            bias_shape = node.anchor.bias_shape
+            if bias_shape is not None:
+                plan.bias_address[node.name] = allocate(4 * math.prod(bias_shape))
     plan.global_bytes = cursor

@@ -216,6 +216,12 @@ class LocalMemoryConfig:
     def validate(self) -> None:
         if self.size_bytes <= 0:
             raise ConfigError("local memory size must be positive")
+        if self.size_bytes > GLOBAL_BASE:
+            # local addresses are [0, size), global ones start at GLOBAL_BASE
+            raise ConfigError(
+                f"local memory size {self.size_bytes} overlaps the global "
+                f"window, which starts at {GLOBAL_BASE} ({GLOBAL_BASE:#x})"
+            )
         if self.num_segments <= 0 or self.size_bytes % self.num_segments != 0:
             raise ConfigError(
                 "local memory size must divide evenly into its segments"

@@ -118,7 +118,7 @@ class Operator:
         depthwise weights are ``(k, k, C)``; GEMM weights are
         ``(in_features, out_features)``.  Bias is int32 per output channel.
         Either may be given as a :class:`DeferredArray`, which its first
-        read replaces by the values; ``weight_shape`` and
+        read replaces by the values; ``weight_shape``, ``bias_shape`` and
         ``weight_bytes()`` never read values.
     qparams:
         Requantisation parameters for operators producing int8 from int32
@@ -172,6 +172,11 @@ class Operator:
     def weight_shape(self) -> Optional[Tuple[int, ...]]:
         """Shape of ``weight`` (``None`` without one); reads no values."""
         return None if self._weight is None else self._weight.shape
+
+    @property
+    def bias_shape(self) -> Optional[Tuple[int, ...]]:
+        """Shape of ``bias`` (``None`` without one); reads no values."""
+        return None if self._bias is None else self._bias.shape
 
     @property
     def is_mvm(self) -> bool:

@@ -47,8 +47,8 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Shapes broadcast as in ``np.matmul``: ``a`` is a vector, a matrix or
     a stack of matrices, ``b`` a matrix or a matching stack.  Each is
-    int8, or float32 already holding int8 values (a macro-group
-    register), which skips its conversion.  The result is a fresh
+    int8 (activations, macro-group registers), or float32 already
+    holding int8 values, which skips its conversion.  The result is a fresh
     C-contiguous int32 array.
     """
     k = a.shape[-1]

@@ -438,11 +438,13 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
              "f\"core {cid}: CIM_LOAD with rows={_rw} cols={_cl}\")")
         em.w("_n = _rw * _cl")
         em.w(f"_a = r[{rs}]")
+        # The register owns one int8 copy: the scratchpad slice is a view
+        # (later stores would rewrite the loaded weights), read() copies.
         em.w("if 0 <= _a and _a + _n <= LSZ:")
-        em.w("    _x = lm[_a:_a + _n]")
+        em.w("    _x = lm[_a:_a + _n].copy()")
         em.w("else:")
         em.w("    _x = mem.read(cid, _a, _n)")
-        em.w("mgs[_g] = (_x.reshape(_rw, _cl).astype(np.float32), _rw, _cl)")
+        em.w("mgs[_g] = (_x.reshape(_rw, _cl), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
         em.tallies.update(("t_clb", "t_lr"))
@@ -2044,8 +2046,8 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         elif tag == "cimload":
             _, sb, ss, rows, cols, mg = op
             data = read(sb, ss, rows * cols)
-            # Kept int8: int_matmul converts each K-chunk as it multiplies;
-            # only the last matrix becomes a (float32) register at the flush.
+            # int_matmul converts each K-chunk as it multiplies; only the
+            # last matrix becomes a register (its own copy) at the flush.
             mats = np.ascontiguousarray(data).reshape(m, rows, cols)
             vmgs[mg] = mats
             mg_final[mg] = (mats, rows, cols)
@@ -2156,7 +2158,8 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     # Phase B: flush in op order.
     for mg, shape in mg_final.items():
         mats, rows, cols = shape
-        mgs[mg] = (mats[-1].astype(np.float32), rows, cols)
+        # copied: a view would pin the whole m-deep stack
+        mgs[mg] = (mats[-1].copy(), rows, cols)
     for b, s, l, arr in out:
         if s == 0:
             lm[b:b + l] = arr[-1]

@@ -497,9 +497,9 @@ def _h_cim_load(core: Core, t) -> None:
             f"core {core.core_id}: CIM_LOAD with rows={rows} cols={cols}"
         )
     nbytes = rows * cols
+    # The register owns one int8 copy of its bytes: read() made it.
     data = core._mem().read(core.core_id, core.regs[rs], nbytes)
-    # float32 holds int8 exactly: int_matmul takes the register as is.
-    core.mgs[mg] = (data.reshape(rows, cols).astype(np.float32), rows, cols)
+    core.mgs[mg] = (data.reshape(rows, cols), rows, cols)
     start, _ = core._issue("cim", rows + core._local_lat, deps=(rs, rt))
     core.chip.acct.cim_load(nbytes)
     core.pc += 1

@@ -321,7 +321,7 @@ def serve_fleet(
     on an empty plan computes the same cycles.
     """
     from repro.faults import engine_needed, run_fault_schedule
-    from repro.serve import latency_percentile
+    from repro.serve import latency_percentiles
     from repro.sim.multichip import Dispatcher, PipelineState
 
     if report.batch != 1:
@@ -354,6 +354,7 @@ def serve_fleet(
         latencies = [
             f - r for f, r in zip(dispatcher.finishes, releases)
         ]
+    p50, p95, p99 = latency_percentiles(latencies, (50, 95, 99))
     return FastReport(
         cycles=makespan,
         energy_breakdown_pj={
@@ -369,9 +370,9 @@ def serve_fleet(
         shard_cycles=list(report.shard_cycles),
         shard_edges=list(report.shard_edges),
         arrival_rate_inf_s=arrival_rate_inf_s,
-        p50_latency_cycles=latency_percentile(latencies, 50),
-        p95_latency_cycles=latency_percentile(latencies, 95),
-        p99_latency_cycles=latency_percentile(latencies, 99),
+        p50_latency_cycles=p50,
+        p95_latency_cycles=p95,
+        p99_latency_cycles=p99,
         dropped=dropped,
         retries=retries,
     )

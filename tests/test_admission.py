@@ -38,9 +38,10 @@ from repro.faults import (
     run_fault_schedule,
 )
 from repro.runtime import VirtualClock, serve_forever
-from repro.serve import Deployment, Fleet
+from repro.serve import Deployment, Fleet, latency_percentile
 from repro.sim.fastmodel import FastReport, serve_fleet
 from repro.sim.multichip import (
+    Dispatcher,
     PipelineState,
     route,
     steady_state_interval,
@@ -252,6 +253,41 @@ class TestRouting:
             base, rel, arch.interchip, 3, policy="jsq", faults=FaultPlan(),
         )
         assert forced.to_dict() == jsq.to_dict()
+
+    @pytest.mark.parametrize("retry", [None, RetryPolicy()])
+    def test_serve_fleet_sorts_its_latencies_once(self, retry, monkeypatch):
+        """p50 / p95 / p99 of a fleet report come from one sort of the
+        stream, on the direct path and through the fault engine."""
+        import repro.serve
+
+        real = repro.serve.latency_percentiles
+        calls = []
+
+        def counting(latencies, pcts):
+            calls.append(tuple(pcts))
+            return real(latencies, pcts)
+
+        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        base = FastReport(
+            cycles=100, energy_breakdown_pj={}, macs=1, clock_mhz=1000,
+            shard_cycles=[40, 60], shard_edges=[(0, 1, 256)],
+        )
+        releases = [0, 10, 20, 300, 310, 900]
+        report = serve_fleet(
+            base, releases, InterChipConfig(), 2, policy="jsq", retry=retry,
+        )
+        assert calls == [(50, 95, 99)]
+        dispatcher = Dispatcher("jsq", [
+            PipelineState([40, 60], [(0, 1, 256)], InterChipConfig())
+            for _ in range(2)
+        ])
+        for release in releases:
+            dispatcher.dispatch(release)
+        latencies = [f - r for f, r in zip(dispatcher.finishes, releases)]
+        assert [
+            report.p50_latency_cycles, report.p95_latency_cycles,
+            report.p99_latency_cycles,
+        ] == [latency_percentile(latencies, pct) for pct in (50, 95, 99)]
 
 
 # ---------------------------------------------------------------------------

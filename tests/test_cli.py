@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import main
-from repro.config import save_arch, small_test_arch
+from repro.config import arch_to_dict, save_arch, small_test_arch
+from repro.config.arch import GLOBAL_BASE
 
 
 def run_cli(*argv):
@@ -422,3 +424,23 @@ class TestErrorHygiene:
             "--num-classes", "10", "--tier", "fast", "--trace", str(trace),
         ) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("size", [2 ** 31, 10 ** 15])
+    def test_scratchpad_overlapping_the_global_window(
+        self, size, tmp_path, capsys
+    ):
+        """Local addresses are ``[0, size)`` and global ones start at
+        ``GLOBAL_BASE``: 2 GiB used to die in ``MemorySystem`` with a
+        NumPy allocation traceback (64 x 2 GiB of zeros), 10**15 later
+        as an out-of-range immediate."""
+        data = arch_to_dict(small_test_arch())
+        data["chip"]["core"]["local_memory"]["size_bytes"] = size
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert run_cli("run", "tiny_mlp", "--arch", str(big)) == 2
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(size) in err and str(GLOBAL_BASE) in err

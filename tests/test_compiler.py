@@ -1,6 +1,8 @@
 """Tests for geometry, partitioning, mapping, and code generation."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ class TestGeometry:
                 rebuilt[
                     tile.vec_lo:tile.vec_lo + tile.rows_used,
                     tile.col_lo:tile.col_hi,
-                ] = tile.data
+                ] = geom.tile_data(tile)
             assert np.array_equal(rebuilt, matrix)
 
     def test_dwconv_block_diagonal_packing(self, table1_arch):
@@ -58,9 +60,10 @@ class TestGeometry:
         k = node.anchor.attrs["kernel"]
         for tile in geom.pack_tiles():
             group = tile.channel_hi - tile.channel_lo
-            assert tile.data.shape == (group * k * k, group)
+            data = geom.tile_data(tile)
+            assert data.shape == (group * k * k, group)
             # every nonzero sits on its own channel's column
-            rows, cols = np.nonzero(tile.data)
+            rows, cols = np.nonzero(data)
             assert ((rows % group) == cols).all()
 
     def test_core_roles_partition_channels(self, table1_arch):
@@ -240,3 +243,85 @@ class TestCodegen:
         b.output(b.conv(x, 8, 3, 1, 1))
         with pytest.raises(CapacityError):
             compile_graph(b.build(), arch, "generic")
+
+
+#: Every zoo model at its smallest pinned size (``test_graph``'s
+#: ``PARAMETER_DIGESTS`` sizes), compiled for the Table I chip.
+_SMALL = {"input_size": 32, "num_classes": 10}
+ZOO_SMALL = {
+    "resnet18": _SMALL, "mobilenetv2": _SMALL, "efficientnetb0": _SMALL,
+    "vgg19": _SMALL, "tiny_mlp": {}, "tiny_cnn": {}, "tiny_resnet": {},
+    "weight_stream": {},
+}
+COMPILED_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "compiled_digests.json").read_text()
+)
+
+
+def _compiled_digests(compiled):
+    """SHA-256 of the global image and of every core's instruction stream
+    (mnemonic + non-zero fields, the artifact's canonical form -- encoded
+    words would drop ``weight_stream``'s out-of-range ``li`` immediates)."""
+    programs = hashlib.sha256()
+    for core_id in sorted(compiled.programs):
+        for instr in compiled.programs[core_id]:
+            fields = sorted(
+                (k, int(v)) for k, v in instr.fields.items() if v != 0
+            )
+            programs.update(repr((core_id, instr.mnemonic, fields)).encode())
+    return {
+        "image": hashlib.sha256(compiled.global_image.tobytes()).hexdigest(),
+        "programs": programs.hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("strategy", ["generic", "dp"])
+@pytest.mark.parametrize("name", ZOO_SMALL)
+def test_zoo_compiled_digests(name, strategy, table1_arch):
+    """Image bytes and programs are pinned from before tile boxes lost
+    their arrays: how a weight byte reaches the image is free to change,
+    which byte lands where is not."""
+    graph = get_model(name, **ZOO_SMALL[name])
+    compiled = compile_graph(graph, table1_arch, strategy)
+    assert _compiled_digests(compiled) == COMPILED_DIGESTS[f"{name}/{strategy}"]
+
+
+def _reference_tile(geom, tile):
+    """What a tile holds, written the long way (the oracle ``tile_data``
+    is held to): a box of the im2col matrix, or for dwconv the
+    block-diagonal tile with tap ``kk`` of channel ``g`` at
+    ``[kk * group + g, g]``."""
+    anchor = geom.node.anchor
+    if anchor.kind is OpKind.DWCONV:
+        k = anchor.attrs["kernel"]
+        group = tile.channel_hi - tile.channel_lo
+        data = np.zeros((group * k * k, group), dtype=np.int8)
+        for kk in range(k * k):
+            kr, kc = divmod(kk, k)
+            for g in range(group):
+                data[kk * group + g, g] = anchor.weight[
+                    kr, kc, tile.channel_lo + g
+                ]
+        return data
+    matrix = anchor.weight.reshape(-1, anchor.weight.shape[-1])
+    return matrix[
+        tile.vec_lo:tile.vec_lo + tile.rows_used, tile.col_lo:tile.col_hi
+    ]
+
+
+@pytest.mark.parametrize("name", ZOO_SMALL)
+def test_tile_boxes_are_shapes_with_one_byte_cutter(name, table1_arch):
+    cgraph, geoms = _geoms(name, table1_arch, **ZOO_SMALL[name])
+    for node in cgraph.nodes:
+        if not node.is_cim:
+            continue
+        geom = geoms[node.name]
+        for tile in geom.pack_tiles():
+            assert not any(
+                isinstance(value, np.ndarray) for value in vars(tile).values()
+            )
+            data = geom.tile_data(tile)
+            assert data.dtype == np.int8
+            assert data.shape == (tile.rows_used, tile.cols_used)
+            assert data.nbytes == tile.nbytes
+            assert np.array_equal(data, _reference_tile(geom, tile))

@@ -83,6 +83,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             EnergyConfig(cim_mac_pj=-1.0).validate()
 
+    def test_local_memory_stops_at_the_global_window(self):
+        from repro.config.arch import GLOBAL_BASE, LocalMemoryConfig
+
+        LocalMemoryConfig(size_bytes=GLOBAL_BASE).validate()
+        with pytest.raises(ConfigError, match=f"{2 ** 31}.*{GLOBAL_BASE}"):
+            LocalMemoryConfig(size_bytes=2 ** 31).validate()
+
     def test_mesh_positions(self):
         arch = default_arch()
         rows, cols = arch.chip.mesh_dims

@@ -451,9 +451,113 @@ class TestMultipassStreamEquivalence:
         )
 
 
+def _assert_register_owned(sim, mg, weights):
+    """Macro group ``mg`` of core 0 holds ``weights`` as one owned int8
+    array: a byte per weight, aliasing neither memory, pinning no larger
+    buffer."""
+    register, rows, cols = sim.cores[0].mgs[mg]
+    assert (rows, cols) == weights.shape
+    assert register.dtype == np.int8
+    assert register.nbytes == rows * cols
+    assert np.array_equal(register, weights)
+    assert not np.shares_memory(register, sim.memory.locals[0])
+    assert not np.shares_memory(register, sim.memory.global_mem)
+    assert register.base is None or register.base.nbytes == rows * cols
+
+
 @pytest.mark.usefixtures("tier")
 class TestHandWrittenPrograms:
     TIER = "cold"
+
+    def test_register_survives_overwritten_staging(self):
+        """``CIM_LOAD`` -> clobber the staged scratchpad bytes ->
+        ``CIM_MVM``: the product uses the loaded values on the
+        interpreter, on a cold block and (``...HotTier``) in generated
+        code, whose ``CIM_LOAD`` source ``lm[a:a + n]`` is a view.  The
+        naive narrowing -- drop the widening cast, add no copy -- fails
+        ``TestModelEquivalenceHotTier::test_tiny_models_bit_identical
+        [generic-tiny_mlp]`` (10/10 outputs wrong) for that reason."""
+        rows, cols = 32, 8
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, rows * cols + rows)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)    # weights at 0, vector after
+        b.set_sreg(SReg.MVM_ROWS, 10, rows)
+        b.set_sreg(SReg.MVM_COLS, 10, cols)
+        b.li(4, 0)
+        b.li(5, 1)
+        b.emit("CIM_LOAD", rs=4, rt=5)
+        b.set_sreg(SReg.FILL_VALUE, 10, 9)
+        b.li(3, rows * cols)
+        b.emit("VEC_FILL", rd=4, re=3)
+        b.li(6, rows * cols)
+        b.li(7, 1024)
+        b.emit("CIM_MVM", rs=6, rt=5, re=7, flags=0)
+        b.halt()
+        rng = np.random.default_rng(17)
+        image = rng.integers(-128, 128, 2048, dtype=np.int8)
+        weights = image[:rows * cols].reshape(rows, cols).copy()
+        vec = image[rows * cols:rows * cols + rows].astype(np.int32)
+        interp, block = _run_both(
+            {0: b.finalize()}, image=image.view(np.uint8)
+        )
+        _assert_equal_state(interp, block)
+        for sim in (interp, block):
+            out = sim.memory.read(0, 1024, 4 * cols).view(np.int32)
+            assert np.array_equal(out, vec @ weights.astype(np.int32))
+            _assert_register_owned(sim, 1, weights)
+
+    def test_batched_flush_register_is_its_own_copy(self):
+        """A loop that loads a new tile every iteration is replayed as one
+        ``m x rows x cols`` stack; the register left behind is the last
+        tile *copied out*, so it neither pins the stack nor follows the
+        scratchpad when the staged tiles are overwritten afterwards."""
+        from repro.sim import blockengine as be
+
+        rows, cols, iters = 16, 8, 24
+        tile = rows * cols
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, iters * tile + rows)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)    # tiles at 0, vector after
+        b.set_sreg(SReg.MVM_ROWS, 10, rows)
+        b.set_sreg(SReg.MVM_COLS, 10, cols)
+        b.li(4, 0)               # tile pointer (steps by one tile)
+        b.li(5, 0)               # macro group 0
+        b.li(6, iters * tile)    # input vector (fixed)
+        b.li(7, 8192)            # output pointer (steps by 4 * cols)
+        b.li(1, 0)
+        b.li(2, iters)
+        with b.loop(1, 2):
+            b.emit("CIM_LOAD", rs=4, rt=5)
+            b.emit("CIM_MVM", rs=6, rt=5, re=7, flags=0)
+            b.emit("SC_ADDIW", rs=4, rt=4, offset=tile)
+            b.emit("SC_ADDIW", rs=7, rt=7, offset=4 * cols)
+        b.set_sreg(SReg.FILL_VALUE, 10, 3)
+        b.li(4, 0)
+        b.li(3, iters * tile)
+        b.emit("VEC_FILL", rd=4, re=3)         # clobber every staged tile
+        b.li(7, 12288)
+        b.emit("CIM_MVM", rs=6, rt=5, re=7, flags=0)
+        b.halt()
+        rng = np.random.default_rng(23)
+        image = rng.integers(-128, 128, 16384, dtype=np.int8)
+        last = image[(iters - 1) * tile:iters * tile].reshape(rows, cols).copy()
+        vec = image[iters * tile:iters * tile + rows].astype(np.int32)
+        interp, block = _run_both(
+            {0: b.finalize()}, image=image.view(np.uint8)
+        )
+        # the replay runs to the loop's end, so its flush wrote the register
+        batched = be.ENGINE_STATS["loop_iterations_batched"]
+        stepped = be.ENGINE_STATS["loop_iterations_stepped"]
+        assert batched > 0 and batched + stepped == iters
+        _assert_equal_state(interp, block)
+        for sim in (interp, block):
+            out = sim.memory.read(0, 12288, 4 * cols).view(np.int32)
+            assert np.array_equal(out, vec @ last.astype(np.int32))
+            _assert_register_owned(sim, 0, last)
 
     def test_counted_loop_batched_replay(self):
         """A long counted loop (exercises the batched NumPy replay)."""

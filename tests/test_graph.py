@@ -178,20 +178,6 @@ def test_zoo_parameter_digests(name):
     assert _parameter_digest(get_model(name, **kwargs)) == expected
 
 
-@pytest.fixture
-def rng_calls(monkeypatch):
-    """Every ``np.random.default_rng`` call made while the test runs."""
-    calls = []
-    default_rng = np.random.default_rng
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return default_rng(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    return calls
-
-
 class TestParametersDrawnOnFirstRead:
     def test_planning_draws_nothing(self, rng_calls):
         from repro.compiler.pipeline import plan_graph

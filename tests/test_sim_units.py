@@ -210,6 +210,10 @@ class TestCIMUnit:
         b.li(4, 0)
         b.li(5, 0)  # macro group 0
         b.emit("CIM_LOAD", rs=4, rt=5)
+        # clobber the staged bytes: the register owns its copy
+        b.set_sreg(SReg.FILL_VALUE, 10, 7)
+        b.li(3, rows * cols)
+        b.emit("VEC_FILL", rd=4, re=3)
         b.li(6, 256)
         b.li(7, 512)
         b.emit("CIM_MVM", rs=6, rt=5, re=7, flags=0)
@@ -227,6 +231,13 @@ class TestCIMUnit:
         expected = 2 * (vec.astype(np.int32) @ weights.astype(np.int32))
         assert np.array_equal(out, expected)
         assert report.macs == 2 * rows * cols
+        # one owned byte per weight (test_engine_equivalence holds every
+        # engine path to this; the naive narrowing fails there)
+        register = sim.cores[0].mgs[0][0]
+        assert register.dtype == np.int8 and register.nbytes == rows * cols
+        assert np.array_equal(register, weights)
+        assert not np.shares_memory(register, sim.memory.locals[0])
+        assert not np.shares_memory(register, sim.memory.global_mem)
 
     def test_mvm_on_unloaded_mg_fails(self):
         b = _builder()
