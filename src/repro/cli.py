@@ -604,7 +604,8 @@ def _cmd_sweep(args) -> int:
         progress=_progress_printer(args.quiet),
         resume=not args.no_resume,
     )
-    rows = [pt.to_dict() for pt in result.points]
+    payload = result.to_dict()
+    rows = payload["points"]
     print()
     print(_format_table(rows))
     stats = result.stats
@@ -646,7 +647,6 @@ def _cmd_sweep(args) -> int:
                 f"{'validated' if d['validated'] else 'UNVALIDATED'}"
             )
     if args.json:
-        payload = result.to_dict()
         if checks:
             payload["spot_checks"] = [chk.to_dict() for chk in checks]
         _write_json(payload, args.json)

@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import product
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -103,25 +106,189 @@ ClosureLimit = Union[
 ]
 
 
-@dataclass
-class DesignPoint:
-    """One evaluated (model, architecture, strategy) combination."""
+# ---------------------------------------------------------------------------
+# Sweep coordinates
+# ---------------------------------------------------------------------------
 
-    model: str
-    strategy: str
-    mg_size: int
-    flit_bytes: int
-    report: FastReport
+def _positive(value: Any) -> bool:
+    return isinstance(value, int) and value > 0
+
+
+def _rate_or_none(value: Any) -> bool:
+    return value is None or (
+        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+    )
+
+
+def _fault_plan_or_none(value: Any) -> bool:
+    if value is None:
+        return True
+    from repro.faults import FaultPlan  # loads only when a plan is named
+
+    return isinstance(value, FaultPlan)
+
+
+def _boolean(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _coordinate(default: Any = MISSING, *, plural: Optional[str] = None,
+                rule: Optional[Callable[[Any], bool]] = None,
+                message: Optional[str] = None, key: Optional[str] = None,
+                row: bool = True, continuation: bool = False,
+                hardware: bool = False):
+    """One sweep coordinate: a :class:`PointSpec` field plus what the
+    engine must know about it, so that nothing else names it.
+
+    ``plural`` is the :class:`SweepSpec` field that sweeps it (``None``:
+    one value per sweep); ``rule`` / ``message`` the check every value
+    passes and the :class:`ConfigError` text when one does not (or when
+    the axis is empty); ``key`` the :func:`point_key` parameter it feeds
+    where that is not its own name; ``row`` whether result rows list it;
+    ``continuation`` whether it is a closed-form continuation of the
+    base analysis (priced by :func:`_derive_report`, reset by
+    :func:`_base_spec`); ``hardware`` whether it overrides the base
+    architecture -- such an axis may be left unswept, varies innermost
+    and reaches the cache key through the architecture fingerprint.
+    """
+    return field(default=default, metadata={
+        "plural": plural, "rule": rule, "message": message, "key": key,
+        "row": row, "continuation": continuation, "hardware": hardware,
+    })
+
+
+@dataclass(frozen=True)
+class PointSpec:
+    """Fully-resolved coordinates of one sweep point (picklable).
+
+    ``mg_size`` / ``flit_bytes`` of ``None`` mean "keep the base
+    architecture's value" -- used by sweeps that only vary software axes.
+
+    The fields *are* the axis table (:data:`AXES`): declaration order is
+    the key order of result rows and sweep-spec files and, hardware axes
+    aside, the nesting order of the cross product.
+    """
+
+    model: str = _coordinate(
+        plural="models", message="sweep needs at least one model")
+    strategy: str = _coordinate(
+        plural="strategies", message="sweep needs at least one strategy")
+    mg_size: Optional[int] = _coordinate(
+        None, plural="mg_sizes", hardware=True)
+    flit_bytes: Optional[int] = _coordinate(
+        None, plural="flit_sizes", hardware=True)
+    input_size: int = _coordinate(
+        224, plural="input_sizes",
+        message="sweep needs at least one input size")
+    num_classes: int = _coordinate(1000)
+    closure_limit: Optional[int] = _coordinate(None, row=False)
+    chips: int = _coordinate(
+        1, plural="chip_counts", rule=_positive,
+        message="chip counts must be positive")
+    batch: int = _coordinate(
+        1, plural="batch_sizes", rule=_positive, continuation=True,
+        message="batch sizes must be positive")
+    arrival_rate: Optional[float] = _coordinate(
+        None, plural="arrival_rates", rule=_rate_or_none, continuation=True,
+        message="arrival rates must be finite and positive "
+                "(None = back-to-back)")
+    replicas: int = _coordinate(
+        1, plural="replica_counts", rule=_positive, continuation=True,
+        message="replica counts must be positive")
+    fault_plan: Optional[FaultPlan] = _coordinate(
+        None, plural="fault_plans", rule=_fault_plan_or_none,
+        continuation=True, key="fault_fingerprint",
+        message="fault plans must be FaultPlan instances "
+                "(None = fault-free)")
+    resident_weights: bool = _coordinate(
+        False, plural="resident_modes", rule=_boolean, key="resident",
+        message="resident modes must be booleans "
+                "(False = reload weights per input)")
+
+    def coordinates(self, form: Optional[str] = None) -> Dict[str, Any]:
+        """Every coordinate by name, in declaration order; JSON-safe
+        (see :func:`_plain`) when a ``form`` is named."""
+        values = _all_of(self)
+        return dict(zip(_NAMES, _plain(values, form) if form else values))
+
+    def resolve_arch(self, base: ArchConfig) -> ArchConfig:
+        arch = base
+        if self.mg_size is not None:
+            arch = with_mg_size(arch, self.mg_size)
+        if self.flit_bytes is not None:
+            arch = with_flit_bytes(arch, self.flit_bytes)
+        return arch
+
+    def cache_key(self, base: ArchConfig) -> str:
+        return self.key_for(arch_fingerprint(self.resolve_arch(base)))
+
+    def key_for(self, arch_print: str) -> str:
+        """The cache key, given the resolved architecture's fingerprint
+        (:func:`run_sweep` computes one per distinct architecture, not
+        one per point)."""
+        material = _plain(_keyed_of(self), "fingerprint")
+        return point_key(arch=arch_print, **dict(zip(_KEY_PARAMS, material)))
+
+
+#: The axis table: one entry per sweep coordinate, declared nowhere else.
+AXES = fields(PointSpec)
+
+# Names and readers are fixed here, once: a warm sweep serialises and
+# keys a point in ~50 us, so nothing walks the metadata per point.
+_NAMES = tuple(axis.name for axis in AXES)
+_ROW_NAMES = tuple(axis.name for axis in AXES if axis.metadata["row"])
+_KEYED = tuple(axis for axis in AXES if not axis.metadata["hardware"])
+_KEY_PARAMS = tuple(axis.metadata["key"] or axis.name for axis in _KEYED)
+_all_of = attrgetter(*_NAMES)
+_rows_of = attrgetter(*_ROW_NAMES)
+_keyed_of = attrgetter(*(axis.name for axis in _KEYED))
+_BASE_VALUES = {
+    axis.name: axis.default for axis in AXES if axis.metadata["continuation"]
+}
+_SWEPT = tuple(axis for axis in AXES if axis.metadata["plural"])
+#: Cross-product nesting, outer to inner: software and serving axes in
+#: declaration order, then the hardware overrides, MG size fastest.
+_NESTING = (
+    tuple(axis for axis in _SWEPT if not axis.metadata["hardware"])
+    + tuple(axis for axis in reversed(_SWEPT) if axis.metadata["hardware"])
+)
+
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _plain(values: Iterable[Any], form: str) -> List[Any]:
+    """JSON-safe forms of coordinate values: a scalar as it is, an
+    object (a fault plan) through its ``form`` method -- ``fingerprint``
+    in cache keys, ``describe`` in result rows, ``to_dict`` in specs."""
+    return [
+        value if isinstance(value, _SCALARS) else getattr(value, form)()
+        for value in values
+    ]
+
+
+def _check_axis(axis, values: Optional[Tuple[Any, ...]]) -> None:
+    """The one value rule of a coordinate, applied by :class:`SweepSpec`
+    to an axis and by :func:`evaluate_fast` to a single value."""
+    rule = axis.metadata["rule"]
+    if not values or not (rule is None or all(map(rule, values))):
+        raise ConfigError(axis.metadata["message"])
+
+
+@dataclass(frozen=True)
+class DesignPoint(PointSpec):
+    """One evaluated (model, architecture, strategy) combination: its
+    coordinates (``mg_size`` / ``flit_bytes`` resolved to what the
+    architecture carries) plus the report."""
+
+    # Required, but it follows defaulted coordinates (keyword-only
+    # fields need Python 3.10): __post_init__ rejects a missing one.
+    report: FastReport = None  # type: ignore[assignment]
     plan: Optional[ExecutionPlan] = field(repr=False, default=None)
-    input_size: int = 224
-    num_classes: int = 1000
-    chips: int = 1
-    batch: int = 1
-    arrival_rate: Optional[float] = None
-    replicas: int = 1
-    fault_plan: Optional[FaultPlan] = None
-    resident_weights: bool = False
     cached: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        if self.report is None:
+            raise TypeError("DesignPoint() needs a report")
 
     @property
     def cycles(self) -> int:
@@ -173,21 +340,7 @@ class DesignPoint:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form used by the CLI exporters (plan is not included)."""
         return {
-            "model": self.model,
-            "strategy": self.strategy,
-            "mg_size": self.mg_size,
-            "flit_bytes": self.flit_bytes,
-            "input_size": self.input_size,
-            "num_classes": self.num_classes,
-            "chips": self.chips,
-            "batch": self.batch,
-            "arrival_rate": self.arrival_rate,
-            "replicas": self.replicas,
-            "fault_plan": (
-                self.fault_plan.describe()
-                if self.fault_plan is not None else None
-            ),
-            "resident_weights": self.resident_weights,
+            **dict(zip(_ROW_NAMES, _plain(_rows_of(self), "describe"))),
             "load_cycles": self.report.load_cycles,
             "dropped": self.report.dropped,
             "retries": self.report.retries,
@@ -307,13 +460,7 @@ def evaluate_fast(
     strategy: str = "dp",
     input_size: int = 224,
     num_classes: int = 1000,
-    closure_limit: Optional[int] = None,
-    chips: int = 1,
-    batch: int = 1,
-    arrival_rate: Optional[float] = None,
-    replicas: int = 1,
-    fault_plan: Optional[FaultPlan] = None,
-    resident_weights: bool = False,
+    **coords: Any,
 ) -> DesignPoint:
     """Plan and analyse one design point with the fast model.
 
@@ -338,104 +485,27 @@ def evaluate_fast(
     loads removed), the session pays the run-once load phase before the
     first release, and the hoisted load energy is charged exactly once
     rather than per input.
+
+    ``coords`` are the remaining :class:`PointSpec` coordinates by name;
+    each value passes the rule a :class:`SweepSpec` applies to that axis
+    (same :class:`~repro.errors.ConfigError`).
     """
-    if batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {batch}")
-    if replicas < 1:
-        raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    arch = arch or default_arch()
     pspec = PointSpec(
-        model=model,
-        strategy=strategy,
-        input_size=input_size,
-        num_classes=num_classes,
-        closure_limit=closure_limit,
-        chips=chips,
-        batch=batch,
-        arrival_rate=arrival_rate,
-        replicas=replicas,
-        fault_plan=fault_plan,
-        resident_weights=resident_weights,
+        model=model, strategy=strategy, input_size=input_size,
+        num_classes=num_classes, **coords,
     )
-    report, load_done, load_energy, plan = _analyze_base(pspec, arch)
-    report = _derive_report(pspec, arch, (report, load_done, load_energy))
-    return DesignPoint(
-        model=model,
-        strategy=strategy,
-        mg_size=arch.chip.core.cim_unit.macro_group.num_macros,
-        flit_bytes=arch.chip.noc.flit_bytes,
-        report=report,
-        plan=plan,
-        input_size=input_size,
-        num_classes=num_classes,
-        chips=chips,
-        batch=batch,
-        arrival_rate=arrival_rate,
-        replicas=replicas,
-        fault_plan=fault_plan,
-        resident_weights=resident_weights,
+    for axis in AXES:
+        _check_axis(axis, (getattr(pspec, axis.name),))
+    arch = pspec.resolve_arch(arch or default_arch())
+    bundle, plan = _analyze_base(pspec, arch)
+    return _point_from_report(
+        pspec, arch, _derive_report(pspec, arch, bundle), plan=plan
     )
 
 
 # ---------------------------------------------------------------------------
 # Sweep specification
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointSpec:
-    """Fully-resolved coordinates of one sweep point (picklable).
-
-    ``mg_size`` / ``flit_bytes`` of ``None`` mean "keep the base
-    architecture's value" -- used by sweeps that only vary software axes.
-    """
-
-    model: str
-    strategy: str
-    input_size: int
-    num_classes: int
-    mg_size: Optional[int] = None
-    flit_bytes: Optional[int] = None
-    closure_limit: Optional[int] = None
-    chips: int = 1
-    batch: int = 1
-    arrival_rate: Optional[float] = None
-    replicas: int = 1
-    fault_plan: Optional[FaultPlan] = None
-    resident_weights: bool = False
-
-    def resolve_arch(self, base: ArchConfig) -> ArchConfig:
-        arch = base
-        if self.mg_size is not None:
-            arch = with_mg_size(arch, self.mg_size)
-        if self.flit_bytes is not None:
-            arch = with_flit_bytes(arch, self.flit_bytes)
-        return arch
-
-    def cache_key(self, base: ArchConfig) -> str:
-        return self.key_for(arch_fingerprint(self.resolve_arch(base)))
-
-    def key_for(self, arch_print: str) -> str:
-        """The cache key, given the resolved architecture's fingerprint
-        (:func:`run_sweep` computes one per distinct architecture, not
-        one per point)."""
-        return point_key(
-            self.model,
-            arch_print,
-            self.strategy,
-            self.input_size,
-            self.num_classes,
-            self.closure_limit,
-            self.chips,
-            self.batch,
-            self.arrival_rate,
-            self.replicas,
-            fault_fingerprint=(
-                self.fault_plan.fingerprint()
-                if self.fault_plan is not None else None
-            ),
-            resident=self.resident_weights,
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -480,60 +550,27 @@ class SweepSpec:
     resident_modes: Tuple[bool, ...] = (False,)
 
     def __post_init__(self):
-        # Normalise iterables handed in as lists/generators to tuples so
-        # the spec stays hashable and its cross product is re-iterable.
-        for name in ("models", "strategies", "mg_sizes", "flit_sizes",
-                     "input_sizes", "chip_counts", "batch_sizes",
-                     "arrival_rates", "replica_counts", "fault_plans",
-                     "resident_modes"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
+        for axis in _SWEPT:
+            plural = axis.metadata["plural"]
+            values = getattr(self, plural)
+            if isinstance(values, str):
+                raise ConfigError(
+                    f"{plural} must be a sequence of values, "
+                    f"not the bare string {values!r}"
+                )
+            # Normalise iterables handed in as lists/generators to tuples
+            # so the spec stays hashable and its cross product is
+            # re-iterable.
+            if values is not None and not isinstance(values, tuple):
+                values = tuple(values)
+                object.__setattr__(self, plural, values)
+            if not axis.metadata["hardware"]:
+                _check_axis(axis, values)
         if isinstance(self.closure_limit, Mapping):
             object.__setattr__(
                 self,
                 "closure_limit",
                 tuple(sorted(self.closure_limit.items())),
-            )
-        if not self.models:
-            raise ConfigError("sweep needs at least one model")
-        if not self.strategies:
-            raise ConfigError("sweep needs at least one strategy")
-        if not self.input_sizes:
-            raise ConfigError("sweep needs at least one input size")
-        if not self.chip_counts or any(c <= 0 for c in self.chip_counts):
-            raise ConfigError("chip counts must be positive")
-        if not self.batch_sizes or any(b <= 0 for b in self.batch_sizes):
-            raise ConfigError("batch sizes must be positive")
-        if not self.arrival_rates or any(
-            r is not None and not (math.isfinite(r) and r > 0)
-            for r in self.arrival_rates
-        ):
-            raise ConfigError(
-                "arrival rates must be finite and positive "
-                "(None = back-to-back)"
-            )
-        if not self.replica_counts or any(
-            r <= 0 for r in self.replica_counts
-        ):
-            raise ConfigError("replica counts must be positive")
-        named = [p for p in self.fault_plans if p is not None]
-        malformed = False
-        if named:  # repro.faults loads only for sweeps that name a plan
-            from repro.faults import FaultPlan
-
-            malformed = not all(isinstance(p, FaultPlan) for p in named)
-        if not self.fault_plans or malformed:
-            raise ConfigError(
-                "fault plans must be FaultPlan instances "
-                "(None = fault-free)"
-            )
-        if not self.resident_modes or any(
-            not isinstance(m, bool) for m in self.resident_modes
-        ):
-            raise ConfigError(
-                "resident modes must be booleans "
-                "(False = reload weights per input)"
             )
 
     def arch(self) -> ArchConfig:
@@ -544,6 +581,11 @@ class SweepSpec:
             return dict(self.closure_limit).get(model)
         return self.closure_limit
 
+    def _values(self, axis) -> Tuple[Any, ...]:
+        """The values an axis takes (an unswept hardware axis: the one
+        ``None`` that keeps the base architecture's value)."""
+        return getattr(self, axis.metadata["plural"]) or (axis.default,)
+
     def points(self) -> List[PointSpec]:
         """The cross product, in deterministic order.
 
@@ -553,78 +595,37 @@ class SweepSpec:
         paper's figure tables (the serving axes ride between the
         software and hardware axes).
         """
-        mg_axis: Tuple[Optional[int], ...] = self.mg_sizes or (None,)
-        flit_axis: Tuple[Optional[int], ...] = self.flit_sizes or (None,)
+        names = [axis.name for axis in _NESTING]
         out: List[PointSpec] = []
-        serving_axes = [
-            (batch, rate, replicas, plan, resident)
-            for batch in self.batch_sizes
-            for rate in self.arrival_rates
-            for replicas in self.replica_counts
-            for plan in self.fault_plans
-            for resident in self.resident_modes
-        ]
-        for model in self.models:
-            for strategy in self.strategies:
-                for input_size in self.input_sizes:
-                    for chips in self.chip_counts:
-                        for batch, rate, replicas, plan, resident in (
-                                serving_axes):
-                            for flit in flit_axis:
-                                for mg in mg_axis:
-                                    out.append(PointSpec(
-                                        model=model,
-                                        strategy=strategy,
-                                        input_size=input_size,
-                                        num_classes=self.num_classes,
-                                        mg_size=mg,
-                                        flit_bytes=flit,
-                                        closure_limit=(
-                                            self.limit_for(model)
-                                        ),
-                                        chips=chips,
-                                        batch=batch,
-                                        arrival_rate=rate,
-                                        replicas=replicas,
-                                        fault_plan=plan,
-                                        resident_weights=resident,
-                                    ))
+        for values in product(*map(self._values, _NESTING)):
+            coords = dict(zip(names, values))
+            out.append(PointSpec(
+                num_classes=self.num_classes,
+                closure_limit=self.limit_for(coords["model"]),
+                **coords,
+            ))
         return out
 
     def __len__(self) -> int:
-        return (
-            len(self.models) * len(self.strategies) * len(self.input_sizes)
-            * len(self.chip_counts) * len(self.batch_sizes)
-            * len(self.arrival_rates) * len(self.replica_counts)
-            * len(self.fault_plans) * len(self.resident_modes)
-            * len(self.mg_sizes or (None,)) * len(self.flit_sizes or (None,))
-        )
+        return math.prod(len(self._values(axis)) for axis in _SWEPT)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form for sweep-result files (base arch by fingerprint)."""
-        limit = self.closure_limit
-        if isinstance(limit, tuple):
-            limit = dict(limit)
-        return {
-            "models": list(self.models),
-            "strategies": list(self.strategies),
-            "mg_sizes": list(self.mg_sizes) if self.mg_sizes else None,
-            "flit_sizes": list(self.flit_sizes) if self.flit_sizes else None,
-            "input_sizes": list(self.input_sizes),
-            "num_classes": self.num_classes,
-            "closure_limit": limit,
-            "chip_counts": list(self.chip_counts),
-            "batch_sizes": list(self.batch_sizes),
-            "arrival_rates": list(self.arrival_rates),
-            "replica_counts": list(self.replica_counts),
-            "fault_plans": [
-                p.to_dict() if p is not None else None
-                for p in self.fault_plans
-            ],
-            "resident_modes": list(self.resident_modes),
-            "arch_fingerprint": arch_fingerprint(self.arch()),
-            "num_points": len(self),
-        }
+        out: Dict[str, Any] = {}
+        for axis in AXES:
+            plural = axis.metadata["plural"]
+            if plural is None:
+                value = getattr(self, axis.name)
+                # per-model closure limits are (model, limit) pairs
+                out[axis.name] = (
+                    dict(value) if isinstance(value, tuple) else value
+                )
+            else:
+                values = getattr(self, plural)
+                out[plural] = _plain(values, "to_dict") if values else None
+        out["arch_fingerprint"] = arch_fingerprint(self.arch())
+        out["num_points"] = len(self)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,18 +723,18 @@ class SweepResult:
 
 #: Batch-independent analysis of one point: the (possibly warm) base
 #: report, the run-once load phase and its energy (zero / empty for
-#: non-resident points).  This is what the sweep memo and the pool
-#: workers ship around; the execution plan never travels with it.
+#: non-resident points).  This is what sweep workers ship back; the
+#: execution plan never travels with it.
 _BaseBundle = Tuple[FastReport, int, Dict[str, float]]
 
 
 def _analyze_base(
     pspec: PointSpec, arch: ArchConfig
-) -> Tuple[FastReport, int, Dict[str, float], Optional[ExecutionPlan]]:
+) -> Tuple[_BaseBundle, ExecutionPlan]:
     """Plan and analyse a point's batch-independent coordinates.
 
-    ``arch`` is the point's resolved architecture.  Returns ``(report,
-    load_cycles, load_energy_pj, plan)``: for resident points the report
+    ``arch`` is the point's resolved architecture.  Returns ``((report,
+    load_cycles, load_energy_pj), plan)``: for resident points the report
     is the *warm* per-input analysis (hoistable weight loads removed)
     and the load fields carry the run-once load phase; otherwise the
     plain analysis with zero load.  ``plan`` is the (first shard's)
@@ -756,17 +757,13 @@ def _analyze_base(
             for shard in sharding.shards
         ]
         if pspec.resident_weights:
-            report, load_done, load_energy = analyze_sharded_resident(
-                sharding, plans, arch
-            )
-            return report, load_done, load_energy, plans[0]
-        return analyze_sharded(sharding, plans, arch), 0, {}, plans[0]
+            return analyze_sharded_resident(sharding, plans, arch), plans[0]
+        return (analyze_sharded(sharding, plans, arch), 0, {}), plans[0]
     graph = _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
     plan = plan_graph(graph, arch, pspec.strategy, pspec.closure_limit)
     if pspec.resident_weights:
-        report, load_done, load_energy = analyze_plan_resident(plan)
-        return report, load_done, load_energy, plan
-    return analyze_plan(plan), 0, {}, plan
+        return analyze_plan_resident(plan), plan
+    return (analyze_plan(plan), 0, {}), plan
 
 
 def _charge_session_load(
@@ -846,52 +843,22 @@ def _derive_report(
 
 
 def _base_spec(pspec: PointSpec) -> PointSpec:
-    """The batch-independent, arrival-free, fault-free coordinates.
+    """The batch-independent, arrival-free, fault-free coordinates:
+    every continuation axis back at its default.
 
     ``resident_weights`` survives: it changes the base analysis itself
     (warm report + load split), not just the continuation.
     """
-    return replace(
-        pspec, batch=1, arrival_rate=None, replicas=1, fault_plan=None
-    )
+    return replace(pspec, **_BASE_VALUES)
 
 
-def _evaluate_spec(
-    pspec: PointSpec,
-    arch: ArchConfig,
-    memo: Dict[PointSpec, _BaseBundle],
-) -> DesignPoint:
-    """Evaluate one point of the serial path at its resolved ``arch``.
+def _worker_evaluate(pspec: PointSpec, arch: ArchConfig) -> _BaseBundle:
+    """Top-level pool entry point (must be importable for pickling).
 
     Drops the (large, partly unpicklable) execution plan so results are
-    identical to cache-served and pool-evaluated points.
-
-    The batch and arrival-rate axes are closed-form continuations of the
-    batch-independent analysis (:func:`_derive_report`), so ``memo``
-    (keyed by the batch=1/rate=None coordinates, scoped to one sweep)
-    lets a sweep over ``batch_sizes=(1, 4, 8)`` x ``arrival_rates`` plan
-    and analyse each base point once and derive the variants in O(1) --
-    bit-identical to evaluating every point from scratch.
+    identical to cache-served points.
     """
-    base = _base_spec(pspec)
-    bundle = memo.get(base)
-    if bundle is None:
-        report, load_done, load_energy, _ = _analyze_base(pspec, arch)
-        bundle = memo[base] = (report, load_done, load_energy)
-    return _point_from_report(
-        pspec, arch, _derive_report(pspec, arch, bundle), cached=False
-    )
-
-
-def _worker_evaluate(
-    args: Tuple[int, PointSpec, ArchConfig]
-) -> Tuple[int, _BaseBundle]:
-    """Top-level pool entry point (must be importable for pickling)."""
-    index, pspec, base_arch = args
-    report, load_done, load_energy, _ = _analyze_base(
-        pspec, pspec.resolve_arch(base_arch)
-    )
-    return index, (report, load_done, load_energy)
+    return _analyze_base(pspec, arch)[0]
 
 
 def estimate_point_cost(pspec: PointSpec) -> float:
@@ -912,25 +879,18 @@ def estimate_point_cost(pspec: PointSpec) -> float:
     return cost
 
 
-def _point_from_report(pspec: PointSpec, arch: ArchConfig,
-                       report: FastReport, cached: bool) -> DesignPoint:
-    return DesignPoint(
-        model=pspec.model,
-        strategy=pspec.strategy,
-        mg_size=arch.chip.core.cim_unit.macro_group.num_macros,
-        flit_bytes=arch.chip.noc.flit_bytes,
-        report=report,
-        plan=None,
-        input_size=pspec.input_size,
-        num_classes=pspec.num_classes,
-        chips=pspec.chips,
-        batch=pspec.batch,
-        arrival_rate=pspec.arrival_rate,
-        replicas=pspec.replicas,
-        fault_plan=pspec.fault_plan,
-        resident_weights=pspec.resident_weights,
-        cached=cached,
-    )
+def _point_from_report(
+    pspec: PointSpec,
+    arch: ArchConfig,
+    report: FastReport,
+    cached: bool = False,
+    plan: Optional[ExecutionPlan] = None,
+) -> DesignPoint:
+    """``pspec`` evaluated at its resolved ``arch``."""
+    coords = pspec.coordinates()
+    coords["mg_size"] = arch.chip.core.cim_unit.macro_group.num_macros
+    coords["flit_bytes"] = arch.chip.noc.flit_bytes
+    return DesignPoint(**coords, report=report, plan=plan, cached=cached)
 
 
 def run_sweep(
@@ -946,8 +906,10 @@ def run_sweep(
     ``N > 1`` fans uncached points out over a process pool (each worker
     keeps its own model-graph cache); a negative count is a
     :class:`~repro.errors.ConfigError`.  Results are returned in
-    :meth:`SweepSpec.points` order regardless of completion order, so the
-    parallel path is bit-identical to the serial one.
+    :meth:`SweepSpec.points` order regardless of completion order, and
+    both run the one loop below (``pool.map`` or the builtin ``map`` over
+    the unique base points), so the parallel path is bit-identical to
+    the serial one and reports progress in the same order.
 
     ``cache``: a :class:`ResultCache`; hits skip evaluation entirely and
     fresh results are stored for the next run.
@@ -1021,78 +983,55 @@ def run_sweep(
                 if key in previously:
                     stats.resumed_points += 1
                 journal(key)
-                finish(index, _point_from_report(pspec, arch, report, True))
+                finish(index, _point_from_report(
+                    pspec, arch, report, cached=True
+                ))
                 continue
             stats.cache_misses += 1
         pending.append((index, pspec))
 
-    # Pass 2: evaluate the misses (serially or across the pool).
-    def record(index: int, pspec: PointSpec, point: DesignPoint) -> None:
-        stats.evaluated += 1
-        if cache is not None:
-            cache.store(
-                keys[index],
-                point.report,
-                meta={
-                    "model": pspec.model,
-                    "strategy": pspec.strategy,
-                    "input_size": pspec.input_size,
-                    "num_classes": pspec.num_classes,
-                    "mg_size": point.mg_size,
-                    "flit_bytes": point.flit_bytes,
-                    "closure_limit": pspec.closure_limit,
-                    "chips": pspec.chips,
-                    "batch": pspec.batch,
-                    "arrival_rate": pspec.arrival_rate,
-                    "replicas": pspec.replicas,
-                    "fault_plan": (
-                        pspec.fault_plan.fingerprint()
-                        if pspec.fault_plan is not None else None
-                    ),
-                    "resident": pspec.resident_weights,
-                },
-            )
-            journal(keys[index])
-        finish(index, point)
-
-    if stats.workers <= 1 or len(pending) <= 1:
-        memo: Dict[PointSpec, _BaseBundle] = {}
-        for index, pspec in pending:
-            record(
-                index, pspec, _evaluate_spec(pspec, resolved(pspec)[0], memo)
-            )
-    else:
+    # Pass 2: evaluate the misses.  The batch, arrival-rate, replicas
+    # and fault-plan axes are closed-form continuations of the base
+    # (batch=1, rate=None, replicas=1, fault-free) analysis, so only
+    # *unique base points* are ever planned; every pending variant is
+    # derived here via _derive_report -- bit-identical to evaluating it
+    # directly, and each base is planned exactly once no matter how a
+    # pool schedules it.
+    groups: Dict[PointSpec, List[int]] = {}
+    for index, pspec in pending:
+        groups.setdefault(_base_spec(pspec), []).append(index)
+    # Adaptive scheduling: expensive points first (stable on first
+    # pending index for determinism); results are re-indexed, so
+    # ordering only affects wall time, never output.
+    ordered = sorted(
+        groups,
+        key=lambda point: (-estimate_point_cost(point), groups[point][0]),
+    )
+    archs_of = [resolved(point)[0] for point in ordered]
+    if stats.workers > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        by_index = dict(pending)
-        # The batch, arrival-rate, replicas, and fault-plan axes are
-        # closed-form continuations of the base (batch=1, rate=None,
-        # replicas=1, fault-free) analysis, so the pool only
-        # ever evaluates *unique base points*; every pending variant is
-        # derived in-parent via _derive_report -- bit-identical to
-        # evaluating it directly, and each base is planned exactly once
-        # no matter how the pool schedules it.
-        groups: Dict[PointSpec, List[int]] = {}
-        for index, pspec in pending:
-            groups.setdefault(_base_spec(pspec), []).append(index)
-        # Adaptive scheduling: submit expensive points first (stable on
-        # first pending index for determinism); results are re-indexed,
-        # so ordering only affects wall time, never output.
-        ordered = sorted(
-            groups,
-            key=lambda spec: (-estimate_point_cost(spec), groups[spec][0]),
-        )
-        with ProcessPoolExecutor(max_workers=stats.workers) as pool:
-            jobs = [(job, spec, base) for job, spec in enumerate(ordered)]
-            for job, bundle in pool.map(_worker_evaluate, jobs):
-                for index in groups[ordered[job]]:
-                    pspec = by_index[index]
-                    arch = resolved(pspec)[0]
-                    report = _derive_report(pspec, arch, bundle)
-                    record(
-                        index, pspec,
-                        _point_from_report(pspec, arch, report, False),
+        pool = ProcessPoolExecutor(max_workers=stats.workers)
+        evaluate = pool.map
+    else:  # a serial sweep is the pool path with a pool of one
+        pool, evaluate = nullcontext(), map
+    with pool:
+        for base_point, bundle in zip(
+                ordered, evaluate(_worker_evaluate, ordered, archs_of)):
+            for index in groups[base_point]:
+                pspec = pspecs[index]
+                arch = resolved(pspec)[0]
+                point = _point_from_report(
+                    pspec, arch, _derive_report(pspec, arch, bundle)
+                )
+                stats.evaluated += 1
+                if cache is not None:
+                    cache.store(
+                        keys[index], point.report,
+                        meta=point.coordinates("describe"),
                     )
+                    journal(keys[index])
+                finish(index, point)
 
     if manifest is not None:
         manifest.complete()
@@ -1189,9 +1128,7 @@ def spot_check(
     spec = result.spec
     checks: List[SpotCheckResult] = []
     for pt in ranked[:n]:
-        arch = with_flit_bytes(
-            with_mg_size(spec.arch(), pt.mg_size), pt.flit_bytes
-        )
+        arch = pt.resolve_arch(spec.arch())
         graph = _cached_graph(pt.model, input_size, num_classes)
         if pt.chips > 1:
             compiled = compile_sharded(
@@ -1262,17 +1199,12 @@ def mg_flit_sweep(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
 ) -> List[DesignPoint]:
-    """Fig. 6 / Fig. 7 hardware axes: MG size x NoC flit width."""
-    spec = SweepSpec(
-        models=(model,),
-        strategies=(strategy,),
-        mg_sizes=tuple(mg_sizes),
-        flit_sizes=tuple(flit_sizes),
-        input_sizes=(input_size,),
-        num_classes=num_classes,
-        base_arch=base_arch,
+    """Fig. 6 / Fig. 7 hardware axes: MG size x NoC flit width (the
+    :func:`design_space` of one strategy)."""
+    return design_space(
+        model, (strategy,), mg_sizes, flit_sizes, base_arch,
+        input_size, num_classes, workers, cache,
     )
-    return run_sweep(spec, workers=workers, cache=cache).points
 
 
 def design_space(

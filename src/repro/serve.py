@@ -654,7 +654,8 @@ class Deployment:
             self._arch = resolved
         else:
             self.compiled = compile_model(
-                model, arch, strategy, chips=chips, **model_kwargs
+                model, arch, strategy, chips=chips,
+                closure_limit=closure_limit, **model_kwargs
             )
 
         if self.compiled is not None:

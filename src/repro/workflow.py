@@ -87,6 +87,7 @@ def compile_model(
     arch: ArchLike = None,
     strategy: str = "dp",
     chips: int = 1,
+    closure_limit: Optional[int] = None,
     **model_kwargs,
 ) -> Union[CompiledModel, MultiChipModel]:
     """Compile a model (zoo name or graph) for an architecture.
@@ -95,14 +96,17 @@ def compile_model(
     architecture configuration file (``None`` = the paper's Table I).
     With ``chips > 1`` the model is pipeline-sharded across that many
     identical chips and a :class:`MultiChipModel` is returned.
+    ``closure_limit`` bounds the DP partitioner's closure enumeration.
     """
     if chips < 1:
         raise CompileError(f"chip count must be >= 1, got {chips}")
     graph = _resolve_graph(model, **model_kwargs)
     resolved = _resolve_arch(arch)
     if chips > 1:
-        return compile_sharded(graph, resolved, chips, strategy=strategy)
-    return compile_graph(graph, resolved, strategy=strategy)
+        return compile_sharded(
+            graph, resolved, chips, strategy, closure_limit=closure_limit
+        )
+    return compile_graph(graph, resolved, strategy, closure_limit=closure_limit)
 
 
 def _resolve_batch_inputs(

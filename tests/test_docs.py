@@ -81,3 +81,35 @@ def test_relative_links_resolve(doc):
                     f"{resolved.name}"
                 )
     assert not broken, f"{doc.name}: broken links:\n  " + "\n  ".join(broken)
+
+
+def test_sweep_coordinate_table_is_the_axis_table():
+    """docs/ARCHITECTURE.md ("Sweep coordinates") row by row against
+    ``explore.AXES``: name, plural, default, rule text, key name, kind."""
+    import dataclasses
+
+    from repro.explore import AXES
+
+    text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    section = text.split("### Sweep coordinates", 1)[1].split("\n**Adding", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+
+    def documented(axis):
+        about = axis.metadata
+        kind = [k for k in ("hardware", "continuation") if about[k]]
+        if not about["row"]:
+            kind.append("not a row")
+        return [
+            axis.name,
+            about["plural"] or "—",
+            "—" if axis.default is dataclasses.MISSING else repr(axis.default),
+            about["message"] if about["rule"] else "—",
+            "—" if about["hardware"] else about["key"] or axis.name,
+            ", ".join(kind),
+        ]
+
+    assert rows == [documented(axis) for axis in AXES]

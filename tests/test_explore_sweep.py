@@ -13,6 +13,7 @@ from repro.config import (
 )
 from repro.errors import ConfigError
 from repro.explore import (
+    AXES,
     DesignPoint,
     PointSpec,
     SweepSpec,
@@ -547,6 +548,254 @@ class TestParetoFront:
                 and (q.energy_mj < p.energy_mj or q.tops > p.tops)
                 for q in result.points
             )
+
+
+def _crash_plan():
+    from repro.faults import FaultPlan, ReplicaCrash, RetryPolicy
+
+    return FaultPlan(
+        events=(ReplicaCrash(replica=0, at_cycle=200),),
+        retry=RetryPolicy(max_attempts=3, backoff_cycles=10),
+    )
+
+
+class TestAxisLaw:
+    """What must hold of *every* sweep coordinate, walked over
+    ``AXES`` -- the ``PointSpec`` fields are the one declaration, so a
+    new axis is held to all of this the moment its field exists.  The
+    literal tables below are the test's only per-axis knowledge; each
+    must cover ``AXES`` exactly."""
+
+    BASE = dict(model="tiny_cnn", strategy="dp", input_size=8, num_classes=10)
+    #: A second legal value per coordinate (none is the default).
+    OTHER = {
+        "model": "tiny_resnet", "strategy": "generic", "mg_size": 4,
+        "flit_bytes": 16, "input_size": 16, "num_classes": 100,
+        "closure_limit": 4, "chips": 2, "batch": 4,
+        "arrival_rate": 250000.0, "replicas": 2, "fault_plan": _crash_plan(),
+        "resident_weights": True,
+    }
+    #: A value the coordinate's rule rejects (coordinates with a rule).
+    BAD = {
+        "chips": 0, "batch": 0, "arrival_rate": float("nan"), "replicas": -1,
+        "fault_plan": "plan.json", "resident_weights": "yes",
+    }
+    FLAG = {
+        "model": "--models", "strategy": "--strategies",
+        "mg_size": "--mg-sizes", "flit_bytes": "--flit-sizes",
+        "input_size": "--input-sizes", "num_classes": "--num-classes",
+        "closure_limit": "--closure-limit", "chips": "--chips",
+        "batch": "--batch", "arrival_rate": "--arrival-rates",
+        "replicas": "--replicas", "fault_plan": "--fault-plans",
+        "resident_weights": "--resident-modes",
+    }
+    #: Row coordinates the CLI's table/CSV columns leave out (ROADMAP 5.2).
+    CSV_OMITS = {"num_classes"}
+
+    every_axis = pytest.mark.parametrize("axis", AXES, ids=lambda a: a.name)
+    swept_axis = pytest.mark.parametrize(
+        "axis", [a for a in AXES if a.metadata["plural"]],
+        ids=lambda a: a.name,
+    )
+
+    def test_tables_cover_the_axes(self):
+        names = {axis.name for axis in AXES}
+        assert set(self.OTHER) == set(self.FLAG) == names
+        assert set(self.BAD) == {
+            a.name for a in AXES if a.metadata["rule"] is not None
+        }
+        assert len(names) == 13
+
+    def test_one_declaration_per_coordinate(self):
+        import dataclasses
+
+        assert AXES == dataclasses.fields(PointSpec)
+        assert [f.name for f in dataclasses.fields(DesignPoint)] == [
+            *(axis.name for axis in AXES), "report", "plan", "cached",
+        ]
+        for name in ("__post_init__", "to_dict"):
+            assert name not in vars(PointSpec)  # no per-point validation
+
+    @every_axis
+    def test_changing_it_changes_the_cache_key(self, axis):
+        from dataclasses import replace
+
+        arch = small_test_arch()
+        base = PointSpec(**self.BASE)
+        moved = replace(base, **{axis.name: self.OTHER[axis.name]})
+        assert moved != base
+        assert moved.cache_key(arch) != base.cache_key(arch)
+
+    @every_axis
+    def test_rows_list_it(self, axis):
+        point = evaluate_fast("tiny_cnn", small_test_arch(), "dp", 8, 10)
+        assert (axis.name in point.to_dict()) == axis.metadata["row"]
+        assert axis.metadata["row"] or axis.name == "closure_limit"
+
+    @pytest.fixture(scope="class")
+    def round_trip(self, tmp_path_factory):
+        """One sweep with every coordinate off its default, saved as
+        JSON + CSV, and the CSV ``repro report`` re-renders from the JSON."""
+        from repro.cli import main
+        from repro.faults import save_fault_plan
+
+        tmp = tmp_path_factory.mktemp("axis-law")
+        save_fault_plan(self.OTHER["fault_plan"], tmp / "plan.json")
+        value = {
+            name: str(other).lower() for name, other in self.OTHER.items()
+        }
+        value["fault_plan"] = str(tmp / "plan.json")
+        argv = ["sweep", "--preset", "small", "--no-cache", "--quiet",
+                "--json", str(tmp / "a.json"), "--csv", str(tmp / "a.csv")]
+        for name, flag in self.FLAG.items():
+            argv += [flag, value[name]]
+        assert main(argv) == 0
+        assert main(["report", str(tmp / "a.json"),
+                     "--csv", str(tmp / "b.csv")]) == 0
+        return tmp
+
+    @every_axis
+    def test_it_survives_json_to_report_csv(self, axis, round_trip):
+        import csv
+
+        (row,) = json.loads((round_trip / "a.json").read_text())["points"]
+        assert (round_trip / "a.csv").read_bytes() == (
+            (round_trip / "b.csv").read_bytes()
+        )
+        with open(round_trip / "b.csv", newline="") as fh:
+            (cells,) = csv.DictReader(fh)
+        if not axis.metadata["row"]:
+            assert axis.name not in row and axis.name not in cells
+            return
+        expected = self.OTHER[axis.name]
+        if axis.name == "fault_plan":
+            expected = expected.describe()
+        assert row[axis.name] == expected
+        if axis.name not in self.CSV_OMITS:
+            assert cells[axis.name] == str(expected)
+
+    @every_axis
+    def test_sweep_spec_field_entry_and_flag(self, axis, capsys):
+        import dataclasses
+
+        from repro.cli import main
+
+        swept_as = axis.metadata["plural"] or axis.name
+        assert swept_as in {f.name for f in dataclasses.fields(SweepSpec)}
+        assert swept_as in SweepSpec(models=("tiny_cnn",)).to_dict()
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert self.FLAG[axis.name] in capsys.readouterr().out
+
+    def _sweep_of(self, axis):
+        """``BASE`` at batch 2 with ``axis`` swept over two values."""
+        first = self.BASE.get(axis.name, axis.default)
+        kwargs = dict(
+            models=("tiny_cnn",), strategies=("dp",), input_sizes=(8,),
+            num_classes=10, batch_sizes=(2,), base_arch=small_test_arch(),
+        )
+        kwargs[axis.metadata["plural"]] = (first, self.OTHER[axis.name])
+        return SweepSpec(**kwargs), first
+
+    @swept_axis
+    def test_len_is_the_cross_product(self, axis):
+        spec, first = self._sweep_of(axis)
+        points = spec.points()
+        assert len(spec) == len(points) == 2
+        assert [getattr(p, axis.name) for p in points] == [
+            first, self.OTHER[axis.name],
+        ]
+
+    def test_an_unswept_axis_takes_the_coordinate_default(self):
+        assert SweepSpec(models=("m",)).points() == [
+            PointSpec(model="m", strategy="dp")
+        ]
+
+    def test_base_spec_resets_exactly_the_continuation_axes(self):
+        from repro.explore import _base_spec
+
+        moved = PointSpec(**self.OTHER)
+        base = _base_spec(moved)
+        for axis in AXES:
+            if axis.metadata["continuation"]:
+                assert getattr(base, axis.name) == axis.default
+            else:
+                assert getattr(base, axis.name) == self.OTHER[axis.name]
+        assert {a.name for a in AXES if a.metadata["continuation"]} == {
+            "batch", "arrival_rate", "replicas", "fault_plan",
+        }
+
+    @swept_axis
+    def test_shared_base_equals_evaluating_from_scratch(self, axis):
+        """A sweep derives the variant from the base point's analysis
+        (``_derive_report``); ``evaluate_fast`` plans it on its own."""
+        spec, _ = self._sweep_of(axis)
+        swept = run_sweep(spec).points[-1]
+        coords = dict(self.BASE, batch=2)
+        coords[axis.name] = self.OTHER[axis.name]
+        direct = evaluate_fast(arch=spec.arch(), **coords)
+        assert swept.report == direct.report
+        assert swept.to_dict() == direct.to_dict()
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_one_rule_one_message(self, name):
+        (axis,) = [a for a in AXES if a.name == name]
+        plural = axis.metadata["plural"]
+        messages = []
+        for build in (
+            lambda: SweepSpec(models=("tiny_cnn",), **{plural: ()}),
+            lambda: SweepSpec(
+                models=("tiny_cnn",),
+                **{plural: (self.OTHER[name], self.BAD[name])},
+            ),
+            lambda: evaluate_fast(
+                "tiny_cnn", small_test_arch(), **{name: self.BAD[name]}
+            ),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            messages.append(str(exc.value))
+        assert messages == [axis.metadata["message"]] * 3
+
+
+class TestHostileCoordinates:
+    """``evaluate_fast`` used to accept what a sweep rejects, and a bare
+    string for an axis was swept letter by letter."""
+
+    @pytest.mark.parametrize("coords", [
+        {"chips": 0}, {"chips": -1}, {"resident_weights": "yes"},
+        {"batch": 0}, {"replicas": 0}, {"arrival_rate": float("inf")},
+    ])
+    def test_evaluate_fast_rejects_what_a_sweep_rejects(self, coords):
+        with pytest.raises(ConfigError):
+            evaluate_fast("tiny_cnn", small_test_arch(), "dp", 8, 10, **coords)
+
+    def test_unknown_coordinate_is_a_type_error(self):
+        with pytest.raises(TypeError, match="chip_count"):
+            evaluate_fast("tiny_cnn", small_test_arch(), chip_count=2)
+
+    @pytest.mark.parametrize("axis", ["models", "strategies"])
+    def test_bare_string_axis_names_the_field(self, axis):
+        kwargs = {"models": ("tiny_cnn",), axis: "tiny_cnn"}
+        with pytest.raises(ConfigError, match=f"{axis} must be a sequence"):
+            SweepSpec(**kwargs)
+
+    @pytest.mark.parametrize("flag", [
+        ("--chips", "0"), ("--chips", "-1"), ("--batch", "0"),
+        ("--replicas", "0"), ("--resident-modes", "yes,maybe"),
+    ])
+    def test_cli_exits_2_without_traceback(self, flag, capsys):
+        from repro.cli import main
+
+        code = None
+        try:
+            code = main(["sweep", "--models", "tiny_cnn", "--preset", "small",
+                         "--no-cache", "--quiet", *flag])
+        except SystemExit as exc:  # argparse rejects a malformed list
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" in err
 
 
 class TestArrivalRateAxis:

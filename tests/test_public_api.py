@@ -241,3 +241,100 @@ class TestCacheKeysArePinned:
             "d8bfb323a4bce35ed4f2af9e258f825e"
             "6a646baf91522a15e6a880dc9d40e163"
         )
+
+    #: One value off its default on every coordinate.
+    EVERY = dict(
+        model="resnet18", strategy="duplication", input_size=224,
+        num_classes=1000, closure_limit=64, chips=4, batch=16,
+        arrival_rate=2000.0, replicas=2, resident_weights=True,
+        mg_size=8, flit_bytes=16,
+    )
+
+    def test_every_coordinate(self):
+        from repro.explore import PointSpec
+
+        assert PointSpec(**self.EVERY).cache_key(repro.default_arch()) == (
+            "84accfe518c095477b15fd1bed66eb6c"
+            "076123623026559de83fe81778c8945a"
+        )
+
+    def test_every_coordinate_under_a_fault_plan(self):
+        from repro.explore import PointSpec
+        from repro.faults import FaultPlan, ReplicaCrash, RetryPolicy
+
+        plan = FaultPlan(
+            events=(ReplicaCrash(0, 5000),),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        spec = PointSpec(**self.EVERY, fault_plan=plan)
+        assert spec.cache_key(repro.default_arch()) == (
+            "3132ddc1e08c805e8fd7125d96394e49"
+            "f3e189e678e1aff96f19673636f08710"
+        )
+
+
+class TestSerialisedOrderIsPinned:
+    """Key order of the sweep's JSON forms and the row order of the
+    cross product are read by ``report``, CSV headers and saved result
+    files: literals, so a table walk cannot quietly reorder them."""
+
+    def test_design_point_keys(self):
+        from repro.config import small_test_arch
+        from repro.explore import evaluate_fast
+
+        point = evaluate_fast("tiny_cnn", small_test_arch(), "generic", 8, 10)
+        assert list(point.to_dict()) == [
+            "model", "strategy", "mg_size", "flit_bytes", "input_size",
+            "num_classes", "chips", "batch", "arrival_rate", "replicas",
+            "fault_plan", "resident_weights", "load_cycles", "dropped",
+            "retries", "goodput_inf_s", "cycles", "time_ms", "energy_mj",
+            "tops", "throughput_inf_s", "energy_per_inf_mj",
+            "p50_latency_ms", "p95_latency_ms", "p99_latency_ms", "cached",
+            "energy_groups_mj", "report",
+        ]
+
+    def test_sweep_spec_keys(self):
+        from repro.explore import SweepSpec
+
+        assert list(SweepSpec(models=("tiny_cnn",)).to_dict()) == [
+            "models", "strategies", "mg_sizes", "flit_sizes", "input_sizes",
+            "num_classes", "closure_limit", "chip_counts", "batch_sizes",
+            "arrival_rates", "replica_counts", "fault_plans",
+            "resident_modes", "arch_fingerprint", "num_points",
+        ]
+
+    def test_cross_product_order(self):
+        """Two values per axis: point ``i`` takes, on the k-th axis from
+        the outside, the value bit k of ``i`` selects."""
+        from repro.explore import SweepSpec
+        from repro.faults import FaultPlan, ReplicaCrash
+
+        plan = FaultPlan(events=(ReplicaCrash(0, 5000),))
+        outer_to_inner = (
+            ("model", "models", ("tiny_cnn", "tiny_resnet")),
+            ("strategy", "strategies", ("generic", "dp")),
+            ("input_size", "input_sizes", (8, 16)),
+            ("chips", "chip_counts", (1, 2)),
+            ("batch", "batch_sizes", (1, 4)),
+            ("arrival_rate", "arrival_rates", (None, 250000.0)),
+            ("replicas", "replica_counts", (1, 2)),
+            ("fault_plan", "fault_plans", (None, plan)),
+            ("resident_weights", "resident_modes", (False, True)),
+            ("flit_bytes", "flit_sizes", (8, 16)),
+            ("mg_size", "mg_sizes", (2, 4)),
+        )
+        spec = SweepSpec(
+            num_classes=10, closure_limit={"tiny_cnn": 4},
+            **{plural: values for _, plural, values in outer_to_inner},
+        )
+        points = spec.points()
+        depth = len(outer_to_inner)
+        assert len(points) == len(spec) == 2 ** depth
+        for index, point in enumerate(points):
+            for k, (name, _, values) in enumerate(outer_to_inner):
+                bit = (index >> (depth - 1 - k)) & 1
+                assert getattr(point, name) == values[bit], (index, name)
+            assert point.num_classes == 10
+            assert point.closure_limit == (
+                4 if point.model == "tiny_cnn" else None
+            )

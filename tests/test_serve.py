@@ -226,6 +226,26 @@ class TestDeploymentSessions:
                     served.per_input_outputs[i][name], expected
                 )
 
+    @pytest.mark.parametrize("chips", [1, 2])
+    @pytest.mark.parametrize("tier", ["fast", "cyclesim"])
+    def test_closure_limit_reaches_the_planner_on_both_tiers(
+            self, arch, tier, chips, monkeypatch):
+        """Two-tier contract: the cycle tier used to compile through
+        ``compile_model``, which had no ``closure_limit`` to hand on."""
+        import repro.compiler.pipeline as pipeline
+
+        seen = []
+        planner = pipeline.plan_graph
+
+        def spy(graph, arch, strategy="dp", closure_limit=None):
+            seen.append(closure_limit)
+            return planner(graph, arch, strategy, closure_limit)
+
+        monkeypatch.setattr(pipeline, "plan_graph", spy)
+        Deployment("tiny_resnet", arch, chips=chips, tier=tier,
+                   closure_limit=7, input_size=8, num_classes=10)
+        assert seen == [7] * chips
+
     def test_compile_once_submit_many(self, arch):
         deployment = _deploy(arch, chips=2)
         first = deployment.submit(batch=2)
