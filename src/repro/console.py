@@ -85,40 +85,58 @@ class ConsoleState:
 
     # -- event folding -------------------------------------------------------
     def observe(self, event) -> None:
-        """Account one runtime event (order = the emitted stream)."""
-        if isinstance(event, RequestAdmitted):
-            self.admitted += 1
-            self.replica_in_flight[event.replica] += 1
-            if self.first_release is None:
-                self.first_release = event.release_cycle
-            self.last_release = event.release_cycle
-            self.now_cycle = max(self.now_cycle, event.release_cycle)
-        elif isinstance(event, RequestCompleted):
-            self.completed += 1
-            self.replica_served[event.replica] += 1
-            self.replica_in_flight[event.replica] = max(
-                0, self.replica_in_flight[event.replica] - 1
-            )
-            self.replica_finishes[event.replica].append(event.finish_cycle)
-            self._latencies.append(event.latency_cycles)
-            self.now_cycle = max(self.now_cycle, event.release_cycle)
-            self.horizon_cycle = max(self.horizon_cycle, event.finish_cycle)
-        elif isinstance(event, RequestDropped):
-            self.dropped += 1
-            self.drop_reasons[event.reason] = (
-                self.drop_reasons.get(event.reason, 0) + 1
-            )
-            self.now_cycle = max(self.now_cycle, event.release_cycle)
-        elif isinstance(event, ReplicaStateChanged):
-            self.replica_state[event.replica] = event.state
-            if event.state == "crashed":
-                # In-flight work on a crashed replica is re-enqueued by
-                # the failover engine; it is no longer this queue's.
-                self.replica_in_flight[event.replica] = 0
+        """Account one runtime event (order = the emitted stream).
+
+        One lookup on the event's type picks its fold; events of any
+        other type are ignored.
+        """
+        fold = self._FOLDS.get(type(event))
+        if fold is not None:
+            fold(self, event)
 
     def observe_all(self, events) -> None:
         for event in events:
             self.observe(event)
+
+    def _admitted(self, event: RequestAdmitted) -> None:
+        self.admitted += 1
+        self.replica_in_flight[event.replica] += 1
+        if self.first_release is None:
+            self.first_release = event.release_cycle
+        self.last_release = event.release_cycle
+        self.now_cycle = max(self.now_cycle, event.release_cycle)
+
+    def _completed(self, event: RequestCompleted) -> None:
+        self.completed += 1
+        self.replica_served[event.replica] += 1
+        self.replica_in_flight[event.replica] = max(
+            0, self.replica_in_flight[event.replica] - 1
+        )
+        self.replica_finishes[event.replica].append(event.finish_cycle)
+        self._latencies.append(event.latency_cycles)
+        self.now_cycle = max(self.now_cycle, event.release_cycle)
+        self.horizon_cycle = max(self.horizon_cycle, event.finish_cycle)
+
+    def _dropped(self, event: RequestDropped) -> None:
+        self.dropped += 1
+        self.drop_reasons[event.reason] = (
+            self.drop_reasons.get(event.reason, 0) + 1
+        )
+        self.now_cycle = max(self.now_cycle, event.release_cycle)
+
+    def _replica_changed(self, event: ReplicaStateChanged) -> None:
+        self.replica_state[event.replica] = event.state
+        if event.state == "crashed":
+            # In-flight work on a crashed replica is re-enqueued by
+            # the failover engine; it is no longer this queue's.
+            self.replica_in_flight[event.replica] = 0
+
+    _FOLDS = {
+        RequestAdmitted: _admitted,
+        RequestCompleted: _completed,
+        RequestDropped: _dropped,
+        ReplicaStateChanged: _replica_changed,
+    }
 
     # -- tables --------------------------------------------------------------
     def queue_depth(self, replica: int) -> int:
@@ -246,11 +264,12 @@ def console_snapshot(
     final = None
     if handle.report is not None:
         report = handle.report
+        p50, p99 = report._percentiles((50, 99))
         final = {
             "batch": report.batch,
             "makespan_cycles": report.makespan_cycles,
-            "p50_latency_cycles": report.p50_latency_cycles,
-            "p99_latency_cycles": report.p99_latency_cycles,
+            "p50_latency_cycles": p50,
+            "p99_latency_cycles": p99,
         }
         if hasattr(report, "dropped_indices"):
             final["completed"] = report.completed

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.config import InterChipConfig
 from repro.errors import FaultError, SimulationError
@@ -368,13 +368,6 @@ class FaultPlan:
         ]
         return min(cycles) if cycles else None
 
-    def attempt_fails(self, request: int, attempt: int) -> bool:
-        """Whether any transient-failure event kills this attempt."""
-        return any(
-            e.fails(request, attempt) for e in self.events
-            if isinstance(e, TransientRequestFailure)
-        )
-
     def schedule_hooks(self, replica: int, link: InterChipConfig):
         """``(service_time, link_time)`` hooks for one replica's replay.
 
@@ -552,9 +545,9 @@ def load_fault_plan(path) -> FaultPlan:
 # Failover engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AttemptRecord:
-    """One dispatch of one request onto one replica."""
+class AttemptRecord(NamedTuple):
+    """One dispatch of one request onto one replica (an immutable named
+    tuple: one is built per attempt)."""
 
     request: int
     attempt: int
@@ -627,8 +620,7 @@ class FaultSchedule:
             )
 
 
-@dataclass(frozen=True)
-class EngineOutcome:
+class EngineOutcome(NamedTuple):
     """One request's final verdict as the engine settles it.
 
     ``status`` is ``"completed"`` or a drop reason
@@ -679,6 +671,11 @@ class FailoverEngine:
         policy_retry = retry if retry is not None else self.plan.retry
         self.retry_policy = (
             policy_retry if policy_retry is not None else RetryPolicy()
+        )
+        #: The plan's per-attempt failure draws, gathered once.
+        self._transients = tuple(
+            e for e in self.plan.events
+            if isinstance(e, TransientRequestFailure)
         )
         check_fleet(policy, replicas)
         self.policy = policy
@@ -755,11 +752,8 @@ class FailoverEngine:
     def _terminal(self, request: int, status: str) -> EngineOutcome:
         self.statuses[request] = status
         return EngineOutcome(
-            request=request,
-            status=status,
-            finish_cycle=self.finishes[request],
-            replica=self.assignments[request],
-            attempts=self.attempt_counts[request],
+            request, status, self.finishes[request],
+            self.assignments[request], self.attempt_counts[request],
         )
 
     def _step(self) -> Optional[EngineOutcome]:
@@ -789,15 +783,14 @@ class FailoverEngine:
         end = finish
         if state.crash is not None and finish > state.crash:
             status, end = "crashed", state.crash
-        elif self.plan.attempt_fails(request, attempt):
+        elif any(e.fails(request, attempt) for e in self._transients):
             status = "transient"
         elif self._deadline is not None and finish > release + self._deadline:
             status = "late"
         else:
             status = "completed"
         record = AttemptRecord(
-            request, attempt, choice, dispatch, end, status,
-            start_cycle=start,
+            request, attempt, choice, dispatch, end, status, start
         )
         self.attempts.append(record)
         self.replica_attempts[choice].append(record)

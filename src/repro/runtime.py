@@ -7,14 +7,17 @@ deployment.serve_forever()`` opens a session and returns a
 :class:`ServerHandle` whose :meth:`ServerHandle.submit` coroutine stamps
 each request with a release cycle from a pluggable clock
 (:class:`VirtualClock` for deterministic tests, :class:`WallClock` in
-production), routes it through an event-driven admission scheduler --
-a single asyncio task owning all shard occupancy -- and resolves a
-future per request with its completion cycle and latency.
+production), admits it before returning -- asyncio is single-threaded,
+so stamping and admitting one request cannot interleave with another
+submission, and there is no scheduler task or queue between them --
+and resolves a future per request with its completion cycle and
+latency.
 
-**The admission law is the offline one, applied once.**  The
-scheduler feeds each arrival to the very object the server's offline
-submission folds over a whole stream, built by the same method: the
-unfaulted fleet step (:class:`repro.sim.multichip.Dispatcher`, from
+**The admission law is the offline one, applied once.**
+:meth:`ServerHandle.submit` feeds each arrival to the very object the
+server's offline submission folds over a whole stream, built by the
+same method: the unfaulted fleet step
+(:class:`repro.sim.multichip.Dispatcher`, from
 ``server._new_dispatcher()``) or, under a
 :class:`~repro.faults.FaultPlan` or retry policy, the
 :class:`repro.faults.FailoverEngine` (``Fleet._new_engine()``).
@@ -32,13 +35,15 @@ The session publishes a typed event stream -- :class:`RequestAdmitted`,
 :class:`RequestCompleted`, :class:`RequestDropped`,
 :class:`ReplicaStateChanged` -- consumed by the ``repro watch`` live
 console (:mod:`repro.console`) and recorded on the handle for
-deterministic byte-for-byte comparison in tests.
+deterministic byte-for-byte comparison in tests.  The events and
+:class:`RequestCompletion` are immutable ``typing.NamedTuple`` records:
+a request builds three of them, and a named tuple costs about a third
+of what a frozen dataclass does to construct.
 """
 
 import asyncio
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, RetryPolicy, engine_needed
@@ -132,9 +137,8 @@ class WallClock:
 # Event stream
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RequestAdmitted:
-    """The scheduler dispatched a request onto a replica."""
+class RequestAdmitted(NamedTuple):
+    """The session dispatched a request onto a replica."""
 
     request: int
     release_cycle: int
@@ -142,11 +146,10 @@ class RequestAdmitted:
     dispatch_cycle: int
 
     def to_dict(self) -> Dict:
-        return {"event": type(self).__name__, **asdict(self)}
+        return {"event": type(self).__name__, **self._asdict()}
 
 
-@dataclass(frozen=True)
-class RequestCompleted:
+class RequestCompleted(NamedTuple):
     """A request's last shard finished; its future has resolved."""
 
     request: int
@@ -157,11 +160,10 @@ class RequestCompleted:
     attempts: int
 
     def to_dict(self) -> Dict:
-        return {"event": type(self).__name__, **asdict(self)}
+        return {"event": type(self).__name__, **self._asdict()}
 
 
-@dataclass(frozen=True)
-class RequestDropped:
+class RequestDropped(NamedTuple):
     """A request was dropped (graceful degradation, never lost)."""
 
     request: int
@@ -170,11 +172,10 @@ class RequestDropped:
     attempts: int
 
     def to_dict(self) -> Dict:
-        return {"event": type(self).__name__, **asdict(self)}
+        return {"event": type(self).__name__, **self._asdict()}
 
 
-@dataclass(frozen=True)
-class ReplicaStateChanged:
+class ReplicaStateChanged(NamedTuple):
     """A replica's health/warmth changed (``up``/``cold``/``warm``/
     ``crashed``)."""
 
@@ -183,7 +184,7 @@ class ReplicaStateChanged:
     at_cycle: int
 
     def to_dict(self) -> Dict:
-        return {"event": type(self).__name__, **asdict(self)}
+        return {"event": type(self).__name__, **self._asdict()}
 
 
 RuntimeEvent = Union[
@@ -191,8 +192,7 @@ RuntimeEvent = Union[
 ]
 
 
-@dataclass(frozen=True)
-class RequestCompletion:
+class RequestCompletion(NamedTuple):
     """What a submitted request's future resolves with.
 
     ``status`` is ``"completed"`` or a drop reason
@@ -220,7 +220,7 @@ class RequestCompletion:
         return not self.completed
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +230,11 @@ class RequestCompletion:
 class ServerHandle:
     """A live serving session over a Deployment or Fleet.
 
-    Created by :func:`serve_forever`; owns the admission scheduler task,
-    the recorded event stream (:attr:`events`), and one pending future
-    per in-flight request.  Single-use: :meth:`drain` closes the session
+    Created by :func:`serve_forever`; owns the session's admitting
+    object (dispatcher or failover engine), the recorded event stream
+    (:attr:`events`), and one pending future per unsettled request.
+    :meth:`submit` admits each request before it returns -- there is no
+    scheduler task.  Single-use: :meth:`drain` closes the session
     and returns the :class:`~repro.serve.ServeReport` /
     :class:`~repro.serve.FleetReport` the offline path gives for the
     recorded trace (executing it, and cross-checking every live
@@ -301,8 +303,6 @@ class ServerHandle:
         self.events: List[RuntimeEvent] = []
         self._subscribers: List[asyncio.Queue] = []
         self._pending: Dict[int, asyncio.Future] = {}
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._task: Optional[asyncio.Task] = None
         self._closed = False
         self._warm_emitted = [False] * self.num_replicas
         self._crash_emitted = [False] * self.num_replicas
@@ -315,9 +315,6 @@ class ServerHandle:
         for r in range(self.num_replicas):
             state = "cold" if self._states[r].load_offset else "up"
             self._emit(ReplicaStateChanged(r, state, at_cycle=0))
-        self._task = asyncio.get_running_loop().create_task(
-            self._scheduler(), name="repro-admission-scheduler"
-        )
 
     async def __aenter__(self) -> "ServerHandle":
         return self
@@ -342,7 +339,7 @@ class ServerHandle:
         session ended already holds it, so its consumer never blocks.
         """
         queue: asyncio.Queue = asyncio.Queue()
-        if self._closed and self._task is None:
+        if self._closed:
             # _shutdown() has already signalled the queues it knew of.
             queue.put_nowait(None)
         else:
@@ -362,9 +359,14 @@ class ServerHandle:
         (wall clocks are monotonic; the offline FIFO admission law this
         session must replay to depends on it).  The returned
         :class:`asyncio.Future` resolves with a
-        :class:`RequestCompletion` as soon as the scheduler settles the
-        request -- immediately for fault-free sessions, after retries
-        resolve for faulted ones.
+        :class:`RequestCompletion` as soon as the request is settled --
+        within this call for fault-free sessions, once retries resolve
+        for faulted ones.
+
+        The request is admitted before this coroutine returns.  asyncio
+        is single-threaded and nothing here awaits, so no other
+        submission can run between stamping a release and admitting it:
+        admission order is submission order, which the FIFO law needs.
         """
         if self._closed:
             raise ConfigError(
@@ -383,29 +385,15 @@ class ServerHandle:
         self._releases.append(release)
         future = asyncio.get_running_loop().create_future()
         self._pending[request] = future
-        await self._queue.put((request, release))
+        if self._engine is not None:
+            self._engine.push(release)
+            self._absorb_engine(self._engine.settle_through(release))
+        else:
+            replica, dispatch, finish = self._dispatcher.dispatch(release)
+            self._note_warm(replica)
+            self._emit(RequestAdmitted(request, release, replica, dispatch))
+            self._settle(request, replica, finish)
         return future
-
-    # -- the admission scheduler --------------------------------------------
-    async def _scheduler(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                if self._engine is not None:
-                    self._absorb_engine(self._engine.drain())
-                break
-            request, release = item
-            if self._engine is not None:
-                pushed = self._engine.push(release)
-                assert pushed == request, (pushed, request)
-                self._absorb_engine(self._engine.settle_through(release))
-            else:
-                replica, dispatch, finish = self._dispatcher.dispatch(release)
-                self._note_warm(replica)
-                self._emit(
-                    RequestAdmitted(request, release, replica, dispatch)
-                )
-                self._settle(request, replica, finish)
 
     def _absorb_engine(self, outcomes) -> None:
         engine = self._engine
@@ -487,7 +475,7 @@ class ServerHandle:
         """
         if self.report is not None:
             return self.report
-        await self._shutdown()
+        self._shutdown()
         server = self.server
         if self._engine is not None:
             self.report = server._submit_faulted(
@@ -508,19 +496,21 @@ class ServerHandle:
 
     async def close(self) -> None:
         """Abandon the session without executing (pending futures cancel)."""
-        await self._shutdown()
+        self._shutdown()
         for future in self._pending.values():
             if not future.done():
                 future.cancel()
         self._pending.clear()
 
-    async def _shutdown(self) -> None:
-        if not self._closed:
-            self._closed = True
-            await self._queue.put(None)
-        if self._task is not None:
-            await self._task
-            self._task = None
+    def _shutdown(self) -> None:
+        """Close admission: settle what a faulted engine still holds
+        (retries past the last release) and end every subscriber's
+        stream."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._engine is not None:
+            self._absorb_engine(self._engine.drain())
         for queue in self._subscribers:
             queue.put_nowait(None)
 
@@ -572,8 +562,8 @@ async def serve_forever(
     and ``validate`` are handed to the drain-time execution (cyclesim
     tier) exactly as :meth:`~repro.serve.Deployment.submit` takes them.
 
-    Must be awaited inside a running event loop (the handle's scheduler
-    task binds to it)::
+    Must be awaited inside a running event loop (the handle's completion
+    futures bind to it)::
 
         handle = await deployment.serve_forever(clock=VirtualClock())
         fut = await handle.submit()

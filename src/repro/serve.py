@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.compiler import CompiledModel, MultiChipModel
 from repro.config import ArchConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultError
 from repro.faults import (
     FailoverEngine,
     FaultPlan,
@@ -170,14 +170,14 @@ class PoissonArrivals(ArrivalProcess):
         self.seed = int(seed)
 
     def release_cycles(self, n: int, cycle_ns: float) -> List[int]:
+        # ``cumsum`` accumulates float64 sequentially, exactly as a
+        # running ``t += gap`` would, and ``rint`` rounds half to even
+        # like ``round``: the same cycles as the scalar loop.  The
+        # integral floats become Python ints, which cannot wrap.
         rng = np.random.default_rng(self.seed)
         mean_cycles = 1e9 / (self.inf_per_s * cycle_ns)
-        t = 0.0
-        out: List[int] = []
-        for gap in rng.exponential(mean_cycles, size=n):
-            t += gap
-            out.append(int(round(t)))
-        return out
+        gaps = rng.exponential(mean_cycles, size=n)
+        return list(map(int, np.rint(np.cumsum(gaps)).tolist()))
 
     def describe(self) -> str:
         return f"poisson {self.inf_per_s:g} inf/s (seed {self.seed})"
@@ -1639,7 +1639,24 @@ class Fleet:
         """The faulted step over this fleet's replicas as they stand.
         Both tiers feed it the one-input service profile (timing is
         data-independent under per-input isolation), which makes the
-        availability law tier-equivalent."""
+        availability law tier-equivalent.
+
+        A plan event naming a replica this fleet does not have would
+        inject nothing, so it raises :class:`~repro.errors.FaultError`
+        instead of reporting a clean run.  Sweeps price plans through
+        :func:`repro.sim.fastmodel.serve_fleet`, not here: they cross
+        one plan with several fleet sizes on purpose, and a replica a
+        smaller fleet lacks is simply absent there.
+        """
+        if plan is not None:
+            for event in plan.events:
+                replica = getattr(event, "replica", None)
+                if replica is not None and replica >= self.num_replicas:
+                    raise FaultError(
+                        f"fault event {event.describe()} names replica "
+                        f"{replica}, but the fleet has {self.num_replicas} "
+                        f"replica(s), 0..{self.num_replicas - 1}"
+                    )
         dep = self.deployment
         row, edges = self._service_profile()
         return FailoverEngine(

@@ -207,11 +207,20 @@ class PipelineState:
         finish)``: the shard-0 service-entry cycle and the last-shard
         completion cycle, ignoring any crash.  A pipeline with no shards
         serves instantly (``start == finish == release``).
+
+        Every input of every serving path pays this call, so it
+        allocates only the two per-shard lists it keeps: a shard's
+        latest inbound arrival is accumulated in its ``finishes`` slot
+        until the shard itself is reached (edges only run forward), and
+        each comparison keeps the operand ``max()`` / ``min()`` would.
         """
-        check_release(release, self._release)
+        if release < self._release:
+            check_release(release, self._release)
         self._release = release
-        release = max(release, self.load_offset)
-        n = len(self.prev_finish)
+        if self.load_offset > release:
+            release = self.load_offset
+        prev_finish = self.prev_finish
+        n = len(prev_finish)
         if row is None:
             row = self.row
         elif len(row) != n:
@@ -219,16 +228,17 @@ class PipelineState:
                 f"ragged service rows: got {len(row)} shard cycles for a "
                 f"{n}-shard pipeline"
             )
-        arrival = [0] * n
-        if n:
-            arrival[0] = release
         starts = [0] * n
         finishes = [0] * n
-        prev_finish = self.prev_finish
+        if n:
+            finishes[0] = release
         link_free = self._link_free
         service_time = self.service_time
+        outbound = self._outbound
         for k in range(n):
-            start = max(arrival[k], prev_finish[k])
+            start = finishes[k]
+            if prev_finish[k] > start:
+                start = prev_finish[k]
             occupancy = row[k]
             if service_time is not None:
                 occupancy = service_time(k, start, occupancy)
@@ -239,18 +249,22 @@ class PipelineState:
                 )
             starts[k] = start
             finishes[k] = finish = start + occupancy
-            for key, nbytes, ser, lat in self._outbound[k]:
-                depart = max(finish, link_free.get(key, 0))
+            for key, nbytes, ser, lat in outbound[k]:
+                depart = link_free.get(key, 0)
+                if finish >= depart:
+                    depart = finish
                 if ser is None:
                     ser, lat = self.link_time(key[0], key[1], depart, nbytes)
                 link_free[key] = depart + ser
                 dst = key[1]
-                arrival[dst] = max(arrival[dst], depart + lat)
+                if depart + lat > finishes[dst]:
+                    finishes[dst] = depart + lat
         self.starts = starts
         self.prev_finish = finishes
         finish = max(finishes) if n else release
+        crash = self.crash
         self.finishes.append(
-            finish if self.crash is None else min(finish, self.crash)
+            crash if crash is not None and crash < finish else finish
         )
         return (starts[0] if n else release), finish
 

@@ -14,20 +14,28 @@ tests:
 - ``serve_fleet`` honours ``policy`` without a fault plan;
 - every request is admitted exactly once per attempt, offline and live,
   and a live session's report is the offline report of its releases;
+- the kernel is held, state and errors included, to the recurrence as
+  first written (``_reference_admit``), and the serving outputs that
+  ride on it are pinned byte for byte;
 - hostile inputs raise their typed error, fast.
 """
 
 import asyncio
 import dataclasses
+import hashlib
+import json
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import InterChipConfig, small_test_arch
 from repro.errors import ConfigError, SimulationError
 from repro.faults import (
+    AttemptRecord,
+    EngineOutcome,
     FailoverEngine,
     FaultPlan,
     LinkDegrade,
@@ -36,13 +44,23 @@ from repro.faults import (
     RetryPolicy,
     TransientRequestFailure,
     run_fault_schedule,
+    save_fault_plan,
 )
-from repro.runtime import VirtualClock, serve_forever
-from repro.serve import Deployment, Fleet, latency_percentile
+from repro.runtime import (
+    ReplicaStateChanged,
+    RequestAdmitted,
+    RequestCompleted,
+    RequestCompletion,
+    RequestDropped,
+    VirtualClock,
+    serve_forever,
+)
+from repro.serve import Deployment, Fleet, PoissonArrivals, latency_percentile
 from repro.sim.fastmodel import FastReport, serve_fleet
 from repro.sim.multichip import (
     Dispatcher,
     PipelineState,
+    check_release,
     route,
     steady_state_interval,
     streaming_schedule,
@@ -187,6 +205,269 @@ class TestInFlight:
                     1 for f in effective if f > now
                 )
         assert state.finishes == sorted(state.finishes)
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the recurrence as first written
+# ---------------------------------------------------------------------------
+
+def _reference_admit(self, release, row=None):
+    """``PipelineState.admit`` as first written -- scratch ``arrival`` /
+    ``starts`` / ``finishes`` lists and ``max()`` per resource -- kept
+    verbatim as the oracle the kernel is held to."""
+    check_release(release, self._release)
+    self._release = release
+    release = max(release, self.load_offset)
+    n = len(self.prev_finish)
+    if row is None:
+        row = self.row
+    elif len(row) != n:
+        raise SimulationError(
+            f"ragged service rows: got {len(row)} shard cycles for a "
+            f"{n}-shard pipeline"
+        )
+    arrival = [0] * n
+    if n:
+        arrival[0] = release
+    starts = [0] * n
+    finishes = [0] * n
+    prev_finish = self.prev_finish
+    link_free = self._link_free
+    service_time = self.service_time
+    for k in range(n):
+        start = max(arrival[k], prev_finish[k])
+        occupancy = row[k]
+        if service_time is not None:
+            occupancy = service_time(k, start, occupancy)
+        if occupancy < 0:
+            raise SimulationError(
+                f"shard {k} occupancy must be >= 0 cycles, got "
+                f"{occupancy}"
+            )
+        starts[k] = start
+        finishes[k] = finish = start + occupancy
+        for key, nbytes, ser, lat in self._outbound[k]:
+            depart = max(finish, link_free.get(key, 0))
+            if ser is None:
+                ser, lat = self.link_time(key[0], key[1], depart, nbytes)
+            link_free[key] = depart + ser
+            dst = key[1]
+            arrival[dst] = max(arrival[dst], depart + lat)
+    self.starts = starts
+    self.prev_finish = finishes
+    finish = max(finishes) if n else release
+    self.finishes.append(
+        finish if self.crash is None else min(finish, self.crash)
+    )
+    return (starts[0] if n else release), finish
+
+
+def _kernel_state(state):
+    return (
+        state.starts, state.prev_finish, state.finishes, state._link_free,
+        state._release,
+    )
+
+
+def _outcome(admit, state, release, row):
+    """What one admission returns, or the error it raises."""
+    try:
+        return admit(state, release, row)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+#: A pipeline with no shards next to the connected ones.
+any_pipeline = st.one_of(pipelines(), st.just(([], [])))
+
+
+class TestKernelOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        any_pipeline, links, releases,
+        st.lists(st.tuples(st.floats(1.0, 4.0), windows), max_size=3),
+        st.lists(st.tuples(st.floats(0.1, 1.0), windows), max_size=2),
+        st.one_of(st.none(), st.integers(0, 6000)),
+        st.integers(0, 800), st.booleans(), st.data(),
+    )
+    def test_kernel_is_the_reference(
+        self, pipeline, link, rel, slowdowns, degrades, crash, offset,
+        explicit, data,
+    ):
+        """Same ``(start, finish)`` and the same state after every input,
+        under slowdown / link-degrade windows, crashes, a load offset and
+        explicit per-input rows."""
+        row, edges = pipeline
+        plan = FaultPlan(events=tuple(
+            ReplicaSlowdown(0, factor, start, end)
+            for factor, (start, end) in slowdowns
+        ) + tuple(
+            LinkDegrade(bw, start, end) for bw, (start, end) in degrades
+        ))
+        service_time, link_time = plan.schedule_hooks(0, link)
+        kernel, oracle = (
+            PipelineState(
+                row, edges, link, service_time=service_time,
+                link_time=link_time, crash=crash, load_offset=offset,
+            )
+            for _ in range(2)
+        )
+        for release in rel:
+            per_input = data.draw(st.lists(
+                st.integers(0, 400), min_size=len(row), max_size=len(row)
+            )) if explicit else None
+            assert kernel.admit(release, per_input) == _reference_admit(
+                oracle, release, per_input
+            )
+            assert _kernel_state(kernel) == _kernel_state(oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        any_pipeline, links, releases,
+        st.sampled_from(["ragged", "negative", "regress"]), st.data(),
+    )
+    def test_hostile_input_raises_the_reference_error(
+        self, pipeline, link, rel, hostile, data
+    ):
+        row, edges = pipeline
+        kernel = PipelineState(row, edges, link)
+        oracle = PipelineState(row, edges, link)
+        for release in rel:
+            kernel.admit(release)
+            _reference_admit(oracle, release)
+        release, bad_row = rel[-1], None
+        if hostile == "ragged":
+            bad_row = data.draw(st.lists(
+                st.integers(0, 400), max_size=6
+            ).filter(lambda r: len(r) != len(row)))
+        elif hostile == "negative":
+            assume(row)
+            bad_row = list(row)
+            bad_row[data.draw(st.integers(0, len(row) - 1))] = -data.draw(
+                st.integers(1, 400)
+            )
+        else:
+            release -= data.draw(st.integers(1, 50))
+        expected = _outcome(_reference_admit, oracle, release, bad_row)
+        assert expected[0] is SimulationError
+        assert _outcome(
+            PipelineState.admit, kernel, release, bad_row
+        ) == expected
+
+
+# ---------------------------------------------------------------------------
+# Byte pins: the serving outputs the kernel and the records feed
+# ---------------------------------------------------------------------------
+
+def _loop_poisson(rate, seed, n, cycle_ns):
+    """``PoissonArrivals.release_cycles`` as a Python loop: the reference
+    the vectorised draw must equal exactly."""
+    rng = np.random.default_rng(seed)
+    t, out = 0.0, []
+    for gap in rng.exponential(1e9 / (rate * cycle_ns), size=n):
+        t += gap
+        out.append(int(round(t)))
+    return out
+
+
+#: The event stream of ``test_runtime.TestDeterminism``'s faulted script.
+EVENTS_SHA256 = (
+    "f37359ba7119e747dca58a5a94909ed58c18e376c8776f0e7f41108cf1bbdd9b"
+)
+
+#: ``repro watch --snapshot`` files of the ``live_session`` benchmark
+#: commands at smoke scale, seed 0.
+SNAPSHOT_SHA256 = {
+    "clean": (
+        "8846a854c09e6a8bdd184f7b82ff75b46d58c5facd68658a6308283f54f392fe"
+    ),
+    "faulted": (
+        "d13319bdb4c6a5ffe4702a5c3359c55e8e1ddd9cd892fc3442de966bb266740b"
+    ),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("rate", [250_000.0, 1_200_000.0, 1_600_000.0])
+    def test_poisson_draw_is_the_loop(self, rate):
+        cycle_ns = small_test_arch().chip.cycle_ns
+        for seed in range(10):
+            for n in (0, 1, 40_000):
+                assert PoissonArrivals(rate, seed).release_cycles(
+                    n, cycle_ns
+                ) == _loop_poisson(rate, seed, n, cycle_ns)
+
+    def test_faulted_event_stream(self):
+        plan = FaultPlan(
+            events=(
+                ReplicaCrash(replica=0, at_cycle=800),
+                TransientRequestFailure(prob=0.5, seed=3),
+            ),
+            retry=RetryPolicy(
+                max_attempts=3, backoff_cycles=25,
+                per_request_deadline_cycles=100_000,
+            ),
+        )
+        fleet = Fleet(
+            "tiny_mlp", small_test_arch(), tier="fast", replicas=2,
+            input_size=8, num_classes=10,
+        )
+
+        async def scenario():
+            clock = VirtualClock()
+            handle = await serve_forever(fleet, clock=clock, faults=plan)
+            for release in [0, 200, 200, 900, 1500, 1500, 1500, 4000]:
+                clock.advance_to(release)
+                await handle.submit()
+            await handle.drain()
+            return handle
+
+        handle = asyncio.run(scenario())
+        stream = json.dumps([e.to_dict() for e in handle.events]).encode()
+        assert hashlib.sha256(stream).hexdigest() == EVENTS_SHA256
+
+    def test_watch_snapshots(self, tmp_path, capsys):
+        from repro.cli import main
+
+        save_fault_plan(FaultPlan(
+            events=(
+                ReplicaCrash(replica=1, at_cycle=100 * 400),
+                TransientRequestFailure(prob=0.05, seed=0),
+            ),
+            retry=RetryPolicy(max_attempts=3, backoff_cycles=0),
+        ), tmp_path / "plan.json")
+        base = [
+            "watch", "tiny_resnet", "--preset", "small", "--chips", "2",
+            "--input-size", "8", "--num-classes", "10", "--tier", "fast",
+            "--replicas", "3", "--policy", "rr", "--poisson", "1200000",
+            "--arrival-seed", "0",
+        ]
+        runs = {
+            "clean": ["--batch", "500"],
+            "faulted": ["--batch", "400", "--faults",
+                        str(tmp_path / "plan.json")],
+        }
+        for name, flags in runs.items():
+            path = tmp_path / f"{name}.json"
+            assert main(base + flags + ["--snapshot", str(path)]) == 0
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == SNAPSHOT_SHA256[name], name
+
+
+@pytest.mark.parametrize("record", [
+    RequestAdmitted(0, 10, 1, 12),
+    RequestCompleted(0, 10, 1, 90, 80, 1),
+    RequestDropped(0, 10, "deadline", 2),
+    ReplicaStateChanged(1, "crashed", 400),
+    RequestCompletion(0, 10, 1, 90, 80),
+    AttemptRecord(0, 1, 1, 12, 90, "completed", start_cycle=12),
+    EngineOutcome(0, "completed", 90, 1, 1),
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable(record):
+    first = next(iter(type(record).__annotations__))
+    with pytest.raises(AttributeError):
+        setattr(record, first, 7)
+    assert getattr(record, first) != 7
 
 
 # ---------------------------------------------------------------------------

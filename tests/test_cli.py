@@ -283,14 +283,46 @@ class TestServeFaults:
             report["completed"] + report["dropped"]
         assert report["goodput_inf_per_s"] > 0
 
-    def test_faults_imply_fleet_even_with_one_replica(self, fault_plan_file,
+    def test_faults_imply_fleet_even_with_one_replica(self, tmp_path,
                                                       capsys):
+        from repro.faults import FaultPlan, ReplicaSlowdown, save_fault_plan
+
+        plan = tmp_path / "slow.json"
+        save_fault_plan(
+            FaultPlan(events=(ReplicaSlowdown(replica=0, factor=2.0),)),
+            plan,
+        )
         assert run_cli(
             "serve", "tiny_mlp", "--preset", "small", "--strategy",
             "generic", "--input-size", "8", "--num-classes", "10",
-            "--tier", "fast", "--batch", "4", "--faults", fault_plan_file,
+            "--tier", "fast", "--batch", "4", "--faults", str(plan),
         ) == 0
         assert "conservation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", ["serve", "watch"])
+    @pytest.mark.parametrize("replicas", ["1", "3"])
+    def test_plan_naming_an_absent_replica_exits_2(
+        self, verb, replicas, tmp_path, capsys
+    ):
+        """A crash on a replica the fleet does not have would inject
+        nothing and report a clean run; it is a one-line error."""
+        from repro.faults import FaultPlan, ReplicaCrash, save_fault_plan
+
+        plan = tmp_path / "absent.json"
+        save_fault_plan(
+            FaultPlan(events=(ReplicaCrash(replica=7, at_cycle=200),)), plan
+        )
+        assert run_cli(
+            verb, "tiny_mlp", "--preset", "small", "--strategy",
+            "generic", "--input-size", "8", "--num-classes", "10",
+            "--tier", "fast", "--batch", "4", "--replicas", replicas,
+            "--faults", str(plan),
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: fault event crash(r7@200) names replica 7, but the "
+            f"fleet has {replicas} replica(s), 0..{int(replicas) - 1}\n"
+        )
 
     def test_sweep_fault_plans_axis(self, fault_plan_file, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

@@ -174,9 +174,7 @@ class TestSnapshot:
 
             clock = VirtualClock()
             handle = await serve_forever(_deployment(arch), clock=clock)
-            await handle.submit(at=0)
-            for _ in range(4):  # let the scheduler task consume the queue
-                await asyncio.sleep(0)
+            await handle.submit(at=0)  # admitted before it returns
             snapshot = console_snapshot(handle)
             assert snapshot["final_report"] is None
             assert snapshot["counts"]["admitted"] == 1
@@ -185,6 +183,35 @@ class TestSnapshot:
 
         drained = asyncio.run(scenario())
         assert drained["final_report"]["batch"] == 1
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_final_report_sorts_its_latencies_once(
+        self, arch, replicas, monkeypatch
+    ):
+        """The final block's p50 and p99 come from one sort, next to the
+        rolling table's one sort of its window."""
+        import asyncio
+
+        import repro.serve
+
+        server = (
+            _deployment(arch, tier="fast") if replicas == 1
+            else _fleet(arch, tier="fast", replicas=replicas)
+        )
+        handle = asyncio.run(drive_session(server, RELEASES))
+        real = repro.serve.latency_percentiles
+        calls = []
+
+        def counting(latencies, pcts):
+            calls.append(tuple(pcts))
+            return real(latencies, pcts)
+
+        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        final = console_snapshot(handle)["final_report"]
+        assert calls == [(50, 99), (50, 99)]
+        assert (final["p50_latency_cycles"], final["p99_latency_cycles"]) == (
+            handle.report.p50_latency_cycles, handle.report.p99_latency_cycles
+        )
 
     def test_drive_session_cross_checks(self, arch):
         import asyncio
