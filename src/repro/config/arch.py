@@ -342,8 +342,10 @@ class InterChipConfig:
             raise ConfigError("inter-chip bandwidth must be positive")
         if self.latency_cycles < 0:
             raise ConfigError("inter-chip latency must be non-negative")
-        if self.energy_pj_per_byte < 0:
-            raise ConfigError("inter-chip energy must be non-negative")
+        if not math.isfinite(self.energy_pj_per_byte) or (
+            self.energy_pj_per_byte < 0
+        ):
+            raise ConfigError("inter-chip energy must be finite and non-negative")
 
 
 @dataclass(frozen=True)

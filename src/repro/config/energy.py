@@ -15,6 +15,7 @@ not on absolute calibration.  Every parameter can be overridden by
 constructing a custom :class:`EnergyConfig`.
 """
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -73,8 +74,11 @@ class EnergyConfig:
 
     def validate(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ConfigError(f"energy parameter {name} must be non-negative")
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(
+                    f"energy parameter {name} must be finite and "
+                    f"non-negative, got {value!r}"
+                )
 
     def static_pj_per_cycle(self, clock_mhz: int) -> float:
         """Static energy charged per clock cycle at ``clock_mhz``."""

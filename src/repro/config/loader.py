@@ -12,6 +12,7 @@ cache (:mod:`repro.explore_cache`) keys results by it.
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -59,22 +60,53 @@ def arch_fingerprint(arch: ArchConfig) -> str:
     return hashlib.sha256(arch_canonical_json(arch).encode()).hexdigest()
 
 
-def _build(cls, data: Dict[str, Any], nested: Dict[str, Any]):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return _is_int(value) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
+
+
+#: What a leaf of each annotated type accepts, and how the error says so.
+#: Accepted values are kept as given (an int stays an int in a float
+#: field), so an architecture's fingerprint does not depend on the check.
+_LEAF_RULES = {
+    int: (_is_int, "an integer"),
+    float: (_is_finite_number, "a finite number"),
+}
+
+
+def _build(cls, data: Any, nested: Dict[str, Any], path: str):
     """Construct dataclass ``cls`` from ``data``, recursing into ``nested``
     (a map of field name -> dataclass type).  Unknown keys are rejected so
-    typos in config files fail loudly."""
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - field_names
+    typos in config files fail loudly, and every leaf is type-checked
+    against its field's annotation; errors name the dotted ``path``."""
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"{path or 'architecture'}: expected an object "
+            f"({cls.__name__}), got {data!r}"
+        )
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(
             f"unknown keys for {cls.__name__}: {sorted(unknown)}"
         )
     kwargs = {}
     for key, value in data.items():
-        if key in nested and isinstance(value, dict):
-            kwargs[key] = arch_component_from_dict(nested[key], value)
-        else:
-            kwargs[key] = value
+        where = f"{path}.{key}" if path else key
+        if key in nested:
+            kwargs[key] = _build(
+                nested[key], value, _NESTED.get(nested[key], {}), where
+            )
+            continue
+        rule = _LEAF_RULES.get(fields[key].type)
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"{where}: expected {rule[1]}, got {value!r}")
+        kwargs[key] = value
     return cls(**kwargs)
 
 
@@ -103,7 +135,7 @@ _NESTED = {
 
 def arch_component_from_dict(cls, data: Dict[str, Any]):
     """Build any component dataclass from its dictionary form."""
-    return _build(cls, data, _NESTED.get(cls, {}))
+    return _build(cls, data, _NESTED.get(cls, {}), "")
 
 
 def arch_from_dict(data: Dict[str, Any]) -> ArchConfig:

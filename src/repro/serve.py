@@ -57,7 +57,7 @@ from repro.faults import (
 )
 from repro.graph.graph import ComputationGraph
 from repro.graph.quantize import as_int8
-from repro.sim.functional import golden_outputs
+from repro.sim.functional import golden_batch, golden_outputs
 from repro.sim.multichip import (
     Dispatcher,
     MultiChipReport,
@@ -1079,12 +1079,14 @@ class Deployment:
 
     def _validate(self, inputs, outputs, label, names=None):
         """Bit-exact golden check of every input; returns the first's
-        golden outputs.  ``names[j]`` labels input ``j`` (default ``j``)."""
+        golden outputs.  ``names[j]`` labels input ``j`` (default ``j``).
+        The golden model runs the inputs group by group
+        (:func:`repro.sim.functional.golden_batch`)."""
         graph = self.graph
         input_tensor = graph.input_operators[0].output
+        goldens = golden_batch(graph, ({input_tensor: data} for data in inputs))
         golden = None
-        for index, (data, produced) in enumerate(zip(inputs, outputs)):
-            expected = golden_outputs(graph, {input_tensor: data})
+        for index, (expected, produced) in enumerate(zip(goldens, outputs)):
             name = index if names is None else names[index]
             _validate_outputs(
                 graph, produced, expected, f"{label}, input {name}"

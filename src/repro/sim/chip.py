@@ -19,6 +19,7 @@ legacy per-instruction interpreter.  Both engines produce bit-identical
 engine-equivalence tests enforce this.
 """
 
+import functools
 import os
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
@@ -258,7 +259,10 @@ class ChipSimulator:
         )
 
 
+@functools.lru_cache(maxsize=16)
 def _empty_program(registry: ISARegistry) -> Program:
+    """The HALT program of every idle core: built once per registry and
+    shared, so constructing or rearming a chip translates it once."""
     program = Program(registry)
     program.emit("HALT")
     return program.finalize()

@@ -10,9 +10,20 @@ kernel the simulator's ``CIM_MVM`` uses -- so no operand is widened to
 int32 here; inputs are checked int8-representable on entry
 (:func:`repro.graph.quantize.as_int8`).  Depthwise convolution is the
 one int32 ``einsum`` left (it is not a matrix product).
+
+The model is batch-major: every op kernel takes a stacked ``(B, ...)``
+activation, so a GEMM or convolution multiplies all ``B`` inputs'
+rows against its weight in one product and widens each weight once per
+batch instead of once per input.  Rows of a product are independent and
+each output element is the same exact integer chunk sum whatever the row
+count, so a stacked result is bit-identical to ``B`` separate ones.
+:func:`golden_batch` runs a served batch in groups of at most
+``_GROUP_BYTES`` of the graph's widest per-input tensor;
+:func:`execute_graph` and :func:`golden_outputs` are a batch of one.
 """
 
-from typing import Dict, Optional
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -31,25 +42,35 @@ from repro.graph.quantize import (
     requantize,
 )
 
+#: Bytes one group may stack of the graph's widest per-input tensor (an
+#: activation or a conv / pool im2col): large enough that a served batch
+#: widens each weight only a few times, small enough that a group never
+#: holds the whole batch's im2col or multiplies it in one product (whole
+#: batches ran into multi-millisecond threaded-sgemm stalls).
+_GROUP_BYTES = 1 << 20
+
+_WINDOWED = (OpKind.CONV, OpKind.DWCONV, OpKind.MAXPOOL, OpKind.AVGPOOL)
+
 
 def _window_view(x: np.ndarray, kernel: int, stride: int, padding: int,
                  pad_value: int) -> np.ndarray:
-    """Return (out_h, out_w, k, k, C) windows of an (H, W, C) map."""
-    h, w, c = x.shape
+    """Return (B, out_h, out_w, k, k, C) windows of a (B, H, W, C) map."""
+    b, h, w, c = x.shape
     if padding:
         padded = np.full(
-            (h + 2 * padding, w + 2 * padding, c), pad_value, dtype=x.dtype
+            (b, h + 2 * padding, w + 2 * padding, c), pad_value, dtype=x.dtype
         )
-        padded[padding:padding + h, padding:padding + w] = x
+        padded[:, padding:padding + h, padding:padding + w] = x
         x = padded
-        h, w = x.shape[:2]
+        h, w = x.shape[1:3]
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    windows = np.empty((out_h, out_w, kernel, kernel, c), dtype=x.dtype)
+    windows = np.empty((b, out_h, out_w, kernel, kernel, c), dtype=x.dtype)
     for ky in range(kernel):
         for kx in range(kernel):
-            windows[:, :, ky, kx, :] = x[
-                ky:ky + out_h * stride:stride, kx:kx + out_w * stride:stride, :
+            windows[:, :, :, ky, kx, :] = x[
+                :, ky:ky + out_h * stride:stride,
+                kx:kx + out_w * stride:stride, :
             ]
     return windows
 
@@ -57,29 +78,28 @@ def _window_view(x: np.ndarray, kernel: int, stride: int, padding: int,
 def _conv(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s, p = op.attrs["kernel"], op.attrs["stride"], op.attrs["padding"]
     windows = _window_view(x, k, s, p, 0)
-    out_h, out_w = windows.shape[:2]
-    cols = windows.reshape(out_h * out_w, -1)
+    cols = windows.reshape(-1, k * k * x.shape[-1])
     acc = int_matmul(cols, op.weight.reshape(cols.shape[1], -1))
     acc = acc + op.bias.astype(np.int32)[None, :]
     out = requantize(acc, op.qparams)
-    return out.reshape(out_h, out_w, -1)
+    return out.reshape(*windows.shape[:3], -1)
 
 
 def _dwconv(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s, p = op.attrs["kernel"], op.attrs["stride"], op.attrs["padding"]
-    windows = _window_view(x, k, s, p, 0)  # (oh, ow, k, k, C)
+    windows = _window_view(x, k, s, p, 0)  # (B, oh, ow, k, k, C)
     acc = np.einsum(
-        "hwklc,klc->hwc",
+        "bhwklc,klc->bhwc",
         windows.astype(np.int32),
         op.weight.astype(np.int32),
         dtype=np.int32,
     )
-    acc = acc + op.bias.astype(np.int32)[None, None, :]
+    acc = acc + op.bias.astype(np.int32)
     return requantize(acc, op.qparams)
 
 
 def _gemm(op: Operator, x: np.ndarray) -> np.ndarray:
-    acc = int_matmul(x.reshape(-1), op.weight)
+    acc = int_matmul(x.reshape(len(x), -1), op.weight)
     acc = acc + op.bias.astype(np.int32)
     return requantize(acc, op.qparams)
 
@@ -88,39 +108,59 @@ def _maxpool(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s = op.attrs["kernel"], op.attrs["stride"]
     p = op.attrs.get("padding", 0)
     windows = _window_view(x, k, s, p, -128)
-    return windows.max(axis=(2, 3)).astype(np.int8)
+    return windows.max(axis=(3, 4)).astype(np.int8)
 
 
 def _avgpool(op: Operator, x: np.ndarray) -> np.ndarray:
     k, s = op.attrs["kernel"], op.attrs["stride"]
     windows = _window_view(x, k, s, op.attrs.get("padding", 0), 0)
-    acc = windows.astype(np.int32).sum(axis=(2, 3))
+    acc = windows.astype(np.int32).sum(axis=(3, 4))
     return requantize(acc, op.qparams)
 
 
 def _global_avgpool(op: Operator, x: np.ndarray) -> np.ndarray:
-    acc = x.astype(np.int32).sum(axis=(0, 1))
+    acc = x.astype(np.int32).sum(axis=(1, 2))
     return requantize(acc, op.qparams)
 
 
-def execute_graph(
-    graph: ComputationGraph, inputs: Dict[str, np.ndarray]
+def _mul_channel(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Input ``b``'s channels times row ``b`` of ``scale`` (``(B, C)``)."""
+    return cmul_i8(x, scale.reshape((len(x),) + (1,) * (x.ndim - 2) + (-1,)))
+
+
+def _stack_inputs(
+    graph: ComputationGraph, feeds: List[Dict[str, np.ndarray]]
 ) -> Dict[str, np.ndarray]:
-    """Execute the graph; returns every tensor's value by name."""
-    values: Dict[str, np.ndarray] = {}
-    for op in graph.topological_order():
-        if op.kind is OpKind.INPUT:
-            if op.output not in inputs:
+    """Each input tensor's per-feed values, checked and stacked on axis 0."""
+    stacked = {}
+    for op in graph.input_operators:
+        expected = tuple(graph.tensor(op.output).shape)
+        rows = []
+        for feed in feeds:
+            if op.output not in feed:
                 raise ValidationError(f"missing input tensor {op.output!r}")
             data = as_int8(
-                inputs[op.output], f"input {op.output!r}", ValidationError
+                feed[op.output], f"input {op.output!r}", ValidationError
             )
-            expected = graph.tensor(op.output).shape
-            if tuple(data.shape) != tuple(expected):
+            if tuple(data.shape) != expected:
                 raise ValidationError(
                     f"input {op.output!r}: shape {data.shape} != {expected}"
                 )
-            values[op.output] = data
+            rows.append(data)
+        stacked[op.output] = np.stack(rows)
+    return stacked
+
+
+def _execute(
+    graph: ComputationGraph,
+    order: List[Operator],
+    feeds: List[Dict[str, np.ndarray]],
+) -> Dict[str, np.ndarray]:
+    """Run ``order`` over the stacked ``feeds``; every tensor's value by
+    name, each with a leading axis of ``len(feeds)``."""
+    values = _stack_inputs(graph, feeds)
+    for op in order:
+        if op.kind is OpKind.INPUT:
             continue
         args = [values[name] for name in op.inputs]
         x = args[0]
@@ -141,7 +181,7 @@ def execute_graph(
         elif op.kind is OpKind.ADD:
             out = add_i8(x, args[1])
         elif op.kind is OpKind.MUL_CHANNEL:
-            out = cmul_i8(x, args[1])
+            out = _mul_channel(x, args[1])
         elif op.kind is OpKind.MAXPOOL:
             out = _maxpool(op, x)
         elif op.kind is OpKind.AVGPOOL:
@@ -149,11 +189,19 @@ def execute_graph(
         elif op.kind is OpKind.GLOBALAVGPOOL:
             out = _global_avgpool(op, x)
         elif op.kind is OpKind.FLATTEN:
-            out = x.reshape(-1)
+            out = x.reshape(len(x), -1)
         else:
             raise GraphError(f"golden model: unhandled op kind {op.kind}")
         values[op.output] = out
     return values
+
+
+def execute_graph(
+    graph: ComputationGraph, inputs: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Execute the graph; returns every tensor's value by name."""
+    values = _execute(graph, graph.topological_order(), [inputs])
+    return {name: value[0] for name, value in values.items()}
 
 
 def golden_outputs(
@@ -162,6 +210,47 @@ def golden_outputs(
     """Only the graph outputs."""
     values = execute_graph(graph, inputs)
     return {name: values[name] for name in graph.outputs}
+
+
+def _group_size(graph: ComputationGraph) -> int:
+    """Inputs :func:`golden_batch` stacks per group: as many as fit
+    ``_GROUP_BYTES`` of the graph's widest per-input int8 tensor -- an
+    activation, or the im2col of a convolution or pooling window --
+    read from tensor shapes (at least one)."""
+    widest = 1
+    for op in graph.operators:
+        out = graph.tensor(op.output)
+        nbytes = out.size_bytes
+        if op.kind in _WINDOWED:
+            kernel = op.attrs["kernel"]
+            channels = graph.tensor(op.inputs[0]).shape[-1]
+            im2col = out.shape[0] * out.shape[1] * kernel * kernel * channels
+            nbytes = max(nbytes, im2col)
+        widest = max(widest, nbytes)
+    return max(1, _GROUP_BYTES // widest)
+
+
+def golden_batch(
+    graph: ComputationGraph, inputs: Iterable[Dict[str, np.ndarray]]
+) -> Iterator[Dict[str, np.ndarray]]:
+    """Each feed's graph outputs, in input order, as :func:`golden_outputs`
+    would give them -- computed :func:`_group_size` feeds at a time, so only
+    one group's tensors are alive at once."""
+    order = graph.topological_order()
+    size = _group_size(graph)
+    feeds = iter(inputs)
+    while True:
+        group = list(islice(feeds, size))
+        if not group:
+            return
+        values = _execute(graph, order, group)
+        outputs = [values[name] for name in graph.outputs]
+        del values  # the group's intermediates go before the next group
+        for row in range(len(group)):
+            yield {
+                name: value[row]
+                for name, value in zip(graph.outputs, outputs)
+            }
 
 
 def random_input(

@@ -476,3 +476,39 @@ class TestErrorHygiene:
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert str(size) in err and str(GLOBAL_BASE) in err
+
+    @pytest.mark.parametrize("block, key, raw", [
+        # a string int used to end in a TypeError traceback, exit 1
+        ("noc", "flit_bytes", '"8"'),
+        ("energy", "cim_mac_pj", '"x"'),
+        # 8.5 and true used to be accepted as ints
+        ("noc", "flit_bytes", "8.5"),
+        ("noc", "flit_bytes", "true"),
+        # NaN passed `nan < 0` and was written out as `"total_energy_mj":
+        # NaN`, which is not JSON
+        ("energy", "cim_mac_pj", "NaN"),
+        ("energy", "static_mw", "Infinity"),
+        ("noc", None, "8"),
+    ])
+    def test_mistyped_arch_leaf_is_one_line(
+        self, block, key, raw, tmp_path, capsys
+    ):
+        data = arch_to_dict(small_test_arch())
+        parent = data["chip"] if block == "noc" else data
+        path = f"chip.{block}" if block == "noc" else block
+        if key is None:
+            parent[block] = "@"
+        else:
+            parent[block][key] = "@"
+            path = f"{path}.{key}"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"@"', raw))
+        out = tmp_path / "out.json"
+        assert run_cli(
+            "serve", "tiny_cnn", "--tier", "fast", "--arch", str(bad),
+            "--json", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: expected ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()

@@ -1,11 +1,15 @@
 """Tests for the hierarchical hardware abstraction and parameter library."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import (
     ArchConfig,
     EnergyConfig,
     MacroConfig,
+    arch_fingerprint,
     arch_from_dict,
     arch_to_dict,
     default_arch,
@@ -124,6 +128,77 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_arch(path)
+
+
+def _with_leaf(path, value):
+    """The default architecture's dict form with the dotted ``path`` set."""
+    data = arch_to_dict(default_arch())
+    *parents, leaf = path.split(".")
+    node = data
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return data
+
+
+class TestLeafTypes:
+    """Every leaf of an architecture dict is checked against its field's
+    annotation, and the error names the dotted path."""
+
+    @pytest.mark.parametrize("path, value", [
+        # int fields: no str, no float (even integral), no bool
+        ("chip.noc.flit_bytes", "8"),
+        ("chip.noc.flit_bytes", 8.5),
+        ("chip.noc.flit_bytes", 8.0),
+        ("chip.num_cores", True),
+        ("chip.core.cim_unit.macro_group.macro.rows", None),
+        ("interchip.latency_cycles", [500]),
+        # float fields: numbers only, and finite
+        ("energy.cim_mac_pj", "x"),
+        ("energy.static_mw", float("nan")),
+        ("energy.noc_pj_per_byte_per_hop", float("inf")),
+        ("interchip.energy_pj_per_byte", float("-inf")),
+        ("energy.scalar_op_pj", False),
+        # a nested block given as a scalar
+        ("chip.noc", 8),
+        ("energy", None),
+        ("chip.core.cim_unit.macro_group", "big"),
+    ])
+    def test_bad_leaf_names_its_path(self, path, value):
+        with pytest.raises(ConfigError, match=rf"^{path}: expected "):
+            arch_from_dict(_with_leaf(path, value))
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="^architecture: expected"):
+            arch_from_dict([1, 2])
+
+    def test_file_with_nan_energy_is_rejected(self, tmp_path):
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(_with_leaf("energy.cim_mac_pj", 1.0))
+                        .replace("1.0", "NaN", 1))
+        with pytest.raises(ConfigError, match="energy.cim_mac_pj"):
+            load_arch(path)
+
+    def test_accepted_values_are_kept_as_given(self):
+        """An int in a float field stays an int, so a file's fingerprint
+        is what it was before leaves were checked."""
+        data = _with_leaf("energy.static_mw", 1500)
+        arch = arch_from_dict(data)
+        assert type(arch.energy.static_mw) is int
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        assert '"static_mw":1500,' in canonical
+        assert arch_fingerprint(arch) == (
+            hashlib.sha256(canonical.encode()).hexdigest()
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_validate_rejects_non_finite(self, value):
+        from repro.config.arch import InterChipConfig
+
+        with pytest.raises(ConfigError, match="finite"):
+            EnergyConfig(cim_mac_pj=value).validate()
+        with pytest.raises(ConfigError, match="finite"):
+            InterChipConfig(energy_pj_per_byte=value).validate()
 
 
 class TestEnergyModel:

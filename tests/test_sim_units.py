@@ -80,6 +80,37 @@ class TestScalarAndControl:
             )
 
 
+class TestIdleCores:
+    """A core without a program runs the one finalized HALT program of
+    its registry -- shared across cores, chips and ``reset_run``s."""
+
+    @pytest.mark.parametrize("engine", ["block", "interp"])
+    def test_idle_cores_share_one_halt_program(self, engine):
+        b = _builder()
+        b.li(1, 0)
+        b.li(2, 5)
+        b.li(3, 0)
+        with b.loop(1, 2):
+            b.emit("SC_ADDI", rs=3, rt=3, imm=2)
+        b.li(4, GLOBAL_BASE)
+        b.emit("MEM_ST", rs=4, rt=3, offset=0)
+        b.halt()
+        programs = {2: b.finalize()}
+        sim = ChipSimulator(small_test_arch(), programs, engine=engine)
+        idle = sim.cores[0].program
+        assert [c.program is idle for c in sim.cores].count(False) == 1
+        first = sim.run()
+        for _ in range(2):
+            sim.reset_run(programs)
+            assert all(
+                core.program is idle for core in sim.cores if core.core_id != 2
+            )
+            assert sim.run() == first
+        other = ChipSimulator(small_test_arch(), programs, engine=engine)
+        assert other.cores[0].program is idle
+        assert other.run() == first
+
+
 class TestMemoryOps:
     def test_copy_between_local_and_global(self):
         image = np.arange(64, dtype=np.uint8)
