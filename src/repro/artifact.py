@@ -117,8 +117,8 @@ class ArtifactPlan:
     assignments); the simulators and the serving layer only ever consume
     the fields below, so the artifact stores exactly these.  The
     ``fast_report`` is the plan's :func:`~repro.sim.fastmodel.analyze_plan`
-    result computed at save time -- the fast tier reads it instead of
-    re-analysing, which keeps fast-tier results from a loaded artifact
+    result computed at save time -- ``analyze_plan`` returns it instead
+    of re-analysing, which keeps fast-tier results from a loaded artifact
     bit-identical to a fresh compile.
     """
 
@@ -244,11 +244,6 @@ def _registry_from_manifest(manifest: Dict) -> ISARegistry:
 # Save
 # ---------------------------------------------------------------------------
 
-def _chip_fast_report(compiled: CompiledModel) -> FastReport:
-    stored = getattr(compiled.plan, "fast_report", None)
-    return stored if stored is not None else analyze_plan(compiled.plan)
-
-
 def _chip_manifest_and_sections(
     index: int, compiled: CompiledModel
 ) -> Tuple[Dict, List[Tuple[str, bytes]]]:
@@ -265,7 +260,7 @@ def _chip_manifest_and_sections(
             name: int(addr)
             for name, addr in sorted(compiled.plan.tensor_address.items())
         },
-        "fast_report": _chip_fast_report(compiled).to_dict(),
+        "fast_report": analyze_plan(compiled.plan).to_dict(),
         "num_instructions": int(compiled.total_instructions()),
         "image_bytes": len(image_bytes),
     }

@@ -75,7 +75,8 @@ if TYPE_CHECKING:
 _PRESETS = {"default": default_arch, "small": small_test_arch}
 
 _POINT_COLUMNS = (
-    "model", "strategy", "input_size", "chips", "batch", "arrival_rate",
+    "model", "strategy", "input_size", "num_classes", "chips", "batch",
+    "arrival_rate",
     "replicas", "fault_plan", "resident_weights", "load_cycles",
     "mg_size", "flit_bytes", "cycles", "time_ms", "energy_mj", "tops",
     "throughput_inf_s", "energy_per_inf_mj",
@@ -729,6 +730,8 @@ def _read_results(path: str) -> Dict[str, Any]:
 
 
 def _cmd_report(args) -> int:
+    if args.top < 1:
+        raise ConfigError("--top must be >= 1")
     try:
         payload = _read_results(args.results)
     except (OSError, ValueError, KeyError) as exc:

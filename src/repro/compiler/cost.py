@@ -253,7 +253,8 @@ class CostModel:
         tiles from global memory and writing them into the macro groups.
         Resident-weights sessions pay these once per session instead of
         once per input, so the fast model splits them out of the warm
-        per-input energy (:func:`repro.sim.fastmodel.analyze_plan_resident`).
+        per-input energy (:func:`repro.sim.fastmodel.analyze_pipeline`
+        with ``resident=True``).
         """
         if not geom.node.is_cim:
             return {}

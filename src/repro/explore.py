@@ -740,30 +740,26 @@ def _analyze_base(
     plain analysis with zero load.  ``plan`` is the (first shard's)
     execution plan for inspection.
     """
-    from repro.sim.fastmodel import (
-        analyze_plan,
-        analyze_plan_resident,
-        analyze_sharded,
-        analyze_sharded_resident,
-    )
+    from repro.sim.fastmodel import analyze_pipeline
+    from repro.sim.multichip import sharding_edges
 
     if pspec.chips > 1:
         sharding = _cached_sharding(
             pspec.model, pspec.input_size, pspec.num_classes, pspec.chips
         )
-        plans = [
-            plan_graph(shard.graph, arch, pspec.strategy,
-                       pspec.closure_limit)
-            for shard in sharding.shards
+        graphs = [shard.graph for shard in sharding.shards]
+        edges = sharding_edges(sharding)
+    else:
+        graphs = [
+            _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
         ]
-        if pspec.resident_weights:
-            return analyze_sharded_resident(sharding, plans, arch), plans[0]
-        return (analyze_sharded(sharding, plans, arch), 0, {}), plans[0]
-    graph = _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
-    plan = plan_graph(graph, arch, pspec.strategy, pspec.closure_limit)
-    if pspec.resident_weights:
-        return analyze_plan_resident(plan), plan
-    return (analyze_plan(plan), 0, {}), plan
+        edges = []
+    plans = [
+        plan_graph(graph, arch, pspec.strategy, pspec.closure_limit)
+        for graph in graphs
+    ]
+    bundle = analyze_pipeline(plans, edges, arch, pspec.resident_weights)
+    return bundle, plans[0]
 
 
 def _charge_session_load(
@@ -1107,13 +1103,9 @@ def spot_check(
     identical in both tiers by construction -- would only dilute the
     ratio.
     """
-    from repro.compiler.pipeline import compile_graph, compile_sharded
     from repro.serve import Deployment
-    from repro.sim.fastmodel import (
-        analyze_plan,
-        analyze_sharded,
-        stream_batched,
-    )
+    from repro.sim.fastmodel import analyze_pipeline, stream_batched
+    from repro.workflow import compile_model
 
     if n <= 0:
         return []
@@ -1129,24 +1121,17 @@ def spot_check(
     checks: List[SpotCheckResult] = []
     for pt in ranked[:n]:
         arch = pt.resolve_arch(spec.arch())
-        graph = _cached_graph(pt.model, input_size, num_classes)
-        if pt.chips > 1:
-            compiled = compile_sharded(
-                graph, arch, pt.chips, pt.strategy,
-                closure_limit=spec.limit_for(pt.model),
-            )
-            fast_cycles = analyze_sharded(
-                compiled.sharding, [c.plan for c in compiled.chips], arch,
-                batch=pt.batch,
-            ).cycles
-        else:
-            compiled = compile_graph(
-                graph, arch, pt.strategy, closure_limit=spec.limit_for(pt.model)
-            )
-            fast = analyze_plan(compiled.plan)
-            if pt.batch > 1:
-                fast = stream_batched(fast, pt.batch)
-            fast_cycles = fast.cycles
+        compiled = compile_model(
+            _cached_graph(pt.model, input_size, num_classes), arch,
+            pt.strategy, chips=pt.chips,
+            closure_limit=spec.limit_for(pt.model),
+        )
+        fast, _, _ = analyze_pipeline(
+            [chip.plan for chip in compiled.chips],
+            [(t.src_chip, t.dst_chip, t.nbytes) for t in compiled.transfers],
+            arch,
+        )
+        fast_cycles = stream_batched(fast, pt.batch).cycles
         outcome = Deployment(compiled, engine=engine).submit(
             batch=pt.batch, validate=validate
         )

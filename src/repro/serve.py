@@ -614,7 +614,7 @@ class Deployment:
         self.compiled: Union[CompiledModel, MultiChipModel, None] = None
         self._plans = None
         self._sharding = None
-        self._fast_reports = None
+        self._fast = None  #: fast tier: cached analyze_pipeline result
         self._profile = None  #: cached (service row, transfer edges)
 
         if isinstance(model, (CompiledModel, MultiChipModel)):
@@ -669,7 +669,6 @@ class Deployment:
         self._resident_loaded = False
         self._resident_sim = None  #: cyclesim persistent simulator state
         self._resident_load_reports = None  #: measured load segments
-        self._resident_fast = None  #: fast tier (warm, load, energy) cache
         if self.resident_weights:
             self._check_resident_support()
 
@@ -758,13 +757,13 @@ class Deployment:
         Timing is data-independent under per-input isolation, so in the
         cyclesim tier a single probe submission measures the exact
         service row every admission prediction needs; the fast tier
-        reads its analytical reports.  Cached for the deployment's
+        reads its analytical report.  Cached for the deployment's
         lifetime (the compile product is immutable).
         """
         if self._profile is None:
             edges = self._transfer_edges()
             if self.tier == "fast":
-                row = [r.cycles for r in self._fast_shard_reports()]
+                row = list(self._fast_price()[0].shard_cycles)
             else:
                 # The probe must not consume a resident session's cold
                 # start: the accounting flag is restored so the first
@@ -1157,7 +1156,7 @@ class Deployment:
         yet -- and the fast tier reads the closed-form mirror.
         """
         if self.tier == "fast":
-            _, load_done, load_energy = self._resident_fast_profile()
+            _, load_done, load_energy = self._fast_price()
             return load_done, dict(load_energy), 0, 0
         if self._resident_load_reports is None:
             self._resident_execute([])
@@ -1169,48 +1168,27 @@ class Deployment:
             sum(r.instructions for r in reports),
         )
 
-    def _resident_fast_profile(self):
-        """Fast tier: (per-shard warm reports, load phase, load energy)."""
-        if self._resident_fast is None:
-            from repro.sim.fastmodel import analyze_plan_resident
-
-            split = [analyze_plan_resident(plan) for plan in self._plans]
-            self._resident_fast = (
-                [warm for warm, _, _ in split],
-                max((load for _, load, _ in split), default=0),
-                sum_energy([energy for _, _, energy in split]),
-            )
-        return self._resident_fast
-
     # -- fast tier ----------------------------------------------------------
-    def _fast_shard_reports(self):
-        if self.resident_weights:
-            # Resident sessions price every input from the warm (load-
-            # free) analysis; the load phase is accounted separately.
-            return self._resident_fast_profile()[0]
-        if self._fast_reports is None:
-            from repro.sim.fastmodel import analyze_plan
+    def _fast_price(self):
+        """Fast tier: ``(report, load cycles, load energy)`` of one input,
+        the deployment's :func:`~repro.sim.fastmodel.analyze_pipeline`.
+        A resident session prices every input from the warm (load-free)
+        report; its load phase is accounted separately."""
+        if self._fast is None:
+            from repro.sim.fastmodel import analyze_pipeline
 
-            # A plan loaded from an artifact carries its save-time
-            # analysis; re-analysing would need the full CG-level state
-            # the artifact deliberately does not store.
-            self._fast_reports = [
-                getattr(plan, "fast_report", None) or analyze_plan(plan)
-                for plan in self._plans
-            ]
-        return self._fast_reports
+            self._fast = analyze_pipeline(
+                self._plans, self._transfer_edges(), self.arch,
+                resident=self.resident_weights,
+            )
+        return self._fast
 
     def _fast_cost(self, count: int):
         """Fast tier: ``(energy breakdown, MACs)`` of ``count`` inferences."""
-        shard_reports = self._fast_shard_reports()
-        per_input = merge_shard_energy(
-            [r.energy_breakdown_pj for r in shard_reports],
-            sum(nbytes for _, _, nbytes in self._transfer_edges()),
-            self.arch.interchip,
-        )
+        report = self._fast_price()[0]
         return (
-            {k: v * count for k, v in per_input.items()},
-            sum(r.macs for r in shard_reports) * count,
+            {k: v * count for k, v in report.energy_breakdown_pj.items()},
+            report.macs * count,
         )
 
     def _submit_fast(

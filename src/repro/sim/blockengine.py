@@ -88,6 +88,7 @@ from repro.graph.quantize import (
     saturate_i8,
 )
 from repro.isa import Opcode
+from repro.sim.core import charge_copy_energy, translate_program
 from repro.sim.noc import GLOBAL_PORT
 
 Op = Opcode
@@ -176,27 +177,14 @@ def reset_stats() -> None:
 # runtime helpers shared with generated code
 # ---------------------------------------------------------------------------
 
-def _copy_energy(core, nbytes, src_g, dst_g, start):
-    """Exact mirror of ``Core._charge_copy_energy``."""
-    chip = core.chip
-    acct = chip.acct
-    if src_g or dst_g:
-        acct.global_access(nbytes)
-        acct.local_copy(nbytes)
-        a = GLOBAL_PORT if src_g else core.core_id
-        b = core.core_id if src_g else GLOBAL_PORT
-        chip.noc.transfer(a, b, nbytes, start)
-        acct.noc_transfer(chip.noc.energy_pj(nbytes, a, b))
-    else:
-        acct.local_copy(nbytes)
-
-
 def _global_copy(core, src, dst, nbytes, start):
     """Functional + energy half of a MEM_CPY touching global memory."""
     mem = core.chip.memory
     data = mem.read(core.core_id, src, nbytes)
     mem.write(core.core_id, dst, data)
-    _copy_energy(core, nbytes, src >= GLOBAL_BASE, dst >= GLOBAL_BASE, start)
+    charge_copy_energy(
+        core, nbytes, src >= GLOBAL_BASE, dst >= GLOBAL_BASE, start
+    )
 
 
 _GIDX_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -749,7 +737,7 @@ _EXEC_GLOBALS = {
     "SIGMOID_LUT": SIGMOID_LUT,
     "RELU6_CLIP": RELU6_CLIP,
     "GB": GLOBAL_BASE,
-    "_ce": _copy_energy,
+    "_ce": charge_copy_energy,
     "_gc": _global_copy,
     "_gidx": _gidx,
 }
@@ -887,8 +875,6 @@ def block_program_for(program, registry) -> BlockProgram:
     structurally identical programs share one :class:`BlockProgram` and
     therefore every compiled block and every block's heat counter.
     """
-    from repro.sim.core import translate_program
-
     code = translate_program(program, registry)
     bp = _BP_CACHE.get(code)
     if bp is not None:

@@ -37,6 +37,7 @@ from repro.graph.quantize import (
 )
 from repro.isa import ISARegistry, Opcode, Program, SReg
 from repro.isa.opcodes import Category
+from repro.sim.noc import GLOBAL_PORT
 from repro.utils import ceil_div
 
 #: blocking states returned by Core.run()
@@ -181,30 +182,6 @@ class Core:
             )
         return cycles
 
-    def _charge_copy_energy(self, nbytes: int, src_global: bool,
-                            dst_global: bool, start: int) -> None:
-        acct = self.chip.acct
-        if src_global or dst_global:
-            acct.global_access(nbytes)
-            acct.local_copy(nbytes)  # the local half of the transfer
-            from repro.sim.noc import GLOBAL_PORT
-
-            self.chip.noc.transfer(
-                GLOBAL_PORT if src_global else self.core_id,
-                self.core_id if src_global else GLOBAL_PORT,
-                nbytes,
-                start,
-            )
-            acct.noc_transfer(
-                self.chip.noc.energy_pj(
-                    nbytes,
-                    GLOBAL_PORT if src_global else self.core_id,
-                    self.core_id if src_global else GLOBAL_PORT,
-                )
-            )
-        else:
-            acct.local_copy(nbytes)
-
     # -- main loop ----------------------------------------------------------
     def run(self, max_instructions: int = 50_000_000) -> int:
         """Execute until HALT, a blocking RECV, or a BARRIER."""
@@ -237,6 +214,26 @@ class Core:
             if result is not None:
                 self.state = result
                 return result
+
+
+def charge_copy_energy(core: Core, nbytes: int, src_global: bool,
+                       dst_global: bool, start: int) -> None:
+    """Energy (and NoC reservation) of one ``nbytes`` copy issued at
+    ``start``: a copy with a global endpoint crosses the NoC from or to
+    the global-memory port.  The one copy-energy law of both engines:
+    the handlers below call it and generated blocks bind it as ``_ce``.
+    """
+    chip = core.chip
+    acct = chip.acct
+    if src_global or dst_global:
+        acct.global_access(nbytes)
+        acct.local_copy(nbytes)  # the local half of the transfer
+        src = GLOBAL_PORT if src_global else core.core_id
+        dst = core.core_id if src_global else GLOBAL_PORT
+        chip.noc.transfer(src, dst, nbytes, start)
+        acct.noc_transfer(chip.noc.energy_pj(nbytes, src, dst))
+    else:
+        acct.local_copy(nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +371,7 @@ def _h_mem_cpy(core: Core, t) -> None:
     start, _ = core._issue("mem", cost, deps=(rs, rt, rd))
     data = mem.read(core.core_id, src, nbytes)
     mem.write(core.core_id, dst, data)
-    core._charge_copy_energy(nbytes, src_g, dst_g, start)
+    charge_copy_energy(core, nbytes, src_g, dst_g, start)
     core.pc += 1
 
 
@@ -385,7 +382,7 @@ def _h_mem_ld(core: Core, t) -> None:
     cost = core._copy_cost(4, mem.is_global(addr), False)
     start, finish = core._issue("mem", cost, deps=(rs,))
     core._write_reg(rt, mem.read_word(core.core_id, addr), finish)
-    core._charge_copy_energy(4, mem.is_global(addr), False, start)
+    charge_copy_energy(core, 4, mem.is_global(addr), False, start)
     core.pc += 1
 
 
@@ -396,7 +393,7 @@ def _h_mem_st(core: Core, t) -> None:
     cost = core._copy_cost(4, False, mem.is_global(addr))
     start, _ = core._issue("mem", cost, deps=(rs, rt))
     mem.write_word(core.core_id, addr, core.regs[rt])
-    core._charge_copy_energy(4, False, mem.is_global(addr), start)
+    charge_copy_energy(core, 4, False, mem.is_global(addr), start)
     core.pc += 1
 
 
@@ -426,7 +423,7 @@ def _h_mem_gather(core: Core, t) -> None:
     if count:
         window = mem.read(core.core_id, src, span)
         mem.write(core.core_id, dst, window[_gather_indices(count, chunk, stride)])
-    core._charge_copy_energy(nbytes, src_g, dst_g, start)
+    charge_copy_energy(core, nbytes, src_g, dst_g, start)
     core.pc += 1
 
 
@@ -451,7 +448,7 @@ def _h_mem_scatter(core: Core, t) -> None:
         window = mem.read(core.core_id, dst, span)
         window[_gather_indices(count, chunk, stride)] = data
         mem.write(core.core_id, dst, window)
-    core._charge_copy_energy(nbytes, src_g, dst_g, start)
+    charge_copy_energy(core, nbytes, src_g, dst_g, start)
     core.pc += 1
 
 

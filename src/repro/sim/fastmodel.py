@@ -16,6 +16,15 @@ uses max-plus-fill, with no dependency recurrences), so evaluating a plan
 with the fast model is not circular.  Tests cross-validate it against the
 cycle simulator at small scales.
 
+A model's fast-tier price is one call, :func:`analyze_pipeline`: each
+chip's plan is analysed (cold, or warm with its resident weight loads
+split out), and two or more chips are composed over their transfer edges
+with the closed-form schedule the cycle-level multi-chip scheduler uses.
+The sweep engine, the spot check and the fast-tier
+:class:`~repro.serve.Deployment` all price through it;
+:func:`stream_batched` and :func:`serve_fleet` continue its single-input
+report over a batch, an arrival process or a fleet.
+
 See ``docs/ARCHITECTURE.md`` ("The simulation stack") for how this model
 relates to the cycle-level simulator and the golden functional model.
 """
@@ -67,38 +76,76 @@ def resident_plan_replicas(plan: ExecutionPlan) -> Dict[str, frozenset]:
     return resident
 
 
-def analyze_plan(
-    plan: ExecutionPlan, cost_model: Optional[CostModel] = None
-) -> FastReport:
-    """Row-granular pipeline analysis of a compiled execution plan."""
-    report, _, _ = _analyze_plan_impl(plan, cost_model, resident=False)
+def analyze_plan(plan: ExecutionPlan) -> FastReport:
+    """Row-granular pipeline analysis of a compiled execution plan.
+
+    A plan loaded from an artifact carries its save-time analysis
+    (:class:`repro.artifact.ArtifactPlan`), which is returned as-is:
+    re-analysing would need the CG-level state the artifact does not
+    store.
+    """
+    stored = getattr(plan, "fast_report", None)
+    if stored is not None:
+        return stored
+    report, _, _ = _analyze_plan_impl(plan, resident=False)
     return report
 
 
-def analyze_plan_resident(
-    plan: ExecutionPlan, cost_model: Optional[CostModel] = None
+def analyze_pipeline(
+    plans: Sequence[ExecutionPlan],
+    edges: Sequence[Tuple[int, int, int]],
+    arch,
+    resident: bool = False,
 ) -> Tuple[FastReport, int, Dict[str, float]]:
-    """Resident-weights split of :func:`analyze_plan`.
+    """The fast-tier price of one input through a pipeline of chips.
 
-    Returns ``(warm_report, load_cycles, load_energy_pj)``: the warm
-    report prices one input with every hoistable replica's weight load
-    removed (cycles and energy), ``load_cycles`` is the run-once load
-    phase (hoisted loads execute concurrently across cores, so the phase
-    is their max), and ``load_energy_pj`` the hoisted weight-load energy
-    plus the load phase's own static draw.  The hoisted dynamic terms
-    recompose the non-resident node energies exactly; static energy
-    scales with each phase's own makespan, mirroring how the cycle tier
-    accounts the load run and each warm run separately.
+    ``plans`` holds one plan per chip and ``edges`` the per-input
+    ``(src, dst, nbytes)`` transfer edges between them (empty for one
+    chip); ``arch`` prices the inter-chip link.  Returns ``(report,
+    load_cycles, load_energy_pj)``.
+
+    Cold (``resident=False``) every chip is :func:`analyze_plan`-ed and
+    the load fields are zero.  With ``resident=True`` each chip's report
+    is *warm*: it prices one input with every hoistable replica's weight
+    load removed (cycles and energy).  ``load_cycles`` is then the
+    run-once load phase: hoisted loads execute concurrently across cores
+    and the phase completes on every chip before the first input enters
+    the pipeline, so it is a max over both.  ``load_energy_pj`` is the
+    hoisted weight-load energy plus the load phase's own static draw,
+    summed over chips.  The hoisted dynamic terms recompose the cold node
+    energies exactly; static energy scales with each phase's own
+    makespan, as the cycle tier accounts the load run and each warm run
+    separately.
+
+    Two or more chips are composed over ``edges`` with the closed-form
+    pipeline/link schedule of :func:`repro.sim.multichip.pipeline_schedule`
+    (stage cycles re-keyed as one sequence, boundary bytes charged at the
+    link energy).
     """
-    return _analyze_plan_impl(plan, cost_model, resident=True)
+    split = [
+        _analyze_plan_impl(plan, resident=True) if resident
+        else (analyze_plan(plan), 0, {})
+        for plan in plans
+    ]
+    if len(split) == 1:
+        # One chip keeps its own report (steady interval 0, not its
+        # cycles): the one byte difference from a composed one-shard
+        # pipeline, which the next cache schema removes.
+        return split[0]
+    from repro.sim.multichip import sum_energy
+
+    load_done = max(load for _, load, _ in split)
+    report = _compose_shards(
+        edges, [report for report, _, _ in split], arch,
+        load_cycles=load_done,
+    )
+    return report, load_done, sum_energy([energy for _, _, energy in split])
 
 
 def _analyze_plan_impl(
-    plan: ExecutionPlan,
-    cost_model: Optional[CostModel],
-    resident: bool,
+    plan: ExecutionPlan, resident: bool
 ) -> Tuple[FastReport, int, Dict[str, float]]:
-    cm = cost_model or CostModel(plan.arch)
+    cm = CostModel(plan.arch)
     clock = plan.arch.chip.clock_mhz
     resident_replicas = resident_plan_replicas(plan) if resident else {}
     energy: Dict[str, float] = {}
@@ -383,12 +430,10 @@ def analyze_sharded(sharding, plans, arch=None, batch: int = 1) -> FastReport:
 
     ``sharding`` is a :class:`~repro.compiler.partition.ShardingPlan`
     and ``plans`` the per-shard :class:`ExecutionPlan` list (one chip
-    each).  Every shard is analysed with :func:`analyze_plan` unchanged;
-    the chips are then composed with the same closed-form pipeline/link
-    schedule the cycle-level multi-chip scheduler uses
-    (:func:`repro.sim.multichip.pipeline_schedule`), and boundary-tensor
-    bytes are charged at the inter-chip link energy.  Stage cycles are
-    re-keyed as one global sequence (chip order, then stage order).
+    each).  Every shard is analysed with :func:`analyze_plan` unchanged
+    and the chips are composed over the sharding's transfer edges as in
+    :func:`analyze_pipeline` -- a one-shard sharding included, so its
+    steady interval is its cycles.
 
     With ``batch > 1`` the report covers a streamed input batch under
     the closed-form throughput law shared with the streaming scheduler:
@@ -397,49 +442,24 @@ def analyze_sharded(sharding, plans, arch=None, batch: int = 1) -> FastReport:
     energy/MACs), so the batch axis never re-runs the per-shard
     analysis.
     """
+    from repro.sim.multichip import sharding_edges
+
     arch = arch or plans[0].arch
     reports = [analyze_plan(plan) for plan in plans]
-    base = _compose_shards(sharding, reports, arch)
+    base = _compose_shards(sharding_edges(sharding), reports, arch)
     return stream_batched(base, batch) if batch > 1 else base
 
 
-def analyze_sharded_resident(
-    sharding, plans, arch=None
-) -> Tuple[FastReport, int, Dict[str, float]]:
-    """Resident-weights split of :func:`analyze_sharded`.
-
-    Mirrors :func:`analyze_plan_resident` across a sharded pipeline:
-    every shard is analysed warm (hoistable loads removed), the chips
-    are composed with the same pipeline/link schedule, and the session
-    pays one load phase before the first input enters the pipeline --
-    the load completes on *every* shard first, so the phase is the max
-    across shards while the hoisted load energy sums across them.
-    """
-    arch = arch or plans[0].arch
-    split = [analyze_plan_resident(plan) for plan in plans]
-    from repro.sim.multichip import sum_energy
-
-    load_done = max(load for _, load, _ in split)
-    load_energy = sum_energy([shard_load for _, _, shard_load in split])
-    base = _compose_shards(
-        sharding, [report for report, _, _ in split], arch,
-        load_cycles=load_done,
-    )
-    return base, load_done, load_energy
-
-
 def _compose_shards(
-    sharding, reports, arch, load_cycles: int = 0
+    edges, reports, arch, load_cycles: int = 0
 ) -> FastReport:
     """Compose per-shard single-input reports over the inter-chip link."""
     from repro.sim.multichip import (
         merge_shard_energy,
         pipeline_schedule,
-        sharding_edges,
         steady_state_interval,
     )
 
-    edges = sharding_edges(sharding)
     chip_cycles = [r.cycles for r in reports]
     _, _, makespan = pipeline_schedule(chip_cycles, edges, arch.interchip)
     interval = steady_state_interval(chip_cycles, edges, arch.interchip)

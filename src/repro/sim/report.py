@@ -140,8 +140,9 @@ class FastReport:
     occupancies and inter-chip transfer edges the streaming law needs,
     so a cached single-input report can be re-priced under any arrival
     process (:func:`repro.sim.fastmodel.serve_arrivals`) without
-    re-analysis; a single-chip report leaves them empty (one implicit
-    shard of ``cycles``).
+    re-analysis.  A single-chip report records its one shard
+    (``shard_cycles == [cycles]``, no edges); an empty ``shard_cycles``
+    reads as one implicit shard of ``cycles``.
     Reports derived under an arrival process additionally carry the
     offered rate and nearest-rank latency percentiles.
 

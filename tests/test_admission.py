@@ -667,10 +667,13 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
     """A fast-tier server whose one-input profile is ``(row, edges)``.
 
     The real ``tiny_mlp`` plan stays in place (graph, strategy); the
-    per-shard analytical reports, the transfer edges and -- ``load`` not
-    ``None`` -- the resident load phase are substituted, so the serving
-    stack above the profile runs unmodified on a random pipeline.
+    deployment's analytical price (per-shard reports composed over the
+    transfer edges), the edges and -- ``load`` not ``None`` -- the
+    resident load phase are substituted, so the serving stack above the
+    profile runs unmodified on a random pipeline.
     """
+    from repro.sim.fastmodel import _compose_shards
+
     arch = dataclasses.replace(small_test_arch(), interchip=link)
     resident = load is not None
     fleet = _tiny(
@@ -687,10 +690,10 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
     ]
     dep._plans = dep._plans * len(row)
     dep._transfer_edges = lambda: list(edges)
-    if resident:
-        dep._resident_fast = (shards, load, {"weights": 3.0})
-    else:
-        dep._fast_reports = shards
+    report = _compose_shards(list(edges), shards, arch)
+    dep._fast = (report, load, {"weights": 3.0}) if resident else (
+        report, 0, {}
+    )
     return dep if bare else fleet
 
 

@@ -415,6 +415,22 @@ class TestErrorHygiene:
         assert err.startswith("error:")
         assert "meteor_strike" in err
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_report_top_below_one(self, top, tmp_path, capsys):
+        """``--top -2`` used to print "top -2 by tops:" over a table
+        missing its last two rows, and ``--top 0`` an empty table."""
+        results = tmp_path / "r.json"
+        assert run_cli(
+            "sweep", "--models", "tiny_mlp", "--strategies", "generic,dp",
+            "--input-sizes", "8", "--num-classes", "10", "--preset",
+            "small", "--no-cache", "--quiet", "--json", str(results),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("report", str(results), "--top", top) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --top must be >= 1\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", [
         # well-formed JSON of the wrong shape used to traceback:
         # TypeError on a non-object payload, AttributeError on rows or

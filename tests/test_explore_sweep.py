@@ -589,8 +589,6 @@ class TestAxisLaw:
         "replicas": "--replicas", "fault_plan": "--fault-plans",
         "resident_weights": "--resident-modes",
     }
-    #: Row coordinates the CLI's table/CSV columns leave out (ROADMAP 5.2).
-    CSV_OMITS = {"num_classes"}
 
     every_axis = pytest.mark.parametrize("axis", AXES, ids=lambda a: a.name)
     swept_axis = pytest.mark.parametrize(
@@ -671,8 +669,7 @@ class TestAxisLaw:
         if axis.name == "fault_plan":
             expected = expected.describe()
         assert row[axis.name] == expected
-        if axis.name not in self.CSV_OMITS:
-            assert cells[axis.name] == str(expected)
+        assert cells[axis.name] == str(expected)
 
     @every_axis
     def test_sweep_spec_field_entry_and_flag(self, axis, capsys):

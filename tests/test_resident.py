@@ -282,9 +282,9 @@ class TestExploreResidentAxis:
     @pytest.mark.parametrize("model", ["tiny_resnet", "tiny_cnn"])
     @pytest.mark.parametrize("batch", [1, 4])
     def test_sharded_point_is_the_fast_deployment(self, march, model, batch):
-        """``chips > 1`` x resident (``analyze_sharded_resident``) prices
-        what a fast-tier resident ``Deployment`` of the same shape
-        reports."""
+        """``chips > 1`` x resident (``analyze_pipeline(...,
+        resident=True)``) prices what a fast-tier resident ``Deployment``
+        of the same shape reports."""
         point = evaluate_fast(
             model, march, "dp", chips=2, batch=batch, resident_weights=True,
             **MODEL_KW,
@@ -342,7 +342,7 @@ class TestFastTierEligibilityMirror:
         from repro import compile_model
         from repro.compiler.codegen.lowering import ProgramGenerator
         from repro.sim.fastmodel import (
-            analyze_plan_resident,
+            analyze_pipeline,
             resident_plan_replicas,
         )
 
@@ -361,7 +361,9 @@ class TestFastTierEligibilityMirror:
                     partial = True
         assert partial, "expected a partially-hoistable node in tiny_cnn"
         assert ProgramGenerator(plan).resident_cores()
-        _, load_cycles, load_energy = analyze_plan_resident(plan)
+        _, load_cycles, load_energy = analyze_pipeline(
+            [plan], [], march, resident=True
+        )
         assert load_cycles > 0
         assert sum(load_energy.values()) > 0
 
