@@ -14,7 +14,8 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   EfficientNetB0).
 - :mod:`repro.compiler` -- the two-level compilation flow: CG-level DP-based
   partitioning/mapping and OP-level loop transformations plus code
-  generation.
+  generation; :func:`~repro.compiler.pipeline.compile_model` compiles a
+  zoo model or graph for any chip count.
 - :mod:`repro.sim`     -- the cycle-accurate multi-core simulator with NoC
   and energy models, the functional golden model, and the fast analytical
   model.
@@ -46,9 +47,6 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   model serialized to a single content-addressed ``.artifact`` file
   (``save_artifact`` / ``load_artifact`` / ``Deployment.load``), so a
   serving session never re-runs the compiler.
-- :mod:`repro.workflow` -- what a deployment is built from:
-  :func:`~repro.workflow.compile_model`, input resolution, the golden
-  check and :class:`~repro.workflow.WorkflowResult`.
 - :mod:`repro.explore` -- the design-space exploration engine: declarative
   :class:`~repro.explore.SweepSpec` cross products, parallel execution and
   the on-disk result cache (:mod:`repro.explore_cache`).
@@ -94,7 +92,9 @@ from repro.utils.lazy import lazy_exports
 _EXPORTS = {
     "repro.artifact": ("inspect_artifact", "load_artifact", "save_artifact"),
     "repro.compiler.partition": ("ShardingSpec", "shard_graph"),
-    "repro.compiler.pipeline": ("MultiChipModel", "compile_sharded"),
+    "repro.compiler.pipeline": (
+        "MultiChipModel", "compile_model", "compile_sharded",
+    ),
     "repro.explore": (
         "DesignPoint", "SweepResult", "SweepSpec", "design_space",
         "evaluate_fast", "mg_flit_sweep", "run_sweep", "strategy_comparison",
@@ -113,7 +113,7 @@ _EXPORTS = {
     "repro.serve": (
         "ArrivalProcess", "BackToBack", "Deployment", "FixedInterval",
         "FixedRate", "Fleet", "FleetReport", "PoissonArrivals",
-        "ServeReport", "TraceArrivals",
+        "ServeReport", "TraceArrivals", "WorkflowResult",
     ),
     "repro.sim.fastmodel": (
         "analyze_plan", "analyze_sharded", "serve_arrivals", "serve_fleet",
@@ -124,14 +124,17 @@ _EXPORTS = {
         "streaming_schedule",
     ),
     "repro.sim.report": ("FastReport",),
-    "repro.workflow": ("WorkflowResult", "compile_model"),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 if TYPE_CHECKING:  # the table above, spelled out for static tools
     from repro.artifact import inspect_artifact, load_artifact, save_artifact
     from repro.compiler.partition import ShardingSpec, shard_graph
-    from repro.compiler.pipeline import MultiChipModel, compile_sharded
+    from repro.compiler.pipeline import (
+        MultiChipModel,
+        compile_model,
+        compile_sharded,
+    )
     from repro.explore import (
         DesignPoint,
         SweepResult,
@@ -175,6 +178,7 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
         PoissonArrivals,
         ServeReport,
         TraceArrivals,
+        WorkflowResult,
     )
     from repro.sim.fastmodel import (
         analyze_plan,
@@ -190,7 +194,6 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
         streaming_schedule,
     )
     from repro.sim.report import FastReport
-    from repro.workflow import WorkflowResult, compile_model
 
 __version__ = "0.1.0"
 

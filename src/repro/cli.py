@@ -345,7 +345,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compile(args) -> int:
     from repro.artifact import inspect_artifact, save_artifact
-    from repro.workflow import compile_model
+    from repro.compiler.pipeline import compile_model
 
     model = args.model
     if model.endswith(".json"):

@@ -98,26 +98,12 @@ class ProgramGenerator:
         assignments = self._assignments()
         return self._emit_programs(assignments, skip_loads=frozenset())
 
-    def resident_cores(self) -> frozenset:
-        """Cores whose weight-load prologue is input-invariant *and* separable.
-
-        A core assigned work in more than one stage reuses its macro
-        groups, staging buffer and bias segment across stages, so its
-        loads must stay inline with the stage body; only single-stage
-        cores can hoist them into a run-once load segment.  (Multipass
-        cores stream weight tiles inside the compute body regardless --
-        for them only the bias copy is hoisted.)
-        """
-        counts: Dict[int, int] = {}
-        for (_, core) in self._assignments():
-            counts[core] = counts.get(core, 0) + 1
-        return frozenset(core for core, n in counts.items() if n == 1)
-
     def generate_resident(self) -> Tuple[Dict[int, Program], Dict[int, Program]]:
         """Split programs for resident-weights sessions.
 
         Returns ``(warm, load)`` program maps.  ``load`` holds, per
-        resident core, exactly the ``_emit_loads`` prologue (weight-tile
+        resident core (:meth:`ExecutionPlan.resident_cores`), exactly the
+        ``_emit_loads`` prologue (weight-tile
         ``MEM_CPY`` + ``CIM_LOAD`` passes and bias copies) followed by
         ``HALT`` -- no barriers, since loads touch only the core's own
         buffers and read-only global memory.  ``warm`` is structurally
@@ -128,7 +114,7 @@ class ProgramGenerator:
         resident outputs bit-identical.
         """
         assignments = self._assignments()
-        resident = self.resident_cores()
+        resident = self.plan.resident_cores()
         warm = self._emit_programs(assignments, skip_loads=resident)
         loads: Dict[int, Program] = {}
         for core_id in range(self.plan.arch.num_cores):

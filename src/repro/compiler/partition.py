@@ -259,6 +259,16 @@ class ShardingPlan:
     def num_chips(self) -> int:
         return len(self.shards)
 
+    def transfer_edges(self) -> List[Tuple[int, int, int]]:
+        """The per-input ``(src, dst, nbytes)`` transfer edges, in
+        schedule order: one edge per boundary tensor a shard receives."""
+        return sorted(
+            (shard.incoming[tensor], shard.index,
+             self.graph.tensor(tensor).size_bytes)
+            for shard in self.shards
+            for tensor in shard.incoming
+        )
+
     def summary(self) -> str:
         lines = [
             f"sharding {self.graph.name}: {self.num_chips} chips, cuts "
@@ -410,9 +420,9 @@ def shard_graph(
     segments are valid pipeline stages: every tensor a shard consumes is
     produced by an earlier shard (an inter-chip transfer), by the host
     (a model input), or within the shard.  Capacity feasibility of each
-    shard is checked by the per-shard compiler pass
-    (:func:`repro.compiler.pipeline.compile_sharded`), which raises
-    :class:`CompileError` naming the offending shard.
+    shard is checked by the per-shard planning pass
+    (:func:`repro.compiler.pipeline.plan_chips`), which re-raises a
+    shard's :class:`CompileError` naming the offending chip.
     """
     spec = ShardingSpec(num_chips=num_chips, cuts=cuts)
     cgraph = cgraph or condense(graph)

@@ -6,42 +6,70 @@ core and row assignment, global-memory layout, and OP-level code
 generation, returning a :class:`CompiledModel` ready for simulation.
 ``plan_graph`` stops after the CG level, returning the
 :class:`ExecutionPlan` that wide design-space sweeps evaluate with the
-fast model.  ``compile_sharded`` is the multi-chip driver: it
-pipeline-shards the graph (:func:`repro.compiler.partition.shard_graph`),
-compiles every shard with the unchanged single-chip flow, and emits the
-explicit :class:`InterChipTransfer` schedule the multi-chip scheduler
-(:mod:`repro.sim.multichip`) executes.  See ``docs/ARCHITECTURE.md``
-("Two-level compilation" and "Multi-chip sharding") for the flow in
-detail.
+fast model.
+
+:func:`plan_chips` is the one way a model is planned onto ``N`` chips:
+it pipeline-shards the graph when ``N > 1``
+(:func:`repro.compiler.partition.shard_graph`), plans every shard with
+``plan_graph`` and returns the plans with their per-input transfer
+edges.  The fast-tier :class:`~repro.serve.Deployment` and the sweep
+engine price its plans; ``compile_sharded`` code-generates them and
+emits the explicit :class:`InterChipTransfer` schedule the multi-chip
+scheduler (:mod:`repro.sim.multichip`) executes.  :func:`compile_model`
+is the user-facing front (zoo name or graph, architecture object or
+JSON file, any chip count).  See ``docs/ARCHITECTURE.md`` ("Two-level
+compilation" and "Multi-chip sharding") for the flow in detail.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.config import ArchConfig
+from repro.config import ArchConfig, default_arch
 from repro.errors import CompileError
 from repro.compiler.cost import CostModel
-from repro.compiler.frontend import CondensedGraph, condense
-from repro.compiler.partition import ShardingPlan, shard_graph
+from repro.compiler.frontend import condense
+from repro.compiler.partition import GraphShard, ShardingPlan, shard_graph
 from repro.compiler.plan import (
     ExecutionPlan,
-    GLOBAL_BASE,
     assign_cores_and_rows,
     layout_global_memory,
 )
-from repro.compiler.strategies import (
-    STRATEGIES,
-    build_geometries,
-    partition_with_strategy,
-)
+from repro.compiler.strategies import build_geometries, partition_with_strategy
 from repro.graph.graph import ComputationGraph
 
 if TYPE_CHECKING:
     import numpy as np
 
     from repro.isa import ISARegistry, Program
+
+#: What an architecture argument may be: a ready config, the path of a
+#: JSON architecture file (the user-supplied configuration of Fig. 2),
+#: or ``None`` for the paper's Table I chip.
+ArchLike = Union[ArchConfig, str, Path, None]
+
+
+def resolve_arch(arch: ArchLike) -> ArchConfig:
+    if arch is None:
+        return default_arch()
+    if isinstance(arch, (str, Path)):
+        from repro.config import load_arch
+
+        return load_arch(arch)
+    return arch
+
+
+def resolve_graph(
+    model: Union[str, ComputationGraph], **model_kwargs
+) -> ComputationGraph:
+    if isinstance(model, ComputationGraph):
+        return model
+    from repro.graph.models import get_model
+
+    return get_model(model, **model_kwargs)
 
 
 def _default_registry() -> ISARegistry:
@@ -121,6 +149,9 @@ class CompiledModel:
 
     def interchip_bytes(self) -> int:
         return 0
+
+    def transfer_edges(self) -> List[Tuple[int, int, int]]:
+        return []
 
     def supports_resident(self) -> bool:
         """Whether resident program segments can be generated.
@@ -205,24 +236,25 @@ def compile_graph(
     ``"duplication"`` (CIM-MLC-style opportunistic duplication), or
     ``"dp"`` (Algorithm 1).
     """
+    return _generate(plan_graph(graph, arch, strategy, closure_limit), registry)
+
+
+def _generate(
+    plan: ExecutionPlan, registry: Optional[ISARegistry]
+) -> CompiledModel:
+    """OP-level half of :func:`compile_graph`: lay out global memory and
+    generate every core's program for one chip's plan."""
     from repro.compiler.codegen.lowering import (
         ProgramGenerator,
         build_global_image,
     )
 
-    if strategy not in STRATEGIES:
-        raise CompileError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    plan = plan_graph(graph, arch, strategy, closure_limit)
     layout_global_memory(plan)
-    generator = ProgramGenerator(plan, registry)
-    programs = generator.generate()
-    image = build_global_image(plan)
+    programs = ProgramGenerator(plan, registry).generate()
     return CompiledModel(
         plan=plan,
         programs=programs,
-        global_image=image,
+        global_image=build_global_image(plan),
         registry=registry or _default_registry(),
     )
 
@@ -314,6 +346,11 @@ class MultiChipModel:
     def interchip_bytes(self) -> int:
         return sum(t.nbytes for t in self.transfers)
 
+    def transfer_edges(self) -> List[Tuple[int, int, int]]:
+        """The per-input ``(src, dst, nbytes)`` edges the admission
+        kernel schedules, in transfer order."""
+        return [(t.src_chip, t.dst_chip, t.nbytes) for t in self.transfers]
+
     def summary(self) -> str:
         lines = [self.sharding.summary()]
         for chip, compiled in enumerate(self.chips):
@@ -323,6 +360,102 @@ class MultiChipModel:
             f"{self.interchip_bytes() / 1024:.1f} KiB over the link"
         )
         return "\n".join(lines)
+
+
+class ChipPlans(NamedTuple):
+    """What :func:`plan_chips` returns: one plan per chip, the per-input
+    ``(src, dst, nbytes)`` transfer edges between them (schedule order,
+    empty for one chip) and the sharding they came from (``None`` when
+    the model was planned whole on one chip)."""
+
+    plans: List[ExecutionPlan]
+    edges: List[Tuple[int, int, int]]
+    sharding: Optional[ShardingPlan]
+
+
+@contextmanager
+def _naming_chip(shard: GraphShard):
+    """Prefix a shard's compile error with the chip it was compiled for,
+    keeping its type (a :class:`~repro.errors.CapacityError` stays one)."""
+    try:
+        yield
+    except CompileError as exc:
+        raise type(exc)(
+            f"chip {shard.index} (condensed nodes "
+            f"{shard.node_indices[0]}..{shard.node_indices[-1]}): {exc}"
+        ) from exc
+
+
+def plan_chips(
+    graph: ComputationGraph,
+    arch: ArchConfig,
+    chips: int = 1,
+    strategy: str = "dp",
+    closure_limit: Optional[int] = None,
+    sharding: Optional[ShardingPlan] = None,
+) -> ChipPlans:
+    """Plan one model onto a pipeline of ``chips`` identical chips.
+
+    The one pipeline builder every tier goes through: with ``chips > 1``
+    the graph is sharded at layer cuts of its condensed linearization
+    (balanced by weight bytes) and each shard is planned with
+    :func:`plan_graph` against ``arch``; one chip plans the graph whole.
+    ``sharding`` supplies the cuts ready-made (``compile_sharded``'s
+    pinned ones, the sweep's per-worker cache).  Per-shard
+    capacity/closure checks are the single-chip planner's own; a shard
+    that cannot map re-raises its error naming the chip.
+    """
+    if chips < 1:
+        raise CompileError(f"chip count must be >= 1, got {chips}")
+    if sharding is None and chips > 1:
+        sharding = shard_graph(graph, chips)
+    if sharding is None:
+        return ChipPlans(
+            [plan_graph(graph, arch, strategy, closure_limit)], [], None
+        )
+    plans = []
+    for shard in sharding.shards:
+        with _naming_chip(shard):
+            plans.append(
+                plan_graph(shard.graph, arch, strategy, closure_limit)
+            )
+    return ChipPlans(plans, sharding.transfer_edges(), sharding)
+
+
+def _generate_chips(
+    arch: ArchConfig,
+    planned: ChipPlans,
+    registry: Optional[ISARegistry] = None,
+) -> MultiChipModel:
+    """Code-generate every chip of a sharded :class:`ChipPlans` and turn
+    each boundary tensor into an explicit :class:`InterChipTransfer`
+    from its producer's spill address to its consumer's input address."""
+    sharding = planned.sharding
+    chips: List[CompiledModel] = []
+    for shard, plan in zip(sharding.shards, planned.plans):
+        with _naming_chip(shard):
+            chips.append(_generate(plan, registry))
+
+    transfers: List[InterChipTransfer] = []
+    for shard in sharding.shards:
+        for tensor, src in sorted(shard.incoming.items()):
+            src_plan = chips[src].plan
+            dst_plan = chips[shard.index].plan
+            nbytes = sharding.graph.tensor(tensor).size_bytes
+            transfers.append(
+                InterChipTransfer(
+                    src_chip=src,
+                    dst_chip=shard.index,
+                    tensor=tensor,
+                    src_address=src_plan.tensor_address[tensor],
+                    dst_address=dst_plan.tensor_address[tensor],
+                    nbytes=nbytes,
+                )
+            )
+    transfers.sort(key=lambda t: (t.src_chip, t.dst_chip, t.tensor))
+    return MultiChipModel(
+        sharding=sharding, arch=arch, chips=chips, transfers=transfers
+    )
 
 
 def compile_sharded(
@@ -336,48 +469,37 @@ def compile_sharded(
 ) -> MultiChipModel:
     """Compile one model for a pipeline of ``num_chips`` identical chips.
 
-    The graph is sharded at layer cuts of its condensed linearization
-    (balanced by weight bytes unless ``cuts`` pins them), each shard is
-    compiled with the unchanged single-chip flow against ``arch``, and
-    every boundary tensor becomes an explicit :class:`InterChipTransfer`
-    from its producer's spill address to its consumer's input address.
-    Per-shard capacity/closure checks are the single-chip compiler's
-    own; a shard that cannot map raises :class:`CompileError` naming the
-    chip.
+    The shards are cut (``cuts`` pins the cut points) and planned by
+    :func:`plan_chips`, then code-generated with the unchanged
+    single-chip flow; ``num_chips=1`` is a one-shard pipeline.  A shard
+    that cannot map raises :class:`CompileError` naming the chip.
     """
-    plan = shard_graph(graph, num_chips, cuts=cuts)
-    chips: List[CompiledModel] = []
-    for shard in plan.shards:
-        try:
-            chips.append(
-                compile_graph(
-                    shard.graph, arch, strategy,
-                    registry=registry, closure_limit=closure_limit,
-                )
-            )
-        except CompileError as exc:
-            raise CompileError(
-                f"chip {shard.index} (condensed nodes "
-                f"{shard.node_indices[0]}..{shard.node_indices[-1]}): {exc}"
-            ) from exc
-
-    transfers: List[InterChipTransfer] = []
-    for shard in plan.shards:
-        for tensor, src in sorted(shard.incoming.items()):
-            src_plan = chips[src].plan
-            dst_plan = chips[shard.index].plan
-            nbytes = graph.tensor(tensor).size_bytes
-            transfers.append(
-                InterChipTransfer(
-                    src_chip=src,
-                    dst_chip=shard.index,
-                    tensor=tensor,
-                    src_address=src_plan.tensor_address[tensor],
-                    dst_address=dst_plan.tensor_address[tensor],
-                    nbytes=nbytes,
-                )
-            )
-    transfers.sort(key=lambda t: (t.src_chip, t.dst_chip, t.tensor))
-    return MultiChipModel(
-        sharding=plan, arch=arch, chips=chips, transfers=transfers
+    sharding = shard_graph(graph, num_chips, cuts=cuts)
+    planned = plan_chips(
+        graph, arch, num_chips, strategy, closure_limit, sharding=sharding
     )
+    return _generate_chips(arch, planned, registry)
+
+
+def compile_model(
+    model: Union[str, ComputationGraph],
+    arch: ArchLike = None,
+    strategy: str = "dp",
+    chips: int = 1,
+    closure_limit: Optional[int] = None,
+    **model_kwargs,
+) -> Union[CompiledModel, MultiChipModel]:
+    """Compile a model (zoo name or graph) for an architecture.
+
+    ``arch`` accepts a ready :class:`ArchConfig` or the path of a JSON
+    architecture configuration file (``None`` = the paper's Table I).
+    With ``chips > 1`` the model is pipeline-sharded across that many
+    identical chips and a :class:`MultiChipModel` is returned.
+    ``closure_limit`` bounds the DP partitioner's closure enumeration.
+    """
+    graph = resolve_graph(model, **model_kwargs)
+    arch = resolve_arch(arch)
+    planned = plan_chips(graph, arch, chips, strategy, closure_limit)
+    if planned.sharding is None:
+        return _generate(planned.plans[0], None)
+    return _generate_chips(arch, planned)

@@ -122,6 +122,27 @@ class ExecutionPlan:
     def num_stages(self) -> int:
         return len(self.stages)
 
+    def resident_cores(self) -> frozenset:
+        """Cores whose weight-load prologue a resident session can hoist.
+
+        A core assigned work in more than one stage reuses its macro
+        groups, staging buffer and bias segment across stages, so its
+        loads must stay inline with the stage body; only cores assigned
+        work in exactly one stage can hoist them into a run-once load
+        segment.  (Multipass cores stream weight tiles inside the compute
+        body regardless -- for them only the bias copy is hoisted.)
+        Code generation splits programs by this rule and the fast model
+        prices the split by it.
+        """
+        stages: Dict[int, set] = {}
+        for stage in self.stages:
+            for mapping in stage.mappings.values():
+                for core in mapping.all_cores:
+                    stages.setdefault(core, set()).add(stage.index)
+        return frozenset(
+            core for core, seen in stages.items() if len(seen) == 1
+        )
+
     @property
     def max_replication(self) -> int:
         return max(

@@ -428,25 +428,6 @@ def _cached_sharding(
     return _sharding_cache[key]
 
 
-def plan_graph(
-    graph: ComputationGraph,
-    arch: ArchConfig,
-    strategy: str,
-    closure_limit: Optional[int] = None,
-) -> ExecutionPlan:
-    """Plan one (shard) graph at the CG level.
-
-    The sweep engine's one call into the compiler
-    (:func:`repro.compiler.pipeline.plan_graph`), made once per base
-    point that misses the cache -- so the compiler is imported here and
-    not at module level, where a sweep served from the cache would pay
-    for it.
-    """
-    from repro.compiler.pipeline import plan_graph as plan
-
-    return plan(graph, arch, strategy, closure_limit)
-
-
 def _rate_releases(arch: ArchConfig, rate: float, batch: int) -> List[int]:
     """Fixed-rate release cycles for an ``arrival_rate`` sweep point."""
     from repro.serve import FixedRate
@@ -739,25 +720,22 @@ def _analyze_base(
     and the load fields carry the run-once load phase; otherwise the
     plain analysis with zero load.  ``plan`` is the (first shard's)
     execution plan for inspection.
-    """
-    from repro.sim.fastmodel import analyze_pipeline
-    from repro.sim.multichip import sharding_edges
 
+    The sweep's one call into the compiler, made once per base point
+    that misses the cache -- so the compiler is imported here and not at
+    module level, where a sweep served from the cache would pay for it.
+    """
+    from repro.compiler.pipeline import plan_chips
+    from repro.sim.fastmodel import analyze_pipeline
+
+    model = (pspec.model, pspec.input_size, pspec.num_classes)
+    sharding = None
     if pspec.chips > 1:
-        sharding = _cached_sharding(
-            pspec.model, pspec.input_size, pspec.num_classes, pspec.chips
-        )
-        graphs = [shard.graph for shard in sharding.shards]
-        edges = sharding_edges(sharding)
-    else:
-        graphs = [
-            _cached_graph(pspec.model, pspec.input_size, pspec.num_classes)
-        ]
-        edges = []
-    plans = [
-        plan_graph(graph, arch, pspec.strategy, pspec.closure_limit)
-        for graph in graphs
-    ]
+        sharding = _cached_sharding(*model, pspec.chips)
+    plans, edges, _ = plan_chips(
+        _cached_graph(*model), arch, pspec.chips, pspec.strategy,
+        pspec.closure_limit, sharding=sharding,
+    )
     bundle = analyze_pipeline(plans, edges, arch, pspec.resident_weights)
     return bundle, plans[0]
 
@@ -1103,9 +1081,9 @@ def spot_check(
     identical in both tiers by construction -- would only dilute the
     ratio.
     """
+    from repro.compiler.pipeline import compile_model
     from repro.serve import Deployment
     from repro.sim.fastmodel import analyze_pipeline, stream_batched
-    from repro.workflow import compile_model
 
     if n <= 0:
         return []
@@ -1128,8 +1106,7 @@ def spot_check(
         )
         fast, _, _ = analyze_pipeline(
             [chip.plan for chip in compiled.chips],
-            [(t.src_chip, t.dst_chip, t.nbytes) for t in compiled.transfers],
-            arch,
+            compiled.transfer_edges(), arch,
         )
         fast_cycles = stream_batched(fast, pt.batch).cycles
         outcome = Deployment(compiled, engine=engine).submit(

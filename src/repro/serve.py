@@ -46,7 +46,15 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compiler import CompiledModel, MultiChipModel
+from repro.compiler.pipeline import (
+    ArchLike,
+    CompiledModel,
+    MultiChipModel,
+    compile_model,
+    plan_chips,
+    resolve_arch,
+    resolve_graph,
+)
 from repro.config import ArchConfig
 from repro.errors import ConfigError, FaultError
 from repro.faults import (
@@ -56,29 +64,25 @@ from repro.faults import (
     engine_needed,
 )
 from repro.graph.graph import ComputationGraph
-from repro.graph.quantize import as_int8
-from repro.sim.functional import golden_batch, golden_outputs
+from repro.sim.functional import (
+    check_outputs,
+    golden_batch,
+    golden_outputs,
+    resolve_inputs,
+)
 from repro.sim.multichip import (
     Dispatcher,
     MultiChipReport,
     MultiChipSimulator,
     PipelineState,
-    TransferEdge,
     assemble_stream_report,
     check_fleet,
     merge_shard_energy,
-    sharding_edges,
     steady_state_interval,
     streaming_schedule,
     sum_energy,
 )
-from repro.workflow import (
-    ArchLike,
-    WorkflowResult,
-    _resolve_batch_inputs,
-    _validate_outputs,
-    compile_model,
-)
+from repro.sim.report import SimulationReport
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +558,27 @@ def _shard_utilization(
 
 ModelLike = Union[str, ComputationGraph, CompiledModel, MultiChipModel]
 
+
+@dataclass
+class WorkflowResult:
+    """Everything one :meth:`Deployment.run` produces.
+
+    ``compiled`` / ``report`` are the single-chip types for a one-chip
+    deployment and :class:`MultiChipModel` / :class:`MultiChipReport`
+    for a sharded one; both expose the same latency/energy surface.
+    """
+
+    compiled: Union[CompiledModel, MultiChipModel]
+    report: Union[SimulationReport, MultiChipReport]
+    outputs: Dict[str, np.ndarray]
+    golden: Optional[Dict[str, np.ndarray]] = None
+    validated: bool = False
+
+    @property
+    def graph(self) -> ComputationGraph:
+        return self.compiled.graph
+
+
 #: ``(cycles, energy, macs, instructions)`` of a submission that paid no
 #: resident weight-load phase (see ``Deployment._resident_load_profile``).
 _NO_LOAD = (0, {}, 0, 0)
@@ -612,8 +637,6 @@ class Deployment:
         self.tier = tier
         self.engine = engine
         self.compiled: Union[CompiledModel, MultiChipModel, None] = None
-        self._plans = None
-        self._sharding = None
         self._fast = None  #: fast tier: cached analyze_pipeline result
         self._profile = None  #: cached (service row, transfer edges)
 
@@ -632,26 +655,11 @@ class Deployment:
         elif tier == "fast":
             # Plan-only compilation: the fast tier never executes
             # instructions, so OP-level code generation is skipped.
-            from repro.compiler.partition import shard_graph
-            from repro.compiler.pipeline import plan_graph
-            from repro.workflow import _resolve_arch, _resolve_graph
-
-            graph = _resolve_graph(model, **model_kwargs)
-            resolved = _resolve_arch(arch)
-            if chips < 1:
-                raise ConfigError(f"chip count must be >= 1, got {chips}")
-            if chips > 1:
-                self._sharding = shard_graph(graph, chips)
-                self._plans = [
-                    plan_graph(shard.graph, resolved, strategy, closure_limit)
-                    for shard in self._sharding.shards
-                ]
-            else:
-                self._plans = [
-                    plan_graph(graph, resolved, strategy, closure_limit)
-                ]
-            self._graph = graph
-            self._arch = resolved
+            self._graph = resolve_graph(model, **model_kwargs)
+            self._arch = resolve_arch(arch)
+            self._plans, self._edges, _ = plan_chips(
+                self._graph, self._arch, chips, strategy, closure_limit
+            )
         else:
             self.compiled = compile_model(
                 model, arch, strategy, chips=chips,
@@ -662,6 +670,7 @@ class Deployment:
             self._graph = self.compiled.graph
             self._arch = self.compiled.arch
             self._plans = [c.plan for c in self.compiled.chips]
+            self._edges = self.compiled.transfer_edges()
 
         self.resident_weights = bool(resident_weights)
         #: Accounting flag: has this serving session already paid the
@@ -704,9 +713,7 @@ class Deployment:
         from repro.artifact import load_artifact
 
         if arch is not None:
-            from repro.workflow import _resolve_arch
-
-            arch = _resolve_arch(arch)
+            arch = resolve_arch(arch)
         return cls(
             load_artifact(path, arch=arch), tier=tier, engine=engine,
             resident_weights=resident_weights,
@@ -741,16 +748,6 @@ class Deployment:
         lines.append(f"  fast-tier deployment, {self.num_chips} chip(s)")
         return "\n".join(lines)
 
-    def _transfer_edges(self) -> List[TransferEdge]:
-        if self.compiled is not None:
-            return [
-                (t.src_chip, t.dst_chip, t.nbytes)
-                for t in self.compiled.transfers
-            ]
-        if self._sharding is not None:
-            return sharding_edges(self._sharding)
-        return []
-
     def _service_profile(self):
         """(per-shard cycle row, transfer edges) of one input.
 
@@ -761,7 +758,7 @@ class Deployment:
         lifetime (the compile product is immutable).
         """
         if self._profile is None:
-            edges = self._transfer_edges()
+            edges = self._edges
             if self.tier == "fast":
                 row = list(self._fast_price()[0].shard_cycles)
             else:
@@ -842,13 +839,14 @@ class Deployment:
         reports as itself (its :class:`SimulationReport`).
         """
         self._require_cyclesim("run()")
-        from repro.sim.functional import random_input
-
         graph = self.graph
-        if input_data is None:
-            input_data = random_input(graph, seed=seed)
-        else:
-            input_data = as_int8(input_data, "input 0", ConfigError)
+        inputs = resolve_inputs(graph, input_data, 1, seed)
+        if len(inputs) != 1:
+            raise ConfigError(
+                f"run() executes one input, got {len(inputs)}; submit() "
+                f"streams a batch"
+            )
+        input_data = inputs[0]
         input_tensor = graph.input_operators[0].output
 
         sim = MultiChipSimulator(self.compiled, engine=self.engine)
@@ -862,7 +860,7 @@ class Deployment:
         validated = False
         if validate:
             golden = golden_outputs(graph, {input_tensor: input_data})
-            _validate_outputs(graph, outputs, golden, self._label())
+            check_outputs(graph, outputs, golden, self._label())
             validated = True
         return WorkflowResult(
             compiled=self.compiled,
@@ -906,7 +904,7 @@ class Deployment:
             check_batch(batch, min_batch)
         resolved = None
         if batch and (self.tier == "cyclesim" or inputs is not None):
-            resolved = _resolve_batch_inputs(self.graph, inputs, batch, seed)
+            resolved = resolve_inputs(self.graph, inputs, batch, seed)
             batch = len(resolved)
             if self.tier == "fast":
                 resolved = None
@@ -1008,7 +1006,7 @@ class Deployment:
         if load[0]:
             releases = [max(r, load[0]) for r in releases]
         return load, streaming_schedule(
-            rows, self._transfer_edges(), self.arch.interchip, releases
+            rows, self._edges, self.arch.interchip, releases
         )
 
     def _serve_report(
@@ -1028,7 +1026,7 @@ class Deployment:
             input_finishes=finishes,
             makespan_cycles=makespan,
             steady_interval_cycles=steady_state_interval(
-                rows[0], self._transfer_edges(), self.arch.interchip
+                rows[0], self._edges, self.arch.interchip
             ),
             shard_cycles=list(rows[0]),
             shard_utilization=_shard_utilization(rows, makespan),
@@ -1087,7 +1085,7 @@ class Deployment:
         golden = None
         for index, (expected, produced) in enumerate(zip(goldens, outputs)):
             name = index if names is None else names[index]
-            _validate_outputs(
+            check_outputs(
                 graph, produced, expected, f"{label}, input {name}"
             )
             if golden is None:
@@ -1106,7 +1104,7 @@ class Deployment:
         load, schedule = self._admit_stream(rows, releases)
         starts, _, input_finishes, makespan = schedule
         stream_report = assemble_stream_report(
-            self.arch, per_input_reports, self._transfer_edges(), schedule,
+            self.arch, per_input_reports, self._edges, schedule,
             self.compiled.interchip_bytes(),
         )
         golden = None
@@ -1178,7 +1176,7 @@ class Deployment:
             from repro.sim.fastmodel import analyze_pipeline
 
             self._fast = analyze_pipeline(
-                self._plans, self._transfer_edges(), self.arch,
+                self._plans, self._edges, self.arch,
                 resident=self.resident_weights,
             )
         return self._fast

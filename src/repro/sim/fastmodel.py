@@ -40,24 +40,17 @@ from repro.sim.report import FastReport
 def resident_plan_replicas(plan: ExecutionPlan) -> Dict[str, frozenset]:
     """Per-node replica indices whose weight loads a resident session hoists.
 
-    The fast-tier mirror of the compiler's per-core separability rule
-    (:meth:`repro.compiler.codegen.lowering.ProgramGenerator.resident_cores`):
-    a replica's loads are hoistable when every core it occupies is
-    assigned work in exactly one stage (multi-stage cores reuse their
-    macro groups and staging buffers across stages, so their loads stay
-    inline) and the node is not weight-streaming (multipass nodes
-    re-stream tiles inside the compute body on every input; only their
-    tiny bias copy is hoisted, which the row-granular model does not
-    price separately).  Replica granularity matters: a node spanning
-    both single- and multi-stage cores gets exactly its single-stage
-    replicas' loads hoisted, matching the per-core program split.
+    A replica's loads are hoistable when every core it occupies is one
+    of the plan's :meth:`~repro.compiler.plan.ExecutionPlan.resident_cores`
+    -- the rule code generation splits programs by -- and the node is
+    not weight-streaming (multipass nodes re-stream tiles inside the
+    compute body on every input; only their tiny bias copy is hoisted,
+    which the row-granular model does not price separately).  Replica
+    granularity matters: a node spanning both single- and multi-stage
+    cores gets exactly its single-stage replicas' loads hoisted,
+    matching the per-core program split.
     """
-    stage_sets: Dict[int, set] = {}
-    for stage in plan.stages:
-        for node in stage.nodes:
-            for replica in stage.mappings[node.name].replicas:
-                for core in replica.cores:
-                    stage_sets.setdefault(core, set()).add(stage.index)
+    cores = plan.resident_cores()
     resident: Dict[str, frozenset] = {}
     for stage in plan.stages:
         for node in stage.nodes:
@@ -69,7 +62,7 @@ def resident_plan_replicas(plan: ExecutionPlan) -> Dict[str, frozenset]:
                 for index, replica in enumerate(
                     stage.mappings[node.name].replicas
                 )
-                if all(len(stage_sets[core]) == 1 for core in replica.cores)
+                if cores.issuperset(replica.cores)
             )
             if hoistable:
                 resident[node.name] = hoistable
@@ -442,11 +435,9 @@ def analyze_sharded(sharding, plans, arch=None, batch: int = 1) -> FastReport:
     energy/MACs), so the batch axis never re-runs the per-shard
     analysis.
     """
-    from repro.sim.multichip import sharding_edges
-
     arch = arch or plans[0].arch
     reports = [analyze_plan(plan) for plan in plans]
-    base = _compose_shards(sharding_edges(sharding), reports, arch)
+    base = _compose_shards(sharding.transfer_edges(), reports, arch)
     return stream_batched(base, batch) if batch > 1 else base
 
 

@@ -253,6 +253,23 @@ def golden_batch(
             }
 
 
+def check_outputs(
+    graph: ComputationGraph,
+    outputs: Dict[str, np.ndarray],
+    golden: Dict[str, np.ndarray],
+    label: str,
+) -> None:
+    """Bit-exact golden-model check (the execution-result check of Fig. 2)."""
+    for name, expected in golden.items():
+        got = outputs[name].reshape(expected.shape)
+        if not np.array_equal(got, expected):
+            bad = int(np.count_nonzero(got != expected))
+            raise ValidationError(
+                f"{graph.name} [{label}]: output {name!r} differs from "
+                f"golden model in {bad}/{expected.size} elements"
+            )
+
+
 def random_input(
     graph: ComputationGraph, seed: int = 0, tensor: Optional[str] = None
 ) -> np.ndarray:
@@ -267,3 +284,55 @@ def random_input(
     rng = np.random.default_rng(seed)
     shape = graph.tensor(tensor).shape
     return rng.integers(-100, 101, size=shape, dtype=np.int8)
+
+
+def resolve_inputs(
+    graph: ComputationGraph, input_data, batch: int, seed: int
+) -> List[np.ndarray]:
+    """Normalise ``input_data`` / ``batch`` into a list of input tensors.
+
+    ``None`` draws ``batch`` reproducible random inputs seeded ``seed``,
+    ``seed + 1``, ... (so input ``i`` of a batched run is bit-identical
+    to an independent run with ``seed=seed+i``); anything shaped like
+    one model input (array or nested list) is a batch of one; a
+    sequence of input-shaped arrays -- a list or a stacked ``(B, *input
+    shape)`` array -- must match ``batch`` (or sets it when ``batch``
+    was left at 1).  Every resolved input is shape-checked against the
+    model's input tensor and must hold int8-representable integers
+    (:func:`repro.graph.quantize.as_int8`; nothing is silently wrapped).
+    """
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
+    if input_data is None:
+        return [random_input(graph, seed=seed + i) for i in range(batch)]
+    expected = tuple(graph.tensor(graph.input_operators[0].output).shape)
+
+    if isinstance(input_data, np.ndarray):
+        whole = input_data
+    else:
+        try:
+            whole = np.asarray(input_data)
+        except ValueError:  # ragged sequence: definitely not one input
+            whole = None
+    if whole is not None and whole.shape == expected:
+        inputs = [whole]  # exactly one model input
+    elif isinstance(input_data, np.ndarray):
+        # a stacked batch of inputs, or a wrong shape reported below
+        stacked = whole.ndim and whole.shape[1:] == expected
+        inputs = list(whole) if stacked else [input_data]
+    else:  # item by item: each keeps its own dtype for the int8 check
+        inputs = [np.asarray(item) for item in input_data]
+    if batch == 1 and len(inputs) > 1:
+        batch = len(inputs)
+    if len(inputs) != batch:
+        raise ConfigError(
+            f"batch={batch} but {len(inputs)} input arrays were given"
+        )
+    for index, data in enumerate(inputs):
+        if tuple(data.shape) != expected:
+            raise ConfigError(
+                f"input {index} has shape {tuple(data.shape)}; the model "
+                f"input is {expected}"
+            )
+        inputs[index] = as_int8(data, f"input {index}", ConfigError)
+    return inputs

@@ -63,25 +63,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ArchConfig, InterChipConfig
 from repro.errors import ConfigError, SimulationError
-from repro.sim.report import SimulationReport, group_energy_mj
+from repro.sim.report import CycleReportMetrics, SimulationReport
 
 if TYPE_CHECKING:
     from repro.sim.chip import ChipSimulator
 
 #: (src_chip, dst_chip, nbytes) -- the schedule-level view of a transfer.
 TransferEdge = Tuple[int, int, int]
-
-
-def sharding_edges(sharding) -> List[TransferEdge]:
-    """The per-input transfer edges of a
-    :class:`~repro.compiler.partition.ShardingPlan`, in schedule order:
-    one edge per boundary tensor a shard receives."""
-    return sorted(
-        (shard.incoming[tensor], shard.index,
-         sharding.graph.tensor(tensor).size_bytes)
-        for shard in sharding.shards
-        for tensor in shard.incoming
-    )
 
 
 #: Dispatch policies :func:`route` understands.
@@ -532,10 +520,11 @@ def _mean_utilization(
 
 
 @dataclass
-class MultiChipReport:
+class MultiChipReport(CycleReportMetrics):
     """Aggregate performance report of one multi-chip pipeline run.
 
-    Mirrors :class:`~repro.sim.report.SimulationReport` (``cycles`` is
+    Shares :class:`~repro.sim.report.SimulationReport`'s derived metrics
+    (:class:`~repro.sim.report.CycleReportMetrics`; ``cycles`` is
     the pipeline makespan, energies are summed across chips plus the
     ``interchip`` link energy) and keeps the per-chip reports and the
     pipeline schedule for inspection.
@@ -571,25 +560,6 @@ class MultiChipReport:
         return len(self.chip_reports)
 
     @property
-    def time_ms(self) -> float:
-        return self.cycles * self.arch.chip.cycle_ns / 1e6
-
-    @property
-    def total_energy_pj(self) -> float:
-        return sum(self.energy_breakdown_pj.values())
-
-    @property
-    def total_energy_mj(self) -> float:
-        return self.total_energy_pj / 1e9
-
-    @property
-    def tops(self) -> float:
-        seconds = self.cycles * self.arch.chip.cycle_ns / 1e9
-        if seconds <= 0:
-            return 0.0
-        return 2.0 * self.macs / seconds / 1e12
-
-    @property
     def throughput_inf_per_s(self) -> float:
         """Sustained inferences/second at the steady-state interval."""
         interval = self.steady_interval_cycles or self.cycles
@@ -601,10 +571,6 @@ class MultiChipReport:
     @property
     def energy_per_inference_mj(self) -> float:
         return self.total_energy_mj / max(1, self.batch)
-
-    def grouped_energy_mj(self) -> Dict[str, float]:
-        """Fig. 6 grouping with the inter-chip link as its own bucket."""
-        return group_energy_mj(self.energy_breakdown_pj)
 
     def to_dict(self) -> Dict:
         from repro.config import arch_fingerprint
@@ -728,15 +694,10 @@ class MultiChipSimulator:
                 )
         return reports
 
-    def _transfer_edges(self) -> List[TransferEdge]:
-        return [
-            (t.src_chip, t.dst_chip, t.nbytes) for t in self.model.transfers
-        ]
-
     def run(self) -> MultiChipReport:
         """Execute one input through the pipeline and aggregate reports."""
         reports = self._execute_pipeline()
-        edges = self._transfer_edges()
+        edges = self.model.transfer_edges()
         schedule = streaming_schedule(
             [[r.cycles for r in reports]], edges, self.arch.interchip
         )

@@ -37,20 +37,22 @@ def group_energy_mj(energy_breakdown_pj: Dict[str, float]) -> Dict[str, float]:
     }
 
 
-@dataclass
-class SimulationReport:
-    """Performance metrics of one simulated workload execution."""
+class CycleReportMetrics:
+    """The derived metrics of a cycle-tier report, written once.
+
+    :class:`SimulationReport` (one chip) and
+    :class:`~repro.sim.multichip.MultiChipReport` (a chip pipeline) both
+    price time from ``arch.chip.cycle_ns`` over their ``cycles``,
+    ``energy_breakdown_pj`` and ``macs`` fields.  (:class:`FastReport`
+    prices from ``clock_mhz``, which rounds differently, and keeps its
+    own.)
+    """
 
     arch: ArchConfig
     cycles: int
     energy_breakdown_pj: Dict[str, float]
     macs: int
-    instructions: int
-    utilization: Dict[str, float] = field(default_factory=dict)
-    noc_bytes: int = 0
-    noc_byte_hops: int = 0
 
-    # -- derived metrics ----------------------------------------------------
     @property
     def time_ms(self) -> float:
         return self.cycles * self.arch.chip.cycle_ns / 1e6
@@ -71,14 +73,29 @@ class SimulationReport:
             return 0.0
         return 2.0 * self.macs / seconds / 1e12
 
+    def grouped_energy_mj(self) -> Dict[str, float]:
+        """Energy grouped as in the paper's Fig. 6: local memory / compute
+        units / NoC, plus global memory, the inter-chip link and other
+        (instruction, static)."""
+        return group_energy_mj(self.energy_breakdown_pj)
+
+
+@dataclass
+class SimulationReport(CycleReportMetrics):
+    """Performance metrics of one simulated workload execution."""
+
+    arch: ArchConfig
+    cycles: int
+    energy_breakdown_pj: Dict[str, float]
+    macs: int
+    instructions: int
+    utilization: Dict[str, float] = field(default_factory=dict)
+    noc_bytes: int = 0
+    noc_byte_hops: int = 0
+
     @property
     def energy_mj(self) -> Dict[str, float]:
         return {k: v / 1e9 for k, v in self.energy_breakdown_pj.items()}
-
-    def grouped_energy_mj(self) -> Dict[str, float]:
-        """Energy grouped as in the paper's Fig. 6: local memory / compute
-        units / NoC (global memory, instruction and static reported too)."""
-        return group_energy_mj(self.energy_breakdown_pj)
 
     def to_dict(self) -> Dict:
         """JSON-safe form (used by ``python -m repro run --json``).

@@ -689,7 +689,7 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
         for k, cycles in enumerate(row)
     ]
     dep._plans = dep._plans * len(row)
-    dep._transfer_edges = lambda: list(edges)
+    dep._edges = list(edges)
     report = _compose_shards(list(edges), shards, arch)
     dep._fast = (report, load, {"weights": 3.0}) if resident else (
         report, 0, {}

@@ -25,7 +25,7 @@ from repro.artifact import (
 from repro.config import arch_fingerprint, default_arch, small_test_arch
 from repro.errors import ArtifactError
 from repro.serve import Deployment
-from repro.workflow import compile_model
+from repro import compile_model
 
 GOLDEN = Path(__file__).parent / "data" / "tiny_mlp_small_v1.artifact"
 

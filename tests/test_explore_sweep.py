@@ -829,16 +829,16 @@ class TestArrivalRateAxis:
         )
 
     def test_rate_points_share_one_base_analysis(self, monkeypatch):
-        import repro.explore as explore
+        import repro.compiler.pipeline as pipeline
 
         calls = []
-        real_plan_graph = explore.plan_graph
+        real_plan_graph = pipeline.plan_graph
 
         def counting_plan_graph(*args, **kwargs):
             calls.append(1)
             return real_plan_graph(*args, **kwargs)
 
-        monkeypatch.setattr(explore, "plan_graph", counting_plan_graph)
+        monkeypatch.setattr(pipeline, "plan_graph", counting_plan_graph)
         spec = tiny_spec(
             models=("tiny_cnn",), strategies=("dp",), mg_sizes=None,
             flit_sizes=None, batch_sizes=(1, 8),
@@ -1024,16 +1024,16 @@ class TestReplicasAxis:
         )
 
     def test_replica_points_share_one_base_analysis(self, monkeypatch):
-        import repro.explore as explore
+        import repro.compiler.pipeline as pipeline
 
         calls = []
-        real_plan_graph = explore.plan_graph
+        real_plan_graph = pipeline.plan_graph
 
         def counting_plan_graph(*args, **kwargs):
             calls.append(1)
             return real_plan_graph(*args, **kwargs)
 
-        monkeypatch.setattr(explore, "plan_graph", counting_plan_graph)
+        monkeypatch.setattr(pipeline, "plan_graph", counting_plan_graph)
         spec = tiny_spec(
             models=("tiny_cnn",), strategies=("dp",), mg_sizes=None,
             flit_sizes=None, batch_sizes=(8,),
@@ -1132,16 +1132,16 @@ class TestFaultPlanAxis:
             assert point.report == direct.report
 
     def test_fault_points_share_one_base_analysis(self, monkeypatch):
-        import repro.explore as explore
+        import repro.compiler.pipeline as pipeline
 
         calls = []
-        real_plan_graph = explore.plan_graph
+        real_plan_graph = pipeline.plan_graph
 
         def counting_plan_graph(*args, **kwargs):
             calls.append(1)
             return real_plan_graph(*args, **kwargs)
 
-        monkeypatch.setattr(explore, "plan_graph", counting_plan_graph)
+        monkeypatch.setattr(pipeline, "plan_graph", counting_plan_graph)
         spec = tiny_spec(
             models=("tiny_cnn",), strategies=("dp",), mg_sizes=None,
             flit_sizes=None, batch_sizes=(6,), replica_counts=(1, 3),

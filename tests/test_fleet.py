@@ -175,7 +175,7 @@ class TestTailLatency:
 
 class TestArtifactFleet:
     def test_fleet_from_artifact(self, march, tmp_path):
-        from repro.workflow import compile_model
+        from repro import compile_model
 
         compiled = compile_model("tiny_mlp", march, "dp", **MODEL_KW)
         path = tmp_path / "m.artifact"
@@ -187,7 +187,7 @@ class TestArtifactFleet:
         assert report.replicas == 2
 
     def test_artifact_rejects_compile_keywords(self, march, tmp_path):
-        from repro.workflow import compile_model
+        from repro import compile_model
 
         compiled = compile_model("tiny_mlp", march, "dp", **MODEL_KW)
         path = tmp_path / "m.artifact"

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.compiler.partition import ShardingSpec
 from repro.config import InterChipConfig, small_test_arch
-from repro.errors import CompileError, ConfigError
+from repro.errors import CapacityError, CompileError, ConfigError
 from repro.explore_cache import point_key
 from repro.graph.builder import GraphBuilder
 from repro.graph.models import get_model
@@ -187,6 +187,48 @@ class TestTransferContract:
         graph = over_capacity_model()
         with pytest.raises(CompileError, match=r"chip \d"):
             compile_sharded(graph, arch, 2)
+
+
+class TestOneErrorWhateverTheTier:
+    """Every tier plans through one builder, so a model that cannot be
+    planned fails the same way in each (the fast tier used to raise
+    ``ConfigError`` for ``chips=0``, and the cycle tier a plain
+    ``CompileError`` for an unmappable shard)."""
+
+    @staticmethod
+    def _error(build):
+        with pytest.raises(CompileError) as info:
+            build()
+        return type(info.value), str(info.value)
+
+    def test_nonpositive_chip_count(self):
+        kw = dict(chips=0, input_size=8, num_classes=10)
+        errors = {
+            self._error(lambda: Deployment(
+                "tiny_cnn", small_test_arch(), tier="fast", **kw)),
+            self._error(lambda: Deployment(
+                "tiny_cnn", small_test_arch(), tier="cyclesim", **kw)),
+            self._error(lambda: compile_model(
+                "tiny_cnn", small_test_arch(), **kw)),
+        }
+        assert errors == {(CompileError, "chip count must be >= 1, got 0")}
+
+    def test_unmappable_shard_names_its_chip_and_keeps_its_type(self):
+        kw = dict(chips=2, input_size=32, num_classes=10)
+        errors = {
+            self._error(lambda: Deployment(
+                "resnet18", small_test_arch(), tier="fast", **kw)),
+            self._error(lambda: Deployment(
+                "resnet18", small_test_arch(), tier="cyclesim", **kw)),
+            self._error(lambda: evaluate_fast(
+                "resnet18", small_test_arch(), **kw)),
+        }
+        assert len(errors) == 1
+        [(kind, message)] = errors
+        assert kind is CapacityError
+        assert message.startswith(
+            "chip 0 (condensed nodes 0..18): stem_conv: "
+        )
 
 
 class TestPipelineSchedule:

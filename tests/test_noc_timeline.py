@@ -28,7 +28,7 @@ import pytest
 
 from repro.config import small_test_arch
 from repro.sim.chip import ChipSimulator
-from repro.workflow import compile_model
+from repro import compile_model
 
 GOLDEN = Path(__file__).parent / "data" / "noc_timeline_weight_stream_v1.json"
 

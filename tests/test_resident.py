@@ -170,7 +170,7 @@ class TestArtifactRejection:
     def test_artifact_cannot_open_resident_session(self, march, tier,
                                                    tmp_path):
         from repro.artifact import save_artifact
-        from repro.workflow import compile_model
+        from repro import compile_model
 
         compiled = compile_model(
             "tiny_mlp", arch=march, strategy="generic", **MODEL_KW
@@ -340,7 +340,6 @@ class TestFastTierEligibilityMirror:
         # only the single-stage core's load, so the fast tier must hoist
         # exactly the matching replicas -- not all-or-nothing per node.
         from repro import compile_model
-        from repro.compiler.codegen.lowering import ProgramGenerator
         from repro.sim.fastmodel import (
             analyze_pipeline,
             resident_plan_replicas,
@@ -360,7 +359,7 @@ class TestFastTierEligibilityMirror:
                 if 0 < hoisted < total:
                     partial = True
         assert partial, "expected a partially-hoistable node in tiny_cnn"
-        assert ProgramGenerator(plan).resident_cores()
+        assert plan.resident_cores()
         _, load_cycles, load_energy = analyze_pipeline(
             [plan], [], march, resident=True
         )

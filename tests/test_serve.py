@@ -412,7 +412,7 @@ class TestLatencyUnderLoad:
         deployment = _deploy(arch, chips=2, tier=tier)
         report = deployment.submit(batch=4)
         assert report.steady_interval_cycles == steady_state_interval(
-            report.shard_cycles, deployment._transfer_edges(), arch.interchip
+            report.shard_cycles, deployment._edges, arch.interchip
         )
         # At saturation (back-to-back), completions pace at the interval.
         diffs = [
@@ -522,6 +522,24 @@ class TestInputsMustBeInt8Representable:
             deployment.submit([good, make(shape), good])
         with pytest.raises(ConfigError, match="input 0 has.*" + match):
             deployment.submit(make((2,) + shape))
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(np.ones((8, 8, 16), np.int8), id="twice-the-slot"),
+        pytest.param(np.ones((2, 2, 3), np.int8), id="too-small"),
+        pytest.param([[1, 2], [3]], id="ragged-list"),
+    ])
+    def test_run_rejects_a_wrong_shape(self, arch, data):
+        """``run()`` resolves its input like ``submit()``: a (8, 8, 16)
+        input used to write 1024 B into tiny_cnn's 512 B input slot and
+        return a report, and a ragged list raised a bare ValueError."""
+        deployment = Deployment("tiny_cnn", arch, input_size=8, num_classes=10)
+        with pytest.raises(ConfigError, match=r"input 0 has shape"):
+            deployment.run(data, validate=False)
+
+    def test_run_takes_one_input(self, arch):
+        deployment, shape = self._deployment(arch)
+        with pytest.raises(ConfigError, match="one input, got 2"):
+            deployment.run([np.zeros(shape, np.int8)] * 2)
 
     def test_in_range_wide_integers_are_accepted(self, arch):
         deployment, shape = self._deployment(arch)

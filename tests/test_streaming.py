@@ -455,16 +455,16 @@ class TestBatchSweepAxis:
         """The batch axis is a closed-form rescaling: sweeping
         batch_sizes=(1, 2, 4) must plan each base point once, and the
         derived reports must be bit-identical to direct evaluation."""
-        import repro.explore as explore
+        import repro.compiler.pipeline as pipeline
 
         calls = []
-        real_plan_graph = explore.plan_graph
+        real_plan_graph = pipeline.plan_graph
 
         def counting_plan_graph(*args, **kwargs):
             calls.append(1)
             return real_plan_graph(*args, **kwargs)
 
-        monkeypatch.setattr(explore, "plan_graph", counting_plan_graph)
+        monkeypatch.setattr(pipeline, "plan_graph", counting_plan_graph)
         spec = SweepSpec(
             models=("tiny_cnn",), strategies=("dp",), input_sizes=(8,),
             num_classes=10, base_arch=arch, batch_sizes=(1, 2, 4),
