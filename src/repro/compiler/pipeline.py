@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.config import ArchConfig, default_arch
+from repro.config.arch import GLOBAL_BASE
 from repro.errors import CompileError
 from repro.compiler.cost import CostModel
 from repro.compiler.frontend import condense
@@ -124,6 +125,23 @@ class CompiledModel:
             tensor = self.graph.outputs[0]
         resolved = self.plan.cgraph.resolve(tensor)
         return self.plan.tensor_address[resolved]
+
+    def activation_bytes(self) -> int:
+        """End of the global activation window, 64-byte aligned.
+
+        ``layout_global_memory`` places every input and spilled tensor
+        (the ``tensor_address`` table) before every weight tile and bias,
+        so a run writes global memory only below this offset and the
+        image's bytes above it are read-only parameters.
+        """
+        end = max(
+            (
+                address - GLOBAL_BASE + self.graph.tensor(name).size_bytes
+                for name, address in self.plan.tensor_address.items()
+            ),
+            default=0,
+        )
+        return (end + 63) & ~63
 
     def total_instructions(self) -> int:
         return sum(len(p) for p in self.programs.values())

@@ -154,6 +154,10 @@ class ISARegistry:
     def __init__(self, descriptors: Optional[Iterable[InstructionDescriptor]] = None):
         self._by_mnemonic: Dict[str, InstructionDescriptor] = {}
         self._by_opcode: Dict[int, InstructionDescriptor] = {}
+        #: Intern table of decoded instruction tuples, owned by
+        #: :func:`repro.sim.core.translate_program`: every program decoded
+        #: against this registry shares one tuple per distinct instruction.
+        self.decoded: Dict[tuple, tuple] = {}
         for desc in descriptors if descriptors is not None else _BUILTINS:
             self._add(desc)
 

@@ -1882,7 +1882,6 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     ops, plan_writes = plan
     mem = core.chip.memory
     lm = mem.locals[core.core_id]
-    gm = mem.global_mem
     lsz = mem.local_size
     mgs = core.mgs
     out: List[Tuple[int, int, int, np.ndarray]] = []
@@ -2009,9 +2008,12 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         elif tag == "gcpy":
             _, sb, ss, l, db, ds = op
             lo, hi = _span(sb, ss, l, m)
-            if lo < GLOBAL_BASE or hi - GLOBAL_BASE > gm.size:
+            found = mem.segment(lo - GLOBAL_BASE, hi - GLOBAL_BASE)
+            if found is None:
+                # outside global memory, or straddling its two segments
                 raise _Bail()
-            b0 = sb - GLOBAL_BASE
+            gm, start = found
+            b0 = sb - GLOBAL_BASE - start
             if ss == 0:
                 row = gm[b0:b0 + l].copy()
                 data = np.broadcast_to(row, (m, l))

@@ -71,6 +71,7 @@ class ChipSimulator:
         global_image: Optional[np.ndarray] = None,
         extension_handlers: Optional[Dict[str, Callable]] = None,
         engine: Optional[str] = None,
+        activation_bytes: Optional[int] = None,
     ):
         arch.validate()
         self.arch = arch
@@ -84,12 +85,9 @@ class ChipSimulator:
                 f"{_ENGINES}"
             )
         self.engine = engine
-        global_size = len(global_image) if global_image is not None else (
-            arch.chip.global_memory.size_bytes
-        )
-        self.memory = MemorySystem(arch, global_size)
-        if global_image is not None:
-            self.memory.load_global_image(global_image)
+        # ``activation_bytes`` splits the image: the run owns a writable
+        # copy of the bytes below it and borrows the rest read-only.
+        self.memory = MemorySystem(arch, global_image, activation_bytes)
         self.noc = NoC(arch)
         self.acct = EnergyAccountant(arch.energy)
         self.channels: Dict[Tuple[int, int], deque] = {}
@@ -138,12 +136,15 @@ class ChipSimulator:
 
     @classmethod
     def from_compiled(cls, compiled, **kwargs) -> "ChipSimulator":
-        """Build a simulator for a :class:`CompiledModel`."""
+        """Build a simulator for a :class:`CompiledModel`: global memory
+        owns the model's activation window and borrows its parameters
+        from the compiled image."""
         return cls(
             compiled.arch,
             compiled.programs,
             registry=compiled.registry,
             global_image=compiled.global_image,
+            activation_bytes=compiled.activation_bytes(),
             **kwargs,
         )
 

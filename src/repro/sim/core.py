@@ -58,25 +58,30 @@ def translate_program(program: Program, registry: ISARegistry):
 
     Memoised on the program object (``Program._invalidate`` drops the
     memo next to the other derived state), so every core and every
-    repeated simulation of one compiled model decodes it once.
+    repeated simulation of one compiled model decodes it once.  Each
+    instruction tuple is interned in ``registry.decoded``: programs hold
+    one shared tuple per distinct instruction (resnet18@64 dp emits
+    32 115 instructions, 1 177 of them distinct).
     """
     memo = program._translated
     if memo is not None and memo[0] is registry:
         return memo[1]
     if not program.finalized:
         program.finalize()
+    intern = registry.decoded.setdefault
     translated = []
     for instr in program.instructions:
         desc = registry.lookup(instr.mnemonic)
         opcode = int(desc.opcode)
         f = instr.fields
-        translated.append((
+        t = (
             opcode,
             f.get("rs", 0), f.get("rt", 0), f.get("rd", 0), f.get("re", 0),
             f.get("imm", 0), f.get("offset", 0), f.get("funct", 0),
             f.get("flags", 0),
             desc if _DISPATCH[opcode] is _h_extension else None,
-        ))
+        )
+        translated.append(intern(t, t))
     code = tuple(translated)
     program._translated = (registry, code)
     return code

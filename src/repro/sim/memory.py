@@ -4,9 +4,20 @@ Addresses follow the unified address space of the ISA: ``[0, local_size)``
 is the issuing core's local memory; ``[GLOBAL_BASE, ...)`` is the shared
 global memory.  All data is stored as int8 numpy arrays; multi-byte views
 (int32 accumulators) are taken on demand.
+
+Global memory is two segments.  The compiler's bump allocator places every
+model input and spilled activation before every weight tile and bias
+(:func:`repro.compiler.plan.layout_global_memory`), so offsets ``[0, A)``
+are the run's *activation window* -- owned by this memory system and
+writable -- and ``[A, end)`` is the compiled image's *parameter segment*,
+borrowed as a read-only view: every chip simulating one compiled model
+reads the image's bytes in place, never a copy of them.  A write into the
+parameter segment raises :class:`SimulationError` (it would corrupt the
+weights every later input reads).  A chip given no split -- a
+hand-written program's image -- owns all of it: ``A = len(image)``.
 """
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,27 +29,79 @@ from repro.errors import SimulationError
 class MemorySystem:
     """Backing storage for every core's scratchpad and the global memory."""
 
-    def __init__(self, arch: ArchConfig, global_size: int):
+    def __init__(
+        self,
+        arch: ArchConfig,
+        image: Optional[np.ndarray] = None,
+        activation_bytes: Optional[int] = None,
+    ):
         self.arch = arch
         self.local_size = arch.chip.core.local_memory.size_bytes
         self.locals = [
             np.zeros(self.local_size, dtype=np.int8)
             for _ in range(arch.chip.num_cores)
         ]
-        # Allow the image to exceed the configured global capacity: the
-        # surplus models the off-chip backing store behind the same port.
-        self.global_size = global_size
-        self.global_mem = np.zeros(max(1, global_size), dtype=np.int8)
+        if image is None:
+            # No compiled image: an empty window of the configured size.
+            params = np.zeros(0, dtype=np.int8)
+            self.activations = np.zeros(
+                max(1, arch.chip.global_memory.size_bytes), dtype=np.int8
+            )
+        else:
+            # The image may exceed the configured global capacity: the
+            # surplus models the off-chip backing store behind the same
+            # port.
+            data = image.view(np.int8).reshape(-1)
+            split = len(data) if activation_bytes is None else (
+                min(activation_bytes, len(data))
+            )
+            self.activations = data[:split].copy()
+            params = data[split:]
+        #: ``A``: global offsets below it are the owned activation window.
+        self.activation_bytes = len(self.activations)
+        #: The borrowed, read-only parameter segment ``[A, global_size)``.
+        self.parameters = params.view()
+        self.parameters.flags.writeable = False
+        self.global_size = self.activation_bytes + len(self.parameters)
 
-    def _resolve(self, core_id: int, addr: int, nbytes: int) -> Tuple[np.ndarray, int]:
+    def segment(self, offset: int, end: int,
+                write: bool = False) -> Optional[Tuple[np.ndarray, int]]:
+        """``(array, first global offset)`` of the segment holding global
+        ``[offset, end)``, or None when no one segment may serve it: the
+        region leaves global memory, straddles ``A``, or is a write into
+        the parameters."""
+        a = self.activation_bytes
+        if 0 <= offset and end <= a:
+            return self.activations, 0
+        if not write and a <= offset and end <= self.global_size:
+            return self.parameters, a
+        return None
+
+    def _global(self, offset: int, nbytes: int, write: bool,
+                core_id: Optional[int] = None) -> Tuple[np.ndarray, int]:
+        """The backing array and index of global ``[offset, offset +
+        nbytes)``; raises :class:`SimulationError` naming the window."""
+        end = offset + nbytes
+        found = self.segment(offset, end, write)
+        if found is not None:
+            return found[0], offset - found[1]
+        who = "host" if core_id is None else f"core {core_id}: global"
+        a, size = self.activation_bytes, self.global_size
+        if not (0 <= offset and end <= size):
+            problem = f"outside global memory [0, {size})"
+        elif offset < a < end:
+            problem = (
+                f"straddles the activation window [0, {a}) and the "
+                f"read-only parameter segment [{a}, {size})"
+            )
+        else:
+            problem = f"writes the read-only parameter segment [{a}, {size})"
+        raise SimulationError(f"{who} access [{offset}, {end}) {problem}")
+
+    def _resolve(self, core_id: int, addr: int, nbytes: int,
+                 write: bool = False) -> Tuple[np.ndarray, int]:
         if addr >= GLOBAL_BASE:
-            offset = addr - GLOBAL_BASE
-            if offset + nbytes > len(self.global_mem):
-                raise SimulationError(
-                    f"global access [{offset}, {offset + nbytes}) beyond "
-                    f"image of {len(self.global_mem)} bytes"
-                )
-            return self.global_mem, offset
+            return self._global(addr - GLOBAL_BASE, nbytes, write, core_id)
         if addr < 0 or addr + nbytes > self.local_size:
             raise SimulationError(
                 f"core {core_id}: local access [{addr}, {addr + nbytes}) "
@@ -57,7 +120,7 @@ class MemorySystem:
     def write(self, core_id: int, addr: int, data: np.ndarray) -> None:
         """Write int8 bytes."""
         data = np.ascontiguousarray(data, dtype=np.int8).reshape(-1)
-        backing, offset = self._resolve(core_id, addr, len(data))
+        backing, offset = self._resolve(core_id, addr, len(data), True)
         backing[offset:offset + len(data)] = data
 
     def read_i32(self, core_id: int, addr: int, count: int) -> np.ndarray:
@@ -76,24 +139,13 @@ class MemorySystem:
             core_id, addr, np.array([value], dtype=np.int64).astype(np.int32)
         )
 
-    def load_global_image(self, image: np.ndarray) -> None:
-        """Install the compiler's initial global-memory contents."""
-        data = image.view(np.int8)
-        if len(data) > len(self.global_mem):
-            self.global_mem = np.zeros(len(data), dtype=np.int8)
-        self.global_mem[: len(data)] = data
-
     def write_global(self, addr: int, data: np.ndarray) -> None:
-        """Host-side write (e.g. the model input) into global memory."""
-        offset = addr - GLOBAL_BASE
+        """Host-side write (e.g. the model input) into the activation window."""
         data = np.ascontiguousarray(data, dtype=np.int8).reshape(-1)
-        if offset < 0 or offset + len(data) > len(self.global_mem):
-            grown = np.zeros(offset + len(data), dtype=np.int8)
-            grown[: len(self.global_mem)] = self.global_mem
-            self.global_mem = grown
-        self.global_mem[offset:offset + len(data)] = data
+        backing, offset = self._global(addr - GLOBAL_BASE, len(data), True)
+        backing[offset:offset + len(data)] = data
 
     def read_global(self, addr: int, nbytes: int) -> np.ndarray:
         """Host-side read (e.g. fetching outputs after simulation)."""
-        offset = addr - GLOBAL_BASE
-        return self.global_mem[offset:offset + nbytes].copy()
+        backing, offset = self._global(addr - GLOBAL_BASE, nbytes, False)
+        return backing[offset:offset + nbytes].copy()

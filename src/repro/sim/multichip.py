@@ -645,6 +645,7 @@ class MultiChipSimulator:
         self.model = model
         self.arch: ArchConfig = model.arch
         self._new_chip = partial(ChipSimulator.from_compiled, engine=engine)
+        self.chips: List[ChipSimulator] = []
         self.chips = self._fresh_chips()
 
     def _fresh_chips(self) -> List[ChipSimulator]:
@@ -653,7 +654,13 @@ class MultiChipSimulator:
         Streaming runs rebuild the chip set per input: per-input
         isolation is the batching contract (no cross-input state), and it
         is what keeps batched outputs bit-identical to independent runs.
+        The set being replaced is unlinked first: a core and its chip
+        reference each other, so without that the old set's registers
+        and memories would live until the cyclic collector next runs.
         """
+        for chip in self.chips:
+            for core in chip.cores:
+                core.chip = None
         return [self._new_chip(compiled) for compiled in self.model.chips]
 
     def write_input(self, tensor: Optional[str], data) -> None:

@@ -127,7 +127,9 @@ def _assert_equal_state(interp, block):
         ), f"core {cid} local memory diverged"
         assert interp.cores[cid].regs == block.cores[cid].regs
         assert interp.cores[cid].clock == block.cores[cid].clock
-    assert np.array_equal(interp.memory.global_mem, block.memory.global_mem)
+    assert np.array_equal(
+        interp.memory.activations, block.memory.activations
+    )
 
 
 @pytest.mark.usefixtures("tier")
@@ -461,7 +463,8 @@ def _assert_register_owned(sim, mg, weights):
     assert register.nbytes == rows * cols
     assert np.array_equal(register, weights)
     assert not np.shares_memory(register, sim.memory.locals[0])
-    assert not np.shares_memory(register, sim.memory.global_mem)
+    assert not np.shares_memory(register, sim.memory.activations)
+    assert not np.shares_memory(register, sim.memory.parameters)
     assert register.base is None or register.base.nbytes == rows * cols
 
 

@@ -1,22 +1,29 @@
 """The memory law: a weight byte is copied once per place it lives.
 
-graph -> global image -> simulated global memory -> macro-group register,
-one int8 byte each.  These are deterministic counts (``tracemalloc``
-bytes, parameter reads), not RSS readings: the process-level numbers are
-``benchmarks/perf``'s ``peak_rss_mib``.
+graph -> global image -> macro-group register, one int8 byte each:
+three copies.  Simulated global memory borrows the image's parameter
+segment as a read-only view and owns only the activation window
+(``tests/test_laws.py`` holds chip construction to that), and a replaced
+chip set is freed at once.  These are deterministic counts
+(``tracemalloc`` bytes, parameter reads, weakrefs), not RSS readings:
+the process-level numbers are ``benchmarks/perf``'s ``peak_rss_mib``.
 """
 
 import gc
 import tracemalloc
+import weakref
 
 import pytest
 
 from repro import Deployment
 from repro.compiler import compile_graph
 from repro.compiler.codegen import lowering
+from repro.compiler.pipeline import compile_model
+from repro.config import small_test_arch
 from repro.errors import CapacityError
 from repro.graph.models import get_model
 from repro.graph.ops import Operator
+from repro.sim.functional import random_input
 from repro.sim.multichip import MultiChipSimulator
 
 
@@ -42,6 +49,33 @@ def test_run_allocates_one_byte_per_loaded_weight(table1_arch):
     loaded = sum(chip.acct.cim_load_bytes for chip in sim.chips)
     assert loaded >= compiled.graph.total_weight_bytes()
     assert grown <= 1.25 * loaded
+
+
+def test_a_replaced_chip_set_is_freed_at_once(monkeypatch):
+    """A non-resident stream builds fresh chips per input.  With the
+    cyclic collector off, input ``i``'s chips are gone once input
+    ``i + 1`` starts: a replaced set is unlinked, not left to the GC."""
+    compiled = compile_model(
+        "tiny_resnet", small_test_arch(), "dp", chips=2,
+        input_size=8, num_classes=10,
+    )
+    sim = MultiChipSimulator(compiled)
+    replaced = []
+    execute = sim._execute_pipeline
+
+    def spied():
+        assert [ref() for ref in replaced] == [None] * len(replaced)
+        replaced.extend(weakref.ref(chip) for chip in sim.chips)
+        return execute()
+
+    monkeypatch.setattr(sim, "_execute_pipeline", spied)
+    inputs = [random_input(compiled.graph, seed=s) for s in range(3)]
+    gc.disable()
+    try:
+        sim.execute_stream(inputs)
+    finally:
+        gc.enable()
+    assert len(replaced) == 3 * compiled.num_chips
 
 
 def test_compile_reads_values_only_to_build_the_image(

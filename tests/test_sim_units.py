@@ -153,6 +153,58 @@ class TestMemoryOps:
         out = sim.memory.read_global(GLOBAL_BASE + 100, 8).view(np.uint8)
         assert list(out) == [0, 1, 8, 9, 16, 17, 24, 25]
 
+    @pytest.mark.parametrize(
+        "access,match",
+        [
+            pytest.param(
+                lambda m: m.read_global(GLOBAL_BASE - 8, 8),
+                r"host access \[-8, 0\) outside global memory \[0, 1024\)",
+                id="read-below",
+            ),
+            pytest.param(
+                lambda m: m.read_global(GLOBAL_BASE + 1000, 100),
+                r"host access \[1000, 1100\) outside global memory",
+                id="read-past-end",
+            ),
+            pytest.param(
+                lambda m: m.write_global(GLOBAL_BASE - 8, np.zeros(8)),
+                r"host access \[-8, 0\) outside global memory",
+                id="write-below",
+            ),
+            pytest.param(
+                lambda m: m.write_global(GLOBAL_BASE + (1 << 33), np.zeros(8)),
+                r"outside global memory \[0, 1024\)",
+                id="write-far-past-end",
+            ),
+            pytest.param(
+                lambda m: m.write_global(GLOBAL_BASE + 600, np.ones(8)),
+                r"host access \[600, 608\) writes the read-only parameter "
+                r"segment \[512, 1024\)",
+                id="write-parameters",
+            ),
+            pytest.param(
+                lambda m: m.read_global(GLOBAL_BASE + 500, 24),
+                r"straddles the activation window \[0, 512\)",
+                id="read-straddling",
+            ),
+        ],
+    )
+    def test_host_accessors_fail_typed(self, access, match):
+        """Host reads and writes outside their segment raise a
+        :class:`SimulationError` naming the window -- never wrap around,
+        truncate, grow the window or corrupt the parameters."""
+        image = np.arange(1024, dtype=np.int64).astype(np.uint8)
+        sim = ChipSimulator(
+            small_test_arch(), {}, global_image=image, activation_bytes=512
+        )
+        with pytest.raises(SimulationError, match=match):
+            access(sim.memory)
+        assert sim.memory.global_size == 1024
+        assert np.array_equal(
+            sim.memory.read_global(GLOBAL_BASE + 512, 512).view(np.uint8),
+            image[512:],
+        )
+
     def test_cross_core_isolation(self):
         # cores have separate local memories
         b0 = _builder()
@@ -268,7 +320,8 @@ class TestCIMUnit:
         assert register.dtype == np.int8 and register.nbytes == rows * cols
         assert np.array_equal(register, weights)
         assert not np.shares_memory(register, sim.memory.locals[0])
-        assert not np.shares_memory(register, sim.memory.global_mem)
+        assert not np.shares_memory(register, sim.memory.activations)
+        assert not np.shares_memory(register, sim.memory.parameters)
 
     def test_mvm_on_unloaded_mg_fails(self):
         b = _builder()
