@@ -256,10 +256,7 @@ def _write_csv(rows: Sequence[Dict[str, Any]], path: str) -> None:
 
 
 def _write_json(payload: Dict[str, Any], path: str) -> None:
-    # Streamed: the document is never held as one string.
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
