@@ -21,11 +21,14 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   model.
 - :mod:`repro.serve`   -- the serving API and primary entry point: a
   :class:`~repro.serve.Deployment` compiles once and serves many
-  submissions under an explicit :class:`~repro.serve.ArrivalProcess`
+  submissions under an explicit :class:`~repro.arrivals.ArrivalProcess`
   (back-to-back, fixed-rate, Poisson, recorded trace), reporting
   latency percentiles and per-shard utilisation; a
   :class:`~repro.serve.Fleet` feeds one arrival stream to R replicas
   under round-robin or join-shortest-queue dispatch.
+- :mod:`repro.arrivals` -- the arrival processes and nearest-rank latency
+  percentiles, NumPy-free so the sweep's serving continuation can read
+  them without the serving stack; :mod:`repro.serve` re-exports them.
 - :mod:`repro.faults`  -- deterministic fault injection for fleets: a
   seeded :class:`~repro.faults.FaultPlan` of crashes, slowdowns, link
   degradation and transient failures replayed identically by both
@@ -39,7 +42,7 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
   (:class:`~repro.runtime.VirtualClock` deterministic,
   :class:`~repro.runtime.WallClock` production) and resolves a future
   per request; draining replays the recorded trace offline,
-  bit-identical to :class:`~repro.serve.TraceArrivals`.
+  bit-identical to :class:`~repro.arrivals.TraceArrivals`.
 - :mod:`repro.console` -- the ``repro watch`` operator console: the
   runtime's typed event stream folded into shard / replica / latency
   tables and dumped as JSON.
@@ -90,6 +93,10 @@ from repro.utils.lazy import lazy_exports
 #: it is first used (``repro.Deployment``, ``from repro import
 #: run_sweep``); submodules resolve the same way (``repro.serve``).
 _EXPORTS = {
+    "repro.arrivals": (
+        "ArrivalProcess", "BackToBack", "FixedInterval", "FixedRate",
+        "PoissonArrivals", "TraceArrivals",
+    ),
     "repro.artifact": ("inspect_artifact", "load_artifact", "save_artifact"),
     "repro.compiler.partition": ("ShardingSpec", "shard_graph"),
     "repro.compiler.pipeline": (
@@ -111,9 +118,7 @@ _EXPORTS = {
         "VirtualClock", "WallClock", "serve_forever",
     ),
     "repro.serve": (
-        "ArrivalProcess", "BackToBack", "Deployment", "FixedInterval",
-        "FixedRate", "Fleet", "FleetReport", "PoissonArrivals",
-        "ServeReport", "TraceArrivals", "WorkflowResult",
+        "Deployment", "Fleet", "FleetReport", "ServeReport", "WorkflowResult",
     ),
     "repro.sim.fastmodel": (
         "analyze_plan", "analyze_sharded", "serve_arrivals", "serve_fleet",
@@ -128,6 +133,14 @@ _EXPORTS = {
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 if TYPE_CHECKING:  # the table above, spelled out for static tools
+    from repro.arrivals import (
+        ArrivalProcess,
+        BackToBack,
+        FixedInterval,
+        FixedRate,
+        PoissonArrivals,
+        TraceArrivals,
+    )
     from repro.artifact import inspect_artifact, load_artifact, save_artifact
     from repro.compiler.partition import ShardingSpec, shard_graph
     from repro.compiler.pipeline import (
@@ -168,16 +181,10 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
         serve_forever,
     )
     from repro.serve import (
-        ArrivalProcess,
-        BackToBack,
         Deployment,
-        FixedInterval,
-        FixedRate,
         Fleet,
         FleetReport,
-        PoissonArrivals,
         ServeReport,
-        TraceArrivals,
         WorkflowResult,
     )
     from repro.sim.fastmodel import (

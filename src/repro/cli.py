@@ -486,7 +486,7 @@ def _build_server(args, plan):
 
 def _watch_arrivals(args):
     """(arrivals, batch) from watch-style arrival flags."""
-    from repro.serve import (
+    from repro.arrivals import (
         BackToBack,
         FixedInterval,
         FixedRate,

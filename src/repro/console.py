@@ -190,7 +190,7 @@ class ConsoleState:
         ]
 
     def latency_table(self) -> Dict:
-        from repro.serve import latency_percentiles
+        from repro.arrivals import latency_percentiles
 
         recent = list(self._latencies)
         p50, p99 = (

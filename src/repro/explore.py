@@ -110,13 +110,16 @@ ClosureLimit = Union[
 # Sweep coordinates
 # ---------------------------------------------------------------------------
 
+# ``True`` is an ``int`` to Python but never a count or a rate here: it
+# would key as ``true``.
 def _positive(value: Any) -> bool:
-    return isinstance(value, int) and value > 0
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 def _rate_or_none(value: Any) -> bool:
     return value is None or (
-        isinstance(value, (int, float)) and math.isfinite(value) and value > 0
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
     )
 
 
@@ -430,7 +433,7 @@ def _cached_sharding(
 
 def _rate_releases(arch: ArchConfig, rate: float, batch: int) -> List[int]:
     """Fixed-rate release cycles for an ``arrival_rate`` sweep point."""
-    from repro.serve import FixedRate
+    from repro.arrivals import FixedRate
 
     return FixedRate(rate).release_cycles(batch, arch.chip.cycle_ns)
 
@@ -547,6 +550,12 @@ class SweepSpec:
                 object.__setattr__(self, plural, values)
             if not axis.metadata["hardware"]:
                 _check_axis(axis, values)
+        # An integral rate is the float it equals (the CLI's form): one
+        # cache key and one stored report per point.
+        object.__setattr__(self, "arrival_rates", tuple(
+            float(rate) if type(rate) is int else rate
+            for rate in self.arrival_rates
+        ))
         if isinstance(self.closure_limit, Mapping):
             object.__setattr__(
                 self,
@@ -943,69 +952,75 @@ def run_sweep(
         if manifest is not None and key not in previously:
             manifest.mark(key)
 
-    # Pass 1: serve what we can from the cache.
-    pending: List[Tuple[int, PointSpec]] = []
-    keys: Dict[int, str] = {}
-    for index, pspec in enumerate(pspecs):
-        if cache is not None:
-            arch, arch_print = resolved(pspec)
-            key = pspec.key_for(arch_print)
-            keys[index] = key
-            report = cache.lookup(key)
-            if report is not None:
-                stats.cache_hits += 1
-                if key in previously:
-                    stats.resumed_points += 1
-                journal(key)
-                finish(index, _point_from_report(
-                    pspec, arch, report, cached=True
-                ))
-                continue
-            stats.cache_misses += 1
-        pending.append((index, pspec))
+    # A sweep that raises part-way (an interrupted progress callback, a
+    # failing point) closes its journal and leaves it for the resume.
+    try:
+        # Pass 1: serve what we can from the cache.
+        pending: List[Tuple[int, PointSpec]] = []
+        keys: Dict[int, str] = {}
+        for index, pspec in enumerate(pspecs):
+            if cache is not None:
+                arch, arch_print = resolved(pspec)
+                key = pspec.key_for(arch_print)
+                keys[index] = key
+                report = cache.lookup(key)
+                if report is not None:
+                    stats.cache_hits += 1
+                    if key in previously:
+                        stats.resumed_points += 1
+                    journal(key)
+                    finish(index, _point_from_report(
+                        pspec, arch, report, cached=True
+                    ))
+                    continue
+                stats.cache_misses += 1
+            pending.append((index, pspec))
 
-    # Pass 2: evaluate the misses.  The batch, arrival-rate, replicas
-    # and fault-plan axes are closed-form continuations of the base
-    # (batch=1, rate=None, replicas=1, fault-free) analysis, so only
-    # *unique base points* are ever planned; every pending variant is
-    # derived here via _derive_report -- bit-identical to evaluating it
-    # directly, and each base is planned exactly once no matter how a
-    # pool schedules it.
-    groups: Dict[PointSpec, List[int]] = {}
-    for index, pspec in pending:
-        groups.setdefault(_base_spec(pspec), []).append(index)
-    # Adaptive scheduling: expensive points first (stable on first
-    # pending index for determinism); results are re-indexed, so
-    # ordering only affects wall time, never output.
-    ordered = sorted(
-        groups,
-        key=lambda point: (-estimate_point_cost(point), groups[point][0]),
-    )
-    archs_of = [resolved(point)[0] for point in ordered]
-    if stats.workers > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        # Pass 2: evaluate the misses.  The batch, arrival-rate, replicas
+        # and fault-plan axes are closed-form continuations of the base
+        # (batch=1, rate=None, replicas=1, fault-free) analysis, so only
+        # *unique base points* are ever planned; every pending variant is
+        # derived here via _derive_report -- bit-identical to evaluating it
+        # directly, and each base is planned exactly once no matter how a
+        # pool schedules it.
+        groups: Dict[PointSpec, List[int]] = {}
+        for index, pspec in pending:
+            groups.setdefault(_base_spec(pspec), []).append(index)
+        # Adaptive scheduling: expensive points first (stable on first
+        # pending index for determinism); results are re-indexed, so
+        # ordering only affects wall time, never output.
+        ordered = sorted(
+            groups,
+            key=lambda point: (-estimate_point_cost(point), groups[point][0]),
+        )
+        archs_of = [resolved(point)[0] for point in ordered]
+        if stats.workers > 1 and len(pending) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=stats.workers)
-        evaluate = pool.map
-    else:  # a serial sweep is the pool path with a pool of one
-        pool, evaluate = nullcontext(), map
-    with pool:
-        for base_point, bundle in zip(
-                ordered, evaluate(_worker_evaluate, ordered, archs_of)):
-            for index in groups[base_point]:
-                pspec = pspecs[index]
-                arch = resolved(pspec)[0]
-                point = _point_from_report(
-                    pspec, arch, _derive_report(pspec, arch, bundle)
-                )
-                stats.evaluated += 1
-                if cache is not None:
-                    cache.store(
-                        keys[index], point.report,
-                        meta=point.coordinates("describe"),
+            pool = ProcessPoolExecutor(max_workers=stats.workers)
+            evaluate = pool.map
+        else:  # a serial sweep is the pool path with a pool of one
+            pool, evaluate = nullcontext(), map
+        with pool:
+            for base_point, bundle in zip(
+                    ordered, evaluate(_worker_evaluate, ordered, archs_of)):
+                for index in groups[base_point]:
+                    pspec = pspecs[index]
+                    arch = resolved(pspec)[0]
+                    point = _point_from_report(
+                        pspec, arch, _derive_report(pspec, arch, bundle)
                     )
-                    journal(keys[index])
-                finish(index, point)
+                    stats.evaluated += 1
+                    if cache is not None:
+                        cache.store(
+                            keys[index], point.report,
+                            meta=point.coordinates("describe"),
+                        )
+                        journal(keys[index])
+                    finish(index, point)
+    finally:
+        if manifest is not None:
+            manifest.close()
 
     if manifest is not None:
         manifest.complete()

@@ -14,6 +14,19 @@ The cache is safe to share between processes: files are written atomically
 (temp file + ``os.replace``) and a corrupt or version-mismatched entry is
 treated as a miss, never an error.
 
+Write path.  A store encodes its entry with one-shot ``json.dumps`` (the
+C encoder; ``json.dump`` to a file runs the pure-Python one, for the same
+bytes) and writes it in one call.  It creates a shard directory only when
+the write finds it missing, then retries once, so a directory another
+process removed mid-run comes back.  The size cap is kept with a running
+total: the first :meth:`ResultCache.gc` (after ``_GC_STORE_INTERVAL``
+stores) scans the tree, every store then adds its own bytes, and a
+store rescans and prunes again once the total passes the cap, or
+unconditionally after ``_GC_RESCAN_INTERVAL`` stores -- a 600-point
+populate scans the tree once.  Other processes' writes are counted at
+the next rescan, so N concurrent writers overshoot the cap by at most
+N x ``_GC_RESCAN_INTERVAL`` entries.
+
 Layout::
 
     <root>/<first two hex chars>/<full 64-hex key>.json
@@ -30,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.config import ArchConfig, arch_fingerprint
+from repro.errors import ConfigError
 from repro.sim.report import FastReport
 
 logger = logging.getLogger(__name__)
@@ -58,18 +72,35 @@ CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 #: Default size cap in megabytes when the variable is unset.
 DEFAULT_CACHE_MAX_MB = 256
 
-#: How many stores may elapse between garbage-collection scans.
+#: How many stores may elapse between garbage-collection checks.
 _GC_STORE_INTERVAL = 32
+
+#: Stores after which a store rescans the tree whatever its running
+#: total says, so concurrent writers (each counting only its own bytes)
+#: overshoot the cap by at most this many entries each.
+_GC_RESCAN_INTERVAL = 1024
 
 
 def cache_max_bytes() -> int:
-    """Resolve the size cap (0 = unlimited) from the environment."""
+    """Resolve the size cap (0 = unlimited) from the environment.
+
+    Unset or empty means :data:`DEFAULT_CACHE_MAX_MB`; anything but a
+    non-negative integer is a :class:`~repro.errors.ConfigError` naming
+    the variable and its value.
+    """
     raw = os.environ.get(CACHE_MAX_MB_ENV, "")
+    if not raw:
+        return DEFAULT_CACHE_MAX_MB * 1024 * 1024
     try:
-        max_mb = int(raw) if raw else DEFAULT_CACHE_MAX_MB
+        max_mb = int(raw)
     except ValueError:
-        max_mb = DEFAULT_CACHE_MAX_MB
-    return max(0, max_mb) * 1024 * 1024
+        max_mb = -1
+    if max_mb < 0:
+        raise ConfigError(
+            f"{CACHE_MAX_MB_ENV} must be a non-negative integer number of "
+            f"megabytes (0 = unlimited), got {raw!r}"
+        )
+    return max_mb * 1024 * 1024
 
 
 def default_cache_dir() -> Path:
@@ -119,7 +150,10 @@ def point_key(
             "closure_limit": closure_limit,
             "chips": chips,
             "batch": batch,
-            "arrival_rate": arrival_rate,
+            # An integral rate keys as the float it equals.
+            "arrival_rate": (
+                None if arrival_rate is None else float(arrival_rate)
+            ),
             "replicas": replicas,
             "faults": fault_fingerprint,
             "resident": resident,
@@ -128,6 +162,23 @@ def point_key(
         separators=(",", ":"),
     )
     return hashlib.sha256(material.encode()).hexdigest()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` in one call through a temp file in the
+    same directory and ``os.replace``: readers see the old entry or the
+    new one, never a torn write."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class ResultCache:
@@ -148,6 +199,9 @@ class ResultCache:
         self.evictions = 0
         self.corrupt_evictions = 0
         self._stores_since_gc = 0
+        #: Running total of entry bytes: ``None`` until the first
+        #: :meth:`gc` scan, then that scan's total plus every store since.
+        self._size: Optional[int] = None
 
     # -- addressing ---------------------------------------------------------
     def path_for(self, key: str) -> Path:
@@ -204,27 +258,29 @@ class ResultCache:
         human inspection of cache files; it never participates in lookup.
         """
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        # One-shot ``dumps`` runs the C encoder (``dump`` to a file runs
+        # the pure-Python one); the bytes are the same.
+        data = json.dumps({
             "schema": CACHE_SCHEMA_VERSION,
             "meta": meta or {},
             "report": report.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
+        }).encode()
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            _write_atomic(path, data)
+        except FileNotFoundError:
+            # First store into this shard (or it vanished under us):
+            # create it and retry once.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _write_atomic(path, data)
+        if self._size is not None:
+            self._size += len(data)
         self._stores_since_gc += 1
-        if self.max_bytes and self._stores_since_gc >= _GC_STORE_INTERVAL:
+        stores = self._stores_since_gc
+        if self.max_bytes and (
+            stores >= _GC_RESCAN_INTERVAL
+            or stores >= _GC_STORE_INTERVAL
+            and (self._size is None or self._size > self.max_bytes)
+        ):
             self.gc()
         return path
 
@@ -244,10 +300,14 @@ class ResultCache:
     def gc(self) -> int:
         """Prune least-recently-used entries down to ``max_bytes``.
 
-        Runs automatically every few stores (lookups refresh an entry's
-        mtime, so recency tracks actual use).  Safe under concurrent
-        writers: a racing unlink is treated as already-evicted.  Returns
-        the number of entries removed.
+        Scans the tree and resets the running size total to what it
+        keeps (other processes' writes are counted here).  :meth:`store`
+        calls it after a few stores -- the first time unconditionally,
+        afterwards once the running total passes the cap or after
+        ``_GC_RESCAN_INTERVAL`` stores without a scan (lookups
+        refresh an entry's mtime, so recency tracks actual use).  Safe
+        under concurrent writers: a racing unlink is treated as
+        already-evicted.  Returns the number of entries removed.
         """
         self._stores_since_gc = 0
         if not self.max_bytes or not self.root.is_dir():
@@ -261,6 +321,7 @@ class ResultCache:
                 continue
             entries.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
+        self._size = total
         if total <= self.max_bytes:
             return 0
         removed = 0
@@ -274,6 +335,7 @@ class ResultCache:
                 pass
             total -= size
             removed += 1
+        self._size = total
         self.evictions += removed
         return removed
 
@@ -352,9 +414,12 @@ class SweepManifest:
     result cache) and restarts mid-cross-product; a sweep that runs to
     completion removes its journal.
 
-    Appends are one ``write`` call per point, so a crash can at worst
-    leave a torn final line -- :meth:`load` skips unparsable lines, and
-    a lost entry merely re-evaluates one point.
+    The journal is held open as one line-buffered append handle from
+    the first :meth:`mark` until :meth:`complete` or :meth:`close` (a
+    sweep that fails closes it and leaves the journal behind).  Each
+    line is one ``write`` call, so a crash can at worst leave a torn
+    final line -- :meth:`load` skips unparsable lines, and a lost entry
+    merely re-evaluates one point.
     """
 
     def __init__(
@@ -367,6 +432,7 @@ class SweepManifest:
         self.fingerprint = fingerprint
         self.spec_meta = spec_meta
         self.path = self.root / "manifests" / f"{fingerprint}.jsonl"
+        self._fh = None
 
     def load(self) -> frozenset:
         """Completed point keys from a previous (interrupted) run.
@@ -402,20 +468,28 @@ class SweepManifest:
         return frozenset(keys)
 
     def mark(self, key: str) -> None:
-        """Record one completed point key (creates the journal lazily)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
-            header = json.dumps({
-                "schema": MANIFEST_SCHEMA_VERSION,
-                "fingerprint": self.fingerprint,
-                "spec": self.spec_meta or {},
-            })
-            self.path.write_text(header + "\n")
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps({"key": key}) + "\n")
+        """Record one completed point key (opens the journal lazily,
+        writing its header if the file is new)."""
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "a", buffering=1)
+            if self._fh.tell() == 0:
+                self._fh.write(json.dumps({
+                    "schema": MANIFEST_SCHEMA_VERSION,
+                    "fingerprint": self.fingerprint,
+                    "spec": self.spec_meta or {},
+                }) + "\n")
+        self._fh.write(json.dumps({"key": key}) + "\n")
+
+    def close(self) -> None:
+        """Close the append handle; the journal stays for a resume."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def complete(self) -> None:
         """Remove the journal: the sweep finished, nothing to resume."""
+        self.close()
         try:
             self.path.unlink()
         except OSError:

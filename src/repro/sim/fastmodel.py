@@ -361,7 +361,7 @@ def serve_fleet(
     on an empty plan computes the same cycles.
     """
     from repro.faults import engine_needed, run_fault_schedule
-    from repro.serve import latency_percentiles
+    from repro.arrivals import latency_percentiles
     from repro.sim.multichip import Dispatcher, PipelineState
 
     if report.batch != 1:

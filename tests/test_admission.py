@@ -31,6 +31,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.arrivals import latency_percentile
 from repro.config import InterChipConfig, small_test_arch
 from repro.errors import ConfigError, SimulationError
 from repro.faults import (
@@ -55,7 +56,7 @@ from repro.runtime import (
     VirtualClock,
     serve_forever,
 )
-from repro.serve import Deployment, Fleet, PoissonArrivals, latency_percentile
+from repro.serve import Deployment, Fleet, PoissonArrivals
 from repro.sim.fastmodel import FastReport, serve_fleet
 from repro.sim.multichip import (
     Dispatcher,
@@ -539,16 +540,16 @@ class TestRouting:
     def test_serve_fleet_sorts_its_latencies_once(self, retry, monkeypatch):
         """p50 / p95 / p99 of a fleet report come from one sort of the
         stream, on the direct path and through the fault engine."""
-        import repro.serve
+        import repro.arrivals
 
-        real = repro.serve.latency_percentiles
+        real = repro.arrivals.latency_percentiles
         calls = []
 
         def counting(latencies, pcts):
             calls.append(tuple(pcts))
             return real(latencies, pcts)
 
-        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        monkeypatch.setattr(repro.arrivals, "latency_percentiles", counting)
         base = FastReport(
             cycles=100, energy_breakdown_pj={}, macs=1, clock_mhz=1000,
             shard_cycles=[40, 60], shard_edges=[(0, 1, 256)],

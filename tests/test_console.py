@@ -91,16 +91,16 @@ class TestConsoleState:
         assert table["rolling_p99_cycles"] == 20
 
     def test_latency_table_sorts_its_window_once(self, monkeypatch):
-        import repro.serve
+        import repro.arrivals
 
-        real = repro.serve.latency_percentiles
+        real = repro.arrivals.latency_percentiles
         calls = []
 
         def counting(latencies, pcts):
             calls.append(tuple(pcts))
             return real(latencies, pcts)
 
-        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        monkeypatch.setattr(repro.arrivals, "latency_percentiles", counting)
         state = ConsoleState([100], 1, window=8)
         for i, latency in enumerate([30, 10, 20]):
             state.observe(RequestCompleted(i, 0, 0, latency, latency, 1))
@@ -192,21 +192,21 @@ class TestSnapshot:
         rolling table's one sort of its window."""
         import asyncio
 
-        import repro.serve
+        import repro.arrivals
 
         server = (
             _deployment(arch, tier="fast") if replicas == 1
             else _fleet(arch, tier="fast", replicas=replicas)
         )
         handle = asyncio.run(drive_session(server, RELEASES))
-        real = repro.serve.latency_percentiles
+        real = repro.arrivals.latency_percentiles
         calls = []
 
         def counting(latencies, pcts):
             calls.append(tuple(pcts))
             return real(latencies, pcts)
 
-        monkeypatch.setattr(repro.serve, "latency_percentiles", counting)
+        monkeypatch.setattr(repro.arrivals, "latency_percentiles", counting)
         final = console_snapshot(handle)["final_report"]
         assert calls == [(50, 99), (50, 99)]
         assert (final["p50_latency_cycles"], final["p99_latency_cycles"]) == (

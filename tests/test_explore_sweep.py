@@ -422,6 +422,101 @@ class TestCacheGC:
         assert cache.lookup(keys[-1]) is not None   # newest survives
         assert cache.lookup(keys[0]) is None        # oldest evicted
 
+    @pytest.mark.parametrize("raw", ["abc", "-5", "1.5", " "])
+    def test_malformed_env_cap_is_a_config_error(
+        self, raw, monkeypatch, tmp_path
+    ):
+        from repro.explore_cache import cache_max_bytes
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", raw)
+        with pytest.raises(ConfigError, match="REPRO_CACHE_MAX_MB") as exc:
+            cache_max_bytes()
+        assert repr(raw) in str(exc.value)
+        with pytest.raises(ConfigError):
+            ResultCache(tmp_path)
+
+    def test_zero_env_cap_means_unlimited(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
+        assert ResultCache(tmp_path).max_bytes == 0
+
+    def test_a_600_store_fill_scans_the_tree_once(self, monkeypatch, tmp_path):
+        from pathlib import Path
+
+        report = FastReport(
+            cycles=1, energy_breakdown_pj={"cim": 1.0}, macs=1,
+            clock_mhz=1000,
+        )
+        scans = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            scans.append(pattern)
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        cache = ResultCache(tmp_path)  # the default 256 MB cap
+        self._fill(cache, report, 600)
+        assert scans == ["??/*.json"]
+        monkeypatch.undo()
+        assert len(cache) == 600
+
+    def test_overwriting_keys_stays_under_the_cap(self, tmp_path):
+        from repro.explore_cache import _GC_STORE_INTERVAL
+
+        fat = FastReport(
+            cycles=1, energy_breakdown_pj={}, macs=1, clock_mhz=1000,
+            stage_cycles={i: i for i in range(200)},
+        )
+        probe = ResultCache(tmp_path / "probe", max_bytes=0)
+        entry = probe.store("0" * 64, fat).stat().st_size
+        cache = ResultCache(tmp_path / "cache", max_bytes=3 * entry)
+        keys = [f"{i:04x}" + "0" * 60 for i in range(5)]
+        for i in range(3 * _GC_STORE_INTERVAL):
+            cache.store(keys[i % len(keys)], fat)
+        assert cache.size_bytes() <= cache.max_bytes
+        cache.gc()
+        assert cache.size_bytes() <= cache.max_bytes
+        assert cache.evictions > 0
+
+    def test_another_writers_bytes_are_pruned_at_the_rescan(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.explore_cache as explore_cache
+
+        every = explore_cache._GC_STORE_INTERVAL
+        monkeypatch.setattr(explore_cache, "_GC_RESCAN_INTERVAL", 2 * every)
+        report = FastReport(
+            cycles=1, energy_breakdown_pj={}, macs=1, clock_mhz=1000,
+        )
+        probe = ResultCache(tmp_path / "probe", max_bytes=0)
+        entry = probe.store("0" * 64, report).stat().st_size
+        ours = ResultCache(tmp_path / "shared", max_bytes=4 * every * entry)
+        theirs = ResultCache(tmp_path / "shared", max_bytes=0)
+        for i in range(every):  # the first scan: well under the cap
+            ours.store(f"{i:064x}", report)
+        for i in range(every, 7 * every):  # another process fills past it
+            theirs.store(f"{i:064x}", report)
+        assert ours.size_bytes() > ours.max_bytes
+        # Our own total stays under the cap; the rescan still prunes.
+        for i in range(7 * every, 9 * every):
+            ours.store(f"{i:064x}", report)
+        assert ours.size_bytes() <= ours.max_bytes
+        assert ours.evictions > 0
+
+    def test_a_removed_shard_directory_is_recreated(self, tmp_path):
+        import shutil
+
+        report = FastReport(
+            cycles=1, energy_breakdown_pj={}, macs=1, clock_mhz=1000,
+        )
+        cache = ResultCache(tmp_path)
+        first, second = "ab" + "0" * 62, "ab" + "1" * 62
+        cache.store(first, report)
+        shutil.rmtree(cache.path_for(first).parent)
+        cache.store(second, report)
+        assert cache.lookup(second) == report
+        assert cache.lookup(first) is None
+
 
 class TestSpotCheck:
     def test_best_points_revalidated_cycle_accurately(self):
@@ -762,6 +857,8 @@ class TestHostileCoordinates:
     @pytest.mark.parametrize("coords", [
         {"chips": 0}, {"chips": -1}, {"resident_weights": "yes"},
         {"batch": 0}, {"replicas": 0}, {"arrival_rate": float("inf")},
+        {"chips": True}, {"batch": True}, {"replicas": True},
+        {"arrival_rate": True},
     ])
     def test_evaluate_fast_rejects_what_a_sweep_rejects(self, coords):
         with pytest.raises(ConfigError):
@@ -895,6 +992,36 @@ class TestArrivalRateAxis:
             tiny_spec(arrival_rates=(0.0,))
         with pytest.raises(ConfigError, match="arrival rates"):
             tiny_spec(arrival_rates=())
+        with pytest.raises(ConfigError, match="arrival rates"):
+            tiny_spec(arrival_rates=(True,))
+        with pytest.raises(ConfigError, match="batch sizes"):
+            tiny_spec(batch_sizes=(True,))
+
+    def test_equal_rates_share_one_cache_key(self):
+        arch = small_test_arch()
+        whole = PointSpec(model="tiny_cnn", strategy="dp", arrival_rate=500)
+        real = PointSpec(model="tiny_cnn", strategy="dp", arrival_rate=500.0)
+        assert whole == real
+        assert whole.cache_key(arch) == real.cache_key(arch)
+        # A sweep stores what it prices under that key: the same bytes.
+        spec = tiny_spec(arrival_rates=(None, 500))
+        assert spec.arrival_rates == (None, 500.0)
+        assert type(spec.points()[-1].arrival_rate) is float
+        floats = tiny_spec(arrival_rates=(None, 500.0))
+        assert spec.to_dict() == floats.to_dict()
+
+    def test_integer_rate_sweep_hits_what_a_float_sweep_stored(self, tmp_path):
+        axes = dict(
+            models=("tiny_cnn",), strategies=("dp",), mg_sizes=None,
+            flit_sizes=None, batch_sizes=(4,),
+        )
+        cache = ResultCache(tmp_path)
+        stored = run_sweep(tiny_spec(**axes, arrival_rates=(250000.0,)),
+                           cache=cache)
+        served = run_sweep(tiny_spec(**axes, arrival_rates=(250000,)),
+                           cache=ResultCache(tmp_path))
+        assert served.stats.cache_hits == served.stats.total_points == 1
+        assert served.points[0].report == stored.points[0].report
 
 
 class TestSweepResume:
@@ -931,6 +1058,36 @@ class TestSweepResume:
         cold = run_sweep(self._spec())
         for a, b in zip(result.points, cold.points):
             assert a.report == b.report
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failed_sweep_journals_k_keys_and_closes(
+        self, k, tmp_path, monkeypatch
+    ):
+        import repro.explore as explore
+        from repro.explore_cache import SweepManifest
+
+        opened = []
+
+        class Recording(SweepManifest):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(explore, "SweepManifest", Recording)
+        spec = self._spec()
+        with pytest.raises(self._Interrupt):
+            run_sweep(spec, cache=ResultCache(tmp_path),
+                      progress=self._interrupt_after(k))
+        [manifest] = opened
+        assert manifest._fh is None  # the failed sweep closed its journal
+        lines = manifest.path.read_text().splitlines()
+        assert len(lines) == 1 + k
+        assert len(manifest.load()) == k
+        result = run_sweep(spec, cache=ResultCache(tmp_path))
+        assert result.stats.resumed_points == k
+        assert result.stats.evaluated == len(spec) - k
+        assert not manifest.path.exists()
+        assert opened[1]._fh is None
 
     def test_different_spec_does_not_resume(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -8,6 +8,7 @@ exactly, unlike a start-up time budget.  ``docs/ARCHITECTURE.md``
 three rules that keep it true.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -38,6 +39,14 @@ SWEEP = (
     "--preset", "small", "--input-sizes", "8", "--num-classes", "10",
     "--batch", "1,4", "--quiet",
 )
+#: A cold sweep over the serving axes: rate, fleet and resident points
+#: are priced by the fast model's closed-form continuation.
+SERVING_SWEEP = (
+    "sweep", "--models", "tiny_resnet", "--strategies", "generic,dp",
+    "--preset", "small", "--input-sizes", "8", "--num-classes", "10",
+    "--arrival-rates", "none,500000", "--replicas", "1,2",
+    "--resident-modes", "false,true", "--quiet",
+)
 
 #: Verbs that touch no model: no numpy, compiler, graph IR, serving
 #: stack, simulator tier, event loop or process pool.
@@ -56,6 +65,9 @@ NO_CYCLE_TIER = (
 #: Planning reads shapes: a cold sweep point draws no weight and loads
 #: no array library.
 PLANS_FROM_SHAPES = ("numpy",) + NO_CYCLE_TIER
+#: ... and its serving continuation needs arrivals and percentiles, not
+#: the serving stack.
+PRICES_SERVING_FROM_SHAPES = ("repro.serve",) + PLANS_FROM_SHAPES
 #: The cycle tier needs nearly every layer -- but not the sweep engine,
 #: the async runtime or a process pool.
 NO_SWEEP_NO_RUNTIME = (
@@ -72,6 +84,9 @@ ROWS = {
     ),
     "sweep_warm": (
         SWEEP + ("--cache-dir", "{cache}", "--json", "{warm_json}"), LIGHT,
+    ),
+    "sweep_serving_cold": (
+        SERVING_SWEEP + ("--no-cache",), PRICES_SERVING_FROM_SHAPES,
     ),
     "report": (("report", "{json}", "--pareto"), LIGHT),
     "compare": (
@@ -141,6 +156,14 @@ def cold_sweep(tmp_path_factory):
     return paths, _modules([arg.format(**paths) for arg in argv])
 
 
+@functools.lru_cache(maxsize=None)
+def serving_sweep_modules():
+    """The ``sweep_serving_cold`` row's modules, run once per session:
+    ``tests/test_laws.py`` reads every source file on the same list."""
+    argv, _ = ROWS["sweep_serving_cold"]
+    return tuple(_modules(list(argv)))
+
+
 def _sweep_stats(path):
     return json.loads(Path(path).read_text())["stats"]
 
@@ -152,6 +175,8 @@ def test_verb_loads_only_its_layers(row, cold_sweep):
     if row == "sweep_cold":
         modules = cold_modules
         assert _sweep_stats(paths["json"])["cache_hits"] == 0
+    elif row == "sweep_serving_cold":
+        modules = serving_sweep_modules()
     else:
         modules = _modules([arg.format(**paths) for arg in argv])
     assert _loaded(modules, absent) == []

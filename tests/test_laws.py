@@ -6,10 +6,19 @@ activation window and borrows the compiled image's parameter segment
 read-only (``sim/memory.py``); nothing writes the parameters, whichever
 engine path issues the write; and a macro-group register is its own
 array, aliasing neither segment.
+
+Plan from shapes.  No module a cold sweep imports -- serving axes
+included -- imports NumPy when it is itself imported (parameters are
+drawn on first read, and the serving continuation reads the NumPy-free
+``repro.arrivals``); and the duplication greedy prices the one trial
+that can win, with no set of ``blocked`` trials known to fail before
+they are priced.
 """
 
+import ast
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +146,84 @@ def test_parameter_segment_is_read_only(path, mnemonic, monkeypatch):
         assert stats["block_promotions"] > 0
     elif path == "loop":
         assert stats["loop_entries"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Plan from shapes
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _import_time_numpy(source: str):
+    """Line numbers of the ``numpy`` imports a module runs when it is
+    imported: its top level and class bodies, through ``if`` / ``try`` /
+    ``with`` blocks -- not function bodies, not ``if TYPE_CHECKING:``."""
+    lines = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def _source(module: str) -> Path:
+    """The source file of a ``repro`` module or package."""
+    path = SRC.joinpath(*module.split("."))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def test_no_module_a_cold_sweep_imports_imports_numpy():
+    # The module list is the one the import law's ``sweep_serving_cold``
+    # row records (one child process per session for both tests).
+    from test_import_layers import serving_sweep_modules
+
+    modules = [
+        name for name in serving_sweep_modules()
+        if name.split(".")[0] == "repro"
+    ]
+    # The law has teeth: the planner, the fast model and the serving
+    # continuation are all on the path.
+    assert {
+        "repro.compiler.mapping", "repro.sim.fastmodel", "repro.arrivals",
+        "repro.faults", "repro.sim.multichip",
+    } <= set(modules)
+    offenders = {
+        name: lines for name in modules
+        if (lines := _import_time_numpy(_source(name).read_text()))
+    }
+    assert offenders == {}
+
+
+def test_duplication_greedy_keeps_no_blocked_set():
+    source = (SRC / "repro" / "compiler" / "mapping.py").read_text()
+    assert "blocked" not in source
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import numpy as np\n", [1]),
+    ("from numpy.random import default_rng\n", [1]),
+    ("import os\ntry:\n    import numpy\nexcept ImportError:\n    pass\n",
+     [3]),
+    ("class Table:\n    import numpy\n", [2]),
+    ("def draw():\n    import numpy as np\n", []),
+    ("if TYPE_CHECKING:\n    import numpy as np\n", []),
+    ("from .numpy import helper\n", []),
+])
+def test_import_time_numpy_check_sees_a_violation(source, lines):
+    assert _import_time_numpy(source) == lines

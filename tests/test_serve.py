@@ -30,9 +30,9 @@ from repro import (
     compile_model,
     serve_arrivals,
 )
+from repro.arrivals import latency_percentile
 from repro.config import InterChipConfig
 from repro.errors import ConfigError
-from repro.serve import latency_percentile
 from repro.sim.fastmodel import analyze_plan, stream_batched
 from repro.sim.multichip import (
     steady_state_interval,
