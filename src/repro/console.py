@@ -304,7 +304,7 @@ async def drive_session(
     The reference driver the headless snapshot and CI smoke share:
     advance a :class:`~repro.runtime.VirtualClock` to each release,
     submit, drain.  Returns the drained handle (its ``report`` is the
-    offline-replayed, cross-checked result).
+    offline path's result for the same trace).
     """
     from repro.runtime import VirtualClock, serve_forever
 

@@ -18,18 +18,18 @@ latency.
 server's offline submission folds over a whole stream, built by the
 same method: the unfaulted fleet step
 (:class:`repro.sim.multichip.Dispatcher`, from
-``server._new_dispatcher()``) or, under a
-:class:`~repro.faults.FaultPlan` or retry policy, the
+``server._new_dispatcher()``; a deployment is a fleet of one) or, under
+a :class:`~repro.faults.FaultPlan` or retry policy, the
 :class:`repro.faults.FailoverEngine` (``Fleet._new_engine()``).
 There is no second copy of the route-and-admit loop to keep in step,
 so a drained session is bit-identical to the same releases run through
 :class:`~repro.serve.TraceArrivals` offline.  :meth:`ServerHandle.drain`
-therefore re-runs the trace only where the re-run measures something:
-a fast-tier or faulted session's report is assembled from the
-admissions the session already made; a fault-free cyclesim session
-executes its trace on the simulators, and every live prediction is
-cross-checked against the measured report
-(:class:`~repro.errors.SimulationError` on any divergence).
+hands that object to the offline path's report half and never re-runs
+the trace: the report is assembled from the admissions the session
+already made, in both tiers.  The cyclesim tier executes each served
+request once there, and a measured per-input row that differs from the
+profile the live admission priced raises
+:class:`~repro.errors.SimulationError`.
 
 The session publishes a typed event stream -- :class:`RequestAdmitted`,
 :class:`RequestCompleted`, :class:`RequestDropped`,
@@ -237,8 +237,8 @@ class ServerHandle:
     scheduler task.  Single-use: :meth:`drain` closes the session
     and returns the :class:`~repro.serve.ServeReport` /
     :class:`~repro.serve.FleetReport` the offline path gives for the
-    recorded trace (executing it, and cross-checking every live
-    prediction, in the fault-free cyclesim tier).
+    recorded trace, assembled from the session's own admissions (the
+    cyclesim tier executes and checks each served request there).
     """
 
     def __init__(
@@ -458,20 +458,21 @@ class ServerHandle:
         """Close the session and return its report: what ``run_trace``
         of the recorded releases gives on this server, warmth included.
 
-        Every request was admitted once, live, on the kernel the offline
-        path would use, so the trace is re-run only where that measures
-        something -- decided by what the session can observe:
+        Every request was admitted once, live, on the object the
+        offline path would use, so the report is assembled from those
+        admissions -- nothing is scheduled again:
 
-        - **faulted, both tiers**: the session's own engine is handed to
+        - **faulted**: the session's own engine is handed to
           :meth:`repro.serve.Fleet._submit_faulted`, which only finishes
-          and reports it (the cyclesim tier executes and
-          golden-validates each served request there, once);
-        - **fast tier**: the server assembles the report from the
-          dispatcher's records (``server._report_dispatched``);
-        - **cyclesim, fault-free**: ``run_trace`` *is* the execution --
-          its measured per-input rows are independent of the one-input
-          profile the live predictions were priced from, and
-          :meth:`_cross_check` holds the two against each other.
+          and reports it;
+        - **unfaulted**: the session's own dispatcher is handed to the
+          one serving path (:meth:`repro.serve.Deployment._serve`).
+
+        In the cyclesim tier both branches execute and golden-validate
+        each served request once, and every measured per-input row must
+        equal the profile its live admission was priced from
+        (:class:`~repro.errors.SimulationError` names the input and
+        shard otherwise).
         """
         if self.report is not None:
             return self.report
@@ -482,16 +483,12 @@ class ServerHandle:
                 None, 1, self._releases, self.seed, self.validate,
                 self._engine.plan, self.retry, engine=self._engine,
             )
-        elif server.tier == "fast":
-            self.report = server._report_dispatched(
-                self._dispatcher, self._releases
-            )
         else:
-            report = server.run_trace(
-                list(self._releases), seed=self.seed, validate=self.validate,
+            deployment = server.deployment if self._is_fleet else server
+            self.report = deployment._serve(
+                None, 1, self._releases, self.seed, self.validate,
+                server=server, dispatcher=self._dispatcher,
             )
-            self._cross_check(report)
-            self.report = report
         return self.report
 
     async def close(self) -> None:
@@ -513,34 +510,6 @@ class ServerHandle:
             self._absorb_engine(self._engine.drain())
         for queue in self._subscribers:
             queue.put_nowait(None)
-
-    def _cross_check(self, report) -> None:
-        """Hold an executed (cyclesim, fault-free) report against the
-        live predictions: same replicas, same service starts, same
-        finishes, or the session promised latencies the hardware model
-        does not deliver."""
-        def mismatch(what, live, offline):
-            raise SimulationError(
-                f"live serving session diverged from the offline replay: "
-                f"{what} predicted {live!r}, offline computed {offline!r}"
-            )
-
-        live = self._dispatcher
-        if list(report.releases) != self._releases:
-            mismatch("releases", self._releases, list(report.releases))
-        if self._is_fleet:
-            if list(report.assignments) != live.assignments:
-                mismatch(
-                    "assignments", live.assignments, list(report.assignments)
-                )
-        elif list(report.service_starts) != live.starts:
-            mismatch(
-                "service starts", live.starts, list(report.service_starts)
-            )
-        if list(report.input_finishes) != live.finishes:
-            mismatch(
-                "finish cycles", live.finishes, list(report.input_finishes)
-            )
 
 
 async def serve_forever(

@@ -19,18 +19,22 @@ then flows through the chip pipeline: ``start[i][k] = max(release_i if
 k == 0, finish[i-1][k], last inbound transfer arrival)``.  That
 recurrence is written once, in the admission kernel
 :class:`repro.sim.multichip.PipelineState`; this module only consumes
-it.  The cyclesim tier folds it over a submission's measured rows
-(:func:`~repro.sim.multichip.streaming_schedule`); the fast tier and
-every :class:`Fleet` admit through the one unfaulted fleet step
-(:class:`~repro.sim.multichip.Dispatcher`: rr/jsq routing over one
-kernel state per replica, a deployment being a fleet of one) and report
-from what it recorded.  With every release at cycle 0 the
-schedule is bit-identical to the batched one, so batched mode is the
-``arrivals=BackToBack()`` special case.  Both fidelity tiers share the
-law: ``tier="cyclesim"`` executes every input on the exact simulator,
-``tier="fast"`` prices the same schedule from the analytical model
-(:func:`repro.sim.fastmodel.serve_fleet` is the sweep engine's
-closed-form continuation of it).
+it.  Every submission admits each request exactly once, through the
+unfaulted fleet step (:class:`~repro.sim.multichip.Dispatcher`: rr/jsq
+routing over one kernel state per replica, a :class:`Deployment` being
+a fleet of one) or, under a fault plan, the failover engine, and every
+report is assembled from what that one object recorded.  Timing is
+data-independent under per-input isolation, so admission prices every
+input from the one-input service profile; the cyclesim tier executes
+the served inputs once, golden-validates them, and holds every measured
+per-input row to that profile (:class:`~repro.errors.SimulationError`
+naming the input and shard on any difference).  With every release at
+cycle 0 the schedule is bit-identical to the batched one, so batched
+mode is the ``arrivals=BackToBack()`` special case.  Both fidelity
+tiers share the law: ``tier="cyclesim"`` executes every input on the
+exact simulator, ``tier="fast"`` prices the same schedule from the
+analytical model (:func:`repro.sim.fastmodel.serve_fleet` is the sweep
+engine's closed-form continuation of it).
 
 **Serving-session contract** (see ``docs/ARCHITECTURE.md``, "Serving
 sessions").  What may persist across submissions is exactly the
@@ -70,7 +74,7 @@ from repro.compiler.pipeline import (
     resolve_graph,
 )
 from repro.config import ArchConfig
-from repro.errors import ConfigError, FaultError
+from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import (
     FailoverEngine,
     FaultPlan,
@@ -92,8 +96,8 @@ from repro.sim.multichip import (
     assemble_stream_report,
     check_fleet,
     merge_shard_energy,
+    pipeline_schedule,
     steady_state_interval,
-    streaming_schedule,
     sum_energy,
 )
 from repro.sim.report import SimulationReport
@@ -111,7 +115,8 @@ class _ServingMetrics:
     ``input_finishes``, ``makespan_cycles``, ``steady_interval_cycles``,
     ``energy_breakdown_pj`` -- plus ``latency_cycles`` and
     ``completed``; cycle->ms conversion, latency percentiles, achieved
-    rate, energy totals and the shared ``to_dict`` block live here once.
+    rate, energy totals, energy per completed inference and the shared
+    ``to_dict`` block live here once.
     """
 
     #: What a latency percentile reads when nothing completed: ``0`` for
@@ -196,6 +201,18 @@ class _ServingMetrics:
     @property
     def total_energy_mj(self) -> float:
         return self.total_energy_pj / 1e9
+
+    @property
+    def energy_per_inference_mj(self) -> float:
+        """Energy amortized over *completed* inferences (0 when none).
+
+        Work that never finished must not dilute the per-inference cost,
+        and a replica that paid its weight load but completed nothing
+        has no per-inference cost at all.
+        """
+        if self.completed == 0:
+            return 0.0
+        return self.total_energy_mj / self.completed
 
     def _metrics_dict(self) -> Dict:
         """The ``to_dict`` keys both report types share."""
@@ -312,10 +329,6 @@ class ServeReport(_ServingMetrics):
     def num_shards(self) -> int:
         return len(self.shard_cycles)
 
-    @property
-    def energy_per_inference_mj(self) -> float:
-        return self.total_energy_mj / max(1, self.batch)
-
     def to_dict(self) -> Dict:
         payload = self._metrics_dict()
         payload.update({
@@ -368,17 +381,6 @@ class ServeReport(_ServingMetrics):
         for k, util in enumerate(self.shard_utilization):
             lines.append(f"  chip {k}: {100 * util:5.1f}%")
         return "\n".join(lines)
-
-
-def _shard_utilization(
-    rows: Sequence[Sequence[int]], makespan: int
-) -> List[float]:
-    """Per-shard busy fraction of the stream makespan."""
-    if not rows or makespan <= 0:
-        return [0.0] * (len(rows[0]) if rows else 0)
-    return [
-        sum(row[k] for row in rows) / makespan for k in range(len(rows[0]))
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +470,7 @@ class Deployment:
         self.compiled: Union[CompiledModel, MultiChipModel, None] = None
         self._fast = None  #: fast tier: cached analyze_pipeline result
         self._profile = None  #: cached (service row, transfer edges)
+        self._windows = None  #: cyclesim: one input's (starts, finishes)
 
         if isinstance(model, (CompiledModel, MultiChipModel)):
             if (
@@ -580,29 +583,33 @@ class Deployment:
     def _service_profile(self):
         """(per-shard cycle row, transfer edges) of one input.
 
-        Timing is data-independent under per-input isolation, so in the
-        cyclesim tier a single probe submission measures the exact
-        service row every admission prediction needs; the fast tier
-        reads its analytical report.  Cached for the deployment's
-        lifetime (the compile product is immutable).
+        Timing is data-independent under per-input isolation, so one
+        input's row prices every admission: the fast tier reads its
+        analytical report, and the cyclesim tier executes one probe
+        input -- unless an offline submission has already set the
+        profile from its own first measured row (:meth:`_run_served`).
+        Cached for the deployment's lifetime (the compile product is
+        immutable).
         """
         if self._profile is None:
-            edges = self._edges
             if self.tier == "fast":
-                row = list(self._fast_price()[0].shard_cycles)
+                self._set_profile(self._fast_price()[0].shard_cycles)
             else:
-                # The probe must not consume a resident session's cold
-                # start: the accounting flag is restored so the first
-                # real submission still pays the load phase.  (The
-                # probe's shard_cycles are the warm row -- exactly the
-                # per-input service profile a resident session
-                # schedules.)
-                loaded = self._resident_loaded
-                probe = self.submit(batch=1, validate=False)
-                self._resident_loaded = loaded
-                row = list(probe.shard_cycles)
-            self._profile = (row, edges)
+                probe = resolve_inputs(self.graph, None, 1, 0)
+                self._set_profile(
+                    [r.cycles for r in self._execute(probe)[0][0]]
+                )
         return self._profile
+
+    def _set_profile(self, row) -> None:
+        """Cache ``row`` as the service profile.  The cyclesim tier also
+        keeps the one-input pipeline windows, which every stream report
+        shifts to its first input's service start."""
+        self._profile = (list(row), self._edges)
+        if self.tier == "cyclesim":
+            self._windows = pipeline_schedule(
+                row, self._edges, self.arch.interchip
+            )[:2]
 
     def _load_offset(self, warm: bool) -> int:
         """The cycle a replica's weight load completes if it is a cold
@@ -711,7 +718,7 @@ class Deployment:
             )
 
     # -- streaming submissions ---------------------------------------------
-    def _open_stream(self, inputs, batch, arrivals, seed, min_batch=1):
+    def _open_stream(self, inputs, batch, arrivals, seed):
         """The front half every submission shares.
 
         Normalises ``arrivals`` (``None`` = :class:`BackToBack`, a bare
@@ -720,17 +727,17 @@ class Deployment:
         Returns ``(arrivals, resolved, releases)``; ``resolved`` is
         ``None`` in the fast tier, where timing is data-independent and
         ``inputs`` only sets/checks the batch (shape-validated like the
-        cyclesim tier).  Only a trace may imply less than ``min_batch``.
+        cyclesim tier), and for an empty stream.  Every server and fleet
+        size holds ``batch >= 1``: only a trace may be empty.
         """
         if arrivals is None:
             arrivals = BackToBack()
         elif not isinstance(arrivals, ArrivalProcess):
             arrivals = TraceArrivals(arrivals)
-        traced = isinstance(arrivals, TraceArrivals) and batch == 1
-        if traced:
+        if isinstance(arrivals, TraceArrivals) and batch == 1:
             batch = len(arrivals)
         else:
-            check_batch(batch, min_batch)
+            check_batch(batch)
         resolved = None
         if batch and (self.tier == "cyclesim" or inputs is not None):
             resolved = resolve_inputs(self.graph, inputs, batch, seed)
@@ -761,20 +768,7 @@ class Deployment:
         bit-exactly against the golden model; the fast tier carries no
         functional outputs (``validate`` is ignored).
         """
-        arrivals, resolved, releases = self._open_stream(
-            inputs, batch, arrivals, seed
-        )
-        if not releases:
-            return self._empty_report(arrivals.describe())
-        if self.tier == "fast":
-            report = self._submit_fast(releases, arrivals)
-        else:
-            report = self._submit_cyclesim(
-                resolved, releases, arrivals, validate
-            )
-        if self.resident_weights:
-            self._resident_loaded = True
-        return report
+        return self._serve(inputs, batch, arrivals, seed, validate)
 
     def run_trace(
         self,
@@ -792,6 +786,38 @@ class Deployment:
         """
         return self.submit(
             inputs, arrivals=trace, seed=seed, validate=validate
+        )
+
+    def _serve(
+        self, inputs, batch, arrivals, seed, validate, server=None,
+        dispatcher=None,
+    ):
+        """The one unfaulted serving path, both tiers.
+
+        ``server`` is this deployment (the default: a fleet of one) or
+        a :class:`Fleet` over it.  The server's dispatcher admits every
+        release once -- or a live session hands in the ``dispatcher``
+        that has admitted exactly this stream already -- and the server
+        reports from its records.  The cyclesim tier executes the inputs
+        first (:meth:`_run_served`), so an offline submission prices its
+        admissions from its own first measured row, not a probe.
+        """
+        if server is None:
+            server = self
+        arrivals, resolved, releases = self._open_stream(
+            inputs, batch, arrivals, seed
+        )
+        served = None
+        if resolved is not None:
+            served = self._run_served(
+                resolved, range(len(resolved)), validate
+            )
+        if dispatcher is None and releases:
+            dispatcher = server._new_dispatcher()
+            for release in releases:
+                dispatcher.dispatch(release)
+        return server._report_dispatched(
+            dispatcher, releases, arrivals.describe(), served, validate
         )
 
     def _empty_report(self, arrival: str, load=None) -> ServeReport:
@@ -819,75 +845,100 @@ class Deployment:
             load_energy_pj=dict(load_energy),
         )
 
-    def _admit_stream(self, rows, releases):
-        """Schedule one submission's measured rows; ``(load, schedule)``.
-
-        Resident cold start: the load phase completes on every shard
-        before the first input enters the pipeline, so the schedule sees
-        releases clamped to the load-done cycle -- which is exactly what
-        keeps makespan(B) = load + warm_makespan(1) + (B-1)*bottleneck.
-        ``load`` is that phase's :meth:`_resident_load_profile` (zeros
-        on a warm or non-resident submission).
-        """
-        load = _NO_LOAD
-        if self.resident_weights and not self._resident_loaded:
-            load = self._resident_load_profile()
-        if load[0]:
-            releases = [max(r, load[0]) for r in releases]
-        return load, streaming_schedule(
-            rows, self._edges, self.arch.interchip, releases
-        )
-
-    def _serve_report(
-        self, arrival, releases, starts, finishes, makespan, rows,
-        energy, macs, instructions, load, **extra,
+    def _recorded_report(
+        self, arrival, releases, starts, finishes, makespan, load=None,
+        cost=None, validated=False, **extra,
     ) -> ServeReport:
-        """The report-assembly tail every non-empty stream shares:
-        stream totals plus the weight-load phase ``load`` it paid."""
-        load_cycles, load_energy, load_macs, load_instr = load
+        """One pipeline's report straight from recorded admissions (a
+        :class:`~repro.sim.multichip.Dispatcher`'s, or the failover
+        engine's full-service attempts): nothing is scheduled again,
+        the recorded cycles are only priced, each input at the service
+        profile.  ``cost`` is their measured ``(energy, MACs,
+        instructions)`` (cyclesim tier; ``None`` reads the fast model),
+        ``load`` a weight-load phase paid ahead of them.
+        """
+        count = len(releases)
+        if not count:
+            return self._empty_report(arrival, load)
+        energy, macs, instructions = (
+            self._fast_cost(count) + (0,) if cost is None else cost
+        )
+        load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
+        row = self._service_profile()[0]
         return ServeReport(
             arch=self.arch,
             tier=self.tier,
-            batch=len(releases),
+            batch=count,
             arrival=arrival,
             releases=list(releases),
             service_starts=starts,
             input_finishes=finishes,
             makespan_cycles=makespan,
             steady_interval_cycles=steady_state_interval(
-                rows[0], self._edges, self.arch.interchip
+                row, self._edges, self.arch.interchip
             ),
-            shard_cycles=list(rows[0]),
-            shard_utilization=_shard_utilization(rows, makespan),
+            shard_cycles=list(row),
+            shard_utilization=[
+                count * cycles / makespan if makespan > 0 else 0.0
+                for cycles in row
+            ],
             energy_breakdown_pj=sum_energy([energy, load_energy]),
             macs=macs + load_macs,
             instructions=instructions + load_instr,
+            validated=validated,
             resident=self.resident_weights,
             load_cycles=load_cycles,
             load_energy_pj=dict(load_energy),
             **extra,
         )
 
-    def _recorded_report(
-        self, arrival, releases, starts, finishes, makespan, load=None,
-        cost=None, validated=False,
+    def _report_dispatched(
+        self, dispatcher: Optional[Dispatcher], releases, arrival=None,
+        served=None, validate=False, replica=0,
     ) -> ServeReport:
-        """One pipeline's report straight from recorded admissions (a
-        :class:`~repro.sim.multichip.Dispatcher`'s, or the failover
-        engine's full-service attempts): nothing is scheduled again,
-        the recorded cycles are only priced.  ``cost`` is their measured
-        ``(energy, MACs, instructions)`` (cyclesim tier; ``None`` reads
-        the fast model), ``load`` a weight-load phase paid ahead of them.
+        """Report what ``dispatcher`` admitted onto ``replica`` (this
+        deployment is replica 0 of its own :meth:`_new_dispatcher`;
+        ``None`` admitted nothing: an empty stream).  ``arrival=None``
+        labels the sub-stream a recorded trace.  ``served`` is the
+        cyclesim tier's :meth:`_run_served` of the stream: each request
+        is charged its measured cost and carries its outputs, and the
+        first one's profile windows, shifted to its service start, head
+        the stream report.  A cold resident session that served
+        anything pays its weight load here and is warm afterwards.
         """
-        count = len(releases)
-        if not count:
-            return self._empty_report(arrival, load)
-        if cost is None:
-            cost = self._fast_cost(count) + (0,)
-        row = self._service_profile()[0]
-        return self._serve_report(
-            arrival, releases, starts, finishes, makespan, [row] * count,
-            *cost, load or _NO_LOAD, validated=validated,
+        mine = [] if dispatcher is None else [
+            i for i, r in enumerate(dispatcher.assignments) if r == replica
+        ]
+        load = None
+        if mine and self.resident_weights:
+            if not self._resident_loaded:
+                load = self._resident_load_profile()
+            self._resident_loaded = True
+        starts = [dispatcher.starts[i] for i in mine]
+        finishes = [dispatcher.finishes[i] for i in mine]
+        makespan = max(finishes, default=0)
+        cost, extra = None, {}
+        if served is not None and mine:
+            runs = [served[i] for i in mine]
+            reports = [run[0] for run in runs]
+            cost = self._measured_cost(reports)
+            windows = [
+                [[cycle + starts[0] for cycle in window]]
+                for window in self._windows
+            ]
+            extra = dict(
+                stream_report=assemble_stream_report(
+                    self.arch, reports, self._edges,
+                    (*windows, finishes, makespan),
+                    self.compiled.interchip_bytes(),
+                ),
+                per_input_outputs=[run[1] for run in runs],
+                golden=runs[0][2],
+            )
+        return self._recorded_report(
+            arrival or _trace_label(len(mine)),
+            [releases[i] for i in mine], starts, finishes, makespan, load,
+            cost, served is not None and bool(validate), **extra,
         )
 
     # -- cyclesim tier ------------------------------------------------------
@@ -903,57 +954,64 @@ class Deployment:
             inputs, self.graph.input_operators[0].output
         )
 
-    def _validate(self, inputs, outputs, label, names=None):
-        """Bit-exact golden check of every input; returns the first's
-        golden outputs.  ``names[j]`` labels input ``j`` (default ``j``).
-        The golden model runs the inputs group by group
+    def _run_served(self, inputs, requests, validate):
+        """Execute the served ``inputs`` once and check them.
+
+        ``requests[j]`` numbers input ``j`` in its stream.  The inputs
+        are golden-validated grouped (``validate``); then every measured
+        per-input row must equal the service profile the admissions were
+        priced from (an offline submission with no profile cached makes
+        its first row the profile), or :class:`~repro.errors.
+        SimulationError` names the input, the shard and both values.
+        Returns ``{request: (shard reports, outputs, golden)}``, golden
+        ``None`` when not validated.
+        """
+        per_reports, per_outputs = self._execute(inputs)
+        goldens = (
+            self._validate(inputs, per_outputs, requests) if validate
+            else [None] * len(inputs)
+        )
+        if self._profile is None and per_reports:
+            self._set_profile([r.cycles for r in per_reports[0]])
+        row = self._service_profile()[0]
+        for request, reports in zip(requests, per_reports):
+            for shard, (report, priced) in enumerate(zip(reports, row)):
+                if report.cycles != priced:
+                    raise SimulationError(
+                        f"served input {request} ran {report.cycles} "
+                        f"cycles on shard {shard}, but its admission was "
+                        f"priced at the service profile's {priced}"
+                    )
+        return dict(zip(requests, zip(per_reports, per_outputs, goldens)))
+
+    def _validate(self, inputs, outputs, requests):
+        """Bit-exact golden check of every input; returns the golden
+        outputs.  The golden model runs the inputs group by group
         (:func:`repro.sim.functional.golden_batch`)."""
         graph = self.graph
         input_tensor = graph.input_operators[0].output
         goldens = golden_batch(graph, ({input_tensor: data} for data in inputs))
-        golden = None
-        for index, (expected, produced) in enumerate(zip(goldens, outputs)):
-            name = index if names is None else names[index]
+        checked = []
+        for request, expected, produced in zip(requests, goldens, outputs):
             check_outputs(
-                graph, produced, expected, f"{label}, input {name}"
+                graph, produced, expected,
+                f"{self._label()}, served input {request}",
             )
-            if golden is None:
-                golden = expected
-        return golden
+            checked.append(expected)
+        return checked
 
-    def _submit_cyclesim(
-        self,
-        inputs: Sequence[np.ndarray],
-        releases: List[int],
-        arrivals: ArrivalProcess,
-        validate: bool,
-    ) -> ServeReport:
-        per_input_reports, per_input_outputs = self._execute(inputs)
-        rows = [[r.cycles for r in reports] for reports in per_input_reports]
-        load, schedule = self._admit_stream(rows, releases)
-        starts, _, input_finishes, makespan = schedule
-        stream_report = assemble_stream_report(
-            self.arch, per_input_reports, self._edges, schedule,
-            self.compiled.interchip_bytes(),
-        )
-        golden = None
-        if validate:
-            label = (
-                "resident session" if self.resident_weights
-                else self._label()
-            )
-            golden = self._validate(
-                inputs, per_input_outputs, f"{label}, serve {len(inputs)}"
-            )
-        return self._serve_report(
-            arrivals.describe(), releases, [row[0] for row in starts],
-            input_finishes, makespan, rows,
-            stream_report.energy_breakdown_pj, stream_report.macs,
-            stream_report.instructions, load,
-            validated=bool(validate),
-            stream_report=stream_report,
-            per_input_outputs=list(per_input_outputs),
-            golden=golden,
+    def _measured_cost(self, runs):
+        """``(energy, MACs, instructions)`` of executed passes, each a
+        list of shard reports; every pass pays its inter-chip traffic."""
+        flat = [rep for reports in runs for rep in reports]
+        return (
+            merge_shard_energy(
+                [rep.energy_breakdown_pj for rep in flat],
+                self.compiled.interchip_bytes() * len(runs),
+                self.arch.interchip,
+            ),
+            sum(rep.macs for rep in flat),
+            sum(rep.instructions for rep in flat),
         )
 
     # -- resident-weights session ------------------------------------------
@@ -1016,42 +1074,6 @@ class Deployment:
         return (
             {k: v * count for k, v in report.energy_breakdown_pj.items()},
             report.macs * count,
-        )
-
-    def _submit_fast(
-        self, releases: List[int], arrivals: ArrivalProcess
-    ) -> ServeReport:
-        dispatcher = self._new_dispatcher()
-        for release in releases:
-            dispatcher.dispatch(release)
-        return self._report_dispatched(
-            dispatcher, releases, arrivals.describe()
-        )
-
-    def _report_dispatched(
-        self, dispatcher: Dispatcher, releases, arrival=None, replica=0
-    ) -> ServeReport:
-        """Fast tier: report what ``dispatcher`` admitted onto ``replica``
-        (this deployment is replica 0 of its own :meth:`_new_dispatcher`),
-        folded over ``releases`` by :meth:`submit` or fed them live by a
-        :class:`repro.runtime.ServerHandle` (``arrival=None``: a recorded
-        trace).  A cold resident session that served anything pays its
-        weight load here and is warm afterwards.
-        """
-        mine = [
-            i for i, r in enumerate(dispatcher.assignments) if r == replica
-        ]
-        load = None
-        if mine and self.resident_weights:
-            if not self._resident_loaded:
-                load = self._resident_load_profile()
-            self._resident_loaded = True
-        finishes = [dispatcher.finishes[i] for i in mine]
-        return self._recorded_report(
-            arrival or _trace_label(len(mine)),
-            [releases[i] for i in mine],
-            [dispatcher.starts[i] for i in mine],
-            finishes, max(finishes, default=0), load,
         )
 
 
@@ -1205,17 +1227,6 @@ class FleetReport(_ServingMetrics):
             out.append(busy / (report.num_shards * self.makespan_cycles))
         return out
 
-    @property
-    def energy_per_inference_mj(self) -> float:
-        """Energy amortized over *completed* inferences (0 when none).
-
-        A fault plan that drops requests must not dilute the per-
-        inference cost over work that never finished.
-        """
-        if self.completed == 0:
-            return 0.0
-        return self.total_energy_mj / self.completed
-
     def to_dict(self) -> Dict:
         payload = self._metrics_dict()
         payload.update({
@@ -1326,13 +1337,14 @@ class Fleet:
     ``policy`` selects the dispatcher: ``"rr"`` (round-robin, input ``i``
     to replica ``i % R``) or ``"jsq"`` (join-shortest-queue on each
     replica's predicted in-flight count at release time, ties to the
-    lowest index).  The cyclesim tier then executes each replica's
-    sub-stream through the ordinary :meth:`Deployment.submit`; the fast
-    tier reports each replica from the cycles the dispatcher recorded
-    for it (the same queueing law, admitted once).  The per-replica
-    reports merge into a :class:`FleetReport`.  With ``replicas=1`` the
-    submission is passed through unchanged, so the fleet is
-    bit-identical to a plain deployment.
+    lowest index).  A submission takes the one serving path a
+    :class:`Deployment` takes (:meth:`Deployment._serve`, where a
+    deployment is a fleet of one): the dispatcher admits each request
+    once, the cyclesim tier executes and checks every input once, and
+    each replica reports from the cycles the dispatcher recorded for
+    it.  The per-replica reports merge into a :class:`FleetReport`;
+    with ``replicas=1`` the replica report is bit-identical to a plain
+    deployment's.
     """
 
     def __init__(
@@ -1505,73 +1517,47 @@ class Fleet:
         empty plan with no retry policy) takes the unfaulted path,
         bit-identical to a fault-free fleet in both tiers.
         """
-        dep = self.deployment
         if engine_needed(faults, retry):
             return self._submit_faulted(
                 inputs, batch, arrivals, seed, validate,
                 faults if faults is not None else FaultPlan(), retry,
             )
-
-        if self.num_replicas == 1:
-            dep._resident_loaded = self._replica_warm[0]
-            report = dep.submit(
-                inputs, batch=batch, arrivals=arrivals, seed=seed,
-                validate=validate,
-            )
-            self._replica_warm[0] = dep._resident_loaded
-            return self._merge(
-                [report], [0] * report.batch, report.releases, report.arrival
-            )
-
-        arrivals, resolved, releases = dep._open_stream(
-            inputs, batch, arrivals, seed, min_batch=0
-        )
-        dispatcher = self._new_dispatcher()
-        for release in releases:
-            dispatcher.dispatch(release)
-        if dep.tier == "fast":
-            return self._report_dispatched(
-                dispatcher, releases, arrivals.describe()
-            )
-        # The cyclesim tier executes each sub-stream and schedules its
-        # measured rows; the dispatcher only chose the replicas.
-        assignments = dispatcher.assignments
-        reports: List[ServeReport] = []
-        for replica in range(self.num_replicas):
-            index = [i for i, a in enumerate(assignments) if a == replica]
-            # Each replica tracks its own warmth; the shared deployment's
-            # accounting flag is set per sub-stream.
-            dep._resident_loaded = self._replica_warm[replica]
-            reports.append(
-                dep.submit(
-                    None if resolved is None
-                    else [resolved[i] for i in index],
-                    arrivals=TraceArrivals([releases[i] for i in index]),
-                    seed=seed, validate=validate,
-                )
-            )
-            self._replica_warm[replica] = dep._resident_loaded
-        return self._merge(
-            reports, assignments, releases, arrivals.describe()
+        return self.deployment._serve(
+            inputs, batch, arrivals, seed, validate, server=self
         )
 
     def _report_dispatched(
-        self, dispatcher: Dispatcher, releases, arrival=None
+        self, dispatcher: Optional[Dispatcher], releases, arrival,
+        served=None, validate=False, **fields,
     ) -> FleetReport:
-        """Fast tier: the fleet's report of a stream its dispatcher has
-        admitted (:meth:`Deployment._report_dispatched` per replica;
-        sub-streams keep their global release cycles)."""
+        """The fleet's report of a stream its dispatcher has admitted
+        (``None``: an empty stream): :meth:`Deployment._report_dispatched`
+        per replica.  Sub-streams keep their global release cycles; a
+        lone replica keeps the stream's arrival label, a replica of
+        several reports a trace."""
         dep = self.deployment
+        label = arrival if self.num_replicas == 1 else None
         reports: List[ServeReport] = []
         for replica in range(self.num_replicas):
             dep._resident_loaded = self._replica_warm[replica]
             reports.append(dep._report_dispatched(
-                dispatcher, releases, replica=replica
+                dispatcher, releases, label, served, validate, replica
             ))
             self._replica_warm[replica] = dep._resident_loaded
-        return self._merge(
-            reports, dispatcher.assignments, releases,
-            arrival or _trace_label(len(releases)),
+        assignments, finishes = (
+            ([], []) if dispatcher is None
+            else (dispatcher.assignments, dispatcher.finishes)
+        )
+        resident = dep.resident_weights
+        return self._fleet_report(
+            reports, arrival, assignments, releases, finishes,
+            max(r.makespan_cycles for r in reports),
+            max(r.steady_interval_cycles for r in reports),
+            resident=resident,
+            replica_load_cycles=(
+                [r.load_cycles for r in reports] if resident else []
+            ),
+            **fields,
         )
 
     def run_trace(
@@ -1612,20 +1598,16 @@ class Fleet:
         rp = retry if retry is not None else (plan.retry or RetryPolicy())
         dep = self.deployment
         arrivals, resolved, releases = dep._open_stream(
-            inputs, batch, arrivals, seed, min_batch=0
+            inputs, batch, arrivals, seed
         )
         fault_fields = dict(
             fault_events=[e.to_dict() for e in plan.events],
             retry_policy=rp.to_dict(),
             replica_downtime=plan.replica_timeline(self.num_replicas),
         )
-        if not releases:
-            empty = [
-                dep._empty_report(_trace_label(0))
-                for _ in range(self.num_replicas)
-            ]
-            return self._merge(
-                empty, [], [], arrivals.describe(), **fault_fields
+        if not releases:  # an empty trace
+            return self._report_dispatched(
+                None, [], arrivals.describe(), **fault_fields
             )
         if engine is None:
             engine = self._new_engine(plan, rp)
@@ -1647,9 +1629,9 @@ class Fleet:
         (bit-exact golden validation) and charges its measured energy
         once per full-service attempt; crash-killed attempts lose their
         partial work and are not charged.  Each replica's report reads
-        its cycles straight off the engine's attempt records: the engine
-        admits on the same kernel a replay would, so there is nothing
-        left to cross-check.
+        its cycles straight off the engine's attempt records, and
+        every measured row is held to the profile the engine priced
+        (:meth:`Deployment._run_served`).
         """
         dep = self.deployment
         row, edges = self._service_profile()
@@ -1682,7 +1664,7 @@ class Fleet:
             for attempts in schedule.replica_attempts
         ]
 
-        req_reports, validated = None, False
+        served, validated = None, False
         if dep.tier == "cyclesim":
             # A request with at least one full-service attempt executed
             # on real hardware; per-input isolation makes one execution's
@@ -1691,16 +1673,14 @@ class Fleet:
             wanted = sorted({
                 a.request for a in schedule.attempts if a.full_service
             })
-            served = [resolved[i] for i in wanted]
-            per_reports, per_outputs = dep._execute(served)
-            req_reports = dict(zip(wanted, per_reports))
-            if validate:
-                dep._validate(served, per_outputs, "faulted serve", wanted)
-                validated = True
+            served = dep._run_served(
+                [resolved[i] for i in wanted], wanted, validate
+            )
+            validated = bool(validate)
 
         reports = [
             self._faulted_replica_report(
-                schedule.replica_attempts[r], req_reports, validated,
+                schedule.replica_attempts[r], served, validated,
                 load if cold_paid[r] else None,
             )
             for r in range(self.num_replicas)
@@ -1723,31 +1703,23 @@ class Fleet:
         )
 
     def _faulted_replica_report(
-        self, records, req_reports, validated, load=None,
+        self, records, served, validated, load=None,
     ) -> ServeReport:
         """One replica's ServeReport under the fault plan.
 
         ``records`` are the replica's attempts in admission order;
-        the report covers the full-service ones, and energy/MACs charge
-        one full per-inference cost per full-service attempt.  ``load``
-        (resident sessions; :meth:`Deployment._resident_load_profile`)
-        adds the weight-load phase a cold replica paid before its first
-        attempt -- real even if every attempt was then crash-killed.
+        the report covers the full-service ones, and (cyclesim tier,
+        ``served`` by :meth:`Deployment._run_served`) charges each the
+        measured cost of its request.  ``load`` (resident sessions;
+        :meth:`Deployment._resident_load_profile`) adds the weight-load
+        phase a cold replica paid before its first attempt -- real even
+        if every attempt was then crash-killed.
         """
         dep = self.deployment
         full = [a for a in records if a.full_service]
         cost = None
-        if dep.tier == "cyclesim":
-            flat = [rep for a in full for rep in req_reports[a.request]]
-            cost = (
-                merge_shard_energy(
-                    [rep.energy_breakdown_pj for rep in flat],
-                    dep.compiled.interchip_bytes() * len(full),
-                    self.arch.interchip,
-                ),
-                sum(rep.macs for rep in flat),
-                sum(rep.instructions for rep in flat),
-            )
+        if served is not None:
+            cost = dep._measured_cost([served[a.request][0] for a in full])
         return dep._recorded_report(
             _trace_label(len(full)),
             [a.dispatch_cycle for a in full],
@@ -1755,32 +1727,6 @@ class Fleet:
             [a.finish_cycle for a in full],
             max((a.finish_cycle for a in records), default=0),
             load, cost, validated,
-        )
-
-    def _merge(
-        self,
-        reports: List[ServeReport],
-        assignments: List[int],
-        releases: List[int],
-        arrival: str,
-        **fields,
-    ) -> FleetReport:
-        """Merge per-replica reports of directly-admitted sub-streams."""
-        finishes = [0] * len(assignments)
-        cursor = [0] * len(reports)
-        for i, replica in enumerate(assignments):
-            finishes[i] = reports[replica].input_finishes[cursor[replica]]
-            cursor[replica] += 1
-        resident = self.deployment.resident_weights
-        return self._fleet_report(
-            reports, arrival, assignments, releases, finishes,
-            max(r.makespan_cycles for r in reports),
-            max(r.steady_interval_cycles for r in reports),
-            resident=resident,
-            replica_load_cycles=(
-                [r.load_cycles for r in reports] if resident else []
-            ),
-            **fields,
         )
 
     def _fleet_report(

@@ -1,10 +1,10 @@
 """The one admission kernel (:class:`repro.sim.multichip.PipelineState`).
 
-Every serving path -- ``streaming_schedule``, the ``Dispatcher`` that
-``Fleet``, the async runtime and the fast model's ``serve_fleet`` share,
-and the ``FailoverEngine`` -- consumes this kernel and the one ``route``
-law, so its properties are pinned here once, as shrinking property
-tests:
+Every serving path -- the ``Dispatcher`` that ``Deployment``, ``Fleet``,
+the async runtime and the fast model's ``serve_fleet`` share, and the
+``FailoverEngine`` -- consumes this kernel and the one ``route`` law
+(``streaming_schedule`` folds it for the one-input pipeline schedule),
+so its properties are pinned here once, as shrinking property tests:
 
 - the closed-form streaming law holds on random chain pipelines;
 - the law is time-shift invariant and monotone in release times;
@@ -13,7 +13,8 @@ tests:
 - the failover engine on an empty plan is direct ``route`` + ``admit``;
 - ``serve_fleet`` honours ``policy`` without a fault plan;
 - every request is admitted exactly once per attempt, offline and live,
-  and a live session's report is the offline report of its releases;
+  in both tiers (the cycle tier also executes each input once), and a
+  live session's report is the offline report of its releases;
 - the kernel is held, state and errors included, to the recurrence as
   first written (``_reference_admit``), and the serving outputs that
   ride on it are pinned byte for byte;
@@ -655,13 +656,68 @@ class TestAdmitOnce:
     @pytest.mark.parametrize("tier,count", [("fast", N), ("cyclesim", 12)])
     def test_drained_live_faulted_fleet(self, admissions, tier, count):
         fleet = _tiny(Fleet, tier=tier, replicas=3)
-        # The cyclesim tier measures its profile with one probe
-        # submission, which schedules (admits) its one input.
+        # The cyclesim tier measures its profile by executing one probe
+        # input, and keeps that input's pipeline windows (one admission).
         fleet._service_profile()
         del admissions[:]
         _, report = _live(fleet, TRACE[:count], faults=CRASHY)
         assert report.retries > 0
         assert len(admissions) == sum(report.attempt_counts)
+
+    @pytest.mark.parametrize("live", [False, True], ids=["offline", "live"])
+    @pytest.mark.parametrize("server,kw", [
+        (Deployment, {}),
+        (Fleet, {"replicas": 3, "policy": "rr"}),
+        (Fleet, {"replicas": 3, "policy": "jsq"}),
+    ], ids=["deployment", "fleet3-rr", "fleet3-jsq"])
+    def test_cyclesim(self, admissions, dispatches, server, kw, live):
+        # The cycle tier prices what the one dispatcher recorded: the
+        # executed rows are checked against the profile, not admitted
+        # again.  The probe keeps its pipeline windows (one admission)
+        # when the profile is measured, so that happens first.
+        server = _tiny(server, **kw)
+        server._service_profile()
+        del admissions[:]
+        trace = TRACE[:12]
+        if live:
+            _, report = _live(server, trace)
+        else:
+            report = server.run_trace(trace)
+        assert report.batch == len(trace)
+        assert len(admissions) == len(trace)
+        assert len(dispatches) == len(trace)
+
+    @pytest.mark.parametrize("server,kw", [
+        (Deployment, {}), (Fleet, {"replicas": 3, "policy": "jsq"}),
+    ], ids=["deployment", "fleet3"])
+    def test_cyclesim_executes_once(self, monkeypatch, server, kw):
+        # An offline submission executes its own inputs once and prices
+        # its admissions from its first measured row: no probe input.
+        executed = []
+        execute = Deployment._execute
+
+        def counted(self, inputs):
+            executed.append(len(inputs))
+            return execute(self, inputs)
+
+        monkeypatch.setattr(Deployment, "_execute", counted)
+        _tiny(server, **kw).run_trace(TRACE[:5])
+        assert executed == [5]
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """Counts ``Dispatcher.dispatch`` calls: an unfaulted request is
+    admitted by the one dispatcher."""
+    calls = []
+    dispatch = Dispatcher.dispatch
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return dispatch(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dispatcher, "dispatch", counted)
+    return calls
 
 
 def _synthetic_server(row, edges, link, replicas, policy, load, bare):

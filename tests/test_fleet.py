@@ -206,10 +206,25 @@ class TestValidation:
             make_fleet(march, replicas=0)
 
     def test_empty_submission(self, march):
-        report = make_fleet(march, replicas=2).submit(batch=0)
+        report = make_fleet(march, replicas=2).run_trace([])
         assert report.batch == 0
         assert report.assignments == []
         assert report.makespan_cycles == 0
+
+    @pytest.mark.parametrize("replicas,faults", [
+        (1, None), (2, None), (2, "crash"),
+    ])
+    def test_zero_batch_rejected(self, march, replicas, faults):
+        # One batch rule for every server and fleet size: an empty
+        # stream is an empty trace, never ``batch=0``.
+        from repro.faults import FaultPlan, ReplicaCrash
+
+        kwargs = {} if faults is None else {"faults": FaultPlan(
+            events=(ReplicaCrash(replica=0, at_cycle=100),)
+        )}
+        fleet = make_fleet(march, replicas=replicas)
+        with pytest.raises(ConfigError, match="batch must be >= 1"):
+            fleet.submit(batch=0, **kwargs)
 
 
 class TestFaultMetricDenominators:
@@ -254,6 +269,21 @@ class TestFaultMetricDenominators:
         assert report.p99_latency_ms is None
         assert report.to_dict()["p99_latency_cycles"] is None
         assert "n/a (0 completed)" in str(report)
+
+    def test_crashed_cold_replica_has_no_per_inference_cost(self, march):
+        from repro.faults import FaultPlan, ReplicaCrash
+
+        # Replica 1 pays its weight load, then dies before serving
+        # anything: the load is real energy but no inference's cost.
+        fleet = make_fleet(march, replicas=2, resident_weights=True)
+        report = fleet.submit(
+            batch=4, faults=FaultPlan(events=(ReplicaCrash(1, at_cycle=1),))
+        )
+        lost = report.replica_reports[1]
+        assert lost.batch == 0 and lost.load_cycles > 0
+        assert lost.total_energy_mj > 0
+        assert lost.energy_per_inference_mj == 0.0
+        assert lost.to_dict()["energy_per_inference_mj"] == 0.0
 
     def test_partial_drop_divides_by_completed(self, march):
         from repro.faults import FaultPlan, ReplicaCrash, RetryPolicy

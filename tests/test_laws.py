@@ -7,6 +7,12 @@ read-only (``sim/memory.py``); nothing writes the parameters, whichever
 engine path issues the write; and a macro-group register is its own
 array, aliasing neither segment.
 
+Serve through one kernel, once.  The admission recurrence is spelled
+out in ``sim/multichip.py`` alone; ``PipelineState.admit`` is called
+from there and from the failover engine only, and neither ``serve.py``
+nor ``runtime.py`` folds a second admission path; a live request is
+admitted in place, with no scheduler task and no dataclass record.
+
 Plan from shapes.  No module a cold sweep imports -- serving axes
 included -- imports NumPy when it is itself imported (parameters are
 drawn on first read, and the serving continuation reads the NumPy-free
@@ -16,7 +22,9 @@ they are priced.
 """
 
 import ast
+import dataclasses
 import gc
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -227,3 +235,134 @@ def test_duplication_greedy_keeps_no_blocked_set():
 ])
 def test_import_time_numpy_check_sees_a_violation(source, lines):
     assert _import_time_numpy(source) == lines
+
+
+# ---------------------------------------------------------------------------
+# Serve through one kernel, once
+# ---------------------------------------------------------------------------
+
+REPRO = SRC / "repro"
+
+
+def _files_with(root: Path, pattern: str, names=None):
+    """The files under ``root`` whose text matches ``pattern`` -- ``grep
+    -rlE`` over the tree (byte-compiled caches are copies, not sources)
+    or over ``names`` only -- as sorted paths relative to ``root``."""
+    paths = (
+        [root / name for name in names] if names is not None
+        else root.rglob("*")
+    )
+    return sorted(
+        path.relative_to(root).as_posix() for path in paths
+        if path.is_file() and "__pycache__" not in path.parts
+        and re.search(pattern, path.read_text(errors="replace"))
+    )
+
+
+def _kernel_files(root: Path):
+    """Where the admission recurrence (its ``prev_finish``) is written."""
+    return _files_with(root, r"prev_finish")
+
+
+def _admitting_files(root: Path):
+    """Files that call ``.admit(``: as text, the way a grep reads them,
+    or as an AST call site, whatever the spacing."""
+    found = set(_files_with(root, r"\.admit\("))
+    for name in _files_with(root, r"\badmit\b"):  # what could call it
+        if name.endswith(".py") and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "admit"
+            for node in ast.walk(ast.parse((root / name).read_text()))
+        ):
+            found.add(name)
+    return sorted(found)
+
+
+def _second_admission_paths(root: Path):
+    """A serving module that folds the kernel a second time."""
+    return _files_with(
+        root, r"streaming_schedule|def _dispatch|def _admit_unfaulted",
+        ["serve.py", "runtime.py"],
+    )
+
+
+def _scheduler_hops(root: Path):
+    """A task or scheduler between a live request and its admission."""
+    return _files_with(root, r"create_task|_scheduler", ["runtime.py"])
+
+
+def _request_records():
+    """The seven records a request builds."""
+    from repro import faults, runtime
+
+    return [
+        runtime.RequestAdmitted, runtime.RequestCompleted,
+        runtime.RequestDropped, runtime.ReplicaStateChanged,
+        runtime.RequestCompletion, faults.AttemptRecord,
+        faults.EngineOutcome,
+    ]
+
+
+def _dataclass_records(records):
+    return [r.__name__ for r in records if dataclasses.is_dataclass(r)]
+
+
+def test_one_admission_kernel():
+    assert _kernel_files(REPRO) == ["sim/multichip.py"]
+
+
+def test_admit_once():
+    assert _admitting_files(REPRO) == ["faults.py", "sim/multichip.py"]
+    assert _second_admission_paths(REPRO) == []
+
+
+def test_a_request_costs_its_admission():
+    assert _scheduler_hops(REPRO) == []
+    assert _dataclass_records(_request_records()) == []
+
+
+def _tree(root: Path, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_one_admission_kernel_sees_a_violation(tmp_path):
+    root = _tree(tmp_path, {
+        "sim/multichip.py": "prev_finish = [0]\n",
+        "serve.py": "# a second copy\nprev_finish = [0]\n",
+        "__pycache__/serve.pyc": "prev_finish",
+    })
+    assert _kernel_files(root) == ["serve.py", "sim/multichip.py"]
+
+
+def test_admit_once_sees_a_violation(tmp_path):
+    root = _tree(tmp_path, {
+        "faults.py": "state.admit(release)\n",
+        "sim/multichip.py": "state.admit(release)\n",
+        "console.py": "state . admit (release)\n",
+        "serve.py": "from repro.sim.multichip import streaming_schedule\n",
+        "runtime.py": "def _dispatch(self):\n    pass\n",
+    })
+    assert _admitting_files(root) == [
+        "console.py", "faults.py", "sim/multichip.py",
+    ]
+    assert _second_admission_paths(root) == ["runtime.py", "serve.py"]
+
+
+def test_a_request_costs_its_admission_sees_a_violation(tmp_path):
+    root = _tree(tmp_path, {
+        "runtime.py": "asyncio.get_running_loop().create_task(work())\n",
+    })
+    assert _scheduler_hops(root) == ["runtime.py"]
+
+    @dataclasses.dataclass(frozen=True)
+    class RequestAdmitted:
+        request: int
+
+    assert _dataclass_records(
+        [RequestAdmitted, *_request_records()[1:]]
+    ) == ["RequestAdmitted"]

@@ -12,7 +12,8 @@ runtime"):
   :class:`~repro.serve.TraceArrivals` -- in both fidelity tiers, with
   ``replicas > 1``, under fault plans, and in resident-weights
   sessions -- and every live-resolved future agreed with that report
-  *before* the simulators executed;
+  *before* the simulators executed (a measured row that differs from
+  the profile the session priced raises);
 - **determinism**: the same scripted session twice produces
   byte-identical event streams and final reports, including under a
   mid-stream crash.
@@ -246,33 +247,49 @@ class TestOfflineEquivalence:
 
 
 class TestCrossCheckFires:
-    """The one replay that is kept -- cyclesim, fault-free -- executes
-    the trace and holds its measured rows against the live predictions.
-    Skewing the profile the predictions are priced from (the probe row;
-    the execution does not read it) must make ``drain()`` raise."""
+    """Every cyclesim submission executes its served inputs once and holds
+    each measured row to the profile its admissions were priced from.
+    Skewing that profile (the execution does not read it) must raise,
+    offline, under a fault plan and at a live session's drain."""
 
     @staticmethod
     def _skew_profile(dep):
+        """Price shard 0 one cycle high; returns the match for the error."""
         row, edges = dep._service_profile()
         dep._profile = ([row[0] + 1, *row[1:]], edges)
+        return (
+            rf"served input 0 ran {row[0]} cycles on shard 0, but its "
+            rf"admission was priced at the service profile's {row[0] + 1}"
+        )
 
     def test_deployment_service_starts_diverge(self, arch):
         dep = _deployment(arch)
-        self._skew_profile(dep)
-        with pytest.raises(
-            SimulationError,
-            match=r"diverged from the offline replay: service starts",
-        ):
+        with pytest.raises(SimulationError, match=self._skew_profile(dep)):
             _run(_script(dep, [0, 0]))
 
     def test_fleet_finish_cycles_diverge(self, arch):
         fleet = _fleet(arch, replicas=2)
-        self._skew_profile(fleet.deployment)
-        with pytest.raises(
-            SimulationError,
-            match=r"diverged from the offline replay: finish cycles",
-        ):
+        match = self._skew_profile(fleet.deployment)
+        with pytest.raises(SimulationError, match=match):
             _run(_script(fleet, [0, 0]))
+
+    def test_offline_deployment(self, arch):
+        dep = _deployment(arch)
+        with pytest.raises(SimulationError, match=self._skew_profile(dep)):
+            dep.submit(batch=2)
+
+    def test_offline_fleet(self, arch):
+        fleet = _fleet(arch, replicas=2)
+        match = self._skew_profile(fleet.deployment)
+        with pytest.raises(SimulationError, match=match):
+            fleet.submit(batch=2)
+
+    def test_faulted_fleet(self, arch):
+        fleet = _fleet(arch, replicas=2)
+        match = self._skew_profile(fleet.deployment)
+        plan = FaultPlan(events=(ReplicaCrash(replica=1, at_cycle=10**9),))
+        with pytest.raises(SimulationError, match=match):
+            fleet.submit(batch=2, faults=plan)
 
 
 # ---------------------------------------------------------------------------
