@@ -225,6 +225,22 @@ class TestReportCommand:
         assert " -" in capsys.readouterr().out
 
 
+class TestOutputBytesArePinned:
+    def test_sweep_and_old_format_report_match_the_golden_file(
+        self, tmp_path
+    ):
+        """Table, CSV and report bytes equal ``tests/data/
+        sweep_output_golden.json`` (``tests/golden_sweep_output.py``
+        regenerates it)."""
+        import golden_sweep_output
+
+        golden = json.loads(golden_sweep_output.GOLDEN_PATH.read_text())
+        current = golden_sweep_output.current_outputs(tmp_path)
+        assert sorted(current) == sorted(golden)
+        for name in golden:
+            assert current[name] == golden[name], name
+
+
 class TestSpotCheckOption:
     def test_sweep_with_spot_check(self, tmp_path, capsys):
         out_json = tmp_path / "sweep.json"
