@@ -30,10 +30,8 @@ exploration engine without writing any Python:
   writes them to a file);
 - ``sweep``   -- evaluate a cross-product design space with the fast
   analytical model, in parallel and through the on-disk result cache
-  (``--chips`` adds the multi-chip axis, ``--batch`` the streaming
-  batch axis, ``--arrival-rates`` the serving axis, ``--replicas``
-  the fleet axis, ``--fault-plans`` the availability axis; an
-  interrupted sweep resumes mid-cross-product via the sweep manifest);
+  (one flag per sweep axis; an interrupted sweep resumes
+  mid-cross-product via the sweep manifest);
 - ``compare`` -- the Fig. 5 strategy comparison (normalized speed/energy
   per compilation strategy);
 - ``report``  -- re-render / convert a saved ``sweep --json`` file
@@ -60,8 +58,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.config import default_arch, load_arch, small_test_arch
 from repro.errors import ConfigError, ReproError
@@ -74,31 +77,6 @@ if TYPE_CHECKING:
 
 _PRESETS = {"default": default_arch, "small": small_test_arch}
 
-_POINT_COLUMNS = (
-    "model", "strategy", "input_size", "num_classes", "chips", "batch",
-    "arrival_rate",
-    "replicas", "fault_plan", "resident_weights", "load_cycles",
-    "mg_size", "flit_bytes", "cycles", "time_ms", "energy_mj", "tops",
-    "throughput_inf_s", "energy_per_inf_mj",
-    "p50_latency_ms", "p95_latency_ms", "p99_latency_ms",
-    "dropped", "retries", "goodput_inf_s", "cached",
-)
-
-#: Fallbacks for sweep-result rows written before the column existed
-#: (pre-batch files lack batch/throughput/energy-per-inference,
-#: pre-serve files lack arrival-rate/latency-percentile columns,
-#: pre-fleet files lack the replicas column, pre-fault files lack the
-#: fault-plan/dropped/retries/goodput columns, pre-resident files lack
-#: the resident-weights/load-cycles columns).
-_COLUMN_DEFAULTS = {"chips": 1, "batch": 1, "replicas": 1,
-                    "dropped": 0, "retries": 0,
-                    "resident_weights": False, "load_cycles": 0}
-
-_BEST_METRICS = (
-    "tops", "throughput_inf_s", "energy_mj", "energy_per_inf_mj", "cycles",
-)
-_ASCENDING_METRICS = ("energy_mj", "energy_per_inf_mj", "cycles")
-
 
 # ---------------------------------------------------------------------------
 # Small argument helpers
@@ -108,63 +86,49 @@ def _split_csv(value: str) -> List[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _int_list(value: str) -> List[int]:
-    try:
-        return [int(item) for item in _split_csv(value)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {value!r}"
-        )
+def _list_of(parse, expected: str):
+    """A comma-separated flag value, each item read by ``parse``."""
+
+    def parse_list(value: str) -> List[Any]:
+        out = []
+        for item in _split_csv(value):
+            try:
+                out.append(parse(item))
+            except (KeyError, ValueError):
+                raise argparse.ArgumentTypeError(
+                    f"expected comma-separated {expected}, got {item!r}"
+                ) from None
+        return out
+
+    return parse_list
 
 
-def _rate_list(value: str) -> List[Optional[float]]:
-    """Comma-separated arrival rates; ``none`` keeps back-to-back mode."""
-    out: List[Optional[float]] = []
-    for item in _split_csv(value):
-        if item.lower() == "none":
-            out.append(None)
-            continue
-        try:
-            out.append(float(item))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated rates (inf/s) or 'none', "
-                f"got {item!r}"
-            )
-    return out
+def _or_none(parse):
+    """``parse``, reading ``none`` as ``None``."""
+    return lambda item: None if item.strip().lower() == "none" else parse(item)
 
 
-def _bool_list(value: str) -> List[bool]:
-    """Comma-separated booleans (``true``/``false``, ``1``/``0``)."""
-    out: List[bool] = []
-    for item in _split_csv(value):
-        lowered = item.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            out.append(True)
-        elif lowered in ("false", "0", "no", "off"):
-            out.append(False)
-        else:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated booleans, got {item!r}"
-            )
-    return out
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+_int_list = _list_of(int, "integers")
+_rate_list = _list_of(_or_none(float), "rates (inf/s) or 'none'")
+_bool_list = _list_of(lambda item: _BOOLS[item.lower()], "booleans")
 
 
 def _closure_limit(value: str):
     """``64`` | ``none`` | ``model=64,other=none`` -> engine form."""
+    limit = _or_none(int)
     items = _split_csv(value)
     if len(items) == 1 and "=" not in items[0]:
-        return None if items[0].lower() == "none" else int(items[0])
+        return limit(items[0])
     limits: Dict[str, Optional[int]] = {}
     for item in items:
-        if "=" not in item:
+        model, pair, text = item.partition("=")
+        if not pair:
             raise argparse.ArgumentTypeError(
                 f"expected model=limit pairs, got {item!r}"
             )
-        model, _, limit = item.partition("=")
-        limits[model.strip()] = (
-            None if limit.strip().lower() == "none" else int(limit)
-        )
+        limits[model.strip()] = limit(text)
     return limits
 
 
@@ -190,69 +154,113 @@ def _add_arch_options(parser: argparse.ArgumentParser) -> None:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _optional_cell(row: Dict[str, Any], key: str, fmt: str, width: int) -> str:
-    """Format a possibly-missing numeric column (old result files)."""
-    value = row.get(key)
-    if value is None:
-        return f"{'-':>{width}s}"
-    return f"{value:>{width}{fmt}}"
+class _Column(NamedTuple):
+    """One column of a sweep result row: its value in a row written
+    before it existed (``MISSING``: none, such a row is malformed) and,
+    if the table shows it, its band, header, width and format spec, or
+    the word a true ``flag`` shows as."""
+
+    name: str
+    default: Any = MISSING
+    band: Optional[int] = None
+    label: str = ""
+    width: int = 0
+    fmt: str = "d"
+    align: str = ">"
+    flag: str = ""
+
+
+#: The table's bands, left to right, each in CSV order: the column
+#: whose truth in some row shows the band (``None``: always shown).
+_BANDS = (None, "fault_plan", "resident_weights", None)
+
+#: What a shown cell must hold, by the type letter of its format spec.
+_CELL_TYPES = {"d": (int, "an integer"), "f": ((int, float), "a number"),
+               "s": (str, "a string")}
+
+
+@lru_cache(maxsize=None)
+def _columns() -> Tuple[_Column, ...]:
+    """The column table, in CSV order, read by the CSV writer, the
+    table and ``report``'s row check.  A coordinate added after the
+    first results format defaults to its axis's value (a row without
+    ``num_classes`` does not say: an empty cell)."""
+    from repro.explore import AXES
+
+    axis = {a.name: a.default for a in AXES}
+    C = _Column
+    return (
+        C("model", MISSING, 0, "model", 16, "s", align="<"),
+        C("strategy", MISSING, 0, "strat", 7, "s"),
+        C("input_size", MISSING, 0, "in", 5),
+        C("num_classes", None),
+        C("chips", axis["chips"], 0, "chips", 6),
+        C("batch", axis["batch"], 0, "B", 4),
+        C("arrival_rate", axis["arrival_rate"], 0, "rate/s", 9, ",.0f"),
+        C("replicas", axis["replicas"], 0, "R", 3),
+        C("fault_plan", axis["fault_plan"]),
+        C("resident_weights", axis["resident_weights"], 2, "res", 5, "s",
+          flag="yes"),
+        C("load_cycles", 0, 2, "load cyc", 10, ",d"),
+        C("mg_size", MISSING, 0, "MG", 4),
+        C("flit_bytes", MISSING, 0, "flit", 6),
+        C("cycles", MISSING, 0, "cycles", 12, ",d"),
+        C("time_ms", MISSING, 0, "ms", 9, ".2f"),
+        C("energy_mj", MISSING, 0, "E mJ", 9, ".2f"),
+        C("tops", MISSING, 0, "TOPS", 8, ".2f"),
+        C("throughput_inf_s", None, 0, "inf/s", 11, ",.0f"),
+        C("energy_per_inf_mj", None, 0, "mJ/inf", 9, ".2f"),
+        C("p50_latency_ms", None), C("p95_latency_ms", None),
+        C("p99_latency_ms", None, 0, "p99 ms", 9, ".3f"),
+        C("dropped", 0, 1, "drop", 6),
+        C("retries", 0, 1, "retry", 7),
+        C("goodput_inf_s", None, 1, "good/s", 11, ",.0f"),
+        C("cached", None, 3, "cache", 7, "s", flag="hit"),
+    )
 
 
 def _format_table(rows: Sequence[Dict[str, Any]]) -> str:
-    faulted = any(row.get("fault_plan") for row in rows)
-    resident = any(row.get("resident_weights") for row in rows)
-    header = (
-        f"{'model':<16s}{'strat':>7s}{'in':>5s}{'chips':>6s}{'B':>4s}"
-        f"{'rate/s':>9s}{'R':>3s}{'MG':>4s}{'flit':>6s}"
-        f"{'cycles':>12s}{'ms':>9s}{'E mJ':>9s}{'TOPS':>8s}"
-        f"{'inf/s':>11s}{'mJ/inf':>9s}{'p99 ms':>9s}"
-        + (f"{'drop':>6s}{'retry':>7s}{'good/s':>11s}" if faulted else "")
-        + (f"{'res':>5s}{'load cyc':>10s}" if resident else "")
-        + f"{'cache':>7s}"
+    shown_bands = [
+        when is None or any(row.get(when) for row in rows) for when in _BANDS
+    ]
+    shown = sorted(
+        (col for col in _columns()
+         if col.band is not None and shown_bands[col.band]),
+        key=attrgetter("band"),
     )
+    # Format specs are built once per table, not once per cell.
+    header = "".join(
+        format(col.label, f"{col.align}{col.width}s") for col in shown
+    )
+    cells = [
+        (col.name, col.default, f"{col.align}{col.width}{col.fmt}",
+         format("-", f">{col.width}s"),
+         {False: None, True: col.flag} if col.flag else None)
+        for col in shown
+    ]
     lines = [header, "-" * len(header)]
     for row in rows:
-        fault_cells = ""
-        if faulted:
-            fault_cells = (
-                f"{row.get('dropped', 0):>6d}{row.get('retries', 0):>7d}"
-                f"{_optional_cell(row, 'goodput_inf_s', ',.0f', 11)}"
-            )
-        resident_cells = ""
-        if resident:
-            resident_cells = (
-                f"{'yes' if row.get('resident_weights') else '-':>5s}"
-                f"{row.get('load_cycles', 0):>10,d}"
-            )
-        lines.append(
-            f"{row['model']:<16s}{row['strategy']:>7s}{row['input_size']:>5d}"
-            f"{row.get('chips', 1):>6d}{row.get('batch', 1):>4d}"
-            f"{_optional_cell(row, 'arrival_rate', ',.0f', 9)}"
-            f"{row.get('replicas', 1):>3d}"
-            f"{row['mg_size']:>4d}{row['flit_bytes']:>6d}"
-            f"{row['cycles']:>12,d}{row['time_ms']:>9.2f}"
-            f"{row['energy_mj']:>9.2f}{row['tops']:>8.2f}"
-            f"{_optional_cell(row, 'throughput_inf_s', ',.0f', 11)}"
-            f"{_optional_cell(row, 'energy_per_inf_mj', '.2f', 9)}"
-            f"{_optional_cell(row, 'p99_latency_ms', '.3f', 9)}"
-            + fault_cells
-            + resident_cells
-            + f"{'hit' if row.get('cached') else '-':>7s}"
-        )
+        get = row.get
+        lines.append("".join([
+            dash if (value := get(name, default) if flag is None
+                     else flag[bool(get(name))]) is None
+            else format(value, spec)
+            for name, default, spec, dash, flag in cells
+        ]))
     return "\n".join(lines)
 
 
 def _write_csv(rows: Sequence[Dict[str, Any]], path: str) -> None:
     import csv
 
+    blank = {
+        col.name: "" if col.default is MISSING else col.default
+        for col in _columns()
+    }
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_POINT_COLUMNS)
+        writer = csv.DictWriter(fh, list(blank), extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {col: row.get(col, _COLUMN_DEFAULTS.get(col, ""))
-                 for col in _POINT_COLUMNS}
-            )
+        writer.writerows({**blank, **row} for row in rows)
 
 
 def _write_json(payload: Dict[str, Any], path: str) -> None:
@@ -548,17 +556,24 @@ def _check_workers(args) -> None:
         raise ConfigError("--workers must be >= 0")
 
 
-def _progress_printer(quiet: bool):
+def _progress_printer(quiet: bool, spec):
+    """A per-point progress line labelling each point with the
+    coordinates its sweep varies (the model, if none does)."""
     if quiet:
         return None
+    from repro.explore import AXES
+
+    varied = [
+        axis.name for axis in AXES if axis.metadata["plural"]
+        and len(getattr(spec, axis.metadata["plural"]) or ()) > 1
+    ] or ["model"]
 
     def progress(done, total, point):
         tag = "cache hit" if point.cached else "evaluated"
+        coords = point.coordinates("describe")
+        label = " ".join(f"{name}={coords[name]}" for name in varied)
         print(
-            f"[{done:>3d}/{total}] {point.model:<16s}{point.strategy:>12s}"
-            f"  chips={point.chips:<2d}B={point.batch:<3d}"
-            f"MG={point.mg_size:<3d}flit={point.flit_bytes:<3d}"
-            f" TOPS={point.tops:6.2f}  ({tag})",
+            f"[{done:>3d}/{total}] {label}  TOPS={point.tops:6.2f}  ({tag})",
             flush=True,
         )
 
@@ -571,38 +586,38 @@ def _fault_plans(entries: List[str]):
         return (None,) * len(entries)  # the default axis: no repro.faults
     from repro.faults import load_fault_plan
 
-    return tuple(
-        None if entry.lower() == "none" else load_fault_plan(entry)
-        for entry in entries
-    )
+    return tuple(map(_or_none(load_fault_plan), entries))
+
+
+def _sweep_spec(args):
+    """The :class:`SweepSpec` the flags describe, axis by axis: a flag's
+    dest is the axis's plural, or the axis's name where the flag is
+    singular (``--chips``, ``--batch``, ``--replicas``)."""
+    from repro.explore import AXES, SweepSpec
+
+    fields: Dict[str, Any] = {}
+    for axis in AXES:
+        field = axis.metadata["plural"] or axis.name
+        value = getattr(args, field if hasattr(args, field) else axis.name)
+        if field == "fault_plans":
+            value = _fault_plans(value)
+        if axis.metadata["plural"]:
+            value = tuple(value) if value else None
+        fields[field] = value
+    return SweepSpec(base_arch=_resolve_arch(args), **fields)
 
 
 def _cmd_sweep(args) -> int:
-    from repro.explore import SweepSpec, run_sweep
+    from repro.explore import run_sweep
 
     _check_workers(args)
-    spec = SweepSpec(
-        models=tuple(args.models),
-        strategies=tuple(args.strategies),
-        mg_sizes=tuple(args.mg_sizes) if args.mg_sizes else None,
-        flit_sizes=tuple(args.flit_sizes) if args.flit_sizes else None,
-        input_sizes=tuple(args.input_sizes),
-        num_classes=args.num_classes,
-        base_arch=_resolve_arch(args),
-        closure_limit=args.closure_limit,
-        chip_counts=tuple(args.chips),
-        batch_sizes=tuple(args.batch),
-        arrival_rates=tuple(args.arrival_rates),
-        replica_counts=tuple(args.replicas),
-        fault_plans=_fault_plans(args.fault_plans),
-        resident_modes=tuple(args.resident_modes),
-    )
+    spec = _sweep_spec(args)
     cache = _build_cache(args)
     result = run_sweep(
         spec,
         workers=args.workers,
         cache=cache,
-        progress=_progress_printer(args.quiet),
+        progress=_progress_printer(args.quiet, spec),
         resume=not args.no_resume,
     )
     payload = result.to_dict()
@@ -702,20 +717,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _pareto_rows(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Non-dominated (energy_mj minimised, tops maximised) rows.
-
-    The same :func:`repro.explore.pareto_filter` backing
-    :meth:`SweepResult.pareto_front`, applied to the JSON row
-    dictionaries a saved sweep file carries.
-    """
-    from repro.explore import pareto_filter
-
-    return pareto_filter(list(rows), lambda r: (r["energy_mj"], r["tops"]))
-
-
 def _read_results(path: str) -> Dict[str, Any]:
-    """A ``sweep --json`` payload, shape-checked where it is read."""
+    """A ``sweep --json`` payload, shape-checked where it is read: every
+    row carries the required columns, and what the table shows is of
+    the type its format takes."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")
@@ -726,6 +731,21 @@ def _read_results(path: str) -> Dict[str, Any]:
     for section in ("spec", "stats"):
         if not isinstance(payload.get(section, {}), dict):
             raise ValueError(f"{section!r} must be an object")
+    shown = [
+        (col, *_CELL_TYPES[col.fmt[-1]]) for col in _columns()
+        if col.band is not None and not col.flag
+    ]
+    for index, row in enumerate(rows):
+        for col, types, kind in shown:
+            value = row.get(col.name, col.default)
+            if value is MISSING:
+                raise ValueError(f"row {index} has no {col.name!r}")
+            if value is not col.default and (
+                    isinstance(value, bool) or not isinstance(value, types)):
+                raise ValueError(
+                    f"row {index}: {col.name!r} must be {kind}, "
+                    f"got {value!r}"
+                )
     return payload
 
 
@@ -757,28 +777,26 @@ def _cmd_report(args) -> int:
         # An empty sweep file is well-formed (e.g. a filtered export):
         # there is nothing to rank or filter, but it is not an error.
         print("\n(no points)")
-        if args.csv:
-            _write_csv(rows, args.csv)
-            print(f"wrote {args.csv}")
-        return 0
-    if any(args.best not in row for row in rows):
+    elif any(row.get(args.best) is None for row in rows):
         print(
             f"error: results file predates the {args.best!r} column; "
             f"re-run the sweep to rank by it",
             file=sys.stderr,
         )
         return 2
-    reverse = args.best not in _ASCENDING_METRICS
-    ranked = sorted(rows, key=lambda r: r[args.best], reverse=reverse)
-    print(f"\ntop {min(args.top, len(ranked))} by {args.best}:")
-    print(_format_table(ranked[: args.top]))
-    if args.pareto:
-        front = _pareto_rows(rows)
-        print(
-            f"\nenergy/throughput Pareto front "
-            f"({len(front)}/{len(rows)} points non-dominated):"
-        )
-        print(_format_table(front))
+    else:
+        from repro.explore import PARETO, pareto_filter, rank
+
+        ranked = rank(rows, args.best, itemgetter)
+        print(f"\ntop {min(args.top, len(ranked))} by {args.best}:")
+        print(_format_table(ranked[: args.top]))
+        if args.pareto:
+            front = pareto_filter(rows, itemgetter(*PARETO))
+            print(
+                f"\nenergy/throughput Pareto front "
+                f"({len(front)}/{len(rows)} points non-dominated):"
+            )
+            print(_format_table(front))
     if args.csv:
         _write_csv(rows, args.csv)
         print(f"wrote {args.csv}")
@@ -1053,9 +1071,10 @@ def _declare_compare(compare: argparse.ArgumentParser) -> None:
 
 
 def _declare_report(report: argparse.ArgumentParser) -> None:
+    from repro.explore import RANKINGS
+
     report.add_argument("results", help="JSON file written by 'sweep --json'")
-    report.add_argument("--best", default="tops",
-                        choices=_BEST_METRICS,
+    report.add_argument("--best", default="tops", choices=tuple(RANKINGS),
                         help="metric for the ranked summary")
     report.add_argument("--top", type=int, default=5,
                         help="how many top points to list")

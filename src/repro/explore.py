@@ -318,27 +318,23 @@ class DesignPoint(PointSpec):
     def energy_per_inf_mj(self) -> float:
         return self.report.energy_per_inference_mj
 
-    def _cycles_to_ms(self, cycles: int) -> float:
+    def _latency_ms(self, cycles: int) -> Optional[float]:
+        """A serving latency (arrival-rate points only, else ``None``)."""
+        if self.arrival_rate is None:
+            return None
         return cycles / (self.report.clock_mhz * 1e3)
 
     @property
     def p50_latency_ms(self) -> Optional[float]:
-        """p50 serving latency (arrival-rate points only, else ``None``)."""
-        if self.arrival_rate is None:
-            return None
-        return self._cycles_to_ms(self.report.p50_latency_cycles)
+        return self._latency_ms(self.report.p50_latency_cycles)
 
     @property
     def p95_latency_ms(self) -> Optional[float]:
-        if self.arrival_rate is None:
-            return None
-        return self._cycles_to_ms(self.report.p95_latency_cycles)
+        return self._latency_ms(self.report.p95_latency_cycles)
 
     @property
     def p99_latency_ms(self) -> Optional[float]:
-        if self.arrival_rate is None:
-            return None
-        return self._cycles_to_ms(self.report.p99_latency_cycles)
+        return self._latency_ms(self.report.p99_latency_cycles)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form used by the CLI exporters (plan is not included)."""
@@ -361,6 +357,24 @@ class DesignPoint(PointSpec):
             "energy_groups_mj": self.report.grouped_energy_mj(),
             "report": self.report.to_dict(),
         }
+
+
+#: The ranking table: each metric a sweep is ranked by, ``True`` where
+#: higher ranks first -- and the frontier's (cost, benefit) pair.
+RANKINGS = {"tops": True, "throughput_inf_s": True, "energy_mj": False,
+            "energy_per_inf_mj": False, "cycles": False}
+PARETO = ("energy_mj", "tops")
+
+
+def rank(items, metric: str, reader=attrgetter):
+    """``items`` best first by ``metric``, read by ``reader(metric)``
+    (``attrgetter`` for points, ``itemgetter`` for JSON rows); ties keep
+    their order."""
+    if metric not in RANKINGS:
+        raise ConfigError(
+            f"unknown metric {metric!r}; expected {'/'.join(RANKINGS)}"
+        )
+    return sorted(items, key=reader(metric), reverse=RANKINGS[metric])
 
 
 def pareto_filter(items, coords: Callable[[Any], Tuple[float, float]]):
@@ -495,27 +509,14 @@ def evaluate_fast(
 class SweepSpec:
     """Declarative description of a cross-product design-space sweep.
 
-    Axes with value ``None`` are not varied: the corresponding parameter
-    of ``base_arch`` is used unchanged.  ``chip_counts`` is the
-    multi-chip sharding axis (``(1,)`` by default: single chip);
-    ``batch_sizes`` is the streaming-batch axis (``(1,)`` by default:
-    single-shot latency mode); ``arrival_rates`` is the serving axis
-    (inferences/s offered at a fixed rate -- ``(None,)`` by default:
-    back-to-back batched mode; rate points add p50/p95/p99 latency to
-    the report); ``replica_counts`` is the fleet axis (``(1,)`` by
-    default: a single deployment; ``R > 1`` round-robins the offered
-    stream across R identical replicas, pricing replicas-vs-chips
-    trade-offs); ``fault_plans`` is the availability axis (``(None,)``
-    by default: fault-free serving; a :class:`repro.faults.FaultPlan`
-    entry replays that deterministic fault schedule against the fleet,
-    pricing capacity under failures); ``resident_modes`` is the
-    resident-weights axis (``(False,)`` by default: every input re-pays
-    its weight loads; a ``True`` entry prices a resident serving
-    session -- warm per-input replay after a run-once load phase, load
-    energy charged once per session).  ``closure_limit`` bounds the DP
-    partitioner's closure
-    enumeration and may be given per model (Fig. 7 caps EfficientNetB0
-    at 64 to keep the sweep tractable).
+    One field per coordinate (:data:`AXES`): a swept coordinate's
+    plural holds the values it takes -- by default the one-value tuple
+    of the coordinate's default, so an unswept serving axis prices a
+    single-chip, single-shot, back-to-back, one-replica, fault-free,
+    reload-per-input deployment -- and a hardware plural of ``None``
+    keeps ``base_arch``'s value.  ``closure_limit`` bounds the DP
+    partitioner's closure enumeration and may be given per model
+    (Fig. 7 caps EfficientNetB0 at 64 to keep the sweep tractable).
     """
 
     models: Tuple[str, ...]
@@ -577,14 +578,9 @@ class SweepSpec:
         return getattr(self, axis.metadata["plural"]) or (axis.default,)
 
     def points(self) -> List[PointSpec]:
-        """The cross product, in deterministic order.
-
-        Order (outer to inner): model, strategy, input size, chip count,
-        batch size, arrival rate, replica count, fault plan, resident
-        mode, flit width, MG size -- matching the row order of the
-        paper's figure tables (the serving axes ride between the
-        software and hardware axes).
-        """
+        """The cross product, in deterministic order: software and
+        serving axes in declaration order, then flit width and MG size
+        -- the row order of the paper's figure tables."""
         names = [axis.name for axis in _NESTING]
         out: List[PointSpec] = []
         for values in product(*map(self._values, _NESTING)):
@@ -672,18 +668,10 @@ class SweepResult:
         return out
 
     def best(self, metric: str = "tops") -> DesignPoint:
-        """Best point: highest ``tops``/``throughput_inf_s``, or lowest
-        ``energy_mj``/``energy_per_inf_mj``/``cycles``."""
+        """The first point :func:`rank` puts ahead by ``metric``."""
         if not self.points:
             raise ConfigError("sweep has no points; cannot rank an empty sweep")
-        if metric in ("tops", "throughput_inf_s"):
-            return max(self.points, key=lambda p: getattr(p, metric))
-        if metric in ("energy_mj", "energy_per_inf_mj", "cycles"):
-            return min(self.points, key=lambda p: getattr(p, metric))
-        raise ConfigError(
-            f"unknown metric {metric!r}; expected tops/throughput_inf_s/"
-            f"energy_mj/energy_per_inf_mj/cycles"
-        )
+        return rank(self.points, metric)[0]
 
     def pareto_front(self) -> List[DesignPoint]:
         """Energy/throughput Pareto front (Fig. 7's co-design frontier).
@@ -692,9 +680,9 @@ class SweepResult:
         ``energy_mj`` and higher-or-equal ``tops`` with at least one
         strict improvement.  Returned sorted by ascending energy, which
         makes the front directly plottable.  The CLI's ``report
-        --pareto`` applies the same :func:`pareto_filter` to saved rows.
+        --pareto`` applies the same :data:`PARETO` filter to saved rows.
         """
-        return pareto_filter(self.points, lambda p: (p.energy_mj, p.tops))
+        return pareto_filter(self.points, attrgetter(*PARETO))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -1082,13 +1070,12 @@ def spot_check(
     engine: Optional[str] = None,
     validate: bool = True,
 ) -> List[SpotCheckResult]:
-    """Re-run the best ``n`` points of a sweep cycle-accurately.
+    """Re-run the best ``n`` points of a sweep cycle-accurately, best
+    as :func:`rank` orders them by ``metric``.
 
-    Closes the ROADMAP item "cycle-accurate spot checks inside sweeps":
-    after a fast-model sweep, the most promising points are re-validated
-    on the exact simulator (hot-block engine by default) so every sweep
-    ships with an empirical fast-model error bound.  Exposed on the CLI
-    as ``python -m repro sweep --spot-check N``.
+    The most promising points are re-validated on the exact simulator
+    (hot-block engine by default), so every sweep ships with an
+    empirical fast-model error bound (``repro sweep --spot-check N``).
 
     Arrival-rate and fleet points are re-checked at their *batch*
     coordinates (back-to-back, one replica): the cycle-level comparison
@@ -1102,14 +1089,7 @@ def spot_check(
 
     if n <= 0:
         return []
-    reverse = metric == "tops"
-    if metric not in ("tops", "energy_mj", "cycles"):
-        raise ConfigError(
-            f"unknown metric {metric!r}; expected tops/energy_mj/cycles"
-        )
-    ranked = sorted(
-        result.points, key=lambda p: getattr(p, metric), reverse=reverse
-    )
+    ranked = rank(result.points, metric)
     spec = result.spec
     checks: List[SpotCheckResult] = []
     for pt in ranked[:n]:

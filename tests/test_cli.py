@@ -80,6 +80,26 @@ class TestSweepCommand:
         second = capsys.readouterr().out
         assert "0 evaluated, 2 cache hits (100%)" in second
 
+    def test_progress_lines_tell_points_apart(self, capsys):
+        """Each line names the coordinates the sweep varies: rate and
+        resident mode used to be missing, so 16 points printed 6 labels."""
+        assert run_cli(
+            "sweep", "--models", "tiny_cnn", "--preset", "small",
+            "--input-sizes", "8", "--num-classes", "10",
+            "--strategies", "generic,dp", "--batch", "1,4",
+            "--arrival-rates", "none,250000", "--resident-modes", "false,true",
+            "--no-cache",
+        ) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[")
+        ]
+        assert len(lines) == 16
+        labels = {line.split("] ", 1)[1].split("  TOPS=")[0] for line in lines}
+        assert len(labels) == 16
+        assert all("arrival_rate=" in label and "resident_weights=" in label
+                   for label in labels)
+
     def test_arch_file_and_closure_limit(self, small_arch_file, capsys):
         assert run_cli(
             "sweep", "--models", "tiny_cnn", "--strategies", "dp",
@@ -203,6 +223,14 @@ class TestReportCommand:
         assert run_cli("report", str(out_json), "--pareto") == 0
         out = capsys.readouterr().out
         assert "(1/2 points non-dominated)" in out
+
+    def test_best_choices_are_the_ranking_table(self, capsys):
+        from repro.explore import RANKINGS
+
+        with pytest.raises(SystemExit):
+            run_cli("report", "r.json", "--best", "watts")
+        err = capsys.readouterr().err
+        assert "choose from " + ", ".join(map(repr, RANKINGS)) in err
 
     def test_best_metric_missing_from_old_file_is_graceful(
         self, tmp_path, capsys
@@ -457,6 +485,18 @@ class TestErrorHygiene:
         '{"points": ["x"]}',
         '{"points": [], "spec": "x"}',
         '{"points": [], "stats": [1]}',
+        # a row without a required column, or with a number as a
+        # string, used to traceback out of the table (exit 1)
+        json.dumps({"points": [{
+            "model": "tiny_cnn", "strategy": "dp", "input_size": 8,
+            "mg_size": 2, "flit_bytes": 8, "time_ms": 0.1,
+            "energy_mj": 1.0, "tops": 2.0,
+        }]}),
+        json.dumps({"points": [{
+            "model": "tiny_cnn", "strategy": "dp", "input_size": 8,
+            "mg_size": 2, "flit_bytes": 8, "cycles": "12", "time_ms": 0.1,
+            "energy_mj": 1.0, "tops": 2.0,
+        }]}),
     ])
     def test_misshapen_results_file_is_one_line_without_numpy(
         self, text, tmp_path

@@ -555,6 +555,80 @@ class TestSpotCheck:
             spot_check(result, n=1, metric="watts")
 
 
+class TestRankingTable:
+    """``best``, ``spot_check`` and ``report`` rank through one table:
+    ``spot_check`` used to reject throughput_inf_s and
+    energy_per_inf_mj."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        # Batch and replicas split the per-inference metrics from the
+        # per-run ones, so the five rankings disagree.
+        return run_sweep(tiny_spec(
+            models=("tiny_cnn",), flit_sizes=(8,), batch_sizes=(1, 4),
+            replica_counts=(1, 2), arrival_rates=(None, 250000.0),
+        ))
+
+    def test_the_table(self):
+        from repro.explore import PARETO, RANKINGS
+
+        assert RANKINGS == {
+            "tops": True, "throughput_inf_s": True, "energy_mj": False,
+            "energy_per_inf_mj": False, "cycles": False,
+        }
+        assert set(PARETO) <= set(RANKINGS)
+
+    def test_the_metrics_pick_different_points(self, result):
+        from repro.explore import RANKINGS
+
+        picks = {result.points.index(result.best(m)) for m in RANKINGS}
+        assert len(picks) >= 3
+
+    @pytest.mark.parametrize("metric", [
+        "tops", "throughput_inf_s", "energy_mj", "energy_per_inf_mj",
+        "cycles",
+    ])
+    def test_spot_check_checks_what_best_picks(self, metric, result):
+        from repro.explore import spot_check
+
+        (check,) = spot_check(
+            result, n=1, metric=metric, input_size=8, validate=False
+        )
+        assert check.point is result.best(metric)
+
+    def test_rows_rank_as_points_do(self, result):
+        from operator import itemgetter
+
+        from repro.explore import PARETO, RANKINGS, pareto_filter, rank
+
+        rows = [point.to_dict() for point in result.points]
+        for metric in RANKINGS:
+            assert [rows.index(r) for r in rank(rows, metric, itemgetter)] == [
+                result.points.index(p) for p in rank(result.points, metric)
+            ]
+        front = pareto_filter(rows, itemgetter(*PARETO))
+        assert [rows.index(r) for r in front] == [
+            result.points.index(p) for p in result.pareto_front()
+        ]
+
+    def test_one_unknown_metric_text(self, result):
+        from repro.explore import rank, spot_check
+
+        messages = []
+        for attempt in (
+            lambda: result.best("watts"),
+            lambda: spot_check(result, n=1, metric="watts"),
+            lambda: rank([{"watts": 1}], "watts"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                attempt()
+            messages.append(str(exc.value))
+        assert messages == [
+            "unknown metric 'watts'; expected tops/throughput_inf_s/"
+            "energy_mj/energy_per_inf_mj/cycles"
+        ] * 3
+
+
 class TestParetoFront:
     def _point(self, energy, tops, model="tiny_cnn"):
         # tops = 2 * macs / seconds / 1e12; pick macs so tops comes out
