@@ -235,7 +235,7 @@ def _format_table(rows: Sequence[Dict[str, Any]]) -> str:
     cells = [
         (col.name, col.default, f"{col.align}{col.width}{col.fmt}",
          format("-", f">{col.width}s"),
-         {False: None, True: col.flag} if col.flag else None)
+         (None, col.flag) if col.flag else None)
         for col in shown
     ]
     lines = [header, "-" * len(header)]
@@ -557,8 +557,7 @@ def _check_workers(args) -> None:
 
 
 def _progress_printer(quiet: bool, spec):
-    """A per-point progress line labelling each point with the
-    coordinates its sweep varies (the model, if none does)."""
+    """Label each point with the coordinates its sweep varies."""
     if quiet:
         return None
     from repro.explore import AXES
@@ -591,8 +590,7 @@ def _fault_plans(entries: List[str]):
 
 def _sweep_spec(args):
     """The :class:`SweepSpec` the flags describe, axis by axis: a flag's
-    dest is the axis's plural, or the axis's name where the flag is
-    singular (``--chips``, ``--batch``, ``--replicas``)."""
+    dest is the axis's plural, or its name (``--chips``, ``--batch``)."""
     from repro.explore import AXES, SweepSpec
 
     fields: Dict[str, Any] = {}
@@ -718,9 +716,8 @@ def _cmd_compare(args) -> int:
 
 
 def _read_results(path: str) -> Dict[str, Any]:
-    """A ``sweep --json`` payload, shape-checked where it is read: every
-    row carries the required columns, and what the table shows is of
-    the type its format takes."""
+    """A ``sweep --json`` payload, shape-checked where it is read: each
+    row has the required columns, each shown cell its format's type."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError("expected a JSON object")

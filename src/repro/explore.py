@@ -135,11 +135,18 @@ def _boolean(value: Any) -> bool:
     return isinstance(value, bool)
 
 
+# An integral rate is the float it equals (the CLI's form): one cache
+# key and one stored report per point.
+def _float_rate(value: Any) -> Any:
+    return float(value) if type(value) is int else value
+
+
 def _coordinate(default: Any = MISSING, *, plural: Optional[str] = None,
                 rule: Optional[Callable[[Any], bool]] = None,
                 message: Optional[str] = None, key: Optional[str] = None,
                 row: bool = True, continuation: bool = False,
-                hardware: bool = False):
+                hardware: bool = False,
+                coerce: Optional[Callable[[Any], Any]] = None):
     """One sweep coordinate: a :class:`PointSpec` field plus what the
     engine must know about it, so that nothing else names it.
 
@@ -152,11 +159,13 @@ def _coordinate(default: Any = MISSING, *, plural: Optional[str] = None,
     base analysis (priced by :func:`_derive_report`, reset by
     :func:`_base_spec`); ``hardware`` whether it overrides the base
     architecture -- such an axis may be left unswept, varies innermost
-    and reaches the cache key through the architecture fingerprint.
+    and reaches the cache key through the architecture fingerprint;
+    ``coerce`` the one form a :class:`SweepSpec` gives each value.
     """
     return field(default=default, metadata={
         "plural": plural, "rule": rule, "message": message, "key": key,
         "row": row, "continuation": continuation, "hardware": hardware,
+        "coerce": coerce,
     })
 
 
@@ -193,6 +202,7 @@ class PointSpec:
         message="batch sizes must be positive")
     arrival_rate: Optional[float] = _coordinate(
         None, plural="arrival_rates", rule=_rate_or_none, continuation=True,
+        coerce=_float_rate,
         message="arrival rates must be finite and positive "
                 "(None = back-to-back)")
     replicas: int = _coordinate(
@@ -543,20 +553,14 @@ class SweepSpec:
                     f"{plural} must be a sequence of values, "
                     f"not the bare string {values!r}"
                 )
-            # Normalise iterables handed in as lists/generators to tuples
-            # so the spec stays hashable and its cross product is
-            # re-iterable.
-            if values is not None and not isinstance(values, tuple):
-                values = tuple(values)
+            # A tuple keeps the spec hashable and its cross product
+            # re-iterable; each value takes its axis's one form.
+            if values is not None:
+                coerce = axis.metadata["coerce"]
+                values = tuple(map(coerce, values) if coerce else values)
                 object.__setattr__(self, plural, values)
             if not axis.metadata["hardware"]:
                 _check_axis(axis, values)
-        # An integral rate is the float it equals (the CLI's form): one
-        # cache key and one stored report per point.
-        object.__setattr__(self, "arrival_rates", tuple(
-            float(rate) if type(rate) is int else rate
-            for rate in self.arrival_rates
-        ))
         if isinstance(self.closure_limit, Mapping):
             object.__setattr__(
                 self,
@@ -1089,10 +1093,9 @@ def spot_check(
 
     if n <= 0:
         return []
-    ranked = rank(result.points, metric)
     spec = result.spec
     checks: List[SpotCheckResult] = []
-    for pt in ranked[:n]:
+    for pt in rank(result.points, metric)[:n]:
         arch = pt.resolve_arch(spec.arch())
         compiled = compile_model(
             _cached_graph(pt.model, input_size, num_classes), arch,

@@ -244,19 +244,31 @@ def test_import_time_numpy_check_sees_a_violation(source, lines):
 REPRO = SRC / "repro"
 
 
-def _files_with(root: Path, pattern: str, names=None):
-    """The files under ``root`` whose text matches ``pattern`` -- ``grep
-    -rlE`` over the tree (byte-compiled caches are copies, not sources)
-    or over ``names`` only -- as sorted paths relative to ``root``."""
-    paths = (
-        [root / name for name in names] if names is not None
-        else root.rglob("*")
-    )
-    return sorted(
-        path.relative_to(root).as_posix() for path in paths
-        if path.is_file() and "__pycache__" not in path.parts
-        and re.search(pattern, path.read_text(errors="replace"))
-    )
+def _grep(root: Path, pattern: str, *names: str, suffixes=(), flags=0):
+    """``grep -rn``: the ``(path, line)`` of every line matching
+    ``pattern`` in the files and trees ``names`` under ``root`` (the
+    whole of ``root`` if none), paths relative to ``root``; ``suffixes``
+    is ``--include`` (byte-compiled caches are copies, not sources)."""
+    regex = re.compile(pattern, flags)
+    anywhere = re.compile(pattern, flags | re.M)
+    found = []
+    for name in names or ("",):
+        top = root / name
+        for path in sorted(top.rglob("*")) if top.is_dir() else [top]:
+            if (not path.is_file() or "__pycache__" in path.parts
+                    or suffixes and path.suffix not in suffixes):
+                continue
+            text = path.read_text(errors="replace")
+            if anywhere.search(text):  # most files: one scan, no split
+                rel = path.relative_to(root).as_posix()
+                found += [(rel, line) for line in text.splitlines()
+                          if regex.search(line)]
+    return found
+
+
+def _files_with(root: Path, pattern: str, names=()):
+    """``grep -rlE``: the files :func:`_grep` finds, sorted."""
+    return sorted({path for path, _ in _grep(root, pattern, *names)})
 
 
 def _kernel_files(root: Path):
@@ -366,3 +378,302 @@ def test_a_request_costs_its_admission_sees_a_violation(tmp_path):
     assert _dataclass_records(
         [RequestAdmitted, *_request_records()[1:]]
     ) == ["RequestAdmitted"]
+
+
+# ---------------------------------------------------------------------------
+# Grep laws: each a set of clauses over the source tree
+# ---------------------------------------------------------------------------
+
+REPO = SRC.parent
+
+
+def _only(actual, expected, clause: str):
+    """No violation when ``actual == expected``, else the clause."""
+    return [] if actual == expected else [f"{clause}: {actual!r}"]
+
+
+def _none(found, clause: str):
+    return _only(found, [], clause)
+
+
+def _paths(found):
+    return [path for path, _ in found]
+
+
+def _sed(text: str, start: str, end: str):
+    """The lines ``sed -n '/start/,/end/p'`` prints: from each line
+    matching ``start`` through the next line after it matching ``end``."""
+    lines, inside = [], False
+    for line in text.splitlines():
+        if inside or re.search(start, line):
+            lines.append(line)
+            inside = not (inside and re.search(end, line))
+    return lines
+
+
+def _read(root: Path, name: str) -> str:
+    return (root / name).read_text()
+
+
+def _one_integer_gemm(root: Path):
+    """Every matrix product of the simulator and the golden model is
+    ``graph/quantize.int_matmul`` (exact float32 BLAS): no int32-cast
+    operand of ``@`` and no einsum comes back; the one einsum left is
+    ``functional._dwconv``'s, which is not a matrix product."""
+    sim = "src/repro/sim"
+    return (
+        _none(_grep(root, r"astype\(np\.int32\) @|@ .*astype\(np\.int32\)",
+                    sim), "int32 matmul")
+        + _only(_paths(_grep(root, r"np.einsum\(", sim)),
+                [f"{sim}/functional.py"], "einsum")
+        + _only(_files_with(root, r"np\.(matmul|dot|tensordot)\(",
+                            ["src/repro"]),
+                ["src/repro/graph/quantize.py"], "BLAS entry points")
+    )
+
+
+def _one_golden_pass_per_group(root: Path):
+    """A served batch is checked by ``functional.golden_batch`` in
+    byte-bounded groups, so ``Deployment._validate`` never runs the
+    golden model per input; the golden model keeps one conv and one
+    GEMM kernel (batch-major: a single input is a batch of one)."""
+    functional = _read(root, "src/repro/sim/functional.py")
+    validate = _sed(_read(root, "src/repro/serve.py"),
+                    r"def _validate\(", r"^    def ")
+    return (
+        _none([line for line in validate if "golden_outputs(" in line],
+              "per-input golden run")
+        + _only(re.findall(r"^def \w*(?:conv|gemm)\w*", functional, re.M),
+                ["def _conv", "def _dwconv", "def _gemm"], "kernels")
+        + _only(sum("int_matmul(" in line
+                    for line in functional.splitlines()),
+                2, "int_matmul calls")
+    )
+
+
+def _no_content_digests(root: Path):
+    """In-process caches key on the decoded code itself; nothing renders
+    a program into a SHA-256 (artifacts hash their bytes)."""
+    return _none(_grep(root, "content_digest", "src/repro",
+                       suffixes=(".py",)), "content digest")
+
+
+def _one_execution_path(root: Path):
+    """A single chip is a one-shard pipeline (``serve.py`` never asks
+    which product it holds) and ``Deployment`` is the one entry point
+    (the workflow shims stay deleted)."""
+    shims = (r"run_workflow|_simulate_impl|_run_single_chip|run_streaming"
+             r"|execute_resident_stream")
+    return (
+        _none(_grep(root, r"isinstance\(self.compiled", "src/repro/serve.py"),
+              "product test")
+        + _none(_grep(root, shims, "src", "examples", "README.md", "docs",
+                      suffixes=(".py", ".md")), "workflow shim")
+    )
+
+
+def _one_affine_walk(root: Path):
+    """The block engine's batch planner is the symbolic walk alone
+    (``_build_template`` + ``instantiate``; no concrete twin), and
+    ``repro watch`` has one mode (the Textual dashboard stays deleted)."""
+    return (
+        _none(_grep(root, r"_plan_batch|_TPL_CONCRETE",
+                    "src/repro/sim/blockengine.py"), "concrete planner")
+        + _none(_grep(root, r"import textual|from textual|run_watch_app",
+                      "src/repro", suffixes=(".py",), flags=re.I),
+                "dashboard")
+    )
+
+
+def _one_byte_per_weight(root: Path):
+    """A macro-group register is one owned int8 array (no float32
+    register in the simulator), tile boxes carry no array, and tile
+    bytes are cut straight into the image (no per-tile copy in
+    geometry, no ``tobytes`` round trip in lowering);
+    ``tests/test_memory_law.py`` holds the counts."""
+    geometry = "src/repro/compiler/geometry.py"
+    return (
+        _none(_grep(root, r"astype\(np\.float32\)", "src/repro/sim/core.py",
+                    "src/repro/sim/blockengine.py"), "float32 register")
+        + _none(_grep(root, r"tobytes\(\)|ascontiguousarray\(matrix",
+                      geometry, "src/repro/compiler/codegen/lowering.py"),
+                "tile copy")
+        + _none(_grep(root, r"\bdata:", geometry), "tile array")
+    )
+
+
+def _sweep_spec_plural_keywords(source: str):
+    """``SweepSpec(...)`` calls passing a swept plural by keyword."""
+    from repro.explore import AXES
+
+    plurals = {axis.metadata["plural"] for axis in AXES} - {None}
+    return [
+        keyword.arg
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and "SweepSpec" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for keyword in node.keywords if keyword.arg in plurals
+    ]
+
+
+def _one_axis_table(root: Path):
+    """Every sweep coordinate is declared once, as a ``PointSpec`` field
+    (``explore.AXES``): nothing copies coordinates field by field or
+    loops over a ``SweepSpec`` plural by name, a serial sweep is the
+    pool path with a pool of one, and the CLI builds its spec and rows
+    from the declarations (``tests/test_explore_sweep.py::TestAxisLaw``
+    holds every coordinate to the law)."""
+    explore = "src/repro/explore.py"
+    cli = "src/repro/cli.py"
+    return (
+        _none(_grep(root, r"(chips|batch|arrival_rate|replicas|fault_plan"
+                          r"|resident_weights)=\(?(pspec|self)\.", explore),
+              "coordinate copy")
+        + _none(_grep(root, r"for \w+ in self\.(chip_counts|batch_sizes"
+                            r"|arrival_rates|replica_counts|fault_plans"
+                            r"|resident_modes)", explore), "plural loop")
+        + _none(_grep(root, "_evaluate_spec", explore), "second evaluator")
+        + _none(_sweep_spec_plural_keywords(_read(root, cli)),
+                "plural keyword")
+        + _none(_grep(root, r"_POINT_COLUMNS|_BEST_METRICS"
+                            r"|_ASCENDING_METRICS", cli), "column list")
+    )
+
+
+def _one_fast_tier_price(root: Path):
+    """A model's analytical cost is one ``fastmodel.analyze_pipeline``
+    call (sweep, spot check and the fast Deployment alike): the resident
+    and sharded twins stay deleted, ``analyze_plan`` is the one reader
+    of an artifact plan's stored report, and the sweep's base analysis
+    does not fork on residency."""
+    base = _sed(_read(root, "src/repro/explore.py"),
+                r"^def _analyze_base\(", r"^def ")
+    return (
+        _none(_grep(root, r"analyze_plan_resident|analyze_sharded_resident"
+                          r"|_fast_shard_reports|_resident_fast",
+                    "src/repro"), "pricing twin")
+        + _only(_paths(_grep(root, re.escape('"fast_report", None)'),
+                             "src/repro")),
+                ["src/repro/sim/fastmodel.py"], "stored-report reader")
+        + _none([line for line in base
+                 if re.search(r"if .*resident_weights", line)],
+                "resident fork")
+    )
+
+
+def _one_pipeline_builder(root: Path):
+    """Every tier plans a model's chips through
+    ``compiler.pipeline.plan_chips`` (the workflow module stays deleted,
+    the planner is called from the pipeline module only), and a compile
+    product states its own transfer edges."""
+    return (
+        _only((root / "src/repro/workflow.py").exists(), False,
+              "workflow module")
+        + _none(_grep(root, r"repro\.workflow", "src", "tests", "examples",
+                      "docs", "README.md"), "workflow import")
+        + _none([path for path in _paths(_grep(
+                    root, r"plan_graph\(", "src/repro", suffixes=(".py",)))
+                 if path != "src/repro/compiler/pipeline.py"],
+                "planner call")
+        + _only(len(_grep(root, re.escape("(t.src_chip, t.dst_chip, t.nbytes)"),
+                          "src/repro", suffixes=(".py",))),
+                1, "transfer edges")
+    )
+
+
+def _cli_imports_by_verb(root: Path):
+    """``cli.py`` imports a layer in the command that runs it
+    (``tests/test_import_layers.py`` holds every verb to its row)."""
+    return _none(_grep(root, r"^from repro\.(explore|graph\.models|serve"
+                             r"|faults|runtime|artifact|console)",
+                       "src/repro/cli.py"), "top-level layer import")
+
+
+_W = "work" "flow"  # spelled apart: the pipeline law greps this file
+#: law -> (its check, a tree breaking each of its clauses once, the
+#: clauses it breaks)
+GREP_LAWS = {
+    "one_integer_gemm": (_one_integer_gemm, {
+        "src/repro/sim/core.py": "acc = a.astype(np.int32) @ b\n",
+        "src/repro/sim/chip.py": "y = np.einsum('ij,jk', a, b)\n",
+        "src/repro/sim/functional.py": "y = np.einsum('c,c', a, b)\n",
+        "src/repro/graph/quantize.py": "y = np.matmul(a, b)\n",
+        "src/repro/compiler/lowering.py": "y = np.dot(a, b)\n",
+    }, ["int32 matmul", "einsum", "BLAS entry points"]),
+    "one_golden_pass_per_group": (_one_golden_pass_per_group, {
+        "src/repro/serve.py": (
+            "class D:\n    def _validate(self):\n"
+            "        return golden_outputs(x)\n    def run(self):\n"
+            "        pass\n"
+        ),
+        "src/repro/sim/functional.py": (
+            "def _conv(x):\n    return int_matmul(a, b)\n"
+            "def _gemm(x):\n    return int_matmul(a, b)\n"
+            "def _gemm_one(x):\n    return int_matmul(a, b)\n"
+        ),
+    }, ["per-input golden run", "kernels", "int_matmul calls"]),
+    "no_content_digests": (_no_content_digests, {
+        "src/repro/sim/blockengine.py": "key = content_digest(code)\n",
+    }, ["content digest"]),
+    "one_execution_path": (_one_execution_path, {
+        "src/repro/serve.py": "if isinstance(self.compiled, Model):\n",
+        "docs/GUIDE.md": "Call `run_workflow(model)`.\n",
+    }, ["product test", "workflow shim"]),
+    "one_affine_walk": (_one_affine_walk, {
+        "src/repro/sim/blockengine.py": "plan = _plan_batch(block)\n",
+        "src/repro/console.py": "from Textual.app import App\n",
+    }, ["concrete planner", "dashboard"]),
+    "one_byte_per_weight": (_one_byte_per_weight, {
+        "src/repro/sim/core.py": "reg = tile.astype(np.float32)\n",
+        "src/repro/compiler/codegen/lowering.py": "raw = tile.tobytes()\n",
+        "src/repro/compiler/geometry.py": "    data: np.ndarray\n",
+    }, ["float32 register", "tile copy", "tile array"]),
+    "one_axis_table": (_one_axis_table, {
+        "src/repro/explore.py": (
+            "p = PointSpec(chips=pspec.chips)\n"
+            "for b in self.batch_sizes:\n    pass\n"
+            "def _evaluate_spec(spec):\n    pass\n"
+        ),
+        "src/repro/cli.py": (
+            "from repro import explore\n"
+            "spec = explore.SweepSpec(models=m, chip_counts=(1,))\n"
+            "_BEST_METRICS = ('tops',)\n"
+        ),
+    }, ["coordinate copy", "plural loop", "second evaluator",
+        "plural keyword", "column list"]),
+    "one_fast_tier_price": (_one_fast_tier_price, {
+        "src/repro/sim/fastmodel.py": "def _resident_fast(plan):\n    pass\n",
+        "src/repro/serve.py": "r = getattr(plan, \"fast_report\", None)\n",
+        "src/repro/explore.py": (
+            "def _analyze_base(pspec, arch):\n"
+            "    if pspec.resident_weights:\n        pass\n"
+            "def _derive_report():\n    pass\n"
+        ),
+    }, ["pricing twin", "stored-report reader", "resident fork"]),
+    "one_pipeline_builder": (_one_pipeline_builder, {
+        f"src/repro/{_W}.py": "",
+        "tests/test_old.py": f"from repro.{_W} import run\n",
+        "src/repro/serve.py": "plans = plan_graph(graph, arch)\n",
+        "src/repro/faults.py": "edges = [(t.src_chip, t.dst_chip, t.nbytes)]\n",
+        "src/repro/sim/multichip.py": (
+            "edges = [(t.src_chip, t.dst_chip, t.nbytes)]\n"
+        ),
+    }, ["workflow module", "workflow import", "planner call",
+        "transfer edges"]),
+    "cli_imports_by_verb": (_cli_imports_by_verb, {
+        "src/repro/cli.py": "from repro.serve import Deployment\n",
+    }, ["top-level layer import"]),
+}
+
+
+@pytest.mark.parametrize("law", GREP_LAWS)
+def test_grep_law_holds(law):
+    check, _, _ = GREP_LAWS[law]
+    assert check(REPO) == []
+
+
+@pytest.mark.parametrize("law", GREP_LAWS)
+def test_grep_law_sees_a_violation_of_each_clause(law, tmp_path):
+    check, files, clauses = GREP_LAWS[law]
+    found = check(_tree(tmp_path, files))
+    assert [violation.split(":")[0] for violation in found] == clauses, found
