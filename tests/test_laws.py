@@ -561,6 +561,9 @@ def _one_fast_tier_price(root: Path):
     )
 
 
+_EDGE_TUPLE = "(t.src_chip, t.dst_chip, t.nbytes)"
+
+
 def _one_pipeline_builder(root: Path):
     """Every tier plans a model's chips through
     ``compiler.pipeline.plan_chips`` (the workflow module stays deleted,
@@ -575,9 +578,8 @@ def _one_pipeline_builder(root: Path):
                     root, r"plan_graph\(", "src/repro", suffixes=(".py",)))
                  if path != "src/repro/compiler/pipeline.py"],
                 "planner call")
-        + _only(len(_grep(root, re.escape("(t.src_chip, t.dst_chip, t.nbytes)"),
-                          "src/repro", suffixes=(".py",))),
-                1, "transfer edges")
+        + _only(len(_grep(root, re.escape(_EDGE_TUPLE), "src/repro",
+                          suffixes=(".py",))), 1, "transfer edges")
     )
 
 
@@ -654,10 +656,8 @@ GREP_LAWS = {
         f"src/repro/{_W}.py": "",
         "tests/test_old.py": f"from repro.{_W} import run\n",
         "src/repro/serve.py": "plans = plan_graph(graph, arch)\n",
-        "src/repro/faults.py": "edges = [(t.src_chip, t.dst_chip, t.nbytes)]\n",
-        "src/repro/sim/multichip.py": (
-            "edges = [(t.src_chip, t.dst_chip, t.nbytes)]\n"
-        ),
+        "src/repro/faults.py": f"edges = [{_EDGE_TUPLE}]\n",
+        "src/repro/sim/multichip.py": f"edges = [{_EDGE_TUPLE}]\n",
     }, ["workflow module", "workflow import", "planner call",
         "transfer edges"]),
     "cli_imports_by_verb": (_cli_imports_by_verb, {
