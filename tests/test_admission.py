@@ -389,7 +389,90 @@ SNAPSHOT_SHA256 = {
 }
 
 
+#: ``repro serve --json`` files: the three ``serve_fleet`` benchmark
+#: commands at smoke scale (seed 0), CI's cyclesim faulted fleet, and a
+#: fast resident 2-replica fleet under a crash plan.
+SERVE_SHA256 = {
+    "rr": (
+        "d847c62ee05ee27297adc04e67a1d31c264143453088f20c7706e503a722da7c"
+    ),
+    "jsq": (
+        "9d9f7d70c3b9dda65519a5436a5c275bb833b675ed46726c9ccfcee3d845e82d"
+    ),
+    "faulted": (
+        "4bc45c0fb6dab87b9bc6c2ebef2d6924a23db07f434d95dd0171558115ac5e49"
+    ),
+    "cyclesim_faulted": (
+        "292e04e5b07c02fce9a6f91efed31f38a556162ca765a65125efcac80bfc0f88"
+    ),
+    "resident_crash": (
+        "c8d23ed6444b3cee260653c4d1bc4fb5c95f9f518a40bbdf75a7b7e94df2ce5f"
+    ),
+}
+
+#: The fleet model of the ``serve_fleet`` / ``live_session`` benchmarks.
+FLEET_MODEL = [
+    "tiny_resnet", "--preset", "small", "--chips", "2", "--input-size",
+    "8", "--num-classes", "10", "--tier", "fast",
+]
+
+
+def _serve_commands():
+    """``{name: serve argv}`` of every :data:`SERVE_SHA256` pin, with
+    its files in the working directory (a report names its artifact by
+    the path it was given)."""
+    save_fault_plan(FaultPlan(
+        events=(
+            ReplicaCrash(replica=1, at_cycle=100 * 400),
+            TransientRequestFailure(prob=0.05, seed=0),
+        ),
+        retry=RetryPolicy(max_attempts=3, backoff_cycles=0),
+    ), "plan.json")
+    save_fault_plan(FaultPlan(
+        events=(ReplicaCrash(replica=1, at_cycle=10_000),),
+        retry=RetryPolicy(max_attempts=3, backoff_cycles=1_000),
+    ), "crash.json")
+    save_fault_plan(FaultPlan(
+        events=(ReplicaCrash(replica=1, at_cycle=2_000),),
+        retry=RetryPolicy(max_attempts=3, backoff_cycles=100),
+    ), "early_crash.json")
+    fleet = ["serve", *FLEET_MODEL, "--arrival-seed", "0"]
+    return {
+        "rr": fleet + ["--replicas", "4", "--policy", "rr", "--poisson",
+                       "1600000", "--batch", "500"],
+        "jsq": fleet + ["--replicas", "4", "--policy", "jsq", "--poisson",
+                        "1600000", "--batch", "300"],
+        "faulted": fleet + ["--replicas", "3", "--policy", "rr",
+                            "--poisson", "1200000", "--batch", "400",
+                            "--faults", "plan.json"],
+        "cyclesim_faulted": [
+            "serve", "tiny_resnet.artifact", "--preset",
+            "small", "--replicas", "3", "--batch", "9", "--rate", "200000",
+            "--faults", "crash.json",
+        ],
+        "resident_crash": [
+            "serve", *FLEET_MODEL, "--resident", "--replicas", "2",
+            "--batch", "12", "--faults", "early_crash.json",
+        ],
+    }
+
+
 class TestPinnedBytes:
+    def test_serve_json(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "compile", "tiny_resnet", "--preset", "small", "--input-size",
+            "8", "--chips", "2", "-o", "tiny_resnet.artifact",
+        ]) == 0
+        for name, argv in _serve_commands().items():
+            assert main(argv + ["--json", f"{name}.json"]) == 0
+            digest = hashlib.sha256(
+                (tmp_path / f"{name}.json").read_bytes()
+            ).hexdigest()
+            assert digest == SERVE_SHA256[name], name
+
     @pytest.mark.parametrize("rate", [250_000.0, 1_200_000.0, 1_600_000.0])
     def test_poisson_draw_is_the_loop(self, rate):
         cycle_ns = small_test_arch().chip.cycle_ns
