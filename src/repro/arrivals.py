@@ -98,8 +98,10 @@ class PoissonArrivals(ArrivalProcess):
 
     def __init__(self, inf_per_s: float, seed: int):
         self.inf_per_s = _checked_rate(inf_per_s)
-        if seed < 0:
-            raise ConfigError(f"arrival seed must be >= 0, got {seed}")
+        if isinstance(seed, bool) or seed < 0:
+            raise ConfigError(
+                f"arrival seed must be an integer >= 0, got {seed!r}"
+            )
         self.seed = int(seed)
 
     def release_cycles(self, n: int, cycle_ns: float) -> List[int]:

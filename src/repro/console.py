@@ -127,8 +127,8 @@ class ConsoleState:
     def _replica_changed(self, event: ReplicaStateChanged) -> None:
         self.replica_state[event.replica] = event.state
         if event.state == "crashed":
-            # In-flight work on a crashed replica is re-enqueued by
-            # the failover engine; it is no longer this queue's.
+            # In-flight work on a crashed replica is re-enqueued onto
+            # the survivors; it is no longer this queue's.
             self.replica_in_flight[event.replica] = 0
 
     _FOLDS = {

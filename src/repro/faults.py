@@ -8,58 +8,93 @@ goes wrong during a serving run: replicas crash
 (:class:`TransientRequestFailure`).  Every event is a pure function of
 cycle counts and seeds -- no wall clock, no global RNG -- so the same
 plan replayed against the same arrival stream reproduces the same
-report byte for byte, in the same process or across processes.
+report byte for byte, in the same process or across processes.  Every
+number a plan holds is checked where it enters: cycles, replicas, seeds
+and attempt counts are integers (``bool`` is not one), factors finite,
+and a bad value raises :class:`~repro.errors.FaultError` naming its
+field.
 
-:class:`FailoverEngine` (batch driver: :func:`run_fault_schedule`) is
-the failover engine both fidelity tiers and the async runtime drive
-(``docs/ARCHITECTURE.md``, "Fault model & failover contract"):
-health-aware dispatch (dead replicas stop receiving work), a
-:class:`RetryPolicy` that re-enqueues failed or crash-killed attempts
-onto surviving replicas, and graceful degradation -- a request that
-exhausts its attempts, outlives its deadline, or finds no live replica
-is recorded as *dropped*, never silently lost.  Conservation is an
-invariant the engine itself asserts::
+A plan is data for the one fleet step,
+:class:`repro.sim.multichip.Dispatcher` (``docs/ARCHITECTURE.md``,
+"Fault model & failover contract"), which every server folds, faulted
+or not: :func:`fleet_dispatcher` turns the plan into that step's
+constructor data -- per replica, an admission kernel
+(:class:`~repro.sim.multichip.PipelineState`) carrying the plan's
+:meth:`FaultPlan.schedule_hooks`, crash cycle and resident load offset;
+the transient failures as its ``fails`` predicate; the
+:class:`RetryPolicy` as its retry numbers.  The step then gives
+health-aware dispatch (dead replicas stop receiving work), retries of
+failed or crash-killed attempts on surviving replicas, and graceful
+degradation -- a request that exhausts its attempts, outlives its
+deadline, or finds no live replica is recorded as *dropped*, never
+silently lost.  Conservation is asserted when the step drains::
 
     submitted == completed + dropped
 
-The engine owns the retry heap and nothing else.  Timing is the one
-admission kernel (:class:`repro.sim.multichip.PipelineState`, one per
-replica): the plan's :meth:`FaultPlan.schedule_hooks`, crash cycle and
-resident load offset are that kernel's constructor data, and dispatch
-is the one routing law (:func:`repro.sim.multichip.route`) over the
-replicas still alive.  An empty plan with no retry policy
-(:func:`engine_needed`) is the identity: :class:`repro.serve.Fleet`
-then admits directly on the same kernels, and the engine run on an
-empty plan computes the same assignments and finishes.
+:func:`run_fault_schedule` is the batch fold over the step.  The empty
+plan is the identity -- no attempt can fail, so the step admits every
+request once, directly -- and :func:`engine_needed` only says whether a
+report carries the availability block.
 """
 
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import InterChipConfig
 from repro.errors import FaultError, SimulationError
-from repro.sim.multichip import (
+from repro.sim.multichip import (  # the drop taxonomy and records too
+    DROP_DEADLINE,
+    DROP_MAX_ATTEMPTS,
+    DROP_NO_REPLICA,
+    AttemptRecord,
+    Dispatcher,
     PipelineState,
     TransferEdge,
     check_fleet,
-    check_release,
-    route,
 )
-
-#: Why a request was dropped (the graceful-degradation taxonomy).
-DROP_DEADLINE = "deadline"
-DROP_MAX_ATTEMPTS = "max_attempts"
-DROP_NO_REPLICA = "no_replica"
 
 
 # ---------------------------------------------------------------------------
 # Fault events
 # ---------------------------------------------------------------------------
+
+def _integer(field: str, value, minimum: int = 0) -> None:
+    """Cycles, replicas, seeds and attempt counts are integers (``bool``
+    is not one) of at least ``minimum``: a float would truncate, or
+    fingerprint apart from the cycle it prices at."""
+    if (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise FaultError(
+            f"{field} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
+def _finite(field: str, value) -> None:
+    """Factors and probabilities are finite real numbers."""
+    if (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise FaultError(f"{field} must be a finite number, got {value!r}")
+
+
+def _window(kind: str, start_cycle, end_cycle) -> None:
+    """``[start_cycle, end_cycle)``: integer cycles, open-ended at None."""
+    _integer(f"{kind} start_cycle", start_cycle)
+    if end_cycle is not None:
+        _integer(f"{kind} end_cycle", end_cycle)
+        if end_cycle <= start_cycle:
+            raise FaultError(
+                f"{kind} window [{start_cycle}, {end_cycle}) is empty"
+            )
+
 
 @dataclass(frozen=True)
 class ReplicaCrash:
@@ -75,14 +110,8 @@ class ReplicaCrash:
     at_cycle: int
 
     def __post_init__(self):
-        if self.replica < 0:
-            raise FaultError(
-                f"crash replica must be >= 0, got {self.replica}"
-            )
-        if self.at_cycle < 0:
-            raise FaultError(
-                f"crash cycle must be >= 0, got {self.at_cycle}"
-            )
+        _integer("replica_crash replica", self.replica)
+        _integer("replica_crash at_cycle", self.at_cycle)
 
     def to_dict(self) -> Dict:
         return {
@@ -111,21 +140,13 @@ class ReplicaSlowdown:
     end_cycle: Optional[int] = None
 
     def __post_init__(self):
-        if self.replica < 0:
-            raise FaultError(
-                f"slowdown replica must be >= 0, got {self.replica}"
-            )
+        _integer("replica_slowdown replica", self.replica)
+        _finite("replica_slowdown factor", self.factor)
         if not self.factor >= 1.0:
             raise FaultError(
-                f"slowdown factor must be >= 1.0, got {self.factor}"
+                f"replica_slowdown factor must be >= 1.0, got {self.factor}"
             )
-        if self.start_cycle < 0:
-            raise FaultError("slowdown window must start at cycle >= 0")
-        if self.end_cycle is not None and self.end_cycle <= self.start_cycle:
-            raise FaultError(
-                f"slowdown window [{self.start_cycle}, {self.end_cycle}) "
-                f"is empty"
-            )
+        _window("replica_slowdown", self.start_cycle, self.end_cycle)
 
     def active_at(self, cycle: int) -> bool:
         if cycle < self.start_cycle:
@@ -164,21 +185,15 @@ class LinkDegrade:
     replica: Optional[int] = None
 
     def __post_init__(self):
+        _finite("link_degrade bw_factor", self.bw_factor)
         if not 0.0 < self.bw_factor <= 1.0:
             raise FaultError(
-                f"link bw_factor must be in (0, 1], got {self.bw_factor}"
+                f"link_degrade bw_factor must be in (0, 1], got "
+                f"{self.bw_factor}"
             )
-        if self.start_cycle < 0:
-            raise FaultError("link-degrade window must start at cycle >= 0")
-        if self.end_cycle is not None and self.end_cycle <= self.start_cycle:
-            raise FaultError(
-                f"link-degrade window [{self.start_cycle}, "
-                f"{self.end_cycle}) is empty"
-            )
-        if self.replica is not None and self.replica < 0:
-            raise FaultError(
-                f"link-degrade replica must be >= 0, got {self.replica}"
-            )
+        _window("link_degrade", self.start_cycle, self.end_cycle)
+        if self.replica is not None:
+            _integer("link_degrade replica", self.replica)
 
     def active_at(self, cycle: int) -> bool:
         if cycle < self.start_cycle:
@@ -221,10 +236,13 @@ class TransientRequestFailure:
     seed: int = 0
 
     def __post_init__(self):
+        _finite("transient_request_failure prob", self.prob)
         if not 0.0 <= self.prob <= 1.0:
             raise FaultError(
-                f"transient failure prob must be in [0, 1], got {self.prob}"
+                f"transient_request_failure prob must be in [0, 1], got "
+                f"{self.prob}"
             )
+        _integer("transient_request_failure seed", self.seed)
 
     def fails(self, request: int, attempt: int) -> bool:
         token = f"{int(self.seed)}:{int(request)}:{int(attempt)}"
@@ -276,21 +294,12 @@ class RetryPolicy:
     per_request_deadline_cycles: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise FaultError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_cycles < 0:
-            raise FaultError(
-                f"backoff_cycles must be >= 0, got {self.backoff_cycles}"
-            )
-        if (
-            self.per_request_deadline_cycles is not None
-            and self.per_request_deadline_cycles <= 0
-        ):
-            raise FaultError(
-                f"per_request_deadline_cycles must be > 0, got "
-                f"{self.per_request_deadline_cycles}"
+        _integer("retry max_attempts", self.max_attempts, 1)
+        _integer("retry backoff_cycles", self.backoff_cycles)
+        if self.per_request_deadline_cycles is not None:
+            _integer(
+                "retry per_request_deadline_cycles",
+                self.per_request_deadline_cycles, 1,
             )
 
     def to_dict(self) -> Dict:
@@ -305,18 +314,17 @@ class RetryPolicy:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RetryPolicy":
-        try:
-            return cls(
-                max_attempts=int(payload.get("max_attempts", 3)),
-                backoff_cycles=int(payload.get("backoff_cycles", 0)),
-                per_request_deadline_cycles=(
-                    None
-                    if payload.get("per_request_deadline_cycles") is None
-                    else int(payload["per_request_deadline_cycles"])
-                ),
+        if not isinstance(payload, dict):
+            raise FaultError(
+                f"retry policy must be a JSON object, got {payload!r}"
             )
-        except (TypeError, ValueError) as exc:
-            raise FaultError(f"malformed retry policy: {exc}") from exc
+        return cls(
+            max_attempts=payload.get("max_attempts", 3),
+            backoff_cycles=payload.get("backoff_cycles", 0),
+            per_request_deadline_cycles=payload.get(
+                "per_request_deadline_cycles"
+            ),
+        )
 
     def describe(self) -> str:
         parts = [f"attempts<={self.max_attempts}"]
@@ -338,9 +346,9 @@ class FaultPlan:
 
     Hashable and picklable, so plans ride through sweep cache keys and
     process pools unchanged.  The empty plan is the identity:
-    ``FaultPlan()`` injected nothing and (absent an explicit retry
-    policy) leaves :class:`repro.serve.Fleet` on the exact unfaulted
-    code path.
+    ``FaultPlan()`` injects nothing, so the fleet step admits every
+    request once, and (absent an explicit retry policy) the report is
+    the fault-free one.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -505,15 +513,28 @@ class FaultPlan:
 def engine_needed(
     faults: Optional[FaultPlan], retry: Optional[RetryPolicy]
 ) -> bool:
-    """Whether a submission must run through the :class:`FailoverEngine`.
+    """Whether a submission is under a fault plan or retry policy, and
+    its report carries the availability block.
 
     ``faults=None`` -- or an empty plan with no retry policy anywhere --
-    is the identity, and callers keep the direct admission path.
+    is the identity: the same step admits the same way either way.
     """
     return retry is not None or (
         faults is not None
         and not (faults.is_empty and faults.retry is None)
     )
+
+
+def effective_retry(
+    plan: Optional[FaultPlan], retry: Optional[RetryPolicy]
+) -> RetryPolicy:
+    """The policy a submission runs under: ``retry``, else the plan's
+    embedded one, else :class:`RetryPolicy`'s defaults."""
+    if retry is not None:
+        return retry
+    if plan is not None and plan.retry is not None:
+        return plan.retry
+    return RetryPolicy()
 
 
 def save_fault_plan(plan: FaultPlan, path) -> None:
@@ -542,291 +563,48 @@ def load_fault_plan(path) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Failover engine
+# The plan as constructor data of the one fleet step
 # ---------------------------------------------------------------------------
 
-class AttemptRecord(NamedTuple):
-    """One dispatch of one request onto one replica (an immutable named
-    tuple: one is built per attempt)."""
+def fleet_dispatcher(
+    policy: str,
+    row: Sequence[int],
+    edges: Sequence[TransferEdge],
+    link: InterChipConfig,
+    load_offsets: Sequence[int],
+    plan: Optional[FaultPlan] = None,
+    retry: Optional[RetryPolicy] = None,
+) -> Dispatcher:
+    """The fleet step over ``len(load_offsets)`` replicas under ``plan``.
 
-    request: int
-    attempt: int
-    replica: int
-    dispatch_cycle: int
-    finish_cycle: int  #: completion cycle, or the crash cycle if killed
-    status: str  #: "completed" | "transient" | "crashed" | "late"
-    start_cycle: int = 0  #: shard-0 service-entry cycle of this attempt
-
-    @property
-    def full_service(self) -> bool:
-        """Whether the replica ran the whole inference (energy charged).
-
-        Crash-killed attempts lose their partial work and consume no
-        modeled energy; completed, transiently-failed and past-deadline
-        attempts all did the full compute.
-        """
-        return self.status != "crashed"
-
-
-@dataclass
-class FaultSchedule:
-    """The failover engine's complete, deterministic account of one run.
-
-    Per global request ``i``: ``assignments[i]`` is the replica that
-    *completed* it (``-1`` if dropped), ``finishes[i]`` its completion
-    cycle (``0`` if dropped), ``statuses[i]`` either ``"completed"`` or
-    a drop reason, and ``attempt_counts[i]`` how many dispatches it
-    took.  ``attempts`` is every dispatch in engine order;
-    ``replica_attempts[r]`` replica ``r``'s admissions in admission
-    order (the replay order).  Conservation
-    (``submitted == completed + dropped``) is asserted at construction.
+    Each replica gets one admission kernel carrying the plan's
+    :meth:`FaultPlan.schedule_hooks`, crash cycle and its resident load
+    offset; the plan's transient failures become the step's ``fails``
+    predicate, and ``retry`` (else the plan's embedded policy, else
+    :class:`RetryPolicy`'s defaults) its retry numbers.  ``plan=None``
+    is the empty plan: the fault-free step.
     """
-
-    batch: int
-    replicas: int
-    assignments: List[int]
-    finishes: List[int]
-    statuses: List[str]
-    attempt_counts: List[int]
-    retries: int
-    attempts: List[AttemptRecord]
-    replica_attempts: List[List[AttemptRecord]]
-    makespan: int
-
-    @property
-    def completed(self) -> List[int]:
-        return [
-            i for i, s in enumerate(self.statuses) if s == "completed"
-        ]
-
-    @property
-    def dropped(self) -> List[int]:
-        return [
-            i for i, s in enumerate(self.statuses) if s != "completed"
-        ]
-
-    @property
-    def drop_reasons(self) -> Dict[int, str]:
-        return {
-            i: s for i, s in enumerate(self.statuses) if s != "completed"
-        }
-
-    def check_conservation(self) -> None:
-        if len(self.completed) + len(self.dropped) != self.batch:
-            raise SimulationError(
-                f"request conservation violated: {self.batch} submitted "
-                f"!= {len(self.completed)} completed + "
-                f"{len(self.dropped)} dropped"
-            )
-
-
-class EngineOutcome(NamedTuple):
-    """One request's final verdict as the engine settles it.
-
-    ``status`` is ``"completed"`` or a drop reason
-    (:data:`DROP_DEADLINE` / :data:`DROP_MAX_ATTEMPTS` /
-    :data:`DROP_NO_REPLICA`); dropped requests carry ``replica == -1``
-    and ``finish_cycle == 0``, mirroring :class:`FaultSchedule`.
-    """
-
-    request: int
-    status: str
-    finish_cycle: int
-    replica: int
-    attempts: int
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-
-class FailoverEngine:
-    """The failover engine, exposed one event at a time.
-
-    This is the exact event loop of :func:`run_fault_schedule` (which
-    is now a thin batch driver over it), restructured so the async
-    serving runtime (:mod:`repro.runtime`) can feed wall-clock arrivals
-    in as they happen and learn each request's fate as soon as it is
-    determined.  Events are processed in ``(ready_cycle, request,
-    attempt)`` order; because :meth:`push` requires non-decreasing
-    release cycles (and request ids grow monotonically), every event
-    whose key is at or below the latest pushed release can never be
-    preceded by a future submission -- :meth:`settle_through` processes
-    exactly those, so incremental driving is a pure reordering of the
-    batch loop and reproduces it bit for bit.
-    """
-
-    def __init__(
-        self,
-        row: Sequence[int],
-        edges: Sequence[TransferEdge],
-        link: InterChipConfig,
-        replicas: int,
-        policy: str = "rr",
-        plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-        load_offsets: Optional[Sequence[int]] = None,
-    ):
-        self.plan = plan if plan is not None else FaultPlan()
-        policy_retry = retry if retry is not None else self.plan.retry
-        self.retry_policy = (
-            policy_retry if policy_retry is not None else RetryPolicy()
-        )
-        #: The plan's per-attempt failure draws, gathered once.
-        self._transients = tuple(
-            e for e in self.plan.events
-            if isinstance(e, TransientRequestFailure)
-        )
-        check_fleet(policy, replicas)
-        self.policy = policy
-        self.replicas = int(replicas)
-        self._deadline = self.retry_policy.per_request_deadline_cycles
-        if load_offsets is None:
-            load_offsets = [0] * self.replicas
-        elif len(load_offsets) != self.replicas:
-            raise SimulationError(
-                f"load_offsets has {len(load_offsets)} entries for "
-                f"{self.replicas} replicas"
-            )
-        #: One admission kernel per replica, carrying the plan's timing
-        #: hooks, crash cycle and resident load offset as plain data.
-        self.states = []
-        for r in range(self.replicas):
-            service_time, link_time = self.plan.schedule_hooks(r, link)
-            self.states.append(PipelineState(
-                row, edges, link, service_time=service_time,
-                link_time=link_time, crash=self.plan.crash_cycle(r),
-                load_offset=load_offsets[r],
-            ))
-        self.releases: List[int] = []
-        self.assignments: List[int] = []
-        self.finishes: List[int] = []
-        self.statuses: List[str] = []
-        self.attempt_counts: List[int] = []
-        self.attempts: List[AttemptRecord] = []
-        self.replica_attempts: List[List[AttemptRecord]] = [
-            [] for _ in range(self.replicas)
-        ]
-        self.retries = 0
-        self.makespan = 0
-        self._cursor = 0  #: dispatches so far (the rr rotation index)
-        self._heap: List[Tuple[int, int, int]] = []
-
-    def push(self, release: int) -> int:
-        """Submit one request released at ``release``; returns its id.
-
-        Releases must be non-decreasing (wall clocks are monotonic);
-        a regression raises :class:`~repro.errors.SimulationError`
-        because it would break the settled-outcome-is-final guarantee.
-        """
-        release = int(release)
-        check_release(release, self.releases[-1] if self.releases else 0)
-        request = len(self.releases)
-        self.releases.append(release)
-        self.assignments.append(-1)
-        self.finishes.append(0)
-        self.statuses.append("")
-        self.attempt_counts.append(0)
-        heappush(self._heap, (release, request, 1))
-        return request
-
-    def settle_through(self, cycle: int) -> List[EngineOutcome]:
-        """Process every queued event with ``ready_cycle <= cycle``.
-
-        Safe (final) whenever ``cycle`` is at most the latest pushed
-        release: any future submission keys strictly after every event
-        processed here.  Returns the requests whose fate was decided,
-        in decision order.
-        """
-        outcomes: List[EngineOutcome] = []
-        while self._heap and self._heap[0][0] <= cycle:
-            outcome = self._step()
-            if outcome is not None:
-                outcomes.append(outcome)
-        return outcomes
-
-    def drain(self) -> List[EngineOutcome]:
-        """Process everything still queued (no more pushes may follow)."""
-        return self.settle_through(math.inf)
-
-    def _terminal(self, request: int, status: str) -> EngineOutcome:
-        self.statuses[request] = status
-        return EngineOutcome(
-            request, status, self.finishes[request],
-            self.assignments[request], self.attempt_counts[request],
-        )
-
-    def _step(self) -> Optional[EngineOutcome]:
-        """Process one ``(ready, request, attempt)`` event.
-
-        Returns the request's :class:`EngineOutcome` when this event
-        decided its fate, ``None`` when a retry was scheduled instead.
-        """
-        rp = self.retry_policy
-        ready, request, attempt = heappop(self._heap)
-        release = self.releases[request]
-        if self._deadline is not None and ready > release + self._deadline:
-            return self._terminal(request, DROP_DEADLINE)
-        alive = [
-            r for r in range(self.replicas)
-            if self.states[r].alive_at(ready)
-        ]
-        if not alive:
-            return self._terminal(request, DROP_NO_REPLICA)
-        choice = route(self.policy, self.states, ready, self._cursor, alive)
-        self._cursor += 1
-        state = self.states[choice]
-        self.attempt_counts[request] = attempt
-        dispatch = max(ready, state.load_offset)
-        start, finish = state.admit(dispatch)
-
-        end = finish
-        if state.crash is not None and finish > state.crash:
-            status, end = "crashed", state.crash
-        elif any(e.fails(request, attempt) for e in self._transients):
-            status = "transient"
-        elif self._deadline is not None and finish > release + self._deadline:
-            status = "late"
-        else:
-            status = "completed"
-        record = AttemptRecord(
-            request, attempt, choice, dispatch, end, status, start
-        )
-        self.attempts.append(record)
-        self.replica_attempts[choice].append(record)
-        self.makespan = max(self.makespan, end)
-
-        if status == "completed":
-            self.assignments[request] = choice
-            self.finishes[request] = finish
-            return self._terminal(request, "completed")
-        if status == "late":
-            return self._terminal(request, DROP_DEADLINE)
-        if attempt < rp.max_attempts:
-            self.retries += 1
-            heappush(
-                self._heap, (end + rp.backoff_cycles, request, attempt + 1)
-            )
-            return None
-        return self._terminal(request, DROP_MAX_ATTEMPTS)
-
-    def finish(self) -> FaultSchedule:
-        """Drain the queue and return the complete account of the run."""
-        self.drain()
-        schedule = FaultSchedule(
-            batch=len(self.releases),
-            replicas=self.replicas,
-            assignments=list(self.assignments),
-            finishes=list(self.finishes),
-            statuses=list(self.statuses),
-            attempt_counts=list(self.attempt_counts),
-            retries=self.retries,
-            attempts=list(self.attempts),
-            replica_attempts=[list(rs) for rs in self.replica_attempts],
-            makespan=self.makespan,
-        )
-        schedule.check_conservation()
-        return schedule
+    rp = effective_retry(plan, retry)
+    plan = plan if plan is not None else FaultPlan()
+    transients = tuple(
+        e for e in plan.events if isinstance(e, TransientRequestFailure)
+    )
+    fails = None
+    if transients:
+        def fails(request, attempt):
+            return any(e.fails(request, attempt) for e in transients)
+    states = []
+    for r, offset in enumerate(load_offsets):
+        service_time, link_time = plan.schedule_hooks(r, link)
+        states.append(PipelineState(
+            row, edges, link, service_time=service_time,
+            link_time=link_time, crash=plan.crash_cycle(r),
+            load_offset=offset,
+        ))
+    return Dispatcher(
+        policy, states, fails, rp.max_attempts, rp.backoff_cycles,
+        rp.per_request_deadline_cycles,
+    )
 
 
 def run_fault_schedule(
@@ -839,8 +617,8 @@ def run_fault_schedule(
     plan: Optional[FaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
     load_offsets: Optional[Sequence[int]] = None,
-) -> FaultSchedule:
-    """Run the health-aware dispatch + retry engine over one stream.
+) -> Dispatcher:
+    """Run the health-aware dispatch + retry step over one stream.
 
     ``row`` is the per-shard service profile of one input (timing is
     data-independent under per-input isolation), ``edges`` the per-input
@@ -848,7 +626,7 @@ def run_fault_schedule(
     is what makes the availability law tier-equivalent.  Dispatch:
     ``"rr"`` rotates over the replicas *alive at dispatch time*
     (degenerating to ``i % R`` while all survive), ``"jsq"`` joins the
-    live replica with the fewest predicted in-flight attempts.  Events
+    live replica with the fewest predicted in-flight attempts.  Attempts
     are processed in ``(ready_cycle, request, attempt)`` order, so the
     outcome is a pure function of the inputs.
 
@@ -857,19 +635,24 @@ def run_fault_schedule(
     dispatches onto it are clamped to the offset, and the clamped cycle
     is what :class:`AttemptRecord.dispatch_cycle` records -- so
     replaying the records through the plain streaming recurrence still
-    reproduces the engine's finishes exactly.  ``None`` (or all zeros)
-    is the identity and keeps the schedule bit-identical to the
-    non-resident engine.
+    reproduces the finishes exactly.  ``None`` (or all zeros) is the
+    identity.
 
-    This is the batch driver over :class:`FailoverEngine`; the async
-    runtime drives the same engine incrementally, which is why a
-    drained-then-replayed live session reproduces this function's
-    schedule exactly.
+    This is the batch fold of :func:`fleet_dispatcher`'s step; it
+    returns the drained :class:`~repro.sim.multichip.Dispatcher`, whose
+    records are the complete account of the run.
     """
-    engine = FailoverEngine(
-        row, edges, link, replicas, policy=policy, plan=plan, retry=retry,
-        load_offsets=load_offsets,
+    check_fleet(policy, replicas)
+    if load_offsets is None:
+        load_offsets = [0] * replicas
+    elif len(load_offsets) != replicas:
+        raise SimulationError(
+            f"load_offsets has {len(load_offsets)} entries for "
+            f"{replicas} replicas"
+        )
+    dispatcher = fleet_dispatcher(
+        policy, row, edges, link, load_offsets, plan, retry
     )
     for release in releases:
-        engine.push(release)
-    return engine.finish()
+        dispatcher.dispatch(release)
+    return dispatcher.drain()

@@ -16,19 +16,19 @@ latency.
 **The admission law is the offline one, applied once.**
 :meth:`ServerHandle.submit` feeds each arrival to the very object the
 server's offline submission folds over a whole stream, built by the
-same method: the unfaulted fleet step
-(:class:`repro.sim.multichip.Dispatcher`, from
-``server._new_dispatcher()``; a deployment is a fleet of one) or, under
-a :class:`~repro.faults.FaultPlan` or retry policy, the
-:class:`repro.faults.FailoverEngine` (``Fleet._new_engine()``).
-There is no second copy of the route-and-admit loop to keep in step,
-so a drained session is bit-identical to the same releases run through
-:class:`~repro.serve.TraceArrivals` offline.  :meth:`ServerHandle.drain`
-hands that object to the offline path's report half and never re-runs
-the trace: the report is assembled from the admissions the session
-already made, in both tiers.  The cyclesim tier executes each served
-request once there, and a measured per-input row that differs from the
-profile the live admission priced raises
+same method: the one fleet step (:class:`repro.sim.multichip.
+Dispatcher`, from ``server._new_dispatcher(faults, retry)``; a
+deployment is a fleet of one), under a
+:class:`~repro.faults.FaultPlan` or retry policy or not.  There is no
+second copy of the route-and-admit loop to keep in step, so a drained
+session is bit-identical to the same releases run through
+:class:`~repro.serve.TraceArrivals` offline, and one emitter
+(:meth:`ServerHandle._absorb`) publishes what the step decided.
+:meth:`ServerHandle.drain` hands the step to the offline path's report
+half and never re-runs the trace: the report is assembled from the
+admissions the session already made, in both tiers.  The cyclesim tier
+executes each request once there, and a measured per-input row that
+differs from the profile the live admission priced raises
 :class:`~repro.errors.SimulationError`.
 
 The session publishes a typed event stream -- :class:`RequestAdmitted`,
@@ -231,7 +231,7 @@ class ServerHandle:
     """A live serving session over a Deployment or Fleet.
 
     Created by :func:`serve_forever`; owns the session's admitting
-    object (dispatcher or failover engine), the recorded event stream
+    object (the fleet step's dispatcher), the recorded event stream
     (:attr:`events`), and one pending future per unsettled request.
     :meth:`submit` admits each request before it returns -- there is no
     scheduler task.  Single-use: :meth:`drain` closes the session
@@ -283,22 +283,15 @@ class ServerHandle:
         self.shard_edges = list(edges)
         self.link = server.arch.interchip
 
-        # One admitting object per session, built by the server exactly
-        # as its offline submission builds it: the failover engine when
-        # a plan or retry policy is in play, else the plain dispatcher.
-        # Resident sessions: warmth is frozen at session open (nothing
-        # executes before drain), so each cold replica's kernel carries
-        # the load clamp its sub-stream is reported with.
-        self._engine = self._dispatcher = None
-        if engine_needed(faults, retry):
-            self._engine = server._new_engine(faults, retry)
-            self._states = self._engine.states
-            self._attempt_cursor = 0
-        else:
-            self._dispatcher = server._new_dispatcher()
-            self._states = self._dispatcher.states
-
-        self._releases: List[int] = []
+        # The one admitting object, built by the server exactly as its
+        # offline submission builds it.  Resident sessions: warmth is
+        # frozen at session open (nothing executes before drain), so
+        # each cold replica's kernel carries the load clamp its
+        # sub-stream is reported with.
+        self._dispatcher = server._new_dispatcher(faults, retry)
+        #: How far :meth:`_absorb` has published the dispatcher's
+        #: attempts and settled requests.
+        self._attempt_cursor = self._settled_cursor = 0
 
         self.events: List[RuntimeEvent] = []
         self._subscribers: List[asyncio.Queue] = []
@@ -313,7 +306,7 @@ class ServerHandle:
         if hasattr(self.clock, "start"):
             self.clock.start()
         for r in range(self.num_replicas):
-            state = "cold" if self._states[r].load_offset else "up"
+            state = "cold" if self._dispatcher.states[r].load_offset else "up"
             self._emit(ReplicaStateChanged(r, state, at_cycle=0))
 
     async def __aenter__(self) -> "ServerHandle":
@@ -349,7 +342,7 @@ class ServerHandle:
     # -- submission ----------------------------------------------------------
     @property
     def submitted(self) -> int:
-        return len(self._releases)
+        return len(self._dispatcher.releases)
 
     async def submit(self, *, at: Optional[int] = None) -> asyncio.Future:
         """Submit one request; returns the future resolving its fate.
@@ -374,71 +367,59 @@ class ServerHandle:
                 "to open a new one"
             )
         release = int(at) if at is not None else int(self.clock.now_cycles())
+        releases = self._dispatcher.releases
         try:
-            check_release(
-                release, self._releases[-1] if self._releases else 0
-            )
+            check_release(release, releases[-1] if releases else 0)
         except SimulationError as exc:
             # The kernel's rule, surfaced as the caller's mistake.
             raise ConfigError(str(exc)) from exc
-        request = len(self._releases)
-        self._releases.append(release)
         future = asyncio.get_running_loop().create_future()
-        self._pending[request] = future
-        if self._engine is not None:
-            self._engine.push(release)
-            self._absorb_engine(self._engine.settle_through(release))
-        else:
-            replica, dispatch, finish = self._dispatcher.dispatch(release)
-            self._note_warm(replica)
-            self._emit(RequestAdmitted(request, release, replica, dispatch))
-            self._settle(request, replica, finish)
+        self._pending[len(releases)] = future
+        self._dispatcher.dispatch(release)
+        self._absorb()
         return future
 
-    def _absorb_engine(self, outcomes) -> None:
-        engine = self._engine
-        for record in engine.attempts[self._attempt_cursor:]:
-            if record.attempt == 1:
-                self._note_warm(record.replica)
-                self._emit(RequestAdmitted(
-                    record.request,
-                    engine.releases[record.request],
-                    record.replica,
-                    record.dispatch_cycle,
-                ))
-            if (
-                record.status == "crashed"
-                and not self._crash_emitted[record.replica]
-            ):
-                self._crash_emitted[record.replica] = True
-                self._emit(ReplicaStateChanged(
-                    record.replica, "crashed", at_cycle=record.finish_cycle,
-                ))
-        self._attempt_cursor = len(engine.attempts)
-        for outcome in outcomes:
-            self._settle(
-                outcome.request, outcome.replica, outcome.finish_cycle,
-                outcome.attempts, outcome.status,
-            )
+    def _absorb(self) -> None:
+        """Publish what the dispatcher decided since the last call: each
+        new attempt (a first attempt's admission, a replica's crash),
+        then each newly settled request's fate, in decision order."""
+        dispatcher = self._dispatcher
+        attempts = dispatcher.attempts
+        for request, attempt, replica, dispatch, end, status, _, ready in (
+            attempts[self._attempt_cursor:]
+        ):
+            if attempt == 1:
+                self._note_warm(replica)
+                self._emit(RequestAdmitted(request, ready, replica, dispatch))
+            if status == "crashed" and not self._crash_emitted[replica]:
+                self._crash_emitted[replica] = True
+                self._emit(ReplicaStateChanged(replica, "crashed", end))
+        self._attempt_cursor = len(attempts)
+        settled = dispatcher.settled
+        for request in settled[self._settled_cursor:]:
+            self._settle(request)
+        self._settled_cursor = len(settled)
 
     def _note_warm(self, replica: int) -> None:
-        load_done = self._states[replica].load_offset
+        load_done = self._dispatcher.states[replica].load_offset
         if load_done and not self._warm_emitted[replica]:
             self._warm_emitted[replica] = True
             self._emit(ReplicaStateChanged(
                 replica, "warm", at_cycle=load_done,
             ))
 
-    def _settle(
-        self, request: int, replica: int, finish: int, attempts: int = 1,
-        status: str = "completed",
-    ) -> None:
-        """Publish a request's fate and resolve its future.
+    def _settle(self, request: int) -> None:
+        """Publish a settled request's fate and resolve its future.
 
-        Dropped requests arrive as the engine reports them: ``replica ==
-        -1`` and ``finish == 0``.
+        A dropped request carries the dispatcher's ``replica == -1``
+        and ``finish == 0``.
         """
-        release = self._releases[request]
+        dispatcher = self._dispatcher
+        release = dispatcher.releases[request]
+        replica = dispatcher.assignments[request]
+        finish = dispatcher.finishes[request]
+        attempts = dispatcher.attempt_counts[request]
+        status = dispatcher.statuses[request]
         latency = None
         if status == "completed":
             latency = finish - release
@@ -460,17 +441,12 @@ class ServerHandle:
 
         Every request was admitted once, live, on the object the
         offline path would use, so the report is assembled from those
-        admissions -- nothing is scheduled again:
-
-        - **faulted**: the session's own engine is handed to
-          :meth:`repro.serve.Fleet._submit_faulted`, which only finishes
-          and reports it;
-        - **unfaulted**: the session's own dispatcher is handed to the
-          one serving path (:meth:`repro.serve.Deployment._serve`).
-
-        In the cyclesim tier both branches execute and golden-validate
-        each served request once, and every measured per-input row must
-        equal the profile its live admission was priced from
+        admissions -- nothing is scheduled again: the session's own
+        dispatcher is handed to the one serving path
+        (:meth:`repro.serve.Deployment._serve`), faulted or not.  In the
+        cyclesim tier that path executes and golden-validates each
+        request once, and every measured per-input row must equal the
+        profile its live admission was priced from
         (:class:`~repro.errors.SimulationError` names the input and
         shard otherwise).
         """
@@ -478,17 +454,12 @@ class ServerHandle:
             return self.report
         self._shutdown()
         server = self.server
-        if self._engine is not None:
-            self.report = server._submit_faulted(
-                None, 1, self._releases, self.seed, self.validate,
-                self._engine.plan, self.retry, engine=self._engine,
-            )
-        else:
-            deployment = server.deployment if self._is_fleet else server
-            self.report = deployment._serve(
-                None, 1, self._releases, self.seed, self.validate,
-                server=server, dispatcher=self._dispatcher,
-            )
+        deployment = server.deployment if self._is_fleet else server
+        self.report = deployment._serve(
+            None, 1, list(self._dispatcher.releases), self.seed,
+            self.validate, server=server, dispatcher=self._dispatcher,
+            faults=self.faults, retry=self.retry,
+        )
         return self.report
 
     async def close(self) -> None:
@@ -500,14 +471,13 @@ class ServerHandle:
         self._pending.clear()
 
     def _shutdown(self) -> None:
-        """Close admission: settle what a faulted engine still holds
-        (retries past the last release) and end every subscriber's
-        stream."""
+        """Close admission: settle the retries still queued past the
+        last release and end every subscriber's stream."""
         if self._closed:
             return
         self._closed = True
-        if self._engine is not None:
-            self._absorb_engine(self._engine.drain())
+        self._dispatcher.drain()
+        self._absorb()
         for queue in self._subscribers:
             queue.put_nowait(None)
 

@@ -19,11 +19,11 @@ then flows through the chip pipeline: ``start[i][k] = max(release_i if
 k == 0, finish[i-1][k], last inbound transfer arrival)``.  That
 recurrence is written once, in the admission kernel
 :class:`repro.sim.multichip.PipelineState`; this module only consumes
-it.  Every submission admits each request exactly once, through the
-unfaulted fleet step (:class:`~repro.sim.multichip.Dispatcher`: rr/jsq
-routing over one kernel state per replica, a :class:`Deployment` being
-a fleet of one) or, under a fault plan, the failover engine, and every
-report is assembled from what that one object recorded.  Timing is
+it.  Every submission admits each attempt exactly once, through the one
+fleet step (:class:`~repro.sim.multichip.Dispatcher`: rr/jsq routing
+over one kernel state per replica, a :class:`Deployment` being a fleet
+of one, a fault-free fleet a fleet under the empty plan), and every
+report is assembled from the attempts that one object recorded.  Timing is
 data-independent under per-input isolation, so admission prices every
 input from the one-input service profile; the cyclesim tier executes
 the served inputs once, golden-validates them, and holds every measured
@@ -76,10 +76,11 @@ from repro.compiler.pipeline import (
 from repro.config import ArchConfig
 from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import (
-    FailoverEngine,
     FaultPlan,
     RetryPolicy,
+    effective_retry,
     engine_needed,
+    fleet_dispatcher,
 )
 from repro.graph.graph import ComputationGraph
 from repro.sim.functional import (
@@ -92,7 +93,6 @@ from repro.sim.multichip import (
     Dispatcher,
     MultiChipReport,
     MultiChipSimulator,
-    PipelineState,
     assemble_stream_report,
     check_fleet,
     merge_shard_energy,
@@ -505,9 +505,10 @@ class Deployment:
             self._edges = self.compiled.transfer_edges()
 
         self.resident_weights = bool(resident_weights)
-        #: Accounting flag: has this serving session already paid the
-        #: weight-load phase?  A :class:`Fleet` toggles it per replica.
-        self._resident_loaded = False
+        #: Resident sessions: whether this deployment, a fleet of one
+        #: replica, holds its loaded weights (a :class:`Fleet` keeps one
+        #: flag per replica).
+        self._replica_warm = [False]
         self._resident_sim = None  #: cyclesim persistent simulator state
         self._resident_load_reports = None  #: measured load segments
         if self.resident_weights:
@@ -618,27 +619,25 @@ class Deployment:
             return 0
         return self._resident_load_profile()[0]
 
-    def _pipeline_states(self, warm=None) -> List[PipelineState]:
-        """One fresh admission kernel per replica of this model.
-
+    def _fleet_dispatcher(
+        self, policy, warm, faults=None, retry=None
+    ) -> Dispatcher:
+        """The one fleet step over replicas of this model, priced at the
+        one-input service profile (timing is data-independent under
+        per-input isolation, which makes the law tier-equivalent).
         ``warm[r]`` says whether replica ``r`` holds its resident
-        weights; the default is this deployment alone, which admits as
-        a fleet of one.
-        """
-        if warm is None:
-            warm = [self._resident_loaded]
+        weights; ``faults`` / ``retry`` are the plan it runs under."""
         row, edges = self._service_profile()
-        return [
-            PipelineState(
-                row, edges, self.arch.interchip,
-                load_offset=self._load_offset(w),
-            )
-            for w in warm
-        ]
+        return fleet_dispatcher(
+            policy, row, edges, self.arch.interchip,
+            [self._load_offset(w) for w in warm], faults, retry,
+        )
 
-    def _new_dispatcher(self) -> Dispatcher:
+    def _new_dispatcher(self, faults=None, retry=None) -> Dispatcher:
         """This deployment alone, admitting as a fleet of one."""
-        return Dispatcher("rr", self._pipeline_states())
+        return self._fleet_dispatcher(
+            "rr", self._replica_warm, faults, retry
+        )
 
     def serve_forever(
         self,
@@ -790,17 +789,18 @@ class Deployment:
 
     def _serve(
         self, inputs, batch, arrivals, seed, validate, server=None,
-        dispatcher=None,
+        dispatcher=None, faults=None, retry=None,
     ):
-        """The one unfaulted serving path, both tiers.
+        """The one serving path, both tiers, faulted or not.
 
         ``server`` is this deployment (the default: a fleet of one) or
         a :class:`Fleet` over it.  The server's dispatcher admits every
-        release once -- or a live session hands in the ``dispatcher``
-        that has admitted exactly this stream already -- and the server
-        reports from its records.  The cyclesim tier executes the inputs
-        first (:meth:`_run_served`), so an offline submission prices its
-        admissions from its own first measured row, not a probe.
+        release once under ``faults`` / ``retry`` -- or a live session
+        hands in the ``dispatcher`` that has admitted exactly this
+        stream already -- and the server reports from its records.  The
+        cyclesim tier executes the inputs first (:meth:`_run_served`),
+        so an offline submission prices its admissions from its own
+        first measured row, not a probe.
         """
         if server is None:
             server = self
@@ -813,12 +813,22 @@ class Deployment:
                 resolved, range(len(resolved)), validate
             )
         if dispatcher is None and releases:
-            dispatcher = server._new_dispatcher()
+            dispatcher = server._new_dispatcher(faults, retry)
             for release in releases:
                 dispatcher.dispatch(release)
-        return server._report_dispatched(
-            dispatcher, releases, arrivals.describe(), served, validate
+        if dispatcher is not None:
+            dispatcher.drain()
+        return server._report(
+            dispatcher, arrivals.describe(), served, validate, faults, retry
         )
+
+    def _report(
+        self, dispatcher, arrival, served, validate, faults=None, retry=None,
+    ) -> ServeReport:
+        """This deployment's report: the one replica of its fleet."""
+        return self._replica_reports(
+            dispatcher, arrival, served, validate, self._replica_warm
+        )[0]
 
     def _empty_report(self, arrival: str, load=None) -> ServeReport:
         """A zero-input report; ``load`` is a weight-load phase
@@ -845,24 +855,82 @@ class Deployment:
             load_energy_pj=dict(load_energy),
         )
 
-    def _recorded_report(
-        self, arrival, releases, starts, finishes, makespan, load=None,
-        cost=None, validated=False, **extra,
-    ) -> ServeReport:
-        """One pipeline's report straight from recorded admissions (a
-        :class:`~repro.sim.multichip.Dispatcher`'s, or the failover
-        engine's full-service attempts): nothing is scheduled again,
-        the recorded cycles are only priced, each input at the service
-        profile.  ``cost`` is their measured ``(energy, MACs,
-        instructions)`` (cyclesim tier; ``None`` reads the fast model),
-        ``load`` a weight-load phase paid ahead of them.
+    def _replica_reports(
+        self, dispatcher: Optional[Dispatcher], label, served, validate,
+        warm,
+    ) -> List[ServeReport]:
+        """Each replica's report from the attempts ``dispatcher``
+        recorded for it (``None`` admitted nothing: an empty stream).
+
+        A report covers the replica's full-service attempts, each a row
+        released at its ready cycle; ``label`` names each sub-stream
+        (``None``: a recorded trace).  ``served`` is the cyclesim tier's
+        :meth:`_run_served` of the stream: each row is charged its
+        request's measured cost and carries its outputs, and the first
+        one's profile windows, shifted to its service start, head the
+        stream report.  A cold resident replica (``not warm[r]``) that
+        received any attempt pays its weight load -- real even if every
+        attempt was then crash-killed -- and ``warm[r]`` is updated: a
+        crash invalidates the replica's weights, so failback re-pays the
+        load.
         """
-        count = len(releases)
+        reports = []
+        for r in range(len(warm)):
+            records = (
+                [] if dispatcher is None else dispatcher.replica_attempts[r]
+            )
+            load = None
+            if records and self.resident_weights and not warm[r]:
+                load = self._resident_load_profile()
+            reports.append(self._replica_report(
+                records, label, served, validate, load
+            ))
+            crashed = dispatcher is not None and (
+                dispatcher.states[r].crash is not None
+            )
+            warm[r] = self.resident_weights and not crashed and (
+                warm[r] or bool(records)
+            )
+        return reports
+
+    def _replica_report(
+        self, records, arrival, served, validate, load
+    ) -> ServeReport:
+        """One replica's report straight from its attempt ``records``
+        (:meth:`_replica_reports`): nothing is scheduled again, the
+        full-service rows are only priced, each at the service profile
+        and (cyclesim tier) its request's measured ``(energy, MACs,
+        instructions)``, else the fast model's.  ``load`` is a weight-load
+        phase paid ahead of them."""
+        full = [a for a in records if a.full_service]
+        count = len(full)
+        arrival = arrival or _trace_label(count)
         if not count:
             return self._empty_report(arrival, load)
-        energy, macs, instructions = (
-            self._fast_cost(count) + (0,) if cost is None else cost
-        )
+        starts = [a.start_cycle for a in full]
+        finishes = [a.finish_cycle for a in full]
+        makespan = max(a.finish_cycle for a in records)
+        extra = {}
+        if served is None:
+            energy, macs = self._fast_cost(count)
+            instructions = 0
+        else:
+            runs = [served[a.request] for a in full]
+            reports = [run[0] for run in runs]
+            energy, macs, instructions = self._measured_cost(reports)
+            windows = [
+                [[cycle + starts[0] for cycle in window]]
+                for window in self._windows
+            ]
+            extra = dict(
+                stream_report=assemble_stream_report(
+                    self.arch, reports, self._edges,
+                    (*windows, finishes, makespan),
+                    self.compiled.interchip_bytes(),
+                ),
+                per_input_outputs=[run[1] for run in runs],
+                golden=runs[0][2],
+            )
         load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
         row = self._service_profile()[0]
         return ServeReport(
@@ -870,7 +938,7 @@ class Deployment:
             tier=self.tier,
             batch=count,
             arrival=arrival,
-            releases=list(releases),
+            releases=[a.ready_cycle for a in full],
             service_starts=starts,
             input_finishes=finishes,
             makespan_cycles=makespan,
@@ -885,60 +953,11 @@ class Deployment:
             energy_breakdown_pj=sum_energy([energy, load_energy]),
             macs=macs + load_macs,
             instructions=instructions + load_instr,
-            validated=validated,
+            validated=served is not None and bool(validate),
             resident=self.resident_weights,
             load_cycles=load_cycles,
             load_energy_pj=dict(load_energy),
             **extra,
-        )
-
-    def _report_dispatched(
-        self, dispatcher: Optional[Dispatcher], releases, arrival=None,
-        served=None, validate=False, replica=0,
-    ) -> ServeReport:
-        """Report what ``dispatcher`` admitted onto ``replica`` (this
-        deployment is replica 0 of its own :meth:`_new_dispatcher`;
-        ``None`` admitted nothing: an empty stream).  ``arrival=None``
-        labels the sub-stream a recorded trace.  ``served`` is the
-        cyclesim tier's :meth:`_run_served` of the stream: each request
-        is charged its measured cost and carries its outputs, and the
-        first one's profile windows, shifted to its service start, head
-        the stream report.  A cold resident session that served
-        anything pays its weight load here and is warm afterwards.
-        """
-        mine = [] if dispatcher is None else [
-            i for i, r in enumerate(dispatcher.assignments) if r == replica
-        ]
-        load = None
-        if mine and self.resident_weights:
-            if not self._resident_loaded:
-                load = self._resident_load_profile()
-            self._resident_loaded = True
-        starts = [dispatcher.starts[i] for i in mine]
-        finishes = [dispatcher.finishes[i] for i in mine]
-        makespan = max(finishes, default=0)
-        cost, extra = None, {}
-        if served is not None and mine:
-            runs = [served[i] for i in mine]
-            reports = [run[0] for run in runs]
-            cost = self._measured_cost(reports)
-            windows = [
-                [[cycle + starts[0] for cycle in window]]
-                for window in self._windows
-            ]
-            extra = dict(
-                stream_report=assemble_stream_report(
-                    self.arch, reports, self._edges,
-                    (*windows, finishes, makespan),
-                    self.compiled.interchip_bytes(),
-                ),
-                per_input_outputs=[run[1] for run in runs],
-                golden=runs[0][2],
-            )
-        return self._recorded_report(
-            arrival or _trace_label(len(mine)),
-            [releases[i] for i in mine], starts, finishes, makespan, load,
-            cost, served is not None and bool(validate), **extra,
         )
 
     # -- cyclesim tier ------------------------------------------------------
@@ -1099,8 +1118,8 @@ class FleetReport(_ServingMetrics):
     (``drop_reasons`` says why, ``input_finishes[i] == 0``); request
     conservation always holds (``submitted == completed + dropped``).
     Latency series and percentiles cover completed requests only.
-    ``attempt_counts`` is empty unless the failover engine ran; when it
-    did, ``attempt_counts[i]`` counts input ``i``'s dispatches and
+    ``attempt_counts`` is empty unless a fault plan or retry policy was
+    given; then ``attempt_counts[i]`` counts input ``i``'s dispatches and
     ``retries`` the re-enqueues.  ``goodput_inf_per_s`` is the rate of
     *completed* work over the makespan; ``offered_inf_per_s`` the
     arrival-stream demand; ``replica_downtime[r]`` the injected
@@ -1207,9 +1226,9 @@ class FleetReport(_ServingMetrics):
         """Mean shard busy fraction of the fleet makespan, per replica.
 
         Fault-free submissions use the exact closed form (every served
-        input occupies each shard for its service row).  When the
-        failover engine ran, busy cycles come from the recorded attempt
-        windows instead (``replica_busy_cycles``): a full-service
+        input occupies each shard for its service row).  Under a fault
+        plan, busy cycles come from the recorded attempt windows
+        instead (``replica_busy_cycles``): a full-service
         attempt charges one service row, and a crash-killed attempt
         charges the cycles it actually ran before dying -- counted once
         across the pipeline, an approximation that neither drops the
@@ -1339,12 +1358,12 @@ class Fleet:
     replica's predicted in-flight count at release time, ties to the
     lowest index).  A submission takes the one serving path a
     :class:`Deployment` takes (:meth:`Deployment._serve`, where a
-    deployment is a fleet of one): the dispatcher admits each request
-    once, the cyclesim tier executes and checks every input once, and
-    each replica reports from the cycles the dispatcher recorded for
-    it.  The per-replica reports merge into a :class:`FleetReport`;
-    with ``replicas=1`` the replica report is bit-identical to a plain
-    deployment's.
+    deployment is a fleet of one), faulted or not: the dispatcher admits
+    each attempt once, the cyclesim tier executes and checks every input
+    once, and each replica reports from the attempts the dispatcher
+    recorded for it.  The per-replica reports merge into a
+    :class:`FleetReport`; with ``replicas=1`` and no fault plan the
+    replica report is bit-identical to a plain deployment's.
     """
 
     def __init__(
@@ -1445,20 +1464,9 @@ class Fleet:
         """(per-shard cycle row, transfer edges) of one input."""
         return self.deployment._service_profile()
 
-    def _pipeline_states(self) -> List[PipelineState]:
-        return self.deployment._pipeline_states(self._replica_warm)
-
-    def _new_dispatcher(self) -> Dispatcher:
-        """The unfaulted step over this fleet's replicas as they stand."""
-        return Dispatcher(self.policy, self._pipeline_states())
-
-    def _new_engine(
-        self, plan: Optional[FaultPlan], retry: Optional[RetryPolicy]
-    ) -> FailoverEngine:
-        """The faulted step over this fleet's replicas as they stand.
-        Both tiers feed it the one-input service profile (timing is
-        data-independent under per-input isolation), which makes the
-        availability law tier-equivalent.
+    def _new_dispatcher(self, faults=None, retry=None) -> Dispatcher:
+        """The one fleet step over this fleet's replicas as they stand,
+        under ``faults`` / ``retry``.
 
         A plan event naming a replica this fleet does not have would
         inject nothing, so it raises :class:`~repro.errors.FaultError`
@@ -1467,23 +1475,16 @@ class Fleet:
         one plan with several fleet sizes on purpose, and a replica a
         smaller fleet lacks is simply absent there.
         """
-        if plan is not None:
-            for event in plan.events:
-                replica = getattr(event, "replica", None)
-                if replica is not None and replica >= self.num_replicas:
-                    raise FaultError(
-                        f"fault event {event.describe()} names replica "
-                        f"{replica}, but the fleet has {self.num_replicas} "
-                        f"replica(s), 0..{self.num_replicas - 1}"
-                    )
-        dep = self.deployment
-        row, edges = self._service_profile()
-        return FailoverEngine(
-            row, edges, self.arch.interchip, self.num_replicas,
-            policy=self.policy, plan=plan, retry=retry,
-            load_offsets=[
-                dep._load_offset(warm) for warm in self._replica_warm
-            ],
+        for event in () if faults is None else faults.events:
+            replica = getattr(event, "replica", None)
+            if replica is not None and replica >= self.num_replicas:
+                raise FaultError(
+                    f"fault event {event.describe()} names replica "
+                    f"{replica}, but the fleet has {self.num_replicas} "
+                    f"replica(s), 0..{self.num_replicas - 1}"
+                )
+        return self.deployment._fleet_dispatcher(
+            self.policy, self._replica_warm, faults, retry
         )
 
     # -- submission ---------------------------------------------------------
@@ -1508,56 +1509,17 @@ class Fleet:
 
         ``faults`` injects a deterministic :class:`~repro.faults.
         FaultPlan`; ``retry`` overrides the plan's embedded
-        :class:`~repro.faults.RetryPolicy`.  With a plan or policy in
-        play the submission runs through the failover engine
-        (:class:`repro.faults.FailoverEngine`): dead replicas stop
-        receiving work, failed attempts are retried on survivors, and
-        undeliverable requests are recorded as dropped (conservation:
-        ``submitted == completed + dropped``).  ``faults=None`` (or an
-        empty plan with no retry policy) takes the unfaulted path,
-        bit-identical to a fault-free fleet in both tiers.
+        :class:`~repro.faults.RetryPolicy`.  The one fleet step
+        (:class:`repro.sim.multichip.Dispatcher`) runs under the plan:
+        dead replicas stop receiving work, failed attempts are retried
+        on survivors, and undeliverable requests are recorded as dropped
+        (conservation: ``submitted == completed + dropped``).
+        ``faults=None`` (or an empty plan with no retry policy) is the
+        empty plan, and its report carries no availability block.
         """
-        if engine_needed(faults, retry):
-            return self._submit_faulted(
-                inputs, batch, arrivals, seed, validate,
-                faults if faults is not None else FaultPlan(), retry,
-            )
         return self.deployment._serve(
-            inputs, batch, arrivals, seed, validate, server=self
-        )
-
-    def _report_dispatched(
-        self, dispatcher: Optional[Dispatcher], releases, arrival,
-        served=None, validate=False, **fields,
-    ) -> FleetReport:
-        """The fleet's report of a stream its dispatcher has admitted
-        (``None``: an empty stream): :meth:`Deployment._report_dispatched`
-        per replica.  Sub-streams keep their global release cycles; a
-        lone replica keeps the stream's arrival label, a replica of
-        several reports a trace."""
-        dep = self.deployment
-        label = arrival if self.num_replicas == 1 else None
-        reports: List[ServeReport] = []
-        for replica in range(self.num_replicas):
-            dep._resident_loaded = self._replica_warm[replica]
-            reports.append(dep._report_dispatched(
-                dispatcher, releases, label, served, validate, replica
-            ))
-            self._replica_warm[replica] = dep._resident_loaded
-        assignments, finishes = (
-            ([], []) if dispatcher is None
-            else (dispatcher.assignments, dispatcher.finishes)
-        )
-        resident = dep.resident_weights
-        return self._fleet_report(
-            reports, arrival, assignments, releases, finishes,
-            max(r.makespan_cycles for r in reports),
-            max(r.steady_interval_cycles for r in reports),
-            resident=resident,
-            replica_load_cycles=(
-                [r.load_cycles for r in reports] if resident else []
-            ),
-            **fields,
+            inputs, batch, arrivals, seed, validate, server=self,
+            faults=faults, retry=retry,
         )
 
     def run_trace(
@@ -1576,185 +1538,88 @@ class Fleet:
             faults=faults, retry=retry,
         )
 
-    # -- fault-injected submission -----------------------------------------
-    def _submit_faulted(
-        self,
-        inputs,
-        batch: int,
-        arrivals,
-        seed: int,
-        validate: bool,
-        plan: FaultPlan,
-        retry: Optional[RetryPolicy],
-        engine: Optional[FailoverEngine] = None,
+    def _report(
+        self, dispatcher: Optional[Dispatcher], arrival, served, validate,
+        faults=None, retry=None,
     ) -> FleetReport:
-        """Run one stream through the failover engine, then report it.
+        """The fleet's report of a stream its dispatcher has admitted
+        (``None``: an empty stream): the replica reports
+        (:meth:`Deployment._replica_reports`; a lone replica of a
+        fault-free fleet keeps the stream's arrival label, any other
+        reports a trace), totalled.
 
-        This half runs the schedule: a fresh :meth:`_new_engine` is fed
-        the releases -- unless a live session hands in its own
-        ``engine``, which has admitted exactly this stream already.
-        :meth:`_schedule_report` is the other half.
+        The availability block (``fault_events``, ``retry_policy``,
+        ``replica_downtime``, ``attempt_counts``, ``retries``, drops and
+        ``replica_busy_cycles``) is filled only when ``faults`` or
+        ``retry`` was given (:func:`repro.faults.engine_needed`).  Busy
+        cycles come from the executed attempt windows: a full-service
+        attempt charges one service row, a crash-killed one the cycles
+        it ran before dying (counted once).
         """
-        rp = retry if retry is not None else (plan.retry or RetryPolicy())
+        faulted = engine_needed(faults, retry)
+        lone = self.num_replicas == 1 and not faulted
         dep = self.deployment
-        arrivals, resolved, releases = dep._open_stream(
-            inputs, batch, arrivals, seed
+        reports = dep._replica_reports(
+            dispatcher, arrival if lone else None, served, validate,
+            self._replica_warm,
         )
-        fault_fields = dict(
-            fault_events=[e.to_dict() for e in plan.events],
-            retry_policy=rp.to_dict(),
-            replica_downtime=plan.replica_timeline(self.num_replicas),
-        )
-        if not releases:  # an empty trace
-            return self._report_dispatched(
-                None, [], arrivals.describe(), **fault_fields
-            )
-        if engine is None:
-            engine = self._new_engine(plan, rp)
-            for release in releases:
-                engine.push(release)
-        return self._schedule_report(
-            engine.finish(), plan, arrivals.describe(), resolved, releases,
-            validate, fault_fields,
-        )
-
-    def _schedule_report(
-        self, schedule, plan, arrival, resolved, releases, validate,
-        fault_fields,
-    ) -> FleetReport:
-        """Report a finished :class:`~repro.faults.FaultSchedule`.
-
-        The cyclesim tier executes each request that received at least
-        one full-service attempt exactly once on the exact simulator
-        (bit-exact golden validation) and charges its measured energy
-        once per full-service attempt; crash-killed attempts lose their
-        partial work and are not charged.  Each replica's report reads
-        its cycles straight off the engine's attempt records, and
-        every measured row is held to the profile the engine priced
-        (:meth:`Deployment._run_served`).
-        """
-        dep = self.deployment
-        row, edges = self._service_profile()
-        load = dep._resident_load_profile() if dep.resident_weights else None
-        # Which replicas paid their weight-load phase in this submission
-        # (cold + received work); crashes then invalidate resident
-        # weights, so failback re-pays the load next time.
-        cold_paid = [
-            dep.resident_weights
-            and not self._replica_warm[r]
-            and bool(schedule.replica_attempts[r])
-            for r in range(self.num_replicas)
-        ]
+        d = dispatcher
+        releases = [] if d is None else d.releases
+        fields = {}
         if dep.resident_weights:
-            for r in range(self.num_replicas):
-                if plan.crash_cycle(r) is not None:
-                    self._replica_warm[r] = False
-                elif cold_paid[r]:
-                    self._replica_warm[r] = True
-
-        # Busy cycles from the actually-executed attempt windows: full-
-        # service attempts charge one service row, crash-killed attempts
-        # the cycles they ran before dying (counted once).
-        busy_cycles = [
-            sum(
-                sum(row) if a.full_service
-                else max(0, a.finish_cycle - a.start_cycle)
-                for a in attempts
+            fields.update(
+                resident=True,
+                replica_load_cycles=[r.load_cycles for r in reports],
             )
-            for attempts in schedule.replica_attempts
-        ]
-
-        served, validated = None, False
-        if dep.tier == "cyclesim":
-            # A request with at least one full-service attempt executed
-            # on real hardware; per-input isolation makes one execution's
-            # report and outputs exact for every full-service attempt of
-            # that request (crash-killed attempts never finished).
-            wanted = sorted({
-                a.request for a in schedule.attempts if a.full_service
-            })
-            served = dep._run_served(
-                [resolved[i] for i in wanted], wanted, validate
+        if faulted:
+            plan = faults if faults is not None else FaultPlan()
+            fields.update(
+                fault_events=[e.to_dict() for e in plan.events],
+                retry_policy=effective_retry(plan, retry).to_dict(),
+                replica_downtime=plan.replica_timeline(self.num_replicas),
             )
-            validated = bool(validate)
-
-        reports = [
-            self._faulted_replica_report(
-                schedule.replica_attempts[r], served, validated,
-                load if cold_paid[r] else None,
+        if faulted and releases:
+            row = sum(self._service_profile()[0])
+            fields.update(
+                dropped_indices=d.dropped,
+                drop_reasons=d.drop_reasons,
+                attempt_counts=d.attempt_counts,
+                retries=d.retries,
+                replica_busy_cycles=[
+                    sum(
+                        row if a.full_service
+                        else max(0, a.finish_cycle - a.start_cycle)
+                        for a in records
+                    )
+                    for records in d.replica_attempts
+                ],
             )
-            for r in range(self.num_replicas)
-        ]
-        return self._fleet_report(
-            reports, arrival, schedule.assignments, releases,
-            schedule.finishes, schedule.makespan,
-            steady_state_interval(row, edges, self.arch.interchip),
-            dropped_indices=list(schedule.dropped),
-            drop_reasons=dict(schedule.drop_reasons),
-            attempt_counts=list(schedule.attempt_counts),
-            retries=schedule.retries,
-            replica_busy_cycles=busy_cycles,
-            resident=dep.resident_weights,
-            replica_load_cycles=(
-                [load[0] if paid else 0 for paid in cold_paid]
-                if dep.resident_weights else []
-            ),
-            **fault_fields,
-        )
-
-    def _faulted_replica_report(
-        self, records, served, validated, load=None,
-    ) -> ServeReport:
-        """One replica's ServeReport under the fault plan.
-
-        ``records`` are the replica's attempts in admission order;
-        the report covers the full-service ones, and (cyclesim tier,
-        ``served`` by :meth:`Deployment._run_served`) charges each the
-        measured cost of its request.  ``load`` (resident sessions;
-        :meth:`Deployment._resident_load_profile`) adds the weight-load
-        phase a cold replica paid before its first attempt -- real even
-        if every attempt was then crash-killed.
-        """
-        dep = self.deployment
-        full = [a for a in records if a.full_service]
-        cost = None
-        if served is not None:
-            cost = dep._measured_cost([served[a.request][0] for a in full])
-        return dep._recorded_report(
-            _trace_label(len(full)),
-            [a.dispatch_cycle for a in full],
-            [a.start_cycle for a in full],
-            [a.finish_cycle for a in full],
-            max((a.finish_cycle for a in records), default=0),
-            load, cost, validated,
-        )
-
-    def _fleet_report(
-        self, reports, arrival, assignments, releases, finishes, makespan,
-        steady_interval, **fields,
-    ) -> FleetReport:
-        """The assembly tail both submission paths share: totals sum
-        over the replica reports."""
-        served = [r for r in reports if r.batch]
+        served_reports = [r for r in reports if r.batch]
         return FleetReport(
             arch=self.arch,
             tier=self.tier,
             policy=self.policy,
             replicas=self.num_replicas,
-            batch=len(assignments),
+            batch=len(releases),
             arrival=arrival,
-            assignments=list(assignments),
-            releases=list(releases),
-            input_finishes=list(finishes),
-            makespan_cycles=makespan,
-            steady_interval_cycles=steady_interval,
+            # The drained step's own lists: nothing admits after a
+            # drain, and a fleet keeps every request until it reports.
+            assignments=d.assignments if releases else [],
+            releases=releases,
+            input_finishes=d.finishes if releases else [],
+            makespan_cycles=d.makespan if releases else 0,
+            steady_interval_cycles=steady_state_interval(
+                *self._service_profile(), self.arch.interchip
+            ) if releases else 0,
             replica_reports=reports,
             energy_breakdown_pj=sum_energy(
                 [r.energy_breakdown_pj for r in reports]
             ),
             macs=sum(r.macs for r in reports),
             instructions=sum(r.instructions for r in reports),
-            validated=bool(served) and all(r.validated for r in served),
+            validated=bool(served_reports) and all(
+                r.validated for r in served_reports
+            ),
             **fields,
         )
 

@@ -334,35 +334,31 @@ def serve_fleet(
     """Replicated-serving continuation of a single-input report.
 
     The fast-model side of :class:`repro.serve.Fleet`: ``releases`` is
-    dispatched across ``replicas`` identical copies of the report's
-    pipeline under ``policy`` by the one unfaulted fleet step
-    (:class:`repro.sim.multichip.Dispatcher` -- ``"rr"`` sends input
-    ``i`` to replica ``i % replicas``, ``"jsq"`` joins the shortest
-    predicted queue), each replica admits its inputs at their *global*
-    release cycles on its own
-    :class:`~repro.sim.multichip.PipelineState`, and the finishes stay
-    in release order.  The fleet makespan is the latest finish; energy
-    and MACs scale linearly per input.  Because one base analysis prices
-    every replica, the sweep engine can treat the replicas axis as a
+    folded over the one fleet step
+    (:func:`repro.faults.run_fault_schedule`, the
+    :class:`repro.sim.multichip.Dispatcher`) across ``replicas``
+    identical copies of the report's pipeline under ``policy``
+    (``"rr"`` sends input ``i`` to replica ``i % replicas``, ``"jsq"``
+    joins the shortest predicted queue); each replica admits its inputs
+    at their *global* release cycles, and the finishes stay in release
+    order.  The fleet makespan is the latest finish; energy and MACs
+    scale linearly per input.  Because one base analysis prices every
+    replica, the sweep engine can treat the replicas axis as a
     closed-form continuation of the same report that prices the batch
     and arrival-rate axes.
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) and/or ``retry`` (a
-    :class:`repro.faults.RetryPolicy`) switch to the shared failover
-    engine (:func:`repro.faults.run_fault_schedule`) -- the identical
-    contract the cycle-exact tier implements: health-aware ``policy``
-    dispatch over surviving replicas, retries on failure, drops past
-    the deadline.  Energy/MACs then charge actual work (one full
-    per-inference cost per full-service attempt, retries included,
-    crash-killed attempts free), latency percentiles cover completed
-    requests only, and ``dropped`` / ``retries`` land in the report.
-    ``faults=None`` -- or an empty plan with no retry policy
-    (:func:`repro.faults.engine_needed`) -- admits directly; the engine
-    on an empty plan computes the same cycles.
+    :class:`repro.faults.RetryPolicy`) run the step under the plan --
+    the identical contract the cycle-exact tier implements:
+    health-aware ``policy`` dispatch over surviving replicas, retries on
+    failure, drops past the deadline.  Energy/MACs charge actual work
+    (one full per-inference cost per full-service attempt, retries
+    included, crash-killed attempts free), latency percentiles cover
+    completed requests only, and ``dropped`` / ``retries`` land in the
+    report when they are non-zero.  ``faults=None`` is the empty plan.
     """
-    from repro.faults import engine_needed, run_fault_schedule
+    from repro.faults import run_fault_schedule
     from repro.arrivals import latency_percentiles
-    from repro.sim.multichip import Dispatcher, PipelineState
 
     if report.batch != 1:
         raise ConfigError(
@@ -370,33 +366,17 @@ def serve_fleet(
             f"{report.batch}"
         )
     chip_cycles = list(report.shard_cycles) or [report.cycles]
-    dropped = retries = 0
-    if engine_needed(faults, retry):
-        schedule = run_fault_schedule(
-            releases, chip_cycles, report.shard_edges, link, replicas,
-            policy, faults, retry,
-        )
-        makespan = schedule.makespan
-        served = sum(1 for a in schedule.attempts if a.full_service)
-        latencies = [
-            schedule.finishes[i] - releases[i] for i in schedule.completed
-        ]
-        dropped, retries = len(schedule.dropped), schedule.retries
-    else:
-        dispatcher = Dispatcher(policy, [
-            PipelineState(chip_cycles, report.shard_edges, link)
-            for _ in range(replicas)
-        ])
-        for release in releases:
-            dispatcher.dispatch(release)
-        makespan = max(dispatcher.finishes, default=0)
-        served = len(releases)
-        latencies = [
-            f - r for f, r in zip(dispatcher.finishes, releases)
-        ]
+    schedule = run_fault_schedule(
+        releases, chip_cycles, report.shard_edges, link, replicas,
+        policy, faults, retry,
+    )
+    served = sum(1 for a in schedule.attempts if a.full_service)
+    latencies = [
+        schedule.finishes[i] - releases[i] for i in schedule.completed
+    ]
     p50, p95, p99 = latency_percentiles(latencies, (50, 95, 99))
     return FastReport(
-        cycles=makespan,
+        cycles=schedule.makespan,
         energy_breakdown_pj={
             k: v * served for k, v in report.energy_breakdown_pj.items()
         },
@@ -413,8 +393,8 @@ def serve_fleet(
         p50_latency_cycles=p50,
         p95_latency_cycles=p95,
         p99_latency_cycles=p99,
-        dropped=dropped,
-        retries=retries,
+        dropped=len(schedule.dropped),
+        retries=schedule.retries,
     )
 
 

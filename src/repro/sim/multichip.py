@@ -46,20 +46,25 @@ single-input runs.
 **The admission kernel.**  The recurrence itself is written once, as
 the incremental :class:`PipelineState` (:func:`streaming_schedule` is a
 fold over it), next to the one fleet dispatch law :func:`route` and the
-one unfaulted fleet step built from the two, :class:`Dispatcher`.
-:meth:`PipelineState.admit` is called from here and from the failover
-engine (:mod:`repro.faults`) only; the serving stack
+one fleet step built from the two, :class:`Dispatcher`, which also
+retries and drops under a fault plan (:mod:`repro.faults` supplies the
+plan's effects as its constructor data).  :meth:`PipelineState.admit`
+is called from this module only; the serving stack
 (:mod:`repro.serve`, :mod:`repro.runtime`,
-:func:`repro.sim.fastmodel.serve_fleet`) folds the dispatcher or the
-engine and reports from their records.
+:func:`repro.sim.fastmodel.serve_fleet`) folds the dispatcher and
+reports from its records.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.config import ArchConfig, InterChipConfig
 from repro.errors import ConfigError, SimulationError
@@ -284,45 +289,232 @@ def route(
     return min(candidates, key=lambda r: (states[r].in_flight(now), r))
 
 
-class Dispatcher:
-    """The unfaulted fleet admission step, one request at a time.
+#: Why a request was dropped (the graceful-degradation taxonomy).
+DROP_DEADLINE = "deadline"
+DROP_MAX_ATTEMPTS = "max_attempts"
+DROP_NO_REPLICA = "no_replica"
 
-    *Route* (:func:`route`, dispatch number = requests so far), *admit*
-    on the chosen replica's :class:`PipelineState` (which clamps the
-    release to its ``load_offset``), *record*.  The fault-free twin of
-    :class:`repro.faults.FailoverEngine`: :class:`repro.serve.Fleet`
-    and :func:`repro.sim.fastmodel.serve_fleet` fold it over a whole
-    stream, :class:`repro.runtime.ServerHandle` feeds it arrivals as
-    they happen, and the fast tier assembles its reports straight from
-    the per-request records -- every admission is made exactly once.
+
+_new_tuple = tuple.__new__
+
+
+class AttemptRecord(NamedTuple):
+    """One dispatch of one request onto one replica (an immutable named
+    tuple: one is built per attempt)."""
+
+    request: int
+    attempt: int
+    replica: int
+    dispatch_cycle: int  #: the ready cycle, clamped to a cold load's end
+    finish_cycle: int  #: completion cycle, or the crash cycle if killed
+    status: str  #: "completed" | "transient" | "crashed" | "late"
+    start_cycle: int  #: shard-0 service-entry cycle of this attempt
+    ready_cycle: int  #: the release (first attempt) or the retry's cycle
+
+    @property
+    def full_service(self) -> bool:
+        """Whether the replica ran the whole inference (energy charged).
+
+        Crash-killed attempts lose their partial work and consume no
+        modeled energy; completed, transiently-failed and past-deadline
+        attempts all did the full compute.
+        """
+        return self.status != "crashed"
+
+
+class Dispatcher:
+    """The fleet admission step, one request at a time.
+
+    *Route* (:func:`route` over the replicas alive at the ready cycle;
+    the dispatch number counts attempts), *admit* on the chosen
+    replica's :class:`PipelineState` (at the ready cycle, clamped to the
+    replica's ``load_offset``), *record* an :class:`AttemptRecord`, and
+    decide: completed, retried ``backoff`` cycles after the attempt
+    ended, or dropped (:data:`DROP_DEADLINE` / :data:`DROP_MAX_ATTEMPTS`
+    / :data:`DROP_NO_REPLICA`).
+
+    A fault plan's effects are constructor data: the ``states`` carry
+    its timing hooks, crash cycles and resident load offsets, ``fails(
+    request, attempt)`` says whether an attempt fails transiently
+    (``None``: never), and ``max_attempts`` / ``backoff`` / ``deadline``
+    are the retry numbers (``deadline=None``: none).  A fault-free fleet
+    is the empty plan: no attempt can fail, so every request completes
+    on its first attempt and nothing is queued.
+
+    :meth:`dispatch` admits eagerly: it first settles the queued retries
+    ready at or before the new release, then admits the request
+    directly.  Attempts are therefore processed in ``(ready, request,
+    attempt)`` order -- a retry is never ready before the attempt that
+    spawned it -- so the outcome is a pure function of the releases,
+    whether they are folded over a whole stream
+    (:func:`repro.faults.run_fault_schedule`, :class:`repro.serve.Fleet`,
+    :func:`repro.sim.fastmodel.serve_fleet`) or fed as they happen
+    (:class:`repro.runtime.ServerHandle`).
+
+    Per global request ``i``: ``assignments[i]`` is the replica that
+    completed it (``-1`` if dropped), ``finishes[i]`` its completion
+    cycle (``0`` if dropped), ``statuses[i]`` ``"completed"`` or a drop
+    reason (``""`` until settled) and ``attempt_counts[i]`` its
+    dispatches.  ``attempts`` is every attempt in processing order,
+    ``replica_attempts[r]`` replica ``r``'s in admission order, and
+    ``settled`` the requests in the order their fate was decided.
     """
 
-    def __init__(self, policy: str, states: Sequence[PipelineState]):
+    def __init__(
+        self,
+        policy: str,
+        states: Sequence[PipelineState],
+        fails=None,
+        max_attempts: int = 1,
+        backoff: int = 0,
+        deadline: Optional[int] = None,
+    ):
         check_fleet(policy, len(states))
         self.policy = policy
         self.states = list(states)
-        #: Per request, in submission order: the replica that served it,
-        #: its shard-0 service-entry cycle and its completion cycle.
+        self.fails = fails
+        self.max_attempts = max_attempts
+        self.backoff = backoff
+        self.deadline = deadline
+        self.releases: List[int] = []
         self.assignments: List[int] = []
-        self.starts: List[int] = []
         self.finishes: List[int] = []
+        self.statuses: List[str] = []
+        self.attempt_counts: List[int] = []
+        self.attempts: List[AttemptRecord] = []
+        self.replica_attempts: List[List[AttemptRecord]] = [
+            [] for _ in self.states
+        ]
+        self.settled: List[int] = []
+        self.retries = 0
+        self.makespan = 0
+        self._heap: List[Tuple[int, int, int]] = []
+        self._alive: Sequence[int] = range(len(self.states))
+        self._next_crash = self._first_crash_after(-1)
 
-    def dispatch(self, release: int) -> Tuple[int, int, int]:
-        """Dispatch one request released at ``release``.
-
-        Returns ``(replica, dispatch, finish)``; ``dispatch`` is the
-        cycle the request reached the replica (its release, or the end
-        of a cold resident replica's weight load).
-        """
-        replica = route(
-            self.policy, self.states, release, len(self.assignments)
+    def _first_crash_after(self, cycle):
+        return min(
+            (s.crash for s in self.states
+             if s.crash is not None and s.crash > cycle),
+            default=math.inf,
         )
-        state = self.states[replica]
-        start, finish = state.admit(release)
-        self.assignments.append(replica)
-        self.starts.append(start)
-        self.finishes.append(finish)
-        return replica, max(release, state.load_offset), finish
+
+    def dispatch(self, release: int) -> int:
+        """Submit one request released at ``release``; returns its id.
+
+        Releases must be non-decreasing (requests are served FIFO in
+        submission order); a regression raises
+        :class:`~repro.errors.SimulationError`.
+        """
+        releases = self.releases
+        previous = releases[-1] if releases else 0
+        if release < previous:
+            check_release(release, previous)
+        heap = self._heap
+        if heap and heap[0][0] <= release:
+            self._settle(release)
+        request = len(releases)
+        releases.append(release)
+        self.assignments.append(-1)
+        self.finishes.append(0)
+        self.statuses.append("")
+        self.attempt_counts.append(0)
+        self._attempt(release, request, 1)
+        if heap and heap[0][0] <= release:
+            self._settle(release)
+        return request
+
+    def drain(self) -> "Dispatcher":
+        """Settle every queued retry (no dispatch may follow) and check
+        conservation: ``submitted == completed + dropped``."""
+        self._settle(math.inf)
+        self.check_conservation()
+        return self
+
+    def check_conservation(self) -> None:
+        if len(self.settled) != len(self.releases):
+            raise SimulationError(
+                f"request conservation violated: {len(self.releases)} "
+                f"submitted != {len(self.settled)} settled"
+            )
+
+    @property
+    def completed(self) -> List[int]:
+        return [
+            i for i, s in enumerate(self.statuses) if s == "completed"
+        ]
+
+    @property
+    def dropped(self) -> List[int]:
+        return [
+            i for i, s in enumerate(self.statuses) if s != "completed"
+        ]
+
+    @property
+    def drop_reasons(self) -> Dict[int, str]:
+        return {
+            i: s for i, s in enumerate(self.statuses) if s != "completed"
+        }
+
+    def _settle(self, through) -> None:
+        """Process every queued retry ready at or before ``through``."""
+        heap = self._heap
+        while heap and heap[0][0] <= through:
+            self._attempt(*heappop(heap))
+
+    def _decide(self, request: int, status: str) -> None:
+        self.statuses[request] = status
+        self.settled.append(request)
+
+    def _attempt(self, ready: int, request: int, attempt: int) -> None:
+        """Route, admit and record one attempt ready at ``ready``."""
+        release = self.releases[request]
+        deadline = self.deadline
+        if deadline is not None and ready > release + deadline:
+            return self._decide(request, DROP_DEADLINE)
+        if ready >= self._next_crash:
+            # Ready cycles never decrease, so a replica that has died
+            # stays out of the candidates for good.
+            self._alive = [
+                r for r, s in enumerate(self.states) if s.alive_at(ready)
+            ]
+            self._next_crash = self._first_crash_after(ready)
+        if not self._alive:
+            return self._decide(request, DROP_NO_REPLICA)
+        choice = route(
+            self.policy, self.states, ready, len(self.attempts), self._alive
+        )
+        state = self.states[choice]
+        self.attempt_counts[request] = attempt
+        dispatch = ready if ready >= state.load_offset else state.load_offset
+        start, finish = state.admit(dispatch)
+        end, status = finish, "completed"
+        if state.crash is not None and finish > state.crash:
+            end, status = state.crash, "crashed"
+        elif self.fails is not None and self.fails(request, attempt):
+            status = "transient"
+        elif deadline is not None and finish > release + deadline:
+            status = "late"
+        # tuple.__new__ skips the named tuple's Python-level __new__:
+        # a third of the cost, and every attempt of every server pays it.
+        record = _new_tuple(AttemptRecord, (
+            request, attempt, choice, dispatch, end, status, start, ready,
+        ))
+        self.attempts.append(record)
+        self.replica_attempts[choice].append(record)
+        if end > self.makespan:
+            self.makespan = end
+        if status == "completed":
+            self.assignments[request] = choice
+            self.finishes[request] = finish
+            self._decide(request, status)
+        elif status == "late":
+            self._decide(request, DROP_DEADLINE)
+        elif attempt < self.max_attempts:
+            self.retries += 1
+            heappush(self._heap, (end + self.backoff, request, attempt + 1))
+        else:
+            self._decide(request, DROP_MAX_ATTEMPTS)
 
 
 def streaming_schedule(

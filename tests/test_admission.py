@@ -1,20 +1,22 @@
 """The one admission kernel (:class:`repro.sim.multichip.PipelineState`).
 
-Every serving path -- the ``Dispatcher`` that ``Deployment``, ``Fleet``,
-the async runtime and the fast model's ``serve_fleet`` share, and the
-``FailoverEngine`` -- consumes this kernel and the one ``route`` law
-(``streaming_schedule`` folds it for the one-input pipeline schedule),
-so its properties are pinned here once, as shrinking property tests:
+Every serving path -- the one fleet step, ``Dispatcher``, that
+``Deployment``, ``Fleet``, the async runtime and the fast model's
+``serve_fleet`` share, faulted or not -- consumes this kernel and the
+one ``route`` law (``streaming_schedule`` folds it for the one-input
+pipeline schedule), so its properties are pinned here once, as
+shrinking property tests:
 
 - the closed-form streaming law holds on random chain pipelines;
 - the law is time-shift invariant and monotone in release times;
 - ``in_flight`` (bisect) equals the brute-force count, hooks and crash
   cap included;
-- the failover engine on an empty plan is direct ``route`` + ``admit``;
+- the step on an empty plan is direct ``route`` + ``admit``;
 - ``serve_fleet`` honours ``policy`` without a fault plan;
-- every request is admitted exactly once per attempt, offline and live,
-  in both tiers (the cycle tier also executes each input once), and a
-  live session's report is the offline report of its releases;
+- every attempt passes through the one step, and is admitted, exactly
+  once, offline and live, faulted and fault-free, in both tiers (the
+  cycle tier also executes each input once), and a live session's
+  report is the offline report of its releases;
 - the kernel is held, state and errors included, to the recurrence as
   first written (``_reference_admit``), and the serving outputs that
   ride on it are pinned byte for byte;
@@ -37,8 +39,6 @@ from repro.config import InterChipConfig, small_test_arch
 from repro.errors import ConfigError, SimulationError
 from repro.faults import (
     AttemptRecord,
-    EngineOutcome,
-    FailoverEngine,
     FaultPlan,
     LinkDegrade,
     ReplicaCrash,
@@ -545,8 +545,7 @@ class TestPinnedBytes:
     RequestDropped(0, 10, "deadline", 2),
     ReplicaStateChanged(1, "crashed", 400),
     RequestCompletion(0, 10, 1, 90, 80),
-    AttemptRecord(0, 1, 1, 12, 90, "completed", start_cycle=12),
-    EngineOutcome(0, "completed", 90, 1, 1),
+    AttemptRecord(0, 1, 1, 12, 90, "completed", 12, 10),
 ], ids=lambda record: type(record).__name__)
 def test_records_are_immutable(record):
     first = next(iter(type(record).__annotations__))
@@ -623,7 +622,7 @@ class TestRouting:
     @pytest.mark.parametrize("retry", [None, RetryPolicy()])
     def test_serve_fleet_sorts_its_latencies_once(self, retry, monkeypatch):
         """p50 / p95 / p99 of a fleet report come from one sort of the
-        stream, on the direct path and through the fault engine."""
+        stream, fault-free and under a retry policy."""
         import repro.arrivals
 
         real = repro.arrivals.latency_percentiles
@@ -709,35 +708,40 @@ CRASHY = FaultPlan(
 
 
 class TestAdmitOnce:
-    """The law: a request costs one kernel admission per attempt, whether
-    the stream is folded offline or fed live and then drained."""
+    """The law: every attempt passes through the one fleet step, and
+    costs one kernel admission, exactly once -- whether the stream is
+    folded offline or fed live and then drained, faulted or not."""
 
     @pytest.mark.parametrize("policy", ["rr", "jsq"])
-    def test_offline_fleet(self, admissions, policy):
+    def test_offline_fleet(self, admissions, dispatches, policy):
         fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
         fleet.run_trace(TRACE)
-        assert len(admissions) == N
+        assert len(admissions) == len(dispatches) == N
 
     @pytest.mark.parametrize("policy", ["rr", "jsq"])
-    def test_drained_live_fleet(self, admissions, policy):
+    def test_drained_live_fleet(self, admissions, dispatches, policy):
         fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
         _, report = _live(fleet, TRACE)
         assert report.batch == N
-        assert len(admissions) == N
+        assert len(admissions) == len(dispatches) == N
 
-    def test_drained_live_deployment(self, admissions):
+    def test_drained_live_deployment(self, admissions, dispatches):
         _, report = _live(_tiny(Deployment, tier="fast"), TRACE)
         assert report.batch == N
-        assert len(admissions) == N
+        assert len(admissions) == len(dispatches) == N
 
-    def test_offline_faulted_fleet(self, admissions):
+    def test_offline_faulted_fleet(self, admissions, dispatches):
         fleet = _tiny(Fleet, tier="fast", replicas=3)
         report = fleet.run_trace(TRACE, faults=CRASHY)
         assert report.retries > 0
-        assert len(admissions) == sum(report.attempt_counts)
+        assert len(admissions) == len(dispatches) == sum(
+            report.attempt_counts
+        )
 
     @pytest.mark.parametrize("tier,count", [("fast", N), ("cyclesim", 12)])
-    def test_drained_live_faulted_fleet(self, admissions, tier, count):
+    def test_drained_live_faulted_fleet(
+        self, admissions, dispatches, tier, count
+    ):
         fleet = _tiny(Fleet, tier=tier, replicas=3)
         # The cyclesim tier measures its profile by executing one probe
         # input, and keeps that input's pipeline windows (one admission).
@@ -745,7 +749,9 @@ class TestAdmitOnce:
         del admissions[:]
         _, report = _live(fleet, TRACE[:count], faults=CRASHY)
         assert report.retries > 0
-        assert len(admissions) == sum(report.attempt_counts)
+        assert len(admissions) == len(dispatches) == sum(
+            report.attempt_counts
+        )
 
     @pytest.mark.parametrize("live", [False, True], ids=["offline", "live"])
     @pytest.mark.parametrize("server,kw", [
@@ -767,8 +773,7 @@ class TestAdmitOnce:
         else:
             report = server.run_trace(trace)
         assert report.batch == len(trace)
-        assert len(admissions) == len(trace)
-        assert len(dispatches) == len(trace)
+        assert len(admissions) == len(dispatches) == len(trace)
 
     @pytest.mark.parametrize("server,kw", [
         (Deployment, {}), (Fleet, {"replicas": 3, "policy": "jsq"}),
@@ -790,16 +795,17 @@ class TestAdmitOnce:
 
 @pytest.fixture
 def dispatches(monkeypatch):
-    """Counts ``Dispatcher.dispatch`` calls: an unfaulted request is
-    admitted by the one dispatcher."""
+    """Counts the attempts that pass through the one fleet step
+    (``Dispatcher._attempt``: a first attempt from ``dispatch``, a
+    retry from the queue), faulted or not."""
     calls = []
-    dispatch = Dispatcher.dispatch
+    attempt = Dispatcher._attempt
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return dispatch(self, *args, **kwargs)
+        return attempt(self, *args, **kwargs)
 
-    monkeypatch.setattr(Dispatcher, "dispatch", counted)
+    monkeypatch.setattr(Dispatcher, "_attempt", counted)
     return calls
 
 
@@ -921,10 +927,12 @@ ROW = [40, 60]
 EDGES = [(0, 1, 256)]
 
 
-def _engine_push(release):
-    engine = FailoverEngine(ROW, EDGES, LINK, 2)
-    engine.push(5)
-    engine.push(release)
+def _dispatch(release):
+    dispatcher = Dispatcher(
+        "rr", [PipelineState(ROW, EDGES, LINK) for _ in range(2)]
+    )
+    dispatcher.dispatch(5)
+    dispatcher.dispatch(release)
 
 
 def _live_submit(release):
@@ -963,8 +971,8 @@ HOSTILE = [
      lambda: run_fault_schedule([-5, 0, 3], ROW, EDGES, LINK, 2)),
     (SimulationError,
      lambda: run_fault_schedule([5, 3], ROW, EDGES, LINK, 2)),
-    (SimulationError, lambda: _engine_push(-1)),
-    (SimulationError, lambda: _engine_push(4)),
+    (SimulationError, lambda: _dispatch(-1)),
+    (SimulationError, lambda: _dispatch(4)),
     (SimulationError, lambda: serve_fleet(_fast_base(), [-5, 0], LINK, 2)),
     (SimulationError, lambda: serve_fleet(_fast_base(), [9, 3], LINK, 1)),
     # the live session keeps its ConfigError contract, same rule

@@ -1,10 +1,11 @@
 """Battery for deterministic fault injection (:mod:`repro.faults`).
 
 Locks down the PR 7 availability contract: fault plans serialize and
-validate with typed :class:`~repro.errors.FaultError`\\ s; an empty plan
-forced through the failover engine is bit-identical to the unfaulted
-PR 6 path in both fidelity tiers; every fault plan conserves requests
-(``submitted == completed + dropped``) and reproduces byte-identical
+validate with typed :class:`~repro.errors.FaultError`\\ s, every number
+checked where it enters; an empty plan under a retry policy is
+bit-identical to the fault-free fleet in both fidelity tiers; every
+fault plan conserves requests (``submitted == completed + dropped``)
+and reproduces byte-identical
 :meth:`FleetReport.to_dict` output for identical seeds -- in the same
 process and across process boundaries; and each fault type has the
 effect it documents (crashes reroute to survivors, transient failures
@@ -154,6 +155,89 @@ class TestPlanSerialization:
             load_fault_plan(bad)
 
 
+#: Plan files whose numbers are not what their field holds: ``(JSON,
+#: field)``.  Each used to load and then raise a raw exception later,
+#: or to be truncated (``2.5`` attempts, ``true`` as 1, two crash cycles
+#: sharing one fingerprint).
+BAD_NUMBERS = [
+    pytest.param(
+        '{"events": [{"type": "replica_crash", "replica": 0, '
+        '"at_cycle": NaN}]}', "at_cycle",
+        id="nan_cycle",
+    ),
+    pytest.param(
+        '{"events": [{"type": "replica_crash", "replica": 0, '
+        '"at_cycle": 1000.2}]}', "at_cycle",
+        id="float_cycle",
+    ),
+    pytest.param(
+        '{"events": [{"type": "replica_crash", "replica": true, '
+        '"at_cycle": 10}]}', "replica",
+        id="bool_replica",
+    ),
+    pytest.param(
+        '{"events": [{"type": "replica_slowdown", "replica": 0, '
+        '"factor": Infinity}]}', "factor",
+        id="inf_factor",
+    ),
+    pytest.param(
+        '{"events": [{"type": "link_degrade", "bw_factor": 0.5, '
+        '"end_cycle": 10.5}]}', "end_cycle",
+        id="float_end_cycle",
+    ),
+    pytest.param(
+        '{"events": [{"type": "transient_request_failure", "prob": 0.1, '
+        '"seed": -1}]}', "seed",
+        id="negative_seed",
+    ),
+    pytest.param(
+        '{"events": [{"type": "transient_request_failure", "prob": 0.1, '
+        '"seed": true}]}', "seed",
+        id="bool_seed",
+    ),
+    pytest.param(
+        '{"retry": {"backoff_cycles": Infinity}}', "backoff_cycles",
+        id="inf_backoff",
+    ),
+    pytest.param(
+        '{"retry": {"max_attempts": 2.5}}', "max_attempts",
+        id="float_attempts",
+    ),
+    pytest.param(
+        '{"retry": {"max_attempts": true}}', "max_attempts",
+        id="bool_attempts",
+    ),
+]
+
+
+class TestPlanNumbersAreCheckedWhereTheyEnter:
+    @pytest.mark.parametrize("text,field", BAD_NUMBERS)
+    def test_fault_error_names_the_field(self, text, field):
+        with pytest.raises(FaultError, match=field):
+            FaultPlan.from_dict(json.loads(text))
+
+    @pytest.mark.parametrize("verb", ["serve", "sweep"])
+    @pytest.mark.parametrize("text,field", BAD_NUMBERS)
+    def test_cli_prints_one_error_line(
+        self, tmp_path, capsys, verb, text, field
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        model = ["--preset", "small", "--num-classes", "10"]
+        argv = {
+            "serve": ["serve", "tiny_mlp", *model, "--tier", "fast",
+                      "--replicas", "2", "--faults", str(path)],
+            "sweep": ["sweep", "--models", "tiny_mlp", *model,
+                      "--no-cache", "--quiet", "--fault-plans", str(path)],
+        }[verb]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert field in err[0]
+
+
 class TestTransientDraws:
     def test_pure_function_of_seed_request_attempt(self):
         event = TransientRequestFailure(prob=0.5, seed=11)
@@ -170,7 +254,7 @@ class TestTransientDraws:
 
 
 # ---------------------------------------------------------------------------
-# The failover engine in isolation
+# The fleet step under a plan, in isolation
 # ---------------------------------------------------------------------------
 
 ROW = [100, 80]
@@ -324,8 +408,8 @@ class TestEmptyPlanDegeneracy:
     def test_fleet_engine_path_matches_unfaulted(self, march, tier):
         kwargs = dict(batch=6, seed=1)
         plain = make_fleet(march, tier=tier, replicas=3).submit(**kwargs)
-        # an explicit default RetryPolicy forces the failover engine
-        # even though the plan is empty
+        # an explicit default RetryPolicy asks for the availability
+        # report even though the plan is empty
         forced = make_fleet(march, tier=tier, replicas=3).submit(
             faults=FaultPlan(), retry=RetryPolicy(), **kwargs
         )

@@ -9,9 +9,10 @@ array, aliasing neither segment.
 
 Serve through one kernel, once.  The admission recurrence is spelled
 out in ``sim/multichip.py`` alone; ``PipelineState.admit`` is called
-from there and from the failover engine only, and neither ``serve.py``
-nor ``runtime.py`` folds a second admission path; a live request is
-admitted in place, with no scheduler task and no dataclass record.
+from there alone (the one fleet step, faulted or not), and neither
+``serve.py`` nor ``runtime.py`` folds a second admission path; a live
+request is admitted in place, with no scheduler task and no dataclass
+record.
 
 Plan from shapes.  No module a cold sweep imports -- serving axes
 included -- imports NumPy when it is itself imported (parameters are
@@ -305,14 +306,14 @@ def _scheduler_hops(root: Path):
 
 
 def _request_records():
-    """The seven records a request builds."""
-    from repro import faults, runtime
+    """The six records a request builds."""
+    from repro import runtime
+    from repro.sim import multichip
 
     return [
         runtime.RequestAdmitted, runtime.RequestCompleted,
         runtime.RequestDropped, runtime.ReplicaStateChanged,
-        runtime.RequestCompletion, faults.AttemptRecord,
-        faults.EngineOutcome,
+        runtime.RequestCompletion, multichip.AttemptRecord,
     ]
 
 
@@ -325,7 +326,7 @@ def test_one_admission_kernel():
 
 
 def test_admit_once():
-    assert _admitting_files(REPRO) == ["faults.py", "sim/multichip.py"]
+    assert _admitting_files(REPRO) == ["sim/multichip.py"]
     assert _second_admission_paths(REPRO) == []
 
 
@@ -359,6 +360,8 @@ def test_admit_once_sees_a_violation(tmp_path):
         "serve.py": "from repro.sim.multichip import streaming_schedule\n",
         "runtime.py": "def _dispatch(self):\n    pass\n",
     })
+    # faults.py builds the step's constructor data; calling the kernel
+    # there is a second admission path, like console.py's.
     assert _admitting_files(root) == [
         "console.py", "faults.py", "sim/multichip.py",
     ]

@@ -14,7 +14,7 @@ fidelity tiers:
 - a replica crash invalidates resident weights, so failover re-pays the
   load phase;
 - artifact-loaded deployments (no execution plan) reject resident mode;
-- the fault engine's ``load_offsets`` are the identity when absent;
+- the fleet step's ``load_offsets`` are the identity when absent;
 - the explore sweep prices a ``resident_weights`` axis under cache
   schema v7.
 """

@@ -96,6 +96,8 @@ class TestArrivalProcesses:
     def test_negative_arrival_seed_rejected(self):
         with pytest.raises(ConfigError, match="arrival seed"):
             PoissonArrivals(1e6, seed=-1)
+        with pytest.raises(ConfigError, match="arrival seed"):
+            PoissonArrivals(1e6, seed=True)  # not seed 1
 
     def test_latency_percentile_nearest_rank(self):
         lat = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
