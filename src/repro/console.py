@@ -224,7 +224,7 @@ def console_snapshot(
 ) -> Dict:
     """The operator tables of a session as one JSON-able dict.
 
-    Folds the handle's recorded event stream through a fresh
+    Folds the handle's replayed event stream through a fresh
     :class:`ConsoleState`; deterministic for :class:`~repro.runtime.
     VirtualClock` sessions (same script, byte-identical snapshot).
     After :meth:`~repro.runtime.ServerHandle.drain` the snapshot also
@@ -237,7 +237,7 @@ def console_snapshot(
         handle.shard_row, handle.num_replicas, window=window,
         cycle_ns=cycle_ns,
     )
-    state.observe_all(handle.events)
+    state.observe_all(handle.iter_events())
 
     interval = state.arrival_interval_cycles()
     from repro.sim.fastmodel import steady_state_utilization

@@ -34,16 +34,20 @@ differs from the profile the live admission priced raises
 The session publishes a typed event stream -- :class:`RequestAdmitted`,
 :class:`RequestCompleted`, :class:`RequestDropped`,
 :class:`ReplicaStateChanged` -- consumed by the ``repro watch`` live
-console (:mod:`repro.console`) and recorded on the handle for
-deterministic byte-for-byte comparison in tests.  The events and
-:class:`RequestCompletion` are immutable ``typing.NamedTuple`` records:
-a request builds three of them, and a named tuple costs about a third
-of what a frozen dataclass does to construct.
+console (:mod:`repro.console`).  The handle stores no events: the
+stream is a pure function of the step's records and one mark per
+:meth:`ServerHandle._absorb` call, built by one window generator, live
+for :meth:`ServerHandle.subscribe` queues and replayed by
+:meth:`ServerHandle.iter_events`.  Events and :class:`RequestCompletion`
+are immutable ``typing.NamedTuple`` records (a third of a frozen
+dataclass's construction cost).
 """
 
 import asyncio
 import time
-from typing import Dict, List, NamedTuple, Optional, Union
+from array import array
+from collections import deque
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Union
 
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, RetryPolicy, engine_needed
@@ -187,6 +191,8 @@ class ReplicaStateChanged(NamedTuple):
         return {"event": type(self).__name__, **self._asdict()}
 
 
+_new = tuple.__new__  # a named tuple without its Python-level __new__
+
 RuntimeEvent = Union[
     RequestAdmitted, RequestCompleted, RequestDropped, ReplicaStateChanged
 ]
@@ -231,8 +237,9 @@ class ServerHandle:
     """A live serving session over a Deployment or Fleet.
 
     Created by :func:`serve_forever`; owns the session's admitting
-    object (the fleet step's dispatcher), the recorded event stream
-    (:attr:`events`), and one pending future per unsettled request.
+    object (the fleet step's dispatcher), one mark per :meth:`_absorb`
+    and one pending future per unsettled request.  :attr:`events` is
+    derived, a fresh list per access: stream with :meth:`iter_events`.
     :meth:`submit` admits each request before it returns -- there is no
     scheduler task.  Single-use: :meth:`drain` closes the session
     and returns the :class:`~repro.serve.ServeReport` /
@@ -289,26 +296,16 @@ class ServerHandle:
         # each cold replica's kernel carries the load clamp its
         # sub-stream is reported with.
         self._dispatcher = server._new_dispatcher(faults, retry)
-        #: How far :meth:`_absorb` has published the dispatcher's
-        #: attempts and settled requests.
-        self._attempt_cursor = self._settled_cursor = 0
+        #: ``(attempts, settled)`` published by each :meth:`_absorb` call.
+        self._marks = array("q", (0, 0))
 
-        self.events: List[RuntimeEvent] = []
         self._subscribers: List[asyncio.Queue] = []
+        self._sent: Set = set()  # warm/crash pairs the subscribers got
         self._pending: Dict[int, asyncio.Future] = {}
         self._closed = False
-        self._warm_emitted = [False] * self.num_replicas
-        self._crash_emitted = [False] * self.num_replicas
         self.report = None
 
     # -- session lifecycle ---------------------------------------------------
-    def _start(self) -> None:
-        if hasattr(self.clock, "start"):
-            self.clock.start()
-        for r in range(self.num_replicas):
-            state = "cold" if self._dispatcher.states[r].load_offset else "up"
-            self._emit(ReplicaStateChanged(r, state, at_cycle=0))
-
     async def __aenter__(self) -> "ServerHandle":
         return self
 
@@ -319,10 +316,51 @@ class ServerHandle:
             await self.close()
 
     # -- event stream --------------------------------------------------------
-    def _emit(self, event: RuntimeEvent) -> None:
-        self.events.append(event)
-        for queue in self._subscribers:
-            queue.put_nowait(event)
+    def _events(self, marks, sent: Set) -> Iterator[RuntimeEvent]:
+        """The events of the :meth:`_absorb` calls between consecutive
+        flattened ``(attempts, settled)`` ``marks``; the only builder of
+        request and warm/crash events.  ``sent`` holds the ``(replica,
+        state)`` pairs already published."""
+        d = self._dispatcher
+        attempts, settled, releases = d.attempts, d.settled, d.releases
+        statuses, counts, finishes = d.statuses, d.attempt_counts, d.finishes
+        loads = [state.load_offset for state in d.states]
+        marks = iter(marks)
+        a0, s0 = next(marks), next(marks)
+        for a1, s1 in zip(marks, marks):
+            for i, attempt, r, dispatch, end, status, _, ready in (
+                attempts[a0:a1]
+            ):
+                if attempt == 1:
+                    if loads[r] and (r, "warm") not in sent:
+                        sent.add((r, "warm"))
+                        yield ReplicaStateChanged(r, "warm", loads[r])
+                    yield _new(RequestAdmitted, (i, ready, r, dispatch))
+                if status == "crashed" and (r, "crashed") not in sent:
+                    sent.add((r, "crashed"))
+                    yield ReplicaStateChanged(r, "crashed", end)
+            for i in settled[s0:s1]:
+                release, status = releases[i], statuses[i]
+                if status != "completed":
+                    yield RequestDropped(i, release, status, counts[i])
+                    continue
+                finish = finishes[i]
+                yield _new(RequestCompleted, (
+                    i, release, d.assignments[i], finish, finish - release,
+                    counts[i],
+                ))
+            a0, s0 = a1, s1
+
+    def iter_events(self) -> Iterator[RuntimeEvent]:
+        """Replay the event stream from the step's records."""
+        for r, st in enumerate(self._dispatcher.states):
+            yield ReplicaStateChanged(r, "cold" if st.load_offset else "up", 0)
+        yield from self._events(self._marks, set())
+
+    @property
+    def events(self) -> List[RuntimeEvent]:
+        """The event stream so far, as a fresh list."""
+        return list(self.iter_events())
 
     def subscribe(self) -> asyncio.Queue:
         """A queue receiving every event from this point on.
@@ -335,8 +373,11 @@ class ServerHandle:
         if self._closed:
             # _shutdown() has already signalled the queues it knew of.
             queue.put_nowait(None)
-        else:
-            self._subscribers.append(queue)
+            return queue
+        if not self._subscribers:
+            # Catch up on the warm/crash events published so far.
+            deque(self._events(self._marks, self._sent), 0)
+        self._subscribers.append(queue)
         return queue
 
     # -- submission ----------------------------------------------------------
@@ -380,59 +421,32 @@ class ServerHandle:
         return future
 
     def _absorb(self) -> None:
-        """Publish what the dispatcher decided since the last call: each
-        new attempt (a first attempt's admission, a replica's crash),
-        then each newly settled request's fate, in decision order."""
+        """Publish what the dispatcher decided since the last call: mark
+        the window, stream it to subscribers, resolve settled futures."""
         dispatcher = self._dispatcher
-        attempts = dispatcher.attempts
-        for request, attempt, replica, dispatch, end, status, _, ready in (
-            attempts[self._attempt_cursor:]
-        ):
-            if attempt == 1:
-                self._note_warm(replica)
-                self._emit(RequestAdmitted(request, ready, replica, dispatch))
-            if status == "crashed" and not self._crash_emitted[replica]:
-                self._crash_emitted[replica] = True
-                self._emit(ReplicaStateChanged(replica, "crashed", end))
-        self._attempt_cursor = len(attempts)
-        settled = dispatcher.settled
-        for request in settled[self._settled_cursor:]:
+        s0 = self._marks[-1]
+        self._marks.extend((len(dispatcher.attempts), len(dispatcher.settled)))
+        if self._subscribers:
+            for event in self._events(self._marks[-4:], self._sent):
+                for queue in self._subscribers:
+                    queue.put_nowait(event)
+        for request in dispatcher.settled[s0:]:
             self._settle(request)
-        self._settled_cursor = len(settled)
-
-    def _note_warm(self, replica: int) -> None:
-        load_done = self._dispatcher.states[replica].load_offset
-        if load_done and not self._warm_emitted[replica]:
-            self._warm_emitted[replica] = True
-            self._emit(ReplicaStateChanged(
-                replica, "warm", at_cycle=load_done,
-            ))
 
     def _settle(self, request: int) -> None:
-        """Publish a settled request's fate and resolve its future.
-
-        A dropped request carries the dispatcher's ``replica == -1``
-        and ``finish == 0``.
-        """
-        dispatcher = self._dispatcher
-        release = dispatcher.releases[request]
-        replica = dispatcher.assignments[request]
-        finish = dispatcher.finishes[request]
-        attempts = dispatcher.attempt_counts[request]
-        status = dispatcher.statuses[request]
-        latency = None
-        if status == "completed":
-            latency = finish - release
-            self._emit(RequestCompleted(
-                request, release, replica, finish, latency, attempts,
-            ))
-        else:
-            self._emit(RequestDropped(request, release, status, attempts))
+        """Resolve a settled request's future.  A dropped request
+        carries the dispatcher's ``replica == -1`` and ``finish == 0``."""
         future = self._pending.pop(request)
-        if not future.cancelled():
-            future.set_result(RequestCompletion(
-                request, release, replica, finish, latency, attempts, status,
-            ))
+        if future.cancelled():
+            return
+        d = self._dispatcher
+        release, finish = d.releases[request], d.finishes[request]
+        status = d.statuses[request]
+        future.set_result(RequestCompletion(
+            request, release, d.assignments[request], finish,
+            finish - release if status == "completed" else None,
+            d.attempt_counts[request], status,
+        ))
 
     # -- drain: report the session's own admissions --------------------------
     async def drain(self):
@@ -515,5 +529,6 @@ async def serve_forever(
         server, clock, seed=seed, validate=validate, faults=faults,
         retry=retry,
     )
-    handle._start()
+    if hasattr(clock, "start"):
+        clock.start()
     return handle

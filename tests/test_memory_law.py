@@ -9,17 +9,19 @@ chip set is freed at once.  These are deterministic counts
 the process-level numbers are ``benchmarks/perf``'s ``peak_rss_mib``.
 """
 
+import asyncio
 import gc
 import tracemalloc
 import weakref
 
 import pytest
 
-from repro import Deployment
+from repro import Deployment, Fleet
 from repro.compiler import compile_graph
 from repro.compiler.codegen import lowering
 from repro.compiler.pipeline import compile_model
 from repro.config import small_test_arch
+from repro.console import drive_session
 from repro.errors import CapacityError
 from repro.graph.models import get_model
 from repro.graph.ops import Operator
@@ -117,3 +119,29 @@ def test_oversized_model_fails_in_lowering_before_any_draw(rng_calls):
     with pytest.raises(CapacityError, match="stem_pool: segment 'input'"):
         Deployment("resnet18", input_size=224, strategy="dp")
     assert rng_calls == []
+
+
+def test_a_live_session_keeps_no_event_objects():
+    """A live session's memory is the fleet step's records and the
+    report, not a second copy of them as events: the event stream is
+    replayed from those records on demand.  With the cyclic collector
+    off, a clean 20 000-request session grew ~503 B per request while
+    the handle kept its events, and grows ~294 B without them."""
+    fleet = Fleet(
+        "tiny_mlp", small_test_arch(), tier="fast", replicas=3,
+        policy="rr", input_size=8, num_classes=10,
+    )
+    row, _ = fleet._service_profile()
+    releases = [i * max(row) // 2 for i in range(20_000)]
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        handle = asyncio.run(drive_session(fleet, releases))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert handle.report.completed == len(releases)
+    assert grown / len(releases) < 400

@@ -402,25 +402,103 @@ class TestDeterminism:
         assert admitted == list(range(len(RELEASES)))
         assert completed == list(range(len(RELEASES)))
 
-    def test_subscriber_sees_the_recorded_stream(self, arch):
+    @staticmethod
+    def _faulted():
+        """A 2-replica fleet losing replica 0 mid-stream while half the
+        attempts fail transiently."""
+        return dict(faults=FaultPlan(
+            events=(
+                ReplicaCrash(replica=0, at_cycle=800),
+                TransientRequestFailure(prob=0.5, seed=3),
+            ),
+            retry=RetryPolicy(max_attempts=3, backoff_cycles=25),
+        ))
+
+    @pytest.mark.parametrize("case", ["clean", "faulted", "resident"])
+    @pytest.mark.parametrize("subscribe_after", [0, 3])
+    def test_subscriber_sees_the_recorded_stream(
+        self, arch, case, subscribe_after
+    ):
+        """A queue subscribed after ``subscribe_after`` submissions
+        receives exactly the recorded stream from that point: the warm
+        and crashed replica events included, none sent twice."""
+        server, serve_kw, changes = {
+            "clean": (_deployment(arch), {}, set()),
+            "faulted": (
+                _fleet(arch, tier="fast", replicas=2), self._faulted(),
+                {"crashed"},
+            ),
+            "resident": (
+                _fleet(arch, tier="fast", replicas=2, resident_weights=True),
+                {}, {"warm"},
+            ),
+        }[case]
+
         async def scenario():
             clock = VirtualClock()
-            handle = await _deployment(arch).serve_forever(clock=clock)
-            queue = handle.subscribe()
-            for release in RELEASES:
+            handle = await serve_forever(server, clock=clock, **serve_kw)
+            for i, release in enumerate(RELEASES):
+                if i == subscribe_after:
+                    queue, seen = handle.subscribe(), len(handle.events)
                 clock.advance_to(release)
                 await handle.submit()
             await handle.drain()
             streamed = []
-            while True:
-                event = await queue.get()
-                if event is None:
-                    break
+            while (event := await queue.get()) is not None:
                 streamed.append(event)
-            # The initial replica-state event fired before subscribe().
-            assert streamed == handle.events[1:]
+            events = handle.events
+            assert streamed == events[seen:]
+            if subscribe_after == 0:
+                # The opening replica-state events fired before subscribe().
+                assert seen == handle.num_replicas
+            assert {
+                e.state for e in events
+                if type(e).__name__ == "ReplicaStateChanged"
+                and e.at_cycle > 0
+            } == changes
 
         _run(scenario())
+
+    async def _faulted_session(self, arch, end="drain", cancel=False):
+        """Script ``RELEASES`` through the :meth:`_faulted` fleet and
+        end it; ``cancel`` cancels the first future left pending by its
+        ``submit()`` -- a request whose retry is queued."""
+        clock = VirtualClock()
+        handle = await serve_forever(
+            _fleet(arch, tier="fast", replicas=2), clock=clock,
+            **self._faulted(),
+        )
+        cancelled = []
+        for release in RELEASES:
+            clock.advance_to(release)
+            future = await handle.submit()
+            if cancel and not cancelled and not future.done():
+                future.cancel()
+                cancelled.append(future)
+        assert len(cancelled) == cancel
+        await getattr(handle, end)()
+        return handle
+
+    def test_cancelled_future_of_a_queued_retry(self, arch):
+        """Cancelling a request whose retry is still queued changes
+        nothing the session publishes: the retry settles at drain
+        without ``InvalidStateError``, the event bytes equal the
+        uncancelled run's and every request is accounted for."""
+        handle = _run(self._faulted_session(arch, cancel=True))
+        plain = _run(self._faulted_session(arch))
+        assert _event_bytes(handle) == _event_bytes(plain)
+        report = handle.report
+        assert report.retries > 0
+        assert report.submitted == report.completed + report.dropped
+
+    def test_closed_session_still_replays_its_stream(self, arch):
+        """``close()`` settles the queued retries without executing; the
+        recorded stream is the drained session's, and it replays."""
+        closed = _run(self._faulted_session(arch, end="close"))
+        assert closed.report is None
+        assert list(closed.iter_events()) == closed.events
+        drained = _run(self._faulted_session(arch))
+        assert _event_bytes(closed) == _event_bytes(drained)
 
     @pytest.mark.parametrize("end", ["drain", "close"])
     def test_subscribing_to_a_finished_session_does_not_hang(self, arch, end):
