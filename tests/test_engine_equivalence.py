@@ -1079,3 +1079,425 @@ class TestPlanTemplates:
         assert _report_fields(a.report) == _report_fields(interp.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], interp.outputs[name])
+
+
+# ---------------------------------------------------------------------------
+# Opcode pins: one hand-written program per opcode family, held to numbers
+# ---------------------------------------------------------------------------
+
+def _pin_scalar():
+    """Register and immediate ALU ops, LUI / ORI / ADDIW, S_Reg moves."""
+    b = ProgramBuilder()
+    b.emit("SC_ADDI", rs=0, rt=1, imm=100)
+    b.emit("SC_ADDI", rs=0, rt=2, imm=7)
+    b.emit("SC_ADDI", rs=0, rt=3, imm=-3)
+    for rd, mnemonic in enumerate(
+        ("SC_ADD", "SC_SUB", "SC_MUL", "SC_SLT", "SC_AND", "SC_OR",
+         "SC_XOR", "SC_SLL"), start=4,
+    ):
+        b.emit(mnemonic, rs=1, rt=2, rd=rd)
+    b.emit("SC_SUB", rs=2, rt=1, rd=12)
+    b.emit("SC_MUL", rs=1, rt=3, rd=13)
+    b.emit("SC_SLT", rs=3, rt=2, rd=14)
+    b.emit("SC_SRL", rs=3, rt=2, rd=15)
+    b.emit("SC_ADD", rs=1, rt=2, rd=0)       # r0 stays zero
+    b.emit("SC_ADDI", rs=1, rt=16, imm=-50)
+    b.emit("SC_MULI", rs=3, rt=17, imm=-7)
+    b.emit("SC_SLTI", rs=3, rt=18, imm=0)
+    b.emit("SC_SLTI", rs=1, rt=19, imm=5)
+    b.emit("SC_LUI", rt=20, offset=0x1234)
+    b.emit("SC_ORI", rs=20, rt=20, offset=0x5678)
+    b.emit("SC_ADDIW", rs=20, rt=21, offset=-1000)
+    b.emit("SC_ADDIW", rs=0, rt=22, offset=30000)
+    b.emit("MV_G2S", rs=13, imm=int(SReg.USER0))
+    b.emit("MV_S2G", rt=23, imm=int(SReg.USER0))
+    b.emit("MV_S2G", rt=24, imm=int(SReg.NUM_CORES))
+    b.emit("SC_ADD", rs=23, rt=24, rd=25)
+    b.halt()
+    return {0: b.finalize()}, None
+
+
+def _pin_control():
+    """Every branch taken and not taken, JMP, NOP, SYNC, a counted loop."""
+    b = ProgramBuilder()
+    b.li(1, 5)
+    b.li(2, 5)
+    b.li(3, 9)
+    cases = [
+        ("BEQ", 1, 2), ("BEQ", 1, 3), ("BNE", 1, 3), ("BNE", 1, 2),
+        ("BLT", 1, 3), ("BLT", 3, 1), ("BGE", 3, 1), ("BGE", 1, 3),
+    ]
+    for k, (mnemonic, rs, rt) in enumerate(cases):
+        skip = b.program.new_label("skip")
+        b.emit(mnemonic, rs=rs, rt=rt, target=skip)
+        b.emit("SC_ADDI", rs=0, rt=10 + k, imm=k + 1)   # runs if not taken
+        b.program.place_label(skip)
+        b.emit("SC_ADDI", rs=10 + k, rt=10 + k, imm=20)
+    over = b.program.new_label("over")
+    b.emit("JMP", target=over)
+    b.emit("SC_ADDI", rs=0, rt=20, imm=99)
+    b.program.place_label(over)
+    b.emit("NOP")
+    b.emit("SYNC", rt=1)
+    b.li(4, 0)
+    b.li(5, 3)
+    with b.loop(4, 5):
+        b.emit("SC_ADD", rs=21, rt=3, rd=21)
+        b.emit("NOP")
+    b.halt()
+    return {0: b.finalize()}, None
+
+
+def _pin_copy():
+    """MEM_CPY / LD / ST local and global both ways, GATHER, SCATTER."""
+    b = ProgramBuilder()
+    b.li(1, GLOBAL_BASE)
+    b.li(2, 0)
+    b.li(3, 200)
+    b.emit("MEM_CPY", rs=1, rt=2, rd=3)                # global -> local
+    b.li(4, 256)
+    b.emit("MEM_CPY", rs=2, rt=4, rd=3, offset=8)      # local -> local
+    b.li(5, 100)
+    b.emit("MEM_CPY", rs=2, rt=5, rd=3)                # overlapping
+    b.li(6, GLOBAL_BASE + 512)
+    b.emit("MEM_CPY", rs=4, rt=6, rd=3)                # local -> global
+    b.emit("MEM_CPY", rs=1, rt=6, rd=3, offset=256)    # global -> global
+    b.emit("MEM_CPY", rs=2, rt=4, rd=0)                # zero bytes
+    b.emit("MEM_LD", rs=2, rt=7, offset=4)
+    b.emit("MEM_LD", rs=1, rt=8, offset=16)
+    b.emit("MEM_ST", rs=4, rt=8, offset=-8)
+    b.emit("MEM_ST", rs=6, rt=7, offset=12)
+    b.set_sreg(SReg.CHUNK, 10, 4)
+    b.set_sreg(SReg.STRIDE, 10, 12)
+    b.li(9, 5)
+    b.li(11, 1024)
+    b.emit("MEM_GATHER", rs=2, rt=11, rd=9)            # local -> local
+    b.li(12, 2048)
+    b.emit("MEM_SCATTER", rs=11, rt=12, rd=9)          # local -> local
+    b.li(13, 3072)
+    b.emit("MEM_GATHER", rs=1, rt=13, rd=9)            # global -> local
+    b.li(14, GLOBAL_BASE + 800)
+    b.emit("MEM_SCATTER", rs=13, rt=14, rd=9)          # local -> global
+    b.emit("MEM_GATHER", rs=2, rt=11, rd=0)            # zero chunks
+    b.emit("MEM_LD", rs=12, rt=15, offset=12)
+    b.halt()
+    rng = np.random.default_rng(41)
+    return {0: b.finalize()}, rng.integers(0, 256, 1024, dtype=np.uint8)
+
+
+def _pin_send_recv():
+    """SEND / RECV between two cores, both ways, from local and global."""
+    sender = ProgramBuilder()
+    sender.li(1, GLOBAL_BASE)
+    sender.li(2, 0)
+    sender.li(3, 40)
+    sender.emit("MEM_CPY", rs=1, rt=2, rd=3)
+    sender.li(4, 3)
+    sender.emit("SEND", rs=2, rt=4, rd=3)
+    sender.li(5, 24)
+    sender.emit("SEND", rs=1, rt=4, rd=5)              # global source
+    sender.li(6, 512)
+    sender.emit("RECV", rs=6, rt=4, rd=5)
+    sender.halt()
+    receiver = ProgramBuilder()
+    receiver.li(1, 128)
+    receiver.li(2, 0)
+    receiver.li(3, 40)
+    receiver.emit("RECV", rs=1, rt=2, rd=3)
+    receiver.li(4, 256)
+    receiver.li(5, 24)
+    receiver.emit("RECV", rs=4, rt=2, rd=5)
+    receiver.emit("SEND", rs=1, rt=2, rd=5)
+    receiver.halt()
+    rng = np.random.default_rng(43)
+    image = rng.integers(0, 256, 256, dtype=np.uint8)
+    return {0: sender.finalize(), 3: receiver.finalize()}, image
+
+
+def _pin_cim():
+    """CIM_LOAD / CFG / MVM with flags 0 and 1, local and global ends."""
+    rows, cols = 16, 8
+    b = ProgramBuilder()
+    b.li(1, GLOBAL_BASE)
+    b.li(2, 0)
+    b.li(3, rows * cols + rows)
+    b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+    b.set_sreg(SReg.MVM_ROWS, 10, rows)
+    b.set_sreg(SReg.MVM_COLS, 10, cols)
+    b.li(4, 1)
+    b.emit("CIM_LOAD", rs=2, rt=4)
+    b.li(5, rows * cols)
+    b.li(6, 1024)
+    b.emit("CIM_MVM", rs=5, rt=4, re=6, flags=0)
+    b.emit("CIM_MVM", rs=5, rt=4, re=6, flags=1)
+    b.set_sreg(SReg.MVM_ROWS, 10, 8)
+    b.set_sreg(SReg.MVM_COLS, 10, 4)
+    b.emit("CIM_CFG", rt=4)
+    b.li(7, 2048)
+    b.emit("CIM_MVM", rs=5, rt=4, re=7, flags=0)
+    b.li(8, GLOBAL_BASE + 512)
+    b.li(9, GLOBAL_BASE + 600)
+    b.emit("CIM_MVM", rs=9, rt=4, re=8, flags=1)       # global ends
+    b.li(11, 3)
+    b.li(12, 256)
+    b.emit("CIM_LOAD", rs=12, rt=11)                   # 8 x 4 tile
+    b.emit("CIM_MVM", rs=5, rt=11, re=7, flags=1)
+    b.halt()
+    rng = np.random.default_rng(47)
+    return {0: b.finalize()}, rng.integers(0, 256, 1024, dtype=np.uint8)
+
+
+def _pin_vector():
+    """All fifteen vector ops, both FILL widths, local and global ends."""
+    n = 24
+    b = ProgramBuilder()
+    b.li(1, GLOBAL_BASE)
+    b.li(2, 0)
+    b.li(3, 256)
+    b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+    b.li(4, 64)                  # second int8 operand
+    b.li(5, n)
+    out = 512
+    for mnemonic in ("VEC_ADD", "VEC_SUB", "VEC_MUL", "VEC_MAX", "VEC_MIN"):
+        b.li(6, out)
+        b.emit(mnemonic, rs=2, rt=4, rd=6, re=5)
+        out += 32
+    for mnemonic in ("VEC_RELU", "VEC_RELU6", "VEC_SILU", "VEC_SIGMOID",
+                     "VEC_COPY"):
+        b.li(6, out)
+        b.emit(mnemonic, rs=2, rd=6, re=5)
+        out += 32
+    b.set_sreg(SReg.FILL_VALUE, 10, 200)
+    b.li(7, 1024)
+    b.emit("VEC_FILL", rd=7, re=5)                     # int8
+    b.li(8, 1100)
+    b.emit("VEC_FILL", rd=8, re=5, funct=4)            # int32
+    b.li(9, 1300)
+    b.emit("VEC_ADD32", rs=8, rt=2, rd=9, re=5)
+    b.emit("VEC_ACC32", rs=4, rd=9, re=5)
+    b.set_sreg(SReg.QMUL, 10, 3)
+    b.set_sreg(SReg.QSHIFT, 10, 4)
+    b.li(11, 1500)
+    b.emit("VEC_QNT", rs=9, rd=11, re=5)
+    b.set_sreg(SReg.CHANNEL_LEN, 10, 8)
+    b.li(12, 1600)
+    b.emit("VEC_CMUL", rs=2, rt=4, rd=12, re=5)
+    b.li(13, GLOBAL_BASE + 512)
+    b.emit("VEC_RELU", rs=1, rd=13, re=5)              # global ends
+    b.emit("VEC_ADD32", rs=1, rt=8, rd=13, re=5)
+    b.emit("VEC_COPY", rs=2, rd=12, re=0)              # zero elements
+    b.halt()
+    rng = np.random.default_rng(53)
+    return {0: b.finalize()}, rng.integers(0, 256, 1024, dtype=np.uint8)
+
+
+_PIN_PROGRAMS = {
+    "scalar": _pin_scalar,
+    "control": _pin_control,
+    "copy": _pin_copy,
+    "send_recv": _pin_send_recv,
+    "cim": _pin_cim,
+    "vector": _pin_vector,
+}
+
+
+def _sha(*arrays) -> str:
+    """The first 16 hex digits of the SHA-256 of ``arrays``' bytes."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _pinned_state(sim, cores):
+    """Everything an opcode's rendering can move: per-core clock, unit
+    busy, registers, ready times and macro groups; every accountant
+    tally; the bytes of local and global memory."""
+    acct = sim.acct
+    return {
+        "clock": {c: sim.cores[c].clock for c in cores},
+        "busy": {c: dict(sim.cores[c].busy) for c in cores},
+        "regs": {c: {i: v for i, v in enumerate(sim.cores[c].regs) if v}
+                 for c in cores},
+        "ready": {c: {i: v for i, v in enumerate(sim.cores[c].reg_ready)
+                      if v} for c in cores},
+        "sregs": {c: {i: v for i, v in enumerate(sim.cores[c].sregs) if v}
+                  for c in cores},
+        "mgs": {c: {g: (e[1], e[2], _sha(e[0]))
+                    for g, e in enumerate(sim.cores[c].mgs) if e is not None}
+                for c in cores},
+        "acct": {f.name: getattr(acct, f.name)
+                 for f in dataclasses.fields(acct) if f.name != "energy"},
+        "local": _sha(*sim.memory.locals),
+        "global": _sha(sim.memory.activations),
+    }
+
+
+def _run_pinned(family: str, engine: str):
+    """Run one family's program on ``interp`` or a forced block tier."""
+    from repro.sim import blockengine as be
+
+    programs, image = _PIN_PROGRAMS[family]()
+    old = be._HOT_RUNS
+    be._HOT_RUNS = 0 if engine == "hot" else old
+    be._BP_CACHE.clear()
+    be.reset_stats()
+    try:
+        sim = ChipSimulator(
+            small_test_arch(), programs,
+            global_image=None if image is None else image.copy(),
+            engine="interp" if engine == "interp" else "block",
+        )
+        sim.run()
+        stats = dict(be.ENGINE_STATS)
+    finally:
+        be._HOT_RUNS = old
+        be._BP_CACHE.clear()
+    return _pinned_state(sim, sorted(programs)), stats
+
+
+#: What each family's program leaves behind (identical on every engine).
+_OPCODE_PINS = {
+    'scalar': {
+        'clock': {0: 28},
+        'busy': {0: {'scalar': 28, 'vector': 0, 'cim': 0, 'mem': 0,
+            'xfer': 0}},
+        'regs': {0: {1: 100, 2: 7, 3: -3, 4: 107, 5: 93, 6: 700, 8: 4, 9: 103,
+            10: 99, 11: 12800, 12: -93, 13: -300, 14: 1, 15: 33554431, 16: 50,
+            17: 21, 18: 1, 20: 305419896, 21: 305418896, 22: 30000, 23: -300,
+            24: 4, 25: -296}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6, 7: 7, 8: 8, 9: 9,
+            10: 10, 11: 11, 12: 12, 13: 13, 14: 14, 15: 15, 16: 17, 17: 18,
+            18: 19, 19: 20, 20: 22, 21: 23, 22: 24, 23: 26, 24: 27, 25: 28}},
+        'sregs': {0: {1: 4, 8: -300}},
+        'mgs': {0: {}},
+        'acct': {'n_instructions': 32, 'n_scalar_ops': 28, 'macs': 0,
+            'mvm_rows': 0, 'mvm_result_bytes': 0, 'cim_load_bytes': 0,
+            'vec_elements': 0, 'local_bytes_read': 0, 'local_bytes_written': 0,
+            'global_bytes': 0, 'noc_pj_total': 0.0, 'static_pj_total': 42000.0,
+            'extra_pj': {}},
+        'local': 'de2f256064a0af79',
+        'global': '30e14955ebf13522',
+    },
+    'control': {
+        'clock': {0: 40},
+        'busy': {0: {'scalar': 40, 'vector': 0, 'cim': 0, 'mem': 0,
+            'xfer': 0}},
+        'regs': {0: {1: 5, 2: 5, 3: 9, 4: 3, 5: 3, 10: 20, 11: 22, 12: 20,
+            13: 24, 14: 20, 15: 26, 16: 20, 17: 28, 21: 27}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 39, 5: 28, 10: 5, 11: 8, 12: 10,
+            13: 13, 14: 15, 15: 18, 16: 20, 17: 23, 21: 37}},
+        'sregs': {0: {1: 4}},
+        'mgs': {0: {}},
+        'acct': {'n_instructions': 44, 'n_scalar_ops': 34, 'macs': 0,
+            'mvm_rows': 0, 'mvm_result_bytes': 0, 'cim_load_bytes': 0,
+            'vec_elements': 0, 'local_bytes_read': 0, 'local_bytes_written': 0,
+            'global_bytes': 0, 'noc_pj_total': 0.0, 'static_pj_total': 60000.0,
+            'extra_pj': {}},
+        'local': 'de2f256064a0af79',
+        'global': '30e14955ebf13522',
+    },
+    'copy': {
+        'clock': {0: 138},
+        'busy': {0: {'scalar': 20, 'vector': 0, 'cim': 0, 'mem': 136,
+            'xfer': 0}},
+        'regs': {0: {1: 1073741824, 3: 200, 4: 256, 5: 100, 6: 1073742336,
+            7: -196919514, 8: -1254021337, 9: 5, 10: 12, 11: 1024, 12: 2048,
+            13: 3072, 14: 1073742624, 15: -996724082}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 5, 5: 19, 6: 28, 7: 65, 8: 76,
+            9: 84, 10: 82, 11: 86, 12: 92, 13: 99, 14: 106, 15: 139}},
+        'sregs': {0: {1: 4, 7: 12, 13: 4}},
+        'mgs': {0: {}},
+        'acct': {'n_instructions': 40, 'n_scalar_ops': 20, 'macs': 0,
+            'mvm_rows': 0, 'mvm_result_bytes': 0, 'cim_load_bytes': 0,
+            'vec_elements': 0, 'local_bytes_read': 1100,
+            'local_bytes_written': 1100, 'global_bytes': 648,
+            'noc_pj_total': 730.4, 'static_pj_total': 207000.0,
+            'extra_pj': {}},
+        'local': '020eea8ff706bfd6',
+        'global': '8c88a455b7007287',
+    },
+    'send_recv': {
+        'clock': {0: 22, 3: 17},
+        'busy': {0: {'scalar': 7, 'vector': 0, 'cim': 0, 'mem': 11, 'xfer': 9},
+            3: {'scalar': 5, 'vector': 0, 'cim': 0, 'mem': 0, 'xfer': 6}},
+        'regs': {0: {1: 1073741824, 3: 40, 4: 3, 5: 24, 6: 512}, 3: {1: 128,
+            3: 40, 4: 256, 5: 24}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 13}, 3: {1: 1, 2: 2,
+            3: 3, 4: 14, 5: 15}},
+        'sregs': {0: {1: 4}, 3: {0: 3, 1: 4}},
+        'mgs': {0: {}, 3: {}},
+        'acct': {'n_instructions': 23, 'n_scalar_ops': 12, 'macs': 0,
+            'mvm_rows': 0, 'mvm_result_bytes': 0, 'cim_load_bytes': 0,
+            'vec_elements': 0, 'local_bytes_read': 216,
+            'local_bytes_written': 216, 'global_bytes': 40,
+            'noc_pj_total': 237.60000000000002, 'static_pj_total': 33000.0,
+            'extra_pj': {}},
+        'local': '501c738542aa17b1',
+        'global': '2e725d76f0bc1076',
+    },
+    'cim': {
+        'clock': {0: 71},
+        'busy': {0: {'scalar': 23, 'vector': 0, 'cim': 67, 'mem': 13,
+            'xfer': 0}},
+        'regs': {0: {1: 1073741824, 3: 144, 4: 1, 5: 128, 6: 1024, 7: 2048,
+            8: 1073742336, 9: 1073742424, 10: 4, 11: 3, 12: 256}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 9, 5: 11, 6: 13, 7: 45, 8: 48,
+            9: 50, 10: 38, 11: 55, 12: 56}},
+        'sregs': {0: {1: 4, 2: 8, 3: 4}},
+        'mgs': {0: {1: (8, 4, '344569a82ae0c2cb'), 3: (8, 4,
+            '66687aadf862bd77')}},
+        'acct': {'n_instructions': 36, 'n_scalar_ops': 23, 'macs': 352,
+            'mvm_rows': 56, 'mvm_result_bytes': 112, 'cim_load_bytes': 160,
+            'vec_elements': 0, 'local_bytes_read': 360,
+            'local_bytes_written': 256, 'global_bytes': 144,
+            'noc_pj_total': 158.4, 'static_pj_total': 106500.0,
+            'extra_pj': {}},
+        'local': 'ba81a21fb2b32b17',
+        'global': 'adec97638bf1977d',
+    },
+    'vector': {
+        'clock': {0: 71},
+        'busy': {0: {'scalar': 45, 'vector': 57, 'cim': 0, 'mem': 14,
+            'xfer': 0}},
+        'regs': {0: {1: 1073741824, 3: 256, 4: 64, 5: 24, 6: 800, 7: 1024,
+            8: 1100, 9: 1300, 10: 8, 11: 1500, 12: 1600, 13: 1073742336}},
+        'ready': {0: {1: 1, 2: 2, 3: 3, 4: 5, 5: 6, 6: 35, 7: 40, 8: 43, 9: 46,
+            10: 58, 11: 56, 12: 61, 13: 64}},
+        'sregs': {0: {1: 4, 4: 3, 5: 4, 6: 200, 12: 8}},
+        'mgs': {0: {}},
+        'acct': {'n_instructions': 69, 'n_scalar_ops': 45, 'macs': 0,
+            'mvm_rows': 0, 'mvm_result_bytes': 0, 'cim_load_bytes': 0,
+            'vec_elements': 432, 'local_bytes_read': 1432,
+            'local_bytes_written': 976, 'global_bytes': 256,
+            'noc_pj_total': 281.6, 'static_pj_total': 106500.0,
+            'extra_pj': {}},
+        'local': 'f9c41c53221c9d98',
+        'global': 'aec0cdd863a09b12',
+    },
+}
+
+
+class TestOpcodePins:
+    """Literal numbers per opcode family.
+
+    The interpreter and the block engine agree with each other by
+    construction once both render one definition per opcode, so their
+    agreement says nothing about the semantics themselves.  These pins
+    do: a change to any opcode's timing, energy, register or memory
+    effect moves a number here, on the interpreter and on both block
+    tiers alike.
+    """
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("family", _PIN_PROGRAMS)
+    def test_family_matches_its_pin(self, family, engine):
+        state, stats = _run_pinned(family, engine)
+        assert state == _OPCODE_PINS[family]
+        if engine == "hot":
+            assert stats["block_promotions"] > 0
+            assert stats["cold_block_instructions"] == 0
+        elif engine == "cold":
+            assert stats["cold_block_instructions"] > 0
