@@ -80,14 +80,18 @@ STREAM_BRANCHES = 4 if TINY else 16
 
 #: Speedup floors, re-derived once every matrix product went through
 #: ``quantize.int_matmul`` (float32 BLAS; both engines got faster, the
-#: engine more).  Each is about 0.6x the slowest of nine runs on the
-#: 2-core reference box -- hot loop: interp 2.0-2.6 s, engine
-#: 0.018-0.027 s (96-130x), but 0.09-0.15 s (17-24x) in the two runs
-#: where OpenBLAS worker wake-ups stalled; weight_stream@16x: interp
-#: 0.05-0.06 s, engine 0.014-0.020 s (3.1-3.7x).  Smoke scale: 14-32x
-#: and 2.3-2.7x.  Both workloads are loop-bound, so tiering the
-#: straight-line blocks leaves them where they were: the two full runs
-#: made when the tier went in read 93.6x / 79.9x and 2.9x / 3.3x.
+#: engine more).  Each was about 0.6x the slowest of nine runs on the
+#: 2-core reference box.  The interpreter has since become 1.5-1.8x
+#: faster (its handlers are the block emitter's rendering), so the
+#: ratios fell while the floors stayed.  Re-measured on a loaded
+#: session of that box, where the hand-written handlers read hot loop
+#: interp 5.96 s (188x) and weight_stream@16x interp 0.13 s (4.8x):
+#: hot loop interp 3.6-3.9 s, engine 0.039-0.044 s (88-102x);
+#: weight_stream@16x interp 0.08-0.09 s, engine 0.024-0.029 s
+#: (3.0-3.3x).  Smoke scale: 13.9x and 1.5-2.1x (16.2x and 2.3x with
+#: the hand-written handlers), so ``STREAM_FLOOR``'s smoke margin is
+#: thin.  Both workloads are loop-bound: tiering the straight-line
+#: blocks left them where they were.
 HOT_LOOP_FLOOR = 8.0 if TINY else 10.0
 STREAM_FLOOR = 1.4 if TINY else 2.0
 

@@ -53,19 +53,9 @@ class MacroConfig:
         return self.cols // self.weight_bits
 
     @property
-    def weight_capacity(self) -> int:
-        """Number of ``weight_bits``-wide weights stored in one macro."""
-        return self.rows * self.out_channels
-
-    @property
     def capacity_bytes(self) -> int:
         """Macro storage in bytes."""
         return self.rows * self.cols // 8
-
-    @property
-    def macs_per_mvm(self) -> int:
-        """MAC operations performed by one full-array MVM activation."""
-        return self.rows * self.out_channels
 
     def validate(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -169,14 +159,6 @@ class VectorUnitConfig:
 
     lanes: int = 32
     pipeline_depth: int = 2
-
-    def op_cycles(self, num_elements: int) -> int:
-        """Cycles to process ``num_elements`` elements (pipelined)."""
-        if num_elements < 0:
-            raise ConfigError("element count must be non-negative")
-        if num_elements == 0:
-            return 0
-        return ceil_div(num_elements, self.lanes) + self.pipeline_depth
 
     def validate(self) -> None:
         if self.lanes <= 0:

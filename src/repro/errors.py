@@ -29,10 +29,6 @@ class CapacityError(CompileError):
     """A workload (or partition stage) does not fit the CIM capacity."""
 
 
-class MappingError(CompileError):
-    """No legal core mapping exists for a partition stage."""
-
-
 class ArtifactError(ReproError):
     """A compiled artifact is corrupt, incompatible, or mismatched."""
 

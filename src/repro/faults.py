@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -505,9 +505,6 @@ class FaultPlan:
         if self.retry is not None:
             parts.append(self.retry.describe())
         return "+".join(parts) if parts else "no-fault"
-
-    def with_retry(self, retry: RetryPolicy) -> "FaultPlan":
-        return replace(self, retry=retry)
 
 
 def engine_needed(

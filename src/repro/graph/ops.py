@@ -183,10 +183,6 @@ class Operator:
         """True when this operator maps onto CIM macro groups."""
         return self.kind in MVM_KINDS
 
-    @property
-    def is_elementwise(self) -> bool:
-        return self.kind in ELEMENTWISE_KINDS
-
     def attr(self, name: str, default: Any = None) -> Any:
         return self.attrs.get(name, default)
 

@@ -118,14 +118,6 @@ def apply_lut(values: np.ndarray, lut: np.ndarray) -> np.ndarray:
     return lut[values.astype(np.int16) + 128]
 
 
-def relu_i8(values: np.ndarray) -> np.ndarray:
-    return np.maximum(values, 0).astype(np.int8)
-
-
-def relu6_i8(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, 0, RELU6_CLIP).astype(np.int8)
-
-
 def add_i8(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Saturating int8 elementwise add."""
     return saturate_i8(a.astype(np.int16) + b.astype(np.int16))

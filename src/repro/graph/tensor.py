@@ -44,11 +44,6 @@ class TensorInfo:
         return len(self.shape) == 3
 
     @property
-    def spatial_rows(self) -> int:
-        """Number of H rows (1 for flat vectors)."""
-        return self.shape[0] if self.is_feature_map else 1
-
-    @property
     def row_bytes(self) -> int:
         """Bytes of one H row (the whole tensor for flat vectors)."""
         if self.is_feature_map:

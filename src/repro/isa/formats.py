@@ -80,11 +80,6 @@ SIGNED_FIELDS = frozenset({"imm", "offset"})
 REGISTER_FIELDS = ("rs", "rt", "rd", "re")
 
 
-def format_fields(fmt: Format) -> Dict[str, Tuple[int, int]]:
-    """The (lo, width) field map for a format."""
-    return FIELD_LAYOUT[fmt]
-
-
 def field_width(fmt: Format, name: str) -> int:
     """Width in bits of field ``name`` in format ``fmt``."""
     return FIELD_LAYOUT[fmt][name][1]

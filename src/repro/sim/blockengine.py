@@ -23,7 +23,7 @@ engine-equivalence tests enforce):
    counted loop executes with no per-iteration dispatch at all.  A
    straight-line block starts *cold* -- its table entry holds the code
    slice, the terminator and a run counter, and the trampoline executes
-   it through the interpreter's own handlers -- and is compiled the
+   it through the interpreter's handlers -- and is compiled the
    first time it is entered after :data:`_HOT_RUNS` executions.  The
    counter lives with the block in the content-addressed block-program
    cache, so a serving session that rebuilds its simulator per input is
@@ -59,6 +59,17 @@ are re-added in stepped order so the accumulator stays bit-identical.
 A contention window the probe cannot prove steady refuses the batch
 (``noc_batch_contention_bailouts``) and the loop steps instead.
 
+**One definition per opcode.**  :func:`_emit_instr` is the only place a
+built-in opcode's timing, energy, register and memory semantics are
+written.  A compiled block renders it with the operands baked in;
+:func:`compile_handler` renders it with the operands read from the
+decoded tuple, and ``core._DISPATCH`` installs that handler the first
+time the opcode executes.  The interpreter, the cold tier and the
+blocking fallback therefore run the same definition the compiled blocks
+do.  Batched replay shares the int8 elementwise kernels
+(:data:`_VEC_KERNELS`); the batch planner's symbolic walk
+(:func:`_build_template`) is the one remaining restatement.
+
 ``RECV``/``BARRIER``/``HALT``, extension opcodes and anything else the
 code generator does not support end a block and fall back to the
 interpreter's handlers one instruction at a time
@@ -88,7 +99,7 @@ from repro.graph.quantize import (
     saturate_i8,
 )
 from repro.isa import Opcode
-from repro.sim.core import charge_copy_energy, translate_program
+from repro.sim.core import translate_program
 from repro.sim.noc import GLOBAL_PORT
 
 Op = Opcode
@@ -177,6 +188,26 @@ def reset_stats() -> None:
 # runtime helpers shared with generated code
 # ---------------------------------------------------------------------------
 
+def charge_copy_energy(core, nbytes: int, src_global: bool,
+                       dst_global: bool, start: int) -> None:
+    """Energy (and NoC reservation) of one ``nbytes`` copy issued at
+    ``start``: a copy with a global endpoint crosses the NoC from or to
+    the global-memory port.  The one copy-energy law; generated code --
+    blocks and the interpreter's handlers alike -- binds it as ``_ce``.
+    """
+    chip = core.chip
+    acct = chip.acct
+    if src_global or dst_global:
+        acct.global_access(nbytes)
+        acct.local_copy(nbytes)  # the local half of the transfer
+        src = GLOBAL_PORT if src_global else core.core_id
+        dst = core.core_id if src_global else GLOBAL_PORT
+        chip.noc.transfer(src, dst, nbytes, start)
+        acct.noc_transfer(chip.noc.energy_pj(nbytes, src, dst))
+    else:
+        acct.local_copy(nbytes)
+
+
 def _global_copy(core, src, dst, nbytes, start):
     """Functional + energy half of a MEM_CPY touching global memory."""
     mem = core.chip.memory
@@ -191,8 +222,8 @@ _GIDX_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
 def _gidx(count: int, chunk: int, stride: int) -> np.ndarray:
-    """Memoised gather/scatter index pattern (same values as the
-    interpreter's ``_gather_indices``)."""
+    """Memoised gather/scatter index pattern: ``count`` chunks of
+    ``chunk`` bytes, ``stride`` bytes apart."""
     key = (count, chunk, stride)
     idx = _GIDX_CACHE.get(key)
     if idx is None:
@@ -206,15 +237,49 @@ def _gidx(count: int, chunk: int, stride: int) -> np.ndarray:
     return idx
 
 
+def _saturating(ufunc):
+    return lambda a, b: saturate_i8(ufunc(a.astype(np.int16),
+                                          b.astype(np.int16)))
+
+
+#: The int8 elementwise vector ops, written over any leading axes: one
+#: ``(n,)`` operand in generated code, an ``(M, n)`` stack in batched
+#: replay.  Binary kernels take ``(a, b)``, unary ones ``(a)``.
+_VEC_KERNELS = {
+    int(Op.VEC_ADD): _saturating(np.add),
+    int(Op.VEC_SUB): _saturating(np.subtract),
+    int(Op.VEC_MUL): _saturating(np.multiply),
+    # max/min of int8 cannot overflow: same bits, no widening.
+    int(Op.VEC_MAX): np.maximum,
+    int(Op.VEC_MIN): np.minimum,
+    int(Op.VEC_RELU): lambda a: np.maximum(a, 0).astype(np.int8),
+    int(Op.VEC_RELU6): lambda a: np.clip(a, 0, RELU6_CLIP).astype(np.int8),
+    int(Op.VEC_SILU): lambda a: apply_lut(a, SILU_LUT),
+    int(Op.VEC_SIGMOID): lambda a: apply_lut(a, SIGMOID_LUT),
+    int(Op.VEC_COPY): np.copy,
+}
+
+_VEC_BINARY = frozenset({
+    int(Op.VEC_ADD), int(Op.VEC_SUB), int(Op.VEC_MUL), int(Op.VEC_MAX),
+    int(Op.VEC_MIN),
+})
+
+
 # ---------------------------------------------------------------------------
-# code generation
+# code generation: the one definition of every built-in opcode
 # ---------------------------------------------------------------------------
 
 class _Emit:
-    """Accumulates the source of one specialised block function."""
+    """Accumulates the source of one rendered block or handler.
+
+    Register, ``funct`` and ``flags`` operands are ints baked into a
+    block's source, or expressions (``"t[3]"``) a handler reads from its
+    decoded tuple at run time.
+    """
 
     def __init__(self):
         self.lines: List[str] = []
+        self.pad = ""
         self.units = set()
         self.dep_regs = set()
         self.uses = set()   # feature flags: mem, cost, vec, cim, send, sregs
@@ -222,20 +287,41 @@ class _Emit:
         self.tallies = set()
 
     def w(self, line: str) -> None:
-        self.lines.append(line)
+        self.lines.append(self.pad + line)
+
+    def when(self, field, holds, cond: str, then, otherwise=None) -> None:
+        """Render ``then()`` where ``holds(field)``, else ``otherwise()``:
+        decided here for a baked field, by an emitted ``if`` (``cond``
+        formatted with the field's expression) for a runtime one."""
+        if isinstance(field, int):
+            branch = then if holds(field) else otherwise
+            if branch is not None:
+                branch()
+            return
+        for test, branch in ((f"if {cond.format(field)}:", then),
+                             ("else:", otherwise)):
+            if branch is None:
+                continue
+            self.w(test)
+            self.pad += "    "
+            branch()
+            self.pad = self.pad[:-4]
 
     def issue(self, unit: str, lat: str, occ: Optional[str] = None,
-              deps: Tuple[int, ...] = ()) -> None:
-        """Inline ``Core._issue``: leaves the start cycle in ``_t``."""
+              deps: Tuple = ()) -> None:
+        """Inline ``Core._issue``: leaves the start cycle in ``_t``.
+        Baked deps skip r0 and repeats; runtime ones are read as they
+        come (r0's ready time is never written, so it never stalls)."""
         u = unit[0]
         self.units.add(unit)
         self.w(f"_t = f_{u} if f_{u} > clk else clk")
         seen = set()
         for reg in deps:
-            if reg == 0 or reg in seen:
-                continue
-            seen.add(reg)
-            self.dep_regs.add(reg)
+            if isinstance(reg, int):
+                if reg == 0 or reg in seen:
+                    continue
+                seen.add(reg)
+                self.dep_regs.add(reg)
             self.w(f"_dp = rr[{reg}]")
             self.w("if _dp > _t: _t = _dp")
         occ = lat if occ is None else occ
@@ -247,23 +333,52 @@ class _Emit:
         self.has_scalar_tally = True
         self.w("ns += 1")
 
-    def write_reg(self, reg: int, value: str, ready: str) -> None:
-        if reg != 0:
+    def write_reg(self, reg, value: str, ready: str) -> None:
+        """Write ``value`` (ready at ``ready``) to ``reg``; r0 stays 0."""
+        def write():
             self.w(f"r[{reg}] = {value}")
             self.w(f"rr[{reg}] = {ready}")
 
+        self.when(reg, bool, "{}", write)
 
-def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
-    """Emit the exact equivalent of the interpreter handler for ``t``.
+    def length(self, reg, op: int) -> None:
+        """``_n = r[reg]``, the length operand of ``op``; below 0 raises."""
+        self.w(f"_n = r[{reg}]")
+        self.w("if _n < 0: raise SimulationError("
+               f"f\"core {{cid}}: {Op(op).name} length {{_n}} is negative\")")
 
-    ``C[2*i]`` is the instruction's ``imm`` field, ``C[2*i + 1]`` its
-    ``offset`` field; everything else is baked into the source.
+    def copy_cost(self, nbytes, is_global: str, deps: Tuple,
+                  extra: Optional[str] = None) -> None:
+        """Issue one copy of ``nbytes`` on the mem unit: the local
+        scratchpad cost, raised to the global-memory cost when
+        ``is_global`` holds, plus ``extra`` cycles.  Leaves the cost in
+        ``_c`` and the start cycle in ``_t``."""
+        self.uses.update(("mem", "cost"))
+        if isinstance(nbytes, int):
+            self.w(f"_m = {max(1, nbytes)}")
+        else:
+            self.w(f"_m = {nbytes} if {nbytes} > 0 else 1")
+        self.w("_c = (_m + LBW - 1) // LBW + LLT")
+        self.w(f"if {is_global}:")
+        self.w("    _g = (_m + GBW - 1) // GBW + GLT")
+        self.w("    if _g > _c: _c = _g")
+        if extra is not None:
+            self.w(f"_c += {extra}")
+        self.issue("mem", "_c", deps=deps)
+
+
+def _emit_instr(em: _Emit, f: Tuple) -> None:
+    """Render one built-in instruction: the one definition of its timing,
+    energy, register and memory semantics.
+
+    ``f`` has the decoded tuple's layout ``(op, rs, rt, rd, re, imm,
+    offset, funct, flags)``: the opcode is an int, every other field an
+    operand (see :class:`_Emit`).  ``imm`` and ``offset`` are always
+    expressions -- ``C[2*i]`` / ``C[2*i + 1]`` in a block, whose
+    immediates are per-instance constants, ``t[5]`` / ``t[6]`` in a
+    handler.  A branch leaves its outcome in ``_v``.
     """
-    op, rs, rt, rd, re, _, _, funct, flags = (
-        t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], t[8]
-    )
-    imm = f"C[{2 * i}]"
-    off = f"C[{2 * i + 1}]"
+    op, rs, rt, rd, re, imm, off, funct, flags = f
 
     if op in _SCALAR2_OPS:
         a, b = f"r[{rs}]", f"r[{rt}]"
@@ -310,7 +425,8 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.issue("scalar", "1", deps=(rs,))
         em.w(f"_i = {imm}")
         em.w("if not 0 <= _i < len(s): "
-             "raise SimulationError(f\"core {cid}: bad S_Reg index {_i}\")")
+             "raise SimulationError(f\"core {core.core_id}: "
+             "bad S_Reg index {_i}\")")
         em.w(f"s[_i] = r[{rs}]")
         em.scalar_tally()
     elif op == int(Op.MV_S2G):
@@ -318,19 +434,13 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.issue("scalar", "1")
         em.write_reg(rt, f"s[{imm}]", "_t + 1")
         em.scalar_tally()
-    elif op in (int(Op.NOP), int(Op.SYNC)):
+    elif op in (int(Op.NOP), int(Op.SYNC), int(Op.JMP)):
         em.issue("scalar", "1")
     elif op == int(Op.MEM_CPY):
-        em.uses.update(("mem", "cost"))
         em.w(f"_a = r[{rs}]")
         em.w(f"_b = r[{rt}] + {off}")
-        em.w(f"_n = r[{rd}]")
-        em.w("_m = _n if _n > 0 else 1")
-        em.w("_c = (_m + LBW - 1) // LBW + LLT")
-        em.w("if _a >= GB or _b >= GB:")
-        em.w("    _g = (_m + GBW - 1) // GBW + GLT")
-        em.w("    if _g > _c: _c = _g")
-        em.issue("mem", "_c", deps=(rs, rt, rd))
+        em.length(rd, op)
+        em.copy_cost("_n", "_a >= GB or _b >= GB", deps=(rs, rt, rd))
         em.w("if _a >= GB or _b >= GB:")
         em.w("    _gc(core, _a, _b, _n, _t)")
         em.w("elif 0 <= _a and _a + _n <= LSZ and 0 <= _b and _b + _n <= LSZ:")
@@ -344,31 +454,21 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("    t_lr += _n; t_lw += _n")
         em.tallies.update(("t_lr", "t_lw"))
     elif op == int(Op.MEM_LD):
-        em.uses.update(("mem", "cost"))
         em.w(f"_a = r[{rs}] + {off}")
         em.w("_sg = _a >= GB")
-        em.w("_c = (4 + LBW - 1) // LBW + LLT")
-        em.w("if _sg:")
-        em.w("    _g = (4 + GBW - 1) // GBW + GLT")
-        em.w("    if _g > _c: _c = _g")
-        em.issue("mem", "_c", deps=(rs,))
+        em.copy_cost(4, "_sg", deps=(rs,))
         em.w("_v = mem.read_word(cid, _a)")
         em.write_reg(rt, "_v", "_t + _c")
         em.w("_ce(core, 4, _sg, False, _t)")
     elif op == int(Op.MEM_ST):
-        em.uses.update(("mem", "cost"))
         em.w(f"_a = r[{rs}] + {off}")
         em.w("_dg = _a >= GB")
-        em.w("_c = (4 + LBW - 1) // LBW + LLT")
-        em.w("if _dg:")
-        em.w("    _g = (4 + GBW - 1) // GBW + GLT")
-        em.w("    if _g > _c: _c = _g")
-        em.issue("mem", "_c", deps=(rs, rt))
+        em.copy_cost(4, "_dg", deps=(rs, rt))
         em.w(f"mem.write_word(cid, _a, r[{rt}])")
         em.w("_ce(core, 4, False, _dg, _t)")
     elif op in (int(Op.MEM_GATHER), int(Op.MEM_SCATTER)):
         kind = "gather" if op == int(Op.MEM_GATHER) else "scatter"
-        em.uses.update(("mem", "cost", "sregs"))
+        em.uses.add("sregs")
         em.w(f"_n = r[{rd}]")
         em.w("_ck = s[13]")
         em.w("_st = s[7]")
@@ -381,13 +481,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("_nb = _n * _ck")
         em.w("_sg = _a >= GB")
         em.w("_dg = _b >= GB")
-        em.w("_m = _nb if _nb > 0 else 1")
-        em.w("_c = (_m + LBW - 1) // LBW + LLT")
-        em.w("if _sg or _dg:")
-        em.w("    _g = (_m + GBW - 1) // GBW + GLT")
-        em.w("    if _g > _c: _c = _g")
-        em.w("_c += _n")
-        em.issue("mem", "_c", deps=(rs, rt, rd))
+        em.copy_cost("_nb", "_sg or _dg", deps=(rs, rt, rd), extra="_n")
         em.w("if _n:")
         if op == int(Op.MEM_GATHER):
             em.w("    _w = mem.read(cid, _a, _sp)")
@@ -402,7 +496,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.uses.update(("mem", "send"))
         em.w(f"_a = r[{rs}]")
         em.w(f"_d = r[{rt}]")
-        em.w(f"_n = r[{rd}]")
+        em.length(rd, op)
         em.w("_m = _n if _n > 0 else 1")
         em.w("_c = (_m + FLT - 1) // FLT")
         em.issue("xfer", "_c", deps=(rs, rt, rd))
@@ -443,7 +537,7 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("_cl = s[3]")
         em.w("_e = mgs[_g]")
         em.w("if _e is None: raise SimulationError("
-             "f\"core {cid}: CIM_CFG on empty MG {_g}\")")
+             "f\"core {core.core_id}: CIM_CFG on empty MG {_g}\")")
         em.w("mgs[_g] = (_e[0], _rw, _cl)")
         em.issue("cim", "1", deps=(rt,))
     elif op == int(Op.CIM_MVM):
@@ -460,12 +554,15 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.w("    _x = mem.read(cid, _a, _rw)")
         em.w("_v = int_matmul(_x, _w[:_rw, :_cl])")
         em.w(f"_o = r[{re}]")
-        if flags & 1:
+
+        def accumulate():
             em.w("_n4 = 4 * _cl")
             em.w("if 0 <= _o and _o + _n4 <= LSZ:")
             em.w("    _v += lm[_o:_o + _n4].view(np.int32)")
             em.w("else:")
             em.w("    _v += mem.read_i32(cid, _o, _cl)")
+
+        em.when(flags, lambda v: v & 1, "{} & 1", accumulate)
         # int_matmul returns a fresh C-contiguous int32 array, so it is
         # stored through a byte view with no further cast or copy.
         em.w("if 0 <= _o and _o + 4 * _cl <= LSZ:")
@@ -478,8 +575,6 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         em.tallies.update(("t_mac", "t_mvr", "t_mvb", "t_lr", "t_lw"))
     elif op in _VEC_OPS:
         _emit_vec(em, op, rs, rt, rd, re, funct)
-    elif op == int(Op.JMP):
-        em.issue("scalar", "1")
     elif op in _BRANCH_OPS:
         a, b = f"r[{rs}]", f"r[{rt}]"
         cond = {
@@ -495,33 +590,32 @@ def _emit_instr(em: _Emit, i: int, t: Tuple) -> None:
         raise AssertionError(f"cannot compile opcode {op:#x}")
 
 
-def _emit_vec(em: _Emit, op: int, rs: int, rt: int, rd: int, re: int,
-              funct: int) -> None:
-    """Mirror of ``core._h_vec`` for one concrete vector opcode."""
+def _emit_vec(em: _Emit, op: int, rs, rt, rd, re, funct) -> None:
+    """The vector unit's part of :func:`_emit_instr`."""
     em.uses.update(("mem", "vec"))
 
-    def read8(reg: int, n: str, out: str, copy: bool = False) -> None:
+    def read8(reg, n: str, out: str) -> None:
         em.w(f"_a = r[{reg}]")
         em.w(f"if 0 <= _a and _a + {n} <= LSZ:")
-        em.w(f"    {out} = lm[_a:_a + {n}]{'.copy()' if copy else ''}")
+        em.w(f"    {out} = lm[_a:_a + {n}]")
         em.w("else:")
         em.w(f"    {out} = mem.read(cid, _a, {n})")
 
-    def read32(reg: int, n: str, out: str) -> None:
+    def read32(reg, n: str, out: str) -> None:
         em.w(f"_a = r[{reg}]")
         em.w(f"if 0 <= _a and _a + 4 * {n} <= LSZ:")
         em.w(f"    {out} = lm[_a:_a + 4 * {n}].view(np.int32)")
         em.w("else:")
         em.w(f"    {out} = mem.read_i32(cid, _a, {n})")
 
-    def write8(reg: int, n: str, value: str) -> None:
+    def write8(reg, n: str, value: str) -> None:
         em.w(f"_o = r[{reg}]")
         em.w(f"if 0 <= _o and _o + {n} <= LSZ:")
         em.w(f"    lm[_o:_o + {n}] = {value}")
         em.w("else:")
         em.w(f"    mem.write(cid, _o, {value})")
 
-    def write32(reg: int, n: str, value: str) -> None:
+    def write32(reg, n: str, value: str) -> None:
         em.w(f"_o = r[{reg}]")
         em.w(f"if 0 <= _o and _o + 4 * {n} <= LSZ:")
         em.w(f"    lm[_o:_o + 4 * {n}] = {value}.view(np.int8)")
@@ -532,7 +626,7 @@ def _emit_vec(em: _Emit, op: int, rs: int, rt: int, rd: int, re: int,
         em.w(f"t_ve += {elems}; t_lr += {br}; t_lw += {bw}")
         em.tallies.update(("t_ve", "t_lr", "t_lw"))
 
-    em.w(f"_n = r[{re}]")
+    em.length(re, op)
     if op == int(Op.VEC_QNT):
         em.uses.add("sregs")
         read32(rs, "_n", "_x")
@@ -558,14 +652,18 @@ def _emit_vec(em: _Emit, op: int, rs: int, rt: int, rd: int, re: int,
         em.uses.add("sregs")
         em.w("_f = s[6] & 0xFF")
         em.w("_f = _f - 256 if _f >= 128 else _f")
-        if funct == 4:
+
+        def fill32():
             em.w("_y = np.full(_n, _f, dtype=np.int32)")
             write32(rd, "_n", "_y")
             energy("_n", "0", "4 * _n")
-        else:
+
+        def fill8():
             em.w("_y = np.full(_n, _f, dtype=np.int8)")
             write8(rd, "_n", "_y")
             energy("_n", "0", "_n")
+
+        em.when(funct, lambda v: v == 4, "{} == 4", fill32, fill8)
     elif op == int(Op.VEC_CMUL):
         em.uses.add("sregs")
         em.w("_ch = s[12]")
@@ -578,66 +676,36 @@ def _emit_vec(em: _Emit, op: int, rs: int, rt: int, rd: int, re: int,
         write8(rd, "_n", "_y")
         energy("_n", "2 * _n", "_n")
     else:
-        copy = op == int(Op.VEC_COPY)
-        read8(rs, "_n", "_x", copy=copy)
-        if op == int(Op.VEC_RELU):
-            em.w("_y = np.maximum(_x, 0).astype(np.int8)")
-        elif op == int(Op.VEC_RELU6):
-            em.w("_y = np.clip(_x, 0, RELU6_CLIP).astype(np.int8)")
-        elif op == int(Op.VEC_SILU):
-            em.w("_y = apply_lut(_x, SILU_LUT)")
-        elif op == int(Op.VEC_SIGMOID):
-            em.w("_y = apply_lut(_x, SIGMOID_LUT)")
-        elif op == int(Op.VEC_COPY):
-            em.w("_y = _x")
-        else:
+        read8(rs, "_n", "_x")
+        if op in _VEC_BINARY:
             read8(rt, "_n", "_b")
-            if op == int(Op.VEC_MAX):
-                # max/min of int8 cannot overflow: same bits, no widening.
-                em.w("_y = np.maximum(_x, _b)")
-            elif op == int(Op.VEC_MIN):
-                em.w("_y = np.minimum(_x, _b)")
-            else:
-                em.w("_b = _b.astype(np.int16)")
-                em.w("_x16 = _x.astype(np.int16)")
-                if op == int(Op.VEC_ADD):
-                    em.w("_y = saturate_i8(_x16 + _b)")
-                elif op == int(Op.VEC_SUB):
-                    em.w("_y = saturate_i8(_x16 - _b)")
-                else:
-                    em.w("_y = saturate_i8(_x16 * _b)")
+            em.w(f"_y = _K[{op}](_x, _b)")
+        else:
+            em.w(f"_y = _K[{op}](_x)")
         write8(rd, "_n", "_y")
         energy("_n", "2 * _n", "_n")
     em.issue("vector", "(( _n if _n > 0 else 1) + LAN - 1) // LAN + VDP",
              deps=(rs, rt, rd, re))
 
 
-def _build_source(shape: Tuple) -> Tuple[str, set, set, set]:
-    """Generate the function source for one block shape.
+_TALLY_FIELDS = {
+    "t_lr": "local_bytes_read", "t_lw": "local_bytes_written",
+    "t_mac": "macs", "t_mvr": "mvm_rows", "t_mvb": "mvm_result_bytes",
+    "t_clb": "cim_load_bytes", "t_ve": "vec_elements",
+}
 
-    Returns (source, used units, dep registers, feature uses).
-    """
-    instrs, kind, term = shape
-    em = _Emit()
-    for i, t in enumerate(instrs):
-        _emit_instr(em, i, t)
 
-    length = len(instrs)
-    tail = len(instrs) * 2        # C[tail] = fall pc, C[tail + 1] = target pc
-
-    head: List[str] = []
-    if kind == "loop":
-        head.append("def _block(core, C, max_iter):")
-    else:
-        head.append("def _block(core, C):")
-    body: List[str] = []
-    body.append("r = core.regs")
-    body.append("rr = core.reg_ready")
-    body.append("clk = core.clock")
-    body.append("acct = core.chip.acct")
-    body.append("ni = 0")
-    uf_needed = sorted(em.units)
-    for unit in uf_needed:
+def _frame(em: _Emit, head: str, code: List[str], tail: List[str]) -> str:
+    """Wrap rendered ``code`` in a function: load the core state the
+    rendering uses into locals, then store it back and run ``tail``."""
+    body = [
+        "r = core.regs",
+        "rr = core.reg_ready",
+        "clk = core.clock",
+        "acct = core.chip.acct",
+    ]
+    units = sorted(em.units)
+    for unit in units:
         u = unit[0]
         body.append(f"f_{u} = core.unit_free['{unit}']")
         body.append(f"b_{u} = 0")
@@ -671,57 +739,65 @@ def _build_source(shape: Tuple) -> Tuple[str, set, set, set]:
     for tally in sorted(em.tallies):
         body.append(f"{tally} = 0")
 
-    code_lines: List[str] = []
-    if kind == "loop":
-        code_lines.append("_it = 0")
-        code_lines.append("_ex = False")
-        code_lines.append("while True:")
-        inner = ["    " + ln for ln in em.lines]
-        code_lines.extend(inner)
-        code_lines.append(f"    ni += {length}")
-        code_lines.append("    if not _v:")
-        code_lines.append("        _ex = True")
-        code_lines.append("        break")
-        code_lines.append("    _it += 1")
-        code_lines.append("    if _it >= max_iter:")
-        code_lines.append("        break")
-    else:
-        code_lines.extend(em.lines)
-        code_lines.append(f"ni += {length}")
-
-    epi: List[str] = []
-    epi.append("core.clock = clk")
-    if uf_needed:
+    epi = ["core.clock = clk"]
+    if units:
         epi.append("uf = core.unit_free")
         epi.append("bz = core.busy")
-        for unit in uf_needed:
+        for unit in units:
             u = unit[0]
             epi.append(f"uf['{unit}'] = f_{u}")
             epi.append(f"bz['{unit}'] += b_{u}")
-    epi.append("acct.n_instructions += ni")
     if em.has_scalar_tally:
         epi.append("acct.n_scalar_ops += ns")
-    tally_field = {
-        "t_lr": "local_bytes_read", "t_lw": "local_bytes_written",
-        "t_mac": "macs", "t_mvr": "mvm_rows", "t_mvb": "mvm_result_bytes",
-        "t_clb": "cim_load_bytes", "t_ve": "vec_elements",
-    }
     for tally in sorted(em.tallies):
-        epi.append(f"acct.{tally_field[tally]} += {tally}")
-    epi.append("core.instructions_retired += ni")
-    if kind == "loop":
-        epi.append("return _ex")
-    elif term == "branch":
-        epi.append(f"return C[{tail + 1}] if _v else C[{tail}]")
-    elif term == "jmp":
-        epi.append(f"return C[{tail + 1}]")
-    else:
-        epi.append(f"return C[{tail}]")
-
-    source = "\n".join(
-        head + ["    " + ln for ln in body + code_lines + epi]
+        epi.append(f"acct.{_TALLY_FIELDS[tally]} += {tally}")
+    return "\n".join(
+        [head] + ["    " + ln for ln in body + code + epi + tail]
     )
-    return source, em.units, em.dep_regs, em.uses
+
+
+def _build_source(shape: Tuple) -> Tuple[str, set, set]:
+    """Generate the function source for one block shape.
+
+    Returns (source, used units, dep registers).
+    """
+    instrs, kind, term = shape
+    em = _Emit()
+    for i, t in enumerate(instrs):
+        _emit_instr(em, (*t[:5], f"C[{2 * i}]", f"C[{2 * i + 1}]", *t[7:9]))
+
+    length = len(instrs)
+    tail = len(instrs) * 2        # C[tail] = fall pc, C[tail + 1] = target pc
+
+    code: List[str] = ["ni = 0"]
+    if kind == "loop":
+        head = "def _block(core, C, max_iter):"
+        code.append("_it = 0")
+        code.append("_ex = False")
+        code.append("while True:")
+        code.extend("    " + ln for ln in em.lines)
+        code.append(f"    ni += {length}")
+        code.append("    if not _v:")
+        code.append("        _ex = True")
+        code.append("        break")
+        code.append("    _it += 1")
+        code.append("    if _it >= max_iter:")
+        code.append("        break")
+    else:
+        head = "def _block(core, C):"
+        code.extend(em.lines)
+        code.append(f"ni += {length}")
+
+    ret = ["acct.n_instructions += ni", "core.instructions_retired += ni"]
+    if kind == "loop":
+        ret.append("return _ex")
+    elif term == "branch":
+        ret.append(f"return C[{tail + 1}] if _v else C[{tail}]")
+    elif term == "jmp":
+        ret.append(f"return C[{tail + 1}]")
+    else:
+        ret.append(f"return C[{tail}]")
+    return _frame(em, head, code, ret), em.units, em.dep_regs
 
 
 _EXEC_GLOBALS = {
@@ -730,16 +806,12 @@ _EXEC_GLOBALS = {
     "QuantParams": QuantParams,
     "requantize": requantize,
     "int_matmul": int_matmul,
-    "saturate_i8": saturate_i8,
-    "apply_lut": apply_lut,
     "cmul_i8": cmul_i8,
-    "SILU_LUT": SILU_LUT,
-    "SIGMOID_LUT": SIGMOID_LUT,
-    "RELU6_CLIP": RELU6_CLIP,
     "GB": GLOBAL_BASE,
     "_ce": charge_copy_energy,
     "_gc": _global_copy,
     "_gidx": _gidx,
+    "_K": _VEC_KERNELS,
 }
 
 #: shape key -> (function, used units, dep regs)
@@ -751,13 +823,34 @@ def _compile_shape(shape: Tuple):
     if entry is None:
         if len(_SHAPE_CACHE) > 2048:
             _SHAPE_CACHE.clear()
-        source, units, dep_regs, _ = _build_source(shape)
+        source, units, dep_regs = _build_source(shape)
         namespace: Dict = {}
         exec(compile(source, "<blockengine>", "exec"), _EXEC_GLOBALS, namespace)
         entry = (namespace["_block"], frozenset(units), frozenset(dep_regs))
         _SHAPE_CACHE[shape] = entry
     return entry
 
+
+def compile_handler(op: int):
+    """The interpreter's handler for built-in opcode ``op``: the
+    rendering :func:`_emit_instr` gives a block, with the operands read
+    from the decoded tuple ``t``.  It counts no instruction (its callers
+    do) and leaves ``core.pc`` on the next instruction or the branch
+    target.
+    """
+    em = _Emit()
+    _emit_instr(em, (op, *(f"t[{k}]" for k in range(1, 9))))
+    if op in _BRANCH_OPS:
+        step = "t[6] if _v else 1"
+    elif op == int(Op.JMP):
+        step = "t[6]"
+    else:
+        step = "1"
+    source = _frame(em, "def _handler(core, t):", em.lines,
+                    [f"core.pc += {step}"])
+    namespace: Dict = {}
+    exec(compile(source, "<handler>", "exec"), _EXEC_GLOBALS, namespace)
+    return namespace["_handler"]
 
 # ---------------------------------------------------------------------------
 # block discovery
@@ -856,7 +949,9 @@ _MIN_COMPILE_LEN = 2
 #: 0.275 s, ~72 us per static instruction; a run with every block on
 #: the interpreter's handlers takes 0.195 s against 0.139 s all
 #: compiled, ~2.5 us saved per executed instruction -- so translation
-#: repays itself after 72 / 2.5 ~ 25-30 executions.  A one-shot
+#: repays itself after 72 / 2.5 ~ 25-30 executions (measured with the
+#: hand-written handlers the rendered ones replaced; the rendered ones
+#: are faster, which only moves break-even further out).  A one-shot
 #: ``repro run`` executes every such block exactly once and must never
 #: pay; a serving session re-runs them once per input without end.  The
 #: threshold sits below break-even because a block that has already
@@ -1818,8 +1913,7 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
                             regs[rt][0], regs[rt][1], ch, n,
                             regs[rd][0], regs[rd][1]))
                 writes.append((regs[rd][0], regs[rd][1], n))
-            elif op in (int(Op.VEC_ADD), int(Op.VEC_SUB), int(Op.VEC_MUL),
-                        int(Op.VEC_MAX), int(Op.VEC_MIN)):
+            elif op in _VEC_BINARY:
                 ops.append(("bin", op, regs[rs][0], regs[rs][1],
                             regs[rt][0], regs[rt][1], n,
                             regs[rd][0], regs[rd][1]))
@@ -2107,36 +2201,12 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
             out.append((db, ds, n, np.ascontiguousarray(y)))
         elif tag == "bin":
             _, vop, ab, as_, bb, bs, n, db, ds = op
-            a = read(ab, as_, n)
-            b = read(bb, bs, n)
-            if vop == int(Op.VEC_MAX):
-                y = np.maximum(a, b)
-            elif vop == int(Op.VEC_MIN):
-                y = np.minimum(a, b)
-            else:
-                a16 = np.ascontiguousarray(a).astype(np.int16)
-                b16 = np.ascontiguousarray(b).astype(np.int16)
-                if vop == int(Op.VEC_ADD):
-                    y = saturate_i8(a16 + b16)
-                elif vop == int(Op.VEC_SUB):
-                    y = saturate_i8(a16 - b16)
-                else:
-                    y = saturate_i8(a16 * b16)
+            y = _VEC_KERNELS[vop](read(ab, as_, n), read(bb, bs, n))
             out.append((db, ds, n, np.ascontiguousarray(y)))
         elif tag == "un":
             _, vop, ab, as_, n, db, ds = op
-            x = read(ab, as_, n)
-            if vop == int(Op.VEC_RELU):
-                y = np.maximum(x, 0).astype(np.int8)
-            elif vop == int(Op.VEC_RELU6):
-                y = np.clip(x, 0, RELU6_CLIP).astype(np.int8)
-            elif vop == int(Op.VEC_SILU):
-                y = apply_lut(x, SILU_LUT)
-            elif vop == int(Op.VEC_SIGMOID):
-                y = apply_lut(x, SIGMOID_LUT)
-            else:  # VEC_COPY
-                y = np.ascontiguousarray(x)
-            out.append((db, ds, n, y))
+            y = _VEC_KERNELS[vop](read(ab, as_, n))
+            out.append((db, ds, n, np.ascontiguousarray(y)))
         else:  # pragma: no cover
             raise _Bail()
 

@@ -55,27 +55,6 @@ class EnergyAccountant:
     def instruction(self, count: int = 1) -> None:
         self.n_instructions += count
 
-    def cim_mvm(self, rows: int, cols: int, count: int = 1) -> None:
-        self.macs += rows * cols * count
-        self.mvm_rows += rows * count
-        self.mvm_result_bytes += 4 * cols * count
-        # operand fetch / result write-back through the scratchpad
-        self.local_bytes_read += rows * count
-        self.local_bytes_written += 4 * cols * count
-
-    def cim_load(self, nbytes: int) -> None:
-        self.cim_load_bytes += nbytes
-        self.local_bytes_read += nbytes
-
-    def vector_op(self, elements: int, bytes_read: int, bytes_written: int,
-                  count: int = 1) -> None:
-        self.vec_elements += elements * count
-        self.local_bytes_read += bytes_read * count
-        self.local_bytes_written += bytes_written * count
-
-    def scalar_op(self, count: int = 1) -> None:
-        self.n_scalar_ops += count
-
     def local_copy(self, nbytes: int, count: int = 1) -> None:
         self.local_bytes_read += nbytes * count
         self.local_bytes_written += nbytes * count
@@ -90,10 +69,6 @@ class EnergyAccountant:
         self.static_pj_total += cycles * self.energy.static_pj_per_cycle(
             clock_mhz
         )
-
-    @property
-    def total_pj(self) -> float:
-        return sum(self.breakdown().values())
 
     def breakdown(self) -> Dict[str, float]:
         """Per-category energy in picojoules (freshly computed)."""

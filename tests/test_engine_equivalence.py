@@ -1501,3 +1501,39 @@ class TestOpcodePins:
             assert stats["cold_block_instructions"] == 0
         elif engine == "cold":
             assert stats["cold_block_instructions"] > 0
+
+
+class TestNegativeLength:
+    """A length register below zero is a typed error on every engine
+    path; zero stays legal (the pins above run zero-length ops)."""
+
+    OPERANDS = {
+        "MEM_CPY": dict(rs=1, rt=1, rd=3),
+        "SEND": dict(rs=1, rt=2, rd=3),
+        "VEC_ADD": dict(rs=1, rt=1, rd=1, re=3),
+        "VEC_FILL": dict(rd=1, re=3, funct=4),
+    }
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("mnemonic", OPERANDS)
+    def test_negative_length_raises(self, mnemonic, engine, monkeypatch):
+        from repro.sim import blockengine as be
+
+        if engine == "hot":
+            monkeypatch.setattr(be, "_HOT_RUNS", 0)
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        b = ProgramBuilder()
+        b.emit("SC_ADDI", rs=0, rt=1, imm=64)
+        b.emit("SC_ADDI", rs=0, rt=2, imm=1)
+        b.emit("SC_ADDI", rs=0, rt=3, imm=-10)
+        b.emit(mnemonic, **self.OPERANDS[mnemonic])
+        b.halt()
+        sim = ChipSimulator(
+            small_test_arch(), {0: b.finalize()},
+            engine="interp" if engine == "interp" else "block",
+        )
+        with pytest.raises(
+            SimulationError, match=f"^core 0: {mnemonic} length -10 is negative$"
+        ):
+            sim.run()
+        assert sim.acct.local_bytes_read == sim.acct.vec_elements == 0

@@ -20,12 +20,20 @@ drawn on first read, and the serving continuation reads the NumPy-free
 ``repro.arrivals``); and the duplication greedy prices the one trial
 that can win, with no set of ``blocked`` trials known to fail before
 they are priced.
+
+Say it once, and use it.  Every definition under ``src/repro`` is named
+somewhere besides its own ``def`` line, or is public API; every built-in
+opcode is rendered from one definition; and what a process-cold
+``repro run`` prints does not depend on the engine.
 """
 
 import ast
 import dataclasses
 import gc
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -594,6 +602,26 @@ def _cli_imports_by_verb(root: Path):
                        "src/repro/cli.py"), "top-level layer import")
 
 
+_KEPT_HANDLERS = ["_h_halt", "_h_barrier", "_h_recv", "_h_extension"]
+
+
+def _one_opcode_definition(root: Path):
+    """Every built-in opcode is rendered from ``blockengine._emit_instr``:
+    ``core.py`` hand-writes only the handlers that hand control to the
+    chip or to an extension, the accountant keeps no per-op-kind tally
+    twin, and the int8 elementwise formulas live in the kernel table."""
+    core = _read(root, "src/repro/sim/core.py")
+    return (
+        _only(re.findall(r"^def (_h_\w+)", core, re.M), _KEPT_HANDLERS,
+              "hand-written handler")
+        + _none(_grep(root, r"def (cim_mvm|cim_load|vector_op|scalar_op)\(",
+                      "src/repro/sim/energy.py"), "tally twin")
+        + _only(len(_grep(root, r"saturate_i8\(",
+                          "src/repro/sim/blockengine.py")), 1,
+                "elementwise twin")
+    )
+
+
 _W = "work" "flow"  # spelled apart: the pipeline law greps this file
 #: law -> (its check, a tree breaking each of its clauses once, the
 #: clauses it breaks)
@@ -663,6 +691,16 @@ GREP_LAWS = {
         "src/repro/sim/multichip.py": f"edges = [{_EDGE_TUPLE}]\n",
     }, ["workflow module", "workflow import", "planner call",
         "transfer edges"]),
+    "one_opcode_definition": (_one_opcode_definition, {
+        "src/repro/sim/core.py": (
+            "def _h_halt(core, t):\n    pass\n"
+            "def _h_vec(core, t):\n    pass\n"
+        ),
+        "src/repro/sim/energy.py": "    def vector_op(self, n):\n",
+        "src/repro/sim/blockengine.py": (
+            "y = saturate_i8(a + b)\ny = saturate_i8(a - b)\n"
+        ),
+    }, ["hand-written handler", "tally twin", "elementwise twin"]),
     "cli_imports_by_verb": (_cli_imports_by_verb, {
         "src/repro/cli.py": "from repro.serve import Deployment\n",
     }, ["top-level layer import"]),
@@ -680,3 +718,98 @@ def test_grep_law_sees_a_violation_of_each_clause(law, tmp_path):
     check, files, clauses = GREP_LAWS[law]
     found = check(_tree(tmp_path, files))
     assert [violation.split(":")[0] for violation in found] == clauses, found
+
+
+# ---------------------------------------------------------------------------
+# Every definition is reachable
+# ---------------------------------------------------------------------------
+
+def _definitions(tree):
+    """A module's top-level functions and classes, and their methods."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds[:2]):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _unreachable(root: Path, public=()):
+    """Definitions under ``src/repro`` whose name no ``.py`` file under
+    ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` holds as a
+    word on any line but the one defining it (a body counts: an override
+    reaches its base through ``super()``), unless the name is public API
+    or a dunder."""
+    lines = {}
+    sources = {}
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            if "__pycache__" in path.parts:
+                continue
+            rel = path.relative_to(root).as_posix()
+            sources[rel] = text = path.read_text()
+            for number, line in enumerate(text.splitlines(), 1):
+                for word in set(re.findall(r"\w+", line)):
+                    lines.setdefault(word, []).append((rel, number))
+    found = []
+    for rel, text in sources.items():
+        if not rel.startswith("src/repro/"):
+            continue
+        for qualname, node in _definitions(ast.parse(text)):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name in public):
+                continue
+            if all(at == (rel, node.lineno) for at in lines[name]):
+                found.append(f"{rel}:{qualname}")
+    return found
+
+
+def test_every_definition_is_reachable():
+    from test_public_api import PUBLIC_API
+
+    assert _unreachable(REPO, PUBLIC_API) == []
+
+
+def test_every_definition_is_reachable_sees_a_violation(tmp_path):
+    root = _tree(tmp_path, {
+        "src/repro/box.py": (
+            "def used():\n    pass\n"
+            "def orphan():\n    pass\n"
+            "def exported():\n    pass\n"
+            "class Box:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def unread(self):\n        pass\n"
+        ),
+        "tests/test_box.py": "from repro.box import used, Box\n",
+        "docs/GUIDE.md": "Call `orphan()` or `Box().unread()`.\n",
+    })
+    assert _unreachable(root, ["exported"]) == [
+        "src/repro/box.py:orphan", "src/repro/box.py:Box.unread",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Cold engine identity
+# ---------------------------------------------------------------------------
+
+def test_cold_run_json_is_engine_independent(tmp_path):
+    """What one process-cold ``repro run`` prints does not depend on the
+    engine: the case the tiered block engine splits (loops compiled,
+    straight-line blocks on the rendered handlers), compared whole."""
+    outputs = []
+    for engine in ("block", "interp"):
+        out = tmp_path / f"cold_{engine}.json"
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(SRC), REPRO_SIM_ENGINE=engine)
+        subprocess.run(
+            [sys.executable, "-m", "repro", "run", "tiny_resnet",
+             "--preset", "small", "--input-size", "8", "--num-classes", "10",
+             "--seed", "3", "--json", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
