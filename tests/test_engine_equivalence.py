@@ -1291,6 +1291,134 @@ def _pin_vector():
     return {0: b.finalize()}, rng.integers(0, 256, 1024, dtype=np.uint8)
 
 
+def _pin_batched():
+    """Counted loops that batch every plan kind (12 trips each)."""
+    trips = 12
+    b = ProgramBuilder()
+    b.li(1, GLOBAL_BASE)
+    b.li(2, 0)
+    b.li(3, 1024)
+    b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+
+    # Copies + the scalar ops the walk binds.  Local MEM_CPY forward,
+    # backward and into one fixed row; a two-piece read (half forwarded,
+    # half memory); MEM_GATHER; a global-source MEM_CPY (NoC replay).
+    b.set_sreg(SReg.CHUNK, 10, 4)
+    b.set_sreg(SReg.STRIDE, 10, 8)
+    b.li(1, 0)              # forward source, step 16
+    b.li(2, 2048)           # forward destination, step 32
+    b.li(3, 16)
+    b.li(4, 900)            # backward source, step -16
+    b.li(5, 2816)           # backward destination, step -16
+    b.li(6, 3)              # gather chunk count
+    b.li(7, 64)             # gather source, step 16
+    b.li(8, 3072)           # gather destination, step 12
+    b.li(9, GLOBAL_BASE + 1024)   # global source, step 24
+    b.li(11, 3328)          # global-copy destination, step 16
+    b.li(12, 24)
+    b.li(13, 3712)          # two-piece copy destination, step 32
+    b.li(14, 32)
+    b.li(15, 4224)          # fixed destination (step 0)
+    b.li(16, 0x35)
+    b.li(17, 3)
+    b.li(30, 0)
+    b.li(31, trips)
+    with b.loop(30, 31):
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.emit("MEM_CPY", rs=2, rt=13, rd=14)          # two-piece read
+        b.emit("MEM_CPY", rs=4, rt=5, rd=3)
+        b.emit("MEM_CPY", rs=1, rt=15, rd=3, offset=4)
+        b.emit("MEM_GATHER", rs=7, rt=8, rd=6)
+        b.emit("MEM_CPY", rs=9, rt=11, rd=12)
+        for rd, mnemonic in enumerate(
+            ("SC_SLT", "SC_AND", "SC_OR", "SC_XOR", "SC_SLL", "SC_SRL"),
+            start=18,
+        ):
+            b.emit(mnemonic, rs=16, rt=17, rd=rd)
+        b.emit("SC_SLTI", rs=17, rt=24, imm=5)
+        b.emit("SC_LUI", rt=25, offset=0x12)
+        b.emit("SC_ORI", rs=16, rt=26, offset=0x0F00)
+        b.emit("SC_MUL", rs=1, rt=17, rd=27)
+        b.emit("SC_SUB", rs=27, rt=1, rd=28)
+        b.emit("MV_G2S", rs=28, imm=int(SReg.USER1))
+        b.emit("MV_S2G", rt=29, imm=int(SReg.USER1))
+        b.emit("SC_ADDIW", rs=1, rt=1, offset=16)
+        b.emit("SC_ADDIW", rs=2, rt=2, offset=32)
+        b.emit("SC_ADDIW", rs=13, rt=13, offset=32)
+        b.emit("SC_ADDI", rs=4, rt=4, imm=-16)
+        b.emit("SC_ADDI", rs=5, rt=5, imm=-16)
+        b.emit("SC_ADDI", rs=7, rt=7, imm=16)
+        b.emit("SC_ADDI", rs=8, rt=8, imm=12)
+        b.emit("SC_ADDI", rs=9, rt=9, imm=24)
+        b.emit("SC_ADDI", rs=11, rt=11, imm=16)
+
+    # CIM: an in-loop load into macro group 1 and a resident group 0;
+    # MVM flags 0 and 1 on both, one accumulating into a fixed row.
+    rows, cols = 16, 8
+    b.set_sreg(SReg.MVM_ROWS, 10, rows)
+    b.set_sreg(SReg.MVM_COLS, 10, cols)
+    b.emit("CIM_LOAD", rs=0, rt=0)          # resident group 0, from 0
+    b.li(1, 128)            # in-loop weights, step 64
+    b.li(2, 1)
+    b.li(3, 512)            # input vector, step 16
+    b.li(4, 5120)           # group-1 output, step 32
+    b.li(5, 5632)           # fixed accumulator row
+    b.li(6, 6144)           # group-0 output, step 32
+    b.li(30, 0)
+    with b.loop(30, 31):
+        b.emit("CIM_LOAD", rs=1, rt=2)
+        b.emit("CIM_MVM", rs=3, rt=2, re=4, flags=0)
+        b.emit("CIM_MVM", rs=3, rt=2, re=4, flags=1)
+        b.emit("CIM_MVM", rs=3, rt=0, re=5, flags=1)
+        b.emit("CIM_MVM", rs=3, rt=0, re=6, flags=0)
+        b.emit("SC_ADDIW", rs=1, rt=1, offset=64)
+        b.emit("SC_ADDIW", rs=3, rt=3, offset=16)
+        b.emit("SC_ADDIW", rs=4, rt=4, offset=32)
+        b.emit("SC_ADDIW", rs=6, rt=6, offset=32)
+
+    # Vector: all fifteen ops, both FILL widths, an int32 accumulator.
+    n = 16
+    b.set_sreg(SReg.FILL_VALUE, 10, 200)
+    b.set_sreg(SReg.QMUL, 10, 3)
+    b.set_sreg(SReg.QSHIFT, 10, 4)
+    b.set_sreg(SReg.CHANNEL_LEN, 10, 8)
+    b.li(1, n)
+    b.li(2, 0)              # int8 operand a, step 16
+    b.li(3, 512)            # int8 operand b, step 16
+    b.li(4, 8192)           # int8 results, step 16 (13 regions of 256)
+    b.li(6, 12288)          # int32 results, step 64 (2 regions of 1024)
+    b.li(8, 14336)          # int32 accumulator (fixed)
+    b.li(9, 768)            # VEC_CMUL scales (fixed)
+    b.emit("VEC_FILL", rd=8, re=1, funct=4)
+    b.li(30, 0)
+    with b.loop(30, 31):
+        k = 0
+        for mnemonic in ("VEC_ADD", "VEC_SUB", "VEC_MUL", "VEC_MAX",
+                         "VEC_MIN", "VEC_CMUL"):
+            b.emit("SC_ADDIW", rs=4, rt=5, offset=256 * k)
+            b.emit(mnemonic, rs=2, rt=9 if mnemonic == "VEC_CMUL" else 3,
+                   rd=5, re=1)
+            k += 1
+        for mnemonic in ("VEC_RELU", "VEC_RELU6", "VEC_SILU", "VEC_SIGMOID",
+                         "VEC_COPY", "VEC_FILL"):
+            b.emit("SC_ADDIW", rs=4, rt=5, offset=256 * k)
+            b.emit(mnemonic, rs=2, rd=5, re=1)
+            k += 1
+        b.emit("VEC_FILL", rd=6, re=1, funct=4)
+        b.emit("SC_ADDIW", rs=6, rt=7, offset=1024)
+        b.emit("VEC_ADD32", rs=6, rt=6, rd=7, re=1)
+        b.emit("SC_ADDIW", rs=4, rt=5, offset=256 * k)
+        b.emit("VEC_QNT", rs=7, rd=5, re=1)
+        b.emit("VEC_ACC32", rs=3, rd=8, re=1)
+        b.emit("SC_ADDIW", rs=2, rt=2, offset=16)
+        b.emit("SC_ADDIW", rs=3, rt=3, offset=16)
+        b.emit("SC_ADDIW", rs=4, rt=4, offset=16)
+        b.emit("SC_ADDIW", rs=6, rt=6, offset=64)
+    b.halt()
+    rng = np.random.default_rng(59)
+    return {0: b.finalize()}, rng.integers(0, 256, 2048, dtype=np.uint8)
+
+
 _PIN_PROGRAMS = {
     "scalar": _pin_scalar,
     "control": _pin_control,
@@ -1298,6 +1426,7 @@ _PIN_PROGRAMS = {
     "send_recv": _pin_send_recv,
     "cim": _pin_cim,
     "vector": _pin_vector,
+    "batched": _pin_batched,
 }
 
 
@@ -1477,7 +1606,39 @@ _OPCODE_PINS = {
         'local': 'f9c41c53221c9d98',
         'global': 'aec0cdd863a09b12',
     },
+    'batched': {
+        'clock': {0: 1759},
+        'busy': {0: {'scalar': 670, 'vector': 579, 'cim': 605, 'mem': 321,
+            'xfer': 0}},
+        'regs': {0: {1: 16, 2: 192, 3: 704, 4: 8384, 5: 11440, 6: 13056,
+            7: 14016, 8: 14336, 9: 768, 10: 8, 11: 3520, 12: 24, 13: 4096,
+            14: 32, 15: 4224, 16: 53, 17: 3, 19: 1, 20: 55, 21: 54, 22: 424,
+            23: 6, 24: 1, 25: 1179648, 26: 3893, 27: 528, 28: 352, 29: 352,
+            30: 12, 31: 12}},
+        'ready': {0: {1: 1110, 2: 1754, 3: 1755, 4: 1756, 5: 1748, 6: 1757,
+            7: 1745, 8: 1119, 9: 1121, 10: 1108, 11: 491, 12: 26, 13: 485,
+            14: 29, 15: 31, 16: 32, 17: 33, 18: 470, 19: 471, 20: 472,
+            21: 473, 22: 474, 23: 475, 24: 476, 25: 477, 26: 478, 27: 479,
+            28: 480, 29: 482, 30: 1758, 31: 35}},
+        'sregs': {0: {1: 4, 2: 16, 3: 8, 4: 3, 5: 4, 6: 200, 7: 8, 9: 352,
+            12: 8, 13: 4}},
+        'mgs': {0: {0: (16, 8, '464117715909febb'), 1: (16, 8,
+            'f9113d3d016a50a4')}},
+        'acct': {'n_instructions': 1001, 'n_scalar_ops': 670, 'macs': 6144,
+            'mvm_rows': 768, 'mvm_result_bytes': 1536, 'cim_load_bytes': 1664,
+            'vec_elements': 3088, 'local_bytes_read': 12336,
+            'local_bytes_written': 8816, 'global_bytes': 1312,
+            'noc_pj_total': 1443.2000000000012, 'static_pj_total': 2638500.0,
+            'extra_pj': {}},
+        'local': 'c1129bd436cb488b',
+        'global': 'ad6232f30ad5ecd0',
+    },
 }
+
+
+#: The ``batched`` family's three loops replay in closed form on both
+#: block tiers: three warm-up iterations each, the other 27 batched.
+_BATCHED_STATS = {"batch_successes": 3, "loop_iterations_batched": 27}
 
 
 class TestOpcodePins:
@@ -1488,7 +1649,9 @@ class TestOpcodePins:
     agreement says nothing about the semantics themselves.  These pins
     do: a change to any opcode's timing, energy, register or memory
     effect moves a number here, on the interpreter and on both block
-    tiers alike.
+    tiers alike.  The ``batched`` family's loops run long enough to be
+    replayed in closed form, so its pin holds batched replay to the same
+    numbers.
     """
 
     @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
@@ -1501,6 +1664,8 @@ class TestOpcodePins:
             assert stats["cold_block_instructions"] == 0
         elif engine == "cold":
             assert stats["cold_block_instructions"] > 0
+        if family == "batched" and engine != "interp":
+            assert {k: stats[k] for k in _BATCHED_STATS} == _BATCHED_STATS
 
 
 class TestNegativeLength:
