@@ -66,9 +66,14 @@ written.  A compiled block renders it with the operands baked in;
 decoded tuple, and ``core._DISPATCH`` installs that handler the first
 time the opcode executes.  The interpreter, the cold tier and the
 blocking fallback therefore run the same definition the compiled blocks
-do.  Batched replay shares the int8 elementwise kernels
-(:data:`_VEC_KERNELS`); the batch planner's symbolic walk
-(:func:`_build_template`) is the one remaining restatement.
+do.  The emitter, the batch planner's symbolic walk
+(:func:`_build_template`) and batched replay (:func:`_exec_batch`) read
+the same per-opcode declarations: :data:`_ALU` (each scalar ALU op's
+result field and source text), :data:`_VEC` (each vector op's operand
+regions, result, S_Regs, kernel and energy) and :func:`_fill`.  The
+walk adds only affine rules (ADD, SUB, MUL, ADDI, MULI, ADDIW) and the
+copy and CIM regions; each plan op is ``(kind, args, read regions,
+write region)``.
 
 ``RECV``/``BARRIER``/``HALT``, extension opcodes and anything else the
 code generator does not support end a block and fall back to the
@@ -81,7 +86,7 @@ batched.  Engine selection is ``REPRO_SIM_ENGINE`` (``block``, the
 default, or ``interp`` for the legacy interpreter).
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -112,44 +117,124 @@ _EXIT_OPS = frozenset({int(Op.RECV), int(Op.BARRIER), int(Op.HALT)})
 
 _BRANCH_OPS = frozenset({int(Op.BEQ), int(Op.BNE), int(Op.BLT), int(Op.BGE)})
 
-_SCALAR2_OPS = frozenset({
-    int(Op.SC_ADD), int(Op.SC_SUB), int(Op.SC_MUL), int(Op.SC_SLT),
-    int(Op.SC_AND), int(Op.SC_OR), int(Op.SC_XOR), int(Op.SC_SLL),
-    int(Op.SC_SRL),
-})
+#: Position of each operand field in a decoded tuple.
+_FIELD = {"rs": 1, "rt": 2, "rd": 3, "re": 4}
 
-_VEC_OPS = frozenset({
-    int(Op.VEC_ADD), int(Op.VEC_SUB), int(Op.VEC_MUL), int(Op.VEC_MAX),
-    int(Op.VEC_MIN), int(Op.VEC_RELU), int(Op.VEC_RELU6), int(Op.VEC_SILU),
-    int(Op.VEC_SIGMOID), int(Op.VEC_COPY), int(Op.VEC_ADD32),
-    int(Op.VEC_QNT), int(Op.VEC_ACC32), int(Op.VEC_FILL), int(Op.VEC_CMUL),
+#: The scalar ALU: opcode -> (result field, source text).  The text is
+#: over ``{a}`` (``r[rs]``), ``{b}`` (``r[rt]``), ``{imm}`` and
+#: ``{off}``; the registers it names are the op's dependencies.
+_ALU = {
+    int(Op.SC_ADD): ("rd", "{a} + {b}"),
+    int(Op.SC_SUB): ("rd", "{a} - {b}"),
+    int(Op.SC_MUL): ("rd", "{a} * {b}"),
+    int(Op.SC_SLT): ("rd", "1 if {a} < {b} else 0"),
+    int(Op.SC_AND): ("rd", "{a} & {b}"),
+    int(Op.SC_OR): ("rd", "{a} | {b}"),
+    int(Op.SC_XOR): ("rd", "{a} ^ {b}"),
+    int(Op.SC_SLL): ("rd", "{a} << ({b} & 31)"),
+    int(Op.SC_SRL): ("rd", "({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    int(Op.SC_ADDI): ("rt", "{a} + {imm}"),
+    int(Op.SC_MULI): ("rt", "{a} * {imm}"),
+    int(Op.SC_SLTI): ("rt", "1 if {a} < {imm} else 0"),
+    int(Op.SC_LUI): ("rt", "({off} & 0xFFFF) << 16"),
+    int(Op.SC_ORI): ("rt", "{a} | ({off} & 0xFFFF)"),
+    int(Op.SC_ADDIW): ("rt", "{a} + {off}"),
+}
+
+#: Each ALU text compiled once, over bound operand values: how the
+#: batch planner's walk evaluates the ops it has no affine rule for.
+_ALU_FN = {
+    op: eval("lambda a, b, imm, off: "
+             + text.format(a="a", b="b", imm="imm", off="off"))
+    for op, (_, text) in _ALU.items()
+}
+
+
+def _saturating(ufunc):
+    return lambda a, b: saturate_i8(ufunc(a.astype(np.int16),
+                                          b.astype(np.int16)))
+
+
+class _VecOp(NamedTuple):
+    """One vector op, as the emitter, the planner's walk and batched
+    replay all read it.
+
+    ``reads`` are the operands, ``(field, element bytes, count)``: the
+    count is ``"n"`` (the length register) or an S_Reg index that must
+    be positive and divide ``n``.  ``out`` is the result ``(field,
+    element bytes)``.  ``kernel`` takes the operands, then the values of
+    the ``sregs``, and is written over any leading axes: one ``(n,)``
+    operand in a block, an ``(M, n)`` stack in batched replay.  ``lr``
+    is the local bytes read charged per element; an ``acc`` op adds its
+    kernel's result to the int32 ``out`` region (a running sum when
+    batched).
+    """
+
+    reads: Tuple
+    out: Tuple
+    kernel: Callable
+    lr: int = 2
+    sregs: Tuple = ()
+    acc: bool = False
+
+
+_A8 = (("rs", 1, "n"),)
+_AB8 = (("rs", 1, "n"), ("rt", 1, "n"))
+_I8 = ("rd", 1)
+
+#: Every vector op but VEC_FILL (see :func:`_fill`).
+_VEC = {
+    int(Op.VEC_ADD): _VecOp(_AB8, _I8, _saturating(np.add)),
+    int(Op.VEC_SUB): _VecOp(_AB8, _I8, _saturating(np.subtract)),
+    int(Op.VEC_MUL): _VecOp(_AB8, _I8, _saturating(np.multiply)),
+    # max/min of int8 cannot overflow: same bits, no widening.
+    int(Op.VEC_MAX): _VecOp(_AB8, _I8, np.maximum),
+    int(Op.VEC_MIN): _VecOp(_AB8, _I8, np.minimum),
+    int(Op.VEC_RELU): _VecOp(
+        _A8, _I8, lambda a: np.maximum(a, 0).astype(np.int8)),
+    int(Op.VEC_RELU6): _VecOp(
+        _A8, _I8, lambda a: np.clip(a, 0, RELU6_CLIP).astype(np.int8)),
+    int(Op.VEC_SILU): _VecOp(_A8, _I8, lambda a: apply_lut(a, SILU_LUT)),
+    int(Op.VEC_SIGMOID): _VecOp(
+        _A8, _I8, lambda a: apply_lut(a, SIGMOID_LUT)),
+    int(Op.VEC_COPY): _VecOp(_A8, _I8, np.copy),
+    # per-channel scales: S_Reg CHANNEL_LEN bytes, tiled over the row
+    int(Op.VEC_CMUL): _VecOp(
+        (("rs", 1, "n"), ("rt", 1, 12)), _I8,
+        lambda x, c: cmul_i8(x, np.tile(c, x.shape[-1] // c.shape[-1]))),
+    int(Op.VEC_ADD32): _VecOp(
+        (("rs", 4, "n"), ("rt", 4, "n")), ("rd", 4), np.add, lr=8),
+    int(Op.VEC_QNT): _VecOp(
+        (("rs", 4, "n"),), _I8,
+        lambda x, q, sh: requantize(
+            x, QuantParams(qmul=q if q > 1 else 1, qshift=sh)),
+        lr=4, sregs=(4, 5)),
+    int(Op.VEC_ACC32): _VecOp(
+        _A8, ("rd", 4), lambda x: x.astype(np.int32), lr=5, acc=True),
+}
+
+
+def _fill(value: int, n: int, funct: int) -> np.ndarray:
+    """VEC_FILL's result: ``n`` copies of the sign-extended low byte of
+    ``value`` (S_Reg FILL_VALUE), int32 when ``funct == 4``, else int8."""
+    value &= 0xFF
+    return np.full(n, value - 256 if value >= 128 else value,
+                   dtype=np.int32 if funct == 4 else np.int8)
+
+
+#: Opcodes eligible for batched loop replay (no sends, no global-memory
+#: writes, no register-load operations).
+_BATCHABLE = frozenset(_ALU) | frozenset(_VEC) | frozenset({
+    int(Op.VEC_FILL), int(Op.MV_G2S), int(Op.MV_S2G), int(Op.NOP),
+    int(Op.SYNC), int(Op.MEM_CPY), int(Op.MEM_GATHER), int(Op.CIM_LOAD),
+    int(Op.CIM_MVM),
 })
 
 #: Everything the code generator can compile.
-_SUPPORTED = (
-    _SCALAR2_OPS | _VEC_OPS | _BRANCH_OPS
-    | frozenset({
-        int(Op.SC_ADDI), int(Op.SC_MULI), int(Op.SC_SLTI), int(Op.SC_LUI),
-        int(Op.SC_ORI), int(Op.SC_ADDIW), int(Op.MV_G2S), int(Op.MV_S2G),
-        int(Op.JMP), int(Op.NOP), int(Op.SYNC),
-        int(Op.MEM_CPY), int(Op.MEM_LD), int(Op.MEM_ST),
-        int(Op.MEM_GATHER), int(Op.MEM_SCATTER), int(Op.SEND),
-        int(Op.CIM_LOAD), int(Op.CIM_CFG), int(Op.CIM_MVM),
-    })
-)
-
-#: Opcodes eligible for batched loop replay (a strict subset: no sends,
-#: no global-memory writes, no register-load operations).
-_BATCHABLE = (
-    _SCALAR2_OPS | _VEC_OPS
-    | frozenset({
-        int(Op.SC_ADDI), int(Op.SC_MULI), int(Op.SC_SLTI), int(Op.SC_LUI),
-        int(Op.SC_ORI), int(Op.SC_ADDIW), int(Op.MV_G2S), int(Op.MV_S2G),
-        int(Op.NOP), int(Op.SYNC),
-        int(Op.MEM_CPY), int(Op.MEM_GATHER), int(Op.CIM_LOAD),
-        int(Op.CIM_MVM),
-    })
-)
+_SUPPORTED = _BATCHABLE | _BRANCH_OPS | frozenset({
+    int(Op.JMP), int(Op.MEM_LD), int(Op.MEM_ST), int(Op.MEM_SCATTER),
+    int(Op.SEND), int(Op.CIM_CFG),
+})
 
 #: Do not bother batching loops expected to run fewer iterations.
 _MIN_BATCH = 4
@@ -218,6 +303,29 @@ def _global_copy(core, src, dst, nbytes, start):
     )
 
 
+def _row_index(b: int, s: int, l: int, m: int) -> np.ndarray:
+    """Byte indices of the ``m`` rows ``[b + i*s, b + i*s + l)``."""
+    return (
+        b
+        + np.arange(m, dtype=np.int64)[:, None] * s
+        + np.arange(l, dtype=np.int64)[None, :]
+    )
+
+
+def _rows(arr: np.ndarray, b: int, s: int, l: int, m: int) -> np.ndarray:
+    """The ``(m, l)`` rows ``arr[b + i*s : b + i*s + l]``: one copied row
+    broadcast for step 0, a zero-copy strided view (writable, valid
+    while ``arr`` is) for a positive step, a gather for a negative one.
+    The caller has checked every row lies inside ``arr``."""
+    if s == 0:
+        return np.broadcast_to(arr[b:b + l].copy(), (m, l))
+    if s > 0:
+        return np.lib.stride_tricks.as_strided(
+            arr[b:], shape=(m, l), strides=(s, 1)
+        )
+    return arr[_row_index(b, s, l, m)]
+
+
 _GIDX_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
 
 
@@ -229,40 +337,9 @@ def _gidx(count: int, chunk: int, stride: int) -> np.ndarray:
     if idx is None:
         if len(_GIDX_CACHE) > 512:
             _GIDX_CACHE.clear()
-        idx = (
-            np.arange(count, dtype=np.int64)[:, None] * stride
-            + np.arange(chunk, dtype=np.int64)[None, :]
-        ).reshape(-1)
+        idx = _row_index(0, stride, chunk, count).reshape(-1)
         _GIDX_CACHE[key] = idx
     return idx
-
-
-def _saturating(ufunc):
-    return lambda a, b: saturate_i8(ufunc(a.astype(np.int16),
-                                          b.astype(np.int16)))
-
-
-#: The int8 elementwise vector ops, written over any leading axes: one
-#: ``(n,)`` operand in generated code, an ``(M, n)`` stack in batched
-#: replay.  Binary kernels take ``(a, b)``, unary ones ``(a)``.
-_VEC_KERNELS = {
-    int(Op.VEC_ADD): _saturating(np.add),
-    int(Op.VEC_SUB): _saturating(np.subtract),
-    int(Op.VEC_MUL): _saturating(np.multiply),
-    # max/min of int8 cannot overflow: same bits, no widening.
-    int(Op.VEC_MAX): np.maximum,
-    int(Op.VEC_MIN): np.minimum,
-    int(Op.VEC_RELU): lambda a: np.maximum(a, 0).astype(np.int8),
-    int(Op.VEC_RELU6): lambda a: np.clip(a, 0, RELU6_CLIP).astype(np.int8),
-    int(Op.VEC_SILU): lambda a: apply_lut(a, SILU_LUT),
-    int(Op.VEC_SIGMOID): lambda a: apply_lut(a, SIGMOID_LUT),
-    int(Op.VEC_COPY): np.copy,
-}
-
-_VEC_BINARY = frozenset({
-    int(Op.VEC_ADD), int(Op.VEC_SUB), int(Op.VEC_MUL), int(Op.VEC_MAX),
-    int(Op.VEC_MIN),
-})
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +443,34 @@ class _Emit:
             self.w(f"_c += {extra}")
         self.issue("mem", "_c", deps=deps)
 
+    def read(self, reg, eb: int, n: str, out: str,
+             copy: bool = False) -> None:
+        """``out`` = the ``n`` int8 (``eb`` 1) or int32 (``eb`` 4)
+        elements at ``r[reg]``: a scratchpad view (an owned copy with
+        ``copy``), else read through the memory map."""
+        self.uses.add("mem")
+        nb = n if eb == 1 else f"4 * {n}"
+        view = ".view(np.int32)" if eb == 4 else ""
+        self.w(f"_a = r[{reg}]")
+        self.w(f"if 0 <= _a and _a + {nb} <= LSZ:")
+        self.w(f"    {out} = lm[_a:_a + {nb}]{view}"
+               + (".copy()" if copy else ""))
+        self.w("else:")
+        self.w(f"    {out} = mem.read{'_i32' if eb == 4 else ''}"
+               f"(cid, _a, {n})")
+
+    def write(self, reg, eb: int, n: str, value: str) -> None:
+        """Store the ``n`` int8 (``eb`` 1) or int32 (``eb`` 4) elements
+        of ``value`` at ``r[reg]``."""
+        self.uses.add("mem")
+        nb = n if eb == 1 else f"4 * {n}"
+        self.w(f"_o = r[{reg}]")
+        self.w(f"if 0 <= _o and _o + {nb} <= LSZ:")
+        self.w(f"    lm[_o:_o + {nb}] = {value}"
+               + (".view(np.int8)" if eb == 4 else ""))
+        self.w("else:")
+        self.w(f"    mem.write{'_i32' if eb == 4 else ''}(cid, _o, {value})")
+
 
 def _emit_instr(em: _Emit, f: Tuple) -> None:
     """Render one built-in instruction: the one definition of its timing,
@@ -380,59 +485,25 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
     """
     op, rs, rt, rd, re, imm, off, funct, flags = f
 
-    if op in _SCALAR2_OPS:
-        a, b = f"r[{rs}]", f"r[{rt}]"
-        expr = {
-            int(Op.SC_ADD): f"{a} + {b}",
-            int(Op.SC_SUB): f"{a} - {b}",
-            int(Op.SC_MUL): f"{a} * {b}",
-            int(Op.SC_SLT): f"1 if {a} < {b} else 0",
-            int(Op.SC_AND): f"{a} & {b}",
-            int(Op.SC_OR): f"{a} | {b}",
-            int(Op.SC_XOR): f"{a} ^ {b}",
-            int(Op.SC_SLL): f"{a} << ({b} & 31)",
-            int(Op.SC_SRL): f"({a} & 0xFFFFFFFF) >> ({b} & 31)",
-        }[op]
-        em.w(f"_v = {expr}")
-        em.issue("scalar", "1", deps=(rs, rt))
-        em.write_reg(rd, "_v", "_t + 1")
+    if op in _ALU:
+        field, text = _ALU[op]
+        em.issue("scalar", "1", deps=tuple(
+            reg for reg, name in ((rs, "{a}"), (rt, "{b}")) if name in text
+        ))
+        value = text.format(a=f"r[{rs}]", b=f"r[{rt}]", imm=imm, off=off)
+        em.write_reg(f[_FIELD[field]], value, "_t + 1")
         em.scalar_tally()
-    elif op in (int(Op.SC_ADDI), int(Op.SC_MULI), int(Op.SC_SLTI)):
-        a = f"r[{rs}]"
-        expr = {
-            int(Op.SC_ADDI): f"{a} + {imm}",
-            int(Op.SC_MULI): f"{a} * {imm}",
-            int(Op.SC_SLTI): f"1 if {a} < {imm} else 0",
-        }[op]
-        em.w(f"_v = {expr}")
-        em.issue("scalar", "1", deps=(rs,))
-        em.write_reg(rt, "_v", "_t + 1")
-        em.scalar_tally()
-    elif op == int(Op.SC_LUI):
-        em.issue("scalar", "1")
-        em.write_reg(rt, f"({off} & 0xFFFF) << 16", "_t + 1")
-        em.scalar_tally()
-    elif op == int(Op.SC_ORI):
-        em.issue("scalar", "1", deps=(rs,))
-        em.write_reg(rt, f"r[{rs}] | ({off} & 0xFFFF)", "_t + 1")
-        em.scalar_tally()
-    elif op == int(Op.SC_ADDIW):
-        em.issue("scalar", "1", deps=(rs,))
-        em.write_reg(rt, f"r[{rs}] + {off}", "_t + 1")
-        em.scalar_tally()
-    elif op == int(Op.MV_G2S):
+    elif op in (int(Op.MV_G2S), int(Op.MV_S2G)):
         em.uses.add("sregs")
-        em.issue("scalar", "1", deps=(rs,))
+        em.issue("scalar", "1", deps=(rs,) if op == int(Op.MV_G2S) else ())
         em.w(f"_i = {imm}")
         em.w("if not 0 <= _i < len(s): "
              "raise SimulationError(f\"core {core.core_id}: "
              "bad S_Reg index {_i}\")")
-        em.w(f"s[_i] = r[{rs}]")
-        em.scalar_tally()
-    elif op == int(Op.MV_S2G):
-        em.uses.add("sregs")
-        em.issue("scalar", "1")
-        em.write_reg(rt, f"s[{imm}]", "_t + 1")
+        if op == int(Op.MV_G2S):
+            em.w(f"s[_i] = r[{rs}]")
+        else:
+            em.write_reg(rt, "s[_i]", "_t + 1")
         em.scalar_tally()
     elif op in (int(Op.NOP), int(Op.SYNC), int(Op.JMP)):
         em.issue("scalar", "1")
@@ -493,24 +564,20 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
             em.w("    mem.write(cid, _b, _w)")
         em.w("_ce(core, _nb, _sg, _dg, _t)")
     elif op == int(Op.SEND):
-        em.uses.update(("mem", "send"))
-        em.w(f"_a = r[{rs}]")
+        em.uses.add("send")
         em.w(f"_d = r[{rt}]")
         em.length(rd, op)
         em.w("_m = _n if _n > 0 else 1")
         em.w("_c = (_m + FLT - 1) // FLT")
         em.issue("xfer", "_c", deps=(rs, rt, rd))
-        em.w("if 0 <= _a and _a + _n <= LSZ:")
-        em.w("    _x = lm[_a:_a + _n].copy()")
-        em.w("else:")
-        em.w("    _x = mem.read(cid, _a, _n)")
+        em.read(rs, 1, "_n", "_x", copy=True)
         em.w("_v = noc.transfer(cid, _d, _n, _t)")
         em.w("chip.deliver(cid, _d, _v, _x)")
         em.w("acct.noc_transfer(noc.energy_pj(_n, cid, _d))")
         em.w("t_lr += _n; t_lw += _n")
         em.tallies.update(("t_lr", "t_lw"))
     elif op == int(Op.CIM_LOAD):
-        em.uses.update(("mem", "cim", "sregs"))
+        em.uses.update(("cim", "sregs"))
         em.w(f"_g = r[{rt}]")
         em.w("_rw = s[2]")
         em.w("_cl = s[3]")
@@ -519,13 +586,9 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("if _rw <= 0 or _cl <= 0: raise SimulationError("
              "f\"core {cid}: CIM_LOAD with rows={_rw} cols={_cl}\")")
         em.w("_n = _rw * _cl")
-        em.w(f"_a = r[{rs}]")
         # The register owns one int8 copy: the scratchpad slice is a view
         # (later stores would rewrite the loaded weights), read() copies.
-        em.w("if 0 <= _a and _a + _n <= LSZ:")
-        em.w("    _x = lm[_a:_a + _n].copy()")
-        em.w("else:")
-        em.w("    _x = mem.read(cid, _a, _n)")
+        em.read(rs, 1, "_n", "_x", copy=True)
         em.w("mgs[_g] = (_x.reshape(_rw, _cl), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
@@ -541,40 +604,29 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("mgs[_g] = (_e[0], _rw, _cl)")
         em.issue("cim", "1", deps=(rt,))
     elif op == int(Op.CIM_MVM):
-        em.uses.update(("mem", "cim"))
+        em.uses.add("cim")
         em.w(f"_g = r[{rt}]")
         em.w("_e = mgs[_g]")
         em.w("if _e is None: raise SimulationError("
              "f\"core {cid}: CIM_MVM on unloaded macro group {_g}\")")
         em.w("_w, _rw, _cl = _e")
-        em.w(f"_a = r[{rs}]")
-        em.w("if 0 <= _a and _a + _rw <= LSZ:")
-        em.w("    _x = lm[_a:_a + _rw]")
-        em.w("else:")
-        em.w("    _x = mem.read(cid, _a, _rw)")
+        em.read(rs, 1, "_rw", "_x")
         em.w("_v = int_matmul(_x, _w[:_rw, :_cl])")
-        em.w(f"_o = r[{re}]")
 
         def accumulate():
-            em.w("_n4 = 4 * _cl")
-            em.w("if 0 <= _o and _o + _n4 <= LSZ:")
-            em.w("    _v += lm[_o:_o + _n4].view(np.int32)")
-            em.w("else:")
-            em.w("    _v += mem.read_i32(cid, _o, _cl)")
+            em.read(re, 4, "_cl", "_p")
+            em.w("_v += _p")
 
         em.when(flags, lambda v: v & 1, "{} & 1", accumulate)
         # int_matmul returns a fresh C-contiguous int32 array, so it is
         # stored through a byte view with no further cast or copy.
-        em.w("if 0 <= _o and _o + 4 * _cl <= LSZ:")
-        em.w("    lm[_o:_o + 4 * _cl] = _v.view(np.int8)")
-        em.w("else:")
-        em.w("    mem.write_i32(cid, _o, _v)")
+        em.write(re, 4, "_cl", "_v")
         em.issue("cim", "MVL", occ="MVI", deps=(rs, rt, re))
         em.w("t_mac += _rw * _cl; t_mvr += _rw; t_mvb += 4 * _cl")
         em.w("t_lr += _rw; t_lw += 4 * _cl")
         em.tallies.update(("t_mac", "t_mvr", "t_mvb", "t_lr", "t_lw"))
-    elif op in _VEC_OPS:
-        _emit_vec(em, op, rs, rt, rd, re, funct)
+    elif op in _VEC or op == int(Op.VEC_FILL):
+        _emit_vec(em, f)
     elif op in _BRANCH_OPS:
         a, b = f"r[{rs}]", f"r[{rt}]"
         cond = {
@@ -590,100 +642,46 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         raise AssertionError(f"cannot compile opcode {op:#x}")
 
 
-def _emit_vec(em: _Emit, op: int, rs, rt, rd, re, funct) -> None:
-    """The vector unit's part of :func:`_emit_instr`."""
-    em.uses.update(("mem", "vec"))
+def _emit_vec(em: _Emit, f: Tuple) -> None:
+    """The vector unit's part of :func:`_emit_instr`: a :data:`_VEC`
+    entry, or VEC_FILL through :func:`_fill`."""
+    op, rs, rt, rd, re, _, _, funct, _ = f
+    em.uses.add("vec")
+    em.length(re, op)
 
-    def read8(reg, n: str, out: str) -> None:
-        em.w(f"_a = r[{reg}]")
-        em.w(f"if 0 <= _a and _a + {n} <= LSZ:")
-        em.w(f"    {out} = lm[_a:_a + {n}]")
-        em.w("else:")
-        em.w(f"    {out} = mem.read(cid, _a, {n})")
-
-    def read32(reg, n: str, out: str) -> None:
-        em.w(f"_a = r[{reg}]")
-        em.w(f"if 0 <= _a and _a + 4 * {n} <= LSZ:")
-        em.w(f"    {out} = lm[_a:_a + 4 * {n}].view(np.int32)")
-        em.w("else:")
-        em.w(f"    {out} = mem.read_i32(cid, _a, {n})")
-
-    def write8(reg, n: str, value: str) -> None:
-        em.w(f"_o = r[{reg}]")
-        em.w(f"if 0 <= _o and _o + {n} <= LSZ:")
-        em.w(f"    lm[_o:_o + {n}] = {value}")
-        em.w("else:")
-        em.w(f"    mem.write(cid, _o, {value})")
-
-    def write32(reg, n: str, value: str) -> None:
-        em.w(f"_o = r[{reg}]")
-        em.w(f"if 0 <= _o and _o + 4 * {n} <= LSZ:")
-        em.w(f"    lm[_o:_o + 4 * {n}] = {value}.view(np.int8)")
-        em.w("else:")
-        em.w(f"    mem.write_i32(cid, _o, {value})")
-
-    def energy(elems: str, br: str, bw: str) -> None:
-        em.w(f"t_ve += {elems}; t_lr += {br}; t_lw += {bw}")
+    def store(reg, eb: int, lr: int) -> None:
+        em.write(reg, eb, "_n", "_y")
+        em.w(f"t_ve += _n; t_lr += {lr} * _n; t_lw += {eb} * _n")
         em.tallies.update(("t_ve", "t_lr", "t_lw"))
 
-    em.length(re, op)
-    if op == int(Op.VEC_QNT):
+    if op == int(Op.VEC_FILL):
         em.uses.add("sregs")
-        read32(rs, "_n", "_x")
-        em.w("_q = s[4]")
-        em.w("if _q < 1: _q = 1")
-        em.w("_y = requantize(_x, QuantParams(qmul=_q, qshift=s[5]))")
-        write8(rd, "_n", "_y")
-        energy("_n", "4 * _n", "_n")
-    elif op == int(Op.VEC_ADD32):
-        read32(rs, "_n", "_x")
-        read32(rt, "_n", "_b")
-        em.w("_y = _x + _b")
-        write32(rd, "_n", "_y")
-        energy("_n", "8 * _n", "4 * _n")
-    elif op == int(Op.VEC_ACC32):
-        read8(rs, "_n", "_x")
-        em.w("_x = _x.astype(np.int32)")
-        read32(rd, "_n", "_b")
-        em.w("_y = _x + _b")
-        write32(rd, "_n", "_y")
-        energy("_n", "5 * _n", "4 * _n")
-    elif op == int(Op.VEC_FILL):
-        em.uses.add("sregs")
-        em.w("_f = s[6] & 0xFF")
-        em.w("_f = _f - 256 if _f >= 128 else _f")
-
-        def fill32():
-            em.w("_y = np.full(_n, _f, dtype=np.int32)")
-            write32(rd, "_n", "_y")
-            energy("_n", "0", "4 * _n")
-
-        def fill8():
-            em.w("_y = np.full(_n, _f, dtype=np.int8)")
-            write8(rd, "_n", "_y")
-            energy("_n", "0", "_n")
-
-        em.when(funct, lambda v: v == 4, "{} == 4", fill32, fill8)
-    elif op == int(Op.VEC_CMUL):
-        em.uses.add("sregs")
-        em.w("_ch = s[12]")
-        em.w("if _ch <= 0 or _n % _ch: raise SimulationError("
-             "f\"core {cid}: VEC_CMUL length {_n} not a multiple of "
-             "channel count {_ch}\")")
-        read8(rs, "_n", "_x")
-        read8(rt, "_ch", "_b")
-        em.w("_y = cmul_i8(_x, np.tile(_b, _n // _ch))")
-        write8(rd, "_n", "_y")
-        energy("_n", "2 * _n", "_n")
+        em.w(f"_y = _fill(s[6], _n, {funct})")
+        em.when(funct, lambda v: v == 4, "{} == 4",
+                lambda: store(rd, 4, 0), lambda: store(rd, 1, 0))
     else:
-        read8(rs, "_n", "_x")
-        if op in _VEC_BINARY:
-            read8(rt, "_n", "_b")
-            em.w(f"_y = _K[{op}](_x, _b)")
-        else:
-            em.w(f"_y = _K[{op}](_x)")
-        write8(rd, "_n", "_y")
-        energy("_n", "2 * _n", "_n")
+        spec = _VEC[op]
+        for _, _, count in spec.reads:
+            if count != "n":
+                em.uses.add("sregs")
+                em.w(f"_k = s[{count}]")
+                em.w("if _k <= 0 or _n % _k: raise SimulationError("
+                     f"f\"core {{cid}}: {Op(op).name} length {{_n}} not a "
+                     "multiple of channel count {_k}\")")
+        args = []
+        for k, (field, eb, count) in enumerate(spec.reads):
+            em.read(f[_FIELD[field]], eb, "_n" if count == "n" else "_k",
+                    f"_x{k}")
+            args.append(f"_x{k}")
+        if spec.sregs:
+            em.uses.add("sregs")
+            args.extend(f"s[{i}]" for i in spec.sregs)
+        em.w(f"_y = _V[{op}]({', '.join(args)})")
+        field, eb = spec.out
+        if spec.acc:
+            em.read(f[_FIELD[field]], eb, "_n", "_p")
+            em.w("_y = _y + _p")
+        store(f[_FIELD[field]], eb, spec.lr)
     em.issue("vector", "(( _n if _n > 0 else 1) + LAN - 1) // LAN + VDP",
              deps=(rs, rt, rd, re))
 
@@ -803,15 +801,13 @@ def _build_source(shape: Tuple) -> Tuple[str, set, set]:
 _EXEC_GLOBALS = {
     "np": np,
     "SimulationError": SimulationError,
-    "QuantParams": QuantParams,
-    "requantize": requantize,
     "int_matmul": int_matmul,
-    "cmul_i8": cmul_i8,
     "GB": GLOBAL_BASE,
     "_ce": charge_copy_energy,
     "_gc": _global_copy,
     "_gidx": _gidx,
-    "_K": _VEC_KERNELS,
+    "_V": {op: spec.kernel for op, spec in _VEC.items()},
+    "_fill": _fill,
 }
 
 #: shape key -> (function, used units, dep regs)
@@ -1334,7 +1330,7 @@ def _noc_plan_ok(core, gcpys, noc_txns) -> bool:
         return False
     cid = core.core_id
     for op, (src, dst, nbytes, _) in zip(gcpys, noc_txns):
-        if src != GLOBAL_PORT or dst != cid or nbytes != op[3]:
+        if src != GLOBAL_PORT or dst != cid or nbytes != op[3][2]:
             return False
     return True
 
@@ -1370,7 +1366,7 @@ def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
 
     try:
         plan, m = _plan_entry(core, inst, delta, max_iterations)
-        gcpys = [op for op in plan[0] if op[0] == "gcpy"]
+        gcpys = [op for op in plan if op[0] == "gcpy"]
         if gcpys or noc_txns:
             if not _noc_plan_ok(core, gcpys, noc_txns):
                 raise _Bail()
@@ -1523,25 +1519,22 @@ def _e_shift(a: Tuple, c: int) -> Tuple:
     return (a[0] + c, a[1])
 
 
-#: Plan-op tag -> positions of the operand bases in its tuple: linear
-#: expressions in a template, integers in an instantiated plan.
-_BASE_FIELDS = {
-    "cpy": (1, 4), "gcpy": (1, 4), "cimload": (1,), "mvm": (1, 5),
-    "qnt": (1, 4), "add32": (1, 3, 6), "acc32": (1, 4), "fill": (4,),
-    "cmul": (1, 3, 7), "bin": (2, 4, 7), "un": (2, 5),
-}
-
+#: A plan op is ``(kind, args, read regions, write region or None)``; a
+#: region is ``(base, step, nbytes)``, its base a linear expression in a
+#: template and an integer in an instantiated plan.  Kinds: ``cpy``
+#: (args: None, or MEM_GATHER's ``(count, chunk, stride)``), ``gcpy`` (a
+#: global-source MEM_CPY), ``cimload`` (``(rows, cols, mg)``; no write),
+#: ``mvm`` (``(rows, cols, mg, flags, in-loop load)``), ``vec`` (the
+#: opcode, then its :data:`_VEC` S_Reg values) and ``fill`` (the
+#: arguments of :func:`_fill`).
 
 class _PlanTemplate:
     """One symbolic batch plan, instantiable against any entry state."""
 
-    __slots__ = (
-        "ops", "writes", "cnt", "bound", "guards", "mvm_guards", "_hazards",
-    )
+    __slots__ = ("ops", "cnt", "bound", "guards", "mvm_guards", "_hazards")
 
-    def __init__(self, ops, writes, cnt, bound, guards, mvm_guards):
-        self.ops = ops            # op tuples with exprs in base positions
-        self.writes = writes      # (base expr, step, nbytes)
+    def __init__(self, ops, cnt, bound, guards, mvm_guards):
+        self.ops = ops            # plan ops, bases as linear expressions
         self.cnt = cnt            # (expr, step) of the BLT counter
         self.bound = bound        # expr of the BLT bound (step 0)
         self.guards = guards      # (expr, expected value) bindings
@@ -1589,15 +1582,14 @@ class _PlanTemplate:
             # cleanly.
             raise _Bail()
 
-        ops: List[Tuple] = []
-        for op in self.ops:
-            fields = list(op)
-            for i in _BASE_FIELDS[op[0]]:
-                fields[i] = ev(fields[i])
-            ops.append(tuple(fields))
+        ops = [
+            (kind, args, tuple((ev(b), s, l) for b, s, l in reads),
+             None if w is None else (ev(w[0]), w[1], w[2]))
+            for kind, args, reads, w in self.ops
+        ]
 
         # Every write must stay inside local memory for the whole batch.
-        writes = [(ev(b), s, l) for b, s, l in self.writes]
+        writes = [op[3] for op in ops if op[3] is not None]
         spans = [_span(b, s, l, m) for b, s, l in writes]
         lsz = core.chip.memory.local_size
         for lo, hi in spans:
@@ -1631,7 +1623,7 @@ class _PlanTemplate:
         if collide:
             raise _Bail()
         ENGINE_STATS["template_hits"] += 1
-        return (ops, writes), m
+        return ops, m
 
 
 def _template_key(delta: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -1707,7 +1699,6 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
     entry_sregs = list(core.sregs)
     mgs = core.mgs
     ops: List[Tuple] = []
-    writes: List[Tuple[Tuple, int, int]] = []
     guards: List[Tuple[Tuple, int]] = []
     mvm_guards: List[Tuple[int, int, int]] = []
     vmg_shapes: Dict[int, Tuple[int, int]] = {}
@@ -1748,64 +1739,46 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
         op = t[0]
         rs, rt, rd, re = t[1], t[2], t[3], t[4]
         imm, off, funct, flags = t[5], t[6], t[7], t[8]
-        if op == int(Op.SC_ADD):
-            _wr(regs, rd, (_e_combine(regs[rs][0], regs[rt][0], 1),
-                           regs[rs][1] + regs[rt][1]))
-        elif op == int(Op.SC_SUB):
-            _wr(regs, rd, (_e_combine(regs[rs][0], regs[rt][0], -1),
-                           regs[rs][1] - regs[rt][1]))
-        elif op == int(Op.SC_MUL):
+        if op in _ALU:
             (a_e, a_s), (b_e, b_s) = regs[rs], regs[rt]
-            if a_s == 0:
-                # concrete result: (a0 * b0, a0 * b1)
-                if _e_is_const(b_e) and b_s == 0 and not _e_is_const(a_e):
-                    _wr(regs, rd, (_e_scale(a_e, b_e[0]), 0))
+            if op == int(Op.SC_ADD):
+                value = (_e_combine(a_e, b_e, 1), a_s + b_s)
+            elif op == int(Op.SC_SUB):
+                value = (_e_combine(a_e, b_e, -1), a_s - b_s)
+            elif op == int(Op.SC_MUL):
+                if a_s == 0:
+                    # concrete result: (a0 * b0, a0 * b1)
+                    if (_e_is_const(b_e) and b_s == 0
+                            and not _e_is_const(a_e)):
+                        value = (_e_scale(a_e, b_e[0]), 0)
+                    else:
+                        c = bind(a_e)
+                        value = (_e_scale(b_e, c), c * b_s)
+                elif b_s == 0:
+                    # concrete result: (a0 * b0, a1 * b0)
+                    c = bind(b_e)
+                    value = (_e_scale(a_e, c), a_s * c)
                 else:
-                    c = bind(a_e)
-                    _wr(regs, rd, (_e_scale(b_e, c), c * b_s))
-            elif b_s == 0:
-                # concrete result: (a0 * b0, a1 * b0)
-                c = bind(b_e)
-                _wr(regs, rd, (_e_scale(a_e, c), a_s * c))
+                    definite_bail()
+            elif op == int(Op.SC_ADDI):
+                value = (_e_shift(a_e, imm), a_s)
+            elif op == int(Op.SC_MULI):
+                value = (_e_scale(a_e, imm), a_s * imm)
+            elif op == int(Op.SC_ADDIW):
+                value = (_e_shift(a_e, off), a_s)
             else:
-                definite_bail()
-        elif op in (int(Op.SC_SLT), int(Op.SC_AND), int(Op.SC_OR),
-                    int(Op.SC_XOR), int(Op.SC_SLL), int(Op.SC_SRL)):
-            a = bind(invariant(regs[rs]))
-            b = bind(invariant(regs[rt]))
-            if op == int(Op.SC_SLT):
-                v = 1 if a < b else 0
-            elif op == int(Op.SC_AND):
-                v = a & b
-            elif op == int(Op.SC_OR):
-                v = a | b
-            elif op == int(Op.SC_XOR):
-                v = a ^ b
-            elif op == int(Op.SC_SLL):
-                v = a << (b & 31)
-            else:
-                v = (a & 0xFFFFFFFF) >> (b & 31)
-            _wr(regs, rd, (_e_const(v), 0))
-        elif op == int(Op.SC_ADDI):
-            _wr(regs, rt, (_e_shift(regs[rs][0], imm), regs[rs][1]))
-        elif op == int(Op.SC_MULI):
-            _wr(regs, rt, (_e_scale(regs[rs][0], imm), regs[rs][1] * imm))
-        elif op == int(Op.SC_SLTI):
-            v = 1 if bind(invariant(regs[rs])) < imm else 0
-            _wr(regs, rt, (_e_const(v), 0))
-        elif op == int(Op.SC_LUI):
-            _wr(regs, rt, (_e_const((off & 0xFFFF) << 16), 0))
-        elif op == int(Op.SC_ORI):
-            v = bind(invariant(regs[rs])) | (off & 0xFFFF)
-            _wr(regs, rt, (_e_const(v), 0))
-        elif op == int(Op.SC_ADDIW):
-            _wr(regs, rt, (_e_shift(regs[rs][0], off), regs[rs][1]))
-        elif op == int(Op.MV_G2S):
+                text = _ALU[op][1]
+                a = bind(invariant(regs[rs])) if "{a}" in text else 0
+                b = bind(invariant(regs[rt])) if "{b}" in text else 0
+                value = (_e_const(_ALU_FN[op](a, b, imm, off)), 0)
+            _wr(regs, t[_FIELD[_ALU[op][0]]], value)
+        elif op in (int(Op.MV_G2S), int(Op.MV_S2G)):
             if not 0 <= imm < 16:
                 raise _Bail()
-            sregs[imm] = regs[rs]
-        elif op == int(Op.MV_S2G):
-            _wr(regs, rt, sregs[imm])
+            if op == int(Op.MV_G2S):
+                sregs[imm] = regs[rs]
+            else:
+                _wr(regs, rt, sregs[imm])
         elif op in (int(Op.NOP), int(Op.SYNC)):
             pass
         elif op == int(Op.MEM_CPY):
@@ -1820,29 +1793,21 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
                 # entries may keep the destination local, so this is
                 # never cached as a definite bail.
                 raise _TemplateUnfit()
-            if ev_entry(sb) >= GLOBAL_BASE:
-                # Weight/activation streaming: read the global image,
-                # write locally, one NoC message per iteration.
-                # Classified by this entry's value, unguarded: an entry
-                # that flips the source's locality fails the executor's
-                # region bounds check and falls back safely.
-                ops.append(("gcpy", sb, ss, n, db, ds))
-            else:
-                ops.append(("cpy", sb, ss, n, db, ds, None))
-            writes.append((db, ds, n))
+            # A global source streams (weights/activations): one NoC
+            # message per iteration.  Classified by this entry's value,
+            # unguarded: an entry that flips the source's locality fails
+            # the executor's region bounds check and falls back safely.
+            kind = "gcpy" if ev_entry(sb) >= GLOBAL_BASE else "cpy"
+            ops.append((kind, None, ((sb, ss, n),), (db, ds, n)))
         elif op == int(Op.MEM_GATHER):
             count = bind(invariant(regs[rd]))
             chunk = bind(invariant(sregs[13]))
             stride = bind(invariant(sregs[7]))
             if count <= 0 or chunk <= 0 or stride <= 0:
                 definite_bail()
-            sb, ss = regs[rs]
-            db, ds = regs[rt]
             span = (count - 1) * stride + chunk
-            nb = count * chunk
-            ops.append(("cpy", sb, ss, span, db, ds,
-                        (count, chunk, stride, nb)))
-            writes.append((db, ds, nb))
+            ops.append(("cpy", (count, chunk, stride), ((*regs[rs], span),),
+                        (*regs[rt], count * chunk)))
         elif op == int(Op.CIM_LOAD):
             mg = bind(invariant(regs[rt]))
             rows = bind(invariant(sregs[2]))
@@ -1854,8 +1819,8 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
                 # iteration's load: a loop-carried macro-group
                 # dependency the batched replay does not model.
                 definite_bail()
-            sb, ss = regs[rs]
-            ops.append(("cimload", sb, ss, rows, cols, mg))
+            ops.append(("cimload", (rows, cols, mg),
+                        ((*regs[rs], rows * cols),), None))
             vmg_shapes[mg] = (rows, cols)
         elif op == int(Op.CIM_MVM):
             mg = bind(invariant(regs[rt]))
@@ -1873,55 +1838,33 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
                 _, rows, cols = mgs[mg]
                 mvm_guards.append((mg, rows, cols))
                 entry_mg_used.add(mg)
-            vb, vs = regs[rs]
-            ob, os_ = regs[re]
-            ops.append(("mvm", vb, vs, rows, cols, ob, os_, mg, flags, virt))
-            writes.append((ob, os_, 4 * cols))
-        elif op in _VEC_OPS:
+            ops.append(("mvm", (rows, cols, mg, flags, virt),
+                        ((*regs[rs], rows),), (*regs[re], 4 * cols)))
+        elif op in _VEC or op == int(Op.VEC_FILL):
             n = bind(invariant(regs[re]))
             if n <= 0:
                 definite_bail()
-            if op == int(Op.VEC_QNT):
-                qmul = max(1, bind(invariant(sregs[4])))
-                qshift = bind(invariant(sregs[5]))
-                ops.append(("qnt", regs[rs][0], regs[rs][1], n,
-                            regs[rd][0], regs[rd][1], qmul, qshift))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            elif op == int(Op.VEC_ADD32):
-                ops.append(("add32", regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], 4 * n))
-            elif op == int(Op.VEC_ACC32):
-                if regs[rd][1] != 0:
-                    definite_bail()
-                ops.append(("acc32", regs[rs][0], regs[rs][1], n,
-                            regs[rd][0]))
-                writes.append((regs[rd][0], 0, 4 * n))
-            elif op == int(Op.VEC_FILL):
-                value = bind(invariant(sregs[6])) & 0xFF
-                value = value - 256 if value >= 128 else value
-                ops.append(("fill", value, funct, n,
-                            regs[rd][0], regs[rd][1]))
-                nb = 4 * n if funct == 4 else n
-                writes.append((regs[rd][0], regs[rd][1], nb))
-            elif op == int(Op.VEC_CMUL):
-                ch = bind(invariant(sregs[12]))
-                if ch <= 0 or n % ch:
-                    definite_bail()
-                ops.append(("cmul", regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], ch, n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            elif op in _VEC_BINARY:
-                ops.append(("bin", op, regs[rs][0], regs[rs][1],
-                            regs[rt][0], regs[rt][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
-            else:
-                ops.append(("un", op, regs[rs][0], regs[rs][1], n,
-                            regs[rd][0], regs[rd][1]))
-                writes.append((regs[rd][0], regs[rd][1], n))
+            if op == int(Op.VEC_FILL):
+                fill = bind(invariant(sregs[6]))
+                ops.append(("fill", (fill, n, funct), (),
+                            (*regs[rd], 4 * n if funct == 4 else n)))
+                continue
+            spec = _VEC[op]
+            reads = []
+            for field, eb, count in spec.reads:
+                if count != "n":
+                    count = bind(invariant(sregs[count]))
+                    if count <= 0 or n % count:
+                        definite_bail()
+                else:
+                    count = n
+                reads.append((*regs[t[_FIELD[field]]], eb * count))
+            args = (op, *(bind(invariant(sregs[i])) for i in spec.sregs))
+            wb, ws = regs[t[_FIELD[spec.out[0]]]]
+            if spec.acc and ws != 0:
+                definite_bail()
+            ops.append(("vec", args, tuple(reads),
+                        (wb, ws, spec.out[1] * n)))
         else:
             definite_bail()
 
@@ -1958,13 +1901,12 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
     bound_e, bound_s = regs[branch[2]]
     if cnt_s <= 0 or bound_s != 0:
         definite_bail()
-    return _PlanTemplate(
-        ops, writes, (cnt_e, cnt_s), bound_e, guards, mvm_guards
-    )
+    return _PlanTemplate(ops, (cnt_e, cnt_s), bound_e, guards, mvm_guards)
 
 
-def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
-    """Run the batched dataflow for ``m`` iterations and flush memory.
+def _exec_batch(core, ops, m: int, pre_flush=None) -> None:
+    """Run the batched dataflow of plan ``ops`` for ``m`` iterations and
+    flush memory.
 
     Phase A computes every value (raising :class:`_Bail` without side
     effects when a region cannot be resolved); phase B flushes.
@@ -1973,7 +1915,6 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     no side effects behind when it does -- it is how the NoC replay
     commits atomically with the memory flush.
     """
-    ops, plan_writes = plan
     mem = core.chip.memory
     lm = mem.locals[core.core_id]
     lsz = mem.local_size
@@ -1981,7 +1922,9 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
     out: List[Tuple[int, int, int, np.ndarray]] = []
     vmgs: Dict[int, np.ndarray] = {}
     mg_final: Dict[int, Tuple[np.ndarray, int, int]] = {}
-    all_spans = [_span(b, s, l, m) for b, s, l in plan_writes]
+    #: per op: the span of its write region (None: it writes nothing)
+    spans = [None if op[3] is None else _span(*op[3], m) for op in ops]
+    writes = [(op[3], sp) for op, sp in zip(ops, spans) if sp is not None]
 
     def _piece_hazard(pb, s, plen, forwarded):
         """Bail on loop-carried interference with this read piece.
@@ -1992,7 +1935,7 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         """
         region = (pb, s, plen)
         pspan = _span(pb, s, plen, m)
-        for w, wspan in zip(plan_writes, all_spans):
+        for w, wspan in writes:
             if forwarded and w[1] == s:
                 continue
             if _regions_collide(region, w, pspan, wspan, m):
@@ -2035,23 +1978,10 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
                 wb, _, _, arr = chosen
                 o = pb - wb
                 pieces.append((off, plen, arr[:, o:o + plen]))
-            elif s == 0:
-                row = lm[pb:pb + plen].copy()
-                pieces.append((off, plen, np.broadcast_to(row, (m, plen))))
-            elif s > 0:
-                # zero-copy strided window over local memory (bounds were
-                # checked above); consumers read it before any flush.
-                view = np.lib.stride_tricks.as_strided(
-                    lm[pb:], shape=(m, plen), strides=(s, 1)
-                )
-                pieces.append((off, plen, view))
             else:
-                idx = (
-                    pb
-                    + np.arange(m, dtype=np.int64)[:, None] * s
-                    + np.arange(plen, dtype=np.int64)[None, :]
-                )
-                pieces.append((off, plen, lm[idx]))
+                # bounds were checked above; a strided view is read by
+                # its consumer before any flush
+                pieces.append((off, plen, _rows(lm, pb, s, plen, m)))
             off += plen
         if len(pieces) == 1:
             return pieces[0][2]
@@ -2060,155 +1990,84 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
             buf[:, off:off + plen] = arr
         return buf
 
-    # Map each op to its slot in ``plan_writes`` (cimload is the only op
-    # that plans no memory write).
-    _w_of_op: List[int] = []
-    _wi = 0
-    for _op in ops:
-        if _op[0] == "cimload":
-            _w_of_op.append(-1)
-        else:
-            _w_of_op.append(_wi)
-            _wi += 1
-
-    def read_acc_init(b, l, op_index):
-        """Initial int32 row for a cumsum accumulator.
-
-        Must be memory-resolved and untouched by any planned write other
-        than the accumulating op's own -- another op writing even the
-        *identical* region (e.g. a VEC_FILL reset each iteration) breaks
-        the running-sum recurrence the cumsum closed form assumes.
-        """
+    def running_sum(index, rows):
+        """The closed form of op ``index`` accumulating ``rows`` into its
+        own step-0 int32 region: the region's entry row plus the running
+        sum.  The region must be untouched by any other planned write --
+        another op writing even the *identical* region (a VEC_FILL
+        reset each iteration, say) breaks the recurrence."""
+        b, _, l = ops[index][3]
         if b < 0 or b + l > lsz:
             raise _Bail()
-        own = _w_of_op[op_index]
-        for k, sp in enumerate(all_spans):
-            if k != own and sp[0] < b + l and b < sp[1]:
+        for k, sp in enumerate(spans):
+            if k != index and sp is not None and sp[0] < b + l and b < sp[1]:
                 raise _Bail()
-        return lm[b:b + l].copy().view(np.int32)
+        init = lm[b:b + l].copy().view(np.int32)
+        return init[None, :] + np.cumsum(rows, axis=0, dtype=np.int32)
 
     def as_i32(arr):
         return np.ascontiguousarray(arr).view(np.int32)
 
-    for op_index, op in enumerate(ops):
-        tag = op[0]
-        if tag == "cpy":
-            _, sb, ss, l, db, ds, gather = op
-            data = read(sb, ss, l)
-            if gather is not None:
-                data = np.ascontiguousarray(data)[:, _gidx(*gather[:3])]
-                l = gather[0] * gather[1]
-            out.append((db, ds, l, data))
-        elif tag == "gcpy":
-            _, sb, ss, l, db, ds = op
+    for index, (kind, args, reads, w) in enumerate(ops):
+        if kind == "cpy":
+            data = read(*reads[0])
+            if args is not None:
+                data = np.ascontiguousarray(data)[:, _gidx(*args)]
+        elif kind == "gcpy":
+            sb, ss, l = reads[0]
             lo, hi = _span(sb, ss, l, m)
             found = mem.segment(lo - GLOBAL_BASE, hi - GLOBAL_BASE)
             if found is None:
                 # outside global memory, or straddling its two segments
                 raise _Bail()
             gm, start = found
-            b0 = sb - GLOBAL_BASE - start
-            if ss == 0:
-                row = gm[b0:b0 + l].copy()
-                data = np.broadcast_to(row, (m, l))
-            elif ss > 0:
-                # zero-copy window is safe: plans never write global
-                # memory, so the view stays valid through the flush
-                data = np.lib.stride_tricks.as_strided(
-                    gm[b0:], shape=(m, l), strides=(ss, 1)
-                )
-            else:
-                idx = (
-                    b0
-                    + np.arange(m, dtype=np.int64)[:, None] * ss
-                    + np.arange(l, dtype=np.int64)[None, :]
-                )
-                data = gm[idx]
-            out.append((db, ds, l, data))
-        elif tag == "cimload":
-            _, sb, ss, rows, cols, mg = op
-            data = read(sb, ss, rows * cols)
+            # a zero-copy window is safe: plans never write global
+            # memory, so the view stays valid through the flush
+            data = _rows(gm, sb - GLOBAL_BASE - start, ss, l, m)
+        elif kind == "cimload":
+            rows, cols, mg = args
             # int_matmul converts each K-chunk as it multiplies; only the
             # last matrix becomes a register (its own copy) at the flush.
-            mats = np.ascontiguousarray(data).reshape(m, rows, cols)
+            mats = np.ascontiguousarray(read(*reads[0])).reshape(
+                m, rows, cols)
             vmgs[mg] = mats
             mg_final[mg] = (mats, rows, cols)
-        elif tag == "mvm":
-            _, vb, vs, rows, cols, ob, os_, mg, flags, virt = op
-            if virt:
-                mats = vmgs[mg]
-            else:
+            continue
+        elif kind == "mvm":
+            rows, cols, mg, flags, virt = args
+            if not virt:
                 entry = mgs[mg]
                 if entry is None or entry[1] != rows or entry[2] != cols:
                     raise _Bail()
-            vec = read(vb, vs, rows)
+            vec = read(*reads[0])
             if virt:
                 # one (1, rows) @ (rows, cols) product per iteration
-                res = int_matmul(vec[:, None, :], mats)[:, 0, :]
+                res = int_matmul(vec[:, None, :], vmgs[mg])[:, 0, :]
             else:
                 res = int_matmul(vec, entry[0][:rows, :cols])
             if flags & 1:
-                if os_ == 0:
-                    # Loop-carried accumulation into one row: forward it
-                    # as a running sum when the region is untouched by
-                    # any other planned write (read() would have to
-                    # resolve a step-0 self-read, which it refuses).
-                    try:
-                        prev = read(ob, os_, 4 * cols)
-                        res = res + as_i32(prev)
-                    except _Bail:
-                        init = read_acc_init(ob, 4 * cols, op_index)
-                        res = init[None, :] + np.cumsum(
-                            res, axis=0, dtype=np.int32
-                        )
-                else:
-                    prev = read(ob, os_, 4 * cols)
-                    res = res + as_i32(prev)
-            out.append((ob, os_, 4 * cols, res.view(np.int8)))
-        elif tag == "qnt":
-            _, ab, as_, n, db, ds, qmul, qshift = op
-            acc = as_i32(read(ab, as_, 4 * n))
-            y = requantize(acc, QuantParams(qmul=qmul, qshift=qshift))
-            out.append((db, ds, n, np.ascontiguousarray(y)))
-        elif tag == "add32":
-            _, ab, as_, bb, bs, n, db, ds = op
-            a = as_i32(read(ab, as_, 4 * n))
-            b = as_i32(read(bb, bs, 4 * n))
-            y = np.ascontiguousarray((a + b).astype(np.int32))
-            out.append((db, ds, 4 * n, y.view(np.int8)))
-        elif tag == "acc32":
-            _, ab, as_, n, db = op
-            src = np.ascontiguousarray(read(ab, as_, n)).astype(np.int32)
-            init = read_acc_init(db, 4 * n, op_index)
-            y = init[None, :] + np.cumsum(src, axis=0, dtype=np.int32)
-            y = np.ascontiguousarray(y.astype(np.int32))
-            out.append((db, 0, 4 * n, y.view(np.int8)))
-        elif tag == "fill":
-            _, value, funct, n, db, ds = op
-            if funct == 4:
-                row = np.full(n, value, dtype=np.int32).view(np.int8)
-                out.append((db, ds, 4 * n,
-                            np.broadcast_to(row, (m, 4 * n))))
-            else:
-                row = np.full(n, value, dtype=np.int8)
-                out.append((db, ds, n, np.broadcast_to(row, (m, n))))
-        elif tag == "cmul":
-            _, ab, as_, scb, scs, ch, n, db, ds = op
-            x = read(ab, as_, n)
-            sc = read(scb, scs, ch)
-            tiled = np.tile(np.ascontiguousarray(sc), (1, n // ch))
-            y = cmul_i8(np.ascontiguousarray(x), tiled)
-            out.append((db, ds, n, np.ascontiguousarray(y)))
-        elif tag == "bin":
-            _, vop, ab, as_, bb, bs, n, db, ds = op
-            y = _VEC_KERNELS[vop](read(ab, as_, n), read(bb, bs, n))
-            out.append((db, ds, n, np.ascontiguousarray(y)))
-        elif tag == "un":
-            _, vop, ab, as_, n, db, ds = op
-            y = _VEC_KERNELS[vop](read(ab, as_, n))
-            out.append((db, ds, n, np.ascontiguousarray(y)))
-        else:  # pragma: no cover
-            raise _Bail()
+                try:
+                    res = res + as_i32(read(*w))
+                except _Bail:
+                    # A step-0 accumulator no earlier op of the body
+                    # wrote: read() refuses the loop-carried self-read.
+                    if w[1] != 0:
+                        raise
+                    res = running_sum(index, res)
+            data = res.view(np.int8)
+        elif kind == "vec":
+            spec = _VEC[args[0]]
+            y = spec.kernel(*(
+                read(*r) if eb == 1 else as_i32(read(*r))
+                for r, (_, eb, _) in zip(reads, spec.reads)
+            ), *args[1:])
+            if spec.acc:
+                y = running_sum(index, y)
+            data = np.ascontiguousarray(y).view(np.int8)
+        else:  # "fill"
+            row = _fill(*args).view(np.int8)
+            data = np.broadcast_to(row, (m, row.size))
+        out.append((*w, data))
 
     if pre_flush is not None:
         pre_flush()
@@ -2222,16 +2081,9 @@ def _exec_batch(core, plan, m: int, pre_flush=None) -> None:
         if s == 0:
             lm[b:b + l] = arr[-1]
         elif s >= l:
-            np.lib.stride_tricks.as_strided(
-                lm[b:], shape=(m, l), strides=(s, 1)
-            )[:] = arr
+            _rows(lm, b, s, l, m)[:] = arr
         elif -s >= l:
-            idx = (
-                b
-                + np.arange(m, dtype=np.int64)[:, None] * s
-                + np.arange(l, dtype=np.int64)[None, :]
-            )
-            lm[idx] = arr
+            lm[_row_index(b, s, l, m)] = arr
         else:
             for i in range(m):
                 lm[b + i * s:b + i * s + l] = arr[i]

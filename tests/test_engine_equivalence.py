@@ -1702,3 +1702,32 @@ class TestNegativeLength:
         ):
             sim.run()
         assert sim.acct.local_bytes_read == sim.acct.vec_elements == 0
+
+
+class TestSRegIndex:
+    """An S_Reg index outside the file is a typed error on every engine
+    path, moving into the file and out of it alike (a negative
+    ``MV_S2G`` index once read the file from its end)."""
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("index", (-1, 16))
+    @pytest.mark.parametrize("mnemonic", ("MV_G2S", "MV_S2G"))
+    def test_bad_index_raises(self, mnemonic, index, engine, monkeypatch):
+        from repro.sim import blockengine as be
+
+        if engine == "hot":
+            monkeypatch.setattr(be, "_HOT_RUNS", 0)
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        b = ProgramBuilder()
+        b.emit("SC_ADDI", rs=0, rt=1, imm=5)
+        b.emit(mnemonic, rs=1, rt=2, imm=index)
+        b.halt()
+        sim = ChipSimulator(
+            small_test_arch(), {0: b.finalize()},
+            engine="interp" if engine == "interp" else "block",
+        )
+        with pytest.raises(
+            SimulationError, match=f"^core 0: bad S_Reg index {index}$"
+        ):
+            sim.run()
+        assert sim.cores[0].regs[2] == 0

@@ -609,16 +609,25 @@ def _one_opcode_definition(root: Path):
     """Every built-in opcode is rendered from ``blockengine._emit_instr``:
     ``core.py`` hand-writes only the handlers that hand control to the
     chip or to an extension, the accountant keeps no per-op-kind tally
-    twin, and the int8 elementwise formulas live in the kernel table."""
+    twin, and the int8 elementwise formulas live in the kernel table.
+    The emitter, the planner's walk and batched replay read one vector
+    table: ``requantize`` and ``cmul_i8`` are each called once, inside
+    ``_VEC``, and no plan op is tagged per vector op."""
     core = _read(root, "src/repro/sim/core.py")
+    engine = _read(root, "src/repro/sim/blockengine.py")
+    table = "\n".join(_sed(engine, r"^_VEC = \{", r"^\}"))
+    calls = [(len(re.findall(call, engine)), len(re.findall(call, table)))
+             for call in (r"requantize\(", r"cmul_i8\(")]
     return (
         _only(re.findall(r"^def (_h_\w+)", core, re.M), _KEPT_HANDLERS,
               "hand-written handler")
         + _none(_grep(root, r"def (cim_mvm|cim_load|vector_op|scalar_op)\(",
                       "src/repro/sim/energy.py"), "tally twin")
-        + _only(len(_grep(root, r"saturate_i8\(",
-                          "src/repro/sim/blockengine.py")), 1,
+        + _only(len(re.findall(r"saturate_i8\(", engine)), 1,
                 "elementwise twin")
+        + _only(calls, [(1, 1), (1, 1)], "vector kernel twin")
+        + _none(re.findall(r"[\"'](qnt|add32|acc32|cmul|bin|un)[\"']",
+                           engine), "per-op plan tag")
     )
 
 
@@ -699,8 +708,12 @@ GREP_LAWS = {
         "src/repro/sim/energy.py": "    def vector_op(self, n):\n",
         "src/repro/sim/blockengine.py": (
             "y = saturate_i8(a + b)\ny = saturate_i8(a - b)\n"
+            "_VEC = {\n    1: lambda x: cmul_i8(x, x),\n}\n"
+            "y = requantize(acc, params)\n"
+            "ops.append((\"qnt\", a, b, n))\n"
         ),
-    }, ["hand-written handler", "tally twin", "elementwise twin"]),
+    }, ["hand-written handler", "tally twin", "elementwise twin",
+        "vector kernel twin", "per-op plan tag"]),
     "cli_imports_by_verb": (_cli_imports_by_verb, {
         "src/repro/cli.py": "from repro.serve import Deployment\n",
     }, ["top-level layer import"]),
