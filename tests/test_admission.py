@@ -410,6 +410,35 @@ SERVE_SHA256 = {
     ),
 }
 
+#: ``repro run`` / ``repro serve --json`` files of plain deployments
+#: (one replica, no fault plan) and of an artifact-backed fleet: a run
+#: of the 2-chip artifact, a streamed run, CI's rate smoke, the
+#: weight-streaming workload cold, resident and as a resident 2-replica
+#: fleet, and the artifact served through a 2-replica jsq fleet.
+DEPLOYMENT_SHA256 = {
+    "run_artifact": (
+        "ebff4c567d414d169fa987b81908d0e0abe50111bf3250a9ad44e23ccf2dcb2e"
+    ),
+    "run_batch": (
+        "80eaef035e82046bf055e53b7875630ee31c7aab89c352ab2ea033523fe182bc"
+    ),
+    "serve_rate": (
+        "6b8df7de1f2a5fbd2d61e54623be819b8788f46496a4032dad1bdede63ab88cc"
+    ),
+    "serve_plain": (
+        "0c44715c0f8e33527f5c94a3fd06179e4b4fce3f1b8759cba1dea075f196388e"
+    ),
+    "serve_resident": (
+        "74b72c0b11841b855e4031910925b0fc2b3b4806ffe4bb30b09483a04b6b055e"
+    ),
+    "serve_resident_fleet": (
+        "611684c524ed5bdaa0c8068bf93530c461cb77d814125f9cf81d01811357340b"
+    ),
+    "serve_artifact_fleet": (
+        "d26ce3ae3edaaccee521d2070ee2958102ddf7bf13378bdcf3859eb3aec5ae8a"
+    ),
+}
+
 #: The fleet model of the ``serve_fleet`` / ``live_session`` benchmarks.
 FLEET_MODEL = [
     "tiny_resnet", "--preset", "small", "--chips", "2", "--input-size",
@@ -457,8 +486,31 @@ def _serve_commands():
     }
 
 
+def _deployment_commands():
+    """``{name: run/serve argv}`` of every :data:`DEPLOYMENT_SHA256` pin."""
+    small = ["tiny_resnet", "--preset", "small", "--input-size", "8",
+             "--chips", "2"]
+    stream = ["serve", "weight_stream", "--batch", "4", "--no-validate"]
+    return {
+        "run_artifact": ["run", "tiny_resnet.artifact", "--preset", "small"],
+        "run_batch": ["run", *small, "--batch", "4"],
+        "serve_rate": ["serve", *small, "--batch", "6", "--rate", "200000"],
+        "serve_plain": stream,
+        "serve_resident": stream + ["--resident"],
+        "serve_resident_fleet": stream + ["--resident", "--replicas", "2"],
+        "serve_artifact_fleet": [
+            "serve", "tiny_resnet.artifact", "--preset", "small",
+            "--replicas", "2", "--policy", "jsq", "--batch", "6",
+            "--rate", "200000",
+        ],
+    }
+
+
 class TestPinnedBytes:
-    def test_serve_json(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _check_json(tmp_path, monkeypatch, commands, pins):
+        """Run each of ``commands()`` with ``--json`` next to the 2-chip
+        ``tiny_resnet.artifact`` and compare the file's SHA-256."""
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
@@ -466,12 +518,22 @@ class TestPinnedBytes:
             "compile", "tiny_resnet", "--preset", "small", "--input-size",
             "8", "--chips", "2", "-o", "tiny_resnet.artifact",
         ]) == 0
-        for name, argv in _serve_commands().items():
+        for name, argv in commands().items():
             assert main(argv + ["--json", f"{name}.json"]) == 0
             digest = hashlib.sha256(
                 (tmp_path / f"{name}.json").read_bytes()
             ).hexdigest()
-            assert digest == SERVE_SHA256[name], name
+            assert digest == pins[name], name
+
+    def test_serve_json(self, tmp_path, monkeypatch, capsys):
+        self._check_json(
+            tmp_path, monkeypatch, _serve_commands, SERVE_SHA256
+        )
+
+    def test_deployment_json(self, tmp_path, monkeypatch, capsys):
+        self._check_json(
+            tmp_path, monkeypatch, _deployment_commands, DEPLOYMENT_SHA256
+        )
 
     @pytest.mark.parametrize("rate", [250_000.0, 1_200_000.0, 1_600_000.0])
     def test_poisson_draw_is_the_loop(self, rate):
