@@ -271,27 +271,37 @@ def _write_json(payload: Dict[str, Any], path: str) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _build_deployment(args, tier: str = "cyclesim"):
-    from repro.serve import Deployment, _is_artifact_path
+def _build_server(args, plan=None, tier=None):
+    """The server a run/serve/watch command line describes.
 
-    resident = getattr(args, "resident", False)
-    if _is_artifact_path(args.model):
-        # An artifact carries its own graph, sharding and programs; the
-        # session arch is cross-checked against its fingerprint.
-        return Deployment.load(
-            args.model, arch=_resolve_arch(args), tier=tier,
-            resident_weights=resident,
+    ``run`` passes its one ``tier`` and gets a plain
+    :class:`~repro.serve.Deployment`; ``serve`` / ``watch`` read
+    ``--tier`` / ``--resident`` and get a :class:`~repro.serve.Fleet`
+    under ``--replicas > 1`` or a fault ``plan``.  An artifact carries
+    its own graph, sharding and programs, so it takes no compile
+    keywords; the session arch is cross-checked against its
+    fingerprint.
+    """
+    from repro.serve import Deployment, Fleet, _is_artifact_path
+    from repro.sim.multichip import check_fleet
+
+    kwargs = {}
+    if not _is_artifact_path(args.model):
+        kwargs.update(
+            chips=args.chips, strategy=args.strategy,
+            input_size=args.input_size, num_classes=args.num_classes,
         )
-    return Deployment(
-        args.model,
-        arch=_resolve_arch(args),
-        chips=args.chips,
-        strategy=args.strategy,
-        tier=tier,
-        input_size=args.input_size,
-        num_classes=args.num_classes,
-        resident_weights=resident,
-    )
+    arch = _resolve_arch(args)
+    if tier is not None:
+        return Deployment(args.model, arch, tier=tier, **kwargs)
+    check_fleet(args.policy, args.replicas)
+    kwargs.update(tier=args.tier, resident_weights=args.resident)
+    if args.replicas > 1 or plan is not None:
+        return Fleet(
+            args.model, arch, replicas=args.replicas, policy=args.policy,
+            **kwargs,
+        )
+    return Deployment(args.model, arch, **kwargs)
 
 
 def _json_header(args, server) -> Dict[str, Any]:
@@ -314,7 +324,7 @@ def _json_header(args, server) -> Dict[str, Any]:
 
 
 def _cmd_run(args) -> int:
-    deployment = _build_deployment(args)
+    deployment = _build_server(args, tier="cyclesim")
     validate = not args.no_validate
     if args.batch != 1:  # submit() rejects a batch below 1
         serve = deployment.submit(
@@ -466,30 +476,6 @@ def _cmd_serve(args) -> int:
         )
         print(f"\nwrote {args.json}")
     return 0
-
-
-def _build_server(args, plan):
-    """Deployment or Fleet from serve/watch-style arguments."""
-    from repro.sim.multichip import check_fleet
-
-    check_fleet(args.policy, args.replicas)
-    if args.replicas > 1 or plan is not None:
-        from repro.serve import Fleet, _is_artifact_path
-
-        if _is_artifact_path(args.model):
-            return Fleet(
-                args.model, arch=_resolve_arch(args),
-                replicas=args.replicas, policy=args.policy, tier=args.tier,
-                resident_weights=args.resident,
-            )
-        return Fleet(
-            args.model, arch=_resolve_arch(args),
-            replicas=args.replicas, policy=args.policy,
-            chips=args.chips, strategy=args.strategy, tier=args.tier,
-            input_size=args.input_size, num_classes=args.num_classes,
-            resident_weights=args.resident,
-        )
-    return _build_deployment(args, tier=args.tier)
 
 
 def _watch_arrivals(args):

@@ -27,6 +27,19 @@ from repro.utils import ceil_div
 #: the ISA, compiler, and simulator.  Addresses below it are core-local.
 GLOBAL_BASE = 0x4000_0000
 
+#: Modelling limit on cores per chip: a 128 x 128 mesh, 256x Table I's 64.
+#: Every core is a live simulator object, and a run's memory grows faster
+#: than the core count: on a 2-core, 7 GiB host ``repro run tiny_mlp``
+#: takes 1.3 s and 150 MiB at 16 384 cores, peaks at 4.4 GiB at 32 768
+#: and is killed for memory at 65 536.
+MAX_CORES = 16_384
+
+#: Modelling limit on macro groups per core: 64x Table I's 16.  Every core
+#: keeps one weight slot per macro group, so a chip holds cores x groups
+#: slots; at both limits tiny_resnet runs in 2.1 s and 277 MiB, while
+#: 10**8 groups on Table I's 64 cores exhaust a 7 GiB host.
+MAX_MACRO_GROUPS = 1_024
+
 
 @dataclass(frozen=True)
 class MacroConfig:
@@ -145,8 +158,12 @@ class CIMUnitConfig:
         )
 
     def validate(self) -> None:
-        if self.num_macro_groups <= 0:
-            raise ConfigError("CIM unit must contain at least one macro group")
+        if not 1 <= self.num_macro_groups <= MAX_MACRO_GROUPS:
+            raise ConfigError(
+                f"chip.core.cim_unit.num_macro_groups must be in [1, "
+                f"{MAX_MACRO_GROUPS}] (the modelling limit), got "
+                f"{self.num_macro_groups}"
+            )
         if self.mvm_setup_cycles < 0 or self.pipeline_depth < 0:
             raise ConfigError("CIM unit pipeline parameters must be non-negative")
         self.macro_group.validate()
@@ -370,8 +387,11 @@ class ChipConfig:
         return abs(r0 - r1) + abs(c0 - c1)
 
     def validate(self) -> None:
-        if self.num_cores <= 0:
-            raise ConfigError("chip needs at least one core")
+        if not 1 <= self.num_cores <= MAX_CORES:
+            raise ConfigError(
+                f"chip.num_cores must be in [1, {MAX_CORES}] (the "
+                f"modelling limit), got {self.num_cores}"
+            )
         if self.clock_mhz <= 0:
             raise ConfigError("clock frequency must be positive")
         self.core.validate()

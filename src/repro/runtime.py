@@ -267,23 +267,18 @@ class ServerHandle:
         self.faults = faults
         self.retry = retry
 
-        self._is_fleet = isinstance(server, Fleet)
-        if self._is_fleet:
-            self.num_replicas = server.num_replicas
-            self.policy = server.policy
-        elif isinstance(server, Deployment):
-            if engine_needed(faults, retry):
-                raise ConfigError(
-                    "fault injection needs a Fleet; wrap the deployment "
-                    "in Fleet(model, replicas=1) to serve under a FaultPlan"
-                )
-            self.num_replicas = 1
-            self.policy = "rr"
-        else:
+        if not isinstance(server, Deployment):
             raise ConfigError(
                 f"serve_forever needs a Deployment or Fleet, got "
                 f"{type(server).__name__}"
             )
+        if engine_needed(faults, retry) and not isinstance(server, Fleet):
+            raise ConfigError(
+                "fault injection needs a Fleet; wrap the deployment "
+                "in Fleet(model, replicas=1) to serve under a FaultPlan"
+            )
+        self.num_replicas = server.num_replicas
+        self.policy = server.policy
 
         row, edges = server._service_profile()
         self.shard_row: List[int] = list(row)
@@ -467,12 +462,10 @@ class ServerHandle:
         if self.report is not None:
             return self.report
         self._shutdown()
-        server = self.server
-        deployment = server.deployment if self._is_fleet else server
-        self.report = deployment._serve(
+        self.report = self.server._serve(
             None, 1, list(self._dispatcher.releases), self.seed,
-            self.validate, server=server, dispatcher=self._dispatcher,
-            faults=self.faults, retry=self.retry,
+            self.validate, dispatcher=self._dispatcher, faults=self.faults,
+            retry=self.retry,
         )
         return self.report
 

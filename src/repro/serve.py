@@ -424,7 +424,10 @@ class Deployment:
     :class:`ArrivalProcess`, and :meth:`run` executes one input in the
     classic latency mode.  ``model`` may also be an already-compiled
     :class:`CompiledModel` / :class:`MultiChipModel`, which the
-    deployment adopts as-is.
+    deployment adopts as-is, or the path of a saved ``.artifact`` file
+    (see :meth:`load`).  A deployment is a fleet of one replica under
+    round-robin dispatch: :class:`Fleet` only sets the replica count and
+    policy, and adds fault plans and the fleet report.
 
     ``tier`` selects fidelity: ``"cyclesim"`` (default) executes every
     input on the exact cycle-level simulator with bit-exact golden
@@ -446,6 +449,10 @@ class Deployment:
     tiers.  Artifact-loaded models cannot open resident sessions (the
     artifact stores only the serving surface, not the execution plan).
     """
+
+    #: Replicas behind the arrival stream and their dispatch policy.
+    num_replicas = 1
+    policy = "rr"
 
     def __init__(
         self,
@@ -472,6 +479,22 @@ class Deployment:
         self._profile = None  #: cached (service row, transfer edges)
         self._windows = None  #: cyclesim: one input's (starts, finishes)
 
+        if _is_artifact_path(model):
+            if (
+                model_kwargs or chips != 1 or strategy != "dp"
+                or closure_limit is not None
+            ):
+                raise ConfigError(
+                    "an artifact carries its own sharding and strategy; "
+                    f"pass {type(self).__name__}(artifact_path) with no "
+                    f"compile keywords"
+                )
+            from repro.artifact import load_artifact
+
+            model = load_artifact(
+                model, arch=None if arch is None else resolve_arch(arch)
+            )
+            arch = None
         if isinstance(model, (CompiledModel, MultiChipModel)):
             if (
                 arch is not None or model_kwargs or chips != 1
@@ -505,10 +528,12 @@ class Deployment:
             self._edges = self.compiled.transfer_edges()
 
         self.resident_weights = bool(resident_weights)
-        #: Resident sessions: whether this deployment, a fleet of one
-        #: replica, holds its loaded weights (a :class:`Fleet` keeps one
-        #: flag per replica).
-        self._replica_warm = [False]
+        #: Resident sessions: which replicas hold loaded weights.  All
+        #: replicas share one compile product and (cyclesim) one loaded
+        #: simulator state -- identical by determinism -- but each pays
+        #: its own load phase, and a crash invalidates the crashed
+        #: replica's entry so failover re-pays the load.
+        self._replica_warm = [False] * self.num_replicas
         self._resident_sim = None  #: cyclesim persistent simulator state
         self._resident_load_reports = None  #: measured load segments
         if self.resident_weights:
@@ -543,12 +568,8 @@ class Deployment:
         (:func:`repro.config.arch_fingerprint` match); a mismatch raises
         :class:`~repro.errors.ArtifactError` naming both fingerprints.
         """
-        from repro.artifact import load_artifact
-
-        if arch is not None:
-            arch = resolve_arch(arch)
         return cls(
-            load_artifact(path, arch=arch), tier=tier, engine=engine,
+            path, arch, tier=tier, engine=engine,
             resident_weights=resident_weights,
         )
 
@@ -619,24 +640,32 @@ class Deployment:
             return 0
         return self._resident_load_profile()[0]
 
-    def _fleet_dispatcher(
-        self, policy, warm, faults=None, retry=None
-    ) -> Dispatcher:
-        """The one fleet step over replicas of this model, priced at the
+    def _new_dispatcher(self, faults=None, retry=None) -> Dispatcher:
+        """The one fleet step over this server's replicas as they stand
+        (warm or cold), under ``faults`` / ``retry``, priced at the
         one-input service profile (timing is data-independent under
         per-input isolation, which makes the law tier-equivalent).
-        ``warm[r]`` says whether replica ``r`` holds its resident
-        weights; ``faults`` / ``retry`` are the plan it runs under."""
+
+        A plan event naming a replica this server does not have would
+        inject nothing, so it raises :class:`~repro.errors.FaultError`
+        instead of reporting a clean run.  Sweeps price plans through
+        :func:`repro.sim.fastmodel.serve_fleet`, not here: they cross
+        one plan with several fleet sizes on purpose, and a replica a
+        smaller fleet lacks is simply absent there.
+        """
+        for event in () if faults is None else faults.events:
+            replica = getattr(event, "replica", None)
+            if replica is not None and replica >= self.num_replicas:
+                raise FaultError(
+                    f"fault event {event.describe()} names replica "
+                    f"{replica}, but the fleet has {self.num_replicas} "
+                    f"replica(s), 0..{self.num_replicas - 1}"
+                )
         row, edges = self._service_profile()
         return fleet_dispatcher(
-            policy, row, edges, self.arch.interchip,
-            [self._load_offset(w) for w in warm], faults, retry,
-        )
-
-    def _new_dispatcher(self, faults=None, retry=None) -> Dispatcher:
-        """This deployment alone, admitting as a fleet of one."""
-        return self._fleet_dispatcher(
-            "rr", self._replica_warm, faults, retry
+            self.policy, row, edges, self.arch.interchip,
+            [self._load_offset(w) for w in self._replica_warm],
+            faults, retry,
         )
 
     def serve_forever(
@@ -788,22 +817,20 @@ class Deployment:
         )
 
     def _serve(
-        self, inputs, batch, arrivals, seed, validate, server=None,
-        dispatcher=None, faults=None, retry=None,
+        self, inputs, batch, arrivals, seed, validate, dispatcher=None,
+        faults=None, retry=None,
     ):
-        """The one serving path, both tiers, faulted or not.
+        """The one serving path, both tiers, every fleet size, faulted
+        or not.
 
-        ``server`` is this deployment (the default: a fleet of one) or
-        a :class:`Fleet` over it.  The server's dispatcher admits every
-        release once under ``faults`` / ``retry`` -- or a live session
-        hands in the ``dispatcher`` that has admitted exactly this
-        stream already -- and the server reports from its records.  The
-        cyclesim tier executes the inputs first (:meth:`_run_served`),
-        so an offline submission prices its admissions from its own
-        first measured row, not a probe.
+        :meth:`_new_dispatcher` admits every release once under
+        ``faults`` / ``retry`` -- or a live session hands in the
+        ``dispatcher`` that has admitted exactly this stream already --
+        and :meth:`_report` reports from its records.  The cyclesim tier
+        executes the inputs first (:meth:`_run_served`), so an offline
+        submission prices its admissions from its own first measured
+        row, not a probe.
         """
-        if server is None:
-            server = self
         arrivals, resolved, releases = self._open_stream(
             inputs, batch, arrivals, seed
         )
@@ -813,12 +840,12 @@ class Deployment:
                 resolved, range(len(resolved)), validate
             )
         if dispatcher is None and releases:
-            dispatcher = server._new_dispatcher(faults, retry)
+            dispatcher = self._new_dispatcher(faults, retry)
             for release in releases:
                 dispatcher.dispatch(release)
         if dispatcher is not None:
             dispatcher.drain()
-        return server._report(
+        return self._report(
             dispatcher, arrivals.describe(), served, validate, faults, retry
         )
 
@@ -826,9 +853,7 @@ class Deployment:
         self, dispatcher, arrival, served, validate, faults=None, retry=None,
     ) -> ServeReport:
         """This deployment's report: the one replica of its fleet."""
-        return self._replica_reports(
-            dispatcher, arrival, served, validate, self._replica_warm
-        )[0]
+        return self._replica_reports(dispatcher, arrival, served, validate)[0]
 
     def _empty_report(self, arrival: str, load=None) -> ServeReport:
         """A zero-input report; ``load`` is a weight-load phase
@@ -857,7 +882,6 @@ class Deployment:
 
     def _replica_reports(
         self, dispatcher: Optional[Dispatcher], label, served, validate,
-        warm,
     ) -> List[ServeReport]:
         """Each replica's report from the attempts ``dispatcher``
         recorded for it (``None`` admitted nothing: an empty stream).
@@ -874,8 +898,9 @@ class Deployment:
         crash invalidates the replica's weights, so failback re-pays the
         load.
         """
+        warm = self._replica_warm
         reports = []
-        for r in range(len(warm)):
+        for r in range(self.num_replicas):
             records = (
                 [] if dispatcher is None else dispatcher.replica_attempts[r]
             )
@@ -1342,13 +1367,13 @@ class FleetReport(_ServingMetrics):
         return "\n".join(lines)
 
 
-class Fleet:
+class Fleet(Deployment):
     """R replicas of one compiled model behind a shared arrival stream.
 
     The model is compiled (or loaded from an artifact) exactly once; all
     replicas share the immutable compile product, which per-input
-    isolation makes safe.  ``model`` accepts everything
-    :class:`Deployment` does plus a path to a saved ``.artifact`` file::
+    isolation makes safe.  ``model`` and the keywords after ``policy``
+    are :class:`Deployment`'s::
 
         fleet = Fleet("model.artifact", replicas=4, policy="jsq")
         report = fleet.submit(batch=64, arrivals=FixedRate(8000))
@@ -1373,67 +1398,16 @@ class Fleet:
         *,
         replicas: int = 1,
         policy: str = "rr",
-        chips: int = 1,
-        strategy: str = "dp",
-        engine: Optional[str] = None,
-        tier: str = "cyclesim",
-        closure_limit: Optional[int] = None,
-        resident_weights: bool = False,
-        **model_kwargs,
+        **kwargs,
     ):
         check_fleet(policy, replicas)
         self.num_replicas = int(replicas)
         self.policy = policy
-        if _is_artifact_path(model):
-            if (
-                model_kwargs or chips != 1 or strategy != "dp"
-                or closure_limit is not None
-            ):
-                raise ConfigError(
-                    "an artifact carries its own sharding and strategy; "
-                    "pass Fleet(artifact_path) with no compile keywords"
-                )
-            self.deployment = Deployment.load(
-                model, arch, tier=tier, engine=engine,
-                resident_weights=resident_weights,
-            )
-        else:
-            self.deployment = Deployment(
-                model, arch, chips=chips, strategy=strategy, engine=engine,
-                tier=tier, closure_limit=closure_limit,
-                resident_weights=resident_weights, **model_kwargs,
-            )
-        #: Resident sessions: which replicas hold loaded weights.  All
-        #: replicas share one compile product and (cyclesim) one loaded
-        #: simulator state -- identical by determinism -- but each pays
-        #: its own load phase, and a crash invalidates the crashed
-        #: replica's entry so failover re-pays the load.
-        self._replica_warm = [False] * self.num_replicas
-
-    # -- introspection ------------------------------------------------------
-    @property
-    def arch(self) -> ArchConfig:
-        return self.deployment.arch
-
-    @property
-    def graph(self) -> ComputationGraph:
-        return self.deployment.graph
-
-    @property
-    def tier(self) -> str:
-        return self.deployment.tier
-
-    @property
-    def num_chips(self) -> int:
-        return self.deployment.num_chips
-
-    @property
-    def strategy(self) -> str:
-        return self.deployment.strategy
+        super().__init__(model, arch, **kwargs)
 
     def summary(self) -> str:
         return (
-            f"{self.deployment.summary()}\n"
+            f"{super().summary()}\n"
             f"  fleet: {self.num_replicas} replica(s), policy {self.policy}"
         )
 
@@ -1457,34 +1431,6 @@ class Fleet:
         return serve_forever(
             self, clock=clock, seed=seed, validate=validate,
             faults=faults, retry=retry,
-        )
-
-    # -- dispatch -----------------------------------------------------------
-    def _service_profile(self):
-        """(per-shard cycle row, transfer edges) of one input."""
-        return self.deployment._service_profile()
-
-    def _new_dispatcher(self, faults=None, retry=None) -> Dispatcher:
-        """The one fleet step over this fleet's replicas as they stand,
-        under ``faults`` / ``retry``.
-
-        A plan event naming a replica this fleet does not have would
-        inject nothing, so it raises :class:`~repro.errors.FaultError`
-        instead of reporting a clean run.  Sweeps price plans through
-        :func:`repro.sim.fastmodel.serve_fleet`, not here: they cross
-        one plan with several fleet sizes on purpose, and a replica a
-        smaller fleet lacks is simply absent there.
-        """
-        for event in () if faults is None else faults.events:
-            replica = getattr(event, "replica", None)
-            if replica is not None and replica >= self.num_replicas:
-                raise FaultError(
-                    f"fault event {event.describe()} names replica "
-                    f"{replica}, but the fleet has {self.num_replicas} "
-                    f"replica(s), 0..{self.num_replicas - 1}"
-                )
-        return self.deployment._fleet_dispatcher(
-            self.policy, self._replica_warm, faults, retry
         )
 
     # -- submission ---------------------------------------------------------
@@ -1517,9 +1463,9 @@ class Fleet:
         ``faults=None`` (or an empty plan with no retry policy) is the
         empty plan, and its report carries no availability block.
         """
-        return self.deployment._serve(
-            inputs, batch, arrivals, seed, validate, server=self,
-            faults=faults, retry=retry,
+        return self._serve(
+            inputs, batch, arrivals, seed, validate, faults=faults,
+            retry=retry,
         )
 
     def run_trace(
@@ -1558,15 +1504,13 @@ class Fleet:
         """
         faulted = engine_needed(faults, retry)
         lone = self.num_replicas == 1 and not faulted
-        dep = self.deployment
-        reports = dep._replica_reports(
-            dispatcher, arrival if lone else None, served, validate,
-            self._replica_warm,
+        reports = self._replica_reports(
+            dispatcher, arrival if lone else None, served, validate
         )
         d = dispatcher
         releases = [] if d is None else d.releases
         fields = {}
-        if dep.resident_weights:
+        if self.resident_weights:
             fields.update(
                 resident=True,
                 replica_load_cycles=[r.load_cycles for r in reports],

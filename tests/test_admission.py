@@ -884,11 +884,11 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
 
     arch = dataclasses.replace(small_test_arch(), interchip=link)
     resident = load is not None
-    fleet = _tiny(
-        Fleet, arch, tier="fast", replicas=replicas, policy=policy,
-        resident_weights=resident,
+    fleet = {} if bare else {"replicas": replicas, "policy": policy}
+    server = _tiny(
+        Deployment if bare else Fleet, arch, tier="fast",
+        resident_weights=resident, **fleet,
     )
-    dep = fleet.deployment
     shards = [
         FastReport(
             cycles=cycles, energy_breakdown_pj={"compute": 10.0 * (k + 1)},
@@ -896,13 +896,13 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
         )
         for k, cycles in enumerate(row)
     ]
-    dep._plans = dep._plans * len(row)
-    dep._edges = list(edges)
+    server._plans = server._plans * len(row)
+    server._edges = list(edges)
     report = _compose_shards(list(edges), shards, arch)
-    dep._fast = (report, load, {"weights": 3.0}) if resident else (
+    server._fast = (report, load, {"weights": 3.0}) if resident else (
         report, 0, {}
     )
-    return dep if bare else fleet
+    return server
 
 
 @st.composite

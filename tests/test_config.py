@@ -105,6 +105,44 @@ class TestValidation:
         with pytest.raises(ConfigError):
             default_arch().chip.core_position(64)
 
+    def test_size_limits_validate(self):
+        from repro.config.arch import MAX_CORES, MAX_MACRO_GROUPS
+
+        arch_from_dict(_with_leaf("chip.num_cores", MAX_CORES)).validate()
+        arch_from_dict(_with_leaf(
+            "chip.core.cim_unit.num_macro_groups", MAX_MACRO_GROUPS
+        )).validate()
+
+    @pytest.mark.parametrize("path, value", [
+        ("chip.num_cores", 100_000),
+        ("chip.num_cores", 10 ** 12),
+        ("chip.core.cim_unit.num_macro_groups", 10 ** 8),
+        ("chip.core.cim_unit.num_macro_groups", 10 ** 12),
+    ])
+    def test_hostile_size_is_one_cli_error(
+        self, path, value, tmp_path, capsys
+    ):
+        """A core or macro-group count past the modelling limit is one
+        ``error:`` line naming the field and exit 2, before anything is
+        built for it."""
+        import time
+
+        from repro.cli import main
+
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(_with_leaf(path, value)))
+        start = time.perf_counter()
+        code = main([
+            "run", "tiny_mlp", "--input-size", "8", "--num-classes", "10",
+            "--arch", str(arch),
+        ])
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"{path} must be in [1, " in err[0]
+        assert f"got {value}" in err[0]
+
 
 class TestSerialization:
     def test_dict_round_trip(self):

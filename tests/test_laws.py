@@ -594,6 +594,24 @@ def _one_pipeline_builder(root: Path):
     )
 
 
+def _one_server(root: Path):
+    """A ``Fleet`` is a ``Deployment`` with R replicas: it subclasses
+    the deployment instead of wrapping one, so nothing reads a
+    ``.deployment`` attribute, no serving call hands the server to
+    another object (``server=``), and the CLI builds either through one
+    builder."""
+    return (
+        _only(len(_grep(root, r"^class Fleet\(Deployment\):",
+                        "src/repro/serve.py")), 1, "fleet subclass")
+        + _none(_grep(root, r"\.deployment\b", "src/repro",
+                      suffixes=(".py",)), "fleet wrapper")
+        + _none(_grep(root, r"\bserver=", "src/repro/serve.py",
+                      "src/repro/runtime.py"), "server parameter")
+        + _none(_grep(root, r"def _build_deployment\b", "src/repro/cli.py"),
+                "second builder")
+    )
+
+
 def _cli_imports_by_verb(root: Path):
     """``cli.py`` imports a layer in the command that runs it
     (``tests/test_import_layers.py`` holds every verb to its row)."""
@@ -717,6 +735,15 @@ GREP_LAWS = {
     "cli_imports_by_verb": (_cli_imports_by_verb, {
         "src/repro/cli.py": "from repro.serve import Deployment\n",
     }, ["top-level layer import"]),
+    "one_server": (_one_server, {
+        "src/repro/serve.py": (
+            "class Fleet:\n"
+            "    arch = property(lambda self: self.deployment.arch)\n"
+        ),
+        "src/repro/runtime.py": "report = dep._serve(None, server=fleet)\n",
+        "src/repro/cli.py": "def _build_deployment(args):\n    pass\n",
+    }, ["fleet subclass", "fleet wrapper", "server parameter",
+        "second builder"]),
 }
 
 

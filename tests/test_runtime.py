@@ -269,7 +269,7 @@ class TestCrossCheckFires:
 
     def test_fleet_finish_cycles_diverge(self, arch):
         fleet = _fleet(arch, replicas=2)
-        match = self._skew_profile(fleet.deployment)
+        match = self._skew_profile(fleet)
         with pytest.raises(SimulationError, match=match):
             _run(_script(fleet, [0, 0]))
 
@@ -280,13 +280,13 @@ class TestCrossCheckFires:
 
     def test_offline_fleet(self, arch):
         fleet = _fleet(arch, replicas=2)
-        match = self._skew_profile(fleet.deployment)
+        match = self._skew_profile(fleet)
         with pytest.raises(SimulationError, match=match):
             fleet.submit(batch=2)
 
     def test_faulted_fleet(self, arch):
         fleet = _fleet(arch, replicas=2)
-        match = self._skew_profile(fleet.deployment)
+        match = self._skew_profile(fleet)
         plan = FaultPlan(events=(ReplicaCrash(replica=1, at_cycle=10**9),))
         with pytest.raises(SimulationError, match=match):
             fleet.submit(batch=2, faults=plan)
