@@ -143,31 +143,35 @@ class ArtifactPlan:
 def _program_to_entry(program: Program) -> Dict:
     """One core's program as encoded words plus field overrides.
 
-    A word is used only when ``decode(encode(instr))`` reproduces the
-    instruction's canonical (non-zero) fields; anything else -- e.g. a
-    ``li``-expanded immediate outside its field's encodable range --
-    becomes a JSON override, so the stored form always round-trips to
-    the exact instruction stream the compiler emitted.
+    A word is used only when ``decode(encode(instr))`` gives back the
+    instruction itself; anything else -- e.g. a ``li``-expanded
+    immediate outside its field's encodable range -- becomes a JSON
+    override of its canonical (non-zero) fields, so the stored form
+    always round-trips to the exact instruction stream the compiler
+    emitted.  Each distinct instruction is encoded and checked once.
     """
     if not program.finalized:
         program.finalize()
+    registry = program.registry
+    word_of: Dict[Instruction, Optional[int]] = {}
     words: List[int] = []
     overrides: Dict[str, Dict] = {}
     for index, instr in enumerate(program.instructions):
-        canonical = {k: int(v) for k, v in instr.fields.items() if v != 0}
-        try:
-            word = encode(instr, program.registry)
-            decoded = decode(word, program.registry)
-            if decoded.mnemonic == instr.mnemonic and decoded.fields == canonical:
-                words.append(word)
-                continue
-        except ISAError:
-            pass
-        words.append(0)
-        overrides[str(index)] = {
-            "mnemonic": instr.mnemonic,
-            "fields": canonical,
-        }
+        if instr not in word_of:
+            try:
+                word = encode(instr, registry)
+                word_of[instr] = word if decode(word, registry) == instr else None
+            except ISAError:
+                word_of[instr] = None
+        word = word_of[instr]
+        if word is None:
+            words.append(0)
+            overrides[str(index)] = {
+                "mnemonic": instr.mnemonic,
+                "fields": dict(instr.fields),
+            }
+        else:
+            words.append(word)
     return {"words": words, "overrides": overrides}
 
 
@@ -177,11 +181,10 @@ def _program_from_entry(entry: Dict, registry: ISARegistry) -> Program:
     for index, word in enumerate(entry["words"]):
         override = overrides.get(str(index))
         if override is not None:
-            instr = Instruction(
+            program.append(registry.instruction(
                 override["mnemonic"],
                 {k: int(v) for k, v in override["fields"].items()},
-            )
-            program.append(instr)
+            ))
         else:
             program.append(decode(int(word), registry))
     return program.finalize()

@@ -116,7 +116,7 @@ def parse_line(
             target = value
         else:
             fields[name] = value
-    return Instruction(mnemonic, fields, target)
+    return registry.instruction(mnemonic, fields, target)
 
 
 def parse_program(

@@ -51,7 +51,8 @@ def encode(instr: Instruction, registry: Optional[ISARegistry] = None) -> int:
 
 
 def decode(word: int, registry: Optional[ISARegistry] = None) -> Instruction:
-    """Decode a 32-bit word back into an :class:`Instruction`."""
+    """Decode a 32-bit word back into the registry's shared
+    :class:`Instruction` of that value."""
     if not 0 <= word <= WORD_MASK:
         raise ISAError(f"instruction word {word:#x} out of 32-bit range")
     registry = registry or default_registry()
@@ -66,4 +67,4 @@ def decode(word: int, registry: Optional[ISARegistry] = None) -> Instruction:
         value = sign_extend(raw, width) if desc.field_signed(name) else raw
         if value != 0:
             fields[name] = value
-    return Instruction(desc.mnemonic, fields)
+    return registry.instruction(desc.mnemonic, fields)

@@ -9,12 +9,14 @@ energy figure) can be registered at runtime, after which the assembler,
 encoder, and simulator all accept the new operation.
 """
 
-from typing import Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ISAError
-from repro.isa.formats import Format
-from repro.isa.instruction import InstructionDescriptor
-from repro.isa.opcodes import EXTENSION_OPCODES, Category, Opcode
+from repro.isa.formats import FIELD_LAYOUT, REGISTER_FIELDS, Format
+from repro.isa.instruction import Instruction, InstructionDescriptor
+from repro.isa.opcodes import BUILTIN_OPCODES, Category, Opcode
+from repro.isa.registers import NUM_GENERAL_REGS
 
 _D = InstructionDescriptor
 _C = Category
@@ -143,21 +145,32 @@ _BUILTINS: List[InstructionDescriptor] = [
 ]
 
 
+#: The operand fields of a decoded instruction tuple, in tuple order
+#: after the opcode (see :meth:`ISARegistry.tuple_of`).
+DECODED_FIELDS = ("rs", "rt", "rd", "re", "imm", "offset", "funct", "flags")
+
+_NO_FIELDS: Mapping[str, int] = MappingProxyType({})
+
+
 class ISARegistry:
-    """Lookup table from mnemonics and opcodes to descriptors.
+    """Lookup table from mnemonics and opcodes to descriptors, and the
+    one place instructions are made.
 
     A registry starts from the built-in table; extension instructions can
     be added with :meth:`register`.  Separate registries are independent,
     so tests and users can extend the ISA without global state.
+    :meth:`instruction` interns every instruction made against the
+    registry: one shared :class:`Instruction` per distinct value.
     """
 
     def __init__(self, descriptors: Optional[Iterable[InstructionDescriptor]] = None):
         self._by_mnemonic: Dict[str, InstructionDescriptor] = {}
         self._by_opcode: Dict[int, InstructionDescriptor] = {}
-        #: Intern table of decoded instruction tuples, owned by
-        #: :func:`repro.sim.core.translate_program`: every program decoded
-        #: against this registry shares one tuple per distinct instruction.
-        self.decoded: Dict[tuple, tuple] = {}
+        #: The intern table: ``(mnemonic, field items)`` -> ``(the shared
+        #: instruction, its decoded tuple)``.  Each instruction sits under
+        #: its canonical ``Instruction.key`` and under every other spelling
+        #: of its fields (field order, explicit zeros) it was asked for by.
+        self._interned: Dict[tuple, Tuple[Instruction, tuple]] = {}
         for desc in descriptors if descriptors is not None else _BUILTINS:
             self._add(desc)
 
@@ -206,9 +219,76 @@ class ISARegistry:
         """All registered mnemonics, sorted."""
         return sorted(self._by_mnemonic)
 
-    def free_extension_opcodes(self) -> List[int]:
-        """Extension opcodes not yet taken."""
-        return [int(op) for op in EXTENSION_OPCODES if int(op) not in self._by_opcode]
+    def instruction(
+        self,
+        mnemonic: str,
+        fields: Mapping[str, int] = _NO_FIELDS,
+        target: Optional[str] = None,
+    ) -> Instruction:
+        """The instruction ``mnemonic`` with operand ``fields`` (unset
+        fields are zero): the shared instance of that value.
+
+        A spelling seen before is one dict lookup.  A new one is checked
+        against the ISA -- an unknown mnemonic, a field outside the
+        format or a register field outside the register file raises
+        :class:`ISAError` -- and interned.
+        Immediates and offsets are not range-checked: a value that does
+        not fit its field stays legal and travels as an artifact override.
+        A label branch (``target=``) is checked and made fresh: it has no
+        offset, hence no decoded tuple, until
+        :meth:`repro.isa.program.Program.finalize` swaps it for its
+        resolved instruction.
+        """
+        if target is None:
+            entry = self._interned.get((mnemonic, tuple(fields.items())))
+            if entry is not None:
+                return entry[0]
+        return self._intern(mnemonic, fields, target)[0]
+
+    def tuple_of(self, instr: Instruction) -> tuple:
+        """The decoded tuple the simulator executes for ``instr``.
+
+        ``(opcode, rs, rt, rd, re, imm, offset, funct, flags, desc)``, with
+        ``desc`` the descriptor for extension opcodes (whose handler reads
+        it) and ``None`` for built-ins, so the tuple hashes at C speed.
+        Derived once per distinct instruction; an instruction this
+        registry did not make is interned first, and an unresolved label
+        branch has none.
+        """
+        entry = self._interned.get(instr.key)
+        if entry is None:
+            entry = self._intern(instr.mnemonic, instr.fields, instr.target)
+        return entry[1]
+
+    def _intern(
+        self, mnemonic: str, fields: Mapping[str, int], target: Optional[str]
+    ) -> Tuple[Instruction, Optional[tuple]]:
+        """Check a spelling not seen before, make its instruction and,
+        unless it is a label branch, intern it."""
+        desc = self.lookup(mnemonic)
+        layout = FIELD_LAYOUT[desc.fmt]
+        for name, value in fields.items():
+            if name not in layout or name == "opcode":
+                raise ISAError(
+                    f"{mnemonic}: field {name}={value!r} is not in format "
+                    f"{desc.fmt.value}"
+                )
+            if name in REGISTER_FIELDS and not 0 <= value < NUM_GENERAL_REGS:
+                raise ISAError(
+                    f"{mnemonic}: field {name}={value} is outside the "
+                    f"register file (R0..R{NUM_GENERAL_REGS - 1})"
+                )
+        instr = Instruction(mnemonic, fields, target)
+        if target is not None:
+            return instr, None
+        entry = self._interned.get(instr.key)
+        if entry is None:
+            decoded = (int(desc.opcode),) + tuple(
+                instr.get(name) for name in DECODED_FIELDS
+            ) + (None if desc.opcode in BUILTIN_OPCODES else desc,)
+            entry = self._interned[instr.key] = (instr, decoded)
+        self._interned[(mnemonic, tuple(fields.items()))] = entry
+        return entry
 
 
 _DEFAULT_REGISTRY = ISARegistry()

@@ -7,8 +7,9 @@ and -- for user extensions -- carries the performance parameters the
 simulator needs to model it without a hand-written execution handler.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from repro.errors import ISAError
 from repro.isa.formats import FIELD_LAYOUT, Format, SIGNED_FIELDS
@@ -86,25 +87,60 @@ class InstructionDescriptor:
         return name in SIGNED_FIELDS and name not in self.unsigned_fields
 
 
-@dataclass
 class Instruction:
     """One concrete instruction: a mnemonic plus operand field values.
 
-    Field values live in ``fields``; unset fields default to zero.  Branch
-    and jump instructions may instead carry a symbolic ``target`` label that
-    :meth:`repro.isa.program.Program.finalize` resolves into the ``offset``
-    field.
+    An instruction is an immutable, hashable value.  ``fields`` is a
+    read-only mapping of its non-zero operand fields (unset fields read
+    as zero), and ``key`` is its canonical value -- the mnemonic plus
+    those fields in name order -- by which instances compare and hash.
+    A branch may instead carry a symbolic ``target`` label, which
+    :meth:`repro.isa.program.Program.finalize` resolves by swapping the
+    instruction for one with the ``offset`` filled in.
+
+    Programs do not call this constructor: they get their instructions
+    from :meth:`repro.isa.extension.ISARegistry.instruction`, which
+    checks each distinct value against the ISA once and shares one
+    instance of it per registry, so a program is a list of references.
     """
 
-    mnemonic: str
-    fields: Dict[str, int] = field(default_factory=dict)
-    target: Optional[str] = None
+    __slots__ = ("mnemonic", "fields", "target", "key")
+
+    def __init__(self, mnemonic: str, fields: Optional[Mapping[str, int]] = None,
+                 target: Optional[str] = None):
+        canonical = tuple(sorted(
+            (name, value) for name, value in (fields or {}).items() if value
+        ))
+        key = (mnemonic, canonical) if target is None else (
+            mnemonic, canonical, target)
+        init = object.__setattr__
+        init(self, "mnemonic", mnemonic)
+        init(self, "fields", MappingProxyType(dict(canonical)))
+        init(self, "target", target)
+        init(self, "key", key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Instruction is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Instruction is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instruction):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __reduce__(self):
+        return type(self), (self.mnemonic, dict(self.fields), self.target)
 
     def get(self, name: str) -> int:
         """Value of field ``name`` (0 when unset)."""
         return self.fields.get(name, 0)
 
-    # Convenience accessors used pervasively by the simulator -----------
+    # Convenience accessors -------------------------------------------------
     @property
     def rs(self) -> int:
         return self.get("rs")
@@ -138,6 +174,6 @@ class Instruction:
         return self.get("flags")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(self.fields.items()))
+        parts = ", ".join(f"{k}={v}" for k, v in self.fields.items())
         tgt = f", target={self.target!r}" if self.target else ""
-        return f"Instruction({self.mnemonic}, {parts}{tgt})"
+        return f"{type(self).__name__}({self.mnemonic}, {parts}{tgt})"

@@ -103,4 +103,11 @@ class Opcode(enum.IntEnum):
 #: Opcodes reserved for user-registered extension instructions.
 EXTENSION_OPCODES = (Opcode.EXT0, Opcode.EXT1, Opcode.EXT2, Opcode.EXT3)
 
+#: Opcodes with a built-in simulator handler, which dispatches on the
+#: opcode alone; any other opcode runs the extension handler, which reads
+#: the instruction's descriptor.
+BUILTIN_OPCODES = frozenset(
+    int(op) for op in Opcode if op not in EXTENSION_OPCODES
+)
+
 OPCODE_BITS = 6

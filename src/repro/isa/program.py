@@ -1,7 +1,8 @@
 """Per-core instruction programs with label resolution.
 
 A :class:`Program` is the unit the compiler emits for each core and the
-simulator loads into a core's instruction memory.  Branch targets may be
+simulator loads into a core's instruction memory: a list of references
+to its registry's shared, immutable instructions.  Branch targets may be
 symbolic labels while a program is being built; :meth:`Program.finalize`
 resolves them into relative instruction offsets (``pc += offset``
 semantics, matching the paper's generated-code example ``JMP -26``).
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ISAError
-from repro.isa.encoding import encode
 from repro.isa.extension import ISARegistry, default_registry
 from repro.isa.formats import Format, field_width
 from repro.isa.instruction import Instruction
@@ -41,7 +41,12 @@ class LoopBlock:
 
 
 class Program:
-    """An ordered list of instructions plus a label table."""
+    """An ordered list of instructions plus a label table.
+
+    Every instruction is made by the registry's intern site
+    (:meth:`ISARegistry.instruction`), so the list holds one shared
+    reference per distinct instruction value, not a copy per position.
+    """
 
     def __init__(self, registry: Optional[ISARegistry] = None):
         self.registry = registry or default_registry()
@@ -49,7 +54,6 @@ class Program:
         self.labels: Dict[str, int] = {}
         self._finalized = False
         self._loop_blocks: Optional[List[LoopBlock]] = None
-        self._words: Optional[List[int]] = None
         #: ``(registry, decoded tuples)``, owned by
         #: :func:`repro.sim.core.translate_program`.
         self._translated = None
@@ -64,26 +68,25 @@ class Program:
         return self.instructions[index]
 
     def emit(self, mnemonic: str, **fields) -> Instruction:
-        """Append an instruction; ``target=`` may name a label."""
+        """Append an instruction; ``target=`` may name a label.
+
+        Raises :class:`ISAError` for an instruction the ISA does not
+        admit (see :meth:`ISARegistry.instruction`)."""
         target = fields.pop("target", None)
-        self.registry.lookup(mnemonic)  # validate early
-        instr = Instruction(mnemonic, fields, target)
-        self.instructions.append(instr)
-        self._invalidate()
-        return instr
+        return self._append(self.registry.instruction(mnemonic, fields, target))
 
     def append(self, instr: Instruction) -> Instruction:
-        """Append an already-constructed instruction."""
-        self.registry.lookup(instr.mnemonic)
-        self.instructions.append(instr)
-        self._invalidate()
-        return instr
+        """Append the value of ``instr``, as this registry's instance."""
+        return self._append(
+            self.registry.instruction(instr.mnemonic, instr.fields, instr.target)
+        )
 
-    def _invalidate(self) -> None:
+    def _append(self, instr: Instruction) -> Instruction:
+        self.instructions.append(instr)
         self._finalized = False
         self._loop_blocks = None
-        self._words = None
         self._translated = None
+        return instr
 
     def label(self, name: str) -> str:
         """Define ``name`` at the current position (the next instruction)."""
@@ -110,10 +113,13 @@ class Program:
 
         Branch semantics are ``pc += offset`` when taken, so the offset for
         an instruction at ``pc`` targeting label position ``L`` is
-        ``L - pc``.  Raises :class:`ISAError` for unknown labels or offsets
-        that do not fit the 16-bit field.
+        ``L - pc``; the label branch at ``pc`` is replaced by the interned
+        instruction carrying that offset (instructions are never mutated,
+        so finalizing twice changes nothing).  Raises :class:`ISAError` for
+        unknown labels or offsets that do not fit the 16-bit field.
         """
         limit = 1 << (field_width(Format.CTL, "offset") - 1)
+        resolve = self.registry.instruction
         for pc, instr in enumerate(self.instructions):
             if instr.target is None:
                 continue
@@ -125,24 +131,15 @@ class Program:
                     f"branch at {pc} to {instr.target!r}: offset {offset} "
                     f"exceeds the 16-bit field"
                 )
-            instr.fields["offset"] = offset
-            instr.target = None
+            self.instructions[pc] = resolve(
+                instr.mnemonic, {**instr.fields, "offset": offset}
+            )
         self._finalized = True
         return self
 
     @property
     def finalized(self) -> bool:
         return self._finalized
-
-    def encode_all(self) -> List[int]:
-        """Encode the whole program into 32-bit words."""
-        if any(instr.target is not None for instr in self.instructions):
-            self.finalize()
-        if self._words is None:
-            self._words = [
-                encode(instr, self.registry) for instr in self.instructions
-            ]
-        return self._words
 
     # -- execution-engine metadata ------------------------------------------
     def loop_blocks(self) -> List[LoopBlock]:
@@ -165,7 +162,7 @@ class Program:
         for branch, instr in enumerate(self.instructions):
             if instr.mnemonic not in BRANCH_MNEMONICS:
                 continue
-            offset = instr.fields.get("offset", 0)
+            offset = instr.offset
             if offset >= 0:
                 continue
             head = branch + offset

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.isa import ISARegistry, Opcode, Program, SReg
-from repro.isa.opcodes import EXTENSION_OPCODES, Category
+from repro.isa.opcodes import BUILTIN_OPCODES, Category
 
 #: blocking states returned by Core.run()
 RUNNING, BLOCKED_RECV, BLOCKED_BARRIER, HALTED = range(4)
@@ -47,33 +47,21 @@ def translate_program(program: Program, registry: ISARegistry):
     that hashes at C speed -- it is the block-program cache key
     (:func:`repro.sim.blockengine.block_program_for`).
 
-    Memoised on the program object (``Program._invalidate`` drops the
-    memo next to the other derived state), so every core and every
-    repeated simulation of one compiled model decodes it once.  Each
-    instruction tuple is interned in ``registry.decoded``: programs hold
-    one shared tuple per distinct instruction (resnet18@64 dp emits
-    32 115 instructions, 1 177 of them distinct).
+    A program holds references to its registry's interned instructions,
+    and the registry derives each one's tuple once
+    (:meth:`ISARegistry.tuple_of`), so translation is one lookup per
+    static instruction and programs share one tuple per distinct
+    instruction (resnet18@64 dp emits 32 115 instructions, 1 177 of them
+    distinct).  Memoised on the program object (appending drops the memo
+    next to the other derived state), so every core and every repeated
+    simulation of one compiled model decodes it once.
     """
     memo = program._translated
     if memo is not None and memo[0] is registry:
         return memo[1]
     if not program.finalized:
         program.finalize()
-    intern = registry.decoded.setdefault
-    translated = []
-    for instr in program.instructions:
-        desc = registry.lookup(instr.mnemonic)
-        opcode = int(desc.opcode)
-        f = instr.fields
-        t = (
-            opcode,
-            f.get("rs", 0), f.get("rt", 0), f.get("rd", 0), f.get("re", 0),
-            f.get("imm", 0), f.get("offset", 0), f.get("funct", 0),
-            f.get("flags", 0),
-            desc if _DISPATCH[opcode] is _h_extension else None,
-        )
-        translated.append(intern(t, t))
-    code = tuple(translated)
+    code = tuple(map(registry.tuple_of, program.instructions))
     program._translated = (registry, code)
     return code
 
@@ -243,9 +231,8 @@ def _rendered(op: int):
 
 def _build_dispatch():
     table = [_h_extension] * 64
-    for op in Opcode:
-        if op not in EXTENSION_OPCODES:
-            table[op] = _rendered(int(op))
+    for op in BUILTIN_OPCODES:
+        table[op] = _rendered(op)
     table[Opcode.HALT] = _h_halt
     table[Opcode.BARRIER] = _h_barrier
     table[Opcode.RECV] = _h_recv

@@ -25,6 +25,7 @@ from repro.errors import CapacityError, CompileError
 from repro.graph import GraphBuilder
 from repro.graph.models import get_model
 from repro.graph.ops import OpKind
+from repro.isa import encode
 
 
 def _geoms(model, arch, **kwargs):
@@ -212,7 +213,7 @@ class TestCodegen:
     def test_all_programs_encode(self, arch):
         compiled = compile_graph(get_model("tiny_resnet"), arch, "dp")
         for program in compiled.programs.values():
-            words = program.encode_all()
+            words = [encode(instr, program.registry) for instr in program]
             assert all(0 <= w < (1 << 32) for w in words)
 
     def test_register_convention_bounds(self, arch):

@@ -23,6 +23,7 @@ from repro.isa import (
     parse_line,
     parse_program,
 )
+from repro.isa.opcodes import EXTENSION_OPCODES
 
 class TestFormats:
     def test_all_formats_are_32_bit(self):
@@ -123,7 +124,7 @@ class TestEncoding:
         builder = ProgramBuilder()
         builder.li(1, 0x4000_8000)  # GLOBAL_BASE | 0x8000: SC_ORI 0x8000
         program = builder.finalize()
-        words = program.encode_all()
+        words = [encode(instr) for instr in program]
         assert [decode(w).mnemonic for w in words] == ["SC_LUI", "SC_ORI"]
         assert decode(words[1]).offset == 0x8000
 
@@ -174,6 +175,46 @@ class TestAssembly:
         }
 
 
+def _emit(fields):
+    Program().emit("SC_ADDI", **fields)
+
+
+def _assemble(fields):
+    parse_line(f"SC_ADDI R{fields['rs']}, R{fields['rt']}, {fields['imm']}")
+
+
+def _load_override(fields):
+    from repro.artifact import _program_from_entry
+
+    overrides = {"0": {"mnemonic": "SC_ADDI", "fields": fields}}
+    _program_from_entry(
+        {"words": [0], "overrides": overrides}, default_registry()
+    )
+
+
+class TestContractAtConstruction:
+    """An instruction the ISA does not admit is refused where it is made,
+    naming the mnemonic, field and value: a register outside the register
+    file, or a field outside the format.  Immediates are not
+    range-checked there (``li`` immediates that do not fit travel as
+    artifact overrides)."""
+
+    @pytest.mark.parametrize("make", [_emit, _assemble, _load_override])
+    def test_register_outside_the_file(self, make):
+        with pytest.raises(ISAError, match=r"SC_ADDI: field rs=40 .*register"):
+            make({"rs": 40, "rt": 2, "imm": 5})
+
+    @pytest.mark.parametrize("make", [_emit, _load_override])
+    def test_field_outside_the_format(self, make):
+        with pytest.raises(ISAError, match=r"SC_ADDI: field bogus=9 .*format"):
+            make({"rs": 1, "rt": 2, "imm": 5, "bogus": 9})
+
+    def test_immediates_are_not_range_checked(self):
+        instr = Program().emit("SC_ADDI", rt=1, imm=5000)
+        with pytest.raises(ISAError):
+            encode(instr)
+
+
 class TestProgram:
     def test_labels_resolve_forward_and_back(self):
         program = Program()
@@ -202,7 +243,7 @@ class TestProgram:
         program = Program()
         program.emit("NOP")
         program.emit("HALT")
-        words = program.encode_all()
+        words = [encode(instr) for instr in program]
         assert len(words) == 2
         assert program.size_bytes() == 8
 
@@ -271,7 +312,8 @@ class TestExtensions:
 
     def test_free_extension_opcodes(self):
         registry = ISARegistry()
-        free = registry.free_extension_opcodes()
+        taken = {registry.lookup(m).opcode for m in registry.mnemonics()}
+        free = [op for op in EXTENSION_OPCODES if op not in taken]
         assert len(free) == 4
 
 

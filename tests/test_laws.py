@@ -23,8 +23,9 @@ they are priced.
 
 Say it once, and use it.  Every definition under ``src/repro`` is named
 somewhere besides its own ``def`` line, or is public API; every built-in
-opcode is rendered from one definition; and what a process-cold
-``repro run`` prints does not depend on the engine.
+opcode is rendered from one definition; an instruction is made at one
+intern site; and what a process-cold ``repro run`` prints does not
+depend on the engine.
 """
 
 import ast
@@ -649,6 +650,25 @@ def _one_opcode_definition(root: Path):
     )
 
 
+def _one_instruction_constructor(root: Path):
+    """An instruction is a value made in one place: ``Instruction(`` is
+    called only at the registry's intern site, whose one table also
+    holds each instruction's decoded tuple (no ``registry.decoded`` beside
+    it), and ``translate_program`` looks that tuple up rather than read
+    ``.fields``."""
+    core = _read(root, "src/repro/sim/core.py")
+    translate = "\n".join(
+        _sed(core, r"^def translate_program\(", r"^    return code$"))
+    return (
+        _only(_paths(_grep(root, r"(?<![\w\"'])Instruction\(", "src/repro",
+                           suffixes=(".py",))),
+              ["src/repro/isa/extension.py"], "constructor call")
+        + _none(_grep(root, r"registry\.decoded\b", "src/repro",
+                      suffixes=(".py",)), "decoded table")
+        + _none(re.findall(r"\.fields\b", translate), "field read")
+    )
+
+
 _W = "work" "flow"  # spelled apart: the pipeline law greps this file
 #: law -> (its check, a tree breaking each of its clauses once, the
 #: clauses it breaks)
@@ -744,6 +764,16 @@ GREP_LAWS = {
         "src/repro/cli.py": "def _build_deployment(args):\n    pass\n",
     }, ["fleet subclass", "fleet wrapper", "server parameter",
         "second builder"]),
+    "one_instruction_constructor": (_one_instruction_constructor, {
+        "src/repro/isa/extension.py": "instr = Instruction(mnemonic, fields)\n",
+        "src/repro/isa/program.py": "instr = Instruction(mnemonic, fields)\n",
+        "src/repro/sim/core.py": (
+            "intern = registry.decoded.setdefault\n"
+            "def translate_program(program, registry):\n"
+            "    f = instr.fields\n"
+            "    return code\n"
+        ),
+    }, ["constructor call", "decoded table", "field read"]),
 }
 
 

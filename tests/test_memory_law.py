@@ -1,12 +1,16 @@
-"""The memory law: a weight byte is copied once per place it lives.
+"""The memory law: a weight byte is copied once per place it lives, and
+an instruction once per distinct value.
 
 graph -> global image -> macro-group register, one int8 byte each:
 three copies.  Simulated global memory borrows the image's parameter
 segment as a read-only view and owns only the activation window
 (``tests/test_laws.py`` holds chip construction to that), and a replaced
-chip set is freed at once.  These are deterministic counts
-(``tracemalloc`` bytes, parameter reads, weakrefs), not RSS readings:
-the process-level numbers are ``benchmarks/perf``'s ``peak_rss_mib``.
+chip set is freed at once.  A program is a list of references to its
+registry's immutable, interned instructions: one object and one decoded
+tuple per distinct instruction, however many static positions hold it.
+These are deterministic counts (``tracemalloc`` bytes, parameter reads,
+weakrefs, objects, spied calls), not RSS readings: the process-level
+numbers are ``benchmarks/perf``'s ``peak_rss_mib``.
 """
 
 import asyncio
@@ -16,15 +20,18 @@ import weakref
 
 import pytest
 
-from repro import Deployment, Fleet
+from repro import Deployment, Fleet, artifact
 from repro.compiler import compile_graph
 from repro.compiler.codegen import lowering
-from repro.compiler.pipeline import compile_model
-from repro.config import small_test_arch
+from repro.compiler.pipeline import compile_model, plan_graph
+from repro.compiler.plan import layout_global_memory
+from repro.config import default_arch, small_test_arch
 from repro.console import drive_session
 from repro.errors import CapacityError
 from repro.graph.models import get_model
 from repro.graph.ops import Operator
+from repro.isa import ISARegistry, Program
+from repro.sim.core import translate_program
 from repro.sim.functional import random_input
 from repro.sim.multichip import MultiChipSimulator
 
@@ -78,6 +85,116 @@ def test_a_replaced_chip_set_is_freed_at_once(monkeypatch):
     finally:
         gc.enable()
     assert len(replaced) == 3 * compiled.num_chips
+
+
+@pytest.fixture(scope="module")
+def resnet18_plan():
+    """resnet18@32 dp on the Table I arch, planned and laid out: what
+    ``ProgramGenerator`` lowers (18 240 static instructions, 973
+    distinct)."""
+    plan = plan_graph(_resnet18_small(), default_arch(), "dp")
+    layout_global_memory(plan)
+    return plan
+
+
+def _generate(plan, registry):
+    return lowering.ProgramGenerator(plan, registry).generate()
+
+
+def test_one_instruction_object_per_distinct_instruction(resnet18_plan):
+    """Programs share one ``Instruction`` per distinct value: no more
+    objects than distinct decoded tuples (18 240 objects on a compiler
+    that made one per static instruction)."""
+    registry = ISARegistry()
+    programs = _generate(resnet18_plan, registry).values()
+    objects = {id(instr) for program in programs for instr in program}
+    decoded = {t for program in programs
+               for t in translate_program(program, registry)}
+    assert len(objects) <= len(decoded)
+
+
+def test_codegen_retains_a_reference_per_static_instruction(resnet18_plan):
+    """``tracemalloc`` growth of code generation per static instruction:
+    a list slot plus each distinct instruction's share of the intern
+    table (~69 B), not an object and a field dict each (~297 B)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        programs = _generate(resnet18_plan, ISARegistry())
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    static = sum(len(program) for program in programs.values())
+    assert grown / static < 150
+
+
+def test_an_instruction_is_an_immutable_value():
+    """A shared instruction cannot be changed through any program that
+    holds it: a spelling of the same value (field order, explicit zeros)
+    is the same object, and neither its attributes nor its fields take
+    an assignment."""
+    program = Program()
+    instr = program.emit("SC_ADDI", rs=1, rt=2, imm=5)
+    assert program.emit("SC_ADDI", imm=5, rt=2, rs=1, funct=0) is instr
+    with pytest.raises(AttributeError):
+        instr.mnemonic = "SC_MULI"
+    with pytest.raises(TypeError):
+        instr.fields["imm"] = 6
+    assert (instr.mnemonic, dict(instr.fields)) == (
+        "SC_ADDI", {"imm": 5, "rs": 1, "rt": 2})
+
+
+def test_finalize_swaps_label_branches_and_is_idempotent():
+    """Two programs whose loop branches resolve to different offsets:
+    each label branch is replaced by its resolved instruction, the
+    branch ``emit`` returned is left as it was, and a second
+    ``finalize`` changes nothing."""
+    programs, pending = [], []
+    for body in (1, 2):
+        program = Program()
+        program.label("top")
+        for _ in range(body):
+            program.emit("NOP")
+        pending.append(program.emit("BLT", rs=1, rt=2, target="top"))
+        program.emit("HALT")
+        programs.append(program.finalize())
+    assert [(i.target, i.offset) for i in pending] == [("top", 0)] * 2
+    branches = [program[-2] for program in programs]
+    assert [(i.target, i.offset) for i in branches] == [(None, -1), (None, -2)]
+    held = [list(program) for program in programs]
+    for program in programs:
+        program.finalize()
+    assert all(a is b for program, before in zip(programs, held)
+               for a, b in zip(program, before))
+
+
+def test_translation_and_encoding_visit_each_distinct_instruction_once(
+    resnet18_plan, monkeypatch
+):
+    """``translate_program`` is one lookup per static instruction (the
+    registry's descriptor lookup runs once per distinct instruction, on
+    an intern miss), and the artifact codec encodes each distinct
+    instruction of a program once."""
+    registry = ISARegistry()
+    programs = list(_generate(resnet18_plan, registry).values())
+    distinct = [len(set(translate_program(program, registry)))
+                for program in programs]
+    lookups, encodes = [], []
+    lookup = registry.lookup
+    monkeypatch.setattr(registry, "lookup",
+                        lambda m: lookups.append(m) or lookup(m))
+    encode = artifact.encode
+    monkeypatch.setattr(artifact, "encode",
+                        lambda i, r: encodes.append(i) or encode(i, r))
+    for program in programs:
+        program._translated = None
+        translate_program(program, registry)
+    assert len(lookups) <= sum(distinct)
+    for program in programs:
+        artifact._program_to_entry(program)
+    assert len(encodes) <= sum(distinct)
 
 
 def test_compile_reads_values_only_to_build_the_image(
