@@ -294,13 +294,42 @@ def charge_copy_energy(core, nbytes: int, src_global: bool,
 
 
 def _global_copy(core, src, dst, nbytes, start):
-    """Functional + energy half of a MEM_CPY touching global memory."""
+    """Functional + energy half of a MEM_CPY touching global memory: one
+    slice assignment between the two backing arrays (NumPy buffers an
+    overlapping pair).  A copy of parameter bytes into the scratchpad
+    leaves the core's ``staged`` note for :func:`_cim_register`."""
     mem = core.chip.memory
-    data = mem.read(core.core_id, src, nbytes)
-    mem.write(core.core_id, dst, data)
+    cid = core.core_id
+    backing, s = mem.resolve(cid, src, nbytes)
+    target, d = mem.resolve(cid, dst, nbytes, True)
+    target[d:d + nbytes] = backing[s:s + nbytes]
+    if backing is mem.parameters and dst < GLOBAL_BASE:
+        core.staged = (d, s, nbytes)
     charge_copy_energy(
         core, nbytes, src >= GLOBAL_BASE, dst >= GLOBAL_BASE, start
     )
+
+
+def _cim_register(core, addr, rows, cols):
+    """The ``rows x cols`` register ``CIM_LOAD`` makes of the int8 bytes
+    at ``addr``.  Bytes inside the core's ``staged`` note that still
+    equal their parameter source are borrowed: a read-only view of
+    ``MemorySystem.parameters``, which no run writes, so the register
+    neither follows the scratchpad's next tile nor pins a byte the chip
+    does not already share.  The comparison makes the note a hint: with
+    no note, a range outside it, or staging rewritten since, the
+    register is one owned int8 copy."""
+    mem = core.chip.memory
+    n = rows * cols
+    note = core.staged
+    if note is not None:
+        local, offset, length = note
+        k = addr - local
+        if 0 <= k and k + n <= length:
+            view = mem.parameters[offset + k:offset + k + n]
+            if np.array_equal(mem.locals[core.core_id][addr:addr + n], view):
+                return view.reshape(rows, cols)
+    return mem.read(core.core_id, addr, n).reshape(rows, cols)
 
 
 def _row_index(b: int, s: int, l: int, m: int) -> np.ndarray:
@@ -586,10 +615,8 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("if _rw <= 0 or _cl <= 0: raise SimulationError("
              "f\"core {cid}: CIM_LOAD with rows={_rw} cols={_cl}\")")
         em.w("_n = _rw * _cl")
-        # The register owns one int8 copy: the scratchpad slice is a view
-        # (later stores would rewrite the loaded weights), read() copies.
-        em.read(rs, 1, "_n", "_x", copy=True)
-        em.w("mgs[_g] = (_x.reshape(_rw, _cl), _rw, _cl)")
+        em.uses.add("mem")
+        em.w(f"mgs[_g] = (_cr(core, r[{rs}], _rw, _cl), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
         em.tallies.update(("t_clb", "t_lr"))
@@ -601,6 +628,10 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("_e = mgs[_g]")
         em.w("if _e is None: raise SimulationError("
              "f\"core {core.core_id}: CIM_CFG on empty MG {_g}\")")
+        em.w("_lr, _lc = _e[0].shape")
+        em.w("if not (0 < _rw <= _lr and 0 < _cl <= _lc): "
+             "raise SimulationError(f\"core {core.core_id}: CIM_CFG "
+             "{_rw}x{_cl} on MG {_g} outside its loaded {_lr}x{_lc}\")")
         em.w("mgs[_g] = (_e[0], _rw, _cl)")
         em.issue("cim", "1", deps=(rt,))
     elif op == int(Op.CIM_MVM):
@@ -805,6 +836,7 @@ _EXEC_GLOBALS = {
     "GB": GLOBAL_BASE,
     "_ce": charge_copy_energy,
     "_gc": _global_copy,
+    "_cr": _cim_register,
     "_gidx": _gidx,
     "_V": {op: spec.kernel for op, spec in _VEC.items()},
     "_fill": _fill,

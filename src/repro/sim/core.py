@@ -91,6 +91,11 @@ class Core:
         self.busy: Dict[str, int] = {u: 0 for u in _UNITS}
         mgs = arch.chip.core.cim_unit.num_macro_groups
         self.mgs: List[Optional[Tuple[np.ndarray, int, int]]] = [None] * mgs
+        #: ``(local address, parameter offset, length)`` of the last copy
+        #: of parameter bytes into this core's scratchpad: the hint a
+        #: ``CIM_LOAD`` borrows its register by
+        #: (``blockengine._cim_register``).
+        self.staged: Optional[Tuple[int, int, int]] = None
         self.state = RUNNING
         self.instructions_retired = 0
         self._pending_recv: Optional[Tuple[int, int, int]] = None

@@ -98,8 +98,11 @@ class MemorySystem:
             problem = f"writes the read-only parameter segment [{a}, {size})"
         raise SimulationError(f"{who} access [{offset}, {end}) {problem}")
 
-    def _resolve(self, core_id: int, addr: int, nbytes: int,
-                 write: bool = False) -> Tuple[np.ndarray, int]:
+    def resolve(self, core_id: int, addr: int, nbytes: int,
+                write: bool = False) -> Tuple[np.ndarray, int]:
+        """The backing array and index of ``[addr, addr + nbytes)`` as
+        ``core_id`` addresses it; raises :class:`SimulationError` for a
+        range no one array may serve."""
         if addr >= GLOBAL_BASE:
             return self._global(addr - GLOBAL_BASE, nbytes, write, core_id)
         if addr < 0 or addr + nbytes > self.local_size:
@@ -114,13 +117,13 @@ class MemorySystem:
 
     def read(self, core_id: int, addr: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` as int8 (copy)."""
-        backing, offset = self._resolve(core_id, addr, nbytes)
+        backing, offset = self.resolve(core_id, addr, nbytes)
         return backing[offset:offset + nbytes].copy()
 
     def write(self, core_id: int, addr: int, data: np.ndarray) -> None:
         """Write int8 bytes."""
         data = np.ascontiguousarray(data, dtype=np.int8).reshape(-1)
-        backing, offset = self._resolve(core_id, addr, len(data), True)
+        backing, offset = self.resolve(core_id, addr, len(data), True)
         backing[offset:offset + len(data)] = data
 
     def read_i32(self, core_id: int, addr: int, count: int) -> np.ndarray:

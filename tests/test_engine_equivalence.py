@@ -102,7 +102,8 @@ def _report_fields(report):
     }
 
 
-def _run_both(programs, arch=None, image=None, registry=None, handlers=None):
+def _run_both(programs, arch=None, image=None, registry=None, handlers=None,
+              activation_bytes=None):
     """Run a hand-written program set on both engines; return the sims."""
     sims = {}
     for engine in ("interp", "block"):
@@ -113,6 +114,7 @@ def _run_both(programs, arch=None, image=None, registry=None, handlers=None):
             global_image=None if image is None else image.copy(),
             extension_handlers=handlers,
             engine=engine,
+            activation_bytes=activation_bytes,
         )
         sim.report = sim.run()
         sims[engine] = sim
@@ -814,6 +816,153 @@ class TestHandWrittenPrograms:
         assert stats["batch_successes"] == outer - 1
 
 
+#: The borrowed-register chips' image split: activations ``[0, A)``, then
+#: the read-only parameter segment, staged from parameter offset ``_POFF``.
+_A, _POFF = 1024, 512
+
+
+def _assert_register_borrowed(sim, mg, weights, offset):
+    """Macro group ``mg`` of core 0 holds ``weights`` as a read-only view
+    of exactly its bytes at parameter offset ``offset``, aliasing neither
+    the scratchpad nor the activation window."""
+    register, rows, cols = sim.cores[0].mgs[mg]
+    params = sim.memory.parameters
+    assert (rows, cols) == weights.shape
+    assert register.dtype == np.int8
+    assert register.nbytes == rows * cols
+    assert np.array_equal(register, weights)
+    assert not register.flags.writeable
+    assert np.shares_memory(register, params)
+    start = register.__array_interface__["data"][0]
+    assert start - params.__array_interface__["data"][0] == offset
+    assert not np.shares_memory(register, sim.memory.locals[0])
+    assert not np.shares_memory(register, sim.memory.activations)
+
+
+@pytest.mark.usefixtures("tier")
+class TestBorrowedRegisters:
+    """A ``CIM_LOAD`` of scratchpad bytes the core staged from the
+    parameter segment, still equal to them, borrows its register from
+    the parameters; anything else gets an owned copy.  Hand-built chips
+    split their image at ``_A``, so the parameter segment is not empty."""
+
+    TIER = "cold"
+    ROWS, COLS = 16, 8
+
+    def _run(self, staged, at, clobber=None):
+        """Core 0 copies ``staged`` parameter bytes from ``_POFF`` to
+        scratchpad 0 and a ``ROWS``-long vector from the activation
+        window to 2048, loads the tile at scratchpad ``at`` into MG 1
+        and multiplies into 3072.  ``clobber`` ("before" / "after" the
+        load) fills the tile's first row with 9s."""
+        rows, cols = self.ROWS, self.COLS
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE + _A + _POFF)
+        b.li(2, 0)
+        b.li(3, staged)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 2048)
+        b.li(3, rows)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.set_sreg(SReg.MVM_ROWS, 10, rows)
+        b.set_sreg(SReg.MVM_COLS, 10, cols)
+        b.set_sreg(SReg.FILL_VALUE, 10, 9)
+        b.li(4, at)
+        b.li(5, 1)
+        b.li(3, cols)
+
+        def fill_first_row():
+            b.emit("VEC_FILL", rd=4, re=3)
+
+        if clobber == "before":
+            fill_first_row()
+        b.emit("CIM_LOAD", rs=4, rt=5)
+        if clobber == "after":
+            fill_first_row()
+        b.li(6, 2048)
+        b.li(7, 3072)
+        b.emit("CIM_MVM", rs=6, rt=5, re=7, flags=0)
+        b.halt()
+        image = np.random.default_rng(29).integers(
+            -128, 128, 4096, dtype=np.int8)
+        interp, block = _run_both(
+            {0: b.finalize()}, image=image.view(np.uint8), activation_bytes=_A
+        )
+        _assert_equal_state(interp, block)
+        vec = image[:rows].astype(np.int32)
+        start = _A + _POFF + at
+        weights = image[start:start + rows * cols].reshape(rows, cols).copy()
+        if clobber == "before":
+            weights[0] = 9
+        for sim in (interp, block):
+            out = sim.memory.read(0, 3072, 4 * cols).view(np.int32)
+            assert np.array_equal(out, vec @ weights.astype(np.int32))
+        return (interp, block), weights
+
+    def test_staged_tile_is_borrowed(self):
+        """(a) Stage, load, clobber the staging: the register borrows the
+        parameters, so the product still uses the loaded values."""
+        sims, weights = self._run(self.ROWS * self.COLS, 0, clobber="after")
+        for sim in sims:
+            _assert_register_borrowed(sim, 1, weights, _POFF)
+
+    def test_staging_clobbered_before_the_load_is_copied(self):
+        """(b) The staging rewritten between ``MEM_CPY`` and ``CIM_LOAD``
+        no longer equals the parameters: the note is only a hint, and the
+        register is an owned copy of the clobbered bytes."""
+        sims, weights = self._run(self.ROWS * self.COLS, 0, clobber="before")
+        for sim in sims:
+            _assert_register_owned(sim, 1, weights)
+
+    def test_sub_range_of_the_staging_borrows_at_its_offset(self):
+        """(c) A tile loaded from inside a larger staged range borrows the
+        parameter bytes at the same distance from the staged start."""
+        at = self.ROWS * self.COLS + 24
+        sims, weights = self._run(3 * self.ROWS * self.COLS, at)
+        for sim in sims:
+            _assert_register_borrowed(sim, 1, weights, _POFF + at)
+
+    def test_resident_session_keeps_borrowed_registers(self):
+        """(d) ``load_resident`` borrows every register, the warm replays
+        keep the same views, and the warm outputs are byte-equal across
+        engines and to isolated full runs."""
+        from repro.sim.functional import random_input
+        from repro.sim.multichip import MultiChipSimulator
+
+        compiled = compile_model(
+            "tiny_mlp", small_test_arch(), "generic", num_classes=10
+        )
+        inputs = [random_input(compiled.graph, seed=s) for s in range(3)]
+
+        def registers(sim):
+            return [(chip, entry[0]) for chip in sim.chips
+                    for core in chip.cores for entry in core.mgs
+                    if entry is not None]
+
+        outputs = []
+        for engine in ("interp", "block"):
+            sim = MultiChipSimulator(compiled, engine=engine)
+            sim.load_resident()
+            loaded = registers(sim)
+            assert loaded
+            for chip, register in loaded:
+                assert np.shares_memory(register, chip.memory.parameters)
+                assert not register.flags.writeable
+            _, outs = sim.execute_warm_stream(inputs)
+            kept = registers(sim)
+            assert len(kept) == len(loaded)
+            assert all(a is b for (_, a), (_, b) in zip(kept, loaded))
+            outputs.append(outs)
+        isolated = MultiChipSimulator(compiled, engine="interp")
+        outputs.append(isolated.execute_stream(inputs)[1])
+        for outs in outputs[1:]:
+            for got, want in zip(outs, outputs[0]):
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert got[name].tobytes() == want[name].tobytes()
+
+
 class TestModelEquivalenceHotTier(TestModelEquivalence):
     TIER = "hot"
 
@@ -827,6 +976,10 @@ class TestNoCContentionFuzzHotTier(TestNoCContentionFuzz):
 
 
 class TestHandWrittenProgramsHotTier(TestHandWrittenPrograms):
+    TIER = "hot"
+
+
+class TestBorrowedRegistersHotTier(TestBorrowedRegisters):
     TIER = "hot"
 
 
@@ -1731,3 +1884,54 @@ class TestSRegIndex:
         ):
             sim.run()
         assert sim.cores[0].regs[2] == 0
+
+
+class TestCimCfgShape:
+    """``CIM_CFG`` narrows a loaded register, never widens or empties it:
+    a shape outside ``0 < rows <= loaded rows, 0 < cols <= loaded cols``
+    is a typed error on every engine path (it once surfaced as an untyped
+    matmul / broadcast error, or ran with a bogus or zero MAC count)."""
+
+    #: requested (rows, cols) -> the shape the S_Regs hold (``li`` of
+    #: -1 leaves the 32-bit pattern).
+    SHAPES = {(32, 4): "32x4", (8, 16): "8x16", (8, -1): "8x4294967295",
+              (0, 4): "0x4"}
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shape_outside_the_register_raises(self, shape, engine,
+                                               monkeypatch):
+        from repro.sim import blockengine as be
+
+        if engine == "hot":
+            monkeypatch.setattr(be, "_HOT_RUNS", 0)
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        rows, cols = 16, 8
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, rows * cols + rows)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.set_sreg(SReg.MVM_ROWS, 10, rows)
+        b.set_sreg(SReg.MVM_COLS, 10, cols)
+        b.li(4, 1)
+        b.emit("CIM_LOAD", rs=2, rt=4)
+        b.set_sreg(SReg.MVM_ROWS, 10, shape[0])
+        b.set_sreg(SReg.MVM_COLS, 10, shape[1])
+        b.emit("CIM_CFG", rt=4)
+        b.li(5, rows * cols)
+        b.li(6, 1024)
+        b.emit("CIM_MVM", rs=5, rt=4, re=6, flags=0)
+        b.halt()
+        sim = ChipSimulator(
+            small_test_arch(), {0: b.finalize()},
+            engine="interp" if engine == "interp" else "block",
+        )
+        with pytest.raises(
+            SimulationError,
+            match=f"^core 0: CIM_CFG {self.SHAPES[shape]} on MG 1 "
+                  f"outside its loaded {rows}x{cols}$",
+        ):
+            sim.run()
+        assert sim.acct.macs == 0
+        assert sim.cores[0].mgs[1][1:] == (rows, cols)

@@ -4,8 +4,9 @@ violation, run with the rest of tier-1.
 Hold each simulated byte once.  A chip simulator owns its global
 activation window and borrows the compiled image's parameter segment
 read-only (``sim/memory.py``); nothing writes the parameters, whichever
-engine path issues the write; and a macro-group register is its own
-array, aliasing neither segment.
+engine path issues the write; and a macro-group register borrows the
+parameter bytes it was loaded from, aliasing neither the activation
+window nor a scratchpad.
 
 Serve through one kernel, once.  The admission recurrence is spelled
 out in ``sim/multichip.py`` alone; ``PipelineState.admit`` is called
@@ -84,25 +85,39 @@ def test_chip_allocates_its_activation_window_not_its_parameters(resnet18_32):
     assert not mem.parameters.flags.writeable
 
 
-def test_registers_alias_neither_segment(resnet18_32):
+def test_registers_borrow_the_parameters(resnet18_32, monkeypatch):
+    """Every ``CIM_LOAD`` of a compiled model borrows its register from
+    the parameter segment: a read-only view of exactly its rows x cols
+    bytes, aliasing neither the activation window nor any scratchpad."""
     compiled = resnet18_32
+    borrow = be._EXEC_GLOBALS["_cr"]
+    loads = []
+
+    def spy(core, addr, rows, cols):
+        register = borrow(core, addr, rows, cols)
+        loads.append((register, rows, cols))
+        return register
+
+    monkeypatch.setitem(be._EXEC_GLOBALS, "_cr", spy)
     sim = ChipSimulator.from_compiled(compiled)
     sim.memory.write_global(
         compiled.input_address(), random_input(compiled.graph, seed=0)
     )
     sim.run()
     mem = sim.memory
-    registers = 0
-    for core in sim.cores:
-        for entry in core.mgs:
-            if entry is None:
-                continue
-            register = entry[0]
-            registers += 1
-            assert not np.shares_memory(register, mem.activations)
-            assert not np.shares_memory(register, mem.parameters)
-            assert not np.shares_memory(register, mem.locals[core.core_id])
-    assert registers > 0
+    kept = [entry for core in sim.cores for entry in core.mgs
+            if entry is not None]
+    assert loads and kept
+    assert sum(register.nbytes for register, _, _ in loads) == (
+        sim.acct.cim_load_bytes
+    )
+    for register, rows, cols in loads + kept:
+        assert np.shares_memory(register, mem.parameters)
+        assert not register.flags.writeable
+        assert register.nbytes == rows * cols
+        assert not np.shares_memory(register, mem.activations)
+        assert not any(np.shares_memory(register, local)
+                       for local in mem.locals)
 
 
 _SPLIT = 512
@@ -498,12 +513,17 @@ def _one_affine_walk(root: Path):
 
 
 def _one_byte_per_weight(root: Path):
-    """A macro-group register is one owned int8 array (no float32
-    register in the simulator), tile boxes carry no array, and tile
-    bytes are cut straight into the image (no per-tile copy in
-    geometry, no ``tobytes`` round trip in lowering);
+    """A macro-group register is int8 (no float32 register in the
+    simulator), and ``_emit_instr``'s ``CIM_LOAD`` makes it only through
+    ``_cim_register`` (bound as ``_cr``: a borrowed parameter view, else
+    one owned copy), never by a ``copy=True`` read; tile boxes carry no
+    array, and tile bytes are cut straight into the image (no per-tile
+    copy in geometry, no ``tobytes`` round trip in lowering);
     ``tests/test_memory_law.py`` holds the counts."""
     geometry = "src/repro/compiler/geometry.py"
+    load = _sed(_read(root, "src/repro/sim/blockengine.py"),
+                r"elif op == int\(Op\.CIM_LOAD\)", r"elif op ==")
+    made = [line.strip() for line in load if "mgs[_g] =" in line]
     return (
         _none(_grep(root, r"astype\(np\.float32\)", "src/repro/sim/core.py",
                     "src/repro/sim/blockengine.py"), "float32 register")
@@ -511,6 +531,9 @@ def _one_byte_per_weight(root: Path):
                       geometry, "src/repro/compiler/codegen/lowering.py"),
                 "tile copy")
         + _none(_grep(root, r"\bdata:", geometry), "tile array")
+        + _none([line.strip() for line in load if "copy=True" in line]
+                + [line for line in made if "_cr(" not in line]
+                + ([] if made else ["no register"]), "register copy")
     )
 
 
@@ -707,7 +730,13 @@ GREP_LAWS = {
         "src/repro/sim/core.py": "reg = tile.astype(np.float32)\n",
         "src/repro/compiler/codegen/lowering.py": "raw = tile.tobytes()\n",
         "src/repro/compiler/geometry.py": "    data: np.ndarray\n",
-    }, ["float32 register", "tile copy", "tile array"]),
+        "src/repro/sim/blockengine.py": (
+            "    elif op == int(Op.CIM_LOAD):\n"
+            "        em.read(rs, 1, \"_n\", \"_x\", copy=True)\n"
+            "        em.w(\"mgs[_g] = (_x.reshape(_rw, _cl), _rw, _cl)\")\n"
+            "    elif op == int(Op.CIM_CFG):\n"
+        ),
+    }, ["float32 register", "tile copy", "tile array", "register copy"]),
     "one_axis_table": (_one_axis_table, {
         "src/repro/explore.py": (
             "p = PointSpec(chips=pspec.chips)\n"
