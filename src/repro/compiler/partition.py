@@ -55,10 +55,6 @@ class PartitionResult:
     total_cost: float
 
     @property
-    def total_latency(self) -> int:
-        return sum(s.estimate.latency for s in self.stages)
-
-    @property
     def total_energy_pj(self) -> float:
         return sum(s.estimate.energy_pj for s in self.stages)
 

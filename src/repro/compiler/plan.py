@@ -109,12 +109,6 @@ class ExecutionPlan:
     bias_address: Dict[str, int] = field(default_factory=dict)
     global_bytes: int = 0
 
-    def stage_of(self, node_name: str) -> int:
-        for stage in self.stages:
-            if node_name in stage.mappings:
-                return stage.index
-        raise CompileError(f"node {node_name!r} not in any stage")
-
     def tile_address(self, node_name: str, tile: WeightTile) -> int:
         return self.weight_address[(node_name, tile.slice_index, tile.tile_index)]
 

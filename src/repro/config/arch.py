@@ -258,11 +258,6 @@ class CoreConfig:
     register_file: RegisterFileConfig = field(default_factory=RegisterFileConfig)
     inst_memory_size: int = 64 * 1024
 
-    @property
-    def cim_capacity_bytes(self) -> int:
-        """Weight bytes storable in this core's CIM arrays."""
-        return self.cim_unit.capacity_bytes
-
     def validate(self) -> None:
         if self.inst_memory_size <= 0:
             raise ConfigError("instruction memory size must be positive")
@@ -369,22 +364,12 @@ class ChipConfig:
         """Clock period in nanoseconds."""
         return 1000.0 / self.clock_mhz
 
-    @property
-    def total_cim_capacity_bytes(self) -> int:
-        return self.num_cores * self.core.cim_capacity_bytes
-
     def core_position(self, core_id: int) -> Tuple[int, int]:
         """Mesh (row, col) of a core id (row-major placement)."""
         if not 0 <= core_id < self.num_cores:
             raise ConfigError(f"core id {core_id} out of range")
         _, cols = self.mesh_dims
         return core_id // cols, core_id % cols
-
-    def hop_distance(self, src_core: int, dst_core: int) -> int:
-        """Manhattan hop count between two cores in the mesh."""
-        r0, c0 = self.core_position(src_core)
-        r1, c1 = self.core_position(dst_core)
-        return abs(r0 - r1) + abs(c0 - c1)
 
     def validate(self) -> None:
         if not 1 <= self.num_cores <= MAX_CORES:
@@ -438,10 +423,6 @@ class ArchConfig:
     @property
     def mgs_per_core(self) -> int:
         return self.chip.core.cim_unit.num_macro_groups
-
-    @property
-    def core_cim_capacity_bytes(self) -> int:
-        return self.chip.core.cim_capacity_bytes
 
 
 def replace(config, **changes):

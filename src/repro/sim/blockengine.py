@@ -66,14 +66,16 @@ written.  A compiled block renders it with the operands baked in;
 decoded tuple, and ``core._DISPATCH`` installs that handler the first
 time the opcode executes.  The interpreter, the cold tier and the
 blocking fallback therefore run the same definition the compiled blocks
-do.  The emitter, the batch planner's symbolic walk
-(:func:`_build_template`) and batched replay (:func:`_exec_batch`) read
-the same per-opcode declarations: :data:`_ALU` (each scalar ALU op's
-result field and source text), :data:`_VEC` (each vector op's operand
-regions, result, S_Regs, kernel and energy) and :func:`_fill`.  The
-walk adds only affine rules (ADD, SUB, MUL, ADDI, MULI, ADDIW) and the
-copy and CIM regions; each plan op is ``(kind, args, read regions,
-write region)``.
+do.  The emitter, the batch planner's walk (:func:`_walk`) and batched
+replay (:func:`_exec_batch`) read the same per-opcode declarations:
+:data:`_ALU` (each scalar ALU op's result field and source text),
+:data:`_VEC` (each vector op's operand regions, result, S_Regs, kernel
+and energy) and :func:`_fill`.  The walk adds only affine rules (ADD,
+SUB, MUL, ADDI, MULI, ADDIW) and the copy and CIM regions; each plan op
+is ``(kind, args, read regions, write region)``.  The walk runs on the
+concrete entry state, once per loop entry, and a loop instance keeps
+its last plan: an entry in exactly the state of the last one walked (a
+serving session replaying the same input shape) reuses it.
 
 ``RECV``/``BARRIER``/``HALT``, extension opcodes and anything else the
 code generator does not support end a block and fall back to the
@@ -253,9 +255,9 @@ ENGINE_STATS = {
     "loop_iterations_batched": 0,  # replayed in closed form
     "batch_attempts": 0,
     "batch_successes": 0,
-    "template_builds": 0,          # symbolic plan templates constructed
-    "template_hits": 0,            # batch plans instantiated from a template
-    "template_misfits": 0,         # cached template's guards rejected an entry
+    "template_builds": 0,          # loop entries planned by a walk
+    "template_hits": 0,            # entries that reused the last plan
+    "template_misfits": 0,         # entries whose key missed the last
     "noc_batch_attempts": 0,       # batch attempts on NoC-touching loops
     "noc_batch_successes": 0,      # NoC windows replayed iteration-major
     "noc_batch_contention_bailouts": 0,  # replay refused: link not steady
@@ -898,7 +900,7 @@ class BlockInstance:
     __slots__ = (
         "code", "start", "length", "term", "is_loop", "exit_pc", "runs",
         "fn", "consts", "units", "dep_regs",
-        "batch_ok", "batch_fails", "cnt_reg", "bound_reg", "templates",
+        "batch_ok", "batch_fails", "cnt_reg", "bound_reg", "last_plan",
     )
 
     def __init__(self, code, start, term, is_loop):
@@ -921,9 +923,9 @@ class BlockInstance:
         self.batch_fails = 0
         self.cnt_reg = code[-1][1]
         self.bound_reg = code[-1][2]
-        #: step-delta key -> plan template (None = provably never
-        #: batchable under that delta).
-        self.templates: Dict[Tuple, Optional["_PlanTemplate"]] = {}
+        #: ``(key, (plan, m))`` of the entry last walked (see
+        #: :func:`_plan_entry`).
+        self.last_plan: Optional[Tuple] = None
 
     def compile(self) -> None:
         """Bind the shape-shared function and this instance's constants."""
@@ -1484,286 +1486,82 @@ def _span(b: int, s: int, l: int, m: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# plan templates: the affine walk + hazard analysis, cached per loop instance
+# the batch planner: one concrete walk per loop entry, the last plan reused
 # ---------------------------------------------------------------------------
-#
-# The batch planner is one affine walk of the loop body
-# (:func:`_build_template`).  For a given per-iteration step delta the
-# walk's *structure* does not depend on the loop entry: operand bases are
-# affine in the entry registers, and every structural decision (which ops
-# batch, their lengths, the hazard geometry) depends only on the steps and
-# the program immediates.  So the walk runs symbolically -- values as
-# linear expressions over the 48 entry slots (32 registers + 16
-# S-registers) -- and its result, a :class:`_PlanTemplate`, is cached on
-# the loop instance; every entry, the one that built it included, gets
-# its concrete plan from ``instantiate`` with a handful of dot products.
-# The pairwise write-collision verdict is memoised on the
-# translation-invariant signature (trip count, relative bases), so the
-# hazard analysis is amortised too; only the cheap O(writes) bounds check
-# runs fresh per entry.  Where the walk needs a concrete value it binds
-# the building entry's and records a guard; an entry the guards reject
-# (``template_misfits``) is re-planned from its own state by a fresh walk
-# whose template replaces the cached one.  A bail the walk can prove for
-# *all* entry states is cached as "never batches"; one that depends on
-# this entry's values (:class:`_TemplateUnfit`) caches nothing.
-
-class _TemplateUnfit(_Bail):
-    """This entry does not fit, though another may: the walk met a bail
-    that depends on the entry's values, or a cached template's guard
-    rejected the entry."""
-
-
-#: Linear expression over entry slots: (constant, ((slot, coeff), ...)).
-#: Slots 0..31 are registers, 32..47 are S-registers.
-_E_ZERO = (0, ())
-
-
-def _e_const(c: int) -> Tuple:
-    return (c, ())
-
-
-def _e_slot(slot: int) -> Tuple:
-    return (0, ((slot, 1),))
-
-
-def _e_is_const(e: Tuple) -> bool:
-    return not e[1]
-
-
-def _e_combine(a: Tuple, b: Tuple, sign: int) -> Tuple:
-    coeffs = dict(a[1])
-    for slot, k in b[1]:
-        v = coeffs.get(slot, 0) + sign * k
-        if v:
-            coeffs[slot] = v
-        else:
-            coeffs.pop(slot, None)
-    return (a[0] + sign * b[0], tuple(sorted(coeffs.items())))
-
-
-def _e_scale(a: Tuple, k: int) -> Tuple:
-    if k == 0:
-        return _E_ZERO
-    return (a[0] * k, tuple((slot, c * k) for slot, c in a[1]))
-
-
-def _e_shift(a: Tuple, c: int) -> Tuple:
-    return (a[0] + c, a[1])
-
 
 #: A plan op is ``(kind, args, read regions, write region or None)``; a
-#: region is ``(base, step, nbytes)``, its base a linear expression in a
-#: template and an integer in an instantiated plan.  Kinds: ``cpy``
-#: (args: None, or MEM_GATHER's ``(count, chunk, stride)``), ``gcpy`` (a
-#: global-source MEM_CPY), ``cimload`` (``(rows, cols, mg)``; no write),
-#: ``mvm`` (``(rows, cols, mg, flags, in-loop load)``), ``vec`` (the
-#: opcode, then its :data:`_VEC` S_Reg values) and ``fill`` (the
-#: arguments of :func:`_fill`).
-
-class _PlanTemplate:
-    """One symbolic batch plan, instantiable against any entry state."""
-
-    __slots__ = ("ops", "cnt", "bound", "guards", "mvm_guards", "_hazards")
-
-    def __init__(self, ops, cnt, bound, guards, mvm_guards):
-        self.ops = ops            # plan ops, bases as linear expressions
-        self.cnt = cnt            # (expr, step) of the BLT counter
-        self.bound = bound        # expr of the BLT bound (step 0)
-        self.guards = guards      # (expr, expected value) bindings
-        self.mvm_guards = mvm_guards   # (mg, rows, cols) build-time shapes
-        self._hazards: Dict[Tuple, bool] = {}
-
-    def instantiate(self, core, max_iterations: int):
-        """Materialise the concrete ``(plan, m)`` for the current entry.
-
-        Raises :class:`_Bail` when this entry cannot batch (trip budget,
-        bounds, collisions) and :class:`_TemplateUnfit` when a guard
-        shows the entry differs from the one the template was built at
-        (the caller then plans it from its own state).
-        """
-        regs = core.regs
-        sregs = core.sregs
-        mgs = core.mgs
-
-        def ev(e: Tuple) -> int:
-            value, coeffs = e
-            for slot, k in coeffs:
-                value += k * (regs[slot] if slot < 32 else sregs[slot - 32])
-            return value
-
-        for expr, expected in self.guards:
-            if ev(expr) != expected:
-                raise _TemplateUnfit()
-        for mg, rows, cols in self.mvm_guards:
-            if not 0 <= mg < len(mgs) or mgs[mg] is None:
-                raise _Bail()
-            entry = mgs[mg]
-            if entry[1] != rows or entry[2] != cols:
-                raise _TemplateUnfit()
-
-        cnt_v = ev(self.cnt[0])
-        cnt_s = self.cnt[1]
-        bound_v = ev(self.bound)
-        if cnt_v >= bound_v:
-            m = 1
-        else:
-            m = 1 + (bound_v - cnt_v + cnt_s - 1) // cnt_s
-        if m > max_iterations:
-            # Over the caller's instruction budget: fall back to the
-            # stepped path, which raises the interpreter's runaway error
-            # cleanly.
-            raise _Bail()
-
-        ops = [
-            (kind, args, tuple((ev(b), s, l) for b, s, l in reads),
-             None if w is None else (ev(w[0]), w[1], w[2]))
-            for kind, args, reads, w in self.ops
-        ]
-
-        # Every write must stay inside local memory for the whole batch.
-        writes = [op[3] for op in ops if op[3] is not None]
-        spans = [_span(b, s, l, m) for b, s, l in writes]
-        lsz = core.chip.memory.local_size
-        for lo, hi in spans:
-            if lo < 0 or hi > lsz:
-                raise _Bail()
-        # Distinct write regions must never touch a common byte at any
-        # pair of iterations (iteration-aware for regions sharing a step;
-        # conservative span test otherwise).  The pairwise verdict
-        # depends only on *relative* bases (steps, lengths and m are
-        # template constants), so it is memoised across entries that
-        # differ by a pure translation.
-        base0 = writes[0][0] if writes else 0
-        signature = (m, tuple(b - base0 for b, _, _ in writes))
-        collide = self._hazards.get(signature)
-        if collide is None:
-            collide = False
-            for i in range(len(writes)):
-                for j in range(i + 1, len(writes)):
-                    if writes[i] == writes[j]:
-                        continue
-                    if _writes_collide(
-                        writes[i], writes[j], spans[i], spans[j], m
-                    ):
-                        collide = True
-                        break
-                if collide:
-                    break
-            if len(self._hazards) > 64:
-                self._hazards.clear()
-            self._hazards[signature] = collide
-        if collide:
-            raise _Bail()
-        ENGINE_STATS["template_hits"] += 1
-        return ops, m
-
-
-def _template_key(delta: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The delta components the affine walk consults: reg + sreg steps."""
-    return (
-        delta[_S_REGS:_S_REGS + 32] + delta[_S_SREGS:_S_SREGS + 16]
-    )
-
+#: region is ``(base, step, nbytes)``.  Kinds: ``cpy`` (args: None, or
+#: MEM_GATHER's ``(count, chunk, stride)``), ``gcpy`` (a global-source
+#: MEM_CPY), ``cimload`` (``(rows, cols, mg)``; no write), ``mvm``
+#: (``(rows, cols, mg, flags, in-loop load)``), ``vec`` (the opcode,
+#: then its :data:`_VEC` S_Reg values) and ``fill`` (the arguments of
+#: :func:`_fill`).
 
 def _plan_entry(core, inst: BlockInstance, delta: Tuple[int, ...],
                 max_iterations: int):
     """The concrete ``(plan, m)`` of the current loop entry.
 
-    Instantiates the template cached for this instance + step delta.
-    Without one -- or when the cached one's guards reject this entry --
-    the body is walked from the entry's own state and the new template
-    is cached and instantiated.  Raises :class:`_Bail` when the entry
-    does not batch.  Read-only: performs no mutation of the core.
+    A plan is a function of exactly what :func:`_walk` reads: the step
+    delta, the entry registers and S-registers, each macro group's
+    loaded shape and the scratchpad size.  An entry whose key equals the
+    one the instance last walked reuses that plan (a serving session
+    re-enters every loop in the state of the previous input); any other
+    entry is walked and its plan replaces the stored one.  Raises
+    :class:`_Bail` when the entry does not batch.  Read-only: performs
+    no mutation of the core.
     """
-    key = _template_key(delta)
-    templates = inst.templates
-    if key in templates:
-        template = templates[key]
-        if template is None:
-            # Symbolically proven: this loop never batches under this
-            # step delta, for any entry state.  Skip the affine walk.
-            raise _Bail()
-        try:
-            return template.instantiate(core, max_iterations)
-        except _TemplateUnfit:
+    key = (
+        delta, tuple(core.regs), tuple(core.sregs),
+        tuple(None if g is None else (g[1], g[2]) for g in core.mgs),
+        core.chip.memory.local_size,
+    )
+    last = inst.last_plan
+    if last is not None and last[0] == key:
+        ENGINE_STATS["template_hits"] += 1
+        plan = last[1]
+    else:
+        if last is not None:
             ENGINE_STATS["template_misfits"] += 1
-    if len(templates) > 4:
-        templates.clear()
-    ENGINE_STATS["template_builds"] += 1
-    try:
-        template = _build_template(core, inst, delta)
-    except _Bail as bail:
-        if not isinstance(bail, _TemplateUnfit):
-            templates[key] = None
-        raise
-    templates[key] = template
-    return template.instantiate(core, max_iterations)
+        ENGINE_STATS["template_builds"] += 1
+        plan = _walk(core, inst, delta)
+        inst.last_plan = (key, plan)
+    if plan[1] > max_iterations:
+        # Over the caller's instruction budget: fall back to the stepped
+        # path, which raises the interpreter's runaway error cleanly.
+        raise _Bail()
+    return plan
 
 
-def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
-    """The affine walk of a loop body: the batch planner.
+def _walk(core, inst: BlockInstance, delta: Tuple[int, ...]):
+    """The affine walk of a loop body from the current entry: the batch
+    planner.
 
-    Walks the body once with register *values* as linear expressions
-    over the entry slots while steps stay concrete (they derive from the
-    delta and immediates only).  Where the walk needs a concrete value
-    (an op length, a macro-group index, a multiplier), the current
-    entry's value is *bound* and recorded as an instantiation guard, so
-    the template applies to every entry that agrees on those values --
-    in practice all of them, since bound values are loop parameters
-    while operand bases stay symbolic.
-
-    Raises a plain :class:`_Bail` only for bails that hold for every
-    entry state (nothing bound yet; cached as "never batches") and
-    :class:`_TemplateUnfit` for those that depend on this entry's values
-    or environment (another entry may batch, so nothing is cached).
-    Build-time macro-group shapes become instantiation guards too, so a
-    template never outlives the environment it was derived from.
+    Each register is a ``(value, step)`` pair, its value read from the
+    core and its step from the measured per-iteration ``delta``.  Op
+    lengths, macro-group indices and S_Reg operands must be
+    loop-invariant; the ALU keeps only affine rules (ADD, SUB, MUL by an
+    invariant, ADDI, MULI, ADDIW) and needs invariant operands for every
+    other op.  The walked end-of-body registers must equal the entry
+    values plus the measured steps, the closing ``BLT`` gives the trip
+    count ``m``, every write must stay inside local memory for all ``m``
+    iterations and no two write regions may collide.  Returns
+    ``(plan ops, m)``; raises :class:`_Bail` when the entry does not
+    batch.
     """
-    regs: List[Tuple[Tuple, int]] = [
-        (_e_slot(i), delta[_S_REGS + i]) for i in range(32)
-    ]
-    sregs: List[Tuple[Tuple, int]] = [
-        (_e_slot(32 + i), delta[_S_SREGS + i]) for i in range(16)
-    ]
-    entry_steps = [s for _, s in regs]
-    entry_ssteps = [s for _, s in sregs]
-    entry_regs = list(core.regs)
-    entry_sregs = list(core.sregs)
+    entry = (*core.regs, *core.sregs)
+    steps = delta[_S_REGS:_S_REGS + 32] + delta[_S_SREGS:_S_SREGS + 16]
+    regs = list(zip(entry[:32], steps[:32]))
+    sregs = list(zip(entry[32:], steps[32:]))
     mgs = core.mgs
     ops: List[Tuple] = []
-    guards: List[Tuple[Tuple, int]] = []
-    mvm_guards: List[Tuple[int, int, int]] = []
     vmg_shapes: Dict[int, Tuple[int, int]] = {}
     entry_mg_used: set = set()
-    pure = True  # no guard bound yet -> bails are entry-independent
 
-    def ev_entry(e: Tuple) -> int:
-        value, coeffs = e
-        for slot, k in coeffs:
-            value += k * (
-                entry_regs[slot] if slot < 32 else entry_sregs[slot - 32]
-            )
+    def invariant(pair) -> int:
+        value, step = pair
+        if step != 0:
+            raise _Bail()
         return value
-
-    def bind(e: Tuple) -> int:
-        """The concrete value of ``e``, guarded if entry-dependent."""
-        nonlocal pure
-        if _e_is_const(e):
-            return e[0]
-        value = ev_entry(e)
-        guards.append((e, value))
-        pure = False
-        return value
-
-    def definite_bail() -> None:
-        """Bail that is universal only while no value has been bound."""
-        raise _Bail() if pure else _TemplateUnfit()
-
-    def invariant(pair) -> Tuple:
-        e, s = pair
-        if s != 0:
-            definite_bail()
-        return e
 
     body = inst.code[:-1]
     branch = inst.code[-1]
@@ -1772,37 +1570,29 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
         rs, rt, rd, re = t[1], t[2], t[3], t[4]
         imm, off, funct, flags = t[5], t[6], t[7], t[8]
         if op in _ALU:
-            (a_e, a_s), (b_e, b_s) = regs[rs], regs[rt]
+            (a, a_s), (b, b_s) = regs[rs], regs[rt]
             if op == int(Op.SC_ADD):
-                value = (_e_combine(a_e, b_e, 1), a_s + b_s)
+                value = (a + b, a_s + b_s)
             elif op == int(Op.SC_SUB):
-                value = (_e_combine(a_e, b_e, -1), a_s - b_s)
+                value = (a - b, a_s - b_s)
             elif op == int(Op.SC_MUL):
                 if a_s == 0:
-                    # concrete result: (a0 * b0, a0 * b1)
-                    if (_e_is_const(b_e) and b_s == 0
-                            and not _e_is_const(a_e)):
-                        value = (_e_scale(a_e, b_e[0]), 0)
-                    else:
-                        c = bind(a_e)
-                        value = (_e_scale(b_e, c), c * b_s)
+                    value = (a * b, a * b_s)
                 elif b_s == 0:
-                    # concrete result: (a0 * b0, a1 * b0)
-                    c = bind(b_e)
-                    value = (_e_scale(a_e, c), a_s * c)
+                    value = (a * b, a_s * b)
                 else:
-                    definite_bail()
+                    raise _Bail()
             elif op == int(Op.SC_ADDI):
-                value = (_e_shift(a_e, imm), a_s)
+                value = (a + imm, a_s)
             elif op == int(Op.SC_MULI):
-                value = (_e_scale(a_e, imm), a_s * imm)
+                value = (a * imm, a_s * imm)
             elif op == int(Op.SC_ADDIW):
-                value = (_e_shift(a_e, off), a_s)
+                value = (a + off, a_s)
             else:
                 text = _ALU[op][1]
-                a = bind(invariant(regs[rs])) if "{a}" in text else 0
-                b = bind(invariant(regs[rt])) if "{b}" in text else 0
-                value = (_e_const(_ALU_FN[op](a, b, imm, off)), 0)
+                a = invariant(regs[rs]) if "{a}" in text else 0
+                b = invariant(regs[rt]) if "{b}" in text else 0
+                value = (_ALU_FN[op](a, b, imm, off), 0)
             _wr(regs, t[_FIELD[_ALU[op][0]]], value)
         elif op in (int(Op.MV_G2S), int(Op.MV_S2G)):
             if not 0 <= imm < 16:
@@ -1814,70 +1604,63 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
         elif op in (int(Op.NOP), int(Op.SYNC)):
             pass
         elif op == int(Op.MEM_CPY):
-            n = bind(invariant(regs[rd]))
+            n = invariant(regs[rd])
             if n <= 0:
-                definite_bail()
+                raise _Bail()
             sb, ss = regs[rs]
-            db, ds = _e_shift(regs[rt][0], off), regs[rt][1]
-            if ev_entry(db) >= GLOBAL_BASE:
+            db, ds = regs[rt][0] + off, regs[rt][1]
+            if db >= GLOBAL_BASE:
                 # Global-memory writes are visible to other cores;
-                # replay order matters, so never batch them.  Other
-                # entries may keep the destination local, so this is
-                # never cached as a definite bail.
-                raise _TemplateUnfit()
+                # replay order matters, so never batch them.
+                raise _Bail()
             # A global source streams (weights/activations): one NoC
-            # message per iteration.  Classified by this entry's value,
-            # unguarded: an entry that flips the source's locality fails
-            # the executor's region bounds check and falls back safely.
-            kind = "gcpy" if ev_entry(sb) >= GLOBAL_BASE else "cpy"
+            # message per iteration.
+            kind = "gcpy" if sb >= GLOBAL_BASE else "cpy"
             ops.append((kind, None, ((sb, ss, n),), (db, ds, n)))
         elif op == int(Op.MEM_GATHER):
-            count = bind(invariant(regs[rd]))
-            chunk = bind(invariant(sregs[13]))
-            stride = bind(invariant(sregs[7]))
+            count = invariant(regs[rd])
+            chunk = invariant(sregs[13])
+            stride = invariant(sregs[7])
             if count <= 0 or chunk <= 0 or stride <= 0:
-                definite_bail()
+                raise _Bail()
             span = (count - 1) * stride + chunk
             ops.append(("cpy", (count, chunk, stride), ((*regs[rs], span),),
                         (*regs[rt], count * chunk)))
         elif op == int(Op.CIM_LOAD):
-            mg = bind(invariant(regs[rt]))
-            rows = bind(invariant(sregs[2]))
-            cols = bind(invariant(sregs[3]))
+            mg = invariant(regs[rt])
+            rows = invariant(sregs[2])
+            cols = invariant(sregs[3])
             if not 0 <= mg < len(mgs) or rows <= 0 or cols <= 0:
-                definite_bail()
+                raise _Bail()
             if mg in entry_mg_used:
                 # An earlier MVM on this mg reads the *previous*
                 # iteration's load: a loop-carried macro-group
                 # dependency the batched replay does not model.
-                definite_bail()
+                raise _Bail()
             ops.append(("cimload", (rows, cols, mg),
                         ((*regs[rs], rows * cols),), None))
             vmg_shapes[mg] = (rows, cols)
         elif op == int(Op.CIM_MVM):
-            mg = bind(invariant(regs[rt]))
+            mg = invariant(regs[rt])
             if not 0 <= mg < len(mgs):
-                definite_bail()
+                raise _Bail()
             shape = vmg_shapes.get(mg)
             virt = shape is not None
             if virt:
                 rows, cols = shape
             else:
                 if mgs[mg] is None:
-                    # Environment-dependent (another entry may have the
-                    # MG loaded): cannot be cached as a definite bail.
-                    raise _TemplateUnfit()
+                    raise _Bail()
                 _, rows, cols = mgs[mg]
-                mvm_guards.append((mg, rows, cols))
                 entry_mg_used.add(mg)
             ops.append(("mvm", (rows, cols, mg, flags, virt),
                         ((*regs[rs], rows),), (*regs[re], 4 * cols)))
         elif op in _VEC or op == int(Op.VEC_FILL):
-            n = bind(invariant(regs[re]))
+            n = invariant(regs[re])
             if n <= 0:
-                definite_bail()
+                raise _Bail()
             if op == int(Op.VEC_FILL):
-                fill = bind(invariant(sregs[6]))
+                fill = invariant(sregs[6])
                 ops.append(("fill", (fill, n, funct), (),
                             (*regs[rd], 4 * n if funct == 4 else n)))
                 continue
@@ -1885,55 +1668,53 @@ def _build_template(core, inst: BlockInstance, delta: Tuple[int, ...]):
             reads = []
             for field, eb, count in spec.reads:
                 if count != "n":
-                    count = bind(invariant(sregs[count]))
+                    count = invariant(sregs[count])
                     if count <= 0 or n % count:
-                        definite_bail()
+                        raise _Bail()
                 else:
                     count = n
                 reads.append((*regs[t[_FIELD[field]]], eb * count))
-            args = (op, *(bind(invariant(sregs[i])) for i in spec.sregs))
+            args = (op, *(invariant(sregs[i]) for i in spec.sregs))
             wb, ws = regs[t[_FIELD[spec.out[0]]]]
             if spec.acc and ws != 0:
-                definite_bail()
+                raise _Bail()
             ops.append(("vec", args, tuple(reads),
                         (wb, ws, spec.out[1] * n)))
         else:
-            definite_bail()
+            raise _Bail()
 
     # Cross-check the affine model against the measured per-iteration
-    # deltas: the walked end-of-body value of every register must equal
-    # its entry value plus its measured step.  An identical expression
-    # match holds for every entry state (no runtime check needed); any
-    # other shape is checked numerically at this entry and guarded, so
-    # an entry the guard rejects is re-planned from its own state.
-    def cross_check(slot: int, pair, step0: int) -> None:
-        nonlocal pure
-        e, s = pair
-        if s != step0:
-            definite_bail()
-        if e == _e_shift(_e_slot(slot), step0):
-            return
-        diff = _e_combine(e, _e_slot(slot), -1)
-        if ev_entry(diff) != step0:
-            # The mismatch is entry-dependent; never cache it as a
-            # definite bail.
-            raise _TemplateUnfit()
-        guards.append((diff, step0))
-        pure = False
-
-    for i in range(32):
-        cross_check(i, regs[i], entry_steps[i])
-    for i in range(16):
-        cross_check(32 + i, sregs[i], entry_ssteps[i])
+    # deltas: every walked end-of-body register must equal its entry
+    # value plus its measured step.
+    for (value, step), value0, step0 in zip(regs + sregs, entry, steps):
+        if step != step0 or value != value0 + step0:
+            raise _Bail()
 
     # The closing BLT: the body executes while cnt < bound at the branch;
-    # instantiate() derives the trip count from the walked end-of-body
-    # values, which give the first batched branch.
-    cnt_e, cnt_s = regs[branch[1]]
-    bound_e, bound_s = regs[branch[2]]
+    # the walked end-of-body values give the first batched branch.
+    cnt, cnt_s = regs[branch[1]]
+    bound, bound_s = regs[branch[2]]
     if cnt_s <= 0 or bound_s != 0:
-        definite_bail()
-    return _PlanTemplate(ops, (cnt_e, cnt_s), bound_e, guards, mvm_guards)
+        raise _Bail()
+    m = 1 if cnt >= bound else 1 + (bound - cnt + cnt_s - 1) // cnt_s
+
+    # Every write must stay inside local memory for the whole batch.
+    writes = [op[3] for op in ops if op[3] is not None]
+    spans = [_span(b, s, l, m) for b, s, l in writes]
+    lsz = core.chip.memory.local_size
+    for lo, hi in spans:
+        if lo < 0 or hi > lsz:
+            raise _Bail()
+    # Distinct write regions must never touch a common byte at any pair
+    # of iterations (iteration-aware for regions sharing a step;
+    # conservative span test otherwise).
+    for i in range(len(writes)):
+        for j in range(i + 1, len(writes)):
+            if writes[i] != writes[j] and _writes_collide(
+                writes[i], writes[j], spans[i], spans[j], m
+            ):
+                raise _Bail()
+    return ops, m
 
 
 def _exec_batch(core, ops, m: int, pre_flush=None) -> None:

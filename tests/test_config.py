@@ -21,6 +21,7 @@ from repro.config import (
     with_num_cores,
 )
 from repro.errors import ConfigError
+from repro.sim.noc import NoC
 
 
 class TestTable1Defaults:
@@ -47,7 +48,7 @@ class TestTable1Defaults:
         arch = default_arch()
         assert arch.mg_tile_rows == 512
         assert arch.mg_tile_cols == 64  # 8 macros x 8 int8 columns
-        assert arch.core_cim_capacity_bytes == 512 * 1024
+        assert arch.chip.core.cim_unit.capacity_bytes == 512 * 1024
 
     def test_validates(self):
         default_arch().validate()
@@ -99,7 +100,8 @@ class TestValidation:
         rows, cols = arch.chip.mesh_dims
         assert rows * cols >= 64
         assert arch.chip.core_position(0) == (0, 0)
-        assert arch.chip.hop_distance(0, 63) == 14  # (7,7) in an 8x8 mesh
+        # (7,7) in an 8x8 mesh: the XY route is 14 links long
+        assert len(NoC(arch).route(0, 63)) == 14
 
     def test_core_position_out_of_range(self):
         with pytest.raises(ConfigError):

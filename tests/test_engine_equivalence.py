@@ -1156,14 +1156,15 @@ class TestTieredEngine:
 
 
 class TestPlanTemplates:
-    """Plan-template caching: the affine walk + hazard analysis runs
-    once per loop-block instance; re-entries instantiate the cached
-    template.  Results must stay bit-identical (the fuzzer and every
-    equivalence test above run with templates active)."""
+    """The batch planner walks each loop entry from its concrete state;
+    a loop instance keeps its last plan and reuses it for an entry in
+    exactly that state.  Results must stay bit-identical (the fuzzer and
+    every equivalence test above run with the planner active)."""
 
     def test_nested_loop_reuses_template_across_entries(self):
         """An inner counted loop re-entered by an outer loop with
-        translated base pointers: one template build, many hits."""
+        translated base pointers: every entry differs from the last, so
+        each is walked once and batches."""
         from repro.sim import blockengine as be
 
         rows, cols, inner, outer = 16, 8, 24, 10
@@ -1205,11 +1206,9 @@ class TestPlanTemplates:
         interp, block = _run_both({0: b.finalize()}, image=image)
         _assert_equal_state(interp, block)
         stats = be.ENGINE_STATS
-        assert stats["batch_successes"] >= outer
-        # one symbolic walk serves every translated re-entry
-        assert stats["template_builds"] == 1
-        assert stats["template_hits"] >= outer
-        assert stats["template_misfits"] == 0
+        assert stats["batch_successes"] == outer
+        assert stats["template_builds"] == outer
+        assert stats["template_misfits"] == outer - 1
 
     @pytest.mark.parametrize("model", TINY_MODELS)
     def test_templates_active_and_bit_identical_on_models(self, model, arch):
@@ -1222,16 +1221,154 @@ class TestPlanTemplates:
         b = Deployment(compiled, engine="block").run()
         second = dict(be.ENGINE_STATS)
         if first["batch_successes"]:
-            # every successful batch went through a template...
-            assert first["template_hits"] == first["batch_successes"]
-            # ...and re-simulation reuses the cached templates instead
-            # of re-walking (content-addressed across simulator runs).
+            # Re-simulation enters every loop in the state of the first
+            # run, so it walks nothing new and each of its batches reuses
+            # a plan (content-addressed across simulator runs).
             assert second["template_builds"] == first["template_builds"]
-            assert second["template_hits"] > first["template_hits"]
+            assert (second["template_hits"] - first["template_hits"]
+                    == second["batch_successes"] - first["batch_successes"])
         interp = Deployment(compiled, engine="interp").run()
         assert _report_fields(a.report) == _report_fields(interp.report)
         for name in compiled.graph.outputs:
             assert np.array_equal(a.outputs[name], interp.outputs[name])
+
+
+class TestPlanMemoKey:
+    """A loop instance reuses its last plan only for an entry that agrees
+    on everything the planner's walk reads.  Each program below re-enters
+    one loop in a state that differs from the last entry only in a part
+    of that key no register shows."""
+
+    @staticmethod
+    def _sim(arch, program, image, engine):
+        return ChipSimulator(
+            arch, {0: program}, global_image=image.copy(),
+            engine="interp" if engine == "interp" else "block",
+        )
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    def test_macro_groups_reloaded_at_swapped_shapes(self, engine,
+                                                     monkeypatch):
+        """Two passes load MG 1 at 16x8 and MG 2 at 8x16, then the other
+        way round, and enter an inner loop of two MVMs with identical
+        registers, S_Regs and step delta: only the loaded shapes differ,
+        and both entries still batch."""
+        from repro.graph.quantize import int_matmul
+        from repro.sim import blockengine as be
+
+        if engine == "hot":
+            monkeypatch.setattr(be, "_HOT_RUNS", 0)
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        inner, x0, out1, out2, park = 16, 256, 4096, 8192, 12288
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, 2048)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.li(9, 0)        # pass
+        b.li(10, 2)
+        with b.loop(9, 10):
+            # MG 1 is (16 - 8 * pass) x (8 + 8 * pass); MG 2 transposed
+            b.emit("SC_MULI", rs=9, rt=11, imm=-8)
+            b.emit("SC_ADDIW", rs=11, rt=11, offset=16)
+            b.emit("SC_MULI", rs=9, rt=12, imm=8)
+            b.emit("SC_ADDIW", rs=12, rt=12, offset=8)
+            for mg, base, rows, cols in ((1, 0, 11, 12), (2, 128, 12, 11)):
+                b.emit("MV_G2S", rs=rows, imm=int(SReg.MVM_ROWS))
+                b.emit("MV_G2S", rs=cols, imm=int(SReg.MVM_COLS))
+                b.li(4, base)
+                b.li(5, mg)
+                b.emit("CIM_LOAD", rs=4, rt=5)
+            # enter the inner loop in the same state on both passes
+            b.emit("MEM_ST", rs=0, rt=9, offset=park)
+            for reg in (9, 11, 12):
+                b.li(reg, 0)
+            for sreg in (SReg.MVM_ROWS, SReg.MVM_COLS):
+                b.emit("MV_G2S", rs=0, imm=int(sreg))
+            b.li(6, x0)
+            b.li(7, out1)
+            b.li(8, out2)
+            b.li(13, 1)
+            b.li(14, 2)
+            b.li(1, 0)
+            b.li(2, inner)
+            with b.loop(1, 2):
+                b.emit("CIM_MVM", rs=6, rt=13, re=7, flags=0)
+                b.emit("CIM_MVM", rs=6, rt=14, re=8, flags=0)
+                b.emit("SC_ADDIW", rs=6, rt=6, offset=16)
+                b.emit("SC_ADDIW", rs=7, rt=7, offset=64)
+                b.emit("SC_ADDIW", rs=8, rt=8, offset=64)
+            b.emit("MEM_LD", rs=0, rt=9, offset=park)
+        b.halt()
+        rng = np.random.default_rng(29)
+        image = rng.integers(-128, 128, 2048, dtype=np.int8).view(np.uint8)
+        be.reset_stats()
+        sim = self._sim(small_test_arch(), b.finalize(), image, engine)
+        sim.run()
+
+        local = sim.memory.locals[0]
+        w = image.view(np.int8)
+        for i in range(inner):
+            x = w[x0 + 16 * i:x0 + 16 * i + 16]
+            # pass 1 wrote all of MG 1's 16 columns and the first 8 of
+            # MG 2's slot; pass 0's MG 2 (8x16) result keeps the rest
+            y1 = int_matmul(x[:8], w[:128].reshape(8, 16))
+            y2 = np.concatenate([
+                int_matmul(x, w[128:256].reshape(16, 8)),
+                int_matmul(x[:8], w[128:256].reshape(8, 16))[8:],
+            ])
+            assert np.array_equal(
+                local[out1 + 64 * i:out1 + 64 * i + 64].view(np.int32), y1)
+            assert np.array_equal(
+                local[out2 + 64 * i:out2 + 64 * i + 64].view(np.int32), y2)
+        if engine != "interp":
+            assert be.ENGINE_STATS["batch_successes"] == 2
+
+    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    def test_smaller_scratchpad_after_a_batched_run(self, engine,
+                                                    monkeypatch):
+        """A copy loop that fits a 16 KiB scratchpad runs again, with the
+        same entry state, on an 8 KiB one: it must raise the
+        interpreter's error, leaving exactly the copies that fit."""
+        from repro.sim import blockengine as be
+
+        if engine == "hot":
+            monkeypatch.setattr(be, "_HOT_RUNS", 0)
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        n, dst, trips = 256, 4096, 32
+        b = ProgramBuilder()
+        b.li(1, GLOBAL_BASE)
+        b.li(2, 0)
+        b.li(3, n)
+        b.emit("MEM_CPY", rs=1, rt=2, rd=3)
+        b.li(4, dst)
+        b.li(1, 0)
+        b.li(2, trips)
+        with b.loop(1, 2):
+            b.emit("MEM_CPY", rs=0, rt=4, rd=3)
+            b.emit("SC_ADDIW", rs=4, rt=4, offset=n)
+        b.halt()
+        program = b.finalize()
+        rng = np.random.default_rng(31)
+        image = rng.integers(0, 256, n, dtype=np.uint8)
+        big = small_test_arch()
+        core = big.chip.core
+        small = dataclasses.replace(big, chip=dataclasses.replace(
+            big.chip, core=dataclasses.replace(
+                core, local_memory=dataclasses.replace(
+                    core.local_memory, size_bytes=8192))))
+
+        be.reset_stats()
+        self._sim(big, program, image, engine).run()
+        if engine != "interp":
+            assert be.ENGINE_STATS["batch_successes"] == 1
+        sim = self._sim(small, program, image, engine)
+        with pytest.raises(SimulationError, match="outside scratchpad"):
+            sim.run()
+        expected = np.zeros(8192, dtype=np.int8)
+        expected[:n] = image.view(np.int8)
+        expected[dst:] = np.tile(image.view(np.int8), (8192 - dst) // n)
+        assert np.array_equal(sim.memory.locals[0], expected)
 
 
 # ---------------------------------------------------------------------------

@@ -500,12 +500,14 @@ def _one_execution_path(root: Path):
 
 
 def _one_affine_walk(root: Path):
-    """The block engine's batch planner is the symbolic walk alone
-    (``_build_template`` + ``instantiate``; no concrete twin), and
-    ``repro watch`` has one mode (the Textual dashboard stays deleted)."""
+    """The block engine's batch planner is one concrete walk per loop
+    entry (``_walk``, driven by ``_plan_entry``; the symbolic template
+    layer stays deleted), and ``repro watch`` has one mode (the Textual
+    dashboard stays deleted)."""
     return (
-        _none(_grep(root, r"_plan_batch|_TPL_CONCRETE",
-                    "src/repro/sim/blockengine.py"), "concrete planner")
+        _none(_grep(root, r"_PlanTemplate|_build_template|_TemplateUnfit"
+                    r"|_e_combine", "src/repro/sim/blockengine.py"),
+              "symbolic planner")
         + _none(_grep(root, r"import textual|from textual|run_watch_app",
                       "src/repro", suffixes=(".py",), flags=re.I),
                 "dashboard")
@@ -723,9 +725,11 @@ GREP_LAWS = {
         "docs/GUIDE.md": "Call `run_workflow(model)`.\n",
     }, ["product test", "workflow shim"]),
     "one_affine_walk": (_one_affine_walk, {
-        "src/repro/sim/blockengine.py": "plan = _plan_batch(block)\n",
+        "src/repro/sim/blockengine.py": (
+            "t = _build_template(core, inst, delta)\n"
+        ),
         "src/repro/console.py": "from Textual.app import App\n",
-    }, ["concrete planner", "dashboard"]),
+    }, ["symbolic planner", "dashboard"]),
     "one_byte_per_weight": (_one_byte_per_weight, {
         "src/repro/sim/core.py": "reg = tile.astype(np.float32)\n",
         "src/repro/compiler/codegen/lowering.py": "raw = tile.tobytes()\n",

@@ -56,7 +56,9 @@ def over_capacity_model():
     x = b.gemm(x, 10, name="fc2")
     b.output(x)
     graph = b.build()
-    assert graph.total_weight_bytes() > small_test_arch().chip.total_cim_capacity_bytes
+    chip = small_test_arch().chip
+    assert (graph.total_weight_bytes()
+            > chip.num_cores * chip.core.cim_unit.capacity_bytes)
     return graph
 
 

