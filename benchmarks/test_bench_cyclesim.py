@@ -16,13 +16,13 @@ PR-over-PR (CI uploads it as a non-gating artifact):
   reports.  Two pairs of numbers each: ``engine_cold_s`` /
   ``interp_cold_s`` are what one ``repro run`` pays -- chip
   construction plus the first run with every in-process cache empty, so
-  decoding, block discovery and loop compilation are on the clock and
-  the straight-line blocks run on the cold tier -- and ``engine_s`` /
-  ``interp_s`` are ``run()`` alone with every block already compiled
-  (the hot tier is forced during warm-up), which is what a long serving
-  session converges to.  The golden model's pass over the same graph is
-  timed next to them (``golden_s``), so the "Exec. Result Check" has a
-  tracked number of its own.
+  decoding, block discovery and loop compilation are on the clock --
+  and ``engine_s`` / ``interp_s`` are the best ``run()`` alone over the
+  timed rounds after an untimed warm-up run: loops already compiled and
+  straight-line code on the interpreter's handlers, which is what every
+  input of a long serving session pays.  The golden model's pass over
+  the same graph is timed next to them (``golden_s``), so the "Exec.
+  Result Check" has a tracked number of its own.
 - ``weight_stream``: multipass weight-streaming conv branches whose
   loop bodies carry a global ``MEM_CPY`` + ``CIM_LOAD`` per pass -- the
   iteration-major NoC replay path.  The ``noc_batch_*`` engine stats
@@ -132,17 +132,6 @@ def _time_cold(make_sim, engine, programs):
     return time.perf_counter() - t0, report
 
 
-def _warm_hot_tier(make_sim):
-    """One untimed run that compiles every block it executes, so the
-    timed rounds measure compiled code whatever ``_HOT_RUNS`` is."""
-    hot_runs = blockengine._HOT_RUNS
-    blockengine._HOT_RUNS = 0
-    try:
-        make_sim("block").run()
-    finally:
-        blockengine._HOT_RUNS = hot_runs
-
-
 def _bench_pair(name, make_sim, cold_programs=None):
     """Time both engines, assert bit-identical reports, record results.
 
@@ -159,13 +148,13 @@ def _bench_pair(name, make_sim, cold_programs=None):
                 == _report_fields(reports["block"])), (
             f"{name}: cold engine report diverges from the interpreter"
         )
-    _warm_hot_tier(make_sim)
+    # One untimed run first: it compiles the loops and handlers and
+    # absorbs the process's first-call stalls (a threaded sgemm's worker
+    # wake-up can cost a fresh process 0.3-0.5 s over two runs).
+    make_sim("block").run()
     blockengine.reset_stats()
     t_block, r_block = _time_engine(make_sim, "block")
     stats = dict(blockengine.ENGINE_STATS)
-    assert stats["cold_block_instructions"] == 0, (
-        f"{name}: engine_s must time compiled blocks only"
-    )
     t_interp, r_interp = _time_engine(make_sim, "interp")
     assert _report_fields(r_interp) == _report_fields(r_block), (
         f"{name}: engine reports diverge from the interpreter"

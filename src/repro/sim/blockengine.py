@@ -1,4 +1,4 @@
-"""Hot-block execution engine: specialised superblocks + vectorized replay.
+"""Hot-block execution engine: compiled loops + vectorized replay.
 
 The per-instruction interpreter in :mod:`repro.sim.core` pays Python
 dispatch, dict lookups and small-array NumPy call overhead for every
@@ -6,29 +6,21 @@ dynamic instruction.  This module removes that overhead in two stages
 while keeping results **bit-identical** (the exactness contract the
 engine-equivalence tests enforce):
 
-1. **Tiered superblock specialisation.**  Translated programs are
-   partitioned into maximal straight-line blocks (leaders at branch
-   targets and after control transfers).  A block can be compiled --
-   once per *shape*, the sequence of opcodes and register fields with
-   immediates lifted into a constants tuple -- into a specialised Python
-   function with the pipeline-timing model, memory fast paths and
-   integer energy tallies inlined; structurally identical blocks (the
-   same unrolled row body on every core, for instance) share one code
-   object through the shape cache, and per-instance constants
-   (addresses, immediates, branch targets) are passed as a tuple.
-   ``compile()`` costs some twenty-five executions' worth of the time it
-   saves, so only heat buys it.  Blocks ending in a backward conditional
-   branch to their own first instruction are *loop blocks*: they are
-   compiled at discovery and iterate inside the generated function, so a
-   counted loop executes with no per-iteration dispatch at all.  A
-   straight-line block starts *cold* -- its table entry holds the code
-   slice, the terminator and a run counter, and the trampoline executes
-   it through the interpreter's handlers -- and is compiled the
-   first time it is entered after :data:`_HOT_RUNS` executions.  The
-   counter lives with the block in the content-addressed block-program
-   cache, so a serving session that rebuilds its simulator per input is
-   promoted after its first inputs and stays compiled, while a one-shot
-   run never compiles a block it executes once.
+1. **Compiled loop blocks.**  A program's *loop blocks* -- straight-line
+   bodies closed by a backward conditional branch to their own first
+   instruction (:meth:`repro.isa.Program.loop_blocks`) -- are compiled
+   when the block table is built: once per *shape*, the sequence of
+   opcodes and register fields with immediates lifted into a constants
+   tuple, into a specialised Python function with the pipeline-timing
+   model, memory fast paths and integer energy tallies inlined, which
+   iterates inside itself, so a counted loop executes with no
+   per-iteration dispatch at all.  Structurally identical loops (the
+   same row body on every core, for instance) share one code object
+   through the shape cache, and per-instance constants (addresses,
+   immediates) are passed as a tuple.  Every other instruction runs on
+   the interpreter's handler through the trampoline: ``compile()`` costs
+   some twenty-five executions' worth of the time it saves, and a
+   one-shot run executes its straight-line code once.
 
 2. **Batched loop replay.**  A loop block whose body is affine -- every
    register evolves by a constant per-iteration step, lengths and special
@@ -61,11 +53,11 @@ A contention window the probe cannot prove steady refuses the batch
 
 **One definition per opcode.**  :func:`_emit_instr` is the only place a
 built-in opcode's timing, energy, register and memory semantics are
-written.  A compiled block renders it with the operands baked in;
+written.  A compiled loop renders it with the operands baked in;
 :func:`compile_handler` renders it with the operands read from the
 decoded tuple, and ``core._DISPATCH`` installs that handler the first
-time the opcode executes.  The interpreter, the cold tier and the
-blocking fallback therefore run the same definition the compiled blocks
+time the opcode executes.  The interpreter and the engine's
+straight-line code therefore run the same definition the compiled loops
 do.  The emitter, the batch planner's walk (:func:`_walk`) and batched
 replay (:func:`_exec_batch`) read the same per-opcode declarations:
 :data:`_ALU` (each scalar ALU op's result field and source text),
@@ -77,11 +69,10 @@ concrete entry state, once per loop entry, and a loop instance keeps
 its last plan: an entry in exactly the state of the last one walked (a
 serving session replaying the same input shape) reuses it.
 
-``RECV``/``BARRIER``/``HALT``, extension opcodes and anything else the
-code generator does not support end a block and fall back to the
-interpreter's handlers one instruction at a time
-(``fallback_instructions``; cold blocks are counted apart, as
-``cold_block_instructions``); loops that *write*
+A loop body holding ``RECV``, an extension opcode or anything else the
+code generator does not support is not compiled; it runs on the
+interpreter's handlers one instruction at a time, like all
+straight-line code (``fallback_instructions``).  Loops that *write*
 global memory or send core-to-core messages (order-sensitive against
 other cores) execute inside the generated function but are never
 batched.  Engine selection is ``REPRO_SIM_ENGINE`` (``block``, the
@@ -106,16 +97,13 @@ from repro.graph.quantize import (
     saturate_i8,
 )
 from repro.isa import Opcode
-from repro.sim.core import translate_program
+from repro.sim.core import runaway_error, translate_program
 from repro.sim.noc import GLOBAL_PORT
 
 Op = Opcode
 
 #: Units in the order used by timing snapshots (matches core._UNITS).
 _UNITS = ("scalar", "vector", "cim", "mem", "xfer")
-
-#: Opcodes that end a block and are executed by the trampoline/scheduler.
-_EXIT_OPS = frozenset({int(Op.RECV), int(Op.BARRIER), int(Op.HALT)})
 
 _BRANCH_OPS = frozenset({int(Op.BEQ), int(Op.BNE), int(Op.BLT), int(Op.BGE)})
 
@@ -247,9 +235,7 @@ _MAX_BATCH_FAILS = 3
 #: Cheap engine counters (reset with :func:`reset_stats`); the perf
 #: harness reports them alongside wall-clock numbers.
 ENGINE_STATS = {
-    "fallback_instructions": 0,   # blocking/unsupported op, via its handler
-    "cold_block_instructions": 0,  # straight-line blocks interpreted cold
-    "block_promotions": 0,         # cold blocks compiled on reaching heat
+    "fallback_instructions": 0,   # outside a compiled loop, via its handler
     "loop_entries": 0,
     "loop_iterations_stepped": 0,  # executed one iteration at a time
     "loop_iterations_batched": 0,  # replayed in closed form
@@ -788,47 +774,30 @@ def _frame(em: _Emit, head: str, code: List[str], tail: List[str]) -> str:
 
 
 def _build_source(shape: Tuple) -> Tuple[str, set, set]:
-    """Generate the function source for one block shape.
+    """Generate the function source for one loop-block shape: run at
+    most ``max_iter`` iterations, return whether the loop exited.
 
     Returns (source, used units, dep registers).
     """
-    instrs, kind, term = shape
     em = _Emit()
-    for i, t in enumerate(instrs):
+    for i, t in enumerate(shape):
         _emit_instr(em, (*t[:5], f"C[{2 * i}]", f"C[{2 * i + 1}]", *t[7:9]))
 
-    length = len(instrs)
-    tail = len(instrs) * 2        # C[tail] = fall pc, C[tail + 1] = target pc
-
-    code: List[str] = ["ni = 0"]
-    if kind == "loop":
-        head = "def _block(core, C, max_iter):"
-        code.append("_it = 0")
-        code.append("_ex = False")
-        code.append("while True:")
-        code.extend("    " + ln for ln in em.lines)
-        code.append(f"    ni += {length}")
-        code.append("    if not _v:")
-        code.append("        _ex = True")
-        code.append("        break")
-        code.append("    _it += 1")
-        code.append("    if _it >= max_iter:")
-        code.append("        break")
-    else:
-        head = "def _block(core, C):"
-        code.extend(em.lines)
-        code.append(f"ni += {length}")
-
-    ret = ["acct.n_instructions += ni", "core.instructions_retired += ni"]
-    if kind == "loop":
-        ret.append("return _ex")
-    elif term == "branch":
-        ret.append(f"return C[{tail + 1}] if _v else C[{tail}]")
-    elif term == "jmp":
-        ret.append(f"return C[{tail + 1}]")
-    else:
-        ret.append(f"return C[{tail}]")
-    return _frame(em, head, code, ret), em.units, em.dep_regs
+    code = ["ni = 0", "_it = 0", "_ex = False", "while True:"]
+    code.extend("    " + ln for ln in em.lines)
+    code += [
+        f"    ni += {len(shape)}",
+        "    if not _v:",
+        "        _ex = True",
+        "        break",
+        "    _it += 1",
+        "    if _it >= max_iter:",
+        "        break",
+    ]
+    ret = ["acct.n_instructions += ni", "core.instructions_retired += ni",
+           "return _ex"]
+    return (_frame(em, "def _block(core, C, max_iter):", code, ret),
+            em.units, em.dep_regs)
 
 
 _EXEC_GLOBALS = {
@@ -887,37 +856,28 @@ def compile_handler(op: int):
 # ---------------------------------------------------------------------------
 
 class BlockInstance:
-    """One block of one program: its code slice, terminator and heat.
-
-    A loop block is compiled at discovery.  A straight-line block starts
-    cold (``fn is None``): :func:`run_core` interprets it and counts the
-    executions in ``runs`` until :data:`_HOT_RUNS`, then calls
-    :meth:`compile`.  Instances live in the content-addressed
-    :data:`_BP_CACHE`, so the heat -- and the compiled function -- carry
-    over to every later simulation of the same program in the process.
+    """One loop block of one program: its code slice, from the loop head
+    through the backward branch, compiled at discovery, and its batching
+    state.  Instances live in the content-addressed :data:`_BP_CACHE`, so
+    the compiled function and the last plan carry over to every later
+    simulation of the same program in the process.
     """
 
     __slots__ = (
-        "code", "start", "length", "term", "is_loop", "exit_pc", "runs",
-        "fn", "consts", "units", "dep_regs",
+        "code", "length", "exit_pc", "fn", "consts", "units", "dep_regs",
         "batch_ok", "batch_fails", "cnt_reg", "bound_reg", "last_plan",
     )
 
-    def __init__(self, code, start, term, is_loop):
+    def __init__(self, code, start):
         self.code = code
-        self.start = start
         self.length = len(code)
-        self.term = term                # "fall" | "branch" | "jmp"
-        self.is_loop = is_loop
         self.exit_pc = start + len(code)
-        self.runs = 0
-        self.fn = None
-        self.consts = None
-        self.units = None
-        self.dep_regs = None
+        self.fn, self.units, self.dep_regs = _compile_shape(tuple(
+            (t[0], t[1], t[2], t[3], t[4], 0, 0, t[7], t[8]) for t in code
+        ))
+        self.consts = tuple(v for t in code for v in (t[5], t[6]))
         self.batch_ok = (
-            is_loop
-            and code[-1][0] == int(Op.BLT)
+            code[-1][0] == int(Op.BLT)
             and all(t[0] in _BATCHABLE for t in code[:-1])
         )
         self.batch_fails = 0
@@ -927,30 +887,10 @@ class BlockInstance:
         #: :func:`_plan_entry`).
         self.last_plan: Optional[Tuple] = None
 
-    def compile(self) -> None:
-        """Bind the shape-shared function and this instance's constants."""
-        code = self.code
-        shape = (
-            tuple((t[0], t[1], t[2], t[3], t[4], 0, 0, t[7], t[8])
-                  for t in code),
-            "loop" if self.is_loop else "line",
-            self.term,
-        )
-        self.fn, self.units, self.dep_regs = _compile_shape(shape)
-        consts: List[int] = []
-        for t in code:
-            consts.append(t[5])
-            consts.append(t[6])
-        consts.append(self.exit_pc)             # fall-through pc
-        if self.term == "fall":
-            consts.append(self.exit_pc)
-        else:                                   # taken branch / jump target
-            consts.append(self.exit_pc - 1 + code[-1][6])
-        self.consts = tuple(consts)
-
 
 class BlockProgram:
-    """Block table for one translated program."""
+    """Block table for one translated program: a :class:`BlockInstance`
+    at each compiled loop head, None at every other pc."""
 
     __slots__ = ("code", "table", "n")
 
@@ -968,37 +908,15 @@ class BlockProgram:
 #: mean the same under every registry, so no registry appears in the key.
 _BP_CACHE: Dict[Tuple, BlockProgram] = {}
 
-#: Minimum block length worth a table entry (shorter runs fall back to
-#: the interpreter's handlers through the trampoline).
-_MIN_COMPILE_LEN = 2
-
-#: Executions a straight-line block is interpreted for before it is
-#: compiled.  Measured on resnet18@64 dp (104 straight-line shapes,
-#: 3 823 static instructions, 1 050 instances executing 21 802
-#: instructions per run): ``compile()`` of the generated source costs
-#: 0.275 s, ~72 us per static instruction; a run with every block on
-#: the interpreter's handlers takes 0.195 s against 0.139 s all
-#: compiled, ~2.5 us saved per executed instruction -- so translation
-#: repays itself after 72 / 2.5 ~ 25-30 executions (measured with the
-#: hand-written handlers the rendered ones replaced; the rendered ones
-#: are faster, which only moves break-even further out).  A one-shot
-#: ``repro run`` executes every such block exactly once and must never
-#: pay; a serving session re-runs them once per input without end.  The
-#: threshold sits below break-even because a block that has already
-#: come back 16 times is in a session, not a one-shot run (and its
-#: compile is shared with every other instance of its shape); at worst
-#: -- the process stops right after promoting -- that costs one compile
-#: per shape, once.  Loop blocks are not tiered: one entry runs trip
-#: counts far above any threshold.
-_HOT_RUNS = 16
-
 
 def block_program_for(program, registry) -> BlockProgram:
     """Build (or fetch) the block table for ``program``.
 
     Content-addressed: cores -- and simulator instances -- running
     structurally identical programs share one :class:`BlockProgram` and
-    therefore every compiled block and every block's heat counter.
+    therefore every compiled loop.  The table holds the program's own
+    loop blocks (:meth:`repro.isa.Program.loop_blocks`) whose every
+    instruction the code generator supports.
     """
     code = translate_program(program, registry)
     bp = _BP_CACHE.get(code)
@@ -1007,51 +925,11 @@ def block_program_for(program, registry) -> BlockProgram:
     if len(_BP_CACHE) > 512:
         _BP_CACHE.clear()
 
-    n = len(code)
-    #: Straight-line loop bodies from the program's own block metadata
-    #: (isa/program.py); discovery below must agree with it on which
-    #: branch-terminated blocks iterate in place.
-    loop_heads = {
-        (block.head, block.branch) for block in program.loop_blocks()
-    }
-    leaders = {0}
-    for pc, t in enumerate(code):
-        op = t[0]
-        if op in _BRANCH_OPS or op == int(Op.JMP):
-            leaders.add(pc + 1)
-            target = pc + t[6]
-            if 0 <= target < n:
-                leaders.add(target)
-        elif op in _EXIT_OPS or op not in _SUPPORTED:
-            leaders.add(pc + 1)
-
-    table: List[Optional[BlockInstance]] = [None] * n
-    starts = sorted(leaders)
-    for idx, start in enumerate(starts):
-        if start >= n:
-            continue
-        limit = starts[idx + 1] if idx + 1 < len(starts) else n
-        end = start
-        term = "fall"
-        while end < limit:
-            op = code[end][0]
-            if op in _EXIT_OPS or op not in _SUPPORTED:
-                break
-            end += 1
-            if op in _BRANCH_OPS:
-                term = "branch"
-                break
-            if op == int(Op.JMP):
-                term = "jmp"
-                break
-        if end - start < _MIN_COMPILE_LEN:
-            continue
-        is_loop = term == "branch" and (start, end - 1) in loop_heads
-        inst = BlockInstance(code[start:end], start, term, is_loop)
-        if is_loop:
-            inst.compile()
-        table[start] = inst
-
+    table: List[Optional[BlockInstance]] = [None] * len(code)
+    for block in program.loop_blocks():
+        body = code[block.head:block.branch + 1]
+        if all(t[0] in _SUPPORTED for t in body):
+            table[block.head] = BlockInstance(body, block.head)
     bp = BlockProgram(code, table)
     _BP_CACHE[code] = bp
     return bp
@@ -1062,14 +940,16 @@ def block_program_for(program, registry) -> BlockProgram:
 # ---------------------------------------------------------------------------
 
 def run_core(core, max_instructions: int = 50_000_000) -> int:
-    """Engine replacement for ``Core.run`` (same contract, same states)."""
+    """Engine replacement for ``Core.run`` (same contract, same states):
+    a compiled loop runs in :func:`_run_loop`, any other instruction on
+    the interpreter's handler."""
     bp = core._blockprog
     table = bp.table
     code = bp.code
     n = bp.n
     dispatch = core._dispatch
     acct = core.chip.acct
-    start_retired = core.instructions_retired
+    limit = core.instructions_retired + max_instructions
     while True:
         pc = core.pc
         if not 0 <= pc < n:
@@ -1080,39 +960,18 @@ def run_core(core, max_instructions: int = 50_000_000) -> int:
         inst = table[pc]
         if inst is None:
             tup = code[pc]
-            acct.instruction()
+            acct.n_instructions += 1
             result = dispatch[tup[0]](core, tup)
             core.instructions_retired += 1
             ENGINE_STATS["fallback_instructions"] += 1
             if result is not None:
                 core.state = result
                 return result
-        elif inst.is_loop:
-            budget = max_instructions - (
-                core.instructions_retired - start_retired
-            )
-            core.pc = _run_loop(core, inst, budget, max_instructions)
-        elif inst.fn is not None:
-            core.pc = inst.fn(core, inst.consts)
-        elif inst.runs < _HOT_RUNS:
-            # Cold tier: the interpreter's own handlers (each advances
-            # core.pc; none in a straight-line block can block).
-            inst.runs += 1
-            for tup in inst.code:
-                dispatch[tup[0]](core, tup)
-            length = inst.length
-            acct.n_instructions += length
-            core.instructions_retired += length
-            ENGINE_STATS["cold_block_instructions"] += length
         else:
-            inst.compile()
-            ENGINE_STATS["block_promotions"] += 1
-            core.pc = inst.fn(core, inst.consts)
-        if core.instructions_retired - start_retired >= max_instructions:
-            raise SimulationError(
-                f"core {core.core_id}: runaway execution "
-                f"(> {max_instructions} instructions without blocking)"
-            )
+            core.pc = _run_loop(core, inst, limit - core.instructions_retired,
+                                max_instructions)
+        if core.instructions_retired >= limit:
+            raise runaway_error(core, max_instructions)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,10 +1097,7 @@ def _run_loop(core, inst: BlockInstance, budget: int,
     consts = inst.consts
     span = inst.length
     if budget <= 0:
-        raise SimulationError(
-            f"core {core.core_id}: runaway execution "
-            f"(> {max_instructions} instructions without blocking)"
-        )
+        raise runaway_error(core, max_instructions)
     max_iter = max(1, budget // span)
     ENGINE_STATS["loop_entries"] += 1
     retired0 = core.instructions_retired
@@ -1251,6 +1107,13 @@ def _run_loop(core, inst: BlockInstance, budget: int,
             core.instructions_retired - retired0
         ) // span
         return inst.exit_pc
+
+    def run_out(iterations):
+        """Step the rest in the generated loop, which must exit within
+        ``iterations``."""
+        if not fn(core, consts, iterations):
+            raise runaway_error(core, max_instructions)
+        return stepped_exit()
 
     noc = core.chip.noc
     batchable = (
@@ -1267,13 +1130,7 @@ def _run_loop(core, inst: BlockInstance, budget: int,
             batchable = False
 
     if not batchable:
-        exited = fn(core, consts, max_iter)
-        if not exited:
-            raise SimulationError(
-                f"core {core.core_id}: runaway execution "
-                f"(> {max_instructions} instructions without blocking)"
-            )
-        return stepped_exit()
+        return run_out(max_iter)
 
     # Record this core's NoC transactions while stepping, so a body that
     # streams from global memory exposes its per-iteration transaction
@@ -1296,10 +1153,7 @@ def _run_loop(core, inst: BlockInstance, budget: int,
             if exited:
                 return stepped_exit()
             if done >= max_iter:
-                raise SimulationError(
-                    f"core {core.core_id}: runaway execution "
-                    f"(> {max_instructions} instructions without blocking)"
-                )
+                raise runaway_error(core, max_instructions)
             now = _snapshot(core)
             delta = tuple(a - b for a, b in zip(now, prev))
             eager = False
@@ -1326,24 +1180,10 @@ def _run_loop(core, inst: BlockInstance, budget: int,
                     return inst.exit_pc
                 if not eager:
                     inst.batch_fails += 1
-                    exited = fn(core, consts, max_iter - done)
-                    if not exited:
-                        raise SimulationError(
-                            f"core {core.core_id}: runaway execution "
-                            f"(> {max_instructions} instructions "
-                            f"without blocking)"
-                        )
-                    return stepped_exit()
+                    return run_out(max_iter - done)
             if done > 24:
                 # No steady state in sight; run the rest in the JIT loop.
-                exited = fn(core, consts, max_iter - done)
-                if not exited:
-                    raise SimulationError(
-                        f"core {core.core_id}: runaway execution "
-                        f"(> {max_instructions} instructions "
-                        f"without blocking)"
-                    )
-                return stepped_exit()
+                return run_out(max_iter - done)
             prev_delta = delta
             prev = now
             prev_txns = txns
@@ -1738,6 +1578,10 @@ def _exec_batch(core, ops, m: int, pre_flush=None) -> None:
     #: per op: the span of its write region (None: it writes nothing)
     spans = [None if op[3] is None else _span(*op[3], m) for op in ops]
     writes = [(op[3], sp) for op, sp in zip(ops, spans) if sp is not None]
+    # The flush writes through unchecked strided views: a write leaving
+    # the scratchpad is the stepped path's error to raise.
+    if any(lo < 0 or hi > lsz for _, (lo, hi) in writes):
+        raise _Bail()
 
     def _piece_hazard(pb, s, plen, forwarded):
         """Bail on loop-carried interference with this read piece.
@@ -1810,8 +1654,6 @@ def _exec_batch(core, ops, m: int, pre_flush=None) -> None:
         another op writing even the *identical* region (a VEC_FILL
         reset each iteration, say) breaks the recurrence."""
         b, _, l = ops[index][3]
-        if b < 0 or b + l > lsz:
-            raise _Bail()
         for k, sp in enumerate(spans):
             if k != index and sp is not None and sp[0] < b + l and b < sp[1]:
                 raise _Bail()

@@ -13,8 +13,8 @@ scheduler (:mod:`repro.sim.chip`).
 Instructions are pre-translated into plain tuples so the interpreter loop
 stays lean enough to execute the multi-hundred-thousand-instruction
 streams real models compile into; the translation is memoised on the
-:class:`~repro.isa.Program` it decodes.  The handlers below are also the
-block engine's cold tier and its fallback for blocking opcodes
+:class:`~repro.isa.Program` it decodes.  The handlers below also run
+every instruction outside a compiled loop under the block engine
 (:mod:`repro.sim.blockengine`).  Only ``HALT``, ``BARRIER``, ``RECV`` and
 extension opcodes are written here.  Every other built-in opcode is
 defined once, by the block engine's emitter
@@ -64,6 +64,15 @@ def translate_program(program: Program, registry: ISARegistry):
     code = tuple(map(registry.tuple_of, program.instructions))
     program._translated = (registry, code)
     return code
+
+
+def runaway_error(core, max_instructions: int) -> SimulationError:
+    """The error of a core that ran ``max_instructions`` instructions
+    without blocking (the interpreter's and the block engine's alike)."""
+    return SimulationError(
+        f"core {core.core_id}: runaway execution "
+        f"(> {max_instructions} instructions without blocking)"
+    )
 
 
 class Core:
@@ -170,10 +179,7 @@ class Core:
         dispatch = self._dispatch
         while True:
             if executed >= max_instructions:
-                raise SimulationError(
-                    f"core {self.core_id}: runaway execution "
-                    f"(> {max_instructions} instructions without blocking)"
-                )
+                raise runaway_error(self, max_instructions)
             if not 0 <= self.pc < len(code):
                 raise SimulationError(
                     f"core {self.core_id}: pc {self.pc} outside program "

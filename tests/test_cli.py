@@ -150,6 +150,23 @@ class TestRunCommand:
         assert payload["report"][shards] == 2
 
 
+class TestInspectCommand:
+    def test_inspect_prints_the_verified_digest(self, tmp_path, capsys):
+        """``repro inspect`` of a freshly compiled 2-chip artifact exits 0
+        and prints the digest ``inspect_artifact`` verified."""
+        from repro.artifact import inspect_artifact
+
+        artifact = tmp_path / "tiny_resnet.artifact"
+        assert run_cli(
+            "compile", "tiny_resnet", "--preset", "small", "--input-size",
+            "8", "--chips", "2", "-o", str(artifact),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("inspect", str(artifact)) == 0
+        digest = inspect_artifact(artifact)["digest"]
+        assert f"digest    : sha256:{digest}\n" in capsys.readouterr().out
+
+
 class TestCompareCommand:
     def test_normalized_table(self, capsys):
         assert run_cli(

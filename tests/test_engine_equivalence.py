@@ -9,12 +9,10 @@ tier-1 workload class plus the scheduler/engine edge cases (deadlock
 reporting, mis-sized RECV, barrier release ordering, runaway detection,
 extension instructions, batched-loop replay).
 
-The engine is tiered: a straight-line block is interpreted until it has
-run ``blockengine._HOT_RUNS`` times and compiled after that.  The model,
-fuzz, NoC-contention and hand-written classes therefore run under both
-forced tiers (the ``tier`` fixture; each class has a ``...HotTier``
-subclass), so the compiled straight-line code stays under the oracle
-even though no single short test would heat it.
+The engine compiles loop blocks only; straight-line code runs on the
+interpreter's own handlers.  Each test therefore compares the
+interpreter with the block engine, whose compiled loops and batched
+replay are the only code the two do not share.
 """
 
 import dataclasses
@@ -59,37 +57,6 @@ def _deep_macro_arch():
     )
 
 
-@pytest.fixture
-def tier(request):
-    """Force the straight-line tier named by the test class's ``TIER``,
-    the way ``_run_block_stepped`` forces ``_MIN_BATCH``: ``_HOT_RUNS =
-    0`` compiles every block on its first execution (the pre-tiering
-    behaviour), the default interprets it.  Block programs are
-    content-cached together with their heat and compiled functions, so
-    each test starts from an empty cache; the teardown asserts that the
-    intended tier actually ran.
-    """
-    from repro.sim import blockengine as be
-
-    hot = request.cls.TIER == "hot"
-    old = be._HOT_RUNS
-    if hot:
-        be._HOT_RUNS = 0
-    be._BP_CACHE.clear()
-    be.reset_stats()
-    try:
-        yield
-        stats = dict(be.ENGINE_STATS)
-    finally:
-        be._HOT_RUNS = old
-        be._BP_CACHE.clear()
-    if hot:
-        assert stats["block_promotions"] > 0
-        assert stats["cold_block_instructions"] == 0
-    else:
-        assert stats["cold_block_instructions"] > 0
-
-
 def _report_fields(report):
     return {
         "cycles": report.cycles,
@@ -104,7 +71,12 @@ def _report_fields(report):
 
 def _run_both(programs, arch=None, image=None, registry=None, handlers=None,
               activation_bytes=None):
-    """Run a hand-written program set on both engines; return the sims."""
+    """Run a hand-written program set on both engines from an empty block
+    cache, counting into freshly reset engine stats; return the sims."""
+    from repro.sim import blockengine as be
+
+    be._BP_CACHE.clear()
+    be.reset_stats()
     sims = {}
     for engine in ("interp", "block"):
         sim = ChipSimulator(
@@ -134,10 +106,7 @@ def _assert_equal_state(interp, block):
     )
 
 
-@pytest.mark.usefixtures("tier")
 class TestModelEquivalence:
-    TIER = "cold"
-
     @pytest.mark.parametrize("model", TINY_MODELS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tiny_models_bit_identical(self, model, strategy, arch):
@@ -200,7 +169,6 @@ def _fuzz_graph(seed: int):
     return b.build(), rng
 
 
-@pytest.mark.usefixtures("tier")
 class TestDifferentialFuzz:
     """Seeded differential fuzzing: random graphs/configs, both engines.
 
@@ -211,8 +179,6 @@ class TestDifferentialFuzz:
     hand-picked models miss (odd channel mixes, kernel-1 convolutions,
     pool/residual placements) while staying fully reproducible.
     """
-
-    TIER = "cold"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_graph_and_config_bit_identical(self, seed):
@@ -365,7 +331,6 @@ def _fuzz_noc_programs(seed: int):
     return progs, image
 
 
-@pytest.mark.usefixtures("tier")
 class TestNoCContentionFuzz:
     """Seeded NoC-contention fuzzing across both differential axes.
 
@@ -377,8 +342,6 @@ class TestNoCContentionFuzz:
     must agree bit-for-bit on reports, register files, clocks and
     memory images -- 100 seeds x 2 comparison axes = 200 trials.
     """
-
-    TIER = "cold"
 
     @pytest.mark.parametrize("seed", range(100))
     def test_contention_trial_bit_identical(self, seed):
@@ -470,18 +433,13 @@ def _assert_register_owned(sim, mg, weights):
     assert register.base is None or register.base.nbytes == rows * cols
 
 
-@pytest.mark.usefixtures("tier")
 class TestHandWrittenPrograms:
-    TIER = "cold"
-
     def test_register_survives_overwritten_staging(self):
         """``CIM_LOAD`` -> clobber the staged scratchpad bytes ->
-        ``CIM_MVM``: the product uses the loaded values on the
-        interpreter, on a cold block and (``...HotTier``) in generated
-        code, whose ``CIM_LOAD`` source ``lm[a:a + n]`` is a view.  The
-        naive narrowing -- drop the widening cast, add no copy -- fails
-        ``TestModelEquivalenceHotTier::test_tiny_models_bit_identical
-        [generic-tiny_mlp]`` (10/10 outputs wrong) for that reason."""
+        ``CIM_MVM``: the product uses the loaded values on both engines.
+        The rendered ``CIM_LOAD`` reads its source as the view ``lm[a:a
+        + n]``, so the naive narrowing -- drop the widening cast, add no
+        copy -- would leave a register that follows the clobber."""
         rows, cols = 32, 8
         b = ProgramBuilder()
         b.li(1, GLOBAL_BASE)
@@ -839,14 +797,12 @@ def _assert_register_borrowed(sim, mg, weights, offset):
     assert not np.shares_memory(register, sim.memory.activations)
 
 
-@pytest.mark.usefixtures("tier")
 class TestBorrowedRegisters:
     """A ``CIM_LOAD`` of scratchpad bytes the core staged from the
     parameter segment, still equal to them, borrows its register from
     the parameters; anything else gets an owned copy.  Hand-built chips
     split their image at ``_A``, so the parameter segment is not empty."""
 
-    TIER = "cold"
     ROWS, COLS = 16, 8
 
     def _run(self, staged, at, clobber=None):
@@ -963,26 +919,6 @@ class TestBorrowedRegisters:
                     assert got[name].tobytes() == want[name].tobytes()
 
 
-class TestModelEquivalenceHotTier(TestModelEquivalence):
-    TIER = "hot"
-
-
-class TestDifferentialFuzzHotTier(TestDifferentialFuzz):
-    TIER = "hot"
-
-
-class TestNoCContentionFuzzHotTier(TestNoCContentionFuzz):
-    TIER = "hot"
-
-
-class TestHandWrittenProgramsHotTier(TestHandWrittenPrograms):
-    TIER = "hot"
-
-
-class TestBorrowedRegistersHotTier(TestBorrowedRegisters):
-    TIER = "hot"
-
-
 class TestEdgeCases:
     def _lonely_recv(self):
         b = ProgramBuilder()
@@ -1089,70 +1025,71 @@ class TestEngineSelection:
         assert sim.cores[0]._blockprog is sim.cores[1]._blockprog
 
 
-class TestTieredEngine:
-    """Heat, promotion and what a cold run is allowed to pay for."""
+def _count_engine_compiles(monkeypatch):
+    """Spy on ``compile()``: the list of block-engine sources compiled
+    from now on (handlers compile under another filename)."""
+    import builtins
 
-    def test_deployment_promotes_and_stays_bit_identical(self):
-        """One deployment serving ``_HOT_RUNS + 3`` inputs: interpreted
-        for the first ``_HOT_RUNS``, compiled on the next (the heat lives
-        in the content-addressed block cache, not in the simulator that
-        is rebuilt per input), and identical to the interpreter on every
-        input either side of the promotion."""
+    sources = []
+    real_compile = builtins.compile
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if filename == "<blockengine>":
+            sources.append(source)
+        return real_compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    return sources
+
+
+class TestCompiledLoops:
+    """The engine compiles loop blocks and nothing else."""
+
+    def test_session_compiles_loop_shapes_only(self, monkeypatch):
+        """A 19-input deployment session is identical to the interpreter
+        on every input, and the only functions it compiles are loops: the
+        first input compiles them, every later one reuses them."""
         from repro.serve import Deployment
         from repro.sim import blockengine as be
 
-        be._BP_CACHE.clear()
+        monkeypatch.setattr(be, "_BP_CACHE", {})
+        monkeypatch.setattr(be, "_SHAPE_CACHE", {})
+        sources = _count_engine_compiles(monkeypatch)
         served = Deployment(
             "tiny_resnet", _deep_macro_arch(), engine="block",
             input_size=8, num_classes=10,
         )
         reference = Deployment(served.compiled, engine="interp")
-        cold, promoted = [], []
-        for seed in range(be._HOT_RUNS + 3):
-            be.reset_stats()
+        compiled_by_input = []
+        for seed in range(19):
+            before = len(sources)
             a = served.submit(batch=1, seed=seed)
-            cold.append(be.ENGINE_STATS["cold_block_instructions"])
-            promoted.append(be.ENGINE_STATS["block_promotions"])
+            compiled_by_input.append(len(sources) - before)
             b = reference.submit(batch=1, seed=seed)
             assert a.validated and b.validated
             assert a.to_dict() == b.to_dict(), f"input {seed} diverged"
             for got, want in zip(a.per_input_outputs, b.per_input_outputs):
                 for name in want:
                     assert np.array_equal(got[name], want[name])
-        hot = be._HOT_RUNS
-        assert all(count > 0 for count in cold[:hot])
-        assert promoted[:hot] == [0] * hot
-        # the promotion input compiles every block it meets...
-        assert promoted[hot] > 0 and cold[hot] == 0
-        # ...and the session stays compiled afterwards.
-        assert cold[hot + 1:] == [0, 0] and promoted[hot + 1:] == [0, 0]
+        assert compiled_by_input[0] > 0
+        assert compiled_by_input[1:] == [0] * 18
+        assert all(source.startswith("def _block(core, C, max_iter):")
+                   for source in sources)
 
     def test_cold_run_compiles_loop_shapes_only(self, table1_arch, monkeypatch):
         """The count guard: a process-cold resnet18@64 run pays
-        ``compile()`` for its loop shapes alone (117 shapes before the
-        engine was tiered, 13 loops)."""
-        import builtins
-
+        ``compile()`` for its loop shapes alone (117 shapes when every
+        straight-line block was compiled too, 13 loops)."""
         from repro.sim import blockengine as be
 
         compiled = compile_model(
             "resnet18", table1_arch, "dp", input_size=64, num_classes=100
         )
-        calls = {"compile": 0}
-        real_compile = builtins.compile
-
-        def counting_compile(source, filename, *args, **kwargs):
-            calls["compile"] += filename == "<blockengine>"
-            return real_compile(source, filename, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "compile", counting_compile)
+        sources = _count_engine_compiles(monkeypatch)
         be._BP_CACHE.clear()
         be._SHAPE_CACHE.clear()
-        be.reset_stats()
         ChipSimulator.from_compiled(compiled, engine="block").run()
-        assert 0 < calls["compile"] <= 13
-        assert be.ENGINE_STATS["block_promotions"] == 0
-        assert be.ENGINE_STATS["cold_block_instructions"] > 0
+        assert 0 < len(sources) <= 13
 
 
 class TestPlanTemplates:
@@ -1243,10 +1180,10 @@ class TestPlanMemoKey:
     def _sim(arch, program, image, engine):
         return ChipSimulator(
             arch, {0: program}, global_image=image.copy(),
-            engine="interp" if engine == "interp" else "block",
+            engine=engine,
         )
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     def test_macro_groups_reloaded_at_swapped_shapes(self, engine,
                                                      monkeypatch):
         """Two passes load MG 1 at 16x8 and MG 2 at 8x16, then the other
@@ -1256,8 +1193,6 @@ class TestPlanMemoKey:
         from repro.graph.quantize import int_matmul
         from repro.sim import blockengine as be
 
-        if engine == "hot":
-            monkeypatch.setattr(be, "_HOT_RUNS", 0)
         monkeypatch.setattr(be, "_BP_CACHE", {})
         inner, x0, out1, out2, park = 16, 256, 4096, 8192, 12288
         b = ProgramBuilder()
@@ -1324,7 +1259,7 @@ class TestPlanMemoKey:
         if engine != "interp":
             assert be.ENGINE_STATS["batch_successes"] == 2
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     def test_smaller_scratchpad_after_a_batched_run(self, engine,
                                                     monkeypatch):
         """A copy loop that fits a 16 KiB scratchpad runs again, with the
@@ -1332,8 +1267,6 @@ class TestPlanMemoKey:
         interpreter's error, leaving exactly the copies that fit."""
         from repro.sim import blockengine as be
 
-        if engine == "hot":
-            monkeypatch.setattr(be, "_HOT_RUNS", 0)
         monkeypatch.setattr(be, "_BP_CACHE", {})
         n, dst, trips = 256, 4096, 32
         b = ProgramBuilder()
@@ -1369,6 +1302,28 @@ class TestPlanMemoKey:
         expected[:n] = image.view(np.int8)
         expected[dst:] = np.tile(image.view(np.int8), (8192 - dst) // n)
         assert np.array_equal(sim.memory.locals[0], expected)
+
+
+class TestBatchedWriteBounds:
+    def test_write_past_the_scratchpad_bails_before_the_flush(self):
+        """A planned step-0 write whose region ends past ``local_size``
+        refuses the batch in phase A: ``_Bail`` before ``pre_flush``, the
+        scratchpad untouched (the flush writes through unchecked strided
+        views, so a wrong plan must never reach it)."""
+        from repro.sim import blockengine as be
+
+        sim = ChipSimulator(small_test_arch(), {}, engine="block")
+        local, size = sim.memory.locals[0], sim.memory.local_size
+        before = local.copy()
+        ops = [
+            ("fill", (7, 16, 0), (), (0, 0, 16)),
+            ("fill", (9, 32, 0), (), (size - 16, 0, 32)),
+        ]
+        flushed = []
+        with pytest.raises(be._Bail):
+            be._exec_batch(sim.cores[0], ops, 8, lambda: flushed.append(1))
+        assert flushed == []
+        assert np.array_equal(local, before)
 
 
 # ---------------------------------------------------------------------------
@@ -1755,24 +1710,21 @@ def _pinned_state(sim, cores):
 
 
 def _run_pinned(family: str, engine: str):
-    """Run one family's program on ``interp`` or a forced block tier."""
+    """Run one family's program on ``engine`` from an empty block cache."""
     from repro.sim import blockengine as be
 
     programs, image = _PIN_PROGRAMS[family]()
-    old = be._HOT_RUNS
-    be._HOT_RUNS = 0 if engine == "hot" else old
     be._BP_CACHE.clear()
     be.reset_stats()
     try:
         sim = ChipSimulator(
             small_test_arch(), programs,
             global_image=None if image is None else image.copy(),
-            engine="interp" if engine == "interp" else "block",
+            engine=engine,
         )
         sim.run()
         stats = dict(be.ENGINE_STATS)
     finally:
-        be._HOT_RUNS = old
         be._BP_CACHE.clear()
     return _pinned_state(sim, sorted(programs)), stats
 
@@ -1926,8 +1878,8 @@ _OPCODE_PINS = {
 }
 
 
-#: The ``batched`` family's three loops replay in closed form on both
-#: block tiers: three warm-up iterations each, the other 27 batched.
+#: The ``batched`` family's three loops replay in closed form on the
+#: block engine: three warm-up iterations each, the other 27 batched.
 _BATCHED_STATS = {"batch_successes": 3, "loop_iterations_batched": 27}
 
 
@@ -1938,23 +1890,18 @@ class TestOpcodePins:
     construction once both render one definition per opcode, so their
     agreement says nothing about the semantics themselves.  These pins
     do: a change to any opcode's timing, energy, register or memory
-    effect moves a number here, on the interpreter and on both block
-    tiers alike.  The ``batched`` family's loops run long enough to be
+    effect moves a number here, on the interpreter and the block engine
+    alike.  The ``batched`` family's loops run long enough to be
     replayed in closed form, so its pin holds batched replay to the same
     numbers.
     """
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     @pytest.mark.parametrize("family", _PIN_PROGRAMS)
     def test_family_matches_its_pin(self, family, engine):
         state, stats = _run_pinned(family, engine)
         assert state == _OPCODE_PINS[family]
-        if engine == "hot":
-            assert stats["block_promotions"] > 0
-            assert stats["cold_block_instructions"] == 0
-        elif engine == "cold":
-            assert stats["cold_block_instructions"] > 0
-        if family == "batched" and engine != "interp":
+        if family == "batched" and engine == "block":
             assert {k: stats[k] for k in _BATCHED_STATS} == _BATCHED_STATS
 
 
@@ -1969,13 +1916,11 @@ class TestNegativeLength:
         "VEC_FILL": dict(rd=1, re=3, funct=4),
     }
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     @pytest.mark.parametrize("mnemonic", OPERANDS)
     def test_negative_length_raises(self, mnemonic, engine, monkeypatch):
         from repro.sim import blockengine as be
 
-        if engine == "hot":
-            monkeypatch.setattr(be, "_HOT_RUNS", 0)
         monkeypatch.setattr(be, "_BP_CACHE", {})
         b = ProgramBuilder()
         b.emit("SC_ADDI", rs=0, rt=1, imm=64)
@@ -1985,7 +1930,7 @@ class TestNegativeLength:
         b.halt()
         sim = ChipSimulator(
             small_test_arch(), {0: b.finalize()},
-            engine="interp" if engine == "interp" else "block",
+            engine=engine,
         )
         with pytest.raises(
             SimulationError, match=f"^core 0: {mnemonic} length -10 is negative$"
@@ -1999,14 +1944,12 @@ class TestSRegIndex:
     path, moving into the file and out of it alike (a negative
     ``MV_S2G`` index once read the file from its end)."""
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     @pytest.mark.parametrize("index", (-1, 16))
     @pytest.mark.parametrize("mnemonic", ("MV_G2S", "MV_S2G"))
     def test_bad_index_raises(self, mnemonic, index, engine, monkeypatch):
         from repro.sim import blockengine as be
 
-        if engine == "hot":
-            monkeypatch.setattr(be, "_HOT_RUNS", 0)
         monkeypatch.setattr(be, "_BP_CACHE", {})
         b = ProgramBuilder()
         b.emit("SC_ADDI", rs=0, rt=1, imm=5)
@@ -2014,7 +1957,7 @@ class TestSRegIndex:
         b.halt()
         sim = ChipSimulator(
             small_test_arch(), {0: b.finalize()},
-            engine="interp" if engine == "interp" else "block",
+            engine=engine,
         )
         with pytest.raises(
             SimulationError, match=f"^core 0: bad S_Reg index {index}$"
@@ -2034,14 +1977,12 @@ class TestCimCfgShape:
     SHAPES = {(32, 4): "32x4", (8, 16): "8x16", (8, -1): "8x4294967295",
               (0, 4): "0x4"}
 
-    @pytest.mark.parametrize("engine", ("interp", "cold", "hot"))
+    @pytest.mark.parametrize("engine", ("interp", "block"))
     @pytest.mark.parametrize("shape", SHAPES)
     def test_shape_outside_the_register_raises(self, shape, engine,
                                                monkeypatch):
         from repro.sim import blockengine as be
 
-        if engine == "hot":
-            monkeypatch.setattr(be, "_HOT_RUNS", 0)
         monkeypatch.setattr(be, "_BP_CACHE", {})
         rows, cols = 16, 8
         b = ProgramBuilder()
@@ -2062,7 +2003,7 @@ class TestCimCfgShape:
         b.halt()
         sim = ChipSimulator(
             small_test_arch(), {0: b.finalize()},
-            engine="interp" if engine == "interp" else "block",
+            engine=engine,
         )
         with pytest.raises(
             SimulationError,
