@@ -12,10 +12,16 @@ extension instructions, batched-loop replay).
 The engine compiles loop blocks only; straight-line code runs on the
 interpreter's own handlers.  Each test therefore compares the
 interpreter with the block engine, whose compiled loops and batched
-replay are the only code the two do not share.
+replay are the only code the two do not share.  Block programs are
+content-cached across simulators together with their compiled loops
+and each loop's last plan, so the model, fuzz, NoC-contention and
+hand-written classes also run warm (each has a ``...WarmCache`` twin
+that runs every test twice in one cache), the opcode pins run warm
+too, and the typed-error tests also raise from inside a compiled loop.
 """
 
 import dataclasses
+import functools
 import os
 
 import numpy as np
@@ -57,6 +63,42 @@ def _deep_macro_arch():
     )
 
 
+@pytest.fixture
+def block_cache():
+    """Start each test from an empty block cache and fresh engine
+    counters, and leave the cache empty behind it."""
+    from repro.sim import blockengine as be
+
+    be._BP_CACHE.clear()
+    be.reset_stats()
+    yield
+    be._BP_CACHE.clear()
+
+
+def _warm_cache_twin(cls):
+    """``cls`` with every test run twice in one block cache: the second
+    pass meets the block programs, compiled loops and last plans the
+    first left behind, must pass the same assertions, and may build no
+    block program of its own."""
+
+    def twice(test):
+        @functools.wraps(test)
+        def run_twice(self, *args, **kwargs):
+            from repro.sim import blockengine as be
+
+            test(self, *args, **kwargs)
+            built = set(be._BP_CACHE)
+            assert built, "the first pass built no block program"
+            test(self, *args, **kwargs)
+            assert set(be._BP_CACHE) == built, "the warm pass missed the cache"
+
+        return run_twice
+
+    tests = {name: twice(test) for name, test in vars(cls).items()
+             if name.startswith("test_")}
+    return type(cls.__name__ + "WarmCache", (cls,), tests)
+
+
 def _report_fields(report):
     return {
         "cycles": report.cycles,
@@ -71,11 +113,10 @@ def _report_fields(report):
 
 def _run_both(programs, arch=None, image=None, registry=None, handlers=None,
               activation_bytes=None):
-    """Run a hand-written program set on both engines from an empty block
-    cache, counting into freshly reset engine stats; return the sims."""
+    """Run a hand-written program set on both engines, counting into
+    freshly reset engine stats; return the sims."""
     from repro.sim import blockengine as be
 
-    be._BP_CACHE.clear()
     be.reset_stats()
     sims = {}
     for engine in ("interp", "block"):
@@ -106,6 +147,7 @@ def _assert_equal_state(interp, block):
     )
 
 
+@pytest.mark.usefixtures("block_cache")
 class TestModelEquivalence:
     @pytest.mark.parametrize("model", TINY_MODELS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -169,6 +211,7 @@ def _fuzz_graph(seed: int):
     return b.build(), rng
 
 
+@pytest.mark.usefixtures("block_cache")
 class TestDifferentialFuzz:
     """Seeded differential fuzzing: random graphs/configs, both engines.
 
@@ -331,6 +374,7 @@ def _fuzz_noc_programs(seed: int):
     return progs, image
 
 
+@pytest.mark.usefixtures("block_cache")
 class TestNoCContentionFuzz:
     """Seeded NoC-contention fuzzing across both differential axes.
 
@@ -433,6 +477,7 @@ def _assert_register_owned(sim, mg, weights):
     assert register.base is None or register.base.nbytes == rows * cols
 
 
+@pytest.mark.usefixtures("block_cache")
 class TestHandWrittenPrograms:
     def test_register_survives_overwritten_staging(self):
         """``CIM_LOAD`` -> clobber the staged scratchpad bytes ->
@@ -797,6 +842,7 @@ def _assert_register_borrowed(sim, mg, weights, offset):
     assert not np.shares_memory(register, sim.memory.activations)
 
 
+@pytest.mark.usefixtures("block_cache")
 class TestBorrowedRegisters:
     """A ``CIM_LOAD`` of scratchpad bytes the core staged from the
     parameter segment, still equal to them, borrows its register from
@@ -917,6 +963,13 @@ class TestBorrowedRegisters:
                 assert got.keys() == want.keys()
                 for name in want:
                     assert got[name].tobytes() == want[name].tobytes()
+
+
+TestModelEquivalenceWarmCache = _warm_cache_twin(TestModelEquivalence)
+TestDifferentialFuzzWarmCache = _warm_cache_twin(TestDifferentialFuzz)
+TestNoCContentionFuzzWarmCache = _warm_cache_twin(TestNoCContentionFuzz)
+TestHandWrittenProgramsWarmCache = _warm_cache_twin(TestHandWrittenPrograms)
+TestBorrowedRegistersWarmCache = _warm_cache_twin(TestBorrowedRegisters)
 
 
 class TestEdgeCases:
@@ -1183,13 +1236,15 @@ class TestPlanMemoKey:
             engine=engine,
         )
 
-    @pytest.mark.parametrize("engine", ("interp", "block"))
+    @pytest.mark.parametrize("engine", ("interp", "block", "warm"))
     def test_macro_groups_reloaded_at_swapped_shapes(self, engine,
                                                      monkeypatch):
         """Two passes load MG 1 at 16x8 and MG 2 at 8x16, then the other
         way round, and enter an inner loop of two MVMs with identical
         registers, S_Regs and step delta: only the loaded shapes differ,
-        and both entries still batch."""
+        and both entries still batch.  ``warm`` runs the program once
+        before, so its first entry meets the last plan of that run's
+        second pass, which differs in the loaded shapes alone."""
         from repro.graph.quantize import int_matmul
         from repro.sim import blockengine as be
 
@@ -1237,8 +1292,12 @@ class TestPlanMemoKey:
         b.halt()
         rng = np.random.default_rng(29)
         image = rng.integers(-128, 128, 2048, dtype=np.int8).view(np.uint8)
+        program = b.finalize()
+        if engine == "warm":
+            engine = "block"
+            self._sim(small_test_arch(), program, image, engine).run()
         be.reset_stats()
-        sim = self._sim(small_test_arch(), b.finalize(), image, engine)
+        sim = self._sim(small_test_arch(), program, image, engine)
         sim.run()
 
         local = sim.memory.locals[0]
@@ -1258,6 +1317,7 @@ class TestPlanMemoKey:
                 local[out2 + 64 * i:out2 + 64 * i + 64].view(np.int32), y2)
         if engine != "interp":
             assert be.ENGINE_STATS["batch_successes"] == 2
+            assert be.ENGINE_STATS["template_hits"] == 0
 
     @pytest.mark.parametrize("engine", ("interp", "block"))
     def test_smaller_scratchpad_after_a_batched_run(self, engine,
@@ -1710,19 +1770,21 @@ def _pinned_state(sim, cores):
 
 
 def _run_pinned(family: str, engine: str):
-    """Run one family's program on ``engine`` from an empty block cache."""
+    """Run one family's program on ``engine`` from an empty block cache;
+    ``warm`` is the block engine's second run of it in one cache."""
     from repro.sim import blockengine as be
 
     programs, image = _PIN_PROGRAMS[family]()
     be._BP_CACHE.clear()
-    be.reset_stats()
     try:
-        sim = ChipSimulator(
-            small_test_arch(), programs,
-            global_image=None if image is None else image.copy(),
-            engine=engine,
-        )
-        sim.run()
+        for _ in range(2 if engine == "warm" else 1):
+            be.reset_stats()
+            sim = ChipSimulator(
+                small_test_arch(), programs,
+                global_image=None if image is None else image.copy(),
+                engine="interp" if engine == "interp" else "block",
+            )
+            sim.run()
         stats = dict(be.ENGINE_STATS)
     finally:
         be._BP_CACHE.clear()
@@ -1893,16 +1955,52 @@ class TestOpcodePins:
     effect moves a number here, on the interpreter and the block engine
     alike.  The ``batched`` family's loops run long enough to be
     replayed in closed form, so its pin holds batched replay to the same
-    numbers.
+    numbers; ``warm`` holds a second run in one block cache, whose loop
+    entries reuse the first run's plans, to them as well.
     """
 
-    @pytest.mark.parametrize("engine", ("interp", "block"))
+    @pytest.mark.parametrize("engine", ("interp", "block", "warm"))
     @pytest.mark.parametrize("family", _PIN_PROGRAMS)
     def test_family_matches_its_pin(self, family, engine):
         state, stats = _run_pinned(family, engine)
         assert state == _OPCODE_PINS[family]
-        if family == "batched" and engine == "block":
+        if family == "batched" and engine != "interp":
             assert {k: stats[k] for k in _BATCHED_STATS} == _BATCHED_STATS
+
+
+def _emit_faulting(b, emit, engine):
+    """Emit the faulting instruction(s) ``emit`` straight-line, or under
+    ``engine == "loop"`` as the body of a counted loop (registers 20 and
+    21), which the block engine runs in compiled code."""
+    if engine == "loop":
+        b.li(20, 0)
+        b.li(21, 4)
+        with b.loop(20, 21):
+            emit()
+    else:
+        emit()
+
+
+def _run_faulting(program, engine, match):
+    """Run ``program`` on ``engine`` (``loop`` is the block engine) from
+    an empty block cache: it raises ``match``, from inside a compiled
+    loop exactly when ``engine == "loop"``; return the simulator."""
+    from repro.sim import blockengine as be
+
+    be._BP_CACHE.clear()
+    be.reset_stats()
+    sim = ChipSimulator(
+        small_test_arch(), {0: program},
+        engine="interp" if engine == "interp" else "block",
+    )
+    try:
+        with pytest.raises(SimulationError, match=match):
+            sim.run()
+        stats = dict(be.ENGINE_STATS)
+    finally:
+        be._BP_CACHE.clear()
+    assert (stats["loop_entries"] > 0) == (engine == "loop")
+    return sim
 
 
 class TestNegativeLength:
@@ -1916,26 +2014,20 @@ class TestNegativeLength:
         "VEC_FILL": dict(rd=1, re=3, funct=4),
     }
 
-    @pytest.mark.parametrize("engine", ("interp", "block"))
+    @pytest.mark.parametrize("engine", ("interp", "block", "loop"))
     @pytest.mark.parametrize("mnemonic", OPERANDS)
-    def test_negative_length_raises(self, mnemonic, engine, monkeypatch):
-        from repro.sim import blockengine as be
-
-        monkeypatch.setattr(be, "_BP_CACHE", {})
+    def test_negative_length_raises(self, mnemonic, engine):
         b = ProgramBuilder()
         b.emit("SC_ADDI", rs=0, rt=1, imm=64)
         b.emit("SC_ADDI", rs=0, rt=2, imm=1)
         b.emit("SC_ADDI", rs=0, rt=3, imm=-10)
-        b.emit(mnemonic, **self.OPERANDS[mnemonic])
+        _emit_faulting(
+            b, lambda: b.emit(mnemonic, **self.OPERANDS[mnemonic]), engine)
         b.halt()
-        sim = ChipSimulator(
-            small_test_arch(), {0: b.finalize()},
-            engine=engine,
+        sim = _run_faulting(
+            b.finalize(), engine,
+            f"^core 0: {mnemonic} length -10 is negative$",
         )
-        with pytest.raises(
-            SimulationError, match=f"^core 0: {mnemonic} length -10 is negative$"
-        ):
-            sim.run()
         assert sim.acct.local_bytes_read == sim.acct.vec_elements == 0
 
 
@@ -1944,25 +2036,17 @@ class TestSRegIndex:
     path, moving into the file and out of it alike (a negative
     ``MV_S2G`` index once read the file from its end)."""
 
-    @pytest.mark.parametrize("engine", ("interp", "block"))
+    @pytest.mark.parametrize("engine", ("interp", "block", "loop"))
     @pytest.mark.parametrize("index", (-1, 16))
     @pytest.mark.parametrize("mnemonic", ("MV_G2S", "MV_S2G"))
-    def test_bad_index_raises(self, mnemonic, index, engine, monkeypatch):
-        from repro.sim import blockengine as be
-
-        monkeypatch.setattr(be, "_BP_CACHE", {})
+    def test_bad_index_raises(self, mnemonic, index, engine):
         b = ProgramBuilder()
         b.emit("SC_ADDI", rs=0, rt=1, imm=5)
-        b.emit(mnemonic, rs=1, rt=2, imm=index)
+        _emit_faulting(
+            b, lambda: b.emit(mnemonic, rs=1, rt=2, imm=index), engine)
         b.halt()
-        sim = ChipSimulator(
-            small_test_arch(), {0: b.finalize()},
-            engine=engine,
-        )
-        with pytest.raises(
-            SimulationError, match=f"^core 0: bad S_Reg index {index}$"
-        ):
-            sim.run()
+        sim = _run_faulting(
+            b.finalize(), engine, f"^core 0: bad S_Reg index {index}$")
         assert sim.cores[0].regs[2] == 0
 
 
@@ -1977,13 +2061,9 @@ class TestCimCfgShape:
     SHAPES = {(32, 4): "32x4", (8, 16): "8x16", (8, -1): "8x4294967295",
               (0, 4): "0x4"}
 
-    @pytest.mark.parametrize("engine", ("interp", "block"))
+    @pytest.mark.parametrize("engine", ("interp", "block", "loop"))
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_shape_outside_the_register_raises(self, shape, engine,
-                                               monkeypatch):
-        from repro.sim import blockengine as be
-
-        monkeypatch.setattr(be, "_BP_CACHE", {})
+    def test_shape_outside_the_register_raises(self, shape, engine):
         rows, cols = 16, 8
         b = ProgramBuilder()
         b.li(1, GLOBAL_BASE)
@@ -1996,20 +2076,19 @@ class TestCimCfgShape:
         b.emit("CIM_LOAD", rs=2, rt=4)
         b.set_sreg(SReg.MVM_ROWS, 10, shape[0])
         b.set_sreg(SReg.MVM_COLS, 10, shape[1])
-        b.emit("CIM_CFG", rt=4)
         b.li(5, rows * cols)
         b.li(6, 1024)
-        b.emit("CIM_MVM", rs=5, rt=4, re=6, flags=0)
+
+        def configure_and_multiply():
+            b.emit("CIM_CFG", rt=4)
+            b.emit("CIM_MVM", rs=5, rt=4, re=6, flags=0)
+
+        _emit_faulting(b, configure_and_multiply, engine)
         b.halt()
-        sim = ChipSimulator(
-            small_test_arch(), {0: b.finalize()},
-            engine=engine,
+        sim = _run_faulting(
+            b.finalize(), engine,
+            f"^core 0: CIM_CFG {self.SHAPES[shape]} on MG 1 "
+            f"outside its loaded {rows}x{cols}$",
         )
-        with pytest.raises(
-            SimulationError,
-            match=f"^core 0: CIM_CFG {self.SHAPES[shape]} on MG 1 "
-                  f"outside its loaded {rows}x{cols}$",
-        ):
-            sim.run()
         assert sim.acct.macs == 0
         assert sim.cores[0].mgs[1][1:] == (rows, cols)
