@@ -62,9 +62,12 @@ do.  The emitter, the batch planner's walk (:func:`_walk`) and batched
 replay (:func:`_exec_batch`) read the same per-opcode declarations:
 :data:`_ALU` (each scalar ALU op's result field and source text),
 :data:`_VEC` (each vector op's operand regions, result, S_Regs, kernel
-and energy) and :func:`_fill`.  The walk adds only affine rules (ADD,
-SUB, MUL, ADDI, MULI, ADDIW) and the copy and CIM regions; each plan op
-is ``(kind, args, read regions, write region)``.  The walk runs on the
+and energy), :data:`_COPY` (each copy-family op's counts, their checks,
+byte counts and regions) and :func:`_fill`; no S_Reg is read but
+through one.  Every copy is issued by :meth:`_Emit.copy`, which sends a
+copy with a global end through :func:`issue_copy`.  The walk adds only
+affine rules (ADD, SUB, MUL, ADDI, MULI, ADDIW); each plan op is
+``(kind, args, read regions, write region)``.  The walk runs on the
 concrete entry state, once per loop entry, and a loop instance keeps
 its last plan: an entry in exactly the state of the last one walked (a
 serving session replaying the same input shape) reuses it.
@@ -79,6 +82,8 @@ batched.  Engine selection is ``REPRO_SIM_ENGINE`` (``block``, the
 default, or ``interp`` for the legacy interpreter).
 """
 
+import functools
+from dataclasses import fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -96,14 +101,12 @@ from repro.graph.quantize import (
     requantize,
     saturate_i8,
 )
-from repro.isa import Opcode
-from repro.sim.core import runaway_error, translate_program
+from repro.isa import Opcode, SReg
+from repro.sim.core import _UNITS, runaway_error, translate_program
+from repro.sim.energy import EnergyAccountant
 from repro.sim.noc import GLOBAL_PORT
 
 Op = Opcode
-
-#: Units in the order used by timing snapshots (matches core._UNITS).
-_UNITS = ("scalar", "vector", "cim", "mem", "xfer")
 
 _BRANCH_OPS = frozenset({int(Op.BEQ), int(Op.BNE), int(Op.BLT), int(Op.BGE)})
 
@@ -190,7 +193,7 @@ _VEC = {
     int(Op.VEC_COPY): _VecOp(_A8, _I8, np.copy),
     # per-channel scales: S_Reg CHANNEL_LEN bytes, tiled over the row
     int(Op.VEC_CMUL): _VecOp(
-        (("rs", 1, "n"), ("rt", 1, 12)), _I8,
+        (("rs", 1, "n"), ("rt", 1, int(SReg.CHANNEL_LEN))), _I8,
         lambda x, c: cmul_i8(x, np.tile(c, x.shape[-1] // c.shape[-1]))),
     int(Op.VEC_ADD32): _VecOp(
         (("rs", 4, "n"), ("rt", 4, "n")), ("rd", 4), np.add, lr=8),
@@ -198,7 +201,7 @@ _VEC = {
         (("rs", 4, "n"),), _I8,
         lambda x, q, sh: requantize(
             x, QuantParams(qmul=q if q > 1 else 1, qshift=sh)),
-        lr=4, sregs=(4, 5)),
+        lr=4, sregs=(int(SReg.QMUL), int(SReg.QSHIFT))),
     int(Op.VEC_ACC32): _VecOp(
         _A8, ("rd", 4), lambda x: x.astype(np.int32), lr=5, acc=True),
 }
@@ -210,6 +213,62 @@ def _fill(value: int, n: int, funct: int) -> np.ndarray:
     value &= 0xFF
     return np.full(n, value - 256 if value >= 128 else value,
                    dtype=np.int32 if funct == 4 else np.int8)
+
+
+#: VEC_FILL's one S_Reg operand: the value :func:`_fill` repeats.
+_FILL_VALUE = int(SReg.FILL_VALUE)
+
+
+class _CopyOp(NamedTuple):
+    """One copy-family op, as the emitter and the planner's walk read it.
+
+    ``counts`` bind its count operands to locals, ``(local, register
+    field or S_Reg)``: a negative length or a size below 1 raises
+    ``error``, formatted over the locals.  ``sizes`` bind the byte counts
+    derived from them, ``(local, expression)``.  ``reads`` and ``write``
+    are its regions, ``(base field, element bytes, count local)``; with
+    ``offset`` the write base adds the instruction's offset.  ``CIM_MVM``
+    counts the rows ``_rw`` and columns ``_cl`` its group was loaded at.
+    """
+
+    counts: Tuple
+    error: str
+    sizes: Tuple
+    reads: Tuple
+    write: Optional[Tuple]
+    offset: bool = False
+
+
+#: The shape ``CIM_LOAD`` loads a macro group at, ``CIM_CFG`` narrows to.
+_MG_SHAPE = (("_rw", SReg.MVM_ROWS), ("_cl", SReg.MVM_COLS))
+_CHUNKS = (("_ck", SReg.CHUNK), ("_st", SReg.STRIDE), ("_n", "rd"))
+#: A gather's strided source span and packed bytes (a scatter's reverse).
+_CHUNK_SIZES = (("_sp", "(_n - 1) * _st + _ck if _n else 0"),
+                ("_nb", "_n * _ck"))
+
+
+def _length(field: str, op: int) -> Tuple:
+    """The counts and error of an op whose one count is the length ``_n``
+    in register ``field``."""
+    return ((("_n", field),), f"{Op(op).name} length {{_n}} is negative")
+
+
+_COPY = {
+    int(Op.MEM_CPY): _CopyOp(
+        *_length("rd", Op.MEM_CPY), (), (("rs", 1, "_n"),), ("rt", 1, "_n"),
+        offset=True),
+    int(Op.MEM_GATHER): _CopyOp(
+        _CHUNKS, "bad gather chunk={_ck} stride={_st}", _CHUNK_SIZES,
+        (("rs", 1, "_sp"),), ("rt", 1, "_nb")),
+    int(Op.MEM_SCATTER): _CopyOp(
+        _CHUNKS, "bad scatter chunk={_ck} stride={_st}", _CHUNK_SIZES,
+        (("rs", 1, "_nb"), ("rt", 1, "_sp")), ("rt", 1, "_sp")),
+    int(Op.CIM_LOAD): _CopyOp(
+        _MG_SHAPE, "CIM_LOAD with rows={_rw} cols={_cl}",
+        (("_n", "_rw * _cl"),), (("rs", 1, "_n"),), None),
+    int(Op.CIM_MVM): _CopyOp(
+        (), "", (), (("rs", 1, "_rw"),), ("re", 4, "_cl")),
+}
 
 
 #: Opcodes eligible for batched loop replay (no sends, no global-memory
@@ -261,31 +320,29 @@ def reset_stats() -> None:
 # runtime helpers shared with generated code
 # ---------------------------------------------------------------------------
 
-def charge_copy_energy(core, nbytes: int, src_global: bool,
-                       dst_global: bool, start: int) -> None:
-    """Energy (and NoC reservation) of one ``nbytes`` copy issued at
-    ``start``: a copy with a global endpoint crosses the NoC from or to
-    the global-memory port.  The one copy-energy law; generated code --
-    blocks and the interpreter's handlers alike -- binds it as ``_ce``.
-    """
+def issue_copy(core, nbytes: int, src_global: bool, start: int) -> int:
+    """Issue one ``nbytes`` copy with a global end at ``start``: a NoC
+    message from (``src_global``) or to the global-memory port, charged
+    as a global access, its local half and the message.  Returns the
+    message's arrival cycle.  Generated code binds it as ``_ic`` (see
+    :meth:`_Emit.copy`, its one renderer)."""
     chip = core.chip
     acct = chip.acct
-    if src_global or dst_global:
-        acct.global_access(nbytes)
-        acct.local_copy(nbytes)  # the local half of the transfer
-        src = GLOBAL_PORT if src_global else core.core_id
-        dst = core.core_id if src_global else GLOBAL_PORT
-        chip.noc.transfer(src, dst, nbytes, start)
-        acct.noc_transfer(chip.noc.energy_pj(nbytes, src, dst))
-    else:
-        acct.local_copy(nbytes)
+    acct.global_access(nbytes)
+    acct.local_copy(nbytes)  # the local half of the transfer
+    src, dst = ((GLOBAL_PORT, core.core_id) if src_global
+                else (core.core_id, GLOBAL_PORT))
+    arrival = chip.noc.transfer(src, dst, nbytes, start)
+    acct.noc_transfer(chip.noc.energy_pj(nbytes, src, dst))
+    return arrival
 
 
-def _global_copy(core, src, dst, nbytes, start):
-    """Functional + energy half of a MEM_CPY touching global memory: one
-    slice assignment between the two backing arrays (NumPy buffers an
-    overlapping pair).  A copy of parameter bytes into the scratchpad
-    leaves the core's ``staged`` note for :func:`_cim_register`."""
+def _mapped_copy(core, src, dst, nbytes):
+    """The data half of a MEM_CPY off the scratchpad fast path: both
+    ranges resolved (source first; one no array serves raises), then one
+    slice assignment (NumPy buffers an overlapping pair).  A copy of
+    parameter bytes into the scratchpad leaves the core's ``staged``
+    note for :func:`_cim_register`."""
     mem = core.chip.memory
     cid = core.core_id
     backing, s = mem.resolve(cid, src, nbytes)
@@ -293,9 +350,6 @@ def _global_copy(core, src, dst, nbytes, start):
     target[d:d + nbytes] = backing[s:s + nbytes]
     if backing is mem.parameters and dst < GLOBAL_BASE:
         core.staged = (d, s, nbytes)
-    charge_copy_energy(
-        core, nbytes, src >= GLOBAL_BASE, dst >= GLOBAL_BASE, start
-    )
 
 
 def _cim_register(core, addr, rows, cols):
@@ -343,20 +397,11 @@ def _rows(arr: np.ndarray, b: int, s: int, l: int, m: int) -> np.ndarray:
     return arr[_row_index(b, s, l, m)]
 
 
-_GIDX_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=512)
 def _gidx(count: int, chunk: int, stride: int) -> np.ndarray:
     """Memoised gather/scatter index pattern: ``count`` chunks of
     ``chunk`` bytes, ``stride`` bytes apart."""
-    key = (count, chunk, stride)
-    idx = _GIDX_CACHE.get(key)
-    if idx is None:
-        if len(_GIDX_CACHE) > 512:
-            _GIDX_CACHE.clear()
-        idx = _row_index(0, stride, chunk, count).reshape(-1)
-        _GIDX_CACHE[key] = idx
-    return idx
+    return _row_index(0, stride, chunk, count).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +480,51 @@ class _Emit:
 
         self.when(reg, bool, "{}", write)
 
-    def length(self, reg, op: int) -> None:
-        """``_n = r[reg]``, the length operand of ``op``; below 0 raises."""
-        self.w(f"_n = r[{reg}]")
-        self.w("if _n < 0: raise SimulationError("
-               f"f\"core {{cid}}: {Op(op).name} length {{_n}} is negative\")")
+    def operands(self, f: Tuple, counts: Tuple, error: str = "",
+                 sizes: Tuple = ()) -> None:
+        """Bind ``counts``, ``error`` and ``sizes`` as a :class:`_CopyOp`
+        declares them, the register fields read from ``f``."""
+        for local, source in counts:
+            if isinstance(source, SReg):
+                self.uses.add("sregs")
+                self.w(f"{local} = s[{int(source)}]")
+            else:
+                self.w(f"{local} = r[{f[_FIELD[source]]}]")
+        if error:
+            bad = " or ".join(
+                f"{local} {'<=' if isinstance(source, SReg) else '<'} 0"
+                for local, source in counts)
+            self.w(f"if {bad}: raise SimulationError("
+                   f"f\"core {{cid}}: {error}\")")
+        for local, text in sizes:
+            self.w(f"{local} = {text}")
 
-    def copy_cost(self, nbytes, is_global: str, deps: Tuple,
-                  extra: Optional[str] = None) -> None:
-        """Issue one copy of ``nbytes`` on the mem unit: the local
-        scratchpad cost, raised to the global-memory cost when
-        ``is_global`` holds, plus ``extra`` cycles.  Leaves the cost in
-        ``_c`` and the start cycle in ``_t``."""
+    def copy(self, nbytes, ends: str, src_global: str, deps: Tuple,
+             extra: Optional[str] = None) -> None:
+        """Issue one copy of ``nbytes`` on the mem unit, before its data
+        moves: the scratchpad cost, raised to the global-memory cost when
+        ``ends`` (an end is global) holds, plus ``extra`` cycles, in
+        ``_c``; the start in ``_t``.  A copy with a global end is issued
+        to the NoC (:func:`issue_copy`), any other charges the tallies."""
         self.uses.update(("mem", "cost"))
         if isinstance(nbytes, int):
             self.w(f"_m = {max(1, nbytes)}")
         else:
             self.w(f"_m = {nbytes} if {nbytes} > 0 else 1")
+        self.w(f"_gl = {ends}")
         self.w("_c = (_m + LBW - 1) // LBW + LLT")
-        self.w(f"if {is_global}:")
+        self.w("if _gl:")
         self.w("    _g = (_m + GBW - 1) // GBW + GLT")
         self.w("    if _g > _c: _c = _g")
         if extra is not None:
             self.w(f"_c += {extra}")
         self.issue("mem", "_c", deps=deps)
+        self.w("if _gl:")
+        # The port's arrival: nothing waits on it yet (ROADMAP item 1(b)).
+        self.w(f"    _ar = _ic(core, {nbytes}, {src_global}, _t)")
+        self.w("else:")
+        self.w(f"    t_lr += {nbytes}; t_lw += {nbytes}")
+        self.tallies.update(("t_lr", "t_lw"))
 
     def read(self, reg, eb: int, n: str, out: str,
              copy: bool = False) -> None:
@@ -525,51 +591,32 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
     elif op in (int(Op.NOP), int(Op.SYNC), int(Op.JMP)):
         em.issue("scalar", "1")
     elif op == int(Op.MEM_CPY):
+        em.operands(f, *_COPY[op][:3])
         em.w(f"_a = r[{rs}]")
         em.w(f"_b = r[{rt}] + {off}")
-        em.length(rd, op)
-        em.copy_cost("_n", "_a >= GB or _b >= GB", deps=(rs, rt, rd))
-        em.w("if _a >= GB or _b >= GB:")
-        em.w("    _gc(core, _a, _b, _n, _t)")
-        em.w("elif 0 <= _a and _a + _n <= LSZ and 0 <= _b and _b + _n <= LSZ:")
+        em.copy("_n", "_a >= GB or _b >= GB", "_a >= GB", (rs, rt, rd))
+        em.w("if 0 <= _a and _a + _n <= LSZ and 0 <= _b and _b + _n <= LSZ:")
         em.w("    if _a + _n <= _b or _b + _n <= _a or _a == _b:")
         em.w("        lm[_b:_b + _n] = lm[_a:_a + _n]")
         em.w("    else:")
         em.w("        lm[_b:_b + _n] = lm[_a:_a + _n].copy()")
-        em.w("    t_lr += _n; t_lw += _n")
         em.w("else:")
-        em.w("    mem.write(cid, _b, mem.read(cid, _a, _n))")
-        em.w("    t_lr += _n; t_lw += _n")
-        em.tallies.update(("t_lr", "t_lw"))
+        em.w("    _mc(core, _a, _b, _n)")
     elif op == int(Op.MEM_LD):
         em.w(f"_a = r[{rs}] + {off}")
-        em.w("_sg = _a >= GB")
-        em.copy_cost(4, "_sg", deps=(rs,))
+        em.copy(4, "_a >= GB", "True", (rs,))
         em.w("_v = mem.read_word(cid, _a)")
         em.write_reg(rt, "_v", "_t + _c")
-        em.w("_ce(core, 4, _sg, False, _t)")
     elif op == int(Op.MEM_ST):
         em.w(f"_a = r[{rs}] + {off}")
-        em.w("_dg = _a >= GB")
-        em.copy_cost(4, "_dg", deps=(rs, rt))
+        em.copy(4, "_a >= GB", "False", (rs, rt))
         em.w(f"mem.write_word(cid, _a, r[{rt}])")
-        em.w("_ce(core, 4, False, _dg, _t)")
     elif op in (int(Op.MEM_GATHER), int(Op.MEM_SCATTER)):
-        kind = "gather" if op == int(Op.MEM_GATHER) else "scatter"
-        em.uses.add("sregs")
-        em.w(f"_n = r[{rd}]")
-        em.w("_ck = s[13]")
-        em.w("_st = s[7]")
-        em.w("if _ck <= 0 or _st <= 0 or _n < 0: "
-             "raise SimulationError("
-             f"f\"core {{cid}}: bad {kind} chunk={{_ck}} stride={{_st}}\")")
+        em.operands(f, *_COPY[op][:3])
         em.w(f"_a = r[{rs}]")
         em.w(f"_b = r[{rt}]")
-        em.w("_sp = (_n - 1) * _st + _ck if _n else 0")
-        em.w("_nb = _n * _ck")
-        em.w("_sg = _a >= GB")
-        em.w("_dg = _b >= GB")
-        em.copy_cost("_nb", "_sg or _dg", deps=(rs, rt, rd), extra="_n")
+        em.copy("_nb", "_a >= GB or _b >= GB", "_a >= GB", (rs, rt, rd),
+                extra="_n")
         em.w("if _n:")
         if op == int(Op.MEM_GATHER):
             em.w("    _w = mem.read(cid, _a, _sp)")
@@ -579,11 +626,10 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
             em.w("    _w = mem.read(cid, _b, _sp)")
             em.w("    _w[_gidx(_n, _ck, _st)] = _x")
             em.w("    mem.write(cid, _b, _w)")
-        em.w("_ce(core, _nb, _sg, _dg, _t)")
     elif op == int(Op.SEND):
         em.uses.add("send")
         em.w(f"_d = r[{rt}]")
-        em.length(rd, op)
+        em.operands(f, *_length("rd", op))
         em.w("_m = _n if _n > 0 else 1")
         em.w("_c = (_m + FLT - 1) // FLT")
         em.issue("xfer", "_c", deps=(rs, rt, rd))
@@ -594,25 +640,19 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("t_lr += _n; t_lw += _n")
         em.tallies.update(("t_lr", "t_lw"))
     elif op == int(Op.CIM_LOAD):
-        em.uses.update(("cim", "sregs"))
+        em.uses.update(("cim", "mem"))
         em.w(f"_g = r[{rt}]")
-        em.w("_rw = s[2]")
-        em.w("_cl = s[3]")
         em.w("if not 0 <= _g < len(mgs): raise SimulationError("
              "f\"core {cid}: macro group {_g} out of range\")")
-        em.w("if _rw <= 0 or _cl <= 0: raise SimulationError("
-             "f\"core {cid}: CIM_LOAD with rows={_rw} cols={_cl}\")")
-        em.w("_n = _rw * _cl")
-        em.uses.add("mem")
+        em.operands(f, *_COPY[op][:3])
         em.w(f"mgs[_g] = (_cr(core, r[{rs}], _rw, _cl), _rw, _cl)")
         em.issue("cim", "_rw + LLT", deps=(rs, rt))
         em.w("t_clb += _n; t_lr += _n")
         em.tallies.update(("t_clb", "t_lr"))
     elif op == int(Op.CIM_CFG):
-        em.uses.update(("cim", "sregs"))
+        em.uses.add("cim")
         em.w(f"_g = r[{rt}]")
-        em.w("_rw = s[2]")
-        em.w("_cl = s[3]")
+        em.operands(f, _MG_SHAPE)
         em.w("_e = mgs[_g]")
         em.w("if _e is None: raise SimulationError("
              "f\"core {core.core_id}: CIM_CFG on empty MG {_g}\")")
@@ -629,17 +669,19 @@ def _emit_instr(em: _Emit, f: Tuple) -> None:
         em.w("if _e is None: raise SimulationError("
              "f\"core {cid}: CIM_MVM on unloaded macro group {_g}\")")
         em.w("_w, _rw, _cl = _e")
-        em.read(rs, 1, "_rw", "_x")
+        (src, seb, rows), = _COPY[op].reads
+        dst, deb, cols = _COPY[op].write
+        em.read(f[_FIELD[src]], seb, rows, "_x")
         em.w("_v = int_matmul(_x, _w[:_rw, :_cl])")
 
         def accumulate():
-            em.read(re, 4, "_cl", "_p")
+            em.read(f[_FIELD[dst]], deb, cols, "_p")
             em.w("_v += _p")
 
         em.when(flags, lambda v: v & 1, "{} & 1", accumulate)
         # int_matmul returns a fresh C-contiguous int32 array, so it is
         # stored through a byte view with no further cast or copy.
-        em.write(re, 4, "_cl", "_v")
+        em.write(f[_FIELD[dst]], deb, cols, "_v")
         em.issue("cim", "MVL", occ="MVI", deps=(rs, rt, re))
         em.w("t_mac += _rw * _cl; t_mvr += _rw; t_mvb += 4 * _cl")
         em.w("t_lr += _rw; t_lw += 4 * _cl")
@@ -666,7 +708,7 @@ def _emit_vec(em: _Emit, f: Tuple) -> None:
     entry, or VEC_FILL through :func:`_fill`."""
     op, rs, rt, rd, re, _, _, funct, _ = f
     em.uses.add("vec")
-    em.length(re, op)
+    em.operands(f, *_length("re", op))
 
     def store(reg, eb: int, lr: int) -> None:
         em.write(reg, eb, "_n", "_y")
@@ -675,7 +717,7 @@ def _emit_vec(em: _Emit, f: Tuple) -> None:
 
     if op == int(Op.VEC_FILL):
         em.uses.add("sregs")
-        em.w(f"_y = _fill(s[6], _n, {funct})")
+        em.w(f"_y = _fill(s[{_FILL_VALUE}], _n, {funct})")
         em.when(funct, lambda v: v == 4, "{} == 4",
                 lambda: store(rd, 4, 0), lambda: store(rd, 1, 0))
     else:
@@ -805,8 +847,8 @@ _EXEC_GLOBALS = {
     "SimulationError": SimulationError,
     "int_matmul": int_matmul,
     "GB": GLOBAL_BASE,
-    "_ce": charge_copy_energy,
-    "_gc": _global_copy,
+    "_ic": issue_copy,
+    "_mc": _mapped_copy,
     "_cr": _cim_register,
     "_gidx": _gidx,
     "_V": {op: spec.kernel for op, spec in _VEC.items()},
@@ -978,11 +1020,9 @@ def run_core(core, max_instructions: int = 50_000_000) -> int:
 # loop driver: warm-up, steady-state detection, batched replay
 # ---------------------------------------------------------------------------
 
-_ACCT_FIELDS = (
-    "n_instructions", "n_scalar_ops", "macs", "mvm_rows",
-    "mvm_result_bytes", "cim_load_bytes", "vec_elements",
-    "local_bytes_read", "local_bytes_written", "global_bytes",
-)
+#: The accountant's integer tallies, which a timing snapshot carries.
+_ACCT_FIELDS = tuple(f.name for f in fields(EnergyAccountant)
+                     if f.type is int)
 
 # snapshot layout offsets
 _S_CLK = 0
@@ -993,7 +1033,6 @@ _S_RR = 43                 # 32 entries
 _S_SREGS = 75              # 16 entries
 _S_ACCT = 91               # len(_ACCT_FIELDS) entries
 _S_RETIRED = _S_ACCT + len(_ACCT_FIELDS)
-_S_LEN = _S_RETIRED + 1
 
 
 def _snapshot(core) -> Tuple[int, ...]:
@@ -1001,49 +1040,27 @@ def _snapshot(core) -> Tuple[int, ...]:
     bz = core.busy
     acct = core.chip.acct
     return (
-        core.clock,
-        uf["scalar"], uf["vector"], uf["cim"], uf["mem"], uf["xfer"],
-        bz["scalar"], bz["vector"], bz["cim"], bz["mem"], bz["xfer"],
-        *core.regs,
-        *core.reg_ready,
-        *core.sregs,
-        acct.n_instructions, acct.n_scalar_ops, acct.macs, acct.mvm_rows,
-        acct.mvm_result_bytes, acct.cim_load_bytes, acct.vec_elements,
-        acct.local_bytes_read, acct.local_bytes_written, acct.global_bytes,
+        core.clock, *(uf[u] for u in _UNITS), *(bz[u] for u in _UNITS),
+        *core.regs, *core.reg_ready, *core.sregs,
+        *(getattr(acct, name) for name in _ACCT_FIELDS),
         core.instructions_retired,
     )
 
 
 def _apply_delta(core, d: Tuple[int, ...], m: int) -> None:
     core.clock += m * d[_S_CLK]
-    uf = core.unit_free
-    bz = core.busy
     for i, unit in enumerate(_UNITS):
-        dv = d[_S_UF + i]
-        if dv:
-            uf[unit] += m * dv
-        dv = d[_S_BUSY + i]
-        if dv:
-            bz[unit] += m * dv
-    r = core.regs
-    rr = core.reg_ready
-    s = core.sregs
-    for i in range(32):
-        dv = d[_S_REGS + i]
-        if dv:
-            r[i] += m * dv
-        dv = d[_S_RR + i]
-        if dv:
-            rr[i] += m * dv
-    for i in range(16):
-        dv = d[_S_SREGS + i]
-        if dv:
-            s[i] += m * dv
+        core.unit_free[unit] += m * d[_S_UF + i]
+        core.busy[unit] += m * d[_S_BUSY + i]
+    for base, values in ((_S_REGS, core.regs), (_S_RR, core.reg_ready),
+                         (_S_SREGS, core.sregs)):
+        for i, dv in enumerate(d[base:base + len(values)]):
+            if dv:
+                values[i] += m * dv
     acct = core.chip.acct
-    for i, field in enumerate(_ACCT_FIELDS):
-        dv = d[_S_ACCT + i]
+    for name, dv in zip(_ACCT_FIELDS, d[_S_ACCT:]):
         if dv:
-            setattr(acct, field, getattr(acct, field) + m * dv)
+            setattr(acct, name, getattr(acct, name) + m * dv)
     core.instructions_retired += m * d[_S_RETIRED]
 
 
@@ -1080,14 +1097,7 @@ def _txns_affine(prev_txns, txns, d_clk: int) -> bool:
     """Whether two consecutive iterations' NoC transaction lists match in
     (src, dst, nbytes) with start times advancing by exactly the clock
     step -- the empirical twin of the planner's affine model."""
-    if not txns:
-        return not prev_txns
-    if prev_txns is None or len(prev_txns) != len(txns):
-        return False
-    for (s0, d0, n0, t0), (s1, d1, n1, t1) in zip(prev_txns, txns):
-        if s0 != s1 or d0 != d1 or n0 != n1 or t1 - t0 != d_clk:
-            return False
-    return True
+    return [(s, d, n, t + d_clk) for s, d, n, t in prev_txns or ()] == txns
 
 
 def _run_loop(core, inst: BlockInstance, budget: int,
@@ -1195,20 +1205,6 @@ class _Bail(Exception):
     """Internal: the batched replay cannot be applied; fall back."""
 
 
-def _noc_plan_ok(core, gcpys, noc_txns) -> bool:
-    """Every NoC transaction the measured iteration issued must be
-    explained by a planned global copy, in body order, with matching
-    direction and size -- otherwise the batch cannot account for the
-    loop's NoC side effects and must not apply."""
-    if len(gcpys) != len(noc_txns):
-        return False
-    cid = core.core_id
-    for op, (src, dst, nbytes, _) in zip(gcpys, noc_txns):
-        if src != GLOBAL_PORT or dst != cid or nbytes != op[3][2]:
-            return False
-    return True
-
-
 def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
                max_iterations: int, noc_txns) -> bool:
     """Attempt closed-form + batched replay of the remaining iterations.
@@ -1240,9 +1236,13 @@ def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
 
     try:
         plan, m = _plan_entry(core, inst, delta, max_iterations)
-        gcpys = [op for op in plan if op[0] == "gcpy"]
+        gcpys = [(GLOBAL_PORT, core.core_id, op[3][2])
+                 for op in plan if op[0] == "gcpy"]
         if gcpys or noc_txns:
-            if not _noc_plan_ok(core, gcpys, noc_txns):
+            # Every NoC message the measured iteration issued must be a
+            # planned global copy's, in body order, with its direction
+            # and size: the batch accounts for no other NoC effect.
+            if gcpys != [txn[:3] for txn in noc_txns]:
                 raise _Bail()
             noc = core.chip.noc
             acct = core.chip.acct
@@ -1273,22 +1273,6 @@ def _try_batch(core, inst: BlockInstance, delta: Tuple[int, ...],
         return False
     _apply_delta(core, delta, m)
     return True
-
-
-def _writes_collide(w1, w2, span1, span2, m: int) -> bool:
-    """Write-vs-write hazard between two planned regions.
-
-    Two *step-0* writes overlapping is benign even though they touch the
-    same bytes every iteration: the flush applies final rows in op order
-    (exactly the stepped outcome) and reads resolve through the same
-    newest-cover forwarding the stepped execution implies.  Every other
-    overlap is a real hazard.  Note :func:`_regions_collide` itself must
-    stay strict -- a read piece resolved from *memory* does treat a
-    step-0 overlap as loop-carried interference.
-    """
-    if w1[1] == 0 and w2[1] == 0:
-        return False
-    return _regions_collide(w1, w2, span1, span2, m)
 
 
 def _regions_collide(w1, w2, span1, span2, m: int) -> bool:
@@ -1443,64 +1427,68 @@ def _walk(core, inst: BlockInstance, delta: Tuple[int, ...]):
                 _wr(regs, rt, sregs[imm])
         elif op in (int(Op.NOP), int(Op.SYNC)):
             pass
-        elif op == int(Op.MEM_CPY):
-            n = invariant(regs[rd])
-            if n <= 0:
-                raise _Bail()
-            sb, ss = regs[rs]
-            db, ds = regs[rt][0] + off, regs[rt][1]
-            if db >= GLOBAL_BASE:
-                # Global-memory writes are visible to other cores;
-                # replay order matters, so never batch them.
-                raise _Bail()
-            # A global source streams (weights/activations): one NoC
-            # message per iteration.
-            kind = "gcpy" if sb >= GLOBAL_BASE else "cpy"
-            ops.append((kind, None, ((sb, ss, n),), (db, ds, n)))
-        elif op == int(Op.MEM_GATHER):
-            count = invariant(regs[rd])
-            chunk = invariant(sregs[13])
-            stride = invariant(sregs[7])
-            if count <= 0 or chunk <= 0 or stride <= 0:
-                raise _Bail()
-            span = (count - 1) * stride + chunk
-            ops.append(("cpy", (count, chunk, stride), ((*regs[rs], span),),
-                        (*regs[rt], count * chunk)))
-        elif op == int(Op.CIM_LOAD):
-            mg = invariant(regs[rt])
-            rows = invariant(sregs[2])
-            cols = invariant(sregs[3])
-            if not 0 <= mg < len(mgs) or rows <= 0 or cols <= 0:
-                raise _Bail()
-            if mg in entry_mg_used:
-                # An earlier MVM on this mg reads the *previous*
-                # iteration's load: a loop-carried macro-group
-                # dependency the batched replay does not model.
-                raise _Bail()
-            ops.append(("cimload", (rows, cols, mg),
-                        ((*regs[rs], rows * cols),), None))
-            vmg_shapes[mg] = (rows, cols)
-        elif op == int(Op.CIM_MVM):
-            mg = invariant(regs[rt])
-            if not 0 <= mg < len(mgs):
-                raise _Bail()
-            shape = vmg_shapes.get(mg)
-            virt = shape is not None
-            if virt:
-                rows, cols = shape
-            else:
-                if mgs[mg] is None:
+        elif op in _COPY:
+            spec = _COPY[op]
+            size: Dict[str, int] = {}
+            if op in (int(Op.CIM_LOAD), int(Op.CIM_MVM)):
+                mg = invariant(regs[rt])
+                if not 0 <= mg < len(mgs):
                     raise _Bail()
-                _, rows, cols = mgs[mg]
-                entry_mg_used.add(mg)
-            ops.append(("mvm", (rows, cols, mg, flags, virt),
-                        ((*regs[rs], rows),), (*regs[re], 4 * cols)))
+                virt = mg in vmg_shapes
+            if op == int(Op.CIM_MVM):
+                if not virt:
+                    if mgs[mg] is None:
+                        raise _Bail()
+                    entry_mg_used.add(mg)
+                size["_rw"], size["_cl"] = (
+                    vmg_shapes[mg] if virt else mgs[mg][1:])
+            for local, source in spec.counts:
+                size[local] = invariant(
+                    sregs[source] if isinstance(source, SReg)
+                    else regs[t[_FIELD[source]]])
+                if size[local] <= 0:
+                    raise _Bail()
+            for local, text in spec.sizes:
+                size[local] = eval(text, {}, size)
+
+            def region(field, eb, count, shift=0):
+                base, step = regs[t[_FIELD[field]]]
+                return base + shift, step, eb * size[count]
+
+            reads = tuple(region(*r) for r in spec.reads)
+            write = spec.write and region(
+                *spec.write, off if spec.offset else 0)
+            if op == int(Op.MEM_CPY):
+                if write[0] >= GLOBAL_BASE:
+                    # Global-memory writes are visible to other cores;
+                    # replay order matters, so never batch them.
+                    raise _Bail()
+                # A global source streams (weights/activations): one NoC
+                # message per iteration.
+                kind = "gcpy" if reads[0][0] >= GLOBAL_BASE else "cpy"
+                args = None
+            elif op == int(Op.MEM_GATHER):
+                kind, args = "cpy", (size["_n"], size["_ck"], size["_st"])
+            elif op == int(Op.CIM_LOAD):
+                if mg in entry_mg_used:
+                    # An earlier MVM on this mg reads the *previous*
+                    # iteration's load: a loop-carried macro-group
+                    # dependency the batched replay does not model.
+                    raise _Bail()
+                vmg_shapes[mg] = (size["_rw"], size["_cl"])
+                kind, args = "cimload", (*vmg_shapes[mg], mg)
+            elif op == int(Op.CIM_MVM):
+                kind = "mvm"
+                args = (size["_rw"], size["_cl"], mg, flags, virt)
+            else:  # a scatter is never batched
+                raise _Bail()
+            ops.append((kind, args, reads, write))
         elif op in _VEC or op == int(Op.VEC_FILL):
             n = invariant(regs[re])
             if n <= 0:
                 raise _Bail()
             if op == int(Op.VEC_FILL):
-                fill = invariant(sregs[6])
+                fill = invariant(sregs[_FILL_VALUE])
                 ops.append(("fill", (fill, n, funct), (),
                             (*regs[rd], 4 * n if funct == 4 else n)))
                 continue
@@ -1547,12 +1535,17 @@ def _walk(core, inst: BlockInstance, delta: Tuple[int, ...]):
             raise _Bail()
     # Distinct write regions must never touch a common byte at any pair
     # of iterations (iteration-aware for regions sharing a step;
-    # conservative span test otherwise).
+    # conservative span test otherwise).  Two overlapping *step-0*
+    # writes are benign: the flush applies final rows in op order (the
+    # stepped outcome) and reads resolve through the same newest-cover
+    # forwarding.  :func:`_regions_collide` itself stays strict: a read
+    # piece resolved from memory does treat a step-0 overlap as
+    # loop-carried interference.
     for i in range(len(writes)):
         for j in range(i + 1, len(writes)):
-            if writes[i] != writes[j] and _writes_collide(
-                writes[i], writes[j], spans[i], spans[j], m
-            ):
+            w1, w2 = writes[i], writes[j]
+            if w1 != w2 and (w1[1] or w2[1]) and _regions_collide(
+                    w1, w2, spans[i], spans[j], m):
                 raise _Bail()
     return ops, m
 

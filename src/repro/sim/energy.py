@@ -55,12 +55,12 @@ class EnergyAccountant:
     def instruction(self, count: int = 1) -> None:
         self.n_instructions += count
 
-    def local_copy(self, nbytes: int, count: int = 1) -> None:
-        self.local_bytes_read += nbytes * count
-        self.local_bytes_written += nbytes * count
+    def local_copy(self, nbytes: int) -> None:
+        self.local_bytes_read += nbytes
+        self.local_bytes_written += nbytes
 
-    def global_access(self, nbytes: int, count: int = 1) -> None:
-        self.global_bytes += nbytes * count
+    def global_access(self, nbytes: int) -> None:
+        self.global_bytes += nbytes
 
     def noc_transfer(self, pj: float) -> None:
         self.noc_pj_total += pj

@@ -112,9 +112,6 @@ class MemorySystem:
             )
         return self.locals[core_id], addr
 
-    def is_global(self, addr: int) -> bool:
-        return addr >= GLOBAL_BASE
-
     def read(self, core_id: int, addr: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` as int8 (copy)."""
         backing, offset = self.resolve(core_id, addr, nbytes)

@@ -18,6 +18,17 @@ def table1_arch():
     return default_arch()
 
 
+@pytest.fixture(scope="session")
+def resnet18_32():
+    """resnet18 at 32 px, 10 classes, dp-compiled for the Table I arch:
+    the smallest zoo model that streams real weight traffic."""
+    from repro.compiler import compile_graph
+    from repro.graph.models import get_model
+
+    graph = get_model("resnet18", input_size=32, num_classes=10)
+    return compile_graph(graph, default_arch(), "dp")
+
+
 @pytest.fixture
 def rng_calls(monkeypatch):
     """Every ``np.random.default_rng`` call made while the test runs

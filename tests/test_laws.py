@@ -42,11 +42,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compiler import compile_graph
 from repro.config import small_test_arch
 from repro.config.arch import GLOBAL_BASE
 from repro.errors import SimulationError
-from repro.graph.models import get_model
 from repro.isa import ProgramBuilder
 from repro.sim import ChipSimulator
 from repro.sim import blockengine as be
@@ -55,14 +53,6 @@ from repro.sim.functional import random_input
 #: Bytes a chip may allocate beyond its scratchpads and activation window
 #: (cores, register files, NoC and ledger state).
 _EPSILON = 256 * 1024
-
-
-@pytest.fixture(scope="module")
-def resnet18_32():
-    from repro.config import default_arch
-
-    graph = get_model("resnet18", input_size=32, num_classes=10)
-    return compile_graph(graph, default_arch(), "dp")
 
 
 def test_chip_allocates_its_activation_window_not_its_parameters(resnet18_32):
@@ -681,6 +671,31 @@ def _compile_loops_only(root: Path):
     )
 
 
+def _one_copy_issue(root: Path):
+    """A copy is issued in one place: the copy-charge twin stays deleted,
+    the engine reserves NoC links only in ``issue_copy`` (every copy with
+    a global end) and ``SEND``'s rendering, and the emitter and the walk
+    read S_Regs only through their declarations."""
+    engine = _read(root, "src/repro/sim/blockengine.py")
+    transfer = re.compile(r"noc\.transfer\(")
+    owners = (_sed(engine, r"^def issue_copy\(", r"^    return ")
+              + _sed(engine, r"^    elif op == int\(Op\.SEND\):",
+                     r"^    elif "))
+    readers = sum((_sed(engine, rf"^def {name}\(", r"^def ")[:-1]
+                   for name in ("_emit_instr", "_emit_vec", "_walk")), [])
+    return (
+        _none(re.findall(r"charge_copy_energy|\b_ce\b", engine),
+              "copy charge")
+        + _only([line for line in engine.splitlines()
+                 if transfer.search(line)],
+                [line for line in owners if transfer.search(line)],
+                "NoC transfer")
+        + _none([line for line in readers
+                 if re.search(r"\b(s|sregs)\[\d+\]", line)],
+                "literal S_Reg")
+    )
+
+
 def _one_instruction_constructor(root: Path):
     """An instruction is a value made in one place: ``Instruction(`` is
     called only at the registry's intern site, whose one table also
@@ -809,6 +824,20 @@ GREP_LAWS = {
             "shape = (instrs, \"loop\" if is_loop else \"line\", term)\n"
         ),
     }, ["hot tier", "line block"]),
+    "one_copy_issue": (_one_copy_issue, {
+        "src/repro/sim/blockengine.py": (
+            "def issue_copy(core, nbytes, src_global, start):\n"
+            "    arrival = chip.noc.transfer(src, dst, nbytes, start)\n"
+            "    return arrival\n"
+            "def _emit_instr(em, f):\n"
+            "    em.w(\"_ce(core, 4, _sg, False, _t)\")\n"
+            "    em.w(\"_v = noc.transfer(cid, _d, _n, _t)\")\n"
+            "def _walk(core, inst, delta):\n"
+            "    chunk = invariant(sregs[13])\n"
+            "def _exec_batch(core, ops, m):\n"
+            "    pass\n"
+        ),
+    }, ["copy charge", "NoC transfer", "literal S_Reg"]),
     "one_instruction_constructor": (_one_instruction_constructor, {
         "src/repro/isa/extension.py": "instr = Instruction(mnemonic, fields)\n",
         "src/repro/isa/program.py": "instr = Instruction(mnemonic, fields)\n",

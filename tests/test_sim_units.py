@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import small_test_arch
 from repro.config.arch import GLOBAL_BASE
@@ -441,3 +443,48 @@ class TestExtensionInstructions:
         )
         out = sim.memory.read_global(GLOBAL_BASE + 64, 4)
         assert list(out) == [-1, -2, -3, -4]
+
+
+#: Every directed link of the small arch's 2 x 2 mesh.
+_MESH_LINKS = [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 1, 0),
+               (0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 1, 1), (1, 1, 0, 1)]
+
+
+def _noc_state(noc):
+    return (dict(noc._link_free), noc.total_bytes, noc.total_byte_hops,
+            noc.busy_cycles)
+
+
+class TestNoCReplay:
+    """``NoC.replay_affine`` commits ``count`` iterations of a window in
+    closed form.  It must leave exactly the state ``count`` stepped
+    rounds of ``transfer`` leave, or refuse and leave the state as it
+    found it."""
+
+    _node = st.sampled_from([-1, 0, 1, 2, 3])   # -1: the global port
+    _message = st.tuples(_node, _node, st.integers(0, 96),
+                         st.integers(0, 12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 400), min_size=8, max_size=8),
+           st.lists(_message, min_size=1, max_size=3),
+           st.integers(0, 300), st.integers(1, 60), st.integers(1, 40))
+    def test_replay_is_stepped_transfer(self, frees, messages, start, step,
+                                        count):
+        from repro.sim.noc import NoC
+
+        txns = []
+        for src, dst, nbytes, gap in messages:
+            start += gap
+            txns.append((src, dst, nbytes, start))
+        replayed, stepped = NoC(small_test_arch()), NoC(small_test_arch())
+        for noc in (replayed, stepped):
+            noc._link_free = dict(zip(_MESH_LINKS, frees))
+        before = _noc_state(replayed)
+        if not replayed.replay_affine(txns, step, count):
+            assert _noc_state(replayed) == before
+            return
+        for k in range(1, count + 1):
+            for src, dst, nbytes, t in txns:
+                stepped.transfer(src, dst, nbytes, t + k * step)
+        assert _noc_state(replayed) == _noc_state(stepped)
