@@ -23,9 +23,10 @@ def main() -> None:
     # Classic latency mode: one input, Fig. 2 workflow.
     result = deployment.run()
     plan = deployment.compiled.plan
+    dup = max(len(m.replicas) for s in plan.stages
+              for m in s.mappings.values())
     print(f"model     : {deployment.graph.summary()}")
-    print(f"plan      : {plan.num_stages} stages, "
-          f"max duplication x{plan.max_replication}")
+    print(f"plan      : {plan.num_stages} stages, max duplication x{dup}")
     print(f"validated : {result.validated} (bit-exact vs golden model)")
     print()
     print(result.report)

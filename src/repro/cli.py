@@ -171,8 +171,9 @@ class _Column(NamedTuple):
 
 
 #: The table's bands, left to right, each in CSV order: the column
-#: whose truth in some row shows the band (``None``: always shown).
-_BANDS = (None, "fault_plan", "resident_weights", None)
+#: whose value off its default in some row shows the band (``None``:
+#: always shown).
+_BANDS = (None, "fault_plan", "resident_weights", "tier", None)
 
 #: What a shown cell must hold, by the type letter of its format spec.
 _CELL_TYPES = {"d": (int, "an integer"), "f": ((int, float), "a number"),
@@ -201,6 +202,7 @@ def _columns() -> Tuple[_Column, ...]:
         C("fault_plan", axis["fault_plan"]),
         C("resident_weights", axis["resident_weights"], 2, "res", 5, "s",
           flag="yes"),
+        C("tier", axis["tier"], 3, "tier", 10, "s"),
         C("load_cycles", 0, 2, "load cyc", 10, ",d"),
         C("mg_size", MISSING, 0, "MG", 4),
         C("flit_bytes", MISSING, 0, "flit", 6),
@@ -215,13 +217,16 @@ def _columns() -> Tuple[_Column, ...]:
         C("dropped", 0, 1, "drop", 6),
         C("retries", 0, 1, "retry", 7),
         C("goodput_inf_s", None, 1, "good/s", 11, ",.0f"),
-        C("cached", None, 3, "cache", 7, "s", flag="hit"),
+        C("cached", None, 4, "cache", 7, "s", flag="hit"),
     )
 
 
 def _format_table(rows: Sequence[Dict[str, Any]]) -> str:
+    default = {col.name: col.default for col in _columns()}
     shown_bands = [
-        when is None or any(row.get(when) for row in rows) for when in _BANDS
+        when is None
+        or any(row.get(when, default[when]) != default[when] for row in rows)
+        for when in _BANDS
     ]
     shown = sorted(
         (col for col in _columns()
@@ -622,33 +627,7 @@ def _cmd_sweep(args) -> int:
         )
     if cache is not None:
         print(f"cache: {cache.root} ({len(cache)} entries)")
-    checks = []
-    if args.spot_check:
-        from repro.explore import spot_check
-
-        checks = spot_check(
-            result,
-            n=args.spot_check,
-            input_size=args.spot_input_size,
-            num_classes=min(args.num_classes, 10),
-        )
-        print(
-            f"\ncycle-accurate spot check of the top {len(checks)} "
-            f"point{'s' if len(checks) != 1 else ''} "
-            f"(at {args.spot_input_size} px, bit-exact vs golden model):"
-        )
-        for chk in checks:
-            d = chk.to_dict()
-            print(
-                f"  {d['model']:<16s}{d['strategy']:>6s}  MG={d['mg_size']:<3d}"
-                f"flit={d['flit_bytes']:<3d} cycle-sim {d['cycles']:>12,d}  "
-                f"fast model {d['fast_cycles']:>12,d}  "
-                f"ratio {d['cycle_ratio']:.2f}  "
-                f"{'validated' if d['validated'] else 'UNVALIDATED'}"
-            )
     if args.json:
-        if checks:
-            payload["spot_checks"] = [chk.to_dict() for chk in checks]
         _write_json(payload, args.json)
         print(f"wrote {args.json}")
     if args.csv:
@@ -1007,6 +986,13 @@ def _declare_sweep(sweep: argparse.ArgumentParser) -> None:
                             "serving session -- warm per-input replay after "
                             "a run-once weight-load phase (default: reload "
                             "per input)")
+    sweep.add_argument("--tiers", type=_split_csv, default=["fast"],
+                       metavar="T[,T...]",
+                       help="tiers that price each point: fast = the "
+                            "analytical model (the default); cyclesim = "
+                            "exact execution of one input, validated "
+                            "bit-exactly, continued by the same serving "
+                            "law ('fast,cyclesim' pairs the rows)")
     sweep.add_argument("--num-classes", type=int, default=1000)
     sweep.add_argument("--closure-limit", type=_closure_limit, default=None,
                        metavar="N|model=N,...",
@@ -1022,12 +1008,6 @@ def _declare_sweep(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--no-resume", action="store_true",
                        help="ignore (and do not write) the sweep-level "
                             "resume manifest")
-    sweep.add_argument("--spot-check", type=int, default=0, metavar="N",
-                       help="re-run the best N points on the cycle-accurate "
-                            "simulator to bound fast-model error")
-    sweep.add_argument("--spot-input-size", type=int, default=32, metavar="PX",
-                       help="input resolution for --spot-check re-runs "
-                            "(default 32; keep small)")
     sweep.add_argument("--json", metavar="FILE",
                        help="write full results (readable by 'report')")
     sweep.add_argument("--csv", metavar="FILE", help="write results as CSV")

@@ -137,13 +137,6 @@ class ExecutionPlan:
             core for core, seen in stages.items() if len(seen) == 1
         )
 
-    @property
-    def max_replication(self) -> int:
-        return max(
-            (len(m.replicas) for s in self.stages for m in s.mappings.values()),
-            default=1,
-        )
-
     def summary(self) -> str:
         lines = [
             f"plan[{self.strategy}] {self.graph.name}: {self.num_stages} stages, "

@@ -15,6 +15,13 @@ subsystem:
   (returning the full :class:`~repro.compiler.plan.ExecutionPlan` for
   inspection).
 
+A point's ``tier`` coordinate says who prices it: the fast analytical
+model (the default) or the cycle-level simulator, which executes one
+input and validates it bit-exactly against the golden model.  Both
+continue that one-input price over the batch, serving, fleet and fault
+coordinates by the same closed-form law, so ``tiers=("fast",
+"cyclesim")`` pairs every row with its cycle-tier twin.
+
 The figure drivers are thin wrappers over the engine:
 
 - :func:`strategy_comparison` -- Fig. 5 (normalized speed/energy of the
@@ -56,7 +63,7 @@ from repro.config import (
     with_flit_bytes,
     with_mg_size,
 )
-from repro.errors import ConfigError
+from repro.errors import CapacityError, ConfigError
 from repro.explore_cache import (
     ResultCache,
     SweepManifest,
@@ -74,7 +81,6 @@ if TYPE_CHECKING:
     from repro.compiler.plan import ExecutionPlan
     from repro.faults import FaultPlan
     from repro.graph.graph import ComputationGraph
-    from repro.sim.multichip import MultiChipReport
 
 #: Axes the paper sweeps in Fig. 6 / Fig. 7.
 MG_SIZES = (4, 8, 12, 16)
@@ -133,6 +139,10 @@ def _fault_plan_or_none(value: Any) -> bool:
 
 def _boolean(value: Any) -> bool:
     return isinstance(value, bool)
+
+
+def _tier(value: Any) -> bool:
+    return value in ("fast", "cyclesim")
 
 
 # An integral rate is the float it equals (the CLI's form): one cache
@@ -217,6 +227,10 @@ class PointSpec:
         False, plural="resident_modes", rule=_boolean, key="resident",
         message="resident modes must be booleans "
                 "(False = reload weights per input)")
+    tier: str = _coordinate(
+        "fast", plural="tiers", rule=_tier,
+        message="tiers must be 'fast' (the analytical model) or "
+                "'cyclesim' (exact execution, validated)")
 
     def coordinates(self, form: Optional[str] = None) -> Dict[str, Any]:
         """Every coordinate by name, in declaration order; JSON-safe
@@ -255,6 +269,12 @@ _KEY_PARAMS = tuple(axis.metadata["key"] or axis.name for axis in _KEYED)
 _all_of = attrgetter(*_NAMES)
 _rows_of = attrgetter(*_ROW_NAMES)
 _keyed_of = attrgetter(*(axis.name for axis in _KEYED))
+#: What a base analysis reads: the keyed coordinates but the
+#: continuations (the hardware overrides reach it in ``arch``).
+_BASE_NAMES = tuple(
+    axis.name for axis in _KEYED if not axis.metadata["continuation"]
+)
+_base_of = attrgetter(*_BASE_NAMES)
 _BASE_VALUES = {
     axis.name: axis.default for axis in AXES if axis.metadata["continuation"]
 }
@@ -492,7 +512,8 @@ def evaluate_fast(
     every input replays the *warm* per-shard analysis (hoistable weight
     loads removed), the session pays the run-once load phase before the
     first release, and the hoisted load energy is charged exactly once
-    rather than per input.
+    rather than per input.  ``tier="cyclesim"`` prices the one input on
+    the cycle-level simulator instead (see :func:`_analyze_base`).
 
     ``coords`` are the remaining :class:`PointSpec` coordinates by name;
     each value passes the rule a :class:`SweepSpec` applies to that axis
@@ -523,10 +544,11 @@ class SweepSpec:
     plural holds the values it takes -- by default the one-value tuple
     of the coordinate's default, so an unswept serving axis prices a
     single-chip, single-shot, back-to-back, one-replica, fault-free,
-    reload-per-input deployment -- and a hardware plural of ``None``
-    keeps ``base_arch``'s value.  ``closure_limit`` bounds the DP
-    partitioner's closure enumeration and may be given per model
-    (Fig. 7 caps EfficientNetB0 at 64 to keep the sweep tractable).
+    reload-per-input deployment on the fast tier -- and a hardware
+    plural of ``None`` keeps ``base_arch``'s value.  ``closure_limit``
+    bounds the DP partitioner's closure enumeration and may be given per
+    model (Fig. 7 caps EfficientNetB0 at 64 to keep the sweep
+    tractable).
     """
 
     models: Tuple[str, ...]
@@ -543,6 +565,7 @@ class SweepSpec:
     replica_counts: Tuple[int, ...] = (1,)
     fault_plans: Tuple[Optional[FaultPlan], ...] = (None,)
     resident_modes: Tuple[bool, ...] = (False,)
+    tiers: Tuple[str, ...] = ("fast",)
 
     def __post_init__(self):
         for axis in _SWEPT:
@@ -722,12 +745,51 @@ def _analyze_base(
     plain analysis with zero load.  ``plan`` is the (first shard's)
     execution plan for inspection.
 
+    The ``tier`` picks who prices each chip.  A fast point plans its
+    chips and analyses them (:func:`~repro.sim.fastmodel.
+    analyze_pipeline`).  A cyclesim point compiles and executes one
+    input on the cycle-level simulator, validated bit-exactly against
+    the golden model, and takes each chip's measured report (warm, for
+    a resident point) and the measured load phase.  Both compose the
+    chips through the one law (:func:`~repro.sim.fastmodel.
+    compose_pipeline`), so :func:`_derive_report` continues either.
+
     The sweep's one call into the compiler, made once per base point
     that misses the cache -- so the compiler is imported here and not at
     module level, where a sweep served from the cache would pay for it.
     """
+    from repro.sim.fastmodel import analyze_pipeline, compose_pipeline
+
+    if pspec.tier == "cyclesim":
+        from repro.serve import Deployment
+
+        # The point's base coordinates are the deployment's keywords.
+        base = dict(zip(_BASE_NAMES, _base_of(pspec)))
+        try:
+            deployment = Deployment(base.pop("model"), arch, **base)
+        except CapacityError as exc:
+            raise CapacityError(
+                f"{pspec.model} {pspec.strategy} at {pspec.input_size} px "
+                f"on {pspec.chips} chip(s) does not fit: {exc}"
+            ) from exc
+        served = deployment.submit(batch=1, seed=0)
+        reports = [
+            FastReport(
+                cycles=chip.cycles,
+                energy_breakdown_pj=dict(chip.energy_breakdown_pj),
+                macs=chip.macs, clock_mhz=arch.chip.clock_mhz,
+                shard_cycles=[chip.cycles],
+            )
+            for chip in served.stream_report.chip_reports
+        ]
+        report = compose_pipeline(
+            reports, deployment.compiled.transfer_edges(), arch,
+            served.load_cycles,
+        )
+        bundle = (report, served.load_cycles, served.load_energy_pj)
+        return bundle, deployment.compiled.chips[0].plan
+
     from repro.compiler.pipeline import plan_chips
-    from repro.sim.fastmodel import analyze_pipeline
 
     model = (pspec.model, pspec.input_size, pspec.num_classes)
     sharding = None
@@ -821,8 +883,9 @@ def _base_spec(pspec: PointSpec) -> PointSpec:
     """The batch-independent, arrival-free, fault-free coordinates:
     every continuation axis back at its default.
 
-    ``resident_weights`` survives: it changes the base analysis itself
-    (warm report + load split), not just the continuation.
+    ``resident_weights`` and ``tier`` survive: they change the base
+    analysis itself (warm report + load split; who prices the chips),
+    not just the continuation.
     """
     return replace(pspec, **_BASE_VALUES)
 
@@ -1019,105 +1082,6 @@ def run_sweep(
     stats.wall_time_s = time.perf_counter() - started
     assert all(pt is not None for pt in results)
     return SweepResult(spec=spec, points=results, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Cycle-accurate spot checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpotCheckResult:
-    """One sweep point re-validated on the cycle-accurate simulator.
-
-    The check recompiles the point's (model, architecture, strategy)
-    coordinates at a reduced ``input_size`` (full paper resolution is
-    fast-model territory), runs the exact simulator with bit-exact
-    golden-model validation, and compares the fast model's latency
-    prediction *for the same compiled plan*, bounding the fast-model
-    error at those coordinates.
-    """
-
-    point: DesignPoint
-    input_size: int
-    report: "MultiChipReport"
-    fast_cycles: int
-    validated: bool
-
-    @property
-    def cycle_ratio(self) -> float:
-        """fast-model cycles / cycle-accurate cycles (1.0 = perfect)."""
-        return self.fast_cycles / self.report.cycles if self.report.cycles else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "model": self.point.model,
-            "strategy": self.point.strategy,
-            "mg_size": self.point.mg_size,
-            "flit_bytes": self.point.flit_bytes,
-            "chips": self.point.chips,
-            "batch": self.point.batch,
-            "input_size": self.input_size,
-            "cycles": int(self.report.cycles),
-            "fast_cycles": int(self.fast_cycles),
-            "cycle_ratio": self.cycle_ratio,
-            "energy_mj": self.report.total_energy_mj,
-            "validated": self.validated,
-        }
-
-
-def spot_check(
-    result: SweepResult,
-    n: int = 1,
-    metric: str = "tops",
-    input_size: int = 32,
-    num_classes: int = 10,
-    engine: Optional[str] = None,
-    validate: bool = True,
-) -> List[SpotCheckResult]:
-    """Re-run the best ``n`` points of a sweep cycle-accurately, best
-    as :func:`rank` orders them by ``metric``.
-
-    The most promising points are re-validated on the exact simulator
-    (hot-block engine by default), so every sweep ships with an
-    empirical fast-model error bound (``repro sweep --spot-check N``).
-
-    Arrival-rate and fleet points are re-checked at their *batch*
-    coordinates (back-to-back, one replica): the cycle-level comparison
-    bounds execution-model error, and arrival/dispatch idle time --
-    identical in both tiers by construction -- would only dilute the
-    ratio.
-    """
-    from repro.compiler.pipeline import compile_model
-    from repro.serve import Deployment
-    from repro.sim.fastmodel import analyze_pipeline, stream_batched
-
-    if n <= 0:
-        return []
-    spec = result.spec
-    checks: List[SpotCheckResult] = []
-    for pt in rank(result.points, metric)[:n]:
-        arch = pt.resolve_arch(spec.arch())
-        compiled = compile_model(
-            _cached_graph(pt.model, input_size, num_classes), arch,
-            pt.strategy, chips=pt.chips,
-            closure_limit=spec.limit_for(pt.model),
-        )
-        fast, _, _ = analyze_pipeline(
-            [chip.plan for chip in compiled.chips],
-            compiled.transfer_edges(), arch,
-        )
-        fast_cycles = stream_batched(fast, pt.batch).cycles
-        outcome = Deployment(compiled, engine=engine).submit(
-            batch=pt.batch, validate=validate
-        )
-        checks.append(SpotCheckResult(
-            point=pt,
-            input_size=input_size,
-            report=outcome.stream_report,
-            fast_cycles=fast_cycles,
-            validated=outcome.validated,
-        ))
-    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -124,44 +124,46 @@ def point_key(
     replicas: int = 1,
     fault_fingerprint: Optional[str] = None,
     resident: bool = False,
+    tier: str = "fast",
 ) -> str:
     """Content address (hex SHA-256) of one design point.
 
-    Everything that can change the fast-model report participates in the
+    Everything that can change the point's report participates in the
     key -- including the multi-chip shard count, the streaming batch
     size, the continuous-arrival rate, the fleet replica count, the
-    fault-plan fingerprint and the resident-weights flag; the
-    architecture contributes through its own content fingerprint so
-    structurally identical :class:`ArchConfig` instances collide (which
-    is exactly what we want).  ``arch`` may be that fingerprint itself
-    (:func:`repro.config.arch_fingerprint`), for callers keying many
-    points of one architecture.
+    fault-plan fingerprint, the resident-weights flag and the tier that
+    priced it; the architecture contributes through its own content
+    fingerprint so structurally identical :class:`ArchConfig` instances
+    collide (which is exactly what we want).  ``arch`` may be that
+    fingerprint itself (:func:`repro.config.arch_fingerprint`), for
+    callers keying many points of one architecture.
     """
     if not isinstance(arch, str):
         arch = arch_fingerprint(arch)
-    material = json.dumps(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "model": model,
-            "arch": arch,
-            "strategy": strategy,
-            "input_size": input_size,
-            "num_classes": num_classes,
-            "closure_limit": closure_limit,
-            "chips": chips,
-            "batch": batch,
-            # An integral rate keys as the float it equals.
-            "arrival_rate": (
-                None if arrival_rate is None else float(arrival_rate)
-            ),
-            "replicas": replicas,
-            "faults": fault_fingerprint,
-            "resident": resident,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
+    material = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "model": model,
+        "arch": arch,
+        "strategy": strategy,
+        "input_size": input_size,
+        "num_classes": num_classes,
+        "closure_limit": closure_limit,
+        "chips": chips,
+        "batch": batch,
+        # An integral rate keys as the float it equals.
+        "arrival_rate": None if arrival_rate is None else float(arrival_rate),
+        "replicas": replicas,
+        "faults": fault_fingerprint,
+        "resident": resident,
+    }
+    # Only a cycle-tier point names its tier: a fast point keys exactly
+    # as it did before the tier coordinate existed, so the v7 entries
+    # already on disk keep hitting.
+    if tier != "fast":
+        material["tier"] = tier
+    return hashlib.sha256(json.dumps(
+        material, sort_keys=True, separators=(",", ":")
+    ).encode()).hexdigest()
 
 
 def _write_atomic(path: Path, data: bytes) -> None:

@@ -19,11 +19,13 @@ cycle simulator at small scales.
 A model's fast-tier price is one call, :func:`analyze_pipeline`: each
 chip's plan is analysed (cold, or warm with its resident weight loads
 split out), and two or more chips are composed over their transfer edges
-with the closed-form schedule the cycle-level multi-chip scheduler uses.
-The sweep engine, the spot check and the fast-tier
-:class:`~repro.serve.Deployment` all price through it;
-:func:`stream_batched` and :func:`serve_fleet` continue its single-input
-report over a batch, an arrival process or a fleet.
+(:func:`compose_pipeline`) with the closed-form schedule the cycle-level
+multi-chip scheduler uses.  The sweep engine and the fast-tier
+:class:`~repro.serve.Deployment` price through it, and a cyclesim sweep
+point composes its measured chip reports through the same
+:func:`compose_pipeline`; :func:`stream_batched` and :func:`serve_fleet`
+continue either single-input report over a batch, an arrival process
+or a fleet.
 
 See ``docs/ARCHITECTURE.md`` ("The simulation stack") for how this model
 relates to the cycle-level simulator and the golden functional model.
@@ -110,29 +112,46 @@ def analyze_pipeline(
     makespan, as the cycle tier accounts the load run and each warm run
     separately.
 
-    Two or more chips are composed over ``edges`` with the closed-form
-    pipeline/link schedule of :func:`repro.sim.multichip.pipeline_schedule`
-    (stage cycles re-keyed as one sequence, boundary bytes charged at the
-    link energy).
+    The chips are composed by :func:`compose_pipeline`.
     """
+    from repro.sim.multichip import sum_energy
+
     split = [
         _analyze_plan_impl(plan, resident=True) if resident
         else (analyze_plan(plan), 0, {})
         for plan in plans
     ]
-    if len(split) == 1:
+    load_done = max(load for _, load, _ in split)
+    report = compose_pipeline(
+        [report for report, _, _ in split], edges, arch, load_done
+    )
+    return report, load_done, sum_energy([energy for _, _, energy in split])
+
+
+def compose_pipeline(
+    reports: Sequence[FastReport],
+    edges: Sequence[Tuple[int, int, int]],
+    arch,
+    load_cycles: int,
+) -> FastReport:
+    """One input through a pipeline of chips, from each chip's
+    single-input report: the one composition law of both tiers' sweep
+    points.
+
+    The fast tier passes :func:`analyze_pipeline`'s per-chip analyses,
+    the cyclesim tier each chip's measured report
+    (:func:`repro.explore._analyze_base`).  Two or more chips are
+    composed over ``edges`` with the closed-form pipeline/link schedule
+    of :func:`repro.sim.multichip.pipeline_schedule` (stage cycles
+    re-keyed as one sequence, boundary bytes charged at the link
+    energy); ``load_cycles`` is the session's load phase.
+    """
+    if len(reports) == 1:
         # One chip keeps its own report (steady interval 0, not its
         # cycles): the one byte difference from a composed one-shard
         # pipeline, which the next cache schema removes.
-        return split[0]
-    from repro.sim.multichip import sum_energy
-
-    load_done = max(load for _, load, _ in split)
-    report = _compose_shards(
-        edges, [report for report, _, _ in split], arch,
-        load_cycles=load_done,
-    )
-    return report, load_done, sum_energy([energy for _, _, energy in split])
+        return reports[0]
+    return _compose_shards(edges, reports, arch, load_cycles=load_cycles)
 
 
 def _analyze_plan_impl(

@@ -3,11 +3,12 @@ write for a fixed pair of inputs.
 
 ``tests/data/sweep_output_golden.json`` holds the sweep table and CSV of
 a small sweep that shows every column group (arrival rate, fault plan,
-resident weights; cold and cache-hit), and ``report``'s stdout and CSV
-for an old-format results file whose rows lack the batch, serving,
-fleet, fault and resident columns.  ``tests/test_cli.py`` asserts the
-CLI still produces exactly that; a change that is meant to move the
-output regenerates the file with::
+resident weights; cold and cache-hit), the table and CSV of a sweep
+whose rows pair up across the fast and cyclesim tiers, and ``report``'s
+stdout and CSV for an old-format results file whose rows lack the
+batch, serving, fleet, fault, resident and tier columns.
+``tests/test_cli.py`` asserts the CLI still produces exactly that; a
+change that is meant to move the output regenerates the file with::
 
     PYTHONPATH=src python tests/golden_sweep_output.py
 """
@@ -23,13 +24,13 @@ from repro.cli import main
 GOLDEN_PATH = Path(__file__).parent / "data" / "sweep_output_golden.json"
 
 #: Row keys a results file written before the batch, serving, fleet,
-#: fault and resident columns existed does not carry.
+#: fault, resident and tier columns existed does not carry.
 OLD_FORMAT_MISSING = (
     "batch", "throughput_inf_s", "energy_per_inf_mj",
     "arrival_rate", "p50_latency_ms", "p95_latency_ms", "p99_latency_ms",
     "replicas",
     "fault_plan", "dropped", "retries", "goodput_inf_s",
-    "resident_weights", "load_cycles",
+    "resident_weights", "load_cycles", "tier",
 )
 
 
@@ -65,6 +66,13 @@ def current_outputs(tmp: Path) -> dict:
     )
     cold = _run(*sweep, "--json", tmp / "all.json", "--csv", tmp / "all.csv")
     warm = _run(*sweep)
+    tiers = _run(
+        "sweep", "--models", "tiny_mlp", "--strategies", "generic",
+        "--input-sizes", "8", "--num-classes", "10", "--preset", "small",
+        "--chips", "1,2", "--batch", "4", "--arrival-rates", "none,250000",
+        "--tiers", "fast,cyclesim", "--no-cache", "--quiet",
+        "--csv", tmp / "tiers.csv",
+    )
 
     payload = json.loads((tmp / "all.json").read_text())
     del payload["stats"]  # wall time
@@ -80,6 +88,8 @@ def current_outputs(tmp: Path) -> dict:
         "sweep_table": _table(cold),
         "sweep_table_cached": _table(warm),
         "sweep_csv": (tmp / "all.csv").read_bytes().decode(),
+        "sweep_tiers_table": _table(tiers),
+        "sweep_tiers_csv": (tmp / "tiers.csv").read_bytes().decode(),
         "report_stdout": report.replace(str(tmp / "old.csv"), "old.csv"),
         "report_csv": (tmp / "old.csv").read_bytes().decode(),
     }

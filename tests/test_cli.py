@@ -286,25 +286,31 @@ class TestOutputBytesArePinned:
             assert current[name] == golden[name], name
 
 
-class TestSpotCheckOption:
-    def test_sweep_with_spot_check(self, tmp_path, capsys):
+class TestTiersOption:
+    def test_fast_and_cyclesim_rows_pair_up(self, tmp_path, capsys):
+        """``--tiers fast,cyclesim`` prices every point on both tiers:
+        the rows pair up at equal coordinates, the cycle tier's measured
+        run within the fast model's 0.2-5x bound (``test_fastmodel``)."""
         out_json = tmp_path / "sweep.json"
         assert run_cli(
             "sweep", "--models", "tiny_resnet",
             "--strategies", "generic,dp",
             "--input-sizes", "8", "--num-classes", "10",
             "--preset", "small", "--no-cache", "--quiet",
-            "--spot-check", "1", "--spot-input-size", "8",
-            "--json", str(out_json),
+            "--tiers", "fast,cyclesim", "--json", str(out_json),
         ) == 0
-        out = capsys.readouterr().out
-        assert "cycle-accurate spot check" in out
-        assert "validated" in out
-        payload = json.loads(out_json.read_text())
-        assert len(payload["spot_checks"]) == 1
-        check = payload["spot_checks"][0]
-        assert check["validated"] is True
-        assert check["cycles"] > 0 and check["fast_cycles"] > 0
+        assert "cyclesim" in capsys.readouterr().out  # the tier band
+        rows = json.loads(out_json.read_text())["points"]
+        assert len(rows) == 4
+        metrics = ("cycles", "time_ms", "energy_mj", "tops",
+                   "throughput_inf_s", "energy_per_inf_mj", "goodput_inf_s",
+                   "energy_groups_mj", "report")
+        for fast, cycle in zip(rows[::2], rows[1::2]):
+            assert (fast["tier"], cycle["tier"]) == ("fast", "cyclesim")
+            for key in set(fast) - set(metrics) - {"tier"}:
+                assert fast[key] == cycle[key], key
+            assert cycle["cycles"] > 0
+            assert 0.2 < fast["cycles"] / cycle["cycles"] < 5.0
 
 
 @pytest.fixture
@@ -456,6 +462,13 @@ class TestErrorHygiene:
         ("compare", "--models", "tiny_mlp", "--preset", "small",
          "--input-size", "8", "--num-classes", "10", "--no-cache",
          "--workers", "-1"),
+        # a tier is checked by its axis rule, not by argparse
+        ("sweep", "--models", "tiny_mlp", "--preset", "small",
+         "--no-cache", "--quiet", "--tiers", "slow"),
+        # a cyclesim point that does not fit names itself
+        ("sweep", "--models", "resnet18", "--input-sizes", "112",
+         "--strategies", "generic", "--tiers", "cyclesim", "--no-cache",
+         "--quiet"),
     ])
     def test_bad_input_exits_nonzero_with_message(self, argv, capsys):
         code = run_cli(*argv)

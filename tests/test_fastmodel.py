@@ -14,8 +14,8 @@ from repro.explore import (
     design_space,
     evaluate_fast,
     mg_flit_sweep,
+    rank,
     run_sweep,
-    spot_check,
 )
 from repro.graph.models import get_model
 from repro.sim.fastmodel import analyze_plan
@@ -34,7 +34,8 @@ class TestFastTierPinnedBytes:
     """Every surface that prices a model on the fast tier, pinned to the
     SHA-256 of its JSON as produced before the fast-tier price became one
     ``analyze_pipeline`` call: the sweep point, the fast ``Deployment``
-    and ``Fleet``, an artifact-backed deployment and the spot check."""
+    and ``Fleet``, an artifact-backed deployment and the best-ranked
+    sweep rows."""
 
     #: (model, chips, resident) -> SHA-256 of the evaluate_fast reports
     #: over batch {1, 4} x arrival_rate {None, 250000} x replicas {1, 2}.
@@ -101,7 +102,9 @@ class TestFastTierPinnedBytes:
         2: "3bbc8be388a88bf2746e0bdc2923c699d08b4edbe86988370d679c3f1e88428c",
     }
 
-    #: SHA-256 of the spot check"s fast_cycles over a 1- and 2-chip sweep.
+    #: SHA-256 of the (chips, batch, cycles) of the four best-by-tops
+    #: rows of a 1- and 2-chip sweep (the spot check's fast cycles when
+    #: it existed).
     SPOT = "d60f27a822078c69f398615ea37e6cecb7744e65e2951fd195eda3571f3d2b70"
 
     shapes = pytest.mark.parametrize(
@@ -147,14 +150,16 @@ class TestFastTierPinnedBytes:
         report = Deployment.load(path, arch, tier="fast").submit(batch=4)
         assert _sha(report.to_dict()) == self.ARTIFACT[chips]
 
-    def test_spot_check_fast_cycles(self, arch):
+    def test_best_ranked_fast_cycles(self, arch):
         result = run_sweep(SweepSpec(
             models=("tiny_cnn",), strategies=("dp",), input_sizes=(8,),
             num_classes=10, base_arch=arch, chip_counts=(1, 2),
             batch_sizes=(1, 3),
         ))
-        checks = spot_check(result, n=4, input_size=8, validate=False)
-        fast = [(c.point.chips, c.point.batch, c.fast_cycles) for c in checks]
+        fast = [
+            (point.chips, point.batch, point.cycles)
+            for point in rank(result.points, "tops")[:4]
+        ]
         assert len(fast) == 4
         assert _sha(fast) == self.SPOT
 

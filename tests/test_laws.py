@@ -563,10 +563,10 @@ def _one_axis_table(root: Path):
 
 def _one_fast_tier_price(root: Path):
     """A model's analytical cost is one ``fastmodel.analyze_pipeline``
-    call (sweep, spot check and the fast Deployment alike): the resident
-    and sharded twins stay deleted, ``analyze_plan`` is the one reader
-    of an artifact plan's stored report, and the sweep's base analysis
-    does not fork on residency."""
+    call (a fast sweep point and the fast Deployment alike): the
+    resident and sharded twins stay deleted, ``analyze_plan`` is the one
+    reader of an artifact plan's stored report, and the sweep's base
+    analysis does not fork on residency."""
     base = _sed(_read(root, "src/repro/explore.py"),
                 r"^def _analyze_base\(", r"^def ")
     return (
@@ -582,25 +582,74 @@ def _one_fast_tier_price(root: Path):
     )
 
 
-_EDGE_TUPLE = "(t.src_chip, t.dst_chip, t.nbytes)"
+def _one_sweep_path(root: Path):
+    """The cycle tier reaches a sweep as its ``tier`` coordinate: the
+    spot check's second evaluation stays deleted, and ``explore.py``
+    opens a ``Deployment`` only in ``_analyze_base``."""
+    explore = _read(root, "src/repro/explore.py")
+    base = _sed(explore, r"^def _analyze_base\(", r"^def ")
+
+    def opened(lines):
+        return [line for line in lines if "Deployment(" in line]
+
+    return (
+        _none(_grep(root, r"spot_check|SpotCheckResult|spot_input_size",
+                    "src/repro", suffixes=(".py",)), "spot check")
+        + _only(opened(explore.splitlines()), opened(base),
+                "deployment outside the base")
+    )
+
+
+def _scoped_nodes(root: Path, names):
+    """``(path, scope, node)`` of every AST node of the Python files
+    ``names`` under ``root``; ``scope`` is the dotted name of the
+    classes and functions the node sits in (``""`` at module level)."""
+    for rel in names:
+        if not rel.endswith(".py"):
+            continue
+        stack = [(ast.parse(_read(root, rel)), "")]
+        while stack:
+            node, scope = stack.pop()
+            yield rel, scope, node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                scope = f"{scope}.{node.name}".lstrip(".")
+            stack += [(child, scope) for child in ast.iter_child_nodes(node)]
+
+
+_EDGE = ["src_chip", "dst_chip", "nbytes"]
 
 
 def _one_pipeline_builder(root: Path):
     """Every tier plans a model's chips through
     ``compiler.pipeline.plan_chips`` (the workflow module stays deleted,
     the planner is called from the pipeline module only), and a compile
-    product states its own transfer edges."""
+    product states its own transfer edges: an ``(x.src_chip, x.dst_chip,
+    x.nbytes)`` tuple is built in ``MultiChipModel.transfer_edges``
+    alone.  Both are AST call sites, whatever the spacing or names."""
+    planner, edges = [], []
+    # What could hold one, as text; then the AST decides.
+    names = _files_with(root, r"\bplan_graph\b|\bsrc_chip\b", ["src/repro"])
+    for path, scope, node in _scoped_nodes(root, names):
+        if isinstance(node, ast.Call) and "plan_graph" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            planner.append(path)
+        elif isinstance(node, ast.Tuple) and [
+                getattr(element, "attr", None) for element in node.elts
+        ] == _EDGE:
+            edges.append(f"{path}:{scope}")
     return (
         _only((root / "src/repro/workflow.py").exists(), False,
               "workflow module")
         + _none(_grep(root, r"repro\.workflow", "src", "tests", "examples",
                       "docs", "README.md"), "workflow import")
-        + _none([path for path in _paths(_grep(
-                    root, r"plan_graph\(", "src/repro", suffixes=(".py",)))
+        + _none([path for path in planner
                  if path != "src/repro/compiler/pipeline.py"],
                 "planner call")
-        + _only(len(_grep(root, re.escape(_EDGE_TUPLE), "src/repro",
-                          suffixes=(".py",))), 1, "transfer edges")
+        + _only(edges,
+                ["src/repro/compiler/pipeline.py:"
+                 "MultiChipModel.transfer_edges"], "transfer edges")
     )
 
 
@@ -787,11 +836,22 @@ GREP_LAWS = {
     "one_pipeline_builder": (_one_pipeline_builder, {
         f"src/repro/{_W}.py": "",
         "tests/test_old.py": f"from repro.{_W} import run\n",
-        "src/repro/serve.py": "plans = plan_graph(graph, arch)\n",
-        "src/repro/faults.py": f"edges = [{_EDGE_TUPLE}]\n",
-        "src/repro/sim/multichip.py": f"edges = [{_EDGE_TUPLE}]\n",
+        # spellings the text clauses these replaced did not see
+        "src/repro/serve.py": "plans = plan_graph (graph, arch)\n",
+        "src/repro/faults.py": (
+            "edges = [(tr.src_chip, tr.dst_chip, tr.nbytes)]\n"
+        ),
     }, ["workflow module", "workflow import", "planner call",
         "transfer edges"]),
+    "one_sweep_path": (_one_sweep_path, {
+        "src/repro/cli.py": "spot = args.spot_input_size\n",
+        "src/repro/explore.py": (
+            "def _analyze_base(pspec, arch):\n"
+            "    run = Deployment(graph, arch).submit()\n"
+            "def spot(point):\n"
+            "    run = Deployment(graph, arch).submit()\n"
+        ),
+    }, ["spot check", "deployment outside the base"]),
     "one_opcode_definition": (_one_opcode_definition, {
         "src/repro/sim/core.py": (
             "def _h_halt(core, t):\n    pass\n"

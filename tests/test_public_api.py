@@ -286,7 +286,7 @@ class TestSerialisedOrderIsPinned:
         assert list(point.to_dict()) == [
             "model", "strategy", "mg_size", "flit_bytes", "input_size",
             "num_classes", "chips", "batch", "arrival_rate", "replicas",
-            "fault_plan", "resident_weights", "load_cycles", "dropped",
+            "fault_plan", "resident_weights", "tier", "load_cycles", "dropped",
             "retries", "goodput_inf_s", "cycles", "time_ms", "energy_mj",
             "tops", "throughput_inf_s", "energy_per_inf_mj",
             "p50_latency_ms", "p95_latency_ms", "p99_latency_ms", "cached",
@@ -300,7 +300,7 @@ class TestSerialisedOrderIsPinned:
             "models", "strategies", "mg_sizes", "flit_sizes", "input_sizes",
             "num_classes", "closure_limit", "chip_counts", "batch_sizes",
             "arrival_rates", "replica_counts", "fault_plans",
-            "resident_modes", "arch_fingerprint", "num_points",
+            "resident_modes", "tiers", "arch_fingerprint", "num_points",
         ]
 
     def test_cross_product_order(self):
@@ -320,6 +320,7 @@ class TestSerialisedOrderIsPinned:
             ("replicas", "replica_counts", (1, 2)),
             ("fault_plan", "fault_plans", (None, plan)),
             ("resident_weights", "resident_modes", (False, True)),
+            ("tier", "tiers", ("fast", "cyclesim")),
             ("flit_bytes", "flit_sizes", (8, 16)),
             ("mg_size", "mg_sizes", (2, 4)),
         )
