@@ -44,11 +44,13 @@ override instead, so every program -- encodable or not -- round-trips to
 the exact canonical instruction stream.
 
 **Loading** rebuilds a real product: the graph is reconstructed from its
-serialized form, multi-chip shards are re-derived with the *stored* cut
-points (``shard_graph`` is deterministic given cuts), and each chip gets
-a lightweight :class:`ArtifactPlan` carrying exactly the plan state the
-simulators and the serving layer consume (tensor addresses, condensed-
-graph aliases, the pre-computed fast-model report).  Cycle-level and
+serialized form, shards are re-derived with the *stored* cut points
+(``shard_graph`` is deterministic given cuts; ``null`` cuts mean an
+unsharded model), each chip gets a lightweight :class:`ArtifactPlan`
+carrying exactly the plan state the simulators and the serving layer
+consume (tensor addresses, condensed-graph aliases, the pre-computed
+fast-model report), and the compile flow's last stage,
+:func:`~repro.compiler.pipeline.assemble`, links the chips.  Cycle-level and
 fast-tier results from a loaded artifact are bit-identical to a fresh
 in-process compile -- ``tests/test_artifact.py`` enforces this on 1- and
 2-chip models in both tiers.
@@ -56,7 +58,7 @@ in-process compile -- ``tests/test_artifact.py`` enforces this on 1- and
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -64,18 +66,14 @@ import numpy as np
 
 from repro.compiler.frontend import CondensedGraph, condense
 from repro.compiler.partition import shard_graph
-from repro.compiler.pipeline import (
-    CompiledModel,
-    InterChipTransfer,
-    MultiChipModel,
-)
+from repro.compiler.pipeline import CompiledModel, MultiChipModel, assemble
 from repro.config import (
     ArchConfig,
     arch_canonical_json,
     arch_fingerprint,
     arch_from_dict,
 )
-from repro.errors import ArtifactError, ISAError
+from repro.errors import ArtifactError, CompileError, ISAError
 from repro.graph.graph import ComputationGraph
 from repro.graph.onnx_like import graph_from_dict, graph_to_dict
 from repro.isa import (
@@ -283,34 +281,7 @@ def save_artifact(
     Deterministic: the same compiled model always produces byte-identical
     files, so the returned SHA-256 digest is a stable content address.
     """
-    if isinstance(model, MultiChipModel):
-        chips = model.chips
-        strategy = chips[0].plan.strategy
-        cuts = [int(c) for c in model.sharding.cuts]
-        transfers = [
-            {
-                "src_chip": t.src_chip,
-                "dst_chip": t.dst_chip,
-                "tensor": t.tensor,
-                "src_address": t.src_address,
-                "dst_address": t.dst_address,
-                "nbytes": t.nbytes,
-            }
-            for t in model.transfers
-        ]
-        registry = chips[0].registry
-    elif isinstance(model, CompiledModel):
-        chips = [model]
-        strategy = model.plan.strategy
-        cuts = None
-        transfers = []
-        registry = model.registry
-    else:
-        raise ArtifactError(
-            f"save_artifact needs a CompiledModel or MultiChipModel, got "
-            f"{type(model).__name__}"
-        )
-
+    chips = model.chips
     graph = model.graph
     arch_bytes = arch_canonical_json(model.arch).encode("utf-8")
     graph_bytes = _canonical_json_bytes(graph_to_dict(graph))
@@ -333,14 +304,16 @@ def save_artifact(
         "model": {
             "name": graph.name,
             "chips": len(chips),
-            "strategy": strategy,
-            "cuts": cuts,
+            "strategy": chips[0].plan.strategy,
+            "cuts": None if model.sharding is None else [
+                int(c) for c in model.sharding.cuts
+            ],
             "inputs": input_names,
             "outputs": list(graph.outputs),
         },
         "chips": chip_meta,
-        "transfers": transfers,
-        "isa_extensions": _extension_descriptors(registry),
+        "transfers": [asdict(t) for t in model.transfers],
+        "isa_extensions": _extension_descriptors(chips[0].registry),
         "sections": [
             {"name": name, "nbytes": len(data)} for name, data in sections
         ],
@@ -424,41 +397,90 @@ def _read_verified(path: Union[str, Path]) -> Tuple[Dict, Dict[str, bytes], str]
             f"{path}: {len(body) - cursor} trailing bytes after the last "
             f"section"
         )
+    _check_manifest(path, manifest)
     return manifest, sections, actual.hex()
 
 
+def _field(path, record, key: str, kind: type, where: str = ""):
+    """``record[key]``, which must hold a ``kind``; else an
+    :class:`ArtifactError` naming the file and the manifest field."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise ArtifactError(
+            f"{path}: manifest field {where}{key} is missing or not of type "
+            f"{kind.__name__}"
+        )
+    return value
+
+
+def _check_manifest(path, manifest: Dict) -> None:
+    """Check the fields the loader and ``repro inspect`` read: the arch
+    fingerprint, the model block, the chip records and each transfer's
+    byte count, each present with its JSON type, one chip record per
+    chip, and cut points for more than one chip."""
+    _field(path, manifest, "arch_fingerprint", str)
+    model = _field(path, manifest, "model", dict)
+    for key, kind in (("name", str), ("strategy", str), ("chips", int)):
+        _field(path, model, key, kind, "model.")
+    records = _field(path, manifest, "chips", list)
+    for index, record in enumerate(records):
+        for key, kind in (
+            ("tensor_address", dict), ("fast_report", dict),
+            ("num_instructions", int), ("image_bytes", int),
+        ):
+            _field(path, record, key, kind, f"chips[{index}].")
+    transfers = _field(path, manifest, "transfers", list)
+    for index, transfer in enumerate(transfers):
+        _field(path, transfer, "nbytes", int, f"transfers[{index}].")
+    if model["chips"] != len(records):
+        raise ArtifactError(
+            f"{path}: manifest lists {model['chips']} chips but has "
+            f"{len(records)} chip records"
+        )
+    if model.get("cuts") is None and model["chips"] != 1:
+        raise ArtifactError(
+            f"{path}: manifest field model.cuts is null (an unsharded "
+            f"model) but model.chips is {model['chips']}"
+        )
+
+
 def _load_chip(
+    path,
+    index: int,
     meta: Dict,
-    program_bytes: bytes,
-    image_bytes: bytes,
+    sections: Dict[str, bytes],
     graph: ComputationGraph,
-    cgraph: CondensedGraph,
     arch: ArchConfig,
     strategy: str,
     registry: ISARegistry,
 ) -> CompiledModel:
+    """Decode chip ``index``: its program and image sections and its
+    manifest record (tensor addresses, fast report)."""
     try:
-        cores_entry = json.loads(program_bytes.decode("utf-8"))["cores"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
-        raise ArtifactError(f"malformed program section: {exc}") from exc
-    try:
+        cores = json.loads(sections[f"program.{index}"].decode("utf-8"))
         programs = {
             int(cid): _program_from_entry(entry, registry)
-            for cid, entry in cores_entry.items()
+            for cid, entry in cores["cores"].items()
         }
-    except ISAError as exc:
-        raise ArtifactError(f"cannot decode program: {exc}") from exc
+        image = np.frombuffer(sections[f"image.{index}"], np.uint8).copy()
+        tensor_address = {
+            name: int(addr) for name, addr in meta["tensor_address"].items()
+        }
+        fast_report = FastReport.from_dict(meta["fast_report"])
+    except (ISAError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers a bad UTF-8 or JSON program section.
+        raise ArtifactError(
+            f"{path}: chip {index}: malformed program or image section, "
+            f"or manifest field chips[{index}] ({exc!r})"
+        ) from exc
     plan = ArtifactPlan(
         graph=graph,
-        cgraph=cgraph,
+        cgraph=condense(graph),
         arch=arch,
         strategy=strategy,
-        tensor_address={
-            name: int(addr) for name, addr in meta["tensor_address"].items()
-        },
-        fast_report=FastReport.from_dict(meta["fast_report"]),
+        tensor_address=tensor_address,
+        fast_report=fast_report,
     )
-    image = np.frombuffer(image_bytes, dtype=np.uint8).copy()
     return CompiledModel(
         plan=plan, programs=programs, global_image=image, registry=registry
     )
@@ -476,14 +498,14 @@ def load_artifact(
     artifact was compiled for -- a mismatch raises
     :class:`ArtifactError` naming both fingerprints instead of producing
     undefined simulation results on the wrong hardware point.
+
+    The loaded model enters the compile flow after lowering: every chip
+    is decoded in one loop and linked by the pipeline's own
+    :func:`~repro.compiler.pipeline.assemble`, unsharded exactly when
+    the manifest's ``cuts`` is ``null``.
     """
     manifest, sections, _ = _read_verified(path)
-    try:
-        stored_fp = manifest["arch_fingerprint"]
-        model_meta = manifest["model"]
-        chip_meta = manifest["chips"]
-    except KeyError as exc:
-        raise ArtifactError(f"{path}: manifest missing {exc}") from exc
+    model_meta, stored_fp = manifest["model"], manifest["arch_fingerprint"]
 
     if arch is not None:
         session_fp = arch_fingerprint(arch)
@@ -513,55 +535,39 @@ def load_artifact(
         )
 
     registry = _registry_from_manifest(manifest)
-    strategy = model_meta["strategy"]
-    num_chips = int(model_meta["chips"])
-    if len(chip_meta) != num_chips:
+    cuts = model_meta.get("cuts")
+    try:
+        sharding = None if cuts is None else shard_graph(
+            graph, model_meta["chips"], cuts=tuple(cuts)
+        )
+    except (CompileError, TypeError) as exc:
         raise ArtifactError(
-            f"{path}: manifest lists {num_chips} chips but has "
-            f"{len(chip_meta)} chip records"
-        )
-
-    def chip_sections(index: int) -> Tuple[bytes, bytes]:
-        try:
-            return sections[f"program.{index}"], sections[f"image.{index}"]
-        except KeyError as exc:
-            raise ArtifactError(
-                f"{path}: missing section for chip {index}: {exc}"
-            ) from exc
-
-    if num_chips == 1:
-        program_bytes, image_bytes = chip_sections(0)
-        return _load_chip(
-            chip_meta[0], program_bytes, image_bytes,
-            graph, condense(graph), loaded_arch, strategy, registry,
-        )
-
-    cuts = tuple(int(c) for c in model_meta["cuts"])
-    sharding = shard_graph(graph, num_chips, cuts=cuts)
-    chips: List[CompiledModel] = []
-    for index, (shard, meta) in enumerate(zip(sharding.shards, chip_meta)):
-        program_bytes, image_bytes = chip_sections(index)
-        chips.append(
-            _load_chip(
-                meta, program_bytes, image_bytes,
-                shard.graph, condense(shard.graph), loaded_arch, strategy,
-                registry,
-            )
-        )
-    transfers = [
-        InterChipTransfer(
-            src_chip=int(t["src_chip"]),
-            dst_chip=int(t["dst_chip"]),
-            tensor=t["tensor"],
-            src_address=int(t["src_address"]),
-            dst_address=int(t["dst_address"]),
-            nbytes=int(t["nbytes"]),
-        )
-        for t in manifest.get("transfers", [])
+            f"{path}: manifest field model.cuts {cuts!r}: {exc}"
+        ) from exc
+    graphs = [graph] if sharding is None else [
+        shard.graph for shard in sharding.shards
     ]
-    return MultiChipModel(
-        sharding=sharding, arch=loaded_arch, chips=chips, transfers=transfers
-    )
+    chips = [
+        _load_chip(
+            path, index, meta, sections, chip_graph, loaded_arch,
+            model_meta["strategy"], registry,
+        )
+        for index, (meta, chip_graph) in enumerate(
+            zip(manifest["chips"], graphs)
+        )
+    ]
+    try:
+        model = assemble(chips, sharding)
+    except KeyError as exc:
+        raise ArtifactError(
+            f"{path}: no chip tensor_address holds boundary tensor {exc}"
+        ) from exc
+    if [asdict(t) for t in model.transfers] != manifest["transfers"]:
+        raise ArtifactError(
+            f"{path}: manifest field transfers disagrees with the schedule "
+            f"the cuts and tensor addresses give"
+        )
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +582,24 @@ def inspect_artifact(path: Union[str, Path]) -> Dict:
     instruction and image sizes, and the transfer schedule.
     """
     manifest, sections, digest = _read_verified(path)
-    model_meta = manifest.get("model", {})
     return {
         "path": str(path),
         "digest": digest,
         "file_bytes": Path(path).stat().st_size,
         "format_version": manifest.get("format_version"),
         "arch_fingerprint": manifest.get("arch_fingerprint"),
-        "model": model_meta,
+        "model": manifest["model"],
         "chips": [
             {
-                "num_instructions": meta.get("num_instructions"),
-                "image_bytes": meta.get("image_bytes"),
-                "global_tensors": len(meta.get("tensor_address", {})),
-                "fast_cycles": meta.get("fast_report", {}).get("cycles"),
+                "num_instructions": meta["num_instructions"],
+                "image_bytes": meta["image_bytes"],
+                "global_tensors": len(meta["tensor_address"]),
+                "fast_cycles": meta["fast_report"].get("cycles"),
             }
-            for meta in manifest.get("chips", [])
+            for meta in manifest["chips"]
         ],
-        "transfers": len(manifest.get("transfers", [])),
-        "interchip_bytes": sum(
-            int(t["nbytes"]) for t in manifest.get("transfers", [])
-        ),
+        "transfers": len(manifest["transfers"]),
+        "interchip_bytes": sum(t["nbytes"] for t in manifest["transfers"]),
         "isa_extensions": [
             e["mnemonic"] for e in manifest.get("isa_extensions", [])
         ],

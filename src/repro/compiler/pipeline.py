@@ -1,24 +1,29 @@
-"""End-to-end compilation driver: ONNX-like graph -> per-core programs.
+"""End-to-end compilation: ONNX-like graph -> per-core programs.
 
-``compile_graph`` runs the full flow of Fig. 4: preprocessing and
-condensation, CG-level partitioning/mapping under the selected strategy,
-core and row assignment, global-memory layout, and OP-level code
-generation, returning a :class:`CompiledModel` ready for simulation.
-``plan_graph`` stops after the CG level, returning the
-:class:`ExecutionPlan` that wide design-space sweeps evaluate with the
-fast model.
+The flow of Fig. 4 is two passes, which every caller runs in order:
 
-:func:`plan_chips` is the one way a model is planned onto ``N`` chips:
-it pipeline-shards the graph when ``N > 1``
-(:func:`repro.compiler.partition.shard_graph`), plans every shard with
-``plan_graph`` and returns the plans with their per-input transfer
-edges.  The fast-tier :class:`~repro.serve.Deployment` and the sweep
-engine price its plans; ``compile_sharded`` code-generates them and
-emits the explicit :class:`InterChipTransfer` schedule the multi-chip
-scheduler (:mod:`repro.sim.multichip`) executes.  :func:`compile_model`
-is the user-facing front (zoo name or graph, architecture object or
-JSON file, any chip count).  See ``docs/ARCHITECTURE.md`` ("Two-level
-compilation" and "Multi-chip sharding") for the flow in detail.
+1. :func:`plan_chips` (CG level) condenses the graph, pipeline-shards
+   it when ``N > 1`` chips are asked for
+   (:func:`repro.compiler.partition.shard_graph`) and plans every shard
+   with :func:`plan_graph`: partitioning under the selected strategy,
+   then core and row assignment.  It returns :class:`ChipPlans`, the
+   plans with their per-input transfer edges.  The fast tier (the fast
+   :class:`~repro.serve.Deployment`, the sweep engine) stops here and
+   prices the plans.
+2. :func:`generate` (OP level, any chip count) lays out each chip's
+   global memory, lowers its cores' programs and builds its weight
+   image, then :func:`assemble` links the chips: one unsharded chip is
+   a :class:`CompiledModel`, sharded chips a :class:`MultiChipModel`
+   with the explicit :class:`InterChipTransfer` schedule the multi-chip
+   scheduler (:mod:`repro.sim.multichip`) executes.
+
+An artifact (:func:`repro.artifact.load_artifact`) enters at
+:func:`assemble` with the chips it decoded.  :func:`compile_graph` (one
+chip), :func:`compile_sharded` (always sharded, cuts optionally pinned)
+and :func:`compile_model` (zoo name or graph, architecture object or
+JSON file, any chip count) are each ``generate(plan_chips(...))``.  See
+``docs/ARCHITECTURE.md`` ("Two-level compilation" and "Multi-chip
+sharding") for the flow in detail.
 """
 
 from __future__ import annotations
@@ -152,6 +157,7 @@ class CompiledModel:
     # (:class:`repro.sim.multichip.MultiChipSimulator`) runs either product.
     transfers = ()
     num_chips = 1
+    sharding = None
 
     @property
     def chips(self) -> List["CompiledModel"]:
@@ -241,44 +247,8 @@ def plan_graph(
     )
 
 
-def compile_graph(
-    graph: ComputationGraph,
-    arch: ArchConfig,
-    strategy: str = "dp",
-    registry: Optional[ISARegistry] = None,
-    closure_limit: Optional[int] = None,
-) -> CompiledModel:
-    """Compile a computation graph for a CIM architecture.
-
-    ``strategy`` selects the CG-level optimization: ``"generic"``,
-    ``"duplication"`` (CIM-MLC-style opportunistic duplication), or
-    ``"dp"`` (Algorithm 1).
-    """
-    return _generate(plan_graph(graph, arch, strategy, closure_limit), registry)
-
-
-def _generate(
-    plan: ExecutionPlan, registry: Optional[ISARegistry]
-) -> CompiledModel:
-    """OP-level half of :func:`compile_graph`: lay out global memory and
-    generate every core's program for one chip's plan."""
-    from repro.compiler.codegen.lowering import (
-        ProgramGenerator,
-        build_global_image,
-    )
-
-    layout_global_memory(plan)
-    programs = ProgramGenerator(plan, registry).generate()
-    return CompiledModel(
-        plan=plan,
-        programs=programs,
-        global_image=build_global_image(plan),
-        registry=registry or _default_registry(),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Multi-chip compilation
+# The multi-chip product
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -380,6 +350,10 @@ class MultiChipModel:
         return "\n".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# The two passes: plan_chips, then generate
+# ---------------------------------------------------------------------------
+
 class ChipPlans(NamedTuple):
     """What :func:`plan_chips` returns: one plan per chip, the per-input
     ``(src, dst, nbytes)`` transfer edges between them (schedule order,
@@ -392,12 +366,15 @@ class ChipPlans(NamedTuple):
 
 
 @contextmanager
-def _naming_chip(shard: GraphShard):
+def _naming_chip(shard: Optional[GraphShard]):
     """Prefix a shard's compile error with the chip it was compiled for,
-    keeping its type (a :class:`~repro.errors.CapacityError` stays one)."""
+    keeping its type (a :class:`~repro.errors.CapacityError` stays one);
+    an unsharded model's error passes unchanged."""
     try:
         yield
     except CompileError as exc:
+        if shard is None:
+            raise
         raise type(exc)(
             f"chip {shard.index} (condensed nodes "
             f"{shard.node_indices[0]}..{shard.node_indices[-1]}): {exc}"
@@ -440,39 +417,79 @@ def plan_chips(
     return ChipPlans(plans, sharding.transfer_edges(), sharding)
 
 
-def _generate_chips(
-    arch: ArchConfig,
-    planned: ChipPlans,
-    registry: Optional[ISARegistry] = None,
-) -> MultiChipModel:
-    """Code-generate every chip of a sharded :class:`ChipPlans` and turn
-    each boundary tensor into an explicit :class:`InterChipTransfer`
-    from its producer's spill address to its consumer's input address."""
-    sharding = planned.sharding
-    chips: List[CompiledModel] = []
-    for shard, plan in zip(sharding.shards, planned.plans):
-        with _naming_chip(shard):
-            chips.append(_generate(plan, registry))
+def generate(
+    planned: ChipPlans, registry: Optional[ISARegistry] = None
+) -> Union[CompiledModel, MultiChipModel]:
+    """OP-level compilation of :func:`plan_chips`' product, any chip count.
 
-    transfers: List[InterChipTransfer] = []
-    for shard in sharding.shards:
-        for tensor, src in sorted(shard.incoming.items()):
-            src_plan = chips[src].plan
-            dst_plan = chips[shard.index].plan
-            nbytes = sharding.graph.tensor(tensor).size_bytes
-            transfers.append(
-                InterChipTransfer(
-                    src_chip=src,
-                    dst_chip=shard.index,
-                    tensor=tensor,
-                    src_address=src_plan.tensor_address[tensor],
-                    dst_address=dst_plan.tensor_address[tensor],
-                    nbytes=nbytes,
-                )
+    Every chip's plan gets its global-memory layout, its cores' programs
+    and its weight image; :func:`assemble` then links the chips.  A shard
+    that cannot be lowered raises its error naming the chip.
+    """
+    from repro.compiler.codegen.lowering import (
+        ProgramGenerator,
+        build_global_image,
+    )
+
+    registry = registry or _default_registry()
+    shards = planned.sharding.shards if planned.sharding else [None]
+    chips = []
+    for shard, plan in zip(shards, planned.plans):
+        with _naming_chip(shard):
+            layout_global_memory(plan)
+            programs = ProgramGenerator(plan, registry).generate()
+            chips.append(CompiledModel(
+                plan, programs, build_global_image(plan), registry
+            ))
+    return assemble(chips, planned.sharding)
+
+
+def assemble(
+    chips: List[CompiledModel], sharding: Optional[ShardingPlan]
+) -> Union[CompiledModel, MultiChipModel]:
+    """The flow's last stage: link code-generated chips into one product.
+
+    With no sharding the one chip is the product.  Otherwise each
+    boundary tensor becomes an explicit :class:`InterChipTransfer` from
+    its producer's spill address to its consumer's input address.  The
+    artifact loader enters the flow here with the chips it decoded.
+    """
+    if sharding is None:
+        (chip,) = chips
+        return chip
+    transfers = sorted(
+        (
+            InterChipTransfer(
+                src_chip=src,
+                dst_chip=shard.index,
+                tensor=tensor,
+                src_address=chips[src].plan.tensor_address[tensor],
+                dst_address=chips[shard.index].plan.tensor_address[tensor],
+                nbytes=sharding.graph.tensor(tensor).size_bytes,
             )
-    transfers.sort(key=lambda t: (t.src_chip, t.dst_chip, t.tensor))
-    return MultiChipModel(
-        sharding=sharding, arch=arch, chips=chips, transfers=transfers
+            for shard in sharding.shards
+            for tensor, src in shard.incoming.items()
+        ),
+        key=lambda t: (t.src_chip, t.dst_chip, t.tensor),
+    )
+    return MultiChipModel(sharding, chips[0].arch, chips, transfers)
+
+
+def compile_graph(
+    graph: ComputationGraph,
+    arch: ArchConfig,
+    strategy: str = "dp",
+    registry: Optional[ISARegistry] = None,
+    closure_limit: Optional[int] = None,
+) -> CompiledModel:
+    """Compile a computation graph for one CIM chip.
+
+    ``strategy`` selects the CG-level optimization: ``"generic"``,
+    ``"duplication"`` (CIM-MLC-style opportunistic duplication), or
+    ``"dp"`` (Algorithm 1).
+    """
+    return generate(
+        plan_chips(graph, arch, 1, strategy, closure_limit), registry
     )
 
 
@@ -487,16 +504,14 @@ def compile_sharded(
 ) -> MultiChipModel:
     """Compile one model for a pipeline of ``num_chips`` identical chips.
 
-    The shards are cut (``cuts`` pins the cut points) and planned by
-    :func:`plan_chips`, then code-generated with the unchanged
-    single-chip flow; ``num_chips=1`` is a one-shard pipeline.  A shard
-    that cannot map raises :class:`CompileError` naming the chip.
+    The graph is always sharded (``cuts`` pins the cut points), so
+    ``num_chips=1`` is a one-shard pipeline.  A shard that cannot map
+    raises :class:`CompileError` naming the chip.
     """
     sharding = shard_graph(graph, num_chips, cuts=cuts)
-    planned = plan_chips(
+    return generate(plan_chips(
         graph, arch, num_chips, strategy, closure_limit, sharding=sharding
-    )
-    return _generate_chips(arch, planned, registry)
+    ), registry)
 
 
 def compile_model(
@@ -515,9 +530,7 @@ def compile_model(
     identical chips and a :class:`MultiChipModel` is returned.
     ``closure_limit`` bounds the DP partitioner's closure enumeration.
     """
-    graph = resolve_graph(model, **model_kwargs)
-    arch = resolve_arch(arch)
-    planned = plan_chips(graph, arch, chips, strategy, closure_limit)
-    if planned.sharding is None:
-        return _generate(planned.plans[0], None)
-    return _generate_chips(arch, planned)
+    return generate(plan_chips(
+        resolve_graph(model, **model_kwargs), resolve_arch(arch), chips,
+        strategy, closure_limit,
+    ))

@@ -68,7 +68,7 @@ from repro.compiler.pipeline import (
     ArchLike,
     CompiledModel,
     MultiChipModel,
-    compile_model,
+    generate,
     plan_chips,
     resolve_arch,
     resolve_graph,
@@ -507,24 +507,20 @@ class Deployment:
                     "closure_limit/model kwargs)"
                 )
             self.compiled = model
-        elif tier == "fast":
-            # Plan-only compilation: the fast tier never executes
-            # instructions, so OP-level code generation is skipped.
+            self._graph, self._arch = model.graph, model.arch
+            self._plans = [c.plan for c in model.chips]
+        else:
+            # One plan for both tiers; only the cycle tier code-generates
+            # (the fast tier never executes instructions).
             self._graph = resolve_graph(model, **model_kwargs)
             self._arch = resolve_arch(arch)
-            self._plans, self._edges, _ = plan_chips(
+            planned = plan_chips(
                 self._graph, self._arch, chips, strategy, closure_limit
             )
-        else:
-            self.compiled = compile_model(
-                model, arch, strategy, chips=chips,
-                closure_limit=closure_limit, **model_kwargs
-            )
-
+            self._plans, self._edges = planned.plans, planned.edges
+            if tier == "cyclesim":
+                self.compiled = generate(planned)
         if self.compiled is not None:
-            self._graph = self.compiled.graph
-            self._arch = self.compiled.arch
-            self._plans = [c.plan for c in self.compiled.chips]
             self._edges = self.compiled.transfer_edges()
 
         self.resident_weights = bool(resident_weights)
@@ -540,8 +536,8 @@ class Deployment:
             self._check_resident_support()
 
     def _check_resident_support(self) -> None:
-        if all(
-            getattr(plan, "stages", None) is not None for plan in self._plans
+        if self.compiled is None or all(
+            chip.supports_resident() for chip in self.compiled.chips
         ):
             return
         raise ConfigError(

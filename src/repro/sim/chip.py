@@ -88,24 +88,11 @@ class ChipSimulator:
         # ``activation_bytes`` splits the image: the run owns a writable
         # copy of the bytes below it and borrows the rest read-only.
         self.memory = MemorySystem(arch, global_image, activation_bytes)
-        self.noc = NoC(arch)
-        self.acct = EnergyAccountant(arch.energy)
-        self.channels: Dict[Tuple[int, int], deque] = {}
-        #: (src, dst) -> core blocked on RECV from that channel.
-        self._recv_waiters: Dict[Tuple[int, int], Core] = {}
-        #: Cores unblocked during the current scheduler round.
-        self._ready: List[Core] = []
         self.cores = [
             Core(cid, self, programs.get(cid, _empty_program(self.registry)))
             for cid in range(arch.chip.num_cores)
         ]
-        if engine == "block":
-            from repro.sim.blockengine import block_program_for
-
-            for core in self.cores:
-                core._blockprog = block_program_for(
-                    core.program, self.registry
-                )
+        self._arm()
 
     def reset_run(self, programs: Dict[int, Program]) -> None:
         """Rearm for another run, keeping memory + macro-group state.
@@ -117,15 +104,23 @@ class ChipSimulator:
         energy ledger start fresh -- each run is accounted exactly like
         an isolated run of ``programs`` against the persisted state.
         """
-        self.noc = NoC(self.arch)
-        self.acct = EnergyAccountant(self.arch.energy)
-        self.channels = {}
-        self._recv_waiters = {}
-        self._ready = []
         for core in self.cores:
             core.reset_for_program(
                 programs.get(core.core_id, _empty_program(self.registry))
             )
+        self._arm()
+
+    def _arm(self) -> None:
+        """Start a run's state around the cores' programs: a fresh NoC,
+        energy ledger, message channels and ready list, and (block
+        engine) each core's block program."""
+        self.noc = NoC(self.arch)
+        self.acct = EnergyAccountant(self.arch.energy)
+        self.channels: Dict[Tuple[int, int], deque] = {}
+        #: (src, dst) -> core blocked on RECV from that channel.
+        self._recv_waiters: Dict[Tuple[int, int], Core] = {}
+        #: Cores unblocked during the current scheduler round.
+        self._ready: List[Core] = []
         if self.engine == "block":
             from repro.sim.blockengine import block_program_for
 

@@ -84,20 +84,6 @@ class Core:
         arch = chip.arch
         self.arch = arch
         self.registry = chip.registry
-        self.program = program
-        #: Set by the chip when the hot-block engine is selected
-        #: (see :mod:`repro.sim.blockengine`); None = interpreter.
-        self._blockprog = None
-        self.code = translate_program(program, self.registry)
-        self.pc = 0
-        self.clock = 0
-        self.regs: List[int] = [0] * 32
-        self.sregs: List[int] = [0] * 16
-        self.sregs[int(SReg.CORE_ID)] = core_id
-        self.sregs[int(SReg.NUM_CORES)] = arch.chip.num_cores
-        self.reg_ready: List[int] = [0] * 32
-        self.unit_free: Dict[str, int] = {u: 0 for u in _UNITS}
-        self.busy: Dict[str, int] = {u: 0 for u in _UNITS}
         mgs = arch.chip.core.cim_unit.num_macro_groups
         self.mgs: List[Optional[Tuple[np.ndarray, int, int]]] = [None] * mgs
         #: ``(local address, parameter offset, length)`` of the last copy
@@ -105,9 +91,7 @@ class Core:
         #: ``CIM_LOAD`` borrows its register by
         #: (``blockengine._cim_register``).
         self.staged: Optional[Tuple[int, int, int]] = None
-        self.state = RUNNING
-        self.instructions_retired = 0
-        self._pending_recv: Optional[Tuple[int, int, int]] = None
+        self.reset_for_program(program)
         # cached unit parameters
         cim = arch.chip.core.cim_unit
         self._mvm_interval = cim.mvm_issue_interval
@@ -134,20 +118,22 @@ class Core:
         isolated run of the warm program against the persisted state.
         """
         self.program = program
+        #: Set by the chip when the hot-block engine is selected
+        #: (see :mod:`repro.sim.blockengine`); None = interpreter.
         self._blockprog = None
         self.code = translate_program(program, self.registry)
         self.pc = 0
         self.clock = 0
-        self.regs = [0] * 32
-        self.sregs = [0] * 16
+        self.regs: List[int] = [0] * 32
+        self.sregs: List[int] = [0] * 16
         self.sregs[int(SReg.CORE_ID)] = self.core_id
         self.sregs[int(SReg.NUM_CORES)] = self.arch.chip.num_cores
-        self.reg_ready = [0] * 32
-        self.unit_free = {u: 0 for u in _UNITS}
-        self.busy = {u: 0 for u in _UNITS}
+        self.reg_ready: List[int] = [0] * 32
+        self.unit_free: Dict[str, int] = {u: 0 for u in _UNITS}
+        self.busy: Dict[str, int] = {u: 0 for u in _UNITS}
         self.state = RUNNING
         self.instructions_retired = 0
-        self._pending_recv = None
+        self._pending_recv: Optional[Tuple[int, int, int]] = None
 
     # -- helpers ----------------------------------------------------------
     def _issue(self, unit: str, latency: int, occupancy: Optional[int] = None,

@@ -23,9 +23,9 @@ all) and executes the pipeline:
    validated bit-exactly against the golden model.
 
 The same closed-form schedule (:func:`pipeline_schedule`) prices
-inter-chip transfers in the fast analytical model
-(:func:`repro.sim.fastmodel.analyze_sharded`), so the two fidelity
-levels share one timing contract.  See ``docs/ARCHITECTURE.md``
+inter-chip transfers in the fast analytical model's composition of a
+pipeline (:func:`repro.sim.fastmodel.compose_pipeline`), so the two
+fidelity levels share one timing contract.  See ``docs/ARCHITECTURE.md``
 ("Multi-chip sharding").
 
 **Batched streaming** (``docs/ARCHITECTURE.md``, "Batched streaming
@@ -41,7 +41,7 @@ single-input runs.
 :func:`streaming_schedule` is the timing recurrence and
 :func:`steady_state_interval` its closed-form steady-state law
 (``makespan(B) = makespan(1) + (B-1) * bottleneck``), shared with
-:func:`repro.sim.fastmodel.analyze_sharded`.
+:func:`repro.sim.fastmodel.compose_pipeline`.
 
 **The admission kernel.**  The recurrence itself is written once, as
 the incremental :class:`PipelineState` (:func:`streaming_schedule` is a
@@ -640,7 +640,7 @@ def merge_shard_energy(
 
     The energy half of the multi-chip contract, shared verbatim by the
     cycle-level scheduler and the fast model (:func:`repro.sim.fastmodel.
-    analyze_sharded`): per-chip categories add, and boundary traffic is
+    compose_pipeline`): per-chip categories add, and boundary traffic is
     charged at ``link.energy_pj_per_byte`` under the ``interchip`` key.
     """
     energy = sum_energy(breakdowns)
@@ -838,9 +838,9 @@ class MultiChipSimulator:
         self.arch: ArchConfig = model.arch
         self._new_chip = partial(ChipSimulator.from_compiled, engine=engine)
         self.chips: List[ChipSimulator] = []
-        self.chips = self._fresh_chips()
+        self._rebuild_chips()
 
-    def _fresh_chips(self) -> List[ChipSimulator]:
+    def _rebuild_chips(self) -> None:
         """One pristine simulator per shard (reset memory and cores).
 
         Streaming runs rebuild the chip set per input: per-input
@@ -853,7 +853,7 @@ class MultiChipSimulator:
         for chip in self.chips:
             for core in chip.cores:
                 core.chip = None
-        return [self._new_chip(compiled) for compiled in self.model.chips]
+        self.chips = [self._new_chip(chip) for chip in self.model.chips]
 
     def write_input(self, tensor: Optional[str], data) -> None:
         """Write one model input into every chip that consumes it."""
@@ -918,13 +918,20 @@ class MultiChipSimulator:
         left holding the final input's state, so :meth:`read_output`
         reads the last input afterwards.
         """
+        # Per-input isolation holds even if run() or an earlier stream
+        # already consumed this simulator's chip state.
+        return self._stream(inputs, tensor, self._rebuild_chips)
+
+    def _stream(
+        self, inputs: Sequence, tensor: Optional[str], arm
+    ) -> Tuple[List[List[SimulationReport]], List[Dict[str, "np.ndarray"]]]:
+        """The one streaming loop: per input, ``arm()`` the chips, write
+        the input, run the pipeline and read every output."""
         output_names = list(self.model.graph.outputs)
         per_input_reports: List[List[SimulationReport]] = []
         per_input_outputs: List[Dict[str, "np.ndarray"]] = []
         for data in inputs:
-            # Per-input isolation holds even if run() or an earlier
-            # stream already consumed this simulator's chip state.
-            self.chips = self._fresh_chips()
+            arm()
             self.write_input(tensor, data)
             per_input_reports.append(self._execute_pipeline())
             per_input_outputs.append(
@@ -947,7 +954,7 @@ class MultiChipSimulator:
         self._resident_segments = [
             c.resident_segments() for c in self.model.chips
         ]
-        self.chips = self._fresh_chips()
+        self._rebuild_chips()
         load_reports: List[SimulationReport] = []
         for chip, (_, load) in zip(self.chips, self._resident_segments):
             chip.reset_run(load)
@@ -972,16 +979,10 @@ class MultiChipSimulator:
             raise SimulationError(
                 "execute_warm_stream needs load_resident() first"
             )
-        output_names = list(self.model.graph.outputs)
-        per_input_reports: List[List[SimulationReport]] = []
-        per_input_outputs: List[Dict[str, "np.ndarray"]] = []
-        for data in inputs:
+
+        def rearm_warm() -> None:
             for chip, (warm, _) in zip(self.chips, self._resident_segments):
                 chip.reset_run(warm)
                 ENGINE_STATS["resident_warm_runs"] += 1
-            self.write_input(tensor, data)
-            per_input_reports.append(self._execute_pipeline())
-            per_input_outputs.append(
-                {name: self.read_output(name) for name in output_names}
-            )
-        return per_input_reports, per_input_outputs
+
+        return self._stream(inputs, tensor, rearm_warm)

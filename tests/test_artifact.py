@@ -9,8 +9,10 @@ corrupted or mismatched artifact must always raise a typed
 :class:`~repro.errors.ArtifactError`, never load silently wrong.
 """
 
+import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -22,8 +24,11 @@ from repro.artifact import (
     load_artifact,
     save_artifact,
 )
+from repro.cli import main
+from repro.compiler.pipeline import MultiChipModel, compile_sharded
 from repro.config import arch_fingerprint, default_arch, small_test_arch
 from repro.errors import ArtifactError
+from repro.graph.models import get_model
 from repro.serve import Deployment
 from repro import compile_model
 
@@ -85,6 +90,46 @@ class TestRoundTrip:
         assert info["arch_fingerprint"] == arch_fingerprint(march)
         assert info["model"]["chips"] == 2
         assert info["transfers"] == len(two_chip.transfers)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestFreshCompileDigests:
+    """SHA-256 of freshly compiled artifacts, recorded before the compile
+    flow became one ``generate(plan_chips(...))`` call: any change to
+    planning, lowering, image layout or the container moves them."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["tiny_mlp", "--preset", "small"],
+         "80749559bf87fd1e7a48cce5a5e569748e617b5266ed0613ca34e4b9094c0b9d"),
+        (["tiny_resnet", "--preset", "small", "--input-size", "8",
+          "--chips", "2"],
+         "655fda9899f307e3989911dc42e074ba7880955f0b7d1fb85d07cffbe671172a"),
+    ])
+    def test_repro_compile(self, argv, sha256, tmp_path):
+        path = tmp_path / "m.artifact"
+        assert main(["compile", *argv, "-o", str(path)]) == 0
+        assert _sha256(path) == sha256
+
+    def test_one_shard_pipeline_round_trips(self, tmp_path):
+        """A one-shard ``compile_sharded`` product saves its (empty) cuts
+        and loads back as a one-shard pipeline, not as an unsharded
+        model, so save -> load -> save keeps its digest."""
+        first, second = tmp_path / "a.artifact", tmp_path / "b.artifact"
+        save_artifact(
+            compile_sharded(get_model("tiny_mlp"), small_test_arch(), 1),
+            first,
+        )
+        assert _sha256(first) == (
+            "376468c30f0c217b7d52d85823fae0cfef79dd3a7b7f6460a9996e00433cb7aa"
+        )
+        loaded = load_artifact(first)
+        assert isinstance(loaded, MultiChipModel)
+        assert loaded.num_chips == 1 and loaded.sharding.cuts == ()
+        save_artifact(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestSimulationEquivalence:
@@ -206,6 +251,74 @@ class TestCorruptionFuzzer:
         target = tmp_path / "version.artifact"
         target.write_bytes(bytes(data))
         with pytest.raises(ArtifactError, match="version"):
+            load_artifact(target)
+
+    @staticmethod
+    def _redigested(blob: bytes, edit, target: Path) -> Path:
+        """``blob`` with ``edit`` applied to its manifest, re-digested so
+        the manifest checks (not the digest) judge the file."""
+        start = len(MAGIC) + 12
+        end = start + int.from_bytes(blob[len(MAGIC) + 4:start], "little")
+        manifest = json.loads(blob[start:end])
+        edit(manifest)
+        text = json.dumps(
+            manifest, sort_keys=True, separators=(",", ":")
+        ).encode()
+        data = (blob[:len(MAGIC) + 4] + len(text).to_bytes(8, "little")
+                + text + blob[end:-32])
+        target.write_bytes(data + hashlib.sha256(data).digest())
+        return target
+
+    @pytest.mark.parametrize("edit, field, inspected", [
+        (lambda m: m["model"].pop("strategy"), "model.strategy", True),
+        (lambda m: m["model"].pop("chips"), "model.chips", True),
+        (lambda m: m["chips"][0].pop("tensor_address"),
+         "chips[0].tensor_address", True),
+        (lambda m: m["chips"][0].pop("fast_report"),
+         "chips[0].fast_report", True),
+        (lambda m: m["model"].update(chips="x"), "model.chips", True),
+        (lambda m: m.update(chips="x"), "field chips", True),
+        (lambda m: (m["model"].update(chips=2),
+                    m["chips"].append(m["chips"][0])), "model.cuts", True),
+        (lambda m: m["model"].update(cuts=[5]), "model.cuts", False),
+        (lambda m: m["chips"][0]["fast_report"].pop("cycles"), "chips[0]",
+         False),
+        (lambda m: m["transfers"].append({}), "transfers[0].nbytes", True),
+        (lambda m: m["transfers"].append(dict(
+            src_chip=0, dst_chip=1, tensor="input_out", src_address=0,
+            dst_address=0, nbytes=64)), "field transfers", False),
+    ], ids=["no-strategy", "no-chips", "no-tensor-address",
+            "no-fast-report", "chips-not-int", "records-not-list",
+            "unsharded-two-chips", "cut-out-of-range",
+            "fast-report-incomplete", "transfer-without-bytes",
+            "transfers-disagree"])
+    def test_malformed_manifest_is_typed(
+        self, blob, tmp_path, edit, field, inspected
+    ):
+        """A digest-valid artifact whose manifest lacks a field, holds
+        the wrong type or contradicts itself raises an ArtifactError
+        naming the file and the field, and so does ``repro inspect``
+        where it reads that field."""
+        target = self._redigested(blob, edit, tmp_path / "bad.artifact")
+        with pytest.raises(ArtifactError, match="bad.artifact") as error:
+            load_artifact(target)
+        assert field in str(error.value)
+        if inspected:
+            with pytest.raises(ArtifactError, match=re.escape(field)):
+                inspect_artifact(target)
+
+    def test_boundary_tensor_without_address_is_typed(
+        self, two_chip, tmp_path
+    ):
+        path = tmp_path / "m.artifact"
+        save_artifact(two_chip, path)
+        tensor = two_chip.transfers[0].tensor
+        target = self._redigested(
+            path.read_bytes(),
+            lambda m: m["chips"][1]["tensor_address"].pop(tensor),
+            tmp_path / "bad.artifact",
+        )
+        with pytest.raises(ArtifactError, match="boundary tensor"):
             load_artifact(target)
 
     def test_missing_file_is_typed(self, tmp_path):

@@ -620,21 +620,40 @@ def _scoped_nodes(root: Path, names):
 _EDGE = ["src_chip", "dst_chip", "nbytes"]
 
 
+_CODEGEN = {"ProgramGenerator", "build_global_image", "layout_global_memory"}
+_CODEGEN_SITES = {f"src/repro/compiler/pipeline.py:{scope}" for scope in
+                  ("generate", "CompiledModel.resident_segments")}
+
+
 def _one_pipeline_builder(root: Path):
     """Every tier plans a model's chips through
     ``compiler.pipeline.plan_chips`` (the workflow module stays deleted,
-    the planner is called from the pipeline module only), and a compile
-    product states its own transfer edges: an ``(x.src_chip, x.dst_chip,
-    x.nbytes)`` tuple is built in ``MultiChipModel.transfer_edges``
-    alone.  Both are AST call sites, whatever the spacing or names."""
-    planner, edges = [], []
+    the planner is called from the pipeline module only), a compile
+    product states its own transfer edges (an ``(x.src_chip,
+    x.dst_chip, x.nbytes)`` tuple is built in
+    ``MultiChipModel.transfer_edges`` alone), OP-level code generation
+    (layout, lowering, image) is called from ``generate`` alone, with
+    ``CompiledModel.resident_segments`` the one exception, and the
+    serving and artifact layers enter the flow through those passes, not
+    through ``compile_model`` or a private generator.  All are AST call
+    sites, whatever the spacing or names."""
+    planner, edges, codegen, bypass = [], [], [], []
     # What could hold one, as text; then the AST decides.
-    names = _files_with(root, r"\bplan_graph\b|\bsrc_chip\b", ["src/repro"])
+    names = _files_with(
+        root, r"\bplan_graph\b|\bsrc_chip\b|ProgramGenerator"
+              r"|build_global_image|layout_global_memory|compile_model"
+              r"|_generate", ["src/repro"])
     for path, scope, node in _scoped_nodes(root, names):
-        if isinstance(node, ast.Call) and "plan_graph" in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None)):
+        called = isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        if called == "plan_graph":
             planner.append(path)
+        elif called in _CODEGEN:
+            codegen.append(f"{path}:{scope}")
+        elif called and (called == "compile_model"
+                         or called.startswith("_generate")) and path in (
+                "src/repro/serve.py", "src/repro/artifact.py"):
+            bypass.append(f"{path}:{scope}")
         elif isinstance(node, ast.Tuple) and [
                 getattr(element, "attr", None) for element in node.elts
         ] == _EDGE:
@@ -650,6 +669,9 @@ def _one_pipeline_builder(root: Path):
         + _only(edges,
                 ["src/repro/compiler/pipeline.py:"
                  "MultiChipModel.transfer_edges"], "transfer edges")
+        + _none([site for site in codegen if site not in _CODEGEN_SITES],
+                "codegen call")
+        + _none(bypass, "compile bypass")
     )
 
 
@@ -841,8 +863,16 @@ GREP_LAWS = {
         "src/repro/faults.py": (
             "edges = [(tr.src_chip, tr.dst_chip, tr.nbytes)]\n"
         ),
+        "src/repro/compiler/pipeline.py": (
+            "def compile_graph(graph, arch):\n"
+            "    return lowering.ProgramGenerator(plan).generate()\n"
+        ),
+        "src/repro/artifact.py": (
+            "def load_artifact(path):\n"
+            "    return _generate_chips(arch, planned)\n"
+        ),
     }, ["workflow module", "workflow import", "planner call",
-        "transfer edges"]),
+        "transfer edges", "codegen call", "compile bypass"]),
     "one_sweep_path": (_one_sweep_path, {
         "src/repro/cli.py": "spot = args.spot_input_size\n",
         "src/repro/explore.py": (
