@@ -18,9 +18,37 @@ The inner x-loop over output positions is emitted as a real counted ISA
 loop with pointer-increment registers, matching the paper's generated-code
 example; the row loop is fully unrolled because its body (transfers,
 padding) varies per row.
+
+**Registers.**  Every program follows one convention (the ``R_*``
+constants below): ``R_XCNT`` / ``R_XBND`` count the one open counted loop,
+``R_KR0``.. hold the per-kernel-row source pointers and ``R_IMC`` /
+``R_OUT`` / ``R_ACC`` / ``R_BIAS`` / ``R_GBUF`` the im2col, output,
+accumulator, bias and gather bases, ``R_T5`` / ``R_T6`` / ``R_CNT`` the
+operands of a transfer, ``R_SCR`` an S_Reg value in flight, and
+``R_T1``..``R_T4`` scratch.
+
+**Idioms.**  Each is written once: :class:`_Emitter` is the
+:class:`ProgramBuilder` that caches S_Reg values
+(``sreg``), issues a three-operand transfer (``transfer``: ``MEM_CPY``,
+``RECV``, ``SEND``, ``MEM_SCATTER``), fills memory (``fill``) and opens
+counted loops (``counted``); :meth:`ProgramGenerator._load_tile` and
+:meth:`~ProgramGenerator._mvm_tile` stage / multiply one weight tile,
+:meth:`~ProgramGenerator._x_positions` runs a conv / dwconv body over a
+row's output positions, ``_UNARY`` maps elementwise kinds to mnemonics,
+and :meth:`~ProgramGenerator._programs` is the one walk over cores and
+stages.
+
+**The loop-head rule.**  ``sreg`` elides a set whose value the register
+already holds.  Inside a counted loop the cache describes the first
+iteration only, so a set elided against the value cached at the loop
+head is valid only while the body leaves that S_Reg unchanged; when the
+body changes it, ``counted`` re-establishes the head's value at the end
+of the body, so every iteration starts from the state the elision
+assumed.
 """
 
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,12 +59,11 @@ from repro.compiler.codegen.layout import (
     build_core_layout,
 )
 from repro.compiler.frontend import CondensedNode
-from repro.compiler.plan import ExecutionPlan, NodeMapping, StagePlan
-from repro.graph.ops import OpKind, Operator
+from repro.compiler.plan import ExecutionPlan, StagePlan
+from repro.graph.ops import OpKind
 from repro.isa import ISARegistry, Program, ProgramBuilder, SReg, default_registry
 
 # --- fixed register conventions shared by every emitted program -------------
-R_ZERO = 0
 R_XCNT, R_XBND = 1, 2
 R_KR0 = 3            # R3..R9: up to 7 per-kernel-row source pointers
 R_IMC, R_OUT = 11, 12
@@ -48,34 +75,43 @@ R_T5, R_T6 = 27, 28
 
 _MAX_KERNEL = 7  # bounded by the register file convention above
 
+#: Elementwise kinds lowered to one vector instruction over a row.
+_UNARY = {
+    OpKind.RELU: "VEC_RELU",
+    OpKind.RELU6: "VEC_RELU6",
+    OpKind.SILU: "VEC_SILU",
+    OpKind.SIGMOID: "VEC_SIGMOID",
+}
 
-class _Emitter:
-    """Wraps a ProgramBuilder with special-register caching."""
+
+class _Emitter(ProgramBuilder):
+    """A ProgramBuilder that caches special-register values."""
 
     def __init__(self, registry: ISARegistry):
-        self.builder = ProgramBuilder(registry)
+        super().__init__(registry)
         self._sregs: Dict[int, int] = {}
-
-    def emit(self, mnemonic: str, **fields):
-        return self.builder.emit(mnemonic, **fields)
-
-    def li(self, reg: int, value: int) -> None:
-        self.builder.li(reg, value)
+        #: S_Reg -> whether its first set in the open counted loop's body
+        #: was elided against the head's value (None outside a loop).
+        self._leaned: Optional[Dict[int, bool]] = None
 
     def sreg(self, sreg: SReg, value: int) -> None:
         """Set a special register unless it already holds ``value``."""
-        if self._sregs.get(int(sreg)) == value:
+        key = int(sreg)
+        held = self._sregs.get(key) == value
+        if self._leaned is not None:
+            self._leaned.setdefault(key, held)
+        if held:
             return
         self.li(R_SCR, value & 0xFFFFFFFF)
-        self.emit("MV_G2S", rs=R_SCR, imm=int(sreg))
-        self._sregs[int(sreg)] = value
+        self.emit("MV_G2S", rs=R_SCR, imm=key)
+        self._sregs[key] = value
 
-    def mem_cpy(self, src: int, dst: int, nbytes: int) -> None:
-        """Copy between two static addresses in the unified space."""
-        self.li(R_T5, src)
-        self.li(R_T6, dst)
-        self.li(R_CNT, nbytes)
-        self.emit("MEM_CPY", rs=R_T5, rt=R_T6, rd=R_CNT)
+    def transfer(self, mnemonic: str, a: int, b: int, count: int) -> None:
+        """``mnemonic T5, T6, CNT`` with the three operands loaded first."""
+        self.li(R_T5, a)
+        self.li(R_T6, b)
+        self.li(R_CNT, count)
+        self.emit(mnemonic, rs=R_T5, rt=R_T6, rd=R_CNT)
 
     def fill(self, addr: int, count: int, value: int, int32: bool = False) -> None:
         # Uses only T5/T6 so callers' count registers survive the fill.
@@ -84,6 +120,26 @@ class _Emitter:
         self.li(R_T6, count)
         self.emit("VEC_FILL", rd=R_T5, re=R_T6, funct=4 if int32 else 0)
 
+    @contextmanager
+    def counted(self, n: int) -> Iterator[None]:
+        """Counted loop over ``R_XCNT`` in ``range(n)``: the body is the
+        ``with`` block, run once per iteration.  Loops do not nest (they
+        share the counter registers).  The loop-head rule: an S_Reg whose
+        first set in the body was elided against the head's cached value,
+        and which the body leaves changed, is set back to that value at
+        the end of the body."""
+        if self._leaned is not None:
+            raise CompileError("counted loops do not nest")
+        self.li(R_XCNT, 0)
+        self.li(R_XBND, n)
+        head, self._leaned = dict(self._sregs), {}
+        with self.loop(R_XCNT, R_XBND):
+            yield
+            leaned, self._leaned = self._leaned, None
+            for key in sorted(leaned):
+                if leaned[key]:
+                    self.sreg(key, head[key])
+
 
 class ProgramGenerator:
     """Generates per-core programs for a full execution plan."""
@@ -91,12 +147,10 @@ class ProgramGenerator:
     def __init__(self, plan: ExecutionPlan, registry: Optional[ISARegistry] = None):
         self.plan = plan
         self.registry = registry or default_registry()
-        self.graph = plan.graph
 
     # -- public entry ---------------------------------------------------------
     def generate(self) -> Dict[int, Program]:
-        assignments = self._assignments()
-        return self._emit_programs(assignments, skip_loads=frozenset())
+        return self._programs(frozenset())[0]
 
     def generate_resident(self) -> Tuple[Dict[int, Program], Dict[int, Program]]:
         """Split programs for resident-weights sessions.
@@ -113,43 +167,32 @@ class ProgramGenerator:
         same per-core order as the full program, which is what makes
         resident outputs bit-identical.
         """
-        assignments = self._assignments()
-        resident = self.plan.resident_cores()
-        warm = self._emit_programs(assignments, skip_loads=resident)
-        loads: Dict[int, Program] = {}
-        for core_id in range(self.plan.arch.num_cores):
-            emitter = _Emitter(self.registry)
-            if core_id in resident:
-                for stage in self.plan.stages:
-                    work = assignments.get((stage.index, core_id))
-                    if work is None:
-                        continue
-                    node, mapping, replica, role = work
-                    layout = build_core_layout(
-                        self.plan, stage, node, mapping, replica, role,
-                        core_id,
-                    )
-                    self._emit_loads(emitter, layout)
-            emitter.emit("HALT")
-            loads[core_id] = emitter.builder.finalize()
-        return warm, loads
+        return self._programs(self.plan.resident_cores())
 
-    def _emit_programs(self, assignments,
-                       skip_loads: frozenset) -> Dict[int, Program]:
-        programs: Dict[int, Program] = {}
+    def _programs(self, resident: frozenset):
+        """The one walk over cores and stages: ``(warm, load)`` program
+        maps, the load prologue of every core in ``resident`` hoisted
+        into its ``load`` program."""
+        assignments = self._assignments()
+        warm: Dict[int, Program] = {}
+        load: Dict[int, Program] = {}
         for core_id in range(self.plan.arch.num_cores):
-            emitter = _Emitter(self.registry)
+            e, hoisted = _Emitter(self.registry), _Emitter(self.registry)
             for stage in self.plan.stages:
                 work = assignments.get((stage.index, core_id))
                 if work is not None:
-                    self._emit_stage(
-                        emitter, stage, core_id, *work,
-                        loads=core_id not in skip_loads,
+                    layout = build_core_layout(
+                        self.plan, stage, *work, core_id
                     )
-                emitter.emit("BARRIER")
-            emitter.emit("HALT")
-            programs[core_id] = emitter.builder.finalize()
-        return programs
+                    if core_id in resident:
+                        self._emit_loads(hoisted, layout)
+                    self._emit_stage(e, stage, layout,
+                                     loads=core_id not in resident)
+                e.emit("BARRIER")
+            for emitter, programs in ((e, warm), (hoisted, load)):
+                emitter.halt()
+                programs[core_id] = emitter.finalize()
+        return warm, load
 
     def _assignments(self):
         table = {}
@@ -165,12 +208,9 @@ class ProgramGenerator:
         return table
 
     # -- stage emission ----------------------------------------------------------
-    def _emit_stage(self, e: _Emitter, stage: StagePlan, core_id: int,
-                    node: CondensedNode, mapping: NodeMapping, replica, role,
-                    loads: bool = True):
-        layout = build_core_layout(
-            self.plan, stage, node, mapping, replica, role, core_id
-        )
+    def _emit_stage(self, e: _Emitter, stage: StagePlan,
+                    layout: CoreStageLayout, loads: bool) -> None:
+        node = layout.node
         kernel = node.anchor.attrs.get("kernel", 1)
         if node.is_cim and node.anchor.kind is not OpKind.GEMM and kernel > _MAX_KERNEL:
             raise CompileError(
@@ -186,7 +226,7 @@ class ProgramGenerator:
             e.sreg(SReg.QMUL, node.anchor.qparams.qmul)
             e.sreg(SReg.QSHIFT, node.anchor.qparams.qshift)
         acquired = {key: buffer.p_lo for key, buffer in layout.inputs.items()}
-        y0, y1 = replica.rows
+        y0, y1 = layout.replica.rows
         for y in range(y0, y1):
             self._emit_acquisition(e, layout, y, acquired)
             self._emit_compute_row(e, layout, y)
@@ -198,26 +238,38 @@ class ProgramGenerator:
         node = layout.node
         if not node.is_cim:
             return
-        if layout.geometry.multipass:
-            # Weight-streaming operators load tiles inside the compute
-            # body (round-robin over macro groups); only constants here.
-            if node.anchor.bias_shape is not None:
-                c0 = layout.band[0]
-                src = self.plan.bias_address[node.name] + 4 * c0
-                e.mem_cpy(src, layout.bias_base, 4 * layout.band_width)
-            return
-        for mg_index, tile in enumerate(layout.role.tiles):
-            src = self.plan.tile_address(node.name, tile)
-            e.mem_cpy(src, layout.staging, tile.nbytes)
-            e.sreg(SReg.MVM_ROWS, tile.rows_used)
-            e.sreg(SReg.MVM_COLS, tile.cols_used)
-            e.li(R_T5, layout.staging)
-            e.li(R_MG, mg_index)
-            e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
+        # Weight-streaming operators load tiles inside the compute body
+        # (round-robin over macro groups); only constants here.
+        if not layout.geometry.multipass:
+            for mg_index, tile in enumerate(layout.role.tiles):
+                src = self.plan.tile_address(node.name, tile)
+                self._load_tile(e, layout, tile, src, mg_index)
         if node.anchor.bias_shape is not None:
-            c0 = layout.band[0]
-            src = self.plan.bias_address[node.name] + 4 * c0
-            e.mem_cpy(src, layout.bias_base, 4 * layout.band_width)
+            src = self.plan.bias_address[node.name] + 4 * layout.band[0]
+            e.transfer("MEM_CPY", src, layout.bias_base, 4 * layout.band_width)
+
+    def _load_tile(self, e: _Emitter, layout: CoreStageLayout, tile,
+                   src: int, slot: int) -> None:
+        """Stage one weight tile from ``src`` and write macro group ``slot``."""
+        e.transfer("MEM_CPY", src, layout.staging, tile.nbytes)
+        e.sreg(SReg.MVM_ROWS, tile.rows_used)
+        e.sreg(SReg.MVM_COLS, tile.cols_used)
+        e.li(R_T5, layout.staging)
+        e.li(R_MG, slot)
+        e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
+
+    @staticmethod
+    def _mvm_tile(e: _Emitter, tile, slot: int, acc_off: int) -> None:
+        """Multiply the im2col patch by macro group ``slot``'s tile into
+        the accumulator slice at ``acc_off`` (the slice's first tile
+        overwrites, the rest accumulate)."""
+        e.emit("SC_ADDIW", rs=R_IMC, rt=R_T1, offset=tile.vec_lo)
+        e.emit("SC_ADDIW", rs=R_ACC, rt=R_T2, offset=acc_off)
+        e.li(R_MG, slot)
+        e.emit(
+            "CIM_MVM", rs=R_T1, rt=R_MG, re=R_T2,
+            flags=0 if tile.tile_index == 0 else 1,
+        )
 
     # -- input acquisition ---------------------------------------------------------
     def _rows_hi_for_output(self, buffer: InputBuffer, y: int) -> int:
@@ -242,32 +294,22 @@ class ProgramGenerator:
         dst = buffer.data_address(p)
         if buffer.producer is None:
             src = buffer.global_address + r * buffer.row_bytes
-            e.mem_cpy(src, dst, buffer.row_bytes)
+            e.transfer("MEM_CPY", src, dst, buffer.row_bytes)
             return
         producer = buffer.producer
         prod_replica = producer.replica_for_row(r)
         roles = buffer.producer_roles
         if len(roles) == 1:
-            e.li(R_T5, dst)
-            e.li(R_T6, prod_replica.cores[0])
-            e.li(R_CNT, buffer.row_bytes)
-            e.emit("RECV", rs=R_T5, rt=R_T6, rd=R_CNT)
+            e.transfer("RECV", dst, prod_replica.cores[0], buffer.row_bytes)
             return
         out_w = producer.geometry.out_w
         for position, core in enumerate(prod_replica.cores):
             band = roles[position].band
             width = band[1] - band[0]
-            nbytes = out_w * width
-            e.li(R_T5, buffer.staging)
-            e.li(R_T6, core)
-            e.li(R_CNT, nbytes)
-            e.emit("RECV", rs=R_T5, rt=R_T6, rd=R_CNT)
+            e.transfer("RECV", buffer.staging, core, out_w * width)
             e.sreg(SReg.CHUNK, width)
             e.sreg(SReg.STRIDE, buffer.in_c)
-            e.li(R_T5, buffer.staging)
-            e.li(R_T6, dst + band[0])
-            e.li(R_CNT, out_w)
-            e.emit("MEM_SCATTER", rs=R_T5, rt=R_T6, rd=R_CNT)
+            e.transfer("MEM_SCATTER", buffer.staging, dst + band[0], out_w)
 
     # -- compute -------------------------------------------------------------------
     def _emit_compute_row(self, e: _Emitter, layout: CoreStageLayout, y: int) -> None:
@@ -282,8 +324,7 @@ class ProgramGenerator:
             self._compute_gap(e, layout)
         elif kind is OpKind.MUL_CHANNEL:
             self._compute_cmul_row(e, layout, y)
-        elif kind in (OpKind.RELU, OpKind.RELU6, OpKind.SILU, OpKind.SIGMOID,
-                      OpKind.ADD):
+        elif kind in _UNARY or kind is OpKind.ADD:
             self._compute_eltwise_row(e, layout, y)
         else:  # pragma: no cover
             raise CompileError(f"no lowering for anchor kind {kind}")
@@ -295,19 +336,36 @@ class ProgramGenerator:
             groups.setdefault(tile.slice_index, []).append((mg_index, tile))
         return [(s, groups[s]) for s in sorted(groups)]
 
-    def _x_loop(self, e: _Emitter, layout: CoreStageLayout, body) -> None:
-        """Emit the counted loop over output positions of one row."""
+    @staticmethod
+    def _row_pointers(e: _Emitter, layout: CoreStageLayout, y: int,
+                      taps: int, stride: int) -> None:
+        """Kernel-row source pointers, then output, accumulator and bias
+        bases, for output row ``y`` of a conv / dwconv."""
+        main = layout.main_buffer()
+        for kr in range(taps):
+            e.li(R_KR0 + kr, main.slot_address(y * stride + kr))
+        e.li(R_OUT, layout.out_row_address(y))
+        e.li(R_ACC, layout.acc_base)
+        if layout.bias_base:
+            e.li(R_BIAS, layout.bias_base)
+
+    @staticmethod
+    @contextmanager
+    def _x_positions(e: _Emitter, layout: CoreStageLayout, taps: int,
+                     step: int) -> Iterator[None]:
+        """The ``with`` block once per output position of a row: inline
+        for a one-wide row, else a counted loop whose body ends by
+        advancing the kernel-row pointers by ``step`` and the output
+        pointer by the band."""
         out_w = layout.geometry.out_w
         if out_w == 1:
-            body(single=True)
+            yield
             return
-        e.li(R_XCNT, 0)
-        e.li(R_XBND, out_w)
-        head = e.builder.program.new_label("xloop")
-        e.builder.program.place_label(head)
-        body(single=False)
-        e.emit("SC_ADDI", rs=R_XCNT, rt=R_XCNT, imm=1)
-        e.emit("BLT", rs=R_XCNT, rt=R_XBND, target=head)
+        with e.counted(out_w):
+            yield
+            for kr in range(taps):
+                e.emit("SC_ADDIW", rs=R_KR0 + kr, rt=R_KR0 + kr, offset=step)
+            e.emit("SC_ADDIW", rs=R_OUT, rt=R_OUT, offset=layout.band_width)
 
     def _epilogue_slices(self, e: _Emitter, layout: CoreStageLayout,
                          groups) -> None:
@@ -348,7 +406,6 @@ class ProgramGenerator:
         kernel = 1 if is_gemm else node.anchor.attrs["kernel"]
         stride = 1 if is_gemm else node.anchor.attrs["stride"]
         groups = self._slice_groups(layout)
-        tile_rows = geometry.tile_rows
         in_c = main.in_c
 
         # loop-invariant registers
@@ -358,14 +415,9 @@ class ProgramGenerator:
         else:
             e.li(R_IMC, layout.imcol)
             e.li(R_LEN_PATCH, kernel * in_c)
-            for kr in range(kernel):
-                e.li(R_KR0 + kr, main.slot_address(y * stride + kr))
-        e.li(R_OUT, layout.out_row_address(y))
-        e.li(R_ACC, layout.acc_base)
-        if layout.bias_base:
-            e.li(R_BIAS, layout.bias_base)
+        self._row_pointers(e, layout, y, 0 if is_gemm else kernel, stride)
 
-        def body(single: bool) -> None:
+        with self._x_positions(e, layout, kernel, stride * in_c):
             if not is_gemm:
                 for kr in range(kernel):
                     e.emit("SC_ADDIW", rs=R_IMC, rt=R_T1,
@@ -381,25 +433,8 @@ class ProgramGenerator:
                 for local, (s, tiles) in enumerate(groups):
                     acc_off = local * geometry.tile_cols * 4
                     for mg_index, tile in tiles:
-                        slot = mg_index % num_mgs
-                        e.emit("SC_ADDIW", rs=R_IMC, rt=R_T1,
-                               offset=tile.vec_lo)
-                        e.emit("SC_ADDIW", rs=R_ACC, rt=R_T2,
-                               offset=acc_off)
-                        e.li(R_MG, slot)
-                        e.emit(
-                            "CIM_MVM", rs=R_T1, rt=R_MG, re=R_T2,
-                            flags=0 if tile.tile_index == 0 else 1,
-                        )
+                        self._mvm_tile(e, tile, mg_index % num_mgs, acc_off)
             self._epilogue_slices(e, layout, groups)
-            if not single:
-                for kr in range(kernel):
-                    e.emit("SC_ADDIW", rs=R_KR0 + kr, rt=R_KR0 + kr,
-                           offset=stride * in_c)
-                e.emit("SC_ADDIW", rs=R_OUT, rt=R_OUT,
-                       offset=layout.band_width)
-
-        self._x_loop(e, layout, body)
 
     # -- weight streaming (multipass) ------------------------------------------
     #: Longest SC_ADDIW chain allowed for one pointer step; steps needing
@@ -451,24 +486,6 @@ class ProgramGenerator:
             return None
         return length, d_addr, d_vec
 
-    def _emit_one_pass(self, e: _Emitter, layout: CoreStageLayout,
-                       mg_index: int, tile, addr: int, acc_off: int) -> None:
-        """One unrolled weight-streaming pass: stage, load, multiply."""
-        slot = mg_index % self.plan.arch.mgs_per_core
-        e.mem_cpy(addr, layout.staging, tile.nbytes)
-        e.sreg(SReg.MVM_ROWS, tile.rows_used)
-        e.sreg(SReg.MVM_COLS, tile.cols_used)
-        e.li(R_T5, layout.staging)
-        e.li(R_MG, slot)
-        e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
-        e.emit("SC_ADDIW", rs=R_IMC, rt=R_T1, offset=tile.vec_lo)
-        e.emit("SC_ADDIW", rs=R_ACC, rt=R_T2, offset=acc_off)
-        e.li(R_MG, slot)
-        e.emit(
-            "CIM_MVM", rs=R_T1, rt=R_MG, re=R_T2,
-            flags=0 if tile.tile_index == 0 else 1,
-        )
-
     def _multipass_tiles(self, e: _Emitter, layout: CoreStageLayout,
                          groups, vec_base: int) -> None:
         """Weight-streaming passes over each owned column slice.
@@ -481,22 +498,21 @@ class ProgramGenerator:
         """
         geometry = layout.geometry
         name = layout.node.name
+        num_mgs = self.plan.arch.mgs_per_core
         for local, (s, tiles) in enumerate(groups):
             acc_off = local * geometry.tile_cols * 4
             addrs = [self.plan.tile_address(name, t) for _, t in tiles]
             i = 0
             while i < len(tiles):
+                mg_index, t0 = tiles[i]
+                slot = mg_index % num_mgs
                 run = self._uniform_run(tiles, addrs, i)
                 if run is None:
-                    mg_index, tile = tiles[i]
-                    self._emit_one_pass(
-                        e, layout, mg_index, tile, addrs[i], acc_off
-                    )
+                    self._load_tile(e, layout, t0, addrs[i], slot)
+                    self._mvm_tile(e, t0, slot, acc_off)
                     i += 1
                     continue
                 length, d_addr, d_vec = run
-                mg_index, t0 = tiles[i]
-                slot = mg_index % self.plan.arch.mgs_per_core
                 e.sreg(SReg.MVM_ROWS, t0.rows_used)
                 e.sreg(SReg.MVM_COLS, t0.cols_used)
                 e.li(R_T3, addrs[i])                # stepping tile source
@@ -505,44 +521,31 @@ class ProgramGenerator:
                 e.li(R_CNT, t0.nbytes)
                 e.emit("SC_ADDIW", rs=R_ACC, rt=R_T2, offset=acc_off)
                 e.li(R_MG, slot)
-                e.li(R_XCNT, 0)
-                e.li(R_XBND, length)
-                head = e.builder.program.new_label("wpass")
-                e.builder.program.place_label(head)
-                e.emit("MEM_CPY", rs=R_T3, rt=R_T5, rd=R_CNT)
-                e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
-                e.emit("CIM_MVM", rs=R_T4, rt=R_MG, re=R_T2, flags=1)
-                for c in self._step_chunks(d_addr):
-                    e.emit("SC_ADDIW", rs=R_T3, rt=R_T3, offset=c)
-                for c in self._step_chunks(d_vec):
-                    e.emit("SC_ADDIW", rs=R_T4, rt=R_T4, offset=c)
-                e.emit("SC_ADDI", rs=R_XCNT, rt=R_XCNT, imm=1)
-                e.emit("BLT", rs=R_XCNT, rt=R_XBND, target=head)
+                with e.counted(length):
+                    e.emit("MEM_CPY", rs=R_T3, rt=R_T5, rd=R_CNT)
+                    e.emit("CIM_LOAD", rs=R_T5, rt=R_MG)
+                    e.emit("CIM_MVM", rs=R_T4, rt=R_MG, re=R_T2, flags=1)
+                    for c in self._step_chunks(d_addr):
+                        e.emit("SC_ADDIW", rs=R_T3, rt=R_T3, offset=c)
+                    for c in self._step_chunks(d_vec):
+                        e.emit("SC_ADDIW", rs=R_T4, rt=R_T4, offset=c)
                 i += length
 
     def _compute_dwconv_row(self, e: _Emitter, layout: CoreStageLayout, y: int) -> None:
         node = layout.node
-        geometry = layout.geometry
-        main = layout.main_buffer()
         kernel = node.anchor.attrs["kernel"]
         stride = node.anchor.attrs["stride"]
-        in_c = main.in_c
-        groups = self._slice_groups(layout)
+        in_c = layout.main_buffer().in_c
         c0 = layout.band[0]
 
         e.li(R_IMC, layout.imcol)
         e.li(R_GBUF, layout.dw_gather)
         e.li(R_LEN_PATCH, in_c)
         e.li(R_CNT, kernel * kernel)
-        for kr in range(kernel):
-            e.li(R_KR0 + kr, main.slot_address(y * stride + kr))
-        e.li(R_OUT, layout.out_row_address(y))
-        e.li(R_ACC, layout.acc_base)
-        if layout.bias_base:
-            e.li(R_BIAS, layout.bias_base)
+        self._row_pointers(e, layout, y, kernel, stride)
         e.sreg(SReg.STRIDE, in_c)
 
-        def body(single: bool) -> None:
+        with self._x_positions(e, layout, kernel, stride * in_c):
             for kr in range(kernel):
                 for kc in range(kernel):
                     e.emit("SC_ADDIW", rs=R_KR0 + kr, rt=R_T1,
@@ -567,14 +570,6 @@ class ProgramGenerator:
                 e.emit("SC_ADDIW", rs=R_OUT, rt=R_T2,
                        offset=tile.channel_lo - c0)
                 e.emit("VEC_QNT", rs=R_ACC, rd=R_T2, re=R_T3)
-            if not single:
-                for kr in range(kernel):
-                    e.emit("SC_ADDIW", rs=R_KR0 + kr, rt=R_KR0 + kr,
-                           offset=stride * in_c)
-                e.emit("SC_ADDIW", rs=R_OUT, rt=R_OUT,
-                       offset=layout.band_width)
-
-        self._x_loop(e, layout, body)
 
     def _compute_pool_row(self, e: _Emitter, layout: CoreStageLayout, y: int) -> None:
         node = layout.node
@@ -618,18 +613,13 @@ class ProgramGenerator:
         e.li(R_T4, layout.pool_acc)
         e.li(R_LEN_ROW, channels)
         for r in range(main.in_h):
-            e.li(R_T1, main.slot_address(r + main.pad) if False else main.data_address(r + main.pad))
+            e.li(R_T1, main.data_address(r + main.pad))
             if main.in_w == 1:
                 e.emit("VEC_ACC32", rs=R_T1, rd=R_T4, re=R_LEN_ROW)
                 continue
-            e.li(R_XCNT, 0)
-            e.li(R_XBND, main.in_w)
-            head = e.builder.program.new_label("gap")
-            e.builder.program.place_label(head)
-            e.emit("VEC_ACC32", rs=R_T1, rd=R_T4, re=R_LEN_ROW)
-            e.emit("SC_ADDIW", rs=R_T1, rt=R_T1, offset=channels)
-            e.emit("SC_ADDI", rs=R_XCNT, rt=R_XCNT, imm=1)
-            e.emit("BLT", rs=R_XCNT, rt=R_XBND, target=head)
+            with e.counted(main.in_w):
+                e.emit("VEC_ACC32", rs=R_T1, rd=R_T4, re=R_LEN_ROW)
+                e.emit("SC_ADDIW", rs=R_T1, rt=R_T1, offset=channels)
         e.li(R_OUT, layout.out_row_address(0))
         e.emit("VEC_QNT", rs=R_T4, rd=R_OUT, re=R_LEN_ROW)
 
@@ -662,13 +652,7 @@ class ProgramGenerator:
             e.li(R_T2, resid.data_address(y))
             e.emit("VEC_ADD", rs=R_T1, rt=R_T2, rd=R_OUT, re=R_LEN_ROW)
         else:
-            mnemonic = {
-                OpKind.RELU: "VEC_RELU",
-                OpKind.RELU6: "VEC_RELU6",
-                OpKind.SILU: "VEC_SILU",
-                OpKind.SIGMOID: "VEC_SIGMOID",
-            }[kind]
-            e.emit(mnemonic, rs=R_T1, rd=R_OUT, re=R_LEN_ROW)
+            e.emit(_UNARY[kind], rs=R_T1, rd=R_OUT, re=R_LEN_ROW)
 
     # -- fused epilogue ------------------------------------------------------------
     def _emit_row_epilogue(self, e: _Emitter, layout: CoreStageLayout, y: int) -> None:
@@ -689,14 +673,8 @@ class ProgramGenerator:
                 if resid is None:
                     raise CompileError(f"{node.name}: fused add lacks residual")
                 self._emit_residual_add(e, layout, resid, y)
-            elif op.kind is OpKind.RELU:
-                e.emit("VEC_RELU", rs=R_T1, rd=R_T1, re=R_LEN_ROW)
-            elif op.kind is OpKind.RELU6:
-                e.emit("VEC_RELU6", rs=R_T1, rd=R_T1, re=R_LEN_ROW)
-            elif op.kind is OpKind.SILU:
-                e.emit("VEC_SILU", rs=R_T1, rd=R_T1, re=R_LEN_ROW)
-            elif op.kind is OpKind.SIGMOID:
-                e.emit("VEC_SIGMOID", rs=R_T1, rd=R_T1, re=R_LEN_ROW)
+            elif op.kind in _UNARY:
+                e.emit(_UNARY[op.kind], rs=R_T1, rd=R_T1, re=R_LEN_ROW)
             else:  # pragma: no cover
                 raise CompileError(f"cannot fuse {op.kind} into an epilogue")
 
@@ -745,23 +723,18 @@ class ProgramGenerator:
         row_addr = layout.out_row_address(y)
         nbytes = layout.out_row_bytes
         for core in self._consumer_cores_for_row(stage, node, y):
-            e.li(R_T5, row_addr)
-            e.li(R_T6, core)
-            e.li(R_CNT, nbytes)
-            e.emit("SEND", rs=R_T5, rt=R_T6, rd=R_CNT)
+            e.transfer("SEND", row_addr, core, nbytes)
         if stage.spill[node.name]:
             geometry = layout.geometry
             out_row_bytes = geometry.out_w * geometry.out_c
             dst = self.plan.tensor_address[node.output] + y * out_row_bytes
             if layout.band_width == geometry.out_c:
-                e.mem_cpy(row_addr, dst, nbytes)
+                e.transfer("MEM_CPY", row_addr, dst, nbytes)
             else:
                 e.sreg(SReg.CHUNK, layout.band_width)
                 e.sreg(SReg.STRIDE, geometry.out_c)
-                e.li(R_T5, row_addr)
-                e.li(R_T6, dst + layout.band[0])
-                e.li(R_CNT, geometry.out_w)
-                e.emit("MEM_SCATTER", rs=R_T5, rt=R_T6, rd=R_CNT)
+                e.transfer("MEM_SCATTER", row_addr, dst + layout.band[0],
+                           geometry.out_w)
 
 
 def build_global_image(plan: ExecutionPlan) -> np.ndarray:

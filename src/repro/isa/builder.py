@@ -5,6 +5,11 @@ idioms code generation needs constantly: loading arbitrary 32-bit
 immediates (``li`` expands into ``SC_LUI``/``SC_ORI`` pairs when needed,
 mirroring how the paper's ISA handles its large ``G_LI`` constants),
 counted loops, and special-register setup.
+
+The compiler's emitter (``compiler.codegen.lowering._Emitter``) is a
+subclass: it adds the special-register cache and builds its counted
+loops on :meth:`ProgramBuilder.loop`, so the loop label and back branch
+are written here once.
 """
 
 from contextlib import contextmanager

@@ -260,20 +260,25 @@ COMPILED_DIGESTS = json.loads(
 )
 
 
-def _compiled_digests(compiled):
-    """SHA-256 of the global image and of every core's instruction stream
-    (mnemonic + non-zero fields, the artifact's canonical form -- encoded
-    words would drop ``weight_stream``'s out-of-range ``li`` immediates)."""
-    programs = hashlib.sha256()
-    for core_id in sorted(compiled.programs):
-        for instr in compiled.programs[core_id]:
+def _programs_digest(programs):
+    """SHA-256 of every core's instruction stream (mnemonic + non-zero
+    fields, the artifact's canonical form -- encoded words would drop
+    ``weight_stream``'s out-of-range ``li`` immediates)."""
+    digest = hashlib.sha256()
+    for core_id in sorted(programs):
+        for instr in programs[core_id]:
             fields = sorted(
                 (k, int(v)) for k, v in instr.fields.items() if v != 0
             )
-            programs.update(repr((core_id, instr.mnemonic, fields)).encode())
+            digest.update(repr((core_id, instr.mnemonic, fields)).encode())
+    return digest.hexdigest()
+
+
+def _compiled_digests(compiled):
+    """SHA-256 of the global image and of the programs."""
     return {
         "image": hashlib.sha256(compiled.global_image.tobytes()).hexdigest(),
-        "programs": programs.hexdigest(),
+        "programs": _programs_digest(compiled.programs),
     }
 
 
@@ -286,6 +291,80 @@ def test_zoo_compiled_digests(name, strategy, table1_arch):
     graph = get_model(name, **ZOO_SMALL[name])
     compiled = compile_graph(graph, table1_arch, strategy)
     assert _compiled_digests(compiled) == COMPILED_DIGESTS[f"{name}/{strategy}"]
+
+
+#: ``(warm, load)`` program digests of resident sessions on the Table I
+#: chip, recorded before lowering was rewritten around its idiom helpers.
+RESIDENT_DIGESTS = {
+    "weight_stream": (
+        "87b840d7262f8f490fd37fc78690bf336216d96bc5dfe44379441e7c42dc2583",
+        "c0f77b67ced1f9fb02694408afdcd1e32fbfb744b26fc931280b9d49a00e5c41",
+    ),
+    "resnet18": (
+        "1ddf36755ed9fe062f7693d49b834d52eaf248618210227ba495dcbfcfd9947e",
+        "03ac4de59edb27906f69b44c6e7f48587aecb024166e5682c05fbf5eb3f6afc8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RESIDENT_DIGESTS)
+def test_resident_segment_digests(name, table1_arch):
+    graph = get_model(name, **ZOO_SMALL[name])
+    segments = compile_graph(graph, table1_arch, "dp").resident_segments()
+    assert tuple(map(_programs_digest, segments)) == RESIDENT_DIGESTS[name]
+
+
+def _vector_rows():
+    """Standalone RELU / SIGMOID / ADD rows and an AVGPOOL row, which no
+    zoo model lowers: relu -> sigmoid -> conv (+ input) -> add -> avgpool."""
+    b = GraphBuilder("vector_rows", seed=5)
+    x = b.input((6, 6, 8))
+    r = b.sigmoid(b.relu(x))
+    a = b.add(b.conv(r, 8, 3, padding=1), x)
+    b.output(b.avgpool(b.add(a, r), 2, 2))
+    return b.build()
+
+
+VECTOR_ROW_DIGESTS = {
+    "generic": {
+        "image": "77f37c9533f4fada15db20cd139f23fdc172cd8e0519473d3d07b2437b59ee22",
+        "programs": "704ebde2d43210e59e604c47110f00031c83879570cf3fa5ac15e5a41cd4a3f7",
+    },
+    "dp": {
+        "image": "12c3b45c3400fa7ca8a2b6df048e88961947fd70cdb9be4215a6a400af26cea0",
+        "programs": "abbeef16b4360c51bf2898348019b00d8a5fc26df0fefeb1330476f41f3a58ca",
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", VECTOR_ROW_DIGESTS)
+def test_vector_row_digests(strategy, arch):
+    compiled = compile_graph(_vector_rows(), arch, strategy)
+    assert _compiled_digests(compiled) == VECTOR_ROW_DIGESTS[strategy]
+
+
+def _uneven_dwconv():
+    """On a 64-row macro the first dwconv is one 7-channel group and
+    leaves ``CHUNK`` at 7; the second (8 channels) gathers groups of 7
+    and 1, so its first ``CHUNK`` set is elided at the loop head."""
+    b = GraphBuilder("dw_widths")
+    x = b.input((6, 6, 7))
+    y = b.conv(b.dwconv(x, 3, padding=1), 8, 1)
+    b.output(b.dwconv(y, 3, padding=1))
+    return b.build()
+
+
+@pytest.mark.parametrize("cores,strategy",
+                         [(1, "generic"), (1, "dp"), (4, "dp")])
+def test_loop_body_reestablishes_its_special_registers(cores, strategy):
+    """An S_Reg set inside a counted loop is not elided against the value
+    cached before the loop head when the body changes it: the second x
+    iteration of a dwconv row must gather tile 0 at tile 0's width."""
+    from repro.serve import Deployment
+
+    arch = small_test_arch(num_cores=cores)
+    result = Deployment(_uneven_dwconv(), arch, strategy=strategy).run()
+    assert result.validated
 
 
 def _reference_tile(geom, tile):

@@ -786,6 +786,21 @@ def _one_instruction_constructor(root: Path):
     )
 
 
+def _one_codegen_loop(root: Path):
+    """Lowering writes each idiom once: a loop label and its back branch
+    are made only in the counted-loop helper (which owns the S_Reg
+    cache's loop-head rule), and no code reaches through the emitter to
+    a wrapped builder."""
+    lowering = _read(root, "src/repro/compiler/codegen/lowering.py")
+    loop = re.compile(r"new_label\(|place_label\(|[\"']BLT[\"']")
+    helper = _sed(lowering, r"^    def counted\(", r"^\S|^    (@|def )")[:-1]
+    return (
+        _only([line for line in lowering.splitlines() if loop.search(line)],
+              [line for line in helper if loop.search(line)], "loop idiom")
+        + _none(re.findall(r"\.builder\.", lowering), "builder reach")
+    )
+
+
 _W = "work" "flow"  # spelled apart: the pipeline law greps this file
 #: law -> (its check, a tree breaking each of its clauses once, the
 #: clauses it breaks)
@@ -938,6 +953,17 @@ GREP_LAWS = {
             "    return code\n"
         ),
     }, ["constructor call", "decoded table", "field read"]),
+    "one_codegen_loop": (_one_codegen_loop, {
+        "src/repro/compiler/codegen/lowering.py": (
+            "class _Emitter(ProgramBuilder):\n"
+            "    def counted(self, n):\n"
+            "        head = self.program.new_label(\"loop\")\n"
+            "\n"
+            "    def _gap(self, e):\n"
+            "        e.builder.program.place_label(head)\n"
+            "        e.emit(\"BLT\", rs=R_XCNT, rt=R_XBND, target=head)\n"
+        ),
+    }, ["loop idiom", "builder reach"]),
 }
 
 
