@@ -75,16 +75,4 @@ def prefix_masks(n: int) -> List[int]:
 
 def mask_nodes(mask: int) -> List[int]:
     """Node indices contained in a bitmask, ascending."""
-    nodes = []
-    i = 0
-    while mask:
-        if mask & 1:
-            nodes.append(i)
-        mask >>= 1
-        i += 1
-    return nodes
-
-
-def is_subset(inner: int, outer: int) -> bool:
-    """True when closure ``inner`` is contained in closure ``outer``."""
-    return inner & outer == inner
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]

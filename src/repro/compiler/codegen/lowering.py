@@ -667,6 +667,9 @@ class ProgramGenerator:
             buf for key, buf in layout.inputs.items()
             if key.startswith("residual:")
         )
+        if node.anchor.kind is OpKind.ADD:
+            # The anchor's own operand, which _compute_eltwise_row added.
+            next(residual_iter, None)
         for op in node.fused:
             if op.kind is OpKind.ADD:
                 resid = next(residual_iter, None)

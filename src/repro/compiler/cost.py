@@ -12,10 +12,11 @@ performance model (:mod:`repro.sim.fastmodel`) reuses this module.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from repro.config import ArchConfig
-from repro.compiler.frontend import CondensedGraph, CondensedNode
+from repro.compiler.closures import mask_nodes
+from repro.compiler.frontend import CondensedGraph
 from repro.compiler.geometry import NodeGeometry
 from repro.graph.ops import OpKind
 from repro.utils import ceil_div
@@ -28,11 +29,15 @@ _LOOP_OVERHEAD = 4
 _GLOBAL_HOPS = 4
 
 
+#: cycles of the synchronisation that starts every stage.
+STAGE_BARRIER = 100
+
+
 class NodeTopology(NamedTuple):
     """Where one node reads and writes, fixed by its stage's node set.
 
     Field order matches the trailing parameters of
-    :meth:`CostModel.row_cycles` and :meth:`CostModel.estimate_node`.
+    :meth:`CostModel.node_cycles` and :meth:`CostModel.estimate_node`.
     """
 
     read_global: bool
@@ -40,46 +45,66 @@ class NodeTopology(NamedTuple):
     same_stage_consumers: int
 
 
+def stage_topology(cgraph: CondensedGraph, stage_mask: int) -> List[NodeTopology]:
+    """Where each node of a stage reads and writes, in ascending node order.
+
+    ``stage_mask`` holds the stage's nodes (bit ``i`` = node ``i``).  A
+    node reads its main input from global memory unless a stage node
+    produces it, streams its output to every stage node reading it, and
+    also writes it to global memory when a node outside the stage reads
+    it or the graph needs it regardless (a marked output, or no reader
+    at all).  Each fact is one ``&`` against the graph's per-node masks,
+    and none depends on replica counts, so one pass serves every
+    duplication trial of the stage.
+    """
+    producers = cgraph.main_producer_bits
+    readers = cgraph.reader_masks
+    always = cgraph.always_spills
+    topology = []
+    for i in mask_nodes(stage_mask):
+        local = readers[i] & stage_mask
+        topology.append(NodeTopology(
+            not (producers[i] & stage_mask),
+            always[i] or local != readers[i],
+            bin(local).count("1"),
+        ))
+    return topology
+
+
+def stage_mask_of(stage_nodes: Iterable[int]) -> int:
+    """The bitmask of a set of node indices."""
+    mask = 0
+    for index in stage_nodes:
+        mask |= 1 << index
+    return mask
+
+
 def spill_flags(
-    cgraph: CondensedGraph, stage_nodes: Sequence[int]
+    cgraph: CondensedGraph, stage_nodes: Iterable[int]
 ) -> Dict[str, bool]:
     """Which stage nodes must write their output to global memory."""
-    in_stage = set(stage_nodes)
-    flags: Dict[str, bool] = {}
-    for index in stage_nodes:
-        node = cgraph.nodes[index]
-        consumers = cgraph.consumers(node)
-        external = any(c not in in_stage for c in consumers)
-        flags[node.name] = external or cgraph.is_graph_output(node) or not consumers
-    return flags
+    mask = stage_mask_of(stage_nodes)
+    return {
+        cgraph.nodes[index].name: topology.write_global
+        for index, topology in zip(mask_nodes(mask), stage_topology(cgraph, mask))
+    }
 
 
-def stage_topology(
-    nodes: Sequence[CondensedNode], spill: Optional[Dict[str, bool]] = None
-) -> List[NodeTopology]:
-    """Where each node of a stage reads and writes, in ``nodes`` order.
+def node_latency(load: int, row: int, out_h: int, replicas: int) -> int:
+    """One node's cycles: its weight load, then its rows, split over
+    ``replicas`` that run in parallel."""
+    return load - (-out_h // replicas) * row  # ceil(out_h / replicas) rows
 
-    A node reads its main input from global memory unless a stage node
-    produces it, streams its output to every *other* stage node reading
-    it, and also writes it to global memory when ``spill`` says so (a
-    later stage or the host consumes it; without ``spill`` every node
-    does).  None of this depends on replica counts, so one pass per
-    stage serves every duplication trial.
+
+def stage_latency(latencies: Sequence[int], rows: Sequence[int]) -> int:
+    """A stage's cycles from its nodes' latencies and row cycles.
+
+    Nodes in a stage form an inter-operator pipeline: the slowest node
+    sets the steady state, every other node adds one row of pipeline
+    fill, and the stage start adds a barrier.  Only the first term moves
+    with replica counts.
     """
-    spill = spill if spill is not None else {}
-    readers: Dict[str, int] = {node.output: 0 for node in nodes}
-    for node in nodes:
-        for tensor in {ni.tensor for ni in node.inputs}:
-            if tensor in readers:
-                readers[tensor] += 1
-    return [
-        NodeTopology(
-            read_global=node.main_input.tensor not in readers,
-            write_global=spill.get(node.name, True),
-            same_stage_consumers=readers[node.output],
-        )
-        for node in nodes
-    ]
+    return max(latencies) + sum(rows) - max(rows) + STAGE_BARRIER
 
 
 @dataclass
@@ -205,6 +230,20 @@ class CostModel:
         per_tile = self.global_cycles(tile_bytes) + self.copy_cycles(tile_bytes)
         return tiles_per_core * per_tile
 
+    def node_cycles(
+        self,
+        geom: NodeGeometry,
+        read_global: bool = True,
+        write_global: bool = True,
+        same_stage_consumers: int = 0,
+    ) -> Tuple[int, int]:
+        """``(load_cycles, row_cycles)`` of one node under one topology:
+        the two integers :func:`node_latency` reads at any replica count."""
+        return (
+            self.load_cycles(geom),
+            self.row_cycles(geom, read_global, write_global, same_stage_consumers),
+        )
+
     def estimate_node(
         self,
         geom: NodeGeometry,
@@ -221,24 +260,20 @@ class CostModel:
         if cached is not None:
             return cached
         replicas = max(1, min(replicas, geom.max_replicas))
-        rows = ceil_div(geom.out_h, replicas)
-        row_cost = self.row_cycles(
+        load, row_cost = self.node_cycles(
             geom, read_global, write_global, same_stage_consumers
         )
-        load = self.load_cycles(geom)
-        latency = load + rows * row_cost
         categories = self._node_energy(
             geom, replicas, read_global, write_global, same_stage_consumers
         )
-        energy = sum(categories.values())
         estimate = NodeEstimate(
             replicas=replicas,
             cores=replicas * geom.cores_min,
             load_cycles=load,
             row_cycles=row_cost,
-            rows_per_replica=rows,
-            latency=latency,
-            energy_pj=energy,
+            rows_per_replica=ceil_div(geom.out_h, replicas),
+            latency=node_latency(load, row_cost, geom.out_h, replicas),
+            energy_pj=sum(categories.values()),
             energy_categories=categories,
         )
         self._node_cache[key] = estimate
@@ -350,17 +385,10 @@ class CostModel:
         self,
         geoms: List[NodeGeometry],
         replicas: Dict[str, int],
-        spill: Optional[Dict[str, bool]] = None,
+        topology: Sequence[NodeTopology],
     ) -> "StageEstimate":
-        """Pipelined stage estimate.
-
-        Nodes in a stage form an inter-operator pipeline: steady-state
-        latency is set by the slowest node, plus one pipeline-fill term per
-        node, plus the (parallel) weight loads.  ``spill`` marks nodes whose
-        output must also be written to global memory (consumed by a later
-        stage or a graph output); when omitted every node spills.
-        """
-        topology = stage_topology([g.node for g in geoms], spill)
+        """Stage estimate at the given replica counts, every node priced
+        from scratch under its :func:`stage_topology` entry."""
         return self.fold_stage([
             self.estimate_node(geom, replicas.get(geom.node.name, 1), *topo)
             for geom, topo in zip(geoms, topology)
@@ -370,12 +398,9 @@ class CostModel:
         """Stage estimate from its nodes' estimates (in stage order)."""
         if not node_costs:
             return StageEstimate(0, 0.0, [])
-        steady = max(c.latency for c in node_costs)
-        fill = sum(c.row_cycles for c in node_costs) - max(
-            c.row_cycles for c in node_costs
+        latency = stage_latency(
+            [c.latency for c in node_costs], [c.row_cycles for c in node_costs]
         )
-        barrier = 100  # stage start synchronisation overhead
-        latency = steady + fill + barrier
         energy = sum(c.energy_pj for c in node_costs)
         energy += latency * self.energy.static_pj_per_cycle(self.arch.chip.clock_mhz)
         return StageEstimate(latency, energy, node_costs)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.errors import CompileError
+from repro.compiler.closures import mask_nodes
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator, OpKind
 
@@ -114,8 +115,15 @@ class CondensedGraph:
         self._use_count: Dict[str, int] = {}
         #: storage tensors of the graph's marked outputs.
         self._marked_outputs: Set[str] = set()
-        #: node index -> ascending indices of the nodes consuming it.
-        self._consumers: List[List[int]] = []
+        #: The per-node bitmasks a stage's topology is read from
+        #: (:func:`repro.compiler.cost.stage_topology`), bit ``i`` =
+        #: node ``i``: the producer of the node's main input (0 for a
+        #: graph input), the nodes reading its output (the consumer
+        #: index), and whether its output must reach global memory
+        #: whatever the stage (a marked graph output, or read by no node).
+        self.main_producer_bits: List[int] = []
+        self.reader_masks: List[int] = []
+        self.always_spills: List[bool] = []
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -226,10 +234,18 @@ class CondensedGraph:
                 self._new_node(op)
         if not self.nodes:
             raise CompileError("model contains no computation to map")
-        self._consumers = [[] for _ in self.nodes]
+        self.reader_masks = [0] * len(self.nodes)
         for node in self.nodes:
             for producer in self.deps(node):
-                self._consumers[producer].append(node.index)
+                self.reader_masks[producer] |= 1 << node.index
+        for node in self.nodes:
+            producer = self.producer_index.get(node.main_input.tensor)
+            self.main_producer_bits.append(
+                0 if producer is None else 1 << producer
+            )
+            self.always_spills.append(
+                self.is_graph_output(node) or not self.reader_masks[node.index]
+            )
 
     # -- queries -------------------------------------------------------------
     def __len__(self) -> int:
@@ -250,7 +266,7 @@ class CondensedGraph:
 
     def consumers(self, node: CondensedNode) -> List[int]:
         """Indices of nodes consuming this node's output."""
-        return self._consumers[node.index]
+        return mask_nodes(self.reader_masks[node.index])
 
     def is_graph_output(self, node: CondensedNode) -> bool:
         return node.output in self._marked_outputs

@@ -5,9 +5,12 @@ inter-chip sharding front-end.
 stages* so each stage's weights fit the chip's CIM capacity
 simultaneously.  Dependency closures of the condensed DAG are enumerated
 as bitmasks; every pair of nested closures ``D[j] subset D[i]`` defines a
-candidate stage ``D[i] - D[j]``; ``OptimalMapping`` prices each candidate
-(with duplication), and dynamic programming selects the partition chain
-with minimum total cost.
+candidate stage ``D[i] - D[j]``.  A candidate that overflows the chip is
+rejected from the closures' core sums; a feasible one is priced as one
+integer, its latency with duplication (:func:`stage_pricer`), and
+dynamic programming selects the partition chain with minimum total
+latency.  Only the stages of that chain are mapped and estimated by
+:func:`~repro.compiler.mapping.optimal_mapping`.
 
 **Across chips**, :func:`shard_graph` pipeline-shards the condensed
 linearization into contiguous per-chip segments (:class:`ShardingSpec`
@@ -20,20 +23,26 @@ sharding").
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import ArchConfig
 from repro.errors import CompileError
 from repro.compiler.closures import (
     DEFAULT_CLOSURE_LIMIT,
     closure_masks,
-    is_subset,
     mask_nodes,
 )
-from repro.compiler.cost import CostModel, StageEstimate, spill_flags
+from repro.compiler.cost import (
+    CostModel,
+    NodeTopology,
+    StageEstimate,
+    stage_latency,
+    stage_mask_of,
+    stage_topology,
+)
 from repro.compiler.frontend import CondensedGraph, condense
 from repro.compiler.geometry import NodeGeometry
-from repro.compiler.mapping import optimal_mapping
+from repro.compiler.mapping import grant_replicas, minimum_cores, optimal_mapping
 from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator, OpKind
 
@@ -59,6 +68,72 @@ class PartitionResult:
         return sum(s.estimate.energy_pj for s in self.stages)
 
 
+def stage_pricer(
+    cgraph: CondensedGraph,
+    geometries: Dict[str, NodeGeometry],
+    arch: ArchConfig,
+    cost_model: CostModel,
+    duplicate: bool = True,
+) -> Callable[[int], Optional[Tuple[List[int], int]]]:
+    """The DP's price of a candidate stage, in integers only.
+
+    The returned function maps a stage mask to the stage's replica
+    counts (ascending node order) and latency, or to ``None`` when one
+    replica of every node overflows the chip.  It reads each node's
+    ``(load_cycles, row_cycles)`` once per topology and runs the
+    duplication greedy on them; :func:`optimal_mapping` runs the same
+    greedy and adds the estimates, for the stages the DP keeps.
+    """
+    geoms = [geometries[node.name] for node in cgraph.nodes]
+    # node index -> topology -> (load_cycles, row_cycles)
+    known: List[Dict[NodeTopology, Tuple[int, int]]] = [{} for _ in geoms]
+
+    def price(stage_mask: int) -> Optional[Tuple[List[int], int]]:
+        nodes = mask_nodes(stage_mask)
+        stage_geoms = [geoms[k] for k in nodes]
+        spare = arch.num_cores - minimum_cores(stage_geoms)
+        if spare < 0:
+            return None
+        cycles = []
+        for k, topology in zip(nodes, stage_topology(cgraph, stage_mask)):
+            pair = known[k].get(topology)
+            if pair is None:
+                pair = known[k][topology] = cost_model.node_cycles(
+                    geoms[k], *topology
+                )
+            cycles.append(pair)
+        # Every replica takes at least one core: no spare core, no replica.
+        replicas, latencies = grant_replicas(
+            stage_geoms, cycles, spare if duplicate else 0
+        )
+        return replicas, stage_latency(latencies, [row for _, row in cycles])
+
+    return price
+
+
+def _decide(
+    cgraph: CondensedGraph,
+    geometries: Dict[str, NodeGeometry],
+    stage_mask: int,
+    arch: ArchConfig,
+    cost_model: CostModel,
+    duplicate: bool,
+) -> StageDecision:
+    """Map and estimate one kept stage."""
+    nodes = mask_nodes(stage_mask)
+    priced = optimal_mapping(
+        [geometries[cgraph.nodes[i].name] for i in nodes],
+        arch,
+        cost_model,
+        duplicate=duplicate,
+        topology=stage_topology(cgraph, stage_mask),
+    )
+    if priced is None:  # pragma: no cover - callers check the core sums
+        raise CompileError("kept stage unexpectedly infeasible")
+    replicas, estimate = priced
+    return StageDecision(node_indices=nodes, replicas=replicas, estimate=estimate)
+
+
 def dp_partition(
     cgraph: CondensedGraph,
     geometries: Dict[str, NodeGeometry],
@@ -67,7 +142,14 @@ def dp_partition(
     duplicate: bool = True,
     closure_limit: int = DEFAULT_CLOSURE_LIMIT,
 ) -> PartitionResult:
-    """Algorithm 1: DP-based partitioning and mapping."""
+    """Algorithm 1: DP-based partitioning and mapping.
+
+    Candidates are compared by their integer stage latency alone: a
+    candidate whose closures' core sums already overflow the chip is
+    skipped before any node is visited, a feasible one is priced once
+    by :func:`stage_pricer`, and :class:`StageEstimate` objects are
+    built by the backtrack, for the stages of the kept chain only.
+    """
     cost_model = cost_model or CostModel(arch)
     deps = cgraph.dep_list()
     masks = closure_masks(deps, closure_limit)
@@ -76,59 +158,56 @@ def dp_partition(
     if full not in index_of:
         raise CompileError("closure enumeration lost the full graph")
 
+    price = stage_pricer(cgraph, geometries, arch, cost_model, duplicate)
+    node_cores = [geometries[node.name].cores_min for node in cgraph.nodes]
+    core_sums = [sum(node_cores[k] for k in mask_nodes(mask)) for mask in masks]
+    num_cores = arch.num_cores
+    latency_of: Dict[int, int] = {}
+
+    # Proper subsets have fewer nodes, and masks are sorted by node
+    # count, so every j < i is a candidate predecessor of i, in the
+    # order the first-found tie-break of the chain depends on.
     INF = float("inf")
-    dp = [INF] * len(masks)
+    dp: List[float] = [INF] * len(masks)
     prev = [-1] * len(masks)
-    decision: List[Optional[StageDecision]] = [None] * len(masks)
-    stage_cache: Dict[int, Optional[Tuple[Dict[str, int], StageEstimate]]] = {}
-
-    def price_stage(stage_mask: int) -> Optional[Tuple[Dict[str, int], StageEstimate]]:
-        if stage_mask not in stage_cache:
-            nodes = mask_nodes(stage_mask)
-            geoms = [geometries[cgraph.nodes[i].name] for i in nodes]
-            spill = spill_flags(cgraph, nodes)
-            stage_cache[stage_mask] = optimal_mapping(
-                geoms, arch, cost_model, duplicate=duplicate, spill=spill
-            )
-        return stage_cache[stage_mask]
-
     for i, mask_i in enumerate(masks):
         if mask_i == 0:
-            dp[i] = 0.0
+            dp[i] = 0
             continue
-        for j in range(len(masks)):
+        best, best_j = INF, -1
+        cores_i = core_sums[i]
+        for j in range(i):
+            cost_j = dp[j]
             mask_j = masks[j]
-            if mask_j == mask_i or not is_subset(mask_j, mask_i):
+            if (
+                cost_j == INF
+                or (mask_j & mask_i) != mask_j
+                or cores_i - core_sums[j] > num_cores
+            ):
                 continue
-            if dp[j] == INF:
-                continue
-            stage_mask = mask_i & ~mask_j
-            priced = price_stage(stage_mask)
-            if priced is None:
-                continue
-            replicas, estimate = priced
-            cost = dp[j] + estimate.cost
-            if cost < dp[i]:
-                dp[i] = cost
-                prev[i] = j
-                decision[i] = StageDecision(
-                    node_indices=mask_nodes(stage_mask),
-                    replicas=replicas,
-                    estimate=estimate,
-                )
+            stage_mask = mask_i ^ mask_j
+            latency = latency_of.get(stage_mask)
+            if latency is None:
+                latency = latency_of[stage_mask] = price(stage_mask)[1]
+            if cost_j + latency < best:
+                best, best_j = cost_j + latency, j
+        dp[i], prev[i] = best, best_j
 
     final = index_of[full]
     if dp[final] == INF:
         raise CompileError(
             "no feasible partition: some stage cannot fit the chip even alone"
         )
-    stages: List[StageDecision] = []
+    chain: List[int] = []
     cursor = final
     while masks[cursor] != 0:
-        stages.append(decision[cursor])
+        chain.append(masks[cursor] ^ masks[prev[cursor]])
         cursor = prev[cursor]
-    stages.reverse()
-    return PartitionResult(stages=stages, total_cost=dp[final])
+    stages = [
+        _decide(cgraph, geometries, stage_mask, arch, cost_model, duplicate)
+        for stage_mask in reversed(chain)
+    ]
+    return PartitionResult(stages=stages, total_cost=float(dp[final]))
 
 
 def greedy_partition(
@@ -151,22 +230,12 @@ def greedy_partition(
     current: List[int] = []
 
     def close_stage() -> None:
-        if not current:
-            return
-        geoms = [geometries[cgraph.nodes[i].name] for i in current]
-        spill = spill_flags(cgraph, current)
-        priced = optimal_mapping(
-            geoms, arch, cost_model, duplicate=duplicate, spill=spill
-        )
-        if priced is None:  # pragma: no cover - guarded by the fit check
-            raise CompileError("greedy stage unexpectedly infeasible")
-        replicas, estimate = priced
-        stages.append(
-            StageDecision(
-                node_indices=list(current), replicas=replicas, estimate=estimate
-            )
-        )
-        current.clear()
+        if current:
+            stages.append(_decide(
+                cgraph, geometries, stage_mask_of(current), arch, cost_model,
+                duplicate,
+            ))
+            current.clear()
 
     used_cores = 0
     for index, node in enumerate(cgraph.nodes):

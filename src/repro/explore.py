@@ -99,7 +99,13 @@ _MODEL_COST = {
     "tiny_resnet": 0.1,
 }
 
-_STRATEGY_COST = {"generic": 1.0, "duplication": 1.6, "dp": 4.0}
+#: Relative cost of each strategy, also only to order sweep work:
+#: ``_analyze_base`` seconds (best of 3, model graph cached, one core)
+#: over resnet18, mobilenetv2 and efficientnetb0 at 224 px on 1 and 16
+#: chips.  duplication runs 0.8-1.1x generic; dp runs 1.7-6.9x generic
+#: on 16 chips and 3.5-16x on 1 chip (efficientnetb0: 0.017 s generic,
+#: 0.27 s dp), about 5x as a geometric mean.
+_STRATEGY_COST = {"generic": 1.0, "duplication": 1.0, "dp": 5.0}
 
 #: Per-model closure limit: a plain int, a {model: limit} map, or None.
 #: Mappings are normalised to sorted (model, limit) tuples inside

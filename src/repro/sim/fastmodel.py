@@ -11,7 +11,7 @@ pipeline), and per-row costs come from the same architecture parameters
 the cycle simulator charges.
 
 It is deliberately distinct from the closed-form estimates the DP
-partitioner optimises (:class:`repro.compiler.cost.CostModel.estimate_stage`
+partitioner optimises (:func:`repro.compiler.cost.stage_latency`
 uses max-plus-fill, with no dependency recurrences), so evaluating a plan
 with the fast model is not circular.  Tests cross-validate it against the
 cycle simulator at small scales.
@@ -33,7 +33,7 @@ relates to the cycle-level simulator and the golden functional model.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.cost import CostModel, stage_topology
+from repro.compiler.cost import CostModel, stage_mask_of, stage_topology
 from repro.compiler.plan import ExecutionPlan
 from repro.errors import ConfigError
 from repro.sim.report import FastReport
@@ -170,13 +170,14 @@ def _analyze_plan_impl(
     for stage in plan.stages:
         ready: Dict[str, List[int]] = {}
         stage_end = time_cursor
-        topologies = stage_topology(stage.nodes, stage.spill)
-        # stage.nodes is in topological order
+        topologies = stage_topology(
+            plan.cgraph, stage_mask_of(node.index for node in stage.nodes)
+        )
+        # stage.nodes is in topological (ascending index) order
         for node, topology in zip(stage.nodes, topologies):
             geom = plan.geometries[node.name]
             mapping = stage.mappings[node.name]
-            row_cost = cm.row_cycles(geom, *topology)
-            load = cm.load_cycles(geom)
+            load, row_cost = cm.node_cycles(geom, *topology)
             hoisted_replicas = resident_replicas.get(node.name, frozenset())
             if hoisted_replicas and load:
                 load_phase = max(load_phase, load)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.compiler.closures import (
     closure_masks,
-    is_subset,
     mask_nodes,
     prefix_masks,
 )
@@ -82,5 +81,3 @@ class TestClosures:
 
     def test_helpers(self):
         assert mask_nodes(0b1011) == [0, 1, 3]
-        assert is_subset(0b001, 0b011)
-        assert not is_subset(0b100, 0b011)

@@ -50,6 +50,61 @@ class TestTinyModels:
         assert not np.array_equal(r1.outputs[name], r2.outputs[name])
 
 
+def _conv(b, x):
+    return b.conv(x, 8, 3, padding=1)
+
+
+def _outer_conv_of_relu(b, x):
+    r = b.relu(x)
+    return b.add(_conv(b, r), b.add(r, x))
+
+
+def _three_adds(b, x):
+    r = b.relu(x)
+    return b.add(_conv(b, x), b.add(r, b.add(r, x)))
+
+
+def _pooled_pair(b, x):
+    r = b.relu(x)
+    return b.avgpool(b.add(b.add(_conv(b, r), x), b.add(r, x)), 2, 2)
+
+
+#: Graphs where an ADD's operand is itself an ADD: condensation fuses the
+#: outer add into the inner one's node, whose epilogue must read the
+#: outer add's operand, not the anchor's own again.
+NESTED_ADDS = {
+    "outer_conv": lambda b, x: b.add(_conv(b, x), b.add(b.relu(x), x)),
+    "outer_conv_of_relu": _outer_conv_of_relu,
+    "relu_between": lambda b, x: b.add(
+        _conv(b, x), b.relu(b.add(b.relu(x), x))
+    ),
+    "inner_first": lambda b, x: b.add(b.add(b.relu(x), x), _conv(b, x)),
+    "three_adds": _three_adds,
+    "pooled_pair": _pooled_pair,
+    "relu_outer": lambda b, x: b.relu(
+        b.add(_conv(b, x), b.add(b.relu(x), x))
+    ),
+    "sigmoid_inner": lambda b, x: b.add(_conv(b, x), b.add(b.sigmoid(x), x)),
+    "single_add": lambda b, x: b.add(_conv(b, x), x),
+    "fused_chain": lambda b, x: b.add(b.relu(_conv(b, x)), x),
+}
+
+
+class TestNestedAdds:
+    @pytest.mark.parametrize("strategy", ("generic", "dp"))
+    @pytest.mark.parametrize("name", NESTED_ADDS)
+    def test_bit_exact(self, name, strategy):
+        from repro.graph import GraphBuilder
+
+        b = GraphBuilder(name, seed=5)
+        x = b.input((6, 6, 8))
+        b.output(NESTED_ADDS[name](b, x))
+        result = Deployment(
+            b.build(), arch=small_test_arch(), strategy=strategy
+        ).run()
+        assert result.validated
+
+
 class TestPaperModelsSmallScale:
     """The four-paper-model suite at reduced resolution on Table I."""
 

@@ -801,6 +801,54 @@ def _one_codegen_loop(root: Path):
     )
 
 
+def _names_in(node):
+    """The identifiers and attribute names inside an AST node."""
+    return " ".join(getattr(n, "id", None) or getattr(n, "attr", None) or ""
+                    for n in ast.walk(node))
+
+
+def _one_more_replica(node):
+    """``<replicas...> + 1`` or ``<replicas...> += 1``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        counted, step = node.left, node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        counted, step = node.target, node.value
+    else:
+        return False
+    return getattr(step, "value", None) == 1 and "replica" in _names_in(counted)
+
+
+def _one_stage_latency(root: Path):
+    """A candidate stage is priced by one law: a node's latency (its load
+    plus its rows per replica times its row cycles) is written only in
+    ``cost.node_latency``, and the duplication greedy (a loop that tries
+    one more replica) only in ``mapping.grant_replicas``, which the DP
+    and ``optimal_mapping`` both run.  Both are AST sites, whatever the
+    spacing or names."""
+    latency, greedy = set(), set()
+    names = _files_with(root, r"load|replica", ["src/repro"])
+    for path, scope, node in _scoped_nodes(root, names):
+        site = f"{path}:{scope}"
+        if isinstance(node, ast.BinOp) and isinstance(
+                node.op, (ast.Add, ast.Sub)):
+            sides = (node.left, node.right)
+            if any("load" in _names_in(side) for side in sides) and any(
+                    isinstance(side, ast.BinOp)
+                    and isinstance(side.op, ast.Mult)
+                    and "row" in _names_in(side) for side in sides):
+                latency.add(site)
+        elif isinstance(node, (ast.While, ast.For)) and any(
+                map(_one_more_replica, ast.walk(node))):
+            greedy.add(site)
+    return (
+        _none(sorted(latency - {"src/repro/compiler/cost.py:node_latency"}),
+              "node latency")
+        + _none(sorted(greedy
+                       - {"src/repro/compiler/mapping.py:grant_replicas"}),
+                "duplication greedy")
+    )
+
+
 _W = "work" "flow"  # spelled apart: the pipeline law greps this file
 #: law -> (its check, a tree breaking each of its clauses once, the
 #: clauses it breaks)
@@ -964,6 +1012,17 @@ GREP_LAWS = {
             "        e.emit(\"BLT\", rs=R_XCNT, rt=R_XBND, target=head)\n"
         ),
     }, ["loop idiom", "builder reach"]),
+    "one_stage_latency": (_one_stage_latency, {
+        "src/repro/sim/fastmodel.py": (
+            "def busy(load, rows, row_cost):\n"
+            "    return load + rows * row_cost\n"
+        ),
+        "src/repro/compiler/partition.py": (
+            "def price(replicas, trial):\n"
+            "    while trial(replicas[0] + 1):\n"
+            "        pass\n"
+        ),
+    }, ["node latency", "duplication greedy"]),
 }
 
 
