@@ -4,12 +4,13 @@ When each submitted input becomes available (:class:`ArrivalProcess` and
 its five forms) and how a latency series is ranked
 (:func:`latency_percentiles`) are the serving law's two inputs that need
 no compiler, simulator or array library.  They live here, apart from
-:mod:`repro.serve`, so the sweep engine's closed-form serving
-continuation (:func:`repro.sim.fastmodel.serve_fleet`,
-``explore._derive_report``) prices rate and fleet points without
-importing the serving stack or NumPy.  :mod:`repro.serve` and the
-``repro`` package re-export every public name; only
-:meth:`PoissonArrivals.release_cycles` loads NumPy, when it draws.
+:mod:`repro.serve`, so the sweep engine's one fleet step
+(:func:`repro.sim.fastmodel.serve_fleet`, which
+``explore._derive_report`` calls for every point) prices a sweep's
+streams without importing the serving stack or NumPy.
+:mod:`repro.serve` and the ``repro`` package re-export every public
+name; only :meth:`PoissonArrivals.release_cycles` loads NumPy, when it
+draws.
 """
 
 import math
@@ -196,8 +197,3 @@ def latency_percentiles(
     """
     ordered = sorted(latencies) or [0]
     return [_nearest_rank(ordered, pct) for pct in pcts]
-
-
-def latency_percentile(latencies: Sequence[int], pct: float) -> int:
-    """One nearest-rank percentile; see :func:`latency_percentiles`."""
-    return latency_percentiles(latencies, [pct])[0]

@@ -502,24 +502,23 @@ def evaluate_fast(
     :class:`ExecutionPlan` for inspection (the *first shard's* plan for
     multi-chip points -- ``chips > 1`` pipeline-shards the model and
     composes the per-shard analyses over the inter-chip link model).
-    ``batch > 1`` evaluates the point in throughput mode: a multi-chip
-    pipeline streams the batch (closed-form ``fill + drain + (B-1) *
-    bottleneck`` law), a single chip replays it sequentially.
-    ``arrival_rate`` (inferences/s) instead releases the batch at a
-    fixed rate through the serving queueing law
-    (:func:`repro.sim.fastmodel.serve_arrivals`), adding latency
-    percentiles to the report.  ``replicas > 1`` prices a serving
-    fleet: the releases are round-robined across that many identical
-    replicas (:func:`repro.sim.fastmodel.serve_fleet`).  ``fault_plan``
-    replays a deterministic :class:`repro.faults.FaultPlan` against the
-    fleet, adding dropped/retry counts and goodput to the report.
+    Every point's stream is priced by the one fleet step
+    (:func:`repro.sim.fastmodel.serve_fleet`), which adds latency
+    percentiles to the report.  ``batch > 1`` releases the batch back to
+    back: the pipeline streams it (closed-form ``fill + drain + (B-1) *
+    bottleneck`` law; one chip is a one-shard pipeline, so it replays
+    the batch sequentially).  ``arrival_rate`` (inferences/s) instead
+    releases the batch at a fixed rate.  ``replicas > 1`` prices a
+    serving fleet: the releases are round-robined across that many
+    identical replicas.  ``fault_plan`` replays a deterministic
+    :class:`repro.faults.FaultPlan` against the fleet, adding
+    dropped/retry counts and goodput to the report.
     ``resident_weights`` prices a resident-weights serving session
-    (:class:`repro.serve.Deployment` with ``resident_weights=True``):
-    every input replays the *warm* per-shard analysis (hoistable weight
-    loads removed), the session pays the run-once load phase before the
-    first release, and the hoisted load energy is charged exactly once
-    rather than per input.  ``tier="cyclesim"`` prices the one input on
-    the cycle-level simulator instead (see :func:`_analyze_base`).
+    (:class:`repro.serve.Fleet` with ``resident_weights=True``): every
+    input replays the *warm* per-shard analysis (hoistable weight loads
+    removed), and the run-once load phase is priced by the fleet step's
+    load rule.  ``tier="cyclesim"`` prices the one input on the
+    cycle-level simulator instead (see :func:`_analyze_base`).
 
     ``coords`` are the remaining :class:`PointSpec` coordinates by name;
     each value passes the rule a :class:`SweepSpec` applies to that axis
@@ -733,10 +732,10 @@ class SweepResult:
 
 
 #: Batch-independent analysis of one point: the (possibly warm) base
-#: report, the run-once load phase and its energy (zero / empty for
-#: non-resident points).  This is what sweep workers ship back; the
-#: execution plan never travels with it.
-_BaseBundle = Tuple[FastReport, int, Dict[str, float]]
+#: report, whose ``load_cycles`` is the run-once load phase, and that
+#: phase's energy (zero / empty for non-resident points).  This is what
+#: sweep workers ship back; the execution plan never travels with it.
+_BaseBundle = Tuple[FastReport, Dict[str, float]]
 
 
 def _analyze_base(
@@ -745,11 +744,11 @@ def _analyze_base(
     """Plan and analyse a point's batch-independent coordinates.
 
     ``arch`` is the point's resolved architecture.  Returns ``((report,
-    load_cycles, load_energy_pj), plan)``: for resident points the report
-    is the *warm* per-input analysis (hoistable weight loads removed)
-    and the load fields carry the run-once load phase; otherwise the
-    plain analysis with zero load.  ``plan`` is the (first shard's)
-    execution plan for inspection.
+    load_energy_pj), plan)``: for resident points the report is the
+    *warm* per-input analysis (hoistable weight loads removed), its
+    ``load_cycles`` and ``load_energy_pj`` the run-once load phase;
+    otherwise the plain analysis with zero load.  ``plan`` is the (first
+    shard's) execution plan for inspection.
 
     The ``tier`` picks who prices each chip.  A fast point plans its
     chips and analyses them (:func:`~repro.sim.fastmodel.
@@ -792,8 +791,8 @@ def _analyze_base(
             reports, deployment.compiled.transfer_edges(), arch,
             served.load_cycles,
         )
-        bundle = (report, served.load_cycles, served.load_energy_pj)
-        return bundle, deployment.compiled.chips[0].plan
+        plan = deployment.compiled.chips[0].plan
+        return (report, served.load_energy_pj), plan
 
     from repro.compiler.pipeline import plan_chips
 
@@ -805,84 +804,39 @@ def _analyze_base(
         _cached_graph(*model), arch, pspec.chips, pspec.strategy,
         pspec.closure_limit, sharding=sharding,
     )
-    bundle = analyze_pipeline(plans, edges, arch, pspec.resident_weights)
-    return bundle, plans[0]
-
-
-def _charge_session_load(
-    report: FastReport,
-    load_done: int,
-    load_energy: Dict[str, float],
-    extra_cycles: int,
-) -> FastReport:
-    """Fold a resident session's run-once load phase into a report.
-
-    The hoisted load energy is paid exactly once per session (it does
-    not scale with the batch); ``extra_cycles`` extends the makespan for
-    continuations that never saw the load-clamped releases (plain batch
-    streaming and single-shot points).
-    """
-    energy = dict(report.energy_breakdown_pj)
-    for key, value in load_energy.items():
-        energy[key] = energy.get(key, 0.0) + value
-    return replace(
-        report,
-        cycles=report.cycles + extra_cycles,
-        energy_breakdown_pj=energy,
-        load_cycles=load_done,
+    report, _, load_energy = analyze_pipeline(
+        plans, edges, arch, pspec.resident_weights
     )
+    return (report, load_energy), plans[0]
 
 
 def _derive_report(
     pspec: PointSpec, arch: ArchConfig, bundle: _BaseBundle
 ) -> FastReport:
-    """Closed-form serving/batch continuation of a base (batch=1) bundle.
+    """The point's stream, priced from its base (batch=1) bundle by the
+    one fleet step (:func:`repro.sim.fastmodel.serve_fleet`).
 
-    Arrival-rate points go through the serving queueing law
-    (:func:`repro.sim.fastmodel.serve_arrivals`, fixed-rate releases);
-    fleet points (``replicas > 1``) round-robin the releases across the
-    replicas (:func:`repro.sim.fastmodel.serve_fleet`); fault points
-    additionally replay the plan's deterministic fault schedule against
-    the fleet; plain batch points go through the PR-4 streaming law
-    (:func:`stream_batched`).  Either way the derivation is
-    bit-identical to evaluating the point from scratch, which is what
-    lets one base analysis serve a whole batch x rate x replicas x
-    faults sub-grid.
+    Every continuation is the same call: ``batch`` inputs released back
+    to back, or at ``arrival_rate`` (fixed-rate releases), across
+    ``replicas`` under ``fault_plan``.  The derivation is bit-identical
+    to evaluating the point from scratch, which is what lets one base
+    analysis serve a whole batch x rate x replicas x faults sub-grid.
 
-    Resident points continue the *warm* base report: serving releases
-    clamp to the load phase (the session loads before the first input
-    enters the pipeline, so latency percentiles measure warm service),
-    non-serving continuations extend the makespan by the load phase,
-    and the hoisted load energy lands exactly once either way.
+    A resident point continues the *warm* base report, and its load
+    phase is priced by the fleet step's one load rule.
     """
-    from repro.sim.fastmodel import serve_fleet, stream_batched
+    from repro.sim.fastmodel import serve_fleet
 
-    report, load_done, load_energy = bundle
-    if (pspec.arrival_rate is not None or pspec.replicas > 1
-            or pspec.fault_plan is not None):
-        releases = (
-            _rate_releases(arch, pspec.arrival_rate, pspec.batch)
-            if pspec.arrival_rate is not None else [0] * pspec.batch
-        )
-        if pspec.resident_weights:
-            releases = [max(r, load_done) for r in releases]
-        derived = serve_fleet(
-            report, releases, arch.interchip, pspec.replicas,
-            arrival_rate_inf_s=pspec.arrival_rate,
-            faults=pspec.fault_plan,
-        )
-        extra_cycles = 0
-    elif pspec.batch > 1:
-        derived = stream_batched(report, pspec.batch)
-        extra_cycles = load_done
-    else:
-        derived = report
-        extra_cycles = load_done
-    if pspec.resident_weights:
-        derived = _charge_session_load(
-            derived, load_done, load_energy, extra_cycles
-        )
-    return derived
+    report, load_energy = bundle
+    releases = (
+        _rate_releases(arch, pspec.arrival_rate, pspec.batch)
+        if pspec.arrival_rate is not None else [0] * pspec.batch
+    )
+    return serve_fleet(
+        report, releases, arch.interchip, pspec.replicas,
+        arrival_rate_inf_s=pspec.arrival_rate, faults=pspec.fault_plan,
+        load_energy_pj=load_energy,
+    )
 
 
 def _base_spec(pspec: PointSpec) -> PointSpec:

@@ -60,7 +60,10 @@ logger = logging.getLogger(__name__)
 #: and reports carry dropped/retry counts.
 #: v7: resident-weights serving sessions -- keys carry the resident
 #: flag and reports carry the run-once load phase (``load_cycles``).
-CACHE_SCHEMA_VERSION = 7
+#: v8: resident rows follow the fleet's load law (per-replica load
+#: offsets, latency from the real release, one load per replica that
+#: serves), and one-chip rows carry their steady interval.
+CACHE_SCHEMA_VERSION = 8
 
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -157,8 +160,7 @@ def point_key(
         "resident": resident,
     }
     # Only a cycle-tier point names its tier: a fast point keys exactly
-    # as it did before the tier coordinate existed, so the v7 entries
-    # already on disk keep hitting.
+    # as it did before the tier coordinate existed.
     if tier != "fast":
         material["tier"] = tier
     return hashlib.sha256(json.dumps(

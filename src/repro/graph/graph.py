@@ -89,8 +89,21 @@ class ComputationGraph:
 
     # --- structure ---------------------------------------------------------
     def topological_order(self) -> List[Operator]:
-        """Kahn topological sort; raises :class:`GraphError` on cycles."""
-        indegree = {op.name: len(self.predecessors(op)) for op in self.operators}
+        """Kahn topological sort; raises :class:`GraphError` on cycles.
+
+        One pass over the operators builds each tensor's consumers in
+        graph order (an operator once per distinct input), so the order
+        is :meth:`successors`' without rescanning the graph per node.
+        """
+        consumers: Dict[str, List[Operator]] = {}
+        indegree: Dict[str, int] = {}
+        for op in self.operators:
+            inputs = dict.fromkeys(op.inputs)
+            for tensor in inputs:
+                consumers.setdefault(tensor, []).append(op)
+            indegree[op.name] = sum(
+                1 for tensor in inputs if tensor in self._producer
+            )
         by_name = {op.name: op for op in self.operators}
         ready = deque(
             op.name for op in self.operators if indegree[op.name] == 0
@@ -100,7 +113,7 @@ class ComputationGraph:
             name = ready.popleft()
             op = by_name[name]
             order.append(op)
-            for succ in self.successors(op):
+            for succ in consumers.get(op.output, ()):
                 indegree[succ.name] -= 1
                 if indegree[succ.name] == 0:
                     ready.append(succ.name)

@@ -18,14 +18,15 @@ cycle simulator at small scales.
 
 A model's fast-tier price is one call, :func:`analyze_pipeline`: each
 chip's plan is analysed (cold, or warm with its resident weight loads
-split out), and two or more chips are composed over their transfer edges
-(:func:`compose_pipeline`) with the closed-form schedule the cycle-level
-multi-chip scheduler uses.  The sweep engine and the fast-tier
+split out), and the chips are composed over their transfer edges
+(:func:`compose_pipeline`; one chip is a one-shard pipeline) with the
+closed-form schedule the cycle-level multi-chip scheduler uses.  The
+sweep engine and the fast-tier
 :class:`~repro.serve.Deployment` price through it, and a cyclesim sweep
 point composes its measured chip reports through the same
-:func:`compose_pipeline`; :func:`stream_batched` and :func:`serve_fleet`
-continue either single-input report over a batch, an arrival process
-or a fleet.
+:func:`compose_pipeline`; :func:`serve_fleet` continues either
+single-input report over a batch, an arrival process or a fleet
+(:func:`stream_batched` is its closed form for a back-to-back batch).
 
 See ``docs/ARCHITECTURE.md`` ("The simulation stack") for how this model
 relates to the cycle-level simulator and the golden functional model.
@@ -140,18 +141,43 @@ def compose_pipeline(
 
     The fast tier passes :func:`analyze_pipeline`'s per-chip analyses,
     the cyclesim tier each chip's measured report
-    (:func:`repro.explore._analyze_base`).  Two or more chips are
-    composed over ``edges`` with the closed-form pipeline/link schedule
-    of :func:`repro.sim.multichip.pipeline_schedule` (stage cycles
-    re-keyed as one sequence, boundary bytes charged at the link
-    energy); ``load_cycles`` is the session's load phase.
+    (:func:`repro.explore._analyze_base`).  The chips are composed over
+    ``edges`` with the closed-form pipeline/link schedule of
+    :func:`repro.sim.multichip.pipeline_schedule` (stage cycles re-keyed
+    as one sequence, boundary bytes charged at the link energy); one
+    chip is a one-shard pipeline, whose steady interval is its cycles.
+    ``load_cycles`` is the session's load phase.
     """
-    if len(reports) == 1:
-        # One chip keeps its own report (steady interval 0, not its
-        # cycles): the one byte difference from a composed one-shard
-        # pipeline, which the next cache schema removes.
-        return reports[0]
-    return _compose_shards(edges, reports, arch, load_cycles=load_cycles)
+    from repro.sim.multichip import (
+        merge_shard_energy,
+        pipeline_schedule,
+        steady_state_interval,
+    )
+
+    chip_cycles = [r.cycles for r in reports]
+    _, _, makespan = pipeline_schedule(chip_cycles, edges, arch.interchip)
+    interval = steady_state_interval(chip_cycles, edges, arch.interchip)
+
+    total_bytes = sum(nbytes for _, _, nbytes in edges)
+    energy = merge_shard_energy(
+        [r.energy_breakdown_pj for r in reports], total_bytes, arch.interchip
+    )
+    stage_cycles: Dict[int, int] = {}
+    for report in reports:
+        for _, cycles in sorted(report.stage_cycles.items()):
+            stage_cycles[len(stage_cycles)] = cycles
+    return FastReport(
+        cycles=makespan,
+        energy_breakdown_pj=energy,
+        macs=sum(r.macs for r in reports),
+        clock_mhz=arch.chip.clock_mhz,
+        stage_cycles=stage_cycles,
+        batch=1,
+        steady_interval_cycles=interval,
+        shard_cycles=list(chip_cycles),
+        shard_edges=[tuple(edge) for edge in edges],
+        load_cycles=load_cycles,
+    )
 
 
 def _analyze_plan_impl(
@@ -245,12 +271,13 @@ def stream_batched(report: FastReport, batch: int) -> FastReport:
     - 1)`` steady-state intervals, while energy and MACs scale linearly
     per input (static energy is time-proportional, so it scales too).
     A report without a streaming analysis (``steady_interval_cycles ==
-    0``, i.e. a single chip with no pipeline to overlap) degenerates to
+    0``, e.g. one chip's own :func:`analyze_plan`) degenerates to
     sequential replay: the interval is one input's makespan and the
     stream takes ``batch * cycles``.  Either way the derived report is
-    bit-identical to re-running the analysis at ``batch`` -- which is
-    why sweep points can share one batch-independent analysis across
-    the whole batch axis.
+    bit-identical to re-running the analysis at ``batch``.  It is the
+    closed form of :func:`serve_fleet` over ``[0] * batch`` on one
+    replica (same makespan, energy and MACs), which the sweep prices
+    every point through.
     """
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
@@ -350,6 +377,7 @@ def serve_fleet(
     faults=None,
     retry=None,
     policy: str = "rr",
+    load_energy_pj: Optional[Dict[str, float]] = None,
 ) -> FastReport:
     """Replicated-serving continuation of a single-input report.
 
@@ -376,6 +404,13 @@ def serve_fleet(
     included, crash-killed attempts free), latency percentiles cover
     completed requests only, and ``dropped`` / ``retries`` land in the
     report when they are non-zero.  ``faults=None`` is the empty plan.
+
+    A resident session's report is the *warm* one, and its
+    ``load_cycles`` is the run-once weight-load phase, priced as the
+    :class:`~repro.serve.Fleet` prices it: a cold replica's first
+    service waits for its own load (the step's ``load_offsets``),
+    latency counts from the real release, and each replica that
+    receives an attempt pays one load, ``load_energy_pj``.
     """
     from repro.faults import run_fault_schedule
     from repro.arrivals import latency_percentiles
@@ -388,18 +423,20 @@ def serve_fleet(
     chip_cycles = list(report.shard_cycles) or [report.cycles]
     schedule = run_fault_schedule(
         releases, chip_cycles, report.shard_edges, link, replicas,
-        policy, faults, retry,
+        policy, faults, retry, [report.load_cycles] * replicas,
     )
     served = sum(1 for a in schedule.attempts if a.full_service)
+    loaded = sum(1 for attempts in schedule.replica_attempts if attempts)
+    energy = {k: v * served for k, v in report.energy_breakdown_pj.items()}
+    for key, value in (load_energy_pj or {}).items():
+        energy[key] = energy.get(key, 0.0) + value * loaded
     latencies = [
         schedule.finishes[i] - releases[i] for i in schedule.completed
     ]
     p50, p95, p99 = latency_percentiles(latencies, (50, 95, 99))
     return FastReport(
         cycles=schedule.makespan,
-        energy_breakdown_pj={
-            k: v * served for k, v in report.energy_breakdown_pj.items()
-        },
+        energy_breakdown_pj=energy,
         macs=report.macs * served,
         clock_mhz=report.clock_mhz,
         stage_cycles=dict(report.stage_cycles),
@@ -415,6 +452,7 @@ def serve_fleet(
         p99_latency_cycles=p99,
         dropped=len(schedule.dropped),
         retries=schedule.retries,
+        load_cycles=report.load_cycles,
     )
 
 
@@ -437,41 +475,5 @@ def analyze_sharded(sharding, plans, arch=None, batch: int = 1) -> FastReport:
     """
     arch = arch or plans[0].arch
     reports = [analyze_plan(plan) for plan in plans]
-    base = _compose_shards(sharding.transfer_edges(), reports, arch)
+    base = compose_pipeline(reports, sharding.transfer_edges(), arch, 0)
     return stream_batched(base, batch) if batch > 1 else base
-
-
-def _compose_shards(
-    edges, reports, arch, load_cycles: int = 0
-) -> FastReport:
-    """Compose per-shard single-input reports over the inter-chip link."""
-    from repro.sim.multichip import (
-        merge_shard_energy,
-        pipeline_schedule,
-        steady_state_interval,
-    )
-
-    chip_cycles = [r.cycles for r in reports]
-    _, _, makespan = pipeline_schedule(chip_cycles, edges, arch.interchip)
-    interval = steady_state_interval(chip_cycles, edges, arch.interchip)
-
-    total_bytes = sum(nbytes for _, _, nbytes in edges)
-    energy = merge_shard_energy(
-        [r.energy_breakdown_pj for r in reports], total_bytes, arch.interchip
-    )
-    stage_cycles: Dict[int, int] = {}
-    for report in reports:
-        for _, cycles in sorted(report.stage_cycles.items()):
-            stage_cycles[len(stage_cycles)] = cycles
-    return FastReport(
-        cycles=makespan,
-        energy_breakdown_pj=energy,
-        macs=sum(r.macs for r in reports),
-        clock_mhz=arch.chip.clock_mhz,
-        stage_cycles=stage_cycles,
-        batch=1,
-        steady_interval_cycles=interval,
-        shard_cycles=list(chip_cycles),
-        shard_edges=[tuple(edge) for edge in edges],
-        load_cycles=load_cycles,
-    )

@@ -160,8 +160,9 @@ class FastReport:
     re-analysis.  A single-chip report records its one shard
     (``shard_cycles == [cycles]``, no edges); an empty ``shard_cycles``
     reads as one implicit shard of ``cycles``.
-    Reports derived under an arrival process additionally carry the
-    offered rate and nearest-rank latency percentiles.
+    Reports priced over a stream (:func:`repro.sim.fastmodel.
+    serve_fleet`) additionally carry nearest-rank latency percentiles,
+    and under an arrival process the offered rate.
 
     Reports priced under a fault plan
     (:func:`repro.sim.fastmodel.serve_fleet` with ``faults``)

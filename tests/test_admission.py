@@ -34,7 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.arrivals import latency_percentile
+from repro.arrivals import latency_percentiles
 from repro.config import InterChipConfig, small_test_arch
 from repro.errors import ConfigError, SimulationError
 from repro.faults import (
@@ -714,7 +714,7 @@ class TestRouting:
         assert [
             report.p50_latency_cycles, report.p95_latency_cycles,
             report.p99_latency_cycles,
-        ] == [latency_percentile(latencies, pct) for pct in (50, 95, 99)]
+        ] == [latency_percentiles(latencies, [pct])[0] for pct in (50, 95, 99)]
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +769,16 @@ CRASHY = FaultPlan(
 )
 
 
+def _primed(server, admissions):
+    """``server`` with its one-input service profile priced before the
+    count starts: the fast tier composes the one-input pipeline, and the
+    cyclesim tier measures a probe input and keeps its pipeline windows
+    (one admission either way)."""
+    server._service_profile()
+    del admissions[:]
+    return server
+
+
 class TestAdmitOnce:
     """The law: every attempt passes through the one fleet step, and
     costs one kernel admission, exactly once -- whether the stream is
@@ -776,24 +786,29 @@ class TestAdmitOnce:
 
     @pytest.mark.parametrize("policy", ["rr", "jsq"])
     def test_offline_fleet(self, admissions, dispatches, policy):
-        fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
+        fleet = _primed(
+            _tiny(Fleet, tier="fast", replicas=3, policy=policy), admissions
+        )
         fleet.run_trace(TRACE)
         assert len(admissions) == len(dispatches) == N
 
     @pytest.mark.parametrize("policy", ["rr", "jsq"])
     def test_drained_live_fleet(self, admissions, dispatches, policy):
-        fleet = _tiny(Fleet, tier="fast", replicas=3, policy=policy)
+        fleet = _primed(
+            _tiny(Fleet, tier="fast", replicas=3, policy=policy), admissions
+        )
         _, report = _live(fleet, TRACE)
         assert report.batch == N
         assert len(admissions) == len(dispatches) == N
 
     def test_drained_live_deployment(self, admissions, dispatches):
-        _, report = _live(_tiny(Deployment, tier="fast"), TRACE)
+        deployment = _primed(_tiny(Deployment, tier="fast"), admissions)
+        _, report = _live(deployment, TRACE)
         assert report.batch == N
         assert len(admissions) == len(dispatches) == N
 
     def test_offline_faulted_fleet(self, admissions, dispatches):
-        fleet = _tiny(Fleet, tier="fast", replicas=3)
+        fleet = _primed(_tiny(Fleet, tier="fast", replicas=3), admissions)
         report = fleet.run_trace(TRACE, faults=CRASHY)
         assert report.retries > 0
         assert len(admissions) == len(dispatches) == sum(
@@ -804,11 +819,7 @@ class TestAdmitOnce:
     def test_drained_live_faulted_fleet(
         self, admissions, dispatches, tier, count
     ):
-        fleet = _tiny(Fleet, tier=tier, replicas=3)
-        # The cyclesim tier measures its profile by executing one probe
-        # input, and keeps that input's pipeline windows (one admission).
-        fleet._service_profile()
-        del admissions[:]
+        fleet = _primed(_tiny(Fleet, tier=tier, replicas=3), admissions)
         _, report = _live(fleet, TRACE[:count], faults=CRASHY)
         assert report.retries > 0
         assert len(admissions) == len(dispatches) == sum(
@@ -824,11 +835,8 @@ class TestAdmitOnce:
     def test_cyclesim(self, admissions, dispatches, server, kw, live):
         # The cycle tier prices what the one dispatcher recorded: the
         # executed rows are checked against the profile, not admitted
-        # again.  The probe keeps its pipeline windows (one admission)
-        # when the profile is measured, so that happens first.
-        server = _tiny(server, **kw)
-        server._service_profile()
-        del admissions[:]
+        # again.
+        server = _primed(_tiny(server, **kw), admissions)
         trace = TRACE[:12]
         if live:
             _, report = _live(server, trace)
@@ -880,7 +888,7 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
     resident load phase are substituted, so the serving stack above the
     profile runs unmodified on a random pipeline.
     """
-    from repro.sim.fastmodel import _compose_shards
+    from repro.sim.fastmodel import compose_pipeline
 
     arch = dataclasses.replace(small_test_arch(), interchip=link)
     resident = load is not None
@@ -898,7 +906,7 @@ def _synthetic_server(row, edges, link, replicas, policy, load, bare):
     ]
     server._plans = server._plans * len(row)
     server._edges = list(edges)
-    report = _compose_shards(list(edges), shards, arch)
+    report = compose_pipeline(shards, list(edges), arch, 0)
     server._fast = (report, load, {"weights": 3.0}) if resident else (
         report, 0, {}
     )

@@ -312,15 +312,17 @@ class TestPointSpec:
         )
 
     def test_a_fast_point_keys_as_before_the_tier_axis(self):
-        """Pinned from a checkout without the ``tier`` coordinate: v7
-        entries already on disk keep hitting."""
+        """A fast point keys exactly as it did before the ``tier``
+        coordinate existed: the pin is the v8 key material with no
+        ``tier`` field (at schema 7 the same material gave
+        ``3fb46e8a...``, the key a checkout without the axis wrote)."""
         pspec = PointSpec(
             model="tiny_cnn", strategy="dp", input_size=8, num_classes=10,
             chips=2, batch=4, arrival_rate=250000.0, replicas=2,
             resident_weights=True,
         )
         assert pspec.cache_key(small_test_arch()) == (
-            "3fb46e8aa33aa833ea2179677910883ab12597d916b44ec3691b611d9b9cde70"
+            "23f9e19e7e506d0802815a1102942081c704f65223400c03932050750a582d4c"
         )
         assert replace(pspec, tier="cyclesim").cache_key(
             small_test_arch()) != pspec.cache_key(small_test_arch())
@@ -888,34 +890,9 @@ class TestAxisLaw:
         assert messages == [axis.metadata["message"]] * 3
 
 
-#: Where the sweep's resident continuation and the serving stack
-#: disagree (both tiers; ROADMAP item 18): the sweep measures latency
-#: from a release clamped to the load phase, where a ``Fleet`` counts
-#: the wait for the load ...
-_CLAMPED_LATENCY = {
-    (2, True, 1, None, 2), (2, True, 1, 2e6, 1), (2, True, 1, 2e6, 2),
-    (2, True, 4, None, 2), (2, True, 4, 2e6, 2),
-}
-#: ... and the sweep charges one load phase's energy per session, where
-#: each fleet replica that serves pays its own.
-_ONE_LOAD_PER_FLEET = {
-    (1, True, 4, None, 2), (1, True, 4, 2e6, 2),
-    (2, True, 4, None, 2), (2, True, 4, 2e6, 2),
-}
-
-
-def _grid(known=frozenset(), serving_only=False):
-    """(chips, resident, batch, rate, replicas) of the two-tier grid,
-    the ``known`` disagreements held as strict xfails."""
-    return [
-        pytest.param(*coords, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="sweep law and serving stack disagree (ROADMAP 18)",
-        )) if coords in known else coords
-        for coords in itertools.product(
-            (1, 2), (False, True), (1, 4), (None, 2e6), (1, 2))
-        if not serving_only or coords[3] is not None or coords[4] > 1
-    ]
+#: (chips, resident, batch, rate, replicas) of the two-tier grid.
+_GRID = list(itertools.product((1, 2), (False, True), (1, 4), (None, 2e6),
+                               (1, 2)))
 
 
 class TestCyclesimRows:
@@ -958,7 +935,7 @@ class TestCyclesimRows:
             pairs[coords] = (point.report, served)
         return pairs
 
-    @pytest.mark.parametrize(COORDS, _grid())
+    @pytest.mark.parametrize(COORDS, _GRID)
     def test_cycles_load_drops_and_retries(self, pairs, chips, resident,
                                            batch, rate, replicas):
         row, run = pairs[chips, resident, batch, rate, replicas]
@@ -967,7 +944,7 @@ class TestCyclesimRows:
             run.dropped, run.retries,
         )
 
-    @pytest.mark.parametrize(COORDS, _grid(_CLAMPED_LATENCY, True))
+    @pytest.mark.parametrize(COORDS, _GRID)
     def test_latency_percentiles(self, pairs, chips, resident, batch, rate,
                                  replicas):
         row, run = pairs[chips, resident, batch, rate, replicas]
@@ -977,7 +954,7 @@ class TestCyclesimRows:
             run.p99_latency_cycles,
         )
 
-    @pytest.mark.parametrize(COORDS, _grid(_ONE_LOAD_PER_FLEET))
+    @pytest.mark.parametrize(COORDS, _GRID)
     def test_energy(self, pairs, chips, resident, batch, rate, replicas):
         """Equal to float rounding: the cycle tier sums per input where
         the law multiplies."""

@@ -39,31 +39,35 @@ class TestFastTierPinnedBytes:
 
     #: (model, chips, resident) -> SHA-256 of the evaluate_fast reports
     #: over batch {1, 4} x arrival_rate {None, 250000} x replicas {1, 2}.
+    #: Re-pinned at cache schema v8, where every row is priced by the
+    #: fleet step: latencies on plain batch rows, the steady interval on
+    #: one-chip rows, and resident latency and load energy moved; no
+    #: row's cycles did.
     POINTS = {
         ("tiny_cnn", 1, False):
-            "0ef0d32bb14c97f49462c6eb09f3135e7f6b95c555878fa22db3554c892cec0f",
+            "e44793222123b882fea0a9dad75068b5db647929f211c51ab42d9332e9856126",
         ("tiny_cnn", 1, True):
-            "5dad28d79a900c7735372d86957945b1ce2c0eb2aa1482b42d0e07626fa5a083",
+            "0bd7f85294aed9a895a43c300925a741a5116da641d092789f8a8cca59f38688",
         ("tiny_cnn", 2, False):
-            "ce943df7bc9fcaed0c3362ba85b2c198b67b080fb38a60ecf24065841f171e97",
+            "294474f78f64fc287536e7b47c2e66760798d6e6458c12ac064fb750214faf2a",
         ("tiny_cnn", 2, True):
-            "69422baea9a4b7a14b4c87e89b893ec28f47762225839a5fc3a9e493805f86a3",
+            "520cac34c8be26d867f1fedac0781ec41bbabecb54915688c70dac3e29c75451",
         ("tiny_resnet", 1, False):
-            "e4a07d4531819dc46c59ce32a627ef295d39c0cf2a27b9b984982e398adecc6b",
+            "efe3ea87807b7ca610baa9ebb264d9b0ee01832233e1f4d2d14a530a954285e8",
         ("tiny_resnet", 1, True):
-            "e4a07d4531819dc46c59ce32a627ef295d39c0cf2a27b9b984982e398adecc6b",
+            "efe3ea87807b7ca610baa9ebb264d9b0ee01832233e1f4d2d14a530a954285e8",
         ("tiny_resnet", 2, False):
-            "67a80fce58b9829297f002ab59f736a0d93cf27b58ad02d9c655fd75ea5d11ee",
+            "03ea30e4f4979369ed87cabae2932640a3162e261c353ef58e28bdf0c1bc490a",
         ("tiny_resnet", 2, True):
-            "86d84132742318889038cd89a3c1484f317828be2e1b6db549e116a2b9460a71",
+            "093b3841239793051620e54330d4ebe44795990e1bd000e536e7589d7e0c4672",
         ("tiny_mlp", 1, False):
-            "6802d12aa7b2f458868a14cd2a5d3d48bd73fada09d1c5661acecdd8b43da745",
+            "b6b282bd321e5a278071f68abf8497ef2cf59816d717f0b725a3afd6bacdefae",
         ("tiny_mlp", 1, True):
-            "c0990ed4b65c958fffcdffb8a0c846f3f51d9ada4672a15964220526f80ea1eb",
+            "aca193c9a13d99c1162c9b190e34847182e3c08379e68d57266e45c95cb90300",
         ("tiny_mlp", 2, False):
-            "b603957f5969a93695f5c27e4603ef3f7432767ef7b4e7b88e62165e4074b857",
+            "d6157354a918bfb60b2086cdd3e03f4de0e4d6cd992ac23a6d30303fa9599fbb",
         ("tiny_mlp", 2, True):
-            "a9e8d332a561f783635121a64f6709c42ae8298196571ccc1e0298251ad86b4e",
+            "4a4a6e4321fd97c978e3f68512b2cea9fb7764a61e45454d7e2bcbf11e5e38d7",
     }
 
     #: (model, chips, resident) -> SHA-256 of

@@ -585,7 +585,9 @@ def _one_fast_tier_price(root: Path):
 def _one_sweep_path(root: Path):
     """The cycle tier reaches a sweep as its ``tier`` coordinate: the
     spot check's second evaluation stays deleted, and ``explore.py``
-    opens a ``Deployment`` only in ``_analyze_base``."""
+    opens a ``Deployment`` only in ``_analyze_base``.  Every point's
+    stream is priced by the fleet step (``serve_fleet``): the sweep
+    keeps no serving law of its own."""
     explore = _read(root, "src/repro/explore.py")
     base = _sed(explore, r"^def _analyze_base\(", r"^def ")
 
@@ -597,6 +599,8 @@ def _one_sweep_path(root: Path):
                     "src/repro", suffixes=(".py",)), "spot check")
         + _only(opened(explore.splitlines()), opened(base),
                 "deployment outside the base")
+        + _none(_grep(root, r"stream_batched|serve_arrivals|load_done",
+                      "src/repro/explore.py"), "second serving law")
     )
 
 
@@ -943,8 +947,9 @@ GREP_LAWS = {
             "    run = Deployment(graph, arch).submit()\n"
             "def spot(point):\n"
             "    run = Deployment(graph, arch).submit()\n"
+            "releases = [max(r, load_done) for r in releases]\n"
         ),
-    }, ["spot check", "deployment outside the base"]),
+    }, ["spot check", "deployment outside the base", "second serving law"]),
     "one_opcode_definition": (_one_opcode_definition, {
         "src/repro/sim/core.py": (
             "def _h_halt(core, t):\n    pass\n"

@@ -219,7 +219,9 @@ class TestLazyExports:
 
 class TestCacheKeysArePinned:
     """Hex literals computed on the commit before architectures were
-    fingerprinted once per sweep: a cache that commit wrote still hits."""
+    fingerprinted once per sweep, re-pinned at cache schema v8: with the
+    schema field set back to 7 the key material gives that commit's
+    keys unchanged, so only the schema number moved."""
 
     SPEC = dict(
         model="resnet18", strategy="dp", input_size=224, num_classes=1000
@@ -229,8 +231,8 @@ class TestCacheKeysArePinned:
         from repro.explore import PointSpec
 
         assert PointSpec(**self.SPEC).cache_key(repro.default_arch()) == (
-            "77cb87f890736e3d87ee4ffd7f676c29"
-            "6d61d1b0fc6c357ce779d4dcea0d9b06"
+            "5549fc1fa04b53cf9e4b42cc8e65230e"
+            "52cc08be694f3a4ee71ba601294ea940"
         )
 
     def test_swept_hardware_axes(self):
@@ -238,8 +240,8 @@ class TestCacheKeysArePinned:
 
         spec = PointSpec(**self.SPEC, mg_size=8, flit_bytes=16)
         assert spec.cache_key(repro.default_arch()) == (
-            "d8bfb323a4bce35ed4f2af9e258f825e"
-            "6a646baf91522a15e6a880dc9d40e163"
+            "8eacf5055185b031f2a0059773a171e9"
+            "af252e8647d0474bba47ec0511d2ba6f"
         )
 
     #: One value off its default on every coordinate.
@@ -254,8 +256,8 @@ class TestCacheKeysArePinned:
         from repro.explore import PointSpec
 
         assert PointSpec(**self.EVERY).cache_key(repro.default_arch()) == (
-            "84accfe518c095477b15fd1bed66eb6c"
-            "076123623026559de83fe81778c8945a"
+            "9044b09261ae66562fea4754db1a831f"
+            "b9423e6865768e36a1733354318b0899"
         )
 
     def test_every_coordinate_under_a_fault_plan(self):
@@ -268,8 +270,8 @@ class TestCacheKeysArePinned:
         )
         spec = PointSpec(**self.EVERY, fault_plan=plan)
         assert spec.cache_key(repro.default_arch()) == (
-            "3132ddc1e08c805e8fd7125d96394e49"
-            "f3e189e678e1aff96f19673636f08710"
+            "39678288c5d8fc389fb71c2dec4c8636"
+            "c77a840ef56f1c2e4df66d0dc015279d"
         )
 
 

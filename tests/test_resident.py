@@ -15,8 +15,8 @@ fidelity tiers:
   load phase;
 - artifact-loaded deployments (no execution plan) reject resident mode;
 - the fleet step's ``load_offsets`` are the identity when absent;
-- the explore sweep prices a ``resident_weights`` axis under cache
-  schema v7.
+- the explore sweep prices a ``resident_weights`` axis (keyed since
+  cache schema v7) under the fleet's load law (schema v8).
 """
 
 import json
@@ -306,9 +306,9 @@ class TestExploreResidentAxis:
             SweepSpec(models=("tiny_mlp",), resident_modes=(1,))
 
 
-class TestCacheSchemaV7:
+class TestCacheSchemaV8:
     def test_schema_version_bumped(self):
-        assert CACHE_SCHEMA_VERSION == 7
+        assert CACHE_SCHEMA_VERSION == 8
 
     def test_resident_flag_changes_point_key(self):
         arch = small_test_arch()

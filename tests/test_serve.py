@@ -30,7 +30,7 @@ from repro import (
     compile_model,
     serve_arrivals,
 )
-from repro.arrivals import latency_percentile
+from repro.arrivals import latency_percentiles
 from repro.config import InterChipConfig
 from repro.errors import ConfigError
 from repro.sim.fastmodel import analyze_plan, stream_batched
@@ -101,25 +101,25 @@ class TestArrivalProcesses:
 
     def test_latency_percentile_nearest_rank(self):
         lat = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        assert latency_percentile(lat, 50) == 50
-        assert latency_percentile(lat, 95) == 100
-        assert latency_percentile(lat, 99) == 100
-        assert latency_percentile([7], 99) == 7
-        assert latency_percentile([], 99) == 0
+        assert latency_percentiles(lat, [50])[0] == 50
+        assert latency_percentiles(lat, [95])[0] == 100
+        assert latency_percentiles(lat, [99])[0] == 100
+        assert latency_percentiles([7], [99])[0] == 7
+        assert latency_percentiles([], [99])[0] == 0
 
     def test_latency_percentile_rejects_out_of_range_pct(self):
         for pct in (0, -3, 150, 100.001):
             with pytest.raises(ConfigError, match="percentile"):
-                latency_percentile([10, 20], pct)
+                latency_percentiles([10, 20], [pct])[0]
 
     def test_latency_percentile_boundary_ranks(self):
         # n=1: every valid percentile is the single element.
-        assert latency_percentile([42], 0.5) == 42
-        assert latency_percentile([42], 100) == 42
+        assert latency_percentiles([42], [0.5])[0] == 42
+        assert latency_percentiles([42], [100])[0] == 42
         # n=2: nearest-rank flips between the elements at pct 50.
-        assert latency_percentile([10, 20], 50) == 10
-        assert latency_percentile([10, 20], 51) == 20
-        assert latency_percentile([10, 20], 100) == 20
+        assert latency_percentiles([10, 20], [50])[0] == 10
+        assert latency_percentiles([10, 20], [51])[0] == 20
+        assert latency_percentiles([10, 20], [100])[0] == 20
 
     def test_trace_must_be_non_decreasing(self):
         with pytest.raises(ConfigError, match="non-decreasing"):
