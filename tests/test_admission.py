@@ -394,19 +394,19 @@ SNAPSHOT_SHA256 = {
 #: fast resident 2-replica fleet under a crash plan.
 SERVE_SHA256 = {
     "rr": (
-        "d847c62ee05ee27297adc04e67a1d31c264143453088f20c7706e503a722da7c"
+        "6703785b5dbaeebcac766b4377c391e07100994b6db8880aae09d7960d5bb6fd"
     ),
     "jsq": (
-        "9d9f7d70c3b9dda65519a5436a5c275bb833b675ed46726c9ccfcee3d845e82d"
+        "98fb5f025738daa130b7c5040c519e5fd1d0a8b961c4fd94b183eb61ba6ed762"
     ),
     "faulted": (
-        "4bc45c0fb6dab87b9bc6c2ebef2d6924a23db07f434d95dd0171558115ac5e49"
+        "71c701a813deb47ca79ea7f7c9c3509579b3281ed1f01f6cb31d950aa74e7c61"
     ),
     "cyclesim_faulted": (
-        "292e04e5b07c02fce9a6f91efed31f38a556162ca765a65125efcac80bfc0f88"
+        "48bb47630267e7096fe5c9904d81536107487c5acfa3859c190bc6599ecbc5b7"
     ),
     "resident_crash": (
-        "c8d23ed6444b3cee260653c4d1bc4fb5c95f9f518a40bbdf75a7b7e94df2ce5f"
+        "685c1e7094ee01cb47dbd64a1d0c0e6230bc91e22e8f7fc39832ea7220545dfa"
     ),
 }
 
@@ -417,25 +417,25 @@ SERVE_SHA256 = {
 #: fleet, and the artifact served through a 2-replica jsq fleet.
 DEPLOYMENT_SHA256 = {
     "run_artifact": (
-        "ebff4c567d414d169fa987b81908d0e0abe50111bf3250a9ad44e23ccf2dcb2e"
+        "21d78340b357d4b0aa1d89d56c424a8970600ece74077b4cf3cc9694c0fb5bce"
     ),
     "run_batch": (
-        "80eaef035e82046bf055e53b7875630ee31c7aab89c352ab2ea033523fe182bc"
+        "6b9cfbe4b3f47253c19720b62709f99a8a838ec1f3a193a6e3b6928ff74fab7f"
     ),
     "serve_rate": (
-        "6b8df7de1f2a5fbd2d61e54623be819b8788f46496a4032dad1bdede63ab88cc"
+        "e7ab77349b453011a0eb1a3d47d9d26c47e9dd2d39f318017dcef5afb04137fb"
     ),
     "serve_plain": (
-        "0c44715c0f8e33527f5c94a3fd06179e4b4fce3f1b8759cba1dea075f196388e"
+        "86564e3952265ffdeffc1594625e541af798c7bbc5ac9fede9ea49b1ff142c56"
     ),
     "serve_resident": (
-        "74b72c0b11841b855e4031910925b0fc2b3b4806ffe4bb30b09483a04b6b055e"
+        "7f572e1254af7211e7df5512376db4f685b02a4219ad3492cc63163b6393673d"
     ),
     "serve_resident_fleet": (
-        "611684c524ed5bdaa0c8068bf93530c461cb77d814125f9cf81d01811357340b"
+        "9e00fe9194004d06033ba7e03dce8de6c3f27ee8a31ac5e072bce6fedff3a7a1"
     ),
     "serve_artifact_fleet": (
-        "d26ce3ae3edaaccee521d2070ee2958102ddf7bf13378bdcf3859eb3aec5ae8a"
+        "052af5ad9687e7c27a150a60eaba486960b9078b18621614c6b2ec2a229db5e8"
     ),
 }
 

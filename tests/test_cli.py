@@ -286,6 +286,150 @@ class TestOutputBytesArePinned:
             assert current[name] == golden[name], name
 
 
+def _document(text: str):
+    """A parsed JSON document whose ``==`` also sees key order, tells an
+    empty object from an empty list, and compares NaN by name."""
+    return json.loads(
+        text, object_pairs_hook=lambda pairs: ("object", pairs),
+        parse_constant=str,
+    )
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+#: Edge cases of the ``--json`` writer: empty containers at depths 0,
+#: 1 and 2, tuples, non-str keys at depths 0 and 1, NaN / +-inf, and
+#: non-ASCII text.
+_WRITER_PAYLOADS = {
+    "empty object": {},
+    "empty list": [],
+    "empty tuple": (),
+    "empty at depth 1": {"a": {}, "b": [], "c": ()},
+    "empty at depth 2": {"a": {"b": {}, "c": []}, "d": [[], {}, ()]},
+    "tuples": ((1, (2, 3)), [(4,), {"t": (5, (6,))}]),
+    "non-str keys": {
+        1: "int", 2.5: {3: 4, -0.5: 1, True: 2, None: 3, _NAN: 4},
+        False: [1], None: {False: {7: 8}}, _INF: 5, -_INF: 6,
+    },
+    "non-finite floats": {"v": [_NAN, _INF, -_INF], "w": {"x": _NAN},
+                          "y": -_INF},
+    "non-ascii": {"modèle": "résumé", "列": ["日本", {"ключ": "значение"}]},
+    "scalars at the top": "text",
+    "number at the top": 2.5,
+    "null at the top": None,
+    "deep": {"a": [{"b": [{"c": [1, {"d": []}]}]}]},
+}
+
+
+class TestJsonWriter:
+    """``cli._write_json`` writes what ``json.dumps`` parses to, key
+    order, key coercion and non-finite floats included; only the
+    whitespace is its own."""
+
+    @pytest.mark.parametrize("payload", _WRITER_PAYLOADS.values(),
+                             ids=list(_WRITER_PAYLOADS))
+    def test_file_parses_as_json_dumps(self, payload, tmp_path, capsys):
+        from repro.cli import _write_json
+
+        path = tmp_path / "out.json"
+        _write_json(payload, str(path))
+        written = path.read_text()
+        assert written.endswith("\n")
+        assert _document(written) == _document(json.dumps(payload))
+        _write_json(payload)  # stdout: the same text
+        assert capsys.readouterr().out == written
+
+    def test_a_key_json_cannot_encode_is_its_error(self, tmp_path):
+        from repro.cli import _write_json
+
+        with pytest.raises(TypeError, match="keys must be"):
+            json.dumps({(1, 2): 0})
+        with pytest.raises(TypeError, match="keys must be"):
+            _write_json({(1, 2): 0}, str(tmp_path / "out.json"))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every payload the CLI hands its writer."""
+        import repro.cli as cli
+
+        payloads, write = [], cli._write_json
+
+        def spy(payload, path=None):
+            payloads.append(payload)
+            write(payload, path)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        return payloads
+
+    @pytest.fixture(scope="class")
+    def artifact(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("artifact") / "tiny_resnet.artifact"
+        assert run_cli(
+            "compile", "tiny_resnet", "--preset", "small", "--input-size",
+            "8", "--chips", "2", "-o", str(path),
+        ) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "{artifact}", "--preset", "small"),
+        ("serve", "tiny_resnet", "--preset", "small", "--chips", "2",
+         "--input-size", "8", "--num-classes", "10", "--tier", "fast",
+         "--replicas", "3", "--policy", "jsq", "--poisson", "1600000",
+         "--batch", "60", "--arrival-seed", "0"),
+        ("sweep", "--models", "tiny_cnn", "--strategies", "generic,dp",
+         "--input-sizes", "8", "--num-classes", "10", "--preset", "small",
+         "--batch", "1,4", "--arrival-rates", "none,250000", "--no-cache",
+         "--quiet"),
+        ("compare", "--models", "tiny_cnn,tiny_mlp", "--strategies",
+         "generic,dp", "--input-size", "8", "--num-classes", "10",
+         "--preset", "small", "--no-cache"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_file_parses_as_json_dumps(
+        self, argv, artifact, tmp_path, monkeypatch, capsys
+    ):
+        payloads = self._spy(monkeypatch)
+        path = tmp_path / "out.json"
+        argv = [arg.format(artifact=artifact) for arg in argv]
+        assert run_cli(*argv, "--json", str(path)) == 0
+        [payload] = payloads
+        assert _document(path.read_text()) == _document(json.dumps(payload))
+
+    def test_inspect_prints_through_the_writer(
+        self, artifact, monkeypatch, capsys
+    ):
+        payloads = self._spy(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("inspect", artifact, "--json") == 0
+        [payload] = payloads
+        printed = capsys.readouterr().out
+        assert _document(printed) == _document(json.dumps(payload))
+        assert json.loads(printed)["path"] == artifact
+
+    def test_a_sweep_point_is_one_line(self, tmp_path, capsys):
+        """A sweep file of N points is N lines plus a fixed frame, one
+        point per line in order."""
+        frames = set()
+        for batches in ("1", "1,2,4,8"):
+            path = tmp_path / f"sweep_{batches}.json"
+            assert run_cli(
+                "sweep", "--models", "tiny_cnn", "--strategies",
+                "generic,dp", "--input-sizes", "8", "--num-classes", "10",
+                "--preset", "small", "--batch", batches, "--no-cache",
+                "--quiet", "--json", str(path),
+            ) == 0
+            lines = path.read_text().splitlines()
+            points = json.loads(path.read_text())["points"]
+            assert len(points) == 2 * len(batches.split(","))
+            start = lines.index('  "points": [') + 1
+            assert [
+                json.loads(line.rstrip(","))
+                for line in lines[start:start + len(points)]
+            ] == points
+            assert lines[start + len(points)].strip() == "]"
+            frames.add(len(lines) - len(points))
+        assert len(frames) == 1, frames
+
+
 class TestTiersOption:
     def test_fast_and_cyclesim_rows_pair_up(self, tmp_path, capsys):
         """``--tiers fast,cyclesim`` prices every point on both tiers:

@@ -705,6 +705,31 @@ def _cli_imports_by_verb(root: Path):
                        "src/repro/cli.py"), "top-level layer import")
 
 
+def _one_json_writer(root: Path):
+    """``cli.py`` encodes a JSON document only inside ``_write_json``:
+    no ``indent=`` in a ``json`` call (CPython runs it on the
+    pure-Python encoder), no ``json.dump`` to a file handle (the same
+    encoder, chunk by chunk), and no encoder call anywhere else.  All
+    are AST call sites, whatever the spacing or import spelling."""
+    indented, to_file, outside = [], [], []
+    for _, scope, node in _scoped_nodes(root, ["src/repro/cli.py"]):
+        called = isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        if called not in ("dump", "dumps"):
+            continue
+        if any(keyword.arg == "indent" for keyword in node.keywords):
+            indented.append(scope)
+        elif called == "dump":
+            to_file.append(scope)
+        elif scope.split(".")[0] != "_write_json":
+            outside.append(scope)
+    return (
+        _none(indented, "indented dump")
+        + _none(to_file, "file dump")
+        + _none(outside, "second writer")
+    )
+
+
 _KEPT_HANDLERS = ["_h_halt", "_h_barrier", "_h_recv", "_h_extension"]
 
 
@@ -950,6 +975,15 @@ GREP_LAWS = {
             "releases = [max(r, load_done) for r in releases]\n"
         ),
     }, ["spot check", "deployment outside the base", "second serving law"]),
+    "one_json_writer": (_one_json_writer, {
+        "src/repro/cli.py": (
+            "def _write_json(payload, path):\n"
+            "    Path(path).write_text(json.dumps(payload, indent=2))\n"
+            "    json.dump(payload, fh)\n"
+            "def _cmd_inspect(args):\n"
+            "    print(dumps (info))\n"
+        ),
+    }, ["indented dump", "file dump", "second writer"]),
     "one_opcode_definition": (_one_opcode_definition, {
         "src/repro/sim/core.py": (
             "def _h_halt(core, t):\n    pass\n"
