@@ -369,16 +369,10 @@ def _json_header(args, server) -> Dict[str, Any]:
 def _cmd_run(args) -> int:
     deployment = _build_server(args, tier="cyclesim")
     validate = not args.no_validate
-    if args.batch != 1:  # submit() rejects a batch below 1
-        serve = deployment.submit(
-            batch=args.batch, seed=args.seed, validate=validate
-        )
-        report = serve.stream_report
-        validated = serve.validated
-    else:
-        result = deployment.run(seed=args.seed, validate=validate)
-        report = result.report
-        validated = result.validated
+    served = deployment.submit(
+        batch=args.batch, seed=args.seed, validate=validate
+    )
+    report = served.stream_report
     print(deployment.summary())
     if validate:
         if args.batch > 1:
@@ -395,7 +389,7 @@ def _cmd_run(args) -> int:
             {
                 **_json_header(args, deployment),
                 "batch": args.batch,
-                "validated": validated,
+                "validated": served.validated,
                 "report": report.to_dict(),
             },
             args.json,

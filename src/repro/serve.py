@@ -86,7 +86,6 @@ from repro.graph.graph import ComputationGraph
 from repro.sim.functional import (
     check_outputs,
     golden_batch,
-    golden_outputs,
     resolve_inputs,
 )
 from repro.sim.multichip import (
@@ -100,7 +99,6 @@ from repro.sim.multichip import (
     steady_state_interval,
     sum_energy,
 )
-from repro.sim.report import SimulationReport
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +392,13 @@ ModelLike = Union[str, ComputationGraph, CompiledModel, MultiChipModel]
 class WorkflowResult:
     """Everything one :meth:`Deployment.run` produces.
 
-    ``compiled`` / ``report`` are the single-chip types for a one-chip
-    deployment and :class:`MultiChipModel` / :class:`MultiChipReport`
-    for a sharded one; both expose the same latency/energy surface.
+    ``compiled`` is the single-chip :class:`CompiledModel` for a
+    one-chip deployment and a :class:`MultiChipModel` for a sharded one;
+    ``report`` is the run's :class:`MultiChipReport` at every chip count.
     """
 
     compiled: Union[CompiledModel, MultiChipModel]
-    report: Union[SimulationReport, MultiChipReport]
+    report: MultiChipReport
     outputs: Dict[str, np.ndarray]
     golden: Optional[Dict[str, np.ndarray]] = None
     validated: bool = False
@@ -421,13 +419,13 @@ class Deployment:
     ``Deployment(model, arch, chips=N)`` compiles exactly once (single-
     or multi-chip); :meth:`submit` and :meth:`run_trace` then drive the
     streaming scheduler with per-input release cycles from an
-    :class:`ArrivalProcess`, and :meth:`run` executes one input in the
-    classic latency mode.  ``model`` may also be an already-compiled
-    :class:`CompiledModel` / :class:`MultiChipModel`, which the
-    deployment adopts as-is, or the path of a saved ``.artifact`` file
-    (see :meth:`load`).  A deployment is a fleet of one replica under
-    round-robin dispatch: :class:`Fleet` only sets the replica count and
-    policy, and adds fault plans and the fleet report.
+    :class:`ArrivalProcess`, and :meth:`run` is the one-input
+    submission (the classic latency mode).  ``model`` may also be an
+    already-compiled :class:`CompiledModel` / :class:`MultiChipModel`,
+    which the deployment adopts as-is, or the path of a saved
+    ``.artifact`` file (see :meth:`load`).  A deployment is a fleet of
+    one replica under round-robin dispatch: :class:`Fleet` only sets the
+    replica count and policy, and adds fault plans and the fleet report.
 
     ``tier`` selects fidelity: ``"cyclesim"`` (default) executes every
     input on the exact cycle-level simulator with bit-exact golden
@@ -583,10 +581,6 @@ class Deployment:
         return len(self._plans)
 
     @property
-    def is_sharded(self) -> bool:
-        return self.num_chips > 1
-
-    @property
     def strategy(self) -> str:
         """The CG-level strategy the deployed plans were compiled with."""
         return self._plans[0].strategy
@@ -683,7 +677,7 @@ class Deployment:
 
         return serve_forever(self, clock=clock, seed=seed, validate=validate)
 
-    # -- single-input latency mode -----------------------------------------
+    # -- one input ---------------------------------------------------------
     def run(
         self,
         input_data: Optional[np.ndarray] = None,
@@ -691,43 +685,27 @@ class Deployment:
         validate: bool = True,
         seed: int = 0,
     ) -> WorkflowResult:
-        """Execute one input end to end (classic latency mode).
+        """Execute one input end to end (the paper's Fig. 2 workflow).
 
-        Cycle-level execution with the Fig. 2 bit-exact golden check.
-        Requires ``tier="cyclesim"``.  The result's ``report`` is the
-        pipeline's :class:`MultiChipReport`, except that a lone chip
-        reports as itself (its :class:`SimulationReport`).
+        The one-input :meth:`submit`: the same execution, grouped golden
+        check and service-profile check, so ``report`` is the stream's
+        :class:`MultiChipReport` at every chip count.  On a resident
+        session the input is that session's submission (a cold replica
+        pays the load once).  Requires ``tier="cyclesim"``.
         """
         self._require_cyclesim("run()")
-        graph = self.graph
-        inputs = resolve_inputs(graph, input_data, 1, seed)
+        inputs = resolve_inputs(self.graph, input_data, 1, seed)
         if len(inputs) != 1:
             raise ConfigError(
                 f"run() executes one input, got {len(inputs)}; submit() "
                 f"streams a batch"
             )
-        input_data = inputs[0]
-        input_tensor = graph.input_operators[0].output
-
-        sim = MultiChipSimulator(self.compiled, engine=self.engine)
-        sim.write_input(input_tensor, input_data)
-        report = sim.run()
-        outputs = {name: sim.read_output(name) for name in graph.outputs}
-        if not self.is_sharded:
-            report = report.chip_reports[0]
-
-        golden = None
-        validated = False
-        if validate:
-            golden = golden_outputs(graph, {input_tensor: input_data})
-            check_outputs(graph, outputs, golden, self._label())
-            validated = True
+        report = self.submit(inputs, validate=validate)
+        # A fleet's one input lands on replica 0 under rr and jsq alike.
+        served = getattr(report, "replica_reports", [report])[0]
         return WorkflowResult(
-            compiled=self.compiled,
-            report=report,
-            outputs=outputs,
-            golden=golden,
-            validated=validated,
+            self.compiled, served.stream_report,
+            served.per_input_outputs[0], served.golden, served.validated,
         )
 
     def _label(self) -> str:

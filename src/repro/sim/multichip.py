@@ -661,12 +661,11 @@ def assemble_stream_report(
 ) -> "MultiChipReport":
     """Aggregate a streamed execution + its schedule into one report.
 
-    The single assembly shared by :meth:`MultiChipSimulator.run` and
-    the serving API (:class:`repro.serve.Deployment`), for any chip
-    count: energies/MACs/instructions sum over the stream,
-    ``chip_reports`` / ``chip_starts`` / ``chip_finishes`` describe the
-    first input's pass, and the steady-state interval is the closed-form
-    bottleneck of the first input's per-chip windows.
+    The serving API's one assembly (:class:`repro.serve.Deployment`),
+    for any chip count and batch: energies/MACs/instructions sum over
+    the stream, ``chip_reports`` / ``chip_starts`` / ``chip_finishes``
+    describe the first input's pass, and the steady-state interval is
+    the closed-form bottleneck of the first input's per-chip windows.
     """
     link = arch.interchip
     starts, finishes, input_finishes, makespan = schedule
@@ -713,7 +712,8 @@ def _mean_utilization(
 
 @dataclass
 class MultiChipReport(CycleReportMetrics):
-    """Aggregate performance report of one multi-chip pipeline run.
+    """Aggregate performance report of a cycle-tier run: the one shape
+    for every chip count (one chip is a one-shard pipeline) and batch.
 
     Shares :class:`~repro.sim.report.SimulationReport`'s derived metrics
     (:class:`~repro.sim.report.CycleReportMetrics`; ``cycles`` is
@@ -804,6 +804,8 @@ class MultiChipReport(CycleReportMetrics):
             f"MACs              : {self.macs:,}",
             f"instructions      : {self.instructions:,}",
             f"inter-chip bytes  : {self.interchip_bytes / 1024:.1f} KiB",
+            f"NoC traffic       : {self.noc_bytes / 1024:.1f} KiB "
+            f"({self.noc_byte_hops / 1024:.1f} KiB-hops)",
         ]
         if self.batch > 1:
             lines += [
@@ -820,6 +822,9 @@ class MultiChipReport(CycleReportMetrics):
         lines.append("energy breakdown  :")
         for key, value in sorted(self.grouped_energy_mj().items()):
             lines.append(f"  {key:12s}: {value:.4f} mJ")
+        lines.append("utilization       :")
+        for unit, value in sorted(self.utilization.items()):
+            lines.append(f"  {unit:12s}: {100 * value:.2f} %")
         return "\n".join(lines)
 
 
@@ -837,8 +842,8 @@ class MultiChipSimulator:
         self.model = model
         self.arch: ArchConfig = model.arch
         self._new_chip = partial(ChipSimulator.from_compiled, engine=engine)
+        # Chips are built only where a stream arms them.
         self.chips: List[ChipSimulator] = []
-        self._rebuild_chips()
 
     def _rebuild_chips(self) -> None:
         """One pristine simulator per shard (reset memory and cores).
@@ -893,18 +898,6 @@ class MultiChipSimulator:
                 )
         return reports
 
-    def run(self) -> MultiChipReport:
-        """Execute one input through the pipeline and aggregate reports."""
-        reports = self._execute_pipeline()
-        edges = self.model.transfer_edges()
-        schedule = streaming_schedule(
-            [[r.cycles for r in reports]], edges, self.arch.interchip
-        )
-        return assemble_stream_report(
-            self.arch, [reports], edges, schedule,
-            self.model.interchip_bytes(),
-        )
-
     def execute_stream(
         self, inputs: Sequence, tensor: Optional[str] = None
     ) -> Tuple[List[List[SimulationReport]], List[Dict[str, "np.ndarray"]]]:
@@ -918,8 +911,8 @@ class MultiChipSimulator:
         left holding the final input's state, so :meth:`read_output`
         reads the last input afterwards.
         """
-        # Per-input isolation holds even if run() or an earlier stream
-        # already consumed this simulator's chip state.
+        # Per-input isolation holds even if an earlier stream already
+        # consumed this simulator's chip state.
         return self._stream(inputs, tensor, self._rebuild_chips)
 
     def _stream(

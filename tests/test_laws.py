@@ -471,15 +471,28 @@ def _no_content_digests(root: Path):
 
 def _one_execution_path(root: Path):
     """A single chip is a one-shard pipeline (``serve.py`` never asks
-    which product it holds) and ``Deployment`` is the one entry point
-    (the workflow shims stay deleted)."""
+    which product it holds), ``Deployment`` is the one entry point (the
+    workflow shims stay deleted), and one input is a one-input
+    submission: ``serve.py`` checks no input outside ``_validate``'s
+    grouped golden pass, the chip pipeline has no one-input ``run``, and
+    ``repro run`` submits."""
     shims = (r"run_workflow|_simulate_impl|_run_single_chip|run_streaming"
              r"|execute_resident_stream")
+    simulator = _sed(_read(root, "src/repro/sim/multichip.py"),
+                     r"^class MultiChipSimulator\b", r"^\S")
+    cmd_run = _sed(_read(root, "src/repro/cli.py"),
+                   r"^def _cmd_run\(", r"^\S")
     return (
         _none(_grep(root, r"isinstance\(self.compiled", "src/repro/serve.py"),
               "product test")
         + _none(_grep(root, shims, "src", "examples", "README.md", "docs",
                       suffixes=(".py", ".md")), "workflow shim")
+        + _none(_grep(root, r"golden_outputs\(", "src/repro/serve.py"),
+                "per-input golden check")
+        + _none([line for line in simulator if "def run(" in line],
+                "one-input simulator run")
+        + _none([line for line in cmd_run if ".run(" in line],
+                "run command fork")
     )
 
 
@@ -905,9 +918,22 @@ GREP_LAWS = {
         "src/repro/sim/blockengine.py": "key = content_digest(code)\n",
     }, ["content digest"]),
     "one_execution_path": (_one_execution_path, {
-        "src/repro/serve.py": "if isinstance(self.compiled, Model):\n",
+        "src/repro/serve.py": (
+            "if isinstance(self.compiled, Model):\n"
+            "    golden = golden_outputs(graph, feeds)\n"
+        ),
         "docs/GUIDE.md": "Call `run_workflow(model)`.\n",
-    }, ["product test", "workflow shim"]),
+        "src/repro/sim/multichip.py": (
+            "class MultiChipSimulator:\n"
+            "    def run(self) -> MultiChipReport:\n"
+            "        pass\n"
+        ),
+        "src/repro/cli.py": (
+            "def _cmd_run(args) -> int:\n"
+            "    result = deployment.run(seed=args.seed)\n"
+        ),
+    }, ["product test", "workflow shim", "per-input golden check",
+        "one-input simulator run", "run command fork"]),
     "one_affine_walk": (_one_affine_walk, {
         "src/repro/sim/blockengine.py": (
             "t = _build_template(core, inst, delta)\n"

@@ -49,11 +49,12 @@ def test_run_borrows_every_loaded_weight(table1_arch):
     float32 one 4.1."""
     compiled = compile_graph(_resnet18_small(), table1_arch, "dp")
     sim = MultiChipSimulator(compiled)
+    sim._rebuild_chips()  # the chip set is built outside the traced window
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sim.run()
+        sim._execute_pipeline()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -88,6 +89,37 @@ def test_a_replaced_chip_set_is_freed_at_once(monkeypatch):
     finally:
         gc.enable()
     assert len(replaced) == 3 * compiled.num_chips
+
+
+@pytest.mark.parametrize("chips", [1, 2])
+def test_a_submission_builds_one_chip_set_per_input(chips, monkeypatch):
+    """Chips are built only where a stream arms them: a non-resident
+    submission of ``B`` inputs builds ``B`` chip sets (``run()`` one), and
+    a resident session builds one set for its load, none per input."""
+    from repro.sim.chip import ChipSimulator
+
+    compiled = compile_model(
+        "tiny_resnet", small_test_arch(), "dp", chips=chips,
+        input_size=8, num_classes=10,
+    )
+    real = ChipSimulator.from_compiled
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ChipSimulator, "from_compiled", counting)
+    Deployment(compiled).submit(batch=3)
+    assert len(built) == 3 * chips
+    built.clear()
+    Deployment(compiled).run()
+    assert len(built) == chips
+    built.clear()
+    session = Deployment(compiled, resident_weights=True)
+    session.submit(batch=3)
+    session.submit(batch=2)
+    assert built == list(compiled.chips)
 
 
 @pytest.fixture(scope="module")

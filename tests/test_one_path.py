@@ -116,12 +116,14 @@ def test_simulator_runs_a_bare_compiled_model(arch):
 
     data = random_input(compiled.graph, seed=4)
     sim = MultiChipSimulator(compiled)
-    sim.write_input(None, data)
-    report = sim.run()
+    [reports], [outputs] = sim.execute_stream([data])
+    assert len(reports) == 1 and compiled.interchip_bytes() == 0
+    report = Deployment(compiled).run(data, validate=False).report
     assert report.num_chips == 1 and report.interchip_bytes == 0
-    assert report.cycles == report.chip_reports[0].cycles
+    assert report.cycles == report.chip_reports[0].cycles == reports[0].cycles
     golden = golden_outputs(
         compiled.graph, {compiled.graph.input_operators[0].output: data}
     )
     for name, expected in golden.items():
+        assert np.array_equal(outputs[name], expected)
         assert np.array_equal(sim.read_output(name), expected)

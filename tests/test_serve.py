@@ -24,6 +24,7 @@ from repro import (
     BackToBack,
     Deployment,
     FixedInterval,
+    Fleet,
     FixedRate,
     PoissonArrivals,
     TraceArrivals,
@@ -338,8 +339,9 @@ class TestDeploymentSessions:
             assert f"latency p{pct}       : {cycles:,} cycles" in text
 
     def test_run_matches_legacy_single_input(self, arch):
-        """The one-shard pipeline adds nothing to a lone chip: ``run()``
-        reports what a hand-driven :class:`ChipSimulator` reports."""
+        """The one-shard pipeline adds nothing to a lone chip: ``run()``'s
+        one chip report is what a hand-driven :class:`ChipSimulator`
+        reports."""
         from repro.sim.chip import ChipSimulator
         from repro.sim.functional import random_input
 
@@ -352,7 +354,7 @@ class TestDeploymentSessions:
         )
         bare = sim.run()
         result = Deployment(compiled).run()
-        assert result.report.to_dict() == bare.to_dict()
+        assert result.report.chip_reports[0].to_dict() == bare.to_dict()
         for name in compiled.graph.outputs:
             info = compiled.graph.tensor(name)
             raw = sim.memory.read_global(
@@ -361,6 +363,33 @@ class TestDeploymentSessions:
             assert np.array_equal(
                 result.outputs[name], raw.reshape(info.shape)
             )
+
+    @pytest.mark.parametrize("resident", [False, True])
+    @pytest.mark.parametrize("chips", [1, 2])
+    def test_run_is_the_one_input_submission(self, arch, chips, resident):
+        """``run()`` is ``submit(batch=1)`` on a fresh deployment: the same
+        stream report, outputs, golden and validation, at every chip
+        count, resident or not (a resident ``run()`` pays the load).  A
+        fleet's one input is its first replica's."""
+        compiled = compile_model(
+            "tiny_resnet", arch, "dp", chips=chips, input_size=8,
+            num_classes=10,
+        )
+        result = Deployment(compiled, resident_weights=resident).run(seed=2)
+        served = Deployment(compiled, resident_weights=resident).submit(
+            batch=1, seed=2
+        )
+        assert result.report.to_dict() == served.stream_report.to_dict()
+        assert result.report.num_chips == chips
+        fleet = Fleet(compiled, replicas=2, resident_weights=resident)
+        assert fleet.run(seed=2).report.to_dict() == result.report.to_dict()
+        assert result.validated and served.validated
+        [outputs] = served.per_input_outputs
+        for got, want in ((result.outputs, outputs),
+                          (result.golden, served.golden)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes()
 
     def test_invalid_submissions_rejected(self, arch):
         deployment = _deploy(arch)
