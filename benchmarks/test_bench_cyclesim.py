@@ -354,13 +354,17 @@ def test_bench_resident_serving_warm_rate():
     cold = session.submit(batch=batch, seed=11)
     warm = session.submit(batch=batch, seed=11)
 
-    for a, b in zip(warm.per_input_outputs, plain.per_input_outputs):
+    for a, b in zip(
+        warm.replica_reports[0].per_input_outputs,
+        plain.replica_reports[0].per_input_outputs,
+    ):
         assert set(a) == set(b)
         for tensor in a:
             np.testing.assert_array_equal(a[tensor], b[tensor])
-    assert cold.load_cycles > 0
-    assert warm.load_cycles == 0
-    assert cold.makespan_cycles == cold.load_cycles + warm.makespan_cycles
+    [load] = cold.replica_load_cycles
+    assert load > 0
+    assert warm.replica_load_cycles == [0]
+    assert cold.makespan_cycles == load + warm.makespan_cycles
     gain = warm.throughput_inf_per_s / plain.throughput_inf_per_s
     assert gain > 1.0, (
         f"resident warm rate regressed to {gain:.3f}x the reload-per-"
@@ -368,7 +372,7 @@ def test_bench_resident_serving_warm_rate():
     )
     _RESULTS[f"weight_stream_resident@{STREAM_BRANCHES}x"] = {
         "batch": batch,
-        "load_cycles": int(cold.load_cycles),
+        "load_cycles": int(load),
         "cold_makespan_cycles": int(cold.makespan_cycles),
         "warm_makespan_cycles": int(warm.makespan_cycles),
         "plain_inf_per_s": round(plain.throughput_inf_per_s),
@@ -379,7 +383,7 @@ def test_bench_resident_serving_warm_rate():
         f"\nweight_stream_resident@{STREAM_BRANCHES}x: warm "
         f"{warm.throughput_inf_per_s:,.0f} inf/s vs reload-per-input "
         f"{plain.throughput_inf_per_s:,.0f} inf/s -> {gain:.2f}x "
-        f"(load {cold.load_cycles:,} cycles, bit-identical)"
+        f"(load {load:,} cycles, bit-identical)"
     )
 
 

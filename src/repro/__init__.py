@@ -22,10 +22,10 @@ Framework for Systematic Design and Evaluation of Digital CIM Architectures"
 - :mod:`repro.serve`   -- the serving API and primary entry point: a
   :class:`~repro.serve.Deployment` compiles once and serves many
   submissions under an explicit :class:`~repro.arrivals.ArrivalProcess`
-  (back-to-back, fixed-rate, Poisson, recorded trace), reporting
-  latency percentiles and per-shard utilisation; a
-  :class:`~repro.serve.Fleet` feeds one arrival stream to R replicas
-  under round-robin or join-shortest-queue dispatch.
+  (back-to-back, fixed-rate, Poisson, recorded trace) to R replicas
+  under round-robin or join-shortest-queue dispatch (one by default),
+  and every submission returns one :class:`~repro.serve.FleetReport`
+  (latency percentiles, per-replica utilisation, availability).
 - :mod:`repro.arrivals` -- the arrival processes and nearest-rank latency
   percentiles, NumPy-free so the sweep's serving continuation can read
   them without the serving stack; :mod:`repro.serve` re-exports them.
@@ -103,8 +103,8 @@ _EXPORTS = {
         "MultiChipModel", "compile_model", "compile_sharded",
     ),
     "repro.explore": (
-        "DesignPoint", "SweepResult", "SweepSpec", "design_space",
-        "evaluate_fast", "mg_flit_sweep", "run_sweep", "strategy_comparison",
+        "DesignPoint", "SweepResult", "SweepSpec", "evaluate_fast",
+        "run_sweep", "strategy_comparison",
     ),
     "repro.explore_cache": ("ResultCache",),
     "repro.faults": (
@@ -121,8 +121,7 @@ _EXPORTS = {
         "Deployment", "Fleet", "FleetReport", "ServeReport", "WorkflowResult",
     ),
     "repro.sim.fastmodel": (
-        "analyze_plan", "analyze_sharded", "serve_arrivals", "serve_fleet",
-        "stream_batched",
+        "analyze_plan", "analyze_sharded", "serve_fleet", "stream_batched",
     ),
     "repro.sim.multichip": (
         "MultiChipReport", "MultiChipSimulator", "steady_state_interval",
@@ -152,9 +151,7 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
         DesignPoint,
         SweepResult,
         SweepSpec,
-        design_space,
         evaluate_fast,
-        mg_flit_sweep,
         run_sweep,
         strategy_comparison,
     )
@@ -190,7 +187,6 @@ if TYPE_CHECKING:  # the table above, spelled out for static tools
     from repro.sim.fastmodel import (
         analyze_plan,
         analyze_sharded,
-        serve_arrivals,
         serve_fleet,
         stream_batched,
     )
@@ -217,7 +213,6 @@ __all__ = [
     "FixedRate",
     "PoissonArrivals",
     "TraceArrivals",
-    "serve_arrivals",
     "serve_fleet",
     "serve_forever",
     "ServerHandle",
@@ -254,8 +249,6 @@ __all__ = [
     "streaming_schedule",
     "WorkflowResult",
     "evaluate_fast",
-    "design_space",
-    "mg_flit_sweep",
     "strategy_comparison",
     "SweepSpec",
     "SweepResult",

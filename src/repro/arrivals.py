@@ -159,12 +159,7 @@ class TraceArrivals(ArrivalProcess):
         return list(self.releases)
 
     def describe(self) -> str:
-        return _trace_label(len(self.releases))
-
-
-def _trace_label(count: int) -> str:
-    """How a recorded trace of ``count`` arrivals describes itself."""
-    return f"trace[{count}]"
+        return f"trace[{len(self.releases)}]"
 
 
 def check_batch(batch: int, minimum: int = 1) -> None:

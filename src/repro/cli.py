@@ -17,12 +17,13 @@ exploration engine without writing any Python:
 - ``serve``   -- deploy one model (compile once) and drive it with a
   stream of inputs under an explicit arrival process (``--rate`` /
   ``--interval`` / ``--poisson`` / ``--trace``), reporting p50/p95/p99
-  latency, queueing delay, per-shard utilisation and sustained
-  throughput; ``--tier fast`` prices the same schedule analytically;
+  latency, per-replica utilisation, conservation and sustained
+  throughput (one ``--json`` key set at every replica count);
+  ``--tier fast`` prices the same schedule analytically;
   ``--replicas R`` round-robins (or ``--policy jsq`` queue-balances)
   the stream across R replicas of the deployment; ``--faults PLAN``
   replays a deterministic fault plan (:mod:`repro.faults`) against the
-  fleet, reporting conservation, goodput, drops and retries;
+  fleet, reporting drops and retries;
 - ``watch``   -- serve a scripted arrival stream (the ``serve`` flags)
   request by request through the async runtime (:mod:`repro.runtime`)
   and print the operator tables -- per-shard utilisation, replica
@@ -314,19 +315,17 @@ def _write_json(payload: Any, path: Optional[str] = None) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _build_server(args, plan=None, tier=None):
+def _build_server(args, tier=None):
     """The server a run/serve/watch command line describes.
 
-    ``run`` passes its one ``tier`` and gets a plain
+    ``run`` passes its one ``tier`` and gets a one-replica
     :class:`~repro.serve.Deployment`; ``serve`` / ``watch`` read
-    ``--tier`` / ``--resident`` and get a :class:`~repro.serve.Fleet`
-    under ``--replicas > 1`` or a fault ``plan``.  An artifact carries
-    its own graph, sharding and programs, so it takes no compile
-    keywords; the session arch is cross-checked against its
+    ``--tier`` / ``--resident`` / ``--replicas`` / ``--policy``.  An
+    artifact carries its own graph, sharding and programs, so it takes
+    no compile keywords; the session arch is cross-checked against its
     fingerprint.
     """
-    from repro.serve import Deployment, Fleet, _is_artifact_path
-    from repro.sim.multichip import check_fleet
+    from repro.serve import Deployment, _is_artifact_path
 
     kwargs = {}
     if not _is_artifact_path(args.model):
@@ -337,14 +336,10 @@ def _build_server(args, plan=None, tier=None):
     arch = _resolve_arch(args)
     if tier is not None:
         return Deployment(args.model, arch, tier=tier, **kwargs)
-    check_fleet(args.policy, args.replicas)
-    kwargs.update(tier=args.tier, resident_weights=args.resident)
-    if args.replicas > 1 or plan is not None:
-        return Fleet(
-            args.model, arch, replicas=args.replicas, policy=args.policy,
-            **kwargs,
-        )
-    return Deployment(args.model, arch, **kwargs)
+    return Deployment(
+        args.model, arch, replicas=args.replicas, policy=args.policy,
+        tier=args.tier, resident_weights=args.resident, **kwargs,
+    )
 
 
 def _json_header(args, server) -> Dict[str, Any]:
@@ -371,7 +366,7 @@ def _cmd_run(args) -> int:
     validate = not args.no_validate
     served = deployment.submit(
         batch=args.batch, seed=args.seed, validate=validate
-    )
+    ).replica_reports[0]
     report = served.stream_report
     print(deployment.summary())
     if validate:
@@ -480,18 +475,17 @@ def _cmd_serve(args) -> int:
 
         plan = load_fault_plan(args.faults)
     arrivals, batch = _watch_arrivals(args)
-    server = _build_server(args, plan)
+    server = _build_server(args)
     print(server.summary())
     if plan is not None:
         print(f"  faults: {plan.describe()} [{plan.fingerprint()}]")
     print()
-    fault_kwargs = {} if plan is None else {"faults": plan}
     if batch == 0:
-        report = server.run_trace([], **fault_kwargs)
+        report = server.run_trace([], faults=plan)
     else:
         report = server.submit(
             batch=batch, arrivals=arrivals, seed=args.seed,
-            validate=not args.no_validate, **fault_kwargs,
+            validate=not args.no_validate, faults=plan,
         )
     if report.validated:
         print(
@@ -550,7 +544,7 @@ def _cmd_watch(args) -> int:
 
         plan = load_fault_plan(args.faults)
     arrivals, batch = _watch_arrivals(args)
-    server = _build_server(args, plan)
+    server = _build_server(args)
     releases = arrivals.release_cycles(batch, server.arch.chip.cycle_ns)
 
     snapshot = headless_watch(

@@ -270,10 +270,9 @@ def console_snapshot(
             "makespan_cycles": report.makespan_cycles,
             "p50_latency_cycles": p50,
             "p99_latency_cycles": p99,
+            "completed": report.completed,
+            "dropped": report.dropped,
         }
-        if hasattr(report, "dropped_indices"):
-            final["completed"] = report.completed
-            final["dropped"] = report.dropped
 
     return {
         "schema": SNAPSHOT_SCHEMA,

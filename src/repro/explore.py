@@ -22,13 +22,10 @@ continue that one-input price over the batch, serving, fleet and fault
 coordinates by the same closed-form law, so ``tiers=("fast",
 "cyclesim")`` pairs every row with its cycle-tier twin.
 
-The figure drivers are thin wrappers over the engine:
-
-- :func:`strategy_comparison` -- Fig. 5 (normalized speed/energy of the
-  three compilation strategies);
-- :func:`mg_flit_sweep` -- Fig. 6 (energy breakdown and throughput across
-  macro-group sizes and NoC flit widths);
-- :func:`design_space` -- Fig. 7 (the SW/HW co-design scatter).
+:func:`strategy_comparison` (Fig. 5: normalized speed/energy of the
+three compilation strategies) is a thin wrapper over the engine; the
+Fig. 6/7 hardware axes are a :class:`SweepSpec` over ``mg_sizes`` x
+``flit_sizes``.
 
 The ``python -m repro sweep`` CLI (:mod:`repro.cli`) exposes the engine
 from the command line with JSON/CSV export.  See ``docs/ARCHITECTURE.md``
@@ -514,7 +511,7 @@ def evaluate_fast(
     :class:`repro.faults.FaultPlan` against the fleet, adding
     dropped/retry counts and goodput to the report.
     ``resident_weights`` prices a resident-weights serving session
-    (:class:`repro.serve.Fleet` with ``resident_weights=True``): every
+    (:class:`repro.serve.Deployment` with ``resident_weights=True``): every
     input replays the *warm* per-shard analysis (hoistable weight loads
     removed), and the run-once load phase is priced by the fleet step's
     load rule.  ``tier="cyclesim"`` prices the one input on the
@@ -777,7 +774,7 @@ def _analyze_base(
                 f"{pspec.model} {pspec.strategy} at {pspec.input_size} px "
                 f"on {pspec.chips} chip(s) does not fit: {exc}"
             ) from exc
-        served = deployment.submit(batch=1, seed=0)
+        served = deployment.submit(batch=1, seed=0).replica_reports[0]
         reports = [
             FastReport(
                 cycles=chip.cycles,
@@ -1070,46 +1067,3 @@ def strategy_comparison(
         model: {strategy: points[0] for strategy, points in by_strategy.items()}
         for model, by_strategy in result.by_model_strategy().items()
     }
-
-
-def mg_flit_sweep(
-    model: str,
-    strategy: str = "generic",
-    mg_sizes: Iterable[int] = MG_SIZES,
-    flit_sizes: Iterable[int] = FLIT_SIZES,
-    base_arch: Optional[ArchConfig] = None,
-    input_size: int = 224,
-    num_classes: int = 1000,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[DesignPoint]:
-    """Fig. 6 / Fig. 7 hardware axes: MG size x NoC flit width (the
-    :func:`design_space` of one strategy)."""
-    return design_space(
-        model, (strategy,), mg_sizes, flit_sizes, base_arch,
-        input_size, num_classes, workers, cache,
-    )
-
-
-def design_space(
-    model: str,
-    strategies: Iterable[str] = ("generic", "dp"),
-    mg_sizes: Iterable[int] = MG_SIZES,
-    flit_sizes: Iterable[int] = FLIT_SIZES,
-    base_arch: Optional[ArchConfig] = None,
-    input_size: int = 224,
-    num_classes: int = 1000,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> List[DesignPoint]:
-    """Fig. 7: the full SW/HW cross product for one model."""
-    spec = SweepSpec(
-        models=(model,),
-        strategies=tuple(strategies),
-        mg_sizes=tuple(mg_sizes),
-        flit_sizes=tuple(flit_sizes),
-        input_sizes=(input_size,),
-        num_classes=num_classes,
-        base_arch=base_arch,
-    )
-    return run_sweep(spec, workers=workers, cache=cache).points

@@ -33,8 +33,7 @@ silently lost.  Conservation is asserted when the step drains::
 
 :func:`run_fault_schedule` is the batch fold over the step.  The empty
 plan is the identity -- no attempt can fail, so the step admits every
-request once, directly -- and :func:`engine_needed` only says whether a
-report carries the availability block.
+request once, directly.
 """
 
 import hashlib
@@ -505,21 +504,6 @@ class FaultPlan:
         if self.retry is not None:
             parts.append(self.retry.describe())
         return "+".join(parts) if parts else "no-fault"
-
-
-def engine_needed(
-    faults: Optional[FaultPlan], retry: Optional[RetryPolicy]
-) -> bool:
-    """Whether a submission is under a fault plan or retry policy, and
-    its report carries the availability block.
-
-    ``faults=None`` -- or an empty plan with no retry policy anywhere --
-    is the identity: the same step admits the same way either way.
-    """
-    return retry is not None or (
-        faults is not None
-        and not (faults.is_empty and faults.retry is None)
-    )
 
 
 def effective_retry(

@@ -50,7 +50,7 @@ from collections import deque
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Union
 
 from repro.errors import ConfigError, SimulationError
-from repro.faults import FaultPlan, RetryPolicy, engine_needed
+from repro.faults import FaultPlan, RetryPolicy
 from repro.sim.multichip import check_release
 
 __all__ = [
@@ -234,18 +234,17 @@ class RequestCompletion(NamedTuple):
 # ---------------------------------------------------------------------------
 
 class ServerHandle:
-    """A live serving session over a Deployment or Fleet.
+    """A live serving session over a Deployment (any replica count).
 
     Created by :func:`serve_forever`; owns the session's admitting
     object (the fleet step's dispatcher), one mark per :meth:`_absorb`
     and one pending future per unsettled request.  :attr:`events` is
     derived, a fresh list per access: stream with :meth:`iter_events`.
     :meth:`submit` admits each request before it returns -- there is no
-    scheduler task.  Single-use: :meth:`drain` closes the session
-    and returns the :class:`~repro.serve.ServeReport` /
-    :class:`~repro.serve.FleetReport` the offline path gives for the
-    recorded trace, assembled from the session's own admissions (the
-    cyclesim tier executes and checks each served request there).
+    scheduler task.  Single-use: :meth:`drain` closes the session and
+    returns the :class:`~repro.serve.FleetReport` the offline path gives
+    for the recorded trace, assembled from the session's own admissions
+    (the cyclesim tier executes and checks each served request there).
     """
 
     def __init__(
@@ -258,7 +257,7 @@ class ServerHandle:
         faults: Optional[FaultPlan],
         retry: Optional[RetryPolicy],
     ):
-        from repro.serve import Deployment, Fleet
+        from repro.serve import Deployment
 
         self.server = server
         self.clock = clock
@@ -269,13 +268,8 @@ class ServerHandle:
 
         if not isinstance(server, Deployment):
             raise ConfigError(
-                f"serve_forever needs a Deployment or Fleet, got "
+                "serve_forever needs a Deployment, got "
                 f"{type(server).__name__}"
-            )
-        if engine_needed(faults, retry) and not isinstance(server, Fleet):
-            raise ConfigError(
-                "fault injection needs a Fleet; wrap the deployment "
-                "in Fleet(model, replicas=1) to serve under a FaultPlan"
             )
         self.num_replicas = server.num_replicas
         self.policy = server.policy
@@ -500,8 +494,8 @@ async def serve_forever(
 ) -> ServerHandle:
     """Open an async real-time serving session; returns its handle.
 
-    ``server`` is a :class:`~repro.serve.Deployment` or
-    :class:`~repro.serve.Fleet` (fault plans need a fleet).  ``clock``
+    ``server`` is a :class:`~repro.serve.Deployment`, served under
+    ``faults`` / ``retry`` (``None``: the empty plan).  ``clock``
     maps submission times onto release cycles -- default a
     :class:`WallClock` on the architecture's cycle grid; pass a
     :class:`VirtualClock` for deterministic scripted sessions.  ``seed``

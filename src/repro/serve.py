@@ -10,7 +10,7 @@ drives the streaming scheduler with an explicit arrival process::
 
     dep = Deployment("resnet18", chips=4, input_size=32, num_classes=10)
     report = dep.submit(batch=64, arrivals=FixedRate(2000))   # 2k inf/s
-    print(report)          # p50/p95/p99 latency, per-shard utilisation
+    print(report)          # p50/p95/p99 latency, per-replica utilisation
     report = dep.run_trace([0, 150, 900, 2400])               # recorded trace
 
 **Queueing law.**  Input ``i`` is *released* at an arrival-process-chosen
@@ -21,9 +21,10 @@ recurrence is written once, in the admission kernel
 :class:`repro.sim.multichip.PipelineState`; this module only consumes
 it.  Every submission admits each attempt exactly once, through the one
 fleet step (:class:`~repro.sim.multichip.Dispatcher`: rr/jsq routing
-over one kernel state per replica, a :class:`Deployment` being a fleet
-of one, a fault-free fleet a fleet under the empty plan), and every
-report is assembled from the attempts that one object recorded.  Timing is
+over one kernel state per replica of a :class:`Deployment`, a
+fault-free fleet a fleet under the empty plan), and every
+:class:`FleetReport` is assembled from the attempts that one object
+recorded.  Timing is
 data-independent under per-input isolation, so admission prices every
 input from the one-input service profile; the cyclesim tier executes
 the served inputs once, golden-validates them, and holds every measured
@@ -61,7 +62,6 @@ from repro.arrivals import (
     FixedRate,
     PoissonArrivals,
     TraceArrivals,
-    _trace_label,
     check_batch,
 )
 from repro.compiler.pipeline import (
@@ -79,7 +79,6 @@ from repro.faults import (
     FaultPlan,
     RetryPolicy,
     effective_retry,
-    engine_needed,
     fleet_dispatcher,
 )
 from repro.graph.graph import ComputationGraph
@@ -105,22 +104,133 @@ from repro.sim.multichip import (
 # Serving reports
 # ---------------------------------------------------------------------------
 
-class _ServingMetrics:
-    """The metrics every serving report derives the same way.
+@dataclass
+class ServeReport:
+    """One replica's share of a submission: the per-replica record of
+    :attr:`FleetReport.replica_reports`.
 
-    :class:`ServeReport` and :class:`FleetReport` (a fleet of one *is* a
-    deployment) supply the measured fields -- ``arch``, ``releases``,
-    ``input_finishes``, ``makespan_cycles``, ``steady_interval_cycles``,
-    ``energy_breakdown_pj`` -- plus ``latency_cycles`` and
-    ``completed``; cycle->ms conversion, latency percentiles, achieved
-    rate, energy totals, energy per completed inference and the shared
-    ``to_dict`` block live here once.
+    Cycle accounting per input ``i`` the replica served, in the order it
+    admitted them::
+
+        release_i  (ready)    <=  start_i  (enters shard 0)
+        queue_i    = start_i  - release_i      (waiting for the pipeline)
+        service_i  = finish_i - start_i        (inside the pipeline)
+        latency_i  = finish_i - release_i      (from its ready cycle)
+
+    ``shard_cycles`` is one input's per-shard occupancy (identical for
+    every input: timing is data-independent under per-input isolation),
+    ``makespan_cycles`` the replica's last attempt's finish.  Energy,
+    MACs and instruction counts sum over its inputs and the weight-load
+    phase it paid (``load_cycles``, 0 when warm or idle;
+    ``load_energy_pj``, already in ``energy_breakdown_pj``).
+    ``stream_report`` (cyclesim tier) is the aggregate
+    :class:`MultiChipReport` in the batched format, bit-identical to
+    batched mode for back-to-back arrivals.
     """
 
-    #: What a latency percentile reads when nothing completed: ``0`` for
-    #: a plain stream; a fleet, which can drop everything, says ``None``.
-    _no_latency: Optional[int] = 0
+    batch: int
+    releases: List[int]
+    service_starts: List[int]
+    input_finishes: List[int]
+    makespan_cycles: int
+    shard_cycles: List[int]
+    energy_breakdown_pj: Dict[str, float]
+    macs: int = 0
+    instructions: int = 0
+    validated: bool = False
+    stream_report: Optional[MultiChipReport] = field(default=None, repr=False)
+    per_input_outputs: Optional[List[Dict[str, np.ndarray]]] = field(
+        default=None, repr=False
+    )
+    golden: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
+    load_cycles: int = 0
+    load_energy_pj: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def queue_cycles(self) -> List[int]:
+        return [s - r for s, r in zip(self.service_starts, self.releases)]
+
+    @property
+    def service_cycles(self) -> List[int]:
+        return [f - s for f, s in zip(self.input_finishes, self.service_starts)]
+
+    @property
+    def latency_cycles(self) -> List[int]:
+        return [f - r for f, r in zip(self.input_finishes, self.releases)]
+
+    @property
+    def shard_utilization(self) -> List[float]:
+        """Each shard's busy fraction of the replica's makespan."""
+        makespan = self.makespan_cycles
+        return [
+            self.batch * cycles / makespan if makespan > 0 else 0.0
+            for cycles in self.shard_cycles
+        ]
+
+
+@dataclass
+class FleetReport:
+    """What every submission returns: one stream across a server's
+    replicas (a :class:`Deployment` is a fleet of one).
+
+    ``assignments[i]`` names the replica that served global input ``i``;
+    ``releases`` / ``input_finishes`` are in global submission order, so
+    latency percentiles aggregate over the whole fleet.
+    ``replica_reports[r]`` is replica ``r``'s :class:`ServeReport` (its
+    rows, queue waits and shard utilisation; zero-input shaped when it
+    served nothing).  ``shard_cycles`` is one input's per-shard service
+    row, ``steady_interval_cycles`` one replica's bottleneck interval;
+    the saturation rate is ``replicas`` times the single-replica
+    ceiling.
+
+    **Availability** (:mod:`repro.faults`), filled from the drained
+    fleet step whether a fault plan was given or not:
+    ``assignments[i] == -1`` marks global input ``i`` as *dropped*
+    (``drop_reasons`` says why, ``input_finishes[i] == 0``); request
+    conservation always holds (``submitted == completed + dropped``).
+    Latency series and percentiles cover completed requests only, and
+    read ``None`` when nothing completed.  ``attempt_counts[i]`` counts
+    input ``i``'s dispatches and ``retries`` the re-enqueues;
+    ``retry_policy`` is the policy the step ran under.
+    ``goodput_inf_per_s`` is the rate of *completed* work over the
+    makespan; ``offered_inf_per_s`` the arrival-stream demand;
+    ``replica_downtime[r]`` the injected crash/slowdown/degrade windows
+    of replica ``r``; ``replica_busy_cycles[r]`` its busy cycles from
+    the executed attempt windows (a crash-killed attempt counts the
+    cycles it ran before dying).  ``replica_load_cycles[r]`` is the
+    weight-load phase replica ``r`` of a resident session paid in THIS
+    submission (0 when it was warm or received no work).
+    """
+
+    arch: ArchConfig
+    tier: str
+    policy: str
+    replicas: int
+    arrival: str
+    shard_cycles: List[int]
+    batch: int = 0
+    assignments: List[int] = field(default_factory=list)
+    releases: List[int] = field(default_factory=list)
+    input_finishes: List[int] = field(default_factory=list)
+    makespan_cycles: int = 0
+    steady_interval_cycles: int = 0
+    replica_reports: List[ServeReport] = field(repr=False, default_factory=list)
+    energy_breakdown_pj: Dict[str, float] = field(default_factory=dict)
+    macs: int = 0
+    instructions: int = 0
+    validated: bool = False
+    fault_events: List[Dict] = field(default_factory=list)
+    retry_policy: Optional[Dict] = None
+    dropped_indices: List[int] = field(default_factory=list)
+    drop_reasons: Dict[int, str] = field(default_factory=dict)
+    attempt_counts: List[int] = field(default_factory=list)
+    retries: int = 0
+    replica_downtime: List[List[Dict]] = field(default_factory=list)
+    replica_busy_cycles: List[int] = field(default_factory=list)
+    resident: bool = False
+    replica_load_cycles: List[int] = field(default_factory=list)
+
+    # -- cycles to time ------------------------------------------------------
     @property
     def cycle_ns(self) -> float:
         return self.arch.chip.cycle_ns
@@ -132,14 +242,33 @@ class _ServingMetrics:
     def makespan_ms(self) -> float:
         return self._ms(self.makespan_cycles)
 
+    @property
+    def num_shards(self) -> int:
+        return len(self.shard_cycles)
+
+    # -- latency -------------------------------------------------------------
+    @property
+    def latency_cycles(self) -> List[int]:
+        """Per-request latency of *completed* requests, submission order."""
+        dropped = set(self.dropped_indices)
+        return [
+            f - r
+            for i, (f, r) in enumerate(
+                zip(self.input_finishes, self.releases)
+            )
+            if i not in dropped
+        ]
+
     def _percentiles(
         self, pcts: Sequence[float], latencies: Optional[List[int]] = None
     ) -> List[Optional[int]]:
-        """Nearest-rank percentiles of ``latency_cycles`` from one sort."""
+        """Nearest-rank percentiles of ``latency_cycles`` from one sort;
+        ``None`` when nothing completed ("0 cycles" would read as a
+        perfect distribution)."""
         if latencies is None:
             latencies = self.latency_cycles
         ranks = _arrivals.latency_percentiles(latencies, pcts)
-        return ranks if latencies else [self._no_latency] * len(ranks)
+        return ranks if latencies else [None] * len(ranks)
 
     def latency_percentile_cycles(self, pct: float) -> Optional[int]:
         """Nearest-rank percentile over *completed* requests."""
@@ -169,18 +298,7 @@ class _ServingMetrics:
     def p99_latency_ms(self) -> Optional[float]:
         return self._ms(self.p99_latency_cycles)
 
-    def _latency_lines(self) -> List[str]:
-        """The p50/p95/p99 lines of ``__str__``, from one sort."""
-        pcts = (50, 95, 99)
-        lines = []
-        for pct, cycles in zip(pcts, self._percentiles(pcts)):
-            value = (
-                "n/a (0 completed)" if cycles is None
-                else f"{cycles:,} cycles ({self._ms(cycles):.3f} ms)"
-            )
-            lines.append(f"latency p{pct}       : {value}")
-        return lines
-
+    # -- rates and energy ------------------------------------------------------
     @property
     def throughput_inf_per_s(self) -> float:
         """Sustained rate actually achieved: completions over makespan.
@@ -191,6 +309,30 @@ class _ServingMetrics:
         if self.completed == 0 or self.makespan_cycles <= 0:
             return 0.0
         return self.completed / (self.makespan_cycles * self.cycle_ns / 1e9)
+
+    @property
+    def goodput_inf_per_s(self) -> float:
+        """Completed inferences per second over the makespan."""
+        return self.throughput_inf_per_s
+
+    @property
+    def offered_inf_per_s(self) -> float:
+        """The arrival stream's demand rate over its release span."""
+        if self.batch < 2:
+            return 0.0
+        span = max(self.releases) - min(self.releases)
+        if span <= 0:
+            return 0.0
+        return (self.batch - 1) / (span * self.cycle_ns / 1e9)
+
+    @property
+    def saturation_inf_per_s(self) -> float:
+        """The fleet ceiling: ``replicas`` inferences per bottleneck interval."""
+        if self.steady_interval_cycles <= 0:
+            return 0.0
+        return self.replicas * 1e9 / (
+            self.steady_interval_cycles * self.cycle_ns
+        )
 
     @property
     def total_energy_pj(self) -> float:
@@ -212,8 +354,41 @@ class _ServingMetrics:
             return 0.0
         return self.total_energy_mj / self.completed
 
-    def _metrics_dict(self) -> Dict:
-        """The ``to_dict`` keys both report types share."""
+    # -- availability --------------------------------------------------------
+    @property
+    def submitted(self) -> int:
+        return self.batch
+
+    @property
+    def completed(self) -> int:
+        return self.batch - len(self.dropped_indices)
+
+    @property
+    def dropped(self) -> int:
+        return len(self.dropped_indices)
+
+    @property
+    def drop_rate(self) -> float:
+        return self.dropped / self.batch if self.batch else 0.0
+
+    @property
+    def replica_batches(self) -> List[int]:
+        return [report.batch for report in self.replica_reports]
+
+    @property
+    def replica_utilization(self) -> List[float]:
+        """Mean shard busy fraction of the fleet makespan, per replica,
+        from ``replica_busy_cycles``: a full-service attempt charges one
+        service row, a crash-killed one the cycles it ran before dying
+        (counted once across the pipeline)."""
+        if self.makespan_cycles <= 0 or not self.num_shards:
+            return [0.0] * len(self.replica_reports)
+        return [
+            busy / (self.num_shards * self.makespan_cycles)
+            for busy in self.replica_busy_cycles
+        ]
+
+    def to_dict(self) -> Dict:
         from repro.config import arch_fingerprint
 
         latencies = self.latency_cycles
@@ -245,139 +420,101 @@ class _ServingMetrics:
             "energy_breakdown_pj": {
                 k: float(v) for k, v in self.energy_breakdown_pj.items()
             },
+            "num_shards": self.num_shards,
+            "shard_cycles": [int(c) for c in self.shard_cycles],
+            "policy": self.policy,
+            "replicas": int(self.replicas),
+            "assignments": [int(a) for a in self.assignments],
+            "replica_batches": self.replica_batches,
+            "replica_utilization": [
+                float(u) for u in self.replica_utilization
+            ],
+            "submitted": int(self.submitted),
+            "completed": int(self.completed),
+            "dropped": int(self.dropped),
+            "drop_rate": float(self.drop_rate),
+            "dropped_indices": [int(i) for i in self.dropped_indices],
+            "drop_reasons": {
+                str(i): reason
+                for i, reason in sorted(self.drop_reasons.items())
+            },
+            "attempt_counts": [int(c) for c in self.attempt_counts],
+            "retries": int(self.retries),
+            "goodput_inf_per_s": self.goodput_inf_per_s,
+            "offered_inf_per_s": self.offered_inf_per_s,
+            "fault_events": list(self.fault_events),
+            "retry_policy": self.retry_policy,
+            "replica_downtime": [
+                list(windows) for windows in self.replica_downtime
+            ],
+            "replica_busy_cycles": [
+                int(c) for c in self.replica_busy_cycles
+            ],
+            "resident": self.resident,
+            "replica_load_cycles": [
+                int(c) for c in self.replica_load_cycles
+            ],
         }
 
-
-@dataclass
-class ServeReport(_ServingMetrics):
-    """One submission's view of the serving queueing model.
-
-    Cycle accounting per input ``i``::
-
-        release_i  (arrival)  <=  start_i  (enters shard 0)
-        queue_i    = start_i  - release_i      (waiting for the pipeline)
-        service_i  = finish_i - start_i        (inside the pipeline)
-        latency_i  = finish_i - release_i      (what the client sees)
-
-    ``shard_cycles`` is one input's per-shard occupancy (identical for
-    every input: timing is data-independent under per-input isolation),
-    ``shard_utilization`` each shard's busy fraction of the makespan,
-    and ``steady_interval_cycles`` the closed-form bottleneck interval
-    -- the saturation rate the deployment cannot exceed.  Energy, MACs
-    and instruction counts sum over the whole stream.  ``stream_report``
-    (cyclesim tier) is the aggregate :class:`MultiChipReport` in the
-    PR-4 batched format, bit-identical to batched mode for back-to-back
-    arrivals.
-    """
-
-    arch: ArchConfig
-    tier: str
-    batch: int
-    arrival: str
-    releases: List[int]
-    service_starts: List[int]
-    input_finishes: List[int]
-    makespan_cycles: int
-    steady_interval_cycles: int
-    shard_cycles: List[int]
-    shard_utilization: List[float]
-    energy_breakdown_pj: Dict[str, float]
-    macs: int = 0
-    instructions: int = 0
-    validated: bool = False
-    stream_report: Optional[MultiChipReport] = field(default=None, repr=False)
-    per_input_outputs: Optional[List[Dict[str, np.ndarray]]] = field(
-        default=None, repr=False
-    )
-    golden: Optional[Dict[str, np.ndarray]] = field(default=None, repr=False)
-    #: Resident-weights session bookkeeping.  ``load_cycles`` is the
-    #: weight-load phase THIS submission paid (0 on a warm submission);
-    #: ``load_energy_pj`` its run-once energy, already included in
-    #: ``energy_breakdown_pj``.
-    resident: bool = False
-    load_cycles: int = 0
-    load_energy_pj: Dict[str, float] = field(default_factory=dict)
-
-    # -- derived cycle series ----------------------------------------------
-    @property
-    def queue_cycles(self) -> List[int]:
-        return [s - r for s, r in zip(self.service_starts, self.releases)]
-
-    @property
-    def service_cycles(self) -> List[int]:
-        return [f - s for f, s in zip(self.input_finishes, self.service_starts)]
-
-    @property
-    def latency_cycles(self) -> List[int]:
-        return [f - r for f, r in zip(self.input_finishes, self.releases)]
-
-    @property
-    def completed(self) -> int:
-        """A plain stream drops nothing: every input completes."""
-        return self.batch
-
-    @property
-    def saturation_inf_per_s(self) -> float:
-        """The rate ceiling: one inference per bottleneck interval."""
-        if self.steady_interval_cycles <= 0:
-            return 0.0
-        return 1e9 / (self.steady_interval_cycles * self.cycle_ns)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shard_cycles)
-
-    def to_dict(self) -> Dict:
-        payload = self._metrics_dict()
-        payload.update({
-            "num_shards": self.num_shards,
-            "service_starts": [int(c) for c in self.service_starts],
-            "queue_cycles": [int(c) for c in self.queue_cycles],
-            "shard_cycles": [int(c) for c in self.shard_cycles],
-            "shard_utilization": [float(u) for u in self.shard_utilization],
-        })
-        # Only resident sessions carry the load-amortization block, so a
-        # non-resident report serializes byte-identically to before.
-        if self.resident:
-            payload["resident"] = True
-            payload["load_cycles"] = int(self.load_cycles)
-            payload["load_energy_pj"] = {
-                k: float(v) for k, v in self.load_energy_pj.items()
-            }
-        return payload
-
     def __str__(self) -> str:
+        pcts = (50, 95, 99)
+        latency = [
+            f"latency p{pct}       : "
+            + (
+                "n/a (0 completed)" if cycles is None
+                else f"{cycles:,} cycles ({self._ms(cycles):.3f} ms)"
+            )
+            for pct, cycles in zip(pcts, self._percentiles(pcts))
+        ]
         lines = [
             f"tier              : {self.tier}",
             f"shards            : {self.num_shards}",
+            f"replicas          : {self.replicas} (policy {self.policy})",
             f"inputs            : {self.batch} ({self.arrival})",
             f"makespan          : {self.makespan_cycles:,} cycles "
             f"({self.makespan_ms:.3f} ms)",
             f"sustained rate    : {self.throughput_inf_per_s:,.0f} inf/s "
             f"(saturation {self.saturation_inf_per_s:,.0f} inf/s)",
-            *self._latency_lines(),
-        ]
-        queue = self.queue_cycles
-        if queue:
-            lines.append(
-                f"queue wait        : mean {sum(queue) / len(queue):,.0f}, "
-                f"max {max(queue):,} cycles"
-            )
-        lines.append(
+            *latency,
             f"energy            : {self.total_energy_mj:.4f} mJ "
-            f"({self.energy_per_inference_mj:.4f} mJ/inference)"
-        )
+            f"({self.energy_per_inference_mj:.4f} mJ/inference)",
+            f"conservation      : {self.submitted} submitted = "
+            f"{self.completed} completed + {self.dropped} dropped",
+            f"goodput           : {self.goodput_inf_per_s:,.0f} inf/s "
+            f"(offered {self.offered_inf_per_s:,.0f} inf/s, "
+            f"{self.retries} retries)",
+        ]
         if self.resident:
-            lines.append(
-                f"resident load     : {self.load_cycles:,} cycles"
-                + (
-                    " (paid this submission)"
-                    if self.load_cycles else " (session warm)"
-                )
+            paid = ", ".join(
+                f"r{r}={c:,}"
+                for r, c in enumerate(self.replica_load_cycles)
+            ) or "none"
+            lines.append(f"resident load     : {paid} cycles")
+        if self.drop_reasons:
+            reasons: Dict[str, int] = {}
+            for reason in self.drop_reasons.values():
+                reasons[reason] = reasons.get(reason, 0) + 1
+            detail = ", ".join(
+                f"{count}x {reason}"
+                for reason, count in sorted(reasons.items())
             )
-        lines.append("shard utilization :")
-        for k, util in enumerate(self.shard_utilization):
-            lines.append(f"  chip {k}: {100 * util:5.1f}%")
+            lines.append(f"drops             : {detail}")
+        for r, windows in enumerate(self.replica_downtime):
+            for window in windows:
+                end = window.get("end_cycle")
+                span = (
+                    f"[{window['start_cycle']:,}, "
+                    + (f"{end:,})" if end is not None else "inf)")
+                )
+                lines.append(
+                    f"fault             : replica {r} "
+                    f"{window['kind']} {span}"
+                )
+        lines.append("replica load      :")
+        for r, (b, util) in enumerate(
+            zip(self.replica_batches, self.replica_utilization)
+        ):
+            lines.append(f"  replica {r}: {b} inputs, {100 * util:5.1f}% busy")
         return "\n".join(lines)
 
 
@@ -423,9 +560,21 @@ class Deployment:
     submission (the classic latency mode).  ``model`` may also be an
     already-compiled :class:`CompiledModel` / :class:`MultiChipModel`,
     which the deployment adopts as-is, or the path of a saved
-    ``.artifact`` file (see :meth:`load`).  A deployment is a fleet of
-    one replica under round-robin dispatch: :class:`Fleet` only sets the
-    replica count and policy, and adds fault plans and the fleet report.
+    ``.artifact`` file (see :meth:`load`).
+
+    ``replicas`` copies of the model serve one arrival stream, all
+    sharing the immutable compile product (per-input isolation makes
+    that safe); the default is a fleet of one.  ``policy`` selects the
+    dispatcher: ``"rr"`` (round-robin, input ``i`` to replica ``i % R``)
+    or ``"jsq"`` (join-shortest-queue on each replica's predicted
+    in-flight count at release time, ties to the lowest index)::
+
+        fleet = Deployment("model.artifact", replicas=4, policy="jsq")
+        report = fleet.submit(batch=64, arrivals=FixedRate(8000))
+
+    Every submission returns a :class:`FleetReport`; ``faults`` injects
+    a :class:`~repro.faults.FaultPlan` and ``retry`` overrides its
+    :class:`~repro.faults.RetryPolicy`.
 
     ``tier`` selects fidelity: ``"cyclesim"`` (default) executes every
     input on the exact cycle-level simulator with bit-exact golden
@@ -448,15 +597,13 @@ class Deployment:
     artifact stores only the serving surface, not the execution plan).
     """
 
-    #: Replicas behind the arrival stream and their dispatch policy.
-    num_replicas = 1
-    policy = "rr"
-
     def __init__(
         self,
         model: ModelLike,
         arch: ArchLike = None,
         *,
+        replicas: int = 1,
+        policy: str = "rr",
         chips: int = 1,
         strategy: str = "dp",
         engine: Optional[str] = None,
@@ -470,6 +617,9 @@ class Deployment:
                 f"unknown deployment tier {tier!r}; expected 'cyclesim' "
                 f"or 'fast'"
             )
+        check_fleet(policy, replicas)
+        self.num_replicas = int(replicas)
+        self.policy = policy
         self.tier = tier
         self.engine = engine
         self.compiled: Union[CompiledModel, MultiChipModel, None] = None
@@ -587,9 +737,13 @@ class Deployment:
 
     def summary(self) -> str:
         if self.compiled is not None:
-            return self.compiled.summary()
-        lines = [plan.summary() for plan in self._plans]
-        lines.append(f"  fast-tier deployment, {self.num_chips} chip(s)")
+            lines = [self.compiled.summary()]
+        else:
+            lines = [plan.summary() for plan in self._plans]
+            lines.append(f"  fast-tier deployment, {self.num_chips} chip(s)")
+        lines.append(
+            f"  fleet: {self.num_replicas} replica(s), policy {self.policy}"
+        )
         return "\n".join(lines)
 
     def _service_profile(self):
@@ -664,18 +818,24 @@ class Deployment:
         clock=None,
         seed: int = 0,
         validate: bool = True,
+        faults: Optional[FaultPlan] = None,
+        retry: Optional[RetryPolicy] = None,
     ):
         """Open an async real-time serving session on this deployment.
 
         Must be awaited inside a running asyncio event loop; returns a
         :class:`repro.runtime.ServerHandle` whose ``submit()`` coroutine
         accepts wall-clock (or :class:`repro.runtime.VirtualClock`)
-        requests and resolves a future per request with its completion
+        requests, routes each across the replicas under ``faults`` /
+        ``retry`` and resolves a future per request with its completion
         cycle and latency.  See :mod:`repro.runtime`.
         """
         from repro.runtime import serve_forever
 
-        return serve_forever(self, clock=clock, seed=seed, validate=validate)
+        return serve_forever(
+            self, clock=clock, seed=seed, validate=validate,
+            faults=faults, retry=retry,
+        )
 
     # -- one input ---------------------------------------------------------
     def run(
@@ -700,9 +860,8 @@ class Deployment:
                 f"run() executes one input, got {len(inputs)}; submit() "
                 f"streams a batch"
             )
-        report = self.submit(inputs, validate=validate)
-        # A fleet's one input lands on replica 0 under rr and jsq alike.
-        served = getattr(report, "replica_reports", [report])[0]
+        # The one input lands on replica 0 under rr and jsq alike.
+        served = self.submit(inputs, validate=validate).replica_reports[0]
         return WorkflowResult(
             self.compiled, served.stream_report,
             served.per_input_outputs[0], served.golden, served.validated,
@@ -757,7 +916,9 @@ class Deployment:
         arrivals: Optional[Union[ArrivalProcess, Sequence[int]]] = None,
         seed: int = 0,
         validate: bool = True,
-    ) -> ServeReport:
+        faults: Optional[FaultPlan] = None,
+        retry: Optional[RetryPolicy] = None,
+    ) -> FleetReport:
         """Submit a stream of inputs under an arrival process.
 
         ``inputs`` follows the batched-workflow conventions (``None``
@@ -766,11 +927,22 @@ class Deployment:
         the batch implicitly).  ``arrivals`` is an
         :class:`ArrivalProcess` (default :class:`BackToBack`) or a bare
         sequence of release cycles; an empty :class:`TraceArrivals`
-        yields an empty report.  The cyclesim tier validates every input
+        yields an empty report.  Inputs are drawn in global submission
+        order, then routed: replica sub-streams keep their global
+        release cycles.  The cyclesim tier validates every input
         bit-exactly against the golden model; the fast tier carries no
         functional outputs (``validate`` is ignored).
+
+        The one fleet step (:class:`repro.sim.multichip.Dispatcher`)
+        runs under ``faults`` (``None``: the empty plan): dead replicas
+        stop receiving work, failed attempts are retried on survivors,
+        and undeliverable requests are recorded as dropped
+        (conservation: ``submitted == completed + dropped``).
         """
-        return self._serve(inputs, batch, arrivals, seed, validate)
+        return self._serve(
+            inputs, batch, arrivals, seed, validate, faults=faults,
+            retry=retry,
+        )
 
     def run_trace(
         self,
@@ -779,15 +951,18 @@ class Deployment:
         *,
         seed: int = 0,
         validate: bool = True,
-    ) -> ServeReport:
+        faults: Optional[FaultPlan] = None,
+        retry: Optional[RetryPolicy] = None,
+    ) -> FleetReport:
         """Replay a recorded arrival trace (one release cycle per input).
 
         ``run_trace([0, 0, ..., 0])`` reproduces the batched streaming
-        schedule of PR 4 exactly -- same makespan, bit-identical
-        outputs.  An empty trace is legal and yields an empty report.
+        schedule exactly -- same makespan, bit-identical outputs.  An
+        empty trace is legal and yields an empty report.
         """
         return self.submit(
-            inputs, arrivals=trace, seed=seed, validate=validate
+            inputs, arrivals=trace, seed=seed, validate=validate,
+            faults=faults, retry=retry,
         )
 
     def _serve(
@@ -824,45 +999,81 @@ class Deployment:
         )
 
     def _report(
-        self, dispatcher, arrival, served, validate, faults=None, retry=None,
-    ) -> ServeReport:
-        """This deployment's report: the one replica of its fleet."""
-        return self._replica_reports(dispatcher, arrival, served, validate)[0]
+        self, dispatcher: Optional[Dispatcher], arrival, served, validate,
+        faults=None, retry=None,
+    ) -> FleetReport:
+        """The report of a stream ``dispatcher`` has admitted and drained
+        (``None``: an empty stream): the replica reports
+        (:meth:`_replica_reports`) totalled, with the availability block
+        read off the step and the plan (``None``: the empty plan).
 
-    def _empty_report(self, arrival: str, load=None) -> ServeReport:
-        """A zero-input report; ``load`` is a weight-load phase
-        (:meth:`_resident_load_profile`) a replica paid without serving."""
-        load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
-        return ServeReport(
+        The step's own lists are kept, not copied: nothing admits after
+        a drain.  Busy cycles come from the executed attempt windows: a
+        full-service attempt charges one service row, a crash-killed
+        one the cycles it ran before dying (counted once).
+        """
+        reports = self._replica_reports(dispatcher, served, validate)
+        plan = faults if faults is not None else FaultPlan()
+        d = dispatcher
+        fields = dict(shard_cycles=[0] * self.num_chips)
+        if d is not None and d.releases:
+            row = self._service_profile()[0]
+            busy = sum(row)
+            fields.update(
+                batch=len(d.releases),
+                assignments=d.assignments,
+                releases=d.releases,
+                input_finishes=d.finishes,
+                makespan_cycles=d.makespan,
+                steady_interval_cycles=steady_state_interval(
+                    row, self._edges, self.arch.interchip
+                ),
+                shard_cycles=list(row),
+                dropped_indices=d.dropped,
+                drop_reasons=d.drop_reasons,
+                attempt_counts=d.attempt_counts,
+                retries=d.retries,
+                replica_busy_cycles=[
+                    sum(
+                        busy if a.full_service
+                        else max(0, a.finish_cycle - a.start_cycle)
+                        for a in records
+                    )
+                    for records in d.replica_attempts
+                ],
+            )
+        served_reports = [r for r in reports if r.batch]
+        return FleetReport(
             arch=self.arch,
             tier=self.tier,
-            batch=0,
+            policy=self.policy,
+            replicas=self.num_replicas,
             arrival=arrival,
-            releases=[],
-            service_starts=[],
-            input_finishes=[],
-            makespan_cycles=0,
-            steady_interval_cycles=0,
-            shard_cycles=[0] * self.num_chips,
-            shard_utilization=[0.0] * self.num_chips,
-            energy_breakdown_pj=dict(load_energy),
-            macs=load_macs,
-            instructions=load_instr,
-            per_input_outputs=[] if self.tier == "cyclesim" else None,
-            resident=load is not None,
-            load_cycles=load_cycles,
-            load_energy_pj=dict(load_energy),
+            replica_reports=reports,
+            energy_breakdown_pj=sum_energy(
+                [r.energy_breakdown_pj for r in reports]
+            ),
+            macs=sum(r.macs for r in reports),
+            instructions=sum(r.instructions for r in reports),
+            validated=bool(served_reports) and all(
+                r.validated for r in served_reports
+            ),
+            fault_events=[e.to_dict() for e in plan.events],
+            retry_policy=effective_retry(plan, retry).to_dict(),
+            replica_downtime=plan.replica_timeline(self.num_replicas),
+            resident=self.resident_weights,
+            replica_load_cycles=[r.load_cycles for r in reports],
+            **fields,
         )
 
     def _replica_reports(
-        self, dispatcher: Optional[Dispatcher], label, served, validate,
+        self, dispatcher: Optional[Dispatcher], served, validate,
     ) -> List[ServeReport]:
         """Each replica's report from the attempts ``dispatcher``
         recorded for it (``None`` admitted nothing: an empty stream).
 
         A report covers the replica's full-service attempts, each a row
-        released at its ready cycle; ``label`` names each sub-stream
-        (``None``: a recorded trace).  ``served`` is the cyclesim tier's
+        released at its ready cycle.  ``served`` is the cyclesim tier's
         :meth:`_run_served` of the stream: each row is charged its
         request's measured cost and carries its outputs, and the first
         one's profile windows, shifted to its service start, head the
@@ -881,9 +1092,9 @@ class Deployment:
             load = None
             if records and self.resident_weights and not warm[r]:
                 load = self._resident_load_profile()
-            reports.append(self._replica_report(
-                records, label, served, validate, load
-            ))
+            reports.append(
+                self._replica_report(records, served, validate, load)
+            )
             crashed = dispatcher is not None and (
                 dispatcher.states[r].crash is not None
             )
@@ -892,20 +1103,25 @@ class Deployment:
             )
         return reports
 
-    def _replica_report(
-        self, records, arrival, served, validate, load
-    ) -> ServeReport:
+    def _replica_report(self, records, served, validate, load) -> ServeReport:
         """One replica's report straight from its attempt ``records``
         (:meth:`_replica_reports`): nothing is scheduled again, the
         full-service rows are only priced, each at the service profile
         and (cyclesim tier) its request's measured ``(energy, MACs,
         instructions)``, else the fast model's.  ``load`` is a weight-load
-        phase paid ahead of them."""
+        phase paid ahead of them (``None``: none)."""
+        load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
         full = [a for a in records if a.full_service]
         count = len(full)
-        arrival = arrival or _trace_label(count)
         if not count:
-            return self._empty_report(arrival, load)
+            return ServeReport(
+                batch=0, releases=[], service_starts=[], input_finishes=[],
+                makespan_cycles=0, shard_cycles=[0] * self.num_chips,
+                energy_breakdown_pj=dict(load_energy), macs=load_macs,
+                instructions=load_instr,
+                per_input_outputs=[] if self.tier == "cyclesim" else None,
+                load_cycles=load_cycles, load_energy_pj=dict(load_energy),
+            )
         starts = [a.start_cycle for a in full]
         finishes = [a.finish_cycle for a in full]
         makespan = max(a.finish_cycle for a in records)
@@ -930,30 +1146,17 @@ class Deployment:
                 per_input_outputs=[run[1] for run in runs],
                 golden=runs[0][2],
             )
-        load_cycles, load_energy, load_macs, load_instr = load or _NO_LOAD
-        row = self._service_profile()[0]
         return ServeReport(
-            arch=self.arch,
-            tier=self.tier,
             batch=count,
-            arrival=arrival,
             releases=[a.ready_cycle for a in full],
             service_starts=starts,
             input_finishes=finishes,
             makespan_cycles=makespan,
-            steady_interval_cycles=steady_state_interval(
-                row, self._edges, self.arch.interchip
-            ),
-            shard_cycles=list(row),
-            shard_utilization=[
-                count * cycles / makespan if makespan > 0 else 0.0
-                for cycles in row
-            ],
+            shard_cycles=list(self._service_profile()[0]),
             energy_breakdown_pj=sum_energy([energy, load_energy]),
             macs=macs + load_macs,
             instructions=instructions + load_instr,
             validated=served is not None and bool(validate),
-            resident=self.resident_weights,
             load_cycles=load_cycles,
             load_energy_pj=dict(load_energy),
             **extra,
@@ -1095,451 +1298,8 @@ class Deployment:
         )
 
 
-# ---------------------------------------------------------------------------
-# Replicated serving: Fleet
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FleetReport(_ServingMetrics):
-    """One submission's view across all replicas of a :class:`Fleet`.
-
-    ``assignments[i]`` names the replica that served global input ``i``;
-    ``releases`` / ``input_finishes`` are in global submission order, so
-    latency percentiles aggregate over the whole fleet.
-    ``replica_reports[r]`` is replica ``r``'s own :class:`ServeReport`
-    for its sub-stream (empty-report shaped when a replica received no
-    inputs).  ``steady_interval_cycles`` is one replica's bottleneck
-    interval; the fleet saturation rate is ``replicas`` times the
-    single-replica ceiling.
-
-    **Availability** (fault-injected submissions, :mod:`repro.faults`):
-    ``assignments[i] == -1`` marks global input ``i`` as *dropped*
-    (``drop_reasons`` says why, ``input_finishes[i] == 0``); request
-    conservation always holds (``submitted == completed + dropped``).
-    Latency series and percentiles cover completed requests only.
-    ``attempt_counts`` is empty unless a fault plan or retry policy was
-    given; then ``attempt_counts[i]`` counts input ``i``'s dispatches and
-    ``retries`` the re-enqueues.  ``goodput_inf_per_s`` is the rate of
-    *completed* work over the makespan; ``offered_inf_per_s`` the
-    arrival-stream demand; ``replica_downtime[r]`` the injected
-    crash/slowdown/degrade windows of replica ``r``.
-    """
-
-    arch: ArchConfig
-    tier: str
-    policy: str
-    replicas: int
-    batch: int
-    arrival: str
-    assignments: List[int]
-    releases: List[int]
-    input_finishes: List[int]
-    makespan_cycles: int
-    steady_interval_cycles: int
-    replica_reports: List[ServeReport] = field(repr=False, default_factory=list)
-    energy_breakdown_pj: Dict[str, float] = field(default_factory=dict)
-    macs: int = 0
-    instructions: int = 0
-    validated: bool = False
-    fault_events: List[Dict] = field(default_factory=list)
-    retry_policy: Optional[Dict] = None
-    dropped_indices: List[int] = field(default_factory=list)
-    drop_reasons: Dict[int, str] = field(default_factory=dict)
-    attempt_counts: List[int] = field(default_factory=list)
-    retries: int = 0
-    replica_downtime: List[List[Dict]] = field(default_factory=list)
-    #: Fault-injected submissions: per-replica busy cycles measured from
-    #: the actually-executed attempt windows (crash-killed attempts count
-    #: the cycles they ran before dying).  Empty on fault-free
-    #: submissions, where every served input is one full service row.
-    replica_busy_cycles: List[int] = field(default_factory=list)
-    #: Resident-weights sessions: ``replica_load_cycles[r]`` is the
-    #: weight-load phase replica ``r`` paid in THIS submission (0 when it
-    #: was already warm or received no work).
-    resident: bool = False
-    replica_load_cycles: List[int] = field(default_factory=list)
-
-    # -- availability --------------------------------------------------------
-    @property
-    def submitted(self) -> int:
-        return self.batch
-
-    @property
-    def completed(self) -> int:
-        return self.batch - len(self.dropped_indices)
-
-    @property
-    def dropped(self) -> int:
-        return len(self.dropped_indices)
-
-    @property
-    def drop_rate(self) -> float:
-        return self.dropped / self.batch if self.batch else 0.0
-
-    @property
-    def goodput_inf_per_s(self) -> float:
-        """Completed inferences per second over the makespan."""
-        return self.throughput_inf_per_s
-
-    @property
-    def offered_inf_per_s(self) -> float:
-        """The arrival stream's demand rate over its release span."""
-        if self.batch < 2:
-            return 0.0
-        span = max(self.releases) - min(self.releases)
-        if span <= 0:
-            return 0.0
-        return (self.batch - 1) / (span * self.cycle_ns / 1e9)
-
-    @property
-    def latency_cycles(self) -> List[int]:
-        """Per-request latency of *completed* requests, submission order."""
-        dropped = set(self.dropped_indices)
-        return [
-            f - r
-            for i, (f, r) in enumerate(
-                zip(self.input_finishes, self.releases)
-            )
-            if i not in dropped
-        ]
-
-    #: An all-dropped fleet has no latency distribution, and reporting
-    #: "0 cycles" would read as a perfect one.
-    _no_latency = None
-
-    @property
-    def saturation_inf_per_s(self) -> float:
-        """The fleet ceiling: ``replicas`` inferences per bottleneck interval."""
-        if self.steady_interval_cycles <= 0:
-            return 0.0
-        return self.replicas * 1e9 / (
-            self.steady_interval_cycles * self.cycle_ns
-        )
-
-    @property
-    def replica_batches(self) -> List[int]:
-        return [report.batch for report in self.replica_reports]
-
-    @property
-    def replica_utilization(self) -> List[float]:
-        """Mean shard busy fraction of the fleet makespan, per replica.
-
-        Fault-free submissions use the exact closed form (every served
-        input occupies each shard for its service row).  Under a fault
-        plan, busy cycles come from the recorded attempt windows
-        instead (``replica_busy_cycles``): a full-service
-        attempt charges one service row, and a crash-killed attempt
-        charges the cycles it actually ran before dying -- counted once
-        across the pipeline, an approximation that neither drops the
-        partial work (the old bug) nor invents a phantom full row.
-        """
-        out = []
-        for r, report in enumerate(self.replica_reports):
-            if self.makespan_cycles <= 0 or report.num_shards == 0:
-                out.append(0.0)
-                continue
-            if self.replica_busy_cycles:
-                busy = self.replica_busy_cycles[r]
-            else:
-                busy = report.batch * sum(report.shard_cycles)
-            out.append(busy / (report.num_shards * self.makespan_cycles))
-        return out
-
-    def to_dict(self) -> Dict:
-        payload = self._metrics_dict()
-        payload.update({
-            "policy": self.policy,
-            "replicas": int(self.replicas),
-            "assignments": [int(a) for a in self.assignments],
-            "replica_batches": self.replica_batches,
-            "replica_utilization": [
-                float(u) for u in self.replica_utilization
-            ],
-            "submitted": int(self.submitted),
-            "completed": int(self.completed),
-            "dropped": int(self.dropped),
-            "drop_rate": float(self.drop_rate),
-            "dropped_indices": [int(i) for i in self.dropped_indices],
-            "drop_reasons": {
-                str(i): reason
-                for i, reason in sorted(self.drop_reasons.items())
-            },
-            "attempt_counts": [int(c) for c in self.attempt_counts],
-            "retries": int(self.retries),
-            "goodput_inf_per_s": self.goodput_inf_per_s,
-            "offered_inf_per_s": self.offered_inf_per_s,
-            "fault_events": list(self.fault_events),
-            "retry_policy": self.retry_policy,
-            "replica_downtime": [
-                list(windows) for windows in self.replica_downtime
-            ],
-            "replica_busy_cycles": [
-                int(c) for c in self.replica_busy_cycles
-            ],
-        })
-        if self.resident:
-            payload["resident"] = True
-            payload["replica_load_cycles"] = [
-                int(c) for c in self.replica_load_cycles
-            ]
-        return payload
-
-    def __str__(self) -> str:
-        lines = [
-            f"tier              : {self.tier}",
-            f"replicas          : {self.replicas} (policy {self.policy})",
-            f"inputs            : {self.batch} ({self.arrival})",
-            f"makespan          : {self.makespan_cycles:,} cycles "
-            f"({self.makespan_ms:.3f} ms)",
-            f"sustained rate    : {self.throughput_inf_per_s:,.0f} inf/s "
-            f"(fleet saturation {self.saturation_inf_per_s:,.0f} inf/s)",
-            *self._latency_lines(),
-            f"energy            : {self.total_energy_mj:.4f} mJ "
-            f"({self.energy_per_inference_mj:.4f} mJ/inference)",
-        ]
-        if self.resident:
-            paid = ", ".join(
-                f"r{r}={c:,}"
-                for r, c in enumerate(self.replica_load_cycles)
-            ) or "none"
-            lines.append(f"resident load     : {paid} cycles")
-        if self.attempt_counts:
-            lines.append(
-                f"conservation      : {self.submitted} submitted = "
-                f"{self.completed} completed + {self.dropped} dropped"
-            )
-            lines.append(
-                f"goodput           : {self.goodput_inf_per_s:,.0f} inf/s "
-                f"(offered {self.offered_inf_per_s:,.0f} inf/s, "
-                f"{self.retries} retries)"
-            )
-            if self.drop_reasons:
-                reasons: Dict[str, int] = {}
-                for reason in self.drop_reasons.values():
-                    reasons[reason] = reasons.get(reason, 0) + 1
-                detail = ", ".join(
-                    f"{count}x {reason}"
-                    for reason, count in sorted(reasons.items())
-                )
-                lines.append(f"drops             : {detail}")
-            for r, windows in enumerate(self.replica_downtime):
-                for window in windows:
-                    end = window.get("end_cycle")
-                    span = (
-                        f"[{window['start_cycle']:,}, "
-                        + (f"{end:,})" if end is not None else "inf)")
-                    )
-                    lines.append(
-                        f"fault             : replica {r} "
-                        f"{window['kind']} {span}"
-                    )
-        lines.append("replica load      :")
-        for r, (b, util) in enumerate(
-            zip(self.replica_batches, self.replica_utilization)
-        ):
-            lines.append(f"  replica {r}: {b} inputs, {100 * util:5.1f}% busy")
-        return "\n".join(lines)
-
-
-class Fleet(Deployment):
-    """R replicas of one compiled model behind a shared arrival stream.
-
-    The model is compiled (or loaded from an artifact) exactly once; all
-    replicas share the immutable compile product, which per-input
-    isolation makes safe.  ``model`` and the keywords after ``policy``
-    are :class:`Deployment`'s::
-
-        fleet = Fleet("model.artifact", replicas=4, policy="jsq")
-        report = fleet.submit(batch=64, arrivals=FixedRate(8000))
-
-    ``policy`` selects the dispatcher: ``"rr"`` (round-robin, input ``i``
-    to replica ``i % R``) or ``"jsq"`` (join-shortest-queue on each
-    replica's predicted in-flight count at release time, ties to the
-    lowest index).  A submission takes the one serving path a
-    :class:`Deployment` takes (:meth:`Deployment._serve`, where a
-    deployment is a fleet of one), faulted or not: the dispatcher admits
-    each attempt once, the cyclesim tier executes and checks every input
-    once, and each replica reports from the attempts the dispatcher
-    recorded for it.  The per-replica reports merge into a
-    :class:`FleetReport`; with ``replicas=1`` and no fault plan the
-    replica report is bit-identical to a plain deployment's.
-    """
-
-    def __init__(
-        self,
-        model,
-        arch: ArchLike = None,
-        *,
-        replicas: int = 1,
-        policy: str = "rr",
-        **kwargs,
-    ):
-        check_fleet(policy, replicas)
-        self.num_replicas = int(replicas)
-        self.policy = policy
-        super().__init__(model, arch, **kwargs)
-
-    def summary(self) -> str:
-        return (
-            f"{super().summary()}\n"
-            f"  fleet: {self.num_replicas} replica(s), policy {self.policy}"
-        )
-
-    def serve_forever(
-        self,
-        *,
-        clock=None,
-        seed: int = 0,
-        validate: bool = True,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ):
-        """Open an async real-time serving session across the fleet.
-
-        Like :meth:`Deployment.serve_forever`, with the fleet's rr/jsq
-        dispatch and, when ``faults``/``retry`` are given, the failover
-        engine routing each arrival online.  See :mod:`repro.runtime`.
-        """
-        from repro.runtime import serve_forever
-
-        return serve_forever(
-            self, clock=clock, seed=seed, validate=validate,
-            faults=faults, retry=retry,
-        )
-
-    # -- submission ---------------------------------------------------------
-    def submit(
-        self,
-        inputs=None,
-        *,
-        batch: int = 1,
-        arrivals: Optional[Union[ArrivalProcess, Sequence[int]]] = None,
-        seed: int = 0,
-        validate: bool = True,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> FleetReport:
-        """Submit one stream, dispatched across the replicas.
-
-        Arguments follow :meth:`Deployment.submit` exactly.  Inputs are
-        drawn (or taken) at the *fleet* level in global submission
-        order, then routed: replica sub-streams keep their global
-        release cycles, so the merged report's latencies are what the
-        clients of the whole fleet observe.
-
-        ``faults`` injects a deterministic :class:`~repro.faults.
-        FaultPlan`; ``retry`` overrides the plan's embedded
-        :class:`~repro.faults.RetryPolicy`.  The one fleet step
-        (:class:`repro.sim.multichip.Dispatcher`) runs under the plan:
-        dead replicas stop receiving work, failed attempts are retried
-        on survivors, and undeliverable requests are recorded as dropped
-        (conservation: ``submitted == completed + dropped``).
-        ``faults=None`` (or an empty plan with no retry policy) is the
-        empty plan, and its report carries no availability block.
-        """
-        return self._serve(
-            inputs, batch, arrivals, seed, validate, faults=faults,
-            retry=retry,
-        )
-
-    def run_trace(
-        self,
-        trace: Union[TraceArrivals, Sequence[int]],
-        inputs=None,
-        *,
-        seed: int = 0,
-        validate: bool = True,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> FleetReport:
-        """Replay a recorded arrival trace across the fleet."""
-        return self.submit(
-            inputs, arrivals=trace, seed=seed, validate=validate,
-            faults=faults, retry=retry,
-        )
-
-    def _report(
-        self, dispatcher: Optional[Dispatcher], arrival, served, validate,
-        faults=None, retry=None,
-    ) -> FleetReport:
-        """The fleet's report of a stream its dispatcher has admitted
-        (``None``: an empty stream): the replica reports
-        (:meth:`Deployment._replica_reports`; a lone replica of a
-        fault-free fleet keeps the stream's arrival label, any other
-        reports a trace), totalled.
-
-        The availability block (``fault_events``, ``retry_policy``,
-        ``replica_downtime``, ``attempt_counts``, ``retries``, drops and
-        ``replica_busy_cycles``) is filled only when ``faults`` or
-        ``retry`` was given (:func:`repro.faults.engine_needed`).  Busy
-        cycles come from the executed attempt windows: a full-service
-        attempt charges one service row, a crash-killed one the cycles
-        it ran before dying (counted once).
-        """
-        faulted = engine_needed(faults, retry)
-        lone = self.num_replicas == 1 and not faulted
-        reports = self._replica_reports(
-            dispatcher, arrival if lone else None, served, validate
-        )
-        d = dispatcher
-        releases = [] if d is None else d.releases
-        fields = {}
-        if self.resident_weights:
-            fields.update(
-                resident=True,
-                replica_load_cycles=[r.load_cycles for r in reports],
-            )
-        if faulted:
-            plan = faults if faults is not None else FaultPlan()
-            fields.update(
-                fault_events=[e.to_dict() for e in plan.events],
-                retry_policy=effective_retry(plan, retry).to_dict(),
-                replica_downtime=plan.replica_timeline(self.num_replicas),
-            )
-        if faulted and releases:
-            row = sum(self._service_profile()[0])
-            fields.update(
-                dropped_indices=d.dropped,
-                drop_reasons=d.drop_reasons,
-                attempt_counts=d.attempt_counts,
-                retries=d.retries,
-                replica_busy_cycles=[
-                    sum(
-                        row if a.full_service
-                        else max(0, a.finish_cycle - a.start_cycle)
-                        for a in records
-                    )
-                    for records in d.replica_attempts
-                ],
-            )
-        served_reports = [r for r in reports if r.batch]
-        return FleetReport(
-            arch=self.arch,
-            tier=self.tier,
-            policy=self.policy,
-            replicas=self.num_replicas,
-            batch=len(releases),
-            arrival=arrival,
-            # The drained step's own lists: nothing admits after a
-            # drain, and a fleet keeps every request until it reports.
-            assignments=d.assignments if releases else [],
-            releases=releases,
-            input_finishes=d.finishes if releases else [],
-            makespan_cycles=d.makespan if releases else 0,
-            steady_interval_cycles=steady_state_interval(
-                *self._service_profile(), self.arch.interchip
-            ) if releases else 0,
-            replica_reports=reports,
-            energy_breakdown_pj=sum_energy(
-                [r.energy_breakdown_pj for r in reports]
-            ),
-            macs=sum(r.macs for r in reports),
-            instructions=sum(r.instructions for r in reports),
-            validated=bool(served_reports) and all(
-                r.validated for r in served_reports
-            ),
-            **fields,
-        )
+#: ``Fleet(model, replicas=R, policy=...)`` reads as what it builds.
+Fleet = Deployment
 
 
 def _is_artifact_path(model) -> bool:

@@ -303,35 +303,6 @@ def stream_batched(report: FastReport, batch: int) -> FastReport:
     )
 
 
-def serve_arrivals(
-    report: FastReport,
-    releases: Sequence[int],
-    link,
-    arrival_rate_inf_s: Optional[float] = None,
-) -> FastReport:
-    """Continuous-arrival continuation of a single-input report.
-
-    The fast-model side of the serving queueing law
-    (:mod:`repro.serve`): ``releases[i]`` is the cycle input ``i``
-    arrives, and the stream is re-priced through the same admission
-    kernel (:class:`repro.sim.multichip.PipelineState`) the cycle-level
-    :class:`~repro.serve.Deployment` uses, over the report's own
-    per-shard occupancies (``shard_cycles`` / ``shard_edges``; a report
-    without them is one implicit shard).  ``link`` is the
-    :class:`~repro.config.InterChipConfig` pricing the transfer edges.
-
-    The derived report's makespan includes arrival idle time; latency
-    percentiles (nearest-rank over ``finish_i - release_i``) land in
-    the ``p50/p95/p99_latency_cycles`` fields.  Energy and MACs scale
-    linearly per input, exactly as :func:`stream_batched` -- with
-    all-zero releases the makespan is the batched schedule's, so the
-    PR-4 law is the ``releases == [0] * B`` special case.  An empty
-    release list yields an empty (zero-cycle, zero-energy) report.
-    This is :func:`serve_fleet` with one replica.
-    """
-    return serve_fleet(report, releases, link, 1, arrival_rate_inf_s)
-
-
 def steady_state_utilization(
     shard_cycles: Sequence[int],
     shard_edges: Sequence,
@@ -381,7 +352,7 @@ def serve_fleet(
 ) -> FastReport:
     """Replicated-serving continuation of a single-input report.
 
-    The fast-model side of :class:`repro.serve.Fleet`: ``releases`` is
+    The fast-model side of :class:`repro.serve.Deployment`: ``releases`` is
     folded over the one fleet step
     (:func:`repro.faults.run_fault_schedule`, the
     :class:`repro.sim.multichip.Dispatcher`) across ``replicas``
@@ -407,7 +378,7 @@ def serve_fleet(
 
     A resident session's report is the *warm* one, and its
     ``load_cycles`` is the run-once weight-load phase, priced as the
-    :class:`~repro.serve.Fleet` prices it: a cold replica's first
+    :class:`~repro.serve.Deployment` prices it: a cold replica's first
     service waits for its own load (the step's ``load_offsets``),
     latency counts from the real release, and each replica that
     receives an attempt pays one load, ``load_energy_pj``.

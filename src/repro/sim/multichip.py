@@ -62,6 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import (
     TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -82,9 +83,15 @@ FLEET_POLICIES = ("rr", "jsq")
 
 
 def check_fleet(policy: str, replicas: int) -> None:
-    """The one fleet-shape rule: a known policy over >= 1 replica."""
-    if replicas < 1:
-        raise ConfigError(f"replicas must be >= 1, got {replicas}")
+    """The one fleet-shape rule: a known policy over an integer >= 1
+    replicas (a ``bool`` is not a count)."""
+    if (
+        isinstance(replicas, bool) or not isinstance(replicas, Integral)
+        or replicas < 1
+    ):
+        raise ConfigError(
+            f"replicas must be an integer >= 1, got {replicas!r}"
+        )
     if policy not in FLEET_POLICIES:
         raise ConfigError(
             f"unknown dispatch policy {policy!r}; expected one of "
@@ -347,7 +354,8 @@ class Dispatcher:
     attempt)`` order -- a retry is never ready before the attempt that
     spawned it -- so the outcome is a pure function of the releases,
     whether they are folded over a whole stream
-    (:func:`repro.faults.run_fault_schedule`, :class:`repro.serve.Fleet`,
+    (:func:`repro.faults.run_fault_schedule`,
+    :class:`repro.serve.Deployment`,
     :func:`repro.sim.fastmodel.serve_fleet`) or fed as they happen
     (:class:`repro.runtime.ServerHandle`).
 

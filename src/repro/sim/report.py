@@ -156,7 +156,7 @@ class FastReport:
     ``shard_cycles`` / ``shard_edges`` record the per-shard single-input
     occupancies and inter-chip transfer edges the streaming law needs,
     so a cached single-input report can be re-priced under any arrival
-    process (:func:`repro.sim.fastmodel.serve_arrivals`) without
+    process (:func:`repro.sim.fastmodel.serve_fleet`) without
     re-analysis.  A single-chip report records its one shard
     (``shard_cycles == [cycles]``, no edges); an empty ``shard_cycles``
     reads as one implicit shard of ``cycles``.

@@ -968,7 +968,7 @@ class TestLiveSessionIsTheOfflineReport:
             completions, live = _live(servers[0], trace, **kwargs)
             offline = servers[1].run_trace(trace, **kwargs)
             assert live.to_dict() == offline.to_dict()
-            dropped = set(getattr(live, "dropped_indices", ()))
+            dropped = set(live.dropped_indices)
             assert [
                 (c.finish_cycle, c.completed) for c in completions
             ] == [
@@ -980,7 +980,9 @@ class TestLiveSessionIsTheOfflineReport:
         if load is not None and plan is None:
             # Whoever served in the first session is warm in the second.
             if bare:
-                assert (first.load_cycles, second.load_cycles) == (load, 0)
+                assert (
+                    first.replica_load_cycles, second.replica_load_cycles
+                ) == ([load], [0])
             else:
                 assert all(
                     second.replica_load_cycles[r] == 0

@@ -1121,7 +1121,10 @@ class TestCompiledLoops:
             b = reference.submit(batch=1, seed=seed)
             assert a.validated and b.validated
             assert a.to_dict() == b.to_dict(), f"input {seed} diverged"
-            for got, want in zip(a.per_input_outputs, b.per_input_outputs):
+            for got, want in zip(
+                a.replica_reports[0].per_input_outputs,
+                b.replica_reports[0].per_input_outputs,
+            ):
                 for name in want:
                     assert np.array_equal(got[name], want[name])
         assert compiled_by_input[0] > 0

@@ -11,9 +11,7 @@ from repro.compiler.pipeline import plan_graph
 from repro.config import default_arch, small_test_arch, with_flit_bytes, with_mg_size
 from repro.explore import (
     SweepSpec,
-    design_space,
     evaluate_fast,
-    mg_flit_sweep,
     rank,
     run_sweep,
 )
@@ -215,20 +213,20 @@ class TestFastModel:
 
 class TestExploreDrivers:
     def test_mg_flit_sweep_axes(self):
-        points = mg_flit_sweep(
-            "resnet18", "generic", mg_sizes=(4, 8), flit_sizes=(8, 16),
-            input_size=64, num_classes=10,
-        )
+        points = run_sweep(SweepSpec(
+            models=("resnet18",), strategies=("generic",), mg_sizes=(4, 8),
+            flit_sizes=(8, 16), input_sizes=(64,), num_classes=10,
+        )).points
         assert len(points) == 4
         assert {(p.mg_size, p.flit_bytes) for p in points} == {
             (4, 8), (8, 8), (4, 16), (8, 16)
         }
 
     def test_design_space_is_cross_product(self):
-        points = design_space(
-            "resnet18", strategies=("generic",), mg_sizes=(4,),
-            flit_sizes=(8, 16), input_size=64, num_classes=10,
-        )
+        points = run_sweep(SweepSpec(
+            models=("resnet18",), strategies=("generic",), mg_sizes=(4,),
+            flit_sizes=(8, 16), input_sizes=(64,), num_classes=10,
+        )).points
         assert len(points) == 2
 
     def test_arch_variants_change_results(self):

@@ -35,7 +35,7 @@ def make_fleet(march, tier="fast", **kwargs):
 
 
 class TestSingleReplicaIdentity:
-    """Fleet(replicas=1) is bit-identical to a plain Deployment."""
+    """Fleet(replicas=1) is a plain Deployment: one class, one report."""
 
     @pytest.mark.parametrize("tier", ["cyclesim", "fast"])
     def test_bit_identical_to_deployment(self, march, tier):
@@ -46,7 +46,11 @@ class TestSingleReplicaIdentity:
         fleet = make_fleet(march, tier=tier, replicas=1).submit(
             batch=5, arrivals=PoissonArrivals(150000, seed=3), seed=1
         )
-        assert fleet.replica_reports[0].to_dict() == plain.to_dict()
+        assert Fleet is Deployment
+        assert fleet.to_dict() == plain.to_dict()
+        [a], [b] = fleet.replica_reports, plain.replica_reports
+        assert a.service_starts == b.service_starts
+        assert a.input_finishes == plain.input_finishes
         assert fleet.input_finishes == plain.input_finishes
         assert fleet.releases == plain.releases
         assert fleet.makespan_cycles == plain.makespan_cycles
@@ -58,6 +62,20 @@ class TestSingleReplicaIdentity:
         fleet = make_fleet(march, replicas=2, policy="jsq")
         assert "2 replica(s)" in fleet.summary()
         assert "jsq" in fleet.summary()
+
+
+class TestReplicaCount:
+    """``replicas`` is an integer count on every server: a float, a
+    ``bool`` or a string is refused, not truncated or compared."""
+
+    @pytest.mark.parametrize("server", [Deployment, Fleet])
+    @pytest.mark.parametrize("replicas", [2.5, True, 0, "2"])
+    def test_replicas_must_be_a_positive_integer(
+        self, march, server, replicas
+    ):
+        with pytest.raises(ConfigError, match="replicas must be an integer"):
+            server("tiny_mlp", march, strategy="generic", tier="fast",
+                   replicas=replicas, **MODEL_KW)
 
 
 class TestConservation:
@@ -281,9 +299,11 @@ class TestFaultMetricDenominators:
         )
         lost = report.replica_reports[1]
         assert lost.batch == 0 and lost.load_cycles > 0
-        assert lost.total_energy_mj > 0
-        assert lost.energy_per_inference_mj == 0.0
-        assert lost.to_dict()["energy_per_inference_mj"] == 0.0
+        assert sum(lost.energy_breakdown_pj.values()) > 0
+        assert report.completed == 4
+        assert report.energy_per_inference_mj == pytest.approx(
+            report.total_energy_mj / 4
+        )
 
     def test_partial_drop_divides_by_completed(self, march):
         from repro.faults import FaultPlan, ReplicaCrash, RetryPolicy
@@ -319,21 +339,24 @@ class TestFaultMetricDenominators:
         )
         assert len(report.replica_busy_cycles) == 2
         # Pin the derivation: busy attempt windows over the makespan.
-        for r, sub in enumerate(report.replica_reports):
+        for r in range(2):
             expected = report.replica_busy_cycles[r] / (
-                sub.num_shards * report.makespan_cycles
+                report.num_shards * report.makespan_cycles
             )
             assert report.replica_utilization[r] == pytest.approx(expected)
         # The crashed replica ran a partial window, not zero and not a
         # phantom full service row.
-        row = sum(report.replica_reports[0].shard_cycles)
+        row = sum(report.shard_cycles)
         assert 0 < report.replica_busy_cycles[1] < row
 
     def test_fault_free_keeps_closed_form(self, march):
         report = make_fleet(march, replicas=2).submit(batch=4, validate=False)
-        assert report.replica_busy_cycles == []
+        row = sum(report.shard_cycles)
+        assert report.replica_busy_cycles == [
+            sub.batch * row for sub in report.replica_reports
+        ]
         for r, sub in enumerate(report.replica_reports):
-            expected = sub.batch * sum(sub.shard_cycles) / (
-                sub.num_shards * report.makespan_cycles
+            expected = sub.batch * row / (
+                report.num_shards * report.makespan_cycles
             )
             assert report.replica_utilization[r] == pytest.approx(expected)

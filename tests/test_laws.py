@@ -693,20 +693,41 @@ def _one_pipeline_builder(root: Path):
 
 
 def _one_server(root: Path):
-    """A ``Fleet`` is a ``Deployment`` with R replicas: it subclasses
-    the deployment instead of wrapping one, so nothing reads a
+    """A fleet is a ``Deployment`` with R replicas: ``Fleet`` is the
+    same class under a second name, not a wrapper, so nothing reads a
     ``.deployment`` attribute, no serving call hands the server to
-    another object (``server=``), and the CLI builds either through one
-    builder."""
+    another object (``server=``), and the CLI builds every server
+    through one builder."""
     return (
-        _only(len(_grep(root, r"^class Fleet\(Deployment\):",
-                        "src/repro/serve.py")), 1, "fleet subclass")
+        _only(len(_grep(root, r"^Fleet = Deployment$",
+                        "src/repro/serve.py")), 1, "fleet alias")
         + _none(_grep(root, r"\.deployment\b", "src/repro",
                       suffixes=(".py",)), "fleet wrapper")
         + _none(_grep(root, r"\bserver=", "src/repro/serve.py",
                       "src/repro/runtime.py"), "server parameter")
         + _none(_grep(root, r"def _build_deployment\b", "src/repro/cli.py"),
                 "second builder")
+    )
+
+
+def _one_serving_report(root: Path):
+    """Every server is a ``Deployment`` and every submission returns a
+    ``FleetReport``: no ``Fleet`` class, no ``engine_needed`` deciding
+    whether a report carries its availability block, and no consumer
+    forking on the server's or the report's type."""
+    consumers = ("src/repro/serve.py", "src/repro/runtime.py",
+                 "src/repro/console.py", "src/repro/cli.py")
+    return (
+        _none(_grep(root, r"^\s*class Fleet\b", "src/repro",
+                    suffixes=(".py",)), "fleet class")
+        + _none(_grep(root, r"\bdef engine_needed\b", "src/repro",
+                      suffixes=(".py",)), "engine needed")
+        + _none(_grep(root, r"isinstance\([^)]*\bFleet\b", *consumers),
+                "server type fork")
+        + _none(_grep(root, r"hasattr\(report\b", *consumers),
+                "report probe")
+        + _none(_grep(root, r"getattr\(\w+,\s*[\"']replica_reports",
+                      *consumers), "replica fallback")
     )
 
 
@@ -1034,8 +1055,20 @@ GREP_LAWS = {
         ),
         "src/repro/runtime.py": "report = dep._serve(None, server=fleet)\n",
         "src/repro/cli.py": "def _build_deployment(args):\n    pass\n",
-    }, ["fleet subclass", "fleet wrapper", "server parameter",
+    }, ["fleet alias", "fleet wrapper", "server parameter",
         "second builder"]),
+    "one_serving_report": (_one_serving_report, {
+        "src/repro/serve.py": "class Fleet(Deployment):\n    pass\n",
+        "src/repro/faults.py": "def engine_needed(faults, retry):\n    pass\n",
+        "src/repro/runtime.py": "if isinstance(server, Fleet):\n    pass\n",
+        "src/repro/console.py": (
+            "if hasattr(report, \"dropped_indices\"):\n    pass\n"
+        ),
+        "src/repro/cli.py": (
+            "served = getattr(report, \"replica_reports\", [report])[0]\n"
+        ),
+    }, ["fleet class", "engine needed", "server type fork", "report probe",
+        "replica fallback"]),
     "compile_loops_only": (_compile_loops_only, {
         "src/repro/sim/blockengine.py": (
             "_HOT_RUNS = 16\n"

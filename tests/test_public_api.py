@@ -5,7 +5,9 @@ name means updating the snapshot *deliberately* in the same change, and
 removing or renaming one fails CI.  The one-shot shims ``run_workflow``
 and ``simulate`` (deprecation-warned since the serving API landed) were
 removed deliberately: the snapshot is the previous one minus those two,
-and :class:`repro.Deployment` is the one entry point.
+and :class:`repro.Deployment` is the one entry point.  So were
+``serve_arrivals`` (``serve_fleet`` with one replica) and the sweep
+wrappers ``mg_flit_sweep`` / ``design_space`` (one ``run_sweep`` call).
 """
 
 import ast
@@ -37,7 +39,6 @@ PUBLIC_API = sorted([
     "FixedRate",
     "PoissonArrivals",
     "TraceArrivals",
-    "serve_arrivals",
     "serve_fleet",
     "Fleet",
     "FleetReport",
@@ -83,8 +84,6 @@ PUBLIC_API = sorted([
     "WorkflowResult",
     # design-space exploration
     "evaluate_fast",
-    "design_space",
-    "mg_flit_sweep",
     "strategy_comparison",
     "SweepSpec",
     "SweepResult",

@@ -65,23 +65,28 @@ class TestBitIdentity:
         cold = res.submit(batch=3, seed=7)
         plain = base.submit(batch=3, seed=7)
         assert cold.validated and plain.validated
-        for a, b in zip(cold.per_input_outputs, plain.per_input_outputs):
+        [plain] = plain.replica_reports
+        for a, b in zip(
+            cold.replica_reports[0].per_input_outputs, plain.per_input_outputs
+        ):
             assert set(a) == set(b)
             for name in a:
                 np.testing.assert_array_equal(a[name], b[name])
         # Warm submissions stay bit-identical too.
         warm = res.submit(batch=3, seed=7)
         assert warm.validated
-        for a, b in zip(warm.per_input_outputs, plain.per_input_outputs):
+        for a, b in zip(
+            warm.replica_reports[0].per_input_outputs, plain.per_input_outputs
+        ):
             for name in a:
                 np.testing.assert_array_equal(a[name], b[name])
 
     def test_first_submission_pays_load_then_warm(self, march):
         dep = make_deployment(march, True)
         cold = dep.submit(batch=2, validate=False)
-        assert cold.resident and cold.load_cycles > 0
+        assert cold.resident and cold.replica_load_cycles[0] > 0
         warm = dep.submit(batch=2, validate=False)
-        assert warm.resident and warm.load_cycles == 0
+        assert warm.resident and warm.replica_load_cycles == [0]
         assert warm.makespan_cycles < cold.makespan_cycles
 
 
@@ -101,8 +106,8 @@ class TestLoadOncePerShard:
 
     def test_warm_energy_excludes_load_tallies(self, march):
         dep = make_deployment(march, True)
-        cold = dep.submit(batch=1, seed=0, validate=False)
-        warm = dep.submit(batch=1, seed=0, validate=False)
+        [cold] = dep.submit(batch=1, seed=0, validate=False).replica_reports
+        [warm] = dep.submit(batch=1, seed=0, validate=False).replica_reports
         assert cold.load_energy_pj and any(
             v > 0 for v in cold.load_energy_pj.values()
         )
@@ -124,13 +129,14 @@ class TestSteadyStateLaw:
         w1 = dep.submit(batch=1, validate=False)
         w2 = dep.submit(batch=2, validate=False)
         w4 = dep.submit(batch=4, validate=False)
-        assert cold.load_cycles > 0
+        [load] = cold.replica_load_cycles
+        assert load > 0
         interval = w2.makespan_cycles - w1.makespan_cycles
         assert interval > 0
         # warm_makespan(B) = warm_makespan(1) + (B - 1) * bottleneck
         assert w4.makespan_cycles == w1.makespan_cycles + 3 * interval
         # makespan(B) = load + warm_makespan(B), exact
-        assert cold.makespan_cycles == cold.load_cycles + w4.makespan_cycles
+        assert cold.makespan_cycles == load + w4.makespan_cycles
 
     @pytest.mark.parametrize("tier", ["cyclesim", "fast"])
     def test_warm_rate_beats_cold_rate(self, march, tier):
@@ -212,13 +218,15 @@ class TestFaultEngineLoadOffsets:
 
 
 class TestResidentReportSerialization:
-    def test_serve_report_conditional_block(self, march):
+    def test_serve_report_always_carries_the_resident_block(self, march):
         res = make_deployment(march, True).submit(batch=1, validate=False)
         plain = make_deployment(march, False).submit(batch=1, validate=False)
-        assert res.to_dict()["resident"] is True
-        assert res.to_dict()["load_cycles"] > 0
-        for key in ("resident", "load_cycles", "load_energy_pj"):
-            assert key not in plain.to_dict()
+        res, plain = res.to_dict(), plain.to_dict()
+        assert res["resident"] is True
+        assert res["replica_load_cycles"][0] > 0
+        assert plain["resident"] is False
+        assert plain["replica_load_cycles"] == [0]
+        assert res.keys() == plain.keys()
 
     def test_fast_report_load_cycles_round_trip(self):
         loaded = FastReport(
@@ -295,7 +303,7 @@ class TestExploreResidentAxis:
             model, march, strategy="dp", chips=2, tier="fast",
             resident_weights=True, **MODEL_KW,
         ).submit(batch=batch)
-        assert point.report.load_cycles == served.load_cycles > 0
+        assert point.report.load_cycles == served.replica_load_cycles[0] > 0
         assert point.cycles == served.makespan_cycles
         assert point.report.total_energy_pj == served.total_energy_pj
 
@@ -408,4 +416,6 @@ class TestFastTierEligibilityMirror:
         cyc = make_deployment(
             march, True, chips=chips, model=model
         ).submit(batch=1, validate=False)
-        assert (fast.load_cycles > 0) == (cyc.load_cycles > 0)
+        assert (fast.replica_load_cycles[0] > 0) == (
+            cyc.replica_load_cycles[0] > 0
+        )

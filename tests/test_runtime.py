@@ -35,7 +35,7 @@ from repro import (
     WallClock,
     serve_forever,
 )
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, FaultError, SimulationError
 from repro.faults import DROP_MAX_ATTEMPTS
 
 
@@ -159,15 +159,25 @@ class TestSubmission:
 
         _run(scenario())
 
-    def test_faults_need_a_fleet(self, arch):
-        plan = FaultPlan(events=(ReplicaCrash(replica=0, at_cycle=10),))
-        with pytest.raises(ConfigError, match="Fleet"):
-            _run(serve_forever(
-                _deployment(arch), clock=VirtualClock(), faults=plan
-            ))
+    def test_a_deployment_serves_a_fault_plan(self, arch):
+        """A deployment is a fleet of one: a plan needs no wrapper."""
+        plan = FaultPlan(events=(ReplicaCrash(replica=0, at_cycle=1000),))
+        handle, completions, live = _run(
+            _script(_deployment(arch, tier="fast"), RELEASES, faults=plan)
+        )
+        offline = _deployment(arch, tier="fast").run_trace(
+            RELEASES, faults=plan
+        )
+        assert live.to_dict() == offline.to_dict()
+        assert live.dropped > 0
+        with pytest.raises(FaultError, match="names replica 1"):
+            _deployment(arch, tier="fast").run_trace(
+                RELEASES,
+                faults=FaultPlan(events=(ReplicaCrash(replica=1, at_cycle=0),)),
+            )
 
     def test_server_must_be_deployment_or_fleet(self):
-        with pytest.raises(ConfigError, match="Deployment or Fleet"):
+        with pytest.raises(ConfigError, match="needs a Deployment"):
             _run(serve_forever(object(), clock=VirtualClock()))
 
 
@@ -225,14 +235,15 @@ class TestOfflineEquivalence:
         )
         offline = _deployment(arch, tier=tier, **dep_kw).run_trace(RELEASES)
         assert live.to_dict() == offline.to_dict()
-        assert live.load_cycles > 0
+        [load] = live.replica_load_cycles
+        assert load > 0
         warm = [
             e for e in handle.events
             if type(e).__name__ == "ReplicaStateChanged"
             and e.state == "warm"
         ]
         assert len(warm) == 1
-        assert warm[0].at_cycle == live.load_cycles
+        assert warm[0].at_cycle == load
 
     def test_resident_fleet_matches_trace(self, arch):
         kw = dict(replicas=2, resident_weights=True)

@@ -29,12 +29,11 @@ from repro import (
     PoissonArrivals,
     TraceArrivals,
     compile_model,
-    serve_arrivals,
 )
 from repro.arrivals import latency_percentiles
 from repro.config import InterChipConfig
 from repro.errors import ConfigError
-from repro.sim.fastmodel import analyze_plan, stream_batched
+from repro.sim.fastmodel import analyze_plan, serve_fleet, stream_batched
 from repro.sim.multichip import (
     steady_state_interval,
     streaming_schedule,
@@ -201,10 +200,11 @@ class TestDeploymentSessions:
         compiled = compile_model(
             "tiny_resnet", arch, "dp", chips=2, input_size=8, num_classes=10
         )
-        legacy = Deployment(compiled).submit(batch=4)
+        [legacy] = Deployment(compiled).submit(batch=4).replica_reports
         served = deployment.run_trace([0, 0, 0, 0])
         assert served.makespan_cycles == legacy.stream_report.cycles
         assert served.input_finishes == legacy.stream_report.input_finishes
+        [served] = served.replica_reports
         assert served.stream_report.to_dict() == legacy.stream_report.to_dict()
         for i in range(4):
             for name in legacy.per_input_outputs[i]:
@@ -222,6 +222,7 @@ class TestDeploymentSessions:
             batch=3, arrivals=PoissonArrivals(1e5, seed=3)
         )
         assert served.validated
+        [served] = served.replica_reports
         for i in range(3):
             single = deployment.run(seed=i)
             for name, expected in single.outputs.items():
@@ -276,9 +277,10 @@ class TestDeploymentSessions:
         assert report.batch == 0
         assert report.makespan_cycles == 0
         assert report.latency_cycles == []
-        assert report.p99_latency_cycles == 0
+        assert report.p99_latency_cycles is None
         assert report.throughput_inf_per_s == 0.0
-        assert report.per_input_outputs == []
+        assert report.to_dict()["p99_latency_cycles"] is None
+        assert report.replica_reports[0].per_input_outputs == []
 
     def test_single_input_degenerates_to_latency_mode(self, arch):
         deployment = _deploy(arch, chips=2)
@@ -289,7 +291,7 @@ class TestDeploymentSessions:
         assert served.latency_cycles == [single.report.cycles]
         assert served.p50_latency_cycles == served.p99_latency_cycles \
             == single.report.cycles
-        assert served.queue_cycles == [0]
+        assert served.replica_reports[0].queue_cycles == [0]
 
     def test_arrival_after_pipeline_drain(self, arch):
         deployment = _deploy(arch, chips=2)
@@ -297,7 +299,7 @@ class TestDeploymentSessions:
         served = deployment.run_trace([0, 3 * single])
         # The second input finds an idle pipeline: no queueing, same
         # latency as the first, makespan = its release + one service.
-        assert served.queue_cycles == [0, 0]
+        assert served.replica_reports[0].queue_cycles == [0, 0]
         assert served.latency_cycles == [single, single]
         assert served.makespan_cycles == 3 * single + single
 
@@ -307,15 +309,17 @@ class TestDeploymentSessions:
         served = deployment.submit(
             batch=4, arrivals=FixedInterval(max(1, interval // 4))
         )
-        assert served.queue_cycles[0] == 0
+        [replica] = served.replica_reports
+        queue = replica.queue_cycles
+        assert queue[0] == 0
         # Arrivals outpace the bottleneck: the queue builds monotonically.
-        assert all(
-            b >= a for a, b in zip(served.queue_cycles, served.queue_cycles[1:])
-        )
-        assert served.queue_cycles[-1] > 0
-        assert max(served.shard_utilization) <= 1.0
+        assert all(b >= a for a, b in zip(queue, queue[1:]))
+        assert queue[-1] > 0
+        assert max(replica.shard_utilization) <= 1.0
+        assert served.latency_cycles == [
+            q + s for q, s in zip(queue, replica.service_cycles)
+        ]
         payload = served.to_dict()
-        assert payload["queue_cycles"] == served.queue_cycles
         assert payload["p99_latency_cycles"] == served.p99_latency_cycles
 
     def test_printing_a_report_sorts_its_latencies_once(
@@ -379,11 +383,13 @@ class TestDeploymentSessions:
         served = Deployment(compiled, resident_weights=resident).submit(
             batch=1, seed=2
         )
+        assert served.validated
+        served = served.replica_reports[0]
         assert result.report.to_dict() == served.stream_report.to_dict()
         assert result.report.num_chips == chips
         fleet = Fleet(compiled, replicas=2, resident_weights=resident)
         assert fleet.run(seed=2).report.to_dict() == result.report.to_dict()
-        assert result.validated and served.validated
+        assert result.validated
         [outputs] = served.per_input_outputs
         for got, want in ((result.outputs, outputs),
                           (result.golden, served.golden)):
@@ -454,7 +460,7 @@ class TestLatencyUnderLoad:
 
 
 # ---------------------------------------------------------------------------
-# Fast-model mirror (serve_arrivals)
+# Fast-model mirror (serve_fleet, one replica)
 # ---------------------------------------------------------------------------
 
 class TestFastModelServe:
@@ -464,7 +470,7 @@ class TestFastModelServe:
         )
         base = analyze_plan(compiled.plan)
         batched = stream_batched(base, 5)
-        served = serve_arrivals(base, [0] * 5, arch.interchip)
+        served = serve_fleet(base, [0] * 5, arch.interchip, 1)
         assert served.cycles == batched.cycles
         assert served.energy_breakdown_pj == batched.energy_breakdown_pj
         assert served.macs == batched.macs
@@ -477,8 +483,8 @@ class TestFastModelServe:
             "tiny_cnn", arch, "dp", input_size=8, num_classes=10
         )
         base = analyze_plan(compiled.plan)
-        served = serve_arrivals(
-            base, [0, 10, 10_000_000], arch.interchip,
+        served = serve_fleet(
+            base, [0, 10, 10_000_000], arch.interchip, 1,
             arrival_rate_inf_s=123.0,
         )
         assert served.p50_latency_cycles == base.cycles
@@ -504,10 +510,10 @@ class TestFastModelServe:
             "tiny_cnn", arch, "dp", input_size=8, num_classes=10
         )
         base = analyze_plan(compiled.plan)
-        empty = serve_arrivals(base, [], arch.interchip)
+        empty = serve_fleet(base, [], arch.interchip, 1)
         assert empty.batch == 0 and empty.cycles == 0
         with pytest.raises(ConfigError, match="single-input"):
-            serve_arrivals(stream_batched(base, 2), [0, 0], arch.interchip)
+            serve_fleet(stream_batched(base, 2), [0, 0], arch.interchip, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +639,7 @@ class TestServeCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "latency p99" in out
-        assert "shard utilization" in out
+        assert "replica 0: 3 inputs" in out
         assert "validated : bit-exact vs golden model" in out
 
     def test_serve_trace_and_json(self, tmp_path, capsys):

@@ -135,26 +135,27 @@ class TestBatchedWorkflow:
         batched = _stream(arch, chips)
         assert batched.validated
         assert batched.batch == BATCH
-        assert len(batched.per_input_outputs) == BATCH
+        outputs = batched.replica_reports[0].per_input_outputs
+        assert len(outputs) == BATCH
         singles = [_run(arch, chips, seed=i) for i in range(BATCH)]
         for i, single in enumerate(singles):
-            assert set(batched.per_input_outputs[i]) == set(single.outputs)
+            assert set(outputs[i]) == set(single.outputs)
             for name, expected in single.outputs.items():
                 assert np.array_equal(
-                    batched.per_input_outputs[i][name], expected
+                    outputs[i][name], expected
                 ), f"chips={chips} input {i} output {name!r} diverged"
 
     @pytest.mark.parametrize("chips", (2, 4))
     def test_streaming_overlaps_chips(self, arch, chips):
         single = _run(arch, chips).report.cycles
-        batched = _stream(arch, chips).stream_report
+        batched = _stream(arch, chips).replica_reports[0].stream_report
         assert batched.cycles < BATCH * single
         assert batched.cycles > single
         assert batched.input_finishes[0] == single  # fill = one makespan
 
     def test_single_chip_replays_sequentially(self, arch):
         single = _run(arch, 1).report
-        batched = _stream(arch, 1).stream_report
+        batched = _stream(arch, 1).replica_reports[0].stream_report
         assert batched.cycles == BATCH * single.cycles
         assert batched.num_chips == 1
         assert batched.steady_interval_cycles == single.cycles
@@ -164,7 +165,7 @@ class TestBatchedWorkflow:
 
     @pytest.mark.parametrize("chips", (2, 4))
     def test_scheduler_interval_matches_closed_form(self, arch, chips):
-        report = _stream(arch, chips).stream_report
+        report = _stream(arch, chips).replica_reports[0].stream_report
         diffs = [
             b - a
             for a, b in zip(report.input_finishes, report.input_finishes[1:])
@@ -185,7 +186,7 @@ class TestBatchedWorkflow:
 
     def test_report_aggregates_whole_stream(self, arch):
         single = _run(arch, 2).report
-        batched = _stream(arch, 2).stream_report
+        batched = _stream(arch, 2).replica_reports[0].stream_report
         assert batched.macs == BATCH * single.macs
         assert batched.instructions == BATCH * single.instructions
         assert batched.interchip_bytes == BATCH * single.interchip_bytes
@@ -206,8 +207,12 @@ class TestBatchedWorkflow:
         compiled = compile_model(
             "tiny_resnet", arch, "dp", chips=2, input_size=8, num_classes=10
         )
-        a = Deployment(compiled, engine="interp").submit(batch=3)
-        b = Deployment(compiled, engine="block").submit(batch=3)
+        [a] = Deployment(compiled, engine="interp").submit(
+            batch=3
+        ).replica_reports
+        [b] = Deployment(compiled, engine="block").submit(
+            batch=3
+        ).replica_reports
         ra, rb = a.stream_report, b.stream_report
         assert ra.cycles == rb.cycles
         assert ra.input_finishes == rb.input_finishes
@@ -236,7 +241,8 @@ class TestBatchedWorkflow:
         # a bare list also sets the batch implicitly
         implicit = deployment.submit(inputs)
         assert implicit.batch == 2
-        assert implicit.stream_report.cycles == result.stream_report.cycles
+        assert implicit.replica_reports[0].stream_report.cycles == \
+            result.replica_reports[0].stream_report.cycles
 
     def test_stacked_array_and_nested_list_inputs(self, arch):
         compiled = compile_model(
@@ -253,10 +259,10 @@ class TestBatchedWorkflow:
         assert stacked.batch == 2 and stacked.validated
         as_list = deployment.submit([stack[0], stack[1]], batch=2)
         for i in range(2):
-            for name in stacked.per_input_outputs[i]:
+            for name in stacked.replica_reports[0].per_input_outputs[i]:
                 assert np.array_equal(
-                    stacked.per_input_outputs[i][name],
-                    as_list.per_input_outputs[i][name],
+                    stacked.replica_reports[0].per_input_outputs[i][name],
+                    as_list.replica_reports[0].per_input_outputs[i][name],
                 )
         # one input handed in as a nested Python list stays a batch of 1
         nested = deployment.submit(stack[0].tolist())
@@ -336,7 +342,7 @@ class TestMultipassStreamingLaw:
         assert be.ENGINE_STATS["noc_batch_successes"] > 0, (
             "the multipass shard bodies did not take the NoC replay path"
         )
-        batched = served.submit(batch=BATCH).stream_report
+        batched = served.submit(batch=BATCH).replica_reports[0].stream_report
         interval = batched.steady_interval_cycles
         assert interval > 0
         assert batched.cycles == single.cycles + (BATCH - 1) * interval
@@ -348,7 +354,7 @@ class TestMultipassStreamingLaw:
         # The law must come out identically with every NoC window stepped.
         interp = Deployment(compiled, engine="interp").submit(
             batch=BATCH
-        ).stream_report
+        ).replica_reports[0].stream_report
         assert interp.cycles == batched.cycles
         assert interp.input_finishes == batched.input_finishes
         assert interp.energy_breakdown_pj == batched.energy_breakdown_pj
