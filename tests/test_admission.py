@@ -391,22 +391,25 @@ SNAPSHOT_SHA256 = {
 
 #: ``repro serve --json`` files: the three ``serve_fleet`` benchmark
 #: commands at smoke scale (seed 0), CI's cyclesim faulted fleet, and a
-#: fast resident 2-replica fleet under a crash plan.
+#: fast resident 2-replica fleet under a crash plan.  Re-pinned (with
+#: the ``serve_*`` pins below) when every submission became one
+#: ``FleetReport``: each value the old files carried is unchanged, the
+#: fault-free availability fields are now filled.
 SERVE_SHA256 = {
     "rr": (
-        "6703785b5dbaeebcac766b4377c391e07100994b6db8880aae09d7960d5bb6fd"
+        "7c5a64dc0e8daac20db1b120f4e608c8ecd90e5e8fe290cac7543d784acbf2f8"
     ),
     "jsq": (
-        "98fb5f025738daa130b7c5040c519e5fd1d0a8b961c4fd94b183eb61ba6ed762"
+        "33c79e326aed01d8b72a7bbb64be05b5e7ec1bad9aab73dd9b76f27551c3f5f9"
     ),
     "faulted": (
-        "71c701a813deb47ca79ea7f7c9c3509579b3281ed1f01f6cb31d950aa74e7c61"
+        "ef6a79f77cadc2ddc5ab5afe015ddc350d0bcfb94d4a2e7dc792540e1c3b7e02"
     ),
     "cyclesim_faulted": (
-        "48bb47630267e7096fe5c9904d81536107487c5acfa3859c190bc6599ecbc5b7"
+        "ffaee4ef59d133d14535ec7f24c43b74280cfafbdd210445b98422f3446c3c28"
     ),
     "resident_crash": (
-        "685c1e7094ee01cb47dbd64a1d0c0e6230bc91e22e8f7fc39832ea7220545dfa"
+        "3df387acc7812b0d846a67f9fe4ff8856e46b7d2be95c2ff705a07d22fa679e0"
     ),
 }
 
@@ -423,19 +426,19 @@ DEPLOYMENT_SHA256 = {
         "6b9cfbe4b3f47253c19720b62709f99a8a838ec1f3a193a6e3b6928ff74fab7f"
     ),
     "serve_rate": (
-        "e7ab77349b453011a0eb1a3d47d9d26c47e9dd2d39f318017dcef5afb04137fb"
+        "095bb87ffd693c7bb5563d274ea5f87b1565c79596399afa62acc122b887ad2e"
     ),
     "serve_plain": (
-        "86564e3952265ffdeffc1594625e541af798c7bbc5ac9fede9ea49b1ff142c56"
+        "a54094ed48adff4917f3504448065a2a7f0c02736863d97a7fbde8364fd302f5"
     ),
     "serve_resident": (
-        "7f572e1254af7211e7df5512376db4f685b02a4219ad3492cc63163b6393673d"
+        "2b22146b8117815bd890a6c92d364e390dc444e9f57b0256cda4f7809d26a6de"
     ),
     "serve_resident_fleet": (
-        "9e00fe9194004d06033ba7e03dce8de6c3f27ee8a31ac5e072bce6fedff3a7a1"
+        "c1362910e93f14c77ed5971c255ead44e5d36be354719ef0025d5a46bd4d4f9a"
     ),
     "serve_artifact_fleet": (
-        "052af5ad9687e7c27a150a60eaba486960b9078b18621614c6b2ec2a229db5e8"
+        "67892f7c85e543c3f7be608b67735abfb7afc52db8aa7ca18b2a55e116be4553"
     ),
 }
 

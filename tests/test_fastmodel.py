@@ -70,38 +70,41 @@ class TestFastTierPinnedBytes:
 
     #: (model, chips, resident) -> SHA-256 of
     #: [Deployment.submit(batch=4), Fleet(jsq, 3).submit(batch=9)].
+    #: Re-pinned when every submission became one ``FleetReport``: each
+    #: value the old payloads carried is unchanged, the fault-free
+    #: availability fields are now filled.
     SERVED = {
         ("tiny_cnn", 1, False):
-            "7a913cd20065612445bd9485ae38a9ce7c99d58dffedc5618c1d38df49130ef5",
+            "f56dc2bb9f81aa0bbfef5fff75d66179901d361ec707a79d9913d5c9b386b20b",
         ("tiny_cnn", 1, True):
-            "72c08228be2d036befccfa17eb1e3626f204027a8e50870da0a9828424b9a2b2",
+            "c800c4723266ff8934fec458163cf35853ff749cc6264b92ccfa0ac0e0d78928",
         ("tiny_cnn", 2, False):
-            "65bfe434be85edfdd5b4e4ef7d8d81ea90da116b81b1d81f95c8e4a88355c87d",
+            "65e0fbb1922e29ce8bceadbc30fa2c8dfd4dbb19e1b0a07edb060972e61daa29",
         ("tiny_cnn", 2, True):
-            "fc2c9eaa6b0a17a56f21a8510b7767ad33f2c512b1f3f91eabd03387c71eff9c",
+            "1b88eb954a7fcc39de639ed67971c75fa54f26dca2b287b3f5d99372d6c37d32",
         ("tiny_resnet", 1, False):
-            "00c346eb42e9d5166da5a9760eb237d7b86a177e7f3c6460e06dd33c83557f27",
+            "22bf35f8f132df7e75c0025f9db26a11c553309d8d81feb04a98f32fcda35dc4",
         ("tiny_resnet", 1, True):
-            "d526600566dd1cded3a47998c42f08c666fdcbacfab0219ce690322fff8339be",
+            "d12e298269f76835aec13e7788a367f6366d526145465d97c956aa51ac6c3d29",
         ("tiny_resnet", 2, False):
-            "cd1a26690b466baacf24e3dc226ff09cd7fee9af3f6096359839d077a7635954",
+            "22ad407324c925393c5e11422ebd045eb5bfc2f252da944c9dec800cc32aca25",
         ("tiny_resnet", 2, True):
-            "3e0f5b310d568c5e9be4daf6293869909ec56b51f448cfdf88dafd859d1f4796",
+            "1755bea4d99df41a679c2a840a8566352ba4e1fecbe9913c8e92cac270df6607",
         ("tiny_mlp", 1, False):
-            "235912390370f601230962f36dc193d98cf7d5ec0b36437a2083e6a0615e858b",
+            "8288cb725aa66590584eb191508c310a598c35c1fa74872f88f5c98e3eddced0",
         ("tiny_mlp", 1, True):
-            "bc27adeeaf48db2a16e974e7acd6e602ad50fb58b2ee8bbde7dde9c3df7f83ed",
+            "364f1dd9589ff50ca6090fc1629a1dd9a2157791eb569c81cdc72ef3e6a28976",
         ("tiny_mlp", 2, False):
-            "7de9eecf4371839fff3c1075a9242fcf6b5815a8b53f1d0dcab2297f886dce86",
+            "ad465032e1fcf800cf80f0e596cf3becd0792a355be6b9cf7cabe849be3b38b9",
         ("tiny_mlp", 2, True):
-            "7879688b855c606f56922e5339ec989d244eb18acc260e900fc2bb9f3833b68d",
+            "2559c578d3e937f94b764f61688421776064e78c41027893e3d5ee67fdeeeadd",
     }
 
     #: chips -> SHA-256 of an artifact-backed fast Deployment"s
-    #: submit(batch=4) report.
+    #: submit(batch=4) report (re-pinned with ``SERVED``).
     ARTIFACT = {
-        1: "ad739ae8ad7bc369ab81d187ef9b40b2d6f7cbc057c909be204985fe192d5700",
-        2: "3bbc8be388a88bf2746e0bdc2923c699d08b4edbe86988370d679c3f1e88428c",
+        1: "cad08368ad766199d16b321f90eff012a8a69eea64db9a83c51e81c2809e722f",
+        2: "dc81fac60144ec25a191019c10068d100fc06730f9b382008b59580109647ba3",
     }
 
     #: SHA-256 of the (chips, batch, cycles) of the four best-by-tops
