@@ -121,8 +121,8 @@ def test_sweep_coordinate_table_is_the_axis_table():
 
 SRC = REPO_ROOT / "src" / "repro"
 
-#: README and docs/ only: CHANGES.md, ROADMAP.md and ISSUE.md are history
-#: and may name code that is gone.
+#: README and docs/ only: CHANGES.md and ROADMAP.md are history and may
+#: name code that is gone.
 CODE_DOCS = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
 
 _SPAN_RE = re.compile(r"`([^`\n]+)`")
